@@ -7,8 +7,8 @@ use crate::replica::McastReplica;
 use crate::timestamp::{GroupId, MsgId, Timestamp};
 use crate::DestMask;
 use bytes::Bytes;
-use rdma_sim::{Fabric, Node, NodeId};
-use sim::Mailbox;
+use rdma_sim::{Fabric, Node, NodeId, Poller};
+use sim::{Cond, Mailbox};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -51,6 +51,9 @@ pub(crate) struct McastInner {
     /// Replica nodes, `nodes[group][index]`.
     pub(crate) nodes: Vec<Vec<Node>>,
     pub(crate) layouts: HashMap<NodeId, NodeLayout>,
+    /// Each replica process's wait point, `pollers[group][index]`: rung by
+    /// writes into its node's [`NodeLayout`] span and by nothing else.
+    pub(crate) pollers: Vec<Vec<Poller>>,
     /// Delivery mailboxes, `deliveries[group][index]`.
     pub(crate) deliveries: Vec<Vec<Mailbox<DeliveryEvent>>>,
     /// Durable storage for per-replica write-ahead logs. Unset unless
@@ -107,7 +110,9 @@ impl Mcast {
         }
         let sizes = Sizes::from_config(&cfg);
         let mut layouts = HashMap::new();
+        let mut pollers = Vec::with_capacity(nodes.len());
         for group in &nodes {
+            let mut row = Vec::with_capacity(group.len());
             for node in group {
                 let layout = NodeLayout {
                     sub: node.alloc_bytes(sizes.sub_region()),
@@ -119,20 +124,21 @@ impl Mcast {
                     log_floor: node.alloc_words(1),
                     boot_gen: node.alloc_words(1),
                 };
+                // The regions are allocated back to back, so the replica
+                // polls one span: `sub` up to and including `boot_gen`.
+                let span = (layout.boot_gen.0 - layout.sub.0) as usize + WORD;
+                row.push(node.poller(Cond::new(), &[(layout.sub, span)]));
                 layouts.insert(node.id(), layout);
             }
+            pollers.push(row);
         }
-        // Delivery mailboxes share each node's memory condition so that an
-        // application process (e.g. a Heron replica) can wait on a single
-        // point for both deliveries and RDMA writes into its memory.
+        // A delivery mailbox's condition is its consumer's wait point: the
+        // application process (e.g. a Heron executor) subscribes it to the
+        // memory it polls — `node.poller(deliveries.cond().clone(), …)` —
+        // and then waits in one place for deliveries and landing writes.
         let deliveries = nodes
             .iter()
-            .map(|group| {
-                group
-                    .iter()
-                    .map(|node| Mailbox::with_cond(node.mem_cond().clone()))
-                    .collect()
-            })
+            .map(|group| group.iter().map(|_| Mailbox::new()).collect())
             .collect();
         Mcast {
             inner: Arc::new(McastInner {
@@ -141,6 +147,7 @@ impl Mcast {
                 fabric: fabric.clone(),
                 nodes,
                 layouts,
+                pollers,
                 deliveries,
                 wal: OnceLock::new(),
                 uid_counter: AtomicU32::new(1),

@@ -9,7 +9,7 @@ use crate::layout::{
 use crate::timestamp::{GroupId, MsgId, Timestamp};
 use crate::{mask_groups, DestMask};
 use bytes::Bytes;
-use rdma_sim::{Node, QueuePair, WriteBatch};
+use rdma_sim::{Node, Poller, QueuePair, WriteBatch};
 use sim::SimTime;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
@@ -97,6 +97,10 @@ pub struct McastReplica {
     group: GroupId,
     idx: usize,
     node: Node,
+    /// Our wait point: rung by writes into `layout`'s span, by recovery
+    /// and by power loss — the memory inputs of [`Self::has_work`] and the
+    /// liveness the crashed-idle loop waits for.
+    poller: Poller,
     my_global: usize,
     layout: NodeLayout,
     /// This replica's durable WAL namespace, when storage is attached
@@ -116,6 +120,7 @@ impl std::fmt::Debug for McastReplica {
 impl McastReplica {
     pub(crate) fn new(inner: Arc<McastInner>, group: GroupId, idx: usize) -> Self {
         let node = inner.nodes[group.0 as usize][idx].clone();
+        let poller = inner.pollers[group.0 as usize][idx].clone();
         let my_global = inner.global_idx(group, idx);
         let layout = inner.layouts[&node.id()];
         let wal_disk = inner
@@ -127,6 +132,7 @@ impl McastReplica {
             group,
             idx,
             node,
+            poller,
             my_global,
             layout,
             wal_disk,
@@ -207,7 +213,7 @@ impl McastReplica {
         loop {
             if !self.node.is_alive() {
                 // Crashed; idle until recovered.
-                self.node
+                self.poller
                     .poll_until_timeout(|| self.node.is_alive(), self.inner.cfg.leader_timeout);
                 continue;
             }
@@ -270,7 +276,7 @@ impl McastReplica {
                 .unwrap_or(std::time::Duration::from_nanos(1));
             let this = &self;
             let st_ref = &st;
-            self.node
+            self.poller
                 .poll_until_timeout(|| this.has_work(st_ref), timeout);
         }
     }

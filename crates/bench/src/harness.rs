@@ -266,6 +266,9 @@ pub struct LoadSummary {
     pub delays: Vec<(f64, Duration)>,
     /// State transfers initiated during the run (lagger events).
     pub transfers_started: u64,
+    /// State transfers that ran to completion (snapshot applied and
+    /// adopted by the requester).
+    pub transfers_completed: usize,
     /// Scheduler events the simulator executed for the whole run (warm-up
     /// included) — the wall-clock cost driver, since every event is a host
     /// park/unpark.
@@ -478,6 +481,7 @@ pub fn run_heron(cfg: &RunConfig) -> LoadSummary {
         .map(|d| d.summary())
         .collect::<Vec<_>>();
     let explore = simulation.explore_report();
+    let transfers_completed = metrics.transfers.lock().len();
 
     LoadSummary {
         tps: (completed1 - completed0) as f64 / window_secs,
@@ -493,6 +497,7 @@ pub fn run_heron(cfg: &RunConfig) -> LoadSummary {
         multi: summarize(true),
         delays,
         transfers_started: metrics.transfers_started.load(Ordering::Relaxed),
+        transfers_completed,
         events: simulation.events_executed(),
         wall_ms: wall_start.elapsed().as_secs_f64() * 1_000.0,
         audit: cluster.race_detector().map(|d| RaceAuditSummary {
@@ -584,6 +589,7 @@ pub fn run_dynastar_tpcc(cfg: &RunConfig) -> LoadSummary {
         multi: BreakdownSummary::default(),
         delays: vec![],
         transfers_started: 0,
+        transfers_completed: 0,
         events: simulation.events_executed(),
         wall_ms: wall_start.elapsed().as_secs_f64() * 1_000.0,
         audit: None,

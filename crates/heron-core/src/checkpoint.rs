@@ -166,19 +166,19 @@ pub(crate) fn checkpoint_replica(shared: &Arc<ReplicaShared>) -> Option<Checkpoi
     // mutating slots underneath us. The executor passes through such a
     // boundary between any two commands; if the replica stays busy for a
     // whole interval, skip the round rather than snapshot a torn state.
+    let quiescent = || {
+        shared.in_write_phase.load(Ordering::SeqCst) == 0
+            && shared.last_req.load(Ordering::SeqCst) == shared.completed_req.load(Ordering::SeqCst)
+            && shared.transfer.lock().expected == 0
+    };
     let quiet = {
         // The profiler attributes this wait to the checkpointer's quiesce
         // park rather than a generic condition wait.
         let _wait = sim::prof::parked_scope("ckpt_quiesce");
-        node.poll_until_timeout(
-            || {
-                shared.in_write_phase.load(Ordering::SeqCst) == 0
-                    && shared.last_req.load(Ordering::SeqCst)
-                        == shared.completed_req.load(Ordering::SeqCst)
-                    && shared.transfer.lock().expected == 0
-            },
-            interval,
-        )
+        // None of the inputs is node memory: `set_completed` notifies,
+        // and that is the first instant the boundary can hold (write
+        // phases end, and inbound transfers disarm, before it is called).
+        shared.quiesce.wait_while_timeout(|| !quiescent(), interval)
     };
     if !quiet || !node.is_alive() || node.power_cycles() != cycles {
         let reg = shared.cluster.metrics.registry();

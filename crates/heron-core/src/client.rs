@@ -5,7 +5,7 @@ use crate::layout::{encode_envelope, resp_slot, RESP_HDR};
 use crate::types::PartitionId;
 use amcast::{GroupId, McastClient, MsgId};
 use bytes::Bytes;
-use rdma_sim::{Addr, Node};
+use rdma_sim::{Addr, Node, Poller};
 use std::fmt;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -20,6 +20,8 @@ use std::sync::Arc;
 pub struct HeronClient {
     cluster: Arc<ClusterInner>,
     node: Node,
+    /// Our wait point: rung by replies landing in the response region.
+    poller: Poller,
     id: u64,
     seq: u64,
     resp_base: Addr,
@@ -40,11 +42,11 @@ impl HeronClient {
         let inner = Arc::clone(&cluster.inner);
         let node = inner.fabric.add_node(format!("client-{name}"));
         let id = inner.client_counter.fetch_add(1, Ordering::SeqCst);
-        let resp_base = node.alloc_bytes(
-            inner.cfg.partitions
-                * inner.cfg.replicas_per_partition
-                * (RESP_HDR + inner.cfg.max_response),
-        );
+        let resp_bytes = inner.cfg.partitions
+            * inner.cfg.replicas_per_partition
+            * (RESP_HDR + inner.cfg.max_response);
+        let resp_base = node.alloc_bytes(resp_bytes);
+        let poller = node.poller(sim::Cond::new(), &[(resp_base, resp_bytes)]);
         inner.clients.lock().insert(
             id,
             ClientInfo {
@@ -56,6 +58,7 @@ impl HeronClient {
         HeronClient {
             cluster: inner,
             node,
+            poller,
             id,
             seq: 0,
             resp_base,
@@ -113,21 +116,21 @@ impl HeronClient {
         let retry = self.cluster.cfg.client_retry;
         loop {
             let done = self
-                .node
+                .poller
                 .poll_until_timeout(|| self.all_answered(dests, seq), retry);
             if done {
                 break;
             }
-            if std::env::var("HERON_DBG_CLIENT").is_ok() {
-                let missing: Vec<u16> = dests
+            if sim::trace::enabled() {
+                // Which partitions have not answered, as a bit per id.
+                let missing = dests
                     .iter()
                     .filter(|p| self.answered_slot(**p, seq).is_none())
-                    .map(|p| p.0)
-                    .collect();
-                eprintln!(
-                    "[{}] client {} retrying seq={seq} uid={uid:?} missing partitions {missing:?}",
-                    sim::now(),
-                    self.id
+                    .fold(0u64, |mask, p| mask | 1 << p.0);
+                sim::trace::instant_args(
+                    "client.retry",
+                    u64::from(uid.0),
+                    &[("client", self.id), ("seq", seq), ("missing", missing)],
                 );
             }
             // Retry: the believed leader of some group may have failed.

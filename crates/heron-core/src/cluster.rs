@@ -10,7 +10,7 @@ use crate::store::VersionedStore;
 use crate::types::{ObjectId, PartitionId};
 use amcast::{GroupId, Mcast};
 use parking_lot::Mutex;
-use rdma_sim::{Addr, Fabric, Node, NodeId, QueuePair};
+use rdma_sim::{Addr, Fabric, Node, NodeId, Poller, QueuePair};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -41,6 +41,20 @@ pub(crate) struct ReplicaShared {
     pub node: Node,
     pub store: VersionedStore,
     pub layout: ReplicaLayout,
+    /// What this replica's executing processes poll
+    /// ([`ReplicaLayout::exec_ranges`]).
+    pub exec_ranges: [(Addr, usize); 2],
+    /// Wait point of the replica's executor (serial) or dispatcher (pool):
+    /// the delivery mailbox's condition, subscribed to `exec_ranges`. Pool
+    /// workers subscribe their own.
+    pub poller: Poller,
+    /// Wait point of the service process: the node inbox's condition,
+    /// subscribed to the transfer staging ring.
+    pub svc_poller: Poller,
+    /// Wait point of the checkpointer. Its quiescence predicate reads no
+    /// node memory, only the watermarks below, so whoever advances
+    /// `completed_req` notifies it ([`Self::set_completed`]).
+    pub quiesce: sim::Cond,
     /// Update log: `(ts_raw, oid)` of every local write, used by state
     /// transfer to bound what must be synchronized (paper §III-A).
     pub log: Mutex<Vec<(u64, ObjectId)>>,
@@ -95,8 +109,16 @@ impl ReplicaShared {
         self.cluster.nodes[h.0 as usize][q].clone()
     }
 
-    /// Rings the local doorbell: wakes anything blocked on this node's
-    /// memory condition (the executor, typically).
+    /// Records that every request up to `ts_raw` finished its write phase
+    /// and tells the checkpointer, which waits for exactly this boundary.
+    pub(crate) fn set_completed(&self, ts_raw: u64) {
+        self.completed_req.store(ts_raw, Ordering::SeqCst);
+        self.quiesce.notify_all();
+    }
+
+    /// Rings the local doorbell: every executing process of this replica
+    /// polls the word, so this is how the service process hands them news
+    /// that lives outside node memory (`addr_heard`).
     pub(crate) fn ring_doorbell(&self) {
         let v = self.node.local_read_word(self.layout.doorbell).unwrap_or(0);
         let _ = self
@@ -250,6 +272,10 @@ impl HeronCluster {
                         tag("progress"),
                     );
                 }
+                let deliveries = inner.mcast.deliveries(GroupId(p as u16), i);
+                let exec_ranges = layout.exec_ranges(cfg.partitions * n);
+                let poller = node.poller(deliveries.cond().clone(), &exec_ranges);
+                let svc_poller = node.poller(node.inbox_cond(), &[layout.ring_range()]);
                 let mut store = VersionedStore::new(node.clone());
                 if let Some(det) = &inner.detector {
                     store.instrument(det.clone(), cfg.break_dual_version_guard);
@@ -264,6 +290,10 @@ impl HeronCluster {
                     node,
                     store,
                     layout,
+                    exec_ranges,
+                    poller,
+                    svc_poller,
+                    quiesce: sim::Cond::labeled("ckpt.quiesce"),
                     log: Mutex::new(Vec::new()),
                     last_req: AtomicU64::new(0),
                     completed_req: AtomicU64::new(0),

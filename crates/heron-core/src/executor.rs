@@ -111,6 +111,12 @@ pub(crate) struct ExecCore {
     /// Coordination lane this engine writes its `(ts, phase)` entries on:
     /// 0 for the serial executor, the worker index in the pool.
     pub(crate) lane: usize,
+    /// The running process's wait point, subscribed to
+    /// [`ReplicaShared::exec_ranges`]: the replica's
+    /// [`ReplicaShared::poller`] on the serial path, the worker's own in
+    /// the pool (a barrier entry wakes the workers waiting in a barrier,
+    /// not the idle ones).
+    pub(crate) poller: rdma_sim::Poller,
 }
 
 impl ExecCore {
@@ -407,7 +413,7 @@ impl ExecCore {
         phase: u64,
         timeout: Duration,
     ) -> bool {
-        self.shared.node.poll_until_timeout(
+        self.poller.poll_until_timeout(
             || {
                 let (_, maj, _) = coord_status(&self.shared, dests, ts, phase);
                 maj
@@ -427,7 +433,7 @@ impl ExecCore {
         delta: Option<Duration>,
     ) {
         let shared = &self.shared;
-        shared.node.poll_until(|| {
+        self.poller.poll_until(|| {
             let (_, maj, _) = coord_status(shared, dests, ts, phase);
             maj
         });
@@ -440,7 +446,7 @@ impl ExecCore {
             }
             stats.delayed.fetch_add(1, Ordering::Relaxed);
             let t0 = sim::now();
-            shared.node.poll_until_timeout(
+            self.poller.poll_until_timeout(
                 || {
                     let (_, _, everyone) = coord_status(shared, dests, ts, phase);
                     everyone
@@ -657,8 +663,9 @@ impl ExecCore {
         }
         let _ = candidates;
         // Replies are absorbed by the service process, which fills
-        // object_map/addr_heard and rings the doorbell.
-        shared.node.poll_until_timeout(
+        // object_map/addr_heard and rings the doorbell — the polled word
+        // that stands for `addr_heard`, which is not node memory.
+        self.poller.poll_until_timeout(
             || {
                 shared
                     .addr_heard
@@ -1027,7 +1034,7 @@ impl Dispatcher {
                 // mid-command keep going against failing verbs, exactly
                 // like the serial executor caught mid-command.
                 self.shared
-                    .node
+                    .poller
                     .poll_until_timeout(|| self.shared.node.is_alive(), Duration::from_millis(1));
                 continue;
             }
@@ -1091,9 +1098,7 @@ impl Dispatcher {
                     }
                     if let Some(t) = watermark {
                         let cur = self.shared.completed_req.load(Ordering::SeqCst);
-                        self.shared
-                            .completed_req
-                            .store(cur.max(t), Ordering::SeqCst);
+                        self.shared.set_completed(cur.max(t));
                         if t > cur {
                             crate::replica::publish_progress(&self.shared);
                         }
@@ -1329,7 +1334,10 @@ impl Dispatcher {
         let seen: std::collections::HashSet<(usize, u64)> =
             self.seen_requests.keys().copied().collect();
         let gap_held = self.pending_gap.is_some();
-        self.shared.node.poll_until_timeout(
+        // `events` was built on the poller's condition (`spawn_pool`) and
+        // `deliveries` owns it, so both mailboxes ring this wait directly;
+        // transfer requests land in the subscribed statesync entries.
+        self.shared.poller.poll_until_timeout(
             || {
                 !events.is_empty()
                     || (!gap_held && !deliveries.is_empty())
@@ -1360,7 +1368,6 @@ impl Worker {
             let ts = job.d.ts;
             let mut stalls = PoolStalls {
                 index: self.index,
-                shared: &self.core.shared,
                 events: &self.events,
                 verdicts: &self.verdicts,
                 reply: None,
@@ -1371,7 +1378,6 @@ impl Worker {
                 ts: ts.raw(),
                 reply: stalls.reply.take(),
             });
-            self.core.shared.ring_doorbell();
         }
     }
 }
@@ -1381,7 +1387,6 @@ impl Worker {
 /// watermark when it processes the worker's `Done` event.
 struct PoolStalls<'a> {
     index: usize,
-    shared: &'a Arc<ReplicaShared>,
     events: &'a Mailbox<WorkerEvent>,
     verdicts: &'a Mailbox<StallVerdict>,
     /// Reply captured by [`StallHandler::on_reply`], shipped to the
@@ -1414,7 +1419,6 @@ impl PoolStalls<'_> {
             ts: ts.raw(),
             reason,
         });
-        self.shared.ring_doorbell();
         match self.verdicts.recv() {
             StallVerdict::Covered => StallOutcome::Covered,
             StallVerdict::Retry => StallOutcome::Retry,
@@ -1456,7 +1460,9 @@ pub(crate) fn spawn_pool(
 ) {
     let width = shared.cluster.cfg.executor_width;
     debug_assert!(width > 1, "the pool exists only above width 1");
-    let events: Mailbox<WorkerEvent> = Mailbox::new();
+    // Worker events ring the dispatcher's own wait point: its idle wait
+    // watches this mailbox next to the delivery stream and polled memory.
+    let events: Mailbox<WorkerEvent> = Mailbox::with_cond(shared.poller.cond().clone());
     let jobs: Vec<Mailbox<Job>> = (0..width).map(|_| Mailbox::new()).collect();
     let verdicts: Vec<Mailbox<StallVerdict>> = (0..width).map(|_| Mailbox::new()).collect();
     let dispatcher = Dispatcher {
@@ -1480,6 +1486,7 @@ pub(crate) fn spawn_pool(
             core: ExecCore {
                 shared: Arc::clone(&shared),
                 lane: k,
+                poller: shared.node.poller(sim::Cond::new(), &shared.exec_ranges),
             },
             index: k,
             jobs: jobs[k].clone(),

@@ -12,7 +12,7 @@
 //!   chunks, plus an `applied` counter word the responder reads for flow
 //!   control;
 //! * a **doorbell** word the colocated service process bumps to wake the
-//!   executor through the node's memory condition.
+//!   executing processes, which poll it along with their other words.
 //!
 //! Clients host a **response region** with one `[seq, len, data]` slot per
 //! partition; replicas answer with a single unsignaled write.
@@ -90,6 +90,24 @@ impl ReplicaLayout {
     /// `h` (with `n` replicas per partition).
     pub fn progress_slot(&self, h: usize, q: usize, n: usize) -> Addr {
         self.progress.offset(((h * n + q) * WORD) as u64)
+    }
+
+    /// What the executing processes (serial executor, dispatcher, pool
+    /// workers) poll: coordination lanes and statesync entries, then —
+    /// past the staging ring — `applied`, the doorbell and the
+    /// `progress_words` watermarks. The regions are allocated back to
+    /// back in field order, which is what makes these two spans.
+    pub fn exec_ranges(&self, progress_words: usize) -> [(Addr, usize); 2] {
+        let after_ring = (self.progress.0 - self.applied.0) as usize + progress_words * WORD;
+        [
+            (self.coord, (self.ring.0 - self.coord.0) as usize),
+            (self.applied, after_ring),
+        ]
+    }
+
+    /// The transfer staging ring, polled by the service process.
+    pub fn ring_range(&self) -> (Addr, usize) {
+        (self.ring, (self.applied.0 - self.ring.0) as usize)
     }
 }
 

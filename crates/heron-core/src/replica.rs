@@ -42,8 +42,13 @@ pub(crate) struct Executor {
 impl Executor {
     pub(crate) fn new(shared: Arc<ReplicaShared>, deliveries: Mailbox<DeliveryEvent>) -> Self {
         let power_cycles = shared.node.power_cycles();
+        let poller = shared.poller.clone();
         Executor {
-            core: ExecCore { shared, lane: 0 },
+            core: ExecCore {
+                shared,
+                lane: 0,
+                poller,
+            },
             deliveries,
             seen_requests: HashMap::new(),
             needs_full_sync: false,
@@ -71,7 +76,7 @@ impl Executor {
                 // miss surface later as a Gap or as failed remote reads.
                 let shared = Arc::clone(self.shared());
                 shared
-                    .node
+                    .poller
                     .poll_until_timeout(|| shared.node.is_alive(), Duration::from_millis(1));
                 continue;
             }
@@ -123,7 +128,7 @@ impl Executor {
             }
             let seen: std::collections::HashSet<(usize, u64)> =
                 self.seen_requests.keys().copied().collect();
-            shared.node.poll_until_timeout(
+            shared.poller.poll_until_timeout(
                 || {
                     !deliveries.is_empty()
                         || pending_sync_requests(&shared)
@@ -202,7 +207,7 @@ impl Executor {
             }
         };
         shared.last_req.store(bound, Ordering::SeqCst);
-        shared.completed_req.store(bound, Ordering::SeqCst);
+        shared.set_completed(bound);
         // Our own update log restarts empty at the bound: a peer asking
         // for state from below it gets full state, not an empty diff.
         shared.log_floor.store(bound, Ordering::SeqCst);
@@ -324,7 +329,7 @@ impl StallHandler for SerialStalls<'_> {
     }
 
     fn on_completed(&mut self, ts: Timestamp) {
-        self.shared.completed_req.store(ts.raw(), Ordering::SeqCst);
+        self.shared.set_completed(ts.raw());
         // Completed-prefix watermark advanced (serial executor — the pool
         // dispatcher reports via publish_progress).
         sim::note_progress();
@@ -400,7 +405,7 @@ pub(crate) fn state_transfer_abortable(
             }
             // Line 5: wait for a responder to flip status back to 0
             // (the low bits; the high bits carry the chunk count).
-            let done = shared.node.poll_until_timeout(
+            let done = shared.poller.poll_until_timeout(
                 || {
                     shared
                         .node
@@ -448,7 +453,10 @@ pub(crate) fn state_transfer_abortable(
             .local_read_word(my_sync.offset(8))
             .expect("own sync word")
             >> 2;
-        let applied = shared.node.poll_until_timeout(
+        // `expected` is the service process's counter, not node memory:
+        // its wake source is the `applied` word the service writes right
+        // after every bump.
+        let applied = shared.poller.poll_until_timeout(
             || shared.transfer.lock().expected > chunks,
             cfg.transfer_timeout,
         );
@@ -482,7 +490,7 @@ pub(crate) fn state_transfer_abortable(
         let cur = shared.last_req.load(Ordering::SeqCst);
         shared.last_req.store(cur.max(rid), Ordering::SeqCst);
         let curc = shared.completed_req.load(Ordering::SeqCst);
-        shared.completed_req.store(curc.max(rid), Ordering::SeqCst);
+        shared.set_completed(curc.max(rid));
         publish_progress(shared);
         let prog = shared.transfer.lock();
         metrics.transfers.lock().push(TransferRecord {
@@ -511,11 +519,10 @@ pub(crate) fn respond_transfer(shared: &Arc<ReplicaShared>, requester: usize, fr
     }
     // Snapshot at a request boundary. `in_write_phase` counts executors
     // currently inside a writing phase (the serial executor contributes at
-    // most one; pool workers one each).
-    shared.node.poll_until_timeout(
-        || shared.in_write_phase.load(Ordering::SeqCst) == 0,
-        cfg.transfer_timeout,
-    );
+    // most one; pool workers one each). Both callers already stand at such
+    // a boundary — the serial executor serves between commands, the
+    // dispatcher only once nothing is in flight — so this never waits.
+    debug_assert_eq!(shared.in_write_phase.load(Ordering::SeqCst), 0);
     let bound = shared.completed_req.load(Ordering::SeqCst);
     // Line 12: the update log bounds what must be synchronized — unless
     // the checkpointer truncated it past the requester's position, in

@@ -37,7 +37,7 @@ impl Service {
         loop {
             if !shared.node.is_alive() {
                 shared
-                    .node
+                    .svc_poller
                     .poll_until_timeout(|| shared.node.is_alive(), Duration::from_millis(1));
                 continue;
             }
@@ -45,9 +45,12 @@ impl Service {
                 self.handle_rpc(msg.from, &msg.payload);
             }
             self.apply_chunks();
-            let node = shared.node.clone();
-            let shared2 = Arc::clone(shared);
-            node.poll_until(move || shared2.node.pending_messages() > 0 || chunk_ready(&shared2));
+            // Messages ring the inbox condition the poller is built on;
+            // chunks land in the subscribed staging ring, and a requester
+            // arming `transfer.expected` zeroes the ring's stamps next.
+            shared
+                .svc_poller
+                .poll_until(|| shared.node.pending_messages() > 0 || chunk_ready(shared));
         }
     }
 

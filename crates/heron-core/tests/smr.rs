@@ -318,34 +318,9 @@ fn crashed_replica_recovers_via_state_transfer() {
         // Recover it; it must notice the gap and state-transfer.
         fabric.recover(victim_node);
         for i in 0..40u64 {
-            if std::env::var("HERON_DBG").is_ok() {
-                eprintln!("[{}] post-recovery request {i}", sim::now());
-            }
             client.execute(&enc_transfer(i % 6, (i + 1) % 6, 1));
         }
         sim::sleep(Duration::from_millis(50));
-        if std::env::var("HERON_DBG").is_ok() {
-            for r in 0..3 {
-                eprintln!(
-                    "p0 r{r}: last_req={} balances={:?}",
-                    c2.last_req(PartitionId(0), r),
-                    [0u64, 2, 4].map(|a| u64::from_le_bytes(
-                        c2.peek(PartitionId(0), r, ObjectId(a)).unwrap()[..8]
-                            .try_into()
-                            .unwrap()
-                    ))
-                );
-            }
-            eprintln!(
-                "transfers: started={} records={:?}",
-                metrics.transfers_started.load(Ordering::Relaxed),
-                metrics.transfers.lock()
-            );
-            eprintln!(
-                "skipped={}",
-                metrics.skipped_requests.load(Ordering::Relaxed)
-            );
-        }
         // The recovered replica converged with its peers.
         for a in [0u64, 2, 4] {
             let expect = c2.peek(PartitionId(0), 0, ObjectId(a)).unwrap();

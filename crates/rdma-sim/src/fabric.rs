@@ -5,6 +5,7 @@ use crate::latency::LatencyModel;
 use parking_lot::{Mutex, RwLock};
 use sim::{Cond, Mailbox};
 use std::fmt;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -106,10 +107,16 @@ pub(crate) struct NodeInner {
     /// processes distinguish a memory-wiping power loss (cold restart
     /// required) from a plain crash (memory preserved).
     pub(crate) power_cycles: AtomicU64,
-    /// Notified whenever a remote write lands in this node's memory; local
-    /// processes block on it instead of busy-polling.
-    pub(crate) mem_cond: Cond,
+    /// The node's polling processes: each one's wait point and the byte
+    /// ranges it polls. A write rings exactly the subscribers it overlaps.
+    pub(crate) subs: RwLock<Vec<Subscriber>>,
     pub(crate) inbox: Mailbox<Message>,
+}
+
+/// One polling process's registration on a node (see [`Node::poller`]).
+pub(crate) struct Subscriber {
+    cond: Cond,
+    ranges: Vec<Range<u64>>,
 }
 
 impl NodeInner {
@@ -119,6 +126,28 @@ impl NodeInner {
             return Err(RdmaError::OutOfBounds);
         }
         Ok(())
+    }
+
+    /// Rings, once each, the subscribers polling any byte of `written` —
+    /// one landing event, however many writes it carried.
+    pub(crate) fn ring(&self, written: &[Range<u64>]) {
+        for sub in self.subs.read().iter() {
+            let hit = sub
+                .ranges
+                .iter()
+                .any(|r| written.iter().any(|w| w.start < r.end && r.start < w.end));
+            if hit {
+                sub.cond.notify_all();
+            }
+        }
+    }
+
+    /// Rings every subscriber: a node-wide event (recovery, power loss)
+    /// changed what all of them observe.
+    fn ring_all(&self) {
+        for sub in self.subs.read().iter() {
+            sub.cond.notify_all();
+        }
     }
 }
 
@@ -285,9 +314,6 @@ impl Fabric {
     pub fn add_node(&self, name: impl Into<String>) -> Node {
         let mut nodes = self.inner.nodes.write();
         let id = NodeId(nodes.len() as u32);
-        // The inbox shares the node's memory condition so one wait point
-        // covers both one-sided writes landing and two-sided messages.
-        let mem_cond = Cond::labeled("rdma.mem");
         let inner = Arc::new(NodeInner {
             id,
             name: name.into(),
@@ -298,8 +324,8 @@ impl Fabric {
             alive: AtomicBool::new(true),
             incarnation: AtomicU64::new(0),
             power_cycles: AtomicU64::new(0),
-            inbox: Mailbox::with_cond(mem_cond.clone()),
-            mem_cond,
+            subs: RwLock::new(Vec::new()),
+            inbox: Mailbox::new(),
         });
         nodes.push(Arc::clone(&inner));
         Node {
@@ -349,8 +375,9 @@ impl Fabric {
         let node = &self.inner.nodes.read()[id.0 as usize];
         node.alive.store(false, Ordering::SeqCst);
         node.power_cycles.fetch_add(1, Ordering::SeqCst);
-        let mut mem = node.mem.lock();
-        mem.bytes.fill(0);
+        node.mem.lock().bytes.fill(0);
+        // Every polled word just changed under its poller.
+        node.ring_all();
     }
 
     /// Brings a crashed node back. Its memory is as it was at crash time
@@ -359,8 +386,8 @@ impl Fabric {
         let node = &self.inner.nodes.read()[id.0 as usize];
         node.incarnation.fetch_add(1, Ordering::SeqCst);
         node.alive.store(true, Ordering::SeqCst);
-        // Wake local pollers so colocated processes notice the recovery.
-        node.mem_cond.notify_all();
+        // Liveness is an input of every poller's predicate.
+        node.ring_all();
     }
 
     /// Whether the node is currently alive.
@@ -395,6 +422,37 @@ impl fmt::Debug for Node {
             .field("name", &self.inner.name)
             .field("alive", &self.inner.alive.load(Ordering::SeqCst))
             .finish()
+    }
+}
+
+/// A polling process's wait point, obtained from [`Node::poller`]. Stands
+/// in for busy-polling RDMA-visible memory: the process blocks here and is
+/// rung when a write lands in the ranges it subscribed.
+#[derive(Clone, Debug)]
+pub struct Poller {
+    cond: Cond,
+}
+
+impl Poller {
+    /// The underlying condition, for wake sources that are not memory.
+    pub fn cond(&self) -> &Cond {
+        &self.cond
+    }
+
+    /// Blocks the calling process until `pred()` is true, re-checking
+    /// whenever the poller is rung.
+    pub fn poll_until(&self, mut pred: impl FnMut() -> bool) {
+        self.cond.wait_while(|| !pred());
+    }
+
+    /// Like [`Poller::poll_until`] with a virtual-time timeout. Returns
+    /// `true` if the predicate turned true before the deadline.
+    pub fn poll_until_timeout(
+        &self,
+        mut pred: impl FnMut() -> bool,
+        timeout: std::time::Duration,
+    ) -> bool {
+        self.cond.wait_while_timeout(|| !pred(), timeout)
     }
 }
 
@@ -493,8 +551,18 @@ impl Node {
         if !addr.is_word_aligned() {
             return Err(RdmaError::Misaligned);
         }
-        let bytes = self.local_read(addr, 8)?;
-        Ok(u64::from_le_bytes(bytes.try_into().expect("8-byte read")))
+        // In place under the memory lock: pollers re-read a handful of
+        // words on every wake-up, too hot for a buffer per read.
+        let value = {
+            let mem = self.inner.mem.lock();
+            self.inner.check_range(&mem, addr, 8)?;
+            let start = addr.0 as usize;
+            u64::from_le_bytes(mem.bytes[start..start + 8].try_into().expect("8 bytes"))
+        };
+        if let Some(tsan) = self.fabric.tsan() {
+            tsan.on_local_read(self, addr, 8);
+        }
+        Ok(value)
     }
 
     /// Writes bytes into this node's own registered memory.
@@ -524,17 +592,22 @@ impl Node {
     }
 
     /// The uninstrumented write. Event-context landings (unsignaled
-    /// writes, batches) use this and commit their captured ticket to the
-    /// shadow state themselves.
+    /// writes) use this and commit their captured ticket to the shadow
+    /// state themselves.
     pub(crate) fn write_raw(&self, addr: Addr, data: &[u8]) -> RdmaResult<()> {
-        {
-            let mut mem = self.inner.mem.lock();
-            self.inner.check_range(&mem, addr, data.len())?;
-            let start = addr.0 as usize;
-            mem.bytes[start..start + data.len()].copy_from_slice(data);
-        }
-        self.inner.mem_cond.notify_all();
+        let written = self.store_raw(addr, data)?;
+        self.inner.ring(std::slice::from_ref(&written));
         Ok(())
+    }
+
+    /// Copies `data` into memory without ringing anyone and returns the
+    /// byte range written; batch landings collect these and ring once.
+    pub(crate) fn store_raw(&self, addr: Addr, data: &[u8]) -> RdmaResult<Range<u64>> {
+        let mut mem = self.inner.mem.lock();
+        self.inner.check_range(&mem, addr, data.len())?;
+        let start = addr.0 as usize;
+        mem.bytes[start..start + data.len()].copy_from_slice(data);
+        Ok(addr.0..addr.0 + data.len() as u64)
     }
 
     /// Writes one 8-byte word into this node's own memory.
@@ -567,29 +640,36 @@ impl Node {
         state.annotate(self, addr, len, kind, label.into());
     }
 
-    /// The condition notified whenever a remote write lands in this node's
-    /// memory. A process polling RDMA-visible memory (e.g. Heron's
-    /// coordination memory) blocks here instead of spinning.
-    pub fn mem_cond(&self) -> &Cond {
-        &self.inner.mem_cond
+    /// Registers a polling process on this node: `cond` is its one wait
+    /// point, `ranges` (`(base, bytes)` pairs) the memory its predicates
+    /// read. From now on every write that lands in one of the ranges —
+    /// local, one-sided, CAS or batch — rings `cond`, once per landing
+    /// event; writes elsewhere leave the process asleep, as a real polled
+    /// word costs nothing while it does not change. [`Fabric::recover`]
+    /// and [`Fabric::power_loss`] ring every poller of the node.
+    ///
+    /// Inputs of a predicate that are *not* node memory need their own
+    /// wake source on the same `cond`: pass a mailbox's
+    /// [`sim::Mailbox::cond`] (or [`Node::inbox_cond`]) to wait for its
+    /// traffic too, or have the producer write a subscribed word.
+    pub fn poller(&self, cond: Cond, ranges: &[(Addr, usize)]) -> Poller {
+        // Whatever else rings it, a wait here is a wait on polled memory
+        // to the profiler and the wait-for graph.
+        cond.set_label("rdma.mem");
+        self.inner.subs.write().push(Subscriber {
+            cond: cond.clone(),
+            ranges: ranges
+                .iter()
+                .map(|&(base, bytes)| base.0..base.0 + bytes as u64)
+                .collect(),
+        });
+        Poller { cond }
     }
 
-    /// Blocks the calling process until `pred()` is true, re-checking after
-    /// every remote write into this node's memory.
-    pub fn poll_until(&self, pred: impl FnMut() -> bool) {
-        let mut pred = pred;
-        self.inner.mem_cond.wait_while(|| !pred());
-    }
-
-    /// Like [`Node::poll_until`] with a virtual-time timeout. Returns `true`
-    /// if the predicate turned true before the deadline.
-    pub fn poll_until_timeout(
-        &self,
-        pred: impl FnMut() -> bool,
-        timeout: std::time::Duration,
-    ) -> bool {
-        let mut pred = pred;
-        self.inner.mem_cond.wait_while_timeout(|| !pred(), timeout)
+    /// The wait point of this node's two-sided receive queue: a process
+    /// that serves messages *and* polls memory builds its [`Poller`] on it.
+    pub fn inbox_cond(&self) -> Cond {
+        self.inner.inbox.cond().clone()
     }
 
     // ---- two-sided ----

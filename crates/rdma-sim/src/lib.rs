@@ -48,7 +48,7 @@ mod qp;
 pub mod tsan;
 
 pub use error::{RdmaError, RdmaResult};
-pub use fabric::{Addr, Fabric, FabricStats, Message, Node, NodeId};
+pub use fabric::{Addr, Fabric, FabricStats, Message, Node, NodeId, Poller};
 pub use faults::FaultPlan;
 pub use latency::LatencyModel;
 pub use qp::{QueuePair, WriteBatch};

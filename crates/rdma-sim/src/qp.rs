@@ -351,7 +351,8 @@ impl QueuePair {
             old
         };
         if old == expected {
-            self.remote.inner.mem_cond.notify_all();
+            let word = addr.0..addr.0 + 8;
+            self.remote.inner.ring(std::slice::from_ref(&word));
         }
         if let Some(tsan) = self.local.fabric.tsan() {
             let ticket = crate::tsan::WriteTicket::capture("rdma-cas");
@@ -576,14 +577,19 @@ impl WriteBatch {
                 flight.end_at(now + delay);
             }
             if remote.is_alive() {
+                // One landing event: every write is in memory before any
+                // poller is rung, and each poller is rung at most once.
+                let mut landed = Vec::with_capacity(writes.len());
                 for (addr, data) in &writes {
                     // Ignore landing errors, as for any unsignaled write.
-                    if remote.write_raw(*addr, data).is_ok() {
+                    if let Ok(written) = remote.store_raw(*addr, data) {
+                        landed.push(written);
                         if let Some((tsan, ticket, arrival)) = &ticket {
                             tsan.on_write(&remote, *addr, data.len(), ticket, *arrival);
                         }
                     }
                 }
+                remote.inner.ring(&landed);
             }
         });
         Ok(())
@@ -630,10 +636,11 @@ mod tests {
         let (simulation, _fabric, a, b) = two_nodes();
         let addr = b.alloc_words(1);
         let b_poll = b.clone();
+        let poller = b.poller(sim::Cond::new(), &[(addr, 8)]);
         let seen_at = Arc::new(AtomicU64::new(0));
         let seen = seen_at.clone();
         simulation.spawn("poller", move || {
-            b_poll.poll_until(|| b_poll.local_read_word(addr).unwrap() == 7);
+            poller.poll_until(|| b_poll.local_read_word(addr).unwrap() == 7);
             seen.store(sim::now().as_nanos(), Ordering::SeqCst);
         });
         simulation.spawn("writer", move || {
@@ -645,6 +652,134 @@ mod tests {
         });
         simulation.run().unwrap();
         assert_eq!(seen_at.load(Ordering::SeqCst), 150 + 850 + 8 * 328 / 1024);
+    }
+
+    // ---- the wake model: a landing rings only the pollers it touches ----
+
+    /// A node with two polled words, `a` subscribed by poller "pa" and `b`
+    /// by poller "pb", each blocked until its word reads 1 and counting
+    /// every evaluation of its predicate (1 + the times it was rung). The
+    /// `writer` closure runs on a second node with a QP to the first.
+    /// Returns `(evaluations of pa, of pb, events executed)`.
+    fn two_pollers(
+        pa_also_polls_b: bool,
+        writer: impl FnOnce(&crate::QueuePair, crate::Addr, crate::Addr, &Fabric) + Send + 'static,
+    ) -> (u64, u64, u64) {
+        let simulation = sim::Simulation::new(11);
+        let fabric = Fabric::new(LatencyModel::connectx4());
+        let src = fabric.add_node("src");
+        let dst = fabric.add_node("dst");
+        let a = dst.alloc_words(1);
+        let b = dst.alloc_words(1);
+        let mut evals = Vec::new();
+        for (name, word, extra) in [("pa", a, pa_also_polls_b.then_some(b)), ("pb", b, None)] {
+            let ranges: Vec<_> = std::iter::once(word).chain(extra).map(|w| (w, 8)).collect();
+            let poller = dst.poller(sim::Cond::new(), &ranges);
+            let count = Arc::new(AtomicU64::new(0));
+            evals.push(count.clone());
+            let node = dst.clone();
+            simulation.spawn(name, move || {
+                poller.poll_until(|| {
+                    count.fetch_add(1, Ordering::SeqCst);
+                    node.local_read_word(word).unwrap() == 1
+                });
+            });
+        }
+        simulation.spawn("writer", move || {
+            let qp = src.connect(&dst);
+            writer(&qp, a, b, &fabric);
+            // Release both pollers so the run ends.
+            sim::sleep(std::time::Duration::from_micros(50));
+            qp.write_word(a, 1).unwrap();
+            qp.write_word(b, 1).unwrap();
+        });
+        simulation.run().unwrap();
+        (
+            evals[0].load(Ordering::SeqCst),
+            evals[1].load(Ordering::SeqCst),
+            simulation.events_executed(),
+        )
+    }
+
+    #[test]
+    fn write_outside_a_pollers_ranges_does_not_dispatch_it() {
+        // The writer lands 5 in word b. pa (word a only) sleeps through
+        // it: initial check + its release. pb is rung by both.
+        let run = |pa_also_polls_b| {
+            two_pollers(pa_also_polls_b, |qp, _a, b, _| {
+                qp.post_write_word(b, 5).unwrap();
+            })
+        };
+        let (pa, pb, events) = run(false);
+        assert_eq!((pa, pb), (2, 3));
+        // Subscribing pa to word b as well costs exactly the dispatch the
+        // narrower subscription saved.
+        let (pa_wide, _, events_wide) = run(true);
+        assert_eq!(pa_wide, 3);
+        assert_eq!(events_wide, events + 1);
+    }
+
+    #[test]
+    fn write_inside_a_pollers_range_wakes_it_at_the_landing_instant() {
+        let simulation = sim::Simulation::new(12);
+        let fabric = Fabric::new(LatencyModel::connectx4());
+        let (src, dst) = (fabric.add_node("src"), fabric.add_node("dst"));
+        let region = dst.alloc_words(4);
+        let poller = dst.poller(sim::Cond::new(), &[(region, 32)]);
+        let node = dst.clone();
+        simulation.spawn("poller", move || {
+            // A byte write into the middle of the range rings too.
+            poller.poll_until(|| node.local_read(region.offset(13), 1).unwrap()[0] == 9);
+            let lat = LatencyModel::connectx4();
+            assert_eq!(sim::now().as_nanos(), lat.post_ns + lat.one_way(1));
+        });
+        simulation.spawn("writer", move || {
+            src.connect(&dst)
+                .post_write(region.offset(13), vec![9])
+                .unwrap();
+        });
+        simulation.run().unwrap();
+    }
+
+    #[test]
+    fn write_batch_rings_each_overlapped_poller_exactly_once() {
+        let (pa, pb, _) = two_pollers(false, |qp, a, b, _| {
+            let mut batch = qp.write_batch();
+            for v in [2, 3, 4] {
+                batch.push_word(a, v).unwrap();
+                batch.push_word(b, v).unwrap();
+            }
+            batch.post().unwrap();
+        });
+        // Initial check, one ring for the six-write batch, the release.
+        assert_eq!((pa, pb), (3, 3));
+    }
+
+    #[test]
+    fn failed_cas_rings_nobody_and_a_successful_one_rings_its_word() {
+        let (pa, pb, _) = two_pollers(false, |qp, a, _b, _| {
+            assert_eq!(qp.compare_and_swap(a, 7, 8).unwrap(), 0); // no swap
+        });
+        assert_eq!((pa, pb), (2, 2));
+        let (pa, pb, _) = two_pollers(false, |qp, a, _b, _| {
+            assert_eq!(qp.compare_and_swap(a, 0, 8).unwrap(), 0); // swapped
+        });
+        assert_eq!((pa, pb), (3, 2));
+    }
+
+    #[test]
+    fn recover_and_power_loss_ring_every_poller() {
+        let (pa, pb, _) = two_pollers(false, |qp, _, _, fabric| {
+            fabric.crash(qp.remote_id());
+            fabric.recover(qp.remote_id());
+        });
+        assert_eq!((pa, pb), (3, 3));
+        let (pa, pb, _) = two_pollers(false, |qp, _, _, fabric| {
+            fabric.power_loss(qp.remote_id());
+            sim::sleep(std::time::Duration::from_micros(1));
+            fabric.recover(qp.remote_id());
+        });
+        assert_eq!((pa, pb), (4, 4));
     }
 
     #[test]
@@ -765,6 +900,7 @@ mod tests {
         let (simulation, _fabric, a, b) = two_nodes();
         let addr = b.alloc_bytes(2 * 32 * 1024);
         let b2 = b.clone();
+        let poller = b.poller(sim::Cond::new(), &[(addr, 2 * 32 * 1024)]);
         simulation.spawn("writer", move || {
             let qp = a.connect(&b);
             let lat = LatencyModel::connectx4();
@@ -773,7 +909,7 @@ mod tests {
             qp.post_write(addr.offset(32 * 1024), vec![2u8; 32 * 1024])
                 .unwrap();
             // Wait for both to land.
-            b2.poll_until(|| b2.local_read(addr.offset(2 * 32 * 1024 - 1), 1).unwrap()[0] == 2);
+            poller.poll_until(|| b2.local_read(addr.offset(2 * 32 * 1024 - 1), 1).unwrap()[0] == 2);
             let elapsed = sim::now().as_nanos() - t0;
             let ser = 32 * lat.ns_per_kib;
             // First post's doorbell, then both serializations back to
@@ -796,6 +932,8 @@ mod tests {
         let addr_b = b.alloc_words(1);
         let addr_c = c.alloc_words(1);
         let (b2, c2) = (b.clone(), c.clone());
+        let poll_b = b.poller(sim::Cond::new(), &[(addr_b, 8)]);
+        let poll_c = c.poller(sim::Cond::new(), &[(addr_c, 8)]);
         simulation.spawn("writer", move || {
             // post_write on the a->b link.
             let qp_b = a.connect(&b);
@@ -810,9 +948,9 @@ mod tests {
             batch.post().unwrap();
             let batch_cost = sim::now().as_nanos() - t1;
             assert_eq!(post_cost, batch_cost);
-            b2.poll_until(|| b2.local_read_word(addr_b).unwrap() == 7);
+            poll_b.poll_until(|| b2.local_read_word(addr_b).unwrap() == 7);
             let landed_b = sim::now().as_nanos() - t0;
-            c2.poll_until(|| c2.local_read_word(addr_c).unwrap() == 7);
+            poll_c.poll_until(|| c2.local_read_word(addr_c).unwrap() == 7);
             let landed_c = sim::now().as_nanos() - t1;
             assert_eq!(landed_b, landed_c);
         });
@@ -824,6 +962,7 @@ mod tests {
         let (simulation, fabric, a, b) = two_nodes();
         let addr = b.alloc_words(8);
         let b2 = b.clone();
+        let poller = b.poller(sim::Cond::new(), &[(addr, 64)]);
         simulation.spawn("writer", move || {
             let qp = a.connect(&b);
             let lat = LatencyModel::connectx4();
@@ -839,7 +978,7 @@ mod tests {
             assert_eq!(sim::now().as_nanos() - t0, lat.post_ns);
             // All writes land together after serialization of the
             // combined 64-byte payload plus propagation.
-            b2.poll_until(|| b2.local_read_word(addr.offset(56)).unwrap() == 8);
+            poller.poll_until(|| b2.local_read_word(addr.offset(56)).unwrap() == 8);
             assert_eq!(sim::now().as_nanos() - t0, lat.post_ns + lat.one_way(64));
             for i in 0..8u64 {
                 assert_eq!(b2.local_read_word(addr.offset(i * 8)).unwrap(), i + 1);

@@ -889,9 +889,10 @@ mod tests {
             qp_ab.post_write_word(flag, 1).unwrap();
         });
         let b2 = b.clone();
+        let poller = b.poller(sim::Cond::new(), &[(flag, 8)]);
         let qp_ba = b.connect(&a);
         sim_h.spawn("reader", move || {
-            b2.poll_until(|| b2.local_read_word(flag).unwrap() == 1);
+            poller.poll_until(|| b2.local_read_word(flag).unwrap() == 1);
             let _ = qp_ba.read(data, 16).unwrap();
         });
         sim_h.run().unwrap();

@@ -113,6 +113,13 @@ impl<T> Mailbox<T> {
         }
     }
 
+    /// The condition every send notifies: a process can block on it to
+    /// wait for this mailbox's traffic together with whatever else rings
+    /// the same condition.
+    pub fn cond(&self) -> &Cond {
+        &self.inner.cond
+    }
+
     /// Registers the calling process as a receiver of this mailbox.
     fn bind_current(&self) {
         with_ctx(|kernel, pid| {

@@ -60,70 +60,6 @@ fn main() {
         run(&mut client, &mut gen, 150);
         sim::sleep(Duration::from_millis(100));
 
-        if std::env::var("HERON_DBG").is_ok() {
-            for r in [0usize, 1, 2] {
-                let tr = c2.exec_trace(PartitionId(0), r);
-                let execed: Vec<u64> = tr
-                    .iter()
-                    .filter(|(_, k)| *k == 'e')
-                    .map(|(t, _)| *t)
-                    .collect();
-                let skipped = tr.iter().filter(|(_, k)| *k == 's').count();
-                let transfers: Vec<u64> = tr
-                    .iter()
-                    .filter(|(_, k)| *k == 't')
-                    .map(|(t, _)| *t)
-                    .collect();
-                println!(
-                    "r{r}: {} executed, {skipped} skipped, transfers at {:?}",
-                    execed.len(),
-                    transfers
-                );
-            }
-            let t1: std::collections::HashSet<u64> = c2
-                .exec_trace(PartitionId(0), 1)
-                .iter()
-                .filter(|(_, k)| *k == 'e')
-                .map(|(t, _)| *t)
-                .collect();
-            let t0x: std::collections::HashSet<u64> = c2
-                .exec_trace(PartitionId(0), 0)
-                .iter()
-                .filter(|(_, k)| *k == 'e')
-                .map(|(t, _)| *t)
-                .collect();
-            let d01: Vec<_> = t1.difference(&t0x).collect();
-            println!("r1 executed-but-not-r0: {} {:?}", d01.len(), d01);
-            let t0: std::collections::HashSet<u64> = c2
-                .exec_trace(PartitionId(0), 0)
-                .iter()
-                .filter(|(_, k)| *k == 'e')
-                .map(|(t, _)| *t)
-                .collect();
-            let t2v: Vec<u64> = c2
-                .exec_trace(PartitionId(0), 2)
-                .iter()
-                .filter(|(_, k)| *k == 'e')
-                .map(|(t, _)| *t)
-                .collect();
-            let t2: std::collections::HashSet<u64> = t2v.iter().copied().collect();
-            let extra: Vec<_> = t2.difference(&t0).collect();
-            let missing: Vec<_> = t0.difference(&t2).collect();
-            println!(
-                "r2 executed-but-not-r0: {} {:?}",
-                extra.len(),
-                extra.iter().take(5).collect::<Vec<_>>()
-            );
-            println!(
-                "r0 executed-but-not-r2: {} {:?}",
-                missing.len(),
-                missing.iter().take(5).collect::<Vec<_>>()
-            );
-            // duplicates within r2?
-            let mut seen = std::collections::HashSet::new();
-            let dups: Vec<u64> = t2v.iter().filter(|t| !seen.insert(**t)).copied().collect();
-            println!("r2 duplicate executions: {:?}", dups.len());
-        }
         // Verify convergence: the recovered replica matches its peers.
         let scale = TpccScale::small();
         let mut checked = 0;

@@ -52,7 +52,22 @@ def metrics_scheduler(doc):
     ]
 
 
+def metrics_fig4(doc):
+    """Fig. 4: every throughput bar, higher is better (they are virtual-time
+    numbers, so any movement is a behaviour change), and the simulator
+    events the whole figure cost, lower is better."""
+    out = [
+        ("throughput[%s][%d]" % (series, i), v, True)
+        for series, vals in sorted(doc.get("throughput", {}).items())
+        for i, v in enumerate(vals)
+    ]
+    if doc.get("events_executed"):
+        out.append(("events_executed", doc["events_executed"], False))
+    return out
+
+
 FIGURES = {
+    "BENCH_fig4.json": metrics_fig4,
     "BENCH_psmr.json": metrics_psmr,
     "BENCH_recovery.json": metrics_recovery,
     "BENCH_scheduler.json": metrics_scheduler,

@@ -113,7 +113,7 @@ if ! cargo run -q --release --offline -p heron-bench --bin prof_explain -- \
 fi
 
 # Bench trend gate: fresh BENCH_*.json vs the committed baselines; a >20 %
-# geomean regression on the psmr / recovery / scheduler figures fails.
+# geomean regression on the fig4 / psmr / recovery / scheduler figures fails.
 # (Skips figure pairs that are not apples-to-apples, e.g. quick vs full.)
 python3 scripts/bench_trend.py
 

@@ -140,9 +140,6 @@ fn concurrent_crashes_in_different_partitions_recover() {
         c2.recover_replica(PartitionId(0), 2);
         c2.recover_replica(PartitionId(1), 1);
         for i in 0..60u64 {
-            if std::env::var("HERON_DBG").is_ok() {
-                eprintln!("[{}] post-recovery {i}", sim::now());
-            }
             client.execute(&gen.next((i % 2 + 1) as u16).encode());
         }
         sim::sleep(Duration::from_millis(100));
