@@ -17,8 +17,8 @@
 //! reproduction and the failing seed is printed for replay.
 
 use heron_bench::chaos::{
-    parallel_scenario_for_seed, recovery_scenario_for_seed, run, scenario_for_seed, shrink,
-    RunResult,
+    parallel_scenario_for_seed, pool_recovery_scenario_for_seed, recovery_scenario_for_seed, run,
+    scenario_for_seed, shrink, RunResult,
 };
 use heron_bench::{banner, quick_mode};
 
@@ -45,13 +45,19 @@ fn main() {
     }
 
     let mut failures = Vec::new();
-    // Serial scenarios, then the same seeds through a width-4 executor
+    // Width-1 scenarios, then the same seeds through a width-4 executor
     // pool (crash mid-batch / state transfer with workers in flight), then
-    // the durable-recovery ladder (power loss + checkpoint/WAL rebuild).
+    // the durable-recovery ladder (power loss + checkpoint/WAL rebuild) and
+    // its pool rung (a width-4 replica cold-restarting; one schedule, on
+    // the seed after the window).
     let scenarios = (0..schedules)
         .map(|k| scenario_for_seed(base_seed + k, quick))
         .chain((0..schedules).map(|k| parallel_scenario_for_seed(base_seed + k, quick)))
-        .chain((0..schedules).map(|k| recovery_scenario_for_seed(base_seed + k, quick)));
+        .chain((0..schedules).map(|k| recovery_scenario_for_seed(base_seed + k, quick)))
+        .chain([pool_recovery_scenario_for_seed(
+            base_seed + schedules,
+            quick,
+        )]);
     for sc in scenarios {
         let seed = sc.seed;
         let width = sc.width;
@@ -60,7 +66,7 @@ fn main() {
         } else if sc.width > 1 {
             "parallel"
         } else {
-            "serial"
+            "inline"
         };
         let result = run(&sc);
         match &result {
@@ -87,7 +93,7 @@ fn main() {
     if failures.is_empty() {
         println!(
             "chaos suite: all {schedules} schedules passed \
-             (serial + width-4 pool + durable recovery)"
+             (width 1 + width-4 pool + durable recovery)"
         );
         return;
     }

@@ -57,7 +57,7 @@ fn main() {
         let mut base = 0.0f64;
         for &width in &WIDTHS {
             // Batched ordering (PR 1) lifts the delivery ceiling well above
-            // the serial executor's capacity — unbatched, the amcast groups
+            // a single lane's capacity — unbatched, the amcast groups
             // saturate near 100k/s each and every width ≥ 2 measures the
             // same ordering-bound plateau instead of execution scaling.
             let mut cfg = RunConfig::new(2, 3, Workload::Tpcc)
@@ -67,7 +67,7 @@ fn main() {
                 .with_requests(requests);
             // The pool needs enough outstanding requests to fill its
             // workers; closed-loop clients carry one request each, and the
-            // serial baseline must be queue-bound (not client-bound) for
+            // width-1 baseline must be queue-bound (not client-bound) for
             // the width sweep to measure execution capacity.
             cfg.clients = 96;
             let s = run_heron(&cfg);

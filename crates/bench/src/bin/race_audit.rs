@@ -126,9 +126,9 @@ fn main() {
     // Determinism cross-check: the detector must not perturb the schedule.
     // Same seed with the detector off must execute the exact same number
     // of simulator events and complete the same work. Checked on the
-    // serial fig4 shape and on a width-4 pool shape — the pool adds
+    // width-1 fig4 shape and on a width-4 pool shape — the pool adds
     // instrumented regions (lanes, progress words) that must stay free.
-    for (which, idx) in [("serial", 2usize), ("psmr-w4", 6usize)] {
+    for (which, idx) in [("fig4-w1", 2usize), ("psmr-w4", 6usize)] {
         let mut on = schedules(base_seed, quick).swap_remove(idx).1;
         let mut off = on.clone();
         off.race_detector = false;

@@ -26,7 +26,9 @@
 //!   the committed file is not rewritten.
 //! * `--quick` — smaller tails and fewer seeds, for CI smoke runs.
 
-use heron_bench::chaos::{self, recovery_scenario_for_seed, Bank, RunResult};
+use heron_bench::chaos::{
+    self, pool_recovery_scenario_for_seed, recovery_scenario_for_seed, Bank, RunResult,
+};
 use heron_bench::{banner, quick_mode, write_results, Json};
 use heron_core::{HeronCluster, HeronConfig, PartitionId};
 use rdma_sim::{Fabric, LatencyModel};
@@ -159,14 +161,21 @@ fn main() {
     // 1. The durable-recovery chaos ladder: fixed seeds through the
     // linearizability checker. These are the same generators the chaos
     // suite runs; a regression here means recovery is wrong, not slow.
-    for &seed in chaos_seeds {
-        let sc = recovery_scenario_for_seed(seed, true);
+    // The last rung power-cycles a replica of a width-4 pool; at seed 9008
+    // the victim comes back with workers still in flight, so its cold
+    // restart has to wait for them to drain.
+    let ladder = chaos_seeds
+        .iter()
+        .map(|&seed| recovery_scenario_for_seed(seed, true))
+        .chain([pool_recovery_scenario_for_seed(9008, true)]);
+    for sc in ladder {
+        let (seed, width) = (sc.seed, sc.width);
         match chaos::run(&sc) {
             RunResult::Pass { ops } => {
-                println!("recovery scenario seed {seed}: PASS — {ops} ops");
+                println!("recovery scenario seed {seed} (width {width}): PASS — {ops} ops");
             }
             other => {
-                eprintln!("FAIL: recovery scenario seed {seed}: {other:?}");
+                eprintln!("FAIL: recovery scenario seed {seed} (width {width}): {other:?}");
                 std::process::exit(1);
             }
         }

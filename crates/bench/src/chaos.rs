@@ -268,7 +268,7 @@ pub struct Scenario {
     pub requests: u64,
     /// The fault plan, as individually removable clauses.
     pub clauses: Vec<Clause>,
-    /// Executor-pool width per replica (1 = the serial executor; the
+    /// Execution lanes per replica (1 = the driver's inline lane; the
     /// legacy scenarios use 1 so their schedule hashes are unchanged).
     pub width: usize,
     /// Checker self-test hook: corrupt `(partition, replica, object)`
@@ -489,7 +489,7 @@ pub fn recovery_scenario_for_seed(seed: u64, quick: bool) -> Scenario {
         }
     }
     // One benign clause on top, like the legacy generator mixes in.
-    if splitmix(&mut rng) % 2 == 0 {
+    if splitmix(&mut rng).is_multiple_of(2) {
         clauses.push(Clause::Jitter {
             p: 0,
             r: (splitmix(&mut rng) as usize) % replicas,
@@ -538,6 +538,31 @@ pub fn parallel_scenario_for_seed(seed: u64, quick: bool) -> Scenario {
             }
         })
         .collect();
+    sc
+}
+
+/// The recovery ladder's pool rung: a width-4 executor pool on the 2×3 bank
+/// with durable checkpointing on, and one replica losing power mid-run.
+/// Two partitions on purpose: workers blocked in a cross-partition barrier
+/// are still in flight when the victim comes back, so its driver must stop
+/// dispatching, let them drain, and only then cold-restart — replaying the
+/// WAL tail back through the pool. (A minority loses power, never a whole
+/// partition: see [`recovery_scenario_for_seed`] on multi-partition replay.)
+pub fn pool_recovery_scenario_for_seed(seed: u64, quick: bool) -> Scenario {
+    let mut sc = scenario_for_seed(seed, quick);
+    sc.width = 4;
+    let mut rng = seed ^ 0x8EBC_6AF0_9C88_C6E3;
+    let horizon = sc.requests * 120;
+    sc.durability_us = Some(horizon / 8 + splitmix(&mut rng) % (horizon / 8));
+    // Early in the run, and back up well before the workload ends: an
+    // idle driver only notices a power cycle at its next poll timeout.
+    let at = horizon / 8 + splitmix(&mut rng) % (horizon / 8);
+    sc.clauses = vec![Clause::PowerLoss {
+        p: (splitmix(&mut rng) as usize % sc.partitions) as u16,
+        r: (splitmix(&mut rng) as usize) % sc.replicas,
+        at_us: at,
+        recover_us: at + horizon / 16 + splitmix(&mut rng) % (horizon / 16),
+    }];
     sc
 }
 

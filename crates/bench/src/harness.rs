@@ -39,7 +39,7 @@ pub struct RunConfig {
     /// the paper's shape). More than one gives a parallel executor pool
     /// disjoint conflict classes to exploit.
     pub warehouses_per_partition: u16,
-    /// Executor-pool width per replica (1 = the serial executor).
+    /// Execution lanes per replica (1 = the delivery driver's inline lane).
     pub executor_width: usize,
     /// Replicas per partition.
     pub replicas: usize,

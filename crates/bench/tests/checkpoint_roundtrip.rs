@@ -2,7 +2,7 @@
 //!
 //! The durable-checkpoint subsystem rests on one algebraic contract:
 //! `install(snapshot(s))` reproduces the store bit for bit, at *any*
-//! commit prefix — mid-run, post-run, serial executor or width-4 pool.
+//! commit prefix — mid-run, post-run, inline lane or width-4 pool.
 //! These tests probe the contract while a live workload mutates the
 //! store, then close with the cold-restart scenario the contract exists
 //! for: a power-lost replica rebuilding from checkpoint + WAL tail under
@@ -93,7 +93,7 @@ fn probed_run(seed: u64, width: usize, probe_us: u64) -> (Vec<(u64, Vec<u8>)>, u
 
 /// `install(snapshot(s))` is bit-exact at every probed commit prefix,
 /// and at quiescence all replicas serialize the identical image — for
-/// the serial executor and a width-4 pool.
+/// the width-1 inline lane and a width-4 pool.
 #[test]
 fn snapshot_install_round_trips_at_any_prefix() {
     for width in [1usize, 4] {
@@ -116,7 +116,7 @@ fn snapshot_install_round_trips_at_any_prefix() {
 }
 
 /// The contract the checker enforces end to end: a single replica losing
-/// power mid-run (serial executor) recovers from checkpoint + WAL tail
+/// power mid-run (width 1) recovers from checkpoint + WAL tail
 /// and the full history stays linearizable with byte-identical stores.
 #[test]
 fn single_replica_power_loss_recovers_width1() {

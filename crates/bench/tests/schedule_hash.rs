@@ -61,22 +61,36 @@ fn fig4_shape_is_engine_invariant() {
     );
 }
 
-/// An explicit executor width of 1 runs the serial executor under the
-/// original process names and memory layout: the schedule fingerprint must
-/// be bit-identical to a run that never mentions the pool. This pins the
-/// P-SMR plumbing (pool spawn path, conflict-key extraction, coordination
-/// lanes, progress region) to zero overhead at width 1.
+/// Process roster per width: every replica has exactly one delivery
+/// driver, `heron-exec-p{p}r{i}`; width 1 adds no worker process (the
+/// driver is its own inline lane), width 4 adds exactly four,
+/// `heron-exec-p{p}r{i}w{k}`.
 #[test]
-fn width1_is_schedule_identical_to_serial() {
-    let cfg = RunConfig::new(2, 3, Workload::Tpcc).with_requests(30);
-    let serial = run_heron(&cfg);
-    let pooled = run_heron(&cfg.clone().with_width(1));
-    assert_eq!(
-        (serial.schedule_hash, serial.events, serial.virtual_ns),
-        (pooled.schedule_hash, pooled.events, pooled.virtual_ns),
-        "explicit width-1 run diverged from the serial executor"
-    );
-    assert_ne!(serial.schedule_hash, 0, "schedule hash must be populated");
+fn width_decides_the_worker_roster_not_the_driver() {
+    for (width, workers_per_replica) in [(1usize, 0usize), (4, 4)] {
+        let cfg = RunConfig::new(2, 3, Workload::Tpcc)
+            .with_requests(30)
+            .with_width(width)
+            .with_profiling(true);
+        let prof = run_heron(&cfg).prof.expect("profiling was on");
+        let mut execs: Vec<&str> = prof
+            .procs
+            .iter()
+            .map(|p| p.name.as_str())
+            .filter(|n| n.starts_with("heron-exec-"))
+            .collect();
+        execs.sort_unstable();
+        let mut expected = Vec::new();
+        for p in 0..2 {
+            for i in 0..3 {
+                expected.push(format!("heron-exec-p{p}r{i}"));
+                for k in 0..workers_per_replica {
+                    expected.push(format!("heron-exec-p{p}r{i}w{k}"));
+                }
+            }
+        }
+        assert_eq!(execs, expected, "executor roster at width {width}");
+    }
 }
 
 /// Chaos scenarios (seeded fault plans through the consistency checker)

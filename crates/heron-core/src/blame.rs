@@ -154,29 +154,8 @@ pub fn blame_exemplars(events: &[TraceEvent], exemplars: &[(u64, u64)]) -> Vec<B
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sim::trace::{EventKind, SpanArgs};
-
-    fn ev(
-        kind: EventKind,
-        t_ns: u64,
-        track: u32,
-        span: u64,
-        parent: u64,
-        name: &'static str,
-        corr: u64,
-        args: &[(&'static str, u64)],
-    ) -> TraceEvent {
-        TraceEvent {
-            t_ns,
-            track,
-            span,
-            parent,
-            kind,
-            name,
-            corr,
-            args: SpanArgs::from_slice(args),
-        }
-    }
+    use crate::critical_path::tests::ev;
+    use sim::trace::EventKind;
 
     /// One traced request (latency 100) whose phase2 contains a 6ns
     /// starvation park and whose execute contains a 4ns lagging park.

@@ -4,7 +4,6 @@ use crate::app::StateMachine;
 use crate::config::HeronConfig;
 use crate::layout::{ReplicaLayout, CHUNK_HDR, COORD_ENTRY, SYNC_ENTRY};
 use crate::metrics::Metrics;
-use crate::replica::Executor;
 use crate::server::Service;
 use crate::store::VersionedStore;
 use crate::types::{ObjectId, PartitionId};
@@ -44,9 +43,9 @@ pub(crate) struct ReplicaShared {
     /// What this replica's executing processes poll
     /// ([`ReplicaLayout::exec_ranges`]).
     pub exec_ranges: [(Addr, usize); 2],
-    /// Wait point of the replica's executor (serial) or dispatcher (pool):
-    /// the delivery mailbox's condition, subscribed to `exec_ranges`. Pool
-    /// workers subscribe their own.
+    /// Wait point of the replica's delivery driver: the delivery mailbox's
+    /// condition, subscribed to `exec_ranges`. Pool workers subscribe
+    /// their own.
     pub poller: Poller,
     /// Wait point of the service process: the node inbox's condition,
     /// subscribed to the transfer staging ring.
@@ -62,9 +61,9 @@ pub(crate) struct ReplicaShared {
     pub last_req: AtomicU64,
     /// Raw timestamp of the last request whose write phase finished.
     pub completed_req: AtomicU64,
-    /// Number of executors currently inside a write phase (at most 1
-    /// serial; one per worker with a pool); state-transfer responders wait
-    /// for it to reach zero so they snapshot request boundaries.
+    /// Number of lanes currently inside a write phase (at most one per
+    /// lane); state-transfer responders and the checkpointer snapshot only
+    /// while it is zero, i.e. at request boundaries.
     pub in_write_phase: AtomicU64,
     /// Cached remote slot addresses: `(oid, node) → (addr, cap)` —
     /// the paper's `object_map`.
@@ -80,7 +79,7 @@ pub(crate) struct ReplicaShared {
     /// (and the log untruncated) without durability.
     pub log_floor: AtomicU64,
     /// The power-cycle generation the store contents reflect: raised by
-    /// the executor once a cold restart has rebuilt the store. The
+    /// the delivery driver once a cold restart has rebuilt the store. The
     /// checkpointer refuses to snapshot while this lags
     /// [`rdma_sim::Node::power_cycles`] — between the wipe and the
     /// rebuild, the watermarks look quiescent but the slots are zeros.
@@ -331,16 +330,7 @@ impl HeronCluster {
             for i in 0..self.inner.cfg.replicas_per_partition {
                 let shared = Arc::clone(&self.replicas[p][i]);
                 let deliveries = self.inner.mcast.deliveries(GroupId(p as u16), i);
-                if self.inner.cfg.executor_width == 1 {
-                    // Serial executor, spawned under the same name in the
-                    // same order as ever: width 1 is schedule-hash
-                    // bit-identical to the pre-pool system.
-                    simulation.spawn(format!("heron-exec-p{p}r{i}"), move || {
-                        Executor::new(shared, deliveries).run()
-                    });
-                } else {
-                    crate::executor::spawn_pool(simulation, shared, deliveries, p, i);
-                }
+                crate::executor::spawn_driver(simulation, shared, deliveries, p, i);
                 let shared = Arc::clone(&self.replicas[p][i]);
                 simulation.spawn(format!("heron-svc-p{p}r{i}"), move || {
                     Service::new(shared).run()

@@ -92,12 +92,14 @@ pub struct HeronConfig {
     pub transfer_timeout: Duration,
     /// Multi-partition execution strategy (paper §III-D2).
     pub execution_mode: ExecutionMode,
-    /// Executor pool width per replica (P-SMR). `1` (the default) runs the
-    /// serial executor and is schedule-hash bit-identical to the
-    /// pre-pool system; widths above 1 spawn that many virtual-time
-    /// worker processes fed by a dependency-aware dispatcher that chains
-    /// commands with overlapping [`crate::StateMachine::conflict_keys`]
-    /// in delivery order and runs independent commands concurrently.
+    /// Execution lanes per replica (P-SMR). Every replica has one delivery
+    /// driver process. At `1` (the default) the driver executes each
+    /// command itself, in delivery order, on its inline lane — the paper's
+    /// executor, with no worker processes. Widths above 1 spawn that many
+    /// virtual-time worker processes, to which the same driver hands
+    /// commands: those with overlapping
+    /// [`crate::StateMachine::conflict_keys`] chain in delivery order,
+    /// independent ones run concurrently.
     pub executor_width: usize,
     /// Enables the Sim-TSan happens-before race detector on the fabric:
     /// shadow memory behind every verb, region annotations for all of
@@ -203,7 +205,7 @@ impl HeronConfig {
         self
     }
 
-    /// Sets the executor pool width per replica (see
+    /// Sets the number of execution lanes per replica (see
     /// [`HeronConfig::executor_width`]).
     ///
     /// # Panics

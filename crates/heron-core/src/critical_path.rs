@@ -94,7 +94,7 @@ pub struct Attribution {
     /// Mean multicast-submit → delivery, ns.
     pub ordering_ns: u64,
     /// Mean delivery → executor-pickup dispatch wait (P-SMR pool), ns.
-    /// Zero on the serial width-1 path. Carried as an `exec.request` arg,
+    /// Zero on the width-1 inline lane. Carried as an `exec.request` arg,
     /// not a child span: dispatch waits of concurrent commands overlap
     /// across workers and would not nest as spans.
     pub parallel_ns: u64,
@@ -301,10 +301,13 @@ pub fn critical_paths(events: &[TraceEvent]) -> Vec<RequestPath> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn ev(
+    /// One positional row of a hand-built trace table (shared with the
+    /// blame analyzer's tests).
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn ev(
         kind: EventKind,
         t_ns: u64,
         track: u32,

@@ -1,38 +1,46 @@
-//! The request-execution engine and the P-SMR executor pool.
+//! The request-execution engine and the replica's delivery driver.
 //!
 //! [`ExecCore`] holds the per-command execution path of Algorithms 1 and 2
 //! (Phase 2/4 barriers, the reading phase with dual-version remote reads,
-//! compute + writing phase, and the client reply). It is shared by the
-//! serial executor in [`crate::replica`] (which runs it on lane 0, exactly
-//! as before the pool existed) and by the pool workers below.
+//! compute + writing phase, and the client reply), bound to one
+//! coordination *lane* (a private `(ts, phase)` entry per writer replica,
+//! see [`crate::layout::ReplicaLayout::coord_slot`]).
 //!
-//! The pool (Marandi et al., "Rethinking State-Machine Replication for
-//! Parallelism") replaces the single executor process with:
+//! Each replica has exactly one [`Driver`] process — Algorithm 1's
+//! delivery loop. It owns the delivery stream, admission (`last_req`
+//! skips, Gap hold-back), both sides of Algorithm 3, cold restart after a
+//! power loss, and the `completed_req` watermark. What varies with
+//! [`crate::HeronConfig::executor_width`] is only where a command runs
+//! once it reaches the front of the queue:
 //!
-//! * a **dispatcher** process — owns the delivery stream, computes each
-//!   command's conflict key-set ([`crate::StateMachine::conflict_keys`]),
-//!   and dispatches the *front* of the delivered queue to a free worker as
-//!   soon as the front's keys are disjoint from every in-flight command's
-//!   keys. Strict in-order dispatch keeps per-lane coordination entries
-//!   monotone and means a conflicting predecessor always *finishes* on
-//!   this replica before its successor starts anywhere on it — which is
-//!   what makes the relaxed barrier reads below safe;
-//! * N **worker** processes — each runs [`ExecCore::run_command`] on its
-//!   own coordination *lane* (a private `(ts, phase)` entry per writer
-//!   replica, see [`crate::layout::ReplicaLayout::coord_slot`]), replies to
-//!   the client directly, and reports completion to the dispatcher.
+//! * **width 1 — the inline lane.** There are no worker processes: the
+//!   driver runs [`ExecCore::run_command`] itself on lane 0, resolves a
+//!   stall by running Algorithm 3's requester side on the spot, and
+//!   replies to the client directly. One process per replica, commands
+//!   strictly in delivery order — the paper's executor.
+//! * **width N > 1 — the pool** (Marandi et al., "Rethinking
+//!   State-Machine Replication for Parallelism"). The driver computes each
+//!   command's conflict key-set ([`crate::StateMachine::conflict_keys`])
+//!   and hands the *front* of the queue to a free [`Worker`] as soon as
+//!   its keys are disjoint from every in-flight command's. Strict in-order
+//!   dispatch keeps per-lane coordination entries monotone and means a
+//!   conflicting predecessor always *finishes* on this replica before its
+//!   successor starts anywhere on it — which is what makes the relaxed
+//!   barrier reads in [`coord_status`] safe. Workers report completion
+//!   (and the client reply) back to the driver.
 //!
 //! Workers never run the state-transfer protocol themselves: when one
 //! starves on a Phase-2 barrier or observes it is lagging (Algorithm 2,
-//! lines 23–25), it **parks** and the dispatcher resolves the stall — it
+//! lines 23–25), it **parks** and the driver resolves the stall — it
 //! quiesces (stops dispatching, waits for running workers to finish or
 //! park), runs the requester-side transfer of Algorithm 3 once nothing is
 //! mid-command, and then tells each parked worker whether the adopted
 //! snapshot covered its command (abandon, the client will retry) or not
-//! (retry in place). Responder-side serves quiesce the same way, so the
-//! snapshot bound `completed_req` is exact. `completed_req` itself becomes
-//! a prefix watermark: the largest timestamp such that every dispatched
-//! command up to it has finished its write phase.
+//! (retry in place). Responder-side serves and cold restarts wait for the
+//! same "nothing in flight" condition, so the snapshot bound
+//! `completed_req` is exact. `completed_req` itself is a prefix watermark:
+//! the largest timestamp such that every dispatched command up to it has
+//! finished its write phase.
 //!
 //! Dependency tracking is last-writer-in-delivery-order over the conflict
 //! keys: because only the queue front dispatches, a command waits exactly
@@ -45,7 +53,8 @@ use crate::cluster::ReplicaShared;
 use crate::layout::{decode_envelope, encode_coord, encode_response, resp_slot, COORD_ENTRY};
 use crate::metrics::Breakdown;
 use crate::replica::{
-    coord_status, pending_sync_requests, respond_transfer, state_transfer, state_transfer_abortable,
+    coord_status, pending_sync_requests, publish_progress, respond_transfer, state_transfer,
+    state_transfer_abortable,
 };
 use crate::types::{ObjectId, PartitionId, Placement};
 use amcast::{mask_groups, Delivered, DeliveryEvent, Timestamp};
@@ -67,6 +76,19 @@ pub(crate) struct Lagging;
 /// as the next coordination entry for that node (batched mode only).
 pub(crate) type PendingWrites = HashMap<rdma_sim::NodeId, Vec<(rdma_sim::Addr, Vec<u8>)>>;
 
+/// Why a command stalled mid-flight.
+#[derive(Debug, Clone)]
+pub(crate) enum Stall {
+    /// The Phase-2 majority barrier starved past the transfer timeout.
+    Phase2Starved {
+        /// The barrier's involved partitions, for the heal check.
+        dests: Vec<PartitionId>,
+    },
+    /// A remote read found no version old enough (Algorithm 2, lines
+    /// 23–25).
+    Lagging,
+}
+
 /// How a stalled command resumes after the stall was handled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum StallOutcome {
@@ -78,27 +100,24 @@ pub(crate) enum StallOutcome {
     Retry,
 }
 
-/// What a command does when it cannot make progress. The serial executor
-/// runs Algorithm 3 inline; pool workers park and let the dispatcher run
-/// it after quiescing the pool.
+/// What a command does when it cannot make progress. The driver's inline
+/// lane runs Algorithm 3 on the spot; pool workers park and let the driver
+/// run it after quiescing the pool.
 pub(crate) trait StallHandler {
-    /// The Phase-2 majority barrier starved past the transfer timeout.
-    fn on_phase2_starved(&mut self, dests: &[PartitionId], ts: Timestamp) -> StallOutcome;
-    /// A remote read found no version old enough (Algorithm 2, lines
-    /// 23–25).
-    fn on_lagging(&mut self, ts: Timestamp) -> StallOutcome;
+    /// The command `ts` cannot make progress on its own.
+    fn on_stall(&mut self, ts: Timestamp, stall: Stall) -> StallOutcome;
     /// The command's write phase (and Phase 4, if any) finished; record it
-    /// in `completed_req`. The serial executor stores the timestamp
-    /// directly; the pool advances a prefix watermark instead.
+    /// in `completed_req`. The inline lane stores the timestamp directly;
+    /// the pool advances a prefix watermark instead.
     fn on_completed(&mut self, ts: Timestamp);
     /// Offers the handler the client reply. Returns `true` if the handler
-    /// took ownership of posting it. The serial executor declines (the
+    /// took ownership of posting it. The inline lane declines (the
     /// default) and [`ExecCore::reply`] posts directly; pool workers ship
-    /// it to the dispatcher on their `Done` event, because each replica
+    /// it to the driver on their `Done` event, because each replica
     /// owns ONE response slot per client and two workers finishing
     /// different requests of the same client concurrently would race
     /// unordered writes into that slot (a lagging command could clobber a
-    /// fresher reply). The dispatcher is the slot's single writer.
+    /// fresher reply). The driver is the slot's single writer.
     fn on_reply(&mut self, _client_id: u64, _seq: u64, _response: &[u8]) -> bool {
         false
     }
@@ -109,11 +128,11 @@ pub(crate) trait StallHandler {
 pub(crate) struct ExecCore {
     pub(crate) shared: Arc<ReplicaShared>,
     /// Coordination lane this engine writes its `(ts, phase)` entries on:
-    /// 0 for the serial executor, the worker index in the pool.
+    /// 0 for the driver's inline lane, the worker index in the pool.
     pub(crate) lane: usize,
     /// The running process's wait point, subscribed to
     /// [`ReplicaShared::exec_ranges`]: the replica's
-    /// [`ReplicaShared::poller`] on the serial path, the worker's own in
+    /// [`ReplicaShared::poller`] on the inline lane, the worker's own in
     /// the pool (a barrier entry wakes the workers waiting in a barrier,
     /// not the idle ones).
     pub(crate) poller: rdma_sim::Poller,
@@ -132,7 +151,7 @@ impl ExecCore {
     /// single-partition fast path or the Phase 2 → execute → Phase 4
     /// pipeline, the client reply, and the Breakdown sample. `recv_ns` is
     /// the virtual time the command was taken off the delivery stream
-    /// (equals "now" on the serial path; earlier than "now" by the queue
+    /// (equals "now" on the inline lane; earlier than "now" by the queue
     /// wait in the pool — surfaced as the `execute.parallel` phase).
     ///
     /// Returns `false` if the command was abandoned because a state
@@ -184,7 +203,7 @@ impl ExecCore {
                     Ok(r) => break r,
                     Err(Lagging) => {
                         // Local-only reads cannot lag; defensive fallback.
-                        match stalls.on_lagging(ts) {
+                        match stalls.on_stall(ts, Stall::Lagging) {
                             StallOutcome::Covered => return false,
                             StallOutcome::Retry => {}
                         }
@@ -222,7 +241,10 @@ impl ExecCore {
             if self.wait_coord_timeout(&dests, ts, 1, self.cfg().transfer_timeout) {
                 break;
             }
-            match stalls.on_phase2_starved(&dests, ts) {
+            let stall = Stall::Phase2Starved {
+                dests: dests.clone(),
+            };
+            match stalls.on_stall(ts, stall) {
                 StallOutcome::Covered => return false, // transfer covered this request
                 StallOutcome::Retry => {}
             }
@@ -269,7 +291,7 @@ impl ExecCore {
                 };
                 match attempt {
                     Ok(exec) => break exec,
-                    Err(Lagging) => match stalls.on_lagging(ts) {
+                    Err(Lagging) => match stalls.on_stall(ts, Stall::Lagging) {
                         StallOutcome::Covered => return false, // transfer included this request
                         StallOutcome::Retry => {}
                     },
@@ -823,8 +845,8 @@ impl ExecCore {
 }
 
 /// Posts `response` into the client's response slot for this replica —
-/// one unsignaled RDMA write. Called from the serial executor (inline)
-/// and from the pool dispatcher (the slot's single writer at width > 1).
+/// one unsignaled RDMA write. Either way the driver process posts it: from
+/// its inline lane at width 1, on a worker's `Done` event at width > 1.
 fn post_reply(shared: &Arc<ReplicaShared>, client_id: u64, seq: u64, response: &[u8]) {
     let cfg = &shared.cluster.cfg;
     let info = {
@@ -896,84 +918,116 @@ impl LocalReader for StoreReader<'_> {
 }
 
 // ----------------------------------------------------------------------
-// The P-SMR pool: dispatcher + workers (executor_width > 1).
+// The delivery driver, its inline lane (width 1) and its workers (width > 1).
 // ----------------------------------------------------------------------
 
-/// A command handed from the dispatcher to a worker.
+/// A delivered command on its way from admission to a lane.
 pub(crate) struct Job {
     d: Delivered,
-    /// Virtual time the dispatcher took the delivery off the stream; the
-    /// gap to the worker's pickup is the `execute.parallel` dispatch wait.
+    /// Virtual time the driver took the delivery off the stream; the gap
+    /// to a worker's pickup is the `execute.parallel` dispatch wait.
     recv_ns: u64,
-    /// Sorted, deduplicated conflict key-set.
+    /// Sorted, deduplicated conflict key-set (empty on the inline lane,
+    /// which never has anything in flight to conflict with).
     keys: Vec<u64>,
 }
 
-/// Why a worker parked mid-command.
-#[derive(Debug, Clone)]
-pub(crate) enum ParkReason {
-    /// Phase-2 barrier starved past the transfer timeout.
-    Phase2Starved {
-        /// The barrier's involved partitions, for the dispatcher's
-        /// heal check.
-        dests: Vec<PartitionId>,
-    },
-    /// A remote read found no version old enough.
-    Lagging,
-}
-
-/// Worker → dispatcher notifications.
+/// Worker → driver notifications.
 pub(crate) enum WorkerEvent {
     /// The worker finished its command. `reply` carries the client
-    /// response for the dispatcher to post (`None` if the command was
-    /// abandoned as transfer-covered): the dispatcher is the single
-    /// writer of this replica's per-client response slots, so replies
-    /// from concurrently-finishing workers never race — see
+    /// response for the driver to post (`None` if the command was
+    /// abandoned as transfer-covered): the driver is the single writer of
+    /// this replica's per-client response slots, so replies from
+    /// concurrently-finishing workers never race — see
     /// [`StallHandler::on_reply`].
     Done {
         worker: usize,
         ts: u64,
         reply: Option<(u64, u64, Vec<u8>)>,
     },
-    /// The worker is parked waiting for a [`StallVerdict`].
+    /// The worker is parked waiting for a [`StallOutcome`].
     Parked {
         worker: usize,
         ts: u64,
-        reason: ParkReason,
+        reason: Stall,
     },
-}
-
-/// Dispatcher → parked worker resolution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum StallVerdict {
-    /// The transfer's snapshot covered the worker's command: abandon it.
-    Covered,
-    /// Not covered: retry the stalled step.
-    Retry,
 }
 
 /// One in-flight command, from dispatch until its `Done` event.
 struct InFlight {
     ts: u64,
     keys: Vec<u64>,
-    parked: Option<ParkReason>,
+    parked: Option<Stall>,
 }
 
-/// The pool dispatcher: owns the delivery stream and the conflict-gated
-/// dispatch, runs both sides of the state-transfer protocol (after
-/// quiescing the workers), and maintains the `completed_req` watermark.
-pub(crate) struct Dispatcher {
+/// A cold restart's WAL-tail replay in progress.
+struct Replay {
+    /// When the restart began (before the checkpoint read).
+    t0: SimTime,
+    /// Frames not yet fed through admission.
+    tail: VecDeque<Delivered>,
+    /// Length of `tail` at entry. What counts as replayed is the part
+    /// actually fed, not this: a power cut mid-replay abandons the rest,
+    /// and the next cold restart replays (and counts) those frames again.
+    frames: usize,
+    _span: sim::trace::SpanGuard,
+}
+
+/// Requester side of Algorithm 3 on behalf of stalled commands `(ts,
+/// reason)`: returns the adopted snapshot bound, or `None` if the transfer
+/// was withdrawn.
+///
+/// The transfer is abortable on barrier-heal, and only when every stall is
+/// a Phase-2 starvation whose barrier has healed (a lagging command
+/// genuinely needs the transfer): delivery at a slow majority can trail
+/// ours by whole leader-election timeouts, and every replica of OUR
+/// partition may be stalled right here — in which case nobody serves
+/// transfers and waiting unconditionally deadlocks the partition (and,
+/// transitively, every partition coordinating with it).
+fn transfer_for_stalls(shared: &Arc<ReplicaShared>, stalls: &[(u64, &Stall)]) -> Option<u64> {
+    let healed = || {
+        stalls.iter().all(|(ts, reason)| match reason {
+            Stall::Phase2Starved { dests } => {
+                coord_status(shared, dests, Timestamp::from_raw(*ts), 1).1
+            }
+            Stall::Lagging => false,
+        })
+    };
+    state_transfer_abortable(shared, &healed)
+}
+
+/// Whether a transfer that adopted snapshot bound `rid` covered the
+/// stalled command `ts`.
+fn stall_outcome(rid: Option<u64>, ts: u64) -> StallOutcome {
+    if rid.is_some_and(|r| r >= ts) {
+        StallOutcome::Covered
+    } else {
+        StallOutcome::Retry
+    }
+}
+
+/// A replica's delivery driver (Algorithm 1's loop): owns the delivery
+/// stream, admission and conflict-gated dispatch, runs both sides of the
+/// state-transfer protocol and the cold restart once nothing is in flight,
+/// and maintains the `completed_req` watermark.
+pub(crate) struct Driver {
     shared: Arc<ReplicaShared>,
     deliveries: Mailbox<DeliveryEvent>,
+    /// Width 1: the engine the driver runs commands on itself (lane 0).
+    /// `None` with a pool, whose workers hold the lanes.
+    inline: Option<ExecCore>,
     events: Mailbox<WorkerEvent>,
     jobs: Vec<Mailbox<Job>>,
-    verdicts: Vec<Mailbox<StallVerdict>>,
+    verdicts: Vec<Mailbox<StallOutcome>>,
     /// Delivered, not yet dispatched (front dispatches first — strict
     /// delivery order).
     queue: VecDeque<Job>,
     /// In-flight commands by worker index (deterministic iteration).
+    /// Always empty on the inline lane, which runs a command to completion
+    /// before the loop looks at anything else.
     inflight: BTreeMap<usize, InFlight>,
-    /// Idle worker indices; the lowest free index is picked.
+    /// Idle lane indices; the lowest free index is picked. (At width 1 the
+    /// one entry stands for the inline lane and is never taken out.)
     free: BTreeSet<usize>,
     /// Dispatched timestamps → finished?, pruned from the front as the
     /// prefix completes; the largest pruned entry is the `completed_req`
@@ -983,11 +1037,13 @@ pub(crate) struct Dispatcher {
     /// (requester idx, from_tmp) — drives the deterministic responder
     /// rotation of Algorithm 3.
     seen_requests: HashMap<(usize, u64), SimTime>,
-    /// Set by an ordering-layer Gap: nothing may execute until a state
-    /// transfer covers everything up to the next delivery.
+    /// Set by an ordering-layer Gap: requests were missed wholesale (log
+    /// overrun while crashed/lagging) and their timestamps are unknown, so
+    /// nothing may execute until a state transfer covers everything up to
+    /// the next delivery.
     needs_full_sync: bool,
-    /// The first delivery after a Gap, held back until the pool drained
-    /// and the covering transfer completed.
+    /// The first delivery after a Gap, held back until everything before
+    /// it drained and the covering transfer completed.
     pending_gap: Option<Delivered>,
     /// Highest client seq this replica has posted a response for, per
     /// client. Workers can finish out of delivery order, so without this
@@ -997,9 +1053,17 @@ pub(crate) struct Dispatcher {
     /// already satisfies the client's `>= seq` answered check, and a
     /// closed-loop client never re-reads an older seq.
     last_replied: HashMap<u64, u64>,
+    /// Power cycles of the node the protocol state reflects: behind the
+    /// node's count means our registered memory (store slots, coordination
+    /// regions) was wiped and [`Self::cold_restart`] must rebuild it before
+    /// anything executes.
+    power_cycles: u64,
+    /// The WAL-tail replay of the last cold restart, until every replayed
+    /// command finished. Live deliveries wait behind it.
+    replay: Option<Replay>,
 }
 
-impl Dispatcher {
+impl Driver {
     fn cfg(&self) -> &crate::HeronConfig {
         &self.shared.cluster.cfg
     }
@@ -1008,11 +1072,11 @@ impl Dispatcher {
         self.cfg().replicas_per_partition
     }
 
-    /// Runs the dispatcher loop forever.
+    /// Runs the driver loop forever.
     pub(crate) fn run(mut self) {
         // Executors-per-replica occupancy timeline (inert when profiling
-        // is off): how many of the pool's workers hold a command.
-        let busy = if sim::prof::enabled() {
+        // is off or there is no pool): how many workers hold a command.
+        let busy = if sim::prof::enabled() && self.inline.is_none() {
             sim::prof::gauge(format!(
                 "pool.busy.p{}r{}",
                 self.shared.partition.0, self.shared.idx
@@ -1029,18 +1093,49 @@ impl Dispatcher {
                     busy_last = v;
                 }
             }
+            // Worker events first. Posting their replies can yield (send-queue
+            // backpressure), so liveness is read after it: nothing below may
+            // act on a node that died in between.
+            let mut progress = self.shared.node.is_alive() && self.drain_events();
             if !self.shared.node.is_alive() {
-                // Crashed: stop dispatching until recovery; workers caught
-                // mid-command keep going against failing verbs, exactly
-                // like the serial executor caught mid-command.
+                // Crashed: stay quiet until recovery. The deliveries we
+                // miss surface later as a Gap or as failed remote reads; a
+                // command caught mid-flight keeps going against failing
+                // verbs.
                 self.shared
                     .poller
                     .poll_until_timeout(|| self.shared.node.is_alive(), Duration::from_millis(1));
                 continue;
             }
-            let mut progress = self.drain_events();
+            if self.shared.node.power_cycles() != self.power_cycles {
+                // The node lost power while we were dark: registered memory
+                // is zeroed, so every byte of protocol state must be rebuilt
+                // before another command may touch it. Like a responder
+                // serve, the rebuild waits until nothing is in flight.
+                if self.inflight.is_empty() {
+                    self.cold_restart();
+                } else {
+                    progress |= self.resolve_parks(true);
+                    if !progress {
+                        self.idle_wait(true);
+                    }
+                }
+                continue;
+            }
+            let serve_blocked = self.serve_transfers(&mut progress);
+            // Serving a transfer yields: if the node died or lost power
+            // while we streamed, go back to the crash-wait / cold-restart
+            // checks instead of executing against a wiped store.
+            if !self.shared.node.is_alive() || self.shared.node.power_cycles() != self.power_cycles
+            {
+                continue;
+            }
             if self.pending_gap.is_none() {
-                if let Some(ev) = self.deliveries.try_recv() {
+                let next = match &mut self.replay {
+                    Some(replay) => replay.tail.pop_front().map(DeliveryEvent::Deliver),
+                    None => self.deliveries.try_recv(),
+                };
+                if let Some(ev) = next {
                     match ev {
                         DeliveryEvent::Deliver(d) => self.on_deliver(d),
                         DeliveryEvent::Gap { .. } => self.needs_full_sync = true,
@@ -1048,8 +1143,7 @@ impl Dispatcher {
                     progress = true;
                 }
             }
-            let serve_blocked = self.serve_transfers(&mut progress);
-            progress |= self.resolve_parks();
+            progress |= self.resolve_parks(false);
             progress |= self.resolve_gap();
             // Dispatch is paused while a due responder serve or a parked
             // worker waits for the pool to drain — both need a quiesced
@@ -1058,10 +1152,17 @@ impl Dispatcher {
             if !serve_blocked && !anyone_parked {
                 progress |= self.try_dispatch();
             }
+            if self.replay.as_ref().is_some_and(|r| r.tail.is_empty())
+                && self.queue.is_empty()
+                && self.inflight.is_empty()
+            {
+                self.finish_replay();
+                progress = true;
+            }
             if progress {
                 continue;
             }
-            self.idle_wait();
+            self.idle_wait(false);
         }
     }
 
@@ -1100,7 +1201,7 @@ impl Dispatcher {
                         let cur = self.shared.completed_req.load(Ordering::SeqCst);
                         self.shared.set_completed(cur.max(t));
                         if t > cur {
-                            crate::replica::publish_progress(&self.shared);
+                            publish_progress(&self.shared);
                         }
                     }
                 }
@@ -1115,11 +1216,11 @@ impl Dispatcher {
         any
     }
 
-    /// Algorithm 1 lines 3–4 plus queue admission (the dispatcher half of
-    /// the serial `on_deliver` prefix).
+    /// Algorithm 1 lines 3–4 plus queue admission.
     fn on_deliver(&mut self, d: Delivered) {
         let shared = &self.shared;
         let ts = d.ts;
+        // Lines 3–4: skip requests already covered by a state transfer.
         if ts.raw() <= shared.last_req.load(Ordering::SeqCst) {
             shared
                 .cluster
@@ -1132,12 +1233,15 @@ impl Dispatcher {
         shared.last_req.store(ts.raw(), Ordering::SeqCst);
         if self.needs_full_sync {
             // Everything missed has a smaller timestamp than this delivery;
-            // hold it until the pool drained and a transfer covers it.
+            // hold it until everything before it drained and a transfer
+            // covers it.
             self.needs_full_sync = false;
             self.pending_gap = Some(d);
             return;
         }
-        let keys = {
+        let keys = if self.inline.is_some() {
+            Vec::new()
+        } else {
             let (_, _, _, payload) = decode_envelope(&d.payload);
             let mut k = shared.cluster.app.conflict_keys(payload);
             k.sort_unstable();
@@ -1151,7 +1255,7 @@ impl Dispatcher {
         });
     }
 
-    /// Dispatches from the queue front while a free worker exists and the
+    /// Dispatches from the queue front while a free lane exists and the
     /// front's conflict keys are disjoint from every in-flight command's.
     fn try_dispatch(&mut self) -> bool {
         let mut any = false;
@@ -1182,14 +1286,28 @@ impl Dispatcher {
             if conflicts {
                 break;
             }
-            let worker = *self.free.iter().next().expect("checked non-empty");
-            self.free.remove(&worker);
             let job = self.queue.pop_front().expect("checked non-empty");
             let ts = job.d.ts.raw();
             // 'e' is pushed at dispatch, which happens in delivery order
             // (front-only), preserving the checker's strictly-increasing
             // execution-trace invariant.
             self.shared.exec_trace.lock().push((ts, 'e'));
+            any = true;
+            if let Some(core) = &self.inline {
+                // No worker lanes: run the command right here, where a pool
+                // would hand it over. Nothing else happens on this replica
+                // until it finishes, so it is never "in flight" as far as
+                // serves, parks and the watermark are concerned. (Routing
+                // width 1 through one worker instead costs three mailbox
+                // hops per command per replica: +14…29 % host time per
+                // request, EXPERIMENTS.md "One delivery driver".)
+                let mut stalls = InlineStalls {
+                    shared: &self.shared,
+                };
+                let _ = core.run_command(&job.d, job.recv_ns, &mut stalls);
+                continue;
+            }
+            let worker = self.free.pop_first().expect("checked non-empty");
             self.done.insert(ts, false);
             self.inflight.insert(
                 worker,
@@ -1200,7 +1318,6 @@ impl Dispatcher {
                 },
             );
             let _ = self.jobs[worker].send(job);
-            any = true;
         }
         any
     }
@@ -1208,50 +1325,36 @@ impl Dispatcher {
     /// Requester-side stall resolution: once every in-flight worker is
     /// parked (dispatch pauses on the first park, so runners drain), the
     /// pool is quiesced-except-parked — parked workers sit at safe points
-    /// with no partial writes — and the dispatcher runs Algorithm 3's
-    /// requester side on their behalf, then hands each a verdict.
-    fn resolve_parks(&mut self) -> bool {
+    /// with no partial writes — and the driver runs Algorithm 3's
+    /// requester side on their behalf, then hands each its outcome.
+    ///
+    /// With the memory `wiped` by a power loss there is nothing to transfer
+    /// into: the cold restart about to run re-delivers every parked command
+    /// from the WAL, so each is abandoned as covered.
+    fn resolve_parks(&mut self, wiped: bool) -> bool {
         if self.inflight.is_empty() || self.inflight.values().any(|f| f.parked.is_none()) {
             return false;
         }
-        // The transfer is abortable on barrier-heal only when every park
-        // is a Phase-2 starvation whose barrier has healed (the serial
-        // executor's anti-deadlock escape hatch, aggregated over the
-        // pool). A lagging park genuinely needs the transfer.
-        let mut barrier_checks: Vec<(Timestamp, Vec<PartitionId>)> = Vec::new();
-        let mut any_lagging = false;
-        for f in self.inflight.values() {
-            match f.parked.as_ref().expect("all parked") {
-                ParkReason::Phase2Starved { dests } => {
-                    barrier_checks.push((Timestamp::from_raw(f.ts), dests.clone()));
-                }
-                ParkReason::Lagging => any_lagging = true,
-            }
-        }
-        let heal_shared = Arc::clone(&self.shared);
-        let healed = move || {
-            !any_lagging
-                && barrier_checks
-                    .iter()
-                    .all(|(ts, dests)| coord_status(&heal_shared, dests, *ts, 1).1)
+        let rid = if wiped {
+            Some(u64::MAX)
+        } else {
+            let stalls: Vec<(u64, &Stall)> = self
+                .inflight
+                .values()
+                .map(|f| (f.ts, f.parked.as_ref().expect("all parked")))
+                .collect();
+            transfer_for_stalls(&self.shared, &stalls)
         };
-        let rid = state_transfer_abortable(&self.shared, &healed);
         for (worker, f) in self.inflight.iter_mut() {
             f.parked = None;
-            let covered = rid.map(|r| r >= f.ts).unwrap_or(false);
-            let verdict = if covered {
-                StallVerdict::Covered
-            } else {
-                StallVerdict::Retry
-            };
-            let _ = self.verdicts[*worker].send(verdict);
+            let _ = self.verdicts[*worker].send(stall_outcome(rid, f.ts));
         }
         true
     }
 
-    /// Completes a Gap recovery once the pool drained: transfer until a
-    /// snapshot covers the held-back delivery, then skip it (the serial
-    /// executor's `needs_full_sync` path, made pool-aware).
+    /// Completes a Gap recovery once everything before it drained:
+    /// transfer until a snapshot covers the held-back delivery, then skip
+    /// it.
     fn resolve_gap(&mut self) -> bool {
         let Some(d) = &self.pending_gap else {
             return false;
@@ -1266,14 +1369,15 @@ impl Dispatcher {
         true
     }
 
-    /// Responder side of Algorithm 3 for the pool: identical rotation to
-    /// the serial executor, but a due serve first quiesces the pool —
-    /// `completed_req` is an exact request boundary only when nothing is
-    /// mid-command. Returns whether a due serve is waiting on the drain
-    /// (which pauses dispatch).
+    /// Responder side of Algorithm 3 (lines 7–22): serve pending state
+    /// transfers whose rotation turn has reached us. A due serve first
+    /// quiesces the pool — `completed_req` is an exact request boundary
+    /// only when nothing is mid-command. Returns whether a due serve is
+    /// waiting on the drain (which pauses dispatch).
     fn serve_transfers(&mut self, progress: &mut bool) -> bool {
         let shared = Arc::clone(&self.shared);
         let n = self.n();
+        // Drop bookkeeping for requests that were completed by someone.
         let pending: std::collections::HashSet<(usize, u64)> =
             pending_sync_requests(&shared).into_iter().collect();
         self.seen_requests.retain(|k, _| pending.contains(k));
@@ -1289,6 +1393,8 @@ impl Dispatcher {
             }
             let from = shared.node.local_read_word(slot).unwrap_or(0);
             let first_seen = *self.seen_requests.entry((p, from)).or_insert_with(sim::now);
+            // Deterministic rotation: requester+1 serves immediately, the
+            // next waits one timeout, and so on (line 10 + lines 19–22).
             let my_rank = (shared.idx + n - p - 1) % n;
             let due = first_seen + self.cfg().transfer_timeout * my_rank as u32;
             if sim::now() < due {
@@ -1305,10 +1411,116 @@ impl Dispatcher {
         blocked
     }
 
-    /// Blocks until something can make progress: a delivery (unless held
-    /// back by a Gap), a worker event, an unseen transfer request, or a
-    /// registered request's rotation turn.
-    fn idle_wait(&self) {
+    /// Cold restart after a power loss: rebuild the store from the durable
+    /// checkpoint, reset every piece of volatile protocol state to the
+    /// checkpoint bound, and queue the ordering WAL tail for replay through
+    /// the normal admission path ([`Self::run`] feeds it ahead of live
+    /// deliveries). Equivalent to a state transfer whose responder is the
+    /// disk — the execution trace restarts with a `('t', bound)` entry and
+    /// replayed commands append fresh `'e'` entries past it.
+    ///
+    /// Without durability there is no checkpoint and no WAL: the store is
+    /// re-bootstrapped to time zero and `needs_full_sync` forces the next
+    /// delivery to wait for a live-peer transfer covering everything.
+    fn cold_restart(&mut self) {
+        debug_assert!(
+            self.inflight.is_empty(),
+            "cold restart with commands in flight"
+        );
+        // A power cut mid-replay restarts recovery from the (still intact)
+        // checkpoint; account for the abandoned attempt first.
+        self.finish_replay();
+        self.power_cycles = self.shared.node.power_cycles();
+        let shared = Arc::clone(&self.shared);
+        let t0 = sim::now();
+        // Volatile protocol state is gone with the memory that backed it.
+        // Commands admitted but not dispatched are in the WAL like every
+        // other delivery, and come back through the replay.
+        shared.log.lock().clear();
+        shared.exec_trace.lock().clear();
+        shared.object_map.lock().clear();
+        shared.addr_heard.lock().clear();
+        *shared.transfer.lock() = crate::cluster::TransferProgress::default();
+        self.seen_requests.clear();
+        self.queue.clear();
+        self.pending_gap = None;
+        // Rebuild the store image: checkpoint if one exists, time-zero
+        // bootstrap otherwise. The checkpoint read pays modeled disk
+        // latency — the first component of recovery time.
+        let restored = crate::checkpoint::load_checkpoint(&shared);
+        let bound = match &restored {
+            Some(meta) => meta.bound,
+            None => {
+                for (oid, value) in shared.cluster.app.bootstrap(shared.partition) {
+                    shared.store.bootstrap(oid, &value);
+                }
+                0
+            }
+        };
+        shared.last_req.store(bound, Ordering::SeqCst);
+        shared.set_completed(bound);
+        // Our own update log restarts empty at the bound: a peer asking
+        // for state from below it gets full state, not an empty diff.
+        shared.log_floor.store(bound, Ordering::SeqCst);
+        if bound > 0 {
+            shared.exec_trace.lock().push((bound, 't'));
+        }
+        // The store reflects this power cycle again: re-arm the
+        // checkpointer, which refuses to snapshot while `restored_cycles`
+        // lags the node's cycle count (between the wipe and this line the
+        // watermarks look quiescent but the slots are zeros).
+        shared
+            .restored_cycles
+            .store(self.power_cycles, Ordering::SeqCst);
+        publish_progress(&shared);
+        // With durability the WAL speaks for everything delivered past the
+        // bound (bound 0 = since genesis, before the first checkpoint), so
+        // replay alone restores us. Without it, nothing does: hold
+        // execution until a live-peer transfer covers the next delivery.
+        self.needs_full_sync = shared.disk.is_none();
+        // The WAL tail past the bound replays through the normal delivery
+        // path — the second component of recovery time. Deliveries the
+        // ordering replica re-sends (or that were already sitting in our
+        // mailbox) re-appear with timestamps the replay has covered and
+        // are skipped by the `last_req` watermark.
+        let group = amcast::GroupId(shared.partition.0);
+        let tail = shared.cluster.mcast.wal_tail(group, shared.idx, bound);
+        let span = sim::trace::span_args(
+            "recover.cold",
+            bound,
+            &[("bound", bound), ("tail", tail.len() as u64)],
+        );
+        self.replay = Some(Replay {
+            t0,
+            frames: tail.len(),
+            tail: tail.into(),
+            _span: span,
+        });
+    }
+
+    /// Closes the books on a cold restart: its replayed commands all
+    /// finished, or a new power cut abandoned it.
+    fn finish_replay(&mut self) {
+        let Some(replay) = self.replay.take() else {
+            return;
+        };
+        let reg = self.shared.cluster.metrics.registry();
+        if reg.is_enabled() {
+            reg.counter("recover.cold").add(1);
+            reg.counter("recover.replayed")
+                .add((replay.frames - replay.tail.len()) as u64);
+            reg.counter("recover.time_ns")
+                .add((sim::now() - replay.t0).as_nanos() as u64);
+        }
+    }
+
+    /// Blocks until something can make progress: a worker event, a
+    /// delivery (unless held back by a Gap or a replay), an unseen transfer
+    /// request, or a registered request's rotation turn — never busy-wait
+    /// on a request that is not yet our turn. While `draining` for a cold
+    /// restart only worker events count: nothing else is acted on, so
+    /// waking for it would spin.
+    fn idle_wait(&self, draining: bool) {
         let deliveries = self.deliveries.clone();
         let events = self.events.clone();
         let shared = Arc::clone(&self.shared);
@@ -1333,31 +1545,52 @@ impl Dispatcher {
         }
         let seen: std::collections::HashSet<(usize, u64)> =
             self.seen_requests.keys().copied().collect();
-        let gap_held = self.pending_gap.is_some();
-        // `events` was built on the poller's condition (`spawn_pool`) and
+        let held = draining || self.pending_gap.is_some() || self.replay.is_some();
+        // `events` was built on the poller's condition (`spawn_driver`) and
         // `deliveries` owns it, so both mailboxes ring this wait directly;
         // transfer requests land in the subscribed statesync entries.
         self.shared.poller.poll_until_timeout(
             || {
                 !events.is_empty()
-                    || (!gap_held && !deliveries.is_empty())
-                    || pending_sync_requests(&shared)
-                        .iter()
-                        .any(|k| !seen.contains(k))
+                    || (!held && !deliveries.is_empty())
+                    || (!draining
+                        && pending_sync_requests(&shared)
+                            .iter()
+                            .any(|k| !seen.contains(k)))
             },
             timeout,
         );
     }
 }
 
-/// A pool worker: executes the jobs its dispatcher hands it on its own
+/// [`StallHandler`] of the driver's inline lane: the driver *is* the
+/// stalled process, so nothing is in flight beside this command and
+/// Algorithm 3's requester side runs on the spot.
+struct InlineStalls<'a> {
+    shared: &'a Arc<ReplicaShared>,
+}
+
+impl StallHandler for InlineStalls<'_> {
+    fn on_stall(&mut self, ts: Timestamp, stall: Stall) -> StallOutcome {
+        let rid = transfer_for_stalls(self.shared, &[(ts.raw(), &stall)]);
+        stall_outcome(rid, ts.raw())
+    }
+
+    fn on_completed(&mut self, ts: Timestamp) {
+        // One lane, delivery order: the prefix below `ts` has no holes.
+        self.shared.set_completed(ts.raw());
+        publish_progress(self.shared);
+    }
+}
+
+/// A pool worker: executes the jobs its driver hands it on its own
 /// coordination lane, parking on stalls.
 pub(crate) struct Worker {
     core: ExecCore,
     index: usize,
     jobs: Mailbox<Job>,
     events: Mailbox<WorkerEvent>,
-    verdicts: Mailbox<StallVerdict>,
+    verdicts: Mailbox<StallOutcome>,
 }
 
 impl Worker {
@@ -1382,28 +1615,28 @@ impl Worker {
     }
 }
 
-/// [`StallHandler`] for pool workers: park and await the dispatcher's
-/// verdict. `on_completed` is a no-op — the dispatcher advances the
-/// watermark when it processes the worker's `Done` event.
+/// [`StallHandler`] for pool workers: park and await the driver's
+/// verdict. `on_completed` is a no-op — the driver advances the watermark
+/// when it processes the worker's `Done` event.
 struct PoolStalls<'a> {
     index: usize,
     events: &'a Mailbox<WorkerEvent>,
-    verdicts: &'a Mailbox<StallVerdict>,
+    verdicts: &'a Mailbox<StallOutcome>,
     /// Reply captured by [`StallHandler::on_reply`], shipped to the
-    /// dispatcher on the `Done` event.
+    /// driver on the `Done` event.
     reply: Option<(u64, u64, Vec<u8>)>,
 }
 
-impl PoolStalls<'_> {
-    fn park(&self, ts: Timestamp, reason: ParkReason) -> StallOutcome {
+impl StallHandler for PoolStalls<'_> {
+    fn on_stall(&mut self, ts: Timestamp, reason: Stall) -> StallOutcome {
         // The park's whole duration is observable: a `pool.park` span nested
         // under the stalled command's span (so `trace_explain` and the blame
         // analyzer both see it), and a parked wait-state for the profiler.
         let label = match &reason {
-            ParkReason::Phase2Starved { .. } => "phase2_starved",
-            ParkReason::Lagging => "lagging",
+            Stall::Phase2Starved { .. } => "phase2_starved",
+            Stall::Lagging => "lagging",
         };
-        let lagging = u64::from(matches!(reason, ParkReason::Lagging));
+        let lagging = u64::from(matches!(reason, Stall::Lagging));
         let _span = sim::trace::span_args(
             "pool.park",
             0,
@@ -1419,25 +1652,7 @@ impl PoolStalls<'_> {
             ts: ts.raw(),
             reason,
         });
-        match self.verdicts.recv() {
-            StallVerdict::Covered => StallOutcome::Covered,
-            StallVerdict::Retry => StallOutcome::Retry,
-        }
-    }
-}
-
-impl StallHandler for PoolStalls<'_> {
-    fn on_phase2_starved(&mut self, dests: &[PartitionId], ts: Timestamp) -> StallOutcome {
-        self.park(
-            ts,
-            ParkReason::Phase2Starved {
-                dests: dests.to_vec(),
-            },
-        )
-    }
-
-    fn on_lagging(&mut self, ts: Timestamp) -> StallOutcome {
-        self.park(ts, ParkReason::Lagging)
+        self.verdicts.recv()
     }
 
     fn on_completed(&mut self, _ts: Timestamp) {}
@@ -1448,10 +1663,10 @@ impl StallHandler for PoolStalls<'_> {
     }
 }
 
-/// Spawns the executor pool for one replica: the dispatcher under the
-/// serial executor's process name (so pool runs keep the same process
-/// roster shape) plus `width` workers.
-pub(crate) fn spawn_pool(
+/// Spawns one replica's delivery driver as `heron-exec-p{p}r{i}` and, above
+/// width 1, its `width` workers as `heron-exec-p{p}r{i}w{k}`. Width 1
+/// spawns no worker: the driver is its own (inline) lane 0.
+pub(crate) fn spawn_driver(
     simulation: &sim::Simulation,
     shared: Arc<ReplicaShared>,
     deliveries: Mailbox<DeliveryEvent>,
@@ -1459,15 +1674,20 @@ pub(crate) fn spawn_pool(
     i: usize,
 ) {
     let width = shared.cluster.cfg.executor_width;
-    debug_assert!(width > 1, "the pool exists only above width 1");
-    // Worker events ring the dispatcher's own wait point: its idle wait
+    let workers = if width > 1 { width } else { 0 };
+    // Worker events ring the driver's own wait point: its idle wait
     // watches this mailbox next to the delivery stream and polled memory.
     let events: Mailbox<WorkerEvent> = Mailbox::with_cond(shared.poller.cond().clone());
-    let jobs: Vec<Mailbox<Job>> = (0..width).map(|_| Mailbox::new()).collect();
-    let verdicts: Vec<Mailbox<StallVerdict>> = (0..width).map(|_| Mailbox::new()).collect();
-    let dispatcher = Dispatcher {
+    let jobs: Vec<Mailbox<Job>> = (0..workers).map(|_| Mailbox::new()).collect();
+    let verdicts: Vec<Mailbox<StallOutcome>> = (0..workers).map(|_| Mailbox::new()).collect();
+    let driver = Driver {
         shared: Arc::clone(&shared),
         deliveries,
+        inline: (workers == 0).then(|| ExecCore {
+            shared: Arc::clone(&shared),
+            lane: 0,
+            poller: shared.poller.clone(),
+        }),
         events: events.clone(),
         jobs: jobs.clone(),
         verdicts: verdicts.clone(),
@@ -1479,9 +1699,11 @@ pub(crate) fn spawn_pool(
         needs_full_sync: false,
         pending_gap: None,
         last_replied: HashMap::new(),
+        power_cycles: shared.node.power_cycles(),
+        replay: None,
     };
-    simulation.spawn(format!("heron-exec-p{p}r{i}"), move || dispatcher.run());
-    for k in 0..width {
+    simulation.spawn(format!("heron-exec-p{p}r{i}"), move || driver.run());
+    for k in 0..workers {
         let worker = Worker {
             core: ExecCore {
                 shared: Arc::clone(&shared),

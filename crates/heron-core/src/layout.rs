@@ -92,8 +92,8 @@ impl ReplicaLayout {
         self.progress.offset(((h * n + q) * WORD) as u64)
     }
 
-    /// What the executing processes (serial executor, dispatcher, pool
-    /// workers) poll: coordination lanes and statesync entries, then —
+    /// What the executing processes (delivery driver, pool workers)
+    /// poll: coordination lanes and statesync entries, then —
     /// past the staging ring — `applied`, the doorbell and the
     /// `progress_words` watermarks. The regions are allocated back to
     /// back in field order, which is what makes these two spans.

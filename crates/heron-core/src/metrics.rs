@@ -11,8 +11,8 @@ pub struct Breakdown {
     /// Multicast submit → delivery at the replica.
     pub ordering_ns: u64,
     /// Delivery → pickup by an executor: the dependency-aware dispatch
-    /// wait of the P-SMR executor pool. Exactly zero on the serial
-    /// (width 1) path, where a command is picked up at delivery.
+    /// wait of the P-SMR executor pool. Exactly zero on the width-1
+    /// inline lane, where a command is picked up at delivery.
     pub parallel_ns: u64,
     /// Phase 2 + Phase 4 barrier time.
     pub coordination_ns: u64,

@@ -1,344 +1,24 @@
-//! The serial replica executor (Algorithm 1's delivery loop) and the
-//! state-transfer protocol of Algorithm 3.
+//! The state-transfer protocol of Algorithm 3, and the coordination-memory
+//! reads of Algorithm 1, as free functions.
 //!
-//! The per-command execution path (Phase 2/4 barriers, reading phase,
-//! compute, writing phase, reply) lives in [`crate::executor::ExecCore`],
-//! shared with the P-SMR executor pool. This module keeps the serial
-//! driver — one process doing delivery, execution and transfer serving in
-//! a single loop, exactly as before the pool existed — and the transfer
-//! protocol itself, as free functions so the pool dispatcher can run both
-//! sides of it on the workers' behalf.
+//! Nothing here owns a process. The replica's one delivery driver
+//! ([`crate::executor::Driver`]) runs both sides of the transfer protocol
+//! from its loop — the requester side for its own inline lane or on its
+//! parked workers' behalf, the responder side whenever nothing is in
+//! flight — and every [`crate::executor::ExecCore`] lane reads barrier
+//! state through [`coord_status`].
 
 use crate::cluster::ReplicaShared;
-use crate::executor::{ExecCore, StallHandler, StallOutcome};
 use crate::layout::{encode_record, encode_sync, CHUNK_HDR};
 use crate::metrics::TransferRecord;
 use crate::types::{ObjectId, PartitionId, StorageKind};
-use amcast::{Delivered, DeliveryEvent, Timestamp};
-use sim::{Mailbox, SimTime};
+use amcast::Timestamp;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Duration;
-
-/// A replica's request-execution process (serial, `executor_width == 1`).
-pub(crate) struct Executor {
-    core: ExecCore,
-    deliveries: Mailbox<DeliveryEvent>,
-    /// First time we observed each pending state-transfer request
-    /// (requester idx, from_tmp) — drives the deterministic responder
-    /// rotation of Algorithm 3.
-    seen_requests: HashMap<(usize, u64), SimTime>,
-    /// Set by an ordering-layer Gap: requests were missed wholesale, so
-    /// nothing may execute until a state transfer covers everything up to
-    /// the next delivery.
-    needs_full_sync: bool,
-    /// Power cycles of the node last observed: a bump means our registered
-    /// memory (store slots, coordination regions) was wiped and the
-    /// cold-restart path must rebuild it before anything executes.
-    power_cycles: u64,
-}
-
-impl Executor {
-    pub(crate) fn new(shared: Arc<ReplicaShared>, deliveries: Mailbox<DeliveryEvent>) -> Self {
-        let power_cycles = shared.node.power_cycles();
-        let poller = shared.poller.clone();
-        Executor {
-            core: ExecCore {
-                shared,
-                lane: 0,
-                poller,
-            },
-            deliveries,
-            seen_requests: HashMap::new(),
-            needs_full_sync: false,
-            power_cycles,
-        }
-    }
-
-    fn shared(&self) -> &Arc<ReplicaShared> {
-        &self.core.shared
-    }
-
-    fn cfg(&self) -> &crate::HeronConfig {
-        &self.shared().cluster.cfg
-    }
-
-    fn n(&self) -> usize {
-        self.cfg().replicas_per_partition
-    }
-
-    /// Runs the executor loop forever.
-    pub(crate) fn run(mut self) {
-        loop {
-            if !self.shared().node.is_alive() {
-                // Crashed: stay quiet until recovery; the deliveries we
-                // miss surface later as a Gap or as failed remote reads.
-                let shared = Arc::clone(self.shared());
-                shared
-                    .poller
-                    .poll_until_timeout(|| shared.node.is_alive(), Duration::from_millis(1));
-                continue;
-            }
-            let cycles = self.shared().node.power_cycles();
-            if cycles != self.power_cycles {
-                // The node lost power while we were dark: registered
-                // memory is zeroed, so every byte of protocol state must
-                // be rebuilt before a single command may touch it.
-                self.power_cycles = cycles;
-                self.cold_restart();
-            }
-            self.serve_transfers();
-            // Serving a transfer yields: if power was cut while we
-            // streamed, loop back to the crash-wait / cold-restart checks
-            // instead of executing a delivery against a wiped store.
-            if !self.shared().node.is_alive()
-                || self.shared().node.power_cycles() != self.power_cycles
-            {
-                continue;
-            }
-            if let Some(ev) = self.deliveries.try_recv() {
-                match ev {
-                    DeliveryEvent::Deliver(d) => self.on_deliver(d),
-                    DeliveryEvent::Gap { .. } => {
-                        // We missed ordered requests wholesale (log
-                        // overrun while crashed/lagging). Their timestamps
-                        // are unknown, so we cannot execute anything until
-                        // a state transfer provably covers them — enforced
-                        // at the next delivery.
-                        self.needs_full_sync = true;
-                    }
-                }
-                continue;
-            }
-            // Idle: wake on new deliveries, on state-transfer requests we
-            // have not yet registered, or when a registered request's
-            // responder-rotation turn (Algorithm 3, lines 19–22) reaches
-            // us — never busy-wait on a request that is not yet our turn.
-            let deliveries = self.deliveries.clone();
-            let shared = Arc::clone(self.shared());
-            let now = sim::now();
-            let mut timeout = Duration::from_millis(10);
-            for key in pending_sync_requests(&shared) {
-                if let Some(first) = self.seen_requests.get(&key) {
-                    let rank = (shared.idx + self.n() - key.0 - 1) % self.n();
-                    let due = *first + self.cfg().transfer_timeout * rank as u32;
-                    timeout = timeout.min(due.checked_sub(now).unwrap_or(Duration::from_nanos(1)));
-                }
-            }
-            let seen: std::collections::HashSet<(usize, u64)> =
-                self.seen_requests.keys().copied().collect();
-            shared.poller.poll_until_timeout(
-                || {
-                    !deliveries.is_empty()
-                        || pending_sync_requests(&shared)
-                            .iter()
-                            .any(|k| !seen.contains(k))
-                },
-                timeout,
-            );
-        }
-    }
-
-    fn on_deliver(&mut self, d: Delivered) {
-        let shared = Arc::clone(self.shared());
-        let ts = d.ts;
-        // Lines 3–4: skip requests already covered by a state transfer.
-        if ts.raw() <= shared.last_req.load(Ordering::SeqCst) {
-            shared
-                .cluster
-                .metrics
-                .skipped_requests
-                .fetch_add(1, Ordering::Relaxed);
-            shared.exec_trace.lock().push((ts.raw(), 's'));
-            return;
-        }
-        shared.last_req.store(ts.raw(), Ordering::SeqCst);
-
-        // A gap in the ordered stream: everything we missed has a smaller
-        // timestamp than this delivery, so keep transferring until a
-        // responder's snapshot covers this request too — then skip it.
-        if self.needs_full_sync {
-            while state_transfer(&shared) < ts.raw() {}
-            self.needs_full_sync = false;
-            shared.exec_trace.lock().push((ts.raw(), 's'));
-            return;
-        }
-        shared.exec_trace.lock().push((ts.raw(), 'e'));
-
-        let mut stalls = SerialStalls { shared: &shared };
-        let _ = self
-            .core
-            .run_command(&d, sim::now().as_nanos(), &mut stalls);
-    }
-
-    /// Cold restart after a power loss: rebuild the store from the durable
-    /// checkpoint, reset every piece of volatile protocol state to the
-    /// checkpoint bound, and replay the ordering WAL tail through the
-    /// normal delivery path. Equivalent to a state transfer whose
-    /// responder is the disk — the execution trace restarts with a
-    /// `('t', bound)` entry and replayed commands append fresh `'e'`
-    /// entries past it.
-    ///
-    /// Without durability there is no checkpoint and no WAL: the store is
-    /// re-bootstrapped to time zero and `needs_full_sync` forces the next
-    /// delivery to wait for a live-peer transfer covering everything.
-    fn cold_restart(&mut self) {
-        let shared = Arc::clone(self.shared());
-        let t0 = sim::now();
-        // Volatile protocol state is gone with the memory that backed it.
-        shared.log.lock().clear();
-        shared.exec_trace.lock().clear();
-        shared.object_map.lock().clear();
-        shared.addr_heard.lock().clear();
-        *shared.transfer.lock() = crate::cluster::TransferProgress::default();
-        self.seen_requests.clear();
-        // Rebuild the store image: checkpoint if one exists, time-zero
-        // bootstrap otherwise. The checkpoint read pays modeled disk
-        // latency — the first component of recovery time.
-        let restored = crate::checkpoint::load_checkpoint(&shared);
-        let bound = match &restored {
-            Some(meta) => meta.bound,
-            None => {
-                for (oid, value) in shared.cluster.app.bootstrap(shared.partition) {
-                    shared.store.bootstrap(oid, &value);
-                }
-                0
-            }
-        };
-        shared.last_req.store(bound, Ordering::SeqCst);
-        shared.set_completed(bound);
-        // Our own update log restarts empty at the bound: a peer asking
-        // for state from below it gets full state, not an empty diff.
-        shared.log_floor.store(bound, Ordering::SeqCst);
-        if bound > 0 {
-            shared.exec_trace.lock().push((bound, 't'));
-        }
-        // The store reflects this power cycle again: re-arm the
-        // checkpointer, which refuses to snapshot while `restored_cycles`
-        // lags the node's cycle count (between the wipe and this line the
-        // watermarks look quiescent but the slots are zeros).
-        shared
-            .restored_cycles
-            .store(self.power_cycles, Ordering::SeqCst);
-        publish_progress(&shared);
-        // With durability the WAL speaks for everything delivered past the
-        // bound (bound 0 = since genesis, before the first checkpoint), so
-        // replay alone restores us. Without it, nothing does: hold
-        // execution until a live-peer transfer covers the next delivery.
-        self.needs_full_sync = shared.disk.is_none();
-        // Replay the WAL tail past the bound through the normal delivery
-        // path — the second component of recovery time. Deliveries the
-        // ordering replica re-sends (or that were already sitting in our
-        // mailbox) re-appear with timestamps the replay has covered and
-        // are skipped by the `last_req` watermark.
-        let group = amcast::GroupId(shared.partition.0);
-        let tail = shared.cluster.mcast.wal_tail(group, shared.idx, bound);
-        let _span = sim::trace::span_args(
-            "recover.cold",
-            bound,
-            &[("bound", bound), ("tail", tail.len() as u64)],
-        );
-        // Count frames actually fed to the delivery path, not the tail
-        // length: a power cut mid-replay aborts the loop below, and the
-        // next cold restart replays (and counts) those frames again —
-        // `recover.replayed` must track work done, or repeated cycles
-        // double-count the untouched remainder.
-        let mut replayed = 0u64;
-        for d in tail {
-            // Replay costs virtual time: if power is cut again mid-replay,
-            // stop — the run loop sees the new cycle and restarts recovery
-            // from the (still intact) checkpoint.
-            if !shared.node.is_alive() || shared.node.power_cycles() != self.power_cycles {
-                break;
-            }
-            replayed += 1;
-            self.on_deliver(d);
-        }
-        let reg = shared.cluster.metrics.registry();
-        if reg.is_enabled() {
-            reg.counter("recover.cold").add(1);
-            reg.counter("recover.replayed").add(replayed);
-            reg.counter("recover.time_ns")
-                .add((sim::now() - t0).as_nanos() as u64);
-        }
-    }
-
-    /// Responder side of Algorithm 3 (lines 7–22): serve pending state
-    /// transfers whose rotation turn has reached us.
-    fn serve_transfers(&mut self) {
-        let shared = Arc::clone(self.shared());
-        let n = self.n();
-        // Drop bookkeeping for requests that were completed by someone.
-        let pending: std::collections::HashSet<(usize, u64)> =
-            pending_sync_requests(&shared).into_iter().collect();
-        self.seen_requests.retain(|k, _| pending.contains(k));
-        for p in 0..n {
-            if p == shared.idx {
-                continue;
-            }
-            let slot = shared.layout.sync_slot(p);
-            let status = shared.node.local_read_word(slot.offset(8)).unwrap_or(0);
-            if status != 1 {
-                continue;
-            }
-            let from = shared.node.local_read_word(slot).unwrap_or(0);
-            let first_seen = *self.seen_requests.entry((p, from)).or_insert_with(sim::now);
-            // Deterministic rotation: requester+1 serves immediately, the
-            // next waits one timeout, and so on (line 10 + lines 19–22).
-            let my_rank = (shared.idx + n - p - 1) % n;
-            let due = first_seen + self.cfg().transfer_timeout * my_rank as u32;
-            if sim::now() < due {
-                continue;
-            }
-            respond_transfer(&shared, p, from);
-            self.seen_requests.remove(&(p, from));
-        }
-    }
-}
-
-/// [`StallHandler`] of the serial executor: stalls resolve inline through
-/// Algorithm 3's requester side, exactly as the pre-pool executor did.
-struct SerialStalls<'a> {
-    shared: &'a Arc<ReplicaShared>,
-}
-
-impl StallHandler for SerialStalls<'_> {
-    fn on_phase2_starved(&mut self, dests: &[PartitionId], ts: Timestamp) -> StallOutcome {
-        // The transfer is abortable on barrier-heal: delivery at a slow
-        // majority can trail ours by whole leader-election timeouts, and
-        // every replica of OUR partition may be stalled right here — in
-        // which case nobody serves transfers and waiting unconditionally
-        // deadlocks the partition (and, transitively, every partition
-        // coordinating with it).
-        let heal_shared = Arc::clone(self.shared);
-        let heal_dests = dests.to_vec();
-        let healed = move || coord_status(&heal_shared, &heal_dests, ts, 1).1;
-        match state_transfer_abortable(self.shared, &healed) {
-            Some(rid) if rid >= ts.raw() => StallOutcome::Covered,
-            _ => StallOutcome::Retry,
-        }
-    }
-
-    fn on_lagging(&mut self, ts: Timestamp) -> StallOutcome {
-        if state_transfer(self.shared) >= ts.raw() {
-            StallOutcome::Covered
-        } else {
-            StallOutcome::Retry
-        }
-    }
-
-    fn on_completed(&mut self, ts: Timestamp) {
-        self.shared.set_completed(ts.raw());
-        // Completed-prefix watermark advanced (serial executor — the pool
-        // dispatcher reports via publish_progress).
-        sim::note_progress();
-    }
-}
 
 // ----------------------------------------------------------------------
-// Algorithm 3: state transfer (free functions — the serial executor and
-// the pool dispatcher both run them).
+// Algorithm 3: state transfer.
 // ----------------------------------------------------------------------
 
 /// Requester side: ask the group for our missing state and wait until
@@ -517,11 +197,9 @@ pub(crate) fn respond_transfer(shared: &Arc<ReplicaShared>, requester: usize, fr
         Ok(1) => {}
         _ => return, // claimed by someone else, completed, or crashed
     }
-    // Snapshot at a request boundary. `in_write_phase` counts executors
-    // currently inside a writing phase (the serial executor contributes at
-    // most one; pool workers one each). Both callers already stand at such
-    // a boundary — the serial executor serves between commands, the
-    // dispatcher only once nothing is in flight — so this never waits.
+    // Snapshot at a request boundary. `in_write_phase` counts lanes
+    // currently inside a writing phase; the driver only serves once nothing
+    // is in flight, so it already stands at such a boundary.
     debug_assert_eq!(shared.in_write_phase.load(Ordering::SeqCst), 0);
     let bound = shared.completed_req.load(Ordering::SeqCst);
     // Line 12: the update log bounds what must be synchronized — unless
@@ -735,13 +413,14 @@ pub(crate) fn coord_status(
 
 /// Publishes this replica's hole-free completed prefix (`completed_req`)
 /// into the progress region of every replica of every partition — the
-/// finished-evidence [`coord_status`] consults at width > 1. A no-op at
-/// width 1: the serial executor's in-order lanes already carry the same
-/// information, and the pre-pool schedule must stay bit-identical.
+/// finished-evidence [`coord_status`] consults at width > 1. Nothing is
+/// posted at width 1: the single in-order lane already carries the same
+/// information, and the paper's single-entry schedule must stay
+/// bit-identical.
 ///
-/// Only the dispatcher thread publishes (worker completions funnel
-/// through its watermark, and state transfers run on it), so the
-/// posted values are monotonic per QP.
+/// Only the driver process publishes (worker completions funnel through
+/// its watermark, and state transfers run on it), so the posted values
+/// are monotonic per QP.
 pub(crate) fn publish_progress(shared: &Arc<ReplicaShared>) {
     // Completed-prefix watermark advanced: progress for the explorer's
     // zero-virtual-time livelock guards (regardless of whether the value

@@ -80,7 +80,7 @@ proptest! {
         n_high in 1usize..40,
     ) {
         let mut samples = vec![low; n_low];
-        samples.extend(std::iter::repeat(high).take(n_high));
+        samples.extend(std::iter::repeat_n(high, n_high));
         check(&samples);
     }
 

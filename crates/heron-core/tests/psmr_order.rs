@@ -7,7 +7,11 @@
 //! different final chain value. Submissions are fired by one-shot clients
 //! at fixed virtual times — the ordering layer's inputs do not depend on
 //! executor width — so a width-4 pool must end every chain at exactly the
-//! value the serial executor produces, and all replicas must converge.
+//! value the width-1 inline lane produces, and all replicas must converge.
+//!
+//! Both widths run the same driver, so agreement between them is not the
+//! whole property: each run also checks it directly on every replica's
+//! write log, where delivery order is timestamp order.
 
 use bytes::Bytes;
 use heron_core::{
@@ -183,8 +187,8 @@ fn run_chains(width: usize) -> BTreeMap<u64, u64> {
     let done = Arc::new(AtomicU64::new(0));
     for (j, cmd) in cmds.into_iter().enumerate() {
         // Fixed submit times, a few near-simultaneous per wave: the
-        // delivery order is the same at every width, so the serial run is
-        // a valid order oracle for the pooled one.
+        // delivery order is the same at every width, so the width-1 run
+        // is a valid order oracle for the pooled one.
         let at = Duration::from_micros((j as u64 / 4) * 120 + (j as u64 % 4) * 3);
         let mut client = cluster.client(format!("c{j}"));
         let done = done.clone();
@@ -206,6 +210,31 @@ fn run_chains(width: usize) -> BTreeMap<u64, u64> {
     simulation.run().unwrap();
     assert_eq!(done.load(Ordering::SeqCst), total);
 
+    // The property itself, on every replica: writes to one chain — i.e.
+    // commands sharing a conflict key — applied in delivery (timestamp)
+    // order. The inline lane runs one command at a time, so at width 1 the
+    // whole log is in delivery order, not just each chain's slice of it.
+    for p in 0..PARTITIONS {
+        for r in 0..3 {
+            let log = cluster.write_log(PartitionId(p), r);
+            assert!(!log.is_empty(), "width {width}: p{p}r{r} applied nothing");
+            let mut last: BTreeMap<ObjectId, u64> = BTreeMap::new();
+            let mut prev = 0;
+            for (ts, oid) in log {
+                if let Some(before) = last.insert(oid, ts) {
+                    assert!(
+                        before < ts,
+                        "width {width}: p{p}r{r} applied {oid} at ts {ts} after ts {before}"
+                    );
+                }
+                if width == 1 {
+                    assert!(prev <= ts, "width 1: p{p}r{r} ran ts {ts} after ts {prev}");
+                    prev = ts;
+                }
+            }
+        }
+    }
+
     let mut chains = BTreeMap::new();
     for k in 0..KEYS {
         let p = ChainApp::part_of(k);
@@ -224,10 +253,10 @@ fn run_chains(width: usize) -> BTreeMap<u64, u64> {
 
 #[test]
 fn overlapping_commands_apply_in_delivery_order() {
-    let serial = run_chains(1);
+    let inline = run_chains(1);
     let pooled = run_chains(4);
     assert_eq!(
-        serial, pooled,
+        inline, pooled,
         "a width-4 pool reordered conflicting commands relative to delivery order"
     );
 }

@@ -177,7 +177,7 @@ fn broken_dual_version_guard_trips_victim_lint_deterministically() {
     // Each entry pins the report down to the exact virtual times of both
     // access sites — the same seed must reproduce the race to the
     // nanosecond.
-    fn run_once(seed: u64) -> Vec<(String, String, (u64, u64), u64, u64, String)> {
+    fn run_once(seed: u64) -> Vec<String> {
         let cfg = HeronConfig::new(1, 3)
             .with_race_detector(true)
             .with_broken_dual_version_guard();
@@ -209,13 +209,9 @@ fn broken_dual_version_guard_trips_victim_lint_deterministically() {
         reports
             .into_iter()
             .map(|r| {
-                (
-                    r.node_name,
-                    r.region,
-                    r.range,
-                    r.first.time_ns,
-                    r.second.time_ns,
-                    r.detail,
+                format!(
+                    "{} {} {:?} {} {} {}",
+                    r.node_name, r.region, r.range, r.first.time_ns, r.second.time_ns, r.detail
                 )
             })
             .collect()
