@@ -1,5 +1,5 @@
 //! Criterion microbenchmarks of the raw simulator scheduler: how many
-//! events (timer firings + park/unpark process switches) the host executes
+//! events (timer firings + process context switches) the host executes
 //! per real second. Every simulated verb, sleep, and wake costs at least
 //! one such event, so this rate bounds the virtual-time throughput of
 //! every experiment in this crate — it is the denominator behind the
@@ -8,8 +8,8 @@
 //! The workloads themselves live in [`heron_bench::sched_workloads`],
 //! shared with the `sched_bench` binary that emits and gates
 //! `bench_results/BENCH_scheduler.json`. Each workload is benchmarked on
-//! the default engine (timer wheel + direct handoff); run `sched_bench`
-//! for the side-by-side comparison against the reference heap engine.
+//! the default engine (timer wheel); run `sched_bench` for the
+//! side-by-side comparison against the reference heap queue.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use heron_bench::sched_workloads;

@@ -32,16 +32,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// The two engine configurations every trace must replay on: direct
-/// handoff (the fast path) and host-mediated wakeups.
+/// The two engine configurations every trace must replay on: the timer
+/// wheel (the default) and the reference heap.
 const ENGINES: [EngineConfig; 2] = [
     EngineConfig {
         queue: QueueKind::Wheel,
-        direct_handoff: true,
     },
     EngineConfig {
-        queue: QueueKind::Wheel,
-        direct_handoff: false,
+        queue: QueueKind::Heap,
     },
 ];
 

@@ -226,9 +226,8 @@ fn main() {
     // ------------------------------------------------------------------
     let reference = sim::EngineConfig {
         queue: sim::QueueKind::Heap,
-        direct_handoff: false,
     };
-    let engines = [("fast", sim::EngineConfig::default()), ("heap", reference)];
+    let engines = [("wheel", sim::EngineConfig::default()), ("heap", reference)];
     println!("\ndeterminism pin (schedule hash, profiler off vs on):");
     let mut pins = Vec::new();
     for (shape_name, cfg) in shapes(seed, quick) {
@@ -263,10 +262,9 @@ fn main() {
     }
 
     // ------------------------------------------------------------------
-    // Overhead: profiling on vs off. Wall time here is dominated by OS
-    // thread handoffs and drifts between runs, so the pairs interleave
-    // (off,on,off,on,…) and each side takes its min — sequential blocks
-    // would fold machine drift into the comparison.
+    // Overhead: profiling on vs off. Wall time drifts between runs, so
+    // the pairs interleave (off,on,off,on,…) and each side takes its min
+    // — sequential blocks would fold machine drift into the comparison.
     // ------------------------------------------------------------------
     let (mut wall_off, mut wall_on) = (f64::INFINITY, f64::INFINITY);
     for _ in 0..6 {

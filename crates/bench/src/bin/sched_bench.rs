@@ -1,24 +1,31 @@
 //! Scheduler raw-speed benchmark and regression gate (DESIGN.md §12).
 //!
 //! Runs every workload in [`heron_bench::sched_workloads`] twice — once on
-//! the **reference engine** (binary-heap event queue, every wakeup routed
-//! through the host scheduler thread) and once on the **fast engine**
-//! (hierarchical timer wheel, direct process-to-process handoff) — and
-//! reports events per wall-clock second for both, plus the speedup. The two
-//! runs must produce bit-identical schedules (same event-order hash, event
-//! count, and final virtual time); the binary fails otherwise, so every
-//! perf run doubles as a determinism check.
+//! the **reference queue** (binary heap) and once on the **default** one
+//! (hierarchical timer wheel) — and reports events per wall-clock second
+//! for both, plus the ratio. The two runs must produce bit-identical
+//! schedules (same event-order hash, event count, and final virtual time);
+//! the binary fails otherwise, so every perf run doubles as a determinism
+//! check.
+//!
+//! It also reports `switch_cost_ratio`: host ns per event of the ping-pong
+//! workload (every event wakes the *other* process, through a `Cond`)
+//! over host ns per event of the timer workload (one process waking
+//! itself with `sleep`). It says what waking another process costs in
+//! units of the rest of the kernel's per-event work, so it carries across
+//! machines of different raw speed. With processes as OS threads it was
+//! ≈ 17–22 (a futex round trip against no switch at all); with coroutines
+//! both workloads switch to the host loop and back once per event and it
+//! is ≈ 1.0–1.1.
 //!
 //! Modes:
 //!
 //! * default — measure and write `bench_results/BENCH_scheduler.json`.
-//! * `--gate` — measure, then compare the geometric-mean speedup against
-//!   the `min_geomean_speedup` recorded in the committed
-//!   `bench_results/BENCH_scheduler.json` (0.8 × the baseline speedup,
-//!   i.e. a >20 % regression fails). Exits non-zero on regression. The
-//!   committed file is not rewritten. Gating on the *speedup ratio* rather
-//!   than absolute events/sec keeps the gate meaningful across machines of
-//!   different raw speed.
+//! * `--gate` — measure, then compare `switch_cost_ratio` against the
+//!   `max_switch_cost_ratio` recorded in the committed
+//!   `bench_results/BENCH_scheduler.json` (1.2 × the baseline ratio, i.e. a
+//!   switch that got >20 % dearer fails). Exits non-zero on regression.
+//!   The committed file is not rewritten.
 //! * `--quick` — fewer events and repeats, for CI smoke runs.
 
 use heron_bench::{banner, quick_mode, sched_workloads, write_results, Json};
@@ -55,8 +62,8 @@ fn measure(
 /// Pulls the committed gate threshold out of the baseline JSON. The file
 /// is written by this binary, so a simple string scan is enough — no JSON
 /// parser lives in this offline workspace.
-fn baseline_min_speedup(text: &str) -> Option<f64> {
-    let key = "\"min_geomean_speedup\":";
+fn baseline_max_switch_cost(text: &str) -> Option<f64> {
+    let key = "\"max_switch_cost_ratio\":";
     let at = text.find(key)? + key.len();
     let rest = text[at..].trim_start();
     let end = rest
@@ -68,10 +75,10 @@ fn baseline_min_speedup(text: &str) -> Option<f64> {
 fn main() {
     let gate = std::env::args().any(|a| a == "--gate");
     let quick = quick_mode();
-    let (events, repeats) = if quick { (20_000, 3) } else { (100_000, 5) };
+    let (events, repeats) = if quick { (20_000, 9) } else { (100_000, 5) };
 
     banner(
-        "sched_bench — scheduler raw speed: timer wheel + direct handoff vs heap + host wakeups",
+        "sched_bench — scheduler raw speed: timer wheel vs reference heap, and the cost of a switch",
         "DESIGN.md sec. 12 (raw-speed engine)",
     );
     println!(
@@ -79,51 +86,57 @@ fn main() {
         if gate { "gate" } else { "measure" }
     );
 
-    let reference = sim::EngineConfig {
+    let heap = sim::EngineConfig {
         queue: sim::QueueKind::Heap,
-        direct_handoff: false,
     };
-    let fast = sim::EngineConfig::default();
+    let wheel = sim::EngineConfig::default();
 
     println!(
-        "{:<20} {:>12} {:>14} {:>14} {:>9}",
-        "workload", "events", "before eps", "after eps", "speedup"
+        "{:<20} {:>12} {:>14} {:>14} {:>11}",
+        "workload", "events", "heap eps", "wheel eps", "wheel/heap"
     );
     let mut rows = Vec::new();
     let mut log_sum = 0.0f64;
+    let mut wheel_ns_per_event = std::collections::HashMap::new();
     for w in sched_workloads::all() {
-        let (ev_b, secs_b, hash_b, now_b) = measure(w, events, reference, repeats);
-        let (ev_a, secs_a, hash_a, now_a) = measure(w, events, fast, repeats);
-        if (ev_b, hash_b, now_b) != (ev_a, hash_a, now_a) {
+        let (ev_h, secs_h, hash_h, now_h) = measure(w, events, heap, repeats);
+        let (ev_w, secs_w, hash_w, now_w) = measure(w, events, wheel, repeats);
+        if (ev_h, hash_h, now_h) != (ev_w, hash_w, now_w) {
             eprintln!(
                 "FAIL: workload {} diverged between engines: \
-                 heap (events {ev_b}, hash {hash_b:#x}, now {now_b}) vs \
-                 wheel (events {ev_a}, hash {hash_a:#x}, now {now_a})",
+                 heap (events {ev_h}, hash {hash_h:#x}, now {now_h}) vs \
+                 wheel (events {ev_w}, hash {hash_w:#x}, now {now_w})",
                 w.name
             );
             std::process::exit(1);
         }
-        let before_eps = ev_b as f64 / secs_b;
-        let after_eps = ev_a as f64 / secs_a;
-        let speedup = after_eps / before_eps;
+        let heap_eps = ev_h as f64 / secs_h;
+        let wheel_eps = ev_w as f64 / secs_w;
+        let speedup = wheel_eps / heap_eps;
         log_sum += speedup.ln();
+        wheel_ns_per_event.insert(w.name, 1e9 / wheel_eps);
         println!(
-            "{:<20} {:>12} {:>14.0} {:>14.0} {:>8.2}x",
-            w.name, ev_b, before_eps, after_eps, speedup
+            "{:<20} {:>12} {:>14.0} {:>14.0} {:>10.2}x",
+            w.name, ev_h, heap_eps, wheel_eps, speedup
         );
         let mut row = Json::obj();
         row.set("name", w.name)
             .set("what", w.what)
-            .set("events", ev_b)
-            .set("before_events_per_sec", before_eps)
-            .set("after_events_per_sec", after_eps)
+            .set("events", ev_h)
+            .set("heap_events_per_sec", heap_eps)
+            .set("wheel_events_per_sec", wheel_eps)
             .set("speedup", speedup)
-            .set("schedule_hash", format!("{hash_a:#018x}"))
-            .set("virtual_ns", now_a);
+            .set("schedule_hash", format!("{hash_w:#018x}"))
+            .set("virtual_ns", now_w);
         rows.push(row);
     }
     let geomean = (log_sum / rows.len() as f64).exp();
-    println!("\ngeomean speedup: {geomean:.2}x  (schedules bit-identical across engines)");
+    let switch_cost = wheel_ns_per_event["pingpong_switches"] / wheel_ns_per_event["timer_events"];
+    println!("\ngeomean wheel/heap: {geomean:.2}x  (schedules bit-identical across engines)");
+    println!(
+        "switch_cost_ratio: {switch_cost:.2}  (ping-pong {:.0} ns/event over timers {:.0} ns/event)",
+        wheel_ns_per_event["pingpong_switches"], wheel_ns_per_event["timer_events"]
+    );
 
     if gate {
         let path = "bench_results/BENCH_scheduler.json";
@@ -134,15 +147,15 @@ fn main() {
                 std::process::exit(1);
             }
         };
-        let Some(min) = baseline_min_speedup(&text) else {
-            eprintln!("FAIL: no min_geomean_speedup field in {path}");
+        let Some(max) = baseline_max_switch_cost(&text) else {
+            eprintln!("FAIL: no max_switch_cost_ratio field in {path}");
             std::process::exit(1);
         };
-        println!("gate: measured geomean {geomean:.2}x vs committed floor {min:.2}x");
-        if geomean < min {
+        println!("gate: measured switch_cost_ratio {switch_cost:.2} vs committed ceiling {max:.2}");
+        if switch_cost > max {
             eprintln!(
-                "FAIL: scheduler speedup regressed more than 20% \
-                 ({geomean:.2}x < {min:.2}x floor)"
+                "FAIL: a context switch got more than 20% dearer relative to a timer event \
+                 ({switch_cost:.2} > {max:.2} ceiling)"
             );
             std::process::exit(1);
         }
@@ -153,21 +166,16 @@ fn main() {
             .set("quick", quick)
             .set("events_per_workload", events)
             .set("repeats", repeats as u64)
-            .set(
-                "before_engine",
-                "binary heap event queue, host-mediated wakeups",
-            )
-            .set(
-                "after_engine",
-                "hierarchical timer wheel, direct handoff (default)",
-            )
             .set("workloads", Json::Arr(rows))
-            .set("geomean_speedup", geomean);
+            .set("geomean_speedup", geomean)
+            .set("switch_cost_ratio", switch_cost);
         let mut gate_obj = Json::obj();
-        gate_obj.set("min_geomean_speedup", geomean * 0.8).set(
-            "rule",
-            "sched_bench --gate fails if measured geomean speedup drops below this",
-        );
+        gate_obj
+            .set("max_switch_cost_ratio", switch_cost * 1.2)
+            .set(
+                "rule",
+                "sched_bench --gate fails if measured switch_cost_ratio rises above this",
+            );
         out.set("gate", gate_obj);
         write_results("BENCH_scheduler.json", &out).expect("write BENCH_scheduler.json");
     }

@@ -270,8 +270,8 @@ pub struct LoadSummary {
     /// adopted by the requester).
     pub transfers_completed: usize,
     /// Scheduler events the simulator executed for the whole run (warm-up
-    /// included) — the wall-clock cost driver, since every event is a host
-    /// park/unpark.
+    /// included) — the wall-clock cost driver: every event is a pop by
+    /// the host loop, most of them a switch into a process and back.
     pub events: u64,
     /// Host wall-clock time for the whole run, milliseconds.
     pub wall_ms: f64,

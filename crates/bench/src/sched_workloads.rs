@@ -5,9 +5,9 @@
 //! Each workload builds a ready-to-run [`sim::Simulation`] sized to
 //! execute roughly `events` scheduler events, on an explicit
 //! [`sim::EngineConfig`] so the same workload can be timed on the
-//! reference engine (binary heap, host-mediated wakeups) and the fast
-//! engine (timer wheel, direct handoff) — and so their schedule hashes
-//! can be compared, proving both executed the identical event sequence.
+//! reference queue (binary heap) and the default one (timer wheel) — and
+//! so their schedule hashes can be compared, proving both executed the
+//! identical event sequence.
 
 use sim::{EngineConfig, Mailbox, Simulation};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -73,9 +73,9 @@ fn timer_events(events: u64, engine: EngineConfig) -> Simulation {
 }
 
 /// Cross-process switches: two processes ping-pong through a `Cond`, so
-/// every event is a notify → park → unpark chain between distinct OS
-/// threads — the cost profile of a simulated RDMA write landing and
-/// waking its poller.
+/// every event is a notify → block → dispatch chain between distinct
+/// processes (two context switches through the host loop) — the cost
+/// profile of a simulated RDMA write landing and waking its poller.
 fn pingpong_switches(events: u64, engine: EngineConfig) -> Simulation {
     let simulation = Simulation::with_engine(2, engine);
     let turn = Arc::new(AtomicU64::new(0));
@@ -204,13 +204,12 @@ mod tests {
     use super::*;
 
     /// Every workload must execute the same schedule — same hash, same
-    /// event count, same final virtual time — on the reference engine
-    /// (heap, no handoff) and the fast engine (wheel, direct handoff).
+    /// event count, same final virtual time — on the reference queue
+    /// (heap) and the default one (wheel).
     #[test]
     fn every_workload_is_engine_invariant() {
         let reference = EngineConfig {
             queue: sim::QueueKind::Heap,
-            direct_handoff: false,
         };
         let fast = EngineConfig::default();
         for w in all() {

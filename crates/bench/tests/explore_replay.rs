@@ -1,6 +1,6 @@
 //! Satellite of DESIGN.md §15: a recorded violating schedule replays to
 //! the identical schedule hash *and* the identical detector report on both
-//! engine configurations (direct handoff on / off).
+//! engine configurations (timer wheel / reference heap).
 
 use heron_bench::chaos::{self, recovery_scenario_for_seed};
 use sim::{
@@ -14,11 +14,9 @@ use std::time::Duration;
 const ENGINES: [EngineConfig; 2] = [
     EngineConfig {
         queue: QueueKind::Wheel,
-        direct_handoff: true,
     },
     EngineConfig {
-        queue: QueueKind::Wheel,
-        direct_handoff: false,
+        queue: QueueKind::Heap,
     },
 ];
 

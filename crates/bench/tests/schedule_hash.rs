@@ -1,27 +1,21 @@
 //! Schedule-hash determinism regression test (DESIGN.md §12).
 //!
-//! The scheduler has four engine configurations — {binary heap, timer
-//! wheel} × {host-mediated wakeups, direct handoff} — and all of them
-//! must execute the *bit-identical* event schedule: same event-order
-//! FNV hash, same event count, same final virtual time, same observable
-//! results. This pins the raw-speed optimizations (timer wheel, direct
-//! handoff, pooled allocations) to the reference semantics: any future
-//! reordering shows up here as a hash mismatch at a fixed seed, long
-//! before it corrupts a figure.
+//! The scheduler has two event queues — the reference binary heap and
+//! the timer wheel — and both must execute the *bit-identical* event
+//! schedule: same event-order FNV hash, same event count, same final
+//! virtual time, same observable results. This pins the raw-speed
+//! optimizations (timer wheel, pooled allocations) to the reference
+//! semantics: any future reordering shows up here as a hash mismatch at
+//! a fixed seed, long before it corrupts a figure.
 
 use heron_bench::chaos;
 use heron_bench::{run_heron, RunConfig, Workload};
 
-fn engines() -> [(&'static str, sim::EngineConfig); 4] {
-    let mk = |queue, direct_handoff| sim::EngineConfig {
-        queue,
-        direct_handoff,
-    };
+fn engines() -> [(&'static str, sim::EngineConfig); 2] {
+    let mk = |queue| sim::EngineConfig { queue };
     [
-        ("heap/host", mk(sim::QueueKind::Heap, false)),
-        ("heap/handoff", mk(sim::QueueKind::Heap, true)),
-        ("wheel/host", mk(sim::QueueKind::Wheel, false)),
-        ("wheel/handoff", mk(sim::QueueKind::Wheel, true)),
+        ("heap", mk(sim::QueueKind::Heap)),
+        ("wheel", mk(sim::QueueKind::Wheel)),
     ]
 }
 

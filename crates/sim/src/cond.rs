@@ -87,13 +87,15 @@ impl Cond {
         self.ident.lock().label = label;
     }
 
-    /// Stamps the impending block with this cond's taxonomy label for the
-    /// wait-state profiler. Reads the label only — unlike
+    /// The wait state a block on this cond is booked under: its taxonomy
+    /// label when the profiler is on. Reads the label only — unlike
     /// [`Cond::explore_ident`] it must not assign the exploration id, whose
     /// allocation order is part of the explored-run fingerprint.
-    fn prof_stamp(&self, kernel: &Kernel) {
+    fn prof_key(&self, kernel: &Kernel) -> crate::prof::Key {
         if kernel.prof_enabled() {
-            crate::prof::set_oneshot_blocked(self.ident.lock().label);
+            crate::prof::blocked(self.ident.lock().label)
+        } else {
+            crate::prof::BLOCKED_COND
         }
     }
 
@@ -130,8 +132,7 @@ impl Cond {
                 let (id, label) = self.explore_ident(kernel);
                 ex.wait_begin(pid.index(), id, label, false);
             }
-            self.prof_stamp(kernel);
-            kernel.yield_and_park(pid);
+            kernel.yield_and_park(pid, self.prof_key(kernel));
             if let Some(ex) = &ex {
                 ex.wait_end(pid.index());
             }
@@ -157,8 +158,7 @@ impl Cond {
                 let (id, label) = self.explore_ident(kernel);
                 ex.wait_begin(pid.index(), id, label, true);
             }
-            self.prof_stamp(kernel);
-            kernel.yield_and_park(pid);
+            kernel.yield_and_park(pid, self.prof_key(kernel));
             if let Some(ex) = &ex {
                 ex.wait_end(pid.index());
             }

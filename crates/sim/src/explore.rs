@@ -6,9 +6,9 @@
 //! seq tie-break at equal virtual times. Exploration makes that tie-break a
 //! *choice point*: when enabled, every pop gathers the full set of events
 //! due at the served instant (the scheduler's ready set) and asks a
-//! pluggable [`StrategyKind`] which one runs first. Direct-handoff and
-//! self-resume fast paths yield back to the host loop under exploration, so
-//! every pop on either engine flows through the chooser.
+//! pluggable [`StrategyKind`] which one runs first. The host loop is the
+//! only place events are popped, so every pop on either queue flows
+//! through the chooser.
 //!
 //! Strategies:
 //!

@@ -1,30 +1,19 @@
 //! The simulation kernel: virtual clock, deterministic scheduler, and the
-//! cooperative handshake that ensures exactly one simulated process runs at
-//! a time.
+//! processes it runs.
 //!
-//! # Scheduling fast paths
+//! A simulated process is a stackful coroutine ([`coro`]): it has a stack
+//! of its own but no OS thread. All of a simulation's processes live on the
+//! thread that calls [`Simulation::run`]. That thread's *host loop*
+//! ([`Kernel::run_loop`]) is the only place events are popped: it pops the
+//! next `(time, seq)` entry, books it, and either runs the timer closure
+//! itself or resumes the process the entry wakes — and is resumed in turn
+//! when that process blocks or finishes. "Exactly one process runs at a
+//! time" therefore holds by construction, and a context switch is a dozen
+//! instructions instead of a futex round trip.
 //!
-//! The classic engine parks the blocking process, wakes the host thread,
-//! and has the host pop the next event and unpark its target — two full
-//! park/unpark handshakes per context switch. With
-//! [`EngineConfig::direct_handoff`] on (the default), a blocking process
-//! pops the next event itself:
-//!
-//! * **self-resume** — the popped event wakes the blocking process itself
-//!   (a `yield_now`, a sleep, a send that resolved at the current instant):
-//!   zero handshakes, the thread just keeps running;
-//! * **direct handoff** — the event wakes another process: one handshake
-//!   (peer unparked, self parked), the host stays asleep;
-//! * **timer inline** — the event is a timer closure: it runs on the
-//!   blocking thread in event context (the process's identity is masked for
-//!   the closure's duration so clock/trace attribution is identical to a
-//!   host-run timer), and popping continues;
-//! * anything else (queue empty, deadline reached, stop, panic) falls back
-//!   to the host loop.
-//!
-//! Pop order, event counts, and the schedule hash are identical with the
-//! fast paths on or off — both paths drain the same queue through the same
-//! accounting, only on different OS threads.
+//! Nothing here is `unsafe`; the switch and the stack allocation are the
+//! `coro` shim's. Because a `Coroutine` is `!Send`, so is [`Simulation`]:
+//! it runs, and is dropped, on the thread that created it.
 
 use crate::error::{SimError, SimResult};
 use crate::explore::{Choice, ChoiceActor, ExploreConfig, ExploreState};
@@ -33,11 +22,14 @@ use crate::queue::{Entry, EventQueue, Popped, QueueKind, Wake};
 use crate::time::SimTime;
 use crate::trace::TraceState;
 use crate::vclock::VectorClock;
-use parking_lot::{Condvar, Mutex};
+use coro::Coroutine;
+use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -59,116 +51,30 @@ impl fmt::Display for Pid {
     }
 }
 
-/// Scheduler engine selection. The default — wheel plus direct handoff —
-/// is the fast path; the alternatives exist so determinism tests can prove
-/// the fast engine reproduces the reference engine's schedules exactly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Scheduler engine selection: which event-queue implementation backs the
+/// one host loop. The heap exists so determinism tests can prove the wheel
+/// reproduces the reference queue's schedules exactly.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EngineConfig {
     /// Event-queue implementation.
     pub queue: QueueKind,
-    /// Let a blocking process pop and dispatch the next event itself
-    /// (self-resume / direct handoff / inline timers) instead of always
-    /// round-tripping through the host thread.
-    pub direct_handoff: bool,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        EngineConfig {
-            queue: QueueKind::Wheel,
-            direct_handoff: true,
-        }
-    }
 }
 
 /// Panic payload used to unwind a killed process. Never observed by user
 /// code.
 pub(crate) struct KilledToken;
 
-/// Park/unpark for simulated process threads. Two implementations, picked
-/// by the engine (the wake path is part of what
-/// [`EngineConfig::direct_handoff`] selects, so the classic engine stays a
-/// faithful before-baseline for `sched_bench`):
-///
-/// * **Classic** — a mutex-guarded run flag plus a condvar, the original
-///   handshake.
-/// * **Token** — an atomic run token plus `std::thread::park`. The token
-///   is consumed with a swap — an RMW always observes the latest store, so
-///   a wake posted before the owner blocks is never lost — and the owner's
-///   `Thread` handle is published under a tiny mutex so an unpark racing
-///   with the very first park is ordered. One handshake costs two atomics
-///   and at most one futex round-trip each way, versus the
-///   mutex-plus-condvar dance.
-enum Parker {
-    Classic {
-        lock: Mutex<bool>, // "run" flag
-        cv: Condvar,
-    },
-    Token {
-        token: AtomicBool,
-        thread: Mutex<Option<std::thread::Thread>>,
-    },
-}
+/// Stack of every simulated process: address space only, committed page by
+/// page as the process first touches it.
+const STACK_BYTES: usize = 1 << 20;
 
-impl Parker {
-    fn new(fast: bool) -> Arc<Self> {
-        Arc::new(if fast {
-            Parker::Token {
-                token: AtomicBool::new(false),
-                thread: Mutex::new(None),
-            }
-        } else {
-            Parker::Classic {
-                lock: Mutex::new(false),
-                cv: Condvar::new(),
-            }
-        })
-    }
-
-    fn unpark(&self) {
-        match self {
-            Parker::Classic { lock, cv } => {
-                let mut run = lock.lock();
-                *run = true;
-                cv.notify_one();
-            }
-            Parker::Token { token, thread } => {
-                token.store(true, Ordering::SeqCst);
-                if let Some(t) = thread.lock().as_ref() {
-                    t.unpark();
-                }
-            }
-        }
-    }
-
-    /// Only ever called by the owning thread.
-    fn park(&self) {
-        match self {
-            Parker::Classic { lock, cv } => {
-                let mut run = lock.lock();
-                while !*run {
-                    cv.wait(&mut run);
-                }
-                *run = false;
-            }
-            Parker::Token { token, thread } => {
-                {
-                    let mut t = thread.lock();
-                    if t.is_none() {
-                        *t = Some(std::thread::current());
-                    }
-                }
-                while !token.swap(false, Ordering::SeqCst) {
-                    std::thread::park();
-                }
-            }
-        }
-    }
-}
+/// A process's code, from `spawn` until its first dispatch moves it onto a
+/// coroutine stack.
+type Body = Box<dyn FnOnce() + Send>;
 
 struct ProcInfo {
     name: String,
-    parker: Arc<Parker>,
+    body: Option<Body>,
     /// Incremented on every block; wake entries carry the token they were
     /// issued for, so stale wakes are filtered out.
     token: u64,
@@ -182,7 +88,11 @@ struct ProcInfo {
     /// Happens-before clock; stays empty (and free) unless a race detector
     /// is ticking it. See [`crate::vclock`].
     vc: VectorClock,
-    join: Option<std::thread::JoinHandle<()>>,
+    /// Sticky wait-state override ([`crate::prof::blocked_scope`] /
+    /// [`crate::prof::parked_scope`]): while set, every block by this
+    /// process is booked under it. Per process, not per thread — all
+    /// processes share one thread.
+    scope: Option<crate::prof::Key>,
 }
 
 struct KState {
@@ -198,11 +108,6 @@ struct KState {
     sched_hash: u64,
     queue: EventQueue,
     procs: Vec<ProcInfo>,
-    /// The process currently executing user code, if any.
-    running: Option<Pid>,
-    /// The active run's virtual-time bound, mirrored from `run_loop` so the
-    /// direct-handoff path stops at the same instant the host would.
-    limit: Option<u64>,
     stop: bool,
     panic: Option<String>,
     unfinished: usize,
@@ -226,9 +131,9 @@ struct KState {
 /// in microseconds of wall time.
 const DEBUG_SPIN_LIMIT: u32 = 500_000;
 
-/// Debug-build guard on every live process dispatch (host loop and direct
-/// handoff): panics on a zero-virtual-time wake storm so the PR 8 bug
-/// class fails fast in tests even without the exploration detectors.
+/// Debug-build guard on every live process dispatch: panics on a
+/// zero-virtual-time wake storm so the PR 8 bug class fails fast in tests
+/// even without the exploration detectors.
 fn debug_spin_watch(st: &mut KState, pid: Pid) {
     let (at, last, streak) = st.dbg_spin;
     if at == st.now && last == pid.0 {
@@ -249,18 +154,9 @@ fn debug_spin_watch(st: &mut KState, pid: Pid) {
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// One FNV-1a fold step of the schedule hash: absorbs a popped
-/// `(time, seq)` pair.
-fn fold_hash(h: u64, time: u64, seq: u64) -> u64 {
-    let h = (h ^ time).wrapping_mul(FNV_PRIME);
-    (h ^ seq).wrapping_mul(FNV_PRIME)
-}
-
 pub(crate) struct Kernel {
     state: Mutex<KState>,
-    sched_cv: Condvar,
     seed: u64,
-    handoff: bool,
     /// Tracing gate: one relaxed load decides every trace hook, mirroring
     /// the race detector's fabric flag, so the off path costs nothing and
     /// schedules stay bit-identical either way (see [`crate::trace`]).
@@ -283,45 +179,102 @@ pub(crate) struct Kernel {
     prof: Mutex<Option<Arc<ProfState>>>,
 }
 
+/// What this thread is doing for a simulation right now. Shared (`Rc`)
+/// between the thread-local cell, the host loop that rewrites it at every
+/// switch into and out of a process, and each sim call in flight.
+struct Current {
+    kernel: Arc<Kernel>,
+    /// The process whose code is running; `None` in the host loop and in
+    /// the timer closures it runs (event context).
+    pid: Cell<Option<Pid>>,
+    /// Whether that process was killed while it was parked.
+    killed: Cell<bool>,
+}
+
 thread_local! {
-    static CURRENT: RefCell<Option<(Arc<Kernel>, Pid)>> = const { RefCell::new(None) };
-    /// True while a timer closure runs inline on a process thread (direct
-    /// handoff): masks the thread's process identity so the closure sees
-    /// event context, exactly as if it ran on the host thread.
-    static EVENT_CTX: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    /// Installed for the length of a host loop ([`Host`]). One cell per
+    /// thread, so one for all of a simulation's processes.
+    static CURRENT: RefCell<Option<Rc<Current>>> = const { RefCell::new(None) };
+}
+
+/// Marks the calling thread as `kernel`'s host for the guard's lifetime,
+/// then restores what it was doing before (nothing — or running a process
+/// of another simulation that drives this one from the inside).
+struct Host {
+    current: Rc<Current>,
+    outer: Option<Rc<Current>>,
+}
+
+impl Host {
+    fn enter(kernel: &Arc<Kernel>) -> Host {
+        let current = Rc::new(Current {
+            kernel: Arc::clone(kernel),
+            pid: Cell::new(None),
+            killed: Cell::new(false),
+        });
+        Host {
+            outer: CURRENT.with(|c| c.replace(Some(Rc::clone(&current)))),
+            current,
+        }
+    }
+
+    /// Runs process `pid` on its own stack until it next blocks or
+    /// finishes; a finished process's stack is freed.
+    fn resume(&self, stacks: &mut [Option<Coroutine>], pid: Pid, killed: bool) {
+        let slot = &mut stacks[pid.0 as usize];
+        let coroutine = slot.as_mut().expect("dispatched process has a stack");
+        self.current.pid.set(Some(pid));
+        self.current.killed.set(killed);
+        let suspended = coroutine.resume();
+        self.current.pid.set(None);
+        if !suspended {
+            *slot = None;
+        }
+    }
+}
+
+impl Drop for Host {
+    fn drop(&mut self) {
+        CURRENT.with(|c| *c.borrow_mut() = self.outer.take());
+    }
+}
+
+fn current() -> Option<Rc<Current>> {
+    CURRENT.with(|c| c.borrow().clone())
+}
+
+/// Like [`with_ctx`] but returns `None` when no simulated process is
+/// running on this thread (plain host code, the host loop, or a timer
+/// closure running in event context).
+pub(crate) fn try_with_ctx<R>(f: impl FnOnce(&Arc<Kernel>, Pid) -> R) -> Option<R> {
+    // Copy out, then call: `f` may block, and whichever process runs next
+    // goes through this same cell.
+    let current = current()?;
+    let pid = current.pid.get()?;
+    Some(f(&current.kernel, pid))
 }
 
 /// Runs `f` with the calling process's kernel and pid.
 ///
 /// # Panics
 ///
-/// Panics when the current thread is not a simulated process (including a
-/// timer closure running in event context).
+/// Panics when no simulated process is running on this thread (including
+/// a timer closure running in event context).
 pub(crate) fn with_ctx<R>(f: impl FnOnce(&Arc<Kernel>, Pid) -> R) -> R {
-    assert!(
-        !EVENT_CTX.with(|e| e.get()),
-        "sim API called outside a simulated process"
-    );
-    CURRENT.with(|c| {
-        let borrow = c.borrow();
-        let (kernel, pid) = borrow
-            .as_ref()
-            .expect("sim API called outside a simulated process");
-        f(kernel, *pid)
-    })
+    try_with_ctx(f).expect("sim API called outside a simulated process")
 }
 
-/// Like [`with_ctx`] but returns `None` when the current thread is not a
-/// simulated process (the host thread driving the simulation, or a timer
-/// closure running in event context).
-pub(crate) fn try_with_ctx<R>(f: impl FnOnce(&Arc<Kernel>, Pid) -> R) -> Option<R> {
-    if EVENT_CTX.with(|e| e.get()) {
-        return None;
+/// Process side of a context switch: gives the thread back to the host
+/// loop and returns when a wake for the current block is dispatched.
+///
+/// # Panics
+///
+/// Unwinds with [`KilledToken`] if the process was killed meanwhile.
+fn park() {
+    coro::suspend();
+    if current().is_some_and(|current| current.killed.get()) {
+        std::panic::panic_any(KilledToken);
     }
-    CURRENT.with(|c| {
-        let borrow = c.borrow();
-        borrow.as_ref().map(|(kernel, pid)| f(kernel, *pid))
-    })
 }
 
 fn install_kill_quiet_hook() {
@@ -347,36 +300,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-type TimerFn = Box<dyn FnOnce() + Send>;
-
-/// Up to this many consecutive same-instant timers are drained under one
-/// state-lock acquisition and run back to back.
-const TIMER_BATCH: usize = 128;
-
-/// What a blocking process decided to do after consulting the queue.
-enum Block {
-    /// Popped its own wake: keep running, no handshake at all.
-    SelfResume { killed: bool },
-    /// Popped another process's wake: unpark it, park self.
-    Handoff {
-        next: Arc<Parker>,
-        mine: Arc<Parker>,
-    },
-    /// Run a batch of same-instant timer closures inline (event context),
-    /// then look again. Bookkeeping (event count, schedule hash) is
-    /// committed after the batch runs — `base_hash` is the schedule hash
-    /// as of the first pop, and nothing else can pop in between because
-    /// the popping process is the only runnable thread.
-    Timers {
-        time: u64,
-        base_hash: u64,
-        first: (u64, TimerFn),
-        rest: Vec<(u64, TimerFn)>,
-    },
-    /// Hand control back to the host loop and park.
-    Host(Arc<Parker>),
-}
-
 impl Kernel {
     fn new(seed: u64, engine: EngineConfig) -> Arc<Self> {
         Arc::new(Kernel {
@@ -387,8 +310,6 @@ impl Kernel {
                 sched_hash: FNV_OFFSET,
                 queue: EventQueue::new(engine.queue),
                 procs: Vec::new(),
-                running: None,
-                limit: None,
                 stop: false,
                 panic: None,
                 unfinished: 0,
@@ -396,9 +317,7 @@ impl Kernel {
                 dbg_spin: (0, u32::MAX, 0),
                 prof: None,
             }),
-            sched_cv: Condvar::new(),
             seed,
-            handoff: engine.direct_handoff,
             trace_on: AtomicBool::new(false),
             trace: Mutex::new(None),
             vc_on: AtomicBool::new(false),
@@ -530,14 +449,13 @@ impl Kernel {
         st.queue.push(time, seq, wake);
     }
 
-    /// Books a popped entry: event count, schedule hash, clock advance.
-    /// Every pop — host loop or handoff path, stale or live — goes through
-    /// here exactly once (timer batches fold the same hash sequence and
-    /// commit it wholesale), which is what keeps the fast paths'
-    /// accounting bit-identical to the classic engine's.
+    /// Books a popped entry: event count, schedule hash (one FNV-1a fold
+    /// step over `time`, then `seq`), clock advance. Every pop, stale or
+    /// live, goes through here exactly once.
     fn book_pop(st: &mut KState, time: u64, seq: u64) {
         st.events += 1;
-        st.sched_hash = fold_hash(st.sched_hash, time, seq);
+        let h = (st.sched_hash ^ time).wrapping_mul(FNV_PRIME);
+        st.sched_hash = (h ^ seq).wrapping_mul(FNV_PRIME);
         st.now = st.now.max(time);
     }
 
@@ -547,50 +465,17 @@ impl Kernel {
         Self::push_entry(&mut st, at, Wake::Timer(Box::new(f)));
     }
 
-    pub(crate) fn spawn(self: &Arc<Self>, name: String, f: impl FnOnce() + Send + 'static) -> Pid {
+    pub(crate) fn spawn(&self, name: String, f: impl FnOnce() + Send + 'static) -> Pid {
         let mut st = self.state.lock();
         let pid = Pid(st.procs.len() as u32);
-        let parker = Parker::new(self.handoff);
         let rng = SmallRng::seed_from_u64(
             self.seed
                 .wrapping_mul(0x9E37_79B9_7F4A_7C15)
                 .wrapping_add(u64::from(pid.0)),
         );
-        let kernel = Arc::clone(self);
-        let thread_parker = Arc::clone(&parker);
-        let thread_name = format!("sim-{}-{}", pid.0, name);
-        let join = std::thread::Builder::new()
-            .name(thread_name)
-            .stack_size(1 << 20)
-            .spawn(move || {
-                // Wait to be scheduled for the first time.
-                thread_parker.park();
-                {
-                    let st = kernel.state.lock();
-                    if st.procs[pid.0 as usize].killed {
-                        drop(st);
-                        kernel.finish(pid, None);
-                        return;
-                    }
-                }
-                CURRENT.with(|c| *c.borrow_mut() = Some((Arc::clone(&kernel), pid)));
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
-                let panic_msg = match result {
-                    Ok(()) => None,
-                    Err(payload) => {
-                        if payload.downcast_ref::<KilledToken>().is_some() {
-                            None
-                        } else {
-                            Some(panic_message(payload.as_ref()))
-                        }
-                    }
-                };
-                kernel.finish(pid, panic_msg);
-            })
-            .expect("failed to spawn simulated process thread");
         st.procs.push(ProcInfo {
             name,
-            parker,
+            body: Some(Box::new(f)),
             token: 0,
             parked: true,
             killed: false,
@@ -598,7 +483,7 @@ impl Kernel {
             dead: Arc::new(AtomicBool::new(false)),
             rng: Some(rng),
             vc: VectorClock::new(),
-            join: Some(join),
+            scope: None,
         });
         st.unfinished += 1;
         let now = st.now;
@@ -609,7 +494,29 @@ impl Kernel {
         pid
     }
 
-    /// Marks a process finished and hands control back to the scheduler.
+    /// Gives a process its stack on its first dispatch. The coroutine's
+    /// body is the process's whole life: run the code, record how it
+    /// ended. Nothing may unwind past a coroutine's first frame, so it
+    /// catches everything, the kill token included.
+    fn start(self: &Arc<Self>, stacks: &mut Vec<Option<Coroutine>>, pid: Pid, body: Body) {
+        let kernel = Arc::clone(self);
+        let life = move || {
+            let panic_msg = match catch_unwind(AssertUnwindSafe(body)) {
+                Ok(()) => None,
+                Err(payload) if payload.is::<KilledToken>() => None,
+                Err(payload) => Some(panic_message(payload.as_ref())),
+            };
+            kernel.finish(pid, panic_msg);
+        };
+        let i = pid.0 as usize;
+        if stacks.len() <= i {
+            stacks.resize_with(i + 1, || None);
+        }
+        stacks[i] = Some(Coroutine::new(STACK_BYTES, life));
+    }
+
+    /// Marks a process finished; its coroutine returns to the host loop
+    /// right after.
     fn finish(&self, pid: Pid, panic_msg: Option<String>) {
         let mut st = self.state.lock();
         let now = st.now;
@@ -624,10 +531,6 @@ impl Kernel {
         if let Some(msg) = panic_msg {
             let name = st.procs[pid.0 as usize].name.clone();
             st.panic = Some(format!("process '{name}' panicked: {msg}"));
-        }
-        if st.running == Some(pid) {
-            st.running = None;
-            self.sched_cv.notify_one();
         }
     }
 
@@ -648,193 +551,56 @@ impl Kernel {
         Self::push_entry(&mut st, at, Wake::Proc { pid, token });
     }
 
-    /// Releases the processor to the host loop: the caller must park after
-    /// dropping the state lock.
-    fn release_to_host(&self, st: &mut KState, pid: Pid) -> Block {
-        st.running = None;
-        self.sched_cv.notify_one();
-        Block::Host(Arc::clone(&st.procs[pid.0 as usize].parker))
-    }
-
-    /// Second half of blocking: yield to the scheduler and park until woken.
-    ///
-    /// With direct handoff enabled this pops and dispatches queue entries
-    /// itself (see the module docs); otherwise it always wakes the host.
+    /// Second half of blocking: switch to the host loop until woken. `key`
+    /// is the wait state the profiler books the block under unless a scope
+    /// overrides it.
     ///
     /// # Panics
     ///
     /// Unwinds with [`KilledToken`] if the process was killed while parked.
-    pub(crate) fn yield_and_park(&self, pid: Pid) {
-        self.yield_and_park_as(pid, crate::prof::BLOCKED_COND);
-    }
-
-    /// [`Kernel::yield_and_park`] with an explicit profiler wait-state
-    /// default for sites that are not cond waits (the classic sleep path).
-    fn yield_and_park_as(&self, pid: Pid, default: crate::prof::Key) {
-        let block = {
+    pub(crate) fn yield_and_park(&self, pid: Pid, key: crate::prof::Key) {
+        if self.prof_enabled() {
             let mut st = self.state.lock();
             let now = st.now;
+            let key = st.procs[pid.0 as usize].scope.unwrap_or(key);
             if let Some(pr) = &mut st.prof {
-                pr.on_block(pid, now, crate::prof::resolve_block_key(default));
+                pr.on_block(pid, now, key);
             }
-            self.next_block(&mut st, pid)
-        };
-        self.finish_block(pid, block);
+        }
+        park();
     }
 
-    /// Dispatches a [`Block`] decision and keeps consuming events until the
-    /// processor is actually given up (or the process resumes itself).
-    fn finish_block(&self, pid: Pid, first: Block) {
-        let mut block = first;
-        loop {
-            match block {
-                Block::SelfResume { killed } => {
-                    if killed {
-                        std::panic::panic_any(KilledToken);
-                    }
-                    return;
-                }
-                Block::Timers {
-                    time,
-                    base_hash,
-                    first,
-                    rest,
-                } => {
-                    run_timer_batch(self, time, base_hash, first, rest);
-                    block = {
-                        let mut st = self.state.lock();
-                        self.next_block(&mut st, pid)
-                    };
-                    continue;
-                }
-                Block::Handoff { next, mine } => {
-                    next.unpark();
-                    mine.park();
-                    break;
-                }
-                Block::Host(mine) => {
-                    mine.park();
-                    break;
-                }
-            }
-        }
-        let killed = self.state.lock().procs[pid.0 as usize].killed;
-        if killed {
-            std::panic::panic_any(KilledToken);
-        }
-    }
-
-    /// Decides how the blocking process `pid` leaves the processor.
-    fn next_block(&self, st: &mut KState, pid: Pid) -> Block {
-        debug_assert_eq!(st.running, Some(pid), "blocking from a non-running process");
-        // Under exploration every pop is a choice point, so the self-resume
-        // and direct-handoff fast paths yield back to the host loop, which
-        // owns the chooser. Schedules stay bit-identical (both paths drain
-        // the same queue through the same accounting).
-        if !self.handoff || self.explore_on.load(Ordering::Relaxed) {
-            return self.release_to_host(st, pid);
-        }
-        loop {
-            if st.stop || st.panic.is_some() {
-                return self.release_to_host(st, pid);
-            }
-            let limit = st.limit;
-            match st.queue.pop_due(limit) {
-                Popped::Empty | Popped::Beyond => return self.release_to_host(st, pid),
-                Popped::Event(Entry {
-                    time,
-                    seq,
-                    wake: Wake::Timer(f),
-                }) => {
-                    // Booking is deferred to after the batch runs; advance
-                    // the clock now so the closures observe the served
-                    // instant (wakes and schedules they issue land at it).
-                    st.now = st.now.max(time);
-                    let base_hash = st.sched_hash;
-                    let mut rest = Vec::new();
-                    while rest.len() + 1 < TIMER_BATCH {
-                        match st.queue.pop_timer_at(time) {
-                            Some(next) => rest.push(next),
-                            None => break,
-                        }
-                    }
-                    return Block::Timers {
-                        time,
-                        base_hash,
-                        first: (seq, f),
-                        rest,
-                    };
-                }
-                Popped::Event(Entry {
-                    time,
-                    seq,
-                    wake: Wake::Proc { pid: next, token },
-                }) => {
-                    Self::book_pop(st, time, seq);
-                    {
-                        let p = &st.procs[next.0 as usize];
-                        if p.finished || !p.parked || p.token != token {
-                            continue; // stale wake
-                        }
-                    }
-                    if cfg!(debug_assertions) {
-                        debug_spin_watch(st, next);
-                    }
-                    let killed = {
-                        let p = &mut st.procs[next.0 as usize];
-                        p.parked = false;
-                        p.killed
-                    };
-                    let now = st.now;
-                    if let Some(pr) = &mut st.prof {
-                        pr.on_dispatch(next, now);
-                    }
-                    if next == pid {
-                        return Block::SelfResume { killed };
-                    }
-                    let next_parker = Arc::clone(&st.procs[next.0 as usize].parker);
-                    st.running = Some(next);
-                    return Block::Handoff {
-                        next: next_parker,
-                        mine: Arc::clone(&st.procs[pid.0 as usize].parker),
-                    };
-                }
-            }
-        }
-    }
-
-    /// Blocks `pid` until `nanos` of virtual time pass. With the fast
-    /// engine, the whole begin-block / enqueue-wake / pick-next-event
-    /// sequence runs under a single state-lock acquisition — it is the
-    /// hottest blocking path (every `sleep`, `yield_now`, and
-    /// simulated-latency charge), and merging the locks is
-    /// semantics-preserving because nothing else can run between them
-    /// while this process holds the processor. The classic engine keeps
-    /// the original multi-acquisition sequence so it stays a faithful
-    /// before-baseline for `sched_bench`.
+    /// Blocks `pid` until `nanos` of virtual time pass: begin-block,
+    /// enqueue-wake and the profiler hook under one state-lock acquisition
+    /// — this is the hottest blocking path (every `sleep`, `yield_now` and
+    /// simulated-latency charge).
     pub(crate) fn sleep(&self, pid: Pid, nanos: u64) {
-        if !self.handoff {
-            let token = self.begin_block(pid);
-            let at = self.state.lock().now.saturating_add(nanos);
-            self.enqueue_wake_at(at, pid, token);
-            self.yield_and_park_as(pid, crate::prof::SLEEP);
-            return;
-        }
-        let block = {
+        {
             let mut st = self.state.lock();
             let p = &mut st.procs[pid.0 as usize];
             p.token += 1;
             p.parked = true;
-            let token = p.token;
-            let at = st.now.saturating_add(nanos);
-            Self::push_entry(&mut st, at, Wake::Proc { pid, token });
+            let (token, scope) = (p.token, p.scope);
             let now = st.now;
+            Self::push_entry(
+                &mut st,
+                now.saturating_add(nanos),
+                Wake::Proc { pid, token },
+            );
             if let Some(pr) = &mut st.prof {
-                pr.on_block(pid, now, crate::prof::resolve_block_key(crate::prof::SLEEP));
+                pr.on_block(pid, now, scope.unwrap_or(crate::prof::SLEEP));
             }
-            self.next_block(&mut st, pid)
-        };
-        self.finish_block(pid, block);
+        }
+        park();
+    }
+
+    /// Replaces the process's wait-state scope, returning the previous one.
+    pub(crate) fn swap_scope(
+        &self,
+        pid: Pid,
+        scope: Option<crate::prof::Key>,
+    ) -> Option<crate::prof::Key> {
+        std::mem::replace(&mut self.state.lock().procs[pid.0 as usize].scope, scope)
     }
 
     /// Wakes a parked process if `token` still matches its current block.
@@ -989,14 +755,20 @@ impl Kernel {
         Popped::Event(chosen)
     }
 
-    /// Runs the event loop. `deadline` bounds virtual time (inclusive);
+    /// The host loop: the one place events are popped and the one caller
+    /// of [`Host::resume`]. `deadline` bounds virtual time (inclusive);
     /// `strict` turns an empty run queue with still-blocked processes into a
     /// [`SimError::Deadlock`].
-    fn run_loop(&self, deadline: Option<u64>, strict: bool) -> SimResult<()> {
-        self.state.lock().limit = deadline;
+    fn run_loop(
+        self: &Arc<Self>,
+        stacks: &mut Vec<Option<Coroutine>>,
+        deadline: Option<u64>,
+        strict: bool,
+    ) -> SimResult<()> {
+        let host = Host::enter(self);
         let explore = self.explore_state();
         loop {
-            let action = {
+            let (pid, killed, body) = {
                 let mut st = self.state.lock();
                 if let Some(msg) = st.panic.take() {
                     drop(st);
@@ -1011,28 +783,21 @@ impl Kernel {
                 };
                 match popped {
                     Popped::Empty => {
-                        if st.unfinished > 0 {
+                        if st.unfinished > 0 && (strict || explore.is_some()) {
+                            let unfinished =
+                                st.procs.iter().enumerate().filter(|(_, p)| !p.finished);
+                            let blocked: Vec<(u32, String)> = unfinished
+                                .map(|(i, p)| (i as u32, p.name.clone()))
+                                .collect();
                             if let Some(ex) = &explore {
                                 // Quiescence with blocked processes: feed
                                 // the wait-for graph to the deadlock
                                 // detector (strict or not — nothing inside
                                 // the simulation can ever wake them).
-                                let blocked: Vec<(u32, String)> = st
-                                    .procs
-                                    .iter()
-                                    .enumerate()
-                                    .filter(|(_, p)| !p.finished)
-                                    .map(|(i, p)| (i as u32, p.name.clone()))
-                                    .collect();
                                 ex.on_quiescence(&blocked);
                             }
                             if strict {
-                                let blocked = st
-                                    .procs
-                                    .iter()
-                                    .filter(|p| !p.finished)
-                                    .map(|p| p.name.clone())
-                                    .collect();
+                                let blocked = blocked.into_iter().map(|(_, name)| name).collect();
                                 return Err(SimError::Deadlock { blocked });
                             }
                         }
@@ -1048,107 +813,52 @@ impl Kernel {
                     Popped::Event(Entry { time, seq, wake }) => {
                         Self::book_pop(&mut st, time, seq);
                         match wake {
-                            Wake::Timer(f) => Some(Err(f)),
+                            Wake::Timer(timer) => {
+                                drop(st);
+                                timer(); // on the host, in event context
+                                continue;
+                            }
                             Wake::Proc { pid, token } => {
-                                let stale = {
-                                    let p = &st.procs[pid.0 as usize];
-                                    p.finished || !p.parked || p.token != token
-                                };
-                                if stale {
-                                    None // stale wake
-                                } else {
-                                    let tripped = explore.as_ref().is_some_and(|ex| {
-                                        ex.note_dispatch(
-                                            pid.0,
-                                            &st.procs[pid.0 as usize].name,
-                                            st.now,
-                                        )
-                                    });
-                                    if tripped {
-                                        // Zero-progress spin: record the
-                                        // violation and end the run instead
-                                        // of feeding the spin forever.
-                                        st.stop = true;
-                                        None
-                                    } else {
-                                        if cfg!(debug_assertions) {
-                                            debug_spin_watch(&mut st, pid);
-                                        }
-                                        st.procs[pid.0 as usize].parked = false;
-                                        st.running = Some(pid);
-                                        let now = st.now;
-                                        if let Some(pr) = &mut st.prof {
-                                            pr.on_dispatch(pid, now);
-                                        }
-                                        Some(Ok(Arc::clone(&st.procs[pid.0 as usize].parker)))
-                                    }
+                                let p = &st.procs[pid.0 as usize];
+                                if p.finished || !p.parked || p.token != token {
+                                    continue; // stale wake
                                 }
+                                if explore
+                                    .as_ref()
+                                    .is_some_and(|ex| ex.note_dispatch(pid.0, &p.name, st.now))
+                                {
+                                    // Zero-progress spin: the violation is
+                                    // recorded; end the run instead of
+                                    // feeding the spin forever.
+                                    st.stop = true;
+                                    continue;
+                                }
+                                if cfg!(debug_assertions) {
+                                    debug_spin_watch(&mut st, pid);
+                                }
+                                let now = st.now;
+                                if let Some(pr) = &mut st.prof {
+                                    pr.on_dispatch(pid, now);
+                                }
+                                let p = &mut st.procs[pid.0 as usize];
+                                p.parked = false;
+                                (pid, p.killed, p.body.take())
                             }
                         }
                     }
                 }
             };
-            match action {
-                None => continue,
-                Some(Err(timer)) => timer(),
-                Some(Ok(parker)) => {
-                    parker.unpark();
-                    let mut st = self.state.lock();
-                    while st.running.is_some() {
-                        self.sched_cv.wait(&mut st);
-                    }
+            // `body` is the process's code on its first dispatch.
+            match body {
+                // Killed before it ever ran: it has no stack to unwind.
+                Some(_) if killed => self.finish(pid, None),
+                Some(body) => {
+                    self.start(stacks, pid, body);
+                    host.resume(stacks, pid, killed);
                 }
+                None => host.resume(stacks, pid, killed),
             }
         }
-    }
-}
-
-/// Runs a batch of same-instant timer closures on a process thread in
-/// *event* context: the thread's process identity is masked for the
-/// batch's duration, so `try_with_ctx`-based attribution (vector clocks,
-/// trace spans) behaves exactly as if the closures ran on the host.
-///
-/// Bookkeeping is folded locally and committed under one lock acquisition
-/// afterwards, which is observably identical to booking each pop
-/// individually because the popping process is the only runnable thread.
-/// A panicking timer is recorded and re-raised from the host loop, like a
-/// process panic; closures it would have cut off are restored to the
-/// queue unbooked, exactly as if they had never been popped.
-fn run_timer_batch(
-    kernel: &Kernel,
-    time: u64,
-    base_hash: u64,
-    first: (u64, TimerFn),
-    rest: Vec<(u64, TimerFn)>,
-) {
-    let mut hash = base_hash;
-    let mut ran = 0u64;
-    let mut panic_msg = None;
-    let mut pending = std::iter::once(first).chain(rest);
-    EVENT_CTX.with(|e| e.set(true));
-    for (seq, f) in pending.by_ref() {
-        hash = fold_hash(hash, time, seq);
-        ran += 1;
-        if let Err(payload) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
-            panic_msg = Some(panic_message(payload.as_ref()));
-            break;
-        }
-    }
-    EVENT_CTX.with(|e| e.set(false));
-    let leftover: Vec<(u64, TimerFn)> = pending.collect();
-    let mut st = kernel.state.lock();
-    st.sched_hash = hash;
-    st.events += ran;
-    st.now = st.now.max(time);
-    for (seq, f) in leftover.into_iter().rev() {
-        st.queue.unpop(Entry {
-            time,
-            seq,
-            wake: Wake::Timer(f),
-        });
-    }
-    if let Some(msg) = panic_msg {
-        st.panic = Some(format!("timer event panicked: {msg}"));
     }
 }
 
@@ -1157,9 +867,16 @@ fn run_timer_batch(
 /// Create one, [`spawn`](Simulation::spawn) processes, then
 /// [`run`](Simulation::run) it to completion (or
 /// [`run_until`](Simulation::run_until) a virtual deadline). Dropping the
-/// simulation kills every remaining process and joins their threads.
+/// simulation kills every remaining process: each unwinds through its
+/// destructors and its stack is freed.
+///
+/// A `Simulation` is `!Send`: its processes' stacks are bound to the
+/// thread that created it, so it runs and is dropped there.
 pub struct Simulation {
     kernel: Arc<Kernel>,
+    /// The coroutine of every started, unfinished process, by pid. Host
+    /// side only — processes reach the kernel, never this.
+    stacks: RefCell<Vec<Option<Coroutine>>>,
 }
 
 impl fmt::Debug for Simulation {
@@ -1172,19 +889,25 @@ impl fmt::Debug for Simulation {
 
 impl Simulation {
     /// Creates a new simulation whose randomness derives from `seed`,
-    /// using the default engine (timer wheel, direct handoff).
+    /// using the default engine (timer wheel).
     pub fn new(seed: u64) -> Self {
         Self::with_engine(seed, EngineConfig::default())
     }
 
-    /// Creates a simulation with an explicit scheduler engine. All engines
-    /// execute bit-identical schedules; the non-default ones exist for
-    /// determinism cross-checks and benchmarking.
+    /// Creates a simulation on an explicit event queue. Both queues
+    /// execute bit-identical schedules; the heap exists as the reference
+    /// for determinism cross-checks and benchmarking.
     pub fn with_engine(seed: u64, engine: EngineConfig) -> Self {
         install_kill_quiet_hook();
         Simulation {
             kernel: Kernel::new(seed, engine),
+            stacks: RefCell::new(Vec::new()),
         }
+    }
+
+    fn run_loop(&self, deadline: Option<u64>, strict: bool) -> SimResult<()> {
+        self.kernel
+            .run_loop(&mut self.stacks.borrow_mut(), deadline, strict)
     }
 
     /// Current virtual time.
@@ -1230,7 +953,7 @@ impl Simulation {
     ///
     /// Re-raises any panic from a simulated process.
     pub fn run(&self) -> SimResult<()> {
-        self.kernel.run_loop(None, true)
+        self.run_loop(None, true)
     }
 
     /// Runs until virtual time reaches `deadline` (events at exactly
@@ -1241,7 +964,7 @@ impl Simulation {
     ///
     /// Re-raises any panic from a simulated process.
     pub fn run_until(&self, deadline: SimTime) -> SimResult<()> {
-        self.kernel.run_loop(Some(deadline.as_nanos()), false)
+        self.run_loop(Some(deadline.as_nanos()), false)
     }
 
     /// Enables schedule exploration (idempotent; the first call's config
@@ -1286,30 +1009,38 @@ impl Simulation {
     /// Re-raises any panic from a simulated process.
     pub fn run_for(&self, d: std::time::Duration) -> SimResult<()> {
         let deadline = self.now().as_nanos().saturating_add(d.as_nanos() as u64);
-        self.kernel.run_loop(Some(deadline), false)
+        self.run_loop(Some(deadline), false)
     }
 }
 
 impl Drop for Simulation {
     fn drop(&mut self) {
-        let joins: Vec<_> = {
+        let host = Host::enter(&self.kernel);
+        let unstarted: Vec<Body> = {
             let mut st = self.kernel.state.lock();
             st.stop = true;
-            let mut joins = Vec::new();
-            for p in st.procs.iter_mut() {
-                if !p.finished {
+            let unfinished = st.procs.iter_mut().filter(|p| !p.finished);
+            unfinished
+                .filter_map(|p| {
                     p.killed = true;
                     p.dead.store(true, Ordering::Relaxed);
-                    p.parker.unpark();
-                }
-                if let Some(j) = p.join.take() {
-                    joins.push(j);
-                }
-            }
-            joins
+                    p.body.take()
+                })
+                .collect()
         };
-        for j in joins {
-            let _ = j.join();
+        // Outside the state lock: what a body captured may call back into
+        // the kernel as it drops.
+        drop(unstarted);
+        // Every process left with a stack is suspended in `park`. Resumed
+        // with `killed` set it unwinds through its destructors and its
+        // stack is freed. (One that swallows the kill and blocks again
+        // stays suspended; `coro` then leaks its stack rather than free
+        // live frames.)
+        let stacks = self.stacks.get_mut();
+        for i in 0..stacks.len() {
+            if stacks[i].is_some() {
+                host.resume(stacks, Pid(i as u32), true);
+            }
         }
     }
 }

@@ -3,10 +3,10 @@
 //!
 //! This crate is the substrate on which the Heron reproduction runs. It
 //! replaces the paper's CloudLab cluster: every client and replica becomes a
-//! *simulated process* (an OS thread that is cooperatively scheduled so that
-//! **exactly one runs at a time**), and all latencies — RDMA verbs, network
-//! messages, request execution — are charged against a virtual clock in
-//! nanoseconds. A simulation run is a pure function of its configuration and
+//! *simulated process* — a coroutine with a stack of its own, resumed by the
+//! one host loop that pops events, so that **exactly one runs at a time** —
+//! and all latencies — RDMA verbs, network messages, request execution — are
+//! charged against a virtual clock in nanoseconds. A simulation run is a pure function of its configuration and
 //! seed, which makes protocol races, lagger scenarios and benchmark results
 //! reproducible.
 //!
@@ -19,6 +19,10 @@
 //!   can run between the check and the block, so there are no lost wakeups.
 //! * [`Cond`] may still wake spuriously (like a condition variable); always
 //!   re-check the predicate, or use [`Cond::wait_while`].
+//! * Every process runs on the thread that calls [`Simulation::run`]. A
+//!   [`Simulation`] is `!Send`: it runs, and is dropped, on the thread that
+//!   created it. Process stacks are 1 MiB of lazily committed address
+//!   space each.
 //!
 //! # Example
 //!
@@ -138,7 +142,7 @@ where
     with_ctx(move |k, _| k.schedule(nanos, f));
 }
 
-/// Kills a simulated process. Its thread unwinds the next time it would run.
+/// Kills a simulated process. It unwinds the next time it would run.
 ///
 /// Killing an already-finished process is a no-op.
 pub fn kill(pid: Pid) {
@@ -389,12 +393,120 @@ mod tests {
         assert_ne!(draw(7), draw(8));
     }
 
+    /// The first panic on a fresh coroutine stack exercises the entry
+    /// frame's alignment (the unwinder uses aligned stores) and the rule
+    /// that nothing unwinds past it: the panic must come out of `run` as a
+    /// message, and the parked bystander must still unwind cleanly when
+    /// the simulation is dropped.
     #[test]
     fn process_panic_propagates_to_run() {
         let sim = Simulation::new(1);
-        sim.spawn("bad", || panic!("boom"));
+        sim.spawn("bystander", || sleep(Duration::from_secs(1)));
+        sim.spawn("bad", || panic!("boom {}", 1.5f64));
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run()));
-        assert!(r.is_err());
+        let msg = r.expect_err("the process panicked");
+        assert_eq!(
+            msg.downcast_ref::<String>().map(String::as_str),
+            Some("process 'bad' panicked: boom 1.5")
+        );
+    }
+
+    /// All processes share one thread: while one is suspended inside a sim
+    /// call, others make sim calls of their own, and each must find its
+    /// own identity again whenever it is switched back in.
+    #[test]
+    fn identity_follows_the_running_process_across_blocks() {
+        let sim = Simulation::new(1);
+        for name in ["a", "b", "c"] {
+            sim.spawn(name, move || {
+                let me = current_pid();
+                for _ in 0..5 {
+                    sleep(Duration::from_nanos(3));
+                    assert_eq!(current_pid(), me);
+                    assert_eq!(proc_name(), name);
+                }
+            });
+        }
+        sim.run().unwrap();
+    }
+
+    /// A process may build and run a simulation of its own: while the inner
+    /// host loop runs, the outer one's other processes stay suspended
+    /// inside their sim calls, and the outer context comes back afterwards.
+    #[test]
+    fn a_simulation_runs_inside_a_process_of_another() {
+        let outer = Simulation::new(1);
+        outer.spawn("bystander", || sleep(Duration::from_nanos(5)));
+        outer.spawn("driver", || {
+            sleep(Duration::from_nanos(1));
+            let inner = Simulation::new(2);
+            inner.spawn("p", || {
+                sleep(Duration::from_nanos(7));
+                assert_eq!((now().as_nanos(), proc_name().as_str()), (7, "p"));
+            });
+            inner.run().unwrap();
+            assert_eq!((now().as_nanos(), proc_name().as_str()), (1, "driver"));
+        });
+        outer.run().unwrap();
+        assert_eq!(outer.now().as_nanos(), 5);
+    }
+
+    /// A timer closure runs on the host between two slices of processes:
+    /// it must see event context, not whichever process ran last.
+    #[test]
+    fn timers_see_event_context_between_process_slices() {
+        let sim = Simulation::new(1);
+        let in_event_ctx = Arc::new(AtomicU64::new(0));
+        let seen = in_event_ctx.clone();
+        sim.spawn("p", move || {
+            schedule(Duration::from_nanos(10), move || {
+                let event_ctx = try_now().is_none() && vc_release().is_none();
+                seen.store(1 + u64::from(event_ctx), Ordering::SeqCst);
+            });
+            sleep(Duration::from_nanos(10)); // resumed right after the timer
+            assert_eq!(try_now().map(SimTime::as_nanos), Some(10));
+        });
+        sim.run().unwrap();
+        assert_eq!(in_event_ctx.load(Ordering::SeqCst), 2);
+    }
+
+    struct CountDrop(Arc<AtomicU64>);
+    impl Drop for CountDrop {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn kill_and_drop_unwind_through_destructors() {
+        let drops = Arc::new(AtomicU64::new(0));
+        let sim = Simulation::new(1);
+        let [g1, g2, g3] = [(); 3].map(|()| CountDrop(drops.clone()));
+        let victim = sim.spawn("victim", move || {
+            let _g = g1;
+            Cond::new().wait();
+        });
+        sim.spawn("parked", move || {
+            let _g = g2;
+            Cond::new().wait();
+        });
+        sim.spawn("killer", move || {
+            kill(victim);
+            yield_now();
+            assert!(is_finished(victim));
+        });
+        sim.run_until(SimTime::from_nanos(5)).unwrap();
+        assert_eq!(
+            drops.load(Ordering::SeqCst),
+            1,
+            "the killed process unwound"
+        );
+        // Spawned but never run: it has no stack, only its captures.
+        sim.spawn("unstarted", move || {
+            let _g = g3;
+        });
+        drop(sim);
+        assert_eq!(drops.load(Ordering::SeqCst), 3);
     }
 
     #[test]

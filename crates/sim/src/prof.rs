@@ -46,7 +46,6 @@
 
 use crate::kernel::{try_with_ctx, Kernel, Pid};
 use parking_lot::Mutex;
-use std::cell::Cell;
 use std::fmt;
 use std::sync::Arc;
 
@@ -94,31 +93,12 @@ fn key_name((kind, label): Key) -> String {
     }
 }
 
-thread_local! {
-    /// Sticky override installed by [`blocked_scope`] / [`parked_scope`]:
-    /// while set, every block by this thread is attributed to it.
-    static SCOPE: Cell<Option<Key>> = const { Cell::new(None) };
-    /// One-shot reason set by the next block site (e.g. [`crate::Cond`]
-    /// stamping its label); consumed by the kernel's block hook.
-    static ONESHOT: Cell<Option<Key>> = const { Cell::new(None) };
-}
-
-/// Stamps the next block of the calling thread as `Blocked{label}`.
-/// Called by `Cond::wait` when profiling is on.
-pub(crate) fn set_oneshot_blocked(label: &'static str) {
-    let label = if label.is_empty() { "cond" } else { label };
-    ONESHOT.with(|c| c.set(Some((StateKind::Blocked, label))));
-}
-
-/// Resolves the wait-state key for a block that is happening right now:
-/// an active scope wins, else the pending one-shot (consumed), else the
-/// kernel-provided default.
-pub(crate) fn resolve_block_key(default: Key) -> Key {
-    let oneshot = ONESHOT.with(Cell::take);
-    if let Some(k) = SCOPE.with(Cell::get) {
-        return k;
-    }
-    oneshot.unwrap_or(default)
+/// The key of an idle wait labelled `label` (empty: the generic `"cond"`).
+pub(crate) fn blocked(label: &'static str) -> Key {
+    (
+        StateKind::Blocked,
+        if label.is_empty() { "cond" } else { label },
+    )
 }
 
 /// RAII guard restoring the previous wait-state scope on drop.
@@ -130,24 +110,28 @@ pub struct WaitScope {
 
 impl Drop for WaitScope {
     fn drop(&mut self) {
-        SCOPE.with(|c| c.set(self.prev));
+        let _ = try_with_ctx(|k, pid| k.swap_scope(pid, self.prev));
     }
 }
 
+/// The scope belongs to the calling *process* (kernel state, not a
+/// thread-local: every process shares one thread) and stays set while the
+/// process is blocked. A no-op outside process context.
 fn enter_scope(key: Key) -> WaitScope {
     WaitScope {
-        prev: SCOPE.with(|c| c.replace(Some(key))),
+        prev: try_with_ctx(|k, pid| k.swap_scope(pid, Some(key))).flatten(),
     }
 }
 
-/// While the guard lives, blocks by the calling thread are attributed to
+/// While the guard lives, blocks by the calling process are attributed to
 /// `Blocked{label}` (e.g. `"disk"` around a storage charge). Nests; always
-/// cheap (two thread-local stores), so callers need no profiling gate.
+/// cheap (one kernel-state access each way), so callers need no profiling
+/// gate.
 pub fn blocked_scope(label: &'static str) -> WaitScope {
     enter_scope((StateKind::Blocked, label))
 }
 
-/// While the guard lives, blocks by the calling thread are attributed to
+/// While the guard lives, blocks by the calling process are attributed to
 /// `Parked{label}` (e.g. `"phase2_starved"` around a P-SMR stall park).
 pub fn parked_scope(label: &'static str) -> WaitScope {
     enter_scope((StateKind::Parked, label))
@@ -726,6 +710,35 @@ mod tests {
         assert_eq!(state(p, "sleep").unwrap().ns, 100);
     }
 
+    /// Scopes are per process, not per thread: `a` parks inside its scope
+    /// while `b` runs and blocks on the same thread.
+    #[test]
+    fn a_scope_stays_with_its_process_while_it_is_parked() {
+        let sim = Simulation::new(1);
+        let prof = sim.enable_profiling();
+        let cond = Cond::new();
+        sim.spawn("a", || {
+            let _g = parked_scope("a");
+            crate::sleep(Duration::from_nanos(500));
+        });
+        let c = cond.clone();
+        sim.spawn("b", move || {
+            crate::sleep(Duration::from_nanos(100));
+            c.wait();
+        });
+        sim.spawn("c", move || {
+            crate::sleep(Duration::from_nanos(400));
+            cond.notify_all();
+        });
+        sim.run().unwrap();
+        let report = prof.report();
+        let (a, b) = (&report.procs[0], &report.procs[1]);
+        assert_eq!(state(a, "parked.a").unwrap().ns, 500);
+        assert_eq!(state(b, "sleep").unwrap().ns, 100);
+        assert_eq!(state(b, "blocked.cond").unwrap().ns, 300);
+        assert!(state(b, "parked.a").is_none(), "a's scope leaked into b");
+    }
+
     #[test]
     fn gauge_timeline_is_time_weighted() {
         let sim = Simulation::new(1);
@@ -785,7 +798,6 @@ mod tests {
             EngineConfig::default(),
             EngineConfig {
                 queue: QueueKind::Heap,
-                direct_handoff: false,
             },
         ] {
             assert_eq!(

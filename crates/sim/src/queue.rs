@@ -31,7 +31,7 @@ use crate::kernel::Pid;
 
 /// What a scheduler entry does when it fires.
 pub(crate) enum Wake {
-    /// Unpark process `pid` if its block token still matches.
+    /// Resume process `pid` if its block token still matches.
     Proc { pid: Pid, token: u64 },
     /// Run a closure in event context (timer).
     Timer(Box<dyn FnOnce() + Send>),
@@ -125,34 +125,8 @@ impl EventQueue {
         }
     }
 
-    /// Pops the next entry only if it is a timer at exactly `time` (the
-    /// instant currently being served). Used by the direct-handoff path to
-    /// drain a same-instant timer burst under one lock acquisition; pop
-    /// order is the same as repeated [`EventQueue::pop_due`] calls.
-    pub(crate) fn pop_timer_at(&mut self, time: u64) -> Option<(u64, Box<dyn FnOnce() + Send>)> {
-        match self {
-            EventQueue::Wheel(w) => w.pop_timer_at(time),
-            EventQueue::Heap(h) => {
-                match h.heap.peek() {
-                    Some(Entry {
-                        time: t,
-                        wake: Wake::Timer(_),
-                        ..
-                    }) if *t == time => {}
-                    _ => return None,
-                }
-                let Entry { seq, wake, .. } = h.heap.pop().expect("peeked entry vanished");
-                match wake {
-                    Wake::Timer(f) => Some((seq, f)),
-                    Wake::Proc { .. } => unreachable!("peeked a timer"),
-                }
-            }
-        }
-    }
-
-    /// Puts back entries returned by [`EventQueue::pop_due`] /
-    /// [`EventQueue::pop_timer_at`], restoring the queue to its pre-pop
-    /// state. Multiple entries must be put back in reverse pop order.
+    /// Puts back entries returned by [`EventQueue::pop_due`], restoring
+    /// the queue to its pre-pop state. Multiple entries must be put back in reverse pop order.
     pub(crate) fn unpop(&mut self, entry: Entry) {
         match self {
             EventQueue::Wheel(w) => w.unpop(entry),
@@ -384,22 +358,6 @@ impl TimerWheel {
         gathered.sort_unstable_by_key(|&(seq, _)| seq);
         self.batch_time = t;
         self.batch.extend(gathered);
-    }
-
-    /// Pops the batch front if it is a timer at `time`. While an instant is
-    /// being served, every remaining entry at that instant sits in the
-    /// batch in seq order (pushes at the served instant append, with
-    /// globally larger seqs), so the front is the global minimum.
-    fn pop_timer_at(&mut self, time: u64) -> Option<(u64, Box<dyn FnOnce() + Send>)> {
-        if self.batch_time != time || !matches!(self.batch.front(), Some((_, Wake::Timer(_)))) {
-            return None;
-        }
-        let (seq, wake) = self.batch.pop_front().expect("front just matched");
-        self.len -= 1;
-        match wake {
-            Wake::Timer(f) => Some((seq, f)),
-            Wake::Proc { .. } => unreachable!("front just matched a timer"),
-        }
     }
 
     /// Restores the entry just returned by [`TimerWheel::pop_due`].

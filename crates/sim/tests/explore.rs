@@ -9,22 +9,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-const ENGINES: [EngineConfig; 4] = [
+const ENGINES: [EngineConfig; 2] = [
     EngineConfig {
         queue: QueueKind::Wheel,
-        direct_handoff: true,
-    },
-    EngineConfig {
-        queue: QueueKind::Wheel,
-        direct_handoff: false,
     },
     EngineConfig {
         queue: QueueKind::Heap,
-        direct_handoff: true,
-    },
-    EngineConfig {
-        queue: QueueKind::Heap,
-        direct_handoff: false,
     },
 ];
 

@@ -17,6 +17,7 @@
 //! [`take_buf`] closes the loop for producers that build payloads
 //! incrementally: it hands out a pooled (cleared, capacity-retaining)
 //! `Vec<u8>` to fill and pass back through `Bytes::from`.
+#![forbid(unsafe_code)]
 
 use std::fmt;
 use std::ops::Deref;

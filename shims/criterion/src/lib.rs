@@ -7,6 +7,7 @@
 //! report the median time per iteration (and derived throughput when
 //! requested). No statistical machinery, no HTML reports; the point is a
 //! stable, dependency-free number on a machine with no registry access.
+#![forbid(unsafe_code)]
 
 use std::time::{Duration, Instant};
 

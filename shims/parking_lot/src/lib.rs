@@ -6,6 +6,7 @@
 //! std: locks are not poisoned by panics (a poisoned std lock is recovered
 //! transparently), and guards are returned directly rather than inside a
 //! `Result`.
+#![forbid(unsafe_code)]
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};

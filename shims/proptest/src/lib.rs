@@ -7,6 +7,7 @@
 //! per-test seed (derived from the test name), so failures reproduce.
 //! Unlike upstream there is no shrinking: a failing case panics with the
 //! generated inputs visible in the assertion message.
+#![forbid(unsafe_code)]
 
 use std::ops::{Range, RangeInclusive};
 

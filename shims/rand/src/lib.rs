@@ -5,6 +5,7 @@
 //! dependency. `SmallRng` is xoshiro256++ seeded through SplitMix64, the
 //! same construction upstream `rand 0.8` uses on 64-bit targets, so
 //! workload generation stays deterministic for a given seed.
+#![forbid(unsafe_code)]
 
 /// Core random number generation trait.
 pub trait RngCore {
