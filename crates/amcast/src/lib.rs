@@ -43,6 +43,9 @@
 //! majority-replicated survive; in-flight submissions are recovered by
 //! client retry (see `DESIGN.md` for the scope of this guarantee).
 #![forbid(unsafe_code)]
+// A `for` over a `HashMap`/`HashSet` runs in `RandomState` order, which
+// differs per process: anything it posts, or reports first, stops replaying.
+#![deny(clippy::iter_over_hash_type)]
 
 mod client;
 mod cluster;

@@ -1350,7 +1350,9 @@ impl McastReplica {
         // 1. Read peers' log positions.
         let mut alive = 1usize;
         let mut longest: (u64, Option<usize>) = (st.applied_seq, None);
-        let mut peer_seq: HashMap<usize, u64> = HashMap::new();
+        // In replica-index order: step 4 posts its backfill writes in this
+        // order, and the order of posts is part of the schedule.
+        let mut peer_seq: Vec<(usize, u64)> = Vec::new();
         for i in 0..self.n() {
             if i == self.idx {
                 continue;
@@ -1371,7 +1373,7 @@ impl McastReplica {
                     return; // recovering peer not ready; retry next timeout
                 }
                 alive += 1;
-                peer_seq.insert(i, seq);
+                peer_seq.push((i, seq));
                 if seq > longest.0 {
                     longest = (seq, Some(i));
                 }
@@ -1417,7 +1419,7 @@ impl McastReplica {
             .local_write_word(self.layout.log_seq, st.applied_seq)
             .expect("own log_seq word");
         // 4. Backfill shorter peers so the group converges.
-        for (&i, &seq) in &peer_seq {
+        for &(i, seq) in &peer_seq {
             if seq >= adopt_to {
                 continue;
             }

@@ -7,9 +7,7 @@
 //!
 //! The workloads themselves live in [`heron_bench::sched_workloads`],
 //! shared with the `sched_bench` binary that emits and gates
-//! `bench_results/BENCH_scheduler.json`. Each workload is benchmarked on
-//! the default engine (timer wheel); run `sched_bench` for the
-//! side-by-side comparison against the reference heap queue.
+//! `bench_results/BENCH_scheduler.json`.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use heron_bench::sched_workloads;
@@ -23,7 +21,7 @@ fn bench_workloads(c: &mut Criterion) {
     for w in sched_workloads::all() {
         g.bench_function(&format!("{}_10k", w.name), |b| {
             b.iter_batched(
-                || (w.build)(EVENTS, sim::EngineConfig::default()),
+                || (w.build)(EVENTS),
                 |simulation| {
                     simulation.run().unwrap();
                     assert!(simulation.events_executed() >= EVENTS / 2);

@@ -68,11 +68,12 @@ fn main() {
         } else {
             "inline"
         };
-        let result = run(&sc);
+        let (result, hash) = run(&sc);
         match &result {
             RunResult::Pass { ops } => {
                 println!(
-                    "seed {seed} ({kind}, width {width}): PASS — {ops} ops, {} fault clauses {:?}",
+                    "seed {seed} ({kind}, width {width}): PASS — {ops} ops, schedule {hash:#018x}, \
+                     {} fault clauses {:?}",
                     sc.clauses.len(),
                     sc.clauses
                 );
@@ -130,7 +131,7 @@ fn selftest(base_seed: u64, quick: bool) {
     let mut sc = scenario_for_seed(base_seed, quick);
     sc.corrupt = Some((0, 1, 0));
     println!("selftest: corrupting object 0 at partition 0 replica 1 (seed {base_seed})");
-    let result = run(&sc);
+    let (result, _) = run(&sc);
     if !result.failed() {
         println!("selftest: FAIL — checker did not detect the corruption");
         std::process::exit(1);

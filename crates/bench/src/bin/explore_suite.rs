@@ -10,38 +10,29 @@
 //! cargo run -p heron-bench --release --bin explore_suite [-- OPTIONS]
 //!   --seed S        base seed for shapes and strategies (default 42)
 //!   --quick         smaller shapes and a smaller schedule budget
-//!   --gate          tier-1 mode: exploration-off schedule-hash pin on both
-//!                   engines plus a fixed-seed clean-exploration budget
+//!   --gate          tier-1 mode: every shape clean under Baseline with the
+//!                   detectors armed, plus a fixed-seed random/PCT budget
 //!   --selftest      prove the detectors catch an injected deadlock, an
 //!                   injected livelock, and the re-broken PR 8 `has_work`
 //!                   livelock — each shrunk to a replayable minimal trace
 //! ```
 //!
 //! Exit status is nonzero iff any explored schedule reports a violation
-//! (or stalls), a gate pin fails, or a self-test bug goes undetected.
+//! (or stalls) or a self-test bug goes undetected. That Baseline
+//! exploration leaves the schedule alone is pinned in
+//! `tests/schedule_hash.rs`.
 
 use heron_bench::chaos::{
     self, recovery_scenario_for_seed, scenario_for_seed, RunResult, Scenario,
 };
 use heron_bench::{banner, quick_mode, run_heron, RunConfig, Workload};
 use sim::{
-    shrink_trace, Cond, EngineConfig, ExploreConfig, ExploreReport, LivelockKind, Mailbox,
-    QueueKind, ScheduleTrace, Simulation, StrategyKind, Violation,
+    shrink_trace, Cond, ExploreConfig, ExploreReport, LivelockKind, Mailbox, ScheduleTrace,
+    Simulation, StrategyKind, Violation,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// The two engine configurations every trace must replay on: the timer
-/// wheel (the default) and the reference heap.
-const ENGINES: [EngineConfig; 2] = [
-    EngineConfig {
-        queue: QueueKind::Wheel,
-    },
-    EngineConfig {
-        queue: QueueKind::Heap,
-    },
-];
 
 fn arg_value(name: &str) -> Option<u64> {
     let args: Vec<String> = std::env::args().collect();
@@ -82,28 +73,21 @@ fn shapes(base_seed: u64, quick: bool) -> Vec<(&'static str, Shape)> {
     ]
 }
 
-/// Runs one shape on one engine under one exploration setting. Returns
-/// `(completed cleanly, schedule hash, exploration report)`.
-fn run_shape(
-    shape: &Shape,
-    engine: EngineConfig,
-    explore: Option<ExploreConfig>,
-    break_has_work: bool,
-) -> (bool, u64, Option<ExploreReport>) {
-    match shape {
+/// Runs one shape under one exploration strategy. Returns `(completed
+/// cleanly, exploration report)`.
+fn run_shape(shape: &Shape, strategy: StrategyKind) -> (bool, ExploreReport) {
+    let explore = ExploreConfig::new(strategy);
+    let (ok, report) = match shape {
         Shape::Fig4(rc) => {
-            let mut cfg = (**rc).clone();
-            cfg.engine = engine;
-            cfg.explore = explore;
-            cfg.break_has_work = break_has_work;
-            let summary = run_heron(&cfg);
-            (true, summary.schedule_hash, summary.explore)
+            let cfg = (**rc).clone().with_explore(explore);
+            (true, run_heron(&cfg).explore)
         }
         Shape::Chaos(sc) => {
-            let (result, hash, report) = chaos::run_explored(sc, engine, explore, break_has_work);
-            (matches!(result, RunResult::Pass { .. }), hash, report)
+            let (result, _, report) = chaos::run_explored(sc, Some(explore), false);
+            (matches!(result, RunResult::Pass { .. }), report)
         }
-    }
+    };
+    (ok, report.expect("exploration was enabled"))
 }
 
 // ----------------------------------------------------------------------
@@ -118,13 +102,7 @@ fn sweep(base_seed: u64, quick: bool) {
     for (name, shape) in shapes(base_seed, quick) {
         // Baseline pass: proves the shape is clean unexplored and logs the
         // choice points the bounded-preemption sweep forces below.
-        let (ok, _, report) = run_shape(
-            &shape,
-            EngineConfig::default(),
-            Some(ExploreConfig::new(StrategyKind::Baseline)),
-            false,
-        );
-        let report = report.expect("exploration was enabled");
+        let (ok, report) = run_shape(&shape, StrategyKind::Baseline);
         total_runs += 1;
         let mut strategies: Vec<(String, StrategyKind)> = Vec::new();
         for k in 0..walks {
@@ -162,14 +140,8 @@ fn sweep(base_seed: u64, quick: bool) {
         }
         failed |= !check_clean(name, "baseline", ok, &report);
         for (label, strategy) in strategies {
-            let (ok, _, rep) = run_shape(
-                &shape,
-                EngineConfig::default(),
-                Some(ExploreConfig::new(strategy.clone())),
-                false,
-            );
+            let (ok, rep) = run_shape(&shape, strategy);
             total_runs += 1;
-            let rep = rep.expect("exploration was enabled");
             if !check_clean(name, &label, ok, &rep) {
                 failed = true;
                 shrink_and_report(&shape, &rep);
@@ -218,20 +190,8 @@ fn check_clean(shape: &str, strategy: &str, ok: bool, report: &ExploreReport) ->
 /// replayable trace.
 fn shrink_and_report(shape: &Shape, report: &ExploreReport) {
     let still_fails = |t: &ScheduleTrace| {
-        let (_, _, rep) = (
-            0,
-            0,
-            run_shape(
-                shape,
-                EngineConfig::default(),
-                Some(ExploreConfig::new(StrategyKind::Replay {
-                    trace: t.clone(),
-                })),
-                false,
-            )
-            .2,
-        );
-        rep.is_some_and(|r| !r.clean())
+        let (_, rep) = run_shape(shape, StrategyKind::Replay { trace: t.clone() });
+        !rep.clean()
     };
     let minimal = shrink_trace(&report.trace, still_fails);
     println!(
@@ -243,44 +203,23 @@ fn shrink_and_report(shape: &Shape, report: &ExploreReport) {
 }
 
 // ----------------------------------------------------------------------
-// Gate mode (tier-1): hash pin + fixed-seed clean budget.
+// Gate mode (tier-1): detectors clean on Baseline + fixed-seed budget.
 // ----------------------------------------------------------------------
 
 fn gate(base_seed: u64, quick: bool) {
     let mut failed = false;
-    // Exploration-off pin: on both engines, an unexplored run and a
-    // Baseline-explored run must execute bit-identical schedules (and the
-    // engines must agree with each other, as ever).
+    // Every shape in the kernel's native order, detectors armed: no
+    // deadlock, no livelock, and the run completes.
     for (name, shape) in shapes(base_seed, quick) {
-        let mut hashes = Vec::new();
-        for engine in ENGINES {
-            let (_, h_off, rep_off) = run_shape(&shape, engine, None, false);
-            assert!(rep_off.is_none(), "no exploration, no report");
-            let (ok, h_base, rep) = run_shape(
-                &shape,
-                engine,
-                Some(ExploreConfig::new(StrategyKind::Baseline)),
-                false,
+        let (ok, rep) = run_shape(&shape, StrategyKind::Baseline);
+        if check_clean(name, "baseline", ok, &rep) {
+            println!(
+                "{name:<14} baseline: clean ({} choice point(s), max ready set {})",
+                rep.steps, rep.max_ready
             );
-            let rep = rep.expect("exploration was enabled");
-            if h_off != h_base {
-                println!(
-                    "{name} ({engine:?}): FAIL — baseline exploration perturbed the schedule \
-                     ({h_off:#x} vs {h_base:#x})"
-                );
-                failed = true;
-            }
-            failed |= !check_clean(name, "baseline", ok, &rep);
-            hashes.push(h_off);
-        }
-        if hashes.windows(2).any(|w| w[0] != w[1]) {
-            println!("{name}: FAIL — engines disagree on the unexplored schedule: {hashes:x?}");
+        } else {
             failed = true;
         }
-        println!(
-            "{name:<14} pin ok: hash {:#018x} on both engines, exploration-off == baseline",
-            hashes[0]
-        );
     }
     // Fixed-seed exploration budget: a handful of random/PCT schedules per
     // chaos shape must stay violation-free and pass the checker.
@@ -309,14 +248,7 @@ fn gate(base_seed: u64, quick: bool) {
         ),
     ];
     for (name, sc, strategy) in budget {
-        let (result, _, rep) = chaos::run_explored(
-            &sc,
-            EngineConfig::default(),
-            Some(ExploreConfig::new(strategy.clone())),
-            false,
-        );
-        let rep = rep.expect("exploration was enabled");
-        let ok = matches!(result, RunResult::Pass { .. });
+        let (ok, rep) = run_shape(&Shape::Chaos(sc), strategy.clone());
         if !check_clean(name, &format!("{strategy:?}"), ok, &rep) {
             failed = true;
         } else {
@@ -401,12 +333,8 @@ fn injected_livelock(sim: &Simulation) {
 
 /// Runs an injected-bug workload under `strategy`; the run either ends in
 /// detected quiescence (deadlock) or is stopped by a livelock guard.
-fn run_injected(
-    build: fn(&Simulation),
-    engine: EngineConfig,
-    strategy: StrategyKind,
-) -> (u64, ExploreReport) {
-    let sim = Simulation::with_engine(11, engine);
+fn run_injected(build: fn(&Simulation), strategy: StrategyKind) -> (u64, ExploreReport) {
+    let sim = Simulation::new(11);
     let mut cfg = ExploreConfig::new(strategy);
     cfg.dispatch_spin_threshold = 256;
     sim.enable_exploration(cfg);
@@ -419,29 +347,20 @@ fn run_injected(
 }
 
 /// Shrinks the violating trace of an injected bug and proves the minimal
-/// trace replays to the identical verdict and schedule hash on both
-/// engines. Returns `false` on any mismatch.
+/// trace replays to the bug. Returns `false` if it does not.
 fn prove_injected(
     name: &str,
     build: fn(&Simulation),
     matches_bug: impl Fn(&Violation) -> bool,
 ) -> bool {
-    let (_, report) = run_injected(
-        build,
-        EngineConfig::default(),
-        StrategyKind::Random { seed: 5 },
-    );
+    let (_, report) = run_injected(build, StrategyKind::Random { seed: 5 });
     let Some(v) = report.violations.iter().find(|v| matches_bug(v)) else {
         println!("selftest [{name}]: FAIL — injected bug not detected: {report:?}");
         return false;
     };
     println!("selftest [{name}]: caught: {v}");
     let minimal = shrink_trace(&report.trace, |t| {
-        let (_, rep) = run_injected(
-            build,
-            EngineConfig::default(),
-            StrategyKind::Replay { trace: t.clone() },
-        );
+        let (_, rep) = run_injected(build, StrategyKind::Replay { trace: t.clone() });
         rep.violations.iter().any(&matches_bug)
     });
     println!(
@@ -450,30 +369,12 @@ fn prove_injected(
         minimal.len(),
         minimal
     );
-    let mut outcomes = Vec::new();
-    for engine in ENGINES {
-        let (hash, rep) = run_injected(
-            build,
-            engine,
-            StrategyKind::Replay {
-                trace: minimal.clone(),
-            },
-        );
-        if !rep.violations.iter().any(&matches_bug) {
-            println!("selftest [{name}]: FAIL — minimal trace lost the bug on {engine:?}");
-            return false;
-        }
-        outcomes.push((hash, rep.violations.clone()));
-    }
-    if outcomes[0] != outcomes[1] {
-        println!("selftest [{name}]: FAIL — replay differs across engines: {outcomes:?}");
+    let (hash, rep) = run_injected(build, StrategyKind::Replay { trace: minimal });
+    if !rep.violations.iter().any(&matches_bug) {
+        println!("selftest [{name}]: FAIL — minimal trace lost the bug on replay");
         return false;
     }
-    println!(
-        "selftest [{name}]: minimal trace replays bit-identically on both engines \
-         (hash {:#018x})",
-        outcomes[0].0
-    );
+    println!("selftest [{name}]: minimal trace replays to the bug (hash {hash:#018x})");
     true
 }
 
@@ -498,16 +399,15 @@ fn has_poll_spin(report: &ExploreReport) -> bool {
 /// replica sees an advertised log floor past its applied position before
 /// its first heartbeat — the exact shape PR 8 shipped and fixed.
 fn prove_rebroken_has_work(base_seed: u64, quick: bool, scan: u64) -> bool {
+    // One recovery scenario with the gate broken, under `strategy`.
+    let run_broken = |sc: &Scenario, strategy: StrategyKind| {
+        let (_, hash, rep) = chaos::run_explored(sc, Some(ExploreConfig::new(strategy)), true);
+        (hash, rep.expect("exploration was enabled"))
+    };
     let mut found: Option<(u64, Scenario, ExploreReport)> = None;
     for s in 0..scan {
         let sc = recovery_scenario_for_seed(base_seed + s, quick);
-        let (_, _, rep) = chaos::run_explored(
-            &sc,
-            EngineConfig::default(),
-            Some(ExploreConfig::new(StrategyKind::Baseline)),
-            true,
-        );
-        let rep = rep.expect("exploration was enabled");
+        let (_, rep) = run_broken(&sc, StrategyKind::Baseline);
         if has_poll_spin(&rep) {
             found = Some((base_seed + s, sc, rep));
             break;
@@ -527,15 +427,7 @@ fn prove_rebroken_has_work(base_seed: u64, quick: bool, scan: u64) -> bool {
         .expect("poll-spin present");
     println!("selftest [has-work]: seed {seed} caught: {v}");
     let minimal = shrink_trace(&report.trace, |t| {
-        let (_, _, rep) = chaos::run_explored(
-            &sc,
-            EngineConfig::default(),
-            Some(ExploreConfig::new(StrategyKind::Replay {
-                trace: t.clone(),
-            })),
-            true,
-        );
-        rep.is_some_and(|r| has_poll_spin(&r))
+        has_poll_spin(&run_broken(&sc, StrategyKind::Replay { trace: t.clone() }).1)
     });
     println!(
         "selftest [has-work]: shrunk {} -> {} deviation(s); minimal trace: {}",
@@ -543,41 +435,15 @@ fn prove_rebroken_has_work(base_seed: u64, quick: bool, scan: u64) -> bool {
         minimal.len(),
         minimal
     );
-    let mut outcomes = Vec::new();
-    for engine in ENGINES {
-        let (_, hash, rep) = chaos::run_explored(
-            &sc,
-            engine,
-            Some(ExploreConfig::new(StrategyKind::Replay {
-                trace: minimal.clone(),
-            })),
-            true,
-        );
-        let rep = rep.expect("exploration was enabled");
-        if !has_poll_spin(&rep) {
-            println!("selftest [has-work]: FAIL — minimal trace lost the bug on {engine:?}");
-            return false;
-        }
-        outcomes.push((hash, rep.violations.clone()));
-    }
-    if outcomes[0] != outcomes[1] {
-        println!("selftest [has-work]: FAIL — replay differs across engines: {outcomes:?}");
+    let (hash, rep) = run_broken(&sc, StrategyKind::Replay { trace: minimal });
+    if !has_poll_spin(&rep) {
+        println!("selftest [has-work]: FAIL — minimal trace lost the bug on replay");
         return false;
     }
-    println!(
-        "selftest [has-work]: minimal trace replays bit-identically on both engines \
-         (hash {:#018x})",
-        outcomes[0].0
-    );
+    println!("selftest [has-work]: minimal trace replays to the bug (hash {hash:#018x})");
     // The shipped (gated) code must stay quiet on the very same schedule.
-    let (result, _, rep) = chaos::run_explored(
-        &sc,
-        EngineConfig::default(),
-        Some(ExploreConfig::new(StrategyKind::Baseline)),
-        false,
-    );
-    let rep = rep.expect("exploration was enabled");
-    if !rep.clean() || !matches!(result, RunResult::Pass { .. }) {
+    let (ok, rep) = run_shape(&Shape::Chaos(sc), StrategyKind::Baseline);
+    if !rep.clean() || !ok {
         println!("selftest [has-work]: FAIL — fixed gate still flagged on seed {seed}");
         return false;
     }

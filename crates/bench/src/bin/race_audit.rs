@@ -1,6 +1,7 @@
 //! Sim-TSan audit: sweeps the fig4/fig5/chaos schedule shapes with the
 //! happens-before race detector and the Heron protocol lints enabled
-//! (DESIGN.md §10), and cross-checks that the detector perturbs nothing.
+//! (DESIGN.md §10). That the detector leaves the schedule alone is pinned
+//! in `tests/schedule_hash.rs`.
 //!
 //! Usage:
 //!
@@ -13,8 +14,8 @@
 //! ```
 //!
 //! Exit status is nonzero iff any schedule reports a race or protocol
-//! lint, the determinism cross-check fails, or (`--selftest`) the broken
-//! guard goes undetected. Every report is printed in full.
+//! lint or (`--selftest`) the broken guard goes undetected. Every report
+//! is printed in full.
 
 use heron_bench::{banner, quick_mode, run_heron, RunConfig, Workload};
 use rdma_sim::RaceKind;
@@ -120,29 +121,6 @@ fn main() {
                 "  ({} further report(s) dropped at the cap)",
                 s.reports_dropped
             );
-        }
-    }
-
-    // Determinism cross-check: the detector must not perturb the schedule.
-    // Same seed with the detector off must execute the exact same number
-    // of simulator events and complete the same work. Checked on the
-    // width-1 fig4 shape and on a width-4 pool shape — the pool adds
-    // instrumented regions (lanes, progress words) that must stay free.
-    for (which, idx) in [("fig4-w1", 2usize), ("psmr-w4", 6usize)] {
-        let mut on = schedules(base_seed, quick).swap_remove(idx).1;
-        let mut off = on.clone();
-        off.race_detector = false;
-        on.seed = base_seed + 100;
-        off.seed = base_seed + 100;
-        let (son, soff) = (run_heron(&on), run_heron(&off));
-        println!(
-            "determinism [{which}]: detector on {} events / {:.0} tps, off {} events / {:.0} tps \
-             (wall {:.0} ms vs {:.0} ms)",
-            son.events, son.tps, soff.events, soff.tps, son.wall_ms, soff.wall_ms
-        );
-        if son.events != soff.events || son.tps != soff.tps {
-            println!("FAIL: enabling the detector changed the {which} schedule");
-            failed = true;
         }
     }
 

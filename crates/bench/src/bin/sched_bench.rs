@@ -1,12 +1,8 @@
 //! Scheduler raw-speed benchmark and regression gate (DESIGN.md §12).
 //!
-//! Runs every workload in [`heron_bench::sched_workloads`] twice — once on
-//! the **reference queue** (binary heap) and once on the **default** one
-//! (hierarchical timer wheel) — and reports events per wall-clock second
-//! for both, plus the ratio. The two runs must produce bit-identical
-//! schedules (same event-order hash, event count, and final virtual time);
-//! the binary fails otherwise, so every perf run doubles as a determinism
-//! check.
+//! Runs every workload in [`heron_bench::sched_workloads`] and reports
+//! events per wall-clock second, beside the schedule each executed (hash,
+//! event count, final virtual time — pinned by that module's unit test).
 //!
 //! It also reports `switch_cost_ratio`: host ns per event of the ping-pong
 //! workload (every event wakes the *other* process, through a `Cond`)
@@ -33,15 +29,10 @@ use std::time::Instant;
 
 /// Best-of-`repeats` wall-clock run; returns (events executed, seconds,
 /// schedule hash, final virtual nanos).
-fn measure(
-    w: &sched_workloads::SchedWorkload,
-    events: u64,
-    engine: sim::EngineConfig,
-    repeats: u32,
-) -> (u64, f64, u64, u64) {
+fn measure(w: &sched_workloads::SchedWorkload, events: u64, repeats: u32) -> (u64, f64, u64, u64) {
     let mut best: Option<(u64, f64, u64, u64)> = None;
     for _ in 0..repeats {
-        let simulation = (w.build)(events, engine);
+        let simulation = (w.build)(events);
         let start = Instant::now();
         simulation.run().unwrap();
         let secs = start.elapsed().as_secs_f64().max(1e-9);
@@ -78,7 +69,7 @@ fn main() {
     let (events, repeats) = if quick { (20_000, 9) } else { (100_000, 5) };
 
     banner(
-        "sched_bench — scheduler raw speed: timer wheel vs reference heap, and the cost of a switch",
+        "sched_bench — scheduler raw speed, and the cost of a switch",
         "DESIGN.md sec. 12 (raw-speed engine)",
     );
     println!(
@@ -86,56 +77,27 @@ fn main() {
         if gate { "gate" } else { "measure" }
     );
 
-    let heap = sim::EngineConfig {
-        queue: sim::QueueKind::Heap,
-    };
-    let wheel = sim::EngineConfig::default();
-
-    println!(
-        "{:<20} {:>12} {:>14} {:>14} {:>11}",
-        "workload", "events", "heap eps", "wheel eps", "wheel/heap"
-    );
+    println!("{:<20} {:>12} {:>14}", "workload", "events", "events/sec");
     let mut rows = Vec::new();
-    let mut log_sum = 0.0f64;
-    let mut wheel_ns_per_event = std::collections::HashMap::new();
+    let mut ns_per_event = std::collections::HashMap::new();
     for w in sched_workloads::all() {
-        let (ev_h, secs_h, hash_h, now_h) = measure(w, events, heap, repeats);
-        let (ev_w, secs_w, hash_w, now_w) = measure(w, events, wheel, repeats);
-        if (ev_h, hash_h, now_h) != (ev_w, hash_w, now_w) {
-            eprintln!(
-                "FAIL: workload {} diverged between engines: \
-                 heap (events {ev_h}, hash {hash_h:#x}, now {now_h}) vs \
-                 wheel (events {ev_w}, hash {hash_w:#x}, now {now_w})",
-                w.name
-            );
-            std::process::exit(1);
-        }
-        let heap_eps = ev_h as f64 / secs_h;
-        let wheel_eps = ev_w as f64 / secs_w;
-        let speedup = wheel_eps / heap_eps;
-        log_sum += speedup.ln();
-        wheel_ns_per_event.insert(w.name, 1e9 / wheel_eps);
-        println!(
-            "{:<20} {:>12} {:>14.0} {:>14.0} {:>10.2}x",
-            w.name, ev_h, heap_eps, wheel_eps, speedup
-        );
+        let (ev, secs, hash, now) = measure(w, events, repeats);
+        let eps = ev as f64 / secs;
+        ns_per_event.insert(w.name, 1e9 / eps);
+        println!("{:<20} {:>12} {:>14.0}", w.name, ev, eps);
         let mut row = Json::obj();
         row.set("name", w.name)
             .set("what", w.what)
-            .set("events", ev_h)
-            .set("heap_events_per_sec", heap_eps)
-            .set("wheel_events_per_sec", wheel_eps)
-            .set("speedup", speedup)
-            .set("schedule_hash", format!("{hash_w:#018x}"))
-            .set("virtual_ns", now_w);
+            .set("events", ev)
+            .set("events_per_sec", eps)
+            .set("schedule_hash", format!("{hash:#018x}"))
+            .set("virtual_ns", now);
         rows.push(row);
     }
-    let geomean = (log_sum / rows.len() as f64).exp();
-    let switch_cost = wheel_ns_per_event["pingpong_switches"] / wheel_ns_per_event["timer_events"];
-    println!("\ngeomean wheel/heap: {geomean:.2}x  (schedules bit-identical across engines)");
+    let switch_cost = ns_per_event["pingpong_switches"] / ns_per_event["timer_events"];
     println!(
-        "switch_cost_ratio: {switch_cost:.2}  (ping-pong {:.0} ns/event over timers {:.0} ns/event)",
-        wheel_ns_per_event["pingpong_switches"], wheel_ns_per_event["timer_events"]
+        "\nswitch_cost_ratio: {switch_cost:.2}  (ping-pong {:.0} ns/event over timers {:.0} ns/event)",
+        ns_per_event["pingpong_switches"], ns_per_event["timer_events"]
     );
 
     if gate {
@@ -167,7 +129,6 @@ fn main() {
             .set("events_per_workload", events)
             .set("repeats", repeats as u64)
             .set("workloads", Json::Arr(rows))
-            .set("geomean_speedup", geomean)
             .set("switch_cost_ratio", switch_cost);
         let mut gate_obj = Json::obj();
         gate_obj

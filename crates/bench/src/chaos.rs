@@ -277,7 +277,7 @@ pub struct Scenario {
     /// Durable checkpointing: `Some(interval_us)` attaches a simulated
     /// NVMe device and runs the per-replica checkpointer at that period.
     /// `None` (every legacy scenario) builds no storage at all, so those
-    /// schedules stay bit-identical to the pre-durability engine.
+    /// schedules stay bit-identical to what they were before durability.
     pub durability_us: Option<u64>,
 }
 
@@ -639,53 +639,69 @@ fn build_plan(sc: &Scenario, cluster: &HeronCluster) -> FaultPlan {
     plan
 }
 
-/// Runs one scenario to completion and checks it. Deterministic: the same
-/// scenario always yields the same result.
-pub fn run(sc: &Scenario) -> RunResult {
-    run_with_engine(sc, sim::EngineConfig::default()).0
+impl Scenario {
+    /// The deployment this scenario describes: shape, executor width and,
+    /// when durable, an NVMe device with the checkpointer at its interval.
+    /// Callers of [`run_on`] add diagnostics on top.
+    pub fn config(&self) -> HeronConfig {
+        let cfg = HeronConfig::new(self.partitions, self.replicas).with_executor_width(self.width);
+        match self.durability_us {
+            Some(interval_us) => cfg.with_durability(
+                sim::storage::Storage::new(sim::storage::DiskConfig::nvme()),
+                Duration::from_micros(interval_us),
+            ),
+            None => cfg,
+        }
+    }
 }
 
-/// Like [`run`], but on an explicit scheduler engine, also returning the
-/// run's schedule hash. The determinism regression test uses this to prove
-/// every engine executes the same schedule and reaches the same verdict.
-pub fn run_with_engine(sc: &Scenario, engine: sim::EngineConfig) -> (RunResult, u64) {
-    let (result, hash, _) = run_explored(sc, engine, None, false);
+/// Runs one scenario to completion and checks it, returning the verdict
+/// and the run's schedule hash. Deterministic: the same scenario always
+/// yields the same pair.
+pub fn run(sc: &Scenario) -> (RunResult, u64) {
+    let (result, hash, _) = run_explored(sc, None, false);
     (result, hash)
 }
 
-/// Like [`run_with_engine`], but optionally under schedule exploration
-/// (returning the detector report) and with the **self-test-only** broken
-/// `has_work` gate (see [`HeronConfig::with_broken_has_work_gate`]). The
-/// `explore_suite` binary drives all its chaos/recovery sweeps and the
-/// livelock self-test through this entry point.
+/// Like [`run`], but optionally under schedule exploration (returning the
+/// detector report) and with the **self-test-only** broken `has_work` gate
+/// (see [`HeronConfig::with_broken_has_work_gate`]). The `explore_suite`
+/// binary drives all its chaos/recovery sweeps and the livelock self-test
+/// through this entry point.
 pub fn run_explored(
     sc: &Scenario,
-    engine: sim::EngineConfig,
     explore: Option<sim::ExploreConfig>,
     break_has_work: bool,
 ) -> (RunResult, u64, Option<sim::ExploreReport>) {
-    let simulation = sim::Simulation::with_engine(sc.seed, engine);
+    let simulation = sim::Simulation::new(sc.seed);
     if let Some(cfg) = explore {
         simulation.enable_exploration(cfg);
     }
+    let mut cfg = sc.config();
+    if break_has_work {
+        cfg = cfg.with_broken_has_work_gate();
+    }
+    let result = run_on(sc, &simulation, cfg);
+    (
+        result,
+        simulation.schedule_hash(),
+        simulation.explore_report(),
+    )
+}
+
+/// The one scenario driver: runs `sc` on a simulation and a deployment
+/// config (start from [`Scenario::config`]) the caller has prepared, so
+/// whatever diagnostics are enabled on either ride along; the schedule
+/// fingerprint is the caller's to read off `simulation` afterwards.
+pub fn run_on(sc: &Scenario, simulation: &sim::Simulation, cfg: HeronConfig) -> RunResult {
     let fabric = Fabric::new(LatencyModel::connectx4());
     let bank = Arc::new(Bank {
         partitions: sc.partitions as u16,
         accounts: sc.accounts,
     });
-    let mut cfg = HeronConfig::new(sc.partitions, sc.replicas).with_executor_width(sc.width);
-    if break_has_work {
-        cfg = cfg.with_broken_has_work_gate();
-    }
-    if let Some(interval_us) = sc.durability_us {
-        cfg = cfg.with_durability(
-            sim::storage::Storage::new(sim::storage::DiskConfig::nvme()),
-            Duration::from_micros(interval_us),
-        );
-    }
     let cluster = HeronCluster::build(&fabric, cfg, bank);
-    cluster.spawn(&simulation);
-    build_plan(sc, &cluster).arm(&simulation, &fabric);
+    cluster.spawn(simulation);
+    build_plan(sc, &cluster).arm(simulation, &fabric);
 
     let checker = Checker::new(sc.seed);
     let done = Arc::new(AtomicUsize::new(0));
@@ -713,33 +729,22 @@ pub fn run_explored(
             }
         });
     }
-    if simulation.run_until(SimTime::from_secs(30)).is_err() {
-        // A deadlock counts as a stall: the workload cannot finish.
-        let pending = checker.history().iter().filter(|o| !o.completed()).count();
-        return (
-            RunResult::Stalled {
-                pending: pending.max(1),
-            },
-            simulation.schedule_hash(),
-            simulation.explore_report(),
-        );
-    }
-
-    let hash = simulation.schedule_hash();
-    let report = simulation.explore_report();
+    // A deadlock counts as a stall: the workload cannot finish.
+    let deadlocked = simulation.run_until(SimTime::from_secs(30)).is_err();
     let history = checker.history();
     let pending = history.iter().filter(|o| !o.completed()).count();
-    if pending > 0 {
-        return (RunResult::Stalled { pending }, hash, report);
+    if deadlocked || pending > 0 {
+        return RunResult::Stalled {
+            pending: pending.max(1),
+        };
     }
     if let Some((p, r, oid)) = sc.corrupt {
         cluster.corrupt_value(PartitionId(p), r, ObjectId(oid));
     }
-    let verdict = match checker.check(&cluster, &BankSpec { accounts }) {
+    match checker.check(&cluster, &BankSpec { accounts }) {
         Ok(()) => RunResult::Pass { ops: history.len() },
         Err(v) => RunResult::Failed(v),
-    };
-    (verdict, hash, report)
+    }
 }
 
 /// Shrinks a failing scenario to a minimal reproduction: greedily removes
@@ -748,7 +753,7 @@ pub fn run_explored(
 /// Returns the smallest still-failing scenario and its result.
 pub fn shrink(sc: &Scenario) -> (Scenario, RunResult) {
     let mut best = sc.clone();
-    let mut best_result = run(&best);
+    let mut best_result = run(&best).0;
     assert!(best_result.failed(), "shrink called on a passing scenario");
     // 1. Remove clauses one at a time until no single removal still fails.
     loop {
@@ -756,7 +761,7 @@ pub fn shrink(sc: &Scenario) -> (Scenario, RunResult) {
         for i in 0..best.clauses.len() {
             let mut cand = best.clone();
             cand.clauses.remove(i);
-            let r = run(&cand);
+            let r = run(&cand).0;
             if r.failed() {
                 best = cand;
                 best_result = r;
@@ -772,7 +777,7 @@ pub fn shrink(sc: &Scenario) -> (Scenario, RunResult) {
     while best.requests > 2 {
         let mut cand = best.clone();
         cand.requests /= 2;
-        let r = run(&cand);
+        let r = run(&cand).0;
         if r.failed() {
             best = cand;
             best_result = r;
@@ -784,7 +789,7 @@ pub fn shrink(sc: &Scenario) -> (Scenario, RunResult) {
     while best.clients > 1 {
         let mut cand = best.clone();
         cand.clients -= 1;
-        let r = run(&cand);
+        let r = run(&cand).0;
         if r.failed() {
             best = cand;
             best_result = r;
@@ -810,7 +815,7 @@ mod tests {
     #[test]
     fn one_generated_scenario_passes() {
         let sc = scenario_for_seed(1, true);
-        match run(&sc) {
+        match run(&sc).0 {
             RunResult::Pass { ops } => assert!(ops > 0),
             other => panic!("seed 1 must pass, got {other:?}"),
         }
@@ -821,7 +826,7 @@ mod tests {
         let sc = parallel_scenario_for_seed(1, true);
         assert_eq!(sc.width, 4);
         assert!(!sc.clauses.is_empty());
-        match run(&sc) {
+        match run(&sc).0 {
             RunResult::Pass { ops } => assert!(ops > 0),
             other => panic!("parallel seed 1 must pass, got {other:?}"),
         }
@@ -835,7 +840,7 @@ mod tests {
             .clauses
             .iter()
             .any(|c| matches!(c, Clause::PowerLoss { .. })));
-        match run(&sc) {
+        match run(&sc).0 {
             RunResult::Pass { ops } => assert!(ops > 0),
             other => panic!("recovery seed 1 must pass, got {other:?}"),
         }
@@ -845,7 +850,7 @@ mod tests {
     fn corruption_is_detected_and_shrinks_to_minimum() {
         let mut sc = scenario_for_seed(2, true);
         sc.corrupt = Some((0, 1, 0));
-        let first = run(&sc);
+        let first = run(&sc).0;
         assert!(
             first.failed(),
             "corruption must fail the checker: {first:?}"

@@ -97,10 +97,6 @@ pub struct RunConfig {
     /// the first virtual time and recover it at the second, exercising
     /// crash handling and state transfer under load.
     pub crash: Option<(Duration, Duration)>,
-    /// Scheduler engine. All engines execute bit-identical schedules; the
-    /// non-default ones exist for determinism cross-checks and the
-    /// scheduler benchmark.
-    pub engine: sim::EngineConfig,
 }
 
 impl RunConfig {
@@ -131,7 +127,6 @@ impl RunConfig {
             break_has_work: false,
             explore: None,
             crash: None,
-            engine: sim::EngineConfig::default(),
         }
     }
 
@@ -154,13 +149,6 @@ impl RunConfig {
     pub fn with_warehouses_per_partition(mut self, wpp: u16) -> Self {
         assert!(wpp >= 1, "at least one warehouse per partition");
         self.warehouses_per_partition = wpp;
-        self
-    }
-
-    /// Selects the scheduler engine (determinism cross-checks only).
-    #[must_use]
-    pub fn with_engine(mut self, engine: sim::EngineConfig) -> Self {
-        self.engine = engine;
         self
     }
 
@@ -283,7 +271,7 @@ pub struct LoadSummary {
     pub virtual_ns: u64,
     /// Order-sensitive FNV fold over every scheduler pop (see
     /// [`sim::Simulation::schedule_hash`]): equal hashes mean the exact
-    /// same event schedule, the regression signal for engine changes.
+    /// same event schedule (pinned in `tests/schedule_hash.rs`).
     pub schedule_hash: u64,
     /// The run's trace (`None` when tracing was off, always `None` for
     /// the DynaStar baseline).
@@ -325,7 +313,7 @@ pub fn quantile(sorted_us: &[f64], q: f64) -> f64 {
 /// clients; returns the measured summary.
 pub fn run_heron(cfg: &RunConfig) -> LoadSummary {
     let wall_start = std::time::Instant::now();
-    let simulation = sim::Simulation::with_engine(cfg.seed, cfg.engine);
+    let simulation = sim::Simulation::new(cfg.seed);
     if let Some(ex) = &cfg.explore {
         simulation.enable_exploration(ex.clone());
     }
@@ -536,7 +524,7 @@ pub fn run_heron(cfg: &RunConfig) -> LoadSummary {
 /// Drives the DynaStar baseline with the TPC-C mix; returns the summary.
 pub fn run_dynastar_tpcc(cfg: &RunConfig) -> LoadSummary {
     let wall_start = std::time::Instant::now();
-    let simulation = sim::Simulation::with_engine(cfg.seed, cfg.engine);
+    let simulation = sim::Simulation::new(cfg.seed);
     let app = Arc::new(TpccApp::new(cfg.scale, cfg.partitions as u16));
     let ds = DynaStar::build(
         DynaStarConfig::new(cfg.partitions, cfg.replicas),

@@ -3,13 +3,10 @@
 //! gates `bench_results/BENCH_scheduler.json`.
 //!
 //! Each workload builds a ready-to-run [`sim::Simulation`] sized to
-//! execute roughly `events` scheduler events, on an explicit
-//! [`sim::EngineConfig`] so the same workload can be timed on the
-//! reference queue (binary heap) and the default one (timer wheel) — and
-//! so their schedule hashes can be compared, proving both executed the
-//! identical event sequence.
+//! execute roughly `events` scheduler events. The schedules they execute
+//! at the committed baseline's size are pinned below.
 
-use sim::{EngineConfig, Mailbox, Simulation};
+use sim::{Mailbox, Simulation};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -21,7 +18,7 @@ pub struct SchedWorkload {
     /// What the workload stresses.
     pub what: &'static str,
     /// Builds a simulation that executes ~`events` scheduler events.
-    pub build: fn(events: u64, engine: EngineConfig) -> Simulation,
+    pub build: fn(events: u64) -> Simulation,
 }
 
 /// All scheduler workloads, in reporting order.
@@ -62,8 +59,8 @@ pub fn all() -> &'static [SchedWorkload] {
 
 /// Pure timer events: one process sleeps `events` times, so the scheduler
 /// pops `events` queue entries, each resuming the same process.
-fn timer_events(events: u64, engine: EngineConfig) -> Simulation {
-    let simulation = Simulation::with_engine(1, engine);
+fn timer_events(events: u64) -> Simulation {
+    let simulation = Simulation::new(1);
     simulation.spawn("ticker", move || {
         for _ in 0..events {
             sim::sleep_ns(100);
@@ -76,8 +73,8 @@ fn timer_events(events: u64, engine: EngineConfig) -> Simulation {
 /// every event is a notify → block → dispatch chain between distinct
 /// processes (two context switches through the host loop) — the cost
 /// profile of a simulated RDMA write landing and waking its poller.
-fn pingpong_switches(events: u64, engine: EngineConfig) -> Simulation {
-    let simulation = Simulation::with_engine(2, engine);
+fn pingpong_switches(events: u64) -> Simulation {
+    let simulation = Simulation::new(2);
     let turn = Arc::new(AtomicU64::new(0));
     let cond = sim::Cond::new();
     for side in 0..2u64 {
@@ -99,10 +96,10 @@ fn pingpong_switches(events: u64, engine: EngineConfig) -> Simulation {
 
 /// Fan-out wakes: one producer repeatedly wakes 8 parked consumers — the
 /// shape of a doorbell batch landing on a node several pollers watch.
-fn fanout_wakes(events: u64, engine: EngineConfig) -> Simulation {
+fn fanout_wakes(events: u64) -> Simulation {
     const WAITERS: u64 = 8;
     let rounds = events / WAITERS;
-    let simulation = Simulation::with_engine(3, engine);
+    let simulation = Simulation::new(3);
     let round = Arc::new(AtomicU64::new(0));
     let cond = sim::Cond::new();
     for w in 0..WAITERS {
@@ -129,11 +126,10 @@ fn fanout_wakes(events: u64, engine: EngineConfig) -> Simulation {
 
 /// Timer cancellation: every `recv_timeout` arms a deadline wake that a
 /// message then supersedes, leaving a stale entry the queue must file,
-/// carry, and discard — the wheel's cancellation cost, which a heap pays
-/// as pop-and-skip.
-fn timer_cancellation(events: u64, engine: EngineConfig) -> Simulation {
+/// carry, and discard — the wheel's cancellation cost.
+fn timer_cancellation(events: u64) -> Simulation {
     let rounds = events / 3; // timeout wake + message wake + sender sleep
-    let simulation = Simulation::with_engine(4, engine);
+    let simulation = Simulation::new(4);
     let (tx, rx) = Mailbox::pair();
     simulation.spawn("receiver", move || {
         for _ in 0..rounds {
@@ -153,11 +149,11 @@ fn timer_cancellation(events: u64, engine: EngineConfig) -> Simulation {
 
 /// Same-instant bursts: each round posts 64 timers with one identical
 /// deadline, forcing the queue to break 64 ties by sequence number —
-/// the wheel's batch path, a heap's worst tiebreak churn.
-fn same_instant_burst(events: u64, engine: EngineConfig) -> Simulation {
+/// the wheel's batch path.
+fn same_instant_burst(events: u64) -> Simulation {
     const BURST: u64 = 64;
     let rounds = events / (BURST + 1);
-    let simulation = Simulation::with_engine(5, engine);
+    let simulation = Simulation::new(5);
     simulation.spawn("burster", move || {
         for _ in 0..rounds {
             for _ in 0..BURST {
@@ -174,9 +170,9 @@ fn same_instant_burst(events: u64, engine: EngineConfig) -> Simulation {
 /// always superseded, while the sender's inter-send gaps alternate across
 /// wheel levels — near (level 0), mid, and far (tens of ms). The stale
 /// far-future wakes drain through the overflow at the end of the run.
-fn skewed_deadlines(events: u64, engine: EngineConfig) -> Simulation {
+fn skewed_deadlines(events: u64) -> Simulation {
     let rounds = events / 4; // timeout + message wake + sleep + stale drain
-    let simulation = Simulation::with_engine(6, engine);
+    let simulation = Simulation::new(6);
     let (tx, rx) = Mailbox::pair();
     simulation.spawn("skew-recv", move || {
         for _ in 0..rounds {
@@ -203,31 +199,38 @@ fn skewed_deadlines(events: u64, engine: EngineConfig) -> Simulation {
 mod tests {
     use super::*;
 
-    /// Every workload must execute the same schedule — same hash, same
-    /// event count, same final virtual time — on the reference queue
-    /// (heap) and the default one (wheel).
+    /// `(name, schedule_hash, events, virtual_ns)` of every workload at
+    /// 100 000 events, as committed in `bench_results/BENCH_scheduler.json`
+    /// since the binary heap was still there to agree with them.
+    const PINS: [(&str, u64, u64, u64); 6] = [
+        ("timer_events", 0x0111b4ffb3792b4d, 100_001, 10_000_000),
+        ("pingpong_switches", 0x61d230a1c549e4c2, 100_002, 2_500_000),
+        ("fanout_wakes", 0x8cc7e79dcf10fdc9, 112_509, 2_500_000),
+        ("timer_cancellation", 0x0b88b3d41ba2c695, 100_001, 4_333_200),
+        ("same_instant_burst", 0x38ec72cd4ec80374, 99_971, 1_538_000),
+        (
+            "skewed_deadlines",
+            0xe181b44f50a1de34,
+            75_002,
+            286_993_736_650,
+        ),
+    ];
+
     #[test]
-    fn every_workload_is_engine_invariant() {
-        let reference = EngineConfig {
-            queue: sim::QueueKind::Heap,
-        };
-        let fast = EngineConfig::default();
-        for w in all() {
-            let a = (w.build)(2_000, reference);
-            a.run().unwrap();
-            let b = (w.build)(2_000, fast);
-            b.run().unwrap();
+    fn every_workload_executes_its_pinned_schedule() {
+        assert_eq!(all().len(), PINS.len());
+        for (w, (name, hash, events, virtual_ns)) in all().iter().zip(PINS) {
+            assert_eq!(w.name, name);
+            let simulation = (w.build)(100_000);
+            simulation.run().unwrap();
             assert_eq!(
-                (a.schedule_hash(), a.events_executed(), a.now()),
-                (b.schedule_hash(), b.events_executed(), b.now()),
-                "workload {} diverged between engines",
-                w.name
-            );
-            assert!(
-                a.events_executed() >= 1_000,
-                "workload {} too small: {} events",
-                w.name,
-                a.events_executed()
+                (
+                    simulation.schedule_hash(),
+                    simulation.events_executed(),
+                    simulation.now().as_nanos()
+                ),
+                (hash, events, virtual_ns),
+                "workload {name} left its pinned schedule"
             );
         }
     }

@@ -138,7 +138,7 @@ fn single_replica_power_loss_recovers_width1() {
             corrupt: None,
             durability_us: Some(350),
         };
-        match chaos::run(&sc) {
+        match chaos::run(&sc).0 {
             RunResult::Pass { .. } => {}
             other => panic!("seed {seed}: {other:?}"),
         }
@@ -161,7 +161,7 @@ fn durable_width4_fault_free_passes_checker() {
         corrupt: None,
         durability_us: Some(300),
     };
-    match chaos::run(&sc) {
+    match chaos::run(&sc).0 {
         RunResult::Pass { .. } => {}
         other => panic!("{other:?}"),
     }

@@ -1,24 +1,14 @@
 //! Satellite of DESIGN.md §15: a recorded violating schedule replays to
-//! the identical schedule hash *and* the identical detector report on both
-//! engine configurations (timer wheel / reference heap).
+//! the identical schedule hash *and* the identical detector report.
 
 use heron_bench::chaos::{self, recovery_scenario_for_seed};
 use sim::{
-    Cond, EngineConfig, ExploreConfig, ExploreReport, LivelockKind, Mailbox, QueueKind,
-    ScheduleTrace, Simulation, StrategyKind, Violation,
+    Cond, ExploreConfig, ExploreReport, LivelockKind, Mailbox, ScheduleTrace, Simulation,
+    StrategyKind, Violation,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-const ENGINES: [EngineConfig; 2] = [
-    EngineConfig {
-        queue: QueueKind::Wheel,
-    },
-    EngineConfig {
-        queue: QueueKind::Heap,
-    },
-];
 
 /// A workload that violates under exploration: fan-out noise (so a random
 /// walk records real deviations) plus a poller whose `wait_while`
@@ -59,8 +49,8 @@ fn poll_spin_workload(sim: &Simulation) {
     });
 }
 
-fn run_poll_spin(engine: EngineConfig, strategy: StrategyKind) -> (u64, ExploreReport) {
-    let sim = Simulation::with_engine(3, engine);
+fn run_poll_spin(strategy: StrategyKind) -> (u64, ExploreReport) {
+    let sim = Simulation::new(3);
     let mut cfg = ExploreConfig::new(strategy);
     cfg.poll_spin_threshold = 64;
     sim.enable_exploration(cfg);
@@ -73,11 +63,10 @@ fn run_poll_spin(engine: EngineConfig, strategy: StrategyKind) -> (u64, ExploreR
 }
 
 /// A random walk records a violating schedule with real deviations; the
-/// encoded trace replays to the identical hash and the identical report on
-/// both engines.
+/// encoded trace replays to the identical hash and the identical report.
 #[test]
-fn violating_random_walk_replays_identically_on_both_engines() {
-    let (hash, report) = run_poll_spin(EngineConfig::default(), StrategyKind::Random { seed: 9 });
+fn violating_random_walk_replays_identically() {
+    let (hash, report) = run_poll_spin(StrategyKind::Random { seed: 9 });
     assert!(
         matches!(
             report.violations[..],
@@ -95,24 +84,14 @@ fn violating_random_walk_replays_identically_on_both_engines() {
     );
     // Round-trip through the wire encoding, as a regression pin would.
     let trace = ScheduleTrace::parse(&report.trace.encode()).expect("trace round-trips");
-    for engine in ENGINES {
-        let (h, rep) = run_poll_spin(
-            engine,
-            StrategyKind::Replay {
-                trace: trace.clone(),
-            },
-        );
-        assert_eq!(h, hash, "schedule hash must replay exactly ({engine:?})");
-        assert_eq!(
-            rep, report,
-            "detector report must replay exactly ({engine:?})"
-        );
-    }
+    let (h, rep) = run_poll_spin(StrategyKind::Replay { trace });
+    assert_eq!(h, hash, "schedule hash must replay exactly");
+    assert_eq!(rep, report, "detector report must replay exactly");
 }
 
 /// The same property at the full-system level: the recovery scenario that
 /// re-triggers the PR 8 `has_work` livelock (broken gate) replays its
-/// recorded schedule to the identical hash and report on both engines.
+/// recorded schedule to the identical hash and report.
 #[test]
 fn rebroken_has_work_schedule_replays_identically() {
     // The same fixed scan the suite's self-test uses: the first quick
@@ -122,12 +101,8 @@ fn rebroken_has_work_schedule_replays_identically() {
     let mut found = None;
     for seed in 42..50 {
         let sc = recovery_scenario_for_seed(seed, true);
-        let (_, hash, rep) = chaos::run_explored(
-            &sc,
-            EngineConfig::default(),
-            Some(ExploreConfig::new(StrategyKind::Baseline)),
-            true,
-        );
+        let (_, hash, rep) =
+            chaos::run_explored(&sc, Some(ExploreConfig::new(StrategyKind::Baseline)), true);
         let rep = rep.expect("exploration was enabled");
         let poll_spin = rep.violations.iter().any(|v| {
             matches!(
@@ -145,20 +120,14 @@ fn rebroken_has_work_schedule_replays_identically() {
         }
     }
     let (sc, hash, report) = found.expect("a recovery seed in 42..50 must trip the broken gate");
-    for engine in ENGINES {
-        let (_, h, rep) = chaos::run_explored(
-            &sc,
-            engine,
-            Some(ExploreConfig::new(StrategyKind::Replay {
-                trace: report.trace.clone(),
-            })),
-            true,
-        );
-        let rep = rep.expect("exploration was enabled");
-        assert_eq!(h, hash, "schedule hash must replay exactly ({engine:?})");
-        assert_eq!(
-            rep, report,
-            "detector report must replay exactly ({engine:?})"
-        );
-    }
+    let replay = StrategyKind::Replay {
+        trace: report.trace.clone(),
+    };
+    let (_, h, rep) = chaos::run_explored(&sc, Some(ExploreConfig::new(replay)), true);
+    assert_eq!(h, hash, "schedule hash must replay exactly");
+    assert_eq!(
+        rep.expect("exploration was enabled"),
+        report,
+        "detector report must replay exactly"
+    );
 }

@@ -1,7 +1,8 @@
 //! Regression tests for the virtual-time tracing subsystem (DESIGN.md
-//! §11): tracing must not perturb the schedule, the Perfetto export must
-//! be well-formed and causally sensible, and the critical-path analyzer's
-//! Fig. 6 attribution must agree with the legacy breakdown counters.
+//! §11): the Perfetto export must be well-formed and causally sensible,
+//! and the critical-path analyzer's Fig. 6 attribution must agree with
+//! the legacy breakdown counters. (That tracing leaves the schedule alone
+//! is pinned in `schedule_hash.rs`.)
 
 use heron_bench::{run_heron, RunConfig, Workload};
 use heron_core::critical_path::{attribute_where, critical_paths};
@@ -16,21 +17,6 @@ fn shape(partitions: usize, requests: u64) -> RunConfig {
     cfg.clients = partitions * 2;
     cfg.seed = 7;
     cfg
-}
-
-/// Satellite: enabling tracing changes neither the simulator event count
-/// nor delivery order nor final virtual time — the same cross-check the
-/// race detector ships.
-#[test]
-fn tracing_does_not_perturb_the_schedule() {
-    let on = run_heron(&shape(2, 15).with_tracing(true));
-    let off = run_heron(&shape(2, 15));
-    assert_eq!(on.events, off.events, "sim event counts differ");
-    assert_eq!(on.virtual_ns, off.virtual_ns, "final virtual time differs");
-    assert_eq!(on.tps, off.tps, "completed work differs");
-    assert_eq!(on.mean, off.mean, "latencies differ — delivery order moved");
-    assert!(on.tracer.is_some() && !on.tracer.as_ref().unwrap().is_empty());
-    assert!(off.tracer.is_none());
 }
 
 /// Satellite: a 2-partition, 2-request run exports well-formed Chrome

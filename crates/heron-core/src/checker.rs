@@ -36,7 +36,7 @@ use crate::cluster::HeronCluster;
 use crate::types::{ObjectId, PartitionId};
 use bytes::Bytes;
 use parking_lot::Mutex;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
 
@@ -263,7 +263,9 @@ impl Checker {
             // as new as the log.
             for i in 0..n {
                 let log = cluster.write_log(p, i);
-                let mut newest: HashMap<ObjectId, u64> = HashMap::new();
+                // Ordered by object id, so which violation is reported first
+                // (and hence a failure message) replays word for word.
+                let mut newest: BTreeMap<ObjectId, u64> = BTreeMap::new();
                 for &(ts, oid) in &log {
                     if let Some(&prev) = newest.get(&oid) {
                         if ts < prev {

@@ -81,6 +81,9 @@
 //! simulation.run_until(sim::SimTime::from_millis(50)).unwrap();
 //! ```
 #![forbid(unsafe_code)]
+// A `for` over a `HashMap`/`HashSet` runs in `RandomState` order, which
+// differs per process: anything it posts, or reports first, stops replaying.
+#![deny(clippy::iter_over_hash_type)]
 
 mod app;
 pub mod blame;

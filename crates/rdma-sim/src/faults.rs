@@ -256,20 +256,17 @@ impl FaultPlan {
     /// actions. Call once, before the simulation runs.
     pub fn arm(&self, simulation: &sim::Simulation, fabric: &Fabric) {
         if !self.verbs.is_empty() {
-            let mut runtime = FaultRuntime {
+            let nodes = self.verbs.iter().map(|(id, spec)| {
+                let state = NodeState {
+                    verbs_issued: 0,
+                    spec: spec.clone(),
+                };
+                (*id, state)
+            });
+            *fabric.inner.faults.lock() = Some(FaultRuntime {
                 rng: self.seed ^ 0x6C62_272E_07BB_0142,
-                nodes: HashMap::new(),
-            };
-            for (id, spec) in &self.verbs {
-                runtime.nodes.insert(
-                    *id,
-                    NodeState {
-                        verbs_issued: 0,
-                        spec: spec.clone(),
-                    },
-                );
-            }
-            *fabric.inner.faults.lock() = Some(runtime);
+                nodes: nodes.collect(),
+            });
             fabric.inner.faults_on.store(true, Ordering::SeqCst);
         }
         if !self.timed.is_empty() {

@@ -39,6 +39,9 @@
 //! simulation.run().unwrap();
 //! ```
 #![forbid(unsafe_code)]
+// A `for` over a `HashMap`/`HashSet` runs in `RandomState` order, which
+// differs per process: anything it posts, or reports first, stops replaying.
+#![deny(clippy::iter_over_hash_type)]
 
 mod error;
 mod fabric;

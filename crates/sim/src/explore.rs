@@ -89,8 +89,8 @@ impl ChoiceActor {
 /// One entry of the ready set offered to a strategy.
 #[derive(Debug, Clone, Copy)]
 pub struct Choice {
-    /// Global push sequence number (the kernel's tie-break identity; stable
-    /// across engines, which is what makes traces replayable on both).
+    /// Global push sequence number (the kernel's tie-break identity, which
+    /// is what a recorded trace names its decisions by).
     pub seq: u64,
     /// Who would run.
     pub actor: ChoiceActor,
@@ -115,8 +115,7 @@ pub enum StrategyKind {
 
 /// A compact, replayable schedule fingerprint: the `(decision step, chosen
 /// seq)` pairs where a run deviated from baseline order. Steps count only
-/// choice points with more than one ready entry, so the numbering is
-/// identical on every engine.
+/// choice points with more than one ready entry.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ScheduleTrace {
     /// Deviating decisions, in step order.

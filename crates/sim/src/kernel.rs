@@ -18,7 +18,7 @@
 use crate::error::{SimError, SimResult};
 use crate::explore::{Choice, ChoiceActor, ExploreConfig, ExploreState};
 use crate::prof::ProfState;
-use crate::queue::{Entry, EventQueue, Popped, QueueKind, Wake};
+use crate::queue::{Entry, Popped, TimerWheel, Wake};
 use crate::time::SimTime;
 use crate::trace::TraceState;
 use crate::vclock::VectorClock;
@@ -49,15 +49,6 @@ impl fmt::Display for Pid {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "pid#{}", self.0)
     }
-}
-
-/// Scheduler engine selection: which event-queue implementation backs the
-/// one host loop. The heap exists so determinism tests can prove the wheel
-/// reproduces the reference queue's schedules exactly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct EngineConfig {
-    /// Event-queue implementation.
-    pub queue: QueueKind,
 }
 
 /// Panic payload used to unwind a killed process. Never observed by user
@@ -106,7 +97,7 @@ struct KState {
     /// FNV-1a style. Two runs with equal hashes (and equal event counts)
     /// executed the exact same schedule.
     sched_hash: u64,
-    queue: EventQueue,
+    queue: TimerWheel,
     procs: Vec<ProcInfo>,
     stop: bool,
     panic: Option<String>,
@@ -301,14 +292,14 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 impl Kernel {
-    fn new(seed: u64, engine: EngineConfig) -> Arc<Self> {
+    fn new(seed: u64) -> Arc<Self> {
         Arc::new(Kernel {
             state: Mutex::new(KState {
                 now: 0,
                 seq: 0,
                 events: 0,
                 sched_hash: FNV_OFFSET,
-                queue: EventQueue::new(engine.queue),
+                queue: TimerWheel::new(),
                 procs: Vec::new(),
                 stop: false,
                 panic: None,
@@ -697,7 +688,7 @@ impl Kernel {
     /// restores the rest unbooked in their original relative order. Stale
     /// wakes stay in the choice set — they are part of the kernel's native
     /// pop order, which is what makes the Baseline strategy bit-identical
-    /// to an unexplored run. Works unchanged on both queue engines.
+    /// to an unexplored run.
     fn pop_explored(&self, st: &mut KState, ex: &ExploreState, deadline: Option<u64>) -> Popped {
         let first = match st.queue.pop_due(deadline) {
             Popped::Event(e) => e,
@@ -888,19 +879,11 @@ impl fmt::Debug for Simulation {
 }
 
 impl Simulation {
-    /// Creates a new simulation whose randomness derives from `seed`,
-    /// using the default engine (timer wheel).
+    /// Creates a new simulation whose randomness derives from `seed`.
     pub fn new(seed: u64) -> Self {
-        Self::with_engine(seed, EngineConfig::default())
-    }
-
-    /// Creates a simulation on an explicit event queue. Both queues
-    /// execute bit-identical schedules; the heap exists as the reference
-    /// for determinism cross-checks and benchmarking.
-    pub fn with_engine(seed: u64, engine: EngineConfig) -> Self {
         install_kill_quiet_hook();
         Simulation {
-            kernel: Kernel::new(seed, engine),
+            kernel: Kernel::new(seed),
             stacks: RefCell::new(Vec::new()),
         }
     }
@@ -927,7 +910,7 @@ impl Simulation {
     /// FNV-1a fold over every popped `(time, seq)` pair. Two runs that
     /// report the same hash (and the same [`Simulation::events_executed`])
     /// popped the exact same events in the exact same order — the
-    /// regression signal for scheduler-engine changes.
+    /// regression signal for any change that must leave behaviour alone.
     pub fn schedule_hash(&self) -> u64 {
         self.kernel.sched_hash()
     }

@@ -23,6 +23,11 @@
 //!   [`Simulation`] is `!Send`: it runs, and is dropped, on the thread that
 //!   created it. Process stacks are 1 MiB of lazily committed address
 //!   space each.
+//! * There is one event queue, a hierarchical timer wheel, and no switch
+//!   that selects another. Events pop in `(time, push order)` order;
+//!   [`Simulation::schedule_hash`] fingerprints that order, and none of the
+//!   diagnostic layers (race detector, [`trace`], [`prof`], the
+//!   [`explore`] Baseline strategy) may move it.
 //!
 //! # Example
 //!
@@ -44,6 +49,9 @@
 //! sim.run().unwrap();
 //! ```
 #![forbid(unsafe_code)]
+// A `for` over a `HashMap`/`HashSet` runs in `RandomState` order, which
+// differs per process: anything it posts, or reports first, stops replaying.
+#![deny(clippy::iter_over_hash_type)]
 
 mod cond;
 mod error;
@@ -63,9 +71,8 @@ pub use explore::{
     note_progress, shrink_trace, Choice, ChoiceActor, ChoicePoint, ExploreConfig, ExploreReport,
     LivelockKind, ScheduleTrace, StrategyKind, Violation, WaitEdge,
 };
-pub use kernel::{EngineConfig, Pid, Simulation};
+pub use kernel::{Pid, Simulation};
 pub use mailbox::{Mailbox, MailboxReceiver, MailboxSender, RecvTimeoutError, SendError};
-pub use queue::QueueKind;
 pub use time::SimTime;
 pub use vclock::VectorClock;
 

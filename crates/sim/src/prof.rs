@@ -635,7 +635,7 @@ impl Profiler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Cond, EngineConfig, QueueKind, Simulation};
+    use crate::{Cond, Simulation};
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
     use std::time::Duration;
@@ -768,8 +768,8 @@ mod tests {
 
     #[test]
     fn profiling_does_not_change_the_schedule() {
-        fn run(profile: bool, engine: EngineConfig) -> (u64, u64, u64) {
-            let sim = Simulation::with_engine(77, engine);
+        fn run(profile: bool) -> (u64, u64, u64) {
+            let sim = Simulation::new(77);
             if profile {
                 sim.enable_profiling();
             }
@@ -794,18 +794,11 @@ mod tests {
                 sim.now().as_nanos(),
             )
         }
-        for engine in [
-            EngineConfig::default(),
-            EngineConfig {
-                queue: QueueKind::Heap,
-            },
-        ] {
-            assert_eq!(
-                run(true, engine),
-                run(false, engine),
-                "schedule must be bit-identical with profiling on/off ({engine:?})"
-            );
-        }
+        assert_eq!(
+            run(true),
+            run(false),
+            "schedule must be bit-identical with profiling on/off"
+        );
     }
 
     #[test]

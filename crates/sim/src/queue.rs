@@ -1,12 +1,14 @@
-//! Event queues for the kernel: the hierarchical timer wheel (default) and
-//! the original binary heap (kept as a cross-check engine).
+//! The kernel's event queue: a hierarchical timer wheel.
 //!
-//! Both queues serve entries in strictly increasing `(time, seq)` order —
-//! the wheel's pop order is bit-identical to the heap's, which is what the
-//! schedule-hash regression test in `heron-bench` pins down. The wheel wins
-//! on constant-factor cost: pushes are O(1), pops are amortized O(levels),
-//! and same-instant bursts are served out of a pre-sorted batch without
-//! touching the heap's comparison machinery.
+//! The wheel serves entries in strictly increasing `(time, seq)` order —
+//! exactly the order a binary min-heap on `(time, seq)` would. That heap
+//! survives only as this module's unit-test oracle
+//! (`wheel_matches_heap_on_random_streams`); the absolute schedules the
+//! order produces are pinned in `heron-bench`'s `schedule_hash.rs`. The
+//! wheel is the queue because it is cheaper on the deep queues Heron
+//! builds (DESIGN.md §12 has the ledger measurement): pushes are O(1),
+//! pops are amortized O(levels), and same-instant bursts are served out of
+//! a pre-sorted batch without a comparison per entry.
 //!
 //! # Wheel geometry
 //!
@@ -25,7 +27,7 @@
 //! only ever served from exact sources (the level-0 slot, the overflow
 //! bucket, or the batch), merged and ordered by sequence number.
 
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use crate::kernel::Pid;
 
@@ -45,25 +47,6 @@ pub(crate) struct Entry {
     pub(crate) wake: Wake,
 }
 
-// Min-heap ordering on (time, seq).
-impl PartialEq for Entry {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl Eq for Entry {}
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Entry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed so that BinaryHeap (a max-heap) pops the smallest.
-        (other.time, other.seq).cmp(&(self.time, self.seq))
-    }
-}
-
 /// Outcome of asking the queue for the next due entry.
 pub(crate) enum Popped {
     /// The minimum entry; it was at or before the limit (if any).
@@ -73,71 +56,6 @@ pub(crate) enum Popped {
     Beyond,
     /// No entries at all.
     Empty,
-}
-
-/// Which event-queue implementation a simulation uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueueKind {
-    /// Hierarchical timer wheel (default).
-    #[default]
-    Wheel,
-    /// The original binary heap, kept as the reference engine for
-    /// determinism cross-checks.
-    Heap,
-}
-
-pub(crate) enum EventQueue {
-    Wheel(TimerWheel),
-    Heap(HeapQueue),
-}
-
-impl EventQueue {
-    pub(crate) fn new(kind: QueueKind) -> Self {
-        match kind {
-            QueueKind::Wheel => EventQueue::Wheel(TimerWheel::new()),
-            QueueKind::Heap => EventQueue::Heap(HeapQueue::default()),
-        }
-    }
-
-    pub(crate) fn push(&mut self, time: u64, seq: u64, wake: Wake) {
-        match self {
-            EventQueue::Wheel(w) => w.push(time, seq, wake),
-            EventQueue::Heap(h) => h.heap.push(Entry { time, seq, wake }),
-        }
-    }
-
-    /// Pops the global minimum `(time, seq)` entry if it is at or before
-    /// `limit` (no limit: always). Both engines return the exact same
-    /// sequence of entries for the same pushes.
-    pub(crate) fn pop_due(&mut self, limit: Option<u64>) -> Popped {
-        match self {
-            EventQueue::Wheel(w) => w.pop_due(limit),
-            EventQueue::Heap(h) => match h.heap.peek() {
-                None => Popped::Empty,
-                Some(top) => {
-                    if limit.is_some_and(|d| top.time > d) {
-                        Popped::Beyond
-                    } else {
-                        Popped::Event(h.heap.pop().expect("peeked entry vanished"))
-                    }
-                }
-            },
-        }
-    }
-
-    /// Puts back entries returned by [`EventQueue::pop_due`], restoring
-    /// the queue to its pre-pop state. Multiple entries must be put back in reverse pop order.
-    pub(crate) fn unpop(&mut self, entry: Entry) {
-        match self {
-            EventQueue::Wheel(w) => w.unpop(entry),
-            EventQueue::Heap(h) => h.heap.push(entry),
-        }
-    }
-}
-
-#[derive(Default)]
-pub(crate) struct HeapQueue {
-    heap: BinaryHeap<Entry>,
 }
 
 const SLOT_BITS: u32 = 6;
@@ -173,7 +91,7 @@ pub(crate) struct TimerWheel {
 }
 
 impl TimerWheel {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         TimerWheel {
             cur: 0,
             len: 0,
@@ -188,7 +106,7 @@ impl TimerWheel {
         }
     }
 
-    fn push(&mut self, time: u64, seq: u64, wake: Wake) {
+    pub(crate) fn push(&mut self, time: u64, seq: u64, wake: Wake) {
         self.len += 1;
         if !self.batch.is_empty() && time == self.batch_time {
             // The instant being served: seqs only grow, so appending keeps
@@ -255,7 +173,9 @@ impl TimerWheel {
         Some((slot, start))
     }
 
-    fn pop_due(&mut self, limit: Option<u64>) -> Popped {
+    /// Pops the global minimum `(time, seq)` entry if it is at or before
+    /// `limit` (no limit: always).
+    pub(crate) fn pop_due(&mut self, limit: Option<u64>) -> Popped {
         if self.len == 0 {
             return Popped::Empty;
         }
@@ -360,8 +280,10 @@ impl TimerWheel {
         self.batch.extend(gathered);
     }
 
-    /// Restores the entry just returned by [`TimerWheel::pop_due`].
-    fn unpop(&mut self, entry: Entry) {
+    /// Puts back an entry returned by [`TimerWheel::pop_due`], restoring
+    /// the queue to its pre-pop state. Multiple entries must be put back
+    /// in reverse pop order.
+    pub(crate) fn unpop(&mut self, entry: Entry) {
         debug_assert!(self.batch.is_empty() || self.batch_time == entry.time);
         self.batch_time = entry.time;
         self.batch.push_front((entry.seq, entry.wake));
@@ -374,33 +296,75 @@ mod tests {
     use super::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
     fn wake() -> Wake {
         Wake::Timer(Box::new(|| {}))
     }
 
-    /// Drains `q` fully, returning the popped (time, seq) stream.
-    fn drain(q: &mut EventQueue, limit: Option<u64>) -> Vec<(u64, u64)> {
-        let mut out = Vec::new();
-        loop {
-            match q.pop_due(limit) {
-                Popped::Event(e) => out.push((e.time, e.seq)),
-                Popped::Beyond | Popped::Empty => return out,
+    /// A pop's outcome, stripped to what the wheel and the oracle can be
+    /// compared on.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Step {
+        Event(u64, u64),
+        Beyond,
+        Empty,
+    }
+
+    /// The reference queue the wheel replaced: a binary min-heap on
+    /// `(time, seq)`. Lives only here, as the oracle.
+    #[derive(Default)]
+    struct Heap(BinaryHeap<Reverse<(u64, u64)>>);
+
+    impl Heap {
+        fn push(&mut self, time: u64, seq: u64) {
+            self.0.push(Reverse((time, seq)));
+        }
+
+        fn pop_due(&mut self, limit: Option<u64>) -> Step {
+            match self.0.peek() {
+                None => Step::Empty,
+                Some(&Reverse((time, _))) if limit.is_some_and(|d| time > d) => Step::Beyond,
+                Some(_) => {
+                    let Reverse((time, seq)) = self.0.pop().expect("peeked entry vanished");
+                    Step::Event(time, seq)
+                }
             }
         }
     }
 
+    /// Pops the wheel, keeping the entry (for `unpop`) beside its `Step`.
+    fn pop(q: &mut TimerWheel, limit: Option<u64>) -> (Step, Option<Entry>) {
+        match q.pop_due(limit) {
+            Popped::Event(e) => (Step::Event(e.time, e.seq), Some(e)),
+            Popped::Beyond => (Step::Beyond, None),
+            Popped::Empty => (Step::Empty, None),
+        }
+    }
+
+    /// Drains `q`, returning the popped (time, seq) stream.
+    fn drain(q: &mut TimerWheel) -> Vec<(u64, u64)> {
+        let mut out = Vec::new();
+        while let (Step::Event(time, seq), _) = pop(q, None) {
+            out.push((time, seq));
+        }
+        out
+    }
+
+    /// The wheel against the heap on every access pattern the kernel has:
+    /// plain pops, pops against a deadline (`run_loop`), and gathering a
+    /// same-instant ready set, keeping one entry and restoring the rest in
+    /// reverse (`pop_explored`).
     #[test]
     fn wheel_matches_heap_on_random_streams() {
         for seed in 0..20u64 {
             let mut rng = SmallRng::seed_from_u64(seed);
-            let mut wheel = EventQueue::new(QueueKind::Wheel);
-            let mut heap = EventQueue::new(QueueKind::Heap);
+            let mut wheel = TimerWheel::new();
+            let mut heap = Heap::default();
             let mut seq = 0u64;
             let mut now = 0u64;
-            let mut got_w = Vec::new();
-            let mut got_h = Vec::new();
-            for _round in 0..200 {
+            for round in 0..300 {
                 // A burst of pushes relative to the current virtual time:
                 // same-instant ties, near deadlines, skewed far deadlines,
                 // and overflow-range deadlines.
@@ -413,89 +377,122 @@ mod tests {
                         _ => MAX_SPAN + rng.gen_range(0..1 << 20),
                     };
                     wheel.push(now + delta, seq, wake());
-                    heap.push(now + delta, seq, wake());
+                    heap.push(now + delta, seq);
                     seq += 1;
                 }
-                // Pop a few; both must agree exactly and advance time.
-                for _ in 0..rng.gen_range(0..6) {
-                    let w = match wheel.pop_due(None) {
-                        Popped::Event(e) => Some((e.time, e.seq)),
-                        _ => None,
-                    };
-                    let h = match heap.pop_due(None) {
-                        Popped::Event(e) => Some((e.time, e.seq)),
-                        _ => None,
-                    };
-                    assert_eq!(w, h, "seed {seed}");
-                    if let Some((t, _)) = w {
-                        now = now.max(t);
+                match rng.gen_range(0..3) {
+                    // Pop a few, unbounded or against a deadline. A deadline
+                    // the minimum lies beyond must leave both untouched —
+                    // the next rounds' pops would diverge otherwise — and
+                    // the clock then stands at the deadline, as after
+                    // `run_until`.
+                    0 | 1 => {
+                        for _ in 0..rng.gen_range(0..6) {
+                            let limit = rng
+                                .gen_bool(0.5)
+                                .then(|| now + [0, 1, 50, 5_000, MAX_SPAN][rng.gen_range(0..5)]);
+                            let (w, _) = pop(&mut wheel, limit);
+                            assert_eq!(
+                                w,
+                                heap.pop_due(limit),
+                                "seed {seed} round {round}, limit {limit:?}"
+                            );
+                            match (w, limit) {
+                                (Step::Event(t, _), _) => now = t,
+                                (Step::Beyond, Some(limit)) => now = limit,
+                                _ => {}
+                            }
+                        }
+                    }
+                    // Gather up to k entries of the next instant, keep one,
+                    // put the others back in reverse pop order.
+                    _ => {
+                        let (first, entry) = pop(&mut wheel, None);
+                        assert_eq!(
+                            first,
+                            heap.pop_due(None),
+                            "seed {seed} round {round}, gather"
+                        );
+                        let Step::Event(time, _) = first else {
+                            continue;
+                        };
+                        now = time;
+                        let mut ready: Vec<Entry> = entry.into_iter().collect();
+                        let k = rng.gen_range(1..6);
+                        while ready.len() < k {
+                            let (w, entry) = pop(&mut wheel, Some(time));
+                            assert_eq!(
+                                w,
+                                heap.pop_due(Some(time)),
+                                "seed {seed} round {round}, gather"
+                            );
+                            match entry {
+                                Some(e) => ready.push(e),
+                                None => break,
+                            }
+                        }
+                        ready.remove(rng.gen_range(0..ready.len()));
+                        for e in ready.into_iter().rev() {
+                            heap.push(e.time, e.seq);
+                            wheel.unpop(e);
+                        }
                     }
                 }
             }
-            got_w.extend(drain(&mut wheel, None));
-            got_h.extend(drain(&mut heap, None));
-            assert_eq!(got_w, got_h, "seed {seed}");
+            let rest = drain(&mut wheel);
+            let expect: Vec<_> = std::iter::from_fn(|| match heap.pop_due(None) {
+                Step::Event(t, s) => Some((t, s)),
+                _ => None,
+            })
+            .collect();
+            assert_eq!(rest, expect, "seed {seed}");
         }
     }
 
     #[test]
     fn pop_respects_limit_and_leaves_queue_intact() {
-        let mut q = EventQueue::new(QueueKind::Wheel);
+        let mut q = TimerWheel::new();
         q.push(100, 0, wake());
         q.push(500, 1, wake());
-        assert!(matches!(q.pop_due(Some(50)), Popped::Beyond));
-        let Popped::Event(e) = q.pop_due(Some(100)) else {
-            panic!("expected the 100 ns entry");
-        };
-        assert_eq!((e.time, e.seq), (100, 0));
-        assert!(matches!(q.pop_due(Some(499)), Popped::Beyond));
-        let Popped::Event(e) = q.pop_due(None) else {
-            panic!("expected the 500 ns entry");
-        };
-        assert_eq!((e.time, e.seq), (500, 1));
-        assert!(matches!(q.pop_due(None), Popped::Empty));
+        assert_eq!(pop(&mut q, Some(50)).0, Step::Beyond);
+        assert_eq!(pop(&mut q, Some(100)).0, Step::Event(100, 0));
+        assert_eq!(pop(&mut q, Some(499)).0, Step::Beyond);
+        assert_eq!(pop(&mut q, None).0, Step::Event(500, 1));
+        assert_eq!(pop(&mut q, None).0, Step::Empty);
     }
 
     #[test]
     fn unpop_restores_pop_order() {
-        for kind in [QueueKind::Wheel, QueueKind::Heap] {
-            let mut q = EventQueue::new(kind);
-            q.push(10, 0, wake());
-            q.push(10, 1, wake());
-            q.push(20, 2, wake());
-            let Popped::Event(e) = q.pop_due(None) else {
-                panic!("expected an entry");
-            };
-            assert_eq!((e.time, e.seq), (10, 0));
-            q.unpop(e);
-            let order: Vec<_> = drain(&mut q, None);
-            assert_eq!(order, vec![(10, 0), (10, 1), (20, 2)], "{kind:?}");
-        }
+        let mut q = TimerWheel::new();
+        q.push(10, 0, wake());
+        q.push(10, 1, wake());
+        q.push(20, 2, wake());
+        let (step, entry) = pop(&mut q, None);
+        assert_eq!(step, Step::Event(10, 0));
+        q.unpop(entry.expect("an event carries its entry"));
+        assert_eq!(drain(&mut q), vec![(10, 0), (10, 1), (20, 2)]);
     }
 
     #[test]
     fn same_instant_burst_pops_in_seq_order() {
-        let mut q = EventQueue::new(QueueKind::Wheel);
+        let mut q = TimerWheel::new();
         for seq in 0..100 {
             q.push(7, seq, wake());
         }
         // Push more at the same instant while serving it.
-        let Popped::Event(e) = q.pop_due(None) else {
-            panic!("expected an entry");
-        };
-        assert_eq!(e.seq, 0);
+        assert_eq!(pop(&mut q, None).0, Step::Event(7, 0));
         q.push(7, 100, wake());
-        let rest: Vec<_> = drain(&mut q, None).iter().map(|&(_, s)| s).collect();
+        let rest: Vec<_> = drain(&mut q).iter().map(|&(_, s)| s).collect();
         assert_eq!(rest, (1..=100).collect::<Vec<_>>());
     }
 
     #[test]
     fn far_future_entries_round_trip_through_overflow() {
-        let mut q = EventQueue::new(QueueKind::Wheel);
+        let mut q = TimerWheel::new();
         q.push(MAX_SPAN * 3 + 17, 0, wake());
         q.push(5, 1, wake());
         q.push(MAX_SPAN * 3 + 17, 2, wake());
-        let order = drain(&mut q, None);
+        let order = drain(&mut q);
         assert_eq!(
             order,
             vec![(5, 1), (MAX_SPAN * 3 + 17, 0), (MAX_SPAN * 3 + 17, 2)]

@@ -2,21 +2,12 @@
 //! deviation traces, and the deadlock / livelock detectors.
 
 use sim::{
-    Cond, EngineConfig, ExploreConfig, LivelockKind, Mailbox, QueueKind, ScheduleTrace, SimError,
-    Simulation, StrategyKind, Violation,
+    Cond, ExploreConfig, LivelockKind, Mailbox, ScheduleTrace, SimError, Simulation, StrategyKind,
+    Violation,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-const ENGINES: [EngineConfig; 2] = [
-    EngineConfig {
-        queue: QueueKind::Wheel,
-    },
-    EngineConfig {
-        queue: QueueKind::Heap,
-    },
-];
 
 /// A workload with plenty of same-instant ready sets: one notifier fans a
 /// cond out to several workers every round, and the workers ping a shared
@@ -51,8 +42,8 @@ fn fanout_workload(sim: &Simulation) {
     });
 }
 
-fn run_fanout(engine: EngineConfig, explore: Option<ExploreConfig>) -> (u64, u64) {
-    let sim = Simulation::with_engine(7, engine);
+fn run_fanout(explore: Option<ExploreConfig>) -> (u64, u64) {
+    let sim = Simulation::new(7);
     if let Some(cfg) = explore {
         sim.enable_exploration(cfg);
     }
@@ -62,22 +53,17 @@ fn run_fanout(engine: EngineConfig, explore: Option<ExploreConfig>) -> (u64, u64
 }
 
 #[test]
-fn baseline_exploration_is_bit_identical_on_every_engine() {
-    let plain = run_fanout(EngineConfig::default(), None);
-    for engine in ENGINES {
-        let off = run_fanout(engine, None);
-        let on = run_fanout(engine, Some(ExploreConfig::new(StrategyKind::Baseline)));
-        assert_eq!(off, plain, "engines must agree unexplored ({engine:?})");
-        assert_eq!(
-            on, plain,
-            "baseline exploration must not perturb the schedule ({engine:?})"
-        );
-    }
+fn baseline_exploration_is_bit_identical() {
+    assert_eq!(
+        run_fanout(Some(ExploreConfig::new(StrategyKind::Baseline))),
+        run_fanout(None),
+        "baseline exploration must not perturb the schedule"
+    );
 }
 
 #[test]
 fn random_walk_deviates_and_replays_bit_identically() {
-    let baseline = run_fanout(EngineConfig::default(), None);
+    let baseline = run_fanout(None);
     let sim = Simulation::new(7);
     sim.enable_exploration(ExploreConfig::new(StrategyKind::Random { seed: 3 }));
     fanout_workload(&sim);
@@ -94,22 +80,14 @@ fn random_walk_deviates_and_replays_bit_identically() {
     assert_ne!(explored.0, baseline.0, "deviating schedule, deviating hash");
 
     // The trace round-trips through its string encoding and replays to the
-    // identical schedule on every engine.
+    // identical schedule.
     let encoded = report.trace.encode();
     let trace = ScheduleTrace::parse(&encoded).unwrap();
-    for engine in ENGINES {
-        let sim2 = Simulation::with_engine(7, engine);
-        sim2.enable_exploration(ExploreConfig::new(StrategyKind::Replay {
-            trace: trace.clone(),
-        }));
-        fanout_workload(&sim2);
-        sim2.run().unwrap();
-        assert_eq!(
-            (sim2.schedule_hash(), sim2.events_executed()),
-            explored,
-            "trace replay must be bit-identical ({engine:?})"
-        );
-    }
+    assert_eq!(
+        run_fanout(Some(ExploreConfig::new(StrategyKind::Replay { trace }))),
+        explored,
+        "trace replay must be bit-identical"
+    );
 }
 
 #[test]

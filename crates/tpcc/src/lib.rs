@@ -25,6 +25,9 @@
 //! assert_eq!(Transaction::decode(&bytes), Some(txn));
 //! ```
 #![forbid(unsafe_code)]
+// A `for` over a `HashMap`/`HashSet` runs in `RandomState` order, which
+// differs per process: anything it posts, or reports first, stops replaying.
+#![deny(clippy::iter_over_hash_type)]
 
 mod app;
 mod gen;

@@ -44,13 +44,12 @@ def metrics_recovery(doc):
 
 
 def metrics_scheduler(doc):
-    """Scheduler bench: default-engine (wheel) event rates, higher is
-    better, and what a context switch costs relative to a timer event,
-    lower is better."""
+    """Scheduler bench: event rates, higher is better, and what a context
+    switch costs relative to a timer event, lower is better."""
     out = [
-        (w.get("name", "?"), w["wheel_events_per_sec"], True)
+        (w.get("name", "?"), w["events_per_sec"], True)
         for w in doc.get("workloads", [])
-        if w.get("wheel_events_per_sec")
+        if w.get("events_per_sec")
     ]
     if doc.get("switch_cost_ratio"):
         out.append(("switch_cost_ratio", doc["switch_cost_ratio"], False))

@@ -6,6 +6,12 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release --offline --workspace
+# `cargo test` is also where the schedule-identity proof lives, once:
+# crates/bench/tests/schedule_hash.rs runs six shapes with no diagnostic
+# switch, with the race detector / tracing / profiling / Baseline
+# exploration each alone and with all four together, and pins every cell
+# to the committed (schedule_hash, events, virtual_ns). No gate below
+# re-proves "on == off"; each keeps what only it can do.
 cargo test -q --offline --workspace
 # The coroutine shim is a path dependency, not a workspace member; its
 # tests (create / resume / suspend, panics, the guard page) run here.
@@ -47,8 +53,8 @@ cargo run -q --release --offline -p heron-bench --bin chaos_suite -- \
 
 # Race gate: Sim-TSan happens-before audit over the fig4/fig5/chaos
 # schedule shapes at fixed seeds (DESIGN.md §10). Any race or protocol
-# lint — or a detector-induced schedule perturbation — exits non-zero
-# with the full report.
+# lint exits non-zero with the full report. (That the detector leaves the
+# schedule alone: `cargo test`, schedule_hash.rs.)
 if ! cargo run -q --release --offline -p heron-bench --bin race_audit -- \
     --quick --seed 42; then
   echo "tier1: race audit FAILED — replay with:" >&2
@@ -62,9 +68,10 @@ cargo run -q --release --offline -p heron-bench --bin race_audit -- \
     --quick --selftest
 
 # Trace gate: virtual-time tracing explainer (DESIGN.md §11). Exports the
-# Perfetto trace, checks the critical-path analyzer's Fig. 6 attribution
-# against the legacy breakdown counters (≤ 1 % divergence), and verifies
-# the tracing on/off schedules are bit-identical.
+# Perfetto trace and checks the critical-path analyzer's Fig. 6
+# attribution against the legacy breakdown counters (≤ 1 % divergence).
+# (Tracing on/off schedule identity: `cargo test`, schedule_hash.rs; what
+# tracing costs: the ledger's trace.overhead_pct.)
 if ! cargo run -q --release --offline -p heron-bench --bin trace_explain -- \
     --quick --seed 42; then
   echo "tier1: trace explain FAILED — replay with:" >&2
@@ -78,8 +85,8 @@ fi
 # committed in bench_results/BENCH_scheduler.json, i.e. waking another
 # process got >20 % dearer relative to the rest of the kernel. Gating on a
 # ratio, not absolute events/sec, keeps the gate stable across machines.
-# Every gate run also re-proves the heap and the wheel execute
-# bit-identical schedules.
+# (The schedules the six workloads execute are pinned in `cargo test`,
+# sched_workloads.rs; the wheel-vs-heap proof is sim's queue.rs unit test.)
 if ! pin cargo run -q --release --offline -p heron-bench --bin sched_bench -- \
     --gate --quick; then
   echo "tier1: scheduler perf gate FAILED — remeasure with:" >&2
@@ -100,10 +107,11 @@ if ! cargo run -q --release --offline -p heron-bench --bin psmr_scaling -- \
   exit 1
 fi
 
-# Exploration gate: Sim-Check schedule exploration (DESIGN.md §15). Pins
-# the exploration-off schedule hash against a Baseline-explored run on
-# both engines (fig4 + chaos + recovery shapes) and runs a fixed-seed
-# random/PCT budget that must stay free of deadlock/livelock findings.
+# Exploration gate: Sim-Check schedule exploration (DESIGN.md §15). Runs
+# the fig4 + chaos + recovery shapes under Baseline with the detectors
+# armed, then a fixed-seed random/PCT budget; all must stay free of
+# deadlock/livelock findings. (Exploration-off == Baseline schedule
+# identity: `cargo test`, schedule_hash.rs.)
 if ! cargo run -q --release --offline -p heron-bench --bin explore_suite -- \
     --gate --quick --seed 42; then
   echo "tier1: exploration gate FAILED — replay with:" >&2
@@ -117,12 +125,12 @@ fi
 cargo run -q --release --offline -p heron-bench --bin explore_suite -- \
     --quick --selftest
 
-# Profiling gate: Sim-Prof wait-state profiler (DESIGN.md §16). Pins the
-# profiler-off schedule hash against a profiler-on run on both engines
-# (fig4 + chaos + psmr-w4 shapes), requires every p999 exemplar's
-# wait-state decomposition to sum exactly to its end-to-end latency and
-# the blamed aggregate to match the legacy Fig. 6 breakdown within 1 %,
-# and bounds the profiling wall overhead at 5 %.
+# Profiling gate: Sim-Prof wait-state profiler (DESIGN.md §16). Requires
+# every p999 exemplar's wait-state decomposition to sum exactly to its
+# end-to-end latency and the blamed aggregate to match the legacy Fig. 6
+# breakdown within 1 %, and bounds the profiling wall overhead at 5 %.
+# (Profiler on/off schedule identity on the fig4 + chaos + psmr-w4
+# shapes: `cargo test`, schedule_hash.rs.)
 if ! pin cargo run -q --release --offline -p heron-bench --bin prof_explain -- \
     --gate --quick --seed 42; then
   echo "tier1: profiling gate FAILED — replay with:" >&2
@@ -137,10 +145,10 @@ python3 scripts/bench_trend.py
 
 # Recovery gate: durable checkpoints + cold restart (DESIGN.md §14). Runs
 # the fixed-seed durable-recovery chaos scenarios through the checker,
-# requires cold-restart cost to scale with the WAL tail (checkpoint +
-# tail replay, never full history), and pins the durability-off schedule
-# hash against bench_results/BENCH_recovery.json — with checkpointing
-# disabled the durability subsystem must be schedule-invisible.
+# and requires cold-restart cost to scale with the WAL tail (checkpoint +
+# tail replay, never full history). (With checkpointing disabled the
+# durability subsystem must be schedule-invisible: `cargo test`,
+# schedule_hash.rs pins the hash BENCH_recovery.json used to carry.)
 if ! cargo run -q --release --offline -p heron-bench --bin recovery_bench -- \
     --gate --quick; then
   echo "tier1: recovery gate FAILED — remeasure with:" >&2
