@@ -42,11 +42,6 @@ pub struct McastConfig {
     /// majority-ack round. `1` (the default) disables batching and
     /// reproduces the unbatched execution bit-for-bit under a fixed seed.
     pub max_batch: usize,
-    /// Self-test-only knob: drop the `await_epoch` gate on `has_work`'s
-    /// truncation-horizon check, re-introducing the PR 8 zero-virtual-time
-    /// livelock so `explore_suite --selftest` can prove the livelock
-    /// detector catches it. Never enable outside self-tests.
-    pub break_has_work_gate: bool,
 }
 
 impl McastConfig {
@@ -73,7 +68,6 @@ impl McastConfig {
             ordering_cpu_batched: Duration::from_nanos(850),
             follower_cpu: Duration::from_nanos(800),
             max_batch: 1,
-            break_has_work_gate: false,
         }
     }
 

@@ -106,7 +106,15 @@ pub struct McastReplica {
     /// This replica's durable WAL namespace, when storage is attached
     /// (before the replica was constructed — see [`crate::Mcast::attach_wal`]).
     wal_disk: Option<sim::storage::Disk>,
+    /// Self-test only ([`SABOTAGE_HAS_WORK_GATE`]), resolved once here.
+    ungated_has_work: bool,
 }
+
+/// The [`rdma_sim::Fabric::sabotage`] name of `has_work`'s `await_epoch`
+/// gate on the truncation-horizon check. Built without it a recovering
+/// follower re-introduces the PR 8 zero-virtual-time livelock, which
+/// `explore_suite --selftest` requires the livelock detector to catch.
+pub const SABOTAGE_HAS_WORK_GATE: &str = "amcast.has_work_gate";
 
 impl std::fmt::Debug for McastReplica {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -128,6 +136,7 @@ impl McastReplica {
             .get()
             .map(|s| s.disk(crate::Mcast::wal_namespace(group, idx)));
         McastReplica {
+            ungated_has_work: node.sabotaged(SABOTAGE_HAS_WORK_GATE),
             inner,
             group,
             idx,
@@ -334,9 +343,9 @@ impl McastReplica {
             // the entry check above: `follower_apply_log` ignores the
             // floor while `await_epoch` holds, so reading it as work
             // before the first heartbeat would spin without blocking.
-            // (`break_has_work_gate` drops the gate to re-introduce that
-            // exact spin for the livelock-detector self-test.)
-            if (!st.await_epoch || self.inner.cfg.break_has_work_gate)
+            // (`ungated_has_work` drops the gate to re-introduce that exact
+            // spin for the livelock-detector self-test.)
+            if (!st.await_epoch || self.ungated_has_work)
                 && self
                     .node
                     .local_read_word(self.layout.log_floor)

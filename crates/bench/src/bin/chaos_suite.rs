@@ -20,15 +20,7 @@ use heron_bench::chaos::{
     parallel_scenario_for_seed, pool_recovery_scenario_for_seed, recovery_scenario_for_seed, run,
     scenario_for_seed, shrink, RunResult,
 };
-use heron_bench::{banner, quick_mode};
-
-fn arg_value(name: &str) -> Option<u64> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-}
+use heron_bench::{arg_value, banner, quick_mode};
 
 fn main() {
     banner(

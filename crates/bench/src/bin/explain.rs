@@ -1,0 +1,183 @@
+//! Where did the time go: runs a fig7-shaped TPC-C schedule with tracing
+//! and profiling on and prints one report from that one run — the top-k
+//! slowest requests along their paths, the p999 tail exemplars (parks
+//! carved out of the stage they interrupted), the Fig. 6 stage means, the
+//! metrics registry, wait-state totals and resource utilization — and
+//! exports a Perfetto trace with counter tracks plus flamegraph-style
+//! collapsed stacks (DESIGN.md §11). That neither switch moves the
+//! schedule is pinned in `tests/schedule_hash.rs`; what they cost in host
+//! time is the ledger's `trace.overhead_pct` (`benchmark/`).
+//!
+//! ```text
+//! cargo run -p heron-bench --release --bin explain [-- OPTIONS]
+//!   --seed S    simulation seed (default 42)
+//!   --quick     fewer requests per client
+//!   --topk K    slowest requests to explain (default 5)
+//! ```
+//!
+//! Artifacts: `bench_results/explain.json` (loads in `ui.perfetto.dev`)
+//! and `bench_results/explain_waitstates.folded`. Exits nonzero iff a tail
+//! exemplar's segments do not sum to its latency, an exemplar is missing
+//! from the trace, or the schedule traced no multi-partition request.
+
+use heron_bench::{arg_value, banner, quick_mode, run_heron, RunConfig, Workload};
+use heron_core::explain::{blame_exemplars, request_paths, Segment};
+
+fn us(ns: u64) -> f64 {
+    ns as f64 / 1_000.0
+}
+
+fn path(segments: &[Segment]) -> String {
+    let segs: Vec<String> = segments
+        .iter()
+        .map(|s| format!("{} {:.1} µs", s.name, us(s.ns)))
+        .collect();
+    segs.join(" | ")
+}
+
+fn main() {
+    banner(
+        "explain — request paths, tail exemplars, stages and wait states of one run",
+        "Fig. 6/Fig. 7 latency anatomy, from one traced and profiled schedule",
+    );
+    let seed = arg_value("--seed").unwrap_or(42);
+    let topk = arg_value("--topk").unwrap_or(5) as usize;
+    let quick = quick_mode();
+    let mut failed = false;
+
+    // The fig7 shape — the TPC-C mix on 4 partitions — in fixed-work mode.
+    let mut cfg = RunConfig::new(4, 3, Workload::Tpcc)
+        .quick(quick)
+        .with_requests(if quick { 30 } else { 150 })
+        .with_tracing(true)
+        .with_profiling(true);
+    cfg.seed = seed;
+    let run = run_heron(&cfg);
+    let prof = run.prof.as_ref().expect("profiling was enabled");
+    let tracer = run.tracer.as_ref().expect("tracing was enabled");
+    let events = tracer.events();
+    println!(
+        "fig7-tpcc-4p seed {seed}: {:.0} tps, {} trace events, {} sim events, \
+         {} procs profiled, {} gauges",
+        run.tps,
+        events.len(),
+        run.events,
+        prof.procs.len(),
+        prof.gauges.len()
+    );
+
+    let paths = request_paths(&events);
+    println!("\ntop {} slowest requests:", topk.min(paths.len()));
+    for (i, p) in paths.iter().take(topk).enumerate() {
+        println!(
+            "  #{:<2} uid {:<6} {}p {:>8.1} µs = {}",
+            i + 1,
+            p.corr,
+            p.partitions,
+            us(p.total_ns),
+            path(&p.segments),
+        );
+    }
+    if !paths.iter().any(|p| p.partitions > 1) {
+        println!("FAIL: no multi-partition request traced — schedule exercised nothing");
+        failed = true;
+    }
+
+    // Every retained exemplar must be in the trace and its segments must
+    // sum exactly to the latency the histogram kept it for.
+    let blamed = blame_exemplars(&paths, &run.exemplars);
+    println!("\ntail exemplars (slowest tagged requests, blamed):");
+    for (i, b) in blamed.iter().enumerate() {
+        println!(
+            "  #{:<2} uid {:<6} {:>8.1} µs = {}",
+            i + 1,
+            b.uid,
+            us(b.latency_ns),
+            path(&b.segments),
+        );
+        let sum: u64 = b.segments.iter().map(|s| s.ns).sum();
+        if sum != b.total_ns || b.total_ns != b.latency_ns {
+            println!(
+                "FAIL: exemplar uid {} decomposition {} ns != latency {} ns (trace {} ns)",
+                b.uid, sum, b.latency_ns, b.total_ns
+            );
+            failed = true;
+        }
+        if b.segments.iter().any(|s| s.name == "untraced") {
+            println!("FAIL: exemplar uid {} missing from the trace", b.uid);
+            failed = true;
+        }
+    }
+    if blamed.is_empty() {
+        println!("FAIL: no tail exemplars retained");
+        failed = true;
+    }
+
+    println!("\nstage means (Fig. 6, replica side):");
+    println!("  single   {}", run.single);
+    println!("  multi    {}", run.multi);
+
+    println!("\nmetrics registry:");
+    for (name, h) in &run.hists {
+        println!(
+            "  {name:<22} n={:<6} p50 {:>8.1} µs  p99 {:>8.1} µs  p999 {:>8.1} µs",
+            h.count,
+            us(h.p50),
+            us(h.p99),
+            us(h.p999),
+        );
+    }
+    for (name, v) in &run.counters {
+        println!("  {name:<22} {v}");
+    }
+
+    println!("\nwait-state totals (virtual time, all processes):");
+    let totals = prof.totals();
+    let grand: u64 = totals.iter().map(|t| t.ns).sum();
+    for t in totals.iter().take(12) {
+        println!(
+            "  {:<24} {:>12.1} µs  ({:>5.1} %)  {:>8} transitions",
+            t.state,
+            us(t.ns),
+            t.ns as f64 / grand.max(1) as f64 * 100.0,
+            t.transitions
+        );
+    }
+
+    println!("\nresource utilization (bucket {} µs):", us(prof.bucket_ns));
+    for g in &prof.gauges {
+        println!(
+            "  {:<24} mean {:>7.3}  max {:>5}  ({} buckets)",
+            g.name,
+            g.mean_overall,
+            g.max,
+            g.mean.len()
+        );
+    }
+    if prof.gauges.is_empty() {
+        println!("FAIL: no utilization gauges registered");
+        failed = true;
+    }
+
+    let dir = std::path::Path::new("bench_results");
+    std::fs::create_dir_all(dir).expect("create bench_results/");
+    let folded = prof.collapsed_stacks();
+    std::fs::write(dir.join("explain_waitstates.folded"), &folded).expect("write folded stacks");
+    let perfetto = sim::trace::export_chrome_json_with_counters(
+        &events,
+        &tracer.track_names(),
+        &prof.counter_tracks(),
+    );
+    std::fs::write(dir.join("explain.json"), perfetto).expect("write perfetto trace");
+    println!(
+        "\nartifacts: bench_results/explain.json (perfetto, load in ui.perfetto.dev), \
+         bench_results/explain_waitstates.folded ({} lines)",
+        folded.lines().count()
+    );
+
+    if failed {
+        println!("explain: FAIL");
+        std::process::exit(1);
+    }
+    println!("explain: every tail exemplar sums exactly to its latency");
+}

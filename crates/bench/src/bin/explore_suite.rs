@@ -25,7 +25,7 @@
 use heron_bench::chaos::{
     self, recovery_scenario_for_seed, scenario_for_seed, RunResult, Scenario,
 };
-use heron_bench::{banner, quick_mode, run_heron, RunConfig, Workload};
+use heron_bench::{arg_value, banner, quick_mode, run_heron, RunConfig, Workload};
 use sim::{
     shrink_trace, Cond, ExploreConfig, ExploreReport, LivelockKind, Mailbox, ScheduleTrace,
     Simulation, StrategyKind, Violation,
@@ -33,14 +33,6 @@ use sim::{
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-fn arg_value(name: &str) -> Option<u64> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-}
 
 // ----------------------------------------------------------------------
 // Shapes: the schedule families the suite explores.

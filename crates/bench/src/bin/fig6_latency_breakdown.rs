@@ -10,21 +10,20 @@
 //! `cargo run -p heron-bench --release --bin fig6_latency_breakdown [--quick]`
 
 use heron_bench::{banner, quantile, quick_mode};
-use heron_core::{HeronCluster, HeronConfig};
+use heron_core::{HeronCluster, HeronConfig, StageMeans};
 use rdma_sim::{Fabric, LatencyModel};
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 use tpcc::{TpccApp, TpccScale};
 
-/// Runs one single-client workload; returns (ordering, coordination,
-/// execution, mean-total, sorted latency samples in µs).
+/// Runs one single-client workload; returns (stage means on the home
+/// partition, mean-total, sorted latency samples in µs).
 fn run(
     label: &str,
     span: Option<u16>, // None = standard TPCC NewOrder mix
     requests: u32,
     max_batch: usize,
-) -> (Duration, Duration, Duration, Duration, Vec<f64>) {
+) -> (StageMeans, Duration, Vec<f64>) {
     let warehouses = 4u16;
     let simulation = sim::Simulation::new(7);
     let fabric = Fabric::new(LatencyModel::connectx4());
@@ -50,19 +49,10 @@ fn run(
     });
     simulation.run().expect("run completes");
     let metrics = cluster.metrics();
-    let b = metrics.breakdowns.lock();
     // The client-perceived path runs through the *home* partition (it
     // executes the full request and finishes last); decompose that path,
     // as the paper does.
-    let home: Vec<_> = b.iter().filter(|s| s.at_partition == 0).collect();
-    let n = home.len().max(1) as u64;
-    let sums = home.iter().fold((0u64, 0u64, 0u64), |a, s| {
-        (
-            a.0 + s.ordering_ns,
-            a.1 + s.coordination_ns,
-            a.2 + s.execution_ns,
-        )
-    });
+    let stages = metrics.mean_breakdown(|b| b.at_partition == 0);
     let mut samples: Vec<f64> = metrics
         .latencies
         .lock()
@@ -70,15 +60,7 @@ fn run(
         .map(|&ns| ns as f64 / 1_000.0)
         .collect();
     samples.sort_by(f64::total_cmp);
-    let mean = metrics.mean_latency();
-    let _ = metrics.completed.load(Ordering::Relaxed);
-    (
-        Duration::from_nanos(sums.0 / n),
-        Duration::from_nanos(sums.1 / n),
-        Duration::from_nanos(sums.2 / n),
-        mean,
-        samples,
-    )
+    (stages, metrics.mean_latency(), samples)
 }
 
 fn main() {
@@ -87,10 +69,6 @@ fn main() {
     banner(
         "Figure 6: NewOrder latency breakdown, one client (µs)",
         "§V-D1, Fig. 6 — paper: TPCC total 35.4 µs = ordering 18 + execution 16 + coordination ~2; coordination ≤ 3 µs in all workloads",
-    );
-    println!(
-        "{:<10} {:>10} {:>14} {:>11} {:>10}",
-        "workload", "ordering", "coordination", "execution", "total"
     );
     let mut cdfs: Vec<(String, Vec<f64>)> = Vec::new();
     // `max_batch` only helps under concurrency; with a single closed-loop
@@ -104,13 +82,32 @@ fn main() {
         ("3WH".into(), Some(3), 1),
         ("4WH".into(), Some(4), 1),
     ];
+    let mut rows = Vec::new();
     for (label, span, max_batch) in configs {
-        let (o, c, e, total, samples) = run(&label, span, requests, max_batch);
-        println!(
-            "{:<10} {:>10.2?} {:>14.2?} {:>11.2?} {:>10.2?}",
-            label, o, c, e, total
-        );
+        let (stages, total, samples) = run(&label, span, requests, max_batch);
+        rows.push((label.clone(), stages, total));
         cdfs.push((label, samples));
+    }
+    // The pool's dispatch wait is a stage of its own; zero (and not
+    // shown) on this figure's width-1 deployments.
+    let dispatch = rows.iter().any(|(_, s, _)| !s.dispatch.is_zero());
+    print!("{:<10} {:>10}", "workload", "ordering");
+    if dispatch {
+        print!(" {:>10}", "dispatch");
+    }
+    println!(
+        " {:>14} {:>11} {:>10}",
+        "coordination", "execution", "total"
+    );
+    for (label, s, total) in rows {
+        print!("{:<10} {:>10.2?}", label, s.ordering);
+        if dispatch {
+            print!(" {:>10.2?}", s.dispatch);
+        }
+        println!(
+            " {:>14.2?} {:>11.2?} {:>10.2?}",
+            s.coordination, s.execution, total
+        );
     }
     println!("\nlatency CDF (µs):");
     print!("{:<10}", "workload");

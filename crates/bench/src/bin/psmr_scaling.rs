@@ -31,9 +31,11 @@ fn main() {
         "dependency-aware dispatch; fixed work per cell",
     );
     let requests: u64 = if quick { 30 } else { 120 };
+    // `dispatch`: the mean delivery → pickup wait in the pool, the stage
+    // widening the pool shrinks (none at width 1).
     println!(
-        "{:<22} {:>8} {:>12} {:>10} {:>10}",
-        "conflict level", "width", "tps", "speedup", "mean lat"
+        "{:<22} {:>8} {:>12} {:>10} {:>10} {:>10}",
+        "conflict level", "width", "tps", "speedup", "mean lat", "dispatch"
     );
 
     let mut out = Json::obj();
@@ -75,9 +77,13 @@ fn main() {
                 base = s.tps;
             }
             let speedup = s.tps / base;
+            let dispatch = match s.all.dispatch {
+                d if d.is_zero() => "-".to_string(),
+                d => format!("{d:.2?}"),
+            };
             println!(
-                "{:<22} {:>8} {:>12.0} {:>9.2}x {:>10.2?}",
-                label, width, s.tps, speedup, s.mean
+                "{:<22} {:>8} {:>12.0} {:>9.2}x {:>10.2?} {:>10}",
+                label, width, s.tps, speedup, s.mean, dispatch
             );
             tps.push(s.tps);
             speedups.push(speedup);

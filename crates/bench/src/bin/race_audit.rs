@@ -17,17 +17,9 @@
 //! lint or (`--selftest`) the broken guard goes undetected. Every report
 //! is printed in full.
 
-use heron_bench::{banner, quick_mode, run_heron, RunConfig, Workload};
+use heron_bench::{arg_value, banner, quick_mode, run_heron, run_heron_on, RunConfig, Workload};
 use rdma_sim::RaceKind;
 use std::time::Duration;
-
-fn arg_value(name: &str) -> Option<u64> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-}
 
 /// The audited schedule shapes: the fig4 workload ladder, the fig5 scale
 /// point, and a chaos schedule that crashes and recovers a replica under
@@ -139,9 +131,10 @@ fn selftest(base_seed: u64, quick: bool) {
         .quick(quick)
         .with_race_detector(true);
     cfg.seed = base_seed;
-    cfg.break_guard = true;
+    let fabric = rdma_sim::Fabric::new(rdma_sim::LatencyModel::connectx4());
+    fabric.sabotage(heron_core::SABOTAGE_DUAL_VERSION_GUARD);
     println!("selftest: running TPC-C with the dual-versioning victim guard disabled");
-    let summary = run_heron(&cfg);
+    let summary = run_heron_on(&cfg, &fabric);
     let audit = summary.audit.expect("detector was enabled");
     let hits = audit
         .reports

@@ -664,10 +664,10 @@ pub fn run(sc: &Scenario) -> (RunResult, u64) {
 }
 
 /// Like [`run`], but optionally under schedule exploration (returning the
-/// detector report) and with the **self-test-only** broken `has_work` gate
-/// (see [`HeronConfig::with_broken_has_work_gate`]). The `explore_suite`
-/// binary drives all its chaos/recovery sweeps and the livelock self-test
-/// through this entry point.
+/// detector report) and, **for self-tests only**, on a fabric sabotaged
+/// with [`amcast::SABOTAGE_HAS_WORK_GATE`]. The `explore_suite` binary
+/// drives all its chaos/recovery sweeps and the livelock self-test through
+/// this entry point.
 pub fn run_explored(
     sc: &Scenario,
     explore: Option<sim::ExploreConfig>,
@@ -677,11 +677,11 @@ pub fn run_explored(
     if let Some(cfg) = explore {
         simulation.enable_exploration(cfg);
     }
-    let mut cfg = sc.config();
+    let fabric = Fabric::new(LatencyModel::connectx4());
     if break_has_work {
-        cfg = cfg.with_broken_has_work_gate();
+        fabric.sabotage(amcast::SABOTAGE_HAS_WORK_GATE);
     }
-    let result = run_on(sc, &simulation, cfg);
+    let result = run_on(sc, &simulation, &fabric, sc.config());
     (
         result,
         simulation.schedule_hash(),
@@ -689,19 +689,23 @@ pub fn run_explored(
     )
 }
 
-/// The one scenario driver: runs `sc` on a simulation and a deployment
-/// config (start from [`Scenario::config`]) the caller has prepared, so
-/// whatever diagnostics are enabled on either ride along; the schedule
-/// fingerprint is the caller's to read off `simulation` afterwards.
-pub fn run_on(sc: &Scenario, simulation: &sim::Simulation, cfg: HeronConfig) -> RunResult {
-    let fabric = Fabric::new(LatencyModel::connectx4());
+/// The one scenario driver: runs `sc` on a simulation, a fresh fabric and
+/// a deployment config (start from [`Scenario::config`]) the caller has
+/// prepared, so whatever diagnostics are enabled on them ride along; the
+/// schedule fingerprint is the caller's to read off `simulation` afterwards.
+pub fn run_on(
+    sc: &Scenario,
+    simulation: &sim::Simulation,
+    fabric: &Fabric,
+    cfg: HeronConfig,
+) -> RunResult {
     let bank = Arc::new(Bank {
         partitions: sc.partitions as u16,
         accounts: sc.accounts,
     });
-    let cluster = HeronCluster::build(&fabric, cfg, bank);
+    let cluster = HeronCluster::build(fabric, cfg, bank);
     cluster.spawn(simulation);
-    build_plan(sc, &cluster).arm(simulation, &fabric);
+    build_plan(sc, &cluster).arm(simulation, fabric);
 
     let checker = Checker::new(sc.seed);
     let done = Arc::new(AtomicUsize::new(0));

@@ -4,7 +4,7 @@
 
 use crate::null::NullApp;
 use dynastar::{DynaStar, DynaStarConfig};
-use heron_core::{HeronCluster, HeronConfig, PartitionId, StateMachine};
+use heron_core::{Breakdown, HeronCluster, HeronConfig, PartitionId, StageMeans, StateMachine};
 use rdma_sim::{Fabric, LatencyModel};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -78,15 +78,6 @@ pub struct RunConfig {
     /// summary's `prof` field then carries the report. Like tracing and
     /// the race detector, schedules stay bit-identical either way.
     pub profiling: bool,
-    /// **Self-test only**: breaks the dual-versioning victim guard so the
-    /// detector has a real protocol violation to catch (see
-    /// [`HeronConfig::break_dual_version_guard`]).
-    pub break_guard: bool,
-    /// **Self-test only**: drops the `await_epoch` gate on the ordering
-    /// layer's `has_work` truncation-horizon check, re-introducing the PR 8
-    /// zero-virtual-time livelock (see
-    /// [`HeronConfig::with_broken_has_work_gate`]).
-    pub break_has_work: bool,
     /// Schedule exploration (Heron only): turns every same-instant ready
     /// set into an explicit choice point driven by the configured strategy
     /// and arms the deadlock/livelock detectors; the summary's `explore`
@@ -123,8 +114,6 @@ impl RunConfig {
             race_detector: false,
             tracing: false,
             profiling: false,
-            break_guard: false,
-            break_has_work: false,
             explore: None,
             crash: None,
         }
@@ -209,19 +198,6 @@ impl RunConfig {
     }
 }
 
-/// One latency-breakdown average.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BreakdownSummary {
-    /// Samples.
-    pub n: usize,
-    /// Mean multicast-to-delivery time.
-    pub ordering: Duration,
-    /// Mean Phase 2 + Phase 4 time.
-    pub coordination: Duration,
-    /// Mean execution time.
-    pub execution: Duration,
-}
-
 /// Race-detector output of one run (`None` when the detector was off).
 #[derive(Debug, Clone)]
 pub struct RaceAuditSummary {
@@ -246,10 +222,15 @@ pub struct LoadSummary {
     pub p99: Duration,
     /// Sorted latency samples (µs) for CDF plots.
     pub samples_us: Vec<f64>,
-    /// Replica-side breakdown of single-partition requests.
-    pub single: BreakdownSummary,
-    /// Replica-side breakdown of multi-partition requests.
-    pub multi: BreakdownSummary,
+    /// Replica-side stage means of single-partition requests.
+    pub single: StageMeans,
+    /// Replica-side stage means of multi-partition requests.
+    pub multi: StageMeans,
+    /// Replica-side stage means of all requests.
+    pub all: StageMeans,
+    /// The window's raw [`Breakdown`] rows, the ones the three above
+    /// average.
+    pub breakdowns: Vec<Breakdown>,
     /// Per-partition wait-for-all stats: (delayed fraction, mean delay).
     pub delays: Vec<(f64, Duration)>,
     /// State transfers initiated during the run (lagger events).
@@ -312,13 +293,18 @@ pub fn quantile(sorted_us: &[f64], q: f64) -> f64 {
 /// Builds a Heron deployment for `cfg` and drives it with closed-loop
 /// clients; returns the measured summary.
 pub fn run_heron(cfg: &RunConfig) -> LoadSummary {
+    run_heron_on(cfg, &Fabric::new(LatencyModel::connectx4()))
+}
+
+/// [`run_heron`] on a fabric the caller prepared — e.g. one a detector
+/// self-test armed with [`Fabric::sabotage`].
+pub fn run_heron_on(cfg: &RunConfig, fabric: &Fabric) -> LoadSummary {
     let wall_start = std::time::Instant::now();
     let simulation = sim::Simulation::new(cfg.seed);
     if let Some(ex) = &cfg.explore {
         simulation.enable_exploration(ex.clone());
     }
     let profiler = cfg.profiling.then(|| simulation.enable_profiling());
-    let fabric = Fabric::new(LatencyModel::connectx4());
     let warehouses = cfg.partitions as u16 * cfg.warehouses_per_partition;
     let app: Arc<dyn StateMachine> = match cfg.workload {
         Workload::Tpcc | Workload::TpccLocal => {
@@ -337,13 +323,7 @@ pub fn run_heron(cfg: &RunConfig) -> LoadSummary {
         .with_max_batch(cfg.max_batch)
         .with_race_detector(cfg.race_detector)
         .with_tracing(cfg.tracing);
-    if cfg.break_guard {
-        hcfg = hcfg.with_broken_dual_version_guard();
-    }
-    if cfg.break_has_work {
-        hcfg = hcfg.with_broken_has_work_gate();
-    }
-    let cluster = HeronCluster::build(&fabric, hcfg, app);
+    let cluster = HeronCluster::build(fabric, hcfg, app);
     cluster.spawn(&simulation);
 
     if let Some((down, up)) = cfg.crash {
@@ -411,12 +391,12 @@ pub fn run_heron(cfg: &RunConfig) -> LoadSummary {
     }
 
     let metrics = cluster.metrics();
-    let (completed0, samples0, breakdown0);
+    let (completed0, samples0);
     let window_secs;
     if fixed_requests.is_some() {
         // Fixed work: measure the whole run, cold start included — both
         // sides of a comparison pay it identically.
-        (completed0, samples0, breakdown0) = (0, 0, 0);
+        (completed0, samples0) = (0, 0);
         simulation.run().expect("fixed-work run");
         window_secs = simulation.now().as_nanos() as f64 / 1e9;
     } else {
@@ -426,7 +406,7 @@ pub fn run_heron(cfg: &RunConfig) -> LoadSummary {
             .expect("warmup");
         completed0 = metrics.completed.load(Ordering::Relaxed);
         samples0 = metrics.latencies.lock().len();
-        breakdown0 = metrics.breakdowns.lock().len();
+        metrics.breakdowns.lock().clear(); // rows are window-only from here
         simulation.run_until(end).expect("measurement window");
         window_secs = cfg.window.as_secs_f64();
     }
@@ -439,30 +419,7 @@ pub fn run_heron(cfg: &RunConfig) -> LoadSummary {
     } else {
         Duration::from_nanos(window_samples.iter().sum::<u64>() / window_samples.len() as u64)
     };
-    let breakdowns = metrics.breakdowns.lock()[breakdown0..].to_vec();
-    let summarize = |multi: bool| {
-        let sel: Vec<_> = breakdowns
-            .iter()
-            .filter(|b| (b.partitions > 1) == multi)
-            .collect();
-        if sel.is_empty() {
-            return BreakdownSummary::default();
-        }
-        let n = sel.len() as u64;
-        let sum = sel.iter().fold((0u64, 0u64, 0u64), |a, b| {
-            (
-                a.0 + b.ordering_ns,
-                a.1 + b.coordination_ns,
-                a.2 + b.execution_ns,
-            )
-        });
-        BreakdownSummary {
-            n: sel.len(),
-            ordering: Duration::from_nanos(sum.0 / n),
-            coordination: Duration::from_nanos(sum.1 / n),
-            execution: Duration::from_nanos(sum.2 / n),
-        }
-    };
+    let breakdowns = metrics.breakdowns.lock().clone();
     let delays = metrics
         .delays
         .iter()
@@ -481,8 +438,10 @@ pub fn run_heron(cfg: &RunConfig) -> LoadSummary {
             .iter()
             .map(|&ns| ns as f64 / 1_000.0)
             .collect(),
-        single: summarize(false),
-        multi: summarize(true),
+        single: metrics.mean_breakdown(|b| b.partitions == 1),
+        multi: metrics.mean_breakdown(|b| b.partitions > 1),
+        all: metrics.mean_breakdown(|_| true),
+        breakdowns,
         delays,
         transfers_started: metrics.transfers_started.load(Ordering::Relaxed),
         transfers_completed,
@@ -573,8 +532,10 @@ pub fn run_dynastar_tpcc(cfg: &RunConfig) -> LoadSummary {
             .iter()
             .map(|&ns| ns as f64 / 1_000.0)
             .collect(),
-        single: BreakdownSummary::default(),
-        multi: BreakdownSummary::default(),
+        single: StageMeans::default(),
+        multi: StageMeans::default(),
+        all: StageMeans::default(),
+        breakdowns: vec![],
         delays: vec![],
         transfers_started: 0,
         transfers_completed: 0,

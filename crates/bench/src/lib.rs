@@ -14,12 +14,13 @@
 //! | `ablation_sweeps` | transfer chunk size (§V-E2), Phase-4 cut-off δ (§V-A), execution mode (§III-D2) |
 //! | `chaos_suite` | fault model of §IV — seeded fault plans through the consistency checker |
 //! | `race_audit` | Sim-TSan sweep — happens-before race & protocol-lint audit over the fig4/fig5/chaos schedules (DESIGN.md §10) |
-//! | `trace_explain` | virtual-time tracing — Perfetto export, top-k critical paths, Fig. 6 attribution cross-check (DESIGN.md §11) |
+//! | `explain` | one traced + profiled run — Perfetto export with counter tracks, top-k request paths, p999 exemplar blame, Fig. 6 stage means, wait states, gauges, folded stacks (DESIGN.md §11) |
 //! | `explore_suite` | Sim-Check — schedule exploration (random / PCT / preemption-bounded) with deadlock & livelock detection over the fig4/chaos/recovery shapes (DESIGN.md §15) |
 //!
 //! Run them with `cargo run -p heron-bench --release --bin <name>`; pass
-//! `--quick` for a shorter, coarser run. Criterion microbenchmarks of the
-//! implementation itself live in `benches/`.
+//! `--quick` for a shorter, coarser run. Host-time costs of the
+//! implementation itself are measured by `sched_bench` and by the ledger's
+//! isolated drivers (`benchmark/`).
 #![forbid(unsafe_code)]
 
 pub mod chaos;
@@ -30,7 +31,8 @@ pub mod sched_workloads;
 pub mod syncapp;
 
 pub use harness::{
-    quantile, run_dynastar_tpcc, run_heron, LoadSummary, RaceAuditSummary, RunConfig, Workload,
+    quantile, run_dynastar_tpcc, run_heron, run_heron_on, LoadSummary, RaceAuditSummary, RunConfig,
+    Workload,
 };
 pub use null::NullApp;
 pub use report::{write_results, Json};
@@ -39,6 +41,16 @@ pub use report::{write_results, Json};
 /// windows for a fast smoke run.
 pub fn quick_mode() -> bool {
     std::env::args().any(|a| a == "--quick")
+}
+
+/// The numeric value following the flag `name` on the command line
+/// (`--seed 42`), if any.
+pub fn arg_value(name: &str) -> Option<u64> {
+    let args: Vec<String> = std::env::args().collect();
+    args.iter()
+        .position(|a| a == name)
+        .and_then(|i| args.get(i + 1))
+        .and_then(|v| v.parse().ok())
 }
 
 /// Prints a standard experiment header.

@@ -80,7 +80,7 @@ struct Row {
 /// The three load shapes are the fig4 ladder entry, the same shape under
 /// a crash/recovery, and a width-4 P-SMR pool, at the quick sizes and
 /// seeds 42/43/44 their hashes and event counts were first committed with
-/// (`BENCH_prof_overhead.json`, PR 10 through PR 14). `recovery-dur-off`
+/// (the profiler's overhead report, PR 10 through PR 14). `recovery-dur-off`
 /// is recovery seed 9004 with its faults and checkpointing stripped — no
 /// storage is built, so the durability subsystem must be invisible (hash
 /// from `BENCH_recovery.json`). `recovery-9003` is the durable ladder's
@@ -181,7 +181,8 @@ fn fingerprint(shape: &Shape, sw: Switches) -> (u64, u64, u64) {
                 .config()
                 .with_race_detector(sw.race)
                 .with_tracing(sw.trace);
-            let result = chaos::run_on(sc, &simulation, cfg);
+            let fabric = rdma_sim::Fabric::new(rdma_sim::LatencyModel::connectx4());
+            let result = chaos::run_on(sc, &simulation, &fabric, cfg);
             assert!(
                 matches!(result, RunResult::Pass { .. }),
                 "seed {} must pass the checker: {result:?}",

@@ -1,11 +1,14 @@
 //! Regression tests for the virtual-time tracing subsystem (DESIGN.md
 //! §11): the Perfetto export must be well-formed and causally sensible,
-//! and the critical-path analyzer's Fig. 6 attribution must agree with
-//! the legacy breakdown counters. (That tracing leaves the schedule alone
-//! is pinned in `schedule_hash.rs`.)
+//! the stage spans must sum exactly to the `Breakdown` rows (one stage
+//! clock feeds both), and every request path — the p999 exemplars'
+//! included — must sum exactly to its latency, at width 1 and in the pool.
+//! (That tracing leaves the schedule alone is pinned in `schedule_hash.rs`.)
 
 use heron_bench::{run_heron, RunConfig, Workload};
-use heron_core::critical_path::{attribute_where, critical_paths};
+use heron_core::explain::{blame_exemplars, request_paths, spans};
+use sim::trace::EventKind;
+use std::collections::{HashMap, HashSet};
 use std::time::Duration;
 
 /// A small fig4-shaped run in fixed-work mode: deterministic request set,
@@ -69,7 +72,7 @@ fn perfetto_export_is_well_formed() {
     // run, and Begin/End pairs are non-negative (t1 ≥ t0 per span).
     let events = tracer.events();
     assert!(!events.is_empty());
-    for s in heron_core::critical_path::spans(&events) {
+    for s in spans(&events) {
         assert!(s.t1 >= s.t0, "span {} ends before it begins", s.name);
         assert!(
             s.t1 <= summary.virtual_ns,
@@ -87,45 +90,82 @@ fn perfetto_export_is_well_formed() {
     }
 }
 
-/// Acceptance criterion: the analyzer's ordering/coordination/execution
-/// attribution matches the legacy Fig. 6 breakdown within 1 % (exactly,
-/// in fact: the phase spans sample the same virtual instants).
-#[test]
-fn critical_path_attribution_matches_legacy_breakdown() {
-    let summary = run_heron(&shape(4, 12).with_tracing(true));
-    let events = summary.tracer.as_ref().expect("tracing was on").events();
-    for (label, a, legacy) in [
-        (
-            "single",
-            attribute_where(&events, |p| p == 1),
-            summary.single,
-        ),
-        ("multi", attribute_where(&events, |p| p > 1), summary.multi),
-    ] {
-        assert!(a.n > 0, "{label}: no samples traced");
-        assert_eq!(a.n, legacy.n as u64, "{label}: sample counts differ");
-        for (name, t, l) in [
-            ("ordering", a.ordering_ns, legacy.ordering.as_nanos() as u64),
-            (
-                "coordination",
-                a.coordination_ns,
-                legacy.coordination.as_nanos() as u64,
-            ),
-            (
-                "execution",
-                a.execution_ns,
-                legacy.execution.as_nanos() as u64,
-            ),
-        ] {
-            assert!(
-                t.abs_diff(l) * 100 <= l,
-                "{label} {name}: trace {t} ns vs legacy {l} ns diverge > 1 %"
-            );
+/// `[n, ordering, dispatch, coordination, execution]` totals, per class
+/// (single- / multi-partition).
+type StageSums = [[u64; 5]; 2];
+
+fn add_row(sums: &mut StageSums, partitions: u64, row: [u64; 5]) {
+    let class = usize::from(partitions > 1);
+    (0..5).for_each(|i| sums[class][i] += row[i]);
+}
+
+/// The span side: every replied `exec.request` span's args and stage
+/// children, summed — the condition under which a `Breakdown` row exists.
+fn span_sums(events: &[sim::trace::TraceEvent]) -> StageSums {
+    let all = spans(events);
+    let replied: HashSet<(u32, u64)> = events
+        .iter()
+        .filter(|e| e.kind == EventKind::Instant && e.name == "exec.reply")
+        .map(|e| (e.track, e.corr))
+        .collect();
+    let mut children: HashMap<u64, [u64; 2]> = HashMap::new();
+    for s in &all {
+        match s.name {
+            "exec.phase2" | "exec.phase4" => children.entry(s.parent).or_default()[0] += s.dur_ns(),
+            "exec.execute" => children.entry(s.parent).or_default()[1] += s.dur_ns(),
+            _ => {}
         }
     }
+    let mut sums = StageSums::default();
+    for s in all.iter().filter(|s| s.name == "exec.request") {
+        if !replied.contains(&(s.track, s.corr)) {
+            continue;
+        }
+        let [coordination, execution] = children.get(&s.id).copied().unwrap_or_default();
+        let row = [
+            1,
+            s.arg("ordering_ns").unwrap(),
+            s.arg("parallel_ns").unwrap(),
+            coordination,
+            execution,
+        ];
+        add_row(&mut sums, s.arg("partitions").unwrap(), row);
+    }
+    sums
+}
 
-    // Critical paths decompose every traced request's full latency.
-    let paths = critical_paths(&events);
+/// One stage clock feeds counters and spans, so per class the two sum to
+/// the same nanosecond and count the same samples; and every request's
+/// path, the retained p999 exemplars' included, accounts for its whole
+/// latency. `width` 4 runs the pool, so the dispatch wait is non-zero and
+/// `pool.park` carving is on the path.
+fn spans_rows_and_paths_agree(width: usize) {
+    let cfg = shape(4, 12).with_width(width).with_tracing(true);
+    let summary = run_heron(&cfg);
+    let events = summary.tracer.as_ref().expect("tracing was on").events();
+
+    let mut rows = StageSums::default();
+    for b in &summary.breakdowns {
+        let row = [
+            1,
+            b.ordering_ns,
+            b.parallel_ns,
+            b.coordination_ns,
+            b.execution_ns,
+        ];
+        add_row(&mut rows, u64::from(b.partitions), row);
+    }
+    assert_eq!(
+        span_sums(&events),
+        rows,
+        "Σ span stages != Σ Breakdown rows"
+    );
+    assert!(rows[0][0] > 0 && rows[1][0] > 0, "both classes sampled");
+    assert_eq!(rows[0][2] + rows[1][2] > 0, width > 1, "dispatch wait");
+    assert_eq!(summary.single.n + summary.multi.n, summary.all.n);
+
+    // Paths decompose every traced request's full latency.
+    let paths = request_paths(&events);
     assert!(!paths.is_empty());
     assert!(paths.windows(2).all(|w| w[0].total_ns >= w[1].total_ns));
     for p in &paths {
@@ -138,4 +178,24 @@ fn critical_path_attribution_matches_legacy_breakdown() {
     assert!(paths
         .iter()
         .all(|p| p.total_ns >= Duration::from_micros(1).as_nanos() as u64));
+
+    // Every retained tail exemplar is on a path that sums to the latency
+    // the histogram kept it for.
+    let blamed = blame_exemplars(&paths, &summary.exemplars);
+    assert!(!blamed.is_empty(), "no tail exemplars retained");
+    for b in &blamed {
+        let sum: u64 = b.segments.iter().map(|s| s.ns).sum();
+        assert_eq!((sum, b.total_ns), (b.latency_ns, b.latency_ns), "{b:?}");
+        assert!(b.segments.iter().all(|s| s.name != "untraced"), "{b:?}");
+    }
+}
+
+#[test]
+fn spans_rows_and_paths_agree_on_the_inline_lane() {
+    spans_rows_and_paths_agree(1);
+}
+
+#[test]
+fn spans_rows_and_paths_agree_in_the_pool() {
+    spans_rows_and_paths_agree(4);
 }

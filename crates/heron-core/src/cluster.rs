@@ -277,7 +277,7 @@ impl HeronCluster {
                 let svc_poller = node.poller(node.inbox_cond(), &[layout.ring_range()]);
                 let mut store = VersionedStore::new(node.clone());
                 if let Some(det) = &inner.detector {
-                    store.instrument(det.clone(), cfg.break_dual_version_guard);
+                    store.instrument(det.clone());
                 }
                 for (oid, value) in inner.app.bootstrap(PartitionId(p as u16)) {
                     store.bootstrap(oid, &value);

@@ -113,13 +113,6 @@ pub struct HeronConfig {
     /// trace hook is one relaxed atomic load and — like the race detector —
     /// schedules are bit-identical either way.
     pub tracing: bool,
-    /// **Self-test only.** Makes [`crate::VersionedStore::set`] overwrite
-    /// the version with the *larger* timestamp — removing the
-    /// dual-versioning guard that lets concurrent remote readers find the
-    /// version they need. Exists so `race_audit --selftest` can prove the
-    /// race detector catches the resulting protocol violation; never set
-    /// this outside that test.
-    pub break_dual_version_guard: bool,
     /// Durable checkpointing (see [`DurabilityConfig`]). `None` (the
     /// default) runs the original all-in-memory system bit-for-bit.
     pub durability: Option<DurabilityConfig>,
@@ -152,7 +145,6 @@ impl HeronConfig {
             executor_width: 1,
             race_detector: false,
             tracing: false,
-            break_dual_version_guard: false,
             durability: None,
             mcast,
         }
@@ -177,24 +169,6 @@ impl HeronConfig {
     #[must_use]
     pub fn with_tracing(mut self, on: bool) -> Self {
         self.tracing = on;
-        self
-    }
-
-    /// **Self-test only**: disables the dual-versioning victim guard (see
-    /// [`HeronConfig::break_dual_version_guard`]).
-    #[must_use]
-    pub fn with_broken_dual_version_guard(mut self) -> Self {
-        self.break_dual_version_guard = true;
-        self
-    }
-
-    /// **Self-test only**: drops the `await_epoch` gate on the ordering
-    /// layer's `has_work` truncation-horizon check, re-introducing the
-    /// PR 8 zero-virtual-time livelock so `explore_suite --selftest` can
-    /// prove the livelock detector catches it.
-    #[must_use]
-    pub fn with_broken_has_work_gate(mut self) -> Self {
-        self.mcast.break_has_work_gate = true;
         self
     }
 

@@ -112,7 +112,7 @@ pub(crate) trait StallHandler {
     fn on_completed(&mut self, ts: Timestamp);
     /// Offers the handler the client reply. Returns `true` if the handler
     /// took ownership of posting it. The inline lane declines (the
-    /// default) and [`ExecCore::reply`] posts directly; pool workers ship
+    /// default) and [`post_reply`] runs on the spot; pool workers ship
     /// it to the driver on their `Done` event, because each replica
     /// owns ONE response slot per client and two workers finishing
     /// different requests of the same client concurrently would race
@@ -120,6 +120,31 @@ pub(crate) trait StallHandler {
     /// fresher reply). The driver is the slot's single writer.
     fn on_reply(&mut self, _client_id: u64, _seq: u64, _response: &[u8]) -> bool {
         false
+    }
+}
+
+/// The stage clock: the one measurement behind Fig. 6. Opening a stage
+/// opens its span; [`Stage::close`] reads the clock once, ends the span at
+/// that instant and returns the duration for the [`Breakdown`] row, so
+/// counters and spans agree by construction. A stage dropped unclosed (a
+/// transfer covered the command) ends its span and contributes no row.
+struct Stage {
+    t0: SimTime,
+    span: sim::trace::SpanGuard,
+}
+
+impl Stage {
+    fn open(name: &'static str, uid: u64) -> Stage {
+        Stage {
+            t0: sim::now(),
+            span: sim::trace::span(name, uid),
+        }
+    }
+
+    fn close(self) -> u64 {
+        let now = sim::now();
+        self.span.end_at(now.as_nanos());
+        (now - self.t0).as_nanos() as u64
     }
 }
 
@@ -175,12 +200,10 @@ impl ExecCore {
         let ordering_ns = recv_ns.saturating_sub(submit_ns);
         let parallel_ns = sim::now().as_nanos().saturating_sub(recv_ns);
         // Whole-request span on this executor, correlated on the message
-        // uid so one request stitches across partitions. The phase child
-        // spans below open and close at the very instants the Breakdown
-        // counters sample, so trace-derived attribution matches them
-        // exactly (the Fig. 6 view over spans). The dispatch wait is not a
-        // span of its own (overlapping waits across workers would not
-        // nest); it rides as an arg, like the ordering stage.
+        // uid so one request stitches across partitions; the stages nest
+        // under it. Ordering and the dispatch wait ride as args: neither
+        // happens on this process (dispatch waits of concurrent commands
+        // overlap across workers and would not nest as spans).
         let uid = u64::from(d.id.0);
         let _req_span = sim::trace::span_args(
             "exec.request",
@@ -194,77 +217,86 @@ impl ExecCore {
             ],
         );
 
-        // Lines 5–7: single-partition fast path — classic SMR.
-        if dests.len() == 1 {
-            let t0 = sim::now();
-            let exec_span = sim::trace::span("exec.execute", uid);
+        let stages = if dests.len() == 1 {
+            // Lines 5–7: single-partition fast path — classic SMR.
+            let stage = Stage::open("exec.execute", uid);
             let reads = loop {
-                match self.read_objects(&payload, ts, &dests, &[]) {
+                match self.read_objects(&payload, ts, &[]) {
                     Ok(r) => break r,
-                    Err(Lagging) => {
-                        // Local-only reads cannot lag; defensive fallback.
-                        match stalls.on_stall(ts, Stall::Lagging) {
-                            StallOutcome::Covered => return false,
-                            StallOutcome::Retry => {}
-                        }
-                    }
+                    // Local-only reads cannot lag; defensive fallback.
+                    Err(Lagging) => match stalls.on_stall(ts, Stall::Lagging) {
+                        StallOutcome::Covered => return false,
+                        StallOutcome::Retry => {}
+                    },
                 }
             };
             let exec = self.execute_and_write(&payload, ts, &reads);
-            let exec_ns = (sim::now() - t0).as_nanos() as u64;
-            drop(exec_span);
-            stalls.on_completed(ts);
-            if !stalls.on_reply(client_id, seq, &exec.response) {
-                self.reply(client_id, seq, &exec.response);
-            }
-            sim::trace::instant("exec.reply", uid);
-            shared.cluster.metrics.record_breakdown(Breakdown {
-                ordering_ns,
-                parallel_ns,
-                coordination_ns: 0,
-                execution_ns: exec_ns,
-                partitions: 1,
-                at_partition: shared.partition.0,
-            });
-            return true;
-        }
+            Some((0, stage.close(), exec.response))
+        } else {
+            self.run_coordinated(&payload, ts, uid, &dests, stalls)
+        };
+        let Some((coordination_ns, execution_ns, response)) = stages else {
+            return false; // a state transfer covered this request
+        };
 
+        stalls.on_completed(ts);
+        // Line 17: reply.
+        if !stalls.on_reply(client_id, seq, &response) {
+            post_reply(shared, client_id, seq, &response);
+        }
+        sim::trace::instant("exec.reply", uid);
+        shared.cluster.metrics.record_breakdown(Breakdown {
+            ordering_ns,
+            parallel_ns,
+            coordination_ns,
+            execution_ns,
+            partitions: dests.len() as u16,
+            at_partition: shared.partition.0,
+        });
+        true
+    }
+
+    /// Lines 8–16: the Phase 2 → execute → Phase 4 pipeline of a
+    /// multi-partition command. Returns `(coordination_ns, execution_ns,
+    /// response)`, or `None` if a state transfer covered the command.
+    fn run_coordinated(
+        &self,
+        payload: &[u8],
+        ts: Timestamp,
+        uid: u64,
+        dests: &[PartitionId],
+        stalls: &mut dyn StallHandler,
+    ) -> Option<(u64, u64, Bytes)> {
+        let shared = &self.shared;
         // Lines 8–10: Phase 2 — barrier on a majority of every involved
         // partition. If the barrier starves, the peers' coordination
         // writes were lost while we were crashed (they ran this request
         // long ago): recover through state transfer instead of waiting
         // forever.
-        let t_p2 = sim::now();
-        let p2_span = sim::trace::span("exec.phase2", uid);
-        self.write_coord(&dests, ts, 1);
-        loop {
-            if self.wait_coord_timeout(&dests, ts, 1, self.cfg().transfer_timeout) {
-                break;
-            }
+        let stage = Stage::open("exec.phase2", uid);
+        self.write_coord(dests, ts, 1);
+        while !self.wait_coord_timeout(dests, ts, 1, self.cfg().transfer_timeout) {
             let stall = Stall::Phase2Starved {
-                dests: dests.clone(),
+                dests: dests.to_vec(),
             };
-            match stalls.on_stall(ts, stall) {
-                StallOutcome::Covered => return false, // transfer covered this request
-                StallOutcome::Retry => {}
+            if stalls.on_stall(ts, stall) == StallOutcome::Covered {
+                return None;
             }
         }
-        let p2_ns = (sim::now() - t_p2).as_nanos() as u64;
-        drop(p2_span);
+        let p2_ns = stage.close();
 
         // Lines 11–13: execution (reading phase, compute, writing phase).
         // If we have lagged behind the fast majority, state-transfer; a
         // transfer whose snapshot already includes this request covers it
         // (it will be skipped via last_req), otherwise we caught up to a
         // point *before* this request and must still execute it.
-        let t_exec = sim::now();
-        let exec_span = sim::trace::span("exec.execute", uid);
+        let stage = Stage::open("exec.execute", uid);
         let mut pending_writes = PendingWrites::new();
         let active_only = self.cfg().execution_mode == crate::ExecutionMode::ActiveOnly;
         let active = shared
             .cluster
             .app
-            .active_partition(&payload)
+            .active_partition(payload)
             .unwrap_or(dests[0]);
         let response = if active_only && active != shared.partition {
             // Passive partition (§III-D2 variant): the active partition
@@ -274,7 +306,7 @@ impl ExecCore {
             // FIFO link guarantees the active's object writes land before
             // its Phase-4 coordination entry does.
             let mut log = shared.log.lock();
-            for oid in shared.cluster.app.read_set_at(shared.partition, &payload) {
+            for oid in shared.cluster.app.read_set_at(shared.partition, payload) {
                 if shared.cluster.app.placement(oid) == Placement::Partition(shared.partition) {
                     log.push((ts.raw(), oid));
                 }
@@ -284,29 +316,27 @@ impl ExecCore {
             let exec = loop {
                 pending_writes.clear();
                 let attempt = if active_only {
-                    self.execute_active_only(&payload, ts, &dests, &mut pending_writes)
+                    self.execute_active_only(payload, ts, dests, &mut pending_writes)
                 } else {
-                    self.read_objects(&payload, ts, &dests, &dests)
-                        .map(|reads| self.execute_and_write(&payload, ts, &reads))
+                    self.read_objects(payload, ts, dests)
+                        .map(|reads| self.execute_and_write(payload, ts, &reads))
                 };
                 match attempt {
                     Ok(exec) => break exec,
                     Err(Lagging) => match stalls.on_stall(ts, Stall::Lagging) {
-                        StallOutcome::Covered => return false, // transfer included this request
+                        StallOutcome::Covered => return None,
                         StallOutcome::Retry => {}
                     },
                 }
             };
             exec.response
         };
-        let exec_ns = (sim::now() - t_exec).as_nanos() as u64;
-        drop(exec_span);
+        let exec_ns = stage.close();
 
         // Lines 14–16: Phase 4 — same barrier, with the optional
         // wait-for-all delay (paper §V-E1). Queued active-only write-backs
         // ride the same doorbells.
-        let t_p4 = sim::now();
-        let p4_span = sim::trace::span("exec.phase4", uid);
+        let stage = Stage::open("exec.phase4", uid);
         // Protocol lint (regression guard): the Phase-4 entry — which in
         // batched active-only mode carries the remote object write-backs —
         // must never be posted before the Phase-2 quorum was observed.
@@ -314,7 +344,7 @@ impl ExecCore {
         // passed this stays satisfied; a hit means a code change skipped
         // or reordered the Phase-2 wait.
         if let Some(det) = shared.cluster.detector.as_ref() {
-            let (_, quorum, _) = coord_status(shared, &dests, ts, 1);
+            let (_, quorum, _) = coord_status(shared, dests, ts, 1);
             if !quorum {
                 let coord_len =
                     (self.cfg().partitions * self.n() * shared.layout.coord_width * COORD_ENTRY)
@@ -333,26 +363,9 @@ impl ExecCore {
                 );
             }
         }
-        self.write_coord_with(&dests, ts, 2, pending_writes);
-        self.wait_coord(&dests, ts, 2, self.cfg().wait_for_all);
-        let p4_ns = (sim::now() - t_p4).as_nanos() as u64;
-        drop(p4_span);
-
-        stalls.on_completed(ts);
-        // Line 17: reply.
-        if !stalls.on_reply(client_id, seq, &response) {
-            self.reply(client_id, seq, &response);
-        }
-        sim::trace::instant("exec.reply", uid);
-        shared.cluster.metrics.record_breakdown(Breakdown {
-            ordering_ns,
-            parallel_ns,
-            coordination_ns: p2_ns + p4_ns,
-            execution_ns: exec_ns,
-            partitions: dests.len() as u16,
-            at_partition: shared.partition.0,
-        });
-        true
+        self.write_coord_with(dests, ts, 2, pending_writes);
+        self.wait_coord(dests, ts, 2, self.cfg().wait_for_all);
+        Some((p2_ns + stage.close(), exec_ns, response))
     }
 
     // ------------------------------------------------------------------
@@ -389,12 +402,12 @@ impl ExecCore {
         for h in sorted {
             for q in 0..n {
                 let target = shared.peer(h, q);
-                let slot_on_target = self.layout_of(&target).coord_slot(
-                    shared.partition.0 as usize,
-                    shared.idx,
-                    self.lane,
-                    n,
-                );
+                // All replica nodes share one allocation schedule, so any
+                // replica's layout equals ours.
+                let slot_on_target =
+                    shared
+                        .layout
+                        .coord_slot(shared.partition.0 as usize, shared.idx, self.lane, n);
                 if target.id() == shared.node.id() {
                     let _ = shared.node.local_write(slot_on_target, &entry);
                 } else if batched {
@@ -419,13 +432,6 @@ impl ExecCore {
         );
     }
 
-    fn layout_of(&self, node: &rdma_sim::Node) -> crate::layout::ReplicaLayout {
-        // All replica nodes share the same allocation schedule, so the
-        // layout of any replica equals ours.
-        let _ = node;
-        self.shared.layout
-    }
-
     /// Like [`ExecCore::wait_coord`] but gives up after `timeout`; returns
     /// whether the majority barrier was reached.
     fn wait_coord_timeout(
@@ -435,13 +441,8 @@ impl ExecCore {
         phase: u64,
         timeout: Duration,
     ) -> bool {
-        self.poller.poll_until_timeout(
-            || {
-                let (_, maj, _) = coord_status(&self.shared, dests, ts, phase);
-                maj
-            },
-            timeout,
-        )
+        self.poller
+            .poll_until_timeout(|| coord_status(&self.shared, dests, ts, phase).1, timeout)
     }
 
     /// Blocks until a majority of every involved partition has coordinated
@@ -455,26 +456,18 @@ impl ExecCore {
         delta: Option<Duration>,
     ) {
         let shared = &self.shared;
-        self.poller.poll_until(|| {
-            let (_, maj, _) = coord_status(shared, dests, ts, phase);
-            maj
-        });
+        self.poller
+            .poll_until(|| coord_status(shared, dests, ts, phase).1);
         if let Some(delta) = delta {
             let stats = &shared.cluster.metrics.delays[shared.partition.0 as usize];
             stats.total.fetch_add(1, Ordering::Relaxed);
-            let (_, _, everyone) = coord_status(shared, dests, ts, phase);
-            if everyone {
-                return;
+            if coord_status(shared, dests, ts, phase).2 {
+                return; // everyone already coordinated
             }
             stats.delayed.fetch_add(1, Ordering::Relaxed);
             let t0 = sim::now();
-            self.poller.poll_until_timeout(
-                || {
-                    let (_, _, everyone) = coord_status(shared, dests, ts, phase);
-                    everyone
-                },
-                delta,
-            );
+            self.poller
+                .poll_until_timeout(|| coord_status(shared, dests, ts, phase).2, delta);
             let waited = (sim::now() - t0).as_nanos() as u64;
             stats.delay_sum_ns.fetch_add(waited, Ordering::Relaxed);
         }
@@ -490,7 +483,6 @@ impl ExecCore {
         &self,
         payload: &[u8],
         ts: Timestamp,
-        _dests: &[PartitionId],
         coordinated: &[PartitionId],
     ) -> Result<ReadSet, Lagging> {
         let shared = &self.shared;
@@ -498,21 +490,7 @@ impl ExecCore {
         let mut reads = ReadSet::new();
         for oid in app.read_set_at(shared.partition, payload) {
             match app.placement(oid) {
-                Placement::Replicated => {
-                    let (_, v) = shared
-                        .store
-                        .get(oid)
-                        .unwrap_or_else(|| panic!("replicated object {oid} missing"));
-                    reads.insert(oid, v);
-                }
-                Placement::Partition(h) if h == shared.partition => {
-                    let (_, v) = shared
-                        .store
-                        .get(oid)
-                        .unwrap_or_else(|| panic!("local object {oid} missing"));
-                    reads.insert(oid, v);
-                }
-                Placement::Partition(h) => {
+                Placement::Partition(h) if h != shared.partition => {
                     debug_assert!(
                         coordinated.contains(&h),
                         "read set touches partition {h} the request was not multicast to"
@@ -520,9 +498,17 @@ impl ExecCore {
                     let v = self.remote_read(oid, h, ts)?;
                     reads.insert(oid, v);
                 }
+                _ => reads.insert(oid, self.local_get(oid)),
             }
         }
         Ok(reads)
+    }
+
+    /// A replicated or own-partition object, from our store.
+    fn local_get(&self, oid: ObjectId) -> Bytes {
+        let hit = self.shared.store.get(oid);
+        hit.unwrap_or_else(|| panic!("local object {oid} missing"))
+            .1
     }
 
     /// One remote read, with address discovery and failover (Algorithm 2,
@@ -569,7 +555,7 @@ impl ExecCore {
                 })
                 .collect();
             if known.is_empty() {
-                self.query_addresses(oid, h, &candidates);
+                self.query_addresses(oid, h);
                 continue;
             }
             // Line 15: pick a random coordinated replica.
@@ -671,7 +657,7 @@ impl ExecCore {
 
     /// Algorithm 2 lines 8–13: ask every replica of `h` for the object's
     /// address and wait until a majority answered.
-    fn query_addresses(&self, oid: ObjectId, h: PartitionId, candidates: &[usize]) {
+    fn query_addresses(&self, oid: ObjectId, h: PartitionId) {
         let shared = &self.shared;
         let majority = self.cfg().majority();
         shared.addr_heard.lock().remove(&oid);
@@ -683,7 +669,6 @@ impl ExecCore {
             let msg = crate::layout::encode_rpc(&crate::layout::Rpc::AddrQuery { oid });
             let _ = shared.qp(&target).send(msg);
         }
-        let _ = candidates;
         // Replies are absorbed by the service process, which fills
         // object_map/addr_heard and rings the doorbell — the polled word
         // that stands for `addr_heard`, which is not node memory.
@@ -723,26 +708,13 @@ impl ExecCore {
         let mut remote_slots: HashMap<ObjectId, crate::store::SlotVersions> = HashMap::new();
         for oid in app.read_set(payload) {
             match app.placement(oid) {
-                Placement::Replicated => {
-                    let (_, v) = shared
-                        .store
-                        .get(oid)
-                        .unwrap_or_else(|| panic!("replicated object {oid} missing"));
-                    reads.insert(oid, v);
-                }
-                Placement::Partition(h) if h == shared.partition => {
-                    let (_, v) = shared
-                        .store
-                        .get(oid)
-                        .unwrap_or_else(|| panic!("local object {oid} missing"));
-                    reads.insert(oid, v);
-                }
-                Placement::Partition(h) => {
+                Placement::Partition(h) if h != shared.partition => {
                     let (versions, _) = self.remote_read_slot(oid, h, ts)?;
                     let (_, v) = versions.read_for(ts).expect("checked by remote_read_slot");
                     reads.insert(oid, v.clone());
                     remote_slots.insert(oid, versions);
                 }
+                _ => reads.insert(oid, self.local_get(oid)),
             }
         }
         // Execute every partition's share; the active pays all the compute
@@ -835,12 +807,6 @@ impl ExecCore {
         }
         shared.in_write_phase.fetch_sub(1, Ordering::SeqCst);
         exec
-    }
-
-    /// Writes the response into the client's response slot for our
-    /// partition — one unsignaled RDMA write.
-    fn reply(&self, client_id: u64, seq: u64, response: &[u8]) {
-        post_reply(&self.shared, client_id, seq, response);
     }
 }
 
@@ -1630,8 +1596,8 @@ struct PoolStalls<'a> {
 impl StallHandler for PoolStalls<'_> {
     fn on_stall(&mut self, ts: Timestamp, reason: Stall) -> StallOutcome {
         // The park's whole duration is observable: a `pool.park` span nested
-        // under the stalled command's span (so `trace_explain` and the blame
-        // analyzer both see it), and a parked wait-state for the profiler.
+        // under the stalled command's span (`explain::request_paths` carves
+        // it out of that stage), and a parked wait-state for the profiler.
         let label = match &reason {
             Stall::Phase2Starved { .. } => "phase2_starved",
             Stall::Lagging => "lagging",
@@ -1716,5 +1682,34 @@ pub(crate) fn spawn_driver(
             verdicts: verdicts[k].clone(),
         };
         simulation.spawn(format!("heron-exec-p{p}r{i}w{k}"), move || worker.run());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sim::trace::EventKind;
+
+    /// The stage clock's one promise: the span ends at the instant the
+    /// returned duration was measured to, so Σ spans == Σ `Breakdown` rows.
+    #[test]
+    fn stage_clock_ends_its_span_at_the_instant_it_returns() {
+        let simulation = sim::Simulation::new(1);
+        let tracer = simulation.enable_tracing();
+        simulation.spawn("p", || {
+            sim::sleep(Duration::from_nanos(100));
+            let stage = Stage::open("exec.execute", 7);
+            sim::sleep(Duration::from_nanos(1_234));
+            assert_eq!(stage.close(), 1_234);
+            sim::sleep(Duration::from_nanos(50)); // a drop here would read 1 284
+        });
+        simulation.run().unwrap();
+        let at = |kind| {
+            let events = tracer.events();
+            let e = events.iter().find(|e| e.kind == kind).expect("recorded");
+            (e.name, e.corr, e.t_ns)
+        };
+        assert_eq!(at(EventKind::Begin), ("exec.execute", 7, 100));
+        assert_eq!(at(EventKind::End), ("exec.execute", 7, 1_334));
     }
 }

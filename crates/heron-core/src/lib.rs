@@ -86,14 +86,13 @@
 #![deny(clippy::iter_over_hash_type)]
 
 mod app;
-pub mod blame;
 pub mod checker;
 pub mod checkpoint;
 mod client;
 mod cluster;
 mod config;
-pub mod critical_path;
 mod executor;
+pub mod explain;
 mod layout;
 mod metrics;
 mod replica;
@@ -109,9 +108,9 @@ pub use cluster::HeronCluster;
 pub use config::{DurabilityConfig, ExecutionMode, HeronConfig};
 pub use metrics::{
     Breakdown, Counter, DelayCounters, Histogram, HistogramSnapshot, Metrics, MetricsRegistry,
-    TransferRecord, EXEMPLAR_K,
+    StageMeans, TransferRecord, EXEMPLAR_K,
 };
-pub use store::{Slot, SlotVersions, VersionedStore};
+pub use store::{Slot, SlotVersions, VersionedStore, SABOTAGE_DUAL_VERSION_GUARD};
 pub use types::{ObjectId, PartitionId, Placement, StorageKind};
 
 // Re-exported for applications that need ordering-layer types.

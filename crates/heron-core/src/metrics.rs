@@ -27,6 +27,41 @@ pub struct Breakdown {
     pub at_partition: u16,
 }
 
+/// Mean per-stage breakdown over a set of [`Breakdown`] rows (see
+/// [`Metrics::mean_breakdown`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StageMeans {
+    /// Rows averaged.
+    pub n: u64,
+    /// Mean [`Breakdown::ordering_ns`].
+    pub ordering: Duration,
+    /// Mean [`Breakdown::parallel_ns`], the pool's dispatch wait: zero at
+    /// width 1, and at width > 1 usually the largest stage.
+    pub dispatch: Duration,
+    /// Mean [`Breakdown::coordination_ns`].
+    pub coordination: Duration,
+    /// Mean [`Breakdown::execution_ns`].
+    pub execution: Duration,
+}
+
+impl fmt::Display for StageMeans {
+    /// One table row, `n=… ordering … µs  coordination … µs  execution …
+    /// µs`, with the dispatch wait shown whenever there is one.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let us = |d: Duration| d.as_nanos() as f64 / 1e3;
+        write!(f, "n={:<5} ordering {:>8.1} µs", self.n, us(self.ordering))?;
+        if !self.dispatch.is_zero() {
+            write!(f, "  dispatch {:>8.1} µs", us(self.dispatch))?;
+        }
+        write!(
+            f,
+            "  coordination {:>8.1} µs  execution {:>8.1} µs",
+            us(self.coordination),
+            us(self.execution)
+        )
+    }
+}
+
 /// Wait-for-all statistics per partition (Table I).
 #[derive(Debug, Default)]
 pub struct DelayCounters {
@@ -481,30 +516,24 @@ impl Metrics {
         l
     }
 
-    /// Mean breakdown over samples with the given partition count filter
-    /// (`None` = all): `(ordering, coordination, execution)`.
-    pub fn mean_breakdown(&self, partitions: Option<u16>) -> (Duration, Duration, Duration) {
-        let b = self.breakdowns.lock();
-        let samples: Vec<&Breakdown> = b
-            .iter()
-            .filter(|s| partitions.map(|p| s.partitions == p).unwrap_or(true))
-            .collect();
-        if samples.is_empty() {
-            return (Duration::ZERO, Duration::ZERO, Duration::ZERO);
+    /// Fig. 6's stages averaged over the rows `keep` selects (all zero
+    /// when none) — the one fold every figure, harness and example reads
+    /// the stage breakdown through.
+    pub fn mean_breakdown(&self, keep: impl Fn(&Breakdown) -> bool) -> StageMeans {
+        let rows = self.breakdowns.lock();
+        let kept: Vec<&Breakdown> = rows.iter().filter(|b| keep(b)).collect();
+        let n = kept.len() as u64;
+        let mean = |stage: fn(&Breakdown) -> u64| {
+            let sum: u64 = kept.iter().map(|b| stage(b)).sum();
+            Duration::from_nanos(sum.checked_div(n).unwrap_or(0))
+        };
+        StageMeans {
+            n,
+            ordering: mean(|b| b.ordering_ns),
+            dispatch: mean(|b| b.parallel_ns),
+            coordination: mean(|b| b.coordination_ns),
+            execution: mean(|b| b.execution_ns),
         }
-        let n = samples.len() as u64;
-        let sum = samples.iter().fold((0u64, 0u64, 0u64), |acc, s| {
-            (
-                acc.0 + s.ordering_ns,
-                acc.1 + s.coordination_ns,
-                acc.2 + s.execution_ns,
-            )
-        });
-        (
-            Duration::from_nanos(sum.0 / n),
-            Duration::from_nanos(sum.1 / n),
-            Duration::from_nanos(sum.2 / n),
-        )
     }
 
     /// Throughput over a measurement window; zero for an empty window
@@ -711,17 +740,20 @@ mod tests {
             partitions: 4,
             at_partition: 0,
         });
-        let (o, c, e) = m.mean_breakdown(Some(4));
         assert_eq!(
-            (o, c, e),
-            (
-                Duration::from_nanos(30),
-                Duration::from_nanos(4),
-                Duration::from_nanos(40)
-            )
+            m.mean_breakdown(|b| b.partitions == 4),
+            StageMeans {
+                n: 1,
+                ordering: Duration::from_nanos(30),
+                dispatch: Duration::from_nanos(2),
+                coordination: Duration::from_nanos(4),
+                execution: Duration::from_nanos(40),
+            }
         );
-        let (o, _, _) = m.mean_breakdown(None);
-        assert_eq!(o, Duration::from_nanos(20));
+        assert_eq!(
+            m.mean_breakdown(|_| true).ordering,
+            Duration::from_nanos(20)
+        );
     }
 
     #[test]
@@ -729,8 +761,7 @@ mod tests {
         let m = Metrics::new(1);
         assert_eq!(m.mean_latency(), Duration::ZERO);
         assert_eq!(m.latency_quantile(0.5), Duration::ZERO);
-        let (o, c, e) = m.mean_breakdown(None);
-        assert_eq!((o, c, e), (Duration::ZERO, Duration::ZERO, Duration::ZERO));
+        assert_eq!(m.mean_breakdown(|_| true), StageMeans::default());
     }
 
     #[test]

@@ -123,10 +123,17 @@ pub struct VersionedStore {
     /// When set, slots are annotated [`RegionKind::DualSlot`] as they are
     /// allocated and [`VersionedStore::set`] lints the victim rule.
     detector: Option<RaceDetector>,
-    /// Self-test switch: pick the *larger*-timestamp version as the
-    /// victim, violating the dual-versioning rule remote readers rely on.
+    /// Self-test only ([`SABOTAGE_DUAL_VERSION_GUARD`]), resolved once at
+    /// construction: pick the *larger*-timestamp version as the victim,
+    /// violating the dual-versioning rule remote readers rely on.
     break_victim_guard: bool,
 }
+
+/// The [`rdma_sim::Fabric::sabotage`] name of [`VersionedStore::set`]'s
+/// victim rule. Built without it the store overwrites the version with the
+/// *larger* timestamp, which `race_audit --selftest` requires the race
+/// detector to report as a protocol violation.
+pub const SABOTAGE_DUAL_VERSION_GUARD: &str = "heron.dual_version_guard";
 
 impl fmt::Debug for VersionedStore {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -140,23 +147,21 @@ impl VersionedStore {
     /// Creates an empty store on `node`.
     pub fn new(node: Node) -> Self {
         VersionedStore {
+            break_victim_guard: node.sabotaged(SABOTAGE_DUAL_VERSION_GUARD),
             node,
             inner: Mutex::new(StoreInner {
                 slots: HashMap::new(),
             }),
             detector: None,
-            break_victim_guard: false,
         }
     }
 
-    /// Attaches the race detector (and, for the detector's self-test, the
-    /// broken-victim-guard switch). Call before any slot is created so the
+    /// Attaches the race detector. Call before any slot is created so the
     /// [`RegionKind::DualSlot`] annotations cover every slot; slots
     /// allocated earlier stay unannotated (and would be checked as plain
     /// data).
-    pub fn instrument(&mut self, detector: RaceDetector, break_victim_guard: bool) {
+    pub fn instrument(&mut self, detector: RaceDetector) {
         self.detector = Some(detector);
-        self.break_victim_guard = break_victim_guard;
     }
 
     fn annotate_slot(&self, oid: ObjectId, slot: Slot) {

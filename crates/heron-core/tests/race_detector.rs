@@ -105,8 +105,16 @@ impl StateMachine for Counters {
 }
 
 fn build(seed: u64, cfg: HeronConfig, objects: u64) -> (sim::Simulation, Fabric, HeronCluster) {
+    build_on(Fabric::new(LatencyModel::connectx4()), seed, cfg, objects)
+}
+
+fn build_on(
+    fabric: Fabric,
+    seed: u64,
+    cfg: HeronConfig,
+    objects: u64,
+) -> (sim::Simulation, Fabric, HeronCluster) {
     let simulation = sim::Simulation::new(seed);
-    let fabric = Fabric::new(LatencyModel::connectx4());
     let machine = Arc::new(Counters {
         partitions: cfg.partitions as u16,
         objects,
@@ -178,10 +186,10 @@ fn broken_dual_version_guard_trips_victim_lint_deterministically() {
     // access sites — the same seed must reproduce the race to the
     // nanosecond.
     fn run_once(seed: u64) -> Vec<String> {
-        let cfg = HeronConfig::new(1, 3)
-            .with_race_detector(true)
-            .with_broken_dual_version_guard();
-        let (simulation, _f, cluster) = build(seed, cfg, 2);
+        let cfg = HeronConfig::new(1, 3).with_race_detector(true);
+        let fabric = Fabric::new(LatencyModel::connectx4());
+        fabric.sabotage(heron_core::SABOTAGE_DUAL_VERSION_GUARD);
+        let (simulation, _f, cluster) = build_on(fabric, seed, cfg, 2);
         let c2 = cluster.clone();
         let mut client = cluster.client("c");
         simulation.spawn("client", move || {

@@ -165,6 +165,9 @@ pub(crate) struct FabricInner {
     /// installed, keeping fault-free runs bit-identical and cheap.
     pub(crate) faults_on: AtomicBool,
     pub(crate) faults: Mutex<Option<crate::faults::FaultRuntime>>,
+    /// Guards a self-test asked the layers above to leave out (see
+    /// [`Fabric::sabotage`]); read at construction time only.
+    pub(crate) sabotaged: Mutex<Vec<&'static str>>,
     /// Set by [`Fabric::enable_race_detector`]; same pattern as
     /// `faults_on` — detector-off memory accesses cost one relaxed load.
     pub(crate) tsan_on: AtomicBool,
@@ -275,6 +278,7 @@ impl Fabric {
                 link_clock: Mutex::new(LinkClocks::default()),
                 faults_on: AtomicBool::new(false),
                 faults: Mutex::new(None),
+                sabotaged: Mutex::new(Vec::new()),
                 tsan_on: AtomicBool::new(false),
                 tsan: Mutex::new(None),
                 posted_inflight: AtomicU64::new(0),

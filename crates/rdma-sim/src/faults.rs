@@ -290,6 +290,28 @@ impl FaultPlan {
     }
 }
 
+// The protocol-level counterpart of a `FaultPlan`, for detector self-tests
+// only: instead of breaking the hardware under a correct protocol, name a
+// guard for the protocol layers to leave out, and check that the detector
+// built to catch its absence does.
+impl Fabric {
+    /// **Self-test only.** Asks whoever owns the guard called `guard` to
+    /// build without it. Owners ask [`crate::Node::sabotaged`] once, when
+    /// they are constructed, so call this before building the deployment;
+    /// production configs have no field for it.
+    pub fn sabotage(&self, guard: &'static str) {
+        self.inner.sabotaged.lock().push(guard);
+    }
+}
+
+impl crate::Node {
+    /// Whether a self-test named `guard` in [`Fabric::sabotage`] on this
+    /// node's fabric.
+    pub fn sabotaged(&self, guard: &str) -> bool {
+        self.fabric.sabotaged.lock().contains(&guard)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

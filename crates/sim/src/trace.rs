@@ -373,6 +373,22 @@ impl SpanGuard {
     pub fn id(&self) -> u64 {
         self.inner.as_ref().map_or(0, |i| i.span)
     }
+
+    /// Ends the span at `t_ns`, an instant the caller has just read off
+    /// the clock, so a duration computed from that same reading equals the
+    /// span's by construction.
+    pub fn end_at(mut self, t_ns: u64) {
+        if let Some(inner) = self.inner.take() {
+            inner.end(t_ns);
+        }
+    }
+}
+
+impl SpanInner {
+    fn end(self, t_ns: u64) {
+        self.state
+            .end(t_ns, self.track, self.span, self.name, self.corr, true);
+    }
 }
 
 impl fmt::Debug for SpanGuard {
@@ -385,9 +401,7 @@ impl Drop for SpanGuard {
     fn drop(&mut self) {
         if let Some(inner) = self.inner.take() {
             let now = inner.kernel.now_nanos();
-            inner
-                .state
-                .end(now, inner.track, inner.span, inner.name, inner.corr, true);
+            inner.end(now);
         }
     }
 }

@@ -66,32 +66,13 @@ fn main() {
         println!("p95        : {:>10.2?}", metrics.latency_quantile(0.95));
         println!("p99        : {:>10.2?}", metrics.latency_quantile(0.99));
 
-        for (label, parts) in [("single-partition", Some(1u16)), ("multi-partition", None)] {
-            let (o, c, e) = metrics.mean_breakdown(parts);
-            if parts.is_none() {
-                // Filter to >1 partitions: recompute from samples.
-                let b = metrics.breakdowns.lock();
-                let multi: Vec<_> = b.iter().filter(|s| s.partitions > 1).collect();
-                if multi.is_empty() {
-                    continue;
-                }
-                let n = multi.len() as u64;
-                let (o, c, e) = multi.iter().fold((0, 0, 0), |acc, s| {
-                    (
-                        acc.0 + s.ordering_ns,
-                        acc.1 + s.coordination_ns,
-                        acc.2 + s.execution_ns,
-                    )
-                });
-                println!(
-                    "{label:17}: ordering {:?}  coordination {:?}  execution {:?}",
-                    Duration::from_nanos(o / n),
-                    Duration::from_nanos(c / n),
-                    Duration::from_nanos(e / n),
-                );
-            } else {
-                println!("{label:17}: ordering {o:?}  coordination {c:?}  execution {e:?}");
+        let single = metrics.mean_breakdown(|b| b.partitions == 1);
+        let multi = metrics.mean_breakdown(|b| b.partitions > 1);
+        for (label, s) in [("single-partition", single), ("multi-partition", multi)] {
+            if s.n == 0 {
+                continue;
             }
+            println!("{label:17}: {s}");
         }
         sim::stop();
     });
