@@ -113,7 +113,7 @@ impl McastClient {
                 *s += 1;
                 stamp
             };
-            let layout = self.inner.layouts[&target_id];
+            let layout = self.inner.layouts[self.inner.global_idx(g, leader_idx)];
             let slot = self.inner.sizes.sub_slot(layout, self.client_idx, stamp);
             let buf = encode_sub(stamp, uid.0, mask, payload);
             let qp = self

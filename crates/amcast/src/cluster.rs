@@ -7,9 +7,8 @@ use crate::replica::McastReplica;
 use crate::timestamp::{GroupId, MsgId, Timestamp};
 use crate::DestMask;
 use bytes::Bytes;
-use rdma_sim::{Fabric, Node, NodeId, Poller};
+use rdma_sim::{Fabric, Node, Poller};
 use sim::{Cond, Mailbox};
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -50,7 +49,8 @@ pub(crate) struct McastInner {
     pub(crate) fabric: Fabric,
     /// Replica nodes, `nodes[group][index]`.
     pub(crate) nodes: Vec<Vec<Node>>,
-    pub(crate) layouts: HashMap<NodeId, NodeLayout>,
+    /// Ring addresses on each replica node, by [`Self::global_idx`].
+    pub(crate) layouts: Vec<NodeLayout>,
     /// Each replica process's wait point, `pollers[group][index]`: rung by
     /// writes into its node's [`NodeLayout`] span and by nothing else.
     pub(crate) pollers: Vec<Vec<Poller>>,
@@ -109,7 +109,7 @@ impl Mcast {
             );
         }
         let sizes = Sizes::from_config(&cfg);
-        let mut layouts = HashMap::new();
+        let mut layouts = Vec::with_capacity(cfg.total_replicas());
         let mut pollers = Vec::with_capacity(nodes.len());
         for group in &nodes {
             let mut row = Vec::with_capacity(group.len());
@@ -128,7 +128,7 @@ impl Mcast {
                 // polls one span: `sub` up to and including `boot_gen`.
                 let span = (layout.boot_gen.0 - layout.sub.0) as usize + WORD;
                 row.push(node.poller(Cond::new(), &[(layout.sub, span)]));
-                layouts.insert(node.id(), layout);
+                layouts.push(layout);
             }
             pollers.push(row);
         }
@@ -278,8 +278,9 @@ impl Mcast {
     /// leader itself, which never writes its own word). Checkpoints are
     /// stamped with this regime marker.
     pub fn current_epoch(&self, group: GroupId, idx: usize) -> u64 {
-        let node = &self.inner.nodes[group.0 as usize][idx];
-        node.local_read_word(self.inner.layouts[&node.id()].heartbeat)
+        let layout = self.inner.layouts[self.inner.global_idx(group, idx)];
+        self.inner.nodes[group.0 as usize][idx]
+            .local_read_word(layout.heartbeat)
             .unwrap_or(0)
             >> 32
     }
@@ -294,7 +295,7 @@ impl Mcast {
         let sizes = &self.inner.sizes;
         for (g, group) in self.inner.nodes.iter().enumerate() {
             for (i, node) in group.iter().enumerate() {
-                let layout = &self.inner.layouts[&node.id()];
+                let layout = &self.inner.layouts[self.inner.global_idx(GroupId(g as u16), i)];
                 let regions: [(rdma_sim::Addr, usize, &str); 8] = [
                     (layout.sub, sizes.sub_region(), "sub"),
                     (layout.ctrl, sizes.ctrl_region(), "ctrl"),

@@ -137,6 +137,12 @@ fn get_word(bytes: &[u8], idx: usize) -> u64 {
     u64::from_le_bytes(bytes[idx * 8..idx * 8 + 8].try_into().expect("word"))
 }
 
+/// The stamp word every entry header starts with: all a reader needs of an
+/// idle slot.
+pub(crate) fn stamp_of(hdr: &[u8]) -> u64 {
+    get_word(hdr, 0)
+}
+
 pub(crate) fn encode_sub(stamp: u64, uid: u32, mask: DestMask, payload: &[u8]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(SUB_HDR + payload.len());
     put_word(&mut buf, stamp);

@@ -3,8 +3,8 @@
 
 use crate::cluster::{Delivered, DeliveryEvent, McastInner};
 use crate::layout::{
-    decode_ctrl_header, decode_log_header, decode_sub_header, encode_ctrl, encode_log, CtrlKind,
-    NodeLayout, CTRL_HDR, LOG_HDR, SUB_HDR,
+    decode_ctrl_header, decode_log_header, decode_sub_header, encode_ctrl, encode_log, stamp_of,
+    CtrlKind, NodeLayout, CTRL_HDR, LOG_HDR, SUB_HDR,
 };
 use crate::timestamp::{GroupId, MsgId, Timestamp};
 use crate::{mask_groups, DestMask};
@@ -103,6 +103,8 @@ pub struct McastReplica {
     poller: Poller,
     my_global: usize,
     layout: NodeLayout,
+    /// Queue pairs to every replica node, by global replica index.
+    qps: Vec<QueuePair>,
     /// This replica's durable WAL namespace, when storage is attached
     /// (before the replica was constructed — see [`crate::Mcast::attach_wal`]).
     wal_disk: Option<sim::storage::Disk>,
@@ -130,7 +132,13 @@ impl McastReplica {
         let node = inner.nodes[group.0 as usize][idx].clone();
         let poller = inner.pollers[group.0 as usize][idx].clone();
         let my_global = inner.global_idx(group, idx);
-        let layout = inner.layouts[&node.id()];
+        let layout = inner.layouts[my_global];
+        let qps = inner
+            .nodes
+            .iter()
+            .flatten()
+            .map(|peer| node.connect(peer))
+            .collect();
         let wal_disk = inner
             .wal
             .get()
@@ -144,6 +152,7 @@ impl McastReplica {
             poller,
             my_global,
             layout,
+            qps,
             wal_disk,
         }
     }
@@ -156,15 +165,9 @@ impl McastReplica {
         self.inner.cfg.majority()
     }
 
-    /// Queue pair to the node hosting global replica index `g`.
-    fn qp(&self, qps: &mut HashMap<usize, QueuePair>, global: usize) -> QueuePair {
-        qps.entry(global)
-            .or_insert_with(|| {
-                let n = self.inner.cfg.replicas_per_group;
-                let node = &self.inner.nodes[global / n][global % n];
-                self.node.connect(node)
-            })
-            .clone()
+    /// Queue pair to the node hosting global replica index `global`.
+    fn qp(&self, global: usize) -> &QueuePair {
+        &self.qps[global]
     }
 
     fn peer_node(&self, global: usize) -> &Node {
@@ -179,35 +182,7 @@ impl McastReplica {
     /// Panics on ring overruns (a sign the deployment is undersized) and if
     /// called outside a simulated process.
     pub fn run(self) {
-        let mut qps: HashMap<usize, QueuePair> = HashMap::new();
-        let mut st = State {
-            epoch: 0,
-            is_leader: self.idx == leader_for_epoch(0, self.n()),
-            sub_expected: vec![1; self.inner.cfg.max_clients],
-            ctrl_expected: vec![1; self.inner.cfg.total_replicas()],
-            ctrl_out_stamp: vec![1; self.inner.cfg.total_replicas()],
-            applied_seq: 0,
-            props: HashMap::new(),
-            finals: HashMap::new(),
-            done: HashSet::new(),
-            delivered: HashSet::new(),
-            max_ts_seen: 0,
-            clock: 0,
-            pending: HashMap::new(),
-            finalized: BTreeSet::new(),
-            ordering_window: 0,
-            next_seq: 0,
-            acks_cache: vec![0; self.n()],
-            last_hb_sent: SimTime::ZERO,
-            hb_counter: 0,
-            last_hb_val: 0,
-            last_hb_change: sim::now(),
-            election_target: 0,
-            await_epoch: false,
-            entry_epoch_floor: 0,
-            log_floor: 0,
-            lanes_suspect_until: SimTime::ZERO,
-        };
+        let mut st = self.boot_state();
         let mut incarnation = self.node.incarnation();
         let mut power_cycles = self.node.power_cycles();
         // Sequencer backlog timeline for the profiler (inert when off):
@@ -261,10 +236,10 @@ impl McastReplica {
                     // memory (rings, log, acks, heartbeat). Rebuild from
                     // the durable WAL.
                     power_cycles = self.node.power_cycles();
-                    self.reload_after_power_loss(&mut st, &mut qps);
+                    self.reload_after_power_loss(&mut st);
                 }
             }
-            self.do_work(&mut st, &mut qps);
+            self.do_work(&mut st);
             if backlog.is_enabled() {
                 // Only a changed value moves the step function; skipping
                 // the no-op updates keeps the clock reads off the hot loop.
@@ -290,118 +265,143 @@ impl McastReplica {
         }
     }
 
+    /// Protocol state of a replica that has seen nothing yet.
+    fn boot_state(&self) -> State {
+        State {
+            epoch: 0,
+            is_leader: self.idx == leader_for_epoch(0, self.n()),
+            sub_expected: vec![1; self.inner.cfg.max_clients],
+            ctrl_expected: vec![1; self.inner.cfg.total_replicas()],
+            ctrl_out_stamp: vec![1; self.inner.cfg.total_replicas()],
+            applied_seq: 0,
+            props: HashMap::new(),
+            finals: HashMap::new(),
+            done: HashSet::new(),
+            delivered: HashSet::new(),
+            max_ts_seen: 0,
+            clock: 0,
+            pending: HashMap::new(),
+            finalized: BTreeSet::new(),
+            ordering_window: 0,
+            next_seq: 0,
+            acks_cache: vec![0; self.n()],
+            last_hb_sent: SimTime::ZERO,
+            hb_counter: 0,
+            last_hb_val: 0,
+            last_hb_change: sim::now(),
+            election_target: 0,
+            await_epoch: false,
+            entry_epoch_floor: 0,
+            log_floor: 0,
+            lanes_suspect_until: SimTime::ZERO,
+        }
+    }
+
     // ------------------------------------------------------------------
     // Work detection (cheap local-memory scans).
     // ------------------------------------------------------------------
 
     fn has_work(&self, st: &State) -> bool {
         let sizes = &self.inner.sizes;
-        // New submissions?
-        for c in 0..sizes.max_clients {
-            let addr = sizes.sub_slot(self.layout, c, st.sub_expected[c]);
-            if self.node.local_read_word(addr).unwrap_or(0) >= st.sub_expected[c] {
-                return true;
-            }
-        }
-        // New control messages?
-        for w in 0..sizes.total_replicas {
-            if w == self.my_global {
-                continue;
-            }
-            let addr = sizes.ctrl_slot(self.layout, w, st.ctrl_expected[w]);
-            if self.node.local_read_word(addr).unwrap_or(0) >= st.ctrl_expected[w] {
-                return true;
-            }
-        }
-        if st.is_leader {
-            // New acks?
-            for i in 0..self.n() {
-                if i == self.idx {
-                    continue;
-                }
-                let v = self
-                    .node
-                    .local_read_word(self.inner.sizes.ack_slot(self.layout, i))
-                    .unwrap_or(0);
-                if v != st.acks_cache[i] {
-                    return true;
-                }
-            }
-        } else {
-            // New log entries? Mirrors `follower_apply_log`'s recovery
-            // gates exactly, or a refused stale entry would read as
-            // permanent work and this process would spin without blocking.
-            if !st.await_epoch {
-                let addr = self.inner.sizes.log_slot(self.layout, st.applied_seq);
-                let stamp = self.node.local_read_word(addr).unwrap_or(0);
-                let epoch = self.node.local_read_word(addr.offset(32)).unwrap_or(0);
-                if stamp > st.applied_seq && epoch >= st.entry_epoch_floor {
-                    return true;
-                }
-            }
-            // Truncation horizon advertised past our position? Gated like
-            // the entry check above: `follower_apply_log` ignores the
-            // floor while `await_epoch` holds, so reading it as work
-            // before the first heartbeat would spin without blocking.
-            // (`ungated_has_work` drops the gate to re-introduce that exact
-            // spin for the livelock-detector self-test.)
-            if (!st.await_epoch || self.ungated_has_work)
-                && self
-                    .node
-                    .local_read_word(self.layout.log_floor)
-                    .unwrap_or(0)
-                    > st.applied_seq
-            {
-                return true;
-            }
-            // Heartbeat moved?
-            if self
-                .node
-                .local_read_word(self.layout.heartbeat)
-                .unwrap_or(0)
-                != st.last_hb_val
-            {
-                return true;
-            }
-        }
-        if sim::now() < st.lanes_suspect_until {
-            // Post-power-loss: wiped lanes can hide fresh writes from the
-            // cursor probes above, so any stamp ahead of a cursor anywhere
-            // in a lane counts as work.
+        // One borrow for the whole predicate: it runs on every wake-up and
+        // reads a word per lane to find, mostly, that nothing changed.
+        self.node.with_mem(|m| {
+            let word = |addr| m.word(addr).unwrap_or(0);
+            // New submissions?
             for c in 0..sizes.max_clients {
-                for s in 0..sizes.sub_slots {
-                    let addr = sizes.sub_slot(self.layout, c, s as u64 + 1);
-                    if self.node.local_read_word(addr).unwrap_or(0) > st.sub_expected[c] {
-                        return true;
-                    }
+                let addr = sizes.sub_slot(self.layout, c, st.sub_expected[c]);
+                if word(addr) >= st.sub_expected[c] {
+                    return true;
                 }
             }
+            // New control messages?
             for w in 0..sizes.total_replicas {
                 if w == self.my_global {
                     continue;
                 }
-                for s in 0..sizes.ctrl_slots {
-                    let addr = sizes.ctrl_slot(self.layout, w, s as u64 + 1);
-                    if self.node.local_read_word(addr).unwrap_or(0) > st.ctrl_expected[w] {
+                let addr = sizes.ctrl_slot(self.layout, w, st.ctrl_expected[w]);
+                if word(addr) >= st.ctrl_expected[w] {
+                    return true;
+                }
+            }
+            if st.is_leader {
+                // New acks?
+                for i in 0..self.n() {
+                    if i == self.idx {
+                        continue;
+                    }
+                    if word(sizes.ack_slot(self.layout, i)) != st.acks_cache[i] {
                         return true;
                     }
                 }
+            } else {
+                // New log entries? Mirrors `follower_apply_log`'s recovery
+                // gates exactly, or a refused stale entry would read as
+                // permanent work and this process would spin without
+                // blocking.
+                if !st.await_epoch {
+                    let addr = sizes.log_slot(self.layout, st.applied_seq);
+                    let stamp = word(addr);
+                    let epoch = word(addr.offset(32));
+                    if stamp > st.applied_seq && epoch >= st.entry_epoch_floor {
+                        return true;
+                    }
+                }
+                // Truncation horizon advertised past our position? Gated
+                // like the entry check above: `follower_apply_log` ignores
+                // the floor while `await_epoch` holds, so reading it as work
+                // before the first heartbeat would spin without blocking.
+                // (`ungated_has_work` drops the gate to re-introduce that
+                // exact spin for the livelock-detector self-test.)
+                if (!st.await_epoch || self.ungated_has_work)
+                    && word(self.layout.log_floor) > st.applied_seq
+                {
+                    return true;
+                }
+                // Heartbeat moved?
+                if word(self.layout.heartbeat) != st.last_hb_val {
+                    return true;
+                }
             }
-        }
-        false
+            if sim::now() < st.lanes_suspect_until {
+                // Post-power-loss: wiped lanes can hide fresh writes from
+                // the cursor probes above, so any stamp ahead of a cursor
+                // anywhere in a lane counts as work.
+                for c in 0..sizes.max_clients {
+                    for s in 0..sizes.sub_slots {
+                        let addr = sizes.sub_slot(self.layout, c, s as u64 + 1);
+                        if word(addr) > st.sub_expected[c] {
+                            return true;
+                        }
+                    }
+                }
+                for w in 0..sizes.total_replicas {
+                    if w == self.my_global {
+                        continue;
+                    }
+                    for s in 0..sizes.ctrl_slots {
+                        let addr = sizes.ctrl_slot(self.layout, w, s as u64 + 1);
+                        if word(addr) > st.ctrl_expected[w] {
+                            return true;
+                        }
+                    }
+                }
+            }
+            false
+        })
     }
 
     // ------------------------------------------------------------------
     // Main work pump.
     // ------------------------------------------------------------------
 
-    fn do_work(&self, st: &mut State, qps: &mut HashMap<usize, QueuePair>) {
+    fn do_work(&self, st: &mut State) {
         st.ordering_window = 0;
         if sim::now() < st.lanes_suspect_until {
             self.resync_lanes(st);
         }
-        self.scan_submissions(st, qps);
-        self.scan_ctrl(st, qps);
+        self.scan_submissions(st);
+        self.scan_ctrl(st);
         if st.is_leader {
             // Step down if a successor took over while we were out.
             let hb = self
@@ -418,14 +418,14 @@ impl McastReplica {
                 st.finalized.clear();
                 return;
             }
-            self.leader_sequence_ready(st, qps);
+            self.leader_sequence_ready(st);
             self.leader_commit_deliver(st);
-            if self.maybe_heartbeat(st, qps) {
-                self.leader_retransmit(st, qps);
+            if self.maybe_heartbeat(st) {
+                self.leader_retransmit(st);
             }
         } else {
-            self.follower_apply_log(st, qps);
-            self.follower_check_leader(st, qps);
+            self.follower_apply_log(st);
+            self.follower_check_leader(st);
         }
     }
 
@@ -435,45 +435,46 @@ impl McastReplica {
     /// senders' retry paths.
     fn resync_lanes(&self, st: &mut State) {
         let sizes = self.inner.sizes;
-        for c in 0..sizes.max_clients {
-            // If the slot the cursor points at is readable, the normal
-            // scan makes progress from here — never jump past it.
-            let cur = sizes.sub_slot(self.layout, c, st.sub_expected[c]);
-            if self.node.local_read_word(cur).unwrap_or(0) >= st.sub_expected[c] {
-                continue;
-            }
-            let mut oldest: Option<u64> = None;
-            for s in 0..sizes.sub_slots {
-                let addr = sizes.sub_slot(self.layout, c, s as u64 + 1);
-                let stamp = self.node.local_read_word(addr).unwrap_or(0);
-                if stamp > st.sub_expected[c] && oldest.map(|o| stamp < o).unwrap_or(true) {
-                    oldest = Some(stamp);
+        self.node.with_mem(|m| {
+            let word = |addr| m.word(addr).unwrap_or(0);
+            for c in 0..sizes.max_clients {
+                // If the slot the cursor points at is readable, the normal
+                // scan makes progress from here — never jump past it.
+                let cur = sizes.sub_slot(self.layout, c, st.sub_expected[c]);
+                if word(cur) >= st.sub_expected[c] {
+                    continue;
+                }
+                let mut oldest: Option<u64> = None;
+                for s in 0..sizes.sub_slots {
+                    let stamp = word(sizes.sub_slot(self.layout, c, s as u64 + 1));
+                    if stamp > st.sub_expected[c] && oldest.map(|o| stamp < o).unwrap_or(true) {
+                        oldest = Some(stamp);
+                    }
+                }
+                if let Some(o) = oldest {
+                    st.sub_expected[c] = o;
                 }
             }
-            if let Some(o) = oldest {
-                st.sub_expected[c] = o;
-            }
-        }
-        for w in 0..sizes.total_replicas {
-            if w == self.my_global {
-                continue;
-            }
-            let cur = sizes.ctrl_slot(self.layout, w, st.ctrl_expected[w]);
-            if self.node.local_read_word(cur).unwrap_or(0) >= st.ctrl_expected[w] {
-                continue;
-            }
-            let mut oldest: Option<u64> = None;
-            for s in 0..sizes.ctrl_slots {
-                let addr = sizes.ctrl_slot(self.layout, w, s as u64 + 1);
-                let stamp = self.node.local_read_word(addr).unwrap_or(0);
-                if stamp > st.ctrl_expected[w] && oldest.map(|o| stamp < o).unwrap_or(true) {
-                    oldest = Some(stamp);
+            for w in 0..sizes.total_replicas {
+                if w == self.my_global {
+                    continue;
+                }
+                let cur = sizes.ctrl_slot(self.layout, w, st.ctrl_expected[w]);
+                if word(cur) >= st.ctrl_expected[w] {
+                    continue;
+                }
+                let mut oldest: Option<u64> = None;
+                for s in 0..sizes.ctrl_slots {
+                    let stamp = word(sizes.ctrl_slot(self.layout, w, s as u64 + 1));
+                    if stamp > st.ctrl_expected[w] && oldest.map(|o| stamp < o).unwrap_or(true) {
+                        oldest = Some(stamp);
+                    }
+                }
+                if let Some(o) = oldest {
+                    st.ctrl_expected[w] = o;
                 }
             }
-            if let Some(o) = oldest {
-                st.ctrl_expected[w] = o;
-            }
-        }
+        });
     }
 
     /// Rebuilds protocol state after a power loss wiped this node's
@@ -484,7 +485,7 @@ impl McastReplica {
     /// group log. Without attached storage the replica rejoins
     /// empty-handed, exactly like the plain crash path, and relies on
     /// retransmission and client retries.
-    fn reload_after_power_loss(&self, st: &mut State, qps: &mut HashMap<usize, QueuePair>) {
+    fn reload_after_power_loss(&self, st: &mut State) {
         // Wiped lanes lose the stale stamps the cursor scan's jump-forward
         // relies on; rescan all slots for a while (local reads only).
         st.lanes_suspect_until = sim::now() + 32 * self.inner.cfg.leader_timeout;
@@ -553,28 +554,34 @@ impl McastReplica {
             if !self.peer_node(target).is_alive() {
                 continue;
             }
-            let node_id = self.peer_node(target).id();
             let slot = self
                 .inner
                 .sizes
-                .ack_slot(self.inner.layouts[&node_id], self.idx);
-            let _ = self.qp(qps, target).post_write_word(slot, st.applied_seq);
+                .ack_slot(self.inner.layouts[target], self.idx);
+            let _ = self.qp(target).post_write_word(slot, st.applied_seq);
         }
     }
 
-    fn scan_submissions(&self, st: &mut State, qps: &mut HashMap<usize, QueuePair>) {
+    /// Consumes every ready submission, lane by lane. One borrow walks the
+    /// lanes up to the next ready entry and copies it out; handling it
+    /// sleeps, so the view is dropped first and the walk resumes at the
+    /// same lane with a fresh one — every lane is read at the instant a
+    /// borrow per lane would read it.
+    fn scan_submissions(&self, st: &mut State) {
         let sizes = self.inner.sizes;
-        for c in 0..sizes.max_clients {
-            loop {
+        let mut c = 0;
+        while let Some((uid, mask, payload)) = self.node.with_mem(|m| {
+            while c < sizes.max_clients {
                 let expected = st.sub_expected[c];
                 let addr = sizes.sub_slot(self.layout, c, expected);
-                let hdr = match self.node.local_read(addr, SUB_HDR) {
-                    Ok(h) => h,
-                    Err(_) => break,
+                let Ok(hdr) = m.bytes(addr, SUB_HDR) else {
+                    c += 1;
+                    continue;
                 };
-                let (stamp, uid, mask, len) = decode_sub_header(&hdr);
+                let stamp = stamp_of(hdr);
                 if stamp < expected {
-                    break;
+                    c += 1;
+                    continue;
                 }
                 if stamp > expected {
                     // Entries were lost (we were crashed, or the writer
@@ -583,32 +590,40 @@ impl McastReplica {
                     st.sub_expected[c] = stamp;
                     continue;
                 }
-                let payload = self
-                    .node
-                    .local_read(addr.offset(SUB_HDR as u64), len)
-                    .expect("submission payload in range");
+                let (_, uid, mask, len) = decode_sub_header(hdr);
+                let payload = m
+                    .bytes(addr.offset(SUB_HDR as u64), len)
+                    .expect("submission payload in range")
+                    .to_vec();
                 st.sub_expected[c] = expected + 1;
-                self.handle_submission(st, qps, uid, mask, payload);
+                return Some((uid, mask, payload));
             }
+            None
+        }) {
+            self.handle_submission(st, uid, mask, payload);
         }
     }
 
-    fn scan_ctrl(&self, st: &mut State, qps: &mut HashMap<usize, QueuePair>) {
+    /// The control lanes, walked like [`Self::scan_submissions`].
+    fn scan_ctrl(&self, st: &mut State) {
         let sizes = self.inner.sizes;
-        for w in 0..sizes.total_replicas {
-            if w == self.my_global {
-                continue;
-            }
-            loop {
+        let mut w = 0;
+        while let Some((kind, uid, a, b, payload)) = self.node.with_mem(|m| {
+            while w < sizes.total_replicas {
+                if w == self.my_global {
+                    w += 1;
+                    continue;
+                }
                 let expected = st.ctrl_expected[w];
                 let addr = sizes.ctrl_slot(self.layout, w, expected);
-                let hdr = match self.node.local_read(addr, CTRL_HDR) {
-                    Ok(h) => h,
-                    Err(_) => break,
+                let Ok(hdr) = m.bytes(addr, CTRL_HDR) else {
+                    w += 1;
+                    continue;
                 };
-                let (stamp, kind, uid, a, b, len) = decode_ctrl_header(&hdr);
+                let stamp = stamp_of(hdr);
                 if stamp < expected {
-                    break;
+                    w += 1;
+                    continue;
                 }
                 if stamp > expected {
                     // Entries were lost while we were crashed (or the
@@ -617,22 +632,26 @@ impl McastReplica {
                     st.ctrl_expected[w] = stamp;
                     continue;
                 }
-                let payload = self
-                    .node
-                    .local_read(addr.offset(CTRL_HDR as u64), len)
-                    .expect("control payload in range");
+                let (_, kind, uid, a, b, len) = decode_ctrl_header(hdr);
+                let payload = m
+                    .bytes(addr.offset(CTRL_HDR as u64), len)
+                    .expect("control payload in range")
+                    .to_vec();
                 st.ctrl_expected[w] = expected + 1;
-                match kind {
-                    Some(CtrlKind::Proposal) => self.handle_proposal(st, uid, a as u16, b),
-                    Some(CtrlKind::Final) => self.handle_final(st, uid, b),
-                    Some(CtrlKind::FwdSub) => {
-                        if st.is_leader {
-                            self.handle_submission(st, qps, uid, a, payload);
-                        }
-                        // A non-leader drops forwarded submissions; the
-                        // client's retry will find the real leader.
+                let kind = kind.expect("corrupt control entry kind");
+                return Some((kind, uid, a, b, payload));
+            }
+            None
+        }) {
+            match kind {
+                CtrlKind::Proposal => self.handle_proposal(st, uid, a as u16, b),
+                CtrlKind::Final => self.handle_final(st, uid, b),
+                CtrlKind::FwdSub => {
+                    if st.is_leader {
+                        self.handle_submission(st, uid, a, payload);
                     }
-                    None => panic!("corrupt control entry kind"),
+                    // A non-leader drops forwarded submissions; the
+                    // client's retry will find the real leader.
                 }
             }
         }
@@ -642,14 +661,7 @@ impl McastReplica {
     // Skeen ordering (leader).
     // ------------------------------------------------------------------
 
-    fn handle_submission(
-        &self,
-        st: &mut State,
-        qps: &mut HashMap<usize, QueuePair>,
-        uid: u32,
-        mask: DestMask,
-        payload: Vec<u8>,
-    ) {
+    fn handle_submission(&self, st: &mut State, uid: u32, mask: DestMask, payload: Vec<u8>) {
         if st.done.contains(&uid) {
             return; // duplicate of an already-sequenced message
         }
@@ -657,7 +669,7 @@ impl McastReplica {
             // Forward to the current leader of our group.
             let leader = leader_for_epoch(st.epoch, self.n());
             let target = self.inner.global_idx(self.group, leader);
-            self.write_ctrl(st, qps, target, CtrlKind::FwdSub, uid, mask, 0, &payload);
+            self.write_ctrl(st, target, CtrlKind::FwdSub, uid, mask, 0, &payload);
             return;
         }
         sim::trace::instant("mcast.ingest", u64::from(uid));
@@ -677,7 +689,7 @@ impl McastReplica {
                 // Re-broadcast our proposal: makes client retries
                 // idempotent and repairs proposals lost to a remote
                 // leader change.
-                self.broadcast_proposal(st, qps, uid, mask, prop);
+                self.broadcast_proposal(st, uid, mask, prop);
             }
             None => {
                 if !st.finals.contains_key(&uid) {
@@ -685,11 +697,11 @@ impl McastReplica {
                     let prop = st.clock;
                     st.pending.get_mut(&uid).expect("just inserted").myprop = Some(prop);
                     st.props.entry(uid).or_default().insert(self.group.0, prop);
-                    self.broadcast_proposal(st, qps, uid, mask, prop);
+                    self.broadcast_proposal(st, uid, mask, prop);
                 }
             }
         }
-        self.try_finalize(st, qps, uid);
+        self.try_finalize(st, uid);
     }
 
     /// Charges leader CPU for ordering one message. With group commit
@@ -712,14 +724,7 @@ impl McastReplica {
 
     /// Sends our clock proposal to every replica of every destination group
     /// (own followers included, so a successor leader can adopt it).
-    fn broadcast_proposal(
-        &self,
-        st: &mut State,
-        qps: &mut HashMap<usize, QueuePair>,
-        uid: u32,
-        mask: DestMask,
-        prop: u64,
-    ) {
+    fn broadcast_proposal(&self, st: &mut State, uid: u32, mask: DestMask, prop: u64) {
         for g in mask_groups(mask) {
             for i in 0..self.n() {
                 let target = self.inner.global_idx(g, i);
@@ -728,7 +733,6 @@ impl McastReplica {
                 }
                 self.write_ctrl(
                     st,
-                    qps,
                     target,
                     CtrlKind::Proposal,
                     uid,
@@ -754,7 +758,7 @@ impl McastReplica {
         st.max_ts_seen = st.max_ts_seen.max(clock);
         if st.is_leader {
             // We might not have the submission yet; try_finalize handles it.
-            self.try_finalize_noqp(st, uid);
+            self.try_finalize(st, uid);
         }
     }
 
@@ -767,14 +771,14 @@ impl McastReplica {
         st.max_ts_seen = st.max_ts_seen.max(clock);
         if st.is_leader {
             st.clock = st.clock.max(clock);
-            self.try_finalize_noqp(st, uid);
+            self.try_finalize(st, uid);
         }
     }
 
-    /// Finalization that cannot emit control traffic (used from handlers
-    /// that don't have the QP map handy; finals are announced lazily by
-    /// `leader_sequence_ready`).
-    fn try_finalize_noqp(&self, st: &mut State, uid: u32) {
+    /// Fixes `uid`'s final timestamp once every destination group has
+    /// proposed. Emits no control traffic: finals are announced lazily by
+    /// `leader_sequence_ready`.
+    fn try_finalize(&self, st: &mut State, uid: u32) {
         let Some(pend) = st.pending.get(&uid) else {
             return;
         };
@@ -812,16 +816,12 @@ impl McastReplica {
         sim::trace::instant_args("mcast.final", u64::from(uid), &[("ts", ts.raw())]);
     }
 
-    fn try_finalize(&self, st: &mut State, _qps: &mut HashMap<usize, QueuePair>, uid: u32) {
-        self.try_finalize_noqp(st, uid);
-    }
-
     /// Skeen delivery condition: a finalized message can be sequenced once
     /// no pending message we have proposed for (but not finalized) could
     /// receive a smaller final timestamp.
-    fn leader_sequence_ready(&self, st: &mut State, qps: &mut HashMap<usize, QueuePair>) {
+    fn leader_sequence_ready(&self, st: &mut State) {
         if self.inner.cfg.max_batch > 1 {
-            return self.leader_sequence_ready_batched(st, qps);
+            return self.leader_sequence_ready_batched(st);
         }
         loop {
             let Some(&(ts_raw, uid)) = st.finalized.iter().next() else {
@@ -858,7 +858,6 @@ impl McastReplica {
                     }
                     self.write_ctrl(
                         st,
-                        qps,
                         target,
                         CtrlKind::Final,
                         uid,
@@ -868,7 +867,7 @@ impl McastReplica {
                     );
                 }
             }
-            self.append_log(st, qps, uid, pend.mask, ts_raw, &payload);
+            self.append_log(st, uid, pend.mask, ts_raw, &payload);
         }
     }
 
@@ -879,7 +878,7 @@ impl McastReplica {
     /// log append. Messages are popped from `finalized` in exactly the same
     /// order as the unbatched path, so delivery order and timestamps are
     /// identical — only the verb count and leader CPU change.
-    fn leader_sequence_ready_batched(&self, st: &mut State, qps: &mut HashMap<usize, QueuePair>) {
+    fn leader_sequence_ready_batched(&self, st: &mut State) {
         let max_batch = self.inner.cfg.max_batch;
         loop {
             // Collect one round of ready messages. Popping a message never
@@ -927,7 +926,6 @@ impl McastReplica {
                         }
                         self.queue_ctrl(
                             st,
-                            qps,
                             &mut ctrl,
                             target,
                             CtrlKind::Final,
@@ -968,9 +966,8 @@ impl McastReplica {
                     continue;
                 }
                 let target = self.inner.global_idx(self.group, i);
-                let node = self.peer_node(target).clone();
-                let peer_layout = self.inner.layouts[&node.id()];
-                let mut batch = self.qp(qps, target).write_batch();
+                let peer_layout = self.inner.layouts[target];
+                let mut batch = self.qp(target).write_batch();
                 for (seq, entry) in &entries {
                     batch.push(self.inner.sizes.log_slot(peer_layout, *seq), entry.clone());
                 }
@@ -985,15 +982,7 @@ impl McastReplica {
 
     /// Appends a sequenced entry to the group log: locally, then one
     /// unsignaled write per follower.
-    fn append_log(
-        &self,
-        st: &mut State,
-        qps: &mut HashMap<usize, QueuePair>,
-        uid: u32,
-        mask: DestMask,
-        ts_raw: u64,
-        payload: &[u8],
-    ) {
+    fn append_log(&self, st: &mut State, uid: u32, mask: DestMask, ts_raw: u64, payload: &[u8]) {
         let seq = st.next_seq;
         st.next_seq += 1;
         st.done.insert(uid);
@@ -1012,13 +1001,8 @@ impl McastReplica {
                 continue;
             }
             let target = self.inner.global_idx(self.group, i);
-            let node = self.peer_node(target).clone();
-            let slot = self
-                .inner
-                .sizes
-                .log_slot(self.inner.layouts[&node.id()], seq);
-            let qp = self.qp(qps, target);
-            let _ = qp.post_write(slot, entry.clone());
+            let slot = self.inner.sizes.log_slot(self.inner.layouts[target], seq);
+            let _ = self.qp(target).post_write(slot, entry.clone());
         }
     }
 
@@ -1051,31 +1035,30 @@ impl McastReplica {
     /// stamp matches). False for wiped slots and truncated prefixes.
     fn holds_log(&self, seq: u64) -> bool {
         let addr = self.inner.sizes.log_slot(self.layout, seq);
-        match self.node.local_read(addr, LOG_HDR) {
-            Ok(hdr) => decode_log_header(&hdr).0 == seq + 1,
-            Err(_) => false,
-        }
+        self.node.with_mem(|m| {
+            m.bytes(addr, LOG_HDR)
+                .is_ok_and(|hdr| decode_log_header(hdr).0 == seq + 1)
+        })
     }
 
     fn read_own_log(&self, seq: u64) -> crate::layout::LogEntry {
         let addr = self.inner.sizes.log_slot(self.layout, seq);
-        let hdr = self
-            .node
-            .local_read(addr, LOG_HDR)
-            .expect("log header in range");
-        let (stamp, uid, mask, ts_raw, _epoch, len) = decode_log_header(&hdr);
-        debug_assert_eq!(stamp, seq + 1, "own log slot holds wrong sequence");
-        let payload = self
-            .node
-            .local_read(addr.offset(LOG_HDR as u64), len)
-            .expect("log payload in range");
-        crate::layout::LogEntry {
-            seq,
-            uid,
-            mask,
-            ts_raw,
-            payload,
-        }
+        self.node.with_mem(|m| {
+            let hdr = m.bytes(addr, LOG_HDR).expect("log header in range");
+            let (stamp, uid, mask, ts_raw, _epoch, len) = decode_log_header(hdr);
+            debug_assert_eq!(stamp, seq + 1, "own log slot holds wrong sequence");
+            let payload = m
+                .bytes(addr.offset(LOG_HDR as u64), len)
+                .expect("log payload in range")
+                .to_vec();
+            crate::layout::LogEntry {
+                seq,
+                uid,
+                mask,
+                ts_raw,
+                payload,
+            }
+        })
     }
 
     fn deliver(&self, st: &mut State, entry: crate::layout::LogEntry) {
@@ -1126,7 +1109,7 @@ impl McastReplica {
     }
 
     /// Returns `true` if a heartbeat round was sent.
-    fn maybe_heartbeat(&self, st: &mut State, qps: &mut HashMap<usize, QueuePair>) -> bool {
+    fn maybe_heartbeat(&self, st: &mut State) -> bool {
         let now = sim::now();
         if now < st.last_hb_sent + self.inner.cfg.heartbeat_interval && st.hb_counter > 0 {
             return false;
@@ -1139,10 +1122,8 @@ impl McastReplica {
                 continue;
             }
             let target = self.inner.global_idx(self.group, i);
-            let node_id = self.peer_node(target).id();
-            let hb = self.inner.layouts[&node_id].heartbeat;
-            let qp = self.qp(qps, target);
-            let _ = qp.post_write_word(hb, value);
+            let hb = self.inner.layouts[target].heartbeat;
+            let _ = self.qp(target).post_write_word(hb, value);
         }
         true
     }
@@ -1150,7 +1131,7 @@ impl McastReplica {
     /// Re-sends log entries to followers whose acks are behind — the
     /// catch-up path for followers that missed unsignaled writes while
     /// crashed. Bounded per round; paced by the heartbeat cadence.
-    fn leader_retransmit(&self, st: &mut State, qps: &mut HashMap<usize, QueuePair>) {
+    fn leader_retransmit(&self, st: &mut State) {
         const BATCH: u64 = 64;
         for i in 0..self.n() {
             if i == self.idx {
@@ -1173,9 +1154,8 @@ impl McastReplica {
                 .saturating_sub(self.inner.sizes.log_slots as u64 / 2);
             let from = behind.max(window_lo).max(st.log_floor);
             let to = st.next_seq.min(from + BATCH);
-            let node_id = self.peer_node(target).id();
-            let peer_layout = self.inner.layouts[&node_id];
-            let qp = self.qp(qps, target);
+            let peer_layout = self.inner.layouts[target];
+            let qp = self.qp(target);
             if st.log_floor > behind {
                 // The follower sits behind our truncation horizon: its
                 // wiped ring will never show it a lap gap, so advertise
@@ -1221,7 +1201,7 @@ impl McastReplica {
     // Follower side.
     // ------------------------------------------------------------------
 
-    fn follower_apply_log(&self, st: &mut State, qps: &mut HashMap<usize, QueuePair>) {
+    fn follower_apply_log(&self, st: &mut State) {
         if st.await_epoch {
             // Freshly recovered: the local log may end in a stale tail from
             // a deposed regime. Hold all applies until a heartbeat reveals
@@ -1248,10 +1228,12 @@ impl McastReplica {
         let mut progressed = false;
         loop {
             let addr = self.inner.sizes.log_slot(self.layout, st.applied_seq);
-            let Ok(hdr) = self.node.local_read(addr, LOG_HDR) else {
+            let Ok((stamp, uid, mask, ts_raw, epoch, len)) = self
+                .node
+                .with_mem(|m| m.bytes(addr, LOG_HDR).map(decode_log_header))
+            else {
                 break;
             };
-            let (stamp, uid, mask, ts_raw, epoch, len) = decode_log_header(&hdr);
             if stamp == 0 || stamp < st.applied_seq + 1 {
                 break;
             }
@@ -1300,17 +1282,15 @@ impl McastReplica {
                 .expect("own log_seq word");
             let leader = leader_for_epoch(st.epoch, self.n());
             let target = self.inner.global_idx(self.group, leader);
-            let node_id = self.peer_node(target).id();
             let slot = self
                 .inner
                 .sizes
-                .ack_slot(self.inner.layouts[&node_id], self.idx);
-            let qp = self.qp(qps, target);
-            let _ = qp.post_write_word(slot, st.applied_seq);
+                .ack_slot(self.inner.layouts[target], self.idx);
+            let _ = self.qp(target).post_write_word(slot, st.applied_seq);
         }
     }
 
-    fn follower_check_leader(&self, st: &mut State, qps: &mut HashMap<usize, QueuePair>) {
+    fn follower_check_leader(&self, st: &mut State) {
         let hb = self
             .node
             .local_read_word(self.layout.heartbeat)
@@ -1349,13 +1329,13 @@ impl McastReplica {
         st.election_target = target;
         st.last_hb_change = now; // restart the timeout window
         if leader_for_epoch(target, self.n()) == self.idx {
-            self.try_takeover(st, qps, target);
+            self.try_takeover(st, target);
         }
     }
 
     /// Epoch takeover: adopt the longest majority log, backfill peers, and
     /// become leader.
-    fn try_takeover(&self, st: &mut State, qps: &mut HashMap<usize, QueuePair>, target: u64) {
+    fn try_takeover(&self, st: &mut State, target: u64) {
         // 1. Read peers' log positions.
         let mut alive = 1usize;
         let mut longest: (u64, Option<usize>) = (st.applied_seq, None);
@@ -1367,17 +1347,15 @@ impl McastReplica {
                 continue;
             }
             let target_g = self.inner.global_idx(self.group, i);
-            let node_id = self.peer_node(target_g).id();
-            let qp = self.qp(qps, target_g);
-            if let Ok(seq) = qp.read_word(self.inner.layouts[&node_id].log_seq) {
+            let peer_layout = self.inner.layouts[target_g];
+            let qp = self.qp(target_g);
+            if let Ok(seq) = qp.read_word(peer_layout.log_seq) {
                 // An alive peer whose boot generation lags its power-cycle
                 // count is back up but has not reloaded its WAL into the
                 // ring yet: its log_seq word still reads as wiped. Electing
                 // now could adopt a log shorter than its durable one and
                 // re-sequence entries it will later replay — wait instead.
-                let gen = qp
-                    .read_word(self.inner.layouts[&node_id].boot_gen)
-                    .unwrap_or(0);
+                let gen = qp.read_word(peer_layout.boot_gen).unwrap_or(0);
                 if gen != self.peer_node(target_g).power_cycles() {
                     return; // recovering peer not ready; retry next timeout
                 }
@@ -1394,9 +1372,8 @@ impl McastReplica {
         // 2. Fetch entries we are missing from the longest log.
         if let Some(holder) = longest.1 {
             let target_g = self.inner.global_idx(self.group, holder);
-            let holder_node = self.peer_node(target_g).id();
-            let holder_layout = self.inner.layouts[&holder_node];
-            let qp = self.qp(qps, target_g);
+            let holder_layout = self.inner.layouts[target_g];
+            let qp = self.qp(target_g);
             for seq in st.applied_seq..longest.0 {
                 let slot = self.inner.sizes.log_slot(holder_layout, seq);
                 let Ok(hdr) = qp.read(slot, LOG_HDR) else {
@@ -1433,8 +1410,7 @@ impl McastReplica {
                 continue;
             }
             let target_g = self.inner.global_idx(self.group, i);
-            let node_id = self.peer_node(target_g).id();
-            let peer_layout = self.inner.layouts[&node_id];
+            let peer_layout = self.inner.layouts[target_g];
             // A prefix of the adopted log may be gone from our ring: WAL
             // compaction truncated it, or a power loss wiped it and the
             // reload found it already behind the checkpoint floor. Those
@@ -1446,7 +1422,7 @@ impl McastReplica {
             while from < adopt_to && !self.holds_log(from) {
                 from += 1;
             }
-            let qp = self.qp(qps, target_g);
+            let qp = self.qp(target_g);
             if from > seq {
                 let _ = qp.post_write_word(peer_layout.log_floor, from);
             }
@@ -1503,7 +1479,7 @@ impl McastReplica {
             });
         }
         st.hb_counter = 0;
-        self.maybe_heartbeat(st, qps);
+        self.maybe_heartbeat(st);
     }
 
     // ------------------------------------------------------------------
@@ -1514,7 +1490,6 @@ impl McastReplica {
     fn write_ctrl(
         &self,
         st: &mut State,
-        qps: &mut HashMap<usize, QueuePair>,
         target: usize,
         kind: CtrlKind,
         uid: u32,
@@ -1524,14 +1499,12 @@ impl McastReplica {
     ) {
         let stamp = st.ctrl_out_stamp[target];
         st.ctrl_out_stamp[target] = stamp + 1;
-        let node_id = self.peer_node(target).id();
         let slot = self
             .inner
             .sizes
-            .ctrl_slot(self.inner.layouts[&node_id], self.my_global, stamp);
+            .ctrl_slot(self.inner.layouts[target], self.my_global, stamp);
         let buf = encode_ctrl(stamp, kind, uid, a, b, payload);
-        let qp = self.qp(qps, target);
-        let _ = qp.post_write(slot, buf);
+        let _ = self.qp(target).post_write(slot, buf);
     }
 
     /// Like [`Self::write_ctrl`] but queues the entry into a per-target
@@ -1543,7 +1516,6 @@ impl McastReplica {
     fn queue_ctrl(
         &self,
         st: &mut State,
-        qps: &mut HashMap<usize, QueuePair>,
         batches: &mut BTreeMap<usize, WriteBatch>,
         target: usize,
         kind: CtrlKind,
@@ -1554,15 +1526,144 @@ impl McastReplica {
     ) {
         let stamp = st.ctrl_out_stamp[target];
         st.ctrl_out_stamp[target] = stamp + 1;
-        let node_id = self.peer_node(target).id();
         let slot = self
             .inner
             .sizes
-            .ctrl_slot(self.inner.layouts[&node_id], self.my_global, stamp);
+            .ctrl_slot(self.inner.layouts[target], self.my_global, stamp);
         let buf = encode_ctrl(stamp, kind, uid, a, b, payload);
         batches
             .entry(target)
-            .or_insert_with(|| self.qp(qps, target).write_batch())
+            .or_insert_with(|| self.qp(target).write_batch())
             .push(slot, buf);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Mcast, McastConfig};
+    use proptest::prelude::*;
+    use rdma_sim::{Fabric, LatencyModel};
+
+    /// `has_work`, stated over one `local_read_word` per probe.
+    fn has_work_word_by_word(r: &McastReplica, st: &State) -> bool {
+        let sizes = &r.inner.sizes;
+        let word = |addr| r.node.local_read_word(addr).unwrap_or(0);
+        let writers = || (0..sizes.total_replicas).filter(|&w| w != r.my_global);
+        // The slot under each cursor holds that stamp or a later one.
+        let cursor_hit = (0..sizes.max_clients)
+            .any(|c| word(sizes.sub_slot(r.layout, c, st.sub_expected[c])) >= st.sub_expected[c])
+            || writers().any(|w| {
+                word(sizes.ctrl_slot(r.layout, w, st.ctrl_expected[w])) >= st.ctrl_expected[w]
+            });
+        // Any slot of any lane holds a stamp beyond the lane's cursor.
+        let stamp_ahead = || {
+            (0..sizes.max_clients).any(|c| {
+                (1..=sizes.sub_slots as u64)
+                    .any(|s| word(sizes.sub_slot(r.layout, c, s)) > st.sub_expected[c])
+            }) || writers().any(|w| {
+                (1..=sizes.ctrl_slots as u64)
+                    .any(|s| word(sizes.ctrl_slot(r.layout, w, s)) > st.ctrl_expected[w])
+            })
+        };
+        let role = if st.is_leader {
+            (0..r.n())
+                .filter(|&i| i != r.idx)
+                .any(|i| word(sizes.ack_slot(r.layout, i)) != st.acks_cache[i])
+        } else {
+            let entry = sizes.log_slot(r.layout, st.applied_seq);
+            (!st.await_epoch
+                && word(entry) > st.applied_seq
+                && word(entry.offset(32)) >= st.entry_epoch_floor)
+                || ((!st.await_epoch || r.ungated_has_work)
+                    && word(r.layout.log_floor) > st.applied_seq)
+                || word(r.layout.heartbeat) != st.last_hb_val
+        };
+        cursor_hit || role || (sim::now() < st.lanes_suspect_until && stamp_ahead())
+    }
+
+    /// One randomised replica: cursors and gates in `st`, a few stamps
+    /// scattered over its lanes, log, acks and control words.
+    fn random_case(rng: &mut proptest::TestRng) -> (bool, bool) {
+        let mut cfg = McastConfig::new(2, 3).with_max_clients(2);
+        (
+            cfg.sub_slots,
+            cfg.ctrl_slots,
+            cfg.log_slots,
+            cfg.max_payload,
+        ) = (3, 3, 4, 8);
+        let simulation = sim::Simulation::new(1);
+        let fabric = Fabric::new(LatencyModel::connectx4());
+        if any::<bool>().generate(rng) {
+            fabric.sabotage(SABOTAGE_HAS_WORK_GATE);
+        }
+        let nodes: Vec<Vec<_>> = (0..2)
+            .map(|g| {
+                (0..3)
+                    .map(|i| fabric.add_node(format!("g{g}r{i}")))
+                    .collect()
+            })
+            .collect();
+        let mcast = Mcast::build(&fabric, nodes, cfg);
+        let r = mcast.replica(GroupId(1), (0usize..3).generate(rng));
+        let small = 0u64..5;
+        let cursors = prop::collection::vec(1u64..5, 2 + 6).generate(rng);
+        let gates = prop::collection::vec(any::<bool>(), 3).generate(rng);
+        let scalars = prop::collection::vec(small.clone(), 5).generate(rng);
+        let writes =
+            prop::collection::vec((0usize..6, 0usize..6, 1u64..4, small), 0..4).generate(rng);
+        let out = Arc::new(parking_lot::Mutex::new((false, false)));
+        let seen = Arc::clone(&out);
+        simulation.spawn("probe", move || {
+            let mut st = r.boot_state();
+            st.sub_expected.copy_from_slice(&cursors[..2]);
+            st.ctrl_expected.copy_from_slice(&cursors[2..]);
+            (st.is_leader, st.await_epoch) = (gates[0], gates[1]);
+            if gates[2] {
+                st.lanes_suspect_until = SimTime::from_millis(1);
+            }
+            (st.applied_seq, st.entry_epoch_floor, st.last_hb_val) =
+                (scalars[0], scalars[1], scalars[2]);
+            st.acks_cache = vec![scalars[3], scalars[4], scalars[3]];
+            // Memory starts out agreeing with the cached words …
+            let sizes = r.inner.sizes;
+            let put = |addr, value| r.node.local_write_word(addr, value).unwrap();
+            put(r.layout.heartbeat, st.last_hb_val);
+            for (i, ack) in st.acks_cache.iter().enumerate() {
+                put(sizes.ack_slot(r.layout, i), *ack);
+            }
+            // … then a few words move.
+            for (region, lane, slot, value) in writes {
+                let addr = match region {
+                    0 => sizes.sub_slot(r.layout, lane % 2, slot),
+                    1 => sizes.ctrl_slot(r.layout, lane, slot),
+                    2 => sizes.ack_slot(r.layout, lane % 3),
+                    // The stamp or the epoch word of the next log entry.
+                    3 => sizes
+                        .log_slot(r.layout, st.applied_seq)
+                        .offset(32 * (lane as u64 % 2)),
+                    4 => r.layout.log_floor,
+                    _ => r.layout.heartbeat,
+                };
+                put(addr, value);
+            }
+            *seen.lock() = (r.has_work(&st), has_work_word_by_word(&r, &st));
+        });
+        simulation.run().unwrap();
+        let got = *out.lock();
+        got
+    }
+
+    #[test]
+    fn has_work_agrees_with_a_word_by_word_oracle() {
+        let mut rng = proptest::TestRng::deterministic("amcast::has_work");
+        let mut outcomes = [0usize; 2];
+        for case in 0..400 {
+            let (got, oracle) = random_case(&mut rng);
+            assert_eq!(got, oracle, "case {case}");
+            outcomes[usize::from(got)] += 1;
+        }
+        // Both answers are exercised, not one of them 400 times.
+        assert!(outcomes.iter().all(|&n| n >= 80), "{outcomes:?}");
     }
 }

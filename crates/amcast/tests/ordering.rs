@@ -102,6 +102,47 @@ fn single_group_delivers_everything_in_timestamp_order() {
     assert_eq!(logs[1], logs[2]);
 }
 
+/// A lane scan reads each lane when it reaches it, not when the pass
+/// began: while lane 1's message is being handled (`ordering_cpu`), one
+/// submission lands in lane 0 — already walked past — and then one in lane
+/// 2, still ahead. The pass consumes the later lane's message and leaves
+/// the earlier lane's, though it landed first, to the next pass.
+#[test]
+fn a_scan_reads_each_lane_at_the_instant_it_reaches_it() {
+    let simulation = Simulation::new(5);
+    let fabric = Fabric::new(LatencyModel::connectx4());
+    let cfg = McastConfig::new(1, 1);
+    let handling = cfg.ordering_cpu;
+    let mcast = Mcast::build(&fabric, vec![vec![fabric.add_node("g0r0")]], cfg);
+    mcast.spawn_replicas(&simulation);
+    // (lane, start): lane 1 goes first; 2 µs apart, all inside its handling.
+    assert!(handling > Duration::from_micros(5));
+    let starts = [(0u8, 2u64), (1, 0), (2, 4)];
+    for (lane, start_us) in starts {
+        // Attached in lane order: the n-th client owns lane n.
+        let mut client = mcast.client(&fabric.add_node(format!("client{lane}")));
+        assert_eq!(client.client_idx(), usize::from(lane));
+        simulation.spawn(format!("client{lane}"), move || {
+            sim::sleep(Duration::from_micros(start_us));
+            client.multicast(&[GroupId(0)], &[lane]);
+        });
+    }
+    let delivered = Arc::new(Mutex::new(Vec::new()));
+    let (log, rx) = (delivered.clone(), mcast.deliveries(GroupId(0), 0));
+    simulation.spawn("consumer", move || loop {
+        if let DeliveryEvent::Deliver(d) = rx.recv() {
+            log.lock().push((d.payload[0], sim::now()));
+        }
+    });
+    simulation.run_until(sim::SimTime::from_millis(1)).unwrap();
+    let delivered = delivered.lock();
+    let lanes: Vec<u8> = delivered.iter().map(|(lane, _)| *lane).collect();
+    assert_eq!(lanes, [1, 2, 0]);
+    let at = |i: usize| delivered[i].1;
+    assert_eq!(at(0), at(1), "lanes 1 and 2 were sequenced by one pass");
+    assert_eq!(at(2), at(1) + handling, "lane 0 by the next");
+}
+
 #[test]
 fn timestamps_are_unique_and_carried_consistently() {
     let h = build(12, McastConfig::new(2, 3));

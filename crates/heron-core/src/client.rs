@@ -5,7 +5,7 @@ use crate::layout::{encode_envelope, resp_slot, RESP_HDR};
 use crate::types::PartitionId;
 use amcast::{GroupId, McastClient, MsgId};
 use bytes::Bytes;
-use rdma_sim::{Addr, Node, Poller};
+use rdma_sim::{Addr, MemView, Node, Poller};
 use std::fmt;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -123,10 +123,12 @@ impl HeronClient {
             }
             if sim::trace::enabled() {
                 // Which partitions have not answered, as a bit per id.
-                let missing = dests
-                    .iter()
-                    .filter(|p| self.answered_slot(**p, seq).is_none())
-                    .fold(0u64, |mask, p| mask | 1 << p.0);
+                let missing = self.node.with_mem(|m| {
+                    dests
+                        .iter()
+                        .filter(|p| self.answered_slot(m, **p, seq).is_none())
+                        .fold(0u64, |mask, p| mask | 1 << p.0)
+                });
                 sim::trace::instant_args(
                     "client.retry",
                     u64::from(uid.0),
@@ -161,7 +163,7 @@ impl HeronClient {
 
     /// Whether some replica slot of partition `p` holds a response for
     /// `seq` — "a response from one server in each partition" (§V-B).
-    fn answered_slot(&self, p: PartitionId, seq: u64) -> Option<Addr> {
+    fn answered_slot(&self, m: &MemView<'_>, p: PartitionId, seq: u64) -> Option<Addr> {
         let cfg = &self.cluster.cfg;
         (0..cfg.replicas_per_partition).find_map(|r| {
             let slot = resp_slot(
@@ -171,24 +173,24 @@ impl HeronClient {
                 cfg.replicas_per_partition,
                 cfg.max_response,
             );
-            (self.node.local_read_word(slot).unwrap_or(0) >= seq).then_some(slot)
+            (m.word(slot).unwrap_or(0) >= seq).then_some(slot)
         })
     }
 
     fn all_answered(&self, dests: &[PartitionId], seq: u64) -> bool {
-        dests.iter().all(|p| self.answered_slot(*p, seq).is_some())
+        self.node.with_mem(|m| {
+            dests
+                .iter()
+                .all(|p| self.answered_slot(m, *p, seq).is_some())
+        })
     }
 
     fn read_response(&self, p: PartitionId, seq: u64) -> Bytes {
-        let slot = self.answered_slot(p, seq).expect("partition answered");
-        let len = self
-            .node
-            .local_read_word(slot.offset(8))
-            .expect("own response slot") as usize;
-        Bytes::from(
-            self.node
-                .local_read(slot.offset(RESP_HDR as u64), len)
-                .expect("own response slot"),
-        )
+        self.node.with_mem(|m| {
+            let slot = self.answered_slot(m, p, seq).expect("partition answered");
+            let len = m.word(slot.offset(8)).expect("own response slot") as usize;
+            let body = m.bytes(slot.offset(RESP_HDR as u64), len);
+            Bytes::copy_from_slice(body.expect("own response slot"))
+        })
     }
 }

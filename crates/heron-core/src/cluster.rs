@@ -90,22 +90,19 @@ pub(crate) struct ReplicaShared {
     /// Debug trace of request handling: `(ts_raw, event)` where event is
     /// `e`xecuted, `s`kipped, or state-`t`ransferred-to.
     pub exec_trace: Mutex<Vec<(u64, char)>>,
-    /// Cached queue pairs to other nodes.
-    qps: Mutex<HashMap<NodeId, QueuePair>>,
+    /// Queue pairs to every replica node, `qps[h * n + q]`.
+    qps: Vec<QueuePair>,
 }
 
 impl ReplicaShared {
-    pub(crate) fn qp(&self, target: &Node) -> QueuePair {
-        self.qps
-            .lock()
-            .entry(target.id())
-            .or_insert_with(|| self.node.connect(target))
-            .clone()
+    /// Our queue pair to replica `q` of partition `h`.
+    pub(crate) fn peer_qp(&self, h: PartitionId, q: usize) -> &QueuePair {
+        &self.qps[h.0 as usize * self.cluster.cfg.replicas_per_partition + q]
     }
 
     /// The node hosting replica `q` of partition `h`.
-    pub(crate) fn peer(&self, h: PartitionId, q: usize) -> Node {
-        self.cluster.nodes[h.0 as usize][q].clone()
+    pub(crate) fn peer(&self, h: PartitionId, q: usize) -> &Node {
+        &self.cluster.nodes[h.0 as usize][q]
     }
 
     /// Records that every request up to `ts_raw` finished its write phase
@@ -282,6 +279,12 @@ impl HeronCluster {
                 for (oid, value) in inner.app.bootstrap(PartitionId(p as u16)) {
                     store.bootstrap(oid, &value);
                 }
+                let qps = inner
+                    .nodes
+                    .iter()
+                    .flatten()
+                    .map(|peer| node.connect(peer))
+                    .collect();
                 row.push(Arc::new(ReplicaShared {
                     cluster: Arc::clone(&inner),
                     partition: PartitionId(p as u16),
@@ -308,7 +311,7 @@ impl HeronCluster {
                         .as_ref()
                         .map(|d| d.storage.disk(format!("heron-p{p}r{i}"))),
                     exec_trace: Mutex::new(Vec::new()),
-                    qps: Mutex::new(HashMap::new()),
+                    qps,
                 }));
             }
             replicas.push(row);

@@ -26,7 +26,7 @@
 //!   dispatch keeps per-lane coordination entries monotone and means a
 //!   conflicting predecessor always *finishes* on this replica before its
 //!   successor starts anywhere on it — which is what makes the relaxed
-//!   barrier reads in [`coord_status`] safe. Workers report completion
+//!   barrier reads in [`coord_quorum`] safe. Workers report completion
 //!   (and the client reply) back to the driver.
 //!
 //! Workers never run the state-transfer protocol themselves: when one
@@ -53,8 +53,8 @@ use crate::cluster::ReplicaShared;
 use crate::layout::{decode_envelope, encode_coord, encode_response, resp_slot, COORD_ENTRY};
 use crate::metrics::Breakdown;
 use crate::replica::{
-    coord_status, pending_sync_requests, publish_progress, respond_transfer, state_transfer,
-    state_transfer_abortable,
+    coord_matching, coord_quorum, pending_sync_requests, publish_progress, respond_transfer,
+    state_transfer, state_transfer_abortable,
 };
 use crate::types::{ObjectId, PartitionId, Placement};
 use amcast::{mask_groups, Delivered, DeliveryEvent, Timestamp};
@@ -344,8 +344,7 @@ impl ExecCore {
         // passed this stays satisfied; a hit means a code change skipped
         // or reordered the Phase-2 wait.
         if let Some(det) = shared.cluster.detector.as_ref() {
-            let (_, quorum, _) = coord_status(shared, dests, ts, 1);
-            if !quorum {
+            if !coord_quorum(shared, dests, ts, 1).0 {
                 let coord_len =
                     (self.cfg().partitions * self.n() * shared.layout.coord_width * COORD_ENTRY)
                         as u64;
@@ -411,7 +410,7 @@ impl ExecCore {
                 if target.id() == shared.node.id() {
                     let _ = shared.node.local_write(slot_on_target, &entry);
                 } else if batched {
-                    let mut batch = shared.qp(&target).write_batch();
+                    let mut batch = shared.peer_qp(h, q).write_batch();
                     for (addr, buf) in pending.remove(&target.id()).unwrap_or_default() {
                         batch.push(addr, buf);
                     }
@@ -419,7 +418,7 @@ impl ExecCore {
                     let _ = batch.post();
                 } else {
                     let _ = shared
-                        .qp(&target)
+                        .peer_qp(h, q)
                         .post_write(slot_on_target, entry.to_vec());
                 }
             }
@@ -442,7 +441,7 @@ impl ExecCore {
         timeout: Duration,
     ) -> bool {
         self.poller
-            .poll_until_timeout(|| coord_status(&self.shared, dests, ts, phase).1, timeout)
+            .poll_until_timeout(|| coord_quorum(&self.shared, dests, ts, phase).0, timeout)
     }
 
     /// Blocks until a majority of every involved partition has coordinated
@@ -457,17 +456,17 @@ impl ExecCore {
     ) {
         let shared = &self.shared;
         self.poller
-            .poll_until(|| coord_status(shared, dests, ts, phase).1);
+            .poll_until(|| coord_quorum(shared, dests, ts, phase).0);
         if let Some(delta) = delta {
             let stats = &shared.cluster.metrics.delays[shared.partition.0 as usize];
             stats.total.fetch_add(1, Ordering::Relaxed);
-            if coord_status(shared, dests, ts, phase).2 {
+            if coord_quorum(shared, dests, ts, phase).1 {
                 return; // everyone already coordinated
             }
             stats.delayed.fetch_add(1, Ordering::Relaxed);
             let t0 = sim::now();
             self.poller
-                .poll_until_timeout(|| coord_status(shared, dests, ts, phase).2, delta);
+                .poll_until_timeout(|| coord_quorum(shared, dests, ts, phase).1, delta);
             let waited = (sim::now() - t0).as_nanos() as u64;
             stats.delay_sum_ns.fetch_add(waited, Ordering::Relaxed);
         }
@@ -535,9 +534,7 @@ impl ExecCore {
             // Refresh the set of consistent candidates: replicas of h whose
             // coordination entry matches r.tmp (they executed everything
             // before r and have not moved past it).
-            let (matching, _, _) = coord_status(shared, &[h], ts, 1);
-            let candidates = matching.get(&h).cloned().unwrap_or_default();
-            let candidates: Vec<usize> = candidates
+            let candidates: Vec<usize> = coord_matching(shared, h, ts)
                 .into_iter()
                 .filter(|&q| shared.peer(h, q).is_alive())
                 .collect();
@@ -568,7 +565,7 @@ impl ExecCore {
                 .expect("known candidate has a cached address");
             let slot = crate::store::Slot { addr, cap };
             let t_issue = sim::now().as_nanos();
-            match shared.qp(&target).read(addr, slot.size()) {
+            match shared.peer_qp(h, pick).read(addr, slot.size()) {
                 Err(_) => {
                     // RDMA exception: the process failed; try another
                     // (lines 20–21). Drop the stale address mapping.
@@ -582,7 +579,7 @@ impl ExecCore {
                         Some((t, _)) => t,
                     };
                     self.audit_remote_slot_read(
-                        &target, oid, addr, cap, &versions, chosen_ts, ts, t_issue,
+                        target, oid, addr, cap, &versions, chosen_ts, ts, t_issue,
                     );
                     return Ok((versions, cap));
                 }
@@ -667,7 +664,7 @@ impl ExecCore {
                 continue;
             }
             let msg = crate::layout::encode_rpc(&crate::layout::Rpc::AddrQuery { oid });
-            let _ = shared.qp(&target).send(msg);
+            let _ = shared.peer_qp(h, q).send(msg);
         }
         // Replies are absorbed by the service process, which fills
         // object_map/addr_heard and rings the doorbell — the polled word
@@ -768,7 +765,7 @@ impl ExecCore {
                 if batched {
                     pending.entry(target.id()).or_default().push((addr, image));
                 } else {
-                    let _ = shared.qp(&target).post_write(addr, image);
+                    let _ = shared.peer_qp(h, q).post_write(addr, image);
                 }
             }
         }
@@ -831,7 +828,7 @@ fn post_reply(shared: &Arc<ReplicaShared>, client_id: u64, seq: u64, response: &
         cfg.max_response,
     );
     let buf = encode_response(seq, response);
-    let _ = shared.qp(&client_node).post_write(slot, buf);
+    let _ = shared.node.connect(&client_node).post_write(slot, buf);
 }
 
 /// Builds the dual-version slot image that results from applying the
@@ -954,7 +951,7 @@ fn transfer_for_stalls(shared: &Arc<ReplicaShared>, stalls: &[(u64, &Stall)]) ->
     let healed = || {
         stalls.iter().all(|(ts, reason)| match reason {
             Stall::Phase2Starved { dests } => {
-                coord_status(shared, dests, Timestamp::from_raw(*ts), 1).1
+                coord_quorum(shared, dests, Timestamp::from_raw(*ts), 1).0
             }
             Stall::Lagging => false,
         })
@@ -1344,8 +1341,9 @@ impl Driver {
         let shared = Arc::clone(&self.shared);
         let n = self.n();
         // Drop bookkeeping for requests that were completed by someone.
-        let pending: std::collections::HashSet<(usize, u64)> =
-            pending_sync_requests(&shared).into_iter().collect();
+        let pending: Vec<(usize, u64)> = shared
+            .node
+            .with_mem(|m| pending_sync_requests(&shared, m).collect());
         self.seen_requests.retain(|k, _| pending.contains(k));
         let mut blocked = false;
         for p in 0..n {
@@ -1487,42 +1485,41 @@ impl Driver {
     /// restart only worker events count: nothing else is acted on, so
     /// waking for it would spin.
     fn idle_wait(&self, draining: bool) {
-        let deliveries = self.deliveries.clone();
-        let events = self.events.clone();
-        let shared = Arc::clone(&self.shared);
+        let shared = &*self.shared;
         let now = sim::now();
         let n = self.n();
         let mut timeout = Duration::from_millis(10);
-        for key in pending_sync_requests(&shared) {
-            if let Some(first) = self.seen_requests.get(&key) {
-                let rank = (shared.idx + n - key.0 - 1) % n;
-                let due = *first + self.cfg().transfer_timeout * rank as u32;
-                // Only future turns shorten the wait. A past-due serve
-                // still pending here is blocked on the in-flight drain,
-                // and its wake signal is a worker Done event (covered by
-                // the predicate below); a zero timeout would return
-                // without yielding and freeze the cooperative scheduler.
-                if let Some(until_due) = due.checked_sub(now) {
-                    if !until_due.is_zero() {
-                        timeout = timeout.min(until_due);
+        shared.node.with_mem(|m| {
+            for key in pending_sync_requests(shared, m) {
+                if let Some(first) = self.seen_requests.get(&key) {
+                    let rank = (shared.idx + n - key.0 - 1) % n;
+                    let due = *first + self.cfg().transfer_timeout * rank as u32;
+                    // Only future turns shorten the wait. A past-due serve
+                    // still pending here is blocked on the in-flight drain,
+                    // and its wake signal is a worker Done event (covered
+                    // by the predicate below); a zero timeout would return
+                    // without yielding and freeze the cooperative scheduler.
+                    if let Some(until_due) = due.checked_sub(now) {
+                        if !until_due.is_zero() {
+                            timeout = timeout.min(until_due);
+                        }
                     }
                 }
             }
-        }
-        let seen: std::collections::HashSet<(usize, u64)> =
-            self.seen_requests.keys().copied().collect();
+        });
         let held = draining || self.pending_gap.is_some() || self.replay.is_some();
         // `events` was built on the poller's condition (`spawn_driver`) and
         // `deliveries` owns it, so both mailboxes ring this wait directly;
         // transfer requests land in the subscribed statesync entries.
-        self.shared.poller.poll_until_timeout(
+        shared.poller.poll_until_timeout(
             || {
-                !events.is_empty()
-                    || (!held && !deliveries.is_empty())
+                !self.events.is_empty()
+                    || (!held && !self.deliveries.is_empty())
                     || (!draining
-                        && pending_sync_requests(&shared)
-                            .iter()
-                            .any(|k| !seen.contains(k)))
+                        && shared.node.with_mem(|m| {
+                            pending_sync_requests(shared, m)
+                                .any(|k| !self.seen_requests.contains_key(&k))
+                        }))
             },
             timeout,
         );

@@ -6,14 +6,15 @@
 //! from its loop — the requester side for its own inline lane or on its
 //! parked workers' behalf, the responder side whenever nothing is in
 //! flight — and every [`crate::executor::ExecCore`] lane reads barrier
-//! state through [`coord_status`].
+//! state through [`coord_quorum`].
 
 use crate::cluster::ReplicaShared;
 use crate::layout::{encode_record, encode_sync, CHUNK_HDR};
 use crate::metrics::TransferRecord;
 use crate::types::{ObjectId, PartitionId, StorageKind};
 use amcast::Timestamp;
-use std::collections::{BTreeSet, HashMap};
+use rdma_sim::MemView;
+use std::collections::BTreeSet;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -80,7 +81,9 @@ pub(crate) fn state_transfer_abortable(
                 if target.id() == shared.node.id() {
                     let _ = shared.node.local_write(my_sync, &entry);
                 } else {
-                    let _ = shared.qp(&target).post_write(my_sync, entry.to_vec());
+                    let _ = shared
+                        .peer_qp(shared.partition, q)
+                        .post_write(my_sync, entry.to_vec());
                 }
             }
             // Line 5: wait for a responder to flip status back to 0
@@ -115,7 +118,9 @@ pub(crate) fn state_transfer_abortable(
                     for q in 0..n {
                         let target = shared.peer(shared.partition, q);
                         if target.id() != shared.node.id() {
-                            let _ = shared.qp(&target).post_write(my_sync, clear.to_vec());
+                            let _ = shared
+                                .peer_qp(shared.partition, q)
+                                .post_write(my_sync, clear.to_vec());
                         }
                     }
                     return None;
@@ -193,7 +198,8 @@ pub(crate) fn respond_transfer(shared: &Arc<ReplicaShared>, requester: usize, fr
     // the rotation timeout fires while a slow responder is mid-stream.
     let target = shared.peer(shared.partition, requester);
     let status_addr = shared.layout.sync_slot(requester).offset(8);
-    match shared.qp(&target).compare_and_swap(status_addr, 1, 2) {
+    let qp = shared.peer_qp(shared.partition, requester);
+    match qp.compare_and_swap(status_addr, 1, 2) {
         Ok(1) => {}
         _ => return, // claimed by someone else, completed, or crashed
     }
@@ -221,7 +227,6 @@ pub(crate) fn respond_transfer(shared: &Arc<ReplicaShared>, requester: usize, fr
             .map(|(_, oid)| *oid)
             .collect()
     };
-    let qp = shared.qp(&target);
     let app = &shared.cluster.app;
     let chunk_cap = cfg.transfer_chunk;
     let mut chunk_body: Vec<u8> = Vec::with_capacity(chunk_cap);
@@ -265,7 +270,7 @@ pub(crate) fn respond_transfer(shared: &Arc<ReplicaShared>, requester: usize, fr
                         .ring_slot(*stamp, cfg.transfer_slots, chunk_cap);
                     det.report_lint(
                         "state-transfer chunk overlaps a live read window",
-                        &target,
+                        target,
                         "ring",
                         (slot.0, slot.0 + (CHUNK_HDR + chunk_cap) as u64),
                         None,
@@ -328,15 +333,15 @@ pub(crate) fn respond_transfer(shared: &Arc<ReplicaShared>, requester: usize, fr
         if t.id() == shared.node.id() {
             let _ = shared.node.local_write(sync, &entry);
         } else {
-            let _ = shared.qp(&t).post_write(sync, entry.to_vec());
+            let _ = shared
+                .peer_qp(shared.partition, q)
+                .post_write(sync, entry.to_vec());
         }
     }
 }
 
-/// Reads the replica's own coordination memory and returns, per involved
-/// partition, `(matching, satisfied-majority, satisfied-everyone)` — free
-/// function so the phase-2 barrier can be re-checked from inside the
-/// state-transfer fallback without re-borrowing the executor.
+/// What our coordination memory shows of replica `q` of partition `h` for
+/// the request at `ts`: `(matches, counts)`.
 ///
 /// With an executor pool each replica owns `coord_width` lanes — one
 /// `(tmp, phase)` entry per worker. A peer *matches* if any of its lanes
@@ -345,9 +350,9 @@ pub(crate) fn respond_transfer(shared: &Arc<ReplicaShared>, requester: usize, fr
 /// conflict-ordered dispatch guarantees no conflicting successor has
 /// started on any lane).
 ///
-/// A peer without a matching lane still *satisfies the wait* on evidence
-/// it already finished `r`, and the evidence differs by width. At width 1
-/// execution is in delivery order, so a lane beyond `ts` implies `r`
+/// A peer without a matching lane still *counts* towards a barrier on
+/// evidence it already finished `r`, and the evidence differs by width. At
+/// width 1 execution is in delivery order, so a lane beyond `ts` implies `r`
 /// completed there — the paper's single-entry condition, bit for bit. At
 /// width > 1 that inference is unsound: a later non-conflicting command
 /// can be dispatched to another worker and coordinate while `r` is still
@@ -359,61 +364,80 @@ pub(crate) fn respond_transfer(shared: &Arc<ReplicaShared>, requester: usize, fr
 /// replica's progress region, and a peer counts only when its watermark
 /// reaches `ts` — which also covers a peer whose command was superseded
 /// by a state transfer and never wrote a lane entry at all.
-pub(crate) fn coord_status(
+fn peer_coordinated(
+    shared: &ReplicaShared,
+    m: &MemView<'_>,
+    h: PartitionId,
+    q: usize,
+    ts: Timestamp,
+    phase: u64,
+) -> (bool, bool) {
+    let n = shared.cluster.cfg.replicas_per_partition;
+    let width = shared.layout.coord_width;
+    let word = |addr| m.word(addr).unwrap_or(0);
+    let mut lane_match = false;
+    let mut lane_beyond = false;
+    for lane in 0..width {
+        let slot = shared.layout.coord_slot(h.0 as usize, q, lane, n);
+        let tmp = word(slot);
+        let ph = word(slot.offset(8));
+        if tmp == ts.raw() && ph >= phase {
+            lane_match = true;
+        } else if tmp > ts.raw() {
+            lane_beyond = true;
+        }
+    }
+    let finished_evidence = if width == 1 {
+        lane_beyond
+    } else {
+        word(shared.layout.progress_slot(h.0 as usize, q, n)) >= ts.raw()
+    };
+    (lane_match, lane_match || finished_evidence)
+}
+
+/// The Phase 2/4 barrier over the replica's own coordination memory:
+/// whether `(a majority, everyone)` of every partition in `dests` counts
+/// as coordinated at `(ts, phase)` (see [`peer_coordinated`]). A free
+/// function so the barrier can be re-checked from inside the
+/// state-transfer fallback without re-borrowing the executor; one borrow
+/// and no allocation, because every barrier wake-up re-evaluates it.
+pub(crate) fn coord_quorum(
     shared: &ReplicaShared,
     dests: &[PartitionId],
     ts: Timestamp,
     phase: u64,
-) -> (HashMap<PartitionId, Vec<usize>>, bool, bool) {
+) -> (bool, bool) {
     let n = shared.cluster.cfg.replicas_per_partition;
     let majority = shared.cluster.cfg.majority();
-    let width = shared.layout.coord_width;
-    let mut matching: HashMap<PartitionId, Vec<usize>> = HashMap::new();
-    let mut all_majority = true;
-    let mut all_everyone = true;
-    for &h in dests {
-        let mut ok = 0usize;
-        let mut m = Vec::new();
-        for q in 0..n {
-            let mut lane_match = false;
-            let mut lane_beyond = false;
-            for lane in 0..width {
-                let slot = shared.layout.coord_slot(h.0 as usize, q, lane, n);
-                let tmp = shared.node.local_read_word(slot).unwrap_or(0);
-                let ph = shared.node.local_read_word(slot.offset(8)).unwrap_or(0);
-                if tmp == ts.raw() && ph >= phase {
-                    lane_match = true;
-                } else if tmp > ts.raw() {
-                    lane_beyond = true;
-                }
-            }
-            let finished_evidence = if width == 1 {
-                lane_beyond
-            } else {
-                let slot = shared.layout.progress_slot(h.0 as usize, q, n);
-                shared.node.local_read_word(slot).unwrap_or(0) >= ts.raw()
-            };
-            if lane_match {
-                ok += 1;
-                m.push(q);
-            } else if finished_evidence {
-                ok += 1;
-            }
+    shared.node.with_mem(|m| {
+        let mut all_majority = true;
+        let mut all_everyone = true;
+        for &h in dests {
+            let ok = (0..n)
+                .filter(|&q| peer_coordinated(shared, m, h, q, ts, phase).1)
+                .count();
+            all_majority &= ok >= majority;
+            all_everyone &= ok == n;
         }
-        if ok < majority {
-            all_majority = false;
-        }
-        if ok < n {
-            all_everyone = false;
-        }
-        matching.insert(h, m);
-    }
-    (matching, all_majority, all_everyone)
+        (all_majority, all_everyone)
+    })
+}
+
+/// The replicas of `h` holding a lane at `ts` (Phase 2 or later): they
+/// executed everything before the request and have not moved past it, so a
+/// remote read may target them.
+pub(crate) fn coord_matching(shared: &ReplicaShared, h: PartitionId, ts: Timestamp) -> Vec<usize> {
+    let n = shared.cluster.cfg.replicas_per_partition;
+    shared.node.with_mem(|m| {
+        (0..n)
+            .filter(|&q| peer_coordinated(shared, m, h, q, ts, 1).0)
+            .collect()
+    })
 }
 
 /// Publishes this replica's hole-free completed prefix (`completed_req`)
 /// into the progress region of every replica of every partition — the
-/// finished-evidence [`coord_status`] consults at width > 1. Nothing is
+/// finished-evidence [`peer_coordinated`] consults at width > 1. Nothing is
 /// posted at width 1: the single in-order lane already carries the same
 /// information, and the paper's single-entry schedule must stay
 /// bit-identical.
@@ -440,22 +464,142 @@ pub(crate) fn publish_progress(shared: &Arc<ReplicaShared>) {
             if target.id() == shared.node.id() {
                 let _ = shared.node.local_write(slot, &buf);
             } else {
-                let _ = shared.qp(&target).post_write(slot, buf.to_vec());
+                let _ = shared
+                    .peer_qp(PartitionId(h as u16), q)
+                    .post_write(slot, buf.to_vec());
             }
         }
     }
 }
 
 /// The `(requester idx, from_tmp)` of every state-transfer request
-/// currently raised in this replica's statesync memory.
-pub(crate) fn pending_sync_requests(shared: &ReplicaShared) -> Vec<(usize, u64)> {
+/// currently raised in this replica's statesync memory, read through `m`.
+pub(crate) fn pending_sync_requests<'a>(
+    shared: &'a ReplicaShared,
+    m: &'a MemView<'a>,
+) -> impl Iterator<Item = (usize, u64)> + 'a {
     let n = shared.cluster.cfg.replicas_per_partition;
-    (0..n)
-        .filter(|&p| p != shared.idx)
-        .filter_map(|p| {
-            let slot = shared.layout.sync_slot(p);
-            let status = shared.node.local_read_word(slot.offset(8)).unwrap_or(0);
-            (status == 1).then(|| (p, shared.node.local_read_word(slot).unwrap_or(0)))
-        })
-        .collect()
+    (0..n).filter(|&p| p != shared.idx).filter_map(move |p| {
+        let slot = shared.layout.sync_slot(p);
+        let status = m.word(slot.offset(8)).unwrap_or(0);
+        (status == 1).then(|| (p, m.word(slot).unwrap_or(0)))
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Execution, HeronCluster, HeronConfig, LocalReader, ReadSet, StateMachine};
+    use proptest::prelude::*;
+    use rdma_sim::{Fabric, LatencyModel};
+
+    /// Hosts nothing: these tests only need a replica's coordination memory.
+    struct NoObjects;
+
+    impl StateMachine for NoObjects {
+        fn placement(&self, _: ObjectId) -> crate::Placement {
+            crate::Placement::Replicated
+        }
+        fn destinations(&self, _: &[u8]) -> Vec<PartitionId> {
+            vec![PartitionId(0)]
+        }
+        fn read_set(&self, _: &[u8]) -> Vec<ObjectId> {
+            Vec::new()
+        }
+        fn execute(&self, _: PartitionId, _: &[u8], _: &ReadSet, _: &dyn LocalReader) -> Execution {
+            Execution::default()
+        }
+        fn bootstrap(&self, _: PartitionId) -> Vec<(ObjectId, bytes::Bytes)> {
+            Vec::new()
+        }
+    }
+
+    const PARTITIONS: usize = 3;
+    const N: usize = 3;
+
+    /// The barrier rule, one `local_read_word` per probe: does replica `q`
+    /// of `h` hold a lane at `(ts, ≥ phase)`, and failing that, is there
+    /// evidence it finished `ts` — a lane beyond it at width 1, its
+    /// progress watermark at width > 1?
+    fn peer_word_by_word(
+        s: &ReplicaShared,
+        h: usize,
+        q: usize,
+        ts: u64,
+        phase: u64,
+    ) -> (bool, bool) {
+        let word = |addr| s.node.local_read_word(addr).unwrap();
+        let width = s.layout.coord_width;
+        let lanes: Vec<(u64, u64)> = (0..width)
+            .map(|lane| s.layout.coord_slot(h, q, lane, N))
+            .map(|slot| (word(slot), word(slot.offset(8))))
+            .collect();
+        let matches = lanes.iter().any(|&(tmp, ph)| tmp == ts && ph >= phase);
+        let finished = if width == 1 {
+            lanes.iter().any(|&(tmp, _)| tmp > ts)
+        } else {
+            word(s.layout.progress_slot(h, q, N)) >= ts
+        };
+        (matches, matches || finished)
+    }
+
+    #[test]
+    fn barrier_reads_agree_with_a_word_by_word_oracle() {
+        let mut rng = proptest::TestRng::deterministic("heron::coord_quorum");
+        for width in [1, 4] {
+            let mut cfg = HeronConfig::new(PARTITIONS, N).with_executor_width(width);
+            (cfg.mcast.log_slots, cfg.mcast.ctrl_slots) = (16, 16);
+            let fabric = Fabric::new(LatencyModel::connectx4());
+            let cluster = HeronCluster::build(&fabric, cfg, Arc::new(NoObjects));
+            let s = &*cluster.replicas[1][2];
+            let mut verdicts = [0usize; 4];
+            for _ in 0..300 {
+                // Every lane and watermark around `ts`, every phase word
+                // around `phase`.
+                let ts = (2u64..6).generate(&mut rng);
+                let phase = (1u64..=2).generate(&mut rng);
+                for h in 0..PARTITIONS {
+                    for q in 0..N {
+                        for lane in 0..width {
+                            let slot = s.layout.coord_slot(h, q, lane, N);
+                            let entry = (ts - 2..ts + 2, 0u64..3).generate(&mut rng);
+                            s.node.local_write_word(slot, entry.0).unwrap();
+                            s.node.local_write_word(slot.offset(8), entry.1).unwrap();
+                        }
+                        let mark = (ts - 2..ts + 2).generate(&mut rng);
+                        let slot = s.layout.progress_slot(h, q, N);
+                        s.node.local_write_word(slot, mark).unwrap();
+                    }
+                }
+                let dests: Vec<PartitionId> = (0..PARTITIONS)
+                    .filter(|_| any::<bool>().generate(&mut rng))
+                    .map(|h| PartitionId(h as u16))
+                    .collect();
+                let counted = |h: &PartitionId| {
+                    (0..N)
+                        .filter(|&q| peer_word_by_word(s, h.0 as usize, q, ts, phase).1)
+                        .count()
+                };
+                let oracle = (
+                    dests.iter().all(|h| counted(h) >= s.cluster.cfg.majority()),
+                    dests.iter().all(|h| counted(h) == N),
+                );
+                let ts = Timestamp::from_raw(ts);
+                assert_eq!(coord_quorum(s, &dests, ts, phase), oracle);
+                verdicts[usize::from(oracle.0) + usize::from(oracle.1)] += 1;
+                for h in 0..PARTITIONS {
+                    // Only lane matches are read candidates, never a peer
+                    // that merely counts.
+                    let candidates: Vec<usize> = (0..N)
+                        .filter(|&q| peer_word_by_word(s, h, q, ts.raw(), 1).0)
+                        .collect();
+                    assert_eq!(coord_matching(s, PartitionId(h as u16), ts), candidates);
+                    verdicts[3] += candidates.len();
+                }
+            }
+            // Nobody, a majority and everyone were all reached, and some
+            // candidate sets were non-empty.
+            assert!(verdicts.iter().all(|&v| v >= 20), "{width}: {verdicts:?}");
+        }
+    }
 }

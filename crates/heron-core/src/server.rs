@@ -61,7 +61,7 @@ impl Service {
                 let slot = shared.store.slot(oid).map(|s| (s.addr, s.cap));
                 let reply = encode_rpc(&Rpc::AddrReply { oid, slot });
                 let target = shared.cluster.fabric.node(from);
-                let _ = shared.qp(&target).send(reply);
+                let _ = shared.node.connect(&target).send(reply);
             }
             Some(Rpc::AddrReply { oid, slot }) => {
                 if let Some((addr, cap)) = slot {
@@ -154,16 +154,13 @@ fn chunk_ready(shared: &ReplicaShared) -> bool {
     let slot = shared
         .layout
         .ring_slot(expected, cfg.transfer_slots, cfg.transfer_chunk);
-    if shared.node.local_read_word(slot).unwrap_or(0) != expected {
-        return false;
-    }
     // Mirrors `apply_chunks`' stream-coherence gate exactly: a racing
     // responder's chunk is left in the slot unconsumed until the owning
     // stream rewrites it, so counting it as work here would make the
     // service loop spin in zero virtual time without ever blocking (the
     // PR 8 `has_work` bug class — the rewriter never gets scheduled).
-    match stream_bound {
-        Some(b) => shared.node.local_read_word(slot.offset(16)).unwrap_or(0) == b,
-        None => true,
-    }
+    shared.node.with_mem(|m| {
+        m.word(slot).unwrap_or(0) == expected
+            && stream_bound.is_none_or(|b| m.word(slot.offset(16)).unwrap_or(0) == b)
+    })
 }

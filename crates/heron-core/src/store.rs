@@ -72,29 +72,16 @@ impl SlotVersions {
     ///
     /// Panics if `raw` is shorter than the slot layout implies.
     pub fn decode(raw: &[u8], cap: usize) -> Self {
-        let one = VERSION_HDR + cap;
-        let read_version = |chunk: &[u8]| {
-            let tmp = u64::from_le_bytes(chunk[0..8].try_into().expect("tmp word"));
-            let len = u64::from_le_bytes(chunk[8..16].try_into().expect("len word")) as usize;
-            assert!(len <= cap, "corrupt slot: length exceeds capacity");
-            (
-                Timestamp::from_raw(tmp),
-                Bytes::copy_from_slice(&chunk[VERSION_HDR..VERSION_HDR + len]),
-            )
-        };
+        let [a, b] = borrow_versions(raw, cap);
         SlotVersions {
-            a: read_version(&raw[..one]),
-            b: read_version(&raw[one..2 * one]),
+            a: (a.0, Bytes::copy_from_slice(a.1)),
+            b: (b.0, Bytes::copy_from_slice(b.1)),
         }
     }
 
     /// The most recent version (larger timestamp) — the local-read rule.
     pub fn latest(&self) -> (Timestamp, &Bytes) {
-        if self.a.0 >= self.b.0 {
-            (self.a.0, &self.a.1)
-        } else {
-            (self.b.0, &self.b.1)
-        }
+        latest_of((self.a.0, &self.a.1), (self.b.0, &self.b.1))
     }
 
     /// The version a request with timestamp `r_tmp` may consistently read:
@@ -109,6 +96,35 @@ impl SlotVersions {
         }
         best
     }
+}
+
+/// The local-read rule over versions `a` and `b`: the larger timestamp,
+/// `a` on a tie.
+fn latest_of<V>(a: (Timestamp, V), b: (Timestamp, V)) -> (Timestamp, V) {
+    if a.0 >= b.0 {
+        a
+    } else {
+        b
+    }
+}
+
+/// Both versions of a raw slot image, `(timestamp, value)` each, in place.
+///
+/// # Panics
+///
+/// Panics if `raw` is shorter than the slot layout implies or a length
+/// word exceeds `cap`.
+fn borrow_versions(raw: &[u8], cap: usize) -> [(Timestamp, &[u8]); 2] {
+    let one = VERSION_HDR + cap;
+    [&raw[..one], &raw[one..2 * one]].map(|chunk| {
+        let tmp = u64::from_le_bytes(chunk[0..8].try_into().expect("tmp word"));
+        let len = u64::from_le_bytes(chunk[8..16].try_into().expect("len word")) as usize;
+        assert!(len <= cap, "corrupt slot: length exceeds capacity");
+        (
+            Timestamp::from_raw(tmp),
+            &chunk[VERSION_HDR..VERSION_HDR + len],
+        )
+    })
 }
 
 struct StoreInner {
@@ -232,9 +248,12 @@ impl VersionedStore {
     /// Returns `None` if the object is not hosted here.
     pub fn get(&self, oid: ObjectId) -> Option<(Timestamp, Bytes)> {
         let slot = self.slot(oid)?;
-        let versions = self.read_slot(slot);
-        let (t, v) = versions.latest();
-        Some((t, v.clone()))
+        // Same range as `read_slot`, but only the winning version is copied.
+        Some(self.with_raw(slot, |raw| {
+            let [a, b] = borrow_versions(raw, slot.cap);
+            let (t, v) = latest_of(a, b);
+            (t, Bytes::copy_from_slice(v))
+        }))
     }
 
     /// Local write for request timestamp `tmp`: overwrites the version with
@@ -249,8 +268,11 @@ impl VersionedStore {
             value.len() <= slot.cap,
             "value for {oid} exceeds slot capacity"
         );
-        let versions = self.read_slot(slot);
-        let min_is_a = versions.a.0 <= versions.b.0;
+        let (a_ts, b_ts) = self.with_raw(slot, |raw| {
+            let [a, b] = borrow_versions(raw, slot.cap);
+            (a.0, b.0)
+        });
+        let min_is_a = a_ts <= b_ts;
         // The dual-versioning guard (paper §III-A): overwrite the version
         // with the SMALLER timestamp, so a concurrent remote reader
         // working on an earlier request can still find the version it
@@ -263,9 +285,9 @@ impl VersionedStore {
         };
         if let Some(det) = &self.detector {
             let (victim_ts, survivor_ts) = if victim == 0 {
-                (versions.a.0, versions.b.0)
+                (a_ts, b_ts)
             } else {
-                (versions.b.0, versions.a.0)
+                (b_ts, a_ts)
             };
             if victim_ts > survivor_ts {
                 let one = VERSION_HDR + slot.cap;
@@ -293,11 +315,16 @@ impl VersionedStore {
 
     /// Reads the full slot image (both versions) from local memory.
     pub fn read_slot(&self, slot: Slot) -> SlotVersions {
-        let raw = self
-            .node
-            .local_read(slot.addr, slot.size())
-            .expect("slot within registered memory");
-        SlotVersions::decode(&raw, slot.cap)
+        self.with_raw(slot, |raw| SlotVersions::decode(raw, slot.cap))
+    }
+
+    /// Runs `f` over the slot image, borrowed from local memory: one read
+    /// of the whole slot, whatever `f` looks at.
+    fn with_raw<R>(&self, slot: Slot, f: impl FnOnce(&[u8]) -> R) -> R {
+        self.node.with_mem(|m| {
+            f(m.bytes(slot.addr, slot.size())
+                .expect("slot within registered memory"))
+        })
     }
 
     /// All hosted object ids, sorted (diagnostics / consistency checker).
@@ -326,9 +353,7 @@ impl VersionedStore {
 
     /// Raw slot bytes — what state transfer ships to a lagger.
     pub fn raw_slot_bytes(&self, slot: Slot) -> Vec<u8> {
-        self.node
-            .local_read(slot.addr, slot.size())
-            .expect("slot within registered memory")
+        self.with_raw(slot, <[u8]>::to_vec)
     }
 
     /// Overwrites the whole slot image (state-transfer apply on the
@@ -472,6 +497,34 @@ mod tests {
         let s = store();
         s.bootstrap(ObjectId(1), b"tiny");
         s.set(ObjectId(1), &vec![0u8; 4096], ts(1));
+    }
+
+    #[test]
+    fn a_value_of_exactly_cap_bytes_round_trips() {
+        let s = store();
+        s.bootstrap(ObjectId(1), b"tiny");
+        let cap = s.slot(ObjectId(1)).unwrap().cap;
+        let full: Vec<u8> = (0..cap).map(|i| i as u8).collect();
+        s.set(ObjectId(1), &full, ts(1));
+        assert_eq!(s.get(ObjectId(1)).unwrap(), (ts(1), Bytes::from(full)));
+        // The other version still reads back whole, too.
+        let versions = s.read_slot(s.slot(ObjectId(1)).unwrap());
+        assert_eq!(versions.read_for(ts(1)).unwrap().1.as_ref(), b"tiny");
+    }
+
+    #[test]
+    #[should_panic(expected = "corrupt slot: length exceeds capacity")]
+    fn get_refuses_a_corrupt_length_word() {
+        let fabric = Fabric::new(LatencyModel::zero());
+        let node = fabric.add_node("n");
+        let s = VersionedStore::new(node.clone());
+        s.bootstrap(ObjectId(1), b"v0");
+        s.set(ObjectId(1), b"v1", ts(1));
+        // The length word of the version `get` does NOT pick.
+        let slot = s.slot(ObjectId(1)).unwrap();
+        let loser = slot.addr.offset((VERSION_HDR + slot.cap) as u64 + 8);
+        node.local_write_word(loser, slot.cap as u64 + 1).unwrap();
+        s.get(ObjectId(1));
     }
 
     #[test]

@@ -2,8 +2,9 @@
 
 use crate::error::{RdmaError, RdmaResult};
 use crate::latency::LatencyModel;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, MutexGuard, RwLock};
 use sim::{Cond, Mailbox};
+use std::cell::RefCell;
 use std::fmt;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -95,6 +96,16 @@ pub(crate) struct Memory {
     brk: usize,
 }
 
+/// Where `len` bytes at `addr` sit in a memory of `mem_len` bytes: the one
+/// range check behind every read, write and CAS of registered memory.
+pub(crate) fn span(mem_len: usize, addr: Addr, len: usize) -> RdmaResult<Range<usize>> {
+    let start = addr.0 as usize;
+    match start.checked_add(len) {
+        Some(end) if end <= mem_len => Ok(start..end),
+        _ => Err(RdmaError::OutOfBounds),
+    }
+}
+
 pub(crate) struct NodeInner {
     pub(crate) id: NodeId,
     pub(crate) name: String,
@@ -120,12 +131,17 @@ pub(crate) struct Subscriber {
 }
 
 impl NodeInner {
-    pub(crate) fn check_range(&self, mem: &Memory, addr: Addr, len: usize) -> RdmaResult<()> {
-        let end = addr.0 as usize + len;
-        if end > mem.bytes.len() {
-            return Err(RdmaError::OutOfBounds);
-        }
-        Ok(())
+    /// Takes the node's memory. Processes are coroutines on one host
+    /// thread, so the lock is only ever contended by a [`MemView`] that
+    /// outlived its instant — held across a block, or nested — and waiting
+    /// for it would hang that thread: fail loudly instead.
+    pub(crate) fn mem(&self) -> MutexGuard<'_, Memory> {
+        self.mem.try_lock().unwrap_or_else(|| {
+            panic!(
+                "{} ({}): registered memory borrowed across a block",
+                self.name, self.id
+            )
+        })
     }
 
     /// Rings, once each, the subscribers polling any byte of `written` —
@@ -225,14 +241,16 @@ impl FabricInner {
     }
 
     /// Consults the armed fault plan (if any) about a verb `node` is about
-    /// to issue at `now_ns`. Without a plan this is a single relaxed load.
-    pub(crate) fn verb_fate(&self, node: NodeId, now_ns: u64) -> crate::faults::VerbFate {
+    /// to issue now. Without a plan this is a single relaxed load — the
+    /// clock is read only for a plan to look at.
+    pub(crate) fn verb_fate(&self, node: NodeId) -> crate::faults::VerbFate {
         if !self.faults_on.load(Ordering::Relaxed) {
             return crate::faults::VerbFate::Proceed {
                 stall_ns: 0,
                 slow: 1,
             };
         }
+        let now_ns = sim::now().as_nanos();
         match self.faults.lock().as_mut() {
             Some(runtime) => runtime.verb_fate(node, now_ns),
             None => crate::faults::VerbFate::Proceed {
@@ -379,7 +397,7 @@ impl Fabric {
         let node = &self.inner.nodes.read()[id.0 as usize];
         node.alive.store(false, Ordering::SeqCst);
         node.power_cycles.fetch_add(1, Ordering::SeqCst);
-        node.mem.lock().bytes.fill(0);
+        node.mem().bytes.fill(0);
         // Every polled word just changed under its poller.
         node.ring_all();
     }
@@ -460,6 +478,45 @@ impl Poller {
     }
 }
 
+/// A node's registered memory, borrowed for the length of one
+/// [`Node::with_mem`] call.
+pub struct MemView<'a> {
+    bytes: &'a [u8],
+    /// The ranges read so far, for the race detector's acquire; `None`
+    /// while no detector runs.
+    touched: Option<RefCell<Vec<(Addr, usize)>>>,
+}
+
+impl MemView<'_> {
+    /// The `len` bytes at `addr`, in place.
+    ///
+    /// # Errors
+    ///
+    /// [`RdmaError::OutOfBounds`] if the range is outside registered memory.
+    #[inline]
+    pub fn bytes(&self, addr: Addr, len: usize) -> RdmaResult<&[u8]> {
+        let bytes = &self.bytes[span(self.bytes.len(), addr, len)?];
+        if let Some(touched) = &self.touched {
+            touched.borrow_mut().push((addr, len));
+        }
+        Ok(bytes)
+    }
+
+    /// The 8-byte word at `addr`.
+    ///
+    /// # Errors
+    ///
+    /// [`RdmaError::Misaligned`] or [`RdmaError::OutOfBounds`].
+    #[inline]
+    pub fn word(&self, addr: Addr) -> RdmaResult<u64> {
+        if !addr.is_word_aligned() {
+            return Err(RdmaError::Misaligned);
+        }
+        let bytes = self.bytes(addr, 8)?;
+        Ok(u64::from_le_bytes(bytes.try_into().expect("8 bytes")))
+    }
+}
+
 impl Node {
     /// This node's identifier.
     pub fn id(&self) -> NodeId {
@@ -495,7 +552,7 @@ impl Node {
     /// rounded up to whole words) and returns its base address.
     pub fn alloc_bytes(&self, bytes: usize) -> Addr {
         let words = bytes.div_ceil(8);
-        let mut mem = self.inner.mem.lock();
+        let mut mem = self.inner.mem();
         let base = mem.brk;
         mem.brk += words * 8;
         let new_len = mem.brk;
@@ -515,35 +572,62 @@ impl Node {
 
     // ---- local (zero-latency) access to this node's own memory ----
 
-    /// Reads bytes from this node's own registered memory.
+    /// Reads this node's own registered memory in place: `f` gets a
+    /// [`MemView`] borrowing the memory for the length of the call, so a
+    /// predicate over many words takes the memory once and copies nothing.
     ///
-    /// For the race detector, a local read is an *acquire*: polling one's
-    /// own RDMA-visible memory is how Heron processes observe remote
-    /// writes, so the reader inherits the writers' clocks. Local reads are
-    /// never themselves race-checked.
+    /// For the race detector, every read through the view is an *acquire*:
+    /// polling one's own RDMA-visible memory is how Heron processes
+    /// observe remote writes, so the reader inherits the writers' clocks
+    /// (joined when `f` returns). Local reads are never themselves
+    /// race-checked.
+    ///
+    /// Two rules. A view lives within one virtual instant: `f` must not
+    /// block ([`sim::sleep`], a verb, a wait) nor borrow the same node
+    /// again — the next landing write would find the memory taken, and
+    /// panics rather than hang. And code moved onto a view reads the byte
+    /// ranges the calls it replaces read, so the detector sees the same
+    /// acquire edges.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this node's memory is already borrowed.
+    pub fn with_mem<R>(&self, f: impl FnOnce(&MemView<'_>) -> R) -> R {
+        let tsan = self.fabric.tsan();
+        let (out, touched) = {
+            let mem = self.inner.mem();
+            let view = MemView {
+                bytes: &mem.bytes,
+                touched: tsan.as_ref().map(|_| RefCell::default()),
+            };
+            (f(&view), view.touched)
+        };
+        if let Some((tsan, touched)) = tsan.zip(touched) {
+            for (addr, len) in touched.into_inner() {
+                tsan.on_local_read(self, addr, len);
+            }
+        }
+        out
+    }
+
+    /// Reads (copies) bytes from this node's own registered memory.
     ///
     /// # Errors
     ///
     /// [`RdmaError::OutOfBounds`] if the range is outside registered memory.
     pub fn local_read(&self, addr: Addr, len: usize) -> RdmaResult<Vec<u8>> {
-        let data = self.read_raw(addr, len)?;
-        if let Some(tsan) = self.fabric.tsan() {
-            tsan.on_local_read(self, addr, len);
-        }
-        Ok(data)
+        self.with_mem(|m| m.bytes(addr, len).map(<[u8]>::to_vec))
     }
 
     /// The uninstrumented read: used by remote (one-sided) reads, which
     /// must *not* acquire — they are exactly the accesses being checked.
     pub(crate) fn read_raw(&self, addr: Addr, len: usize) -> RdmaResult<Vec<u8>> {
-        let mem = self.inner.mem.lock();
-        self.inner.check_range(&mem, addr, len)?;
-        let start = addr.0 as usize;
-        // Reuse a pooled buffer (message payloads recycle through the
-        // same pool) instead of allocating per read.
-        let mut out = bytes::take_buf();
-        out.extend_from_slice(&mem.bytes[start..start + len]);
-        Ok(out)
+        let mem = self.inner.mem();
+        let view = MemView {
+            bytes: &mem.bytes,
+            touched: None,
+        };
+        view.bytes(addr, len).map(<[u8]>::to_vec)
     }
 
     /// Reads one 8-byte word from this node's own memory.
@@ -552,21 +636,7 @@ impl Node {
     ///
     /// [`RdmaError::Misaligned`] or [`RdmaError::OutOfBounds`].
     pub fn local_read_word(&self, addr: Addr) -> RdmaResult<u64> {
-        if !addr.is_word_aligned() {
-            return Err(RdmaError::Misaligned);
-        }
-        // In place under the memory lock: pollers re-read a handful of
-        // words on every wake-up, too hot for a buffer per read.
-        let value = {
-            let mem = self.inner.mem.lock();
-            self.inner.check_range(&mem, addr, 8)?;
-            let start = addr.0 as usize;
-            u64::from_le_bytes(mem.bytes[start..start + 8].try_into().expect("8 bytes"))
-        };
-        if let Some(tsan) = self.fabric.tsan() {
-            tsan.on_local_read(self, addr, 8);
-        }
-        Ok(value)
+        self.with_mem(|m| m.word(addr))
     }
 
     /// Writes bytes into this node's own registered memory.
@@ -607,10 +677,9 @@ impl Node {
     /// Copies `data` into memory without ringing anyone and returns the
     /// byte range written; batch landings collect these and ring once.
     pub(crate) fn store_raw(&self, addr: Addr, data: &[u8]) -> RdmaResult<Range<u64>> {
-        let mut mem = self.inner.mem.lock();
-        self.inner.check_range(&mem, addr, data.len())?;
-        let start = addr.0 as usize;
-        mem.bytes[start..start + data.len()].copy_from_slice(data);
+        let mut mem = self.inner.mem();
+        let at = span(mem.bytes.len(), addr, data.len())?;
+        mem.bytes[at].copy_from_slice(data);
         Ok(addr.0..addr.0 + data.len() as u64)
     }
 
@@ -751,6 +820,71 @@ mod tests {
         assert_eq!(
             n.local_write(Addr(1 << 40), b"x").unwrap_err(),
             RdmaError::OutOfBounds
+        );
+    }
+
+    #[test]
+    fn a_view_reads_what_the_copying_calls_read() {
+        let fabric = Fabric::new(LatencyModel::zero());
+        let n = fabric.add_node("n");
+        let addr = n.alloc_bytes(32);
+        n.local_write(addr, b"hello rdma, in place").unwrap();
+        n.local_write_word(addr.offset(24), 0xDEAD_BEEF).unwrap();
+        // Any number of reads under one borrow, an empty one included.
+        let ranges = [(addr, 20), (addr.offset(7), 3), (addr.offset(32), 0)];
+        let copies = ranges.map(|(at, len)| n.local_read(at, len).unwrap());
+        n.with_mem(|m| {
+            for ((at, len), copy) in ranges.into_iter().zip(&copies) {
+                assert_eq!(m.bytes(at, len).unwrap(), copy);
+            }
+            assert_eq!(m.word(addr.offset(24)).unwrap(), 0xDEAD_BEEF);
+        });
+        // The same errors from the view and from the calls built on it,
+        // misalignment reported before range.
+        for at in [addr, Addr(u64::MAX)] {
+            let err = n.with_mem(|m| m.bytes(at, 33).map(<[u8]>::to_vec));
+            assert_eq!(err, Err(RdmaError::OutOfBounds));
+            assert_eq!(n.local_read(at, 33), err);
+            assert_eq!(n.local_write(at, &[0; 33]), Err(RdmaError::OutOfBounds));
+        }
+        for (at, err) in [
+            (addr.offset(4), RdmaError::Misaligned),
+            (addr.offset(36), RdmaError::Misaligned),
+            (addr.offset(32), RdmaError::OutOfBounds),
+        ] {
+            assert_eq!(n.with_mem(|m| m.word(at)), Err(err));
+            assert_eq!(n.local_read_word(at), Err(err));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "n (node#0): registered memory borrowed across a block")]
+    fn a_nested_borrow_of_one_node_panics() {
+        let fabric = Fabric::new(LatencyModel::zero());
+        let n = fabric.add_node("n");
+        let addr = n.alloc_words(1);
+        let _ = n.with_mem(|_| n.local_read_word(addr));
+    }
+
+    #[test]
+    fn a_view_held_across_a_block_panics_at_the_next_landing() {
+        let simulation = sim::Simulation::new(1);
+        let fabric = Fabric::new(LatencyModel::connectx4());
+        let (a, b) = (fabric.add_node("a"), fabric.add_node("b"));
+        let addr = b.alloc_words(1);
+        let b2 = b.clone();
+        simulation.spawn("holder", move || {
+            b2.with_mem(|_| sim::sleep(std::time::Duration::from_micros(10)));
+        });
+        simulation.spawn("writer", move || {
+            a.connect(&b).post_write_word(addr, 1).unwrap();
+        });
+        // The landing runs on the host loop, so the panic leaves `run`.
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| simulation.run()))
+            .expect_err("the landing found the memory taken");
+        assert_eq!(
+            panic.downcast_ref::<String>().map(String::as_str),
+            Some("b (node#1): registered memory borrowed across a block")
         );
     }
 

@@ -64,11 +64,7 @@ impl QueuePair {
     /// completion is to be dropped and how much the node is slowed. With no
     /// plan armed this is a no-op returning the identity gate.
     fn fault_gate(&self) -> RdmaResult<FaultGate> {
-        match self
-            .local
-            .fabric
-            .verb_fate(self.local.id(), sim::now().as_nanos())
-        {
+        match self.local.fabric.verb_fate(self.local.id()) {
             crate::faults::VerbFate::Proceed { stall_ns, slow } => {
                 if stall_ns > 0 {
                     sim::sleep_ns(stall_ns);
@@ -341,12 +337,11 @@ impl QueuePair {
             return Err(RdmaError::RemoteFailure);
         }
         let old = {
-            let mut mem = self.remote.inner.mem.lock();
-            self.remote.inner.check_range(&mem, addr, 8)?;
-            let start = addr.0 as usize;
-            let old = u64::from_le_bytes(mem.bytes[start..start + 8].try_into().expect("8 bytes"));
+            let mut mem = self.remote.inner.mem();
+            let word = crate::fabric::span(mem.bytes.len(), addr, 8)?;
+            let old = u64::from_le_bytes(mem.bytes[word.clone()].try_into().expect("8 bytes"));
             if old == expected {
-                mem.bytes[start..start + 8].copy_from_slice(&new.to_le_bytes());
+                mem.bytes[word].copy_from_slice(&new.to_le_bytes());
             }
             old
         };

@@ -899,6 +899,39 @@ mod tests {
         assert!(det.reports().is_empty(), "got: {:#?}", det.reports());
     }
 
+    /// The same barrier polled in place: every read through a
+    /// [`crate::MemView`] is an acquire too, joined when the borrow ends —
+    /// here the flag is the second of two ranges read under one borrow.
+    #[test]
+    fn poll_through_a_view_is_an_acquire_edge() {
+        let sim_h = sim::Simulation::new(3);
+        let fabric = Fabric::new(LatencyModel::connectx4());
+        let det = fabric.enable_race_detector();
+        let a = fabric.add_node("a");
+        let b = fabric.add_node("b");
+        let data = a.alloc_bytes(16);
+        let idle = b.alloc_words(1);
+        let flag = b.alloc_words(1);
+        let a2 = a.clone();
+        let qp_ab = a.connect(&b);
+        sim_h.spawn("writer", move || {
+            sim::sleep(Duration::from_nanos(100));
+            a2.local_write(data, &[9u8; 16]).unwrap();
+            qp_ab.post_write_word(flag, 1).unwrap();
+        });
+        let b2 = b.clone();
+        let poller = b.poller(sim::Cond::new(), &[(flag, 8)]);
+        let qp_ba = b.connect(&a);
+        sim_h.spawn("reader", move || {
+            poller.poll_until(|| {
+                b2.with_mem(|m| m.bytes(idle, 8).unwrap() != [0; 8] || m.word(flag).unwrap() == 1)
+            });
+            let _ = qp_ba.read(data, 16).unwrap();
+        });
+        sim_h.run().unwrap();
+        assert!(det.reports().is_empty(), "got: {:#?}", det.reports());
+    }
+
     /// Sync-annotated regions are exempt from remote-read checks and act
     /// as acquire points themselves.
     #[test]
