@@ -101,6 +101,8 @@ impl Mcast {
     /// `cfg.replicas_per_group`.
     pub fn build(fabric: &Fabric, nodes: Vec<Vec<Node>>, cfg: McastConfig) -> Self {
         assert_eq!(nodes.len(), cfg.groups, "node grid: wrong group count");
+        // The field is public; a round of zero would sequence nothing.
+        assert!(cfg.max_batch >= 1, "max_batch must be at least 1");
         for g in &nodes {
             assert_eq!(
                 g.len(),

@@ -32,15 +32,16 @@ pub struct McastConfig {
     /// Marginal leader CPU for the 2nd..Nth message ordered within one
     /// group-commit window (header parsing and bookkeeping amortize once
     /// the per-batch costs — cache misses, verb posting, doorbells — are
-    /// paid). Only charged when `max_batch > 1`.
+    /// paid). A window of `max_batch = 1` has no such message.
     pub ordering_cpu_batched: Duration,
     /// CPU time a follower spends applying one log entry.
     pub follower_cpu: Duration,
-    /// Group-commit batch cap: the leader drains up to this many
-    /// finalizable messages per iteration and replicates them to
-    /// followers as one doorbell-batched log append with a single
-    /// majority-ack round. `1` (the default) disables batching and
-    /// reproduces the unbatched execution bit-for-bit under a fixed seed.
+    /// Group-commit size, at least 1: the leader sequences finalizable
+    /// messages in rounds of up to this many, and a round's finals and log
+    /// entries share one doorbell per destination replica and one
+    /// majority-ack round. It is a size, not a mode — one code path at
+    /// every value; at `1` (the default, the paper's design) every write
+    /// rings its own doorbell.
     pub max_batch: usize,
 }
 
@@ -85,7 +86,7 @@ impl McastConfig {
         self
     }
 
-    /// Sets the group-commit batch cap (`1` disables batching).
+    /// Sets the group-commit size (see [`Self::max_batch`]).
     #[must_use]
     pub fn with_max_batch(mut self, n: usize) -> Self {
         assert!(n >= 1, "max_batch must be at least 1");
@@ -96,11 +97,6 @@ impl McastConfig {
     /// Number of faulty replicas tolerated per group.
     pub fn f(&self) -> usize {
         (self.replicas_per_group - 1) / 2
-    }
-
-    /// Quorum size per group (`f + 1`).
-    pub fn quorum(&self) -> usize {
-        self.f() + 1
     }
 
     /// Majority size per group (`f + 1` out of `2f + 1`).
@@ -119,10 +115,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn quorum_math() {
+    fn majority_math() {
         let c = McastConfig::new(4, 3);
         assert_eq!(c.f(), 1);
-        assert_eq!(c.quorum(), 2);
         assert_eq!(c.majority(), 2);
         assert_eq!(c.total_replicas(), 12);
         let c5 = McastConfig::new(2, 5);
@@ -148,7 +143,7 @@ mod tests {
         assert_eq!(
             McastConfig::new(1, 3).max_batch,
             1,
-            "batching off by default"
+            "one write per doorbell by default"
         );
     }
 }

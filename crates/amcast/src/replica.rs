@@ -9,9 +9,9 @@ use crate::layout::{
 use crate::timestamp::{GroupId, MsgId, Timestamp};
 use crate::{mask_groups, DestMask};
 use bytes::Bytes;
-use rdma_sim::{Node, Poller, QueuePair, WriteBatch};
+use rdma_sim::{Addr, Node, Poller, QueuePair};
 use sim::SimTime;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
 /// Which replica index leads a group in the given epoch.
@@ -48,7 +48,7 @@ struct State {
     finalized: BTreeSet<(u64, u32)>,
     /// Messages ordered so far in the current group-commit window; the
     /// first message of a window pays the full `ordering_cpu`, the rest
-    /// pay the marginal batched cost. Unused when `max_batch <= 1`.
+    /// pay the marginal batched cost.
     ordering_window: usize,
     next_seq: u64,
     acks_cache: Vec<u64>,
@@ -704,14 +704,14 @@ impl McastReplica {
         self.try_finalize(st, uid);
     }
 
-    /// Charges leader CPU for ordering one message. With group commit
-    /// enabled (`max_batch > 1`) the first message of each window pays the
-    /// full `ordering_cpu` and the following ones only the marginal
-    /// `ordering_cpu_batched`; with `max_batch = 1` every message pays the
-    /// full cost, exactly as the unbatched code did.
+    /// Charges leader CPU for ordering one message: the first message of
+    /// each group-commit window of `max_batch` pays the full
+    /// `ordering_cpu`, the following ones only the marginal
+    /// `ordering_cpu_batched`. A window of one resets on every message, so
+    /// every message pays the full cost.
     fn charge_ordering(&self, st: &mut State) {
         let cfg = &self.inner.cfg;
-        if cfg.max_batch <= 1 || st.ordering_window == 0 {
+        if st.ordering_window == 0 {
             sim::sleep(cfg.ordering_cpu);
         } else {
             sim::sleep(cfg.ordering_cpu_batched);
@@ -816,75 +816,25 @@ impl McastReplica {
         sim::trace::instant_args("mcast.final", u64::from(uid), &[("ts", ts.raw())]);
     }
 
-    /// Skeen delivery condition: a finalized message can be sequenced once
-    /// no pending message we have proposed for (but not finalized) could
-    /// receive a smaller final timestamp.
+    /// Sequences every finalized message the Skeen delivery condition
+    /// releases: a finalized message can be sequenced once no pending
+    /// message we have proposed for (but not finalized) could receive a
+    /// smaller final timestamp.
+    ///
+    /// Group commit is the size of a round: ready messages are drained in
+    /// rounds of up to `max_batch`; a round's finals go out behind one
+    /// doorbell per destination replica and its log entries behind one
+    /// doorbell per follower, with one `log_seq` publication. Messages are
+    /// popped in the same order whatever the size, so delivery order and
+    /// timestamps do not depend on it — only the verb count and leader CPU
+    /// do. A round of one is a write per doorbell.
     fn leader_sequence_ready(&self, st: &mut State) {
-        if self.inner.cfg.max_batch > 1 {
-            return self.leader_sequence_ready_batched(st);
-        }
-        loop {
-            let Some(&(ts_raw, uid)) = st.finalized.iter().next() else {
-                return;
-            };
-            let blocked = st.pending.iter().any(|(u, p)| {
-                if st.finals.contains_key(u) {
-                    return false; // already finalized; ordered via the set
-                }
-                match p.myprop {
-                    // A pending proposal below ts could still finalize
-                    // under ts.
-                    Some(prop) => Timestamp::new(prop, MsgId(*u)).raw() < ts_raw,
-                    // No own proposal yet: our future proposal will exceed
-                    // the current clock, hence exceed ts.
-                    None => false,
-                }
-            });
-            if blocked {
-                return;
-            }
-            st.finalized.remove(&(ts_raw, uid));
-            let pend = st.pending.remove(&uid).expect("finalized implies pending");
-            let payload = pend.payload.expect("finalized implies payload");
-            let final_clock = st.finals[&uid];
-            // Announce the final timestamp to all destination replicas:
-            // redundant in steady state (each leader computes the same max)
-            // but lets successor leaders adopt in-flight decisions.
-            for g in mask_groups(pend.mask) {
-                for i in 0..self.n() {
-                    let target = self.inner.global_idx(g, i);
-                    if target == self.my_global {
-                        continue;
-                    }
-                    self.write_ctrl(
-                        st,
-                        target,
-                        CtrlKind::Final,
-                        uid,
-                        u64::from(self.group.0),
-                        final_clock,
-                        &[],
-                    );
-                }
-            }
-            self.append_log(st, uid, pend.mask, ts_raw, &payload);
-        }
-    }
-
-    /// Group-commit variant of [`Self::leader_sequence_ready`]: drains all
-    /// finalizable messages in rounds of up to `max_batch`, announces their
-    /// finals via one doorbell-batched write per destination replica, and
-    /// replicates each round to every follower as a single doorbell-batched
-    /// log append. Messages are popped from `finalized` in exactly the same
-    /// order as the unbatched path, so delivery order and timestamps are
-    /// identical — only the verb count and leader CPU change.
-    fn leader_sequence_ready_batched(&self, st: &mut State) {
         let max_batch = self.inner.cfg.max_batch;
         loop {
             // Collect one round of ready messages. Popping a message never
             // unblocks another (the blocked predicate only consults
-            // non-finalized pending proposals), so checking per pop matches
-            // the unbatched loop exactly.
+            // non-finalized pending proposals), so checking per pop is
+            // checking per message.
             let mut round: Vec<(u64, u32, DestMask, Vec<u8>)> = Vec::new();
             while round.len() < max_batch {
                 let Some(&(ts_raw, uid)) = st.finalized.iter().next() else {
@@ -892,10 +842,14 @@ impl McastReplica {
                 };
                 let blocked = st.pending.iter().any(|(u, p)| {
                     if st.finals.contains_key(u) {
-                        return false;
+                        return false; // already finalized; ordered via the set
                     }
                     match p.myprop {
+                        // A pending proposal below ts could still finalize
+                        // under ts.
                         Some(prop) => Timestamp::new(prop, MsgId(*u)).raw() < ts_raw,
+                        // No own proposal yet: our future proposal will exceed
+                        // the current clock, hence exceed ts.
                         None => false,
                     }
                 });
@@ -910,40 +864,36 @@ impl McastReplica {
             if round.is_empty() {
                 return;
             }
-            let drained_all = round.len() < max_batch;
 
-            // Final announcements: queue every message's Final for every
-            // destination replica, then ring one doorbell per target.
-            // BTreeMap keeps the posting order deterministic.
-            let mut ctrl: BTreeMap<usize, WriteBatch> = BTreeMap::new();
-            for (_, uid, mask, _) in &round {
-                let final_clock = st.finals[uid];
-                for g in mask_groups(*mask) {
-                    for i in 0..self.n() {
-                        let target = self.inner.global_idx(g, i);
-                        if target == self.my_global {
+            // Announce the final timestamps to all destination replicas:
+            // redundant in steady state (each leader computes the same max)
+            // but lets successor leaders adopt in-flight decisions. One
+            // doorbell per replica, smallest group first, then by replica
+            // index; a replica's entries in round order.
+            let addressed = round.iter().fold(0, |mask, (_, _, m, _)| mask | m);
+            for g in mask_groups(addressed) {
+                for i in 0..self.n() {
+                    let target = self.inner.global_idx(g, i);
+                    if target == self.my_global {
+                        continue;
+                    }
+                    let mut batch = self.qp(target).write_batch();
+                    for (_, uid, mask, _) in &round {
+                        if mask & (1 << g.0) == 0 {
                             continue;
                         }
-                        self.queue_ctrl(
-                            st,
-                            &mut ctrl,
-                            target,
-                            CtrlKind::Final,
-                            *uid,
-                            u64::from(self.group.0),
-                            final_clock,
-                            &[],
-                        );
+                        let (from, clock) = (u64::from(self.group.0), st.finals[uid]);
+                        let (slot, buf) =
+                            self.ctrl_entry(st, target, CtrlKind::Final, *uid, from, clock, &[]);
+                        batch.push(slot, buf);
                     }
+                    let _ = batch.post();
                 }
-            }
-            for (_, batch) in ctrl {
-                let _ = batch.post();
             }
 
             // Log append: write every entry locally, publish log_seq once
-            // for the whole round, then one doorbell-batched write per
-            // follower carrying all of the round's entries.
+            // for the whole round, then one doorbell per follower carrying
+            // all of the round's entries.
             let mut entries: Vec<(u64, Vec<u8>)> = Vec::with_capacity(round.len());
             for (ts_raw, uid, mask, payload) in &round {
                 let seq = st.next_seq;
@@ -973,36 +923,6 @@ impl McastReplica {
                 }
                 let _ = batch.post();
             }
-
-            if drained_all {
-                return;
-            }
-        }
-    }
-
-    /// Appends a sequenced entry to the group log: locally, then one
-    /// unsignaled write per follower.
-    fn append_log(&self, st: &mut State, uid: u32, mask: DestMask, ts_raw: u64, payload: &[u8]) {
-        let seq = st.next_seq;
-        st.next_seq += 1;
-        st.done.insert(uid);
-        st.props.remove(&uid);
-        sim::trace::instant_args("mcast.sequenced", u64::from(uid), &[("seq", seq)]);
-        let entry = encode_log(seq, uid, mask, ts_raw, st.epoch, payload);
-        let my_slot = self.inner.sizes.log_slot(self.layout, seq);
-        self.node
-            .local_write(my_slot, &entry)
-            .expect("own log slot in range");
-        self.node
-            .local_write_word(self.layout.log_seq, st.next_seq)
-            .expect("own log_seq word");
-        for i in 0..self.n() {
-            if i == self.idx {
-                continue;
-            }
-            let target = self.inner.global_idx(self.group, i);
-            let slot = self.inner.sizes.log_slot(self.inner.layouts[target], seq);
-            let _ = self.qp(target).post_write(slot, entry.clone());
         }
     }
 
@@ -1154,46 +1074,64 @@ impl McastReplica {
                 .saturating_sub(self.inner.sizes.log_slots as u64 / 2);
             let from = behind.max(window_lo).max(st.log_floor);
             let to = st.next_seq.min(from + BATCH);
-            let peer_layout = self.inner.layouts[target];
-            let qp = self.qp(target);
-            if st.log_floor > behind {
-                // The follower sits behind our truncation horizon: its
-                // wiped ring will never show it a lap gap, so advertise
-                // the first sequence number we can actually serve.
-                let _ = qp.post_write_word(peer_layout.log_floor, from);
-            }
-            if self.inner.cfg.max_batch > 1 {
-                let mut batch = qp.write_batch();
-                for seq in from..to {
-                    let entry = self.read_own_log(seq);
-                    // Re-stamped with our epoch: the current regime vouches
-                    // for the entry, so a recovered follower may apply it.
-                    let buf = encode_log(
-                        seq,
-                        entry.uid,
-                        entry.mask,
-                        entry.ts_raw,
-                        st.epoch,
-                        &entry.payload,
-                    );
-                    batch.push(self.inner.sizes.log_slot(peer_layout, seq), buf);
-                }
-                let _ = batch.post();
+            // Group commit ships a round behind one doorbell; without it
+            // every entry rings its own.
+            let writes_per_doorbell = if self.inner.cfg.max_batch > 1 {
+                BATCH
             } else {
-                for seq in from..to {
-                    let entry = self.read_own_log(seq);
-                    let buf = encode_log(
-                        seq,
-                        entry.uid,
-                        entry.mask,
-                        entry.ts_raw,
-                        st.epoch,
-                        &entry.payload,
-                    );
-                    let slot = self.inner.sizes.log_slot(peer_layout, seq);
-                    let _ = qp.post_write(slot, buf);
-                }
+                1
+            };
+            // A follower behind our truncation horizon never sees a lap gap
+            // in its wiped ring: it needs the floor advertised.
+            let advertise_floor = st.log_floor > behind;
+            self.ship_log(
+                target,
+                from..to,
+                st.epoch,
+                writes_per_doorbell,
+                advertise_floor,
+            );
+        }
+    }
+
+    /// Ships our log entries `seqs` into `target`'s ring, re-stamped with
+    /// `epoch` — the regime that vouches for them, so a recovered peer may
+    /// apply them — `writes_per_doorbell` at a time; each doorbell's
+    /// entries are read from our ring at the instant it is rung. With
+    /// `advertise_floor`, first tells the peer that `seqs.start` is the
+    /// oldest entry it will ever get from us: it surfaces a gap up to
+    /// there, and the application recovers the prefix via state transfer.
+    fn ship_log(
+        &self,
+        target: usize,
+        seqs: std::ops::Range<u64>,
+        epoch: u64,
+        writes_per_doorbell: u64,
+        advertise_floor: bool,
+    ) {
+        let peer_layout = self.inner.layouts[target];
+        let qp = self.qp(target);
+        if advertise_floor {
+            let _ = qp.post_write_word(peer_layout.log_floor, seqs.start);
+        }
+        let mut next = seqs.start;
+        while next < seqs.end {
+            let doorbell = next..seqs.end.min(next + writes_per_doorbell);
+            next = doorbell.end;
+            let mut batch = qp.write_batch();
+            for seq in doorbell {
+                let entry = self.read_own_log(seq);
+                let buf = encode_log(
+                    seq,
+                    entry.uid,
+                    entry.mask,
+                    entry.ts_raw,
+                    epoch,
+                    &entry.payload,
+                );
+                batch.push(self.inner.sizes.log_slot(peer_layout, seq), buf);
             }
+            let _ = batch.post();
         }
     }
 
@@ -1410,7 +1348,6 @@ impl McastReplica {
                 continue;
             }
             let target_g = self.inner.global_idx(self.group, i);
-            let peer_layout = self.inner.layouts[target_g];
             // A prefix of the adopted log may be gone from our ring: WAL
             // compaction truncated it, or a power loss wiped it and the
             // reload found it already behind the checkpoint floor. Those
@@ -1422,24 +1359,8 @@ impl McastReplica {
             while from < adopt_to && !self.holds_log(from) {
                 from += 1;
             }
-            let qp = self.qp(target_g);
-            if from > seq {
-                let _ = qp.post_write_word(peer_layout.log_floor, from);
-            }
-            for s in from..adopt_to {
-                let entry = self.read_own_log(s);
-                // Backfilled under the new epoch so recovered peers accept.
-                let buf = encode_log(
-                    s,
-                    entry.uid,
-                    entry.mask,
-                    entry.ts_raw,
-                    target,
-                    &entry.payload,
-                );
-                let slot = self.inner.sizes.log_slot(peer_layout, s);
-                let _ = qp.post_write(slot, buf);
-            }
+            // Backfilled under the new epoch so recovered peers accept.
+            self.ship_log(target_g, from..adopt_to, target, 1, from > seq);
         }
         // 5. Assume leadership. We adopted a majority log, so any suspect
         // recovered tail was superseded; our own appends carry `target`.
@@ -1486,6 +1407,8 @@ impl McastReplica {
     // Control-lane writer.
     // ------------------------------------------------------------------
 
+    /// Posts one entry into our control lane on `target`, behind a doorbell
+    /// of its own.
     #[allow(clippy::too_many_arguments)]
     fn write_ctrl(
         &self,
@@ -1497,44 +1420,33 @@ impl McastReplica {
         b: u64,
         payload: &[u8],
     ) {
-        let stamp = st.ctrl_out_stamp[target];
-        st.ctrl_out_stamp[target] = stamp + 1;
-        let slot = self
-            .inner
-            .sizes
-            .ctrl_slot(self.inner.layouts[target], self.my_global, stamp);
-        let buf = encode_ctrl(stamp, kind, uid, a, b, payload);
+        let (slot, buf) = self.ctrl_entry(st, target, kind, uid, a, b, payload);
         let _ = self.qp(target).post_write(slot, buf);
     }
 
-    /// Like [`Self::write_ctrl`] but queues the entry into a per-target
-    /// [`WriteBatch`] instead of posting it immediately; the caller rings
-    /// one doorbell per target when the batch is complete. Stamps are
-    /// consumed in queue order, so consecutive entries land in consecutive
-    /// ring slots exactly as individual posts would.
+    /// Takes the next stamp of our control lane on `target` and encodes the
+    /// entry for it: the slot and its bytes, for the caller to post alone
+    /// or queue behind a doorbell with others. Stamps are consumed in call
+    /// order, so consecutive entries land in consecutive ring slots
+    /// however they are posted.
     #[allow(clippy::too_many_arguments)]
-    fn queue_ctrl(
+    fn ctrl_entry(
         &self,
         st: &mut State,
-        batches: &mut BTreeMap<usize, WriteBatch>,
         target: usize,
         kind: CtrlKind,
         uid: u32,
         a: DestMask,
         b: u64,
         payload: &[u8],
-    ) {
+    ) -> (Addr, Vec<u8>) {
         let stamp = st.ctrl_out_stamp[target];
         st.ctrl_out_stamp[target] = stamp + 1;
         let slot = self
             .inner
             .sizes
             .ctrl_slot(self.inner.layouts[target], self.my_global, stamp);
-        let buf = encode_ctrl(stamp, kind, uid, a, b, payload);
-        batches
-            .entry(target)
-            .or_insert_with(|| self.qp(target).write_batch())
-            .push(slot, buf);
+        (slot, encode_ctrl(stamp, kind, uid, a, b, payload))
     }
 }
 

@@ -279,15 +279,9 @@ fn deliveries_continue_after_leader_crash_with_client_retry() {
     assert_eq!(logs[1], logs[2]);
 }
 
-/// Runs one workload plan under the given group-commit cap and returns the
-/// per-replica delivery logs. The plan is a single client multicasting to
-/// destination sets chosen by `pattern % 3` with the given inter-send gaps.
-fn run_batching_scenario(
-    seed: u64,
-    max_batch: usize,
-    plan: &[(u8, u32)],
-) -> Vec<Vec<(MsgId, Timestamp)>> {
-    let h = build(seed, McastConfig::new(2, 3).with_max_batch(max_batch));
+/// Spawns the plan's single client: it multicasts to destination sets
+/// chosen by `pattern % 3` with the given inter-send gaps.
+fn spawn_plan_client(h: &Harness, plan: &[(u8, u32)]) {
     let mut client = h.mcast.client(&h.fabric.add_node("client"));
     let plan = plan.to_vec();
     h.simulation.spawn("client", move || {
@@ -301,6 +295,17 @@ fn run_batching_scenario(
             sim::sleep(Duration::from_micros(u64::from(gap_us)));
         }
     });
+}
+
+/// Runs one workload plan under the given group-commit cap and returns the
+/// per-replica delivery logs.
+fn run_batching_scenario(
+    seed: u64,
+    max_batch: usize,
+    plan: &[(u8, u32)],
+) -> Vec<Vec<(MsgId, Timestamp)>> {
+    let h = build(seed, McastConfig::new(2, 3).with_max_batch(max_batch));
+    spawn_plan_client(&h, plan);
     h.simulation
         .run_until(sim::SimTime::from_millis(60))
         .unwrap();
@@ -403,19 +408,7 @@ fn run_faulted_scenario(
             recover_at,
         )
         .arm(&h.simulation, &h.fabric);
-    let mut client = h.mcast.client(&h.fabric.add_node("client"));
-    let plan = plan.to_vec();
-    h.simulation.spawn("client", move || {
-        for (i, (pattern, gap_us)) in plan.into_iter().enumerate() {
-            let dests = match pattern % 3 {
-                0 => vec![GroupId(0)],
-                1 => vec![GroupId(1)],
-                _ => vec![GroupId(0), GroupId(1)],
-            };
-            client.multicast(&dests, &(i as u32).to_le_bytes());
-            sim::sleep(Duration::from_micros(u64::from(gap_us)));
-        }
-    });
+    spawn_plan_client(&h, plan);
     h.simulation
         .run_until(sim::SimTime::from_millis(100))
         .unwrap();
@@ -487,6 +480,52 @@ proptest::proptest! {
             let distinct: HashSet<Timestamp> = ts_of.values().copied().collect();
             proptest::prop_assert_eq!(distinct.len(), ts_of.len(), "duplicate timestamps at max_batch={}", mb);
         }
+    }
+}
+
+/// Batching is a size: one fixed plan on 2 × 3 replicas, pinned at
+/// `max_batch` 1 and 8 to the `(schedule_hash, events_executed,
+/// posted_writes, doorbells)` the code produced before the unbatched
+/// sequencing loop, log append and retransmission arm were folded into
+/// the batched ones (EXPERIMENTS.md, "Batching is a size"). Sends 1 µs
+/// apart outrun the leader's `ordering_cpu`, so rounds hold more than
+/// one message at 8, and follower g1r2 is down from 30 µs to 900 µs, so
+/// group 1's leader retransmits what it missed — one entry per doorbell
+/// at 1, one doorbell per round at 8.
+#[test]
+fn a_fixed_plan_is_pinned_at_batch_sizes_one_and_eight() {
+    let plan: Vec<(u8, u32)> = (0..24u8).map(|i| (i, 1)).collect();
+    let pins = [
+        (1, ("0x17db3a387ea74c07", 2958, 768, 768)),
+        (8, ("0xeee084f5e14c1804", 3065, 785, 731)),
+    ];
+    for (max_batch, pin) in pins {
+        let h = build(77, McastConfig::new(2, 3).with_max_batch(max_batch));
+        let down = h.mcast.node(GroupId(1), 2).id();
+        rdma_sim::FaultPlan::new(77)
+            .crash_at(down, Duration::from_micros(30))
+            .recover_at(down, Duration::from_micros(900))
+            .arm(&h.simulation, &h.fabric);
+        spawn_plan_client(&h, &plan);
+        h.simulation
+            .run_until(sim::SimTime::from_millis(20))
+            .unwrap();
+        // Retransmission ran: the follower that was down holds all 16.
+        for (r, log) in h.logs.lock().iter().enumerate() {
+            assert_eq!(log.len(), 16, "replica {r} at max_batch={max_batch}");
+        }
+        let count = |c: &std::sync::atomic::AtomicU64| c.load(std::sync::atomic::Ordering::Relaxed);
+        let stats = h.fabric.stats();
+        assert_eq!(
+            (
+                format!("{:#018x}", h.simulation.schedule_hash()).as_str(),
+                h.simulation.events_executed(),
+                count(&stats.posted_writes),
+                count(&stats.doorbells),
+            ),
+            pin,
+            "max_batch={max_batch}: (schedule_hash, events, posted_writes, doorbells) left the pin"
+        );
     }
 }
 

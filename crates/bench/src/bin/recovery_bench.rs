@@ -46,7 +46,6 @@ fn measure_recovery(seed: u64, tail: u64) -> (u64, u64, u64) {
     );
     let cluster = HeronCluster::build(&fabric, cfg, Arc::new(Bank::new(1, ACCOUNTS)));
     let metrics = cluster.metrics();
-    metrics.registry().enable();
     cluster.spawn(&simulation);
 
     let c2 = cluster.clone();

@@ -1,8 +1,10 @@
-//! Scheduler raw-speed benchmark and regression gate (DESIGN.md §12).
+//! Scheduler raw-speed benchmark (DESIGN.md §12): a measuring bin, not a
+//! gate.
 //!
 //! Runs every workload in [`heron_bench::sched_workloads`] and reports
 //! events per wall-clock second, beside the schedule each executed (hash,
-//! event count, final virtual time — pinned by that module's unit test).
+//! event count, final virtual time — pinned by that module's unit test),
+//! and writes `bench_results/BENCH_scheduler.json`.
 //!
 //! It also reports `switch_cost_ratio`: host ns per event of the ping-pong
 //! workload (every event wakes the *other* process, through a `Cond`)
@@ -14,15 +16,12 @@
 //! both workloads switch to the host loop and back once per event and it
 //! is ≈ 1.0–1.1.
 //!
-//! Modes:
+//! Nothing here judges a host time: whether a switch got dearer is read
+//! off the ledger's `sim.kernel_handoff_ns_per_event` over
+//! `sim.kernel_timer_ns_per_event` (the same two loops) on
+//! `scripts/ledger_pairs.py` pairs.
 //!
-//! * default — measure and write `bench_results/BENCH_scheduler.json`.
-//! * `--gate` — measure, then compare `switch_cost_ratio` against the
-//!   `max_switch_cost_ratio` recorded in the committed
-//!   `bench_results/BENCH_scheduler.json` (1.2 × the baseline ratio, i.e. a
-//!   switch that got >20 % dearer fails). Exits non-zero on regression.
-//!   The committed file is not rewritten.
-//! * `--quick` — fewer events and repeats, for CI smoke runs.
+//! `--quick` — fewer events and repeats.
 
 use heron_bench::{banner, quick_mode, sched_workloads, write_results, Json};
 use std::time::Instant;
@@ -50,21 +49,7 @@ fn measure(w: &sched_workloads::SchedWorkload, events: u64, repeats: u32) -> (u6
     best.expect("repeats >= 1")
 }
 
-/// Pulls the committed gate threshold out of the baseline JSON. The file
-/// is written by this binary, so a simple string scan is enough — no JSON
-/// parser lives in this offline workspace.
-fn baseline_max_switch_cost(text: &str) -> Option<f64> {
-    let key = "\"max_switch_cost_ratio\":";
-    let at = text.find(key)? + key.len();
-    let rest = text[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 fn main() {
-    let gate = std::env::args().any(|a| a == "--gate");
     let quick = quick_mode();
     let (events, repeats) = if quick { (20_000, 9) } else { (100_000, 5) };
 
@@ -72,10 +57,7 @@ fn main() {
         "sched_bench — scheduler raw speed, and the cost of a switch",
         "DESIGN.md sec. 12 (raw-speed engine)",
     );
-    println!(
-        "mode: {}  events/workload: {events}  repeats: {repeats} (best kept)\n",
-        if gate { "gate" } else { "measure" }
-    );
+    println!("events/workload: {events}  repeats: {repeats} (best kept)\n");
 
     println!("{:<20} {:>12} {:>14}", "workload", "events", "events/sec");
     let mut rows = Vec::new();
@@ -100,44 +82,12 @@ fn main() {
         ns_per_event["pingpong_switches"], ns_per_event["timer_events"]
     );
 
-    if gate {
-        let path = "bench_results/BENCH_scheduler.json";
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("FAIL: cannot read committed baseline {path}: {e}");
-                std::process::exit(1);
-            }
-        };
-        let Some(max) = baseline_max_switch_cost(&text) else {
-            eprintln!("FAIL: no max_switch_cost_ratio field in {path}");
-            std::process::exit(1);
-        };
-        println!("gate: measured switch_cost_ratio {switch_cost:.2} vs committed ceiling {max:.2}");
-        if switch_cost > max {
-            eprintln!(
-                "FAIL: a context switch got more than 20% dearer relative to a timer event \
-                 ({switch_cost:.2} > {max:.2} ceiling)"
-            );
-            std::process::exit(1);
-        }
-        println!("gate: PASS");
-    } else {
-        let mut out = Json::obj();
-        out.set("figure", "scheduler")
-            .set("quick", quick)
-            .set("events_per_workload", events)
-            .set("repeats", repeats as u64)
-            .set("workloads", Json::Arr(rows))
-            .set("switch_cost_ratio", switch_cost);
-        let mut gate_obj = Json::obj();
-        gate_obj
-            .set("max_switch_cost_ratio", switch_cost * 1.2)
-            .set(
-                "rule",
-                "sched_bench --gate fails if measured switch_cost_ratio rises above this",
-            );
-        out.set("gate", gate_obj);
-        write_results("BENCH_scheduler.json", &out).expect("write BENCH_scheduler.json");
-    }
+    let mut out = Json::obj();
+    out.set("figure", "scheduler")
+        .set("quick", quick)
+        .set("events_per_workload", events)
+        .set("repeats", repeats as u64)
+        .set("workloads", Json::Arr(rows))
+        .set("switch_cost_ratio", switch_cost);
+    write_results("BENCH_scheduler.json", &out).expect("write BENCH_scheduler.json");
 }

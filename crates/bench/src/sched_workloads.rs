@@ -1,5 +1,5 @@
 //! Scheduler benchmark workloads of the `sched_bench` binary, which emits
-//! and gates `bench_results/BENCH_scheduler.json`.
+//! `bench_results/BENCH_scheduler.json`.
 //!
 //! Each workload builds a ready-to-run [`sim::Simulation`] sized to
 //! execute roughly `events` scheduler events. The schedules they execute

@@ -118,7 +118,6 @@ fn power_loss_recovers_from_checkpoint_not_live_transfer() {
             kind: StorageKind::Serialized,
         }),
     );
-    cluster.metrics().registry().enable();
     cluster.spawn(&simulation);
     let c2 = cluster.clone();
     let metrics = cluster.metrics();

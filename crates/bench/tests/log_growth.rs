@@ -26,7 +26,6 @@ fn wal_and_log_stay_bounded_under_truncation() {
         Duration::from_micros(INTERVAL_US),
     );
     let cluster = HeronCluster::build(&fabric, cfg, Arc::new(Bank::new(1, ACCOUNTS)));
-    cluster.metrics().registry().enable();
     cluster.spawn(&simulation);
 
     let stop = Arc::new(AtomicBool::new(false));

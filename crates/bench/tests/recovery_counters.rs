@@ -18,16 +18,14 @@ fn recover_replayed_matches_wal_tail() {
     const ACCOUNTS: u64 = 6;
     let simulation = sim::Simulation::new(9);
     let fabric = Fabric::new(LatencyModel::connectx4());
-    let cfg = HeronConfig::new(1, 3)
-        // The registry rides the tracing knob; tracing never perturbs the
-        // schedule.
-        .with_tracing(true)
-        .with_durability(
-            sim::storage::Storage::new(sim::storage::DiskConfig::nvme()),
-            // The periodic checkpointer never fires: restart bound stays 0
-            // and the whole WAL is the tail.
-            Duration::from_secs(3600),
-        );
+    // Untraced: counters are always on (the tracing knob gates only the
+    // registry's histograms).
+    let cfg = HeronConfig::new(1, 3).with_durability(
+        sim::storage::Storage::new(sim::storage::DiskConfig::nvme()),
+        // The periodic checkpointer never fires: restart bound stays 0
+        // and the whole WAL is the tail.
+        Duration::from_secs(3600),
+    );
     let cluster = HeronCluster::build(&fabric, cfg, Arc::new(Bank::new(1, ACCOUNTS)));
     cluster.spawn(&simulation);
 

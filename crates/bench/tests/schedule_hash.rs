@@ -77,10 +77,13 @@ struct Row {
 
 /// The table's rows.
 ///
-/// The three load shapes are the fig4 ladder entry, the same shape under
-/// a crash/recovery, and a width-4 P-SMR pool, at the quick sizes and
+/// Three of the load shapes are the fig4 ladder entry, the same shape
+/// under a crash/recovery, and a width-4 P-SMR pool, at the quick sizes and
 /// seeds 42/43/44 their hashes and event counts were first committed with
-/// (the profiler's overhead report, PR 10 through PR 14). `recovery-dur-off`
+/// (the profiler's overhead report, PR 10 through PR 14). The fourth,
+/// `fig4-tpcc-2p-b8`, is the ladder entry at `max_batch = 8` — every other
+/// row runs at 1 — pinned on the code that still had a separate unbatched
+/// path beside the batched one (PR 19 folded them). `recovery-dur-off`
 /// is recovery seed 9004 with its faults and checkpointing stripped — no
 /// storage is built, so the durability subsystem must be invisible (hash
 /// from `BENCH_recovery.json`). `recovery-9003` is the durable ladder's
@@ -121,6 +124,11 @@ fn table() -> Vec<Row> {
             "fig4-tpcc-2p",
             load(42),
             (0xd8e8cfcd99bf4e93, 27_941, 4_000_000),
+        ),
+        load_row(
+            "fig4-tpcc-2p-b8",
+            load(45).with_max_batch(8),
+            (0x83e180d53fe84cfd, 31_151, 4_000_000),
         ),
         load_row(
             "chaos-tpcc-2p",

@@ -217,20 +217,15 @@ impl HeronConfig {
         self
     }
 
-    /// Sets the end-to-end batching cap: the ordering layer's group-commit
-    /// window and, when above 1, doorbell-coalesced Phase 2/4 coordination
-    /// flushes in the execution layer. `1` (the default) disables batching
-    /// everywhere and reproduces the unbatched system bit-for-bit.
+    /// Sets the ordering layer's group-commit size
+    /// ([`McastConfig::max_batch`]; `1`, the default, is the paper's
+    /// design). The execution layer has no batching setting of its own: a
+    /// barrier entry always shares its doorbell with whatever object
+    /// writes are queued for the same peer.
     #[must_use]
     pub fn with_max_batch(mut self, n: usize) -> Self {
-        assert!(n >= 1, "max_batch must be at least 1");
-        self.mcast.max_batch = n;
+        self.mcast = self.mcast.with_max_batch(n);
         self
-    }
-
-    /// The end-to-end batching cap (see [`Self::with_max_batch`]).
-    pub fn max_batch(&self) -> usize {
-        self.mcast.max_batch
     }
 
     /// Majority size per partition.
@@ -261,13 +256,8 @@ mod tests {
     #[test]
     fn with_max_batch_propagates_to_mcast() {
         let cfg = HeronConfig::new(2, 3).with_max_batch(16);
-        assert_eq!(cfg.max_batch(), 16);
         assert_eq!(cfg.mcast.max_batch, 16);
-        assert_eq!(
-            HeronConfig::new(2, 3).max_batch(),
-            1,
-            "batching off by default"
-        );
+        assert_eq!(HeronConfig::new(2, 3).mcast.max_batch, 1);
     }
 
     #[test]

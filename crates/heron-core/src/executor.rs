@@ -72,8 +72,8 @@ use std::time::Duration;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Lagging;
 
-/// Writes queued per target node, to be flushed in the same doorbell batch
-/// as the next coordination entry for that node (batched mode only).
+/// Writes queued per target node, to be flushed behind the same doorbell
+/// as the next coordination entry for that node.
 pub(crate) type PendingWrites = HashMap<rdma_sim::NodeId, Vec<(rdma_sim::Addr, Vec<u8>)>>;
 
 /// Why a command stalled mid-flight.
@@ -303,8 +303,8 @@ impl ExecCore {
             // executes and writes our objects remotely. We only keep the
             // update log complete (our declared read set covers what the
             // active may write here) and acknowledge the client; the
-            // FIFO link guarantees the active's object writes land before
-            // its Phase-4 coordination entry does.
+            // active's object writes share a doorbell with its Phase-4
+            // coordination entry and land, in push order, before it.
             let mut log = shared.log.lock();
             for oid in shared.cluster.app.read_set_at(shared.partition, payload) {
                 if shared.cluster.app.placement(oid) == Placement::Partition(shared.partition) {
@@ -338,8 +338,8 @@ impl ExecCore {
         // ride the same doorbells.
         let stage = Stage::open("exec.phase4", uid);
         // Protocol lint (regression guard): the Phase-4 entry — which in
-        // batched active-only mode carries the remote object write-backs —
-        // must never be posted before the Phase-2 quorum was observed.
+        // active-only mode carries the remote object write-backs — must
+        // never be posted before the Phase-2 quorum was observed.
         // Coordination entries are monotone, so once the barrier above
         // passed this stays satisfied; a hit means a code change skipped
         // or reordered the Phase-2 wait.
@@ -378,13 +378,13 @@ impl ExecCore {
         self.write_coord_with(dests, ts, phase, PendingWrites::new());
     }
 
-    /// [`Self::write_coord`] with queued object writes coalesced in: in
-    /// batched mode (`max_batch > 1`) each target's pending writes and its
-    /// coordination entry are flushed as ONE doorbell batch — the coord
-    /// entry pushed last, so by the fabric's in-order application a peer
-    /// that observes the barrier entry also observes every object write
-    /// that preceded it (the invariant the passive execution path relies
-    /// on, previously guaranteed by FIFO ordering of individual verbs).
+    /// [`Self::write_coord`] with queued object writes riding along: each
+    /// target's pending writes and its coordination entry are flushed
+    /// behind ONE doorbell — the coord entry pushed last, so by the
+    /// fabric's in-order application a peer that observes the barrier
+    /// entry also observes every object write queued before it (the
+    /// invariant the passive execution path relies on). With nothing
+    /// pending — always, in all-involved mode — that is one write.
     fn write_coord_with(
         &self,
         dests: &[PartitionId],
@@ -394,7 +394,6 @@ impl ExecCore {
     ) {
         let shared = &self.shared;
         let n = self.n();
-        let batched = self.cfg().max_batch() > 1;
         let entry = encode_coord(ts.raw(), phase);
         let mut sorted = dests.to_vec();
         sorted.sort_unstable();
@@ -409,17 +408,13 @@ impl ExecCore {
                         .coord_slot(shared.partition.0 as usize, shared.idx, self.lane, n);
                 if target.id() == shared.node.id() {
                     let _ = shared.node.local_write(slot_on_target, &entry);
-                } else if batched {
+                } else {
                     let mut batch = shared.peer_qp(h, q).write_batch();
                     for (addr, buf) in pending.remove(&target.id()).unwrap_or_default() {
                         batch.push(addr, buf);
                     }
                     batch.push(slot_on_target, entry.to_vec());
                     let _ = batch.post();
-                } else {
-                    let _ = shared
-                        .peer_qp(h, q)
-                        .post_write(slot_on_target, entry.to_vec());
                 }
             }
         }
@@ -688,9 +683,9 @@ impl ExecCore {
     /// locally, and writes the passive partitions' objects remotely as
     /// whole dual-version slot images (racing active replicas write
     /// identical images, so the competition the paper warns about is
-    /// harmless here). FIFO links guarantee these object writes land at
-    /// every passive replica before this replica's Phase-4 coordination
-    /// entry.
+    /// harmless here). The images are queued into `pending` and land at
+    /// every passive replica in one event with this replica's Phase-4
+    /// coordination entry, ahead of it.
     fn execute_active_only(
         &self,
         payload: &[u8],
@@ -744,11 +739,8 @@ impl ExecCore {
         if !total_compute.is_zero() {
             sim::sleep(total_compute);
         }
-        // Write back the passive partitions' objects. In batched mode they
-        // are queued and ride the Phase-4 coordination doorbell (one batch
-        // per peer); unbatched, each image is its own verb, exactly as
-        // before.
-        let batched = self.cfg().max_batch() > 1;
+        // Write back the passive partitions' objects: queued here, they
+        // ride the Phase-4 coordination doorbell, one per peer.
         for (h, oid, value) in remote_writes {
             let versions = remote_slots.get(&oid).unwrap_or_else(|| {
                 panic!(
@@ -762,11 +754,7 @@ impl ExecCore {
                     continue; // unknown address: that replica will lag and state-transfer
                 };
                 let image = encode_slot_image(versions, &value, ts, cap);
-                if batched {
-                    pending.entry(target.id()).or_default().push((addr, image));
-                } else {
-                    let _ = shared.peer_qp(h, q).post_write(addr, image);
-                }
+                pending.entry(target.id()).or_default().push((addr, image));
             }
         }
         Ok(Execution {
@@ -1469,13 +1457,11 @@ impl Driver {
             return;
         };
         let reg = self.shared.cluster.metrics.registry();
-        if reg.is_enabled() {
-            reg.counter("recover.cold").add(1);
-            reg.counter("recover.replayed")
-                .add((replay.frames - replay.tail.len()) as u64);
-            reg.counter("recover.time_ns")
-                .add((sim::now() - replay.t0).as_nanos() as u64);
-        }
+        reg.counter("recover.cold").add(1);
+        reg.counter("recover.replayed")
+            .add((replay.frames - replay.tail.len()) as u64);
+        reg.counter("recover.time_ns")
+            .add((sim::now() - replay.t0).as_nanos() as u64);
     }
 
     /// Blocks until something can make progress: a worker event, a

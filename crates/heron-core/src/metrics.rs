@@ -278,10 +278,11 @@ impl Counter {
 }
 
 /// A registry of named [`Histogram`]s and [`Counter`]s: the uniform surface
-/// over what used to be ad-hoc atomics scattered across the stack. Gated
-/// behind the same knob as tracing ([`crate::HeronConfig::tracing`]); the
-/// only hot-path cost when disabled is one relaxed load
-/// ([`MetricsRegistry::is_enabled`]).
+/// over what used to be ad-hoc atomics scattered across the stack.
+/// Histograms are per-request and gated behind the same knob as tracing
+/// ([`crate::HeronConfig::tracing`]; disabled, a recording site costs one
+/// relaxed load, [`MetricsRegistry::is_enabled`]). Counters mark rare
+/// events — a checkpoint, a cold restart — and are always on.
 ///
 /// # Naming scheme
 ///
@@ -319,12 +320,12 @@ impl fmt::Debug for MetricsRegistry {
 }
 
 impl MetricsRegistry {
-    /// Turns recording on.
+    /// Turns histogram recording on.
     pub fn enable(&self) {
         self.enabled.store(true, Ordering::Relaxed);
     }
 
-    /// One relaxed load: the gate every hot-path recording site checks.
+    /// One relaxed load: the gate every histogram recording site checks.
     pub fn is_enabled(&self) -> bool {
         self.enabled.load(Ordering::Relaxed)
     }

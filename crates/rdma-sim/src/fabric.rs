@@ -81,6 +81,15 @@ pub struct FabricStats {
 }
 
 impl FabricStats {
+    /// Books one posted verb: its doorbell, and `n` more on each of the
+    /// verb's own `counts`.
+    pub(crate) fn ring_doorbell(&self, counts: &[(&AtomicU64, usize)]) {
+        self.doorbells.fetch_add(1, Ordering::Relaxed);
+        for (counter, n) in counts {
+            counter.fetch_add(*n as u64, Ordering::Relaxed);
+        }
+    }
+
     /// Snapshot of `(reads, writes incl. posted, sends)`.
     pub fn op_counts(&self) -> (u64, u64, u64) {
         (
@@ -188,11 +197,12 @@ pub(crate) struct FabricInner {
     /// `faults_on` — detector-off memory accesses cost one relaxed load.
     pub(crate) tsan_on: AtomicBool,
     pub(crate) tsan: Mutex<Option<Arc<crate::tsan::TsanState>>>,
-    /// Unsignaled writes posted but not yet landed, fabric-wide: the value
-    /// behind the profiler's `qp.sendq` occupancy gauge.
+    /// Unsignaled doorbells (a write, a batch, a send) posted but not yet
+    /// landed, fabric-wide: the value behind the profiler's `qp.sendq`
+    /// occupancy gauge.
     pub(crate) posted_inflight: AtomicU64,
     /// The `qp.sendq` occupancy gauge, registered once per fabric on the
-    /// first profiled write (post_write is far too hot for a per-call
+    /// first profiled post (the posting path is far too hot for a per-call
     /// name lookup).
     pub(crate) sendq_gauge: std::sync::OnceLock<sim::prof::Gauge>,
 }
@@ -245,19 +255,25 @@ impl FabricInner {
     /// clock is read only for a plan to look at.
     pub(crate) fn verb_fate(&self, node: NodeId) -> crate::faults::VerbFate {
         if !self.faults_on.load(Ordering::Relaxed) {
-            return crate::faults::VerbFate::Proceed {
-                stall_ns: 0,
-                slow: 1,
-            };
+            return crate::faults::VerbFate::UNFAULTED;
         }
         let now_ns = sim::now().as_nanos();
         match self.faults.lock().as_mut() {
             Some(runtime) => runtime.verb_fate(node, now_ns),
-            None => crate::faults::VerbFate::Proceed {
-                stall_ns: 0,
-                slow: 1,
-            },
+            None => crate::faults::VerbFate::UNFAULTED,
         }
+    }
+
+    /// Moves the profiler's `qp.sendq` gauge by one doorbell posted (`+1`)
+    /// or landed (`-1`) at `t_ns`. Profiled runs only.
+    pub(crate) fn sendq_step(&self, t_ns: u64, by: i64) {
+        let inflight = self
+            .posted_inflight
+            .fetch_add(by as u64, Ordering::Relaxed)
+            .wrapping_add(by as u64);
+        self.sendq_gauge
+            .get_or_init(|| sim::prof::gauge("qp.sendq"))
+            .set_at(t_ns, inflight);
     }
 
     /// The enabled race detector state, or `None`. One relaxed load when
@@ -672,6 +688,25 @@ impl Node {
         let written = self.store_raw(addr, data)?;
         self.inner.ring(std::slice::from_ref(&written));
         Ok(())
+    }
+
+    /// The uninstrumented compare-and-swap of the word at `addr`: returns
+    /// the previous value, and rings the word's pollers iff it swapped.
+    pub(crate) fn cas_raw(&self, addr: Addr, expected: u64, new: u64) -> RdmaResult<u64> {
+        let old = {
+            let mut mem = self.inner.mem();
+            let word = span(mem.bytes.len(), addr, 8)?;
+            let old = u64::from_le_bytes(mem.bytes[word.clone()].try_into().expect("8 bytes"));
+            if old == expected {
+                mem.bytes[word].copy_from_slice(&new.to_le_bytes());
+            }
+            old
+        };
+        if old == expected {
+            let word = addr.0..addr.0 + 8;
+            self.inner.ring(std::slice::from_ref(&word));
+        }
+        Ok(old)
     }
 
     /// Copies `data` into memory without ringing anyone and returns the

@@ -85,15 +85,31 @@ struct NodeState {
     spec: NodeVerbFaults,
 }
 
+/// How a verb the fault layer lets through is treated: stalled `stall_ns`
+/// at its posting point, its latency charges scaled by `slow`, and with
+/// `drop` its completion lost.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct VerbGate {
+    pub(crate) stall_ns: u64,
+    pub(crate) slow: u64,
+    pub(crate) drop: bool,
+}
+
 /// What the fault layer decided about one verb.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum VerbFate {
-    /// Proceed after stalling `stall_ns`, with verb costs scaled by `slow`.
-    Proceed { stall_ns: u64, slow: u64 },
-    /// As `Proceed`, but the completion is lost.
-    Drop { stall_ns: u64, slow: u64 },
+    Proceed(VerbGate),
     /// The issuing node crashes on this verb.
     CrashLocal,
+}
+
+impl VerbFate {
+    /// What every verb gets when no plan says otherwise.
+    pub(crate) const UNFAULTED: VerbFate = VerbFate::Proceed(VerbGate {
+        stall_ns: 0,
+        slow: 1,
+        drop: false,
+    });
 }
 
 fn splitmix64(state: &mut u64) -> u64 {
@@ -109,10 +125,7 @@ impl FaultRuntime {
     /// counter. `now_ns` is the virtual time at the verb's posting point.
     pub(crate) fn verb_fate(&mut self, node: NodeId, now_ns: u64) -> VerbFate {
         let Some(state) = self.nodes.get_mut(&node.0) else {
-            return VerbFate::Proceed {
-                stall_ns: 0,
-                slow: 1,
-            };
+            return VerbFate::UNFAULTED;
         };
         state.verbs_issued += 1;
         let nth = state.verbs_issued;
@@ -135,11 +148,11 @@ impl FaultRuntime {
             stall_ns += splitmix64(&mut self.rng) % (state.spec.jitter_ns + 1);
         }
         let slow = state.spec.slowdown.max(1);
-        if state.spec.drops.contains(&nth) {
-            VerbFate::Drop { stall_ns, slow }
-        } else {
-            VerbFate::Proceed { stall_ns, slow }
-        }
+        VerbFate::Proceed(VerbGate {
+            stall_ns,
+            slow,
+            drop: state.spec.drops.contains(&nth),
+        })
     }
 }
 

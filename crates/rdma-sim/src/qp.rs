@@ -2,8 +2,9 @@
 
 use crate::error::{RdmaError, RdmaResult};
 use crate::fabric::{Addr, Message, Node, NodeId};
-use std::fmt;
-use std::sync::atomic::Ordering;
+use crate::faults::{VerbFate, VerbGate};
+use crate::tsan::WriteTicket;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A reliable-connection (RC) queue pair from a local node to a remote
@@ -12,91 +13,189 @@ use std::sync::Arc;
 ///
 /// All verbs must be called from a simulated process: they charge the
 /// issuing process the modeled fabric latency.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct QueuePair {
+    /// Shared, so that a clone — every [`WriteBatch`] holds one, every
+    /// landing event another — is one reference count, not one per node
+    /// handle: those counts are the hottest words of a run.
+    ends: Arc<Ends>,
+}
+
+#[derive(Debug)]
+struct Ends {
     local: Node,
     remote: Node,
 }
 
-impl fmt::Debug for QueuePair {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("QueuePair")
-            .field("local", &self.local.id())
-            .field("remote", &self.remote.id())
-            .finish()
-    }
-}
-
 impl QueuePair {
     pub(crate) fn new(local: Node, remote: Node) -> Self {
-        QueuePair { local, remote }
+        let ends = Arc::new(Ends { local, remote });
+        QueuePair { ends }
     }
 
     /// The local endpoint's id.
     pub fn local_id(&self) -> NodeId {
-        self.local.id()
+        self.ends.local.id()
     }
 
     /// The remote endpoint's id.
     pub fn remote_id(&self) -> NodeId {
-        self.remote.id()
+        self.ends.remote.id()
     }
 
     fn check_local_alive(&self) -> RdmaResult<()> {
-        if !self.local.is_alive() {
+        if !self.ends.local.is_alive() {
             return Err(RdmaError::LocalFailure);
         }
         Ok(())
     }
 
-    /// Accounts the verb-level fault plan costs: post_ns (scaled by any
-    /// slowdown), injected stalls, and decides whether this verb's
-    /// completion is dropped. Must be called at the verb's posting point.
-    fn post_verb(&self) -> RdmaResult<FaultGate> {
-        let gate = self.fault_gate()?;
-        sim::sleep_ns(self.local.fabric.latency.post_ns * gate.slow);
-        Ok(gate)
-    }
-
-    /// Passes the verb through the fabric's fault layer (if a
-    /// [`crate::FaultPlan`] is armed): charges any injected stall, crashes
-    /// the local node if the plan says so, and reports whether this verb's
-    /// completion is to be dropped and how much the node is slowed. With no
-    /// plan armed this is a no-op returning the identity gate.
-    fn fault_gate(&self) -> RdmaResult<FaultGate> {
-        match self.local.fabric.verb_fate(self.local.id()) {
-            crate::faults::VerbFate::Proceed { stall_ns, slow } => {
-                if stall_ns > 0 {
-                    sim::sleep_ns(stall_ns);
+    /// The posting point of every verb: passes it through the fabric's
+    /// fault layer (if a [`crate::FaultPlan`] is armed — any injected
+    /// stall, a crash of the local node) and charges `post_ns`, scaled by
+    /// the node's slowdown. The returned gate says how much to scale the
+    /// verb's later charges and whether its completion is lost.
+    fn post_verb(&self) -> RdmaResult<VerbGate> {
+        match self.ends.local.fabric.verb_fate(self.ends.local.id()) {
+            VerbFate::Proceed(gate) => {
+                if gate.stall_ns > 0 {
+                    sim::sleep_ns(gate.stall_ns);
                 }
-                Ok(FaultGate { slow, drop: false })
+                sim::sleep_ns(self.ends.local.fabric.latency.post_ns * gate.slow);
+                Ok(gate)
             }
-            crate::faults::VerbFate::Drop { stall_ns, slow } => {
-                if stall_ns > 0 {
-                    sim::sleep_ns(stall_ns);
-                }
-                Ok(FaultGate { slow, drop: true })
-            }
-            crate::faults::VerbFate::CrashLocal => {
-                self.local
-                    .inner
-                    .alive
-                    .store(false, std::sync::atomic::Ordering::SeqCst);
+            VerbFate::CrashLocal => {
+                self.ends.local.inner.alive.store(false, Ordering::SeqCst);
                 Err(RdmaError::LocalFailure)
             }
         }
     }
 
-    /// Sleeps until the op reaches the remote node, respecting RC in-order
-    /// delivery and link serialization on this (src, dst) link, and
-    /// returns at the arrival instant.
-    fn sleep_until_arrival(&self, payload_bytes: usize) {
+    /// The one path of the signaled verbs — read, write, compare-and-swap —
+    /// a synchronous round trip charged to the issuing process: post,
+    /// `request_bytes` on the wire (RC in-order delivery and link
+    /// serialization on this (src, dst) link), `op` against the remote
+    /// node's memory at the arrival instant, `response_bytes` back. The
+    /// completed verb books its doorbell and `counts`.
+    ///
+    /// A request lost in the fabric or arriving at a crashed node is the
+    /// same errored completion: [`RdmaError::RemoteFailure`], memory
+    /// untouched.
+    fn round_trip<T>(
+        &self,
+        span: &'static str,
+        args: [(&'static str, u64); 3],
+        (request_bytes, response_bytes): (usize, usize),
+        counts: &[(&AtomicU64, usize)],
+        op: impl FnOnce(&Node) -> RdmaResult<T>,
+    ) -> RdmaResult<T> {
+        self.check_local_alive()?;
+        let _span = sim::trace::span_args(span, 0, &args);
+        let gate = self.post_verb()?;
+        let Ends { local, remote } = &*self.ends;
+        let fabric = &local.fabric;
         let now = sim::now().as_nanos();
-        let arrival =
-            self.local
-                .fabric
-                .fifo_arrival(self.local.id(), self.remote.id(), now, payload_bytes);
+        let arrival = fabric.fifo_arrival(local.id(), remote.id(), now, request_bytes);
         sim::sleep_ns(arrival - now);
+        if gate.drop || !remote.is_alive() {
+            return Err(RdmaError::RemoteFailure);
+        }
+        // All memory mutations happen at single virtual instants, so what
+        // `op` sees at arrival is per-word atomic.
+        let out = op(remote)?;
+        sim::sleep_ns(fabric.latency.one_way(response_bytes) * gate.slow);
+        fabric.stats.ring_doorbell(counts);
+        Ok(out)
+    }
+
+    /// The one path of the unsignaled verbs — [`QueuePair::post_write`],
+    /// [`WriteBatch::post`], [`QueuePair::send`]: the issuing process pays
+    /// the posting charge (the `span`), `wire_bytes` occupy the link as one
+    /// unit, and a single scheduler event lands the payload at the arrival
+    /// instant — silently dropped if the fault plan loses it or the remote
+    /// node is crashed by then, since no completion is ever reported. The
+    /// posted verb books its doorbell and `counts`.
+    ///
+    /// The callers differ only in what lands: `arm` runs at the post
+    /// instant, told the arrival time, captures the poster's ordering
+    /// context (a race-detector ticket, a message clock) and returns the
+    /// landing, which the event runs against the live remote node. The
+    /// in-flight payload is a `flight` span and one unit of the profiler's
+    /// `qp.sendq` gauge, both ended by the landing event.
+    fn post_unsignaled<L: FnOnce(&Node) + Send + 'static>(
+        &self,
+        (span, flight): (&'static str, &'static str),
+        args: &[(&'static str, u64)],
+        wire_bytes: usize,
+        counts: &[(&AtomicU64, usize)],
+        arm: impl FnOnce(u64) -> L,
+    ) -> RdmaResult<()> {
+        self.check_local_alive()?;
+        let _post = sim::trace::span_args(span, 0, args);
+        let gate = self.post_verb()?;
+        let Ends { local, remote } = &*self.ends;
+        let fabric = &local.fabric;
+        let now = sim::now().as_nanos();
+        let arrival = fabric.fifo_arrival(local.id(), remote.id(), now, wire_bytes);
+        fabric.stats.ring_doorbell(counts);
+        if gate.drop {
+            // Lost in the fabric; unsignaled, so nobody is told.
+            return Ok(());
+        }
+        let land = arm(arrival);
+        let flight = sim::trace::flight_begin(flight, 0, args);
+        let sendq = sim::prof::enabled().then(|| {
+            fabric.sendq_step(now, 1);
+            Arc::clone(fabric)
+        });
+        let ends = Arc::clone(&self.ends);
+        sim::schedule_ns(arrival - now, move || {
+            if let Some(fabric) = sendq {
+                fabric.sendq_step(arrival, -1);
+            }
+            if let Some(flight) = flight {
+                flight.end_at(arrival);
+            }
+            if ends.remote.is_alive() {
+                land(&ends.remote);
+            }
+        });
+        Ok(())
+    }
+
+    /// What [`QueuePair::post_write`] and [`WriteBatch::post`] share on top
+    /// of [`Self::post_unsignaled`]: `n` writes of `bytes` in all, the first
+    /// at `first`, behind one doorbell — one span shape, one stats line, one
+    /// race-detector ticket (the NIC carries the poster's ordering context
+    /// to the remote memory once per doorbell). `land` stores the writes,
+    /// reports each `(addr, len)` that landed to the detector through its
+    /// second argument, and rings the pollers they touch.
+    fn post_writes(
+        &self,
+        first: Addr,
+        n: usize,
+        bytes: usize,
+        land: impl FnOnce(&Node, &dyn Fn(Addr, usize)) + Send + 'static,
+    ) -> RdmaResult<()> {
+        let [dst, addr, len] = self.verb_args(first, bytes);
+        let stats = &self.ends.local.fabric.stats;
+        self.post_unsignaled(
+            ("rdma.post", "rdma.write.flight"),
+            &[dst, addr, len, ("n", n as u64)],
+            bytes,
+            &[(&stats.posted_writes, n), (&stats.bytes_written, bytes)],
+            |arrival| {
+                let tsan = self.ends.local.fabric.tsan();
+                let ticket = tsan.map(|t| (t, WriteTicket::capture("rdma-post-write")));
+                move |remote: &Node| {
+                    land(remote, &|addr, len| {
+                        if let Some((tsan, ticket)) = &ticket {
+                            tsan.on_write(remote, addr, len, ticket, arrival);
+                        }
+                    })
+                }
+            },
+        )
     }
 
     /// One-sided RDMA read of `len` bytes at `addr` in the remote node's
@@ -110,35 +209,18 @@ impl QueuePair {
     /// paper's "RDMA exception"); [`RdmaError::OutOfBounds`] for a bad
     /// range; [`RdmaError::LocalFailure`] if this node is crashed.
     pub fn read(&self, addr: Addr, len: usize) -> RdmaResult<Vec<u8>> {
-        self.check_local_alive()?;
-        // Post → request on the wire → response: one synchronous span on
-        // the issuing process covers the whole round trip.
-        let _span = sim::trace::span_args("rdma.read", 0, &self.verb_args(addr, len));
-        let gate = self.post_verb()?;
-        let lat = self.local.fabric.latency;
-        self.sleep_until_arrival(8);
-        if gate.drop {
-            // Request lost in the fabric: the completion queue reports an
-            // error, indistinguishable from a remote failure.
-            return Err(RdmaError::RemoteFailure);
-        }
-        if !self.remote.is_alive() {
-            return Err(RdmaError::RemoteFailure);
-        }
-        // Snapshot at arrival time: per-word atomicity holds because all
-        // memory mutations happen at single virtual instants. Deliberately
-        // the raw read: a one-sided read must not acquire — it is exactly
-        // the access the race detector checks.
-        let data = self.remote.read_raw(addr, len)?;
-        if let Some(tsan) = self.local.fabric.tsan() {
-            tsan.on_remote_read(&self.remote, addr, len, sim::now().as_nanos());
-        }
-        sim::sleep_ns(lat.one_way(len) * gate.slow);
-        let stats = &self.local.fabric.stats;
-        stats.reads.fetch_add(1, Ordering::Relaxed);
-        stats.doorbells.fetch_add(1, Ordering::Relaxed);
-        stats.bytes_read.fetch_add(len as u64, Ordering::Relaxed);
-        Ok(data)
+        let stats = &self.ends.local.fabric.stats;
+        let counts = [(&stats.reads, 1), (&stats.bytes_read, len)];
+        let args = self.verb_args(addr, len);
+        self.round_trip("rdma.read", args, (8, len), &counts, |remote| {
+            // Deliberately the raw read: a one-sided read must not acquire
+            // — it is exactly the access the race detector checks.
+            let data = remote.read_raw(addr, len)?;
+            if let Some(tsan) = self.ends.local.fabric.tsan() {
+                tsan.on_remote_read(remote, addr, len, sim::now().as_nanos());
+            }
+            Ok(data)
+        })
     }
 
     /// One-sided read of a single 8-byte word.
@@ -154,22 +236,6 @@ impl QueuePair {
         Ok(u64::from_le_bytes(bytes.try_into().expect("8-byte read")))
     }
 
-    /// One-sided read of `n` consecutive words.
-    ///
-    /// # Errors
-    ///
-    /// As [`QueuePair::read`], plus [`RdmaError::Misaligned`].
-    pub fn read_words(&self, addr: Addr, n: usize) -> RdmaResult<Vec<u64>> {
-        if !addr.is_word_aligned() {
-            return Err(RdmaError::Misaligned);
-        }
-        let bytes = self.read(addr, n * 8)?;
-        Ok(bytes
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("chunk of 8")))
-            .collect())
-    }
-
     /// Signaled one-sided RDMA write: returns once the completion arrives,
     /// i.e. after a full round trip. The payload is visible in remote memory
     /// from the one-way point.
@@ -179,28 +245,12 @@ impl QueuePair {
     /// [`RdmaError::RemoteFailure`], [`RdmaError::OutOfBounds`],
     /// [`RdmaError::LocalFailure`].
     pub fn write(&self, addr: Addr, data: &[u8]) -> RdmaResult<()> {
-        self.check_local_alive()?;
-        let _span = sim::trace::span_args("rdma.write", 0, &self.verb_args(addr, data.len()));
-        let gate = self.post_verb()?;
-        let lat = self.local.fabric.latency;
-        self.sleep_until_arrival(data.len());
-        if gate.drop {
-            // Dropped before landing: remote memory is left untouched and
-            // the issuer sees an errored completion.
-            return Err(RdmaError::RemoteFailure);
-        }
-        if !self.remote.is_alive() {
-            return Err(RdmaError::RemoteFailure);
-        }
-        self.remote.write_instrumented(addr, data, "rdma-write")?;
-        sim::sleep_ns(lat.one_way(8) * gate.slow);
-        let stats = &self.local.fabric.stats;
-        stats.writes.fetch_add(1, Ordering::Relaxed);
-        stats.doorbells.fetch_add(1, Ordering::Relaxed);
-        stats
-            .bytes_written
-            .fetch_add(data.len() as u64, Ordering::Relaxed);
-        Ok(())
+        let stats = &self.ends.local.fabric.stats;
+        let counts = [(&stats.writes, 1), (&stats.bytes_written, data.len())];
+        let args = self.verb_args(addr, data.len());
+        self.round_trip("rdma.write", args, (data.len(), 8), &counts, |remote| {
+            remote.write_instrumented(addr, data, "rdma-write")
+        })
     }
 
     /// Signaled write of one 8-byte word.
@@ -227,79 +277,13 @@ impl QueuePair {
     ///
     /// [`RdmaError::LocalFailure`] if this node is crashed.
     pub fn post_write(&self, addr: Addr, data: Vec<u8>) -> RdmaResult<()> {
-        self.check_local_alive()?;
-        // The posting charge is a synchronous span; the in-flight payload
-        // (doorbell → landing) becomes a flight span ended by the landing
-        // closure, captured exactly like the race detector's write ticket.
-        let _post = sim::trace::span_args("rdma.post", 0, &self.verb_args(addr, data.len()));
-        let gate = self.post_verb()?;
-        let now = sim::now().as_nanos();
-        let delay =
-            self.local
-                .fabric
-                .fifo_arrival(self.local.id(), self.remote.id(), now, data.len())
-                - now;
-        let remote = self.remote.clone();
-        let stats_bytes = data.len() as u64;
-        {
-            let stats = &self.local.fabric.stats;
-            stats.posted_writes.fetch_add(1, Ordering::Relaxed);
-            stats.doorbells.fetch_add(1, Ordering::Relaxed);
-            stats
-                .bytes_written
-                .fetch_add(stats_bytes, Ordering::Relaxed);
-        }
-        if gate.drop {
-            // Lost in the fabric; unsignaled, so nobody is told.
-            return Ok(());
-        }
-        // Ticket the write for the race detector at post time: the NIC
-        // carries the poster's ordering context to the remote memory.
-        let ticket = self.local.fabric.tsan().map(|t| {
-            (
-                t,
-                crate::tsan::WriteTicket::capture("rdma-post-write"),
-                now + delay,
-            )
-        });
-        let flight = sim::trace::flight_begin("rdma.write.flight", 0, &self.verb_args(addr, 0));
-        // Send-queue occupancy for the profiler: posted here, drained by
-        // the landing event one (FIFO-ordered) delay later.
-        let sendq = if sim::prof::enabled() {
-            let fabric = &self.local.fabric;
-            let g = fabric
-                .sendq_gauge
-                .get_or_init(|| sim::prof::gauge("qp.sendq"))
-                .clone();
-            g.set_at(
-                now,
-                fabric.posted_inflight.fetch_add(1, Ordering::Relaxed) + 1,
-            );
-            Some((g, Arc::clone(&self.local.fabric)))
-        } else {
-            None
-        };
-        sim::schedule_ns(delay, move || {
-            if let Some((g, fabric)) = sendq {
-                g.set_at(
-                    now + delay,
-                    fabric.posted_inflight.fetch_sub(1, Ordering::Relaxed) - 1,
-                );
+        self.post_writes(addr, 1, data.len(), move |remote, landed| {
+            // Ignore landing errors: an unsignaled write has no completion
+            // to report them through.
+            if remote.write_raw(addr, &data).is_ok() {
+                landed(addr, data.len());
             }
-            if let Some(flight) = flight {
-                flight.end_at(now + delay);
-            }
-            if remote.is_alive() {
-                // Ignore landing errors: an unsignaled write has no
-                // completion to report them through.
-                if remote.write_raw(addr, &data).is_ok() {
-                    if let Some((tsan, ticket, arrival)) = &ticket {
-                        tsan.on_write(&remote, addr, data.len(), ticket, *arrival);
-                    }
-                }
-            }
-        });
-        Ok(())
+        })
     }
 
     /// Unsignaled write of one 8-byte word. See [`QueuePair::post_write`].
@@ -325,46 +309,28 @@ impl QueuePair {
         if !addr.is_word_aligned() {
             return Err(RdmaError::Misaligned);
         }
-        self.check_local_alive()?;
-        let _span = sim::trace::span_args("rdma.cas", 0, &self.verb_args(addr, 8));
-        let gate = self.post_verb()?;
-        let lat = self.local.fabric.latency;
-        self.sleep_until_arrival(16);
-        if gate.drop {
-            return Err(RdmaError::RemoteFailure);
-        }
-        if !self.remote.is_alive() {
-            return Err(RdmaError::RemoteFailure);
-        }
-        let old = {
-            let mut mem = self.remote.inner.mem();
-            let word = crate::fabric::span(mem.bytes.len(), addr, 8)?;
-            let old = u64::from_le_bytes(mem.bytes[word.clone()].try_into().expect("8 bytes"));
-            if old == expected {
-                mem.bytes[word].copy_from_slice(&new.to_le_bytes());
-            }
-            old
-        };
-        if old == expected {
-            let word = addr.0..addr.0 + 8;
-            self.remote.inner.ring(std::slice::from_ref(&word));
-        }
-        if let Some(tsan) = self.local.fabric.tsan() {
-            let ticket = crate::tsan::WriteTicket::capture("rdma-cas");
-            tsan.on_cas(&self.remote, addr, &ticket, sim::now().as_nanos());
-        }
-        sim::sleep_ns(lat.one_way(8) * gate.slow);
-        let stats = &self.local.fabric.stats;
-        stats.cas_ops.fetch_add(1, Ordering::Relaxed);
-        stats.doorbells.fetch_add(1, Ordering::Relaxed);
-        Ok(old)
+        let counts = [(&self.ends.local.fabric.stats.cas_ops, 1)];
+        self.round_trip(
+            "rdma.cas",
+            self.verb_args(addr, 8),
+            (16, 8),
+            &counts,
+            |remote| {
+                let old = remote.cas_raw(addr, expected, new)?;
+                if let Some(tsan) = self.ends.local.fabric.tsan() {
+                    let ticket = WriteTicket::capture("rdma-cas");
+                    tsan.on_cas(remote, addr, &ticket, sim::now().as_nanos());
+                }
+                Ok(old)
+            },
+        )
     }
 
     /// Trace-arg triple identifying the verb's target: the remote node (the
     /// QP), the target address (identifying the region), and payload bytes.
     fn verb_args(&self, addr: Addr, len: usize) -> [(&'static str, u64); 3] {
         [
-            ("dst", u64::from(self.remote.id().0)),
+            ("dst", u64::from(self.ends.remote.id().0)),
             ("addr", addr.0),
             ("len", len as u64),
         ]
@@ -376,7 +342,8 @@ impl QueuePair {
     pub fn write_batch(&self) -> WriteBatch {
         WriteBatch {
             qp: self.clone(),
-            writes: Vec::new(),
+            first: None,
+            rest: Vec::new(),
             bytes: 0,
         }
     }
@@ -389,56 +356,29 @@ impl QueuePair {
     ///
     /// [`RdmaError::LocalFailure`] if this node is crashed.
     pub fn send(&self, payload: Vec<u8>) -> RdmaResult<()> {
-        self.check_local_alive()?;
-        let _post = sim::trace::span_args("rdma.send", 0, &self.verb_args(Addr(0), payload.len()));
-        let gate = self.post_verb()?;
-        let now = sim::now().as_nanos();
-        let delay =
-            self.local
-                .fabric
-                .fifo_arrival(self.local.id(), self.remote.id(), now, payload.len())
-                - now;
-        let remote = self.remote.clone();
-        let from = self.local.id();
-        let stats = &self.local.fabric.stats;
-        stats.sends.fetch_add(1, Ordering::Relaxed);
-        stats.doorbells.fetch_add(1, Ordering::Relaxed);
-        if gate.drop {
-            return Ok(());
-        }
-        // Carry the sender's happens-before clock with the message; the
-        // receiver joins it on delivery (a sync edge for the detector).
-        // Empty — and free — when no detector runs.
-        let clock = sim::vc_current();
-        let flight = sim::trace::flight_begin("rdma.send.flight", 0, &self.verb_args(Addr(0), 0));
-        // Zero-copy wrap: the vector becomes the message payload as-is
-        // and its allocation recycles through the bytes pool on drop.
-        let payload = bytes::Bytes::from(payload);
-        sim::schedule_ns(delay, move || {
-            if let Some(flight) = flight {
-                flight.end_at(now + delay);
-            }
-            if remote.is_alive() {
-                // A send into a crashed receiver is silently lost; the
-                // mailbox refuses posts for a dead node anyway.
-                let _ = remote
-                    .inner
-                    .inbox
-                    .send_with_clock(Message { from, payload }, clock);
-            }
-        });
-        Ok(())
+        let from = self.ends.local.id();
+        self.post_unsignaled(
+            ("rdma.send", "rdma.send.flight"),
+            &self.verb_args(Addr(0), payload.len()),
+            payload.len(),
+            &[(&self.ends.local.fabric.stats.sends, 1)],
+            |_arrival| {
+                // Carry the sender's happens-before clock with the message;
+                // the receiver joins it on delivery (a sync edge for the
+                // detector). Empty — and free — when no detector runs.
+                let clock = sim::vc_current();
+                // Zero-copy wrap: the vector becomes the message payload
+                // as-is and its allocation recycles through the bytes pool
+                // on drop.
+                let payload = bytes::Bytes::from(payload);
+                // The mailbox refuses posts for a dead node anyway.
+                move |remote: &Node| {
+                    let message = Message { from, payload };
+                    let _ = remote.inner.inbox.send_with_clock(message, clock);
+                }
+            },
+        )
     }
-}
-
-/// The fault layer's decision about one verb: how much to scale the verb's
-/// latency charges and whether its completion is lost. The identity gate
-/// (`slow == 1`, `drop == false`) is what every verb gets when no
-/// [`crate::FaultPlan`] is armed.
-#[derive(Debug, Clone, Copy)]
-struct FaultGate {
-    slow: u64,
-    drop: bool,
 }
 
 /// A doorbell batch of unsignaled writes to a single peer.
@@ -451,18 +391,24 @@ struct FaultGate {
 /// and all writes land atomically (in push order) at the arrival instant
 /// as a single scheduler event.
 ///
-/// A batch of exactly one write is cost- and event-identical to
-/// [`QueuePair::post_write`]: same doorbell charge, same link occupancy,
-/// same single landing event. That equivalence is what lets higher layers
-/// run batched code paths with batch size 1 and reproduce unbatched
-/// executions bit-for-bit.
+/// [`QueuePair::post_write`] is the batch of exactly one write: both go
+/// down one posting path, so cost, events, counters, spans and the race
+/// detector's view are the same. That is what lets the layers above treat
+/// batching as a size — how many writes share a doorbell — and not as a
+/// second code path.
 ///
 /// Crash semantics match unsignaled writes: if the remote node is crashed
-/// at arrival time the whole batch is silently dropped.
+/// at arrival time the whole batch is silently dropped, and the fault plan
+/// counts the batch as one verb (dropping it loses every queued write,
+/// like a lost WQE chain).
 #[derive(Debug)]
 pub struct WriteBatch {
     qp: QueuePair,
-    writes: Vec<(Addr, Vec<u8>)>,
+    /// The first write sits inline, so a batch of one — what the layers
+    /// above post whenever nothing else is queued for the peer — allocates
+    /// no more than [`QueuePair::post_write`] does.
+    first: Option<(Addr, Vec<u8>)>,
+    rest: Vec<(Addr, Vec<u8>)>,
     bytes: usize,
 }
 
@@ -470,7 +416,10 @@ impl WriteBatch {
     /// Queues one write; no fabric activity until [`WriteBatch::post`].
     pub fn push(&mut self, addr: Addr, data: Vec<u8>) {
         self.bytes += data.len();
-        self.writes.push((addr, data));
+        match self.first {
+            None => self.first = Some((addr, data)),
+            Some(_) => self.rest.push((addr, data)),
+        }
     }
 
     /// Queues one 8-byte word write.
@@ -488,12 +437,12 @@ impl WriteBatch {
 
     /// Number of queued writes.
     pub fn len(&self) -> usize {
-        self.writes.len()
+        self.first.iter().len() + self.rest.len()
     }
 
     /// True if nothing has been queued.
     pub fn is_empty(&self) -> bool {
-        self.writes.is_empty()
+        self.first.is_none()
     }
 
     /// Total queued payload bytes.
@@ -512,82 +461,31 @@ impl WriteBatch {
     ///
     /// [`RdmaError::LocalFailure`] if the local node is crashed.
     pub fn post(self) -> RdmaResult<()> {
-        if self.writes.is_empty() {
+        let (n, bytes) = (self.len(), self.bytes);
+        let (Some(first), rest) = (self.first, self.rest) else {
             return Ok(());
-        }
-        let qp = &self.qp;
-        qp.check_local_alive()?;
-        let _post = sim::trace::span_args(
-            "rdma.batch",
-            0,
-            &[
-                ("dst", u64::from(qp.remote.id().0)),
-                ("n", self.writes.len() as u64),
-                ("len", self.bytes as u64),
-            ],
-        );
-        // One doorbell ⇒ the whole batch counts as one verb for the fault
-        // plan; dropping it loses every queued write, like a lost WQE chain.
-        let gate = qp.post_verb()?;
-        let now = sim::now().as_nanos();
-        let delay = qp
-            .local
-            .fabric
-            .fifo_arrival(qp.local.id(), qp.remote.id(), now, self.bytes)
-            - now;
-        {
-            let stats = &qp.local.fabric.stats;
-            stats
-                .posted_writes
-                .fetch_add(self.writes.len() as u64, Ordering::Relaxed);
-            stats.doorbells.fetch_add(1, Ordering::Relaxed);
-            stats
-                .bytes_written
-                .fetch_add(self.bytes as u64, Ordering::Relaxed);
-        }
-        if gate.drop {
-            return Ok(());
-        }
-        let remote = qp.remote.clone();
-        let writes = self.writes;
-        // One ticket for the whole batch: a WQE chain carries the poster's
-        // ordering context once.
-        let ticket = qp.local.fabric.tsan().map(|t| {
-            (
-                t,
-                crate::tsan::WriteTicket::capture("rdma-batch-write"),
-                now + delay,
-            )
-        });
-        let flight = sim::trace::flight_begin(
-            "rdma.write.flight",
-            0,
-            &[
-                ("dst", u64::from(qp.remote.id().0)),
-                ("n", writes.len() as u64),
-            ],
-        );
-        sim::schedule_ns(delay, move || {
-            if let Some(flight) = flight {
-                flight.end_at(now + delay);
+        };
+        (self.qp).post_writes(first.0, n, bytes, move |remote, landed| {
+            // One landing event: every write is in memory before any
+            // poller is rung, and each poller is rung at most once. A
+            // write that cannot land is dropped, as any unsignaled write
+            // is: there is no completion to report the error through.
+            let stored = |(addr, data): &(Addr, Vec<u8>)| {
+                let range = remote.store_raw(*addr, data).ok()?;
+                landed(*addr, data.len());
+                Some(range)
+            };
+            let first = stored(&first);
+            if rest.is_empty() {
+                // The batch of one: nothing to collect.
+                remote.inner.ring(first.as_slice());
+            } else {
+                let rest = rest.iter().filter_map(stored);
+                remote
+                    .inner
+                    .ring(&first.into_iter().chain(rest).collect::<Vec<_>>());
             }
-            if remote.is_alive() {
-                // One landing event: every write is in memory before any
-                // poller is rung, and each poller is rung at most once.
-                let mut landed = Vec::with_capacity(writes.len());
-                for (addr, data) in &writes {
-                    // Ignore landing errors, as for any unsignaled write.
-                    if let Ok(written) = remote.store_raw(*addr, data) {
-                        landed.push(written);
-                        if let Some((tsan, ticket, arrival)) = &ticket {
-                            tsan.on_write(&remote, *addr, data.len(), ticket, *arrival);
-                        }
-                    }
-                }
-                remote.inner.ring(&landed);
-            }
-        });
-        Ok(())
+        })
     }
 }
 
@@ -915,41 +813,110 @@ mod tests {
         simulation.run().unwrap();
     }
 
-    #[test]
-    fn write_batch_of_one_matches_post_write_exactly() {
-        // The equivalence higher layers rely on: a 1-write batch has the
-        // same posting cost and the same landing instant as post_write.
+    /// One traced, profiled, race-checked simulation of seed 7 in which
+    /// `post` issues an unsignaled write of word 7 from a to b and a poller
+    /// on b waits for it. Returns everything a run can be told apart by:
+    /// posting cost, landing instant, events executed, schedule hash, every
+    /// fabric counter with the detector's record of the write, the recorded
+    /// trace events and the profiler's gauges.
+    fn observed(
+        post: fn(&crate::QueuePair, crate::Addr),
+    ) -> (u64, u64, u64, u64, String, String, String) {
         let simulation = sim::Simulation::new(7);
+        let tracer = simulation.enable_tracing();
+        let profiler = simulation.enable_profiling();
         let fabric = Fabric::new(LatencyModel::connectx4());
-        let a = fabric.add_node("a");
-        let b = fabric.add_node("b");
-        let c = fabric.add_node("c");
-        let addr_b = b.alloc_words(1);
-        let addr_c = c.alloc_words(1);
-        let (b2, c2) = (b.clone(), c.clone());
-        let poll_b = b.poller(sim::Cond::new(), &[(addr_b, 8)]);
-        let poll_c = c.poller(sim::Cond::new(), &[(addr_c, 8)]);
+        let detector = fabric.enable_race_detector();
+        let (a, b) = (fabric.add_node("a"), fabric.add_node("b"));
+        let addr = b.alloc_words(1);
+        let poller = b.poller(sim::Cond::new(), &[(addr, 8)]);
+        let times = Arc::new((AtomicU64::new(0), AtomicU64::new(0)));
+        let (seen, b2, target) = (times.clone(), b.clone(), b.clone());
+        simulation.spawn("poller", move || {
+            poller.poll_until(|| b2.local_read_word(addr).unwrap() == 7);
+            seen.1.store(sim::now().as_nanos(), Ordering::SeqCst);
+        });
+        let cost = times.clone();
         simulation.spawn("writer", move || {
-            // post_write on the a->b link.
-            let qp_b = a.connect(&b);
-            let t0 = sim::now().as_nanos();
-            qp_b.post_write_word(addr_b, 7).unwrap();
-            let post_cost = sim::now().as_nanos() - t0;
-            // 1-write batch on the fresh a->c link (same link history).
-            let qp_c = a.connect(&c);
-            let t1 = sim::now().as_nanos();
-            let mut batch = qp_c.write_batch();
-            batch.push_word(addr_c, 7).unwrap();
-            batch.post().unwrap();
-            let batch_cost = sim::now().as_nanos() - t1;
-            assert_eq!(post_cost, batch_cost);
-            poll_b.poll_until(|| b2.local_read_word(addr_b).unwrap() == 7);
-            let landed_b = sim::now().as_nanos() - t0;
-            poll_c.poll_until(|| c2.local_read_word(addr_c).unwrap() == 7);
-            let landed_c = sim::now().as_nanos() - t1;
-            assert_eq!(landed_b, landed_c);
+            let qp = a.connect(&b);
+            post(&qp, addr);
+            cost.0.store(sim::now().as_nanos(), Ordering::SeqCst);
         });
         simulation.run().unwrap();
+        (
+            times.0.load(Ordering::SeqCst),
+            times.1.load(Ordering::SeqCst),
+            simulation.events_executed(),
+            simulation.schedule_hash(),
+            format!(
+                "{:?} {:?}",
+                fabric.stats(),
+                detector.last_writer(&target, addr, 8)
+            ),
+            format!("{:?}", tracer.events()),
+            format!("{:?}", profiler.report().gauges),
+        )
+    }
+
+    #[test]
+    fn write_batch_of_one_matches_post_write_exactly() {
+        // The equivalence higher layers rely on: a 1-write batch IS
+        // post_write — two simulations of one seed differ in nothing a
+        // schedule, a counter or a diagnostic can see.
+        let posted = observed(|qp, addr| qp.post_write_word(addr, 7).unwrap());
+        let batched = observed(|qp, addr| {
+            let mut batch = qp.write_batch();
+            batch.push_word(addr, 7).unwrap();
+            batch.post().unwrap();
+        });
+        assert_eq!(posted, batched);
+        let lat = LatencyModel::connectx4();
+        assert_eq!(
+            (posted.0, posted.1),
+            (lat.post_ns, lat.post_ns + lat.one_way(8))
+        );
+        // The diagnostics did see the write: one posting span, one flight,
+        // one unit of send queue from the doorbell to the landing.
+        for name in ["rdma.post", "rdma.write.flight", "(\"n\", 1)"] {
+            assert!(posted.5.contains(name), "{name} missing from {}", posted.5);
+        }
+        assert!(posted.4.contains("rdma-post-write"), "{}", posted.4);
+        assert!(
+            posted.6.contains("\"qp.sendq\"") && posted.6.contains("max: 1"),
+            "{}",
+            posted.6
+        );
+    }
+
+    #[test]
+    fn send_queue_gauge_counts_a_batch_as_one_doorbell_in_flight() {
+        let (simulation, _fabric, a, b) = two_nodes();
+        let profiler = simulation.enable_profiling();
+        let addr = b.alloc_words(8);
+        simulation.spawn("writer", move || {
+            let mut batch = a.connect(&b).write_batch();
+            for i in 0..8u64 {
+                batch.push_word(addr.offset(i * 8), i + 1).unwrap();
+            }
+            batch.post().unwrap();
+            // Outlive the landing, so the gauge's tail is on record.
+            sim::sleep(std::time::Duration::from_micros(10));
+        });
+        simulation.run().unwrap();
+        let report = profiler.report();
+        let sendq = report
+            .gauges
+            .iter()
+            .find(|g| g.name == "qp.sendq")
+            .expect("the batch moved the gauge");
+        // Peak 1 — a doorbell, not eight writes — and back to 0 at the
+        // landing instant: the time-weighted integral is one flight.
+        assert_eq!(sendq.max, 1);
+        let in_flight_ns = sendq.mean_overall * report.end_ns as f64;
+        assert_eq!(
+            in_flight_ns.round() as u64,
+            LatencyModel::connectx4().one_way(64)
+        );
     }
 
     #[test]

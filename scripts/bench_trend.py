@@ -43,19 +43,6 @@ def metrics_recovery(doc):
     ]
 
 
-def metrics_scheduler(doc):
-    """Scheduler bench: event rates, higher is better, and what a context
-    switch costs relative to a timer event, lower is better."""
-    out = [
-        (w.get("name", "?"), w["events_per_sec"], True)
-        for w in doc.get("workloads", [])
-        if w.get("events_per_sec")
-    ]
-    if doc.get("switch_cost_ratio"):
-        out.append(("switch_cost_ratio", doc["switch_cost_ratio"], False))
-    return out
-
-
 def metrics_fig4(doc):
     """Fig. 4: every throughput bar, higher is better (they are virtual-time
     numbers, so any movement is a behaviour change), and the simulator
@@ -74,7 +61,6 @@ FIGURES = {
     "BENCH_fig4.json": metrics_fig4,
     "BENCH_psmr.json": metrics_psmr,
     "BENCH_recovery.json": metrics_recovery,
-    "BENCH_scheduler.json": metrics_scheduler,
 }
 
 

@@ -7,7 +7,7 @@ cd "$(dirname "$0")/.."
 
 cargo build --release --offline --workspace
 # `cargo test` is also where the schedule-identity proof lives, once:
-# crates/bench/tests/schedule_hash.rs runs six shapes with no diagnostic
+# crates/bench/tests/schedule_hash.rs runs seven shapes with no diagnostic
 # switch, with the race detector / tracing / profiling / Baseline
 # exploration each alone and with all four together, and pins every cell
 # to the committed (schedule_hash, events, virtual_ns). No gate below
@@ -24,15 +24,10 @@ cargo fmt --check
 cargo clippy --workspace --all-targets --offline -- -D warnings
 scripts/unsafe_fence.sh
 
-# The one host-time ratio gate below (`sched_bench --gate`, switch cost)
-# compares wall times a few per cent apart: pin it to one core where
-# `taskset` and a second core exist; run it as it is otherwise. Nothing
-# else here compares two wall clocks — what tracing and profiling cost in
-# host time is judged on the ledger's interleaved pairs
-# (`trace.overhead_pct`, benchmark/).
-pin() {
-  if taskset -c 1 true 2>/dev/null; then taskset -c 1 "$@"; else "$@"; fi
-}
+# No stanza below compares two wall clocks: what a switch, tracing or
+# profiling costs in host time is judged on the ledger's interleaved pairs
+# (`sim.kernel_handoff_ns_per_event` over `sim.kernel_timer_ns_per_event`,
+# `trace.overhead_pct`; benchmark/, scripts/ledger_pairs.py).
 
 # Chaos gate: seeded fault plans through the SMR consistency checker
 # (DESIGN.md §9). Fixed seed window so failures replay exactly; on a
@@ -80,21 +75,6 @@ if ! cargo run -q --release --offline -p heron-bench --bin explain -- \
   exit 1
 fi
 
-# Perf gate: a short fixed-work scheduler run (DESIGN.md §12). Fails if
-# switch_cost_ratio — host ns per event of the cross-process ping-pong over
-# host ns per event of one process sleeping — rises above the ceiling
-# committed in bench_results/BENCH_scheduler.json, i.e. waking another
-# process got >20 % dearer relative to the rest of the kernel. Gating on a
-# ratio, not absolute events/sec, keeps the gate stable across machines.
-# (The schedules the six workloads execute are pinned in `cargo test`,
-# sched_workloads.rs; the wheel-vs-heap proof is sim's queue.rs unit test.)
-if ! pin cargo run -q --release --offline -p heron-bench --bin sched_bench -- \
-    --gate --quick; then
-  echo "tier1: scheduler perf gate FAILED — remeasure with:" >&2
-  echo "  cargo run --release -p heron-bench --bin sched_bench -- --quick" >&2
-  exit 1
-fi
-
 # P-SMR gate: executor-pool scaling (DESIGN.md §13). Sweeps width ∈
 # {1,2,4,8} × conflict level on TPC-C fixed work; fails if the width-8
 # speedups drop below the quick-mode floors or if any cell stalls. (The
@@ -127,7 +107,8 @@ cargo run -q --release --offline -p heron-bench --bin explore_suite -- \
     --quick --selftest
 
 # Bench trend gate: fresh BENCH_*.json vs the committed baselines; a >20 %
-# geomean regression on the fig4 / psmr / recovery / scheduler figures fails.
+# geomean regression on the fig4 / psmr / recovery figures (virtual time)
+# fails.
 # (Skips figure pairs that are not apples-to-apples, e.g. quick vs full.)
 python3 scripts/bench_trend.py
 
