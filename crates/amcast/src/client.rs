@@ -1,7 +1,7 @@
 //! The multicast client: writes messages straight into leader rings.
 
 use crate::cluster::{Mcast, McastInner};
-use crate::layout::encode_sub;
+use crate::layout::{encode_sub, Lane, SUB_HDR};
 use crate::timestamp::{GroupId, MsgId};
 use crate::{dest_mask, mask_groups};
 use rdma_sim::{Node, NodeId, QueuePair};
@@ -21,9 +21,9 @@ pub struct McastClient {
     inner: Arc<McastInner>,
     node: Node,
     client_idx: usize,
-    qps: HashMap<NodeId, QueuePair>,
-    /// Next submission stamp per target node.
-    stamps: HashMap<NodeId, u64>,
+    /// Per target node, opened on first use: the queue pair and the
+    /// writer's end of our submission lane there.
+    lanes: HashMap<NodeId, (QueuePair, Lane)>,
     /// Which replica of each group we currently believe leads it.
     believed_leader: Vec<usize>,
 }
@@ -43,8 +43,7 @@ impl McastClient {
             inner,
             node,
             client_idx,
-            qps: HashMap::new(),
-            stamps: HashMap::new(),
+            lanes: HashMap::new(),
             believed_leader: vec![0; groups],
         }
     }
@@ -105,22 +104,14 @@ impl McastClient {
         sim::sleep(self.inner.cfg.submit_cpu);
         for g in mask_groups(mask) {
             let leader_idx = self.believed_leader[g.0 as usize];
-            let target = self.inner.nodes[g.0 as usize][leader_idx].clone();
-            let target_id = target.id();
-            let stamp = {
-                let s = self.stamps.entry(target_id).or_insert(1);
-                let stamp = *s;
-                *s += 1;
-                stamp
-            };
-            let layout = self.inner.layouts[self.inner.global_idx(g, leader_idx)];
-            let slot = self.inner.sizes.sub_slot(layout, self.client_idx, stamp);
-            let buf = encode_sub(stamp, uid.0, mask, payload);
-            let qp = self
-                .qps
-                .entry(target_id)
-                .or_insert_with(|| self.node.connect(&target));
-            let _ = qp.post_write(slot, buf);
+            let target = &self.inner.nodes[g.0 as usize][leader_idx];
+            let (qp, lane) = self.lanes.entry(target.id()).or_insert_with(|| {
+                let layout = self.inner.layouts[self.inner.global_idx(g, leader_idx)];
+                let ring = self.inner.sizes.sub_lane(layout, self.client_idx);
+                (self.node.connect(target), Lane::new(ring, SUB_HDR))
+            });
+            let (stamp, slot) = lane.claim();
+            let _ = qp.post_write(slot, encode_sub(stamp, uid.0, mask, payload));
         }
     }
 }

@@ -16,14 +16,15 @@
 //!   serve; everything before it must be recovered out of band).
 //!
 //! Lanes use *stamp* sequencing instead of locks: each writer stamps its
-//! entries with a private counter starting at 1 and writes slot
-//! `(stamp - 1) % slots`; the reader consumes a slot exactly when its stamp
-//! equals the reader's expected counter. RC FIFO delivery makes this safe
-//! without any atomic read-modify-write on the critical path.
+//! entries with a private counter starting at 1 and writes the slot
+//! [`Ring::slot`] gives that stamp; the reader consumes a slot exactly when
+//! its stamp equals the reader's expected counter ([`Lane`] is that rule,
+//! for both ends). RC FIFO delivery makes this safe without any atomic
+//! read-modify-write on the critical path.
 
 use crate::config::McastConfig;
 use crate::DestMask;
-use rdma_sim::Addr;
+use rdma_sim::{Addr, MemView, Ring};
 
 pub(crate) const WORD: usize = 8;
 
@@ -94,32 +95,114 @@ impl Sizes {
         self.log_slots * self.log_entry
     }
 
-    /// Address of a client's submission slot for a given stamp.
-    pub fn sub_slot(&self, base: NodeLayout, client: usize, stamp: u64) -> Addr {
+    /// Client `client`'s submission lane on the node laid out as `base`.
+    pub fn sub_lane(&self, base: NodeLayout, client: usize) -> Ring {
         debug_assert!(client < self.max_clients);
-        let lane = base.sub.0 as usize + client * self.sub_slots * self.sub_entry;
-        let slot = ((stamp - 1) as usize) % self.sub_slots;
-        Addr((lane + slot * self.sub_entry) as u64)
+        nth_ring(base.sub, client, self.sub_slots, self.sub_entry)
     }
 
-    /// Address of a writer node's control slot for a given stamp.
-    pub fn ctrl_slot(&self, base: NodeLayout, writer: usize, stamp: u64) -> Addr {
+    /// Writer node `writer`'s control lane on the node laid out as `base`.
+    pub fn ctrl_lane(&self, base: NodeLayout, writer: usize) -> Ring {
         debug_assert!(writer < self.total_replicas);
-        let lane = base.ctrl.0 as usize + writer * self.ctrl_slots * self.ctrl_entry;
-        let slot = ((stamp - 1) as usize) % self.ctrl_slots;
-        Addr((lane + slot * self.ctrl_entry) as u64)
+        nth_ring(base.ctrl, writer, self.ctrl_slots, self.ctrl_entry)
     }
 
-    /// Address of the log slot holding sequence number `seq`.
+    /// Address of the log slot holding sequence number `seq`: the log is a
+    /// ring its leader stamps with `seq + 1`.
     pub fn log_slot(&self, base: NodeLayout, seq: u64) -> Addr {
-        let slot = (seq as usize) % self.log_slots;
-        Addr(base.log.0 + (slot * self.log_entry) as u64)
+        nth_ring(base.log, 0, self.log_slots, self.log_entry).slot(seq + 1)
     }
 
     /// Address of group member `idx`'s word in the ack array.
     pub fn ack_slot(&self, base: NodeLayout, idx: usize) -> Addr {
         debug_assert!(idx < self.replicas_per_group);
         Addr(base.acks.0 + (idx * WORD) as u64)
+    }
+}
+
+/// The `idx`-th of the equal rings laid back to back from `region`.
+fn nth_ring(region: Addr, idx: usize, slots: usize, entry: usize) -> Ring {
+    Ring {
+        base: region.offset((idx * slots * entry) as u64),
+        slots,
+        entry,
+    }
+}
+
+/// One end of a single-writer lane: its ring, the header every entry
+/// leads with, and the next stamp this end writes (the writer's end) or
+/// consumes (the reader's cursor).
+///
+/// What the reader finds under its cursor is the whole protocol: a stamp
+/// *below* the cursor is an earlier lap — nothing new; the cursor's own
+/// stamp is the next entry; a stamp *beyond* it means entries were lost
+/// (we were crashed, or the writer lapped the ring), so the cursor jumps to
+/// what is there and the senders' retry paths recover the rest.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Lane {
+    pub ring: Ring,
+    pub hdr: usize,
+    pub next: u64,
+}
+
+impl Lane {
+    pub fn new(ring: Ring, hdr: usize) -> Self {
+        Lane { ring, hdr, next: 1 }
+    }
+
+    /// Writer: takes the next stamp; the stamp and the slot its entry goes
+    /// to. Stamps are consumed in call order, so consecutive entries land
+    /// in consecutive slots however they are posted.
+    pub fn claim(&mut self) -> (u64, Addr) {
+        let stamp = self.next;
+        self.next += 1;
+        (stamp, self.ring.slot(stamp))
+    }
+
+    /// Reader: whether the slot under the cursor holds the cursor's entry
+    /// or a later one.
+    pub fn ready(&self, m: &MemView<'_>) -> bool {
+        m.word(self.ring.slot(self.next)).unwrap_or(0) >= self.next
+    }
+
+    /// Reader: the stamps beyond the cursor anywhere in the ring, in slot
+    /// order. After a power loss wiped the ring, the stale stamps
+    /// [`Self::take`]'s jump relies on are gone and fresh entries can sit
+    /// where the cursor is not looking.
+    pub fn stamps_ahead<'m>(&self, m: &'m MemView<'_>) -> impl Iterator<Item = u64> + 'm {
+        let (ring, next) = (self.ring, self.next);
+        (1..=ring.slots as u64)
+            .map(move |s| m.word(ring.slot(s)).unwrap_or(0))
+            .filter(move |&stamp| stamp > next)
+    }
+
+    /// Reader: moves a cursor whose slot is unreadable to the oldest stamp
+    /// ahead of it. A readable slot is where [`Self::take`] makes progress
+    /// from — never jump past it.
+    pub fn resync(&mut self, m: &MemView<'_>) {
+        if !self.ready(m) {
+            if let Some(oldest) = self.stamps_ahead(m).min() {
+                self.next = oldest;
+            }
+        }
+    }
+
+    /// Reader: consumes the entry under the cursor, jumping to it first if
+    /// it is a later one; its address and header.
+    pub fn take<'m>(&mut self, m: &'m MemView<'_>) -> Option<(Addr, &'m [u8])> {
+        loop {
+            let addr = self.ring.slot(self.next);
+            let hdr = m.bytes(addr, self.hdr).ok()?;
+            let stamp = stamp_of(hdr);
+            if stamp < self.next {
+                return None;
+            }
+            if stamp == self.next {
+                self.next += 1;
+                return Some((addr, hdr));
+            }
+            self.next = stamp;
+        }
     }
 }
 
@@ -322,15 +405,101 @@ mod tests {
             log_floor: Addr(0),
             boot_gen: Addr(0),
         };
-        // Consecutive stamps in a lane advance by one entry and wrap.
-        let s1 = sizes.sub_slot(base, 1, 1);
-        let s2 = sizes.sub_slot(base, 1, 2);
-        assert_eq!(s2.0 - s1.0, sizes.sub_entry as u64);
-        let wrap = sizes.sub_slot(base, 1, 1 + sizes.sub_slots as u64);
-        assert_eq!(wrap, s1);
+        // Consecutive stamps in a lane advance by one entry and wrap: stamp
+        // `s` and `s + slots` share a slot.
+        let lane = sizes.sub_lane(base, 1);
+        let s1 = lane.slot(1);
+        assert_eq!(lane.slot(2).0 - s1.0, sizes.sub_entry as u64);
+        assert_eq!(lane.slot(1 + sizes.sub_slots as u64), s1);
         // Different clients use disjoint lanes.
-        let other = sizes.sub_slot(base, 2, 1);
-        assert!(other.0 >= s1.0 + (sizes.sub_slots * sizes.sub_entry) as u64);
+        let other = sizes.sub_lane(base, 2).slot(1);
+        assert!(other.0 >= s1.0 + lane.size() as u64);
+        // The log is the ring its leader stamps with `seq + 1`.
+        assert_eq!(sizes.log_slot(base, 0), base.log);
+        let wrap = sizes.log_slot(base, sizes.log_slots as u64 + 1);
+        assert_eq!(wrap, base.log.offset(sizes.log_entry as u64));
+    }
+
+    /// A three-slot lane of submission entries on a node of its own.
+    fn lane_on_a_node() -> (rdma_sim::Node, Lane) {
+        let node = rdma_sim::Fabric::new(rdma_sim::LatencyModel::connectx4()).add_node("n");
+        let entry = SUB_HDR + 8;
+        let ring = Ring {
+            base: node.alloc_bytes(3 * entry),
+            slots: 3,
+            entry,
+        };
+        (node, Lane::new(ring, SUB_HDR))
+    }
+
+    fn land(node: &rdma_sim::Node, lane: &Lane, stamp: u64) {
+        let buf = encode_sub(stamp, stamp as u32, 1, &[]);
+        node.local_write(lane.ring.slot(stamp), &buf).unwrap();
+    }
+
+    /// The uids `take` yields until the lane reads idle.
+    fn drain(node: &rdma_sim::Node, lane: &mut Lane) -> Vec<u32> {
+        node.with_mem(|m| {
+            std::iter::from_fn(|| lane.take(m).map(|(_, hdr)| decode_sub_header(hdr).1)).collect()
+        })
+    }
+
+    #[test]
+    fn a_writer_and_a_reader_agree_on_every_lap() {
+        let (node, mut reader) = lane_on_a_node();
+        let mut writer = reader;
+        for lap in 0..3 {
+            for _ in 0..3 {
+                let (stamp, slot) = writer.claim();
+                assert_eq!(slot, reader.ring.slot(stamp));
+                land(&node, &writer, stamp);
+            }
+            assert!(node.with_mem(|m| reader.ready(m)));
+            let stamps: Vec<u32> = (3 * lap + 1..=3 * lap + 3).collect();
+            assert_eq!(drain(&node, &mut reader), stamps);
+            // What is left is the lap just read: below the cursor, idle.
+            assert!(!node.with_mem(|m| reader.ready(m)));
+        }
+    }
+
+    #[test]
+    fn a_cursor_that_finds_a_later_stamp_jumps_to_it_and_consumes_it() {
+        let (node, mut lane) = lane_on_a_node();
+        // The writer lapped us: 2 and 3 were overwritten by 5 and 6 while
+        // the cursor stood at 2.
+        lane.next = 2;
+        for stamp in [4, 5, 6] {
+            land(&node, &lane, stamp);
+        }
+        assert!(node.with_mem(|m| lane.ready(m)));
+        assert_eq!(drain(&node, &mut lane), [5, 6]);
+        assert_eq!(lane.next, 7);
+    }
+
+    #[test]
+    fn resync_goes_to_the_oldest_stamp_ahead_and_never_past_a_readable_slot() {
+        let (node, mut lane) = lane_on_a_node();
+        // Wiped under the cursor; 5 and 6 landed since.
+        lane.next = 4;
+        land(&node, &lane, 6);
+        land(&node, &lane, 5);
+        node.with_mem(|m| {
+            assert!(!lane.ready(m));
+            assert_eq!(lane.stamps_ahead(m).collect::<Vec<_>>(), [5, 6]);
+            lane.resync(m);
+        });
+        assert_eq!(lane.next, 5);
+        // The cursor's slot holds a later lap: `take` jumps there by
+        // itself, so resync leaves the cursor alone though 3 (landing on
+        // 6) is older.
+        lane.next = 2;
+        land(&node, &lane, 3);
+        node.with_mem(|m| lane.resync(m));
+        assert_eq!(lane.next, 2);
+        assert_eq!(drain(&node, &mut lane), [5]);
+        // Nothing ahead: stays put.
+        node.with_mem(|m| lane.resync(m));
+        assert_eq!(lane.next, 6);
     }
 
     #[test]

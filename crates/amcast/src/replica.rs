@@ -3,13 +3,13 @@
 
 use crate::cluster::{Delivered, DeliveryEvent, McastInner};
 use crate::layout::{
-    decode_ctrl_header, decode_log_header, decode_sub_header, encode_ctrl, encode_log, stamp_of,
-    CtrlKind, NodeLayout, CTRL_HDR, LOG_HDR, SUB_HDR,
+    decode_ctrl_header, decode_log_header, decode_sub_header, encode_ctrl, encode_log, CtrlKind,
+    Lane, NodeLayout, CTRL_HDR, LOG_HDR, SUB_HDR,
 };
 use crate::timestamp::{GroupId, MsgId, Timestamp};
 use crate::{mask_groups, DestMask};
 use bytes::Bytes;
-use rdma_sim::{Addr, Node, Poller, QueuePair};
+use rdma_sim::{Addr, MemView, Node, Poller, QueuePair};
 use sim::SimTime;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
@@ -28,10 +28,11 @@ struct Pending {
 struct State {
     epoch: u64,
     is_leader: bool,
-    // Reader cursors.
-    sub_expected: Vec<u64>,
-    ctrl_expected: Vec<u64>,
-    ctrl_out_stamp: Vec<u64>,
+    /// The lanes we read, in scan order: every client's submission lane,
+    /// then every other replica's control lane.
+    lanes: Vec<Lane>,
+    /// Our control lane on every replica node, by global replica index.
+    ctrl_out: Vec<Lane>,
     applied_seq: u64,
     // Protocol knowledge shared by leader and followers (followers keep it
     // so a takeover can adopt the old leader's proposals).
@@ -83,8 +84,10 @@ struct State {
     log_floor: u64,
     /// After a power loss wipes the rings, the stale stamps the cursor
     /// scan's jump-forward relies on are gone; until this deadline every
-    /// pump rescans all lane slots (local reads only, no events).
-    lanes_suspect_until: SimTime,
+    /// pump rescans all lane slots (local reads only, no events). `None`
+    /// until a power loss arms it and again once a pump finds it expired,
+    /// so the wake predicate reads no clock in between.
+    lanes_suspect_until: Option<SimTime>,
 }
 
 /// One multicast replica's protocol driver.
@@ -267,12 +270,21 @@ impl McastReplica {
 
     /// Protocol state of a replica that has seen nothing yet.
     fn boot_state(&self) -> State {
+        let sizes = &self.inner.sizes;
+        let writers = (0..sizes.total_replicas).filter(|&w| w != self.my_global);
         State {
             epoch: 0,
             is_leader: self.idx == leader_for_epoch(0, self.n()),
-            sub_expected: vec![1; self.inner.cfg.max_clients],
-            ctrl_expected: vec![1; self.inner.cfg.total_replicas()],
-            ctrl_out_stamp: vec![1; self.inner.cfg.total_replicas()],
+            lanes: (0..sizes.max_clients)
+                .map(|c| Lane::new(sizes.sub_lane(self.layout, c), SUB_HDR))
+                .chain(writers.map(|w| Lane::new(sizes.ctrl_lane(self.layout, w), CTRL_HDR)))
+                .collect(),
+            ctrl_out: self
+                .inner
+                .layouts
+                .iter()
+                .map(|peer| Lane::new(sizes.ctrl_lane(*peer, self.my_global), CTRL_HDR))
+                .collect(),
             applied_seq: 0,
             props: HashMap::new(),
             finals: HashMap::new(),
@@ -293,7 +305,7 @@ impl McastReplica {
             await_epoch: false,
             entry_epoch_floor: 0,
             log_floor: 0,
-            lanes_suspect_until: SimTime::ZERO,
+            lanes_suspect_until: None,
         }
     }
 
@@ -307,22 +319,9 @@ impl McastReplica {
         // reads a word per lane to find, mostly, that nothing changed.
         self.node.with_mem(|m| {
             let word = |addr| m.word(addr).unwrap_or(0);
-            // New submissions?
-            for c in 0..sizes.max_clients {
-                let addr = sizes.sub_slot(self.layout, c, st.sub_expected[c]);
-                if word(addr) >= st.sub_expected[c] {
-                    return true;
-                }
-            }
-            // New control messages?
-            for w in 0..sizes.total_replicas {
-                if w == self.my_global {
-                    continue;
-                }
-                let addr = sizes.ctrl_slot(self.layout, w, st.ctrl_expected[w]);
-                if word(addr) >= st.ctrl_expected[w] {
-                    return true;
-                }
+            // New submissions or control messages?
+            if st.lanes.iter().any(|lane| lane.ready(m)) {
+                return true;
             }
             if st.is_leader {
                 // New acks?
@@ -334,61 +333,61 @@ impl McastReplica {
                         return true;
                     }
                 }
-            } else {
-                // New log entries? Mirrors `follower_apply_log`'s recovery
-                // gates exactly, or a refused stale entry would read as
-                // permanent work and this process would spin without
-                // blocking.
-                if !st.await_epoch {
-                    let addr = sizes.log_slot(self.layout, st.applied_seq);
-                    let stamp = word(addr);
-                    let epoch = word(addr.offset(32));
-                    if stamp > st.applied_seq && epoch >= st.entry_epoch_floor {
-                        return true;
-                    }
-                }
-                // Truncation horizon advertised past our position? Gated
-                // like the entry check above: `follower_apply_log` ignores
-                // the floor while `await_epoch` holds, so reading it as work
-                // before the first heartbeat would spin without blocking.
-                // (`ungated_has_work` drops the gate to re-introduce that
-                // exact spin for the livelock-detector self-test.)
-                if (!st.await_epoch || self.ungated_has_work)
-                    && word(self.layout.log_floor) > st.applied_seq
-                {
-                    return true;
-                }
-                // Heartbeat moved?
-                if word(self.layout.heartbeat) != st.last_hb_val {
-                    return true;
-                }
+            } else if self.log_head(m, st).is_some()
+                || self.floor_ahead(m, st, !self.ungated_has_work).is_some()
+                || word(self.layout.heartbeat) != st.last_hb_val
+            {
+                // A log entry or a truncation horizon `follower_apply_log`
+                // will act on — it asks the same two questions, so nothing
+                // it refuses reads as work here — or the heartbeat moved.
+                // (`ungated_has_work` asks about the floor as if the regime
+                // were known, which the consumer does not: the spin the
+                // livelock-detector self-test must catch.)
+                return true;
             }
-            if sim::now() < st.lanes_suspect_until {
-                // Post-power-loss: wiped lanes can hide fresh writes from
-                // the cursor probes above, so any stamp ahead of a cursor
-                // anywhere in a lane counts as work.
-                for c in 0..sizes.max_clients {
-                    for s in 0..sizes.sub_slots {
-                        let addr = sizes.sub_slot(self.layout, c, s as u64 + 1);
-                        if word(addr) > st.sub_expected[c] {
-                            return true;
-                        }
-                    }
-                }
-                for w in 0..sizes.total_replicas {
-                    if w == self.my_global {
-                        continue;
-                    }
-                    for s in 0..sizes.ctrl_slots {
-                        let addr = sizes.ctrl_slot(self.layout, w, s as u64 + 1);
-                        if word(addr) > st.ctrl_expected[w] {
-                            return true;
-                        }
-                    }
-                }
-            }
-            false
+            // Post-power-loss: wiped lanes can hide fresh writes from the
+            // cursor probes above, so any stamp ahead of a cursor anywhere
+            // in a lane counts as work.
+            st.lanes_suspect_until
+                .is_some_and(|until| sim::now() < until)
+                && st
+                    .lanes
+                    .iter()
+                    .any(|lane| lane.stamps_ahead(m).next().is_some())
         })
+    }
+
+    /// The header of the log entry a follower acts on next: what
+    /// `applied_seq`'s slot holds, if that is the entry itself or a later
+    /// one (the leader lapped us) written by an accepted regime. `None`
+    /// while the regime is unknown (`await_epoch`), and for an entry from a
+    /// regime older than the one we rejoined under: that is our own
+    /// pre-crash tail, never confirmed by a majority, and the live leader
+    /// retransmits the true entry for the slot re-stamped with its epoch.
+    fn log_head(
+        &self,
+        m: &MemView<'_>,
+        st: &State,
+    ) -> Option<(u64, u32, DestMask, u64, u64, usize)> {
+        if st.await_epoch {
+            return None;
+        }
+        let addr = self.inner.sizes.log_slot(self.layout, st.applied_seq);
+        let hdr = decode_log_header(m.bytes(addr, LOG_HDR).ok()?);
+        let (stamp, .., epoch, _) = hdr;
+        (stamp > st.applied_seq && epoch >= st.entry_epoch_floor).then_some(hdr)
+    }
+
+    /// The truncation horizon a leader advertised past our position: its
+    /// durable log was truncated there, so the prefix below can never be
+    /// retransmitted. `gated`, it is `None` while the regime is unknown —
+    /// how `follower_apply_log` asks, and the wake predicate with it.
+    fn floor_ahead(&self, m: &MemView<'_>, st: &State, gated: bool) -> Option<u64> {
+        if gated && st.await_epoch {
+            return None;
+        }
+        let floor = m.word(self.layout.log_floor).unwrap_or(0);
+        (floor > st.applied_seq).then_some(floor)
     }
 
     // ------------------------------------------------------------------
@@ -397,11 +396,14 @@ impl McastReplica {
 
     fn do_work(&self, st: &mut State) {
         st.ordering_window = 0;
-        if sim::now() < st.lanes_suspect_until {
-            self.resync_lanes(st);
+        if let Some(until) = st.lanes_suspect_until {
+            if sim::now() < until {
+                self.resync_lanes(st);
+            } else {
+                st.lanes_suspect_until = None;
+            }
         }
-        self.scan_submissions(st);
-        self.scan_ctrl(st);
+        self.scan_lanes(st);
         if st.is_leader {
             // Step down if a successor took over while we were out.
             let hb = self
@@ -434,47 +436,8 @@ impl McastReplica {
     /// is newer than the cursor; the skipped entries are recovered by the
     /// senders' retry paths.
     fn resync_lanes(&self, st: &mut State) {
-        let sizes = self.inner.sizes;
-        self.node.with_mem(|m| {
-            let word = |addr| m.word(addr).unwrap_or(0);
-            for c in 0..sizes.max_clients {
-                // If the slot the cursor points at is readable, the normal
-                // scan makes progress from here — never jump past it.
-                let cur = sizes.sub_slot(self.layout, c, st.sub_expected[c]);
-                if word(cur) >= st.sub_expected[c] {
-                    continue;
-                }
-                let mut oldest: Option<u64> = None;
-                for s in 0..sizes.sub_slots {
-                    let stamp = word(sizes.sub_slot(self.layout, c, s as u64 + 1));
-                    if stamp > st.sub_expected[c] && oldest.map(|o| stamp < o).unwrap_or(true) {
-                        oldest = Some(stamp);
-                    }
-                }
-                if let Some(o) = oldest {
-                    st.sub_expected[c] = o;
-                }
-            }
-            for w in 0..sizes.total_replicas {
-                if w == self.my_global {
-                    continue;
-                }
-                let cur = sizes.ctrl_slot(self.layout, w, st.ctrl_expected[w]);
-                if word(cur) >= st.ctrl_expected[w] {
-                    continue;
-                }
-                let mut oldest: Option<u64> = None;
-                for s in 0..sizes.ctrl_slots {
-                    let stamp = word(sizes.ctrl_slot(self.layout, w, s as u64 + 1));
-                    if stamp > st.ctrl_expected[w] && oldest.map(|o| stamp < o).unwrap_or(true) {
-                        oldest = Some(stamp);
-                    }
-                }
-                if let Some(o) = oldest {
-                    st.ctrl_expected[w] = o;
-                }
-            }
-        });
+        self.node
+            .with_mem(|m| st.lanes.iter_mut().for_each(|lane| lane.resync(m)));
     }
 
     /// Rebuilds protocol state after a power loss wiped this node's
@@ -488,7 +451,7 @@ impl McastReplica {
     fn reload_after_power_loss(&self, st: &mut State) {
         // Wiped lanes lose the stale stamps the cursor scan's jump-forward
         // relies on; rescan all slots for a while (local reads only).
-        st.lanes_suspect_until = sim::now() + 32 * self.inner.cfg.leader_timeout;
+        st.lanes_suspect_until = Some(sim::now() + 32 * self.inner.cfg.leader_timeout);
         // Mark this incarnation as reloaded before anything else: elections
         // read this word and refuse to conclude while an alive member's
         // boot generation lags its power-cycle count (its WAL — possibly
@@ -562,83 +525,31 @@ impl McastReplica {
         }
     }
 
-    /// Consumes every ready submission, lane by lane. One borrow walks the
-    /// lanes up to the next ready entry and copies it out; handling it
-    /// sleeps, so the view is dropped first and the walk resumes at the
-    /// same lane with a fresh one — every lane is read at the instant a
-    /// borrow per lane would read it.
-    fn scan_submissions(&self, st: &mut State) {
-        let sizes = self.inner.sizes;
-        let mut c = 0;
-        while let Some((uid, mask, payload)) = self.node.with_mem(|m| {
-            while c < sizes.max_clients {
-                let expected = st.sub_expected[c];
-                let addr = sizes.sub_slot(self.layout, c, expected);
-                let Ok(hdr) = m.bytes(addr, SUB_HDR) else {
-                    c += 1;
-                    continue;
-                };
-                let stamp = stamp_of(hdr);
-                if stamp < expected {
-                    c += 1;
-                    continue;
-                }
-                if stamp > expected {
-                    // Entries were lost (we were crashed, or the writer
-                    // lapped the ring). Jump forward; lost submissions are
-                    // recovered by client retry.
-                    st.sub_expected[c] = stamp;
-                    continue;
-                }
-                let (_, uid, mask, len) = decode_sub_header(hdr);
-                let payload = m
-                    .bytes(addr.offset(SUB_HDR as u64), len)
-                    .expect("submission payload in range")
-                    .to_vec();
-                st.sub_expected[c] = expected + 1;
-                return Some((uid, mask, payload));
-            }
-            None
-        }) {
-            self.handle_submission(st, uid, mask, payload);
-        }
-    }
-
-    /// The control lanes, walked like [`Self::scan_submissions`].
-    fn scan_ctrl(&self, st: &mut State) {
-        let sizes = self.inner.sizes;
-        let mut w = 0;
+    /// Consumes every ready entry, lane by lane. One borrow walks the lanes
+    /// up to the next ready entry and copies it out; handling it sleeps, so
+    /// the view is dropped first and the walk resumes at the same lane with
+    /// a fresh one — every lane is read at the instant a borrow per lane
+    /// would read it.
+    fn scan_lanes(&self, st: &mut State) {
+        let clients = self.inner.sizes.max_clients;
+        let mut i = 0;
         while let Some((kind, uid, a, b, payload)) = self.node.with_mem(|m| {
-            while w < sizes.total_replicas {
-                if w == self.my_global {
-                    w += 1;
-                    continue;
-                }
-                let expected = st.ctrl_expected[w];
-                let addr = sizes.ctrl_slot(self.layout, w, expected);
-                let Ok(hdr) = m.bytes(addr, CTRL_HDR) else {
-                    w += 1;
+            while i < st.lanes.len() {
+                let Some((addr, hdr)) = st.lanes[i].take(m) else {
+                    i += 1;
                     continue;
                 };
-                let stamp = stamp_of(hdr);
-                if stamp < expected {
-                    w += 1;
-                    continue;
-                }
-                if stamp > expected {
-                    // Entries were lost while we were crashed (or the
-                    // writer lapped us). Jump forward; lost proposals and
-                    // forwards are re-sent by retry paths.
-                    st.ctrl_expected[w] = stamp;
-                    continue;
-                }
-                let (_, kind, uid, a, b, len) = decode_ctrl_header(hdr);
+                let (kind, uid, a, b, len) = if i < clients {
+                    let (_, uid, mask, len) = decode_sub_header(hdr);
+                    (CtrlKind::FwdSub, uid, mask, 0, len)
+                } else {
+                    let (_, kind, uid, a, b, len) = decode_ctrl_header(hdr);
+                    (kind.expect("corrupt control entry kind"), uid, a, b, len)
+                };
                 let payload = m
-                    .bytes(addr.offset(CTRL_HDR as u64), len)
-                    .expect("control payload in range")
+                    .bytes(addr.offset(hdr.len() as u64), len)
+                    .expect("entry payload in range")
                     .to_vec();
-                st.ctrl_expected[w] = expected + 1;
-                let kind = kind.expect("corrupt control entry kind");
                 return Some((kind, uid, a, b, payload));
             }
             None
@@ -646,12 +557,13 @@ impl McastReplica {
             match kind {
                 CtrlKind::Proposal => self.handle_proposal(st, uid, a as u16, b),
                 CtrlKind::Final => self.handle_final(st, uid, b),
+                // A client's submission reads as a forward to ourselves. A
+                // non-leader drops a peer's forward; the client's retry
+                // will find the real leader.
                 CtrlKind::FwdSub => {
-                    if st.is_leader {
+                    if i < clients || st.is_leader {
                         self.handle_submission(st, uid, a, payload);
                     }
-                    // A non-leader drops forwarded submissions; the
-                    // client's retry will find the real leader.
                 }
             }
         }
@@ -1139,64 +1051,39 @@ impl McastReplica {
     // Follower side.
     // ------------------------------------------------------------------
 
+    /// Consumes what [`Self::floor_ahead`] and [`Self::log_head`] offer —
+    /// the two questions the wake predicate asks of the log.
     fn follower_apply_log(&self, st: &mut State) {
-        if st.await_epoch {
-            // Freshly recovered: the local log may end in a stale tail from
-            // a deposed regime. Hold all applies until a heartbeat reveals
-            // the live leader's epoch (`follower_check_leader` clears this).
-            return;
-        }
-        // A leader whose durable log was truncated below our position
-        // advertises its floor here: the dropped prefix can never be
-        // retransmitted, so surface the gap (the application recovers from
-        // a checkpoint) and resume from the floor.
-        let floor = self
-            .node
-            .local_read_word(self.layout.log_floor)
-            .unwrap_or(0);
-        if floor > st.applied_seq {
-            let _ =
-                self.inner.deliveries[self.group.0 as usize][self.idx].send(DeliveryEvent::Gap {
-                    from: st.applied_seq,
-                    to: floor - 1,
-                });
+        let gaps = &self.inner.deliveries[self.group.0 as usize][self.idx];
+        // Surface the gap below an advertised floor (the application
+        // recovers from a checkpoint) and resume from the floor. Asked once
+        // a pump, before the entries.
+        if let Some(floor) = self.node.with_mem(|m| self.floor_ahead(m, st, true)) {
+            let _ = gaps.send(DeliveryEvent::Gap {
+                from: st.applied_seq,
+                to: floor - 1,
+            });
             st.applied_seq = floor;
             st.log_floor = st.log_floor.max(floor);
         }
         let mut progressed = false;
-        loop {
-            let addr = self.inner.sizes.log_slot(self.layout, st.applied_seq);
-            let Ok((stamp, uid, mask, ts_raw, epoch, len)) = self
-                .node
-                .with_mem(|m| m.bytes(addr, LOG_HDR).map(decode_log_header))
-            else {
-                break;
-            };
-            if stamp == 0 || stamp < st.applied_seq + 1 {
-                break;
-            }
-            if epoch < st.entry_epoch_floor {
-                // Written by a regime older than the one we rejoined under:
-                // this is our own pre-crash tail, never confirmed by a
-                // majority. The live leader retransmits the true entry for
-                // this slot re-stamped with its epoch; wait for it.
-                break;
-            }
-            if stamp > st.applied_seq + 1 {
+        while let Some((stamp, uid, mask, ts_raw, _, len)) =
+            self.node.with_mem(|m| self.log_head(m, st))
+        {
+            let seq = st.applied_seq;
+            if stamp > seq + 1 {
                 // The leader lapped us: entries were overwritten before we
                 // applied them. Surface the gap; the application recovers
                 // out of band (Heron: state transfer).
-                let missed_to = stamp - 2; // the slot now holds seq stamp-1
-                let _ = self.inner.deliveries[self.group.0 as usize][self.idx].send(
-                    DeliveryEvent::Gap {
-                        from: st.applied_seq,
-                        to: missed_to,
-                    },
-                );
+                let _ = gaps.send(DeliveryEvent::Gap {
+                    from: seq,
+                    to: stamp - 2, // the slot now holds seq stamp-1
+                });
                 st.applied_seq = stamp - 1;
                 continue;
             }
             sim::sleep(self.inner.cfg.follower_cpu);
+            let addr = self.inner.sizes.log_slot(self.layout, seq);
             let payload = self
                 .node
                 .local_read(addr.offset(LOG_HDR as u64), len)
@@ -1206,7 +1093,7 @@ impl McastReplica {
             self.deliver(
                 st,
                 crate::layout::LogEntry {
-                    seq: st.applied_seq - 1,
+                    seq,
                     uid,
                     mask,
                     ts_raw,
@@ -1440,12 +1327,7 @@ impl McastReplica {
         b: u64,
         payload: &[u8],
     ) -> (Addr, Vec<u8>) {
-        let stamp = st.ctrl_out_stamp[target];
-        st.ctrl_out_stamp[target] = stamp + 1;
-        let slot = self
-            .inner
-            .sizes
-            .ctrl_slot(self.inner.layouts[target], self.my_global, stamp);
+        let (stamp, slot) = st.ctrl_out[target].claim();
         (slot, encode_ctrl(stamp, kind, uid, a, b, payload))
     }
 }
@@ -1453,6 +1335,7 @@ impl McastReplica {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layout::encode_sub;
     use crate::{Mcast, McastConfig};
     use proptest::prelude::*;
     use rdma_sim::{Fabric, LatencyModel};
@@ -1461,22 +1344,13 @@ mod tests {
     fn has_work_word_by_word(r: &McastReplica, st: &State) -> bool {
         let sizes = &r.inner.sizes;
         let word = |addr| r.node.local_read_word(addr).unwrap_or(0);
-        let writers = || (0..sizes.total_replicas).filter(|&w| w != r.my_global);
-        // The slot under each cursor holds that stamp or a later one.
-        let cursor_hit = (0..sizes.max_clients)
-            .any(|c| word(sizes.sub_slot(r.layout, c, st.sub_expected[c])) >= st.sub_expected[c])
-            || writers().any(|w| {
-                word(sizes.ctrl_slot(r.layout, w, st.ctrl_expected[w])) >= st.ctrl_expected[w]
-            });
+        // The slot under a lane's cursor holds that stamp or a later one.
+        let cursor_hit = st.lanes.iter().any(|l| word(l.ring.slot(l.next)) >= l.next);
         // Any slot of any lane holds a stamp beyond the lane's cursor.
         let stamp_ahead = || {
-            (0..sizes.max_clients).any(|c| {
-                (1..=sizes.sub_slots as u64)
-                    .any(|s| word(sizes.sub_slot(r.layout, c, s)) > st.sub_expected[c])
-            }) || writers().any(|w| {
-                (1..=sizes.ctrl_slots as u64)
-                    .any(|s| word(sizes.ctrl_slot(r.layout, w, s)) > st.ctrl_expected[w])
-            })
+            st.lanes
+                .iter()
+                .any(|l| (1..=l.ring.slots as u64).any(|s| word(l.ring.slot(s)) > l.next))
         };
         let role = if st.is_leader {
             (0..r.n())
@@ -1484,19 +1358,26 @@ mod tests {
                 .any(|i| word(sizes.ack_slot(r.layout, i)) != st.acks_cache[i])
         } else {
             let entry = sizes.log_slot(r.layout, st.applied_seq);
-            (!st.await_epoch
-                && word(entry) > st.applied_seq
-                && word(entry.offset(32)) >= st.entry_epoch_floor)
+            let epoch = entry.offset(4 * crate::layout::WORD as u64);
+            (!st.await_epoch && word(entry) > st.applied_seq && word(epoch) >= st.entry_epoch_floor)
                 || ((!st.await_epoch || r.ungated_has_work)
                     && word(r.layout.log_floor) > st.applied_seq)
                 || word(r.layout.heartbeat) != st.last_hb_val
         };
-        cursor_hit || role || (sim::now() < st.lanes_suspect_until && stamp_ahead())
+        let suspect = st
+            .lanes_suspect_until
+            .is_some_and(|until| sim::now() < until);
+        cursor_hit || role || (suspect && stamp_ahead())
     }
 
-    /// One randomised replica: cursors and gates in `st`, a few stamps
-    /// scattered over its lanes, log, acks and control words.
-    fn random_case(rng: &mut proptest::TestRng) -> (bool, bool) {
+    /// Runs `body` as a simulated process over replica `idx` of group 1 in
+    /// a 2 × 3 deployment whose rings are small enough to wrap, with a
+    /// freshly booted `State`.
+    fn with_replica<T: Send + 'static>(
+        sabotaged: bool,
+        idx: usize,
+        body: impl FnOnce(&McastReplica, State) -> T + Send + 'static,
+    ) -> T {
         let mut cfg = McastConfig::new(2, 3).with_max_clients(2);
         (
             cfg.sub_slots,
@@ -1506,7 +1387,7 @@ mod tests {
         ) = (3, 3, 4, 8);
         let simulation = sim::Simulation::new(1);
         let fabric = Fabric::new(LatencyModel::connectx4());
-        if any::<bool>().generate(rng) {
+        if sabotaged {
             fabric.sabotage(SABOTAGE_HAS_WORK_GATE);
         }
         let nodes: Vec<Vec<_>> = (0..2)
@@ -1516,24 +1397,51 @@ mod tests {
                     .collect()
             })
             .collect();
-        let mcast = Mcast::build(&fabric, nodes, cfg);
-        let r = mcast.replica(GroupId(1), (0usize..3).generate(rng));
+        let r = Mcast::build(&fabric, nodes, cfg).replica(GroupId(1), idx);
+        let out = Arc::new(parking_lot::Mutex::new(None));
+        let seen = Arc::clone(&out);
+        simulation.spawn("probe", move || {
+            let st = r.boot_state();
+            *seen.lock() = Some(body(&r, st));
+        });
+        simulation.run().unwrap();
+        let got = out.lock().take();
+        got.expect("the probe ran")
+    }
+
+    /// Pumps while the predicate asks for it; whether it stopped asking.
+    /// Nobody else writes this node's memory, so a predicate still true
+    /// after more pumps than a lane has slots counts something the
+    /// consumer refuses: the process would spin without ever blocking.
+    fn drains(r: &McastReplica, st: &mut State) -> bool {
+        for _ in 0..8 {
+            if !r.has_work(st) {
+                return true;
+            }
+            r.do_work(st);
+        }
+        false
+    }
+
+    /// One randomised replica: cursors and gates in `st`, a few well-formed
+    /// entries and words scattered over its lanes, log, acks and control
+    /// words. Returns `has_work`, the oracle's answer, and — for a follower
+    /// whose gate is intact — whether pumping drains the predicate.
+    fn random_case(rng: &mut proptest::TestRng) -> (bool, bool, Option<bool>) {
+        let sabotaged = any::<bool>().generate(rng);
+        let idx = (0usize..3).generate(rng);
         let small = 0u64..5;
-        let cursors = prop::collection::vec(1u64..5, 2 + 6).generate(rng);
+        let cursors = prop::collection::vec(1u64..5, 2 + 5).generate(rng);
         let gates = prop::collection::vec(any::<bool>(), 3).generate(rng);
         let scalars = prop::collection::vec(small.clone(), 5).generate(rng);
         let writes =
-            prop::collection::vec((0usize..6, 0usize..6, 1u64..4, small), 0..4).generate(rng);
-        let out = Arc::new(parking_lot::Mutex::new((false, false)));
-        let seen = Arc::clone(&out);
-        simulation.spawn("probe", move || {
-            let mut st = r.boot_state();
-            st.sub_expected.copy_from_slice(&cursors[..2]);
-            st.ctrl_expected.copy_from_slice(&cursors[2..]);
-            (st.is_leader, st.await_epoch) = (gates[0], gates[1]);
-            if gates[2] {
-                st.lanes_suspect_until = SimTime::from_millis(1);
+            prop::collection::vec((0usize..6, 0usize..6, 1u64..7, small), 0..4).generate(rng);
+        with_replica(sabotaged, idx, move |r, mut st| {
+            for (lane, cursor) in st.lanes.iter_mut().zip(cursors) {
+                lane.next = cursor;
             }
+            (st.is_leader, st.await_epoch) = (gates[0], gates[1]);
+            st.lanes_suspect_until = gates[2].then(|| SimTime::from_millis(1));
             (st.applied_seq, st.entry_epoch_floor, st.last_hb_val) =
                 (scalars[0], scalars[1], scalars[2]);
             st.acks_cache = vec![scalars[3], scalars[4], scalars[3]];
@@ -1544,38 +1452,75 @@ mod tests {
             for (i, ack) in st.acks_cache.iter().enumerate() {
                 put(sizes.ack_slot(r.layout, i), *ack);
             }
-            // … then a few words move.
-            for (region, lane, slot, value) in writes {
-                let addr = match region {
-                    0 => sizes.sub_slot(r.layout, lane % 2, slot),
-                    1 => sizes.ctrl_slot(r.layout, lane, slot),
-                    2 => sizes.ack_slot(r.layout, lane % 3),
-                    // The stamp or the epoch word of the next log entry.
-                    3 => sizes
-                        .log_slot(r.layout, st.applied_seq)
-                        .offset(32 * (lane as u64 % 2)),
-                    4 => r.layout.log_floor,
-                    _ => r.layout.heartbeat,
-                };
-                put(addr, value);
+            // … then a few entries land and a few words move.
+            for (region, lane, stamp, x) in writes {
+                let (uid, payload) = (x as u32, vec![7; x as usize]);
+                let entry = |addr, buf: Vec<u8>| r.node.local_write(addr, &buf).unwrap();
+                match region {
+                    0 => entry(
+                        sizes.sub_lane(r.layout, lane % 2).slot(stamp),
+                        encode_sub(stamp, uid, 0b10, &payload),
+                    ),
+                    1 => {
+                        let kind =
+                            [CtrlKind::Proposal, CtrlKind::Final, CtrlKind::FwdSub][lane % 3];
+                        entry(
+                            sizes.ctrl_lane(r.layout, lane).slot(stamp),
+                            encode_ctrl(stamp, kind, uid, 1, x, &payload),
+                        );
+                    }
+                    2 => put(sizes.ack_slot(r.layout, lane % 3), x),
+                    // A log entry at or past our position, stamped by
+                    // regime `x`.
+                    3 => {
+                        let seq = st.applied_seq + lane as u64;
+                        entry(
+                            sizes.log_slot(r.layout, seq),
+                            encode_log(seq, uid, 0b10, stamp, x, &payload),
+                        );
+                    }
+                    4 => put(r.layout.log_floor, x),
+                    _ => put(r.layout.heartbeat, x),
+                }
             }
-            *seen.lock() = (r.has_work(&st), has_work_word_by_word(&r, &st));
-        });
-        simulation.run().unwrap();
-        let got = *out.lock();
-        got
+            let answers = (r.has_work(&st), has_work_word_by_word(r, &st));
+            let pumped = !(st.is_leader || sabotaged);
+            (answers.0, answers.1, pumped.then(|| drains(r, &mut st)))
+        })
     }
 
     #[test]
     fn has_work_agrees_with_a_word_by_word_oracle() {
         let mut rng = proptest::TestRng::deterministic("amcast::has_work");
         let mut outcomes = [0usize; 2];
+        let mut pumped = 0;
         for case in 0..400 {
-            let (got, oracle) = random_case(&mut rng);
+            let (got, oracle, drained) = random_case(&mut rng);
             assert_eq!(got, oracle, "case {case}");
             outcomes[usize::from(got)] += 1;
+            // A pump leaves nothing its predicate counts.
+            assert_ne!(drained, Some(false), "case {case}");
+            pumped += usize::from(got && drained.is_some());
         }
-        // Both answers are exercised, not one of them 400 times.
+        // Both answers are exercised, not one of them 400 times, and the
+        // pumps had something to consume.
         assert!(outcomes.iter().all(|&n| n >= 80), "{outcomes:?}");
+        assert!(pumped >= 20, "{pumped}");
+    }
+
+    /// The property above can fail: a recovering follower (`await_epoch`)
+    /// under a raised floor is refused by `follower_apply_log`, so a
+    /// predicate that drops the gate counts it for ever.
+    #[test]
+    fn a_predicate_that_drops_the_gate_never_drains() {
+        for sabotaged in [false, true] {
+            let drained = with_replica(sabotaged, 1, |r, mut st| {
+                st.await_epoch = true;
+                let floor = st.applied_seq + 3;
+                r.node.local_write_word(r.layout.log_floor, floor).unwrap();
+                drains(r, &mut st)
+            });
+            assert_eq!(drained, !sabotaged);
+        }
     }
 }

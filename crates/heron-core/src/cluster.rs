@@ -2,14 +2,14 @@
 
 use crate::app::StateMachine;
 use crate::config::HeronConfig;
-use crate::layout::{ReplicaLayout, CHUNK_HDR, COORD_ENTRY, SYNC_ENTRY};
+use crate::layout::{decode_chunk_header, ReplicaLayout, CHUNK_HDR, COORD_ENTRY, SYNC_ENTRY};
 use crate::metrics::Metrics;
 use crate::server::Service;
 use crate::store::VersionedStore;
 use crate::types::{ObjectId, PartitionId};
 use amcast::{GroupId, Mcast};
 use parking_lot::Mutex;
-use rdma_sim::{Addr, Fabric, Node, NodeId, Poller, QueuePair};
+use rdma_sim::{Addr, Fabric, Node, NodeId, Poller, QueuePair, Ring};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -103,6 +103,16 @@ impl ReplicaShared {
     /// The node hosting replica `q` of partition `h`.
     pub(crate) fn peer(&self, h: PartitionId, q: usize) -> &Node {
         &self.cluster.nodes[h.0 as usize][q]
+    }
+
+    /// Writes `bytes` at `addr` on replica `q` of partition `h`: one
+    /// unsignaled RDMA write, or a local write when that replica is us.
+    pub(crate) fn write_to(&self, h: PartitionId, q: usize, addr: Addr, bytes: &[u8]) {
+        if self.peer(h, q).id() == self.node.id() {
+            let _ = self.node.local_write(addr, bytes);
+        } else {
+            let _ = self.peer_qp(h, q).post_write(addr, bytes.to_vec());
+        }
     }
 
     /// Records that every request up to `ts_raw` finished its write phase
@@ -225,11 +235,16 @@ impl HeronCluster {
                 // (partition, replica, lane) owns a private entry, so
                 // concurrent workers never overwrite each other's barrier
                 // state. Width 1 is byte-identical to the pre-pool layout.
+                let chunk_slot = CHUNK_HDR + cfg.transfer_chunk;
                 let layout = ReplicaLayout {
                     coord: node.alloc_bytes(cfg.partitions * n * cfg.executor_width * COORD_ENTRY),
                     coord_width: cfg.executor_width,
                     statesync: node.alloc_bytes(n * SYNC_ENTRY),
-                    ring: node.alloc_bytes(cfg.transfer_slots * (CHUNK_HDR + cfg.transfer_chunk)),
+                    ring: Ring {
+                        base: node.alloc_bytes(cfg.transfer_slots * chunk_slot),
+                        slots: cfg.transfer_slots,
+                        entry: chunk_slot,
+                    },
                     applied: node.alloc_words(1),
                     doorbell: node.alloc_words(1),
                     progress: node.alloc_words(cfg.partitions * n),
@@ -253,8 +268,8 @@ impl HeronCluster {
                     );
                     det.annotate(
                         &node,
-                        layout.ring,
-                        cfg.transfer_slots * (CHUNK_HDR + cfg.transfer_chunk),
+                        layout.ring.base,
+                        layout.ring.size(),
                         Staging,
                         tag("ring"),
                     );
@@ -561,16 +576,13 @@ impl HeronCluster {
     ) -> (u64, Option<u64>, Vec<(u64, u64)>, u64) {
         let shared = &self.replicas[p.0 as usize][i];
         let prog = shared.transfer.lock();
-        let cfg = &self.inner.cfg;
-        let slots = (1..=cfg.transfer_slots as u64)
+        let slots = (1..=shared.layout.ring.slots as u64)
             .map(|k| {
-                let slot = shared
-                    .layout
-                    .ring_slot(k, cfg.transfer_slots, cfg.transfer_chunk);
-                (
-                    shared.node.local_read_word(slot).unwrap_or(0),
-                    shared.node.local_read_word(slot.offset(16)).unwrap_or(0),
-                )
+                let hdr = shared
+                    .node
+                    .local_read(shared.layout.ring_slot(k), CHUNK_HDR);
+                let (stamp, _, bound) = decode_chunk_header(&hdr.expect("staging slot"));
+                (stamp, bound)
             })
             .collect();
         (

@@ -1345,11 +1345,7 @@ impl Driver {
             }
             let from = shared.node.local_read_word(slot).unwrap_or(0);
             let first_seen = *self.seen_requests.entry((p, from)).or_insert_with(sim::now);
-            // Deterministic rotation: requester+1 serves immediately, the
-            // next waits one timeout, and so on (line 10 + lines 19–22).
-            let my_rank = (shared.idx + n - p - 1) % n;
-            let due = first_seen + self.cfg().transfer_timeout * my_rank as u32;
-            if sim::now() < due {
+            if sim::now() < self.serve_due(p, first_seen) {
                 continue;
             }
             if !self.inflight.is_empty() {
@@ -1361,6 +1357,15 @@ impl Driver {
             *progress = true;
         }
         blocked
+    }
+
+    /// When our turn comes to serve `requester`'s transfer request, first
+    /// seen at `first_seen`. Deterministic rotation: requester+1 serves
+    /// immediately, the next waits one timeout, and so on (Algorithm 3,
+    /// line 10 + lines 19–22).
+    fn serve_due(&self, requester: usize, first_seen: SimTime) -> SimTime {
+        let my_rank = (self.shared.idx + self.n() - requester - 1) % self.n();
+        first_seen + self.cfg().transfer_timeout * my_rank as u32
     }
 
     /// Cold restart after a power loss: rebuild the store from the durable
@@ -1473,13 +1478,11 @@ impl Driver {
     fn idle_wait(&self, draining: bool) {
         let shared = &*self.shared;
         let now = sim::now();
-        let n = self.n();
         let mut timeout = Duration::from_millis(10);
         shared.node.with_mem(|m| {
             for key in pending_sync_requests(shared, m) {
                 if let Some(first) = self.seen_requests.get(&key) {
-                    let rank = (shared.idx + n - key.0 - 1) % n;
-                    let due = *first + self.cfg().transfer_timeout * rank as u32;
+                    let due = self.serve_due(key.0, *first);
                     // Only future turns shorten the wait. A past-due serve
                     // still pending here is blocked on the in-flight drain,
                     // and its wake signal is a worker Done event (covered

@@ -18,7 +18,7 @@
 //! partition; replicas answer with a single unsignaled write.
 
 use crate::types::ObjectId;
-use rdma_sim::Addr;
+use rdma_sim::{Addr, Ring};
 
 pub(crate) const WORD: usize = 8;
 
@@ -43,7 +43,9 @@ pub(crate) const REC_HDR: usize = 2 * WORD;
 pub(crate) struct ReplicaLayout {
     pub coord: Addr,
     pub statesync: Addr,
-    pub ring: Addr,
+    /// The transfer staging ring: [`CHUNK_HDR`] + one chunk per slot,
+    /// stamped by the responder with the chunk's 1-based number.
+    pub ring: Ring,
     pub applied: Addr,
     pub doorbell: Addr,
     /// Completed-prefix watermarks: one word per replica of every
@@ -81,9 +83,8 @@ impl ReplicaLayout {
     }
 
     /// Staging slot for transfer chunk `stamp` (1-based).
-    pub fn ring_slot(&self, stamp: u64, slots: usize, chunk: usize) -> Addr {
-        let idx = ((stamp - 1) as usize) % slots;
-        self.ring.offset((idx * (CHUNK_HDR + chunk)) as u64)
+    pub fn ring_slot(&self, stamp: u64) -> Addr {
+        self.ring.slot(stamp)
     }
 
     /// Completed-prefix watermark published by replica `q` of partition
@@ -100,14 +101,14 @@ impl ReplicaLayout {
     pub fn exec_ranges(&self, progress_words: usize) -> [(Addr, usize); 2] {
         let after_ring = (self.progress.0 - self.applied.0) as usize + progress_words * WORD;
         [
-            (self.coord, (self.ring.0 - self.coord.0) as usize),
+            (self.coord, (self.ring.base.0 - self.coord.0) as usize),
             (self.applied, after_ring),
         ]
     }
 
     /// The transfer staging ring, polled by the service process.
     pub fn ring_range(&self) -> (Addr, usize) {
-        (self.ring, (self.applied.0 - self.ring.0) as usize)
+        (self.ring.base, self.ring.size())
     }
 }
 
@@ -132,6 +133,20 @@ pub(crate) fn encode_coord(tmp_raw: u64, phase: u64) -> [u8; COORD_ENTRY] {
     buf[..8].copy_from_slice(&tmp_raw.to_le_bytes());
     buf[8..].copy_from_slice(&phase.to_le_bytes());
     buf
+}
+
+/// Encodes a transfer chunk header.
+pub(crate) fn encode_chunk_header(stamp: u64, nbytes: usize, bound: u64) -> [u8; CHUNK_HDR] {
+    let mut buf = [0u8; CHUNK_HDR];
+    buf[..8].copy_from_slice(&stamp.to_le_bytes());
+    buf[8..16].copy_from_slice(&(nbytes as u64).to_le_bytes());
+    buf[16..].copy_from_slice(&bound.to_le_bytes());
+    buf
+}
+
+/// Decodes a transfer chunk header into `(stamp, nbytes, bound)`.
+pub(crate) fn decode_chunk_header(hdr: &[u8]) -> (u64, usize, u64) {
+    (word(hdr, 0), word(hdr, 1) as usize, word(hdr, 2))
 }
 
 /// Encodes a state-transfer entry.
@@ -259,11 +274,24 @@ pub(crate) fn decode_records(body: &[u8]) -> impl Iterator<Item = (ObjectId, &[u
 mod tests {
     use super::*;
 
+    /// For layouts whose staging ring the test never touches.
+    const NO_RING: Ring = Ring {
+        base: Addr(0),
+        slots: 1,
+        entry: CHUNK_HDR,
+    };
+
     #[test]
     fn envelope_round_trips() {
         let buf = encode_envelope(7, 42, 12345, b"req");
         let (c, s, t, p) = decode_envelope(&buf);
         assert_eq!((c, s, t, p), (7, 42, 12345, b"req".as_ref()));
+    }
+
+    #[test]
+    fn chunk_header_round_trips() {
+        let buf = encode_chunk_header(9, 32 * 1024, 0xABCD);
+        assert_eq!(decode_chunk_header(&buf), (9, 32 * 1024, 0xABCD));
     }
 
     #[test]
@@ -306,7 +334,7 @@ mod tests {
         let l = ReplicaLayout {
             coord: Addr(0),
             statesync: Addr(0),
-            ring: Addr(0),
+            ring: NO_RING,
             applied: Addr(0),
             doorbell: Addr(0),
             progress: Addr(0),
@@ -324,7 +352,7 @@ mod tests {
         let wide = ReplicaLayout {
             coord: Addr(0),
             statesync: Addr(0),
-            ring: Addr(0),
+            ring: NO_RING,
             applied: Addr(0),
             doorbell: Addr(0),
             progress: Addr(0),
@@ -351,15 +379,19 @@ mod tests {
         let l = ReplicaLayout {
             coord: Addr(0),
             statesync: Addr(0),
-            ring: Addr(0x1000),
+            ring: Ring {
+                base: Addr(0x1000),
+                slots: 4,
+                entry: CHUNK_HDR + 1024,
+            },
             applied: Addr(0),
             doorbell: Addr(0),
             progress: Addr(0),
             coord_width: 1,
         };
-        let s1 = l.ring_slot(1, 4, 1024);
-        let s5 = l.ring_slot(5, 4, 1024);
-        assert_eq!(s1, s5);
-        assert_eq!(l.ring_slot(2, 4, 1024).0 - s1.0, (CHUNK_HDR + 1024) as u64);
+        let s1 = l.ring_slot(1);
+        assert_eq!(s1, l.ring_slot(5));
+        assert_eq!(l.ring_slot(2).0 - s1.0, (CHUNK_HDR + 1024) as u64);
+        assert_eq!(l.ring_range(), (Addr(0x1000), 4 * (CHUNK_HDR + 1024)));
     }
 }

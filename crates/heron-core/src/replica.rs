@@ -9,7 +9,7 @@
 //! state through [`coord_quorum`].
 
 use crate::cluster::ReplicaShared;
-use crate::layout::{encode_record, encode_sync, CHUNK_HDR};
+use crate::layout::{encode_chunk_header, encode_record, encode_sync, CHUNK_HDR};
 use crate::metrics::TransferRecord;
 use crate::types::{ObjectId, PartitionId, StorageKind};
 use amcast::Timestamp;
@@ -55,7 +55,6 @@ pub(crate) fn state_transfer_abortable(
     metrics.transfers_started.fetch_add(1, Ordering::Relaxed);
     let t0 = sim::now();
     let my_sync = shared.layout.sync_slot(shared.idx);
-    let slots = cfg.transfer_slots;
     'retry: loop {
         let from = shared.completed_req.load(Ordering::SeqCst);
         {
@@ -67,9 +66,8 @@ pub(crate) fn state_transfer_abortable(
         }
         // Zero the staging ring stamps so stale chunks are not
         // re-applied.
-        for k in 1..=slots as u64 {
-            let slot = shared.layout.ring_slot(k, slots, cfg.transfer_chunk);
-            let _ = shared.node.local_write_word(slot, 0);
+        for k in 1..=cfg.transfer_slots as u64 {
+            let _ = shared.node.local_write_word(shared.layout.ring_slot(k), 0);
         }
         let _ = shared.node.local_write_word(shared.layout.applied, 0);
         // Lines 2–4: write (from, status=1) into our entry on every
@@ -77,14 +75,7 @@ pub(crate) fn state_transfer_abortable(
         let entry = encode_sync(from, 1);
         loop {
             for q in 0..n {
-                let target = shared.peer(shared.partition, q);
-                if target.id() == shared.node.id() {
-                    let _ = shared.node.local_write(my_sync, &entry);
-                } else {
-                    let _ = shared
-                        .peer_qp(shared.partition, q)
-                        .post_write(my_sync, entry.to_vec());
-                }
+                shared.write_to(shared.partition, q, my_sync, &entry);
             }
             // Line 5: wait for a responder to flip status back to 0
             // (the low bits; the high bits carry the chunk count).
@@ -265,9 +256,7 @@ pub(crate) fn respond_transfer(shared: &Arc<ReplicaShared>, requester: usize, fr
             // breaks the flow-control condition.
             if let Some(det) = shared.cluster.detector.as_ref() {
                 if *stamp > watermark + cfg.transfer_slots as u64 {
-                    let slot = shared
-                        .layout
-                        .ring_slot(*stamp, cfg.transfer_slots, chunk_cap);
+                    let slot = shared.layout.ring_slot(*stamp);
                     det.report_lint(
                         "state-transfer chunk overlaps a live read window",
                         target,
@@ -284,14 +273,9 @@ pub(crate) fn respond_transfer(shared: &Arc<ReplicaShared>, requester: usize, fr
             }
         }
         let mut buf = Vec::with_capacity(CHUNK_HDR + body.len());
-        buf.extend_from_slice(&stamp.to_le_bytes());
-        buf.extend_from_slice(&(body.len() as u64).to_le_bytes());
-        buf.extend_from_slice(&bound.to_le_bytes());
+        buf.extend_from_slice(&encode_chunk_header(*stamp, body.len(), bound));
         buf.extend_from_slice(body);
-        let slot = shared
-            .layout
-            .ring_slot(*stamp, cfg.transfer_slots, chunk_cap);
-        let _ = qp.post_write(slot, buf);
+        let _ = qp.post_write(shared.layout.ring_slot(*stamp), buf);
         *stamp += 1;
         body.clear();
         true
@@ -329,14 +313,7 @@ pub(crate) fn respond_transfer(shared: &Arc<ReplicaShared>, requester: usize, fr
     let entry = encode_sync(bound, chunks << 2);
     let sync = shared.layout.sync_slot(requester);
     for q in 0..n {
-        let t = shared.peer(shared.partition, q);
-        if t.id() == shared.node.id() {
-            let _ = shared.node.local_write(sync, &entry);
-        } else {
-            let _ = shared
-                .peer_qp(shared.partition, q)
-                .post_write(sync, entry.to_vec());
-        }
+        shared.write_to(shared.partition, q, sync, &entry);
     }
 }
 
@@ -460,14 +437,7 @@ pub(crate) fn publish_progress(shared: &Arc<ReplicaShared>) {
     let buf = shared.completed_req.load(Ordering::SeqCst).to_le_bytes();
     for h in 0..shared.cluster.cfg.partitions {
         for q in 0..n {
-            let target = shared.peer(PartitionId(h as u16), q);
-            if target.id() == shared.node.id() {
-                let _ = shared.node.local_write(slot, &buf);
-            } else {
-                let _ = shared
-                    .peer_qp(PartitionId(h as u16), q)
-                    .post_write(slot, buf.to_vec());
-            }
+            shared.write_to(PartitionId(h as u16), q, slot, &buf);
         }
     }
 }
@@ -487,14 +457,14 @@ pub(crate) fn pending_sync_requests<'a>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::{Execution, HeronCluster, HeronConfig, LocalReader, ReadSet, StateMachine};
     use proptest::prelude::*;
     use rdma_sim::{Fabric, LatencyModel};
 
-    /// Hosts nothing: these tests only need a replica's coordination memory.
-    struct NoObjects;
+    /// Hosts nothing: for tests that only need a replica's registered memory.
+    pub(crate) struct NoObjects;
 
     impl StateMachine for NoObjects {
         fn placement(&self, _: ObjectId) -> crate::Placement {

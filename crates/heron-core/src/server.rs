@@ -15,9 +15,10 @@
 //!   deserialization cost for natively-stored objects (paper §V-E2).
 
 use crate::cluster::ReplicaShared;
-use crate::layout::{decode_records, decode_rpc, encode_rpc, Rpc, CHUNK_HDR};
+use crate::layout::{decode_chunk_header, decode_records, decode_rpc, encode_rpc, Rpc, CHUNK_HDR};
 use crate::types::StorageKind;
 use amcast::Timestamp;
+use rdma_sim::Addr;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -48,9 +49,9 @@ impl Service {
             // Messages ring the inbox condition the poller is built on;
             // chunks land in the subscribed staging ring, and a requester
             // arming `transfer.expected` zeroes the ring's stamps next.
-            shared
-                .svc_poller
-                .poll_until(|| shared.node.pending_messages() > 0 || chunk_ready(shared));
+            shared.svc_poller.poll_until(|| {
+                shared.node.pending_messages() > 0 || staged_chunk(shared).is_some()
+            });
         }
     }
 
@@ -79,32 +80,9 @@ impl Service {
     fn apply_chunks(&self) {
         let shared = &self.shared;
         let cfg = &shared.cluster.cfg;
-        loop {
-            let expected = shared.transfer.lock().expected;
-            if expected == 0 {
-                return; // no transfer in progress
-            }
-            let slot = shared
-                .layout
-                .ring_slot(expected, cfg.transfer_slots, cfg.transfer_chunk);
-            let stamp = shared.node.local_read_word(slot).unwrap_or(0);
-            if stamp != expected {
-                return;
-            }
-            // Stream coherence: if two responders raced, apply only the
-            // stream the first chunk came from; a chunk from the other
-            // stream is left in place until the right responder rewrites
-            // the slot.
-            let bound = shared.node.local_read_word(slot.offset(16)).unwrap_or(0);
-            {
-                let mut prog = shared.transfer.lock();
-                match prog.stream_bound {
-                    None => prog.stream_bound = Some(bound),
-                    Some(b) if b != bound => return,
-                    _ => {}
-                }
-            }
-            let nbytes = shared.node.local_read_word(slot.offset(8)).unwrap_or(0) as usize;
+        while let Some((expected, slot, nbytes, bound)) = staged_chunk(shared) {
+            // The first chunk names the stream this transfer applies.
+            shared.transfer.lock().stream_bound.get_or_insert(bound);
             let body = shared
                 .node
                 .local_read(slot.offset(CHUNK_HDR as u64), nbytes)
@@ -141,26 +119,71 @@ impl Service {
     }
 }
 
-/// Whether the next expected transfer chunk is staged.
-fn chunk_ready(shared: &ReplicaShared) -> bool {
-    let cfg = &shared.cluster.cfg;
+/// The next chunk of the armed transfer, if it is staged and of the stream
+/// being applied: `(stamp, slot, nbytes, bound)`. Both the service's wait
+/// and [`Service::apply_chunks`] ask this, so what the one counts as work
+/// the other consumes.
+///
+/// Stream coherence: if two responders raced, only the stream the first
+/// chunk came from is applied. A chunk of the other stream is left in its
+/// slot until the owning responder rewrites it — it is not work, or the
+/// service would spin on it in zero virtual time and the rewriter would
+/// never be scheduled.
+fn staged_chunk(shared: &ReplicaShared) -> Option<(u64, Addr, usize, u64)> {
     let (expected, stream_bound) = {
         let prog = shared.transfer.lock();
         (prog.expected, prog.stream_bound)
     };
     if expected == 0 {
-        return false;
+        return None; // no transfer in progress
     }
-    let slot = shared
-        .layout
-        .ring_slot(expected, cfg.transfer_slots, cfg.transfer_chunk);
-    // Mirrors `apply_chunks`' stream-coherence gate exactly: a racing
-    // responder's chunk is left in the slot unconsumed until the owning
-    // stream rewrites it, so counting it as work here would make the
-    // service loop spin in zero virtual time without ever blocking (the
-    // PR 8 `has_work` bug class — the rewriter never gets scheduled).
-    shared.node.with_mem(|m| {
-        m.word(slot).unwrap_or(0) == expected
-            && stream_bound.is_none_or(|b| m.word(slot.offset(16)).unwrap_or(0) == b)
-    })
+    let slot = shared.layout.ring_slot(expected);
+    let (stamp, nbytes, bound) = shared
+        .node
+        .with_mem(|m| m.bytes(slot, CHUNK_HDR).map(decode_chunk_header))
+        .ok()?;
+    (stamp == expected && stream_bound.is_none_or(|b| b == bound))
+        .then_some((stamp, slot, nbytes, bound))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::layout::encode_chunk_header;
+    use crate::replica::tests::NoObjects;
+    use crate::{HeronCluster, HeronConfig};
+    use rdma_sim::{Fabric, LatencyModel};
+
+    /// Two responders can race (the rotation fires while a slow one is
+    /// mid-stream): a chunk of the stream we are not applying stays staged,
+    /// unconsumed and uncounted, until the owning stream rewrites its slot.
+    #[test]
+    fn a_chunk_from_another_stream_is_neither_work_nor_applied() {
+        let fabric = Fabric::new(LatencyModel::connectx4());
+        let cluster = HeronCluster::build(&fabric, HeronConfig::new(1, 3), Arc::new(NoObjects));
+        let shared = &cluster.replicas[0][0];
+        let (expected, ours, theirs) = (3u64, 70u64, 90u64);
+        {
+            let mut prog = shared.transfer.lock();
+            prog.expected = expected;
+            prog.stream_bound = Some(ours);
+        }
+        let stage = |bound: u64| {
+            let header = encode_chunk_header(expected, 0, bound);
+            let slot = shared.layout.ring_slot(expected);
+            shared.node.local_write(slot, &header).unwrap();
+        };
+        let service = Service::new(Arc::clone(shared));
+        stage(theirs);
+        assert!(staged_chunk(shared).is_none());
+        service.apply_chunks();
+        assert_eq!(shared.transfer.lock().expected, expected);
+        stage(ours);
+        assert!(staged_chunk(shared).is_some());
+        service.apply_chunks();
+        assert_eq!(shared.transfer.lock().expected, expected + 1);
+        let applied = shared.node.local_read_word(shared.layout.applied);
+        assert_eq!(applied, Ok(expected));
+        assert!(staged_chunk(shared).is_none());
+    }
 }

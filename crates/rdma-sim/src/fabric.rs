@@ -37,6 +37,34 @@ impl Addr {
     }
 }
 
+/// A ring of `slots` fixed-size entries in one node's registered memory,
+/// written by a single writer that numbers its entries with a private
+/// *stamp* counting from 1 and leads each entry with it: entry `stamp`
+/// lives in slot `(stamp - 1) % slots`, so the stamp a reader finds in a
+/// slot says which lap of the ring it is looking at.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Ring {
+    /// Address of slot 0.
+    pub base: Addr,
+    /// Number of slots.
+    pub slots: usize,
+    /// Bytes per slot, header included.
+    pub entry: usize,
+}
+
+impl Ring {
+    /// The slot entry `stamp` (1-based) is written to and read from.
+    pub const fn slot(&self, stamp: u64) -> Addr {
+        self.base
+            .offset(((stamp - 1) % self.slots as u64) * self.entry as u64)
+    }
+
+    /// Bytes the whole ring occupies.
+    pub const fn size(&self) -> usize {
+        self.slots * self.entry
+    }
+}
+
 impl fmt::Display for Addr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "0x{:x}", self.0)

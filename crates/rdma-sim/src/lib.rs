@@ -51,7 +51,7 @@ mod qp;
 pub mod tsan;
 
 pub use error::{RdmaError, RdmaResult};
-pub use fabric::{Addr, Fabric, FabricStats, MemView, Message, Node, NodeId, Poller};
+pub use fabric::{Addr, Fabric, FabricStats, MemView, Message, Node, NodeId, Poller, Ring};
 pub use faults::FaultPlan;
 pub use latency::LatencyModel;
 pub use qp::{QueuePair, WriteBatch};
