@@ -4,9 +4,7 @@
 //! from the cost of request execution.
 
 use bytes::Bytes;
-use heron_core::{
-    Execution, LocalReader, ObjectId, PartitionId, Placement, ReadSet, SnapshotStore, StateMachine,
-};
+use heron_core::{Execution, LocalReader, ObjectId, PartitionId, Placement, ReadSet, StateMachine};
 
 /// A state machine whose requests carry only a destination list and whose
 /// execution is free.
@@ -74,21 +72,6 @@ impl StateMachine for NullApp {
 
     fn bootstrap(&self, _partition: PartitionId) -> Vec<(ObjectId, Bytes)> {
         vec![]
-    }
-
-    // Durable-checkpoint hooks: the null application has no state, so its
-    // checkpoint image is empty and its digest is a constant — the
-    // degenerate (but still exercised) end of the hook surface.
-    fn snapshot(&self, _partition: PartitionId, _store: &dyn SnapshotStore) -> Vec<u8> {
-        Vec::new()
-    }
-
-    fn install(&self, _partition: PartitionId, image: &[u8], _store: &dyn SnapshotStore) {
-        assert!(image.is_empty(), "null app checkpoints carry no state");
-    }
-
-    fn digest(&self, _partition: PartitionId, _store: &dyn SnapshotStore) -> u64 {
-        0
     }
 }
 

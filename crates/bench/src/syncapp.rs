@@ -6,7 +6,7 @@
 use bytes::Bytes;
 use heron_core::{
     Execution, HeronCluster, HeronConfig, LocalReader, ObjectId, PartitionId, Placement, ReadSet,
-    SnapshotStore, StateMachine, StorageKind,
+    StateMachine, StorageKind,
 };
 use rdma_sim::{Fabric, LatencyModel};
 use std::sync::Arc;
@@ -112,23 +112,6 @@ impl StateMachine for SyncApp {
         } else {
             vec![]
         }
-    }
-
-    // Durable-checkpoint hooks: the KV slots have no structure beyond the
-    // raw dual-version images, so the engine codec is canonical. The
-    // transfer-from-checkpoint regression test counts the resulting image
-    // bytes exactly (one record per object, as `fig8_transfer` does for
-    // live transfers).
-    fn snapshot(&self, _partition: PartitionId, store: &dyn SnapshotStore) -> Vec<u8> {
-        heron_core::checkpoint::encode_state(store)
-    }
-
-    fn install(&self, _partition: PartitionId, image: &[u8], store: &dyn SnapshotStore) {
-        heron_core::checkpoint::install_state(image, store);
-    }
-
-    fn digest(&self, _partition: PartitionId, store: &dyn SnapshotStore) -> u64 {
-        heron_core::checkpoint::state_digest(store)
     }
 }
 

@@ -143,53 +143,6 @@ pub trait StateMachine: Send + Sync + 'static {
     /// The objects this partition hosts at time zero (including its copy of
     /// every [`Placement::Replicated`] object).
     fn bootstrap(&self, partition: PartitionId) -> Vec<(ObjectId, Bytes)>;
-
-    /// Serializes this partition's full state at a checkpoint boundary
-    /// into an opaque image. The engine hands the hook a
-    /// [`SnapshotStore`] view of the replica's store; the default
-    /// captures the raw dual-version slot image of every hosted object
-    /// ([`crate::checkpoint::encode_state`]) — byte-exact, so
-    /// [`StateMachine::install`] reproduces the store bit for bit.
-    /// Workloads override to add their own framing or to drop derived
-    /// state they can rebuild.
-    fn snapshot(&self, partition: PartitionId, store: &dyn SnapshotStore) -> Vec<u8> {
-        let _ = partition;
-        crate::checkpoint::encode_state(store)
-    }
-
-    /// Installs an image produced by [`StateMachine::snapshot`] into a
-    /// (possibly wiped) store. Must be the exact inverse: after
-    /// `install(snapshot(s))` the store state is bit-identical to `s`,
-    /// at any commit prefix.
-    fn install(&self, partition: PartitionId, image: &[u8], store: &dyn SnapshotStore) {
-        let _ = partition;
-        crate::checkpoint::install_state(image, store);
-    }
-
-    /// A deterministic digest of this partition's state, for checkpoint
-    /// verification: equal state ⇒ equal digest, and the round-trip
-    /// property `digest(install(snapshot(s))) == digest(s)` must hold.
-    /// The default hashes every hosted object's raw slot image in id
-    /// order ([`crate::checkpoint::state_digest`]).
-    fn digest(&self, partition: PartitionId, store: &dyn SnapshotStore) -> u64 {
-        let _ = partition;
-        crate::checkpoint::state_digest(store)
-    }
-}
-
-/// The engine-side store view handed to the [`StateMachine::snapshot`] /
-/// [`StateMachine::install`] / [`StateMachine::digest`] hooks: enumerates
-/// the hosted objects and ships raw dual-version slot images byte-exactly
-/// (both versions and their timestamps — what the consistency checker
-/// compares across replicas, and what concurrent remote readers address).
-pub trait SnapshotStore {
-    /// Ids of every hosted object, sorted.
-    fn object_ids(&self) -> Vec<ObjectId>;
-    /// The raw dual-version slot image of `oid`; `None` if not hosted.
-    fn raw_slot(&self, oid: ObjectId) -> Option<Vec<u8>>;
-    /// Installs a raw slot image for `oid` byte-exactly (allocating the
-    /// slot if the store was wiped).
-    fn install_slot(&self, oid: ObjectId, raw: &[u8]);
 }
 
 #[cfg(test)]

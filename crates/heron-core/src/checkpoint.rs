@@ -2,16 +2,15 @@
 //!
 //! With [`crate::DurabilityConfig`] set, every replica runs a periodic
 //! *checkpointer* process: at a quiescent executor boundary it serializes
-//! the partition state through the application's
-//! [`crate::StateMachine::snapshot`] hook, stamps the image with the
+//! the partition's store ([`encode_state`]), stamps the image with the
 //! executor's commit watermark and the ordering epoch, persists it to the
 //! replica's durable namespace, and truncates both the in-memory update
 //! log and the ordering layer's WAL behind that horizon — so neither log
 //! grows without bound.
 //!
 //! A replica that loses power (registered memory wiped) rebuilds from the
-//! checkpoint plus the WAL tail: it installs the image through
-//! [`crate::StateMachine::install`], resets its watermarks to the
+//! checkpoint plus the WAL tail: it installs the image
+//! ([`install_state`]), resets its watermarks to the
 //! checkpoint bound, and replays every WAL frame past the bound through
 //! the normal delivery path. Recovery therefore costs real (virtual)
 //! time — the checkpoint read and the replayed tail — which the
@@ -20,7 +19,7 @@
 //!
 //! # Consistency with the cross-replica checker
 //!
-//! The default snapshot image is the raw dual-version slot bytes of every
+//! The snapshot image is the raw dual-version slot bytes of every
 //! hosted object: exactly what state transfer ships and what the
 //! consistency checker compares byte-for-byte across replicas. A restart
 //! behaves like a state transfer whose responder is the disk — it resets
@@ -29,9 +28,10 @@
 //! transferred-to, and replayed commands append fresh `'e'` entries past
 //! the bound.
 
-use crate::app::SnapshotStore;
 use crate::cluster::ReplicaShared;
 use crate::layout::{decode_records, encode_record};
+use crate::store::VersionedStore;
+use crate::types::ObjectId;
 use amcast::GroupId;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -57,43 +57,47 @@ pub struct CheckpointMeta {
     pub image_bytes: usize,
 }
 
-/// Serializes a store through the engine's default image format: one raw
-/// dual-version slot record per hosted object, in id order. Byte-exact —
-/// [`install_state`] reproduces the store bit for bit. Applications'
-/// [`crate::StateMachine::snapshot`] hooks use this as their baseline.
-pub fn encode_state(store: &dyn SnapshotStore) -> Vec<u8> {
+/// Serializes a store into the checkpoint image format: one raw
+/// dual-version slot record per hosted object, in id order (both versions
+/// and their timestamps — what the consistency checker compares across
+/// replicas, and what concurrent remote readers address). Byte-exact —
+/// [`install_state`] reproduces the store bit for bit.
+pub fn encode_state(store: &VersionedStore) -> Vec<u8> {
     let mut buf = Vec::new();
-    for oid in store.object_ids() {
-        if let Some(raw) = store.raw_slot(oid) {
-            buf.extend_from_slice(&encode_record(oid, &raw));
-        }
+    for (oid, raw) in raw_slots(store) {
+        buf.extend_from_slice(&encode_record(oid, &raw));
     }
     buf
 }
 
-/// Installs an [`encode_state`] image into a (possibly wiped) store.
-pub fn install_state(image: &[u8], store: &dyn SnapshotStore) {
+/// Every hosted object's raw dual-version slot image, in id order.
+fn raw_slots(store: &VersionedStore) -> impl Iterator<Item = (ObjectId, Vec<u8>)> + '_ {
+    let hosted = store.object_ids().into_iter();
+    hosted.filter_map(|oid| Some((oid, store.raw_slot_bytes(store.slot(oid)?))))
+}
+
+/// Installs an [`encode_state`] image into a (possibly wiped) store,
+/// allocating the slots a wipe took.
+pub fn install_state(image: &[u8], store: &VersionedStore) {
     for (oid, raw) in decode_records(image) {
-        store.install_slot(oid, raw);
+        store.apply_raw_slot(oid, raw);
     }
 }
 
 /// FNV-1a digest of every hosted object's raw slot image, in id order:
 /// equal state ⇒ equal digest. The checkpoint property tests rely on
 /// `digest(install(snapshot(s))) == digest(s)` at any commit prefix.
-pub fn state_digest(store: &dyn SnapshotStore) -> u64 {
+pub fn state_digest(store: &VersionedStore) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut eat = |bytes: &[u8]| {
         for &b in bytes {
             h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
         }
     };
-    for oid in store.object_ids() {
-        if let Some(raw) = store.raw_slot(oid) {
-            eat(&oid.0.to_le_bytes());
-            eat(&(raw.len() as u64).to_le_bytes());
-            eat(&raw);
-        }
+    for (oid, raw) in raw_slots(store) {
+        eat(&oid.0.to_le_bytes());
+        eat(&(raw.len() as u64).to_le_bytes());
+        eat(&raw);
     }
     h
 }
@@ -190,7 +194,7 @@ pub(crate) fn checkpoint_replica(shared: &Arc<ReplicaShared>) -> Option<Checkpoi
     let group = GroupId(shared.partition.0);
     let epoch = shared.cluster.mcast.current_epoch(group, shared.idx);
     let _span = sim::trace::span_args("ckpt.round", bound, &[("bound", bound), ("epoch", epoch)]);
-    let image = shared.cluster.app.snapshot(shared.partition, &shared.store);
+    let image = encode_state(&shared.store);
     let meta = CheckpointMeta {
         bound,
         epoch,
@@ -266,18 +270,13 @@ pub(crate) fn load_checkpoint(shared: &Arc<ReplicaShared>) -> Option<CheckpointM
     let disk = shared.disk.as_ref()?;
     let file = disk.get(CKPT_FILE)?;
     let (meta, image) = decode_file(&file);
-    shared
-        .cluster
-        .app
-        .install(shared.partition, image, &shared.store);
+    install_state(image, &shared.store);
     Some(meta)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::VersionedStore;
-    use crate::types::ObjectId;
     use amcast::{MsgId, Timestamp};
     use rdma_sim::{Fabric, LatencyModel};
 

@@ -184,7 +184,14 @@ impl HeronCluster {
     /// Builds a deployment on `fabric`: creates the replica nodes, lays out
     /// the ordering and coordination memory, and bootstraps every
     /// partition's store from the application.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.partitions`, `replicas_per_partition`, `max_clients`
+    /// or `max_request` were written out of step with `cfg.mcast` (the
+    /// message names the setter that keeps them together).
     pub fn build(fabric: &Fabric, cfg: HeronConfig, app: Arc<dyn StateMachine>) -> Self {
+        cfg.assert_mirrors_mcast();
         let nodes: Vec<Vec<Node>> = (0..cfg.partitions)
             .map(|p| {
                 (0..cfg.replicas_per_partition)
@@ -459,20 +466,18 @@ impl HeronCluster {
         Some(crate::checkpoint::decode_file(&file).0)
     }
 
-    /// The application-state digest of replica `(p, i)` (the
-    /// [`crate::StateMachine::digest`] hook over its live store).
+    /// The state digest of replica `(p, i)`
+    /// ([`crate::checkpoint::state_digest`] of its live store).
     pub fn state_digest(&self, p: PartitionId, i: usize) -> u64 {
-        let shared = &self.replicas[p.0 as usize][i];
-        self.inner.app.digest(shared.partition, &shared.store)
+        crate::checkpoint::state_digest(&self.replicas[p.0 as usize][i].store)
     }
 
-    /// A snapshot image of replica `(p, i)`'s live store through the
-    /// application's [`crate::StateMachine::snapshot`] hook. Host-thread
-    /// diagnostic for the checkpoint round-trip property tests — it is the
-    /// caller's job to ensure the replica is quiescent.
+    /// A checkpoint image of replica `(p, i)`'s live store
+    /// ([`crate::checkpoint::encode_state`]). Host-thread diagnostic for
+    /// the checkpoint round-trip property tests — it is the caller's job
+    /// to ensure the replica is quiescent.
     pub fn snapshot_image(&self, p: PartitionId, i: usize) -> Vec<u8> {
-        let shared = &self.replicas[p.0 as usize][i];
-        self.inner.app.snapshot(shared.partition, &shared.store)
+        crate::checkpoint::encode_state(&self.replicas[p.0 as usize][i].store)
     }
 
     /// Number of entries in replica `(p, i)`'s in-memory update log — with

@@ -1,5 +1,6 @@
 //! Heron deployment configuration.
 
+use crate::layout::ENV_HDR;
 use amcast::McastConfig;
 use sim::storage::Storage;
 use std::time::Duration;
@@ -44,12 +45,14 @@ pub enum ExecutionMode {
     /// its local objects — Heron's default design.
     #[default]
     AllInvolved,
-    /// Only the *active* partition (the lowest involved id) executes; it
-    /// updates its own objects locally and writes the passive partitions'
-    /// objects remotely (whole dual-version slots, so racing active
-    /// replicas write identical images). Saves the passive partitions'
-    /// compute at the cost of extra fabric writes — the alternative the
-    /// paper sketches and leaves as future work.
+    /// Only the *active* partition ([`crate::StateMachine::active_partition`],
+    /// by default the lowest involved id) executes — every involved
+    /// partition's share, on the same execution path as its own; it updates
+    /// its own objects locally and writes the passive partitions' objects
+    /// remotely (whole dual-version slots, so racing active replicas write
+    /// identical images). Saves the passive partitions' compute at the
+    /// cost of extra fabric writes — the alternative the paper sketches
+    /// and leaves as future work.
     ///
     /// Requirement: every object a partition may be *written* remotely
     /// must appear in that partition's `read_set_at` (true for TPC-C:
@@ -206,7 +209,7 @@ impl HeronConfig {
     pub fn with_max_request(mut self, bytes: usize) -> Self {
         self.max_request = bytes;
         // Envelope: client id + seq + submit time.
-        self.mcast.max_payload = bytes + 3 * 8;
+        self.mcast.max_payload = bytes + ENV_HDR;
         self
     }
 
@@ -231,6 +234,32 @@ impl HeronConfig {
     /// Majority size per partition.
     pub fn majority(&self) -> usize {
         self.replicas_per_partition / 2 + 1
+    }
+
+    /// Panics unless the fields that mirror the ordering layer's sizes
+    /// agree with [`HeronConfig::mcast`]. The setters keep them in step; a
+    /// direct field write does not, and would surface much later as a ring
+    /// overrun or a truncated envelope.
+    pub(crate) fn assert_mirrors_mcast(&self) {
+        assert_eq!(
+            self.partitions, self.mcast.groups,
+            "partitions != mcast.groups: size both with HeronConfig::new"
+        );
+        assert_eq!(
+            self.replicas_per_partition, self.mcast.replicas_per_group,
+            "replicas_per_partition != mcast.replicas_per_group: size both with HeronConfig::new"
+        );
+        assert_eq!(
+            self.max_clients, self.mcast.max_clients,
+            "max_clients != mcast.max_clients: set both with HeronConfig::with_max_clients"
+        );
+        assert!(
+            self.mcast.max_payload >= self.max_request + ENV_HDR,
+            "mcast.max_payload ({}) cannot hold max_request ({}) plus the {ENV_HDR}-byte envelope: \
+             set both with HeronConfig::with_max_request",
+            self.mcast.max_payload,
+            self.max_request
+        );
     }
 }
 

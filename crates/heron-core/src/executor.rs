@@ -14,10 +14,10 @@
 //! once it reaches the front of the queue:
 //!
 //! * **width 1 — the inline lane.** There are no worker processes: the
-//!   driver runs [`ExecCore::run_command`] itself on lane 0, resolves a
-//!   stall by running Algorithm 3's requester side on the spot, and
-//!   replies to the client directly. One process per replica, commands
-//!   strictly in delivery order — the paper's executor.
+//!   driver runs [`ExecCore::run_command`] itself on lane 0 and resolves a
+//!   stall by running Algorithm 3's requester side on the spot. One
+//!   process per replica, commands strictly in delivery order — the
+//!   paper's executor.
 //! * **width N > 1 — the pool** (Marandi et al., "Rethinking
 //!   State-Machine Replication for Parallelism"). The driver computes each
 //!   command's conflict key-set ([`crate::StateMachine::conflict_keys`])
@@ -28,6 +28,11 @@
 //!   successor starts anywhere on it — which is what makes the relaxed
 //!   barrier reads in [`coord_quorum`] safe. Workers report completion
 //!   (and the client reply) back to the driver.
+//!
+//! Either way a command runs one way ([`ExecCore::run_command`]: one
+//! reading phase → compute → writing phase, in Phase 2/4 barriers when it
+//! is multi-partition) and finishes one way ([`Driver::finish`]: reply,
+//! lane freed, watermark).
 //!
 //! Workers never run the state-transfer protocol themselves: when one
 //! starves on a Phase-2 barrier or observes it is lagging (Algorithm 2,
@@ -48,7 +53,7 @@
 //! chaining along the last-writer dependency graph of the delivered
 //! prefix, without materializing the graph.
 
-use crate::app::{Execution, LocalReader, ReadSet};
+use crate::app::{LocalReader, ReadSet};
 use crate::cluster::ReplicaShared;
 use crate::layout::{decode_envelope, encode_coord, encode_response, resp_slot, COORD_ENTRY};
 use crate::metrics::Breakdown;
@@ -56,6 +61,7 @@ use crate::replica::{
     coord_matching, coord_quorum, pending_sync_requests, publish_progress, respond_transfer,
     state_transfer, state_transfer_abortable,
 };
+use crate::store::SlotVersions;
 use crate::types::{ObjectId, PartitionId, Placement};
 use amcast::{mask_groups, Delivered, DeliveryEvent, Timestamp};
 use bytes::Bytes;
@@ -100,27 +106,11 @@ pub(crate) enum StallOutcome {
     Retry,
 }
 
-/// What a command does when it cannot make progress. The driver's inline
-/// lane runs Algorithm 3 on the spot; pool workers park and let the driver
-/// run it after quiescing the pool.
-pub(crate) trait StallHandler {
-    /// The command `ts` cannot make progress on its own.
-    fn on_stall(&mut self, ts: Timestamp, stall: Stall) -> StallOutcome;
-    /// The command's write phase (and Phase 4, if any) finished; record it
-    /// in `completed_req`. The inline lane stores the timestamp directly;
-    /// the pool advances a prefix watermark instead.
-    fn on_completed(&mut self, ts: Timestamp);
-    /// Offers the handler the client reply. Returns `true` if the handler
-    /// took ownership of posting it. The inline lane declines (the
-    /// default) and [`post_reply`] runs on the spot; pool workers ship
-    /// it to the driver on their `Done` event, because each replica
-    /// owns ONE response slot per client and two workers finishing
-    /// different requests of the same client concurrently would race
-    /// unordered writes into that slot (a lagging command could clobber a
-    /// fresher reply). The driver is the slot's single writer.
-    fn on_reply(&mut self, _client_id: u64, _seq: u64, _response: &[u8]) -> bool {
-        false
-    }
+/// A finished command's client reply, on its way to [`Driver::finish`].
+pub(crate) struct Reply {
+    client_id: u64,
+    seq: u64,
+    response: Bytes,
 }
 
 /// The stage clock: the one measurement behind Fig. 6. Opening a stage
@@ -172,27 +162,30 @@ impl ExecCore {
         self.cfg().replicas_per_partition
     }
 
-    /// Executes one delivered command end to end: decode, the
-    /// single-partition fast path or the Phase 2 → execute → Phase 4
-    /// pipeline, the client reply, and the Breakdown sample. `recv_ns` is
+    /// Executes one delivered command end to end: decode, Algorithm 2
+    /// ([`Self::execute`]) — inside the Phase 2 and Phase 4 barriers of
+    /// Algorithm 1 when the command is multi-partition, bare otherwise
+    /// (lines 5–7, classic SMR) — and the Breakdown sample. `recv_ns` is
     /// the virtual time the command was taken off the delivery stream
     /// (equals "now" on the inline lane; earlier than "now" by the queue
     /// wait in the pool — surfaced as the `execute.parallel` phase).
+    /// `resolve` is asked what to do each time the command cannot make
+    /// progress: the inline lane runs Algorithm 3 on the spot, a pool
+    /// worker parks and lets the driver run it after quiescing the pool.
     ///
-    /// Returns `false` if the command was abandoned because a state
-    /// transfer covered it (no reply was sent).
+    /// Returns the client reply (line 17) for [`Driver::finish`] to post,
+    /// with the command's still-open `exec.request` span — a reply posted
+    /// by the process that ran the command nests under it —, or `None` if
+    /// the command was abandoned because a state transfer covered it.
     pub(crate) fn run_command(
         &self,
         d: &Delivered,
         recv_ns: u64,
-        stalls: &mut dyn StallHandler,
-    ) -> bool {
+        resolve: &mut dyn FnMut(Timestamp, Stall) -> StallOutcome,
+    ) -> Option<(Reply, sim::trace::SpanGuard)> {
         let shared = &self.shared;
         let ts = d.ts;
-        let (client_id, seq, submit_ns, payload) = {
-            let (c, s, t, p) = decode_envelope(&d.payload);
-            (c, s, t, p.to_vec())
-        };
+        let (client_id, seq, submit_ns, payload) = decode_envelope(&d.payload);
         let dests: Vec<PartitionId> = mask_groups(d.dests)
             .into_iter()
             .map(PartitionId::from)
@@ -205,7 +198,7 @@ impl ExecCore {
         // happens on this process (dispatch waits of concurrent commands
         // overlap across workers and would not nest as spans).
         let uid = u64::from(d.id.0);
-        let _req_span = sim::trace::span_args(
+        let request_span = sim::trace::span_args(
             "exec.request",
             uid,
             &[
@@ -216,34 +209,100 @@ impl ExecCore {
                 ("parallel_ns", parallel_ns),
             ],
         );
+        let coordinated = dests.len() > 1;
+        // §III-D2: whose share of the command this replica executes.
+        let own = [shared.partition];
+        let shares: &[PartitionId] = match self.cfg().execution_mode {
+            crate::ExecutionMode::ActiveOnly if coordinated => {
+                let app = &shared.cluster.app;
+                if app.active_partition(payload).unwrap_or(dests[0]) == shared.partition {
+                    &dests
+                } else {
+                    &[]
+                }
+            }
+            _ => &own,
+        };
 
-        let stages = if dests.len() == 1 {
-            // Lines 5–7: single-partition fast path — classic SMR.
-            let stage = Stage::open("exec.execute", uid);
-            let reads = loop {
-                match self.read_objects(&payload, ts, &[]) {
-                    Ok(r) => break r,
-                    // Local-only reads cannot lag; defensive fallback.
-                    Err(Lagging) => match stalls.on_stall(ts, Stall::Lagging) {
-                        StallOutcome::Covered => return false,
-                        StallOutcome::Retry => {}
-                    },
+        // Lines 8–10: Phase 2 — barrier on a majority of every involved
+        // partition.
+        let mut phase2 = coordinated.then(|| {
+            let stage = Stage::open("exec.phase2", uid);
+            self.write_coord(&dests, ts, 1, PendingWrites::new());
+            stage
+        });
+        let mut coordination_ns = 0;
+        let mut executing = None;
+        // The one stall-retry loop: the step the command is at — the
+        // Phase-2 wait, then lines 11–13 — is retried after every stall
+        // whose transfer did not cover the command.
+        let timeout = self.cfg().transfer_timeout;
+        let (response, write_backs) = loop {
+            let stall = if phase2.is_some() && !self.wait_coord_timeout(&dests, ts, 1, timeout) {
+                // The barrier starved: the peers' coordination writes were
+                // lost while we were crashed (they ran this request long
+                // ago). Recover through state transfer instead of waiting
+                // forever.
+                Stall::Phase2Starved {
+                    dests: dests.clone(),
+                }
+            } else {
+                if let Some(stage) = phase2.take() {
+                    coordination_ns = stage.close();
+                }
+                executing.get_or_insert_with(|| Stage::open("exec.execute", uid));
+                // If we have lagged behind the fast majority,
+                // state-transfer; a transfer whose snapshot already
+                // includes this request covers it (it will be skipped via
+                // last_req), otherwise we caught up to a point *before*
+                // this request and must still execute it.
+                match self.execute(payload, ts, &dests, shares) {
+                    Ok(done) => break done,
+                    Err(Lagging) => Stall::Lagging,
                 }
             };
-            let exec = self.execute_and_write(&payload, ts, &reads);
-            Some((0, stage.close(), exec.response))
-        } else {
-            self.run_coordinated(&payload, ts, uid, &dests, stalls)
+            if resolve(ts, stall) == StallOutcome::Covered {
+                return None;
+            }
         };
-        let Some((coordination_ns, execution_ns, response)) = stages else {
-            return false; // a state transfer covered this request
-        };
+        let execution_ns = executing.expect("opened before executing").close();
 
-        stalls.on_completed(ts);
-        // Line 17: reply.
-        if !stalls.on_reply(client_id, seq, &response) {
-            post_reply(shared, client_id, seq, &response);
+        if coordinated {
+            // Lines 14–16: Phase 4 — same barrier, with the optional
+            // wait-for-all delay (paper §V-E1). Queued active-only
+            // write-backs ride the same doorbells.
+            let stage = Stage::open("exec.phase4", uid);
+            // Protocol lint (regression guard): the Phase-4 entry — which
+            // in active-only mode carries the remote object write-backs —
+            // must never be posted before the Phase-2 quorum was observed.
+            // Coordination entries are monotone, so once the barrier above
+            // passed this stays satisfied; a hit means a code change
+            // skipped or reordered the Phase-2 wait.
+            if let Some(det) = shared.cluster.detector.as_ref() {
+                if !coord_quorum(shared, &dests, ts, 1).0 {
+                    let coord_len = (self.cfg().partitions
+                        * self.n()
+                        * shared.layout.coord_width
+                        * COORD_ENTRY) as u64;
+                    det.report_lint(
+                        "Phase-2 write-back before quorum clock advanced",
+                        &shared.node,
+                        "coord",
+                        (shared.layout.coord.0, shared.layout.coord.0 + coord_len),
+                        None,
+                        format!(
+                            "posting the Phase-4 entry (and its queued write-backs) for ts {} \
+                             while the Phase-2 majority barrier is not satisfied",
+                            ts.raw()
+                        ),
+                    );
+                }
+            }
+            self.write_coord(&dests, ts, 2, write_backs);
+            self.wait_coord(&dests, ts, 2, self.cfg().wait_for_all);
+            coordination_ns += stage.close();
         }
+
         sim::trace::instant("exec.reply", uid);
         shared.cluster.metrics.record_breakdown(Breakdown {
             ordering_ns,
@@ -253,118 +312,12 @@ impl ExecCore {
             partitions: dests.len() as u16,
             at_partition: shared.partition.0,
         });
-        true
-    }
-
-    /// Lines 8–16: the Phase 2 → execute → Phase 4 pipeline of a
-    /// multi-partition command. Returns `(coordination_ns, execution_ns,
-    /// response)`, or `None` if a state transfer covered the command.
-    fn run_coordinated(
-        &self,
-        payload: &[u8],
-        ts: Timestamp,
-        uid: u64,
-        dests: &[PartitionId],
-        stalls: &mut dyn StallHandler,
-    ) -> Option<(u64, u64, Bytes)> {
-        let shared = &self.shared;
-        // Lines 8–10: Phase 2 — barrier on a majority of every involved
-        // partition. If the barrier starves, the peers' coordination
-        // writes were lost while we were crashed (they ran this request
-        // long ago): recover through state transfer instead of waiting
-        // forever.
-        let stage = Stage::open("exec.phase2", uid);
-        self.write_coord(dests, ts, 1);
-        while !self.wait_coord_timeout(dests, ts, 1, self.cfg().transfer_timeout) {
-            let stall = Stall::Phase2Starved {
-                dests: dests.to_vec(),
-            };
-            if stalls.on_stall(ts, stall) == StallOutcome::Covered {
-                return None;
-            }
-        }
-        let p2_ns = stage.close();
-
-        // Lines 11–13: execution (reading phase, compute, writing phase).
-        // If we have lagged behind the fast majority, state-transfer; a
-        // transfer whose snapshot already includes this request covers it
-        // (it will be skipped via last_req), otherwise we caught up to a
-        // point *before* this request and must still execute it.
-        let stage = Stage::open("exec.execute", uid);
-        let mut pending_writes = PendingWrites::new();
-        let active_only = self.cfg().execution_mode == crate::ExecutionMode::ActiveOnly;
-        let active = shared
-            .cluster
-            .app
-            .active_partition(payload)
-            .unwrap_or(dests[0]);
-        let response = if active_only && active != shared.partition {
-            // Passive partition (§III-D2 variant): the active partition
-            // executes and writes our objects remotely. We only keep the
-            // update log complete (our declared read set covers what the
-            // active may write here) and acknowledge the client; the
-            // active's object writes share a doorbell with its Phase-4
-            // coordination entry and land, in push order, before it.
-            let mut log = shared.log.lock();
-            for oid in shared.cluster.app.read_set_at(shared.partition, payload) {
-                if shared.cluster.app.placement(oid) == Placement::Partition(shared.partition) {
-                    log.push((ts.raw(), oid));
-                }
-            }
-            Bytes::new()
-        } else {
-            let exec = loop {
-                pending_writes.clear();
-                let attempt = if active_only {
-                    self.execute_active_only(payload, ts, dests, &mut pending_writes)
-                } else {
-                    self.read_objects(payload, ts, dests)
-                        .map(|reads| self.execute_and_write(payload, ts, &reads))
-                };
-                match attempt {
-                    Ok(exec) => break exec,
-                    Err(Lagging) => match stalls.on_stall(ts, Stall::Lagging) {
-                        StallOutcome::Covered => return None,
-                        StallOutcome::Retry => {}
-                    },
-                }
-            };
-            exec.response
+        let reply = Reply {
+            client_id,
+            seq,
+            response,
         };
-        let exec_ns = stage.close();
-
-        // Lines 14–16: Phase 4 — same barrier, with the optional
-        // wait-for-all delay (paper §V-E1). Queued active-only write-backs
-        // ride the same doorbells.
-        let stage = Stage::open("exec.phase4", uid);
-        // Protocol lint (regression guard): the Phase-4 entry — which in
-        // active-only mode carries the remote object write-backs — must
-        // never be posted before the Phase-2 quorum was observed.
-        // Coordination entries are monotone, so once the barrier above
-        // passed this stays satisfied; a hit means a code change skipped
-        // or reordered the Phase-2 wait.
-        if let Some(det) = shared.cluster.detector.as_ref() {
-            if !coord_quorum(shared, dests, ts, 1).0 {
-                let coord_len =
-                    (self.cfg().partitions * self.n() * shared.layout.coord_width * COORD_ENTRY)
-                        as u64;
-                det.report_lint(
-                    "Phase-2 write-back before quorum clock advanced",
-                    &shared.node,
-                    "coord",
-                    (shared.layout.coord.0, shared.layout.coord.0 + coord_len),
-                    None,
-                    format!(
-                        "posting the Phase-4 entry (and its queued write-backs) for ts {} \
-                         while the Phase-2 majority barrier is not satisfied",
-                        ts.raw()
-                    ),
-                );
-            }
-        }
-        self.write_coord_with(dests, ts, 2, pending_writes);
-        self.wait_coord(dests, ts, 2, self.cfg().wait_for_all);
-        Some((p2_ns + stage.close(), exec_ns, response))
+        Some((reply, request_span))
     }
 
     // ------------------------------------------------------------------
@@ -374,18 +327,15 @@ impl ExecCore {
     /// Writes our coordination entry `(r.tmp, phase)` to every replica of
     /// every involved partition: smallest partition first, then by replica
     /// index — the order behind Table I's per-partition asymmetry.
-    fn write_coord(&self, dests: &[PartitionId], ts: Timestamp, phase: u64) {
-        self.write_coord_with(dests, ts, phase, PendingWrites::new());
-    }
-
-    /// [`Self::write_coord`] with queued object writes riding along: each
-    /// target's pending writes and its coordination entry are flushed
-    /// behind ONE doorbell — the coord entry pushed last, so by the
-    /// fabric's in-order application a peer that observes the barrier
-    /// entry also observes every object write queued before it (the
-    /// invariant the passive execution path relies on). With nothing
-    /// pending — always, in all-involved mode — that is one write.
-    fn write_coord_with(
+    ///
+    /// Object writes queued in `pending` ride along: each target's pending
+    /// writes and its coordination entry are flushed behind ONE doorbell —
+    /// the coord entry pushed last, so by the fabric's in-order application
+    /// a peer that observes the barrier entry also observes every object
+    /// write queued before it (the invariant a passive partition relies
+    /// on). With nothing pending — always, unless a share other than our
+    /// own was executed — that is one write.
+    fn write_coord(
         &self,
         dests: &[PartitionId],
         ts: Timestamp,
@@ -471,31 +421,132 @@ impl ExecCore {
     // Algorithm 2: execution.
     // ------------------------------------------------------------------
 
-    /// The reading phase: local objects from our store, remote objects via
-    /// one-sided reads against replicas that coordinated in Phase 2.
-    fn read_objects(
+    /// Algorithm 2 for the `shares` of command `ts` this replica executes
+    /// (§III-D2): reading phase, compute, writing phase. The shares are
+    /// its own partition's (single-partition commands and every
+    /// all-involved command), every destination's (the active partition of
+    /// an active-only command: it runs the application once per involved
+    /// partition and writes the passive partitions' objects back as whole
+    /// dual-version slot images — racing active replicas write identical
+    /// images, so the competition the paper warns about is harmless here),
+    /// or none (a passive partition: the active executes and writes our
+    /// objects remotely; we only keep the update log complete).
+    ///
+    /// Returns the response and the write-backs queued per target node:
+    /// they land at every passive replica in one event with this replica's
+    /// Phase-4 coordination entry, ahead of it.
+    fn execute(
         &self,
         payload: &[u8],
         ts: Timestamp,
-        coordinated: &[PartitionId],
-    ) -> Result<ReadSet, Lagging> {
+        dests: &[PartitionId],
+        shares: &[PartitionId],
+    ) -> Result<(Bytes, PendingWrites), Lagging> {
         let shared = &self.shared;
         let app = &shared.cluster.app;
+        let own = shared.partition;
+        // Writing another partition's object back takes the slot image it
+        // was read as; a replica executing only its own share keeps none.
+        let keep_images = shares.iter().any(|&p| p != own);
+
+        // The reading phase: local objects from our store, remote objects
+        // via one-sided reads against replicas that coordinated in Phase 2.
         let mut reads = ReadSet::new();
-        for oid in app.read_set_at(shared.partition, payload) {
-            match app.placement(oid) {
-                Placement::Partition(h) if h != shared.partition => {
-                    debug_assert!(
-                        coordinated.contains(&h),
-                        "read set touches partition {h} the request was not multicast to"
-                    );
-                    let v = self.remote_read(oid, h, ts)?;
-                    reads.insert(oid, v);
+        let mut images: HashMap<ObjectId, SlotVersions> = HashMap::new();
+        for &p in shares {
+            for oid in app.read_set_at(p, payload) {
+                if reads.get(oid).is_some() {
+                    continue; // an earlier share read it
                 }
-                _ => reads.insert(oid, self.local_get(oid)),
+                match app.placement(oid) {
+                    Placement::Partition(h) if h != own => {
+                        debug_assert!(
+                            dests.contains(&h),
+                            "read set touches partition {h} the request was not multicast to"
+                        );
+                        let versions = self.remote_read_slot(oid, h, ts)?;
+                        let (_, v) = versions.read_for(ts).expect("checked by remote_read_slot");
+                        reads.insert(oid, v.clone());
+                        if keep_images {
+                            images.insert(oid, versions);
+                        }
+                    }
+                    _ => reads.insert(oid, self.local_get(oid)),
+                }
             }
         }
-        Ok(reads)
+
+        // Compute: every executed share, all against the state before the
+        // command. The active pays the compute the passive partitions
+        // saved.
+        let local = StoreReader { shared };
+        // `None`: the value arrives by the active partition's write-back.
+        let mut writes: Vec<(ObjectId, Option<Bytes>)> = Vec::new();
+        let mut response = Bytes::new();
+        let mut compute = Duration::ZERO;
+        for &p in shares {
+            let exec = app.execute(p, payload, &reads, &local);
+            compute += exec.compute;
+            if response.is_empty() {
+                response = exec.response;
+            }
+            writes.extend(exec.writes.into_iter().map(|(oid, v)| (oid, Some(v))));
+        }
+        if shares.is_empty() {
+            // Our declared read set covers what the active may write here;
+            // its object writes share a doorbell with its Phase-4
+            // coordination entry and land, in push order, before it.
+            let declared = app.read_set_at(own, payload).into_iter();
+            let hosted = declared.filter(|&oid| app.placement(oid) == Placement::Partition(own));
+            writes.extend(hosted.map(|oid| (oid, None)));
+        }
+        if !compute.is_zero() {
+            sim::sleep(compute);
+        }
+
+        // The writing phase: our own objects under the dual-versioning
+        // rule, each appended to the update log.
+        let mut write_backs = PendingWrites::new();
+        shared.in_write_phase.fetch_add(1, Ordering::SeqCst);
+        for (oid, value) in writes {
+            match app.placement(oid) {
+                Placement::Replicated => {
+                    panic!("application attempted to write replicated object {oid}")
+                }
+                Placement::Partition(h) if h == own => {
+                    if let Some(value) = &value {
+                        shared.store.set(oid, value, ts);
+                    }
+                    shared.log.lock().push((ts.raw(), oid));
+                }
+                Placement::Partition(h) if shares.contains(&h) => {
+                    let value = value.expect("an executed share carries its values");
+                    let versions = images.get(&oid).unwrap_or_else(|| {
+                        panic!(
+                            "active-only mode requires remotely-written object {oid} \
+                             to be in the request's read set"
+                        )
+                    });
+                    for q in 0..self.n() {
+                        let target = shared.peer(h, q);
+                        let Some(&(addr, cap)) = shared.object_map.lock().get(&(oid, target.id()))
+                        else {
+                            continue; // unknown address: that replica will lag and state-transfer
+                        };
+                        let image = encode_slot_image(versions, &value, ts, cap);
+                        write_backs
+                            .entry(target.id())
+                            .or_default()
+                            .push((addr, image));
+                    }
+                }
+                // A share we did not execute: its own partition writes it
+                // (paper §III-A Phase 3).
+                Placement::Partition(_) => {}
+            }
+        }
+        shared.in_write_phase.fetch_sub(1, Ordering::SeqCst);
+        Ok((response, write_backs))
     }
 
     /// A replicated or own-partition object, from our store.
@@ -506,24 +557,14 @@ impl ExecCore {
     }
 
     /// One remote read, with address discovery and failover (Algorithm 2,
-    /// lines 8–27).
-    fn remote_read(&self, oid: ObjectId, h: PartitionId, ts: Timestamp) -> Result<Bytes, Lagging> {
-        let (versions, _cap) = self.remote_read_slot(oid, h, ts)?;
-        match versions.read_for(ts) {
-            Some((_, v)) => Ok(v.clone()),
-            None => Err(Lagging), // lines 23–25
-        }
-    }
-
-    /// Like [`ExecCore::remote_read`] but returns the whole dual-version
-    /// slot image (used by the active-only execution mode, which must
-    /// reconstruct remote slots when writing them back).
+    /// lines 8–27): the whole dual-version slot image, which holds a
+    /// version old enough for `ts` (else we are [`Lagging`]).
     fn remote_read_slot(
         &self,
         oid: ObjectId,
         h: PartitionId,
         ts: Timestamp,
-    ) -> Result<(crate::store::SlotVersions, usize), Lagging> {
+    ) -> Result<SlotVersions, Lagging> {
         let shared = &self.shared;
         loop {
             // Refresh the set of consistent candidates: replicas of h whose
@@ -568,7 +609,7 @@ impl ExecCore {
                     continue;
                 }
                 Ok(raw) => {
-                    let versions = crate::store::SlotVersions::decode(&raw, cap);
+                    let versions = SlotVersions::decode(&raw, cap);
                     let chosen_ts = match versions.read_for(ts) {
                         None => return Err(Lagging), // lines 23–25
                         Some((t, _)) => t,
@@ -576,7 +617,7 @@ impl ExecCore {
                     self.audit_remote_slot_read(
                         target, oid, addr, cap, &versions, chosen_ts, ts, t_issue,
                     );
-                    return Ok((versions, cap));
+                    return Ok(versions);
                 }
             }
         }
@@ -608,7 +649,7 @@ impl ExecCore {
         oid: ObjectId,
         addr: rdma_sim::Addr,
         cap: usize,
-        versions: &crate::store::SlotVersions,
+        versions: &SlotVersions,
         chosen_ts: Timestamp,
         r_ts: Timestamp,
         t_issue: u64,
@@ -676,128 +717,10 @@ impl ExecCore {
             Duration::from_millis(1),
         );
     }
-
-    /// The §III-D2 *active-only* execution of a multi-partition request:
-    /// this (active) replica reads the union read set, runs the
-    /// application once per involved partition, applies its own writes
-    /// locally, and writes the passive partitions' objects remotely as
-    /// whole dual-version slot images (racing active replicas write
-    /// identical images, so the competition the paper warns about is
-    /// harmless here). The images are queued into `pending` and land at
-    /// every passive replica in one event with this replica's Phase-4
-    /// coordination entry, ahead of it.
-    fn execute_active_only(
-        &self,
-        payload: &[u8],
-        ts: Timestamp,
-        dests: &[PartitionId],
-        pending: &mut PendingWrites,
-    ) -> Result<Execution, Lagging> {
-        let shared = &self.shared;
-        let app = Arc::clone(&shared.cluster.app);
-        // Union read set, caching remote slot images for the write-back.
-        let mut reads = ReadSet::new();
-        let mut remote_slots: HashMap<ObjectId, crate::store::SlotVersions> = HashMap::new();
-        for oid in app.read_set(payload) {
-            match app.placement(oid) {
-                Placement::Partition(h) if h != shared.partition => {
-                    let (versions, _) = self.remote_read_slot(oid, h, ts)?;
-                    let (_, v) = versions.read_for(ts).expect("checked by remote_read_slot");
-                    reads.insert(oid, v.clone());
-                    remote_slots.insert(oid, versions);
-                }
-                _ => reads.insert(oid, self.local_get(oid)),
-            }
-        }
-        // Execute every partition's share; the active pays all the compute
-        // the passive partitions saved.
-        let local = StoreReader { shared };
-        let mut total_compute = Duration::ZERO;
-        let mut response = Bytes::new();
-        let mut remote_writes: Vec<(PartitionId, ObjectId, Bytes)> = Vec::new();
-        shared.in_write_phase.fetch_add(1, Ordering::SeqCst);
-        for &p in dests {
-            let exec = app.execute(p, payload, &reads, &local);
-            total_compute += exec.compute;
-            if response.is_empty() {
-                response = exec.response.clone();
-            }
-            for (oid, value) in exec.writes {
-                match app.placement(oid) {
-                    Placement::Replicated => {
-                        panic!("application attempted to write replicated object {oid}")
-                    }
-                    Placement::Partition(h) if h == shared.partition => {
-                        shared.store.set(oid, &value, ts);
-                        shared.log.lock().push((ts.raw(), oid));
-                    }
-                    Placement::Partition(h) => remote_writes.push((h, oid, value)),
-                }
-            }
-        }
-        shared.in_write_phase.fetch_sub(1, Ordering::SeqCst);
-        if !total_compute.is_zero() {
-            sim::sleep(total_compute);
-        }
-        // Write back the passive partitions' objects: queued here, they
-        // ride the Phase-4 coordination doorbell, one per peer.
-        for (h, oid, value) in remote_writes {
-            let versions = remote_slots.get(&oid).unwrap_or_else(|| {
-                panic!(
-                    "active-only mode requires remotely-written object {oid} \
-                     to be in the request's read set"
-                )
-            });
-            for q in 0..self.n() {
-                let target = shared.peer(h, q);
-                let Some(&(addr, cap)) = shared.object_map.lock().get(&(oid, target.id())) else {
-                    continue; // unknown address: that replica will lag and state-transfer
-                };
-                let image = encode_slot_image(versions, &value, ts, cap);
-                pending.entry(target.id()).or_default().push((addr, image));
-            }
-        }
-        Ok(Execution {
-            writes: vec![],
-            response,
-            compute: Duration::ZERO,
-        })
-    }
-
-    /// Compute + writing phase: runs the application, then applies local
-    /// writes under the dual-versioning rule and appends to the update log.
-    fn execute_and_write(&self, payload: &[u8], ts: Timestamp, reads: &ReadSet) -> Execution {
-        let shared = &self.shared;
-        let app = &shared.cluster.app;
-        let local = StoreReader { shared };
-        let exec = app.execute(shared.partition, payload, reads, &local);
-        if !exec.compute.is_zero() {
-            sim::sleep(exec.compute);
-        }
-        shared.in_write_phase.fetch_add(1, Ordering::SeqCst);
-        for (oid, value) in &exec.writes {
-            match app.placement(*oid) {
-                Placement::Replicated => {
-                    panic!("application attempted to write replicated object {oid}")
-                }
-                Placement::Partition(h) if h == shared.partition => {
-                    shared.store.set(*oid, value, ts);
-                    shared.log.lock().push((ts.raw(), *oid));
-                }
-                Placement::Partition(_) => {
-                    // Remote object: its own partition writes it (paper
-                    // §III-A Phase 3); nothing to do here.
-                }
-            }
-        }
-        shared.in_write_phase.fetch_sub(1, Ordering::SeqCst);
-        exec
-    }
 }
 
 /// Posts `response` into the client's response slot for this replica —
-/// one unsignaled RDMA write. Either way the driver process posts it: from
-/// its inline lane at width 1, on a worker's `Done` event at width > 1.
+/// one unsignaled RDMA write, posted by the driver ([`Driver::finish`]).
 fn post_reply(shared: &Arc<ReplicaShared>, client_id: u64, seq: u64, response: &[u8]) {
     let cfg = &shared.cluster.cfg;
     let info = {
@@ -825,7 +748,7 @@ fn post_reply(shared: &Arc<ReplicaShared>, client_id: u64, seq: u64, response: &
 /// replicas. Deterministic: racing writers with the same reads produce
 /// byte-identical images.
 fn encode_slot_image(
-    versions: &crate::store::SlotVersions,
+    versions: &SlotVersions,
     new_value: &[u8],
     ts: Timestamp,
     cap: usize,
@@ -885,16 +808,12 @@ pub(crate) struct Job {
 
 /// Worker → driver notifications.
 pub(crate) enum WorkerEvent {
-    /// The worker finished its command. `reply` carries the client
-    /// response for the driver to post (`None` if the command was
-    /// abandoned as transfer-covered): the driver is the single writer of
-    /// this replica's per-client response slots, so replies from
-    /// concurrently-finishing workers never race — see
-    /// [`StallHandler::on_reply`].
+    /// The worker finished its command; `reply` is what
+    /// [`ExecCore::run_command`] returned, for [`Driver::finish`].
     Done {
         worker: usize,
         ts: u64,
-        reply: Option<(u64, u64, Vec<u8>)>,
+        reply: Option<Reply>,
     },
     /// The worker is parked waiting for a [`StallOutcome`].
     Parked {
@@ -977,8 +896,7 @@ pub(crate) struct Driver {
     /// Always empty on the inline lane, which runs a command to completion
     /// before the loop looks at anything else.
     inflight: BTreeMap<usize, InFlight>,
-    /// Idle lane indices; the lowest free index is picked. (At width 1 the
-    /// one entry stands for the inline lane and is never taken out.)
+    /// Idle lane indices; the lowest free index is picked.
     free: BTreeSet<usize>,
     /// Dispatched timestamps → finished?, pruned from the front as the
     /// prefix completes; the largest pruned entry is the `completed_req`
@@ -997,12 +915,7 @@ pub(crate) struct Driver {
     /// it drained and the covering transfer completed.
     pending_gap: Option<Delivered>,
     /// Highest client seq this replica has posted a response for, per
-    /// client. Workers can finish out of delivery order, so without this
-    /// guard a lagging command's reply would overwrite a fresher one in
-    /// the client's (single, per-replica) response slot, regressing its
-    /// seq word. Skipping the stale post is safe: the slot's newer seq
-    /// already satisfies the client's `>= seq` answered check, and a
-    /// closed-loop client never re-reads an older seq.
+    /// client (see [`Self::finish`]).
     last_replied: HashMap<u64, u64>,
     /// Power cycles of the node the protocol state reflects: behind the
     /// node's count means our registered memory (store slots, coordination
@@ -1081,18 +994,20 @@ impl Driver {
             {
                 continue;
             }
-            if self.pending_gap.is_none() {
-                let next = match &mut self.replay {
-                    Some(replay) => replay.tail.pop_front().map(DeliveryEvent::Deliver),
-                    None => self.deliveries.try_recv(),
-                };
-                if let Some(ev) = next {
-                    match ev {
-                        DeliveryEvent::Deliver(d) => self.on_deliver(d),
-                        DeliveryEvent::Gap { .. } => self.needs_full_sync = true,
-                    }
-                    progress = true;
+            let next = if self.reads_live() {
+                self.deliveries.try_recv()
+            } else if self.pending_gap.is_none() {
+                let replay = self.replay.as_mut().expect("neither live nor held back");
+                replay.tail.pop_front().map(DeliveryEvent::Deliver)
+            } else {
+                None
+            };
+            if let Some(ev) = next {
+                match ev {
+                    DeliveryEvent::Deliver(d) => self.on_deliver(d),
+                    DeliveryEvent::Gap { .. } => self.needs_full_sync = true,
                 }
+                progress = true;
             }
             progress |= self.resolve_parks(false);
             progress |= self.resolve_gap();
@@ -1117,45 +1032,70 @@ impl Driver {
         }
     }
 
-    /// Absorbs worker notifications: completions advance the watermark and
-    /// free the worker; parks are recorded for [`Self::resolve_parks`].
+    /// Finishes command `ts`, which ran on `lane` — the one way, whether
+    /// the inline lane just returned from it or a worker's `Done` event
+    /// reports it: post the reply (`None`: a state transfer covered the
+    /// command), free the lane, advance the `completed_req` watermark.
+    ///
+    /// Each replica owns ONE response slot per client and the driver is
+    /// its single writer: two workers finishing different requests of the
+    /// same client concurrently would otherwise race unordered writes into
+    /// it. They can also finish out of delivery order, so a reply whose seq
+    /// is not above the highest already posted for its client is skipped —
+    /// it would overwrite a fresher one and regress the slot's seq word.
+    /// Skipping is safe: the slot's newer seq already satisfies the
+    /// client's `>= seq` answered check, and a closed-loop client never
+    /// re-reads an older seq.
+    fn finish(&mut self, lane: usize, ts: u64, reply: Option<Reply>) {
+        if let Some(reply) = reply {
+            let last = self.last_replied.get(&reply.client_id);
+            if last.is_none_or(|&l| reply.seq > l) {
+                self.last_replied.insert(reply.client_id, reply.seq);
+                post_reply(&self.shared, reply.client_id, reply.seq, &reply.response);
+            }
+        }
+        self.inflight.remove(&lane);
+        self.free.insert(lane);
+        if let Some(fin) = self.done.get_mut(&ts) {
+            *fin = true;
+        }
+        // Advance the prefix watermark: `completed_req` may only cover
+        // timestamps with no unfinished dispatch below them (a responder's
+        // snapshot bound must have no holes).
+        let mut watermark = None;
+        while let Some((&t, &fin)) = self.done.first_key_value() {
+            if !fin {
+                break;
+            }
+            self.done.pop_first();
+            watermark = Some(t);
+        }
+        if let Some(t) = watermark {
+            let cur = self.shared.completed_req.load(Ordering::SeqCst);
+            self.shared.set_completed(cur.max(t));
+            if t > cur {
+                publish_progress(&self.shared);
+            }
+        }
+    }
+
+    /// Whether admission takes from the live delivery stream: not while a
+    /// Gap's held-back delivery waits for its covering transfer, and not
+    /// while a cold restart's replay feeds ahead of it. [`Self::run`]
+    /// receives, and [`Self::idle_wait`] counts a waiting delivery, only
+    /// when this holds.
+    fn reads_live(&self) -> bool {
+        self.pending_gap.is_none() && self.replay.is_none()
+    }
+
+    /// Absorbs worker notifications: completions are finished; parks are
+    /// recorded for [`Self::resolve_parks`].
     fn drain_events(&mut self) -> bool {
         let mut any = false;
         while let Some(ev) = self.events.try_recv() {
             any = true;
             match ev {
-                WorkerEvent::Done { worker, ts, reply } => {
-                    if let Some((client_id, seq, response)) = reply {
-                        if self.last_replied.get(&client_id).is_none_or(|&l| seq > l) {
-                            self.last_replied.insert(client_id, seq);
-                            post_reply(&self.shared, client_id, seq, &response);
-                        }
-                    }
-                    self.inflight.remove(&worker);
-                    self.free.insert(worker);
-                    if let Some(fin) = self.done.get_mut(&ts) {
-                        *fin = true;
-                    }
-                    // Advance the prefix watermark: `completed_req` may
-                    // only cover timestamps with no unfinished dispatch
-                    // below them (a responder's snapshot bound must have
-                    // no holes).
-                    let mut watermark = None;
-                    while let Some((&t, &fin)) = self.done.first_key_value() {
-                        if !fin {
-                            break;
-                        }
-                        self.done.pop_first();
-                        watermark = Some(t);
-                    }
-                    if let Some(t) = watermark {
-                        let cur = self.shared.completed_req.load(Ordering::SeqCst);
-                        self.shared.set_completed(cur.max(t));
-                        if t > cur {
-                            publish_progress(&self.shared);
-                        }
-                    }
-                }
+                WorkerEvent::Done { worker, ts, reply } => self.finish(worker, ts, reply),
                 WorkerEvent::Parked { worker, ts, reason } => {
                     if let Some(f) = self.inflight.get_mut(&worker) {
                         debug_assert_eq!(f.ts, ts, "park for a command the worker does not hold");
@@ -1244,31 +1184,36 @@ impl Driver {
             // execution-trace invariant.
             self.shared.exec_trace.lock().push((ts, 'e'));
             any = true;
+            let lane = self.free.pop_first().expect("checked non-empty");
+            self.done.insert(ts, false);
             if let Some(core) = &self.inline {
                 // No worker lanes: run the command right here, where a pool
-                // would hand it over. Nothing else happens on this replica
-                // until it finishes, so it is never "in flight" as far as
-                // serves, parks and the watermark are concerned. (Routing
-                // width 1 through one worker instead costs three mailbox
-                // hops per command per replica: +14…29 % host time per
-                // request, EXPERIMENTS.md "One delivery driver".)
-                let mut stalls = InlineStalls {
-                    shared: &self.shared,
-                };
-                let _ = core.run_command(&job.d, job.recv_ns, &mut stalls);
+                // would hand it over, resolving a stall by running
+                // Algorithm 3's requester side on the spot. Nothing else
+                // happens on this replica until it finishes, so it is never
+                // "in flight" as far as serves and parks are concerned.
+                // (Routing width 1 through one worker instead costs three
+                // mailbox hops per command per replica: +14…29 % host time
+                // per request, EXPERIMENTS.md "One delivery driver".)
+                let shared = &self.shared;
+                let done = core.run_command(&job.d, job.recv_ns, &mut |at, stall| {
+                    let rid = transfer_for_stalls(shared, &[(at.raw(), &stall)]);
+                    stall_outcome(rid, at.raw())
+                });
+                // The reply write nests under the request span.
+                let (reply, _request_span) = done.unzip();
+                self.finish(lane, ts, reply);
                 continue;
             }
-            let worker = self.free.pop_first().expect("checked non-empty");
-            self.done.insert(ts, false);
             self.inflight.insert(
-                worker,
+                lane,
                 InFlight {
                     ts,
                     keys: job.keys.clone(),
                     parked: None,
                 },
             );
-            let _ = self.jobs[worker].send(job);
+            let _ = self.jobs[lane].send(job);
         }
         any
     }
@@ -1344,8 +1289,12 @@ impl Driver {
                 continue;
             }
             let from = shared.node.local_read_word(slot).unwrap_or(0);
-            let first_seen = *self.seen_requests.entry((p, from)).or_insert_with(sim::now);
-            if sim::now() < self.serve_due(p, first_seen) {
+            // First sight: the rotation counts from here.
+            self.seen_requests.entry((p, from)).or_insert_with(sim::now);
+            if self
+                .serve_due(&(p, from))
+                .is_some_and(|due| sim::now() < due)
+            {
                 continue;
             }
             if !self.inflight.is_empty() {
@@ -1359,13 +1308,17 @@ impl Driver {
         blocked
     }
 
-    /// When our turn comes to serve `requester`'s transfer request, first
-    /// seen at `first_seen`. Deterministic rotation: requester+1 serves
-    /// immediately, the next waits one timeout, and so on (Algorithm 3,
-    /// line 10 + lines 19–22).
-    fn serve_due(&self, requester: usize, first_seen: SimTime) -> SimTime {
-        let my_rank = (self.shared.idx + self.n() - requester - 1) % self.n();
-        first_seen + self.cfg().transfer_timeout * my_rank as u32
+    /// When our turn comes to serve the transfer request `(requester,
+    /// from_tmp)`, or `None` while it is unseen: the rotation counts from
+    /// the instant [`Self::serve_transfers`] first saw the request, and
+    /// [`Self::idle_wait`] wakes for exactly the requests it has yet to
+    /// see. Deterministic rotation: requester+1 serves immediately, the
+    /// next waits one timeout, and so on (Algorithm 3, line 10 + lines
+    /// 19–22).
+    fn serve_due(&self, request: &(usize, u64)) -> Option<SimTime> {
+        let first_seen = *self.seen_requests.get(request)?;
+        let my_rank = (self.shared.idx + self.n() - request.0 - 1) % self.n();
+        Some(first_seen + self.cfg().transfer_timeout * my_rank as u32)
     }
 
     /// Cold restart after a power loss: rebuild the store from the durable
@@ -1401,6 +1354,9 @@ impl Driver {
         self.seen_requests.clear();
         self.queue.clear();
         self.pending_gap = None;
+        // A replayed command replies again: the first post may have died
+        // with the power, and then this is the only reply its client gets.
+        self.last_replied.clear();
         // Rebuild the store image: checkpoint if one exists, time-zero
         // bootstrap otherwise. The checkpoint read pays modeled disk
         // latency — the first component of recovery time.
@@ -1470,19 +1426,25 @@ impl Driver {
     }
 
     /// Blocks until something can make progress: a worker event, a
-    /// delivery (unless held back by a Gap or a replay), an unseen transfer
-    /// request, or a registered request's rotation turn — never busy-wait
-    /// on a request that is not yet our turn. While `draining` for a cold
+    /// delivery admission would take ([`Self::reads_live`]), a transfer
+    /// request [`Self::serve_transfers`] has yet to see, or a seen
+    /// request's rotation turn ([`Self::serve_due`]) — never busy-wait on
+    /// a request that is not yet our turn. While `draining` for a cold
     /// restart only worker events count: nothing else is acted on, so
     /// waking for it would spin.
+    ///
+    /// The wait does not read liveness: an idle driver sleeps through
+    /// `power_loss`/`recover` to its poll timeout. Waking on a power-cycle
+    /// count that left `self.power_cycles` is one more disjunct in the
+    /// predicate below and nowhere else — but it moves the recovery
+    /// schedules, so it belongs to ROADMAP's liveness item.
     fn idle_wait(&self, draining: bool) {
         let shared = &*self.shared;
         let now = sim::now();
         let mut timeout = Duration::from_millis(10);
         shared.node.with_mem(|m| {
             for key in pending_sync_requests(shared, m) {
-                if let Some(first) = self.seen_requests.get(&key) {
-                    let due = self.serve_due(key.0, *first);
+                if let Some(due) = self.serve_due(&key) {
                     // Only future turns shorten the wait. A past-due serve
                     // still pending here is blocked on the in-flight drain,
                     // and its wake signal is a worker Done event (covered
@@ -1496,42 +1458,21 @@ impl Driver {
                 }
             }
         });
-        let held = draining || self.pending_gap.is_some() || self.replay.is_some();
         // `events` was built on the poller's condition (`spawn_driver`) and
         // `deliveries` owns it, so both mailboxes ring this wait directly;
         // transfer requests land in the subscribed statesync entries.
         shared.poller.poll_until_timeout(
             || {
                 !self.events.is_empty()
-                    || (!held && !self.deliveries.is_empty())
                     || (!draining
-                        && shared.node.with_mem(|m| {
-                            pending_sync_requests(shared, m)
-                                .any(|k| !self.seen_requests.contains_key(&k))
-                        }))
+                        && ((self.reads_live() && !self.deliveries.is_empty())
+                            || shared.node.with_mem(|m| {
+                                pending_sync_requests(shared, m)
+                                    .any(|k| self.serve_due(&k).is_none())
+                            })))
             },
             timeout,
         );
-    }
-}
-
-/// [`StallHandler`] of the driver's inline lane: the driver *is* the
-/// stalled process, so nothing is in flight beside this command and
-/// Algorithm 3's requester side runs on the spot.
-struct InlineStalls<'a> {
-    shared: &'a Arc<ReplicaShared>,
-}
-
-impl StallHandler for InlineStalls<'_> {
-    fn on_stall(&mut self, ts: Timestamp, stall: Stall) -> StallOutcome {
-        let rid = transfer_for_stalls(self.shared, &[(ts.raw(), &stall)]);
-        stall_outcome(rid, ts.raw())
-    }
-
-    fn on_completed(&mut self, ts: Timestamp) {
-        // One lane, delivery order: the prefix below `ts` has no holes.
-        self.shared.set_completed(ts.raw());
-        publish_progress(self.shared);
     }
 }
 
@@ -1550,37 +1491,22 @@ impl Worker {
     pub(crate) fn run(self) {
         loop {
             let job = self.jobs.recv();
-            let ts = job.d.ts;
-            let mut stalls = PoolStalls {
-                index: self.index,
-                events: &self.events,
-                verdicts: &self.verdicts,
-                reply: None,
-            };
-            let _ = self.core.run_command(&job.d, job.recv_ns, &mut stalls);
+            let done = self
+                .core
+                .run_command(&job.d, job.recv_ns, &mut |ts, stall| self.park(ts, stall));
+            // The request span ends here, on the process that ran the
+            // command; the driver posts the reply.
+            let reply = done.map(|(reply, _request_span)| reply);
             let _ = self.events.send(WorkerEvent::Done {
                 worker: self.index,
-                ts: ts.raw(),
-                reply: stalls.reply.take(),
+                ts: job.d.ts.raw(),
+                reply,
             });
         }
     }
-}
 
-/// [`StallHandler`] for pool workers: park and await the driver's
-/// verdict. `on_completed` is a no-op — the driver advances the watermark
-/// when it processes the worker's `Done` event.
-struct PoolStalls<'a> {
-    index: usize,
-    events: &'a Mailbox<WorkerEvent>,
-    verdicts: &'a Mailbox<StallOutcome>,
-    /// Reply captured by [`StallHandler::on_reply`], shipped to the
-    /// driver on the `Done` event.
-    reply: Option<(u64, u64, Vec<u8>)>,
-}
-
-impl StallHandler for PoolStalls<'_> {
-    fn on_stall(&mut self, ts: Timestamp, reason: Stall) -> StallOutcome {
+    /// Parks the stalled command `ts` and awaits the driver's verdict.
+    fn park(&self, ts: Timestamp, reason: Stall) -> StallOutcome {
         // The park's whole duration is observable: a `pool.park` span nested
         // under the stalled command's span (`explain::request_paths` carves
         // it out of that stage), and a parked wait-state for the profiler.
@@ -1606,25 +1532,14 @@ impl StallHandler for PoolStalls<'_> {
         });
         self.verdicts.recv()
     }
-
-    fn on_completed(&mut self, _ts: Timestamp) {}
-
-    fn on_reply(&mut self, client_id: u64, seq: u64, response: &[u8]) -> bool {
-        self.reply = Some((client_id, seq, response.to_vec()));
-        true
-    }
 }
 
-/// Spawns one replica's delivery driver as `heron-exec-p{p}r{i}` and, above
-/// width 1, its `width` workers as `heron-exec-p{p}r{i}w{k}`. Width 1
-/// spawns no worker: the driver is its own (inline) lane 0.
-pub(crate) fn spawn_driver(
-    simulation: &sim::Simulation,
+/// One replica's delivery driver and, above width 1, its `width` workers.
+/// Width 1 has no worker: the driver is its own (inline) lane 0.
+fn build_driver(
     shared: Arc<ReplicaShared>,
     deliveries: Mailbox<DeliveryEvent>,
-    p: usize,
-    i: usize,
-) {
+) -> (Driver, Vec<Worker>) {
     let width = shared.cluster.cfg.executor_width;
     let workers = if width > 1 { width } else { 0 };
     // Worker events ring the driver's own wait point: its idle wait
@@ -1654,9 +1569,8 @@ pub(crate) fn spawn_driver(
         power_cycles: shared.node.power_cycles(),
         replay: None,
     };
-    simulation.spawn(format!("heron-exec-p{p}r{i}"), move || driver.run());
-    for k in 0..workers {
-        let worker = Worker {
+    let workers = (0..workers)
+        .map(|k| Worker {
             core: ExecCore {
                 shared: Arc::clone(&shared),
                 lane: k,
@@ -1666,7 +1580,23 @@ pub(crate) fn spawn_driver(
             jobs: jobs[k].clone(),
             events: events.clone(),
             verdicts: verdicts[k].clone(),
-        };
+        })
+        .collect();
+    (driver, workers)
+}
+
+/// Spawns one replica's delivery driver as `heron-exec-p{p}r{i}` and its
+/// workers, if any, as `heron-exec-p{p}r{i}w{k}`.
+pub(crate) fn spawn_driver(
+    simulation: &sim::Simulation,
+    shared: Arc<ReplicaShared>,
+    deliveries: Mailbox<DeliveryEvent>,
+    p: usize,
+    i: usize,
+) {
+    let (driver, workers) = build_driver(shared, deliveries);
+    simulation.spawn(format!("heron-exec-p{p}r{i}"), move || driver.run());
+    for (k, worker) in workers.into_iter().enumerate() {
         simulation.spawn(format!("heron-exec-p{p}r{i}w{k}"), move || worker.run());
     }
 }
@@ -1674,7 +1604,129 @@ pub(crate) fn spawn_driver(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::app::Execution;
+    use crate::{HeronCluster, HeronConfig, StateMachine};
+    use rdma_sim::{Fabric, LatencyModel};
     use sim::trace::EventKind;
+
+    /// One partition, no objects: enough of an application to build a
+    /// cluster around a [`Driver`].
+    struct Stateless;
+
+    impl StateMachine for Stateless {
+        fn placement(&self, _oid: ObjectId) -> Placement {
+            Placement::Partition(PartitionId(0))
+        }
+        fn destinations(&self, _request: &[u8]) -> Vec<PartitionId> {
+            vec![PartitionId(0)]
+        }
+        fn read_set(&self, _request: &[u8]) -> Vec<ObjectId> {
+            vec![]
+        }
+        fn execute(
+            &self,
+            _partition: PartitionId,
+            _request: &[u8],
+            _reads: &ReadSet,
+            _local: &dyn LocalReader,
+        ) -> Execution {
+            Execution::default()
+        }
+        fn bootstrap(&self, _partition: PartitionId) -> Vec<(ObjectId, Bytes)> {
+            vec![]
+        }
+    }
+
+    /// Runs `check` inside a simulation, on replica (0, 0)'s driver of an
+    /// unspawned 1 × 3 cluster of the given width.
+    fn with_driver(width: usize, check: impl FnOnce(&HeronCluster, &mut Driver) + Send + 'static) {
+        let simulation = sim::Simulation::new(1);
+        let fabric = Fabric::new(LatencyModel::connectx4());
+        let cfg = HeronConfig::new(1, 3).with_executor_width(width);
+        let cluster = HeronCluster::build(&fabric, cfg, Arc::new(Stateless));
+        simulation.spawn("driver", move || {
+            let shared = Arc::clone(&cluster.replicas[0][0]);
+            let (mut driver, _workers) = build_driver(shared, Mailbox::new());
+            check(&cluster, &mut driver);
+        });
+        simulation.run().unwrap();
+    }
+
+    /// What `try_dispatch` does to the driver's books when it hands `ts`
+    /// to a lane.
+    fn dispatch(driver: &mut Driver, ts: u64) -> usize {
+        driver.done.insert(ts, false);
+        driver.free.pop_first().expect("a free lane")
+    }
+
+    /// `completed_req` is a responder's snapshot bound: completions
+    /// arriving out of dispatch order never let it cover a timestamp that
+    /// is still running.
+    #[test]
+    fn finish_never_lets_the_watermark_cover_an_unfinished_command() {
+        with_driver(4, |_, driver| {
+            let completed = |d: &Driver| d.shared.completed_req.load(Ordering::SeqCst);
+            let lanes = [10, 20, 30].map(|ts| dispatch(driver, ts));
+            driver.finish(lanes[1], 20, None);
+            assert_eq!(completed(driver), 0, "10 is still running");
+            driver.finish(lanes[2], 30, None);
+            assert_eq!(completed(driver), 0, "10 is still running");
+            driver.finish(lanes[0], 10, None);
+            assert_eq!(completed(driver), 30, "the whole prefix finished");
+            assert_eq!(driver.free.len(), 4, "every lane came back");
+            assert!(driver.done.is_empty());
+        });
+    }
+
+    /// Completions in dispatch order — the only order the inline lane
+    /// produces — advance the watermark one command at a time.
+    #[test]
+    fn finish_in_dispatch_order_advances_the_watermark_per_command() {
+        with_driver(1, |_, driver| {
+            for ts in [10, 20, 30] {
+                let lane = dispatch(driver, ts);
+                assert!(driver.free.is_empty(), "the inline lane is taken");
+                driver.finish(lane, ts, None);
+                assert_eq!(driver.shared.completed_req.load(Ordering::SeqCst), ts);
+                assert_eq!(driver.free.len(), 1);
+            }
+        });
+    }
+
+    /// Both lanes share the reply guard: a reply whose seq is not above the
+    /// highest already posted for its client is not posted, at width 1
+    /// either (it would regress the seq word of the client's one response
+    /// slot for this replica).
+    #[test]
+    fn finish_does_not_post_a_stale_reply_on_the_inline_lane() {
+        with_driver(1, |cluster, driver| {
+            let client = cluster.client("c");
+            let (client_node, slot) = {
+                let clients = cluster.inner.clients.lock();
+                let info = &clients[&client.id()];
+                let slot = resp_slot(info.resp_base, 0, 0, 3, driver.cfg().max_response);
+                (cluster.inner.fabric.node(info.node), slot)
+            };
+            let posted = |seq, body: &'static [u8]| {
+                Some(Reply {
+                    client_id: client.id(),
+                    seq,
+                    response: Bytes::from_static(body),
+                })
+            };
+            for (ts, seq, body, expect) in [
+                (10, 5, b"new".as_slice(), 5),
+                (20, 4, b"old".as_slice(), 5),
+                (30, 6, b"newer".as_slice(), 6),
+            ] {
+                let lane = dispatch(driver, ts);
+                driver.finish(lane, ts, posted(seq, body));
+                sim::sleep(Duration::from_micros(10)); // the write lands
+                let seq_word = client_node.local_read_word(slot).unwrap();
+                assert_eq!(seq_word, expect, "after the reply to seq {seq}");
+            }
+        });
+    }
 
     /// The stage clock's one promise: the span ends at the instant the
     /// returned duration was measured to, so Σ spans == Σ `Breakdown` rows.

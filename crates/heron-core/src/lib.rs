@@ -100,7 +100,7 @@ mod server;
 mod store;
 mod types;
 
-pub use app::{Execution, LocalReader, ReadSet, SnapshotStore, StateMachine};
+pub use app::{Execution, LocalReader, ReadSet, StateMachine};
 pub use checker::{CheckedClient, Checker, OpRecord, SequentialSpec, Violation};
 pub use checkpoint::CheckpointMeta;
 pub use client::HeronClient;

@@ -397,22 +397,6 @@ impl VersionedStore {
     }
 }
 
-/// The checkpoint hooks' view of a replica store: raw dual-version slot
-/// images, byte-exact both ways.
-impl crate::app::SnapshotStore for VersionedStore {
-    fn object_ids(&self) -> Vec<ObjectId> {
-        VersionedStore::object_ids(self)
-    }
-
-    fn raw_slot(&self, oid: ObjectId) -> Option<Vec<u8>> {
-        self.slot(oid).map(|s| self.raw_slot_bytes(s))
-    }
-
-    fn install_slot(&self, oid: ObjectId, raw: &[u8]) {
-        self.apply_raw_slot(oid, raw);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

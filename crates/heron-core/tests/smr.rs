@@ -410,3 +410,41 @@ fn deterministic_across_runs() {
     }
     assert_eq!(run_once(42), run_once(42));
 }
+
+/// `HeronConfig`'s `partitions`, `replicas_per_partition`, `max_clients`
+/// and `max_request` mirror `mcast`'s sizes and only the setters keep them
+/// in step: `build` refuses a config whose direct field write did not.
+fn build_with(edit: impl FnOnce(&mut HeronConfig)) {
+    let mut cfg = HeronConfig::new(2, 3);
+    edit(&mut cfg);
+    let bank = Arc::new(Bank {
+        partitions: 2,
+        accounts: 4,
+    });
+    HeronCluster::build(&Fabric::new(LatencyModel::connectx4()), cfg, bank);
+}
+
+#[test]
+#[should_panic(expected = "partitions != mcast.groups")]
+fn build_rejects_partitions_out_of_step_with_mcast() {
+    build_with(|cfg| cfg.partitions = 1);
+}
+
+#[test]
+#[should_panic(expected = "replicas_per_partition != mcast.replicas_per_group")]
+fn build_rejects_replicas_out_of_step_with_mcast() {
+    build_with(|cfg| cfg.replicas_per_partition = 5);
+}
+
+#[test]
+#[should_panic(expected = "HeronConfig::with_max_clients")]
+fn build_rejects_max_clients_out_of_step_with_mcast() {
+    build_with(|cfg| cfg.max_clients = 128);
+}
+
+#[test]
+#[should_panic(expected = "HeronConfig::with_max_request")]
+fn build_rejects_a_request_size_the_envelope_cannot_carry() {
+    // The default ordering payload is 512 bytes: 489 + 24 overruns it.
+    build_with(|cfg| cfg.max_request = 489);
+}

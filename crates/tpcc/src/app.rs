@@ -21,8 +21,7 @@ use crate::scale::TpccScale;
 use crate::txn::Transaction;
 use bytes::Bytes;
 use heron_core::{
-    Execution, LocalReader, ObjectId, PartitionId, Placement, ReadSet, SnapshotStore, StateMachine,
-    StorageKind,
+    Execution, LocalReader, ObjectId, PartitionId, Placement, ReadSet, StateMachine, StorageKind,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -698,24 +697,6 @@ impl StateMachine for TpccApp {
             self.bootstrap_warehouse(w, &mut rows);
         }
         rows
-    }
-
-    // Durable-checkpoint hooks. TPC-C rows are plain fixed-layout byte
-    // images with no out-of-store state, so the engine's raw-slot codec is
-    // already canonical for them: a restart that installs the image and
-    // replays the WAL tail is byte-identical to a replica that executed
-    // the whole log, which is exactly what the cross-replica checker
-    // demands.
-    fn snapshot(&self, _partition: PartitionId, store: &dyn SnapshotStore) -> Vec<u8> {
-        heron_core::checkpoint::encode_state(store)
-    }
-
-    fn install(&self, _partition: PartitionId, image: &[u8], store: &dyn SnapshotStore) {
-        heron_core::checkpoint::install_state(image, store);
-    }
-
-    fn digest(&self, _partition: PartitionId, store: &dyn SnapshotStore) -> u64 {
-        heron_core::checkpoint::state_digest(store)
     }
 }
 

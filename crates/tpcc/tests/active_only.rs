@@ -9,7 +9,10 @@ use std::sync::Arc;
 use std::time::Duration;
 use tpcc::{ids, TpccApp, TpccScale, Transaction};
 
-fn run_tpcc(mode: ExecutionMode, seed: u64) -> HeronCluster {
+/// `(schedule_hash, events, virtual_ns)` of a finished run.
+type Fingerprint = (u64, u64, u64);
+
+fn run_tpcc(mode: ExecutionMode, seed: u64) -> (HeronCluster, Fingerprint) {
     let warehouses = 2u16;
     let simulation = sim::Simulation::new(seed);
     let fabric = Fabric::new(LatencyModel::connectx4());
@@ -59,13 +62,27 @@ fn run_tpcc(mode: ExecutionMode, seed: u64) -> HeronCluster {
         sim::stop();
     });
     simulation.run().unwrap();
-    cluster
+    let fingerprint = (
+        simulation.schedule_hash(),
+        simulation.events_executed(),
+        simulation.now().as_nanos(),
+    );
+    (cluster, fingerprint)
 }
 
 #[test]
 fn active_only_produces_the_same_state_as_all_involved() {
-    let a = run_tpcc(ExecutionMode::AllInvolved, 91);
-    let b = run_tpcc(ExecutionMode::ActiveOnly, 91);
+    let (a, _) = run_tpcc(ExecutionMode::AllInvolved, 91);
+    let (b, (hash, events, virtual_ns)) = run_tpcc(ExecutionMode::ActiveOnly, 91);
+    // The mode's one pinned cell (every other shape's live in
+    // `bench/tests/schedule_hash.rs`): a move means active-only behaviour
+    // changed — re-pin only if the PR meant to, and record the old triple
+    // in EXPERIMENTS.md.
+    assert_eq!(
+        (format!("{hash:#018x}"), events, virtual_ns),
+        ("0x22b481189e85dbf1".to_string(), 9283, 7_124_376),
+        "active-only (schedule_hash, events, virtual_ns) left the pin"
+    );
     let scale = TpccScale::small();
     for w in 1..=2u16 {
         let p = PartitionId(w - 1);
@@ -97,7 +114,7 @@ fn active_only_produces_the_same_state_as_all_involved() {
 
 #[test]
 fn active_only_replicas_converge() {
-    let cluster = run_tpcc(ExecutionMode::ActiveOnly, 92);
+    let (cluster, _) = run_tpcc(ExecutionMode::ActiveOnly, 92);
     let scale = TpccScale::small();
     for w in 1..=2u16 {
         let p = PartitionId(w - 1);
