@@ -92,6 +92,10 @@ pub(crate) struct ReplicaShared {
     pub exec_trace: Mutex<Vec<(u64, char)>>,
     /// Queue pairs to every replica node, `qps[h * n + q]`.
     qps: Vec<QueuePair>,
+    /// Where this replica's replies go, by client id: the queue pair to
+    /// the client's node and this replica's slot in its response area.
+    /// Filled on the first reply to a client; volatile, like `object_map`.
+    pub reply_routes: Mutex<HashMap<u64, (QueuePair, Addr)>>,
 }
 
 impl ReplicaShared {
@@ -334,6 +338,7 @@ impl HeronCluster {
                         .map(|d| d.storage.disk(format!("heron-p{p}r{i}"))),
                     exec_trace: Mutex::new(Vec::new()),
                     qps,
+                    reply_routes: Mutex::new(HashMap::new()),
                 }));
             }
             replicas.push(row);

@@ -67,6 +67,7 @@ use amcast::{mask_groups, Delivered, DeliveryEvent, Timestamp};
 use bytes::Bytes;
 use rand::Rng;
 use sim::{Mailbox, SimTime};
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -722,24 +723,29 @@ impl ExecCore {
 /// Posts `response` into the client's response slot for this replica —
 /// one unsignaled RDMA write, posted by the driver ([`Driver::finish`]).
 fn post_reply(shared: &Arc<ReplicaShared>, client_id: u64, seq: u64, response: &[u8]) {
-    let cfg = &shared.cluster.cfg;
-    let info = {
-        let clients = shared.cluster.clients.lock();
-        match clients.get(&client_id) {
-            Some(c) => (c.node, c.resp_base),
-            None => return, // client vanished (e.g. test ended)
+    // Copied out: the post sleeps, and no lock is held across a sleep.
+    let (qp, slot) = match shared.reply_routes.lock().entry(client_id) {
+        Entry::Occupied(route) => route.get().clone(),
+        Entry::Vacant(route) => {
+            let cfg = &shared.cluster.cfg;
+            let clients = shared.cluster.clients.lock();
+            let Some(client) = clients.get(&client_id) else {
+                return; // client vanished (e.g. test ended)
+            };
+            let slot = resp_slot(
+                client.resp_base,
+                shared.partition.0 as usize,
+                shared.idx,
+                cfg.replicas_per_partition,
+                cfg.max_response,
+            );
+            let client_node = shared.cluster.fabric.node(client.node);
+            route
+                .insert((shared.node.connect(&client_node), slot))
+                .clone()
         }
     };
-    let client_node = shared.cluster.fabric.node(info.0);
-    let slot = resp_slot(
-        info.1,
-        shared.partition.0 as usize,
-        shared.idx,
-        cfg.replicas_per_partition,
-        cfg.max_response,
-    );
-    let buf = encode_response(seq, response);
-    let _ = shared.node.connect(&client_node).post_write(slot, buf);
+    let _ = qp.post_write(slot, encode_response(seq, response));
 }
 
 /// Builds the dual-version slot image that results from applying the
@@ -1350,6 +1356,7 @@ impl Driver {
         shared.exec_trace.lock().clear();
         shared.object_map.lock().clear();
         shared.addr_heard.lock().clear();
+        shared.reply_routes.lock().clear();
         *shared.transfer.lock() = crate::cluster::TransferProgress::default();
         self.seen_requests.clear();
         self.queue.clear();
