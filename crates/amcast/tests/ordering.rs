@@ -496,8 +496,8 @@ proptest::proptest! {
 fn a_fixed_plan_is_pinned_at_batch_sizes_one_and_eight() {
     let plan: Vec<(u8, u32)> = (0..24u8).map(|i| (i, 1)).collect();
     let pins = [
-        (1, ("0x17db3a387ea74c07", 2958, 768, 768)),
-        (8, ("0xeee084f5e14c1804", 3065, 785, 731)),
+        (1, ("0x597b2ae8b9be74d9", 2480, 768, 768)),
+        (8, ("0x67d58e837829a21d", 2506, 785, 731)),
     ];
     for (max_batch, pin) in pins {
         let h = build(77, McastConfig::new(2, 3).with_max_batch(max_batch));

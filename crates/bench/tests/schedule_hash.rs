@@ -123,40 +123,40 @@ fn table() -> Vec<Row> {
         load_row(
             "fig4-tpcc-2p",
             load(42),
-            (0xd8e8cfcd99bf4e93, 27_941, 4_000_000),
+            (0xaf4188f8b4e85966, 25_591, 4_000_000),
         ),
         load_row(
             "fig4-tpcc-2p-b8",
             load(45).with_max_batch(8),
-            (0x83e180d53fe84cfd, 31_151, 4_000_000),
+            (0xbd9d72a564c9f2d2, 28_447, 4_000_000),
         ),
         load_row(
             "chaos-tpcc-2p",
             load(43).with_crash(down, up),
-            (0xa89e5270f249c3c8, 22_817, 4_000_000),
+            (0xbf6d807e22effce3, 20_900, 4_000_000),
         ),
         Row {
             race_detector: false,
             ..load_row(
                 "psmr-tpcc-2p-w4",
                 load(44).with_warehouses_per_partition(8).with_width(4),
-                (0x477e4785035ca07c, 76_933, 4_000_000),
+                (0xbc8228b3a3c3f4b9, 72_898, 4_000_000),
             )
         },
         row(
             "recovery-dur-off",
             Shape::Chaos(dur_off),
-            (0x785cd937d0471730, 3_219, 10_695_642),
+            (0xec61ac60e33624ce, 2_701, 10_695_642),
         ),
         row(
             "recovery-9003",
             Shape::Chaos(chaos::recovery_scenario_for_seed(9003, true)),
-            (0x2d5f9dd107ac6a5e, 6_554, 33_078_619),
+            (0x30082e6c67c4254d, 5_518, 33_078_619),
         ),
         row(
             "pool-bank-w4",
             Shape::Chaos(chaos::parallel_scenario_for_seed(9000, true)),
-            (0x994be200cc67e1c7, 30_894, 10_676_534),
+            (0xd3a7b87eed511f1c, 24_197, 10_676_534),
         ),
     ]
 }

@@ -120,49 +120,37 @@ impl Cond {
     ///
     /// Panics when called from outside a simulated process.
     pub fn wait(&self) {
-        with_ctx(|kernel, pid| {
-            let token = kernel.begin_block(pid);
-            self.waiters.lock().push(Waiter {
-                kernel: Arc::clone(kernel),
-                pid,
-                token,
-            });
-            let ex = kernel.explore_state();
-            if let Some(ex) = &ex {
-                let (id, label) = self.explore_ident(kernel);
-                ex.wait_begin(pid.index(), id, label, false);
-            }
-            kernel.yield_and_park(pid, self.prof_key(kernel));
-            if let Some(ex) = &ex {
-                ex.wait_end(pid.index());
-            }
-        });
-        self.acquire_sync();
+        self.block(None);
     }
 
     /// Blocks until notified or until the virtual deadline passes.
     pub(crate) fn wait_deadline(&self, deadline: SimTime) -> WaitOutcome {
+        self.block(Some(deadline.as_nanos()))
+    }
+
+    /// One block on this cond, with or without a deadline.
+    fn block(&self, deadline: Option<u64>) -> WaitOutcome {
         let outcome = with_ctx(|kernel, pid| {
-            if SimTime::from_nanos(kernel.now_nanos()) >= deadline {
+            let passed = || deadline.is_some_and(|at| kernel.now_nanos() >= at);
+            if passed() {
                 return WaitOutcome::TimedOut;
             }
-            let token = kernel.begin_block(pid);
+            let token = kernel.begin_block(pid, deadline);
             self.waiters.lock().push(Waiter {
                 kernel: Arc::clone(kernel),
                 pid,
                 token,
             });
-            kernel.enqueue_wake_at(deadline.as_nanos(), pid, token);
             let ex = kernel.explore_state();
             if let Some(ex) = &ex {
                 let (id, label) = self.explore_ident(kernel);
-                ex.wait_begin(pid.index(), id, label, true);
+                ex.wait_begin(pid.index(), id, label, deadline.is_some());
             }
             kernel.yield_and_park(pid, self.prof_key(kernel));
             if let Some(ex) = &ex {
                 ex.wait_end(pid.index());
             }
-            if kernel.now_nanos() >= deadline.as_nanos() {
+            if passed() {
                 WaitOutcome::TimedOut
             } else {
                 WaitOutcome::Woken
@@ -236,25 +224,33 @@ impl Cond {
         // Exploration hook: remember who notifies this cond (process
         // context only — event-context notifiers can never themselves be
         // blocked, so they cannot close a wait-for cycle). Recorded even
-        // with no waiters present: the history is what matters.
-        let _ = try_with_ctx(|kernel, pid| {
+        // with no waiters present: the history is what matters. The same
+        // visit takes the notifier's clock (empty in event context).
+        let vc = try_with_ctx(|kernel, pid| {
             if let Some(ex) = kernel.explore_state() {
                 let (id, _) = self.explore_ident(kernel);
                 ex.note_notify(pid.index(), id);
             }
-        });
-        let vc = crate::vc_current();
+            kernel.vc_snapshot(pid)
+        })
+        .unwrap_or_default();
         if !vc.is_empty() {
             self.sync_vc.lock().join(&vc);
             self.sync_set.store(true, Ordering::Relaxed);
         }
-        let mut drained: Vec<Waiter> = {
-            let mut w = self.waiters.lock();
-            if w.is_empty() {
-                return;
+        let mut w = self.waiters.lock();
+        if w.len() <= 1 {
+            // None, or the one every `Poller` has: popped in place, the
+            // buffer never leaves the cond.
+            let only = w.pop();
+            drop(w);
+            if let Some(waiter) = only {
+                waiter.kernel.wake(waiter.pid, waiter.token);
             }
-            std::mem::take(&mut *w)
-        };
+            return;
+        }
+        let mut drained = std::mem::take(&mut *w);
+        drop(w);
         for waiter in drained.drain(..) {
             waiter.kernel.wake(waiter.pid, waiter.token);
         }
@@ -276,7 +272,7 @@ impl Cond {
 
 #[cfg(test)]
 mod tests {
-    use crate::{now, sleep, Cond, SimTime, Simulation};
+    use crate::{now, sleep, sleep_ns, Cond, ExploreConfig, SimTime, Simulation, StrategyKind};
     use parking_lot::Mutex;
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::Arc;
@@ -390,5 +386,109 @@ mod tests {
             assert_eq!(now(), SimTime::from_nanos(100)); // no time passed
         });
         sim.run().unwrap();
+    }
+
+    /// A wait satisfied early leaves its deadline entry behind, dead. The
+    /// wheel drops such an entry at the first cascade that meets it: none
+    /// of the `K` pops as a no-op, and the one wait nobody satisfies still
+    /// times out at its instant.
+    #[test]
+    fn superseded_deadlines_never_pop_and_the_real_timeout_fires() {
+        const K: u64 = 5;
+        const MS: u64 = 1_000_000;
+        let sim = Simulation::new(1);
+        let cond = Cond::new();
+        let round = Arc::new(AtomicU64::new(0));
+        let timed_out_at = Arc::new(AtomicU64::new(0));
+        let (c, r, t) = (cond.clone(), round.clone(), timed_out_at.clone());
+        sim.spawn("waiter", move || {
+            for want in 1..=K {
+                let pending = || r.load(Ordering::SeqCst) < want;
+                assert!(c.wait_while_timeout(pending, Duration::from_nanos(MS)));
+            }
+            assert!(!c.wait_while_timeout(|| true, Duration::from_nanos(MS)));
+            t.store(now().as_nanos(), Ordering::SeqCst);
+        });
+        sim.spawn("notifier", move || {
+            for _ in 0..K {
+                sleep_ns(100);
+                round.fetch_add(1, Ordering::SeqCst);
+                cond.notify_all();
+            }
+        });
+        sim.run().unwrap();
+        assert_eq!(timed_out_at.load(Ordering::SeqCst), K * 100 + MS);
+        assert_eq!(sim.now().as_nanos(), K * 100 + MS);
+        // Two first dispatches, K sleeps, K notify wakes, one timeout — and
+        // not the K superseded deadline entries on top.
+        assert_eq!(sim.events_executed(), 2 + 2 * K + 1);
+    }
+
+    /// The tie rule shedding relies on: a deadline entry's place among the
+    /// entries of its instant is that of the wait that filed it, so a
+    /// process notified early that waits again goes to the back — whether
+    /// its first entry pops as a no-op or was dropped on the way. The same
+    /// under exploration's Baseline, which pops through the same call.
+    #[test]
+    fn timeouts_at_one_instant_fire_in_the_order_their_last_wait_began() {
+        let run = |explore: bool| {
+            let sim = Simulation::new(1);
+            if explore {
+                sim.enable_exploration(ExploreConfig::new(StrategyKind::Baseline));
+            }
+            let order = Arc::new(Mutex::new(Vec::new()));
+            let conds: Vec<Cond> = (0..3).map(|_| Cond::new()).collect();
+            for (i, cond) in conds.iter().cloned().enumerate() {
+                let order = order.clone();
+                sim.spawn(format!("w{i}"), move || {
+                    assert!(!cond.wait_while_timeout(|| true, Duration::from_nanos(1_000)));
+                    order.lock().push((i, now().as_nanos()));
+                });
+            }
+            let first = conds[0].clone();
+            sim.spawn("early", move || {
+                sleep_ns(100);
+                first.notify_all(); // w0 wakes, still pending, waits again
+            });
+            sim.run().unwrap();
+            let order = order.lock().clone();
+            (order, sim.schedule_hash(), sim.events_executed())
+        };
+        let plain = run(false);
+        assert_eq!(plain.0, vec![(1, 1_000), (2, 1_000), (0, 1_000)]);
+        assert_eq!(run(true), plain);
+    }
+
+    /// `notify_all` wakes every waiter in the order they began waiting —
+    /// none, the one a `Poller` has, or several — and the waiter buffer
+    /// keeps its capacity through each.
+    #[test]
+    fn notify_all_wakes_in_wait_order_and_keeps_the_buffer() {
+        for waiters in [0usize, 1, 3] {
+            let sim = Simulation::new(1);
+            let cond = Cond::new();
+            let woken = Arc::new(Mutex::new(Vec::new()));
+            for i in 0..waiters {
+                let (c, w) = (cond.clone(), woken.clone());
+                sim.spawn(format!("w{i}"), move || {
+                    c.wait();
+                    w.lock().push((i, now().as_nanos()));
+                });
+            }
+            let capacities = Arc::new(Mutex::new((0, 0)));
+            let (c, caps) = (cond.clone(), capacities.clone());
+            sim.spawn("notifier", move || {
+                sleep_ns(10);
+                let before = c.waiters.lock().capacity();
+                c.notify_all();
+                *caps.lock() = (before, c.waiters.lock().capacity());
+            });
+            sim.run().unwrap();
+            let expect: Vec<_> = (0..waiters).map(|i| (i, 10)).collect();
+            assert_eq!(*woken.lock(), expect, "{waiters} waiters");
+            let (before, after) = *capacities.lock();
+            assert!(before >= waiters && after == before, "{waiters} waiters");
+            assert!(cond.waiters.lock().is_empty());
+        }
     }
 }

@@ -30,7 +30,7 @@ use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Identifier of a simulated process.
@@ -67,7 +67,7 @@ struct ProcInfo {
     name: String,
     body: Option<Body>,
     /// Incremented on every block; wake entries carry the token they were
-    /// issued for, so stale wakes are filtered out.
+    /// issued for, so dead wakes are filtered out ([`dead`]).
     token: u64,
     parked: bool,
     killed: bool,
@@ -87,11 +87,14 @@ struct ProcInfo {
 }
 
 struct KState {
+    /// The virtual clock. Written through [`Kernel::set_now`] only, which
+    /// keeps [`Kernel::now`] equal to it.
     now: u64,
     seq: u64,
-    /// Events popped off the queue since the simulation started (timers and
-    /// process wakes, stale wakes included) — the scheduler's unit of real
-    /// work.
+    /// Events popped off the queue since the simulation started: timers,
+    /// process wakes, and those [`dead`] wakes that died after the wheel
+    /// last moved them (a level-0 or overflow entry, or one a cascade met
+    /// while it was still live) — the scheduler's unit of real work.
     events: u64,
     /// Order-sensitive fingerprint of every `(time, seq)` popped, folded
     /// FNV-1a style. Two runs with equal hashes (and equal event counts)
@@ -142,11 +145,34 @@ fn debug_spin_watch(st: &mut KState, pid: Pid) {
     }
 }
 
+/// Whether `wake` can never resume its process: the process has finished,
+/// or has blocked again since the wake was issued. Both are for good
+/// (`finished` is never cleared, tokens only grow), so the wheel may drop
+/// such a wake wherever a cascade meets one instead of carrying it to its
+/// instant to pop as a no-op. The one staleness test: the host loop pops
+/// only while no process runs, so every unfinished process is parked and
+/// "not parked" adds nothing to it.
+fn dead(procs: &[ProcInfo], wake: &Wake) -> bool {
+    match *wake {
+        Wake::Timer(_) => false,
+        Wake::Proc { pid, token } => {
+            let p = &procs[pid.0 as usize];
+            debug_assert!(p.finished || p.parked, "popped while '{}' runs", p.name);
+            p.finished || p.token != token
+        }
+    }
+}
+
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 pub(crate) struct Kernel {
     state: Mutex<KState>,
+    /// `KState::now`, readable without the state lock: every verb post,
+    /// wait with a deadline and trace hook reads the clock. Relaxed is
+    /// enough: it publishes nothing but itself, and a simulation's
+    /// processes all run on the thread that advances it.
+    now: AtomicU64,
     seed: u64,
     /// Tracing gate: one relaxed load decides every trace hook, mirroring
     /// the race detector's fabric flag, so the off path costs nothing and
@@ -308,6 +334,7 @@ impl Kernel {
                 dbg_spin: (0, u32::MAX, 0),
                 prof: None,
             }),
+            now: AtomicU64::new(0),
             seed,
             trace_on: AtomicBool::new(false),
             trace: Mutex::new(None),
@@ -423,7 +450,12 @@ impl Kernel {
     }
 
     pub(crate) fn now_nanos(&self) -> u64 {
-        self.state.lock().now
+        self.now.load(Ordering::Relaxed)
+    }
+
+    fn set_now(&self, st: &mut KState, now: u64) {
+        st.now = now;
+        self.now.store(now, Ordering::Relaxed);
     }
 
     pub(crate) fn events(&self) -> u64 {
@@ -441,13 +473,22 @@ impl Kernel {
     }
 
     /// Books a popped entry: event count, schedule hash (one FNV-1a fold
-    /// step over `time`, then `seq`), clock advance. Every pop, stale or
+    /// step over `time`, then `seq`), clock advance. Every pop, dead or
     /// live, goes through here exactly once.
-    fn book_pop(st: &mut KState, time: u64, seq: u64) {
+    fn book_pop(&self, st: &mut KState, time: u64, seq: u64) {
         st.events += 1;
         let h = (st.sched_hash ^ time).wrapping_mul(FNV_PRIME);
         st.sched_hash = (h ^ seq).wrapping_mul(FNV_PRIME);
-        st.now = st.now.max(time);
+        let now = st.now.max(time);
+        self.set_now(st, now);
+    }
+
+    /// The next entry due by `limit`, shedding [`dead`] wakes on the way.
+    /// The host loop and the exploration gather both pop through here, so
+    /// Baseline sheds exactly what an unexplored run does.
+    fn pop_due(st: &mut KState, limit: Option<u64>) -> Popped {
+        let KState { queue, procs, .. } = st;
+        queue.pop_due(limit, |wake| dead(procs, wake))
     }
 
     pub(crate) fn schedule(&self, delay: u64, f: impl FnOnce() + Send + 'static) {
@@ -525,21 +566,20 @@ impl Kernel {
         }
     }
 
-    /// First half of blocking: bump the wake token and mark the process
-    /// parked. The caller must then register wake sources and call
+    /// First half of blocking: bump the wake token, mark the process
+    /// parked and, for a wait with a `deadline`, file its timed wake-up.
+    /// The caller must then register wake sources and call
     /// [`Kernel::yield_and_park`].
-    pub(crate) fn begin_block(&self, pid: Pid) -> u64 {
+    pub(crate) fn begin_block(&self, pid: Pid, deadline: Option<u64>) -> u64 {
         let mut st = self.state.lock();
         let p = &mut st.procs[pid.0 as usize];
         p.token += 1;
         p.parked = true;
-        p.token
-    }
-
-    /// Registers a timed wake-up (used by sleeps and waits with deadlines).
-    pub(crate) fn enqueue_wake_at(&self, at: u64, pid: Pid, token: u64) {
-        let mut st = self.state.lock();
-        Self::push_entry(&mut st, at, Wake::Proc { pid, token });
+        let token = p.token;
+        if let Some(at) = deadline {
+            Self::push_entry(&mut st, at, Wake::Proc { pid, token });
+        }
+        token
     }
 
     /// Second half of blocking: switch to the host loop until woken. `key`
@@ -685,19 +725,19 @@ impl Kernel {
 
     /// One pop under exploration: gathers every entry due at the served
     /// instant (the ready set, capped), offers it to the strategy, and
-    /// restores the rest unbooked in their original relative order. Stale
-    /// wakes stay in the choice set — they are part of the kernel's native
-    /// pop order, which is what makes the Baseline strategy bit-identical
-    /// to an unexplored run.
+    /// restores the rest unbooked in their original relative order. Dead
+    /// wakes that pop stay in the choice set — they are part of the
+    /// kernel's native pop order, which is what makes the Baseline strategy
+    /// bit-identical to an unexplored run.
     fn pop_explored(&self, st: &mut KState, ex: &ExploreState, deadline: Option<u64>) -> Popped {
-        let first = match st.queue.pop_due(deadline) {
+        let first = match Self::pop_due(st, deadline) {
             Popped::Event(e) => e,
             other => return other,
         };
         let time = first.time;
         let mut ready = vec![first];
         while ready.len() < ex.ready_cap() {
-            match st.queue.pop_due(Some(time)) {
+            match Self::pop_due(st, Some(time)) {
                 Popped::Event(e) => {
                     debug_assert_eq!(e.time, time, "same-instant gather crossed instants");
                     ready.push(e);
@@ -710,15 +750,12 @@ impl Kernel {
                 .iter()
                 .map(|e| Choice {
                     seq: e.seq,
-                    actor: match &e.wake {
+                    actor: match e.wake {
                         Wake::Timer(_) => ChoiceActor::Timer,
-                        Wake::Proc { pid, token } => {
-                            let p = &st.procs[pid.0 as usize];
-                            ChoiceActor::Proc {
-                                pid: pid.0,
-                                stale: p.finished || !p.parked || p.token != *token,
-                            }
-                        }
+                        Wake::Proc { pid, .. } => ChoiceActor::Proc {
+                            pid: pid.0,
+                            stale: dead(&st.procs, &e.wake),
+                        },
                     },
                 })
                 .collect();
@@ -770,10 +807,16 @@ impl Kernel {
                 }
                 let popped = match &explore {
                     Some(ex) => self.pop_explored(&mut st, ex, deadline),
-                    None => st.queue.pop_due(deadline),
+                    None => Self::pop_due(&mut st, deadline),
                 };
                 match popped {
                     Popped::Empty => {
+                        // Drained: the clock stands at the deadline or,
+                        // without one, at the last entry's instant — popped
+                        // or shed.
+                        let reached = deadline.unwrap_or_else(|| st.queue.shed_to());
+                        let now = st.now.max(reached);
+                        self.set_now(&mut st, now);
                         if st.unfinished > 0 && (strict || explore.is_some()) {
                             let unfinished =
                                 st.procs.iter().enumerate().filter(|(_, p)| !p.finished);
@@ -792,28 +835,26 @@ impl Kernel {
                                 return Err(SimError::Deadlock { blocked });
                             }
                         }
-                        if let Some(d) = deadline {
-                            st.now = st.now.max(d);
-                        }
                         return Ok(());
                     }
                     Popped::Beyond => {
-                        st.now = deadline.expect("bounded pop without a deadline");
+                        let now = deadline.expect("bounded pop without a deadline");
+                        self.set_now(&mut st, now);
                         return Ok(());
                     }
                     Popped::Event(Entry { time, seq, wake }) => {
-                        Self::book_pop(&mut st, time, seq);
+                        self.book_pop(&mut st, time, seq);
+                        if dead(&st.procs, &wake) {
+                            continue;
+                        }
                         match wake {
                             Wake::Timer(timer) => {
                                 drop(st);
                                 timer(); // on the host, in event context
                                 continue;
                             }
-                            Wake::Proc { pid, token } => {
+                            Wake::Proc { pid, .. } => {
                                 let p = &st.procs[pid.0 as usize];
-                                if p.finished || !p.parked || p.token != token {
-                                    continue; // stale wake
-                                }
                                 if explore
                                     .as_ref()
                                     .is_some_and(|ex| ex.note_dispatch(pid.0, &p.name, st.now))
@@ -898,10 +939,13 @@ impl Simulation {
         SimTime::from_nanos(self.kernel.now_nanos())
     }
 
-    /// Number of scheduler events executed so far (timer firings and
-    /// process wake-ups). This is the simulator's wall-clock work metric:
-    /// fewer events for the same virtual-time run means a faster
-    /// simulation.
+    /// Number of scheduler events executed so far: timer firings, process
+    /// wake-ups, and the dead wakes that still pop as no-ops — those whose
+    /// process finished or blocked again only after the queue last moved
+    /// them (a wait's deadline superseded early is usually dropped inside
+    /// the queue and never counted). This is the simulator's wall-clock
+    /// work metric: fewer events for the same virtual-time run means a
+    /// faster simulation.
     pub fn events_executed(&self) -> u64 {
         self.kernel.events()
     }

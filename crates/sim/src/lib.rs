@@ -236,6 +236,45 @@ mod tests {
         assert_eq!(sim.now().as_nanos(), 3100);
     }
 
+    /// The clock is read without the kernel lock, from a copy written at
+    /// every pop and where `run_until` stops short of (`Beyond`) or past
+    /// (`Empty`) the queue's entries: each read below must agree with the
+    /// locked clock that sleeps and spawns are scheduled from.
+    #[test]
+    fn clock_reads_agree_with_the_kernel_clock_wherever_it_advances() {
+        let sim = Simulation::new(1);
+        let seen = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let probe = |name: &str| {
+            let seen = seen.clone();
+            sim.spawn(name, move || {
+                let started = now().as_nanos();
+                sleep_ns(5);
+                seen.lock().push((started, now().as_nanos()));
+            })
+        };
+        // A pop: the process a timer's notify wakes reads the timer's instant.
+        let cond = Cond::new();
+        let (c, s) = (cond.clone(), seen.clone());
+        sim.spawn("woken-by-timer", move || {
+            schedule_ns(250, move || c.notify_all());
+            cond.wait();
+            s.lock().push((now().as_nanos(), 0));
+            sleep_ns(10_000); // an entry for `run_until` to stop short of
+        });
+        sim.run_until(SimTime::from_nanos(1_000)).unwrap(); // Beyond
+        assert_eq!(sim.now().as_nanos(), 1_000);
+        probe("after-beyond");
+        sim.run_until(SimTime::from_nanos(20_000)).unwrap(); // Empty
+        assert_eq!(sim.now().as_nanos(), 20_000);
+        probe("after-empty");
+        sim.run().unwrap();
+        assert_eq!(sim.now().as_nanos(), 20_005);
+        assert_eq!(
+            *seen.lock(),
+            vec![(250, 0), (1_000, 1_005), (20_000, 20_005)]
+        );
+    }
+
     #[test]
     fn events_executed_counts_scheduler_work() {
         let sim = Simulation::new(1);

@@ -80,7 +80,7 @@ fn active_only_produces_the_same_state_as_all_involved() {
     // in EXPERIMENTS.md.
     assert_eq!(
         (format!("{hash:#018x}"), events, virtual_ns),
-        ("0x22b481189e85dbf1".to_string(), 9283, 7_124_376),
+        ("0x245e101d5424577d".to_string(), 7783, 7_124_376),
         "active-only (schedule_hash, events, virtual_ns) left the pin"
     );
     let scale = TpccScale::small();

@@ -2,7 +2,13 @@
 # The gate list, once: every fixed-seed gate and detector self-test that
 # runs on top of the release build. `scripts/tier1.sh` ends by running it
 # and CI's `gates` job runs nothing else.
-set -euo pipefail
+#
+# Every gate runs, whatever the ones before it did: a gate that cannot
+# finish on this box (ROADMAP: `race_audit --quick` is killed for memory)
+# must not hide the verdicts of those after it. The table at the end has
+# one line per gate — verdict, exit status, and the command that replays
+# it — and the script exits 1 if any gate failed.
+set -uo pipefail
 cd "$(dirname "$0")/.."
 
 # No stanza here compares two wall clocks: what a switch, tracing or
@@ -10,37 +16,55 @@ cd "$(dirname "$0")/.."
 # (`sim.kernel_handoff_ns_per_event` over `sim.kernel_timer_ns_per_event`,
 # `trace.overhead_pct`; benchmark/, scripts/ledger_pairs.py).
 
+verdicts=()
+failed=0
+
+# gate NAME cmd…: runs the command, records its verdict and replay line.
+gate() {
+  local name=$1
+  shift
+  echo "== gate: $name"
+  "$@"
+  local status=$?
+  local verdict=pass
+  if [ "$status" -ne 0 ]; then
+    verdict=FAIL
+    # 137 = SIGKILL: on this box, the kernel's out-of-memory killer.
+    [ "$status" -eq 137 ] && verdict=KILLED
+    failed=1
+  fi
+  verdicts+=("$(printf '%-18s %-6s %3d  %s' "$name" "$verdict" "$status" "$*")")
+}
+
+# The bench binaries are built once and run directly, so that a gate's
+# status is its own (a killed child of `cargo run` reads as cargo's 101).
+cargo build -q --release --offline -p heron-bench --bins || exit 1
+bench() {
+  local bin=$1
+  shift
+  "${CARGO_TARGET_DIR:-target}/release/$bin" "$@"
+}
+
 # Chaos gate: seeded fault plans through the SMR consistency checker
 # (DESIGN.md §9). Fixed seed window so failures replay exactly; on a
 # non-linearizable history or a stall the suite exits non-zero and prints
-# the failing seed plus its shrunken minimal reproduction.
-if ! cargo run -q --release --offline -p heron-bench --bin chaos_suite -- \
-    --quick --seed 9000 --schedules 8; then
-  echo "gates: chaos suite FAILED — replay with:" >&2
-  echo "  cargo run --release -p heron-bench --bin chaos_suite -- --quick --seed <failing seed> --schedules 1" >&2
-  exit 1
-fi
+# the failing seed plus its shrunken minimal reproduction (replay one seed
+# with `--seed <failing seed> --schedules 1`).
+gate chaos bench chaos_suite --quick --seed 9000 --schedules 8
 
 # Checker self-test: corrupt one applied command and require the checker to
 # report the violation (proves the gate can actually fail).
-cargo run -q --release --offline -p heron-bench --bin chaos_suite -- \
-    --quick --selftest
+gate chaos-selftest bench chaos_suite --quick --selftest
 
 # Race gate: Sim-TSan happens-before audit over the fig4/fig5/chaos
 # schedule shapes at fixed seeds (DESIGN.md §10). Any race or protocol
 # lint exits non-zero with the full report. (That the detector leaves the
 # schedule alone: `cargo test`, schedule_hash.rs.)
-if ! cargo run -q --release --offline -p heron-bench --bin race_audit -- \
-    --quick --seed 42; then
-  echo "gates: race audit FAILED — replay with:" >&2
-  echo "  cargo run --release -p heron-bench --bin race_audit -- --quick --seed 42" >&2
-  exit 1
-fi
+gate race bench race_audit --quick --seed 42
 
 # Detector self-test: disable the dual-versioning victim guard and require
 # the race detector to catch the resulting protocol violation.
-cargo run -q --release --offline -p heron-bench --bin race_audit -- \
-    --quick --selftest
+gate race-selftest bench race_audit --quick --selftest
 
 # Explain gate: one traced + profiled fig7-shaped run (DESIGN.md §11).
 # Exports the Perfetto trace with counter tracks and the folded wait-state
@@ -49,49 +73,33 @@ cargo run -q --release --offline -p heron-bench --bin race_audit -- \
 # found in the trace. All virtual time: deterministic per seed. (Span sums
 # == Breakdown rows, at width 1 and 4: `cargo test`, trace_observability.rs;
 # switch on/off schedule identity: schedule_hash.rs; host cost: the ledger.)
-if ! cargo run -q --release --offline -p heron-bench --bin explain -- \
-    --quick --seed 42; then
-  echo "gates: explain FAILED — replay with:" >&2
-  echo "  cargo run --release -p heron-bench --bin explain -- --quick --seed 42" >&2
-  exit 1
-fi
+gate explain bench explain --quick --seed 42
 
 # P-SMR gate: executor-pool scaling (DESIGN.md §13). Sweeps width ∈
 # {1,2,4,8} × conflict level on TPC-C fixed work; fails if the width-8
 # speedups drop below the quick-mode floors or if any cell stalls. (The
 # per-width process roster, the delivery-order property at widths 1 and 4
-# and the pool chaos scenarios run in `cargo test` above via
-# schedule_hash.rs / psmr_order.rs / chaos.rs.)
-if ! cargo run -q --release --offline -p heron-bench --bin psmr_scaling -- \
-    --gate --quick; then
-  echo "gates: P-SMR scaling gate FAILED — remeasure with:" >&2
-  echo "  cargo run --release -p heron-bench --bin psmr_scaling -- --quick" >&2
-  exit 1
-fi
+# and the pool chaos scenarios run in `cargo test` via schedule_hash.rs /
+# psmr_order.rs / chaos.rs.)
+gate psmr bench psmr_scaling --gate --quick
 
 # Exploration gate: Sim-Check schedule exploration (DESIGN.md §15). Runs
 # the fig4 + chaos + recovery shapes under Baseline with the detectors
 # armed, then a fixed-seed random/PCT budget; all must stay free of
 # deadlock/livelock findings. (Exploration-off == Baseline schedule
 # identity: `cargo test`, schedule_hash.rs.)
-if ! cargo run -q --release --offline -p heron-bench --bin explore_suite -- \
-    --gate --quick --seed 42; then
-  echo "gates: exploration gate FAILED — replay with:" >&2
-  echo "  cargo run --release -p heron-bench --bin explore_suite -- --gate --quick --seed 42" >&2
-  exit 1
-fi
+gate explore bench explore_suite --gate --quick --seed 42
 
 # Detector self-test: inject a deadlock, a livelock, and the re-broken
 # PR 8 has_work gate; require each to be caught and shrunk to a minimal
 # replayable trace (proves the exploration gate can actually fail).
-cargo run -q --release --offline -p heron-bench --bin explore_suite -- \
-    --quick --selftest
+gate explore-selftest bench explore_suite --quick --selftest
 
 # Bench trend gate: fresh BENCH_*.json vs the committed baselines; a >20 %
 # geomean regression on the fig4 / psmr / recovery figures (virtual time)
 # fails.
 # (Skips figure pairs that are not apples-to-apples, e.g. quick vs full.)
-python3 scripts/bench_trend.py
+gate bench-trend python3 scripts/bench_trend.py
 
 # Recovery gate: durable checkpoints + cold restart (DESIGN.md §14). Runs
 # the fixed-seed durable-recovery chaos scenarios through the checker,
@@ -99,9 +107,10 @@ python3 scripts/bench_trend.py
 # tail replay, never full history). (With checkpointing disabled the
 # durability subsystem must be schedule-invisible: `cargo test`,
 # schedule_hash.rs pins the hash BENCH_recovery.json used to carry.)
-if ! cargo run -q --release --offline -p heron-bench --bin recovery_bench -- \
-    --gate --quick; then
-  echo "gates: recovery gate FAILED — remeasure with:" >&2
-  echo "  cargo run --release -p heron-bench --bin recovery_bench -- --quick" >&2
-  exit 1
-fi
+gate recovery bench recovery_bench --gate --quick
+
+echo
+echo "gates: verdict per gate (replay: \`bench BIN ARGS\` is \`cargo run --release -p heron-bench --bin BIN -- ARGS\`)"
+printf '   %-18s %-6s %3s  %s\n' gate verdict "\$?" command
+printf '   %s\n' "${verdicts[@]}"
+exit "$failed"
