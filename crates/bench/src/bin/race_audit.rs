@@ -92,11 +92,12 @@ fn main() {
         let s = audit.stats;
         println!(
             "{name:<20} seed {:<6} {:>9.0} tps  {:>8} remote reads checked  \
-             {:>10} cells  {:>4} in-flux  {} report(s)",
+             {:>10} cells  {:>7.1} MiB shadow  {:>4} in-flux  {} report(s)",
             cfg.seed,
             summary.tps,
             s.remote_reads_checked,
             s.cells_checked,
+            s.shadow_bytes as f64 / (1 << 20) as f64,
             s.influx_windows,
             audit.reports.len(),
         );

@@ -128,9 +128,25 @@ impl FabricStats {
     }
 }
 
+/// A node's registered memory: `brk` bytes registered, held in a buffer
+/// created on first access. The allocator hands a large zeroed buffer out
+/// as pages nobody has written, so the operating system commits a page
+/// of registered memory only where something first writes it.
 pub(crate) struct Memory {
-    pub(crate) bytes: Vec<u8>,
+    buf: Vec<u8>,
     brk: usize,
+}
+
+impl Memory {
+    /// Every registered byte, the buffer created or grown to `brk` first.
+    pub(crate) fn bytes(&mut self) -> &mut [u8] {
+        if self.buf.is_empty() {
+            self.buf = vec![0; self.brk];
+        } else if self.buf.len() < self.brk {
+            self.buf.resize(self.brk, 0);
+        }
+        &mut self.buf
+    }
 }
 
 /// Where `len` bytes at `addr` sit in a memory of `mem_len` bytes: the one
@@ -384,7 +400,7 @@ impl Fabric {
             id,
             name: name.into(),
             mem: Mutex::new(Memory {
-                bytes: Vec::new(),
+                buf: Vec::new(),
                 brk: 0,
             }),
             alive: AtomicBool::new(true),
@@ -432,16 +448,17 @@ impl Fabric {
             .store(false, Ordering::SeqCst);
     }
 
-    /// Crashes a node *and wipes its registered memory*: every byte is
-    /// zeroed, modeling a power loss that destroys volatile DRAM. The
+    /// Crashes a node *and wipes its registered memory*: the buffer is
+    /// dropped, modeling a power loss that destroys volatile DRAM. The
     /// allocation map (`brk`) is preserved, so addresses handed out before
-    /// the loss stay valid — they just read as zeros until rewritten.
-    /// Durable state must live in [`sim::storage`] to survive this.
+    /// the loss stay valid — they read as zeros from a fresh buffer until
+    /// rewritten. Durable state must live in [`sim::storage`] to survive
+    /// this.
     pub fn power_loss(&self, id: NodeId) {
         let node = &self.inner.nodes.read()[id.0 as usize];
         node.alive.store(false, Ordering::SeqCst);
         node.power_cycles.fetch_add(1, Ordering::SeqCst);
-        node.mem().bytes.fill(0);
+        node.mem().buf = Vec::new();
         // Every polled word just changed under its poller.
         node.ring_all();
     }
@@ -595,12 +612,9 @@ impl Node {
     /// Registers `bytes` of RDMA-accessible memory (zero-initialized,
     /// rounded up to whole words) and returns its base address.
     pub fn alloc_bytes(&self, bytes: usize) -> Addr {
-        let words = bytes.div_ceil(8);
         let mut mem = self.inner.mem();
         let base = mem.brk;
-        mem.brk += words * 8;
-        let new_len = mem.brk;
-        mem.bytes.resize(new_len, 0);
+        mem.brk += bytes.div_ceil(8) * 8;
         Addr(base as u64)
     }
 
@@ -639,9 +653,9 @@ impl Node {
     pub fn with_mem<R>(&self, f: impl FnOnce(&MemView<'_>) -> R) -> R {
         let tsan = self.fabric.tsan();
         let (out, touched) = {
-            let mem = self.inner.mem();
+            let mut mem = self.inner.mem();
             let view = MemView {
-                bytes: &mem.bytes,
+                bytes: mem.bytes(),
                 touched: tsan.as_ref().map(|_| RefCell::default()),
             };
             (f(&view), view.touched)
@@ -666,9 +680,9 @@ impl Node {
     /// The uninstrumented read: used by remote (one-sided) reads, which
     /// must *not* acquire — they are exactly the accesses being checked.
     pub(crate) fn read_raw(&self, addr: Addr, len: usize) -> RdmaResult<Vec<u8>> {
-        let mem = self.inner.mem();
+        let mut mem = self.inner.mem();
         let view = MemView {
-            bytes: &mem.bytes,
+            bytes: mem.bytes(),
             touched: None,
         };
         view.bytes(addr, len).map(<[u8]>::to_vec)
@@ -723,10 +737,11 @@ impl Node {
     pub(crate) fn cas_raw(&self, addr: Addr, expected: u64, new: u64) -> RdmaResult<u64> {
         let old = {
             let mut mem = self.inner.mem();
-            let word = span(mem.bytes.len(), addr, 8)?;
-            let old = u64::from_le_bytes(mem.bytes[word.clone()].try_into().expect("8 bytes"));
+            let bytes = mem.bytes();
+            let word = span(bytes.len(), addr, 8)?;
+            let old = u64::from_le_bytes(bytes[word.clone()].try_into().expect("8 bytes"));
             if old == expected {
-                mem.bytes[word].copy_from_slice(&new.to_le_bytes());
+                bytes[word].copy_from_slice(&new.to_le_bytes());
             }
             old
         };
@@ -741,8 +756,9 @@ impl Node {
     /// byte range written; batch landings collect these and ring once.
     pub(crate) fn store_raw(&self, addr: Addr, data: &[u8]) -> RdmaResult<Range<u64>> {
         let mut mem = self.inner.mem();
-        let at = span(mem.bytes.len(), addr, data.len())?;
-        mem.bytes[at].copy_from_slice(data);
+        let bytes = mem.bytes();
+        let at = span(bytes.len(), addr, data.len())?;
+        bytes[at].copy_from_slice(data);
         Ok(addr.0..addr.0 + data.len() as u64)
     }
 
@@ -949,6 +965,65 @@ mod tests {
             panic.downcast_ref::<String>().map(String::as_str),
             Some("b (node#1): registered memory borrowed across a block")
         );
+    }
+
+    #[test]
+    fn allocation_and_power_loss_panic_while_a_view_is_held() {
+        let fabric = Fabric::new(LatencyModel::zero());
+        let n = fabric.add_node("n");
+        n.alloc_words(1);
+        let alloc = || {
+            n.alloc_words(1);
+        };
+        let power_loss = || fabric.power_loss(n.id());
+        for op in [&alloc as &dyn Fn(), &power_loss] {
+            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                n.with_mem(|_| op());
+            }))
+            .expect_err("the memory was taken");
+            assert_eq!(
+                panic.downcast_ref::<String>().map(String::as_str),
+                Some("n (node#0): registered memory borrowed across a block")
+            );
+        }
+    }
+
+    /// The store's bootstrap pattern: allocations interleaved with writes
+    /// and reads, so the buffer is created early and grown many times.
+    #[test]
+    fn allocations_interleaved_with_accesses_read_back_exactly() {
+        let fabric = Fabric::new(LatencyModel::zero());
+        let n = fabric.add_node("n");
+        let mut written = Vec::new();
+        for i in 0..64usize {
+            let len = 8 + i * 977 % 9000;
+            let at = n.alloc_bytes(len);
+            let data: Vec<u8> = (0..len).map(|j| (i * 31 + j) as u8).collect();
+            n.local_write(at, &data).unwrap();
+            assert_eq!(n.local_read(at, len).unwrap(), data);
+            written.push((at, data));
+        }
+        for (at, data) in &written {
+            assert_eq!(&n.local_read(*at, data.len()).unwrap(), data);
+        }
+    }
+
+    #[test]
+    fn never_written_memory_reads_zero() {
+        let fabric = Fabric::new(LatencyModel::zero());
+        let n = fabric.add_node("n");
+        let a = n.alloc_bytes(1 << 20);
+        assert_eq!(n.local_read_word(a.offset(4096)).unwrap(), 0);
+        n.local_write_word(a, 7).unwrap();
+        let b = n.alloc_bytes(1 << 20);
+        assert!(n
+            .local_read(a.offset(8), (1 << 20) - 8)
+            .unwrap()
+            .iter()
+            .all(|&x| x == 0));
+        assert!(n.local_read(b, 1 << 20).unwrap().iter().all(|&x| x == 0));
+        assert_eq!(n.cas_raw(b.offset(8), 0, 9).unwrap(), 0);
+        assert_eq!(n.local_read_word(a).unwrap(), 7);
     }
 
     #[test]

@@ -7,10 +7,14 @@
 //! and a torn or stale value. This module machine-checks that discipline:
 //!
 //! * Every node's registered memory is shadowed at 8-byte **cell**
-//!   granularity. Each cell remembers the *epoch* of its last writer — the
-//!   writer's pid and the value of the writer's own vector-clock entry at
-//!   the write — plus the writer's full clock, virtual timestamp and
-//!   process name, and an optional mark left by the last remote reader.
+//!   granularity, in chunks of 64 cells allocated on the first access from
+//!   process context; a host-context (setup) write over cells no process
+//!   has touched records nothing, since it would read exactly as the
+//!   never-written init cell does. Each cell remembers the *epoch* of its
+//!   last writer — the writer's pid and the value of the writer's own
+//!   vector-clock entry at the write — plus the writer's full clock,
+//!   virtual timestamp and process name, and an optional mark left by the
+//!   last remote reader.
 //! * Happens-before edges come from the protocol's real synchronization
 //!   points: mailbox sends/receives and [`sim::Cond`] notifies piggyback
 //!   clock snapshots (see `sim::vclock`), **local** reads of registered
@@ -62,13 +66,19 @@ use parking_lot::Mutex;
 use sim::VectorClock;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 /// Shadow-cell granularity in bytes (one machine word).
 pub const CELL_BYTES: u64 = 8;
 
 /// Cap on recorded reports; everything past it is counted, not stored.
 const MAX_REPORTS: usize = 256;
+
+/// Shadow cells allocated at a time: 64 cells shadow 512 data bytes.
+const CHUNK: usize = 64;
+
+/// Bytes of one allocated shadow chunk.
+const CHUNK_SHADOW_BYTES: u64 = std::mem::size_of::<[Cell; CHUNK]>() as u64;
 
 /// Protocol role of an annotated memory region. See the module docs for
 /// the exact check matrix.
@@ -181,6 +191,8 @@ pub struct DetectorStats {
     pub influx_windows: u64,
     /// Reports dropped after the in-memory cap was reached.
     pub reports_dropped: u64,
+    /// Bytes of shadow chunks allocated, across every node.
+    pub shadow_bytes: u64,
 }
 
 /// The epoch of a write: who wrote, at which value of their own clock
@@ -241,6 +253,19 @@ struct Cell {
     r_mark: Option<ReadMark>,
 }
 
+impl Cell {
+    /// Records `ticket`'s write at `time_ns`, clearing the read mark.
+    fn commit(&mut self, ticket: &WriteTicket, time_ns: u64) {
+        self.w_pid = ticket.pid;
+        self.w_clk = ticket.clk;
+        self.w_time = time_ns;
+        self.w_vc = Arc::clone(&ticket.vc);
+        self.w_proc = Arc::clone(&ticket.proc);
+        self.w_op = ticket.op;
+        self.r_mark = None;
+    }
+}
+
 struct Region {
     start: u64,
     end: u64,
@@ -248,43 +273,66 @@ struct Region {
     label: Arc<str>,
 }
 
+/// A cell no process has accessed: never written, never read remotely.
+static INIT_CELL: LazyLock<Cell> = LazyLock::new(|| Cell {
+    w_pid: u32::MAX,
+    w_clk: 0,
+    w_time: 0,
+    w_vc: Arc::default(),
+    w_proc: "<init>".into(),
+    w_op: "init",
+    r_mark: None,
+});
+
+/// A node's shadow cells, allocated a chunk at a time on the first access
+/// from process context. A cell whose chunk does not exist reads as
+/// [`INIT_CELL`].
+#[derive(Default)]
+struct Cells(Vec<Option<Box<[Cell]>>>);
+
+impl Cells {
+    /// The chunk holding cell `idx`, if it exists.
+    fn chunk(&self, idx: usize) -> Option<&[Cell]> {
+        self.0.get(idx / CHUNK)?.as_deref()
+    }
+
+    /// Cell `idx`, or the init cell if its chunk does not exist.
+    fn get(&self, idx: usize) -> &Cell {
+        self.chunk(idx).map_or(&INIT_CELL, |c| &c[idx % CHUNK])
+    }
+
+    /// Cell `idx` to update, its chunk created from init cells if missing.
+    fn get_mut(&mut self, idx: usize) -> &mut Cell {
+        let at = idx / CHUNK;
+        self.0.resize_with(self.0.len().max(at + 1), || None);
+        let chunk = self.0[at].get_or_insert_with(|| vec![INIT_CELL.clone(); CHUNK].into());
+        &mut chunk[idx % CHUNK]
+    }
+}
+
+/// The cells shadowing `len` bytes at `addr`.
+fn cell_range(addr: Addr, len: usize) -> std::ops::Range<usize> {
+    let first = (addr.0 / CELL_BYTES) as usize;
+    let last = ((addr.0 + len as u64).div_ceil(CELL_BYTES)) as usize;
+    first..last
+}
+
 struct NodeShadow {
     name: String,
-    cells: Vec<Cell>,
+    cells: Cells,
     /// Sorted by start; ranges never overlap (allocations are disjoint).
     regions: Vec<Region>,
-    init_cell: Cell,
     default_label: Arc<str>,
 }
 
 impl NodeShadow {
     fn new() -> NodeShadow {
-        let empty = Arc::new(VectorClock::new());
         NodeShadow {
             name: String::new(),
-            cells: Vec::new(),
+            cells: Cells::default(),
             regions: Vec::new(),
-            init_cell: Cell {
-                w_pid: u32::MAX,
-                w_clk: 0,
-                w_time: 0,
-                w_vc: empty,
-                w_proc: "<init>".into(),
-                w_op: "init",
-                r_mark: None,
-            },
             default_label: "unregistered".into(),
         }
-    }
-
-    fn ensure_cells(&mut self, addr: Addr, len: usize) -> std::ops::Range<usize> {
-        let first = (addr.0 / CELL_BYTES) as usize;
-        let last = ((addr.0 + len as u64).div_ceil(CELL_BYTES)) as usize;
-        if self.cells.len() < last {
-            let template = self.init_cell.clone();
-            self.cells.resize(last, template);
-        }
-        first..last
     }
 
     fn region_at(&self, cell_idx: usize) -> (RegionKind, &Arc<str>) {
@@ -378,12 +426,17 @@ impl TsanState {
         let mut influx = 0u64;
         let mut checked = 0u64;
         self.with_node(node, |s| {
-            let range = s.ensure_cells(addr, len);
+            let range = cell_range(addr, len);
             checked = range.len() as u64;
             for idx in range {
+                if ticket.pid == u32::MAX && s.cells.chunk(idx).is_none() {
+                    // The sentinel epoch over init cells: the cells it
+                    // would write read exactly as the init cell does.
+                    continue;
+                }
                 let (kind, label) = s.region_at(idx);
                 let label = Arc::clone(label);
-                let cell = &mut s.cells[idx];
+                let cell = s.cells.get_mut(idx);
                 match kind {
                     RegionKind::Sync => {}
                     RegionKind::Staging => {}
@@ -451,13 +504,7 @@ impl TsanState {
                         }
                     }
                 }
-                cell.w_pid = ticket.pid;
-                cell.w_clk = ticket.clk;
-                cell.w_time = time_ns;
-                cell.w_vc = Arc::clone(&ticket.vc);
-                cell.w_proc = Arc::clone(&ticket.proc);
-                cell.w_op = ticket.op;
-                cell.r_mark = None;
+                cell.commit(ticket, time_ns);
             }
         });
         self.cells_checked.fetch_add(checked, Ordering::Relaxed);
@@ -517,12 +564,12 @@ impl TsanState {
         let mut pending: Vec<RaceReport> = Vec::new();
         let mut checked = 0u64;
         self.with_node(node, |s| {
-            let range = s.ensure_cells(addr, len);
+            let range = cell_range(addr, len);
             checked = range.len() as u64;
             for idx in range {
                 let (kind, label) = s.region_at(idx);
                 let label = Arc::clone(label);
-                let cell = &mut s.cells[idx];
+                let cell = s.cells.get_mut(idx);
                 match kind {
                     RegionKind::Sync => {
                         // Reading sync memory one-sidedly is the protocol's
@@ -586,10 +633,9 @@ impl TsanState {
     pub(crate) fn on_local_read(&self, node: &Node, addr: Addr, len: usize) {
         let mut acquired = VectorClock::new();
         self.with_node(node, |s| {
-            let range = s.ensure_cells(addr, len);
             let mut last: Option<&Arc<VectorClock>> = None;
-            for idx in range {
-                let vc = &s.cells[idx].w_vc;
+            for idx in cell_range(addr, len) {
+                let vc = &s.cells.get(idx).w_vc;
                 if vc.is_empty() {
                     continue;
                 }
@@ -613,19 +659,12 @@ impl TsanState {
     pub(crate) fn on_cas(&self, node: &Node, addr: Addr, ticket: &WriteTicket, time_ns: u64) {
         let mut acquired = VectorClock::new();
         self.with_node(node, |s| {
-            let range = s.ensure_cells(addr, 8);
-            for idx in range {
-                let cell = &mut s.cells[idx];
+            for idx in cell_range(addr, 8) {
+                let cell = s.cells.get_mut(idx);
                 if !cell.w_vc.is_empty() {
                     acquired.join(&cell.w_vc);
                 }
-                cell.w_pid = ticket.pid;
-                cell.w_clk = ticket.clk;
-                cell.w_time = time_ns;
-                cell.w_vc = Arc::clone(&ticket.vc);
-                cell.w_proc = Arc::clone(&ticket.proc);
-                cell.w_op = ticket.op;
-                cell.r_mark = None;
+                cell.commit(ticket, time_ns);
             }
         });
         if !acquired.is_empty() {
@@ -680,6 +719,9 @@ impl RaceDetector {
             cells_checked: self.state.cells_checked.load(Ordering::Relaxed),
             influx_windows: self.state.influx_windows.load(Ordering::Relaxed),
             reports_dropped: self.state.reports_dropped.load(Ordering::Relaxed),
+            shadow_bytes: (self.state.shadow.lock().iter())
+                .map(|s| s.cells.0.iter().flatten().count() as u64 * CHUNK_SHADOW_BYTES)
+                .sum(),
         }
     }
 
@@ -696,9 +738,8 @@ impl RaceDetector {
         let time_ns = sim::try_now().map(|t| t.as_nanos()).unwrap_or(0);
         let mut conflict: Option<ConflictInfo> = None;
         self.state.with_node(node, |s| {
-            let range = s.ensure_cells(addr, len);
-            for idx in range {
-                let cell = &mut s.cells[idx];
+            for idx in cell_range(addr, len) {
+                let cell = s.cells.get_mut(idx);
                 if cell.w_clk != 0 && cell.w_pid != r_pid && r_vc.get(cell.w_pid) < cell.w_clk {
                     let start = idx as u64 * CELL_BYTES;
                     match &mut conflict {
@@ -735,9 +776,8 @@ impl RaceDetector {
     /// if the range was never written.
     pub fn last_writer(&self, node: &Node, addr: Addr, len: usize) -> Option<AccessSite> {
         self.state.with_node(node, |s| {
-            let range = s.ensure_cells(addr, len);
-            for idx in range {
-                let cell = &s.cells[idx];
+            for idx in cell_range(addr, len) {
+                let cell = s.cells.get(idx);
                 if cell.w_clk != 0 || cell.w_pid != u32::MAX {
                     return Some(AccessSite {
                         proc: cell.w_proc.to_string(),
@@ -964,6 +1004,63 @@ mod tests {
         });
         sim_h.run().unwrap();
         assert!(det.reports().is_empty(), "got: {:#?}", det.reports());
+    }
+
+    /// A host-context write is the sentinel epoch, which reads exactly as
+    /// an init cell: over untouched memory it allocates no shadow, and a
+    /// local read of untouched memory allocates none either.
+    #[test]
+    fn host_writes_and_local_reads_of_untouched_memory_allocate_no_shadow() {
+        let sim_h = sim::Simulation::new(1);
+        let fabric = Fabric::new(LatencyModel::connectx4());
+        let det = fabric.enable_race_detector();
+        let a = fabric.add_node("a");
+        let addr = a.alloc_bytes(4096);
+        a.local_write(addr, &[1u8; 4096]).unwrap();
+        assert_eq!(det.stats().shadow_bytes, 0);
+        assert!(det.last_writer(&a, addr, 4096).is_none());
+        let a2 = a.clone();
+        sim_h.spawn("poller", move || {
+            let _ = a2.local_read(addr, 4096).unwrap();
+            let _ = a2.with_mem(|m| m.word(addr.offset(512)).unwrap());
+        });
+        sim_h.run().unwrap();
+        assert_eq!(det.stats().shadow_bytes, 0);
+        assert_eq!(det.stats().cells_checked, 512);
+    }
+
+    /// The sentinel still resets a cell whose chunk exists: a process
+    /// write overwritten from host context (itself reported — nothing
+    /// orders the host after the writer) is forgotten, so a later
+    /// unordered remote read is not reported and the range has no last
+    /// writer.
+    #[test]
+    fn a_host_write_resets_a_cell_a_process_wrote() {
+        let sim_h = sim::Simulation::new(2);
+        let fabric = Fabric::new(LatencyModel::connectx4());
+        let det = fabric.enable_race_detector();
+        let a = fabric.add_node("a");
+        let b = fabric.add_node("b");
+        let addr = a.alloc_bytes(16);
+        let a2 = a.clone();
+        sim_h.spawn("writer", move || a2.local_write(addr, &[7u8; 16]).unwrap());
+        sim_h.run().unwrap();
+        let chunk = det.stats().shadow_bytes;
+        assert!(chunk > 0);
+        assert_eq!(det.last_writer(&a, addr, 16).unwrap().proc, "writer");
+        a.local_write(addr, &[8u8; 16]).unwrap();
+        assert!(det.last_writer(&a, addr, 16).is_none());
+        let qp = b.connect(&a);
+        sim_h.spawn("reader", move || {
+            assert_eq!(qp.read(addr, 16).unwrap(), [8u8; 16]);
+        });
+        sim_h.run().unwrap();
+        let reports = det.reports();
+        assert_eq!(reports.len(), 1, "got: {reports:#?}");
+        assert_eq!(reports[0].kind, RaceKind::WriteVsWrite);
+        assert_eq!(reports[0].second.proc, "<host>");
+        assert_eq!(det.stats().remote_reads_checked, 1);
+        assert_eq!(det.stats().shadow_bytes, chunk);
     }
 
     /// When the detector is off, clocks never tick and the event schedule

@@ -3,11 +3,10 @@
 # runs on top of the release build. `scripts/tier1.sh` ends by running it
 # and CI's `gates` job runs nothing else.
 #
-# Every gate runs, whatever the ones before it did: a gate that cannot
-# finish on this box (ROADMAP: `race_audit --quick` is killed for memory)
-# must not hide the verdicts of those after it. The table at the end has
-# one line per gate — verdict, exit status, and the command that replays
-# it — and the script exits 1 if any gate failed.
+# Every gate runs, whatever the ones before it did: a gate that fails or
+# is killed must not hide the verdicts of those after it. The table at the
+# end has one line per gate — verdict, exit status, and the command that
+# replays it — and the script exits 1 if any gate failed.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
