@@ -10,6 +10,8 @@
 //!    transfers) the system suffers. Larger δ trades latency for fewer
 //!    laggers; the paper's heuristic is that "a small fraction of the time
 //!    needed to execute a multi-partition request is enough".
+//! 3. **End-to-end batching cap** — the ordering layer's group commit and
+//!    doorbell-coalesced verbs, swept over `max_batch` on null requests.
 //!
 //! `cargo run -p heron-bench --release --bin ablation_sweeps [--quick]`
 
@@ -70,34 +72,8 @@ fn cutoff_sweep(quick: bool) {
     );
 }
 
-fn execution_mode_sweep(quick: bool) {
-    println!("\n-- ablation 3: multi-partition execution mode (§III-D2) --");
-    println!(
-        "{:<14} {:>12} {:>12} {:>12}",
-        "mode", "tps", "mean lat", "p99 lat"
-    );
-    // Make multi-partition traffic prominent: every NewOrder line has a
-    // 10% remote-supply chance instead of the spec's 1%.
-    for (label, mode) in [
-        ("all-involved", heron_core::ExecutionMode::AllInvolved),
-        ("active-only", heron_core::ExecutionMode::ActiveOnly),
-    ] {
-        let mut cfg = RunConfig::new(4, 3, Workload::Tpcc).quick(quick);
-        cfg.execution_mode = mode;
-        let s = run_heron(&cfg);
-        println!(
-            "{:<14} {:>12.0} {:>12.2?} {:>12.2?}",
-            label, s.tps, s.mean, s.p99
-        );
-    }
-    println!(
-        "paper: the active-only variant saves the passive partitions' compute but\n\
-         concentrates all execution (and extra remote writes) on the active one"
-    );
-}
-
 fn batching_sweep(quick: bool) {
-    println!("\n-- ablation 4: end-to-end batching cap (Heron null requests, 4 partitions) --");
+    println!("\n-- ablation 3: end-to-end batching cap (Heron null requests, 4 partitions) --");
     println!(
         "{:<10} {:>12} {:>12} {:>12} {:>14} {:>10}",
         "max_batch", "tps", "mean lat", "p99 lat", "sim events", "wall"
@@ -132,11 +108,10 @@ fn batching_sweep(quick: bool) {
 fn main() {
     let quick = quick_mode();
     banner(
-        "Ablations: transfer chunk size, wait-for-all cut-off, execution mode, batching",
-        "§V-E2 (32 KiB payloads), §V-A question 3 (cut-off time), §III-D2 (execution variants)",
+        "Ablations: transfer chunk size, wait-for-all cut-off, batching",
+        "§V-E2 (32 KiB payloads), §V-A question 3 (cut-off time)",
     );
     chunk_size_sweep();
     cutoff_sweep(quick);
-    execution_mode_sweep(quick);
     batching_sweep(quick);
 }

@@ -689,29 +689,38 @@ pub fn run_explored(
     )
 }
 
-/// The one scenario driver: runs `sc` on a simulation, a fresh fabric and
-/// a deployment config (start from [`Scenario::config`]) the caller has
-/// prepared, so whatever diagnostics are enabled on them ride along; the
-/// schedule fingerprint is the caller's to read off `simulation` afterwards.
+/// Runs `sc` on a simulation, a fresh fabric and a deployment config
+/// (start from [`Scenario::config`]) the caller has prepared, so whatever
+/// diagnostics are enabled on them ride along; the schedule fingerprint is
+/// the caller's to read off `simulation` afterwards.
 pub fn run_on(
     sc: &Scenario,
     simulation: &sim::Simulation,
     fabric: &Fabric,
     cfg: HeronConfig,
 ) -> RunResult {
-    let bank = Arc::new(Bank {
-        partitions: sc.partitions as u16,
-        accounts: sc.accounts,
-    });
+    let bank = Arc::new(Bank::new(sc.partitions as u16, sc.accounts));
     let cluster = HeronCluster::build(fabric, cfg, bank);
+    run_cluster(sc, simulation, fabric, &cluster)
+}
+
+/// The one scenario driver: spawns `cluster` (a [`Bank`] deployment built
+/// on `fabric`), arms the scenario's faults, runs its clients to the end
+/// and checks the result. The cluster stays the caller's to inspect.
+pub fn run_cluster(
+    sc: &Scenario,
+    simulation: &sim::Simulation,
+    fabric: &Fabric,
+    cluster: &HeronCluster,
+) -> RunResult {
     cluster.spawn(simulation);
-    build_plan(sc, &cluster).arm(simulation, fabric);
+    build_plan(sc, cluster).arm(simulation, fabric);
 
     let checker = Checker::new(sc.seed);
     let done = Arc::new(AtomicUsize::new(0));
     let (accounts, requests, clients, seed) = (sc.accounts, sc.requests, sc.clients, sc.seed);
     for c in 0..clients {
-        let mut client = checker.client(&cluster, format!("chaos{c}"));
+        let mut client = checker.client(cluster, format!("chaos{c}"));
         let done = done.clone();
         let c = c as u64;
         simulation.spawn(format!("chaos-client{c}"), move || {
@@ -745,7 +754,7 @@ pub fn run_on(
     if let Some((p, r, oid)) = sc.corrupt {
         cluster.corrupt_value(PartitionId(p), r, ObjectId(oid));
     }
-    match checker.check(&cluster, &BankSpec { accounts }) {
+    match checker.check(cluster, &BankSpec { accounts }) {
         Ok(()) => RunResult::Pass { ops: history.len() },
         Err(v) => RunResult::Failed(v),
     }
@@ -874,6 +883,10 @@ mod tests {
             RunResult::Failed(v) => {
                 assert_eq!(v.seed, 2);
                 assert_eq!(v.check, "store");
+                // The report names the seed and the corrupted object.
+                let msg = v.to_string();
+                assert!(msg.contains("seed 2"), "{msg}");
+                assert!(msg.contains("obj:0x0"), "{msg}");
             }
             other => panic!("expected a violation, got {other:?}"),
         }

@@ -57,10 +57,9 @@ pub struct RunConfig {
     /// default; `Some(None)` disables the heuristic; `Some(Some(δ))` sets
     /// it.
     pub wait_for_all: Option<Option<Duration>>,
-    /// Multi-partition execution mode (paper §III-D2).
-    pub execution_mode: heron_core::ExecutionMode,
-    /// End-to-end batching cap (ordering-layer group commit + coalesced
-    /// Phase 2/4 doorbells). `1` = unbatched, the paper's baseline system.
+    /// End-to-end batching cap (ordering-layer group commit and
+    /// doorbell-coalesced verbs). `1` = unbatched, the paper's baseline
+    /// system.
     pub max_batch: usize,
     /// Fixed-work mode: when set, each client issues exactly this many
     /// requests and the run measures the whole execution (virtual time,
@@ -108,7 +107,6 @@ impl RunConfig {
             window: Duration::from_millis(25),
             workload,
             wait_for_all: None,
-            execution_mode: heron_core::ExecutionMode::default(),
             max_batch: 1,
             requests: None,
             race_detector: false,
@@ -319,7 +317,6 @@ pub fn run_heron_on(cfg: &RunConfig, fabric: &Fabric) -> LoadSummary {
         hcfg = hcfg.with_wait_for_all(delta);
     }
     hcfg = hcfg
-        .with_execution_mode(cfg.execution_mode)
         .with_max_batch(cfg.max_batch)
         .with_race_detector(cfg.race_detector)
         .with_tracing(cfg.tracing);

@@ -19,8 +19,8 @@
 //!
 //! Run them with `cargo run -p heron-bench --release --bin <name>`; pass
 //! `--quick` for a shorter, coarser run. Host-time costs of the
-//! implementation itself are measured by `sched_bench` and by the ledger's
-//! isolated drivers (`benchmark/`).
+//! implementation itself are measured by the ledger's isolated drivers
+//! (`benchmark/`).
 #![forbid(unsafe_code)]
 
 pub mod chaos;

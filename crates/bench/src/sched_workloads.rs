@@ -1,9 +1,14 @@
-//! Scheduler benchmark workloads of the `sched_bench` binary, which emits
-//! `bench_results/BENCH_scheduler.json`.
+//! Six scheduler micro-workloads, each stressing one kernel path: timer
+//! pops, cross-process switches, fan-out wakes, superseded deadlines,
+//! same-instant ties and skewed deadlines.
 //!
 //! Each workload builds a ready-to-run [`sim::Simulation`] sized to
-//! execute roughly `events` scheduler events. The schedules they execute
-//! at the committed baseline's size are pinned below.
+//! execute roughly `events` scheduler events. What they execute at 100 000
+//! events is pinned below, exactly: a kernel change that moves a pin
+//! changed the schedule. What a kernel path costs in host time is judged
+//! on the ledger's `sim.kernel_timer_ns_per_event` /
+//! `sim.kernel_handoff_ns_per_event` (`benchmark/`), over interleaved
+//! pairs.
 
 use sim::{Mailbox, Simulation};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -12,45 +17,37 @@ use std::time::Duration;
 
 /// One scheduler workload: a name and a builder.
 pub struct SchedWorkload {
-    /// Short identifier used in JSON and bench names.
+    /// Short identifier, as pinned.
     pub name: &'static str,
-    /// What the workload stresses.
-    pub what: &'static str,
     /// Builds a simulation that executes ~`events` scheduler events.
     pub build: fn(events: u64) -> Simulation,
 }
 
-/// All scheduler workloads, in reporting order.
+/// All scheduler workloads, in pin order.
 pub fn all() -> &'static [SchedWorkload] {
     &[
         SchedWorkload {
             name: "timer_events",
-            what: "sequential sleeps: one pop + one wakeup per event",
             build: timer_events,
         },
         SchedWorkload {
             name: "pingpong_switches",
-            what: "two processes alternating through a Cond",
             build: pingpong_switches,
         },
         SchedWorkload {
             name: "fanout_wakes",
-            what: "one producer waking 8 parked consumers per round",
             build: fanout_wakes,
         },
         SchedWorkload {
             name: "timer_cancellation",
-            what: "recv_timeout deadlines superseded by earlier messages (stale wakes)",
             build: timer_cancellation,
         },
         SchedWorkload {
             name: "same_instant_burst",
-            what: "64 timers per round at one identical deadline",
             build: same_instant_burst,
         },
         SchedWorkload {
             name: "skewed_deadlines",
-            what: "mixed near/mid/far deadlines incl. the overflow level",
             build: skewed_deadlines,
         },
     ]
@@ -201,11 +198,11 @@ mod tests {
     use super::*;
 
     /// `(name, schedule_hash, events, virtual_ns)` of every workload at
-    /// 100 000 events, as committed in `bench_results/BENCH_scheduler.json`.
-    /// Five are the triples the binary heap was still there to agree with;
-    /// `timer_cancellation` was `(0x0b88b3d41ba2c695, 100_001, 4_333_200)`
-    /// until the wheel began shedding its superseded deadlines (PR 23): a
-    /// third fewer pops, the same final time.
+    /// 100 000 events. Five are the triples the binary heap was still there
+    /// to agree with; `timer_cancellation` was
+    /// `(0x0b88b3d41ba2c695, 100_001, 4_333_200)` until the wheel began
+    /// shedding its superseded deadlines: a third fewer pops, the same
+    /// final time.
     const PINS: [(&str, u64, u64, u64); 6] = [
         ("timer_events", 0x0111b4ffb3792b4d, 100_001, 10_000_000),
         ("pingpong_switches", 0x61d230a1c549e4c2, 100_002, 2_500_000),

@@ -88,17 +88,6 @@ pub trait StateMachine: Send + Sync + 'static {
     /// The partitions a request must be multicast to. Used by clients.
     fn destinations(&self, request: &[u8]) -> Vec<PartitionId>;
 
-    /// Which involved partition acts as the *active* partition when the
-    /// deployment runs in [`crate::ExecutionMode::ActiveOnly`]. Defaults
-    /// to the lowest involved partition. Workloads whose requests insert
-    /// objects with dynamically-derived keys (TPC-C's order rows) must
-    /// pick the partition that performs those inserts, since only the active
-    /// partition executes.
-    fn active_partition(&self, request: &[u8]) -> Option<PartitionId> {
-        let _ = request;
-        None
-    }
-
     /// The objects the request will read (local and remote), estimated a
     /// priori as the paper assumes.
     fn read_set(&self, request: &[u8]) -> Vec<ObjectId>;

@@ -149,9 +149,9 @@ impl HeronClient {
         self.cluster
             .metrics
             .record_latency_tagged(latency, u64::from(uid.0));
-        // Prefer the first partition with a non-empty response: in
-        // active-only execution the passive partitions answer with empty
-        // acknowledgments.
+        // Prefer the first partition with a non-empty response: a partition
+        // that executes only part of a request (TPC-C's supplying
+        // warehouses in a NewOrder) answers with an empty acknowledgment.
         for p in dests {
             let r = self.read_response(*p, seq);
             if !r.is_empty() {

@@ -38,29 +38,6 @@ impl DurabilityConfig {
     }
 }
 
-/// How multi-partition requests execute (paper §III-D2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecutionMode {
-    /// Every involved partition executes the request, each updating only
-    /// its local objects — Heron's default design.
-    #[default]
-    AllInvolved,
-    /// Only the *active* partition ([`crate::StateMachine::active_partition`],
-    /// by default the lowest involved id) executes — every involved
-    /// partition's share, on the same execution path as its own; it updates
-    /// its own objects locally and writes the passive partitions' objects
-    /// remotely (whole dual-version slots, so racing active replicas write
-    /// identical images). Saves the passive partitions' compute at the
-    /// cost of extra fabric writes — the alternative the paper sketches
-    /// and leaves as future work.
-    ///
-    /// Requirement: every object a partition may be *written* remotely
-    /// must appear in that partition's `read_set_at` (true for TPC-C:
-    /// suppliers' stock rows, the payee's customer row), so that passive
-    /// replicas can maintain their update logs for state transfer.
-    ActiveOnly,
-}
-
 /// Configuration of a Heron deployment.
 #[derive(Debug, Clone)]
 pub struct HeronConfig {
@@ -93,8 +70,6 @@ pub struct HeronConfig {
     /// A replica that asked for state transfer re-issues the request if not
     /// served within this timeout (Algorithm 3's `timeout`).
     pub transfer_timeout: Duration,
-    /// Multi-partition execution strategy (paper §III-D2).
-    pub execution_mode: ExecutionMode,
     /// Execution lanes per replica (P-SMR). Every replica has one delivery
     /// driver process. At `1` (the default) the driver executes each
     /// command itself, in delivery order, on its inline lane — the paper's
@@ -144,7 +119,6 @@ impl HeronConfig {
             ser_ns_per_kib: 2_290,
             deser_ns_per_kib: 2_290,
             transfer_timeout: Duration::from_millis(5),
-            execution_mode: ExecutionMode::default(),
             executor_width: 1,
             race_detector: false,
             tracing: false,
@@ -172,13 +146,6 @@ impl HeronConfig {
     #[must_use]
     pub fn with_tracing(mut self, on: bool) -> Self {
         self.tracing = on;
-        self
-    }
-
-    /// Sets the multi-partition execution mode.
-    #[must_use]
-    pub fn with_execution_mode(mut self, mode: ExecutionMode) -> Self {
-        self.execution_mode = mode;
         self
     }
 
@@ -222,9 +189,8 @@ impl HeronConfig {
 
     /// Sets the ordering layer's group-commit size
     /// ([`McastConfig::max_batch`]; `1`, the default, is the paper's
-    /// design). The execution layer has no batching setting of its own: a
-    /// barrier entry always shares its doorbell with whatever object
-    /// writes are queued for the same peer.
+    /// design). The execution layer has no batching setting of its own:
+    /// each barrier entry is one write per peer.
     #[must_use]
     pub fn with_max_batch(mut self, n: usize) -> Self {
         self.mcast = self.mcast.with_max_batch(n);

@@ -79,10 +79,6 @@ use std::time::Duration;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Lagging;
 
-/// Writes queued per target node, to be flushed behind the same doorbell
-/// as the next coordination entry for that node.
-pub(crate) type PendingWrites = HashMap<rdma_sim::NodeId, Vec<(rdma_sim::Addr, Vec<u8>)>>;
-
 /// Why a command stalled mid-flight.
 #[derive(Debug, Clone)]
 pub(crate) enum Stall {
@@ -211,25 +207,12 @@ impl ExecCore {
             ],
         );
         let coordinated = dests.len() > 1;
-        // §III-D2: whose share of the command this replica executes.
-        let own = [shared.partition];
-        let shares: &[PartitionId] = match self.cfg().execution_mode {
-            crate::ExecutionMode::ActiveOnly if coordinated => {
-                let app = &shared.cluster.app;
-                if app.active_partition(payload).unwrap_or(dests[0]) == shared.partition {
-                    &dests
-                } else {
-                    &[]
-                }
-            }
-            _ => &own,
-        };
 
         // Lines 8–10: Phase 2 — barrier on a majority of every involved
         // partition.
         let mut phase2 = coordinated.then(|| {
             let stage = Stage::open("exec.phase2", uid);
-            self.write_coord(&dests, ts, 1, PendingWrites::new());
+            self.write_coord(&dests, ts, 1);
             stage
         });
         let mut coordination_ns = 0;
@@ -238,7 +221,7 @@ impl ExecCore {
         // Phase-2 wait, then lines 11–13 — is retried after every stall
         // whose transfer did not cover the command.
         let timeout = self.cfg().transfer_timeout;
-        let (response, write_backs) = loop {
+        let response = loop {
             let stall = if phase2.is_some() && !self.wait_coord_timeout(&dests, ts, 1, timeout) {
                 // The barrier starved: the peers' coordination writes were
                 // lost while we were crashed (they ran this request long
@@ -257,7 +240,7 @@ impl ExecCore {
                 // includes this request covers it (it will be skipped via
                 // last_req), otherwise we caught up to a point *before*
                 // this request and must still execute it.
-                match self.execute(payload, ts, &dests, shares) {
+                match self.execute(payload, ts, &dests) {
                     Ok(done) => break done,
                     Err(Lagging) => Stall::Lagging,
                 }
@@ -270,15 +253,14 @@ impl ExecCore {
 
         if coordinated {
             // Lines 14–16: Phase 4 — same barrier, with the optional
-            // wait-for-all delay (paper §V-E1). Queued active-only
-            // write-backs ride the same doorbells.
+            // wait-for-all delay (paper §V-E1).
             let stage = Stage::open("exec.phase4", uid);
             // Protocol lint (regression guard): the Phase-4 entry — which
-            // in active-only mode carries the remote object write-backs —
-            // must never be posted before the Phase-2 quorum was observed.
-            // Coordination entries are monotone, so once the barrier above
-            // passed this stays satisfied; a hit means a code change
-            // skipped or reordered the Phase-2 wait.
+            // tells peers our writing phase is done — must never be posted
+            // before the Phase-2 quorum was observed. Coordination entries
+            // are monotone, so once the barrier above passed this stays
+            // satisfied; a hit means a code change skipped or reordered
+            // the Phase-2 wait.
             if let Some(det) = shared.cluster.detector.as_ref() {
                 if !coord_quorum(shared, &dests, ts, 1).0 {
                     let coord_len = (self.cfg().partitions
@@ -286,20 +268,20 @@ impl ExecCore {
                         * shared.layout.coord_width
                         * COORD_ENTRY) as u64;
                     det.report_lint(
-                        "Phase-2 write-back before quorum clock advanced",
+                        "Phase-4 entry before Phase-2 quorum",
                         &shared.node,
                         "coord",
                         (shared.layout.coord.0, shared.layout.coord.0 + coord_len),
                         None,
                         format!(
-                            "posting the Phase-4 entry (and its queued write-backs) for ts {} \
+                            "posting the Phase-4 entry for ts {} \
                              while the Phase-2 majority barrier is not satisfied",
                             ts.raw()
                         ),
                     );
                 }
             }
-            self.write_coord(&dests, ts, 2, write_backs);
+            self.write_coord(&dests, ts, 2);
             self.wait_coord(&dests, ts, 2, self.cfg().wait_for_all);
             coordination_ns += stage.close();
         }
@@ -327,22 +309,9 @@ impl ExecCore {
 
     /// Writes our coordination entry `(r.tmp, phase)` to every replica of
     /// every involved partition: smallest partition first, then by replica
-    /// index — the order behind Table I's per-partition asymmetry.
-    ///
-    /// Object writes queued in `pending` ride along: each target's pending
-    /// writes and its coordination entry are flushed behind ONE doorbell —
-    /// the coord entry pushed last, so by the fabric's in-order application
-    /// a peer that observes the barrier entry also observes every object
-    /// write queued before it (the invariant a passive partition relies
-    /// on). With nothing pending — always, unless a share other than our
-    /// own was executed — that is one write.
-    fn write_coord(
-        &self,
-        dests: &[PartitionId],
-        ts: Timestamp,
-        phase: u64,
-        mut pending: PendingWrites,
-    ) {
+    /// index — the order behind Table I's per-partition asymmetry. One
+    /// unsignaled write, one doorbell, per remote replica.
+    fn write_coord(&self, dests: &[PartitionId], ts: Timestamp, phase: u64) {
         let shared = &self.shared;
         let n = self.n();
         let entry = encode_coord(ts.raw(), phase);
@@ -360,21 +329,12 @@ impl ExecCore {
                 if target.id() == shared.node.id() {
                     let _ = shared.node.local_write(slot_on_target, &entry);
                 } else {
-                    let mut batch = shared.peer_qp(h, q).write_batch();
-                    for (addr, buf) in pending.remove(&target.id()).unwrap_or_default() {
-                        batch.push(addr, buf);
-                    }
-                    batch.push(slot_on_target, entry.to_vec());
-                    let _ = batch.post();
+                    let _ = shared
+                        .peer_qp(h, q)
+                        .post_write(slot_on_target, entry.to_vec());
                 }
             }
         }
-        // Write-backs only target replicas of involved partitions, so the
-        // barrier loop above must have drained everything.
-        debug_assert!(
-            pending.is_empty(),
-            "queued writes must target barrier peers"
-        );
     }
 
     /// Like [`ExecCore::wait_coord`] but gives up after `timeout`; returns
@@ -422,132 +382,62 @@ impl ExecCore {
     // Algorithm 2: execution.
     // ------------------------------------------------------------------
 
-    /// Algorithm 2 for the `shares` of command `ts` this replica executes
-    /// (§III-D2): reading phase, compute, writing phase. The shares are
-    /// its own partition's (single-partition commands and every
-    /// all-involved command), every destination's (the active partition of
-    /// an active-only command: it runs the application once per involved
-    /// partition and writes the passive partitions' objects back as whole
-    /// dual-version slot images — racing active replicas write identical
-    /// images, so the competition the paper warns about is harmless here),
-    /// or none (a passive partition: the active executes and writes our
-    /// objects remotely; we only keep the update log complete).
-    ///
-    /// Returns the response and the write-backs queued per target node:
-    /// they land at every passive replica in one event with this replica's
-    /// Phase-4 coordination entry, ahead of it.
+    /// Algorithm 2 for this replica's share of command `ts`: reading
+    /// phase, compute, writing phase. Every involved partition executes the
+    /// command and writes only its own objects (§III-A Phase 3); another
+    /// partition's writes in the application's output are its to make.
     fn execute(
         &self,
         payload: &[u8],
         ts: Timestamp,
         dests: &[PartitionId],
-        shares: &[PartitionId],
-    ) -> Result<(Bytes, PendingWrites), Lagging> {
+    ) -> Result<Bytes, Lagging> {
         let shared = &self.shared;
         let app = &shared.cluster.app;
         let own = shared.partition;
-        // Writing another partition's object back takes the slot image it
-        // was read as; a replica executing only its own share keeps none.
-        let keep_images = shares.iter().any(|&p| p != own);
 
         // The reading phase: local objects from our store, remote objects
         // via one-sided reads against replicas that coordinated in Phase 2.
         let mut reads = ReadSet::new();
-        let mut images: HashMap<ObjectId, SlotVersions> = HashMap::new();
-        for &p in shares {
-            for oid in app.read_set_at(p, payload) {
-                if reads.get(oid).is_some() {
-                    continue; // an earlier share read it
+        for oid in app.read_set_at(own, payload) {
+            if reads.get(oid).is_some() {
+                continue; // read set lists it twice
+            }
+            match app.placement(oid) {
+                Placement::Partition(h) if h != own => {
+                    debug_assert!(
+                        dests.contains(&h),
+                        "read set touches partition {h} the request was not multicast to"
+                    );
+                    reads.insert(oid, self.remote_read_slot(oid, h, ts)?);
                 }
-                match app.placement(oid) {
-                    Placement::Partition(h) if h != own => {
-                        debug_assert!(
-                            dests.contains(&h),
-                            "read set touches partition {h} the request was not multicast to"
-                        );
-                        let versions = self.remote_read_slot(oid, h, ts)?;
-                        let (_, v) = versions.read_for(ts).expect("checked by remote_read_slot");
-                        reads.insert(oid, v.clone());
-                        if keep_images {
-                            images.insert(oid, versions);
-                        }
-                    }
-                    _ => reads.insert(oid, self.local_get(oid)),
-                }
+                _ => reads.insert(oid, self.local_get(oid)),
             }
         }
 
-        // Compute: every executed share, all against the state before the
-        // command. The active pays the compute the passive partitions
-        // saved.
-        let local = StoreReader { shared };
-        // `None`: the value arrives by the active partition's write-back.
-        let mut writes: Vec<(ObjectId, Option<Bytes>)> = Vec::new();
-        let mut response = Bytes::new();
-        let mut compute = Duration::ZERO;
-        for &p in shares {
-            let exec = app.execute(p, payload, &reads, &local);
-            compute += exec.compute;
-            if response.is_empty() {
-                response = exec.response;
-            }
-            writes.extend(exec.writes.into_iter().map(|(oid, v)| (oid, Some(v))));
-        }
-        if shares.is_empty() {
-            // Our declared read set covers what the active may write here;
-            // its object writes share a doorbell with its Phase-4
-            // coordination entry and land, in push order, before it.
-            let declared = app.read_set_at(own, payload).into_iter();
-            let hosted = declared.filter(|&oid| app.placement(oid) == Placement::Partition(own));
-            writes.extend(hosted.map(|oid| (oid, None)));
-        }
-        if !compute.is_zero() {
-            sim::sleep(compute);
+        // Compute, against the state before the command.
+        let exec = app.execute(own, payload, &reads, &StoreReader { shared });
+        if !exec.compute.is_zero() {
+            sim::sleep(exec.compute);
         }
 
         // The writing phase: our own objects under the dual-versioning
         // rule, each appended to the update log.
-        let mut write_backs = PendingWrites::new();
         shared.in_write_phase.fetch_add(1, Ordering::SeqCst);
-        for (oid, value) in writes {
+        for (oid, value) in exec.writes {
             match app.placement(oid) {
                 Placement::Replicated => {
                     panic!("application attempted to write replicated object {oid}")
                 }
                 Placement::Partition(h) if h == own => {
-                    if let Some(value) = &value {
-                        shared.store.set(oid, value, ts);
-                    }
+                    shared.store.set(oid, &value, ts);
                     shared.log.lock().push((ts.raw(), oid));
                 }
-                Placement::Partition(h) if shares.contains(&h) => {
-                    let value = value.expect("an executed share carries its values");
-                    let versions = images.get(&oid).unwrap_or_else(|| {
-                        panic!(
-                            "active-only mode requires remotely-written object {oid} \
-                             to be in the request's read set"
-                        )
-                    });
-                    for q in 0..self.n() {
-                        let target = shared.peer(h, q);
-                        let Some(&(addr, cap)) = shared.object_map.lock().get(&(oid, target.id()))
-                        else {
-                            continue; // unknown address: that replica will lag and state-transfer
-                        };
-                        let image = encode_slot_image(versions, &value, ts, cap);
-                        write_backs
-                            .entry(target.id())
-                            .or_default()
-                            .push((addr, image));
-                    }
-                }
-                // A share we did not execute: its own partition writes it
-                // (paper §III-A Phase 3).
                 Placement::Partition(_) => {}
             }
         }
         shared.in_write_phase.fetch_sub(1, Ordering::SeqCst);
-        Ok((response, write_backs))
+        Ok(exec.response)
     }
 
     /// A replicated or own-partition object, from our store.
@@ -558,14 +448,14 @@ impl ExecCore {
     }
 
     /// One remote read, with address discovery and failover (Algorithm 2,
-    /// lines 8–27): the whole dual-version slot image, which holds a
-    /// version old enough for `ts` (else we are [`Lagging`]).
+    /// lines 8–27): the whole dual-version slot image is read, and its
+    /// version old enough for `ts` returned (none: we are [`Lagging`]).
     fn remote_read_slot(
         &self,
         oid: ObjectId,
         h: PartitionId,
         ts: Timestamp,
-    ) -> Result<SlotVersions, Lagging> {
+    ) -> Result<Bytes, Lagging> {
         let shared = &self.shared;
         loop {
             // Refresh the set of consistent candidates: replicas of h whose
@@ -611,14 +501,13 @@ impl ExecCore {
                 }
                 Ok(raw) => {
                     let versions = SlotVersions::decode(&raw, cap);
-                    let chosen_ts = match versions.read_for(ts) {
-                        None => return Err(Lagging), // lines 23–25
-                        Some((t, _)) => t,
+                    let Some((chosen_ts, value)) = versions.read_for(ts) else {
+                        return Err(Lagging); // lines 23–25
                     };
                     self.audit_remote_slot_read(
                         target, oid, addr, cap, &versions, chosen_ts, ts, t_issue,
                     );
-                    return Ok(versions);
+                    return Ok(value.clone());
                 }
             }
         }
@@ -640,9 +529,6 @@ impl ExecCore {
     ///   on a lagger that a Phase-2-starved reader may still legitimately
     ///   target; the reader's snapshot of committed versions stays valid —
     ///   see DESIGN.md §10).
-    ///
-    /// Active-only mode is excluded wholesale: racing active replicas
-    /// write identical slot images remotely by design.
     #[allow(clippy::too_many_arguments)]
     fn audit_remote_slot_read(
         &self,
@@ -658,35 +544,33 @@ impl ExecCore {
         let Some(det) = self.shared.cluster.detector.as_ref() else {
             return;
         };
-        if self.cfg().execution_mode != crate::ExecutionMode::ActiveOnly {
-            let one = (crate::store::VERSION_HDR + cap) as u64;
-            // On a timestamp tie `read_for` keeps version `a`.
-            let start = if chosen_ts == versions.a.0 {
-                addr
-            } else {
-                addr.offset(one)
-            };
-            let Some(conflict) = det.audit_remote_read(target, start, one as usize) else {
-                return;
-            };
-            if conflict.writer.time_ns > t_issue || conflict.writer.proc.starts_with("heron-svc-") {
-                return;
-            }
-            det.report_lint(
-                "remote read targeted the active version slot",
-                target,
-                format!("slot:{oid}"),
-                conflict.range,
-                Some(conflict.writer),
-                format!(
-                    "the version chosen by the remote reader (ts {} for request ts {}) \
-                     was written with no happens-before edge to the reader; on real \
-                     hardware the one-sided read could have returned torn bytes",
-                    chosen_ts.raw(),
-                    r_ts.raw(),
-                ),
-            );
+        let one = (crate::store::VERSION_HDR + cap) as u64;
+        // On a timestamp tie `read_for` keeps version `a`.
+        let start = if chosen_ts == versions.a.0 {
+            addr
+        } else {
+            addr.offset(one)
+        };
+        let Some(conflict) = det.audit_remote_read(target, start, one as usize) else {
+            return;
+        };
+        if conflict.writer.time_ns > t_issue || conflict.writer.proc.starts_with("heron-svc-") {
+            return;
         }
+        det.report_lint(
+            "remote read targeted the active version slot",
+            target,
+            format!("slot:{oid}"),
+            conflict.range,
+            Some(conflict.writer),
+            format!(
+                "the version chosen by the remote reader (ts {} for request ts {}) \
+                 was written with no happens-before edge to the reader; on real \
+                 hardware the one-sided read could have returned torn bytes",
+                chosen_ts.raw(),
+                r_ts.raw(),
+            ),
+        );
     }
 
     /// Algorithm 2 lines 8–13: ask every replica of `h` for the object's
@@ -746,39 +630,6 @@ fn post_reply(shared: &Arc<ReplicaShared>, client_id: u64, seq: u64, response: &
         }
     };
     let _ = qp.post_write(slot, encode_response(seq, response));
-}
-
-/// Builds the dual-version slot image that results from applying the
-/// paper's `set()` rule (overwrite the smaller-timestamp version) to a
-/// remotely-read slot — what the active-only mode writes back to passive
-/// replicas. Deterministic: racing writers with the same reads produce
-/// byte-identical images.
-fn encode_slot_image(
-    versions: &SlotVersions,
-    new_value: &[u8],
-    ts: Timestamp,
-    cap: usize,
-) -> Vec<u8> {
-    assert!(
-        new_value.len() <= cap,
-        "active-only remote write exceeds the remote slot capacity"
-    );
-    let encode_one = |buf: &mut Vec<u8>, tmp: Timestamp, data: &[u8]| {
-        buf.extend_from_slice(&tmp.raw().to_le_bytes());
-        buf.extend_from_slice(&(data.len() as u64).to_le_bytes());
-        buf.extend_from_slice(data);
-        buf.extend(std::iter::repeat_n(0u8, cap - data.len()));
-    };
-    let mut buf = Vec::with_capacity(2 * (16 + cap));
-    let victim_is_a = versions.a.0 <= versions.b.0;
-    if victim_is_a {
-        encode_one(&mut buf, ts, new_value);
-        encode_one(&mut buf, versions.b.0, &versions.b.1);
-    } else {
-        encode_one(&mut buf, versions.a.0, &versions.a.1);
-        encode_one(&mut buf, ts, new_value);
-    }
-    buf
 }
 
 /// [`LocalReader`] backed by the executing replica's store.

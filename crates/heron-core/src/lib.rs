@@ -105,7 +105,7 @@ pub use checker::{CheckedClient, Checker, OpRecord, SequentialSpec, Violation};
 pub use checkpoint::CheckpointMeta;
 pub use client::HeronClient;
 pub use cluster::HeronCluster;
-pub use config::{DurabilityConfig, ExecutionMode, HeronConfig};
+pub use config::{DurabilityConfig, HeronConfig};
 pub use metrics::{
     Breakdown, Counter, DelayCounters, Histogram, HistogramSnapshot, Metrics, MetricsRegistry,
     StageMeans, TransferRecord, EXEMPLAR_K,

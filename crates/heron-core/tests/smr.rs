@@ -209,62 +209,46 @@ fn cross_partition_transfers_preserve_total_balance() {
 
 #[test]
 fn batched_mode_preserves_invariants_and_convergence() {
-    // End-to-end batching on (amcast group commit + coalesced Phase 2/4
-    // doorbells), in both execution modes: the bank invariant and replica
-    // convergence must hold exactly as in unbatched runs.
-    for mode in [
-        heron_core::ExecutionMode::AllInvolved,
-        heron_core::ExecutionMode::ActiveOnly,
-    ] {
-        let accounts = 6u64;
-        let simulation = sim::Simulation::new(27);
-        let fabric = Fabric::new(LatencyModel::connectx4());
-        let bank = Arc::new(Bank {
-            partitions: 2,
-            accounts,
-        });
-        let cluster = HeronCluster::build(
-            &fabric,
-            HeronConfig::new(2, 3)
-                .with_max_batch(8)
-                .with_execution_mode(mode),
-            bank.clone(),
-        );
-        cluster.spawn(&simulation);
-        let c2 = cluster.clone();
-        let mut client = cluster.client("c");
-        simulation.spawn("client", move || {
-            for i in 0..30u64 {
-                client.execute(&enc_transfer(i % 6, (i + 1) % 6, 5));
-            }
-            let total: u64 = (0..accounts)
-                .map(|a| u64::from_le_bytes(client.execute(&enc_read(a))[..8].try_into().unwrap()))
-                .sum();
-            assert_eq!(
-                total,
-                accounts * 1000,
-                "money created or destroyed ({mode:?})"
-            );
-            sim::sleep(Duration::from_millis(2));
-            for p in 0..2u16 {
-                for a in 0..accounts {
-                    if a % 2 != u64::from(p) {
-                        continue;
-                    }
-                    let v0 = c2.peek(PartitionId(p), 0, ObjectId(a)).unwrap();
-                    for r in 1..3 {
-                        assert_eq!(
-                            c2.peek(PartitionId(p), r, ObjectId(a)).unwrap(),
-                            v0,
-                            "replica {r} of p{p} diverged on account {a} ({mode:?})"
-                        );
-                    }
+    // End-to-end batching on (amcast group commit): the bank invariant and
+    // replica convergence must hold exactly as in unbatched runs.
+    let accounts = 6u64;
+    let simulation = sim::Simulation::new(27);
+    let fabric = Fabric::new(LatencyModel::connectx4());
+    let bank = Arc::new(Bank {
+        partitions: 2,
+        accounts,
+    });
+    let cluster = HeronCluster::build(&fabric, HeronConfig::new(2, 3).with_max_batch(8), bank);
+    cluster.spawn(&simulation);
+    let c2 = cluster.clone();
+    let mut client = cluster.client("c");
+    simulation.spawn("client", move || {
+        for i in 0..30u64 {
+            client.execute(&enc_transfer(i % 6, (i + 1) % 6, 5));
+        }
+        let total: u64 = (0..accounts)
+            .map(|a| u64::from_le_bytes(client.execute(&enc_read(a))[..8].try_into().unwrap()))
+            .sum();
+        assert_eq!(total, accounts * 1000, "money created or destroyed");
+        sim::sleep(Duration::from_millis(2));
+        for p in 0..2u16 {
+            for a in 0..accounts {
+                if a % 2 != u64::from(p) {
+                    continue;
+                }
+                let v0 = c2.peek(PartitionId(p), 0, ObjectId(a)).unwrap();
+                for r in 1..3 {
+                    assert_eq!(
+                        c2.peek(PartitionId(p), r, ObjectId(a)).unwrap(),
+                        v0,
+                        "replica {r} of p{p} diverged on account {a}"
+                    );
                 }
             }
-            sim::stop();
-        });
-        simulation.run().unwrap();
-    }
+        }
+        sim::stop();
+    });
+    simulation.run().unwrap();
 }
 
 #[test]

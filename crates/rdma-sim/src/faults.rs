@@ -156,9 +156,11 @@ impl FaultRuntime {
     }
 }
 
-/// A seeded, declarative fault schedule for one [`Fabric`]. See the
-/// [module docs](self) for the model; build with the chainable methods and
-/// install with [`FaultPlan::arm`] before the simulation runs.
+/// A seeded, declarative fault schedule for one [`Fabric`]: timed or
+/// verb-indexed crashes and recoveries, power losses, dropped or delayed
+/// verbs, slowdowns, pauses and jitter, all replayed bit-for-bit per seed.
+/// Build it with the chainable methods and install it with
+/// [`FaultPlan::arm`] before the simulation runs.
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
     seed: u64,

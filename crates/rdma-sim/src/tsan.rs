@@ -39,8 +39,9 @@
 //!   would cry wolf. The raw read is therefore exempt here and the
 //!   protocol layer adjudicates the *chosen version's* byte range after
 //!   decoding, via [`RaceDetector::audit_remote_read`]. Writer/writer
-//!   conflicts are also suppressed (active-only mode writes identical
-//!   images from racing active replicas); a write over a marked read is
+//!   conflicts are checked as for data: only the slot's own replica
+//!   writes it (an executor lane, or its service applying a transfer), in
+//!   an order the protocol establishes. A write over a marked read is
 //!   counted as an **in-flux window** statistic rather than a race,
 //!   because overwriting the victim version after a reader snapshotted the
 //!   slot is reachable — and harmless — in the correct protocol.
@@ -88,7 +89,8 @@ pub enum RegionKind {
     Data,
     /// Synchronization memory: reads acquire, writes release, no reports.
     Sync,
-    /// Dual-version object slot: adjudicated by protocol lints.
+    /// Dual-version object slot: write/write checked, remote reads
+    /// adjudicated by protocol lints.
     DualSlot,
     /// State-transfer staging ring: write/write suppressed.
     Staging,
@@ -438,20 +440,8 @@ impl TsanState {
                 let label = Arc::clone(label);
                 let cell = s.cells.get_mut(idx);
                 match kind {
-                    RegionKind::Sync => {}
-                    RegionKind::Staging => {}
-                    RegionKind::DualSlot => {
-                        // A write over an unordered read mark here is the
-                        // in-flux window: the victim version was overwritten
-                        // after a reader snapshotted the slot. Reachable in
-                        // the correct protocol, so a statistic, not a race.
-                        if let Some(m) = &cell.r_mark {
-                            if m.pid != ticket.pid && ticket.vc.get(m.pid) < m.clk {
-                                influx += 1;
-                            }
-                        }
-                    }
-                    RegionKind::Data => {
+                    RegionKind::Sync | RegionKind::Staging => {}
+                    RegionKind::DualSlot | RegionKind::Data => {
                         if cell.w_clk != 0
                             && cell.w_pid != ticket.pid
                             && ticket.vc.get(cell.w_pid) < cell.w_clk
@@ -477,8 +467,18 @@ impl TsanState {
                                  happens-before edge between the writers",
                             );
                         }
-                        if let Some(m) = &cell.r_mark {
-                            if m.pid != ticket.pid && ticket.vc.get(m.pid) < m.clk {
+                        let unordered_read = cell
+                            .r_mark
+                            .as_ref()
+                            .filter(|m| m.pid != ticket.pid && ticket.vc.get(m.pid) < m.clk);
+                        if let Some(m) = unordered_read {
+                            if kind == RegionKind::DualSlot {
+                                // The in-flux window: the victim version was
+                                // overwritten after a reader snapshotted the
+                                // slot. Reachable in the correct protocol, so
+                                // a statistic, not a race.
+                                influx += 1;
+                            } else {
                                 Self::extend(
                                     &mut pending,
                                     RaceKind::WriteVsRemoteRead,
@@ -1004,6 +1004,34 @@ mod tests {
         });
         sim_h.run().unwrap();
         assert!(det.reports().is_empty(), "got: {:#?}", det.reports());
+    }
+
+    /// A dual-version slot exempts remote reads, not writers: two
+    /// unordered writes into one are a write/write race, as in data.
+    #[test]
+    fn dual_slot_writes_are_checked_like_data() {
+        let sim_h = sim::Simulation::new(5);
+        let fabric = Fabric::new(LatencyModel::connectx4());
+        let det = fabric.enable_race_detector();
+        let a = fabric.add_node("a");
+        let slot = a.alloc_bytes(16);
+        a.annotate_region(slot, 16, RegionKind::DualSlot, "slot");
+        for (name, at) in [("w1", 100), ("w2", 200)] {
+            let qp = fabric.add_node(name).connect(&a);
+            sim_h.spawn(name, move || {
+                sim::sleep(Duration::from_nanos(at));
+                qp.post_write(slot, vec![1u8; 16]).unwrap();
+            });
+        }
+        sim_h.run().unwrap();
+        let reports = det.reports();
+        assert_eq!(reports.len(), 1, "got: {reports:#?}");
+        assert_eq!(reports[0].kind, RaceKind::WriteVsWrite);
+        assert_eq!(reports[0].range, (slot.0, slot.0 + 16));
+        assert_eq!(
+            (&*reports[0].first.proc, &*reports[0].second.proc),
+            ("w1", "w2")
+        );
     }
 
     /// A host-context write is the sentinel epoch, which reads exactly as

@@ -1,7 +1,7 @@
 //! Simulated persistent storage: per-namespace durable key→bytes stores
 //! with a modeled write/fsync/read latency.
 //!
-//! The fabric's registered memory ([`rdma_sim`]) is *volatile*: a power
+//! The fabric's registered memory (`rdma_sim`) is *volatile*: a power
 //! loss wipes it. This module is the durable counterpart — a [`Storage`]
 //! device survives any crash the simulation can inject, because it lives
 //! outside every node's registered memory and is never wiped. Protocol

@@ -519,19 +519,6 @@ impl StateMachine for TpccApp {
         dests
     }
 
-    fn active_partition(&self, request: &[u8]) -> Option<PartitionId> {
-        // The home warehouse performs the dynamic inserts (order rows,
-        // history), so it must be the active partition in
-        // `ExecutionMode::ActiveOnly`.
-        Some(
-            self.partition_of_w(
-                Transaction::decode(request)
-                    .expect("well-formed TPC-C request")
-                    .home(),
-            ),
-        )
-    }
-
     fn read_set(&self, request: &[u8]) -> Vec<ObjectId> {
         // The union over partitions (used by generic tooling only; the
         // engine asks per partition via read_set_at).

@@ -17,11 +17,13 @@ cargo test -q --offline --workspace
 # tests (create / resume / suspend, panics, the guard page) run here.
 cargo test -q --offline -p coro
 
-# Lint gate: formatting and clippy, warnings denied, and the unsafe fence:
-# every library crate root but shims/coro carries #![forbid(unsafe_code)]
-# and the keyword appears nowhere else.
+# Lint gate: formatting, clippy and rustdoc, warnings denied (a doc link
+# to a deleted or private item fails here, not only in a reader's browser),
+# and the unsafe fence: every library crate root but shims/coro carries
+# #![forbid(unsafe_code)] and the keyword appears nowhere else.
 cargo fmt --check
 cargo clippy --workspace --all-targets --offline -- -D warnings
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 scripts/unsafe_fence.sh
 
 # Everything else — the chaos, race, explain, P-SMR, exploration, bench-trend
