@@ -67,6 +67,14 @@ pub trait LocalReader {
     /// The current value of a local or replicated object; `None` if the
     /// object does not exist or is not local to the executing partition.
     fn read(&self, oid: ObjectId) -> Option<Bytes>;
+
+    /// [`LocalReader::read`] of every object in `oids`, in order. Reading a
+    /// transaction's rows one dependency level at a time through here lets
+    /// the replica's store take them as one batch, with their cache misses
+    /// overlapped; the default reads them one by one.
+    fn read_many(&self, oids: &[ObjectId]) -> Vec<Option<Bytes>> {
+        oids.iter().map(|&oid| self.read(oid)).collect()
+    }
 }
 
 /// A deterministic, partitioned state machine replicated by Heron.

@@ -61,7 +61,6 @@ use crate::replica::{
     coord_matching, coord_quorum, pending_sync_requests, publish_progress, respond_transfer,
     state_transfer, state_transfer_abortable,
 };
-use crate::store::SlotVersions;
 use crate::types::{ObjectId, PartitionId, Placement};
 use amcast::{mask_groups, Delivered, DeliveryEvent, Timestamp};
 use bytes::Bytes;
@@ -398,9 +397,13 @@ impl ExecCore {
 
         // The reading phase: local objects from our store, remote objects
         // via one-sided reads against replicas that coordinated in Phase 2.
+        // Each run of local objects between two remote reads is one store
+        // batch, read at the instant the first of them would have been.
         let mut reads = ReadSet::new();
-        for oid in app.read_set_at(own, payload) {
-            if reads.get(oid).is_some() {
+        let read_set = app.read_set_at(own, payload);
+        let mut run = Vec::with_capacity(read_set.len());
+        for oid in read_set {
+            if reads.get(oid).is_some() || run.contains(&oid) {
                 continue; // read set lists it twice
             }
             match app.placement(oid) {
@@ -409,11 +412,13 @@ impl ExecCore {
                         dests.contains(&h),
                         "read set touches partition {h} the request was not multicast to"
                     );
+                    self.read_local(&mut run, &mut reads);
                     reads.insert(oid, self.remote_read_slot(oid, h, ts)?);
                 }
-                _ => reads.insert(oid, self.local_get(oid)),
+                _ => run.push(oid),
             }
         }
+        self.read_local(&mut run, &mut reads);
 
         // Compute, against the state before the command.
         let exec = app.execute(own, payload, &reads, &StoreReader { shared });
@@ -421,30 +426,36 @@ impl ExecCore {
             sim::sleep(exec.compute);
         }
 
-        // The writing phase: our own objects under the dual-versioning
-        // rule, each appended to the update log.
+        // The writing phase: our own objects, as one store batch under the
+        // dual-versioning rule, appended to the update log in write order.
         shared.in_write_phase.fetch_add(1, Ordering::SeqCst);
-        for (oid, value) in exec.writes {
-            match app.placement(oid) {
+        let mut own_writes = Vec::with_capacity(exec.writes.len());
+        for (oid, value) in &exec.writes {
+            match app.placement(*oid) {
                 Placement::Replicated => {
                     panic!("application attempted to write replicated object {oid}")
                 }
-                Placement::Partition(h) if h == own => {
-                    shared.store.set(oid, &value, ts);
-                    shared.log.lock().push((ts.raw(), oid));
-                }
+                Placement::Partition(h) if h == own => own_writes.push((*oid, &value[..])),
                 Placement::Partition(_) => {}
             }
+        }
+        if !own_writes.is_empty() {
+            shared.store.set_many(&own_writes, ts);
+            let logged = own_writes.iter().map(|&(oid, _)| (ts.raw(), oid));
+            shared.log.lock().extend(logged);
         }
         shared.in_write_phase.fetch_sub(1, Ordering::SeqCst);
         Ok(exec.response)
     }
 
-    /// A replicated or own-partition object, from our store.
-    fn local_get(&self, oid: ObjectId) -> Bytes {
-        let hit = self.shared.store.get(oid);
-        hit.unwrap_or_else(|| panic!("local object {oid} missing"))
-            .1
+    /// Reads `run` — replicated or own-partition objects — from our store
+    /// as one batch into `reads`, and empties it.
+    fn read_local(&self, run: &mut Vec<ObjectId>, reads: &mut ReadSet) {
+        let hits = self.shared.store.get_many(run);
+        for (oid, hit) in run.drain(..).zip(hits) {
+            let (_, value) = hit.unwrap_or_else(|| panic!("local object {oid} missing"));
+            reads.insert(oid, value);
+        }
     }
 
     /// One remote read, with address discovery and failover (Algorithm 2,
@@ -500,14 +511,11 @@ impl ExecCore {
                     continue;
                 }
                 Ok(raw) => {
-                    let versions = SlotVersions::decode(&raw, cap);
-                    let Some((chosen_ts, value)) = versions.read_for(ts) else {
+                    let Some((which, chosen_ts, value)) = slot.read_for(&raw, ts) else {
                         return Err(Lagging); // lines 23–25
                     };
-                    self.audit_remote_slot_read(
-                        target, oid, addr, cap, &versions, chosen_ts, ts, t_issue,
-                    );
-                    return Ok(value.clone());
+                    self.audit_remote_slot_read(target, oid, slot, which, chosen_ts, ts, t_issue);
+                    return Ok(Bytes::copy_from_slice(value));
                 }
             }
         }
@@ -534,9 +542,8 @@ impl ExecCore {
         &self,
         target: &rdma_sim::Node,
         oid: ObjectId,
-        addr: rdma_sim::Addr,
-        cap: usize,
-        versions: &SlotVersions,
+        slot: crate::store::Slot,
+        which: usize,
         chosen_ts: Timestamp,
         r_ts: Timestamp,
         t_issue: u64,
@@ -544,13 +551,8 @@ impl ExecCore {
         let Some(det) = self.shared.cluster.detector.as_ref() else {
             return;
         };
-        let one = (crate::store::VERSION_HDR + cap) as u64;
-        // On a timestamp tie `read_for` keeps version `a`.
-        let start = if chosen_ts == versions.a.0 {
-            addr
-        } else {
-            addr.offset(one)
-        };
+        let one = (crate::store::VERSION_HDR + slot.cap) as u64;
+        let start = slot.addr.offset(which as u64 * one);
         let Some(conflict) = det.audit_remote_read(target, start, one as usize) else {
             return;
         };
@@ -637,14 +639,41 @@ struct StoreReader<'a> {
     shared: &'a ReplicaShared,
 }
 
+impl StoreReader<'_> {
+    /// Whether `oid` is readable here: replicated or own-partition.
+    fn is_local(&self, oid: ObjectId) -> bool {
+        match self.shared.cluster.app.placement(oid) {
+            Placement::Replicated => true,
+            Placement::Partition(h) => h == self.shared.partition,
+        }
+    }
+}
+
 impl LocalReader for StoreReader<'_> {
     fn read(&self, oid: ObjectId) -> Option<Bytes> {
-        match self.shared.cluster.app.placement(oid) {
-            Placement::Replicated => {}
-            Placement::Partition(h) if h == self.shared.partition => {}
-            Placement::Partition(_) => return None,
+        if !self.is_local(oid) {
+            return None;
         }
         self.shared.store.get(oid).map(|(_, v)| v)
+    }
+
+    fn read_many(&self, oids: &[ObjectId]) -> Vec<Option<Bytes>> {
+        let local: Vec<ObjectId> = oids
+            .iter()
+            .copied()
+            .filter(|&oid| self.is_local(oid))
+            .collect();
+        let mut hits = self.shared.store.get_many(&local).into_iter();
+        oids.iter()
+            .map(|&oid| {
+                let hit = if self.is_local(oid) {
+                    hits.next().expect("one hit per local object")
+                } else {
+                    None
+                };
+                hit.map(|(_, v)| v)
+            })
+            .collect()
     }
 }
 

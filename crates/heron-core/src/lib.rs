@@ -110,7 +110,7 @@ pub use metrics::{
     Breakdown, Counter, DelayCounters, Histogram, HistogramSnapshot, Metrics, MetricsRegistry,
     StageMeans, TransferRecord, EXEMPLAR_K,
 };
-pub use store::{Slot, SlotVersions, VersionedStore, SABOTAGE_DUAL_VERSION_GUARD};
+pub use store::{Slot, VersionedStore, SABOTAGE_DUAL_VERSION_GUARD};
 pub use types::{ObjectId, PartitionId, Placement, StorageKind};
 
 // Re-exported for applications that need ordering-layer types.

@@ -95,8 +95,7 @@ impl Service {
                 shared.store.apply_raw_slot(oid, raw);
                 // Record the sync in our own update log so we can serve a
                 // future lagger ourselves.
-                if let Some(s) = shared.store.slot(oid) {
-                    let (ts, _) = shared.store.read_slot(s).latest();
+                if let Some((ts, _)) = shared.store.get(oid) {
                     if ts != Timestamp::ZERO {
                         shared.log.lock().push((ts.raw(), oid));
                     }

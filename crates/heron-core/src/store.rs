@@ -15,16 +15,21 @@
 //!   find the version it needs;
 //! * a remote reader fetches the whole slot with one RDMA read and picks
 //!   the version with the largest timestamp smaller than its request's
-//!   (Algorithm 2, line 22); if none exists, the reader has lagged behind
-//!   and must state-transfer.
+//!   (Algorithm 2, line 22, [`Slot::read_for`]); if none exists, the reader
+//!   has lagged behind and must state-transfer.
+//!
+//! Local reads and writes go to the store in batches (`get_many`,
+//! `set_many`; `get` and `set` are batches of one), so the cache misses of
+//! a transaction's many slots overlap instead of queueing.
 
 use crate::types::ObjectId;
 use amcast::Timestamp;
 use bytes::Bytes;
 use parking_lot::Mutex;
-use rdma_sim::{Addr, Node, RaceDetector, RegionKind};
+use rdma_sim::{Addr, MemView, Node, RaceDetector, RegionKind};
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Per-version header: timestamp word + length word.
 pub(crate) const VERSION_HDR: usize = 16;
@@ -53,45 +58,27 @@ impl Slot {
     pub const fn size_for_cap(cap: usize) -> usize {
         2 * (VERSION_HDR + cap)
     }
-}
 
-/// A decoded pair of versions, as fetched by a remote read.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SlotVersions {
-    /// First version: `(timestamp, value)`.
-    pub a: (Timestamp, Bytes),
-    /// Second version: `(timestamp, value)`.
-    pub b: (Timestamp, Bytes),
-}
-
-impl SlotVersions {
-    /// Decodes a raw slot image (as fetched by one RDMA read of the whole
-    /// slot).
+    /// The version a request with timestamp `r_tmp` may consistently read
+    /// from `raw`, an image of this slot as one RDMA read fetches it: the
+    /// one with the largest timestamp strictly smaller than `r_tmp`
+    /// (Algorithm 2, line 22), `a` on a tie. Returns `(which, timestamp,
+    /// value)`, `which` being 0 for version `a` and 1 for `b`, with the
+    /// value borrowed from `raw`. `None` means the reader lags behind.
     ///
     /// # Panics
     ///
-    /// Panics if `raw` is shorter than the slot layout implies.
-    pub fn decode(raw: &[u8], cap: usize) -> Self {
-        let [a, b] = borrow_versions(raw, cap);
-        SlotVersions {
-            a: (a.0, Bytes::copy_from_slice(a.1)),
-            b: (b.0, Bytes::copy_from_slice(b.1)),
-        }
-    }
-
-    /// The most recent version (larger timestamp) — the local-read rule.
-    pub fn latest(&self) -> (Timestamp, &Bytes) {
-        latest_of((self.a.0, &self.a.1), (self.b.0, &self.b.1))
-    }
-
-    /// The version a request with timestamp `r_tmp` may consistently read:
-    /// the one with the largest timestamp strictly smaller than `r_tmp`
-    /// (Algorithm 2, line 22). `None` means the reader lags behind.
-    pub fn read_for(&self, r_tmp: Timestamp) -> Option<(Timestamp, &Bytes)> {
-        let mut best: Option<(Timestamp, &Bytes)> = None;
-        for (t, v) in [(self.a.0, &self.a.1), (self.b.0, &self.b.1)] {
-            if t < r_tmp && best.map(|(bt, _)| t > bt).unwrap_or(true) {
-                best = Some((t, v));
+    /// Panics if `raw` is shorter than the slot layout implies or a length
+    /// word exceeds the capacity.
+    pub fn read_for<'a>(
+        &self,
+        raw: &'a [u8],
+        r_tmp: Timestamp,
+    ) -> Option<(usize, Timestamp, &'a [u8])> {
+        let mut best: Option<(usize, Timestamp, &[u8])> = None;
+        for (which, (t, v)) in borrow_versions(raw, self.cap).into_iter().enumerate() {
+            if t < r_tmp && best.is_none_or(|(_, bt, _)| t > bt) {
+                best = Some((which, t, v));
             }
         }
         best
@@ -100,7 +87,7 @@ impl SlotVersions {
 
 /// The local-read rule over versions `a` and `b`: the larger timestamp,
 /// `a` on a tie.
-fn latest_of<V>(a: (Timestamp, V), b: (Timestamp, V)) -> (Timestamp, V) {
+fn latest_of<V>([a, b]: [(Timestamp, V); 2]) -> (Timestamp, V) {
     if a.0 >= b.0 {
         a
     } else {
@@ -127,17 +114,62 @@ fn borrow_versions(raw: &[u8], cap: usize) -> [(Timestamp, &[u8]); 2] {
     })
 }
 
+/// Both versions of `slot`, borrowed from a view of local memory.
+fn versions_in<'a>(m: &'a MemView<'_>, slot: Slot) -> [(Timestamp, &'a [u8]); 2] {
+    let raw = m
+        .bytes(slot.addr, slot.size())
+        .expect("slot within registered memory");
+    borrow_versions(raw, slot.cap)
+}
+
+/// How many objects of a batch are resolved before any is copied or
+/// written. The scratch for them lives on the stack, so a one-object batch
+/// allocates nothing; sixteen header misses in flight at once is about as
+/// many as a core keeps.
+const BATCH_CHUNK: usize = 16;
+
+/// The slot index's hasher: one folded 64 × 64 → 128-bit multiply of the
+/// id, whose high half mixes every bit of it into the bucket index — a
+/// fraction of SipHash's work. Ids come from the application, not from an
+/// adversary, and nothing iterates the index in hash order.
+#[derive(Default)]
+struct OidHasher(u64);
+
+impl Hasher for OidHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        let p = u128::from(self.0 ^ x) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = p as u64 ^ (p >> 64) as u64;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 struct StoreInner {
-    slots: HashMap<ObjectId, Slot>,
+    slots: HashMap<ObjectId, Slot, BuildHasherDefault<OidHasher>>,
 }
 
 /// A replica's dual-versioned object store, backed by its node's
 /// RDMA-registered memory.
+///
+/// The unit of work is a batch of objects ([`VersionedStore::get_many`],
+/// [`VersionedStore::set_many`]): one pass over the slot index under one
+/// lock, and one view of local memory in which every object's version
+/// headers are read before any value is copied, so their cache misses
+/// overlap instead of waiting on each other. [`VersionedStore::get`] and
+/// [`VersionedStore::set`] are the batches of one.
 pub struct VersionedStore {
     node: Node,
     inner: Mutex<StoreInner>,
     /// When set, slots are annotated [`RegionKind::DualSlot`] as they are
-    /// allocated and [`VersionedStore::set`] lints the victim rule.
+    /// allocated and [`VersionedStore::set_many`] lints the victim rule.
     detector: Option<RaceDetector>,
     /// Self-test only ([`SABOTAGE_DUAL_VERSION_GUARD`]), resolved once at
     /// construction: pick the *larger*-timestamp version as the victim,
@@ -166,7 +198,7 @@ impl VersionedStore {
             break_victim_guard: node.sabotaged(SABOTAGE_DUAL_VERSION_GUARD),
             node,
             inner: Mutex::new(StoreInner {
-                slots: HashMap::new(),
+                slots: HashMap::default(),
             }),
             detector: None,
         }
@@ -212,7 +244,11 @@ impl VersionedStore {
     /// version, allocating registered memory on first use. Returns the
     /// slot.
     pub fn ensure_slot(&self, oid: ObjectId, cap: usize) -> Slot {
-        let mut inner = self.inner.lock();
+        self.slot_in(&mut self.inner.lock(), oid, cap)
+    }
+
+    /// [`VersionedStore::ensure_slot`] under a lock the caller holds.
+    fn slot_in(&self, inner: &mut StoreInner, oid: ObjectId, cap: usize) -> Slot {
         if let Some(&slot) = inner.slots.get(&oid) {
             assert!(
                 slot.cap >= cap,
@@ -228,7 +264,6 @@ impl VersionedStore {
             cap,
         };
         inner.slots.insert(oid, slot);
-        drop(inner);
         self.annotate_slot(oid, slot);
         slot
     }
@@ -236,10 +271,11 @@ impl VersionedStore {
     /// Installs the initial version of an object (timestamp zero).
     pub fn bootstrap(&self, oid: ObjectId, value: &[u8]) {
         let slot = self.ensure_slot(oid, value.len());
-        self.write_version(slot, 0, Timestamp::ZERO, value);
+        let mut buf = Vec::new();
+        self.write_version(&mut buf, slot, 0, Timestamp::ZERO, value);
         // The second version also starts at zero with the same value, so
         // the dual-version invariants hold from the first write.
-        self.write_version(slot, 1, Timestamp::ZERO, value);
+        self.write_version(&mut buf, slot, 1, Timestamp::ZERO, value);
     }
 
     /// Local read: the version with the larger timestamp (`object_list.get`
@@ -247,13 +283,43 @@ impl VersionedStore {
     ///
     /// Returns `None` if the object is not hosted here.
     pub fn get(&self, oid: ObjectId) -> Option<(Timestamp, Bytes)> {
-        let slot = self.slot(oid)?;
-        // Same range as `read_slot`, but only the winning version is copied.
-        Some(self.with_raw(slot, |raw| {
-            let [a, b] = borrow_versions(raw, slot.cap);
-            let (t, v) = latest_of(a, b);
-            (t, Bytes::copy_from_slice(v))
-        }))
+        let mut hit = None;
+        self.latest_each(&[oid], |latest| hit = latest);
+        hit
+    }
+
+    /// [`VersionedStore::get`] of every object in `oids`, in order (a
+    /// repeated id is read twice), as one batch.
+    pub fn get_many(&self, oids: &[ObjectId]) -> Vec<Option<(Timestamp, Bytes)>> {
+        let mut hits = Vec::with_capacity(oids.len());
+        self.latest_each(oids, |latest| hits.push(latest));
+        hits
+    }
+
+    /// The batch read behind `get` and `get_many`: hands `emit` each
+    /// object's latest version, in order. Every winner of a chunk is
+    /// resolved in place — slot, then both headers — before the first is
+    /// copied out.
+    fn latest_each(&self, oids: &[ObjectId], mut emit: impl FnMut(Option<(Timestamp, Bytes)>)) {
+        if oids.is_empty() {
+            return;
+        }
+        let inner = self.inner.lock();
+        self.node.with_mem(|m| {
+            for chunk in oids.chunks(BATCH_CHUNK) {
+                let mut slots = [None; BATCH_CHUNK];
+                for (slot, oid) in slots.iter_mut().zip(chunk) {
+                    *slot = inner.slots.get(oid).copied();
+                }
+                let mut won = [None; BATCH_CHUNK];
+                for (won, slot) in won.iter_mut().zip(&slots[..chunk.len()]) {
+                    *won = slot.map(|slot| latest_of(versions_in(m, slot)));
+                }
+                for won in &won[..chunk.len()] {
+                    emit(won.map(|(t, v)| (t, Bytes::copy_from_slice(v))));
+                }
+            }
+        });
     }
 
     /// Local write for request timestamp `tmp`: overwrites the version with
@@ -261,17 +327,65 @@ impl VersionedStore {
     ///
     /// # Panics
     ///
-    /// Panics if the value exceeds the slot capacity.
+    /// Panics if the value outgrows the object's slot.
     pub fn set(&self, oid: ObjectId, value: &[u8], tmp: Timestamp) {
-        let slot = self.ensure_slot(oid, value.len());
-        assert!(
-            value.len() <= slot.cap,
-            "value for {oid} exceeds slot capacity"
-        );
-        let (a_ts, b_ts) = self.with_raw(slot, |raw| {
-            let [a, b] = borrow_versions(raw, slot.cap);
-            (a.0, b.0)
-        });
+        self.set_many(&[(oid, value)], tmp);
+    }
+
+    /// [`VersionedStore::set`] of every `(oid, value)` in `writes`, in
+    /// order, as one batch: the same slots at the same addresses, the same
+    /// victims and the same bytes as one `set` after another. An object
+    /// written twice picks its second victim as the first write left the
+    /// slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a value outgrows its object's slot.
+    pub fn set_many(&self, writes: &[(ObjectId, &[u8])], tmp: Timestamp) {
+        if writes.is_empty() {
+            return;
+        }
+        let mut inner = self.inner.lock();
+        let mut buf = Vec::new();
+        for chunk in writes.chunks(BATCH_CHUNK) {
+            // Resolved (or allocated) in write order, so a fresh slot gets
+            // the address one `set` after another would give it.
+            let mut slots = [Slot {
+                addr: Addr(0),
+                cap: 0,
+            }; BATCH_CHUNK];
+            for (slot, (oid, value)) in slots.iter_mut().zip(chunk) {
+                *slot = self.slot_in(&mut inner, *oid, value.len());
+            }
+            let slots = &slots[..chunk.len()];
+            let mut stamps = [[Timestamp::ZERO; 2]; BATCH_CHUNK];
+            self.node.with_mem(|m| {
+                for (stamps, slot) in stamps.iter_mut().zip(slots) {
+                    *stamps = versions_in(m, *slot).map(|(t, _)| t);
+                }
+            });
+            for (i, ((oid, value), slot)) in chunk.iter().zip(slots).enumerate() {
+                // A slot this chunk wrote already: its stamps as that
+                // write left them, not as the view found them.
+                if let Some(prev) = slots[..i].iter().rposition(|s| s.addr == slot.addr) {
+                    stamps[i] = stamps[prev];
+                }
+                let victim = self.victim(*oid, *slot, stamps[i], tmp);
+                stamps[i][victim] = tmp;
+                self.write_version(&mut buf, *slot, victim, tmp, value);
+            }
+        }
+    }
+
+    /// The version `set(oid, _, tmp)` overwrites, given the slot's two
+    /// stamps — and the race detector's lint when that is the wrong one.
+    fn victim(
+        &self,
+        oid: ObjectId,
+        slot: Slot,
+        [a_ts, b_ts]: [Timestamp; 2],
+        tmp: Timestamp,
+    ) -> usize {
         let min_is_a = a_ts <= b_ts;
         // The dual-versioning guard (paper §III-A): overwrite the version
         // with the SMALLER timestamp, so a concurrent remote reader
@@ -310,21 +424,7 @@ impl VersionedStore {
                 );
             }
         }
-        self.write_version(slot, victim, tmp, value);
-    }
-
-    /// Reads the full slot image (both versions) from local memory.
-    pub fn read_slot(&self, slot: Slot) -> SlotVersions {
-        self.with_raw(slot, |raw| SlotVersions::decode(raw, slot.cap))
-    }
-
-    /// Runs `f` over the slot image, borrowed from local memory: one read
-    /// of the whole slot, whatever `f` looks at.
-    fn with_raw<R>(&self, slot: Slot, f: impl FnOnce(&[u8]) -> R) -> R {
-        self.node.with_mem(|m| {
-            f(m.bytes(slot.addr, slot.size())
-                .expect("slot within registered memory"))
-        })
+        victim
     }
 
     /// All hosted object ids, sorted (diagnostics / consistency checker).
@@ -353,7 +453,11 @@ impl VersionedStore {
 
     /// Raw slot bytes — what state transfer ships to a lagger.
     pub fn raw_slot_bytes(&self, slot: Slot) -> Vec<u8> {
-        self.with_raw(slot, <[u8]>::to_vec)
+        self.node.with_mem(|m| {
+            m.bytes(slot.addr, slot.size())
+                .expect("slot within registered memory")
+                .to_vec()
+        })
     }
 
     /// Overwrites the whole slot image (state-transfer apply on the
@@ -385,14 +489,24 @@ impl VersionedStore {
             .expect("slot within registered memory");
     }
 
-    fn write_version(&self, slot: Slot, which: usize, tmp: Timestamp, value: &[u8]) {
+    /// Writes version `which` of `slot`, header and value, through `buf`
+    /// (one write, as the detector and the pollers see it).
+    fn write_version(
+        &self,
+        buf: &mut Vec<u8>,
+        slot: Slot,
+        which: usize,
+        tmp: Timestamp,
+        value: &[u8],
+    ) {
         let base = slot.addr.offset((which * (VERSION_HDR + slot.cap)) as u64);
-        let mut buf = Vec::with_capacity(VERSION_HDR + value.len());
+        buf.clear();
+        buf.reserve(VERSION_HDR + value.len());
         buf.extend_from_slice(&tmp.raw().to_le_bytes());
         buf.extend_from_slice(&(value.len() as u64).to_le_bytes());
         buf.extend_from_slice(value);
         self.node
-            .local_write(base, &buf)
+            .local_write(base, buf)
             .expect("slot within registered memory");
     }
 }
@@ -431,16 +545,17 @@ mod tests {
         // request between 0 and 10.
         let (t, v) = s.get(ObjectId(1)).unwrap();
         assert_eq!((t, v.as_ref()), (ts(10), b"v1".as_ref()));
-        let versions = s.read_slot(s.slot(ObjectId(1)).unwrap());
-        let (t5, v5) = versions.read_for(ts(5)).unwrap();
-        assert_eq!((t5, v5.as_ref()), (Timestamp::ZERO, b"v0".as_ref()));
+        let slot = s.slot(ObjectId(1)).unwrap();
+        let raw = s.raw_slot_bytes(slot);
+        let (_, t5, v5) = slot.read_for(&raw, ts(5)).unwrap();
+        assert_eq!((t5, v5), (Timestamp::ZERO, b"v0".as_ref()));
         // After a second write, version v0 is gone: v1 and v2 remain.
         s.set(ObjectId(1), b"v2", ts(20));
-        let versions = s.read_slot(s.slot(ObjectId(1)).unwrap());
-        assert_eq!(versions.read_for(ts(15)).unwrap().1.as_ref(), b"v1");
-        assert_eq!(versions.read_for(ts(25)).unwrap().1.as_ref(), b"v2");
+        let raw = s.raw_slot_bytes(slot);
+        assert_eq!(slot.read_for(&raw, ts(15)).unwrap().2, b"v1");
+        assert_eq!(slot.read_for(&raw, ts(25)).unwrap().2, b"v2");
         // A reader needing something before v1 has lagged behind.
-        assert!(versions.read_for(ts(10)).is_none());
+        assert!(slot.read_for(&raw, ts(10)).is_none());
     }
 
     #[test]
@@ -448,9 +563,10 @@ mod tests {
         let s = store();
         s.bootstrap(ObjectId(1), b"v0");
         s.set(ObjectId(1), b"v1", ts(10));
-        let versions = s.read_slot(s.slot(ObjectId(1)).unwrap());
+        let slot = s.slot(ObjectId(1)).unwrap();
+        let raw = s.raw_slot_bytes(slot);
         // A request at exactly ts(10) must NOT see its own-timestamp write.
-        let (t, _) = versions.read_for(ts(10)).unwrap();
+        let (_, t, _) = slot.read_for(&raw, ts(10)).unwrap();
         assert_eq!(t, Timestamp::ZERO);
     }
 
@@ -492,8 +608,9 @@ mod tests {
         s.set(ObjectId(1), &full, ts(1));
         assert_eq!(s.get(ObjectId(1)).unwrap(), (ts(1), Bytes::from(full)));
         // The other version still reads back whole, too.
-        let versions = s.read_slot(s.slot(ObjectId(1)).unwrap());
-        assert_eq!(versions.read_for(ts(1)).unwrap().1.as_ref(), b"tiny");
+        let slot = s.slot(ObjectId(1)).unwrap();
+        let raw = s.raw_slot_bytes(slot);
+        assert_eq!(slot.read_for(&raw, ts(1)).unwrap().2, b"tiny");
     }
 
     #[test]

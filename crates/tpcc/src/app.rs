@@ -189,13 +189,11 @@ impl TpccApp {
 
             let all_local = lines.iter().all(|l| l.supply_w == w);
             let mut total: u64 = 0;
-            for (k, l) in lines.iter().enumerate() {
-                let item = ItemRow::from_bytes(
-                    local
-                        .read(ids::item(l.i_id))
-                        .expect("item is replicated everywhere")
-                        .as_ref(),
-                );
+            let item_oids: Vec<ObjectId> = lines.iter().map(|l| ids::item(l.i_id)).collect();
+            let items = local.read_many(&item_oids);
+            for (k, (l, item)) in lines.iter().zip(items).enumerate() {
+                let item =
+                    ItemRow::from_bytes(item.expect("item is replicated everywhere").as_ref());
                 // Remote stock rows were fetched with one-sided reads; we
                 // copy their district info into the order line.
                 let soid = ids::stock(l.supply_w, l.i_id);
@@ -349,7 +347,7 @@ impl TpccApp {
                 .expect("customer in read set")
                 .as_ref(),
         );
-        let mut serialized_rows = 1u32;
+        let serialized_rows = 1u32;
         let mut native_rows = 0u32;
         let mut response = Vec::with_capacity(24);
         response.extend_from_slice(&customer.balance.to_le_bytes());
@@ -358,18 +356,16 @@ impl TpccApp {
             if let Some(ob) = local.read(ids::order(w, d, customer.last_o_id)) {
                 let order = OrderRow::from_bytes(&ob);
                 native_rows += 1 + order.ol_cnt;
-                let mut total = 0u64;
-                for k in 1..=order.ol_cnt {
-                    if let Some(lb) = local.read(ids::order_line(w, d, order.id, k as u8)) {
-                        total += OrderLineRow::from_bytes(&lb).amount;
-                    }
-                }
+                let line_oids: Vec<ObjectId> = (1..=order.ol_cnt)
+                    .map(|k| ids::order_line(w, d, order.id, k as u8))
+                    .collect();
+                let total: u64 = (local.read_many(&line_oids).into_iter().flatten())
+                    .map(|lb| OrderLineRow::from_bytes(&lb).amount)
+                    .sum();
                 response.extend_from_slice(&order.carrier_id.to_le_bytes());
                 response.extend_from_slice(&total.to_le_bytes());
             }
         }
-        let _ = serialized_rows;
-        serialized_rows = 1;
         Execution {
             writes: vec![],
             response: Bytes::from(response),
@@ -382,25 +378,50 @@ impl TpccApp {
         let mut delivered = 0u32;
         let mut serialized_rows = 0u32;
         let mut native_rows = 0u32;
-        for d in 1..=self.scale.districts {
-            let Some(db) = local.read(ids::district(w, d)) else {
+        // Read one dependency level at a time: the districts, then the
+        // oldest undelivered order of each, then those orders' lines,
+        // customer and new-order rows.
+        let district_oids: Vec<ObjectId> = (1..=self.scale.districts)
+            .map(|d| ids::district(w, d))
+            .collect();
+        let mut due = Vec::new();
+        for (d, db) in (1..=self.scale.districts).zip(local.read_many(&district_oids)) {
+            let Some(db) = db else {
                 continue;
             };
-            let mut district = DistrictRow::from_bytes(&db);
+            let district = DistrictRow::from_bytes(&db);
             native_rows += 1;
-            let o_id = district.oldest_undelivered;
-            if o_id >= district.next_o_id {
-                continue; // nothing to deliver in this district
+            // A district whose next order is its oldest undelivered one has
+            // nothing to deliver.
+            if district.oldest_undelivered < district.next_o_id {
+                due.push((d, district));
             }
-            let Some(ob) = local.read(ids::order(w, d, o_id)) else {
-                continue;
-            };
-            let mut order = OrderRow::from_bytes(&ob);
+        }
+        let order_oids: Vec<ObjectId> = (due.iter())
+            .map(|(d, district)| ids::order(w, *d, district.oldest_undelivered))
+            .collect();
+        let mut found = Vec::new();
+        for ((d, district), ob) in due.into_iter().zip(local.read_many(&order_oids)) {
+            if let Some(ob) = ob {
+                found.push((d, district, OrderRow::from_bytes(&ob)));
+            }
+        }
+        let mut row_oids = Vec::new();
+        for (d, district, order) in &found {
+            let o_id = district.oldest_undelivered;
+            row_oids.extend((1..=order.ol_cnt).map(|k| ids::order_line(w, *d, o_id, k as u8)));
+            row_oids.push(ids::customer(w, *d, order.c_id));
+            row_oids.push(ids::new_order(w, *d, o_id));
+        }
+        let mut rows = local.read_many(&row_oids).into_iter();
+        let mut next_row = || rows.next().expect("one row per oid read");
+        for (d, mut district, mut order) in found {
+            let o_id = district.oldest_undelivered;
             order.carrier_id = carrier as u32;
             let mut total = 0u64;
             for k in 1..=order.ol_cnt {
                 let loid = ids::order_line(w, d, o_id, k as u8);
-                if let Some(lb) = local.read(loid) {
+                if let Some(lb) = next_row() {
                     let mut line = OrderLineRow::from_bytes(&lb);
                     total += line.amount;
                     line.delivery_ts = 1; // deterministic "delivered" marker
@@ -408,7 +429,7 @@ impl TpccApp {
                     writes.push((loid, Bytes::from(line.to_bytes())));
                 }
             }
-            if let Some(cb) = local.read(ids::customer(w, d, order.c_id)) {
+            if let Some(cb) = next_row() {
                 let mut customer = CustomerRow::from_bytes(&cb);
                 customer.balance += total as i64;
                 customer.delivery_cnt += 1;
@@ -419,7 +440,7 @@ impl TpccApp {
                 ));
             }
             let nooid = ids::new_order(w, d, o_id);
-            if let Some(nb) = local.read(nooid) {
+            if let Some(nb) = next_row() {
                 let mut no = NewOrderRow::from_bytes(&nb);
                 no.delivered = 1;
                 native_rows += 1;
@@ -454,27 +475,29 @@ impl TpccApp {
         let district = DistrictRow::from_bytes(&db);
         let hi = district.next_o_id;
         let lo = hi.saturating_sub(20).max(1);
-        let mut items = std::collections::BTreeSet::new();
-        for o in lo..hi {
-            let Some(ob) = local.read(ids::order(w, d, o)) else {
+        // One read per level: the recent orders, their lines, the stock
+        // rows of the items on them.
+        let order_oids: Vec<ObjectId> = (lo..hi).map(|o| ids::order(w, d, o)).collect();
+        let mut line_oids = Vec::new();
+        for (o, ob) in (lo..hi).zip(local.read_many(&order_oids)) {
+            let Some(ob) = ob else {
                 continue;
             };
             let order = OrderRow::from_bytes(&ob);
             native_rows += 1 + order.ol_cnt;
-            for k in 1..=order.ol_cnt {
-                if let Some(lb) = local.read(ids::order_line(w, d, o, k as u8)) {
-                    items.insert(OrderLineRow::from_bytes(&lb).i_id);
-                }
-            }
+            line_oids.extend((1..=order.ol_cnt).map(|k| ids::order_line(w, d, o, k as u8)));
         }
-        for i in &items {
-            if let Some(sb) = local.read(ids::stock(w, *i)) {
-                // Reading a serialized Stock row means deserializing it —
-                // the reason StockLevel is expensive (§V-D2).
-                serialized_rows += 1;
-                if StockRow::from_bytes(&sb).quantity < threshold {
-                    low += 1;
-                }
+        let items: std::collections::BTreeSet<u32> = (local.read_many(&line_oids).into_iter())
+            .flatten()
+            .map(|lb| OrderLineRow::from_bytes(&lb).i_id)
+            .collect();
+        let stock_oids: Vec<ObjectId> = items.iter().map(|&i| ids::stock(w, i)).collect();
+        for sb in local.read_many(&stock_oids).into_iter().flatten() {
+            // Reading a serialized Stock row means deserializing it — the
+            // reason StockLevel is expensive (§V-D2).
+            serialized_rows += 1;
+            if StockRow::from_bytes(&sb).quantity < threshold {
+                low += 1;
             }
         }
         Execution {
