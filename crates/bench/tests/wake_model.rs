@@ -2,12 +2,13 @@
 //! landing write dispatches only the processes polling the bytes it
 //! touched.
 
+use heron_bench::syncapp::run_transfer;
 use heron_bench::{run_heron, RunConfig, Workload};
-use std::time::Duration;
+use heron_core::{HeronConfig, StorageKind};
 
 /// Fault-free null requests never involve the service process: no address
-/// queries, no state transfer. It polls its inbox and the staging ring, so
-/// it must sleep through the whole run — under the node-wide condition it
+/// queries, no state transfer. It waits on its inbox alone, so it must
+/// sleep through the whole run — under the node-wide condition it
 /// was dispatched (and re-blocked) on every write that landed on its node,
 /// tens of thousands of times.
 #[test]
@@ -39,21 +40,23 @@ fn idle_service_processes_sleep_through_a_fault_free_run() {
     }
 }
 
-/// Crash → recover under load: the recovered replica lags, requests a
-/// state transfer, and its service process must apply the chunks — which
-/// it only learns about through its subscription to the staging ring. A
-/// lost wake-up would leave the transfer started but never completed.
+/// Crash → recover: the recovered replica lags and requests a state
+/// transfer larger than its staging ring, so the responder streams it under
+/// flow control — a chunk one ring beyond the requester's `applied` word
+/// waits until the requester applied the chunk in that slot. The
+/// requester's driver applies the chunks itself and learns that one landed
+/// only through its poller's subscription to the staging ring. A lost
+/// wake-up leaves it asleep until its re-arm timeout while the responder
+/// waits on a full ring, once per ring's worth of chunks.
 #[test]
 fn recovered_replica_completes_its_state_transfer() {
-    let summary = run_heron(
-        &RunConfig::new(2, 3, Workload::Tpcc)
-            .quick(true)
-            .with_crash(Duration::from_millis(2), Duration::from_millis(4)),
-    );
-    assert!(summary.transfers_started >= 1, "the victim must lag");
+    let cfg = HeronConfig::new(2, 3);
+    let ring = (cfg.transfer_slots * cfg.transfer_chunk) as u64;
+    // 40 objects of ≈ 16.4 KiB of slot each: 640 KiB, 2.5 rings.
+    let (bytes, took) = run_transfer(StorageKind::Serialized, 40, 8_128, |_| {});
+    assert!(bytes > 2 * ring, "{bytes} B fit in a {ring} B ring");
     assert!(
-        summary.transfers_completed >= 1,
-        "{} transfers started, none completed",
-        summary.transfers_started
+        took < cfg.transfer_timeout,
+        "a {bytes} B transfer took {took:?}: the requester slept through landed chunks"
     );
 }

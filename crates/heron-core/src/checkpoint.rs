@@ -80,7 +80,7 @@ fn raw_slots(store: &VersionedStore) -> impl Iterator<Item = (ObjectId, Vec<u8>)
 /// allocating the slots a wipe took.
 pub fn install_state(image: &[u8], store: &VersionedStore) {
     for (oid, raw) in decode_records(image) {
-        store.apply_raw_slot(oid, raw);
+        store.apply_raw_slot(oid, raw, "checkpoint-install");
     }
 }
 
@@ -160,26 +160,21 @@ pub(crate) fn checkpoint_replica(shared: &Arc<ReplicaShared>) -> Option<Checkpoi
         reg.counter("ckpt.skipped_unrestored").add(1);
         return None;
     }
-    // A consistent snapshot needs a quiescent request boundary: no
-    // executor inside a writing phase, no delivered command still in
-    // flight (a multi-partition command parks in its Phase-4 barrier
-    // *after* writing, so `in_write_phase == 0` alone does not mean the
-    // store stops at the commit watermark), and no inbound state transfer
-    // mutating slots underneath us. The executor passes through such a
-    // boundary between any two commands; if the replica stays busy for a
-    // whole interval, skip the round rather than snapshot a torn state.
-    let quiescent = || {
-        shared.in_write_phase.load(Ordering::SeqCst) == 0
-            && shared.last_req.load(Ordering::SeqCst) == shared.completed_req.load(Ordering::SeqCst)
-            && shared.transfer.lock().expected == 0
-    };
+    // A consistent snapshot needs a quiescent request boundary: every
+    // admitted command finished (`last_req == completed_req`). That also
+    // rules out a writing phase and an inbound state transfer mutating
+    // slots underneath us — both run only on behalf of an admitted,
+    // unfinished command. The executor passes through such a boundary
+    // between any two commands; if the replica stays busy for a whole
+    // interval, skip the round rather than snapshot a torn state.
+    let quiescent =
+        || shared.last_req.load(Ordering::SeqCst) == shared.completed_req.load(Ordering::SeqCst);
     let quiet = {
         // The profiler attributes this wait to the checkpointer's quiesce
         // park rather than a generic condition wait.
         let _wait = sim::prof::parked_scope("ckpt_quiesce");
-        // None of the inputs is node memory: `set_completed` notifies,
-        // and that is the first instant the boundary can hold (write
-        // phases end, and inbound transfers disarm, before it is called).
+        // Neither input is node memory: `set_completed` notifies, and
+        // that is the first instant the boundary can hold.
         shared.quiesce.wait_while_timeout(|| !quiescent(), interval)
     };
     if !quiet || !node.is_alive() || node.power_cycles() != cycles {

@@ -1,8 +1,14 @@
 //! Deployment wiring: nodes, shared replica state, clients, and spawning.
+//!
+//! Each replica runs a delivery driver (plus its pool workers above width
+//! 1), which executes commands and runs both sides of state transfer —
+//! a lagger's driver installs the chunks it asked for itself; a service
+//! process, which answers object-address queries; and, with durability, a
+//! checkpointer. [`ReplicaShared`] is what they share.
 
 use crate::app::StateMachine;
 use crate::config::HeronConfig;
-use crate::layout::{decode_chunk_header, ReplicaLayout, CHUNK_HDR, COORD_ENTRY, SYNC_ENTRY};
+use crate::layout::{ReplicaLayout, CHUNK_HDR, COORD_ENTRY, SYNC_ENTRY};
 use crate::metrics::Metrics;
 use crate::server::Service;
 use crate::store::VersionedStore;
@@ -15,24 +21,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Progress accounting for an in-flight inbound state transfer.
-#[derive(Debug, Default)]
-pub(crate) struct TransferProgress {
-    /// Next chunk stamp the service process expects. `0` = no transfer in
-    /// progress (late chunks are ignored rather than applied against live
-    /// executor state).
-    pub expected: u64,
-    /// Raw bytes applied so far in the current transfer.
-    pub bytes: u64,
-    /// Of which, bytes of `Native` objects (paid deserialization).
-    pub native_bytes: u64,
-    /// The responder snapshot bound this transfer is applying. Set by the
-    /// first chunk; chunks from a different (racing) responder stream are
-    /// ignored.
-    pub stream_bound: Option<u64>,
-}
-
-/// State shared between a replica's executor and service processes.
+/// State shared between a replica's processes.
 pub(crate) struct ReplicaShared {
     pub cluster: Arc<ClusterInner>,
     pub partition: PartitionId,
@@ -44,11 +33,12 @@ pub(crate) struct ReplicaShared {
     /// ([`ReplicaLayout::exec_ranges`]).
     pub exec_ranges: [(Addr, usize); 2],
     /// Wait point of the replica's delivery driver: the delivery mailbox's
-    /// condition, subscribed to `exec_ranges`. Pool workers subscribe
-    /// their own.
+    /// condition, subscribed to `exec_ranges` and the transfer staging
+    /// ring (the driver applies the state transfers it requests). Pool
+    /// workers subscribe their own, without the ring.
     pub poller: Poller,
-    /// Wait point of the service process: the node inbox's condition,
-    /// subscribed to the transfer staging ring.
+    /// Wait point of the service process: the node inbox's condition. It
+    /// subscribes no memory; as a poller, `recover` rings it.
     pub svc_poller: Poller,
     /// Wait point of the checkpointer. Its quiescence predicate reads no
     /// node memory, only the watermarks below, so whoever advances
@@ -61,18 +51,12 @@ pub(crate) struct ReplicaShared {
     pub last_req: AtomicU64,
     /// Raw timestamp of the last request whose write phase finished.
     pub completed_req: AtomicU64,
-    /// Number of lanes currently inside a write phase (at most one per
-    /// lane); state-transfer responders and the checkpointer snapshot only
-    /// while it is zero, i.e. at request boundaries.
-    pub in_write_phase: AtomicU64,
     /// Cached remote slot addresses: `(oid, node) → (addr, cap)` —
     /// the paper's `object_map`.
     pub object_map: Mutex<HashMap<(ObjectId, NodeId), (Addr, usize)>>,
     /// Address queries answered so far: `oid → nodes heard from` (the
     /// majority-wait of Algorithm 2, lines 11–13).
     pub addr_heard: Mutex<HashMap<ObjectId, Vec<NodeId>>>,
-    /// Inbound transfer staging progress (owned by the service process).
-    pub transfer: Mutex<TransferProgress>,
     /// Raw timestamp horizon the update log was last truncated at: entries
     /// `<= log_floor` are gone from `log`. State-transfer responders whose
     /// requester asks from below the floor must ship full state. Stays 0
@@ -296,8 +280,10 @@ impl HeronCluster {
                 }
                 let deliveries = inner.mcast.deliveries(GroupId(p as u16), i);
                 let exec_ranges = layout.exec_ranges(cfg.partitions * n);
-                let poller = node.poller(deliveries.cond().clone(), &exec_ranges);
-                let svc_poller = node.poller(node.inbox_cond(), &[layout.ring_range()]);
+                let [coord_sync, words] = exec_ranges;
+                let driver_ranges = [coord_sync, layout.ring_range(), words];
+                let poller = node.poller(deliveries.cond().clone(), &driver_ranges);
+                let svc_poller = node.poller(node.inbox_cond(), &[]);
                 let mut store = VersionedStore::new(node.clone());
                 if let Some(det) = &inner.detector {
                     store.instrument(det.clone());
@@ -325,10 +311,8 @@ impl HeronCluster {
                     log: Mutex::new(Vec::new()),
                     last_req: AtomicU64::new(0),
                     completed_req: AtomicU64::new(0),
-                    in_write_phase: AtomicU64::new(0),
                     object_map: Mutex::new(HashMap::new()),
                     addr_heard: Mutex::new(HashMap::new()),
-                    transfer: Mutex::new(TransferProgress::default()),
                     log_floor: AtomicU64::new(0),
                     restored_cycles: AtomicU64::new(0),
                     disk: inner
@@ -491,14 +475,6 @@ impl HeronCluster {
         self.replicas[p.0 as usize][i].log.lock().len()
     }
 
-    /// The update-log truncation horizon of replica `(p, i)` (raw
-    /// timestamp; 0 when never truncated).
-    pub fn log_floor(&self, p: PartitionId, i: usize) -> u64 {
-        self.replicas[p.0 as usize][i]
-            .log_floor
-            .load(Ordering::SeqCst)
-    }
-
     /// I/O counters of replica `(p, i)`'s durable namespace (`None`
     /// without durability).
     pub fn disk_stats(&self, p: PartitionId, i: usize) -> Option<sim::storage::DiskStats> {
@@ -575,49 +551,5 @@ impl HeronCluster {
         self.replicas[p.0 as usize][i]
             .completed_req
             .load(Ordering::SeqCst)
-    }
-
-    /// A replica's inbound-transfer staging view (diagnostics):
-    /// `(expected, stream_bound, [(slot_stamp, slot_bound); slots], applied)`.
-    pub fn transfer_view(
-        &self,
-        p: PartitionId,
-        i: usize,
-    ) -> (u64, Option<u64>, Vec<(u64, u64)>, u64) {
-        let shared = &self.replicas[p.0 as usize][i];
-        let prog = shared.transfer.lock();
-        let slots = (1..=shared.layout.ring.slots as u64)
-            .map(|k| {
-                let hdr = shared
-                    .node
-                    .local_read(shared.layout.ring_slot(k), CHUNK_HDR);
-                let (stamp, _, bound) = decode_chunk_header(&hdr.expect("staging slot"));
-                (stamp, bound)
-            })
-            .collect();
-        (
-            prog.expected,
-            prog.stream_bound,
-            slots,
-            shared
-                .node
-                .local_read_word(shared.layout.applied)
-                .unwrap_or(0),
-        )
-    }
-
-    /// A replica's statesync memory view (diagnostics): one
-    /// `(req_tmp, status)` pair per group member.
-    pub fn sync_view(&self, p: PartitionId, i: usize) -> Vec<(u64, u64)> {
-        let shared = &self.replicas[p.0 as usize][i];
-        (0..self.inner.cfg.replicas_per_partition)
-            .map(|q| {
-                let slot = shared.layout.sync_slot(q);
-                (
-                    shared.node.local_read_word(slot).unwrap_or(0),
-                    shared.node.local_read_word(slot.offset(8)).unwrap_or(0),
-                )
-            })
-            .collect()
     }
 }

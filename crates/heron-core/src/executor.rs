@@ -59,7 +59,7 @@ use crate::layout::{decode_envelope, encode_coord, encode_response, resp_slot, C
 use crate::metrics::Breakdown;
 use crate::replica::{
     coord_matching, coord_quorum, pending_sync_requests, publish_progress, respond_transfer,
-    state_transfer, state_transfer_abortable,
+    state_transfer, state_transfer_abortable, TRANSFER_INSTALL,
 };
 use crate::types::{ObjectId, PartitionId, Placement};
 use amcast::{mask_groups, Delivered, DeliveryEvent, Timestamp};
@@ -428,7 +428,6 @@ impl ExecCore {
 
         // The writing phase: our own objects, as one store batch under the
         // dual-versioning rule, appended to the update log in write order.
-        shared.in_write_phase.fetch_add(1, Ordering::SeqCst);
         let mut own_writes = Vec::with_capacity(exec.writes.len());
         for (oid, value) in &exec.writes {
             match app.placement(*oid) {
@@ -444,7 +443,6 @@ impl ExecCore {
             let logged = own_writes.iter().map(|&(oid, _)| (ts.raw(), oid));
             shared.log.lock().extend(logged);
         }
-        shared.in_write_phase.fetch_sub(1, Ordering::SeqCst);
         Ok(exec.response)
     }
 
@@ -533,10 +531,12 @@ impl ExecCore {
     /// * writes that landed *after* we issued the read (`t_issue`) — the
     ///   in-flux window; our snapshot predates them and the shadow marks
     ///   surface them through the `influx_windows` statistic instead;
-    /// * state-transfer applies (the service process rewrites whole slots
-    ///   on a lagger that a Phase-2-starved reader may still legitimately
-    ///   target; the reader's snapshot of committed versions stays valid —
-    ///   see DESIGN.md §10).
+    /// * state-transfer installs, recognised by their op label
+    ///   ([`TRANSFER_INSTALL`]): a lagger's driver rewrites whole slots
+    ///   that a Phase-2-starved reader may still legitimately target; the
+    ///   reader's snapshot of committed versions stays valid — see
+    ///   DESIGN.md §10. Not the process name: at width 1 the installing
+    ///   driver also executes commands, and those writes are checked.
     #[allow(clippy::too_many_arguments)]
     fn audit_remote_slot_read(
         &self,
@@ -556,7 +556,7 @@ impl ExecCore {
         let Some(conflict) = det.audit_remote_read(target, start, one as usize) else {
             return;
         };
-        if conflict.writer.time_ns > t_issue || conflict.writer.proc.starts_with("heron-svc-") {
+        if conflict.writer.time_ns > t_issue || conflict.writer.op == TRANSFER_INSTALL {
             return;
         }
         det.report_lint(
@@ -1237,7 +1237,6 @@ impl Driver {
         shared.object_map.lock().clear();
         shared.addr_heard.lock().clear();
         shared.reply_routes.lock().clear();
-        *shared.transfer.lock() = crate::cluster::TransferProgress::default();
         self.seen_requests.clear();
         self.queue.clear();
         self.pending_gap = None;

@@ -9,8 +9,8 @@
 //!   status]` entry per group member `p`, the signalling array of
 //!   Algorithm 3;
 //! * a **transfer staging ring** where a responder streams 32 KiB state
-//!   chunks, plus an `applied` counter word the responder reads for flow
-//!   control;
+//!   chunks, plus an `applied` counter word the requester bumps per chunk
+//!   it applies and the responder reads for flow control;
 //! * a **doorbell** word the colocated service process bumps to wake the
 //!   executing processes, which poll it along with their other words.
 //!
@@ -106,7 +106,8 @@ impl ReplicaLayout {
         ]
     }
 
-    /// The transfer staging ring, polled by the service process.
+    /// The transfer staging ring, polled by the delivery driver, which
+    /// applies the chunks of the transfers it requests.
     pub fn ring_range(&self) -> (Addr, usize) {
         (self.ring.base, self.ring.size())
     }

@@ -4,16 +4,19 @@
 //! Nothing here owns a process. The replica's one delivery driver
 //! ([`crate::executor::Driver`]) runs both sides of the transfer protocol
 //! from its loop — the requester side for its own inline lane or on its
-//! parked workers' behalf, the responder side whenever nothing is in
-//! flight — and every [`crate::executor::ExecCore`] lane reads barrier
+//! parked workers' behalf, installing the chunks it asked for itself, the
+//! responder side whenever nothing is in flight — and every
+//! [`crate::executor::ExecCore`] lane reads barrier
 //! state through [`coord_quorum`].
 
 use crate::cluster::ReplicaShared;
-use crate::layout::{encode_chunk_header, encode_record, encode_sync, CHUNK_HDR};
+use crate::layout::{
+    decode_chunk_header, decode_records, encode_chunk_header, encode_record, encode_sync, CHUNK_HDR,
+};
 use crate::metrics::TransferRecord;
 use crate::types::{ObjectId, PartitionId, StorageKind};
 use amcast::Timestamp;
-use rdma_sim::MemView;
+use rdma_sim::{Addr, MemView};
 use std::collections::BTreeSet;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -45,6 +48,10 @@ pub(crate) fn state_transfer(shared: &Arc<ReplicaShared>) -> u64 {
 /// with a remote CAS on it, and the read-then-reset below is atomic in
 /// the cooperative simulation) and no chunk of this transfer has been
 /// applied — so a partially-applied snapshot can never be abandoned.
+///
+/// The caller is the replica's delivery driver, and it installs the
+/// state itself: while it waits for the status flip it applies every
+/// chunk of the stream as it lands ([`apply_staged`]).
 pub(crate) fn state_transfer_abortable(
     shared: &Arc<ReplicaShared>,
     abort: &dyn Fn() -> bool,
@@ -55,15 +62,17 @@ pub(crate) fn state_transfer_abortable(
     metrics.transfers_started.fetch_add(1, Ordering::Relaxed);
     let t0 = sim::now();
     let my_sync = shared.layout.sync_slot(shared.idx);
-    'retry: loop {
+    let status = || shared.node.local_read_word(my_sync.offset(8));
+    // A responder flips the status back to 0 (the low bits; the high bits
+    // carry the chunk count).
+    let flipped = || status().is_ok_and(|st| st & 3 == 0);
+    loop {
         let from = shared.completed_req.load(Ordering::SeqCst);
-        {
-            let mut prog = shared.transfer.lock();
-            prog.expected = 1;
-            prog.bytes = 0;
-            prog.native_bytes = 0;
-            prog.stream_bound = None;
-        }
+        // The stream this attempt installs: the next chunk stamp, the
+        // responder snapshot it belongs to (named by its first chunk),
+        // and the bytes applied so far.
+        let (mut next, mut stream) = (1u64, None);
+        let (mut bytes, mut native_bytes) = (0u64, 0u64);
         // Zero the staging ring stamps so stale chunks are not
         // re-applied.
         for k in 1..=cfg.transfer_slots as u64 {
@@ -77,90 +86,61 @@ pub(crate) fn state_transfer_abortable(
             for q in 0..n {
                 shared.write_to(shared.partition, q, my_sync, &entry);
             }
-            // Line 5: wait for a responder to flip status back to 0
-            // (the low bits; the high bits carry the chunk count).
-            let done = shared.poller.poll_until_timeout(
-                || {
-                    shared
-                        .node
-                        .local_read_word(my_sync.offset(8))
-                        .map(|st| st & 3 == 0)
-                        .unwrap_or(false)
-                },
-                cfg.transfer_timeout,
-            );
+            // Line 5: wait for a responder to flip status back to 0,
+            // applying its chunks as they land. Every chunk of a stream
+            // lands before its flip (RC delivers a queue pair's writes in
+            // order), and the flip is read right after the last staged
+            // chunk was applied, so a flip seen here finds the stream
+            // drained.
+            let deadline = sim::now() + cfg.transfer_timeout;
+            let done = loop {
+                let (b, nb) = apply_staged(shared, &mut next, &mut stream);
+                bytes += b;
+                native_bytes += nb;
+                if flipped() {
+                    break true;
+                }
+                let Some(left) = deadline.checked_sub(sim::now()).filter(|d| !d.is_zero()) else {
+                    break false;
+                };
+                shared.poller.poll_until_timeout(
+                    || flipped() || staged_chunk(shared, next, stream).is_some(),
+                    left,
+                );
+            };
             if done {
                 break;
             }
-            if abort() {
-                let status = shared.node.local_read_word(my_sync.offset(8)).unwrap_or(0);
-                let untouched = {
-                    let prog = shared.transfer.lock();
-                    prog.stream_bound.is_none() && prog.bytes == 0
-                };
-                if status == 1 && untouched {
-                    // Withdraw: reset our own status word first (kills
-                    // any in-flight responder claim — the CAS on it
-                    // will now fail), then clear our entry on every
-                    // peer so their serve loops stop raising it.
-                    let _ = shared.node.local_write(my_sync, &encode_sync(0, 0));
-                    shared.transfer.lock().expected = 0;
-                    let clear = encode_sync(0, 0);
-                    for q in 0..n {
-                        let target = shared.peer(shared.partition, q);
-                        if target.id() != shared.node.id() {
-                            let _ = shared
-                                .peer_qp(shared.partition, q)
-                                .post_write(my_sync, clear.to_vec());
-                        }
+            if abort() && status() == Ok(1) && next == 1 {
+                // Withdraw: reset our own status word first (kills any
+                // in-flight responder claim — the CAS on it will now
+                // fail), then clear our entry on every peer so their
+                // serve loops stop raising it.
+                let _ = shared.node.local_write(my_sync, &encode_sync(0, 0));
+                let clear = encode_sync(0, 0);
+                for q in 0..n {
+                    let target = shared.peer(shared.partition, q);
+                    if target.id() != shared.node.id() {
+                        let _ = shared
+                            .peer_qp(shared.partition, q)
+                            .post_write(my_sync, clear.to_vec());
                     }
-                    return None;
                 }
+                return None;
             }
             // Timeout: the selected responder may have failed; re-arm
             // (the rotation on the responder side picks the next one).
         }
-        // Every chunk landed before the status flip (FIFO), but the
-        // service process still needs time to *apply* them — wait for
-        // it. A timeout here means a racing responder's stale chunk
-        // clobbered one of ours: redo the transfer.
-        let chunks = shared
-            .node
-            .local_read_word(my_sync.offset(8))
-            .expect("own sync word")
-            >> 2;
-        // `expected` is the service process's counter, not node memory:
-        // its wake source is the `applied` word the service writes right
-        // after every bump.
-        let applied = shared.poller.poll_until_timeout(
-            || shared.transfer.lock().expected > chunks,
-            cfg.transfer_timeout,
-        );
-        if !applied {
-            continue 'retry;
-        }
-        // Race-detector edge: read the applied watermark — the service
-        // process's last instrumented write — so every chunk it applied
-        // happens-before our subsequent execution and coordination
-        // writes (and, transitively, before any remote reader that
-        // observes our next coordination entry). Free when the
-        // detector is off: a local read costs no virtual time.
-        let _ = shared.node.local_read_word(shared.layout.applied);
-        // Line 6: adopt the responder's request id — but only if it
-        // matches the stream we actually applied. A mismatch means two
-        // responders raced (one was slow, the rotation fired) and we
-        // may hold a mix of their snapshots; redo the transfer from
-        // our current position.
-        let rid = shared.node.local_read_word(my_sync).expect("own sync word");
-        let stream = {
-            let mut prog = shared.transfer.lock();
-            prog.expected = 0; // disarm: late chunks are dropped
-            prog.stream_bound
-        };
-        if let Some(bound) = stream {
-            if bound != rid {
-                continue 'retry;
-            }
+        // Line 6: adopt the responder's request id — but only if we
+        // applied every chunk of its stream. A chunk still missing means a
+        // racing stream's chunk overwrote its staging slot; another bound
+        // means two responders raced (one was slow, the rotation fired)
+        // and we may hold a mix of their snapshots. Either way, redo the
+        // transfer from our current position.
+        let word = |at| shared.node.local_read_word(at).expect("own sync word");
+        let (rid, chunks) = (word(my_sync), word(my_sync.offset(8)) >> 2);
+        if next <= chunks || stream.is_some_and(|bound| bound != rid) {
+            continue;
         }
         shared.exec_trace.lock().push((rid, 't'));
         let cur = shared.last_req.load(Ordering::SeqCst);
@@ -168,14 +148,80 @@ pub(crate) fn state_transfer_abortable(
         let curc = shared.completed_req.load(Ordering::SeqCst);
         shared.set_completed(curc.max(rid));
         publish_progress(shared);
-        let prog = shared.transfer.lock();
         metrics.transfers.lock().push(TransferRecord {
-            bytes: prog.bytes,
+            bytes,
             duration_ns: (sim::now() - t0).as_nanos() as u64,
-            native_bytes: prog.native_bytes,
+            native_bytes,
         });
         return Some(rid);
     }
+}
+
+/// The race detector's op label for a state-transfer install, which the
+/// remote-read lint counts as benign (see
+/// [`crate::executor::ExecCore`]'s `audit_remote_slot_read`).
+pub(crate) const TRANSFER_INSTALL: &str = "transfer-install";
+
+/// Applies, in stamp order from `*next`, every staged chunk of the stream
+/// this transfer installs — the first chunk applied names it in `*stream`
+/// — charging the modeled deserialization cost of natively-stored objects
+/// (paper §V-E2) and recording each object in the update log, so we can
+/// serve a future lagger ourselves. After each chunk, bumps the `applied`
+/// word the responder reads for flow control. Returns the `(bytes, native
+/// bytes)` applied.
+fn apply_staged(shared: &ReplicaShared, next: &mut u64, stream: &mut Option<u64>) -> (u64, u64) {
+    let cfg = &shared.cluster.cfg;
+    let (mut bytes, mut native_bytes) = (0, 0);
+    while let Some((slot, nbytes, bound)) = staged_chunk(shared, *next, *stream) {
+        stream.get_or_insert(bound);
+        let body = shared
+            .node
+            .local_read(slot.offset(CHUNK_HDR as u64), nbytes)
+            .expect("chunk body in range");
+        let mut native = 0u64;
+        for (oid, raw) in decode_records(&body) {
+            if shared.cluster.app.storage_kind(oid) == StorageKind::Native {
+                native += raw.len() as u64;
+            }
+            shared.store.apply_raw_slot(oid, raw, TRANSFER_INSTALL);
+            if let Some((ts, _)) = shared.store.get(oid) {
+                if ts != Timestamp::ZERO {
+                    shared.log.lock().push((ts.raw(), oid));
+                }
+            }
+        }
+        if native > 0 {
+            sim::sleep_ns(native * cfg.deser_ns_per_kib / 1024);
+        }
+        bytes += nbytes as u64;
+        native_bytes += native;
+        let _ = shared.node.local_write_word(shared.layout.applied, *next);
+        *next += 1;
+    }
+    (bytes, native_bytes)
+}
+
+/// The chunk stamped `next`, if it is staged and of `stream` (any stream
+/// while `None`): `(slot, nbytes, bound)`. Both the requester's wait and
+/// [`apply_staged`] ask this, so what the one counts as work the other
+/// consumes.
+///
+/// Stream coherence: if two responders raced, only the stream the first
+/// chunk came from is applied. A chunk of the other stream is left in its
+/// slot until the owning responder rewrites it — it is not work, or the
+/// requester would spin on it in zero virtual time and the rewriter would
+/// never be scheduled.
+fn staged_chunk(
+    shared: &ReplicaShared,
+    next: u64,
+    stream: Option<u64>,
+) -> Option<(Addr, usize, u64)> {
+    let slot = shared.layout.ring_slot(next);
+    let (stamp, nbytes, bound) = shared
+        .node
+        .with_mem(|m| m.bytes(slot, CHUNK_HDR).map(decode_chunk_header))
+        .ok()?;
+    (stamp == next && stream.is_none_or(|b| b == bound)).then_some((slot, nbytes, bound))
 }
 
 /// Streams the replica's state since `from` to the requester in 32 KiB
@@ -194,10 +240,8 @@ pub(crate) fn respond_transfer(shared: &Arc<ReplicaShared>, requester: usize, fr
         Ok(1) => {}
         _ => return, // claimed by someone else, completed, or crashed
     }
-    // Snapshot at a request boundary. `in_write_phase` counts lanes
-    // currently inside a writing phase; the driver only serves once nothing
-    // is in flight, so it already stands at such a boundary.
-    debug_assert_eq!(shared.in_write_phase.load(Ordering::SeqCst), 0);
+    // Snapshot at a request boundary: the driver only serves once nothing
+    // is in flight, so it already stands at one.
     let bound = shared.completed_req.load(Ordering::SeqCst);
     // Line 12: the update log bounds what must be synchronized — unless
     // the checkpointer truncated it past the requester's position, in
@@ -249,7 +293,7 @@ pub(crate) fn respond_transfer(shared: &Arc<ReplicaShared>, requester: usize, fr
             };
             // Protocol lint (regression guard): posting past the
             // applied watermark would overwrite a staged chunk the
-            // requester's service has not consumed yet — it would land
+            // requester has not applied yet — it would land
             // inside the requester's live read window. The wait above
             // makes this unreachable; the lint keeps its own
             // comparison so it trips immediately if a change ever
@@ -306,9 +350,8 @@ pub(crate) fn respond_transfer(shared: &Arc<ReplicaShared>, requester: usize, fr
     // Lines 16–17: announce completion to the whole group. FIFO RC
     // delivery guarantees the requester sees every chunk before the
     // status flip; the chunk count rides in the status word's high
-    // bits so the requester can wait until its service process has
-    // *applied* them all (application costs time for natively-stored
-    // objects).
+    // bits so the requester can tell whether it applied them all (a
+    // racing stream may have overwritten one in its staging slot).
     let chunks = stamp - 1;
     let entry = encode_sync(bound, chunks << 2);
     let sync = shared.layout.sync_slot(requester);
@@ -457,14 +500,16 @@ pub(crate) fn pending_sync_requests<'a>(
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
+    use crate::layout::SYNC_ENTRY;
     use crate::{Execution, HeronCluster, HeronConfig, LocalReader, ReadSet, StateMachine};
+    use parking_lot::Mutex;
     use proptest::prelude::*;
     use rdma_sim::{Fabric, LatencyModel};
 
     /// Hosts nothing: for tests that only need a replica's registered memory.
-    pub(crate) struct NoObjects;
+    struct NoObjects;
 
     impl StateMachine for NoObjects {
         fn placement(&self, _: ObjectId) -> crate::Placement {
@@ -571,5 +616,93 @@ pub(crate) mod tests {
             // candidate sets were non-empty.
             assert!(verdicts.iter().all(|&v| v >= 20), "{width}: {verdicts:?}");
         }
+    }
+
+    /// Two responders can race (the rotation fires while a slow one is
+    /// mid-stream): a chunk of the stream we are not applying stays staged,
+    /// unconsumed and uncounted, until the owning stream rewrites its slot.
+    #[test]
+    fn a_chunk_from_another_stream_is_neither_work_nor_applied() {
+        let fabric = Fabric::new(LatencyModel::connectx4());
+        let cluster = HeronCluster::build(&fabric, HeronConfig::new(1, 3), Arc::new(NoObjects));
+        let shared = &cluster.replicas[0][0];
+        let (expected, ours, theirs) = (3u64, 70u64, 90u64);
+        let (mut next, mut stream) = (expected, Some(ours));
+        let stage = |bound: u64| {
+            let header = encode_chunk_header(expected, 0, bound);
+            let slot = shared.layout.ring_slot(expected);
+            shared.node.local_write(slot, &header).unwrap();
+        };
+        stage(theirs);
+        assert!(staged_chunk(shared, next, stream).is_none());
+        assert_eq!(apply_staged(shared, &mut next, &mut stream), (0, 0));
+        assert_eq!(next, expected);
+        stage(ours);
+        assert!(staged_chunk(shared, next, stream).is_some());
+        apply_staged(shared, &mut next, &mut stream);
+        assert_eq!((next, stream), (expected + 1, Some(ours)));
+        let applied = shared.node.local_read_word(shared.layout.applied);
+        assert_eq!(applied, Ok(expected));
+        assert!(staged_chunk(shared, next, stream).is_none());
+    }
+
+    /// A racing stream overwrote the chunk the requester needed next, then
+    /// the stream it was applying flipped the status: that chunk can never
+    /// arrive, so the requester re-arms at the flip, not a
+    /// `transfer_timeout` later. The responders are played by writing
+    /// straight into the requester's memory; no peer process runs.
+    #[test]
+    fn a_transfer_missing_an_overwritten_chunk_rearms_at_the_flip() {
+        let simulation = sim::Simulation::new(1);
+        let fabric = Fabric::new(LatencyModel::connectx4());
+        let cluster = HeronCluster::build(&fabric, HeronConfig::new(1, 3), Arc::new(NoObjects));
+        let shared = Arc::clone(&cluster.replicas[0][0]);
+        let (ours, theirs) = (70u64, 90u64);
+        let adopted = Arc::new(Mutex::new(None));
+        let rearm = Arc::new(Mutex::new(None));
+        let (requester, out) = (Arc::clone(&shared), Arc::clone(&adopted));
+        simulation.spawn("heron-exec-p0r0", move || {
+            *out.lock() = Some((state_transfer(&requester), sim::now()));
+        });
+        let out = Arc::clone(&rearm);
+        simulation.spawn("responders", move || {
+            let entry = shared.layout.sync_slot(0);
+            let watch = shared.node.poller(sim::Cond::new(), &[(entry, SYNC_ENTRY)]);
+            let armed = || shared.node.local_read_word(entry.offset(8)) == Ok(1);
+            let chunk = |stamp: u64, bound: u64| {
+                let header = encode_chunk_header(stamp, 0, bound);
+                let slot = shared.layout.ring_slot(stamp);
+                shared.node.local_write(slot, &header).unwrap();
+            };
+            watch.poll_until(armed);
+            // Let the requester finish posting its request and wait.
+            sim::sleep(std::time::Duration::from_micros(10));
+            chunk(1, ours);
+            chunk(2, ours);
+            chunk(2, theirs);
+            let flip = sim::now();
+            shared
+                .node
+                .local_write(entry, &encode_sync(ours, 2 << 2))
+                .unwrap();
+            watch.poll_until(armed);
+            *out.lock() = Some((flip, sim::now()));
+            // The second attempt's responder ships nothing.
+            shared
+                .node
+                .local_write(entry, &encode_sync(ours, 0))
+                .unwrap();
+        });
+        simulation.run().unwrap();
+        let (flip, rearmed) = rearm.lock().expect("the requester re-armed");
+        assert_eq!(
+            rearmed,
+            flip,
+            "re-armed {:?} after the flip",
+            rearmed - flip
+        );
+        let (rid, done) = adopted.lock().expect("the transfer completed");
+        assert_eq!(rid, ours);
+        assert!(done - flip < cluster.config().transfer_timeout);
     }
 }

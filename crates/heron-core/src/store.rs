@@ -448,7 +448,7 @@ impl VersionedStore {
         let one = VERSION_HDR + slot.cap;
         raw[VERSION_HDR] ^= 0xFF;
         raw[one + VERSION_HDR] ^= 0xFF;
-        self.apply_raw_slot(oid, &raw);
+        self.apply_raw_slot(oid, &raw, "local-write");
     }
 
     /// Raw slot bytes — what state transfer ships to a lagger.
@@ -460,9 +460,11 @@ impl VersionedStore {
         })
     }
 
-    /// Overwrites the whole slot image (state-transfer apply on the
-    /// lagger). Allocates the slot if the object is new to this replica.
-    pub fn apply_raw_slot(&self, oid: ObjectId, raw: &[u8]) {
+    /// Overwrites the whole slot image (a state-transfer or checkpoint
+    /// install). Allocates the slot if the object is new to this replica.
+    /// `op` labels the write for the race detector's reports (`"local-write"`
+    /// unless the install has a name of its own).
+    pub fn apply_raw_slot(&self, oid: ObjectId, raw: &[u8], op: &'static str) {
         let cap = (raw.len() - 2 * VERSION_HDR) / 2;
         let (slot, fresh) = {
             let mut inner = self.inner.lock();
@@ -485,7 +487,7 @@ impl VersionedStore {
             "state-transfer slot shape mismatch for {oid}"
         );
         self.node
-            .local_write(slot.addr, raw)
+            .write_instrumented(slot.addr, raw, op)
             .expect("slot within registered memory");
     }
 
@@ -586,7 +588,7 @@ mod tests {
         s1.bootstrap(ObjectId(7), b"hello");
         s1.set(ObjectId(7), b"world", ts(4));
         let raw = s1.raw_slot_bytes(s1.slot(ObjectId(7)).unwrap());
-        s2.apply_raw_slot(ObjectId(7), &raw);
+        s2.apply_raw_slot(ObjectId(7), &raw, "local-write");
         let (t, v) = s2.get(ObjectId(7)).unwrap();
         assert_eq!((t, v.as_ref()), (ts(4), b"world".as_ref()));
     }

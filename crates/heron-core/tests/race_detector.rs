@@ -139,7 +139,8 @@ fn clean_run_with_crash_recovery_reports_no_races() {
         }
         // Crash one replica, keep going far enough to overwrite its log,
         // then recover it so it runs the state-transfer protocol under
-        // the detector (staging ring, applied watermark, service applies).
+        // the detector (staging ring, applied watermark, the driver's
+        // installs).
         fabric.crash(victim);
         for i in 0..30u64 {
             client.execute(&enc(i % 6, (i + 1) % 6, 1));

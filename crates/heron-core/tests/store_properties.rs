@@ -85,7 +85,7 @@ proptest! {
         a.bootstrap(ObjectId(1), &v1);
         a.set(ObjectId(1), &v2, ts(5));
         let raw = a.raw_slot_bytes(a.slot(ObjectId(1)).unwrap());
-        b.apply_raw_slot(ObjectId(1), &raw);
+        b.apply_raw_slot(ObjectId(1), &raw, "local-write");
         let va = a.raw_slot_bytes(a.slot(ObjectId(1)).unwrap());
         let vb = b.raw_slot_bytes(b.slot(ObjectId(1)).unwrap());
         prop_assert_eq!(va, vb);

@@ -706,14 +706,14 @@ impl Node {
         self.write_instrumented(addr, data, "local-write")
     }
 
-    /// Write with an explicit operation label for race reports (signaled
-    /// RDMA writes land through here as `"rdma-write"`).
-    pub(crate) fn write_instrumented(
-        &self,
-        addr: Addr,
-        data: &[u8],
-        op: &'static str,
-    ) -> RdmaResult<()> {
+    /// [`Node::local_write`] with an explicit operation label for race
+    /// reports, which [`crate::AccessSite::op`] carries (signaled RDMA
+    /// writes land through here as `"rdma-write"`).
+    ///
+    /// # Errors
+    ///
+    /// [`RdmaError::OutOfBounds`] if the range is outside registered memory.
+    pub fn write_instrumented(&self, addr: Addr, data: &[u8], op: &'static str) -> RdmaResult<()> {
         self.write_raw(addr, data)?;
         if let Some(tsan) = self.fabric.tsan() {
             let ticket = crate::tsan::WriteTicket::capture(op);

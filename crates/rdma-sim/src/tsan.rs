@@ -40,7 +40,7 @@
 //!   protocol layer adjudicates the *chosen version's* byte range after
 //!   decoding, via [`RaceDetector::audit_remote_read`]. Writer/writer
 //!   conflicts are checked as for data: only the slot's own replica
-//!   writes it (an executor lane, or its service applying a transfer), in
+//!   writes it (an executor lane, or its driver installing a transfer), in
 //!   an order the protocol establishes. A write over a marked read is
 //!   counted as an **in-flux window** statistic rather than a race,
 //!   because overwriting the victim version after a reader snapshotted the
