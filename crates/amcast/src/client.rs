@@ -7,7 +7,7 @@ use crate::{dest_mask, mask_groups};
 use rdma_sim::{Node, NodeId, QueuePair};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// A client attached to an atomic multicast deployment.
 ///
@@ -18,7 +18,7 @@ use std::sync::Arc;
 /// [`McastClient::resubmit`] so the message keeps its original id and is
 /// deduplicated by the ordering layer.
 pub struct McastClient {
-    inner: Arc<McastInner>,
+    inner: Rc<McastInner>,
     node: Node,
     client_idx: usize,
     /// Per target node, opened on first use: the queue pair and the
@@ -37,7 +37,7 @@ impl fmt::Debug for McastClient {
 }
 
 impl McastClient {
-    pub(crate) fn new(inner: Arc<McastInner>, node: Node, client_idx: usize) -> Self {
+    pub(crate) fn new(inner: Rc<McastInner>, node: Node, client_idx: usize) -> Self {
         let groups = inner.cfg.groups;
         McastClient {
             inner,

@@ -9,9 +9,9 @@ use crate::DestMask;
 use bytes::Bytes;
 use rdma_sim::{Fabric, Node, Poller};
 use sim::{Cond, Mailbox};
+use std::cell::{Cell, OnceCell};
 use std::fmt;
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::rc::Rc;
 
 /// A message handed to the application by atomic multicast.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,9 +59,9 @@ pub(crate) struct McastInner {
     /// Durable storage for per-replica write-ahead logs. Unset unless
     /// [`Mcast::attach_wal`] is called: without it the deployment performs
     /// no I/O and executes bit-identical schedules.
-    pub(crate) wal: OnceLock<sim::storage::Storage>,
-    uid_counter: AtomicU32,
-    client_counter: AtomicU32,
+    pub(crate) wal: OnceCell<sim::storage::Storage>,
+    uid_counter: Cell<u32>,
+    client_counter: Cell<u32>,
 }
 
 impl McastInner {
@@ -76,7 +76,7 @@ impl McastInner {
 /// the replica processes, then attach clients.
 #[derive(Clone)]
 pub struct Mcast {
-    pub(crate) inner: Arc<McastInner>,
+    pub(crate) inner: Rc<McastInner>,
 }
 
 impl fmt::Debug for Mcast {
@@ -143,7 +143,7 @@ impl Mcast {
             .map(|group| group.iter().map(|_| Mailbox::new()).collect())
             .collect();
         Mcast {
-            inner: Arc::new(McastInner {
+            inner: Rc::new(McastInner {
                 cfg,
                 sizes,
                 fabric: fabric.clone(),
@@ -151,9 +151,9 @@ impl Mcast {
                 layouts,
                 pollers,
                 deliveries,
-                wal: OnceLock::new(),
-                uid_counter: AtomicU32::new(1),
-                client_counter: AtomicU32::new(0),
+                wal: OnceCell::new(),
+                uid_counter: Cell::new(1),
+                client_counter: Cell::new(0),
             }),
         }
     }
@@ -338,7 +338,7 @@ impl Mcast {
     /// Returns the replica protocol driver for `(group, idx)`. Call
     /// [`McastReplica::run`] inside a simulated process.
     pub fn replica(&self, group: GroupId, idx: usize) -> McastReplica {
-        McastReplica::new(Arc::clone(&self.inner), group, idx)
+        McastReplica::new(Rc::clone(&self.inner), group, idx)
     }
 
     /// The ordered delivery stream of replica `(group, idx)`.
@@ -362,17 +362,18 @@ impl Mcast {
     ///
     /// Panics if more than `cfg.max_clients` clients attach.
     pub fn client(&self, node: &Node) -> McastClient {
-        let idx = self.inner.client_counter.fetch_add(1, Ordering::SeqCst) as usize;
+        let counter = &self.inner.client_counter;
+        let idx = counter.replace(counter.get() + 1) as usize;
         assert!(
             idx < self.inner.cfg.max_clients,
             "too many multicast clients; raise McastConfig::max_clients"
         );
-        McastClient::new(Arc::clone(&self.inner), node.clone(), idx)
+        McastClient::new(Rc::clone(&self.inner), node.clone(), idx)
     }
 
     /// Allocates a fresh globally-unique message id.
     pub(crate) fn alloc_uid(inner: &McastInner) -> MsgId {
-        let uid = inner.uid_counter.fetch_add(1, Ordering::SeqCst);
+        let uid = inner.uid_counter.replace(inner.uid_counter.get() + 1);
         assert!(
             uid < (1 << 22),
             "message uid space exhausted (2^22 messages)"

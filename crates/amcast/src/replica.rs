@@ -12,7 +12,7 @@ use bytes::Bytes;
 use rdma_sim::{Addr, MemView, Node, Poller, QueuePair};
 use sim::SimTime;
 use std::collections::{BTreeSet, HashMap, HashSet};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Which replica index leads a group in the given epoch.
 pub(crate) fn leader_for_epoch(epoch: u64, n: usize) -> usize {
@@ -96,7 +96,7 @@ struct State {
 /// inside a simulated process; it loops forever, delivering messages into
 /// the replica's delivery mailbox.
 pub struct McastReplica {
-    inner: Arc<McastInner>,
+    inner: Rc<McastInner>,
     group: GroupId,
     idx: usize,
     node: Node,
@@ -131,7 +131,7 @@ impl std::fmt::Debug for McastReplica {
 }
 
 impl McastReplica {
-    pub(crate) fn new(inner: Arc<McastInner>, group: GroupId, idx: usize) -> Self {
+    pub(crate) fn new(inner: Rc<McastInner>, group: GroupId, idx: usize) -> Self {
         let node = inner.nodes[group.0 as usize][idx].clone();
         let poller = inner.pollers[group.0 as usize][idx].clone();
         let my_global = inner.global_idx(group, idx);
@@ -1373,10 +1373,10 @@ mod tests {
     /// Runs `body` as a simulated process over replica `idx` of group 1 in
     /// a 2 × 3 deployment whose rings are small enough to wrap, with a
     /// freshly booted `State`.
-    fn with_replica<T: Send + 'static>(
+    fn with_replica<T: 'static>(
         sabotaged: bool,
         idx: usize,
-        body: impl FnOnce(&McastReplica, State) -> T + Send + 'static,
+        body: impl FnOnce(&McastReplica, State) -> T + 'static,
     ) -> T {
         let mut cfg = McastConfig::new(2, 3).with_max_clients(2);
         (
@@ -1398,14 +1398,14 @@ mod tests {
             })
             .collect();
         let r = Mcast::build(&fabric, nodes, cfg).replica(GroupId(1), idx);
-        let out = Arc::new(parking_lot::Mutex::new(None));
-        let seen = Arc::clone(&out);
+        let out = Rc::new(std::cell::RefCell::new(None));
+        let seen = Rc::clone(&out);
         simulation.spawn("probe", move || {
             let st = r.boot_state();
-            *seen.lock() = Some(body(&r, st));
+            *seen.borrow_mut() = Some(body(&r, st));
         });
         simulation.run().unwrap();
-        let got = out.lock().take();
+        let got = out.take();
         got.expect("the probe ran")
     }
 

@@ -212,8 +212,9 @@ fn check_row(row: &Row) {
     }
 }
 
-/// The table, one thread per row (each builds, runs and drops its own
-/// simulations, so `Simulation: !Send` is no obstacle).
+/// The table, one thread per row. Each row builds its own simulations —
+/// kernel, fabric, cluster — and runs and drops them on its thread, so no
+/// simulator object (none is `Send`) ever crosses between rows.
 #[test]
 fn no_switch_moves_a_pinned_schedule() {
     let rows = table();

@@ -32,6 +32,7 @@ use netsim::{Endpoint, EndpointId, NetLatency, Network};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
+use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -135,7 +136,7 @@ impl LocalReader for MapReader<'_> {
 /// A DynaStar deployment handle.
 #[derive(Clone)]
 pub struct DynaStar {
-    inner: Arc<Inner>,
+    inner: Rc<Inner>,
 }
 
 struct Inner {
@@ -184,7 +185,7 @@ impl DynaStar {
             .map(|_| Arc::new(std::sync::atomic::AtomicU64::new(0)))
             .collect();
         DynaStar {
-            inner: Arc::new(Inner {
+            inner: Rc::new(Inner {
                 metrics: Arc::new(Metrics::new(cfg.partitions)),
                 cfg,
                 app,
@@ -223,17 +224,17 @@ impl DynaStar {
 
     /// Spawns the oracle, leaders and followers.
     pub fn spawn(&self, simulation: &sim::Simulation) {
-        let inner = Arc::clone(&self.inner);
+        let inner = Rc::clone(&self.inner);
         let oracle_ep = self.inner.net.endpoint(self.inner.oracle);
         simulation.spawn("ds-oracle", move || run_oracle(inner, oracle_ep));
         for p in 0..self.inner.cfg.partitions {
-            let inner = Arc::clone(&self.inner);
+            let inner = Rc::clone(&self.inner);
             let ep = self.inner.net.endpoint(self.inner.leaders[p]);
             simulation.spawn(format!("ds-leader-p{p}"), move || {
                 run_leader(inner, PartitionId(p as u16), ep)
             });
             for (i, f) in self.inner.followers[p].iter().enumerate() {
-                let inner = Arc::clone(&self.inner);
+                let inner = Rc::clone(&self.inner);
                 let ep = self.inner.net.endpoint(*f);
                 simulation.spawn(format!("ds-follower-p{p}-{i}"), move || {
                     run_follower(inner, ep)
@@ -249,14 +250,14 @@ impl DynaStar {
             .net
             .add_endpoint(format!("ds-client-{}", name.into()));
         DynaStarClient {
-            inner: Arc::clone(&self.inner),
+            inner: Rc::clone(&self.inner),
             ep,
             next_id: 1,
         }
     }
 }
 
-fn run_oracle(inner: Arc<Inner>, ep: Endpoint<Msg>) {
+fn run_oracle(inner: Rc<Inner>, ep: Endpoint<Msg>) {
     let mut pseq = vec![0u64; inner.cfg.partitions];
     loop {
         let (_, msg) = ep.recv();
@@ -320,7 +321,7 @@ struct InFlight {
     moved_from: HashSet<PartitionId>,
 }
 
-fn run_leader(inner: Arc<Inner>, me: PartitionId, ep: Endpoint<Msg>) {
+fn run_leader(inner: Rc<Inner>, me: PartitionId, ep: Endpoint<Msg>) {
     let store = Arc::clone(&inner.stores[me.0 as usize]);
     let majority_acks = inner.cfg.replicas_per_partition / 2; // besides self
     let mut next_seq = 1u64;
@@ -436,7 +437,7 @@ fn run_leader(inner: Arc<Inner>, me: PartitionId, ep: Endpoint<Msg>) {
 
 /// Drives a command through its stages as far as currently possible.
 fn advance(
-    inner: &Arc<Inner>,
+    inner: &Rc<Inner>,
     me: PartitionId,
     ep: &Endpoint<Msg>,
     store: &Arc<Mutex<HashMap<ObjectId, Bytes>>>,
@@ -510,7 +511,7 @@ fn advance(
 /// once per involved partition (gathering each partition's writes), applies
 /// local writes, ships the rest back, and answers the client.
 fn execute_and_reply(
-    inner: &Arc<Inner>,
+    inner: &Rc<Inner>,
     me: PartitionId,
     ep: &Endpoint<Msg>,
     store: &Arc<Mutex<HashMap<ObjectId, Bytes>>>,
@@ -582,7 +583,7 @@ fn execute_and_reply(
     );
 }
 
-fn run_follower(inner: Arc<Inner>, ep: Endpoint<Msg>) {
+fn run_follower(inner: Rc<Inner>, ep: Endpoint<Msg>) {
     loop {
         let (from, msg) = ep.recv();
         if let Msg::Replicate { id } = msg {
@@ -595,7 +596,7 @@ fn run_follower(inner: Arc<Inner>, ep: Endpoint<Msg>) {
 
 /// A closed-loop DynaStar client.
 pub struct DynaStarClient {
-    inner: Arc<Inner>,
+    inner: Rc<Inner>,
     ep: Endpoint<Msg>,
     next_id: CmdId,
 }

@@ -33,8 +33,8 @@ use crate::layout::{decode_records, encode_record};
 use crate::store::VersionedStore;
 use crate::types::ObjectId;
 use amcast::GroupId;
+use std::rc::Rc;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 
 /// The checkpoint file name inside a replica's durable namespace.
 pub const CKPT_FILE: &str = "ckpt";
@@ -140,7 +140,7 @@ pub(crate) fn decode_file(file: &[u8]) -> (CheckpointMeta, &[u8]) {
 /// checkpoint taken, or `None` if the round was skipped (replica dead or
 /// busy, nothing new to checkpoint, or a power cycle interrupted the
 /// round before truncation).
-pub(crate) fn checkpoint_replica(shared: &Arc<ReplicaShared>) -> Option<CheckpointMeta> {
+pub(crate) fn checkpoint_replica(shared: &Rc<ReplicaShared>) -> Option<CheckpointMeta> {
     let disk = shared.disk.as_ref()?;
     let node = &shared.node;
     if !node.is_alive() {
@@ -237,7 +237,7 @@ pub(crate) fn checkpoint_replica(shared: &Arc<ReplicaShared>) -> Option<Checkpoi
 /// only when [`crate::DurabilityConfig`] is set: one
 /// [`checkpoint_replica`] round per interval, skipping rounds whose
 /// watermark has not advanced since the last durable checkpoint.
-pub(crate) fn run_checkpointer(shared: Arc<ReplicaShared>) {
+pub(crate) fn run_checkpointer(shared: Rc<ReplicaShared>) {
     let interval = shared
         .cluster
         .cfg
@@ -261,7 +261,7 @@ pub(crate) fn run_checkpointer(shared: Arc<ReplicaShared>) {
 /// is charged to the caller — this is the bulk of cold-restart time).
 /// Returns the checkpoint's metadata, or `None` if no checkpoint was ever
 /// taken.
-pub(crate) fn load_checkpoint(shared: &Arc<ReplicaShared>) -> Option<CheckpointMeta> {
+pub(crate) fn load_checkpoint(shared: &Rc<ReplicaShared>) -> Option<CheckpointMeta> {
     let disk = shared.disk.as_ref()?;
     let file = disk.get(CKPT_FILE)?;
     let (meta, image) = decode_file(&file);

@@ -7,8 +7,7 @@ use amcast::{GroupId, McastClient, MsgId};
 use bytes::Bytes;
 use rdma_sim::{Addr, MemView, Node, Poller};
 use std::fmt;
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// A closed-loop Heron client.
 ///
@@ -18,7 +17,7 @@ use std::sync::Arc;
 /// paper's clients measure latency (§V-B). Unanswered requests are
 /// re-multicast with the same message id after `client_retry`.
 pub struct HeronClient {
-    cluster: Arc<ClusterInner>,
+    cluster: Rc<ClusterInner>,
     node: Node,
     /// Our wait point: rung by replies landing in the response region.
     poller: Poller,
@@ -39,9 +38,9 @@ impl fmt::Debug for HeronClient {
 
 impl HeronClient {
     pub(crate) fn attach(cluster: &HeronCluster, name: String) -> Self {
-        let inner = Arc::clone(&cluster.inner);
+        let inner = Rc::clone(&cluster.inner);
         let node = inner.fabric.add_node(format!("client-{name}"));
-        let id = inner.client_counter.fetch_add(1, Ordering::SeqCst);
+        let id = inner.client_counter.replace(inner.client_counter.get() + 1);
         let resp_bytes = inner.cfg.partitions
             * inner.cfg.replicas_per_partition
             * (RESP_HDR + inner.cfg.max_response);

@@ -16,14 +16,16 @@ use crate::types::{ObjectId, PartitionId};
 use amcast::{GroupId, Mcast};
 use parking_lot::Mutex;
 use rdma_sim::{Addr, Fabric, Node, NodeId, Poller, QueuePair, Ring};
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// State shared between a replica's processes.
 pub(crate) struct ReplicaShared {
-    pub cluster: Arc<ClusterInner>,
+    pub cluster: Rc<ClusterInner>,
     pub partition: PartitionId,
     pub idx: usize,
     pub node: Node,
@@ -134,7 +136,7 @@ pub(crate) struct ClusterInner {
     pub nodes: Vec<Vec<Node>>,
     pub metrics: Arc<Metrics>,
     pub clients: Mutex<HashMap<u64, ClientInfo>>,
-    pub client_counter: AtomicU64,
+    pub client_counter: Cell<u64>,
     /// The Sim-TSan race detector, when [`HeronConfig::race_detector`] is
     /// set (protocol lints consult it on their slow paths).
     pub detector: Option<rdma_sim::RaceDetector>,
@@ -152,8 +154,8 @@ pub(crate) struct ClusterInner {
 /// See the crate-level documentation and `examples/quickstart.rs`.
 #[derive(Clone)]
 pub struct HeronCluster {
-    pub(crate) inner: Arc<ClusterInner>,
-    pub(crate) replicas: Arc<Vec<Vec<Arc<ReplicaShared>>>>,
+    pub(crate) inner: Rc<ClusterInner>,
+    pub(crate) replicas: Rc<Vec<Vec<Rc<ReplicaShared>>>>,
 }
 
 impl fmt::Debug for HeronCluster {
@@ -207,7 +209,7 @@ impl HeronCluster {
             // populated only when the run asked for observability.
             metrics.registry().enable();
         }
-        let inner = Arc::new(ClusterInner {
+        let inner = Rc::new(ClusterInner {
             cfg,
             fabric: fabric.clone(),
             app,
@@ -215,7 +217,7 @@ impl HeronCluster {
             nodes,
             metrics,
             clients: Mutex::new(HashMap::new()),
-            client_counter: AtomicU64::new(1),
+            client_counter: Cell::new(1),
             detector,
             tracer: Mutex::new(None),
         });
@@ -297,8 +299,8 @@ impl HeronCluster {
                     .flatten()
                     .map(|peer| node.connect(peer))
                     .collect();
-                row.push(Arc::new(ReplicaShared {
-                    cluster: Arc::clone(&inner),
+                row.push(Rc::new(ReplicaShared {
+                    cluster: Rc::clone(&inner),
                     partition: PartitionId(p as u16),
                     idx: i,
                     node,
@@ -329,7 +331,7 @@ impl HeronCluster {
         }
         HeronCluster {
             inner,
-            replicas: Arc::new(replicas),
+            replicas: Rc::new(replicas),
         }
     }
 
@@ -342,10 +344,10 @@ impl HeronCluster {
         self.inner.mcast.spawn_replicas(simulation);
         for p in 0..self.inner.cfg.partitions {
             for i in 0..self.inner.cfg.replicas_per_partition {
-                let shared = Arc::clone(&self.replicas[p][i]);
+                let shared = Rc::clone(&self.replicas[p][i]);
                 let deliveries = self.inner.mcast.deliveries(GroupId(p as u16), i);
                 crate::executor::spawn_driver(simulation, shared, deliveries, p, i);
-                let shared = Arc::clone(&self.replicas[p][i]);
+                let shared = Rc::clone(&self.replicas[p][i]);
                 simulation.spawn(format!("heron-svc-p{p}r{i}"), move || {
                     Service::new(shared).run()
                 });
@@ -353,7 +355,7 @@ impl HeronCluster {
                     // Spawned after the executor and service so the
                     // process roster is a strict extension of the
                     // durability-off deployment.
-                    let shared = Arc::clone(&self.replicas[p][i]);
+                    let shared = Rc::clone(&self.replicas[p][i]);
                     simulation.spawn(format!("heron-ckpt-p{p}r{i}"), move || {
                         crate::checkpoint::run_checkpointer(shared)
                     });

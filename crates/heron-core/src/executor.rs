@@ -68,8 +68,8 @@ use rand::Rng;
 use sim::{Mailbox, SimTime};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::rc::Rc;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// The executing replica has fallen behind the fast majority and cannot
@@ -137,7 +137,7 @@ impl Stage {
 /// The per-command execution path of Algorithms 1 and 2, bound to one
 /// coordination lane of one replica.
 pub(crate) struct ExecCore {
-    pub(crate) shared: Arc<ReplicaShared>,
+    pub(crate) shared: Rc<ReplicaShared>,
     /// Coordination lane this engine writes its `(ts, phase)` entries on:
     /// 0 for the driver's inline lane, the worker index in the pool.
     pub(crate) lane: usize,
@@ -608,7 +608,7 @@ impl ExecCore {
 
 /// Posts `response` into the client's response slot for this replica —
 /// one unsignaled RDMA write, posted by the driver ([`Driver::finish`]).
-fn post_reply(shared: &Arc<ReplicaShared>, client_id: u64, seq: u64, response: &[u8]) {
+fn post_reply(shared: &Rc<ReplicaShared>, client_id: u64, seq: u64, response: &[u8]) {
     // Copied out: the post sleeps, and no lock is held across a sleep.
     let (qp, slot) = match shared.reply_routes.lock().entry(client_id) {
         Entry::Occupied(route) => route.get().clone(),
@@ -740,7 +740,7 @@ struct Replay {
 /// partition may be stalled right here — in which case nobody serves
 /// transfers and waiting unconditionally deadlocks the partition (and,
 /// transitively, every partition coordinating with it).
-fn transfer_for_stalls(shared: &Arc<ReplicaShared>, stalls: &[(u64, &Stall)]) -> Option<u64> {
+fn transfer_for_stalls(shared: &Rc<ReplicaShared>, stalls: &[(u64, &Stall)]) -> Option<u64> {
     let healed = || {
         stalls.iter().all(|(ts, reason)| match reason {
             Stall::Phase2Starved { dests } => {
@@ -767,7 +767,7 @@ fn stall_outcome(rid: Option<u64>, ts: u64) -> StallOutcome {
 /// state-transfer protocol and the cold restart once nothing is in flight,
 /// and maintains the `completed_req` watermark.
 pub(crate) struct Driver {
-    shared: Arc<ReplicaShared>,
+    shared: Rc<ReplicaShared>,
     deliveries: Mailbox<DeliveryEvent>,
     /// Width 1: the engine the driver runs commands on itself (lane 0).
     /// `None` with a pool, whose workers hold the lanes.
@@ -1157,7 +1157,7 @@ impl Driver {
     /// only when nothing is mid-command. Returns whether a due serve is
     /// waiting on the drain (which pauses dispatch).
     fn serve_transfers(&mut self, progress: &mut bool) -> bool {
-        let shared = Arc::clone(&self.shared);
+        let shared = Rc::clone(&self.shared);
         let n = self.n();
         // Drop bookkeeping for requests that were completed by someone.
         let pending: Vec<(usize, u64)> = shared
@@ -1227,7 +1227,7 @@ impl Driver {
         // checkpoint; account for the abandoned attempt first.
         self.finish_replay();
         self.power_cycles = self.shared.node.power_cycles();
-        let shared = Arc::clone(&self.shared);
+        let shared = Rc::clone(&self.shared);
         let t0 = sim::now();
         // Volatile protocol state is gone with the memory that backed it.
         // Commands admitted but not dispatched are in the WAL like every
@@ -1423,7 +1423,7 @@ impl Worker {
 /// One replica's delivery driver and, above width 1, its `width` workers.
 /// Width 1 has no worker: the driver is its own (inline) lane 0.
 fn build_driver(
-    shared: Arc<ReplicaShared>,
+    shared: Rc<ReplicaShared>,
     deliveries: Mailbox<DeliveryEvent>,
 ) -> (Driver, Vec<Worker>) {
     let width = shared.cluster.cfg.executor_width;
@@ -1434,10 +1434,10 @@ fn build_driver(
     let jobs: Vec<Mailbox<Job>> = (0..workers).map(|_| Mailbox::new()).collect();
     let verdicts: Vec<Mailbox<StallOutcome>> = (0..workers).map(|_| Mailbox::new()).collect();
     let driver = Driver {
-        shared: Arc::clone(&shared),
+        shared: Rc::clone(&shared),
         deliveries,
         inline: (workers == 0).then(|| ExecCore {
-            shared: Arc::clone(&shared),
+            shared: Rc::clone(&shared),
             lane: 0,
             poller: shared.poller.clone(),
         }),
@@ -1458,7 +1458,7 @@ fn build_driver(
     let workers = (0..workers)
         .map(|k| Worker {
             core: ExecCore {
-                shared: Arc::clone(&shared),
+                shared: Rc::clone(&shared),
                 lane: k,
                 poller: shared.node.poller(sim::Cond::new(), &shared.exec_ranges),
             },
@@ -1475,7 +1475,7 @@ fn build_driver(
 /// workers, if any, as `heron-exec-p{p}r{i}w{k}`.
 pub(crate) fn spawn_driver(
     simulation: &sim::Simulation,
-    shared: Arc<ReplicaShared>,
+    shared: Rc<ReplicaShared>,
     deliveries: Mailbox<DeliveryEvent>,
     p: usize,
     i: usize,
@@ -1525,13 +1525,13 @@ mod tests {
 
     /// Runs `check` inside a simulation, on replica (0, 0)'s driver of an
     /// unspawned 1 × 3 cluster of the given width.
-    fn with_driver(width: usize, check: impl FnOnce(&HeronCluster, &mut Driver) + Send + 'static) {
+    fn with_driver(width: usize, check: impl FnOnce(&HeronCluster, &mut Driver) + 'static) {
         let simulation = sim::Simulation::new(1);
         let fabric = Fabric::new(LatencyModel::connectx4());
         let cfg = HeronConfig::new(1, 3).with_executor_width(width);
-        let cluster = HeronCluster::build(&fabric, cfg, Arc::new(Stateless));
+        let cluster = HeronCluster::build(&fabric, cfg, std::sync::Arc::new(Stateless));
         simulation.spawn("driver", move || {
-            let shared = Arc::clone(&cluster.replicas[0][0]);
+            let shared = Rc::clone(&cluster.replicas[0][0]);
             let (mut driver, _workers) = build_driver(shared, Mailbox::new());
             check(&cluster, &mut driver);
         });

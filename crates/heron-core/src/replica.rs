@@ -18,8 +18,8 @@ use crate::types::{ObjectId, PartitionId, StorageKind};
 use amcast::Timestamp;
 use rdma_sim::{Addr, MemView};
 use std::collections::BTreeSet;
+use std::rc::Rc;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 
 // ----------------------------------------------------------------------
 // Algorithm 3: state transfer.
@@ -29,7 +29,7 @@ use std::sync::Arc;
 /// a responder completes it. Returns the responder's snapshot bound
 /// (raw timestamp): every request up to and including it is reflected
 /// in our state afterwards.
-pub(crate) fn state_transfer(shared: &Arc<ReplicaShared>) -> u64 {
+pub(crate) fn state_transfer(shared: &Rc<ReplicaShared>) -> u64 {
     state_transfer_abortable(shared, &|| false).expect("non-abortable transfer always completes")
 }
 
@@ -53,7 +53,7 @@ pub(crate) fn state_transfer(shared: &Arc<ReplicaShared>) -> u64 {
 /// state itself: while it waits for the status flip it applies every
 /// chunk of the stream as it lands ([`apply_staged`]).
 pub(crate) fn state_transfer_abortable(
-    shared: &Arc<ReplicaShared>,
+    shared: &Rc<ReplicaShared>,
     abort: &dyn Fn() -> bool,
 ) -> Option<u64> {
     let cfg = &shared.cluster.cfg;
@@ -227,7 +227,7 @@ fn staged_chunk(
 /// Streams the replica's state since `from` to the requester in 32 KiB
 /// chunks, then clears the status entry everywhere (Algorithm 3,
 /// lines 11–18).
-pub(crate) fn respond_transfer(shared: &Arc<ReplicaShared>, requester: usize, from: u64) {
+pub(crate) fn respond_transfer(shared: &Rc<ReplicaShared>, requester: usize, from: u64) {
     let cfg = &shared.cluster.cfg;
     let n = cfg.replicas_per_partition;
     // Claim the transfer with a remote CAS on the requester's status
@@ -465,7 +465,7 @@ pub(crate) fn coord_matching(shared: &ReplicaShared, h: PartitionId, ts: Timesta
 /// Only the driver process publishes (worker completions funnel through
 /// its watermark, and state transfers run on it), so the posted values
 /// are monotonic per QP.
-pub(crate) fn publish_progress(shared: &Arc<ReplicaShared>) {
+pub(crate) fn publish_progress(shared: &Rc<ReplicaShared>) {
     // Completed-prefix watermark advanced: progress for the explorer's
     // zero-virtual-time livelock guards (regardless of whether the value
     // is also published to peers below).
@@ -507,6 +507,7 @@ mod tests {
     use parking_lot::Mutex;
     use proptest::prelude::*;
     use rdma_sim::{Fabric, LatencyModel};
+    use std::sync::Arc;
 
     /// Hosts nothing: for tests that only need a replica's registered memory.
     struct NoObjects;
@@ -656,11 +657,11 @@ mod tests {
         let simulation = sim::Simulation::new(1);
         let fabric = Fabric::new(LatencyModel::connectx4());
         let cluster = HeronCluster::build(&fabric, HeronConfig::new(1, 3), Arc::new(NoObjects));
-        let shared = Arc::clone(&cluster.replicas[0][0]);
+        let shared = Rc::clone(&cluster.replicas[0][0]);
         let (ours, theirs) = (70u64, 90u64);
         let adopted = Arc::new(Mutex::new(None));
         let rearm = Arc::new(Mutex::new(None));
-        let (requester, out) = (Arc::clone(&shared), Arc::clone(&adopted));
+        let (requester, out) = (Rc::clone(&shared), Arc::clone(&adopted));
         simulation.spawn("heron-exec-p0r0", move || {
             *out.lock() = Some((state_transfer(&requester), sim::now()));
         });

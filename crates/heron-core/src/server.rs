@@ -17,16 +17,16 @@
 
 use crate::cluster::ReplicaShared;
 use crate::layout::{decode_rpc, encode_rpc, Rpc};
-use std::sync::Arc;
+use std::rc::Rc;
 use std::time::Duration;
 
 /// A replica's service process.
 pub(crate) struct Service {
-    shared: Arc<ReplicaShared>,
+    shared: Rc<ReplicaShared>,
 }
 
 impl Service {
-    pub(crate) fn new(shared: Arc<ReplicaShared>) -> Self {
+    pub(crate) fn new(shared: Rc<ReplicaShared>) -> Self {
         Service { shared }
     }
 

@@ -35,11 +35,10 @@
 //! ```
 #![forbid(unsafe_code)]
 
-use parking_lot::{Mutex, RwLock};
 use sim::Mailbox;
+use std::cell::{Cell, RefCell};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::rc::Rc;
 use std::time::Duration;
 
 /// Identifier of a network endpoint.
@@ -127,28 +126,29 @@ struct EndpointInner<M> {
     id: EndpointId,
     name: String,
     inbox: Mailbox<(EndpointId, M)>,
-    alive: AtomicBool,
+    alive: Cell<bool>,
 }
 
 struct NetworkInner<M> {
     latency: NetLatency,
-    endpoints: RwLock<Vec<Arc<EndpointInner<M>>>>,
+    endpoints: RefCell<Vec<Rc<EndpointInner<M>>>>,
     /// Per directed link: virtual time of the last scheduled delivery,
     /// enforcing FIFO (TCP-like) ordering.
-    link_clock: Mutex<LinkClocks>,
-    messages_sent: AtomicU64,
-    bytes_sent: AtomicU64,
+    link_clock: RefCell<LinkClocks>,
+    messages_sent: Cell<u64>,
+    bytes_sent: Cell<u64>,
 }
 
-/// A simulated network carrying messages of type `M`.
+/// A simulated network carrying messages of type `M`. Like the
+/// simulation that drives it, it lives on one thread.
 pub struct Network<M> {
-    inner: Arc<NetworkInner<M>>,
+    inner: Rc<NetworkInner<M>>,
 }
 
 impl<M> Clone for Network<M> {
     fn clone(&self) -> Self {
         Network {
-            inner: Arc::clone(&self.inner),
+            inner: Rc::clone(&self.inner),
         }
     }
 }
@@ -156,40 +156,40 @@ impl<M> Clone for Network<M> {
 impl<M> fmt::Debug for Network<M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Network")
-            .field("endpoints", &self.inner.endpoints.read().len())
+            .field("endpoints", &self.inner.endpoints.borrow().len())
             .field("latency", &self.inner.latency)
             .finish()
     }
 }
 
-impl<M: Send + 'static> Network<M> {
+impl<M: 'static> Network<M> {
     /// Creates a network with the given latency model.
     pub fn new(latency: NetLatency) -> Self {
         Network {
-            inner: Arc::new(NetworkInner {
+            inner: Rc::new(NetworkInner {
                 latency,
-                endpoints: RwLock::new(Vec::new()),
-                link_clock: Mutex::new(LinkClocks::default()),
-                messages_sent: AtomicU64::new(0),
-                bytes_sent: AtomicU64::new(0),
+                endpoints: RefCell::new(Vec::new()),
+                link_clock: RefCell::new(LinkClocks::default()),
+                messages_sent: Cell::new(0),
+                bytes_sent: Cell::new(0),
             }),
         }
     }
 
     /// Registers a new endpoint.
     pub fn add_endpoint(&self, name: impl Into<String>) -> Endpoint<M> {
-        let mut eps = self.inner.endpoints.write();
+        let mut eps = self.inner.endpoints.borrow_mut();
         let id = EndpointId(eps.len() as u32);
-        let inner = Arc::new(EndpointInner {
+        let inner = Rc::new(EndpointInner {
             id,
             name: name.into(),
             inbox: Mailbox::new(),
-            alive: AtomicBool::new(true),
+            alive: Cell::new(true),
         });
-        eps.push(Arc::clone(&inner));
+        eps.push(Rc::clone(&inner));
         Endpoint {
             inner,
-            net: Arc::clone(&self.inner),
+            net: Rc::clone(&self.inner),
         }
     }
 
@@ -199,43 +199,36 @@ impl<M: Send + 'static> Network<M> {
     ///
     /// Panics if `id` was never returned by [`Network::add_endpoint`].
     pub fn endpoint(&self, id: EndpointId) -> Endpoint<M> {
-        let eps = self.inner.endpoints.read();
         Endpoint {
-            inner: Arc::clone(&eps[id.0 as usize]),
-            net: Arc::clone(&self.inner),
+            inner: self.inner.endpoint(id),
+            net: Rc::clone(&self.inner),
         }
     }
 
     /// Marks an endpoint crashed: messages to it are dropped, and its
     /// sends fail silently.
     pub fn crash(&self, id: EndpointId) {
-        self.inner.endpoints.read()[id.0 as usize]
-            .alive
-            .store(false, Ordering::SeqCst);
+        self.inner.endpoint(id).alive.set(false);
     }
 
     /// Revives a crashed endpoint. Messages dropped meanwhile stay lost.
     pub fn recover(&self, id: EndpointId) {
-        self.inner.endpoints.read()[id.0 as usize]
-            .alive
-            .store(true, Ordering::SeqCst);
+        self.inner.endpoint(id).alive.set(true);
     }
 
     /// Whether the endpoint is alive.
     pub fn is_alive(&self, id: EndpointId) -> bool {
-        self.inner.endpoints.read()[id.0 as usize]
-            .alive
-            .load(Ordering::SeqCst)
+        self.inner.endpoint(id).alive.get()
     }
 
     /// Total messages ever sent.
     pub fn messages_sent(&self) -> u64 {
-        self.inner.messages_sent.load(Ordering::Relaxed)
+        self.inner.messages_sent.get()
     }
 
     /// Total payload bytes ever sent.
     pub fn bytes_sent(&self) -> u64 {
-        self.inner.bytes_sent.load(Ordering::Relaxed)
+        self.inner.bytes_sent.get()
     }
 
     /// The latency model in force.
@@ -244,17 +237,23 @@ impl<M: Send + 'static> Network<M> {
     }
 }
 
+impl<M> NetworkInner<M> {
+    fn endpoint(&self, id: EndpointId) -> Rc<EndpointInner<M>> {
+        Rc::clone(&self.endpoints.borrow()[id.0 as usize])
+    }
+}
+
 /// One endpoint of a [`Network`]. Cloneable; clones share the inbox.
 pub struct Endpoint<M> {
-    inner: Arc<EndpointInner<M>>,
-    net: Arc<NetworkInner<M>>,
+    inner: Rc<EndpointInner<M>>,
+    net: Rc<NetworkInner<M>>,
 }
 
 impl<M> Clone for Endpoint<M> {
     fn clone(&self) -> Self {
         Endpoint {
-            inner: Arc::clone(&self.inner),
-            net: Arc::clone(&self.net),
+            inner: Rc::clone(&self.inner),
+            net: Rc::clone(&self.net),
         }
     }
 }
@@ -268,7 +267,7 @@ impl<M> fmt::Debug for Endpoint<M> {
     }
 }
 
-impl<M: Send + 'static> Endpoint<M> {
+impl<M: 'static> Endpoint<M> {
     /// This endpoint's id.
     pub fn id(&self) -> EndpointId {
         self.inner.id
@@ -286,7 +285,7 @@ impl<M: Send + 'static> Endpoint<M> {
     /// from) crashed endpoints are dropped silently, like a broken TCP
     /// connection discovered later.
     pub fn send(&self, dst: EndpointId, msg: M, wire_bytes: usize) {
-        if !self.inner.alive.load(Ordering::SeqCst) {
+        if !self.inner.alive.get() {
             return;
         }
         let lat = self.net.latency;
@@ -296,20 +295,19 @@ impl<M: Send + 'static> Endpoint<M> {
         let arrive_delay = {
             let now = sim::now().as_nanos();
             let ser = (wire_bytes as u64 * lat.ns_per_kib) / 1024;
-            let mut clocks = self.net.link_clock.lock();
+            let mut clocks = self.net.link_clock.borrow_mut();
             let link_free = clocks.slot(self.inner.id, dst);
             let send_end = now.max(*link_free) + ser;
             *link_free = send_end;
             send_end + lat.one_way_ns - now
         };
-        self.net.messages_sent.fetch_add(1, Ordering::Relaxed);
-        self.net
-            .bytes_sent
-            .fetch_add(wire_bytes as u64, Ordering::Relaxed);
-        let target = Arc::clone(&self.net.endpoints.read()[dst.0 as usize]);
+        let net = &self.net;
+        net.messages_sent.set(net.messages_sent.get() + 1);
+        net.bytes_sent.set(net.bytes_sent.get() + wire_bytes as u64);
+        let target = net.endpoint(dst);
         let from = self.inner.id;
         sim::schedule_ns(arrive_delay, move || {
-            if target.alive.load(Ordering::SeqCst) {
+            if target.alive.get() {
                 // Silently lost if every receiving process has crashed,
                 // like a datagram into a dead host.
                 let _ = target.inbox.send((from, msg));

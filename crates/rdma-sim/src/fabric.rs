@@ -2,11 +2,12 @@
 
 use crate::error::{RdmaError, RdmaResult};
 use crate::latency::LatencyModel;
-use parking_lot::{Mutex, MutexGuard, RwLock};
+use parking_lot::Mutex;
 use sim::{Cond, Mailbox};
-use std::cell::RefCell;
+use std::cell::{Cell, OnceCell, RefCell, RefMut};
 use std::fmt;
 use std::ops::Range;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -86,6 +87,11 @@ pub struct Message {
 ///
 /// Benchmarks use these to verify protocol claims such as "the state
 /// transfer protocol without data amounts to two RDMA writes".
+///
+/// The counters are atomics so that readers can keep loading them, but
+/// they are written only from the thread that runs the simulation (a
+/// [`Fabric`] is not `Send`), so a bump is a plain load and store, not a
+/// read-modify-write.
 #[derive(Debug, Default)]
 pub struct FabricStats {
     /// Completed signaled reads.
@@ -112,9 +118,9 @@ impl FabricStats {
     /// Books one posted verb: its doorbell, and `n` more on each of the
     /// verb's own `counts`.
     pub(crate) fn ring_doorbell(&self, counts: &[(&AtomicU64, usize)]) {
-        self.doorbells.fetch_add(1, Ordering::Relaxed);
-        for (counter, n) in counts {
-            counter.fetch_add(*n as u64, Ordering::Relaxed);
+        bump(&self.doorbells, 1);
+        for &(counter, n) in counts {
+            bump(counter, n as u64);
         }
     }
 
@@ -126,6 +132,11 @@ impl FabricStats {
             self.sends.load(Ordering::Relaxed),
         )
     }
+}
+
+/// Adds `n` to a counter that only the simulation's thread writes.
+fn bump(counter: &AtomicU64, n: u64) {
+    counter.store(counter.load(Ordering::Relaxed) + n, Ordering::Relaxed);
 }
 
 /// A node's registered memory: `brk` bytes registered, held in a buffer
@@ -162,18 +173,18 @@ pub(crate) fn span(mem_len: usize, addr: Addr, len: usize) -> RdmaResult<Range<u
 pub(crate) struct NodeInner {
     pub(crate) id: NodeId,
     pub(crate) name: String,
-    pub(crate) mem: Mutex<Memory>,
-    pub(crate) alive: AtomicBool,
+    pub(crate) mem: RefCell<Memory>,
+    pub(crate) alive: Cell<bool>,
     /// Incremented on every recovery; lets colocated processes detect that
     /// the node was crashed and revived while they were parked.
-    pub(crate) incarnation: AtomicU64,
+    pub(crate) incarnation: Cell<u64>,
     /// Incremented on every [`Fabric::power_loss`]; lets colocated
     /// processes distinguish a memory-wiping power loss (cold restart
     /// required) from a plain crash (memory preserved).
-    pub(crate) power_cycles: AtomicU64,
+    pub(crate) power_cycles: Cell<u64>,
     /// The node's polling processes: each one's wait point and the byte
     /// ranges it polls. A write rings exactly the subscribers it overlaps.
-    pub(crate) subs: RwLock<Vec<Subscriber>>,
+    pub(crate) subs: RefCell<Vec<Subscriber>>,
     pub(crate) inbox: Mailbox<Message>,
 }
 
@@ -184,12 +195,12 @@ pub(crate) struct Subscriber {
 }
 
 impl NodeInner {
-    /// Takes the node's memory. Processes are coroutines on one host
-    /// thread, so the lock is only ever contended by a [`MemView`] that
-    /// outlived its instant — held across a block, or nested — and waiting
-    /// for it would hang that thread: fail loudly instead.
-    pub(crate) fn mem(&self) -> MutexGuard<'_, Memory> {
-        self.mem.try_lock().unwrap_or_else(|| {
+    /// Borrows the node's memory. Processes are coroutines on one host
+    /// thread, so the memory is only ever found borrowed by a [`MemView`]
+    /// that outlived its instant — held across a block, or nested — and
+    /// nothing could ever give it back: fail loudly, naming the node.
+    pub(crate) fn mem(&self) -> RefMut<'_, Memory> {
+        self.mem.try_borrow_mut().unwrap_or_else(|_| {
             panic!(
                 "{} ({}): registered memory borrowed across a block",
                 self.name, self.id
@@ -200,7 +211,7 @@ impl NodeInner {
     /// Rings, once each, the subscribers polling any byte of `written` —
     /// one landing event, however many writes it carried.
     pub(crate) fn ring(&self, written: &[Range<u64>]) {
-        for sub in self.subs.read().iter() {
+        for sub in self.subs.borrow().iter() {
             let hit = sub
                 .ranges
                 .iter()
@@ -214,7 +225,7 @@ impl NodeInner {
     /// Rings every subscriber: a node-wide event (recovery, power loss)
     /// changed what all of them observe.
     fn ring_all(&self) {
-        for sub in self.subs.read().iter() {
+        for sub in self.subs.borrow().iter() {
             sub.cond.notify_all();
         }
     }
@@ -222,13 +233,13 @@ impl NodeInner {
 
 pub(crate) struct FabricInner {
     pub(crate) latency: LatencyModel,
-    pub(crate) nodes: RwLock<Vec<Arc<NodeInner>>>,
+    pub(crate) nodes: RefCell<Vec<Rc<NodeInner>>>,
     pub(crate) stats: FabricStats,
     /// Per directed (src, dst) pair: virtual arrival time of the last
     /// operation, enforcing the in-order delivery of RC transport. Dense
     /// matrix (grown on demand) so the per-verb lookup is two index
     /// multiplies instead of a hash.
-    pub(crate) link_clock: Mutex<LinkClocks>,
+    pub(crate) link_clock: RefCell<LinkClocks>,
     /// Set once a [`crate::FaultPlan`] with verb-level faults is armed;
     /// lets the verb hot path skip the fault lock entirely when no plan is
     /// installed, keeping fault-free runs bit-identical and cheap.
@@ -244,11 +255,11 @@ pub(crate) struct FabricInner {
     /// Unsignaled doorbells (a write, a batch, a send) posted but not yet
     /// landed, fabric-wide: the value behind the profiler's `qp.sendq`
     /// occupancy gauge.
-    pub(crate) posted_inflight: AtomicU64,
+    pub(crate) posted_inflight: Cell<u64>,
     /// The `qp.sendq` occupancy gauge, registered once per fabric on the
     /// first profiled post (the posting path is far too hot for a per-call
     /// name lookup).
-    pub(crate) sendq_gauge: std::sync::OnceLock<sim::prof::Gauge>,
+    pub(crate) sendq_gauge: OnceCell<sim::prof::Gauge>,
 }
 
 /// Busy-until times of every directed link, stored as a dense `n × n`
@@ -287,7 +298,7 @@ impl FabricInner {
     /// This also yields RC's in-order delivery.
     pub(crate) fn fifo_arrival(&self, src: NodeId, dst: NodeId, now: u64, bytes: usize) -> u64 {
         let ser = (bytes as u64 * self.latency.ns_per_kib) / 1024;
-        let mut clocks = self.link_clock.lock();
+        let mut clocks = self.link_clock.borrow_mut();
         let link_free = clocks.slot(src, dst);
         let send_end = now.max(*link_free) + ser;
         *link_free = send_end;
@@ -311,10 +322,8 @@ impl FabricInner {
     /// Moves the profiler's `qp.sendq` gauge by one doorbell posted (`+1`)
     /// or landed (`-1`) at `t_ns`. Profiled runs only.
     pub(crate) fn sendq_step(&self, t_ns: u64, by: i64) {
-        let inflight = self
-            .posted_inflight
-            .fetch_add(by as u64, Ordering::Relaxed)
-            .wrapping_add(by as u64);
+        let inflight = self.posted_inflight.get().wrapping_add(by as u64);
+        self.posted_inflight.set(inflight);
         self.sendq_gauge
             .get_or_init(|| sim::prof::gauge("qp.sendq"))
             .set_at(t_ns, inflight);
@@ -331,15 +340,25 @@ impl FabricInner {
 }
 
 /// The shared-memory fabric: a set of nodes connected by RDMA.
+///
+/// A fabric, its [`Node`]s and their [`crate::QueuePair`]s are not `Send`:
+/// like the simulation that drives them, they live on one thread, which
+/// is what lets registered memory, the poller lists and the link clocks
+/// sit in plain cells.
+///
+/// ```compile_fail,E0277
+/// fn send<T: Send>() {}
+/// send::<rdma_sim::Fabric>();
+/// ```
 #[derive(Clone)]
 pub struct Fabric {
-    pub(crate) inner: Arc<FabricInner>,
+    pub(crate) inner: Rc<FabricInner>,
 }
 
 impl fmt::Debug for Fabric {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Fabric")
-            .field("nodes", &self.inner.nodes.read().len())
+            .field("nodes", &self.len())
             .field("latency", &self.inner.latency)
             .finish()
     }
@@ -349,18 +368,18 @@ impl Fabric {
     /// Creates a fabric with the given latency model.
     pub fn new(latency: LatencyModel) -> Self {
         Fabric {
-            inner: Arc::new(FabricInner {
+            inner: Rc::new(FabricInner {
                 latency,
-                nodes: RwLock::new(Vec::new()),
+                nodes: RefCell::new(Vec::new()),
                 stats: FabricStats::default(),
-                link_clock: Mutex::new(LinkClocks::default()),
+                link_clock: RefCell::new(LinkClocks::default()),
                 faults_on: AtomicBool::new(false),
                 faults: Mutex::new(None),
                 sabotaged: Mutex::new(Vec::new()),
                 tsan_on: AtomicBool::new(false),
                 tsan: Mutex::new(None),
-                posted_inflight: AtomicU64::new(0),
-                sendq_gauge: std::sync::OnceLock::new(),
+                posted_inflight: Cell::new(0),
+                sendq_gauge: OnceCell::new(),
             }),
         }
     }
@@ -394,25 +413,25 @@ impl Fabric {
 
     /// Registers a new node (endpoint) on the fabric.
     pub fn add_node(&self, name: impl Into<String>) -> Node {
-        let mut nodes = self.inner.nodes.write();
+        let mut nodes = self.inner.nodes.borrow_mut();
         let id = NodeId(nodes.len() as u32);
-        let inner = Arc::new(NodeInner {
+        let inner = Rc::new(NodeInner {
             id,
             name: name.into(),
-            mem: Mutex::new(Memory {
+            mem: RefCell::new(Memory {
                 buf: Vec::new(),
                 brk: 0,
             }),
-            alive: AtomicBool::new(true),
-            incarnation: AtomicU64::new(0),
-            power_cycles: AtomicU64::new(0),
-            subs: RwLock::new(Vec::new()),
+            alive: Cell::new(true),
+            incarnation: Cell::new(0),
+            power_cycles: Cell::new(0),
+            subs: RefCell::new(Vec::new()),
             inbox: Mailbox::new(),
         });
-        nodes.push(Arc::clone(&inner));
+        nodes.push(Rc::clone(&inner));
         Node {
             inner,
-            fabric: Arc::clone(&self.inner),
+            fabric: Rc::clone(&self.inner),
         }
     }
 
@@ -422,16 +441,15 @@ impl Fabric {
     ///
     /// Panics if `id` was never returned by [`Fabric::add_node`].
     pub fn node(&self, id: NodeId) -> Node {
-        let nodes = self.inner.nodes.read();
         Node {
-            inner: Arc::clone(&nodes[id.0 as usize]),
-            fabric: Arc::clone(&self.inner),
+            inner: Rc::clone(&self.inner.nodes.borrow()[id.0 as usize]),
+            fabric: Rc::clone(&self.inner),
         }
     }
 
     /// Number of registered nodes.
     pub fn len(&self) -> usize {
-        self.inner.nodes.read().len()
+        self.inner.nodes.borrow().len()
     }
 
     /// Whether the fabric has no nodes.
@@ -443,9 +461,7 @@ impl Fabric {
     /// [`RdmaError::RemoteFailure`], unsignaled writes and sends to it are
     /// dropped. Its registered memory is preserved.
     pub fn crash(&self, id: NodeId) {
-        self.inner.nodes.read()[id.0 as usize]
-            .alive
-            .store(false, Ordering::SeqCst);
+        self.inner.nodes.borrow()[id.0 as usize].alive.set(false);
     }
 
     /// Crashes a node *and wipes its registered memory*: the buffer is
@@ -455,9 +471,9 @@ impl Fabric {
     /// rewritten. Durable state must live in [`sim::storage`] to survive
     /// this.
     pub fn power_loss(&self, id: NodeId) {
-        let node = &self.inner.nodes.read()[id.0 as usize];
-        node.alive.store(false, Ordering::SeqCst);
-        node.power_cycles.fetch_add(1, Ordering::SeqCst);
+        let node = &self.inner.nodes.borrow()[id.0 as usize];
+        node.alive.set(false);
+        node.power_cycles.set(node.power_cycles.get() + 1);
         node.mem().buf = Vec::new();
         // Every polled word just changed under its poller.
         node.ring_all();
@@ -466,18 +482,16 @@ impl Fabric {
     /// Brings a crashed node back. Its memory is as it was at crash time
     /// (Heron treats such a replica as a lagger and state-transfers it).
     pub fn recover(&self, id: NodeId) {
-        let node = &self.inner.nodes.read()[id.0 as usize];
-        node.incarnation.fetch_add(1, Ordering::SeqCst);
-        node.alive.store(true, Ordering::SeqCst);
+        let node = &self.inner.nodes.borrow()[id.0 as usize];
+        node.incarnation.set(node.incarnation.get() + 1);
+        node.alive.set(true);
         // Liveness is an input of every poller's predicate.
         node.ring_all();
     }
 
     /// Whether the node is currently alive.
     pub fn is_alive(&self, id: NodeId) -> bool {
-        self.inner.nodes.read()[id.0 as usize]
-            .alive
-            .load(Ordering::SeqCst)
+        self.inner.nodes.borrow()[id.0 as usize].alive.get()
     }
 
     /// Fabric-wide operation counters.
@@ -492,10 +506,15 @@ impl Fabric {
 }
 
 /// A handle to one fabric node. Cloneable; clones refer to the same node.
+///
+/// ```compile_fail,E0277
+/// fn send<T: Send>() {}
+/// send::<rdma_sim::Node>();
+/// ```
 #[derive(Clone)]
 pub struct Node {
-    pub(crate) inner: Arc<NodeInner>,
-    pub(crate) fabric: Arc<FabricInner>,
+    pub(crate) inner: Rc<NodeInner>,
+    pub(crate) fabric: Rc<FabricInner>,
 }
 
 impl fmt::Debug for Node {
@@ -503,7 +522,7 @@ impl fmt::Debug for Node {
         f.debug_struct("Node")
             .field("id", &self.inner.id)
             .field("name", &self.inner.name)
-            .field("alive", &self.inner.alive.load(Ordering::SeqCst))
+            .field("alive", &self.inner.alive.get())
             .finish()
     }
 }
@@ -591,14 +610,14 @@ impl Node {
 
     /// Whether this node is alive.
     pub fn is_alive(&self) -> bool {
-        self.inner.alive.load(Ordering::SeqCst)
+        self.inner.alive.get()
     }
 
     /// How many times this node has been recovered. A process that caches
     /// this value can detect a crash/recovery cycle that happened entirely
     /// while it was blocked.
     pub fn incarnation(&self) -> u64 {
-        self.inner.incarnation.load(Ordering::SeqCst)
+        self.inner.incarnation.get()
     }
 
     /// How many times this node has lost power ([`Fabric::power_loss`]).
@@ -606,7 +625,7 @@ impl Node {
     /// intact" (recover warm) from "memory wiped" (must cold-restart from
     /// durable storage).
     pub fn power_cycles(&self) -> u64 {
-        self.inner.power_cycles.load(Ordering::SeqCst)
+        self.inner.power_cycles.get()
     }
 
     /// Registers `bytes` of RDMA-accessible memory (zero-initialized,
@@ -808,7 +827,7 @@ impl Node {
         // Whatever else rings it, a wait here is a wait on polled memory
         // to the profiler and the wait-for graph.
         cond.set_label("rdma.mem");
-        self.inner.subs.write().push(Subscriber {
+        self.inner.subs.borrow_mut().push(Subscriber {
             cond: cond.clone(),
             ranges: ranges
                 .iter()

@@ -4,8 +4,8 @@ use crate::error::{RdmaError, RdmaResult};
 use crate::fabric::{Addr, Message, Node, NodeId};
 use crate::faults::{VerbFate, VerbGate};
 use crate::tsan::WriteTicket;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::rc::Rc;
+use std::sync::atomic::AtomicU64;
 
 /// A reliable-connection (RC) queue pair from a local node to a remote
 /// node — in-order, reliable delivery, the transport mode Heron uses
@@ -13,12 +13,17 @@ use std::sync::Arc;
 ///
 /// All verbs must be called from a simulated process: they charge the
 /// issuing process the modeled fabric latency.
+///
+/// ```compile_fail,E0277
+/// fn send<T: Send>() {}
+/// send::<rdma_sim::QueuePair>();
+/// ```
 #[derive(Clone, Debug)]
 pub struct QueuePair {
     /// Shared, so that a clone — every [`WriteBatch`] holds one, every
     /// landing event another — is one reference count, not one per node
     /// handle: those counts are the hottest words of a run.
-    ends: Arc<Ends>,
+    ends: Rc<Ends>,
 }
 
 #[derive(Debug)]
@@ -29,7 +34,7 @@ struct Ends {
 
 impl QueuePair {
     pub(crate) fn new(local: Node, remote: Node) -> Self {
-        let ends = Arc::new(Ends { local, remote });
+        let ends = Rc::new(Ends { local, remote });
         QueuePair { ends }
     }
 
@@ -65,7 +70,7 @@ impl QueuePair {
                 Ok(gate)
             }
             VerbFate::CrashLocal => {
-                self.ends.local.inner.alive.store(false, Ordering::SeqCst);
+                self.ends.local.inner.alive.set(false);
                 Err(RdmaError::LocalFailure)
             }
         }
@@ -122,7 +127,7 @@ impl QueuePair {
     /// landing, which the event runs against the live remote node. The
     /// in-flight payload is a `flight` span and one unit of the profiler's
     /// `qp.sendq` gauge, both ended by the landing event.
-    fn post_unsignaled<L: FnOnce(&Node) + Send + 'static>(
+    fn post_unsignaled<L: FnOnce(&Node) + 'static>(
         &self,
         (span, flight): (&'static str, &'static str),
         args: &[(&'static str, u64)],
@@ -146,9 +151,9 @@ impl QueuePair {
         let flight = sim::trace::flight_begin(flight, 0, args);
         let sendq = sim::prof::enabled().then(|| {
             fabric.sendq_step(now, 1);
-            Arc::clone(fabric)
+            Rc::clone(fabric)
         });
-        let ends = Arc::clone(&self.ends);
+        let ends = Rc::clone(&self.ends);
         sim::schedule_ns(arrival - now, move || {
             if let Some(fabric) = sendq {
                 fabric.sendq_step(arrival, -1);
@@ -175,7 +180,7 @@ impl QueuePair {
         first: Addr,
         n: usize,
         bytes: usize,
-        land: impl FnOnce(&Node, &dyn Fn(Addr, usize)) + Send + 'static,
+        land: impl FnOnce(&Node, &dyn Fn(Addr, usize)) + 'static,
     ) -> RdmaResult<()> {
         let [dst, addr, len] = self.verb_args(first, bytes);
         let stats = &self.ends.local.fabric.stats;
@@ -556,7 +561,7 @@ mod tests {
     /// Returns `(evaluations of pa, of pb, events executed)`.
     fn two_pollers(
         pa_also_polls_b: bool,
-        writer: impl FnOnce(&crate::QueuePair, crate::Addr, crate::Addr, &Fabric) + Send + 'static,
+        writer: impl FnOnce(&crate::QueuePair, crate::Addr, crate::Addr, &Fabric) + 'static,
     ) -> (u64, u64, u64) {
         let simulation = sim::Simulation::new(11);
         let fabric = Fabric::new(LatencyModel::connectx4());

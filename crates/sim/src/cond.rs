@@ -3,10 +3,9 @@
 use crate::kernel::{try_with_ctx, with_ctx, Kernel, Pid};
 use crate::time::SimTime;
 use crate::vclock::VectorClock;
-use parking_lot::Mutex;
+use std::cell::{Cell, RefCell};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::rc::Rc;
 use std::time::Duration;
 
 /// The result of a wait with a deadline.
@@ -29,32 +28,39 @@ pub(crate) enum WaitOutcome {
 /// callers must re-check their predicate — or use [`Cond::wait_while`].
 /// Because simulated execution is serialized, the check-then-wait sequence
 /// is atomic and wakeups cannot be lost.
+///
+/// A `Cond` is not `Send`: its clones share plain cells, which is sound
+/// because every process and timer that touches them runs on the thread
+/// that runs the simulation.
+///
+/// ```compile_fail,E0277
+/// fn send<T: Send>() {}
+/// send::<sim::Cond>();
+/// ```
 #[derive(Clone, Default)]
 pub struct Cond {
-    waiters: Arc<Mutex<Vec<Waiter>>>,
-    /// Join of the happens-before clocks of every notifier so far; woken
-    /// waiters acquire it (a sync edge for the race detector). Stays empty
-    /// unless a detector is ticking clocks; `sync_set` keeps the detector-off
-    /// wait path down to one relaxed load.
-    sync_vc: Arc<Mutex<VectorClock>>,
-    sync_set: Arc<AtomicBool>,
-    /// Identity for the exploration wait-for graph: a per-kernel
-    /// deterministic id (assigned lazily on first explored use) plus a
-    /// taxonomy label (`"mailbox"`, `"rdma.mem"`, …). Untouched — and the
-    /// id never assigned — unless exploration is on.
-    ident: Arc<Mutex<CondIdent>>,
+    inner: Rc<CondInner>,
 }
 
 #[derive(Default)]
-struct CondIdent {
-    /// 0 = not yet assigned.
-    id: u64,
-    /// Empty = the generic `"cond"` label.
-    label: &'static str,
+struct CondInner {
+    waiters: RefCell<Vec<Waiter>>,
+    /// Join of the happens-before clocks of every notifier so far; woken
+    /// waiters acquire it (a sync edge for the race detector). Stays empty
+    /// unless a detector is ticking clocks, so the detector-off wait path
+    /// tests an empty clock and stops.
+    sync_vc: RefCell<VectorClock>,
+    /// Identity for the exploration wait-for graph: a per-kernel
+    /// deterministic id (assigned lazily on first explored use; 0 = not yet
+    /// assigned) plus a taxonomy label (`"mailbox"`, `"rdma.mem"`, …; empty
+    /// = the generic `"cond"`). The id is never assigned unless exploration
+    /// is on.
+    id: Cell<u64>,
+    label: Cell<&'static str>,
 }
 
 struct Waiter {
-    kernel: Arc<Kernel>,
+    kernel: Rc<Kernel>,
     pid: Pid,
     token: u64,
 }
@@ -62,13 +68,13 @@ struct Waiter {
 impl fmt::Debug for Cond {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Cond")
-            .field("waiters", &self.waiters.lock().len())
+            .field("waiters", &self.inner.waiters.borrow().len())
             .finish()
     }
 }
 
 impl Cond {
-    /// Creates a condition with no waiters. Usable from any thread.
+    /// Creates a condition with no waiters.
     pub fn new() -> Self {
         Self::default()
     }
@@ -78,13 +84,13 @@ impl Cond {
     /// livelock reports.
     pub fn labeled(label: &'static str) -> Self {
         let cond = Self::default();
-        cond.ident.lock().label = label;
+        cond.set_label(label);
         cond
     }
 
     /// Sets the exploration taxonomy label after construction.
     pub fn set_label(&self, label: &'static str) {
-        self.ident.lock().label = label;
+        self.inner.label.set(label);
     }
 
     /// The wait state a block on this cond is booked under: its taxonomy
@@ -93,7 +99,7 @@ impl Cond {
     /// allocation order is part of the explored-run fingerprint.
     fn prof_key(&self, kernel: &Kernel) -> crate::prof::Key {
         if kernel.prof_enabled() {
-            crate::prof::blocked(self.ident.lock().label)
+            crate::prof::blocked(self.inner.label.get())
         } else {
             crate::prof::BLOCKED_COND
         }
@@ -102,16 +108,15 @@ impl Cond {
     /// The cond's deterministic exploration identity, assigning the id on
     /// first use. Only called when exploration is on.
     fn explore_ident(&self, kernel: &Kernel) -> (u64, &'static str) {
-        let mut ident = self.ident.lock();
-        if ident.id == 0 {
-            ident.id = kernel.alloc_cond_id();
+        let CondInner { id, label, .. } = &*self.inner;
+        if id.get() == 0 {
+            id.set(kernel.alloc_cond_id());
         }
-        let label = if ident.label.is_empty() {
-            "cond"
-        } else {
-            ident.label
+        let label = match label.get() {
+            "" => "cond",
+            label => label,
         };
-        (ident.id, label)
+        (id.get(), label)
     }
 
     /// Blocks the calling process until notified (or spuriously woken).
@@ -136,8 +141,8 @@ impl Cond {
                 return WaitOutcome::TimedOut;
             }
             let token = kernel.begin_block(pid, deadline);
-            self.waiters.lock().push(Waiter {
-                kernel: Arc::clone(kernel),
+            self.inner.waiters.borrow_mut().push(Waiter {
+                kernel: Rc::clone(kernel),
                 pid,
                 token,
             });
@@ -235,10 +240,9 @@ impl Cond {
         })
         .unwrap_or_default();
         if !vc.is_empty() {
-            self.sync_vc.lock().join(&vc);
-            self.sync_set.store(true, Ordering::Relaxed);
+            self.inner.sync_vc.borrow_mut().join(&vc);
         }
-        let mut w = self.waiters.lock();
+        let mut w = self.inner.waiters.borrow_mut();
         if w.len() <= 1 {
             // None, or the one every `Poller` has: popped in place, the
             // buffer never leaves the cond.
@@ -256,7 +260,7 @@ impl Cond {
         }
         // Hand the (now empty) buffer back so steady-state wait/notify
         // cycles reuse its capacity instead of reallocating every round.
-        let mut w = self.waiters.lock();
+        let mut w = self.inner.waiters.borrow_mut();
         if w.is_empty() {
             std::mem::swap(&mut *w, &mut drained);
         }
@@ -264,9 +268,7 @@ impl Cond {
 
     /// Joins the accumulated notifier clocks into the calling process.
     fn acquire_sync(&self) {
-        if self.sync_set.load(Ordering::Relaxed) {
-            crate::vc_acquire(&self.sync_vc.lock());
-        }
+        crate::vc_acquire(&self.inner.sync_vc.borrow());
     }
 }
 
@@ -479,16 +481,16 @@ mod tests {
             let (c, caps) = (cond.clone(), capacities.clone());
             sim.spawn("notifier", move || {
                 sleep_ns(10);
-                let before = c.waiters.lock().capacity();
+                let before = c.inner.waiters.borrow().capacity();
                 c.notify_all();
-                *caps.lock() = (before, c.waiters.lock().capacity());
+                *caps.lock() = (before, c.inner.waiters.borrow().capacity());
             });
             sim.run().unwrap();
             let expect: Vec<_> = (0..waiters).map(|i| (i, 10)).collect();
             assert_eq!(*woken.lock(), expect, "{waiters} waiters");
             let (before, after) = *capacities.lock();
             assert!(before >= waiters && after == before, "{waiters} waiters");
-            assert!(cond.waiters.lock().is_empty());
+            assert!(cond.inner.waiters.borrow().is_empty());
         }
     }
 }

@@ -54,7 +54,7 @@
 //!   watermarks (delivery, apply, checkpoint floor raises, boot
 //!   readiness).
 //!
-//! Exploration off costs one relaxed flag load at each hook and schedules
+//! Exploration off costs one flag test at each hook and schedules
 //! are bit-identical either way, exactly like the race detector and the
 //! tracer.
 
@@ -510,7 +510,7 @@ struct Inner {
 }
 
 /// Shared exploration state, living on the kernel behind
-/// `(AtomicBool, Mutex<Option<Arc<_>>>)` exactly like the tracer.
+/// `(Cell<bool>, RefCell<Option<Arc<_>>>)` exactly like the tracer.
 pub(crate) struct ExploreState {
     max_ready_cap: usize,
     dispatch_spin_threshold: u64,

@@ -23,14 +23,12 @@ use crate::time::SimTime;
 use crate::trace::TraceState;
 use crate::vclock::VectorClock;
 use coro::Coroutine;
-use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, OnceCell, RefCell};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Identifier of a simulated process.
@@ -61,7 +59,7 @@ const STACK_BYTES: usize = 1 << 20;
 
 /// A process's code, from `spawn` until its first dispatch moves it onto a
 /// coroutine stack.
-type Body = Box<dyn FnOnce() + Send>;
+type Body = Box<dyn FnOnce()>;
 
 struct ProcInfo {
     name: String,
@@ -72,9 +70,9 @@ struct ProcInfo {
     parked: bool,
     killed: bool,
     finished: bool,
-    /// Mirrors `killed || finished` for lock-free liveness checks on the
-    /// mailbox send path (see [`Kernel::dead_flag`]).
-    dead: Arc<AtomicBool>,
+    /// Mirrors `killed || finished` for the mailbox send path's liveness
+    /// check, which then needs no kernel visit (see [`Kernel::dead_flag`]).
+    dead: Rc<Cell<bool>>,
     rng: Option<SmallRng>,
     /// Happens-before clock; stays empty (and free) unless a race detector
     /// is ticking it. See [`crate::vclock`].
@@ -114,8 +112,8 @@ struct KState {
     /// exploration is off (see [`crate::explore`] for the real detectors).
     dbg_spin: (u64, u32, u32),
     /// Per-process wait-state accounting ([`crate::prof`]); lives here so
-    /// the hot hooks run under the lock they already hold — no second
-    /// lock, no `Arc` traffic per event.
+    /// the hot hooks run under the state borrow they already hold — no
+    /// second borrow, no reference-count traffic per event.
     prof: Option<crate::prof::ProfProcs>,
 }
 
@@ -166,41 +164,39 @@ fn dead(procs: &[ProcInfo], wake: &Wake) -> bool {
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
+/// A simulation's kernel. Every process, timer and handle that reaches it
+/// runs on the one thread that runs the simulation, and no kernel method
+/// holds the state across a switch, so the state is a `RefCell`: a borrow
+/// is a flag test, and a second borrow while one is live is a bug that
+/// panics.
 pub(crate) struct Kernel {
-    state: Mutex<KState>,
-    /// `KState::now`, readable without the state lock: every verb post,
-    /// wait with a deadline and trace hook reads the clock. Relaxed is
-    /// enough: it publishes nothing but itself, and a simulation's
-    /// processes all run on the thread that advances it.
-    now: AtomicU64,
+    state: RefCell<KState>,
+    /// `KState::now`, readable without borrowing the state: every verb
+    /// post, wait with a deadline and trace hook reads the clock.
+    now: Cell<u64>,
     seed: u64,
-    /// Tracing gate: one relaxed load decides every trace hook, mirroring
+    /// Tracing gate, set once: one test decides every trace hook, mirroring
     /// the race detector's fabric flag, so the off path costs nothing and
     /// schedules stay bit-identical either way (see [`crate::trace`]).
-    trace_on: AtomicBool,
-    trace: Mutex<Option<Arc<TraceState>>>,
+    trace: OnceCell<Arc<TraceState>>,
     /// Set on the first vector-clock tick. While unset (no race detector
-    /// running), clock snapshots return the empty clock after one relaxed
-    /// load, without taking the state lock — the mailbox/Cond send paths
-    /// stay allocation- and lock-free.
-    vc_on: AtomicBool,
-    /// Exploration gate, mirroring `trace_on`: one relaxed load decides
-    /// every choice-point / detector hook, so the off path costs nothing
-    /// and schedules stay bit-identical either way (see [`crate::explore`]).
-    explore_on: AtomicBool,
-    explore: Mutex<Option<Arc<ExploreState>>>,
-    /// Profiling gate, mirroring `trace_on`: one relaxed load decides
-    /// every wait-state hook, so the off path costs nothing and schedules
-    /// stay bit-identical either way (see [`crate::prof`]).
-    prof_on: AtomicBool,
-    prof: Mutex<Option<Arc<ProfState>>>,
+    /// running), clock snapshots return the empty clock after one flag
+    /// test, without touching the state — the mailbox/Cond send paths stay
+    /// allocation-free.
+    vc_on: Cell<bool>,
+    /// Exploration gate, like `trace`: one test decides every choice-point
+    /// / detector hook (see [`crate::explore`]).
+    explore: OnceCell<Arc<ExploreState>>,
+    /// Profiling gate, like `trace`: one test decides every wait-state hook
+    /// (see [`crate::prof`]).
+    prof: OnceCell<Arc<ProfState>>,
 }
 
 /// What this thread is doing for a simulation right now. Shared (`Rc`)
 /// between the thread-local cell, the host loop that rewrites it at every
 /// switch into and out of a process, and each sim call in flight.
 struct Current {
-    kernel: Arc<Kernel>,
+    kernel: Rc<Kernel>,
     /// The process whose code is running; `None` in the host loop and in
     /// the timer closures it runs (event context).
     pid: Cell<Option<Pid>>,
@@ -223,9 +219,9 @@ struct Host {
 }
 
 impl Host {
-    fn enter(kernel: &Arc<Kernel>) -> Host {
+    fn enter(kernel: &Rc<Kernel>) -> Host {
         let current = Rc::new(Current {
-            kernel: Arc::clone(kernel),
+            kernel: Rc::clone(kernel),
             pid: Cell::new(None),
             killed: Cell::new(false),
         });
@@ -263,7 +259,7 @@ fn current() -> Option<Rc<Current>> {
 /// Like [`with_ctx`] but returns `None` when no simulated process is
 /// running on this thread (plain host code, the host loop, or a timer
 /// closure running in event context).
-pub(crate) fn try_with_ctx<R>(f: impl FnOnce(&Arc<Kernel>, Pid) -> R) -> Option<R> {
+pub(crate) fn try_with_ctx<R>(f: impl FnOnce(&Rc<Kernel>, Pid) -> R) -> Option<R> {
     // Copy out, then call: `f` may block, and whichever process runs next
     // goes through this same cell.
     let current = current()?;
@@ -277,7 +273,7 @@ pub(crate) fn try_with_ctx<R>(f: impl FnOnce(&Arc<Kernel>, Pid) -> R) -> Option<
 ///
 /// Panics when no simulated process is running on this thread (including
 /// a timer closure running in event context).
-pub(crate) fn with_ctx<R>(f: impl FnOnce(&Arc<Kernel>, Pid) -> R) -> R {
+pub(crate) fn with_ctx<R>(f: impl FnOnce(&Rc<Kernel>, Pid) -> R) -> R {
     try_with_ctx(f).expect("sim API called outside a simulated process")
 }
 
@@ -318,9 +314,9 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 impl Kernel {
-    fn new(seed: u64) -> Arc<Self> {
-        Arc::new(Kernel {
-            state: Mutex::new(KState {
+    fn new(seed: u64) -> Rc<Self> {
+        Rc::new(Kernel {
+            state: RefCell::new(KState {
                 now: 0,
                 seq: 0,
                 events: 0,
@@ -334,47 +330,37 @@ impl Kernel {
                 dbg_spin: (0, u32::MAX, 0),
                 prof: None,
             }),
-            now: AtomicU64::new(0),
+            now: Cell::new(0),
             seed,
-            trace_on: AtomicBool::new(false),
-            trace: Mutex::new(None),
-            vc_on: AtomicBool::new(false),
-            explore_on: AtomicBool::new(false),
-            explore: Mutex::new(None),
-            prof_on: AtomicBool::new(false),
-            prof: Mutex::new(None),
+            trace: OnceCell::new(),
+            vc_on: Cell::new(false),
+            explore: OnceCell::new(),
+            prof: OnceCell::new(),
         })
     }
 
     /// The profiler state, or `None` when profiling is off (the common
-    /// case: one relaxed load, no state lock).
+    /// case: one flag test).
     pub(crate) fn prof_state(&self) -> Option<Arc<ProfState>> {
-        if !self.prof_on.load(Ordering::Relaxed) {
-            return None;
-        }
-        self.prof.lock().clone()
+        self.prof.get().cloned()
     }
 
-    /// Whether wait-state profiling is on (one relaxed load).
+    /// Whether wait-state profiling is on (one flag test).
     pub(crate) fn prof_enabled(&self) -> bool {
-        self.prof_on.load(Ordering::Relaxed)
+        self.prof.get().is_some()
     }
 
     /// Enables wait-state profiling (idempotent; the first call's bucket
     /// width wins) and returns the shared profiler state.
     pub(crate) fn enable_prof(&self, bucket_ns: u64) -> Arc<ProfState> {
-        let state = {
-            let mut guard = self.prof.lock();
-            Arc::clone(guard.get_or_insert_with(|| Arc::new(ProfState::new(bucket_ns))))
-        };
-        {
-            let mut st = self.state.lock();
-            if st.prof.is_none() {
-                st.prof = Some(crate::prof::ProfProcs::new());
-            }
-        }
-        self.prof_on.store(true, Ordering::Relaxed);
-        state
+        self.state
+            .borrow_mut()
+            .prof
+            .get_or_insert_with(crate::prof::ProfProcs::new);
+        Arc::clone(
+            self.prof
+                .get_or_init(|| Arc::new(ProfState::new(bucket_ns))),
+        )
     }
 
     /// Snapshot of the per-process wait-state totals as of "now" (for
@@ -382,7 +368,7 @@ impl Kernel {
     pub(crate) fn prof_proc_totals(
         &self,
     ) -> (u64, Vec<Vec<(crate::prof::Key, crate::prof::Stat)>>) {
-        let st = self.state.lock();
+        let st = self.state.borrow();
         let totals = st
             .prof
             .as_ref()
@@ -392,57 +378,44 @@ impl Kernel {
     }
 
     /// The exploration state, or `None` when exploration is off (the common
-    /// case: one relaxed load, no state lock).
+    /// case: one flag test).
     pub(crate) fn explore_state(&self) -> Option<Arc<ExploreState>> {
-        if !self.explore_on.load(Ordering::Relaxed) {
-            return None;
-        }
-        self.explore.lock().clone()
+        self.explore.get().cloned()
     }
 
     /// Enables schedule exploration (idempotent; the first call's config
     /// wins) and returns the shared exploration state.
     pub(crate) fn enable_explore(&self, cfg: ExploreConfig) -> Arc<ExploreState> {
-        let state = {
-            let mut guard = self.explore.lock();
-            Arc::clone(guard.get_or_insert_with(|| Arc::new(ExploreState::new(cfg))))
-        };
-        self.explore_on.store(true, Ordering::Relaxed);
-        state
+        Arc::clone(
+            self.explore
+                .get_or_init(|| Arc::new(ExploreState::new(cfg))),
+        )
     }
 
     /// Hands out the next deterministic [`crate::Cond`] id (1, 2, 3, … in
     /// first-use order, which is schedule-determined and thus stable for a
     /// given seed).
     pub(crate) fn alloc_cond_id(&self) -> u64 {
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         st.cond_seq += 1;
         st.cond_seq
     }
 
     /// The trace recording state, or `None` when tracing is off (the common
-    /// case: one relaxed load, no state lock).
+    /// case: one flag test).
     pub(crate) fn trace_state(&self) -> Option<Arc<TraceState>> {
-        if !self.trace_on.load(Ordering::Relaxed) {
-            return None;
-        }
-        self.trace.lock().clone()
+        self.trace.get().cloned()
     }
 
     /// Enables tracing (idempotent) and returns the shared recording state.
     pub(crate) fn enable_trace(&self) -> Arc<TraceState> {
-        let state = {
-            let mut guard = self.trace.lock();
-            Arc::clone(guard.get_or_insert_with(|| Arc::new(TraceState::new())))
-        };
-        self.trace_on.store(true, Ordering::Relaxed);
-        state
+        Arc::clone(self.trace.get_or_init(|| Arc::new(TraceState::new())))
     }
 
     /// Names of all spawned processes, in pid order.
     pub(crate) fn proc_names(&self) -> Vec<String> {
         self.state
-            .lock()
+            .borrow()
             .procs
             .iter()
             .map(|p| p.name.clone())
@@ -450,20 +423,20 @@ impl Kernel {
     }
 
     pub(crate) fn now_nanos(&self) -> u64 {
-        self.now.load(Ordering::Relaxed)
+        self.now.get()
     }
 
     fn set_now(&self, st: &mut KState, now: u64) {
         st.now = now;
-        self.now.store(now, Ordering::Relaxed);
+        self.now.set(now);
     }
 
     pub(crate) fn events(&self) -> u64 {
-        self.state.lock().events
+        self.state.borrow().events
     }
 
     pub(crate) fn sched_hash(&self) -> u64 {
-        self.state.lock().sched_hash
+        self.state.borrow().sched_hash
     }
 
     fn push_entry(st: &mut KState, time: u64, wake: Wake) {
@@ -491,14 +464,14 @@ impl Kernel {
         queue.pop_due(limit, |wake| dead(procs, wake))
     }
 
-    pub(crate) fn schedule(&self, delay: u64, f: impl FnOnce() + Send + 'static) {
-        let mut st = self.state.lock();
+    pub(crate) fn schedule(&self, delay: u64, f: impl FnOnce() + 'static) {
+        let mut st = self.state.borrow_mut();
         let at = st.now.saturating_add(delay);
         Self::push_entry(&mut st, at, Wake::Timer(Box::new(f)));
     }
 
-    pub(crate) fn spawn(&self, name: String, f: impl FnOnce() + Send + 'static) -> Pid {
-        let mut st = self.state.lock();
+    pub(crate) fn spawn(&self, name: String, f: impl FnOnce() + 'static) -> Pid {
+        let mut st = self.state.borrow_mut();
         let pid = Pid(st.procs.len() as u32);
         let rng = SmallRng::seed_from_u64(
             self.seed
@@ -512,7 +485,7 @@ impl Kernel {
             parked: true,
             killed: false,
             finished: false,
-            dead: Arc::new(AtomicBool::new(false)),
+            dead: Rc::new(Cell::new(false)),
             rng: Some(rng),
             vc: VectorClock::new(),
             scope: None,
@@ -530,8 +503,8 @@ impl Kernel {
     /// body is the process's whole life: run the code, record how it
     /// ended. Nothing may unwind past a coroutine's first frame, so it
     /// catches everything, the kill token included.
-    fn start(self: &Arc<Self>, stacks: &mut Vec<Option<Coroutine>>, pid: Pid, body: Body) {
-        let kernel = Arc::clone(self);
+    fn start(self: &Rc<Self>, stacks: &mut Vec<Option<Coroutine>>, pid: Pid, body: Body) {
+        let kernel = Rc::clone(self);
         let life = move || {
             let panic_msg = match catch_unwind(AssertUnwindSafe(body)) {
                 Ok(()) => None,
@@ -550,7 +523,7 @@ impl Kernel {
     /// Marks a process finished; its coroutine returns to the host loop
     /// right after.
     fn finish(&self, pid: Pid, panic_msg: Option<String>) {
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         let now = st.now;
         if let Some(pr) = &mut st.prof {
             pr.on_finish(pid, now);
@@ -558,7 +531,7 @@ impl Kernel {
         let p = &mut st.procs[pid.0 as usize];
         p.finished = true;
         p.parked = false;
-        p.dead.store(true, Ordering::Relaxed);
+        p.dead.set(true);
         st.unfinished -= 1;
         if let Some(msg) = panic_msg {
             let name = st.procs[pid.0 as usize].name.clone();
@@ -571,7 +544,7 @@ impl Kernel {
     /// The caller must then register wake sources and call
     /// [`Kernel::yield_and_park`].
     pub(crate) fn begin_block(&self, pid: Pid, deadline: Option<u64>) -> u64 {
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         let p = &mut st.procs[pid.0 as usize];
         p.token += 1;
         p.parked = true;
@@ -591,7 +564,7 @@ impl Kernel {
     /// Unwinds with [`KilledToken`] if the process was killed while parked.
     pub(crate) fn yield_and_park(&self, pid: Pid, key: crate::prof::Key) {
         if self.prof_enabled() {
-            let mut st = self.state.lock();
+            let mut st = self.state.borrow_mut();
             let now = st.now;
             let key = st.procs[pid.0 as usize].scope.unwrap_or(key);
             if let Some(pr) = &mut st.prof {
@@ -602,12 +575,12 @@ impl Kernel {
     }
 
     /// Blocks `pid` until `nanos` of virtual time pass: begin-block,
-    /// enqueue-wake and the profiler hook under one state-lock acquisition
-    /// — this is the hottest blocking path (every `sleep`, `yield_now` and
+    /// enqueue-wake and the profiler hook under one state borrow — this is
+    /// the hottest blocking path (every `sleep`, `yield_now` and
     /// simulated-latency charge).
     pub(crate) fn sleep(&self, pid: Pid, nanos: u64) {
         {
-            let mut st = self.state.lock();
+            let mut st = self.state.borrow_mut();
             let p = &mut st.procs[pid.0 as usize];
             p.token += 1;
             p.parked = true;
@@ -631,7 +604,10 @@ impl Kernel {
         pid: Pid,
         scope: Option<crate::prof::Key>,
     ) -> Option<crate::prof::Key> {
-        std::mem::replace(&mut self.state.lock().procs[pid.0 as usize].scope, scope)
+        std::mem::replace(
+            &mut self.state.borrow_mut().procs[pid.0 as usize].scope,
+            scope,
+        )
     }
 
     /// Wakes a parked process if `token` still matches its current block.
@@ -639,7 +615,7 @@ impl Kernel {
     /// path already queued the wake that unwinds the victim, so honouring a
     /// later notify would only enqueue stale events.
     pub(crate) fn wake(&self, pid: Pid, token: u64) {
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         let now = st.now;
         let p = &st.procs[pid.0 as usize];
         if !p.finished && !p.killed && p.parked && p.token == token {
@@ -650,20 +626,20 @@ impl Kernel {
     /// A shared flag that turns true once the process is killed or
     /// finished — i.e. will never again run user code. Used by
     /// [`crate::Mailbox`] to fail sends whose every receiver is gone with
-    /// one relaxed load per owner instead of taking the kernel state lock.
-    pub(crate) fn dead_flag(&self, pid: Pid) -> Arc<AtomicBool> {
-        Arc::clone(&self.state.lock().procs[pid.0 as usize].dead)
+    /// one flag read per owner instead of a kernel visit.
+    pub(crate) fn dead_flag(&self, pid: Pid) -> Rc<Cell<bool>> {
+        Rc::clone(&self.state.borrow().procs[pid.0 as usize].dead)
     }
 
     pub(crate) fn kill(&self, pid: Pid) {
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         let now = st.now;
         let p = &mut st.procs[pid.0 as usize];
         if p.finished || p.killed {
             return;
         }
         p.killed = true;
-        p.dead.store(true, Ordering::Relaxed);
+        p.dead.set(true);
         if p.parked {
             let token = p.token;
             Self::push_entry(&mut st, now, Wake::Proc { pid, token });
@@ -671,45 +647,42 @@ impl Kernel {
     }
 
     pub(crate) fn is_finished(&self, pid: Pid) -> bool {
-        self.state.lock().procs[pid.0 as usize].finished
+        self.state.borrow().procs[pid.0 as usize].finished
     }
 
     pub(crate) fn stop(&self) {
-        self.state.lock().stop = true;
+        self.state.borrow_mut().stop = true;
     }
 
     pub(crate) fn proc_name(&self, pid: Pid) -> String {
-        self.state.lock().procs[pid.0 as usize].name.clone()
+        self.state.borrow().procs[pid.0 as usize].name.clone()
     }
 
     pub(crate) fn with_rng<R>(&self, pid: Pid, f: impl FnOnce(&mut SmallRng) -> R) -> R {
-        let mut rng = {
-            let mut st = self.state.lock();
-            st.procs[pid.0 as usize]
-                .rng
-                .take()
-                .expect("process RNG already borrowed")
-        };
+        let mut rng = self.state.borrow_mut().procs[pid.0 as usize]
+            .rng
+            .take()
+            .expect("process RNG already borrowed");
         let out = f(&mut rng);
-        self.state.lock().procs[pid.0 as usize].rng = Some(rng);
+        self.state.borrow_mut().procs[pid.0 as usize].rng = Some(rng);
         out
     }
 
     /// Snapshot of the process's happens-before clock. Empty (no
-    /// allocation, no state lock) unless a race detector has ticked a
+    /// allocation, no state borrow) unless a race detector has ticked a
     /// clock somewhere in this simulation.
     pub(crate) fn vc_snapshot(&self, pid: Pid) -> VectorClock {
-        if !self.vc_on.load(Ordering::Relaxed) {
+        if !self.vc_on.get() {
             return VectorClock::new();
         }
-        self.state.lock().procs[pid.0 as usize].vc.clone()
+        self.state.borrow().procs[pid.0 as usize].vc.clone()
     }
 
     /// Ticks the process's own clock entry (a release operation) and
     /// returns the new value together with a snapshot of the full clock.
     pub(crate) fn vc_tick(&self, pid: Pid) -> (u64, VectorClock) {
-        self.vc_on.store(true, Ordering::Relaxed);
-        let mut st = self.state.lock();
+        self.vc_on.set(true);
+        let mut st = self.state.borrow_mut();
         let p = &mut st.procs[pid.0 as usize];
         let clk = p.vc.tick(pid.0);
         (clk, p.vc.clone())
@@ -720,7 +693,7 @@ impl Kernel {
         if other.is_empty() {
             return;
         }
-        self.state.lock().procs[pid.0 as usize].vc.join(other);
+        self.state.borrow_mut().procs[pid.0 as usize].vc.join(other);
     }
 
     /// One pop under exploration: gathers every entry due at the served
@@ -788,7 +761,7 @@ impl Kernel {
     /// `strict` turns an empty run queue with still-blocked processes into a
     /// [`SimError::Deadlock`].
     fn run_loop(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         stacks: &mut Vec<Option<Coroutine>>,
         deadline: Option<u64>,
         strict: bool,
@@ -797,7 +770,7 @@ impl Kernel {
         let explore = self.explore_state();
         loop {
             let (pid, killed, body) = {
-                let mut st = self.state.lock();
+                let mut st = self.state.borrow_mut();
                 if let Some(msg) = st.panic.take() {
                     drop(st);
                     panic!("{msg}");
@@ -903,9 +876,16 @@ impl Kernel {
 /// destructors and its stack is freed.
 ///
 /// A `Simulation` is `!Send`: its processes' stacks are bound to the
-/// thread that created it, so it runs and is dropped there.
+/// thread that created it, so it runs and is dropped there. That is what
+/// lets the kernel, and every [`crate::Cond`] and [`crate::Mailbox`] its
+/// processes share, keep plain cells instead of locks.
+///
+/// ```compile_fail,E0277
+/// fn send<T: Send>() {}
+/// send::<sim::Simulation>();
+/// ```
 pub struct Simulation {
-    kernel: Arc<Kernel>,
+    kernel: Rc<Kernel>,
     /// The coroutine of every started, unfinished process, by pid. Host
     /// side only — processes reach the kernel, never this.
     stacks: RefCell<Vec<Option<Coroutine>>>,
@@ -963,7 +943,7 @@ impl Simulation {
     /// time.
     pub fn spawn<F>(&self, name: impl Into<String>, f: F) -> Pid
     where
-        F: FnOnce() + Send + 'static,
+        F: FnOnce() + 'static,
     {
         self.kernel.spawn(name.into(), f)
     }
@@ -1017,7 +997,7 @@ impl Simulation {
     /// off (see [`crate::trace`]).
     pub fn enable_tracing(&self) -> crate::trace::Tracer {
         let state = self.kernel.enable_trace();
-        crate::trace::Tracer::new(state, Arc::clone(&self.kernel))
+        crate::trace::Tracer::new(state, Rc::clone(&self.kernel))
     }
 
     /// Enables wait-state profiling (idempotent) and returns a
@@ -1026,7 +1006,7 @@ impl Simulation {
     /// (see [`crate::prof`]).
     pub fn enable_profiling(&self) -> crate::prof::Profiler {
         let state = self.kernel.enable_prof(crate::prof::DEFAULT_BUCKET_NS);
-        crate::prof::Profiler::new(state, Arc::clone(&self.kernel))
+        crate::prof::Profiler::new(state, Rc::clone(&self.kernel))
     }
 
     /// Runs for `d` more virtual time from the current instant.
@@ -1044,18 +1024,18 @@ impl Drop for Simulation {
     fn drop(&mut self) {
         let host = Host::enter(&self.kernel);
         let unstarted: Vec<Body> = {
-            let mut st = self.kernel.state.lock();
+            let mut st = self.kernel.state.borrow_mut();
             st.stop = true;
             let unfinished = st.procs.iter_mut().filter(|p| !p.finished);
             unfinished
                 .filter_map(|p| {
                     p.killed = true;
-                    p.dead.store(true, Ordering::Relaxed);
+                    p.dead.set(true);
                     p.body.take()
                 })
                 .collect()
         };
-        // Outside the state lock: what a body captured may call back into
+        // Outside the state borrow: what a body captured may call back into
         // the kernel as it drops.
         drop(unstarted);
         // Every process left with a stack is suspended in `park`. Resumed

@@ -121,7 +121,7 @@ pub fn yield_now() {
 /// for spawning before the simulation starts.
 pub fn spawn<F>(name: impl Into<String>, f: F) -> Pid
 where
-    F: FnOnce() + Send + 'static,
+    F: FnOnce() + 'static,
 {
     let name = name.into();
     with_ctx(move |k, _| k.spawn(name, f))
@@ -134,7 +134,7 @@ where
 /// asynchronous completions, e.g. an RDMA write landing in remote memory.
 pub fn schedule<F>(delay: Duration, f: F)
 where
-    F: FnOnce() + Send + 'static,
+    F: FnOnce() + 'static,
 {
     with_ctx(move |k, _| k.schedule(delay.as_nanos() as u64, f));
 }
@@ -144,7 +144,7 @@ where
 /// See [`schedule`].
 pub fn schedule_ns<F>(nanos: u64, f: F)
 where
-    F: FnOnce() + Send + 'static,
+    F: FnOnce() + 'static,
 {
     with_ctx(move |k, _| k.schedule(nanos, f));
 }
@@ -236,10 +236,10 @@ mod tests {
         assert_eq!(sim.now().as_nanos(), 3100);
     }
 
-    /// The clock is read without the kernel lock, from a copy written at
-    /// every pop and where `run_until` stops short of (`Beyond`) or past
-    /// (`Empty`) the queue's entries: each read below must agree with the
-    /// locked clock that sleeps and spawns are scheduled from.
+    /// The clock is read without borrowing the kernel state, from a copy
+    /// written at every pop and where `run_until` stops short of (`Beyond`)
+    /// or past (`Empty`) the queue's entries: each read below must agree
+    /// with the state's clock that sleeps and spawns are scheduled from.
     #[test]
     fn clock_reads_agree_with_the_kernel_clock_wherever_it_advances() {
         let sim = Simulation::new(1);

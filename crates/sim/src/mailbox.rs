@@ -3,11 +3,10 @@
 use crate::cond::Cond;
 use crate::kernel::{with_ctx, Pid};
 use crate::vclock::VectorClock;
-use parking_lot::Mutex;
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::rc::Rc;
 use std::time::Duration;
 
 /// Error returned by [`MailboxReceiver::recv_timeout`].
@@ -43,36 +42,42 @@ struct Inner<T> {
     /// clock, joined into the receiver on delivery (a sync edge for the
     /// race detector). The clock is empty — and free — unless a detector
     /// is running.
-    queue: Mutex<VecDeque<(T, VectorClock)>>,
+    queue: RefCell<VecDeque<(T, VectorClock)>>,
     cond: Cond,
     /// Every process that has blocked in [`Mailbox::recv`] /
     /// [`Mailbox::recv_timeout`], with its kernel-shared dead flag. Once
     /// non-empty, sends fail when all of them are dead; dead entries are
     /// pruned while a live one remains. The flags make the per-send
-    /// liveness check a couple of relaxed loads instead of a kernel state
-    /// lock per owner.
-    owners: Mutex<Vec<(Arc<AtomicBool>, Pid)>>,
+    /// liveness check a couple of flag reads instead of a kernel visit per
+    /// owner.
+    owners: RefCell<Vec<(Rc<Cell<bool>>, Pid)>>,
 }
 
 /// An unbounded FIFO mailbox. The simulation's equivalent of an mpsc
 /// channel: senders never block, receivers block on virtual time.
+///
+/// Like [`Cond`], a mailbox is not `Send`: its clones share plain cells,
+/// touched only from the thread that runs the simulation.
+///
+/// ```compile_fail,E0277
+/// fn send<T: Send>() {}
+/// send::<sim::Mailbox<u8>>();
+/// ```
 pub struct Mailbox<T> {
-    inner: Arc<Inner<T>>,
+    inner: Rc<Inner<T>>,
 }
 
 impl<T> Clone for Mailbox<T> {
     fn clone(&self) -> Self {
         Mailbox {
-            inner: Arc::clone(&self.inner),
+            inner: Rc::clone(&self.inner),
         }
     }
 }
 
 impl<T> fmt::Debug for Mailbox<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Mailbox")
-            .field("len", &self.inner.queue.lock().len())
-            .finish()
+        f.debug_struct("Mailbox").field("len", &self.len()).finish()
     }
 }
 
@@ -91,7 +96,7 @@ pub struct MailboxSender<T>(Mailbox<T>);
 pub struct MailboxReceiver<T>(Mailbox<T>);
 
 impl<T> Mailbox<T> {
-    /// Creates an empty mailbox. Usable from any thread.
+    /// Creates an empty mailbox.
     pub fn new() -> Self {
         Self::with_cond(Cond::labeled("mailbox"))
     }
@@ -105,10 +110,10 @@ impl<T> Mailbox<T> {
     /// node's memory).
     pub fn with_cond(cond: Cond) -> Self {
         Mailbox {
-            inner: Arc::new(Inner {
-                queue: Mutex::new(VecDeque::new()),
+            inner: Rc::new(Inner {
+                queue: RefCell::new(VecDeque::new()),
                 cond,
-                owners: Mutex::new(Vec::new()),
+                owners: RefCell::new(Vec::new()),
             }),
         }
     }
@@ -123,7 +128,7 @@ impl<T> Mailbox<T> {
     /// Registers the calling process as a receiver of this mailbox.
     fn bind_current(&self) {
         with_ctx(|kernel, pid| {
-            let mut owners = self.inner.owners.lock();
+            let mut owners = self.inner.owners.borrow_mut();
             if !owners.iter().any(|(_, p)| *p == pid) {
                 owners.push((kernel.dead_flag(pid), pid));
             }
@@ -161,22 +166,22 @@ impl<T> Mailbox<T> {
     /// Returns [`SendError`] under the same conditions as [`Mailbox::send`].
     pub fn send_with_clock(&self, value: T, clock: VectorClock) -> Result<(), SendError<T>> {
         {
-            let mut owners = self.inner.owners.lock();
+            let mut owners = self.inner.owners.borrow_mut();
             if !owners.is_empty() {
-                if owners.iter().all(|(dead, _)| dead.load(Ordering::Relaxed)) {
+                if owners.iter().all(|(dead, _)| dead.get()) {
                     return Err(SendError(value));
                 }
-                owners.retain(|(dead, _)| !dead.load(Ordering::Relaxed));
+                owners.retain(|(dead, _)| !dead.get());
             }
         }
-        self.inner.queue.lock().push_back((value, clock));
+        self.inner.queue.borrow_mut().push_back((value, clock));
         self.inner.cond.notify_all();
         Ok(())
     }
 
     /// Pops the oldest message without blocking.
     pub fn try_recv(&self) -> Option<T> {
-        let (value, clock) = self.inner.queue.lock().pop_front()?;
+        let (value, clock) = self.inner.queue.borrow_mut().pop_front()?;
         crate::vc_acquire(&clock);
         Some(value)
     }
@@ -216,7 +221,7 @@ impl<T> Mailbox<T> {
 
     /// Number of queued messages.
     pub fn len(&self) -> usize {
-        self.inner.queue.lock().len()
+        self.inner.queue.borrow().len()
     }
 
     /// Whether the mailbox is empty.

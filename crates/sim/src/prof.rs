@@ -7,7 +7,7 @@
 //! detector: hooks append to profiler-private state and never sleep, never
 //! schedule an event, and never touch a process RNG, so **schedules are
 //! bit-identical with profiling on or off**. When profiling is off every
-//! kernel hook reduces to one relaxed atomic load.
+//! kernel hook reduces to one flag test.
 //!
 //! # State machine
 //!
@@ -47,6 +47,7 @@
 use crate::kernel::{try_with_ctx, Kernel, Pid};
 use parking_lot::Mutex;
 use std::fmt;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// Default timeline bucket width: 100µs of virtual time.
@@ -211,10 +212,10 @@ impl GaugeSlot {
 }
 
 /// Per-process wait-state accounting. Owned by the kernel's state struct
-/// (`KState`): the hooks only ever fire under the kernel state lock, so
+/// (`KState`): the hooks only ever fire under the kernel state borrow, so
 /// keeping the data there makes each hook a plain method call — no second
-/// lock, no `Arc` traffic, nothing on the event hot path beyond the work
-/// itself.
+/// borrow, no reference-count traffic, nothing on the event hot path beyond
+/// the work itself.
 pub(crate) struct ProfProcs {
     procs: Vec<ProcProf>,
 }
@@ -315,8 +316,8 @@ impl ProfProcs {
 }
 
 /// Shared gauge state (utilization timelines). Lives on the kernel behind
-/// `(AtomicBool, Mutex<Option<Arc<_>>>)` exactly like tracing, so the off
-/// path is one relaxed load. All methods are leaf operations: they take
+/// `(Cell<bool>, RefCell<Option<Arc<_>>>)` exactly like tracing, so the
+/// off path is one flag test. All methods are leaf operations: they take
 /// only the profiler's own lock and never call back into the kernel.
 /// (The per-process wait-state accounting lives in [`ProfProcs`] inside
 /// the kernel state instead — see there.)
@@ -443,7 +444,7 @@ impl ProfState {
 /// a handle can travel into deferred-event closures.
 #[derive(Clone)]
 pub struct Gauge {
-    inner: Option<(Arc<ProfState>, Arc<Kernel>, usize)>,
+    inner: Option<(Arc<ProfState>, Rc<Kernel>, usize)>,
 }
 
 impl Gauge {
@@ -491,7 +492,7 @@ pub fn gauge(name: impl Into<String>) -> Gauge {
     let inner = try_with_ctx(|k, _| {
         k.prof_state().map(|st| {
             let idx = st.register_gauge(name, k.now_nanos());
-            (st, Arc::clone(k), idx)
+            (st, Rc::clone(k), idx)
         })
     })
     .flatten();
@@ -608,7 +609,7 @@ impl ProfReport {
 #[derive(Clone)]
 pub struct Profiler {
     state: Arc<ProfState>,
-    kernel: Arc<Kernel>,
+    kernel: Rc<Kernel>,
 }
 
 impl fmt::Debug for Profiler {
@@ -618,7 +619,7 @@ impl fmt::Debug for Profiler {
 }
 
 impl Profiler {
-    pub(crate) fn new(state: Arc<ProfState>, kernel: Arc<Kernel>) -> Self {
+    pub(crate) fn new(state: Arc<ProfState>, kernel: Rc<Kernel>) -> Self {
         Profiler { state, kernel }
     }
 

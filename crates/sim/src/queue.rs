@@ -36,7 +36,7 @@ pub(crate) enum Wake {
     /// Resume process `pid` if its block token still matches.
     Proc { pid: Pid, token: u64 },
     /// Run a closure in event context (timer).
-    Timer(Box<dyn FnOnce() + Send>),
+    Timer(Box<dyn FnOnce()>),
 }
 
 /// One scheduled event: fires at virtual `time`, tie-broken by `seq` (the

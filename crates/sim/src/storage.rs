@@ -23,10 +23,10 @@
 //! deployments never construct one — so a configuration without durable
 //! storage executes a bit-identical schedule.
 
-use parking_lot::Mutex;
+use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Latency model of one simulated storage device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,28 +77,29 @@ struct Namespace {
 
 #[derive(Default)]
 struct StorageInner {
-    namespaces: Mutex<BTreeMap<String, Namespace>>,
+    namespaces: RefCell<BTreeMap<String, Namespace>>,
     /// In-flight charged operations, for the profiler's `disk.busy` gauge.
-    busy: std::sync::atomic::AtomicU64,
+    busy: Cell<u64>,
     /// The `disk.busy` gauge, registered once per device on the first
     /// profiled charge (charges are per-append, too hot for a per-call
     /// name lookup). A `Storage` carried across simulations keeps the
     /// first simulation's gauge; only that run's profile sees the device.
-    gauge: std::sync::OnceLock<crate::prof::Gauge>,
+    gauge: OnceCell<crate::prof::Gauge>,
 }
 
 /// A simulated durable storage device, shared by every node of a
 /// deployment. Cloning shares the device; [`Storage::disk`] carves out a
-/// per-node namespace.
+/// per-node namespace. Like the simulation that charges its I/O, it lives
+/// on one thread.
 #[derive(Clone, Default)]
 pub struct Storage {
     cfg: DiskConfig,
-    inner: Arc<StorageInner>,
+    inner: Rc<StorageInner>,
 }
 
 impl fmt::Debug for Storage {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let ns = self.inner.namespaces.lock();
+        let ns = self.inner.namespaces.borrow();
         f.debug_struct("Storage")
             .field("cfg", &self.cfg)
             .field("namespaces", &ns.len())
@@ -111,7 +112,7 @@ impl Storage {
     pub fn new(cfg: DiskConfig) -> Self {
         Storage {
             cfg,
-            inner: Arc::default(),
+            inner: Rc::default(),
         }
     }
 
@@ -130,11 +131,10 @@ impl Storage {
 
     /// All namespaces that have been written to, sorted.
     pub fn namespaces(&self) -> Vec<String> {
-        self.inner.namespaces.lock().keys().cloned().collect()
+        self.inner.namespaces.borrow().keys().cloned().collect()
     }
 
     fn charge(&self, nanos: u64) {
-        use std::sync::atomic::Ordering;
         if nanos == 0 {
             return;
         }
@@ -150,18 +150,15 @@ impl Storage {
             } else {
                 crate::prof::Gauge::disabled()
             };
+            let busy = &self.inner.busy;
             if gauge.is_enabled() {
-                gauge.set_at(
-                    t0.as_nanos(),
-                    self.inner.busy.fetch_add(1, Ordering::Relaxed) + 1,
-                );
+                busy.set(busy.get() + 1);
+                gauge.set_at(t0.as_nanos(), busy.get());
             }
             crate::sleep_ns(nanos);
             if gauge.is_enabled() {
-                gauge.set_at(
-                    t0.as_nanos() + nanos,
-                    self.inner.busy.fetch_sub(1, Ordering::Relaxed) - 1,
-                );
+                busy.set(busy.get() - 1);
+                gauge.set_at(t0.as_nanos() + nanos, busy.get());
             }
         }
     }
@@ -199,7 +196,7 @@ impl Disk {
     /// transfer cost of the whole value.
     pub fn put(&self, name: &str, bytes: &[u8]) {
         let cost = {
-            let mut all = self.storage.inner.namespaces.lock();
+            let mut all = self.storage.inner.namespaces.borrow_mut();
             let ns = all.entry(self.ns.clone()).or_default();
             ns.files.insert(name.to_string(), bytes.to_vec());
             ns.stats.bytes_written += bytes.len() as u64;
@@ -213,7 +210,7 @@ impl Disk {
     /// charges one fsync plus the transfer cost of the suffix only.
     pub fn append(&self, name: &str, bytes: &[u8]) {
         let cost = {
-            let mut all = self.storage.inner.namespaces.lock();
+            let mut all = self.storage.inner.namespaces.borrow_mut();
             let ns = all.entry(self.ns.clone()).or_default();
             ns.files
                 .entry(name.to_string())
@@ -245,7 +242,7 @@ impl Disk {
     /// suffix).
     pub fn replace_prefix(&self, name: &str, prefix_len: usize, bytes: &[u8]) {
         let cost = {
-            let mut all = self.storage.inner.namespaces.lock();
+            let mut all = self.storage.inner.namespaces.borrow_mut();
             let ns = all.entry(self.ns.clone()).or_default();
             let file = ns.files.entry(name.to_string()).or_default();
             assert!(
@@ -267,7 +264,7 @@ impl Disk {
     /// Reads `name`, charging the transfer cost of the value.
     pub fn get(&self, name: &str) -> Option<Vec<u8>> {
         let (value, cost) = {
-            let mut all = self.storage.inner.namespaces.lock();
+            let mut all = self.storage.inner.namespaces.borrow_mut();
             let ns = all.entry(self.ns.clone()).or_default();
             match ns.files.get(name) {
                 Some(v) => {
@@ -284,7 +281,7 @@ impl Disk {
 
     /// The stored length of `name`, without charging a read.
     pub fn len(&self, name: &str) -> Option<usize> {
-        let all = self.storage.inner.namespaces.lock();
+        let all = self.storage.inner.namespaces.borrow();
         all.get(&self.ns)
             .and_then(|ns| ns.files.get(name))
             .map(Vec::len)
@@ -292,7 +289,7 @@ impl Disk {
 
     /// Whether the namespace holds no files.
     pub fn is_empty(&self) -> bool {
-        let all = self.storage.inner.namespaces.lock();
+        let all = self.storage.inner.namespaces.borrow();
         all.get(&self.ns)
             .map(|ns| ns.files.is_empty())
             .unwrap_or(true)
@@ -301,7 +298,7 @@ impl Disk {
     /// Durably deletes `name` (charges one fsync). No-op if absent.
     pub fn delete(&self, name: &str) {
         let cost = {
-            let mut all = self.storage.inner.namespaces.lock();
+            let mut all = self.storage.inner.namespaces.borrow_mut();
             let ns = all.entry(self.ns.clone()).or_default();
             if ns.files.remove(name).is_some() {
                 ns.stats.syncs += 1;
@@ -315,7 +312,7 @@ impl Disk {
 
     /// All file names in this namespace, sorted.
     pub fn names(&self) -> Vec<String> {
-        let all = self.storage.inner.namespaces.lock();
+        let all = self.storage.inner.namespaces.borrow();
         all.get(&self.ns)
             .map(|ns| ns.files.keys().cloned().collect())
             .unwrap_or_default()
@@ -323,7 +320,7 @@ impl Disk {
 
     /// This namespace's I/O counters.
     pub fn stats(&self) -> DiskStats {
-        let all = self.storage.inner.namespaces.lock();
+        let all = self.storage.inner.namespaces.borrow();
         all.get(&self.ns).map(|ns| ns.stats).unwrap_or_default()
     }
 }
@@ -333,6 +330,7 @@ mod tests {
     use super::*;
     use crate::Simulation;
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
 
     #[test]
     fn values_survive_and_round_trip() {

@@ -5,8 +5,7 @@
 //! mirrors the race detector's (see `rdma-sim`): recording appends to a
 //! host-side buffer and never sleeps, never schedules an event, and never
 //! touches a process RNG, so **schedules are bit-identical with tracing on
-//! or off**. When tracing is off every hook reduces to one relaxed atomic
-//! load.
+//! or off**. When tracing is off every hook reduces to one flag test.
 //!
 //! # Model
 //!
@@ -32,6 +31,7 @@
 use crate::kernel::{try_with_ctx, Kernel};
 use parking_lot::Mutex;
 use std::fmt;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// Track id used for events recorded outside any process (event context).
@@ -151,8 +151,8 @@ struct TraceBuf {
 }
 
 /// Shared recording state. Lives on the kernel behind
-/// `(AtomicBool, Mutex<Option<Arc<_>>>)` exactly like the race detector's
-/// fabric state, so the off path is one relaxed load.
+/// `(Cell<bool>, RefCell<Option<Arc<_>>>)`, like the race detector's
+/// fabric state, so the off path is one flag test.
 pub(crate) struct TraceState {
     buf: Mutex<TraceBuf>,
 }
@@ -274,7 +274,7 @@ impl TraceState {
 }
 
 /// Runs `f` with the trace state when (a) we are in process context and
-/// (b) tracing is enabled. One relaxed load on the off path.
+/// (b) tracing is enabled. One flag test on the off path.
 fn with_trace<R>(f: impl FnOnce(&Arc<TraceState>, u32, u64) -> R) -> Option<R> {
     try_with_ctx(|k, pid| k.trace_state().map(|st| f(&st, pid.index(), k.now_nanos()))).flatten()
 }
@@ -340,13 +340,13 @@ pub fn flight_begin(
     })
 }
 
-fn current_kernel() -> Arc<Kernel> {
-    try_with_ctx(|k, _| Arc::clone(k)).expect("span opened outside process context")
+fn current_kernel() -> Rc<Kernel> {
+    try_with_ctx(|k, _| Rc::clone(k)).expect("span opened outside process context")
 }
 
 struct SpanInner {
     state: Arc<TraceState>,
-    kernel: Arc<Kernel>,
+    kernel: Rc<Kernel>,
     track: u32,
     span: u64,
     name: &'static str,
@@ -406,8 +406,8 @@ impl Drop for SpanGuard {
     }
 }
 
-/// Handle for an in-flight asynchronous span. `Send`, so it can be moved
-/// into the scheduled completion closure.
+/// Handle for an in-flight asynchronous span, moved into the scheduled
+/// completion closure that ends it.
 #[derive(Clone)]
 pub struct FlightSpan {
     state: Arc<TraceState>,
@@ -440,7 +440,7 @@ impl fmt::Debug for FlightSpan {
 #[derive(Clone)]
 pub struct Tracer {
     state: Arc<TraceState>,
-    kernel: Arc<Kernel>,
+    kernel: Rc<Kernel>,
 }
 
 impl fmt::Debug for Tracer {
@@ -452,7 +452,7 @@ impl fmt::Debug for Tracer {
 }
 
 impl Tracer {
-    pub(crate) fn new(state: Arc<TraceState>, kernel: Arc<Kernel>) -> Self {
+    pub(crate) fn new(state: Arc<TraceState>, kernel: Rc<Kernel>) -> Self {
         Tracer { state, kernel }
     }
 
