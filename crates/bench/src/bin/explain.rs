@@ -1,8 +1,8 @@
 //! Where did the time go: runs a fig7-shaped TPC-C schedule with tracing
 //! and profiling on and prints one report from that one run — the top-k
-//! slowest requests along their paths, the p999 tail exemplars (parks
-//! carved out of the stage they interrupted), the Fig. 6 stage means, the
-//! metrics registry, wait-state totals and resource utilization — and
+//! slowest requests along their paths (parks carved out of the stage they
+//! interrupted), the check that every recorded latency has its path, the
+//! Fig. 6 stage means, wait-state totals and resource utilization — and
 //! exports a Perfetto trace with counter tracks plus flamegraph-style
 //! collapsed stacks (DESIGN.md §11). That neither switch moves the
 //! schedule is pinned in `tests/schedule_hash.rs`; what they cost in host
@@ -16,12 +16,13 @@
 //! ```
 //!
 //! Artifacts: `bench_results/explain.json` (loads in `ui.perfetto.dev`)
-//! and `bench_results/explain_waitstates.folded`. Exits nonzero iff a tail
-//! exemplar's segments do not sum to its latency, an exemplar is missing
-//! from the trace, or the schedule traced no multi-partition request.
+//! and `bench_results/explain_waitstates.folded`. Exits nonzero iff a
+//! request path does not sum to its latency, a recorded latency has no
+//! path or a path no recorded latency, a request is untraced, or the
+//! schedule traced no multi-partition request.
 
 use heron_bench::{arg_value, banner, quick_mode, run_heron, RunConfig, Workload};
-use heron_core::explain::{blame_exemplars, request_paths, Segment};
+use heron_core::explain::{check_latencies, request_paths, Segment};
 
 fn us(ns: u64) -> f64 {
     ns as f64 / 1_000.0
@@ -37,7 +38,7 @@ fn path(segments: &[Segment]) -> String {
 
 fn main() {
     banner(
-        "explain — request paths, tail exemplars, stages and wait states of one run",
+        "explain — request paths, stages and wait states of one run",
         "Fig. 6/Fig. 7 latency anatomy, from one traced and profiled schedule",
     );
     let seed = arg_value("--seed").unwrap_or(42);
@@ -83,53 +84,35 @@ fn main() {
         failed = true;
     }
 
-    // Every retained exemplar must be in the trace and its segments must
-    // sum exactly to the latency the histogram kept it for.
-    let blamed = blame_exemplars(&paths, &run.exemplars);
-    println!("\ntail exemplars (slowest tagged requests, blamed):");
-    for (i, b) in blamed.iter().enumerate() {
-        println!(
-            "  #{:<2} uid {:<6} {:>8.1} µs = {}",
-            i + 1,
-            b.uid,
-            us(b.latency_ns),
-            path(&b.segments),
-        );
-        let sum: u64 = b.segments.iter().map(|s| s.ns).sum();
-        if sum != b.total_ns || b.total_ns != b.latency_ns {
-            println!(
-                "FAIL: exemplar uid {} decomposition {} ns != latency {} ns (trace {} ns)",
-                b.uid, sum, b.latency_ns, b.total_ns
-            );
-            failed = true;
-        }
-        if b.segments.iter().any(|s| s.name == "untraced") {
-            println!("FAIL: exemplar uid {} missing from the trace", b.uid);
-            failed = true;
-        }
+    // Fixed-work mode: the summary holds every latency the clients
+    // recorded, and each must be one request path's total, to the ns.
+    let latencies: Vec<u64> = run
+        .samples_us
+        .iter()
+        .map(|&us| (us * 1_000.0).round() as u64)
+        .collect();
+    let mismatches = check_latencies(&paths, &latencies);
+    for m in &mismatches {
+        println!("FAIL: {m:?}");
     }
-    if blamed.is_empty() {
-        println!("FAIL: no tail exemplars retained");
+    let untraced = paths
+        .iter()
+        .filter(|p| p.segments.iter().any(|s| s.name == "untraced"));
+    for p in untraced {
+        println!("FAIL: uid {} has no replica span in the trace", p.corr);
         failed = true;
     }
+    failed |= !mismatches.is_empty();
+    println!(
+        "\nevery request: {} paths, {} recorded latencies, {} mismatches",
+        paths.len(),
+        latencies.len(),
+        mismatches.len()
+    );
 
     println!("\nstage means (Fig. 6, replica side):");
     println!("  single   {}", run.single);
     println!("  multi    {}", run.multi);
-
-    println!("\nmetrics registry:");
-    for (name, h) in &run.hists {
-        println!(
-            "  {name:<22} n={:<6} p50 {:>8.1} µs  p99 {:>8.1} µs  p999 {:>8.1} µs",
-            h.count,
-            us(h.p50),
-            us(h.p99),
-            us(h.p999),
-        );
-    }
-    for (name, v) in &run.counters {
-        println!("  {name:<22} {v}");
-    }
 
     println!("\nwait-state totals (virtual time, all processes):");
     let totals = prof.totals();
@@ -179,5 +162,5 @@ fn main() {
         println!("explain: FAIL");
         std::process::exit(1);
     }
-    println!("explain: every tail exemplar sums exactly to its latency");
+    println!("explain: every recorded latency is one traced path, summed exactly");
 }

@@ -5,7 +5,7 @@
 //! cluster runs a warm-up, forces a checkpoint on one replica, appends a
 //! tail of `t` further requests, then power-cycles that replica and times
 //! the rebuild (checkpoint read + tail replay) in virtual nanoseconds via
-//! the `recover.time_ns` / `recover.replayed` registry counters. Recovery time
+//! the `Metrics::{recovery_ns, replayed_frames}` counters. Recovery time
 //! must scale with the tail, not with the full history — that is the
 //! whole point of checkpoint + truncation.
 //!
@@ -28,6 +28,7 @@ use heron_bench::{banner, quick_mode, write_results, Json};
 use heron_core::{HeronCluster, HeronConfig, PartitionId};
 use rdma_sim::{Fabric, LatencyModel};
 use sim::SimTime;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -84,9 +85,8 @@ fn measure_recovery(seed: u64, tail: u64) -> (u64, u64, u64) {
         sim::sleep(Duration::from_millis(1));
         c2.recover_replica(p, 2);
         let target = c2.last_req(p, 0);
-        let reg = metrics2.registry();
         let deadline = sim::now() + Duration::from_secs(20);
-        while (reg.counter("recover.cold").get() < 1 || c2.last_req(p, 2) < target)
+        while (metrics2.cold_restarts.load(Ordering::Relaxed) < 1 || c2.last_req(p, 2) < target)
             && sim::now() < deadline
         {
             sim::sleep(Duration::from_millis(1));
@@ -96,16 +96,15 @@ fn measure_recovery(seed: u64, tail: u64) -> (u64, u64, u64) {
     simulation
         .run_until(SimTime::from_secs(60))
         .expect("recovery measurement completes");
-    let reg = metrics.registry();
     assert_eq!(
-        reg.counter("recover.cold").get(),
+        metrics.cold_restarts.load(Ordering::Relaxed),
         1,
         "replica must cold-restart exactly once (seed {seed}, tail {tail})"
     );
     let ckpt_bytes = *image.lock().unwrap();
     (
-        reg.counter("recover.time_ns").get(),
-        reg.counter("recover.replayed").get(),
+        metrics.recovery_ns.load(Ordering::Relaxed),
+        metrics.replayed_frames.load(Ordering::Relaxed),
         ckpt_bytes,
     )
 }

@@ -80,8 +80,8 @@ pub struct RunConfig {
     /// Schedule exploration (Heron only): turns every same-instant ready
     /// set into an explicit choice point driven by the configured strategy
     /// and arms the deadlock/livelock detectors; the summary's `explore`
-    /// field then carries the report. `None` (the default) costs one
-    /// relaxed atomic load per pop and leaves schedules bit-identical.
+    /// field then carries the report. `None` (the default) costs one flag
+    /// test per pop and leaves schedules bit-identical.
     pub explore: Option<sim::ExploreConfig>,
     /// Chaos plan (Heron only): crash the last replica of partition 0 at
     /// the first virtual time and recover it at the second, exercising
@@ -218,7 +218,8 @@ pub struct LoadSummary {
     pub p95: Duration,
     /// 99th percentile.
     pub p99: Duration,
-    /// Sorted latency samples (µs) for CDF plots.
+    /// Sorted latency samples (µs) for CDF plots: the window's, or in
+    /// fixed-work mode every request's.
     pub samples_us: Vec<f64>,
     /// Replica-side stage means of single-partition requests.
     pub single: StageMeans,
@@ -255,20 +256,12 @@ pub struct LoadSummary {
     /// The run's trace (`None` when tracing was off, always `None` for
     /// the DynaStar baseline).
     pub tracer: Option<sim::trace::Tracer>,
-    /// Metrics-registry histogram snapshots (empty unless tracing was on).
-    pub hists: Vec<(&'static str, heron_core::HistogramSnapshot)>,
-    /// Metrics-registry counters, e.g. the imported `fabric.*` verb
-    /// counts (empty unless tracing was on).
-    pub counters: Vec<(&'static str, u64)>,
     /// Schedule-exploration report (`None` when exploration was off,
     /// always `None` for the DynaStar baseline).
     pub explore: Option<sim::ExploreReport>,
     /// Sim-Prof report (`None` when profiling was off, always `None` for
     /// the DynaStar baseline).
     pub prof: Option<sim::prof::ProfReport>,
-    /// `(latency_ns, uid)` tail exemplars of `client.latency_ns` (empty
-    /// unless tracing was on), slowest first — the p999 attribution input.
-    pub exemplars: Vec<(u64, u64)>,
 }
 
 fn percentile_of(sorted: &[u64], q: f64) -> Duration {
@@ -422,7 +415,6 @@ pub fn run_heron_on(cfg: &RunConfig, fabric: &Fabric) -> LoadSummary {
         .iter()
         .map(|d| d.summary())
         .collect::<Vec<_>>();
-    let explore = simulation.explore_report();
     let transfers_completed = metrics.transfers.lock().len();
 
     LoadSummary {
@@ -450,30 +442,9 @@ pub fn run_heron_on(cfg: &RunConfig, fabric: &Fabric) -> LoadSummary {
         }),
         virtual_ns: simulation.now().as_nanos(),
         schedule_hash: simulation.schedule_hash(),
-        tracer: {
-            // Snapshot the fabric's verb counters (and the exploration
-            // counters, when exploration ran) into the registry so a
-            // traced run reads them from one place.
-            if cfg.tracing {
-                metrics.registry().import_fabric(fabric.stats());
-                if let Some(report) = &explore {
-                    metrics.registry().import_explore(report);
-                }
-            }
-            cluster.tracer()
-        },
-        hists: metrics.registry().histogram_snapshots(),
-        counters: metrics.registry().counter_values(),
-        explore,
+        tracer: cluster.tracer(),
+        explore: simulation.explore_report(),
         prof: profiler.map(|p| p.report()),
-        exemplars: if cfg.tracing {
-            metrics
-                .registry()
-                .histogram("client.latency_ns")
-                .exemplars()
-        } else {
-            Vec::new()
-        },
     }
 }
 
@@ -542,10 +513,7 @@ pub fn run_dynastar_tpcc(cfg: &RunConfig) -> LoadSummary {
         virtual_ns: simulation.now().as_nanos(),
         schedule_hash: simulation.schedule_hash(),
         tracer: None,
-        hists: vec![],
-        counters: vec![],
         explore: None,
         prof: None,
-        exemplars: Vec::new(),
     }
 }

@@ -14,7 +14,7 @@
 //! | `ablation_sweeps` | transfer chunk size (§V-E2), Phase-4 cut-off δ (§V-A), execution mode (§III-D2) |
 //! | `chaos_suite` | fault model of §IV — seeded fault plans through the consistency checker |
 //! | `race_audit` | Sim-TSan sweep — happens-before race & protocol-lint audit over the fig4/fig5/chaos schedules (DESIGN.md §10) |
-//! | `explain` | one traced + profiled run — Perfetto export with counter tracks, top-k request paths, p999 exemplar blame, Fig. 6 stage means, wait states, gauges, folded stacks (DESIGN.md §11) |
+//! | `explain` | one traced + profiled run — Perfetto export with counter tracks, top-k request paths, every latency matched to its path, Fig. 6 stage means, wait states, gauges, folded stacks (DESIGN.md §11) |
 //! | `explore_suite` | Sim-Check — schedule exploration (random / PCT / preemption-bounded) with deadlock & livelock detection over the fig4/chaos/recovery shapes (DESIGN.md §15) |
 //!
 //! Run them with `cargo run -p heron-bench --release --bin <name>`; pass

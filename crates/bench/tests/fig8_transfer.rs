@@ -6,6 +6,7 @@
 use heron_bench::syncapp::{enc_touch, enc_write, SyncApp, P1_BIT};
 use heron_core::{HeronCluster, HeronConfig, PartitionId, StorageKind};
 use rdma_sim::{Fabric, LatencyModel};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -149,9 +150,8 @@ fn power_loss_recovers_from_checkpoint_not_live_transfer() {
         // wiped memory, so it alone cannot witness recovery), then for the
         // replica to catch back up to the lead.
         let target = c2.last_req(p, 0);
-        let reg = metrics2.registry();
         let deadline = sim::now() + Duration::from_secs(20);
-        while (reg.counter("recover.cold").get() < 1 || c2.last_req(p, 2) < target)
+        while (metrics2.cold_restarts.load(Ordering::Relaxed) < 1 || c2.last_req(p, 2) < target)
             && sim::now() < deadline
         {
             sim::sleep(Duration::from_millis(1));

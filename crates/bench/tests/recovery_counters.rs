@@ -1,5 +1,5 @@
-//! Recovery-counter accounting (DESIGN.md §14): `recover.replayed` must
-//! equal the WAL-tail frames actually fed through the delivery path on a
+//! Recovery-counter accounting (DESIGN.md §14): `Metrics::replayed_frames`
+//! must equal the WAL-tail frames actually fed through the delivery path on a
 //! cold restart — not the tail length at entry, which over-counts when a
 //! second power cut interrupts the replay loop.
 
@@ -7,19 +7,20 @@ use heron_bench::chaos::{self, Bank};
 use heron_core::{HeronCluster, HeronConfig, PartitionId};
 use rdma_sim::{Fabric, LatencyModel};
 use sim::SimTime;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
 /// One clean power cycle with no checkpoint on disk: the cold restart
-/// replays the entire WAL, so `recover.replayed` must equal the victim's
+/// replays the entire WAL, so `replayed_frames` must equal the victim's
 /// WAL frame count exactly.
 #[test]
 fn recover_replayed_matches_wal_tail() {
     const ACCOUNTS: u64 = 6;
     let simulation = sim::Simulation::new(9);
     let fabric = Fabric::new(LatencyModel::connectx4());
-    // Untraced: counters are always on (the tracing knob gates only the
-    // registry's histograms).
+    // Untraced: the counters are plain fields, recorded whatever the
+    // tracing knob says.
     let cfg = HeronConfig::new(1, 3).with_durability(
         sim::storage::Storage::new(sim::storage::DiskConfig::nvme()),
         // The periodic checkpointer never fires: restart bound stays 0
@@ -54,17 +55,14 @@ fn recover_replayed_matches_wal_tail() {
 
     let frames = cluster.wal_frames(PartitionId(0), 2) as u64;
     assert!(frames > 0, "the workload must have journaled deliveries");
-    let counters = cluster.metrics().registry().counter_values();
-    let get = |name: &str| {
-        counters
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| *v)
-            .unwrap_or_else(|| panic!("counter {name} missing: {counters:?}"))
-    };
-    assert_eq!(get("recover.cold"), 1, "exactly one cold restart");
+    let metrics = cluster.metrics();
     assert_eq!(
-        get("recover.replayed"),
+        metrics.cold_restarts.load(Ordering::Relaxed),
+        1,
+        "exactly one cold restart"
+    );
+    assert_eq!(
+        metrics.replayed_frames.load(Ordering::Relaxed),
         frames,
         "replayed count must equal the WAL tail fed through delivery"
     );

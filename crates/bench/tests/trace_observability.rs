@@ -1,12 +1,12 @@
 //! Regression tests for the virtual-time tracing subsystem (DESIGN.md
 //! §11): the Perfetto export must be well-formed and causally sensible,
 //! the stage spans must sum exactly to the `Breakdown` rows (one stage
-//! clock feeds both), and every request path — the p999 exemplars'
-//! included — must sum exactly to its latency, at width 1 and in the pool.
+//! clock feeds both), and every recorded client latency must be one request
+//! path's total, summed exactly, at width 1 and in the pool.
 //! (That tracing leaves the schedule alone is pinned in `schedule_hash.rs`.)
 
 use heron_bench::{run_heron, RunConfig, Workload};
-use heron_core::explain::{blame_exemplars, request_paths, spans};
+use heron_core::explain::{check_latencies, request_paths, spans};
 use sim::trace::EventKind;
 use std::collections::{HashMap, HashSet};
 use std::time::Duration;
@@ -136,8 +136,8 @@ fn span_sums(events: &[sim::trace::TraceEvent]) -> StageSums {
 
 /// One stage clock feeds counters and spans, so per class the two sum to
 /// the same nanosecond and count the same samples; and every request's
-/// path, the retained p999 exemplars' included, accounts for its whole
-/// latency. `width` 4 runs the pool, so the dispatch wait is non-zero and
+/// path accounts for its whole latency, one path per recorded latency.
+/// `width` 4 runs the pool, so the dispatch wait is non-zero and
 /// `pool.park` carving is on the path.
 fn spans_rows_and_paths_agree(width: usize) {
     let cfg = shape(4, 12).with_width(width).with_tracing(true);
@@ -164,13 +164,12 @@ fn spans_rows_and_paths_agree(width: usize) {
     assert_eq!(rows[0][2] + rows[1][2] > 0, width > 1, "dispatch wait");
     assert_eq!(summary.single.n + summary.multi.n, summary.all.n);
 
-    // Paths decompose every traced request's full latency.
+    // Paths decompose every traced request's full latency (summed in
+    // `check_latencies` below).
     let paths = request_paths(&events);
     assert!(!paths.is_empty());
     assert!(paths.windows(2).all(|w| w[0].total_ns >= w[1].total_ns));
     for p in &paths {
-        let sum: u64 = p.segments.iter().map(|s| s.ns).sum();
-        assert_eq!(sum, p.total_ns, "segments must account for the latency");
         assert!(p.total_ns <= summary.virtual_ns);
         assert!(p.segments.iter().all(|s| s.name != "untraced"));
     }
@@ -179,15 +178,14 @@ fn spans_rows_and_paths_agree(width: usize) {
         .iter()
         .all(|p| p.total_ns >= Duration::from_micros(1).as_nanos() as u64));
 
-    // Every retained tail exemplar is on a path that sums to the latency
-    // the histogram kept it for.
-    let blamed = blame_exemplars(&paths, &summary.exemplars);
-    assert!(!blamed.is_empty(), "no tail exemplars retained");
-    for b in &blamed {
-        let sum: u64 = b.segments.iter().map(|s| s.ns).sum();
-        assert_eq!((sum, b.total_ns), (b.latency_ns, b.latency_ns), "{b:?}");
-        assert!(b.segments.iter().all(|s| s.name != "untraced"), "{b:?}");
-    }
+    // Fixed-work mode: `samples_us` holds every latency the clients
+    // recorded, and each is exactly one path's total.
+    let latencies: Vec<u64> = summary
+        .samples_us
+        .iter()
+        .map(|&us| (us * 1_000.0).round() as u64)
+        .collect();
+    assert_eq!(check_latencies(&paths, &latencies), []);
 }
 
 #[test]

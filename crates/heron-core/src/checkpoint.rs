@@ -156,8 +156,6 @@ pub(crate) fn checkpoint_replica(shared: &Rc<ReplicaShared>) -> Option<Checkpoin
     // wiped image stamped with a live bound and truncate the WAL the
     // restart still needs.
     if shared.restored_cycles.load(Ordering::SeqCst) != cycles {
-        let reg = shared.cluster.metrics.registry();
-        reg.counter("ckpt.skipped_unrestored").add(1);
         return None;
     }
     // A consistent snapshot needs a quiescent request boundary: every
@@ -178,8 +176,6 @@ pub(crate) fn checkpoint_replica(shared: &Rc<ReplicaShared>) -> Option<Checkpoin
         shared.quiesce.wait_while_timeout(|| !quiescent(), interval)
     };
     if !quiet || !node.is_alive() || node.power_cycles() != cycles {
-        let reg = shared.cluster.metrics.registry();
-        reg.counter("ckpt.skipped_busy").add(1);
         return None;
     }
     // From here to the `disk.put` below runs without yielding (snapshot
@@ -225,11 +221,14 @@ pub(crate) fn checkpoint_replica(shared: &Rc<ReplicaShared>) -> Option<Checkpoin
     // charged here).
     let (dropped, _remaining) = shared.cluster.mcast.truncate_wal(group, shared.idx, bound);
     sim::trace::instant("ckpt.truncate", bound);
-    let reg = shared.cluster.metrics.registry();
-    reg.counter("ckpt.taken").add(1);
-    reg.counter("ckpt.bytes").add(meta.image_bytes as u64);
-    reg.counter("wal.truncated_frames").add(dropped as u64);
-    reg.counter("log.truncated_entries").add(log_dropped as u64);
+    let metrics = &shared.cluster.metrics;
+    metrics.checkpoints.fetch_add(1, Ordering::Relaxed);
+    metrics
+        .wal_truncated_frames
+        .fetch_add(dropped as u64, Ordering::Relaxed);
+    metrics
+        .log_truncated_entries
+        .fetch_add(log_dropped as u64, Ordering::Relaxed);
     Some(meta)
 }
 

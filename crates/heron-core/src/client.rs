@@ -138,16 +138,11 @@ impl HeronClient {
             self.mcast.resubmit(uid, &groups, &envelope);
         }
         // End the root span before measuring, so the traced span duration
-        // and the recorded latency are the same number: the blame
-        // analyzer's per-exemplar decomposition must sum to exactly the
-        // histogram's value.
+        // and the recorded latency are the same number:
+        // `explain::check_latencies` pairs every request path with a
+        // recorded latency, nanosecond for nanosecond.
         drop(req_span);
-        let latency = sim::now() - t0;
-        // Tag the sample with the message uid — the same correlation key the
-        // trace spans carry — so tail exemplars lead back to their spans.
-        self.cluster
-            .metrics
-            .record_latency_tagged(latency, u64::from(uid.0));
+        self.cluster.metrics.record_latency(sim::now() - t0);
         // Prefer the first partition with a non-empty response: a partition
         // that executes only part of a request (TPC-C's supplying
         // warehouses in a NewOrder) answers with an empty acknowledgment.

@@ -204,11 +204,6 @@ impl HeronCluster {
             mcast.annotate_sync_regions(det);
         }
         let metrics = Arc::new(Metrics::new(cfg.partitions));
-        if cfg.tracing {
-            // The registry rides the same knob as tracing: histograms are
-            // populated only when the run asked for observability.
-            metrics.registry().enable();
-        }
         let inner = Rc::new(ClusterInner {
             cfg,
             fabric: fabric.clone(),

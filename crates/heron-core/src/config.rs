@@ -82,14 +82,15 @@ pub struct HeronConfig {
     /// Enables the Sim-TSan happens-before race detector on the fabric:
     /// shadow memory behind every verb, region annotations for all of
     /// Heron's coordination memory, and the protocol lints. Off by
-    /// default; when off the only cost on the verb hot path is one
-    /// relaxed atomic load, and schedules are bit-identical either way.
+    /// default; when off the only cost on the verb hot path is one flag
+    /// test, and schedules are bit-identical either way.
     pub race_detector: bool,
     /// Enables virtual-time tracing: causal spans across the client, the
     /// ordering layer, the RDMA verbs and the executor phases, exportable
     /// as Perfetto JSON (see `sim::trace`). Off by default; when off every
-    /// trace hook is one relaxed atomic load and — like the race detector —
-    /// schedules are bit-identical either way.
+    /// trace hook is one `OnceCell` flag test and — like the race detector —
+    /// schedules are bit-identical either way. It turns on tracing and
+    /// nothing else: `Metrics` records the same either way.
     pub tracing: bool,
     /// Durable checkpointing (see [`DurabilityConfig`]). `None` (the
     /// default) runs the original all-in-memory system bit-for-bit.

@@ -1303,12 +1303,16 @@ impl Driver {
         let Some(replay) = self.replay.take() else {
             return;
         };
-        let reg = self.shared.cluster.metrics.registry();
-        reg.counter("recover.cold").add(1);
-        reg.counter("recover.replayed")
-            .add((replay.frames - replay.tail.len()) as u64);
-        reg.counter("recover.time_ns")
-            .add((sim::now() - replay.t0).as_nanos() as u64);
+        let metrics = &self.shared.cluster.metrics;
+        metrics.cold_restarts.fetch_add(1, Ordering::Relaxed);
+        metrics.replayed_frames.fetch_add(
+            (replay.frames - replay.tail.len()) as u64,
+            Ordering::Relaxed,
+        );
+        metrics.recovery_ns.fetch_add(
+            (sim::now() - replay.t0).as_nanos() as u64,
+            Ordering::Relaxed,
+        );
     }
 
     /// Blocks until something can make progress: a worker event, a

@@ -13,14 +13,15 @@
 //! interrupted* into explicit `park.phase2_starved` / `park.lagging`
 //! segments; the carve moves time within a stage, never in or out of the
 //! request, so a path's segments always sum exactly to its latency.
-//! [`blame_exemplars`] looks the `client.latency_ns` histogram's tail
-//! exemplars ([`crate::metrics::Histogram::exemplars`]) up among the paths.
+//! [`check_latencies`] pairs the paths with the client's recorded
+//! latencies ([`crate::Metrics::latencies`]), one for one.
 //!
 //! The Fig. 6 *aggregate* is not computed here: the stage spans and the
 //! [`crate::Breakdown`] rows come from one measurement, and
 //! [`crate::Metrics::mean_breakdown`] is the one fold over the rows.
 
 use sim::trace::{EventKind, TraceEvent};
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, HashMap};
 
 /// A Begin/End pair reassembled from the event stream.
@@ -262,46 +263,66 @@ pub fn request_paths(events: &[TraceEvent]) -> Vec<RequestPath> {
     out
 }
 
-/// One tail exemplar, explained.
-#[derive(Debug, Clone)]
-pub struct BlamedExemplar {
-    /// The request's multicast uid (the histogram exemplar's tag).
-    pub uid: u64,
-    /// The latency the histogram retained it for, ns.
-    pub latency_ns: u64,
-    /// Client-observed latency per the trace (the `client.request` span).
-    /// Equal to `latency_ns` when the request was traced.
-    pub total_ns: u64,
-    /// Segments summing exactly to `total_ns`.
-    pub segments: Vec<Segment>,
+/// Where a run's request paths and its recorded client latencies
+/// disagree (see [`check_latencies`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Mismatch {
+    /// The path's segments do not sum to its latency.
+    Unsummed {
+        /// The request's multicast uid.
+        uid: u64,
+        /// Sum of the path's segments, ns.
+        sum_ns: u64,
+        /// The `client.request` span's duration, ns.
+        total_ns: u64,
+    },
+    /// A traced request whose latency the client did not record.
+    NoLatency {
+        /// The request's multicast uid.
+        uid: u64,
+        /// The `client.request` span's duration, ns.
+        total_ns: u64,
+    },
+    /// A recorded latency no traced request took.
+    NoPath {
+        /// The recorded latency, ns.
+        latency_ns: u64,
+    },
 }
 
-/// Looks histogram exemplars (`(latency_ns, uid)` pairs, as returned by
-/// [`crate::metrics::Histogram::exemplars`]) up among `paths`. Exemplars
-/// whose uid has no path come back with one `untraced` segment covering the
-/// whole latency, so the output always decomposes every input.
-pub fn blame_exemplars(paths: &[RequestPath], exemplars: &[(u64, u64)]) -> Vec<BlamedExemplar> {
-    let by_corr: HashMap<u64, &RequestPath> = paths.iter().map(|p| (p.corr, p)).collect();
-    exemplars
-        .iter()
-        .map(|&(latency_ns, uid)| match by_corr.get(&uid) {
-            Some(path) => BlamedExemplar {
+/// Checks the trace against the client's own record, request for request:
+/// every path must sum exactly to its latency, and the paths' latencies
+/// and `latencies_ns` (every latency the client recorded, in any order)
+/// must be the same multiset. Returns each disagreement — empty when the
+/// trace accounts for every recorded request and nothing else.
+pub fn check_latencies(paths: &[RequestPath], latencies_ns: &[u64]) -> Vec<Mismatch> {
+    let mut paths: Vec<&RequestPath> = paths.iter().collect();
+    paths.sort_by_key(|p| Reverse(p.total_ns));
+    let mut latencies = latencies_ns.to_vec();
+    latencies.sort_unstable_by_key(|&l| Reverse(l));
+    let mut latencies = latencies.into_iter().peekable();
+    let mut out = Vec::new();
+    for p in paths {
+        let (uid, total_ns) = (p.corr, p.total_ns);
+        let sum_ns = p.segments.iter().map(|s| s.ns).sum();
+        if sum_ns != total_ns {
+            out.push(Mismatch::Unsummed {
                 uid,
-                latency_ns,
-                total_ns: path.total_ns,
-                segments: path.segments.clone(),
-            },
-            None => BlamedExemplar {
-                uid,
-                latency_ns,
-                total_ns: latency_ns,
-                segments: vec![Segment {
-                    name: "untraced",
-                    ns: latency_ns,
-                }],
-            },
-        })
-        .collect()
+                sum_ns,
+                total_ns,
+            });
+        }
+        // Both sides run slowest first: a larger latency than this path's
+        // can match no path after it.
+        while let Some(latency_ns) = latencies.next_if(|&l| l > total_ns) {
+            out.push(Mismatch::NoPath { latency_ns });
+        }
+        if latencies.next_if_eq(&total_ns).is_none() {
+            out.push(Mismatch::NoLatency { uid, total_ns });
+        }
+    }
+    out.extend(latencies.map(|latency_ns| Mismatch::NoPath { latency_ns }));
+    out
 }
 
 #[cfg(test)]
@@ -511,12 +532,12 @@ mod tests {
 
     #[test]
     fn parks_are_carved_out_of_their_stage() {
-        let blamed = blame_exemplars(&request_paths(&parked_trace()), &[(100, 5)]);
-        assert_eq!(blamed.len(), 1);
-        let b = &blamed[0];
-        assert_eq!((b.uid, b.latency_ns, b.total_ns), (5, 100, 100));
+        let paths = request_paths(&parked_trace());
+        assert_eq!(paths.len(), 1);
+        let p = &paths[0];
+        assert_eq!((p.corr, p.total_ns), (5, 100));
         assert_eq!(
-            named(&b.segments),
+            named(&p.segments),
             [
                 ("ordering", 30),
                 ("phase2", 4),
@@ -531,11 +552,8 @@ mod tests {
 
     #[test]
     fn segments_sum_exactly_to_latency() {
-        for b in blame_exemplars(&request_paths(&parked_trace()), &[(100, 5)]) {
-            let sum: u64 = b.segments.iter().map(|s| s.ns).sum();
-            assert_eq!(sum, b.total_ns);
-            assert_eq!(b.total_ns, b.latency_ns);
-        }
+        let paths = request_paths(&parked_trace());
+        assert_eq!(check_latencies(&paths, &[100]), []);
     }
 
     #[test]
@@ -551,9 +569,35 @@ mod tests {
     }
 
     #[test]
-    fn untraced_exemplars_fall_back_to_one_segment() {
-        let blamed = blame_exemplars(&[], &[(77, 42)]);
-        assert_eq!(blamed.len(), 1);
-        assert_eq!(named(&blamed[0].segments), [("untraced", 77)]);
+    fn check_names_every_unmatched_request() {
+        let path = |corr, total_ns, segment_ns| RequestPath {
+            corr,
+            client_track: 9,
+            partitions: 1,
+            total_ns,
+            segments: vec![Segment {
+                name: "execute",
+                ns: segment_ns,
+            }],
+        };
+        let paths = [path(1, 50, 50), path(2, 40, 40), path(3, 30, 29)];
+        // Equal latencies pair in any order.
+        assert_eq!(check_latencies(&paths[..2], &[40, 50]), []);
+        assert_eq!(
+            check_latencies(&paths, &[60, 50, 30, 20]),
+            [
+                Mismatch::NoPath { latency_ns: 60 },
+                Mismatch::NoLatency {
+                    uid: 2,
+                    total_ns: 40
+                },
+                Mismatch::Unsummed {
+                    uid: 3,
+                    sum_ns: 29,
+                    total_ns: 30
+                },
+                Mismatch::NoPath { latency_ns: 20 },
+            ]
+        );
     }
 }

@@ -106,10 +106,7 @@ pub use checkpoint::CheckpointMeta;
 pub use client::HeronClient;
 pub use cluster::HeronCluster;
 pub use config::{DurabilityConfig, HeronConfig};
-pub use metrics::{
-    Breakdown, Counter, DelayCounters, Histogram, HistogramSnapshot, Metrics, MetricsRegistry,
-    StageMeans, TransferRecord, EXEMPLAR_K,
-};
+pub use metrics::{Breakdown, DelayCounters, Metrics, StageMeans, TransferRecord};
 pub use store::{Slot, VersionedStore, SABOTAGE_DUAL_VERSION_GUARD};
 pub use types::{ObjectId, PartitionId, Placement, StorageKind};
 

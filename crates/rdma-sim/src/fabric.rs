@@ -2,13 +2,12 @@
 
 use crate::error::{RdmaError, RdmaResult};
 use crate::latency::LatencyModel;
-use parking_lot::Mutex;
 use sim::{Cond, Mailbox};
 use std::cell::{Cell, OnceCell, RefCell, RefMut};
 use std::fmt;
 use std::ops::Range;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Identifier of a fabric node (one RDMA-capable endpoint).
@@ -240,18 +239,18 @@ pub(crate) struct FabricInner {
     /// matrix (grown on demand) so the per-verb lookup is two index
     /// multiplies instead of a hash.
     pub(crate) link_clock: RefCell<LinkClocks>,
-    /// Set once a [`crate::FaultPlan`] with verb-level faults is armed;
-    /// lets the verb hot path skip the fault lock entirely when no plan is
-    /// installed, keeping fault-free runs bit-identical and cheap.
-    pub(crate) faults_on: AtomicBool,
-    pub(crate) faults: Mutex<Option<crate::faults::FaultRuntime>>,
+    /// The armed verb-level faults of a [`crate::FaultPlan`]; `None` (no
+    /// plan) keeps fault-free runs bit-identical and costs the verb hot
+    /// path one flag test.
+    pub(crate) faults: RefCell<Option<crate::faults::FaultRuntime>>,
     /// Guards a self-test asked the layers above to leave out (see
     /// [`Fabric::sabotage`]); read at construction time only.
-    pub(crate) sabotaged: Mutex<Vec<&'static str>>,
-    /// Set by [`Fabric::enable_race_detector`]; same pattern as
-    /// `faults_on` — detector-off memory accesses cost one relaxed load.
-    pub(crate) tsan_on: AtomicBool,
-    pub(crate) tsan: Mutex<Option<Arc<crate::tsan::TsanState>>>,
+    pub(crate) sabotaged: RefCell<Vec<&'static str>>,
+    /// Set by [`Fabric::enable_race_detector`]: detector-off memory
+    /// accesses cost one flag test. A flag of its own, because
+    /// [`Node::annotate_region`] creates `tsan` before the detector runs.
+    pub(crate) tsan_on: Cell<bool>,
+    pub(crate) tsan: OnceCell<Arc<crate::tsan::TsanState>>,
     /// Unsignaled doorbells (a write, a batch, a send) posted but not yet
     /// landed, fabric-wide: the value behind the profiler's `qp.sendq`
     /// occupancy gauge.
@@ -306,15 +305,11 @@ impl FabricInner {
     }
 
     /// Consults the armed fault plan (if any) about a verb `node` is about
-    /// to issue now. Without a plan this is a single relaxed load — the
-    /// clock is read only for a plan to look at.
+    /// to issue now. Without a plan this is one flag test — the clock is
+    /// read only for a plan to look at.
     pub(crate) fn verb_fate(&self, node: NodeId) -> crate::faults::VerbFate {
-        if !self.faults_on.load(Ordering::Relaxed) {
-            return crate::faults::VerbFate::UNFAULTED;
-        }
-        let now_ns = sim::now().as_nanos();
-        match self.faults.lock().as_mut() {
-            Some(runtime) => runtime.verb_fate(node, now_ns),
+        match self.faults.borrow_mut().as_mut() {
+            Some(runtime) => runtime.verb_fate(node, sim::now().as_nanos()),
             None => crate::faults::VerbFate::UNFAULTED,
         }
     }
@@ -329,13 +324,13 @@ impl FabricInner {
             .set_at(t_ns, inflight);
     }
 
-    /// The enabled race detector state, or `None`. One relaxed load when
-    /// the detector is off.
+    /// The enabled race detector state, or `None`. One flag test when the
+    /// detector is off.
     pub(crate) fn tsan(&self) -> Option<Arc<crate::tsan::TsanState>> {
-        if !self.tsan_on.load(Ordering::Relaxed) {
+        if !self.tsan_on.get() {
             return None;
         }
-        self.tsan.lock().clone()
+        self.tsan.get().cloned()
     }
 }
 
@@ -373,11 +368,10 @@ impl Fabric {
                 nodes: RefCell::new(Vec::new()),
                 stats: FabricStats::default(),
                 link_clock: RefCell::new(LinkClocks::default()),
-                faults_on: AtomicBool::new(false),
-                faults: Mutex::new(None),
-                sabotaged: Mutex::new(Vec::new()),
-                tsan_on: AtomicBool::new(false),
-                tsan: Mutex::new(None),
+                faults: RefCell::new(None),
+                sabotaged: RefCell::new(Vec::new()),
+                tsan_on: Cell::new(false),
+                tsan: OnceCell::new(),
                 posted_inflight: Cell::new(0),
                 sendq_gauge: OnceCell::new(),
             }),
@@ -389,26 +383,18 @@ impl Fabric {
     /// return handles to the same state. See [`crate::tsan`] for the
     /// memory model.
     pub fn enable_race_detector(&self) -> crate::RaceDetector {
-        let state = {
-            let mut guard = self.inner.tsan.lock();
-            Arc::clone(guard.get_or_insert_with(|| Arc::new(crate::tsan::TsanState::new())))
-        };
-        self.inner.tsan_on.store(true, Ordering::SeqCst);
+        let state = Arc::clone(
+            self.inner
+                .tsan
+                .get_or_init(|| Arc::new(crate::tsan::TsanState::new())),
+        );
+        self.inner.tsan_on.set(true);
         crate::RaceDetector { state }
     }
 
     /// The enabled race detector, if any.
     pub fn race_detector(&self) -> Option<crate::RaceDetector> {
-        if !self.inner.tsan_on.load(Ordering::Relaxed) {
-            return None;
-        }
-        self.inner
-            .tsan
-            .lock()
-            .as_ref()
-            .map(|state| crate::RaceDetector {
-                state: Arc::clone(state),
-            })
+        self.inner.tsan().map(|state| crate::RaceDetector { state })
     }
 
     /// Registers a new node (endpoint) on the fabric.
@@ -804,10 +790,10 @@ impl Node {
         kind: crate::RegionKind,
         label: impl Into<String>,
     ) {
-        let state = {
-            let mut guard = self.fabric.tsan.lock();
-            Arc::clone(guard.get_or_insert_with(|| Arc::new(crate::tsan::TsanState::new())))
-        };
+        let state = self
+            .fabric
+            .tsan
+            .get_or_init(|| Arc::new(crate::tsan::TsanState::new()));
         state.annotate(self, addr, len, kind, label.into());
     }
 

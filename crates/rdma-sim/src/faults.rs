@@ -39,7 +39,6 @@
 
 use crate::fabric::{Fabric, NodeId};
 use std::collections::HashMap;
-use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 /// One timed crash/recover action, executed by the plan's driver process.
@@ -278,11 +277,10 @@ impl FaultPlan {
                 };
                 (*id, state)
             });
-            *fabric.inner.faults.lock() = Some(FaultRuntime {
+            *fabric.inner.faults.borrow_mut() = Some(FaultRuntime {
                 rng: self.seed ^ 0x6C62_272E_07BB_0142,
                 nodes: nodes.collect(),
             });
-            fabric.inner.faults_on.store(true, Ordering::SeqCst);
         }
         if !self.timed.is_empty() {
             let mut timed = self.timed.clone();
@@ -315,7 +313,7 @@ impl Fabric {
     /// they are constructed, so call this before building the deployment;
     /// production configs have no field for it.
     pub fn sabotage(&self, guard: &'static str) {
-        self.inner.sabotaged.lock().push(guard);
+        self.inner.sabotaged.borrow_mut().push(guard);
     }
 }
 
@@ -323,7 +321,7 @@ impl crate::Node {
     /// Whether a self-test named `guard` in [`Fabric::sabotage`] on this
     /// node's fabric.
     pub fn sabotaged(&self, guard: &str) -> bool {
-        self.fabric.sabotaged.lock().contains(&guard)
+        self.fabric.sabotaged.borrow().contains(&guard)
     }
 }
 

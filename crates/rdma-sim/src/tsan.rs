@@ -58,7 +58,7 @@
 //! real NIC carries the poster's ordering context to the remote memory.
 //!
 //! The detector is off by default. When off, the only cost on the verb hot
-//! path is one relaxed atomic load, no process ever ticks its clock, and
+//! path is one flag test, no process ever ticks its clock, and
 //! every vector clock in the simulation stays empty — schedules are
 //! bit-identical with and without the detector compiled in or enabled.
 
@@ -350,8 +350,8 @@ impl NodeShadow {
     }
 }
 
-/// Shared detector state, hung off the fabric behind an `AtomicBool` so
-/// the detector-off hot path is a single relaxed load.
+/// Shared detector state, hung off the fabric behind a flag so the
+/// detector-off hot path is a single flag test.
 pub(crate) struct TsanState {
     shadow: Mutex<Vec<NodeShadow>>,
     reports: Mutex<Vec<RaceReport>>,

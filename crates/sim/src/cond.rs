@@ -205,7 +205,8 @@ impl Cond {
     /// never re-enters the scheduler, so kernel-side detection cannot see
     /// it — only the wait site can. When the poll-spin guard trips, the
     /// violation is already recorded; stop the run and yield so the host
-    /// loop regains control. One relaxed flag load when exploration is off.
+    /// loop regains control. One `OnceCell` flag test when exploration is
+    /// off.
     fn note_unblocked_pass(&self) {
         let tripped = try_with_ctx(|kernel, pid| match kernel.explore_state() {
             None => false,

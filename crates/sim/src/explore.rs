@@ -818,8 +818,8 @@ fn find_cycle(succ: &BTreeMap<u32, BTreeSet<u32>>) -> Option<Vec<u32>> {
 /// wherever a completed-prefix watermark moves (a delivery applied, a
 /// checkpoint floor raised, a recovery readiness gate opened): the livelock
 /// guards treat any repetition *without* such an advance at one instant as
-/// a zero-progress spin. One relaxed flag load, no-op when exploration is
-/// off or outside process context.
+/// a zero-progress spin. One `OnceCell` flag test, no-op when exploration
+/// is off or outside process context.
 pub fn note_progress() {
     let _ = crate::kernel::try_with_ctx(|k, _| {
         if let Some(ex) = k.explore_state() {

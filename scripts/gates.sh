@@ -67,9 +67,9 @@ gate race-selftest bench race_audit --quick --selftest
 
 # Explain gate: one traced + profiled fig7-shaped run (DESIGN.md §11).
 # Exports the Perfetto trace with counter tracks and the folded wait-state
-# stacks, and requires every p999 exemplar's path (parks carved out of the
-# stage they interrupted) to sum exactly to its end-to-end latency and be
-# found in the trace. All virtual time: deterministic per seed. (Span sums
+# stacks, and requires every recorded client latency to be exactly one
+# traced request path (parks carved out of the stage they interrupted)
+# whose segments sum to it. All virtual time: deterministic per seed. (Span sums
 # == Breakdown rows, at width 1 and 4: `cargo test`, trace_observability.rs;
 # switch on/off schedule identity: schedule_hash.rs; host cost: the ledger.)
 gate explain bench explain --quick --seed 42
