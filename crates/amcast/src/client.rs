@@ -76,13 +76,6 @@ impl McastClient {
         self.submit(uid, dests, payload);
     }
 
-    /// Overrides the believed leader of a group (e.g. from an application
-    /// hint).
-    pub fn set_leader_hint(&mut self, group: GroupId, idx: usize) {
-        assert!(idx < self.inner.cfg.replicas_per_group);
-        self.believed_leader[group.0 as usize] = idx;
-    }
-
     fn submit(&mut self, uid: MsgId, dests: &[GroupId], payload: &[u8]) {
         assert!(
             !dests.is_empty(),

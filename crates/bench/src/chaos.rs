@@ -455,8 +455,7 @@ pub fn recovery_scenario_for_seed(seed: u64, quick: bool) -> Scenario {
         }
         2 => {
             // Power loss just after a checkpoint boundary: the likeliest
-            // window to interrupt log truncation (floor raised, WAL
-            // compaction under way).
+            // window to interrupt WAL truncation (compaction under way).
             let tick = 2 + splitmix(&mut rng) % 3;
             let at = tick * interval + 1 + splitmix(&mut rng) % 10;
             clauses.push(Clause::PowerLoss {

@@ -4,8 +4,10 @@
 
 use crate::null::NullApp;
 use dynastar::{DynaStar, DynaStarConfig};
-use heron_core::{Breakdown, HeronCluster, HeronConfig, PartitionId, StageMeans, StateMachine};
-use rdma_sim::{Fabric, LatencyModel};
+use heron_core::{
+    Breakdown, HeronCluster, HeronConfig, Metrics, PartitionId, StageMeans, StateMachine,
+};
+use rdma_sim::{Fabric, FaultPlan, LatencyModel};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
@@ -206,7 +208,7 @@ pub struct RaceAuditSummary {
 }
 
 /// The result of one load run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct LoadSummary {
     /// Completed requests per second of virtual time.
     pub tps: f64,
@@ -264,21 +266,58 @@ pub struct LoadSummary {
     pub prof: Option<sim::prof::ProfReport>,
 }
 
-fn percentile_of(sorted: &[u64], q: f64) -> Duration {
+/// The `q`-quantile of a sorted slice of samples: the nearest-rank
+/// element, zero for no samples.
+pub fn quantile<T: Copy + Default>(sorted: &[T], q: f64) -> T {
     if sorted.is_empty() {
-        return Duration::ZERO;
+        return T::default();
     }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    Duration::from_nanos(sorted[idx])
+    sorted[((sorted.len() - 1) as f64 * q).round() as usize]
 }
 
-/// The `q`-quantile of a sorted slice of µs samples.
-pub fn quantile(sorted_us: &[f64], q: f64) -> f64 {
-    if sorted_us.is_empty() {
-        return 0.0;
+/// Runs `simulation` — whose clients `metrics` records — through `cfg`'s
+/// warm-up and measurement window, or to the end in fixed-work mode, and
+/// summarizes what the window recorded: throughput, mean and percentile
+/// latency, the sorted samples, and the window's [`Breakdown`] rows. Every
+/// other field is left empty.
+fn measure(simulation: &sim::Simulation, cfg: &RunConfig, metrics: &Metrics) -> LoadSummary {
+    let (completed0, samples0, window_secs) = if cfg.requests.is_some() {
+        // Fixed work: measure the whole run, cold start included — both
+        // sides of a comparison pay it identically.
+        simulation.run().expect("fixed-work run");
+        (0, 0, simulation.now().as_nanos() as f64 / 1e9)
+    } else {
+        simulation
+            .run_until(sim::SimTime::ZERO + cfg.warmup)
+            .expect("warmup");
+        let mark = (
+            metrics.completed.load(Ordering::Relaxed),
+            metrics.latencies.lock().len(),
+        );
+        metrics.breakdowns.lock().clear(); // rows are window-only from here
+        let end = sim::SimTime::ZERO + cfg.warmup + cfg.window;
+        simulation.run_until(end).expect("measurement window");
+        (mark.0, mark.1, cfg.window.as_secs_f64())
+    };
+    let completed = metrics.completed.load(Ordering::Relaxed) - completed0;
+    let mut samples = metrics.latencies.lock()[samples0..].to_vec();
+    samples.sort_unstable();
+    let mean = if samples.is_empty() {
+        Duration::ZERO
+    } else {
+        Duration::from_nanos(samples.iter().sum::<u64>() / samples.len() as u64)
+    };
+    let at = |q| Duration::from_nanos(quantile(&samples, q));
+    LoadSummary {
+        tps: completed as f64 / window_secs,
+        mean,
+        p50: at(0.5),
+        p95: at(0.95),
+        p99: at(0.99),
+        samples_us: samples.iter().map(|&ns| ns as f64 / 1_000.0).collect(),
+        breakdowns: metrics.breakdowns.lock().clone(),
+        ..LoadSummary::default()
     }
-    let idx = ((sorted_us.len() - 1) as f64 * q).round() as usize;
-    sorted_us[idx]
 }
 
 /// Builds a Heron deployment for `cfg` and drives it with closed-loop
@@ -317,14 +356,11 @@ pub fn run_heron_on(cfg: &RunConfig, fabric: &Fabric) -> LoadSummary {
     cluster.spawn(&simulation);
 
     if let Some((down, up)) = cfg.crash {
-        let chaos_fabric = fabric.clone();
         let victim = cluster.replica_node(PartitionId(0), cfg.replicas - 1).id();
-        simulation.spawn("chaos-ctl", move || {
-            sim::sleep(down);
-            chaos_fabric.crash(victim);
-            sim::sleep(up - down);
-            chaos_fabric.recover(victim);
-        });
+        FaultPlan::new(cfg.seed)
+            .crash_at(victim, down)
+            .recover_at(victim, up)
+            .arm(&simulation, fabric);
     }
 
     let end = sim::SimTime::ZERO + cfg.warmup + cfg.window;
@@ -381,35 +417,7 @@ pub fn run_heron_on(cfg: &RunConfig, fabric: &Fabric) -> LoadSummary {
     }
 
     let metrics = cluster.metrics();
-    let (completed0, samples0);
-    let window_secs;
-    if fixed_requests.is_some() {
-        // Fixed work: measure the whole run, cold start included — both
-        // sides of a comparison pay it identically.
-        (completed0, samples0) = (0, 0);
-        simulation.run().expect("fixed-work run");
-        window_secs = simulation.now().as_nanos() as f64 / 1e9;
-    } else {
-        // Snapshot at the end of the warm-up.
-        simulation
-            .run_until(sim::SimTime::ZERO + cfg.warmup)
-            .expect("warmup");
-        completed0 = metrics.completed.load(Ordering::Relaxed);
-        samples0 = metrics.latencies.lock().len();
-        metrics.breakdowns.lock().clear(); // rows are window-only from here
-        simulation.run_until(end).expect("measurement window");
-        window_secs = cfg.window.as_secs_f64();
-    }
-    let completed1 = metrics.completed.load(Ordering::Relaxed);
-
-    let mut window_samples: Vec<u64> = metrics.latencies.lock()[samples0..].to_vec();
-    window_samples.sort_unstable();
-    let mean = if window_samples.is_empty() {
-        Duration::ZERO
-    } else {
-        Duration::from_nanos(window_samples.iter().sum::<u64>() / window_samples.len() as u64)
-    };
-    let breakdowns = metrics.breakdowns.lock().clone();
+    let window = measure(&simulation, cfg, &metrics);
     let delays = metrics
         .delays
         .iter()
@@ -418,19 +426,9 @@ pub fn run_heron_on(cfg: &RunConfig, fabric: &Fabric) -> LoadSummary {
     let transfers_completed = metrics.transfers.lock().len();
 
     LoadSummary {
-        tps: (completed1 - completed0) as f64 / window_secs,
-        mean,
-        p50: percentile_of(&window_samples, 0.5),
-        p95: percentile_of(&window_samples, 0.95),
-        p99: percentile_of(&window_samples, 0.99),
-        samples_us: window_samples
-            .iter()
-            .map(|&ns| ns as f64 / 1_000.0)
-            .collect(),
         single: metrics.mean_breakdown(|b| b.partitions == 1),
         multi: metrics.mean_breakdown(|b| b.partitions > 1),
         all: metrics.mean_breakdown(|_| true),
-        breakdowns,
         delays,
         transfers_started: metrics.transfers_started.load(Ordering::Relaxed),
         transfers_completed,
@@ -445,10 +443,12 @@ pub fn run_heron_on(cfg: &RunConfig, fabric: &Fabric) -> LoadSummary {
         tracer: cluster.tracer(),
         explore: simulation.explore_report(),
         prof: profiler.map(|p| p.report()),
+        ..window
     }
 }
 
-/// Drives the DynaStar baseline with the TPC-C mix; returns the summary.
+/// Drives the DynaStar baseline with the TPC-C mix for `cfg`'s warm-up and
+/// window (its clients have no fixed-work mode); returns the summary.
 pub fn run_dynastar_tpcc(cfg: &RunConfig) -> LoadSummary {
     let wall_start = std::time::Instant::now();
     let simulation = sim::Simulation::new(cfg.seed);
@@ -474,46 +474,12 @@ pub fn run_dynastar_tpcc(cfg: &RunConfig) -> LoadSummary {
         });
     }
 
-    let metrics = ds.metrics();
-    simulation
-        .run_until(sim::SimTime::ZERO + cfg.warmup)
-        .expect("warmup");
-    let completed0 = metrics.completed.load(Ordering::Relaxed);
-    let samples0 = metrics.latencies.lock().len();
-    simulation.run_until(end).expect("measurement window");
-    let completed1 = metrics.completed.load(Ordering::Relaxed);
-
-    let mut window_samples: Vec<u64> = metrics.latencies.lock()[samples0..].to_vec();
-    window_samples.sort_unstable();
-    let mean = if window_samples.is_empty() {
-        Duration::ZERO
-    } else {
-        Duration::from_nanos(window_samples.iter().sum::<u64>() / window_samples.len() as u64)
-    };
+    let window = measure(&simulation, cfg, &ds.metrics());
     LoadSummary {
-        tps: (completed1 - completed0) as f64 / cfg.window.as_secs_f64(),
-        mean,
-        p50: percentile_of(&window_samples, 0.5),
-        p95: percentile_of(&window_samples, 0.95),
-        p99: percentile_of(&window_samples, 0.99),
-        samples_us: window_samples
-            .iter()
-            .map(|&ns| ns as f64 / 1_000.0)
-            .collect(),
-        single: StageMeans::default(),
-        multi: StageMeans::default(),
-        all: StageMeans::default(),
-        breakdowns: vec![],
-        delays: vec![],
-        transfers_started: 0,
-        transfers_completed: 0,
         events: simulation.events_executed(),
         wall_ms: wall_start.elapsed().as_secs_f64() * 1_000.0,
-        audit: None,
         virtual_ns: simulation.now().as_nanos(),
         schedule_hash: simulation.schedule_hash(),
-        tracer: None,
-        explore: None,
-        prof: None,
+        ..window
     }
 }

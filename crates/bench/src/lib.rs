@@ -11,7 +11,7 @@
 //! | `fig7_txn_latency` | Fig. 7 — per-transaction-type latency + CDF |
 //! | `table1_wait_for_all` | Table I — delayed transactions under wait-for-all |
 //! | `fig8_state_transfer` | Fig. 8 — state-transfer latency & full-warehouse recovery |
-//! | `ablation_sweeps` | transfer chunk size (§V-E2), Phase-4 cut-off δ (§V-A), execution mode (§III-D2) |
+//! | `ablation_sweeps` | transfer chunk size (§V-E2), Phase-4 cut-off δ (§V-A), end-to-end batching cap |
 //! | `chaos_suite` | fault model of §IV — seeded fault plans through the consistency checker |
 //! | `race_audit` | Sim-TSan sweep — happens-before race & protocol-lint audit over the fig4/fig5/chaos schedules (DESIGN.md §10) |
 //! | `explain` | one traced + profiled run — Perfetto export with counter tracks, top-k request paths, every latency matched to its path, Fig. 6 stage means, wait states, gauges, folded stacks (DESIGN.md §11) |

@@ -4,7 +4,7 @@
 //! record header plus the dual-version slot image, at every `StorageKind`.
 
 use heron_bench::syncapp::{enc_touch, enc_write, SyncApp, P1_BIT};
-use heron_core::{HeronCluster, HeronConfig, PartitionId, StorageKind};
+use heron_core::{HeronCluster, HeronConfig, PartitionId, StorageKind, TransferRecord};
 use rdma_sim::{Fabric, LatencyModel};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -34,64 +34,100 @@ fn fig8_harness_transfer_bytes_are_exact_per_kind() {
     }
 }
 
+const BACKGROUND: u64 = 30;
+const FRESH: u64 = 7;
+const VALUE_LEN: u32 = 48;
+
+/// The one state transfer of a lagger that missed [`FRESH`] writes on top
+/// of a [`BACKGROUND`]-object store. With `durable`, both live replicas of
+/// its partition checkpoint while it is down, so their checkpoint bounds
+/// pass the lagger's position before it asks.
+fn lagger_transfer(kind: StorageKind, durable: bool) -> TransferRecord {
+    let simulation = sim::Simulation::new(8);
+    let fabric = Fabric::new(LatencyModel::connectx4());
+    let mut cfg = HeronConfig::new(2, 3);
+    if durable {
+        cfg = cfg.with_durability(
+            sim::storage::Storage::new(sim::storage::DiskConfig::nvme()),
+            Duration::from_secs(3600), // only the forced checkpoints run
+        );
+    }
+    let cluster = HeronCluster::build(&fabric, cfg, Arc::new(SyncApp { kind }));
+    cluster.spawn(&simulation);
+    let c2 = cluster.clone();
+    let metrics = cluster.metrics();
+    let metrics2 = metrics.clone();
+    let mut client = cluster.client("driver");
+    simulation.spawn("driver", move || {
+        // Phase 1: populate the store while every replica is up; these
+        // writes complete everywhere, so no transfer may ever re-ship
+        // them.
+        for k in 0..BACKGROUND {
+            client.execute(&enc_write(1000 + k, VALUE_LEN));
+        }
+        // Phase 2: crash one partition-0 replica; the multi-partition
+        // touch it misses turns it into a lagger on recovery, and the
+        // fresh writes below are exactly what its transfer must cover.
+        c2.crash_replica(PartitionId(0), 2);
+        client.execute(&enc_touch(P1_BIT));
+        for k in 0..FRESH {
+            client.execute(&enc_write(1 + k, VALUE_LEN));
+        }
+        if durable {
+            for i in 0..2 {
+                c2.checkpoint_replica(PartitionId(0), i)
+                    .expect("quiescent replica checkpoints");
+            }
+        }
+        c2.recover_replica(PartitionId(0), 2);
+        let deadline = sim::now() + Duration::from_secs(30);
+        while metrics2.transfers.lock().is_empty() && sim::now() < deadline {
+            sim::sleep(Duration::from_millis(1));
+        }
+        sim::stop();
+    });
+    simulation.run().expect("scenario completes");
+    let transfers = metrics.transfers.lock();
+    assert_eq!(transfers.len(), 1, "exactly one transfer ({kind:?})");
+    transfers[0]
+}
+
+/// Asserts that `t` shipped the [`FRESH`] objects and nothing else.
+fn assert_ships_only_fresh(t: TransferRecord, kind: StorageKind) {
+    assert_eq!(
+        t.bytes,
+        FRESH * per_object_bytes(VALUE_LEN as usize),
+        "only the {FRESH} objects overwritten while down may ship, \
+         not the {BACKGROUND}-object store ({kind:?})"
+    );
+    // Byte-for-byte accounting of the serialization path: natively
+    // stored objects are counted (they pay ser/deser time), serialized
+    // ones ship as-is.
+    let slot_bytes = FRESH * (per_object_bytes(VALUE_LEN as usize) - 16);
+    match kind {
+        StorageKind::Native => assert_eq!(t.native_bytes, slot_bytes),
+        StorageKind::Serialized => assert_eq!(t.native_bytes, 0),
+    }
+}
+
 /// The sharper claim: with a large pre-existing store, only the objects
 /// overwritten while the lagger was down are moved. Background objects
 /// written while everyone was up never re-ship.
 #[test]
 fn transfer_ships_only_objects_overwritten_while_down() {
-    const BACKGROUND: u64 = 30;
-    const FRESH: u64 = 7;
-    const VALUE_LEN: u32 = 48;
     for kind in [StorageKind::Serialized, StorageKind::Native] {
-        let simulation = sim::Simulation::new(8);
-        let fabric = Fabric::new(LatencyModel::connectx4());
-        let cluster =
-            HeronCluster::build(&fabric, HeronConfig::new(2, 3), Arc::new(SyncApp { kind }));
-        cluster.spawn(&simulation);
-        let c2 = cluster.clone();
-        let metrics = cluster.metrics();
-        let metrics2 = metrics.clone();
-        let mut client = cluster.client("driver");
-        simulation.spawn("driver", move || {
-            // Phase 1: populate the store while every replica is up; these
-            // writes complete everywhere, so no transfer may ever re-ship
-            // them.
-            for k in 0..BACKGROUND {
-                client.execute(&enc_write(1000 + k, VALUE_LEN));
-            }
-            // Phase 2: crash one partition-0 replica; the multi-partition
-            // touch it misses turns it into a lagger on recovery, and the
-            // fresh writes below are exactly what its transfer must cover.
-            c2.crash_replica(PartitionId(0), 2);
-            client.execute(&enc_touch(P1_BIT));
-            for k in 0..FRESH {
-                client.execute(&enc_write(1 + k, VALUE_LEN));
-            }
-            c2.recover_replica(PartitionId(0), 2);
-            let deadline = sim::now() + Duration::from_secs(30);
-            while metrics2.transfers.lock().is_empty() && sim::now() < deadline {
-                sim::sleep(Duration::from_millis(1));
-            }
-            sim::stop();
-        });
-        simulation.run().expect("scenario completes");
-        let transfers = metrics.transfers.lock();
-        assert_eq!(transfers.len(), 1, "exactly one transfer ({kind:?})");
-        let t = &transfers[0];
-        assert_eq!(
-            t.bytes,
-            FRESH * per_object_bytes(VALUE_LEN as usize),
-            "only the {FRESH} objects overwritten while down may ship, \
-             not the {BACKGROUND}-object store ({kind:?})"
-        );
-        // Byte-for-byte accounting of the serialization path: natively
-        // stored objects are counted (they pay ser/deser time), serialized
-        // ones ship as-is.
-        let slot_bytes = FRESH * (per_object_bytes(VALUE_LEN as usize) - 16);
-        match kind {
-            StorageKind::Native => assert_eq!(t.native_bytes, slot_bytes),
-            StorageKind::Serialized => assert_eq!(t.native_bytes, 0),
-        }
+        assert_ships_only_fresh(lagger_transfer(kind, false), kind);
+    }
+}
+
+/// The same with durability, when the responders' checkpoints have passed
+/// the lagger's position: the responder picks what changed from the
+/// store's version stamps, so a checkpoint behind it does not turn the
+/// transfer into a full-store copy.
+#[test]
+fn transfer_below_a_checkpoint_ships_only_overwritten_objects() {
+    for kind in [StorageKind::Serialized, StorageKind::Native] {
+        assert_ships_only_fresh(lagger_transfer(kind, true), kind);
     }
 }
 

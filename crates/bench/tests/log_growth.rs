@@ -1,8 +1,10 @@
 //! Log-growth guard (DESIGN.md §14): with checkpointing on, the durable
-//! amcast WAL and the in-memory execution log are *bounded* by the
-//! truncation horizon — they must not grow with run length. A long run
-//! at a short checkpoint interval samples both continuously; unbounded
-//! growth here is the regression that turns "durable" into "leaks disk".
+//! amcast WAL is *bounded* by the truncation horizon — it must not grow
+//! with run length. A long run at a short checkpoint interval samples it
+//! continuously; unbounded growth here is the regression that turns
+//! "durable" into "leaks disk". (Heron keeps no update log beside the
+//! store: state transfer reads what changed from the store's version
+//! stamps, so there is no second log to bound.)
 
 use heron_bench::chaos::{self, Bank, BankSpec};
 use heron_core::checker::Checker;
@@ -30,20 +32,12 @@ fn wal_and_log_stay_bounded_under_truncation() {
 
     let stop = Arc::new(AtomicBool::new(false));
     let max_wal = Arc::new(AtomicUsize::new(0));
-    let max_log = Arc::new(AtomicUsize::new(0));
-    let (c2, stop2, mw, ml) = (
-        cluster.clone(),
-        stop.clone(),
-        max_wal.clone(),
-        max_log.clone(),
-    );
+    let (c2, stop2, mw) = (cluster.clone(), stop.clone(), max_wal.clone());
     simulation.spawn("growth-sampler", move || {
         while !stop2.load(Ordering::SeqCst) {
             sim::sleep(Duration::from_micros(100));
             for i in 0..3 {
-                let p = PartitionId(0);
-                mw.fetch_max(c2.wal_frames(p, i), Ordering::SeqCst);
-                ml.fetch_max(c2.update_log_len(p, i), Ordering::SeqCst);
+                mw.fetch_max(c2.wal_frames(PartitionId(0), i), Ordering::SeqCst);
             }
         }
     });
@@ -77,15 +71,10 @@ fn wal_and_log_stay_bounded_under_truncation() {
     // delivers ~REQUESTS entries per replica; demand a hard ceiling at
     // half of it (in practice the horizon keeps it to a handful).
     let wal = max_wal.load(Ordering::SeqCst);
-    let log = max_log.load(Ordering::SeqCst);
     assert!(wal > 0, "sampler must observe a live WAL");
     assert!(
         wal < REQUESTS as usize / 2,
         "WAL grew with run length: peaked at {wal} frames over {REQUESTS} requests"
-    );
-    assert!(
-        log < REQUESTS as usize / 2,
-        "execution log grew with run length: peaked at {log} entries"
     );
 
     // The truncation machinery itself must have done the bounding.
@@ -97,9 +86,5 @@ fn wal_and_log_stay_bounded_under_truncation() {
     assert!(
         metrics.wal_truncated_frames.load(Ordering::Relaxed) > 0,
         "WAL truncation never ran"
-    );
-    assert!(
-        metrics.log_truncated_entries.load(Ordering::Relaxed) > 0,
-        "execution-log truncation never ran"
     );
 }

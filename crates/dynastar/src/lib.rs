@@ -25,6 +25,9 @@
 //! The same [`heron_core::StateMachine`] application runs unmodified on
 //! both systems, so Fig. 5 compares identical workloads.
 #![forbid(unsafe_code)]
+// A `for` over a `HashMap`/`HashSet` runs in `RandomState` order, which
+// differs per process: anything it posts, or reports first, stops replaying.
+#![deny(clippy::iter_over_hash_type)]
 
 use bytes::Bytes;
 use heron_core::{Execution, LocalReader, Metrics, ObjectId, PartitionId, ReadSet, StateMachine};
@@ -149,9 +152,6 @@ struct Inner {
     metrics: Arc<Metrics>,
     /// Authoritative leader stores, exposed for test inspection.
     stores: Vec<Arc<Mutex<HashMap<ObjectId, Bytes>>>>,
-    /// Per-leader progress word for diagnostics: `cmd_id << 8 | stage`
-    /// (stage: 0 idle, 1 replicating, 2 await-moves, 3 await-writeback).
-    progress: Vec<Arc<std::sync::atomic::AtomicU64>>,
 }
 
 impl fmt::Debug for DynaStar {
@@ -181,9 +181,6 @@ impl DynaStar {
                 app.bootstrap(PartitionId(p as u16)).into_iter().collect();
             stores.push(Arc::new(Mutex::new(store)));
         }
-        let progress = (0..cfg.partitions)
-            .map(|_| Arc::new(std::sync::atomic::AtomicU64::new(0)))
-            .collect();
         DynaStar {
             inner: Rc::new(Inner {
                 metrics: Arc::new(Metrics::new(cfg.partitions)),
@@ -194,22 +191,8 @@ impl DynaStar {
                 leaders,
                 followers,
                 stores,
-                progress,
             }),
         }
-    }
-
-    /// Per-leader progress snapshot (diagnostics): `(cmd_id, stage)` where
-    /// stage is 0 idle, 1 replicating, 2 await-moves, 3 await-writeback.
-    pub fn leader_progress(&self) -> Vec<(u64, u64)> {
-        self.inner
-            .progress
-            .iter()
-            .map(|w| {
-                let v = w.load(std::sync::atomic::Ordering::Relaxed);
-                (v >> 8, v & 0xFF)
-            })
-            .collect()
     }
 
     /// Cluster metrics (client latencies, throughput).
@@ -419,19 +402,6 @@ fn run_leader(inner: Rc<Inner>, me: PartitionId, ep: Endpoint<Msg>) {
                 current = Some(cur);
             }
         }
-        let word = match &current {
-            None => 0,
-            Some(c) => {
-                (c.id << 8)
-                    | match c.stage {
-                        Stage::Replicating { .. } => 1,
-                        Stage::AwaitMoves => 2,
-                        Stage::AwaitWriteBack => 3,
-                        Stage::Done => 0,
-                    }
-            }
-        };
-        inner.progress[me.0 as usize].store(word, std::sync::atomic::Ordering::Relaxed);
     }
 }
 

@@ -13,9 +13,9 @@
 //!   trace is strictly increasing in timestamp, and every request *settled*
 //!   by a majority (per the replicas' `completed_req` watermarks) is covered
 //!   — executed or state-transferred — by at least a majority of replicas;
-//! * **(b) store order** — per replica, the write log is per-object
-//!   monotone and the dual-versioned store's latest version is at least the
-//!   log's newest write; across replicas, equal-timestamp versions are
+//! * **(b) store order** — per replica, the store's write-order monitor
+//!   caught no write or install stamped below its object's newest
+//!   version; across replicas, equal-timestamp versions are
 //!   byte-identical and every replica whose `completed_req` reaches a
 //!   write's timestamp holds exactly that version (commit-order
 //!   consistency of the dual-versioning scheme, paper §III-A);
@@ -36,7 +36,7 @@ use crate::cluster::HeronCluster;
 use crate::types::{ObjectId, PartitionId};
 use bytes::Bytes;
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -259,45 +259,17 @@ impl Checker {
                 }
             }
 
-            // (b1) per-replica: write log monotone per object, store at least
-            // as new as the log.
+            // (b1) per-replica: writes to every object landed in timestamp
+            // order, as the store's monitor saw them land.
             for i in 0..n {
-                let log = cluster.write_log(p, i);
-                // Ordered by object id, so which violation is reported first
-                // (and hence a failure message) replays word for word.
-                let mut newest: BTreeMap<ObjectId, u64> = BTreeMap::new();
-                for &(ts, oid) in &log {
-                    if let Some(&prev) = newest.get(&oid) {
-                        if ts < prev {
-                            return Err(self.violation(
-                                "store",
-                                format!(
-                                    "{p} replica {i}: write log for {oid} regressed ({ts} after {prev})"
-                                ),
-                            ));
-                        }
-                    }
-                    newest.insert(oid, ts);
-                }
-                for (&oid, &max_ts) in &newest {
-                    match cluster.peek_versioned(p, i, oid) {
-                        None => {
-                            return Err(self.violation(
-                                "store",
-                                format!("{p} replica {i}: logged object {oid} missing from store"),
-                            ))
-                        }
-                        Some((vts, _)) if vts < max_ts => {
-                            return Err(self.violation(
-                                "store",
-                                format!(
-                                    "{p} replica {i}: store holds {oid} at ts {vts}, behind its \
-                                     own log ({max_ts})"
-                                ),
-                            ))
-                        }
-                        Some(_) => {}
-                    }
+                if let Some((oid, ts, newest)) = cluster.store_order_violation(p, i) {
+                    return Err(self.violation(
+                        "store",
+                        format!(
+                            "{p} replica {i}: {oid} written at ts {ts} over its newer version \
+                             ({newest})"
+                        ),
+                    ));
                 }
             }
 

@@ -4,9 +4,8 @@
 //! *checkpointer* process: at a quiescent executor boundary it serializes
 //! the partition's store ([`encode_state`]), stamps the image with the
 //! executor's commit watermark and the ordering epoch, persists it to the
-//! replica's durable namespace, and truncates both the in-memory update
-//! log and the ordering layer's WAL behind that horizon — so neither log
-//! grows without bound.
+//! replica's durable namespace, and truncates the ordering layer's WAL
+//! behind that horizon — so the WAL does not grow without bound.
 //!
 //! A replica that loses power (registered memory wiped) rebuilds from the
 //! checkpoint plus the WAL tail: it installs the image
@@ -30,7 +29,7 @@
 
 use crate::cluster::ReplicaShared;
 use crate::layout::{decode_records, encode_record};
-use crate::store::VersionedStore;
+use crate::store::{VersionedStore, CHECKPOINT_INSTALL};
 use crate::types::ObjectId;
 use amcast::GroupId;
 use std::rc::Rc;
@@ -80,7 +79,7 @@ fn raw_slots(store: &VersionedStore) -> impl Iterator<Item = (ObjectId, Vec<u8>)
 /// allocating the slots a wipe took.
 pub fn install_state(image: &[u8], store: &VersionedStore) {
     for (oid, raw) in decode_records(image) {
-        store.apply_raw_slot(oid, raw, "checkpoint-install");
+        store.apply_raw_slot(oid, raw, CHECKPOINT_INSTALL);
     }
 }
 
@@ -198,27 +197,14 @@ pub(crate) fn checkpoint_replica(shared: &Rc<ReplicaShared>) -> Option<Checkpoin
     if node.power_cycles() != cycles || !node.is_alive() {
         // The lights went out while the file was flushing. The checkpoint
         // itself is durable and consistent, but the executor is about to
-        // rebuild from it — leave the logs alone and let the next round
+        // rebuild from it — leave the WAL alone and let the next round
         // (or the restart path) truncate behind a horizon it re-derives.
         return None;
     }
-    // Truncate the in-memory update log behind the horizon. The floor is
-    // raised *before* the log shrinks (no yield between the two), so a
-    // state-transfer responder either sees the full log or sees the raised
-    // floor and falls back to shipping full state — never a truncated log
-    // it mistakes for a complete diff.
-    shared.log_floor.store(bound, Ordering::SeqCst);
-    // Checkpoint-floor watermark raised: progress for the explorer's
+    // Checkpoint bound raised: progress for the explorer's
     // zero-virtual-time livelock guards.
     sim::note_progress();
-    let log_dropped = {
-        let mut log = shared.log.lock();
-        let before = log.len();
-        log.retain(|&(ts, _)| ts > bound);
-        before - log.len()
-    };
-    // Truncate the ordering WAL behind the same horizon (compaction I/O
-    // charged here).
+    // Truncate the ordering WAL behind it (compaction I/O charged here).
     let (dropped, _remaining) = shared.cluster.mcast.truncate_wal(group, shared.idx, bound);
     sim::trace::instant("ckpt.truncate", bound);
     let metrics = &shared.cluster.metrics;
@@ -226,9 +212,6 @@ pub(crate) fn checkpoint_replica(shared: &Rc<ReplicaShared>) -> Option<Checkpoin
     metrics
         .wal_truncated_frames
         .fetch_add(dropped as u64, Ordering::Relaxed);
-    metrics
-        .log_truncated_entries
-        .fetch_add(log_dropped as u64, Ordering::Relaxed);
     Some(meta)
 }
 

@@ -46,9 +46,6 @@ pub(crate) struct ReplicaShared {
     /// node memory, only the watermarks below, so whoever advances
     /// `completed_req` notifies it ([`Self::set_completed`]).
     pub quiesce: sim::Cond,
-    /// Update log: `(ts_raw, oid)` of every local write, used by state
-    /// transfer to bound what must be synchronized (paper §III-A).
-    pub log: Mutex<Vec<(u64, ObjectId)>>,
     /// `last_req` of Algorithm 1 (raw timestamp; set at delivery).
     pub last_req: AtomicU64,
     /// Raw timestamp of the last request whose write phase finished.
@@ -59,11 +56,6 @@ pub(crate) struct ReplicaShared {
     /// Address queries answered so far: `oid → nodes heard from` (the
     /// majority-wait of Algorithm 2, lines 11–13).
     pub addr_heard: Mutex<HashMap<ObjectId, Vec<NodeId>>>,
-    /// Raw timestamp horizon the update log was last truncated at: entries
-    /// `<= log_floor` are gone from `log`. State-transfer responders whose
-    /// requester asks from below the floor must ship full state. Stays 0
-    /// (and the log untruncated) without durability.
-    pub log_floor: AtomicU64,
     /// The power-cycle generation the store contents reflect: raised by
     /// the delivery driver once a cold restart has rebuilt the store. The
     /// checkpointer refuses to snapshot while this lags
@@ -305,12 +297,10 @@ impl HeronCluster {
                     poller,
                     svc_poller,
                     quiesce: sim::Cond::labeled("ckpt.quiesce"),
-                    log: Mutex::new(Vec::new()),
                     last_req: AtomicU64::new(0),
                     completed_req: AtomicU64::new(0),
                     object_map: Mutex::new(HashMap::new()),
                     addr_heard: Mutex::new(HashMap::new()),
-                    log_floor: AtomicU64::new(0),
                     restored_cycles: AtomicU64::new(0),
                     disk: inner
                         .cfg
@@ -466,12 +456,6 @@ impl HeronCluster {
         crate::checkpoint::encode_state(&self.replicas[p.0 as usize][i].store)
     }
 
-    /// Number of entries in replica `(p, i)`'s in-memory update log — with
-    /// [`HeronCluster::wal_frames`], the log-growth guard's probe.
-    pub fn update_log_len(&self, p: PartitionId, i: usize) -> usize {
-        self.replicas[p.0 as usize][i].log.lock().len()
-    }
-
     /// I/O counters of replica `(p, i)`'s durable namespace (`None`
     /// without durability).
     pub fn disk_stats(&self, p: PartitionId, i: usize) -> Option<sim::storage::DiskStats> {
@@ -510,10 +494,15 @@ impl HeronCluster {
             .map(|(t, v)| (t.raw(), v))
     }
 
-    /// The write log of replica `(p, i)` (diagnostics): one `(ts_raw, oid)`
-    /// entry per local write, in apply order.
-    pub fn write_log(&self, p: PartitionId, i: usize) -> Vec<(u64, ObjectId)> {
-        self.replicas[p.0 as usize][i].log.lock().clone()
+    /// The first write or install replica `(p, i)`'s store caught stamped
+    /// below its object's newest version, as raw `(oid, ts, newest)`
+    /// ([`VersionedStore::order_violation`]). `None` while writes to every
+    /// object landed in timestamp order.
+    pub fn store_order_violation(&self, p: PartitionId, i: usize) -> Option<(ObjectId, u64, u64)> {
+        self.replicas[p.0 as usize][i]
+            .store
+            .order_violation()
+            .map(|(oid, ts, newest)| (oid, ts.raw(), newest.raw()))
     }
 
     /// The object ids hosted by replica `(p, i)`'s store, sorted

@@ -9,8 +9,8 @@ use std::time::Duration;
 /// a simulated persistent storage device: each replica then appends the
 /// ordering layer's delivery log to a per-replica WAL, periodically
 /// persists an application checkpoint stamped with the executor's commit
-/// watermark and the ordering epoch, and truncates both the in-memory
-/// update log and the WAL behind that horizon. A fully crashed partition
+/// watermark and the ordering epoch, and truncates the WAL behind that
+/// horizon. A fully crashed partition
 /// rebuilds from checkpoint + WAL tail instead of live peer memory.
 ///
 /// Absent (`HeronConfig::durability == None`, the default), no storage

@@ -427,7 +427,7 @@ impl ExecCore {
         }
 
         // The writing phase: our own objects, as one store batch under the
-        // dual-versioning rule, appended to the update log in write order.
+        // dual-versioning rule.
         let mut own_writes = Vec::with_capacity(exec.writes.len());
         for (oid, value) in &exec.writes {
             match app.placement(*oid) {
@@ -438,11 +438,7 @@ impl ExecCore {
                 Placement::Partition(_) => {}
             }
         }
-        if !own_writes.is_empty() {
-            shared.store.set_many(&own_writes, ts);
-            let logged = own_writes.iter().map(|&(oid, _)| (ts.raw(), oid));
-            shared.log.lock().extend(logged);
-        }
+        shared.store.set_many(&own_writes, ts);
         Ok(exec.response)
     }
 
@@ -1232,7 +1228,6 @@ impl Driver {
         // Volatile protocol state is gone with the memory that backed it.
         // Commands admitted but not dispatched are in the WAL like every
         // other delivery, and come back through the replay.
-        shared.log.lock().clear();
         shared.exec_trace.lock().clear();
         shared.object_map.lock().clear();
         shared.addr_heard.lock().clear();
@@ -1258,9 +1253,6 @@ impl Driver {
         };
         shared.last_req.store(bound, Ordering::SeqCst);
         shared.set_completed(bound);
-        // Our own update log restarts empty at the bound: a peer asking
-        // for state from below it gets full state, not an empty diff.
-        shared.log_floor.store(bound, Ordering::SeqCst);
         if bound > 0 {
             shared.exec_trace.lock().push((bound, 't'));
         }

@@ -140,8 +140,6 @@ pub struct Metrics {
     pub checkpoints: AtomicU64,
     /// Ordering-WAL frames checkpoints truncated.
     pub wal_truncated_frames: AtomicU64,
-    /// Execution-log entries checkpoints truncated.
-    pub log_truncated_entries: AtomicU64,
 }
 
 impl fmt::Debug for Metrics {

@@ -14,10 +14,9 @@ use crate::layout::{
     decode_chunk_header, decode_records, encode_chunk_header, encode_record, encode_sync, CHUNK_HDR,
 };
 use crate::metrics::TransferRecord;
-use crate::types::{ObjectId, PartitionId, StorageKind};
+use crate::types::{PartitionId, StorageKind};
 use amcast::Timestamp;
 use rdma_sim::{Addr, MemView};
-use std::collections::BTreeSet;
 use std::rc::Rc;
 use std::sync::atomic::Ordering;
 
@@ -165,10 +164,8 @@ pub(crate) const TRANSFER_INSTALL: &str = "transfer-install";
 /// Applies, in stamp order from `*next`, every staged chunk of the stream
 /// this transfer installs — the first chunk applied names it in `*stream`
 /// — charging the modeled deserialization cost of natively-stored objects
-/// (paper §V-E2) and recording each object in the update log, so we can
-/// serve a future lagger ourselves. After each chunk, bumps the `applied`
-/// word the responder reads for flow control. Returns the `(bytes, native
-/// bytes)` applied.
+/// (paper §V-E2). After each chunk, bumps the `applied` word the responder
+/// reads for flow control. Returns the `(bytes, native bytes)` applied.
 fn apply_staged(shared: &ReplicaShared, next: &mut u64, stream: &mut Option<u64>) -> (u64, u64) {
     let cfg = &shared.cluster.cfg;
     let (mut bytes, mut native_bytes) = (0, 0);
@@ -184,11 +181,6 @@ fn apply_staged(shared: &ReplicaShared, next: &mut u64, stream: &mut Option<u64>
                 native += raw.len() as u64;
             }
             shared.store.apply_raw_slot(oid, raw, TRANSFER_INSTALL);
-            if let Some((ts, _)) = shared.store.get(oid) {
-                if ts != Timestamp::ZERO {
-                    shared.log.lock().push((ts.raw(), oid));
-                }
-            }
         }
         if native > 0 {
             sim::sleep_ns(native * cfg.deser_ns_per_kib / 1024);
@@ -243,25 +235,10 @@ pub(crate) fn respond_transfer(shared: &Rc<ReplicaShared>, requester: usize, fro
     // Snapshot at a request boundary: the driver only serves once nothing
     // is in flight, so it already stands at one.
     let bound = shared.completed_req.load(Ordering::SeqCst);
-    // Line 12: the update log bounds what must be synchronized — unless
-    // the checkpointer truncated it past the requester's position, in
-    // which case the log no longer covers the deficit and we ship full
-    // state (transfer-from-checkpoint's live-peer analogue). The floor
-    // read and the log scan have no yield between them, and the
-    // checkpointer raises the floor before shrinking the log, so a
-    // truncated log is never mistaken for a complete diff.
-    let floor = shared.log_floor.load(Ordering::SeqCst);
-    let oids: BTreeSet<ObjectId> = if from < floor {
-        shared.store.object_ids().into_iter().collect()
-    } else {
-        shared
-            .log
-            .lock()
-            .iter()
-            .filter(|(ts, _)| *ts > from)
-            .map(|(_, oid)| *oid)
-            .collect()
-    };
+    // Line 12: every object written after `from` — the store stamps each
+    // object with its newest write, and nothing is in flight, so no stamp
+    // passes `bound`.
+    let changed = shared.store.changed_since(Timestamp::from_raw(from));
     let app = &shared.cluster.app;
     let chunk_cap = cfg.transfer_chunk;
     let mut chunk_body: Vec<u8> = Vec::with_capacity(chunk_cap);
@@ -324,10 +301,7 @@ pub(crate) fn respond_transfer(shared: &Rc<ReplicaShared>, requester: usize, fro
         body.clear();
         true
     };
-    for oid in oids {
-        let Some(slot) = shared.store.slot(oid) else {
-            continue;
-        };
+    for (oid, slot) in changed {
         let raw = shared.store.raw_slot_bytes(slot);
         // Native objects must be serialized before shipping
         // (paper §V-E2, second scenario).
@@ -503,7 +477,9 @@ pub(crate) fn pending_sync_requests<'a>(
 mod tests {
     use super::*;
     use crate::layout::SYNC_ENTRY;
-    use crate::{Execution, HeronCluster, HeronConfig, LocalReader, ReadSet, StateMachine};
+    use crate::{
+        Execution, HeronCluster, HeronConfig, LocalReader, ObjectId, ReadSet, StateMachine,
+    };
     use parking_lot::Mutex;
     use proptest::prelude::*;
     use rdma_sim::{Fabric, LatencyModel};

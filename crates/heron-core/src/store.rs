@@ -154,6 +154,20 @@ impl Hasher for OidHasher {
 
 struct StoreInner {
     slots: HashMap<ObjectId, Slot, BuildHasherDefault<OidHasher>>,
+    /// The first write or install stamped below its object's newest
+    /// version, as `(oid, ts, newest)`.
+    order_violation: Option<(ObjectId, Timestamp, Timestamp)>,
+}
+
+impl StoreInner {
+    /// The write-order monitor: writes to one object land in timestamp
+    /// order, so a write or install at `ts` never finds a newer version
+    /// in place. Keeps the first violation.
+    fn check_order(&mut self, oid: ObjectId, ts: Timestamp, newest: Timestamp) {
+        if ts < newest && self.order_violation.is_none() {
+            self.order_violation = Some((oid, ts, newest));
+        }
+    }
 }
 
 /// A replica's dual-versioned object store, backed by its node's
@@ -177,6 +191,13 @@ pub struct VersionedStore {
     break_victim_guard: bool,
 }
 
+/// The op label of a checkpoint install
+/// ([`crate::checkpoint::install_state`]). It rebuilds a store a power
+/// loss wiped, so the write-order monitor does not compare it with what
+/// the slot holds: that can only be a version of the lost power cycle (a
+/// command caught mid-write by the outage writes the wiped memory).
+pub(crate) const CHECKPOINT_INSTALL: &str = "checkpoint-install";
+
 /// The [`rdma_sim::Fabric::sabotage`] name of [`VersionedStore::set`]'s
 /// victim rule. Built without it the store overwrites the version with the
 /// *larger* timestamp, which `race_audit --selftest` requires the race
@@ -199,6 +220,7 @@ impl VersionedStore {
             node,
             inner: Mutex::new(StoreInner {
                 slots: HashMap::default(),
+                order_violation: None,
             }),
             detector: None,
         }
@@ -370,6 +392,7 @@ impl VersionedStore {
                 if let Some(prev) = slots[..i].iter().rposition(|s| s.addr == slot.addr) {
                     stamps[i] = stamps[prev];
                 }
+                inner.check_order(*oid, tmp, stamps[i][0].max(stamps[i][1]));
                 let victim = self.victim(*oid, *slot, stamps[i], tmp);
                 stamps[i][victim] = tmp;
                 self.write_version(&mut buf, *slot, victim, tmp, value);
@@ -434,6 +457,26 @@ impl VersionedStore {
         v
     }
 
+    /// Every hosted object whose newest version is stamped after `from`,
+    /// with its slot, in id order — what a state-transfer responder ships
+    /// to a requester that completed `from` (Algorithm 3, line 12). Read
+    /// under one lock and one memory view.
+    pub fn changed_since(&self, from: Timestamp) -> Vec<(ObjectId, Slot)> {
+        let inner = self.inner.lock();
+        let mut all: Vec<(ObjectId, Slot)> = inner.slots.iter().map(|(&o, &s)| (o, s)).collect();
+        all.sort_unstable_by_key(|&(oid, _)| oid);
+        self.node.with_mem(|m| {
+            all.retain(|&(_, slot)| latest_of(versions_in(m, slot)).0 > from);
+        });
+        all
+    }
+
+    /// The first write or install the write-order monitor caught stamped
+    /// below its object's newest version, as `(oid, ts, newest)`.
+    pub fn order_violation(&self) -> Option<(ObjectId, Timestamp, Timestamp)> {
+        self.inner.lock().order_violation
+    }
+
     /// Flips the first payload byte of **both** versions of `oid`'s slot,
     /// leaving timestamps and lengths intact — a deliberate corruption used
     /// by the consistency checker's self-test to prove the cross-replica
@@ -466,22 +509,27 @@ impl VersionedStore {
     /// unless the install has a name of its own).
     pub fn apply_raw_slot(&self, oid: ObjectId, raw: &[u8], op: &'static str) {
         let cap = (raw.len() - 2 * VERSION_HDR) / 2;
-        let (slot, fresh) = {
-            let mut inner = self.inner.lock();
-            match inner.slots.entry(oid) {
-                std::collections::hash_map::Entry::Occupied(e) => (*e.get(), false),
-                std::collections::hash_map::Entry::Vacant(e) => (
-                    *e.insert(Slot {
-                        addr: self.node.alloc_bytes(raw.len()),
-                        cap,
-                    }),
-                    true,
-                ),
+        let mut inner = self.inner.lock();
+        let slot = match inner.slots.get(&oid) {
+            Some(&slot) => {
+                if op != CHECKPOINT_INSTALL {
+                    let newest = self.node.with_mem(|m| latest_of(versions_in(m, slot)).0);
+                    let ts = latest_of(borrow_versions(raw, cap)).0;
+                    inner.check_order(oid, ts, newest);
+                }
+                slot
+            }
+            None => {
+                let slot = Slot {
+                    addr: self.node.alloc_bytes(raw.len()),
+                    cap,
+                };
+                inner.slots.insert(oid, slot);
+                self.annotate_slot(oid, slot);
+                slot
             }
         };
-        if fresh {
-            self.annotate_slot(oid, slot);
-        }
+        drop(inner);
         assert_eq!(
             slot.cap, cap,
             "state-transfer slot shape mismatch for {oid}"
@@ -591,6 +639,55 @@ mod tests {
         s2.apply_raw_slot(ObjectId(7), &raw, "local-write");
         let (t, v) = s2.get(ObjectId(7)).unwrap();
         assert_eq!((t, v.as_ref()), (ts(4), b"world".as_ref()));
+    }
+
+    #[test]
+    fn a_write_below_the_newest_version_is_recorded() {
+        let s = store();
+        s.bootstrap(ObjectId(1), b"v0");
+        s.set(ObjectId(1), b"v5", ts(5));
+        s.set(ObjectId(1), b"v5", ts(5));
+        assert_eq!(s.order_violation(), None, "a repeated stamp is in order");
+        s.set(ObjectId(1), b"v3", ts(3));
+        s.set(ObjectId(1), b"v2", ts(2));
+        assert_eq!(s.order_violation(), Some((ObjectId(1), ts(3), ts(5))));
+    }
+
+    #[test]
+    fn an_install_below_the_newest_version_is_recorded() {
+        let fabric = Fabric::new(LatencyModel::zero());
+        let old = VersionedStore::new(fabric.add_node("a"));
+        let new = VersionedStore::new(fabric.add_node("b"));
+        old.bootstrap(ObjectId(7), b"x");
+        old.set(ObjectId(7), b"y", ts(4));
+        new.bootstrap(ObjectId(7), b"x");
+        new.set(ObjectId(7), b"z", ts(9));
+        let raw = old.raw_slot_bytes(old.slot(ObjectId(7)).unwrap());
+        new.apply_raw_slot(ObjectId(7), &raw, "local-write");
+        assert_eq!(new.order_violation(), Some((ObjectId(7), ts(4), ts(9))));
+    }
+
+    #[test]
+    fn changed_since_lists_objects_stamped_after_the_bound_in_id_order() {
+        let s = store();
+        for oid in [9, 2, 5, 7] {
+            s.bootstrap(ObjectId(oid), b"v0");
+        }
+        s.set_many(&[(ObjectId(9), b"a"), (ObjectId(5), b"b")], ts(3));
+        s.set(ObjectId(2), b"c", ts(6));
+        let ids = |from| -> Vec<ObjectId> {
+            s.changed_since(from)
+                .into_iter()
+                .map(|(oid, _)| oid)
+                .collect()
+        };
+        assert_eq!(
+            ids(Timestamp::ZERO),
+            [ObjectId(2), ObjectId(5), ObjectId(9)]
+        );
+        assert_eq!(ids(ts(3)), [ObjectId(2)]);
+        assert_eq!(ids(ts(6)), []);
+        assert_eq!(s.changed_since(ts(3))[0].1, s.slot(ObjectId(2)).unwrap());
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! value the width-1 inline lane produces, and all replicas must converge.
 //!
 //! Both widths run the same driver, so agreement between them is not the
-//! whole property: each run also checks it directly on every replica's
-//! write log, where delivery order is timestamp order.
+//! whole property: each run also checks it where writes land, on every
+//! replica's store (its write-order monitor; delivery order is timestamp
+//! order), and at width 1 on the execution trace.
 
 use bytes::Bytes;
 use heron_core::{
@@ -211,25 +212,32 @@ fn run_chains(width: usize) -> BTreeMap<u64, u64> {
     assert_eq!(done.load(Ordering::SeqCst), total);
 
     // The property itself, on every replica: writes to one chain — i.e.
-    // commands sharing a conflict key — applied in delivery (timestamp)
-    // order. The inline lane runs one command at a time, so at width 1 the
-    // whole log is in delivery order, not just each chain's slice of it.
+    // commands sharing a conflict key — landed in delivery (timestamp)
+    // order, which the store checks as each write lands. The inline lane
+    // runs one command at a time, so at width 1 every execution is in
+    // delivery order, not just each chain's.
     for p in 0..PARTITIONS {
         for r in 0..3 {
-            let log = cluster.write_log(PartitionId(p), r);
-            assert!(!log.is_empty(), "width {width}: p{p}r{r} applied nothing");
-            let mut last: BTreeMap<ObjectId, u64> = BTreeMap::new();
-            let mut prev = 0;
-            for (ts, oid) in log {
-                if let Some(before) = last.insert(oid, ts) {
+            let p = PartitionId(p);
+            assert_eq!(
+                cluster.store_order_violation(p, r),
+                None,
+                "width {width}: {p}r{r} wrote (object, ts, over newer ts)"
+            );
+            let executed: Vec<u64> = cluster
+                .exec_trace(p, r)
+                .into_iter()
+                .filter_map(|(ts, e)| (e == 'e').then_some(ts))
+                .collect();
+            assert!(!executed.is_empty(), "width {width}: {p}r{r} ran nothing");
+            if width == 1 {
+                for w in executed.windows(2) {
                     assert!(
-                        before < ts,
-                        "width {width}: p{p}r{r} applied {oid} at ts {ts} after ts {before}"
+                        w[0] < w[1],
+                        "width 1: {p}r{r} ran ts {} after ts {}",
+                        w[1],
+                        w[0]
                     );
-                }
-                if width == 1 {
-                    assert!(prev <= ts, "width 1: p{p}r{r} ran ts {ts} after ts {prev}");
-                    prev = ts;
                 }
             }
         }

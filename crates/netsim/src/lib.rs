@@ -34,6 +34,9 @@
 //! simulation.run().unwrap();
 //! ```
 #![forbid(unsafe_code)]
+// A `for` over a `HashMap`/`HashSet` runs in `RandomState` order, which
+// differs per process: anything it posts, or reports first, stops replaying.
+#![deny(clippy::iter_over_hash_type)]
 
 use sim::Mailbox;
 use std::cell::{Cell, RefCell};

@@ -38,11 +38,6 @@ impl QueuePair {
         QueuePair { ends }
     }
 
-    /// The local endpoint's id.
-    pub fn local_id(&self) -> NodeId {
-        self.ends.local.id()
-    }
-
     /// The remote endpoint's id.
     pub fn remote_id(&self) -> NodeId {
         self.ends.remote.id()

@@ -707,11 +707,6 @@ impl RaceDetector {
         self.state.reports.lock().clone()
     }
 
-    /// Drains the recorded reports.
-    pub fn take_reports(&self) -> Vec<RaceReport> {
-        std::mem::take(&mut *self.state.reports.lock())
-    }
-
     /// Current counters.
     pub fn stats(&self) -> DetectorStats {
         DetectorStats {

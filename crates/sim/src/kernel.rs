@@ -1008,16 +1008,6 @@ impl Simulation {
         let state = self.kernel.enable_prof(crate::prof::DEFAULT_BUCKET_NS);
         crate::prof::Profiler::new(state, Rc::clone(&self.kernel))
     }
-
-    /// Runs for `d` more virtual time from the current instant.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises any panic from a simulated process.
-    pub fn run_for(&self, d: std::time::Duration) -> SimResult<()> {
-        let deadline = self.now().as_nanos().saturating_add(d.as_nanos() as u64);
-        self.run_loop(Some(deadline), false)
-    }
 }
 
 impl Drop for Simulation {

@@ -13,7 +13,9 @@ cd "$(dirname "$0")/.."
 # No stanza here compares two wall clocks: what a switch, tracing or
 # profiling costs in host time is judged on the ledger's interleaved pairs
 # (`sim.kernel_handoff_ns_per_event` over `sim.kernel_timer_ns_per_event`,
-# `trace.overhead_pct`; benchmark/, scripts/ledger_pairs.py).
+# `trace.overhead_pct`; benchmark/, scripts/ledger_pairs.py). Nor does one
+# compare two builds: whether a change moved any chaos verdict against its
+# parent is scripts/ladder_diff.sh's question.
 
 verdicts=()
 failed=0
