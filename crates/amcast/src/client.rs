@@ -8,6 +8,12 @@ use rdma_sim::{Node, NodeId, QueuePair};
 use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
+use std::time::Duration;
+
+/// CPU time a client spends preparing and posting one multicast
+/// (serialization + verb posting, calibrated to the paper's Java
+/// prototype).
+const SUBMIT_CPU: Duration = Duration::from_nanos(3_000);
 
 /// A client attached to an atomic multicast deployment.
 ///
@@ -94,7 +100,7 @@ impl McastClient {
             u64::from(uid.0),
             &[("groups", dests.len() as u64)],
         );
-        sim::sleep(self.inner.cfg.submit_cpu);
+        sim::sleep(SUBMIT_CPU);
         for g in mask_groups(mask) {
             let leader_idx = self.believed_leader[g.0 as usize];
             let target = &self.inner.nodes[g.0 as usize][leader_idx];

@@ -1,7 +1,5 @@
 //! Multicast configuration.
 
-use std::time::Duration;
-
 /// Configuration for an atomic multicast deployment.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct McastConfig {
@@ -19,23 +17,6 @@ pub struct McastConfig {
     pub ctrl_slots: usize,
     /// Replicated-log slots per group.
     pub log_slots: usize,
-    /// Leader heartbeat period.
-    pub heartbeat_interval: Duration,
-    /// A follower suspects the leader after this much heartbeat silence.
-    pub leader_timeout: Duration,
-    /// CPU time a client spends preparing and posting one multicast
-    /// (serialization + verb posting, calibrated to the paper's Java
-    /// prototype).
-    pub submit_cpu: Duration,
-    /// CPU time the leader spends per message it orders.
-    pub ordering_cpu: Duration,
-    /// Marginal leader CPU for the 2nd..Nth message ordered within one
-    /// group-commit window (header parsing and bookkeeping amortize once
-    /// the per-batch costs — cache misses, verb posting, doorbells — are
-    /// paid). A window of `max_batch = 1` has no such message.
-    pub ordering_cpu_batched: Duration,
-    /// CPU time a follower spends applying one log entry.
-    pub follower_cpu: Duration,
     /// Group-commit size, at least 1: the leader sequences finalizable
     /// messages in rounds of up to this many, and a round's finals and log
     /// entries share one doorbell per destination replica and one
@@ -47,7 +28,7 @@ pub struct McastConfig {
 
 impl McastConfig {
     /// A configuration with `groups` groups of `replicas_per_group`
-    /// replicas and calibrated default costs.
+    /// replicas and default sizes.
     pub fn new(groups: usize, replicas_per_group: usize) -> Self {
         assert!((1..=64).contains(&groups), "1..=64 groups supported");
         assert!(
@@ -62,12 +43,6 @@ impl McastConfig {
             sub_slots: 16,
             ctrl_slots: 1024,
             log_slots: 16 * 1024,
-            heartbeat_interval: Duration::from_micros(200),
-            leader_timeout: Duration::from_millis(2),
-            submit_cpu: Duration::from_nanos(3_000),
-            ordering_cpu: Duration::from_nanos(6_500),
-            ordering_cpu_batched: Duration::from_nanos(850),
-            follower_cpu: Duration::from_nanos(800),
             max_batch: 1,
         }
     }

@@ -58,7 +58,7 @@ mod wal;
 pub use client::McastClient;
 pub use cluster::{Delivered, DeliveryEvent, Mcast};
 pub use config::McastConfig;
-pub use replica::{McastReplica, SABOTAGE_HAS_WORK_GATE};
+pub use replica::{McastReplica, ORDERING_CPU, SABOTAGE_HAS_WORK_GATE};
 pub use timestamp::{GroupId, MsgId, Timestamp};
 
 /// Bitmask of destination groups (bit `g` set = group `g` is a

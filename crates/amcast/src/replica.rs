@@ -13,6 +13,7 @@ use rdma_sim::{Addr, MemView, Node, Poller, QueuePair};
 use sim::SimTime;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::rc::Rc;
+use std::time::Duration;
 
 /// Which replica index leads a group in the given epoch.
 pub(crate) fn leader_for_epoch(epoch: u64, n: usize) -> usize {
@@ -48,7 +49,7 @@ struct State {
     pending: HashMap<u32, Pending>,
     finalized: BTreeSet<(u64, u32)>,
     /// Messages ordered so far in the current group-commit window; the
-    /// first message of a window pays the full `ordering_cpu`, the rest
+    /// first message of a window pays the full [`ORDERING_CPU`], the rest
     /// pay the marginal batched cost.
     ordering_window: usize,
     next_seq: u64,
@@ -120,6 +121,20 @@ pub struct McastReplica {
 /// follower re-introduces the PR 8 zero-virtual-time livelock, which
 /// `explore_suite --selftest` requires the livelock detector to catch.
 pub const SABOTAGE_HAS_WORK_GATE: &str = "amcast.has_work_gate";
+
+/// Leader heartbeat period.
+const HEARTBEAT_INTERVAL: Duration = Duration::from_micros(200);
+/// A follower suspects the leader after this much heartbeat silence.
+const LEADER_TIMEOUT: Duration = Duration::from_millis(2);
+/// CPU time the leader spends per message it orders.
+pub const ORDERING_CPU: Duration = Duration::from_nanos(6_500);
+/// Marginal leader CPU for the 2nd..Nth message ordered within one
+/// group-commit window (header parsing and bookkeeping amortize once the
+/// per-batch costs — cache misses, verb posting, doorbells — are paid). A
+/// window of `max_batch = 1` has no such message.
+const ORDERING_CPU_BATCHED: Duration = Duration::from_nanos(850);
+/// CPU time a follower spends applying one log entry.
+const FOLLOWER_CPU: Duration = Duration::from_nanos(800);
 
 impl std::fmt::Debug for McastReplica {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -201,7 +216,7 @@ impl McastReplica {
             if !self.node.is_alive() {
                 // Crashed; idle until recovered.
                 self.poller
-                    .poll_until_timeout(|| self.node.is_alive(), self.inner.cfg.leader_timeout);
+                    .poll_until_timeout(|| self.node.is_alive(), LEADER_TIMEOUT);
                 continue;
             }
             if self.node.incarnation() != incarnation {
@@ -253,9 +268,9 @@ impl McastReplica {
                 }
             }
             let deadline = if st.is_leader {
-                st.last_hb_sent + self.inner.cfg.heartbeat_interval
+                st.last_hb_sent + HEARTBEAT_INTERVAL
             } else {
-                st.last_hb_change + self.inner.cfg.leader_timeout
+                st.last_hb_change + LEADER_TIMEOUT
             };
             let now = sim::now();
             let timeout = deadline
@@ -451,7 +466,7 @@ impl McastReplica {
     fn reload_after_power_loss(&self, st: &mut State) {
         // Wiped lanes lose the stale stamps the cursor scan's jump-forward
         // relies on; rescan all slots for a while (local reads only).
-        st.lanes_suspect_until = Some(sim::now() + 32 * self.inner.cfg.leader_timeout);
+        st.lanes_suspect_until = Some(sim::now() + 32 * LEADER_TIMEOUT);
         // Mark this incarnation as reloaded before anything else: elections
         // read this word and refuse to conclude while an alive member's
         // boot generation lags its power-cycle count (its WAL — possibly
@@ -618,18 +633,17 @@ impl McastReplica {
 
     /// Charges leader CPU for ordering one message: the first message of
     /// each group-commit window of `max_batch` pays the full
-    /// `ordering_cpu`, the following ones only the marginal
-    /// `ordering_cpu_batched`. A window of one resets on every message, so
+    /// [`ORDERING_CPU`], the following ones only the marginal
+    /// [`ORDERING_CPU_BATCHED`]. A window of one resets on every message, so
     /// every message pays the full cost.
     fn charge_ordering(&self, st: &mut State) {
-        let cfg = &self.inner.cfg;
         if st.ordering_window == 0 {
-            sim::sleep(cfg.ordering_cpu);
+            sim::sleep(ORDERING_CPU);
         } else {
-            sim::sleep(cfg.ordering_cpu_batched);
+            sim::sleep(ORDERING_CPU_BATCHED);
         }
         st.ordering_window += 1;
-        if st.ordering_window >= cfg.max_batch {
+        if st.ordering_window >= self.inner.cfg.max_batch {
             st.ordering_window = 0;
         }
     }
@@ -943,7 +957,7 @@ impl McastReplica {
     /// Returns `true` if a heartbeat round was sent.
     fn maybe_heartbeat(&self, st: &mut State) -> bool {
         let now = sim::now();
-        if now < st.last_hb_sent + self.inner.cfg.heartbeat_interval && st.hb_counter > 0 {
+        if now < st.last_hb_sent + HEARTBEAT_INTERVAL && st.hb_counter > 0 {
             return false;
         }
         st.hb_counter += 1;
@@ -1082,7 +1096,7 @@ impl McastReplica {
                 st.applied_seq = stamp - 1;
                 continue;
             }
-            sim::sleep(self.inner.cfg.follower_cpu);
+            sim::sleep(FOLLOWER_CPU);
             let addr = self.inner.sizes.log_slot(self.layout, seq);
             let payload = self
                 .node
@@ -1144,7 +1158,7 @@ impl McastReplica {
         }
         if now
             .checked_sub(st.last_hb_change)
-            .map(|d| d >= self.inner.cfg.leader_timeout)
+            .map(|d| d >= LEADER_TIMEOUT)
             != Some(true)
         {
             return;

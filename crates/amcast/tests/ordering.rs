@@ -2,7 +2,7 @@
 //! Heron paper: integrity, agreement, prefix/acyclic order, and unique
 //! monotone timestamps — plus leader failover.
 
-use amcast::{DeliveryEvent, GroupId, Mcast, McastConfig, MsgId, Timestamp};
+use amcast::{DeliveryEvent, GroupId, Mcast, McastConfig, MsgId, Timestamp, ORDERING_CPU};
 use parking_lot::Mutex;
 use rdma_sim::{Fabric, LatencyModel};
 use sim::Simulation;
@@ -103,7 +103,7 @@ fn single_group_delivers_everything_in_timestamp_order() {
 }
 
 /// A lane scan reads each lane when it reaches it, not when the pass
-/// began: while lane 1's message is being handled (`ordering_cpu`), one
+/// began: while lane 1's message is being handled ([`ORDERING_CPU`]), one
 /// submission lands in lane 0 — already walked past — and then one in lane
 /// 2, still ahead. The pass consumes the later lane's message and leaves
 /// the earlier lane's, though it landed first, to the next pass.
@@ -112,7 +112,7 @@ fn a_scan_reads_each_lane_at_the_instant_it_reaches_it() {
     let simulation = Simulation::new(5);
     let fabric = Fabric::new(LatencyModel::connectx4());
     let cfg = McastConfig::new(1, 1);
-    let handling = cfg.ordering_cpu;
+    let handling = ORDERING_CPU;
     let mcast = Mcast::build(&fabric, vec![vec![fabric.add_node("g0r0")]], cfg);
     mcast.spawn_replicas(&simulation);
     // (lane, start): lane 1 goes first; 2 µs apart, all inside its handling.
@@ -488,7 +488,7 @@ proptest::proptest! {
 /// posted_writes, doorbells)` the code produced before the unbatched
 /// sequencing loop, log append and retransmission arm were folded into
 /// the batched ones (EXPERIMENTS.md, "Batching is a size"). Sends 1 µs
-/// apart outrun the leader's `ordering_cpu`, so rounds hold more than
+/// apart outrun the leader's [`ORDERING_CPU`], so rounds hold more than
 /// one message at 8, and follower g1r2 is down from 30 µs to 900 µs, so
 /// group 1's leader retransmits what it missed — one entry per doorbell
 /// at 1, one doorbell per round at 8.

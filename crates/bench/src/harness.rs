@@ -13,6 +13,9 @@ use std::sync::Arc;
 use std::time::Duration;
 use tpcc::{TpccApp, TpccScale};
 
+/// Dataset scale of every TPC-C workload run here.
+const SCALE: TpccScale = TpccScale::bench();
+
 /// Which workload the clients issue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Workload {
@@ -47,8 +50,6 @@ pub struct RunConfig {
     pub replicas: usize,
     /// Closed-loop clients.
     pub clients: usize,
-    /// Dataset scale (TPC-C workloads).
-    pub scale: TpccScale,
     /// Virtual warm-up time before measuring.
     pub warmup: Duration,
     /// Virtual measurement window.
@@ -104,7 +105,6 @@ impl RunConfig {
             // partition (53 ktps × 35.7 µs ≈ 1.9 at 2P); a few clients per
             // partition reach peak throughput without deep queues.
             clients: (partitions * 4).clamp(4, 80),
-            scale: TpccScale::bench(),
             warmup: Duration::from_millis(5),
             window: Duration::from_millis(25),
             workload,
@@ -338,7 +338,7 @@ pub fn run_heron_on(cfg: &RunConfig, fabric: &Fabric) -> LoadSummary {
     let warehouses = cfg.partitions as u16 * cfg.warehouses_per_partition;
     let app: Arc<dyn StateMachine> = match cfg.workload {
         Workload::Tpcc | Workload::TpccLocal => {
-            Arc::new(TpccApp::new(cfg.scale, warehouses).with_partitions(cfg.partitions as u16))
+            Arc::new(TpccApp::new(SCALE, warehouses).with_partitions(cfg.partitions as u16))
         }
         Workload::Null | Workload::NullLocal => Arc::new(NullApp::new(cfg.partitions as u16)),
     };
@@ -369,12 +369,11 @@ pub fn run_heron_on(cfg: &RunConfig, fabric: &Fabric) -> LoadSummary {
     for c in 0..cfg.clients {
         let mut client = cluster.client(format!("c{c}"));
         let workload = cfg.workload;
-        let scale = cfg.scale;
         let partitions = cfg.partitions as u16;
         let seed = cfg.seed * 1000 + c as u64;
         let live = live_clients.clone();
         simulation.spawn(format!("client-{c}"), move || {
-            let mut gen = tpcc::TpccGen::new(scale, warehouses, seed);
+            let mut gen = tpcc::TpccGen::new(SCALE, warehouses, seed);
             if workload == Workload::TpccLocal {
                 gen.local_only = true;
             }
@@ -452,7 +451,7 @@ pub fn run_heron_on(cfg: &RunConfig, fabric: &Fabric) -> LoadSummary {
 pub fn run_dynastar_tpcc(cfg: &RunConfig) -> LoadSummary {
     let wall_start = std::time::Instant::now();
     let simulation = sim::Simulation::new(cfg.seed);
-    let app = Arc::new(TpccApp::new(cfg.scale, cfg.partitions as u16));
+    let app = Arc::new(TpccApp::new(SCALE, cfg.partitions as u16));
     let ds = DynaStar::build(
         DynaStarConfig::new(cfg.partitions, cfg.replicas),
         app.clone(),
@@ -462,11 +461,10 @@ pub fn run_dynastar_tpcc(cfg: &RunConfig) -> LoadSummary {
     let end = sim::SimTime::ZERO + cfg.warmup + cfg.window;
     for c in 0..cfg.clients {
         let mut client = ds.client(format!("c{c}"));
-        let scale = cfg.scale;
         let partitions = cfg.partitions as u16;
         let seed = cfg.seed * 1000 + c as u64;
         simulation.spawn(format!("ds-client-{c}"), move || {
-            let mut gen = tpcc::TpccGen::new(scale, partitions, seed);
+            let mut gen = tpcc::TpccGen::new(SCALE, partitions, seed);
             let home = (c as u16 % partitions) + 1;
             while sim::now() < end {
                 client.execute(&gen.next(home).encode());

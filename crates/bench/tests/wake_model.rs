@@ -4,7 +4,7 @@
 
 use heron_bench::syncapp::run_transfer;
 use heron_bench::{run_heron, RunConfig, Workload};
-use heron_core::{HeronConfig, StorageKind};
+use heron_core::{HeronConfig, StorageKind, TRANSFER_SLOTS, TRANSFER_TIMEOUT};
 
 /// Fault-free null requests never involve the service process: no address
 /// queries, no state transfer. It waits on its inbox alone, so it must
@@ -51,12 +51,12 @@ fn idle_service_processes_sleep_through_a_fault_free_run() {
 #[test]
 fn recovered_replica_completes_its_state_transfer() {
     let cfg = HeronConfig::new(2, 3);
-    let ring = (cfg.transfer_slots * cfg.transfer_chunk) as u64;
+    let ring = (TRANSFER_SLOTS * cfg.transfer_chunk) as u64;
     // 40 objects of ≈ 16.4 KiB of slot each: 640 KiB, 2.5 rings.
     let (bytes, took) = run_transfer(StorageKind::Serialized, 40, 8_128, |_| {});
     assert!(bytes > 2 * ring, "{bytes} B fit in a {ring} B ring");
     assert!(
-        took < cfg.transfer_timeout,
+        took < TRANSFER_TIMEOUT,
         "a {bytes} B transfer took {took:?}: the requester slept through landed chunks"
     );
 }

@@ -18,7 +18,7 @@
 //! * everything travels over a kernel TCP network ([`netsim`], 0.1 ms
 //!   round trip as in the paper's testbed) and pays per-message CPU.
 //!
-//! The `command_cpu` cost models the paper's measured per-command overhead
+//! The `COMMAND_CPU` cost models the paper's measured per-command overhead
 //! of the Java prototype (protocol stack, message (de)serialization,
 //! state-machine dispatch); see `DESIGN.md` §7 for calibration.
 //!
@@ -39,50 +39,30 @@ use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Modeled CPU costs of the baseline's Java prototype.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DynaStarCosts {
-    /// Oracle work per command (map lookup, route computation).
-    pub oracle_cpu: Duration,
-    /// Leader work per command: ordering protocol, replication
-    /// bookkeeping, full (de)serialization of the command and state
-    /// through the Java stack.
-    pub command_cpu: Duration,
-    /// Extra cost per object moved between partitions.
-    pub per_moved_object: Duration,
-}
+/// Modeled CPU of the baseline's Java prototype: oracle work per command (map lookup, route computation).
+const ORACLE_CPU: Duration = Duration::from_micros(20);
+/// Leader work per command: ordering protocol, replication bookkeeping,
+/// full (de)serialization of the command and state through the Java stack.
+const COMMAND_CPU: Duration = Duration::from_micros(350);
+/// Extra cost per object moved between partitions.
+const PER_MOVED_OBJECT_CPU: Duration = Duration::from_micros(15);
 
-impl Default for DynaStarCosts {
-    fn default() -> Self {
-        DynaStarCosts {
-            oracle_cpu: Duration::from_micros(20),
-            command_cpu: Duration::from_micros(350),
-            per_moved_object: Duration::from_micros(15),
-        }
-    }
-}
-
-/// Baseline deployment configuration.
+/// Baseline deployment configuration. Every message travels over
+/// [`NetLatency::datacenter_tcp`].
 #[derive(Debug, Clone)]
 pub struct DynaStarConfig {
     /// Number of partitions.
     pub partitions: usize,
     /// Replicas per partition (leader + followers).
     pub replicas_per_partition: usize,
-    /// CPU model.
-    pub costs: DynaStarCosts,
-    /// Network model.
-    pub net: NetLatency,
 }
 
 impl DynaStarConfig {
-    /// A deployment with the paper-calibrated defaults.
+    /// A deployment of `partitions` × `replicas_per_partition`.
     pub fn new(partitions: usize, replicas_per_partition: usize) -> Self {
         DynaStarConfig {
             partitions,
             replicas_per_partition,
-            costs: DynaStarCosts::default(),
-            net: NetLatency::datacenter_tcp(),
         }
     }
 }
@@ -165,7 +145,7 @@ impl fmt::Debug for DynaStar {
 impl DynaStar {
     /// Builds the baseline deployment.
     pub fn build(cfg: DynaStarConfig, app: Arc<dyn StateMachine>) -> Self {
-        let net: Network<Msg> = Network::new(cfg.net);
+        let net: Network<Msg> = Network::new(NetLatency::datacenter_tcp());
         let oracle = net.add_endpoint("oracle").id();
         let mut leaders = Vec::new();
         let mut followers = Vec::new();
@@ -252,7 +232,7 @@ fn run_oracle(inner: Rc<Inner>, ep: Endpoint<Msg>) {
         else {
             continue;
         };
-        sim::sleep(inner.cfg.costs.oracle_cpu);
+        sim::sleep(ORACLE_CPU);
         let involved = inner.app.destinations(&payload);
         let executor = involved[0];
         let payload = Arc::new(payload);
@@ -326,7 +306,7 @@ fn run_leader(inner: Rc<Inner>, me: PartitionId, ep: Endpoint<Msg>) {
                     next_seq += 1;
                     // Half the paper-calibrated per-command CPU up front
                     // (ordering + replication side), half at execution.
-                    sim::sleep(inner.cfg.costs.command_cpu / 2);
+                    sim::sleep(COMMAND_CPU / 2);
                     for f in &inner.followers[me.0 as usize] {
                         ep.send(*f, Msg::Replicate { id }, payload.len() + 32);
                     }
@@ -438,7 +418,7 @@ fn advance(
                         .filter_map(|oid| s.get(oid).map(|v| (*oid, v.clone())))
                         .collect()
                 };
-                sim::sleep(inner.cfg.costs.per_moved_object * objects.len() as u32);
+                sim::sleep(PER_MOVED_OBJECT_CPU * objects.len() as u32);
                 let size = objects_size(&objects);
                 ep.send(
                     inner.leaders[cur.executor.0 as usize],
@@ -500,8 +480,8 @@ fn execute_and_reply(
             reads.insert(oid, v.clone());
         }
     }
-    sim::sleep(inner.cfg.costs.command_cpu / 2);
-    sim::sleep(inner.cfg.costs.per_moved_object * cur.moved.len() as u32);
+    sim::sleep(COMMAND_CPU / 2);
+    sim::sleep(PER_MOVED_OBJECT_CPU * cur.moved.len() as u32);
     // One deterministic execution per involved partition gathers that
     // partition's writes; the home partition's response answers the client.
     let reader = MapReader(&local_map);

@@ -154,7 +154,7 @@ pub(crate) fn checkpoint_replica(shared: &Rc<ReplicaShared>) -> Option<Checkpoin
     // raises `restored_cycles`. Snapshotting before that would persist a
     // wiped image stamped with a live bound and truncate the WAL the
     // restart still needs.
-    if shared.restored_cycles.load(Ordering::SeqCst) != cycles {
+    if shared.power_lost() {
         return None;
     }
     // A consistent snapshot needs a quiescent request boundary: every

@@ -1,13 +1,18 @@
 //! The Heron client: closed-loop request execution.
 
 use crate::cluster::{ClientInfo, ClusterInner, HeronCluster};
-use crate::layout::{encode_envelope, resp_slot, RESP_HDR};
+use crate::layout::{encode_envelope, resp_slot, MAX_RESPONSE, RESP_HDR};
 use crate::types::PartitionId;
 use amcast::{GroupId, McastClient, MsgId};
 use bytes::Bytes;
 use rdma_sim::{Addr, MemView, Node, Poller};
 use std::fmt;
 use std::rc::Rc;
+use std::time::Duration;
+
+/// Client retry period: a request unanswered for this long is
+/// re-multicast with the same id.
+const CLIENT_RETRY: Duration = Duration::from_millis(20);
 
 /// A closed-loop Heron client.
 ///
@@ -15,7 +20,7 @@ use std::rc::Rc;
 /// application's [`crate::StateMachine::destinations`]), then waits for a
 /// response from one server in each involved partition — exactly how the
 /// paper's clients measure latency (§V-B). Unanswered requests are
-/// re-multicast with the same message id after `client_retry`.
+/// re-multicast with the same message id after `CLIENT_RETRY`.
 pub struct HeronClient {
     cluster: Rc<ClusterInner>,
     node: Node,
@@ -41,9 +46,8 @@ impl HeronClient {
         let inner = Rc::clone(&cluster.inner);
         let node = inner.fabric.add_node(format!("client-{name}"));
         let id = inner.client_counter.replace(inner.client_counter.get() + 1);
-        let resp_bytes = inner.cfg.partitions
-            * inner.cfg.replicas_per_partition
-            * (RESP_HDR + inner.cfg.max_response);
+        let resp_bytes =
+            inner.cfg.partitions * inner.cfg.replicas_per_partition * (RESP_HDR + MAX_RESPONSE);
         let resp_base = node.alloc_bytes(resp_bytes);
         let poller = node.poller(sim::Cond::new(), &[(resp_base, resp_bytes)]);
         inner.clients.lock().insert(
@@ -112,11 +116,10 @@ impl HeronClient {
         let uid: MsgId = self.mcast.multicast(&groups, &envelope);
         req_span.set_corr(u64::from(uid.0));
         // Wait for a response from one server in each involved partition.
-        let retry = self.cluster.cfg.client_retry;
         loop {
             let done = self
                 .poller
-                .poll_until_timeout(|| self.all_answered(dests, seq), retry);
+                .poll_until_timeout(|| self.all_answered(dests, seq), CLIENT_RETRY);
             if done {
                 break;
             }
@@ -160,13 +163,7 @@ impl HeronClient {
     fn answered_slot(&self, m: &MemView<'_>, p: PartitionId, seq: u64) -> Option<Addr> {
         let cfg = &self.cluster.cfg;
         (0..cfg.replicas_per_partition).find_map(|r| {
-            let slot = resp_slot(
-                self.resp_base,
-                p.0 as usize,
-                r,
-                cfg.replicas_per_partition,
-                cfg.max_response,
-            );
+            let slot = resp_slot(self.resp_base, p.0 as usize, r, cfg.replicas_per_partition);
             (m.word(slot).unwrap_or(0) >= seq).then_some(slot)
         })
     }

@@ -10,6 +10,7 @@ use crate::app::StateMachine;
 use crate::config::HeronConfig;
 use crate::layout::{ReplicaLayout, CHUNK_HDR, COORD_ENTRY, SYNC_ENTRY};
 use crate::metrics::Metrics;
+use crate::replica::TRANSFER_SLOTS;
 use crate::server::Service;
 use crate::store::VersionedStore;
 use crate::types::{ObjectId, PartitionId};
@@ -57,10 +58,12 @@ pub(crate) struct ReplicaShared {
     /// majority-wait of Algorithm 2, lines 11–13).
     pub addr_heard: Mutex<HashMap<ObjectId, Vec<NodeId>>>,
     /// The power-cycle generation the store contents reflect: raised by
-    /// the delivery driver once a cold restart has rebuilt the store. The
-    /// checkpointer refuses to snapshot while this lags
-    /// [`rdma_sim::Node::power_cycles`] — between the wipe and the
-    /// rebuild, the watermarks look quiescent but the slots are zeros.
+    /// the delivery driver once a cold restart has rebuilt the store, to
+    /// the node's count when the restart began. While this lags
+    /// [`rdma_sim::Node::power_cycles`] ([`Self::power_lost`]) the driver
+    /// executes nothing and the checkpointer refuses to snapshot — between
+    /// the wipe and the rebuild, the watermarks look quiescent but the
+    /// slots are zeros.
     pub restored_cycles: AtomicU64,
     /// The replica's durable namespace (`heron-p{p}r{i}`), when the
     /// deployment has a [`crate::DurabilityConfig`].
@@ -95,6 +98,13 @@ impl ReplicaShared {
         } else {
             let _ = self.peer_qp(h, q).post_write(addr, bytes.to_vec());
         }
+    }
+
+    /// Whether the node lost power since the store was last rebuilt: our
+    /// registered memory (store slots, coordination regions) was wiped,
+    /// and a cold restart must rebuild it before anything executes.
+    pub(crate) fn power_lost(&self) -> bool {
+        self.node.power_cycles() != self.restored_cycles.load(Ordering::SeqCst)
     }
 
     /// Records that every request up to `ts_raw` finished its write phase
@@ -225,8 +235,8 @@ impl HeronCluster {
                     coord_width: cfg.executor_width,
                     statesync: node.alloc_bytes(n * SYNC_ENTRY),
                     ring: Ring {
-                        base: node.alloc_bytes(cfg.transfer_slots * chunk_slot),
-                        slots: cfg.transfer_slots,
+                        base: node.alloc_bytes(TRANSFER_SLOTS * chunk_slot),
+                        slots: TRANSFER_SLOTS,
                         entry: chunk_slot,
                     },
                     applied: node.alloc_words(1),

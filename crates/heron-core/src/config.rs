@@ -49,27 +49,12 @@ pub struct HeronConfig {
     pub max_clients: usize,
     /// Maximum request payload (application bytes, before the envelope).
     pub max_request: usize,
-    /// Maximum response payload.
-    pub max_response: usize,
     /// Extra delay δ a replica tentatively waits for *all* replicas after
     /// reaching a majority in Phase 4 (paper §V-E1, Table I). `None`
     /// disables the heuristic.
     pub wait_for_all: Option<Duration>,
-    /// Client retry period: a request unanswered for this long is
-    /// re-multicast with the same id.
-    pub client_retry: Duration,
     /// State-transfer chunk size (paper: 32 KiB payloads perform best).
     pub transfer_chunk: usize,
-    /// Staging-ring slots on each replica for inbound state transfer.
-    pub transfer_slots: usize,
-    /// Serialization cost per byte when state transfer ships a
-    /// [`crate::StorageKind::Native`] object (sender side).
-    pub ser_ns_per_kib: u64,
-    /// Deserialization cost per byte on the receiving lagger.
-    pub deser_ns_per_kib: u64,
-    /// A replica that asked for state transfer re-issues the request if not
-    /// served within this timeout (Algorithm 3's `timeout`).
-    pub transfer_timeout: Duration,
     /// Execution lanes per replica (P-SMR). Every replica has one delivery
     /// driver process. At `1` (the default) the driver executes each
     /// command itself, in delivery order, on its inline lane — the paper's
@@ -109,17 +94,8 @@ impl HeronConfig {
             replicas_per_partition,
             max_clients: 64,
             max_request: 384,
-            max_response: 256,
             wait_for_all: Some(Duration::from_micros(20)),
-            client_retry: Duration::from_millis(20),
             transfer_chunk: 32 * 1024,
-            transfer_slots: 8,
-            // ≈2.24 ns/byte each way: with serialize/wire/deserialize
-            // pipelined across responder and requester, this reproduces
-            // the paper's ≈450 MB/s native-table transfer rate (§V-E2).
-            ser_ns_per_kib: 2_290,
-            deser_ns_per_kib: 2_290,
-            transfer_timeout: Duration::from_millis(5),
             executor_width: 1,
             race_detector: false,
             tracing: false,

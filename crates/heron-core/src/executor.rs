@@ -59,7 +59,7 @@ use crate::layout::{decode_envelope, encode_coord, encode_response, resp_slot, C
 use crate::metrics::Breakdown;
 use crate::replica::{
     coord_matching, coord_quorum, pending_sync_requests, publish_progress, respond_transfer,
-    state_transfer, state_transfer_abortable, TRANSFER_INSTALL,
+    state_transfer_abortable, TRANSFER_INSTALL, TRANSFER_TIMEOUT,
 };
 use crate::types::{ObjectId, PartitionId, Placement};
 use amcast::{mask_groups, Delivered, DeliveryEvent, Timestamp};
@@ -67,7 +67,7 @@ use bytes::Bytes;
 use rand::Rng;
 use sim::{Mailbox, SimTime};
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::rc::Rc;
 use std::sync::atomic::Ordering;
 use std::time::Duration;
@@ -219,9 +219,8 @@ impl ExecCore {
         // The one stall-retry loop: the step the command is at — the
         // Phase-2 wait, then lines 11–13 — is retried after every stall
         // whose transfer did not cover the command.
-        let timeout = self.cfg().transfer_timeout;
         let response = loop {
-            let stall = if phase2.is_some() && !self.wait_coord_timeout(&dests, ts, 1, timeout) {
+            let stall = if phase2.is_some() && !self.wait_coord_timeout(&dests, ts, 1) {
                 // The barrier starved: the peers' coordination writes were
                 // lost while we were crashed (they ran this request long
                 // ago). Recover through state transfer instead of waiting
@@ -336,17 +335,14 @@ impl ExecCore {
         }
     }
 
-    /// Like [`ExecCore::wait_coord`] but gives up after `timeout`; returns
-    /// whether the majority barrier was reached.
-    fn wait_coord_timeout(
-        &self,
-        dests: &[PartitionId],
-        ts: Timestamp,
-        phase: u64,
-        timeout: Duration,
-    ) -> bool {
-        self.poller
-            .poll_until_timeout(|| coord_quorum(&self.shared, dests, ts, phase).0, timeout)
+    /// Like [`ExecCore::wait_coord`] but gives up after
+    /// [`TRANSFER_TIMEOUT`]; returns whether the majority barrier was
+    /// reached.
+    fn wait_coord_timeout(&self, dests: &[PartitionId], ts: Timestamp, phase: u64) -> bool {
+        self.poller.poll_until_timeout(
+            || coord_quorum(&self.shared, dests, ts, phase).0,
+            TRANSFER_TIMEOUT,
+        )
     }
 
     /// Blocks until a majority of every involved partition has coordinated
@@ -619,7 +615,6 @@ fn post_reply(shared: &Rc<ReplicaShared>, client_id: u64, seq: u64, response: &[
                 shared.partition.0 as usize,
                 shared.idx,
                 cfg.replicas_per_partition,
-                cfg.max_response,
             );
             let client_node = shared.cluster.fabric.node(client.node);
             route
@@ -774,12 +769,11 @@ pub(crate) struct Driver {
     /// Delivered, not yet dispatched (front dispatches first — strict
     /// delivery order).
     queue: VecDeque<Job>,
-    /// In-flight commands by worker index (deterministic iteration).
-    /// Always empty on the inline lane, which runs a command to completion
-    /// before the loop looks at anything else.
+    /// In-flight commands by worker index (deterministic iteration); every
+    /// other lane is idle ([`Self::free_lane`]). Always empty on the inline
+    /// lane, which runs a command to completion before the loop looks at
+    /// anything else.
     inflight: BTreeMap<usize, InFlight>,
-    /// Idle lane indices; the lowest free index is picked.
-    free: BTreeSet<usize>,
     /// Dispatched timestamps → finished?, pruned from the front as the
     /// prefix completes; the largest pruned entry is the `completed_req`
     /// watermark.
@@ -799,11 +793,6 @@ pub(crate) struct Driver {
     /// Highest client seq this replica has posted a response for, per
     /// client (see [`Self::finish`]).
     last_replied: HashMap<u64, u64>,
-    /// Power cycles of the node the protocol state reflects: behind the
-    /// node's count means our registered memory (store slots, coordination
-    /// regions) was wiped and [`Self::cold_restart`] must rebuild it before
-    /// anything executes.
-    power_cycles: u64,
     /// The WAL-tail replay of the last cold restart, until every replayed
     /// command finished. Live deliveries wait behind it.
     replay: Option<Replay>,
@@ -816,6 +805,12 @@ impl Driver {
 
     fn n(&self) -> usize {
         self.cfg().replicas_per_partition
+    }
+
+    /// The lowest lane not in flight, if any. The inline lane is never in
+    /// flight, so at width 1 this is always lane 0.
+    fn free_lane(&self) -> Option<usize> {
+        (0..self.cfg().executor_width).find(|lane| !self.inflight.contains_key(lane))
     }
 
     /// Runs the driver loop forever.
@@ -853,7 +848,7 @@ impl Driver {
                     .poll_until_timeout(|| self.shared.node.is_alive(), Duration::from_millis(1));
                 continue;
             }
-            if self.shared.node.power_cycles() != self.power_cycles {
+            if self.shared.power_lost() {
                 // The node lost power while we were dark: registered memory
                 // is zeroed, so every byte of protocol state must be rebuilt
                 // before another command may touch it. Like a responder
@@ -872,8 +867,7 @@ impl Driver {
             // Serving a transfer yields: if the node died or lost power
             // while we streamed, go back to the crash-wait / cold-restart
             // checks instead of executing against a wiped store.
-            if !self.shared.node.is_alive() || self.shared.node.power_cycles() != self.power_cycles
-            {
+            if !self.shared.node.is_alive() || self.shared.power_lost() {
                 continue;
             }
             let next = if self.reads_live() {
@@ -937,7 +931,6 @@ impl Driver {
             }
         }
         self.inflight.remove(&lane);
-        self.free.insert(lane);
         if let Some(fin) = self.done.get_mut(&ts) {
             *fin = true;
         }
@@ -1032,7 +1025,10 @@ impl Driver {
     /// front's conflict keys are disjoint from every in-flight command's.
     fn try_dispatch(&mut self) -> bool {
         let mut any = false;
-        while !self.queue.is_empty() && !self.free.is_empty() {
+        while !self.queue.is_empty() {
+            let Some(lane) = self.free_lane() else {
+                break;
+            };
             // A transfer that completed after this command was queued may
             // already cover it (its effects are in the adopted snapshot);
             // executing it against newer state would be wrong. The
@@ -1066,7 +1062,6 @@ impl Driver {
             // execution-trace invariant.
             self.shared.exec_trace.lock().push((ts, 'e'));
             any = true;
-            let lane = self.free.pop_first().expect("checked non-empty");
             self.done.insert(ts, false);
             if let Some(core) = &self.inline {
                 // No worker lanes: run the command right here, where a pool
@@ -1132,7 +1127,8 @@ impl Driver {
 
     /// Completes a Gap recovery once everything before it drained:
     /// transfer until a snapshot covers the held-back delivery, then skip
-    /// it.
+    /// it. The delivery stalls as [`Stall::Lagging`], which never heals,
+    /// so no transfer is withdrawn.
     fn resolve_gap(&mut self) -> bool {
         let Some(d) = &self.pending_gap else {
             return false;
@@ -1141,7 +1137,11 @@ impl Driver {
             return false;
         }
         let ts = d.ts.raw();
-        while state_transfer(&self.shared) < ts {}
+        while stall_outcome(
+            transfer_for_stalls(&self.shared, &[(ts, &Stall::Lagging)]),
+            ts,
+        ) != StallOutcome::Covered
+        {}
         self.shared.exec_trace.lock().push((ts, 's'));
         self.pending_gap = None;
         true
@@ -1200,7 +1200,7 @@ impl Driver {
     fn serve_due(&self, request: &(usize, u64)) -> Option<SimTime> {
         let first_seen = *self.seen_requests.get(request)?;
         let my_rank = (self.shared.idx + self.n() - request.0 - 1) % self.n();
-        Some(first_seen + self.cfg().transfer_timeout * my_rank as u32)
+        Some(first_seen + TRANSFER_TIMEOUT * my_rank as u32)
     }
 
     /// Cold restart after a power loss: rebuild the store from the durable
@@ -1222,8 +1222,8 @@ impl Driver {
         // A power cut mid-replay restarts recovery from the (still intact)
         // checkpoint; account for the abandoned attempt first.
         self.finish_replay();
-        self.power_cycles = self.shared.node.power_cycles();
         let shared = Rc::clone(&self.shared);
+        let cycles = shared.node.power_cycles();
         let t0 = sim::now();
         // Volatile protocol state is gone with the memory that backed it.
         // Commands admitted but not dispatched are in the WAL like every
@@ -1256,13 +1256,13 @@ impl Driver {
         if bound > 0 {
             shared.exec_trace.lock().push((bound, 't'));
         }
-        // The store reflects this power cycle again: re-arm the
-        // checkpointer, which refuses to snapshot while `restored_cycles`
-        // lags the node's cycle count (between the wipe and this line the
-        // watermarks look quiescent but the slots are zeros).
-        shared
-            .restored_cycles
-            .store(self.power_cycles, Ordering::SeqCst);
+        // The store reflects the power cycle we started from again: the
+        // driver resumes, and the checkpointer, which refuses to snapshot
+        // while `restored_cycles` lags the node's cycle count (between the
+        // wipe and this line the watermarks look quiescent but the slots
+        // are zeros), is re-armed. A power loss since we started leaves it
+        // lagging, and the driver's next pass restarts again.
+        shared.restored_cycles.store(cycles, Ordering::SeqCst);
         publish_progress(&shared);
         // With durability the WAL speaks for everything delivered past the
         // bound (bound 0 = since genesis, before the first checkpoint), so
@@ -1442,13 +1442,11 @@ fn build_driver(
         verdicts: verdicts.clone(),
         queue: VecDeque::new(),
         inflight: BTreeMap::new(),
-        free: (0..width).collect(),
         done: BTreeMap::new(),
         seen_requests: HashMap::new(),
         needs_full_sync: false,
         pending_gap: None,
         last_replied: HashMap::new(),
-        power_cycles: shared.node.power_cycles(),
         replay: None,
     };
     let workers = (0..workers)
@@ -1535,10 +1533,20 @@ mod tests {
     }
 
     /// What `try_dispatch` does to the driver's books when it hands `ts`
-    /// to a lane.
+    /// to a lane: a worker's lane is in flight until it finishes, the
+    /// inline lane never is.
     fn dispatch(driver: &mut Driver, ts: u64) -> usize {
+        let lane = driver.free_lane().expect("a free lane");
         driver.done.insert(ts, false);
-        driver.free.pop_first().expect("a free lane")
+        if driver.inline.is_none() {
+            let f = InFlight {
+                ts,
+                keys: vec![],
+                parked: None,
+            };
+            driver.inflight.insert(lane, f);
+        }
+        lane
     }
 
     /// `completed_req` is a responder's snapshot bound: completions
@@ -1549,13 +1557,16 @@ mod tests {
         with_driver(4, |_, driver| {
             let completed = |d: &Driver| d.shared.completed_req.load(Ordering::SeqCst);
             let lanes = [10, 20, 30].map(|ts| dispatch(driver, ts));
+            assert_eq!(lanes, [0, 1, 2], "the lowest free lane is picked");
+            assert_eq!(driver.free_lane(), Some(3));
             driver.finish(lanes[1], 20, None);
             assert_eq!(completed(driver), 0, "10 is still running");
             driver.finish(lanes[2], 30, None);
             assert_eq!(completed(driver), 0, "10 is still running");
             driver.finish(lanes[0], 10, None);
             assert_eq!(completed(driver), 30, "the whole prefix finished");
-            assert_eq!(driver.free.len(), 4, "every lane came back");
+            assert!(driver.inflight.is_empty(), "every lane came back");
+            assert_eq!(driver.free_lane(), Some(0));
             assert!(driver.done.is_empty());
         });
     }
@@ -1567,10 +1578,10 @@ mod tests {
         with_driver(1, |_, driver| {
             for ts in [10, 20, 30] {
                 let lane = dispatch(driver, ts);
-                assert!(driver.free.is_empty(), "the inline lane is taken");
+                assert_eq!(lane, 0, "the inline lane");
+                assert!(driver.inflight.is_empty(), "never in flight");
                 driver.finish(lane, ts, None);
                 assert_eq!(driver.shared.completed_req.load(Ordering::SeqCst), ts);
-                assert_eq!(driver.free.len(), 1);
             }
         });
     }
@@ -1586,7 +1597,7 @@ mod tests {
             let (client_node, slot) = {
                 let clients = cluster.inner.clients.lock();
                 let info = &clients[&client.id()];
-                let slot = resp_slot(info.resp_base, 0, 0, 3, driver.cfg().max_response);
+                let slot = resp_slot(info.resp_base, 0, 0, 3);
                 (cluster.inner.fabric.node(info.node), slot)
             };
             let posted = |seq, body: &'static [u8]| {

@@ -33,6 +33,9 @@ pub(crate) const SYNC_ENTRY: usize = 2 * WORD;
 pub(crate) const CHUNK_HDR: usize = 3 * WORD;
 /// Response slot header: `[seq, len]`.
 pub(crate) const RESP_HDR: usize = 2 * WORD;
+/// Maximum response payload: a client's response slot per replica holds
+/// [`RESP_HDR`] plus this many bytes.
+pub(crate) const MAX_RESPONSE: usize = 256;
 /// Request envelope header: `[client_id, seq, submit_ns]`.
 pub(crate) const ENV_HDR: usize = 3 * WORD;
 /// Transfer record header: `[oid, len]`.
@@ -116,8 +119,8 @@ impl ReplicaLayout {
 /// Response slot of replica `r` of partition `p` in a client's response
 /// region. Each replica owns a distinct slot, so a replica catching up on
 /// old requests can never clobber a fresher replica's response.
-pub(crate) fn resp_slot(base: Addr, p: usize, r: usize, n: usize, max_response: usize) -> Addr {
-    base.offset(((p * n + r) * (RESP_HDR + max_response)) as u64)
+pub(crate) fn resp_slot(base: Addr, p: usize, r: usize, n: usize) -> Addr {
+    base.offset(((p * n + r) * (RESP_HDR + MAX_RESPONSE)) as u64)
 }
 
 // ---------------------------------------------------------------------

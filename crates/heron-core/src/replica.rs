@@ -19,23 +19,37 @@ use amcast::Timestamp;
 use rdma_sim::{Addr, MemView};
 use std::rc::Rc;
 use std::sync::atomic::Ordering;
+use std::time::Duration;
 
 // ----------------------------------------------------------------------
 // Algorithm 3: state transfer.
 // ----------------------------------------------------------------------
 
+/// Staging-ring slots on each replica for inbound state transfer.
+pub const TRANSFER_SLOTS: usize = 8;
+/// A replica that asked for state transfer re-issues the request if not
+/// served within this timeout (Algorithm 3's `timeout`); the responder
+/// rotation waits one per rank.
+pub const TRANSFER_TIMEOUT: Duration = Duration::from_millis(5);
+/// Serialization cost per KiB when state transfer ships a
+/// [`StorageKind::Native`] object (sender side). ≈2.24 ns/byte each way:
+/// with serialize/wire/deserialize pipelined across responder and
+/// requester, this reproduces the paper's ≈450 MB/s native-table transfer
+/// rate (§V-E2).
+const SER_NS_PER_KIB: u64 = 2_290;
+/// Deserialization cost per KiB on the receiving lagger.
+const DESER_NS_PER_KIB: u64 = 2_290;
+
 /// Requester side: ask the group for our missing state and wait until
 /// a responder completes it. Returns the responder's snapshot bound
 /// (raw timestamp): every request up to and including it is reflected
 /// in our state afterwards.
-pub(crate) fn state_transfer(shared: &Rc<ReplicaShared>) -> u64 {
-    state_transfer_abortable(shared, &|| false).expect("non-abortable transfer always completes")
-}
-
-/// [`state_transfer`] with an escape hatch: between responder
-/// re-arms, if `abort()` reports that the condition we fell back from
-/// has healed (e.g. a coordination barrier's entries arrived late
-/// rather than never), the request is withdrawn and `None` returned.
+///
+/// With an escape hatch: between responder re-arms, if `abort()` reports
+/// that the condition we fell back from has healed (e.g. a coordination
+/// barrier's entries arrived late rather than never), the request is
+/// withdrawn and `None` returned. A caller that must not withdraw passes
+/// an `abort` that never fires.
 ///
 /// Without this, a whole partition can deadlock: every executor that
 /// misses a barrier by a hair falls into the transfer fallback, and
@@ -74,7 +88,7 @@ pub(crate) fn state_transfer_abortable(
         let (mut bytes, mut native_bytes) = (0u64, 0u64);
         // Zero the staging ring stamps so stale chunks are not
         // re-applied.
-        for k in 1..=cfg.transfer_slots as u64 {
+        for k in 1..=TRANSFER_SLOTS as u64 {
             let _ = shared.node.local_write_word(shared.layout.ring_slot(k), 0);
         }
         let _ = shared.node.local_write_word(shared.layout.applied, 0);
@@ -91,7 +105,7 @@ pub(crate) fn state_transfer_abortable(
             // order), and the flip is read right after the last staged
             // chunk was applied, so a flip seen here finds the stream
             // drained.
-            let deadline = sim::now() + cfg.transfer_timeout;
+            let deadline = sim::now() + TRANSFER_TIMEOUT;
             let done = loop {
                 let (b, nb) = apply_staged(shared, &mut next, &mut stream);
                 bytes += b;
@@ -167,7 +181,6 @@ pub(crate) const TRANSFER_INSTALL: &str = "transfer-install";
 /// (paper §V-E2). After each chunk, bumps the `applied` word the responder
 /// reads for flow control. Returns the `(bytes, native bytes)` applied.
 fn apply_staged(shared: &ReplicaShared, next: &mut u64, stream: &mut Option<u64>) -> (u64, u64) {
-    let cfg = &shared.cluster.cfg;
     let (mut bytes, mut native_bytes) = (0, 0);
     while let Some((slot, nbytes, bound)) = staged_chunk(shared, *next, *stream) {
         stream.get_or_insert(bound);
@@ -183,7 +196,7 @@ fn apply_staged(shared: &ReplicaShared, next: &mut u64, stream: &mut Option<u64>
             shared.store.apply_raw_slot(oid, raw, TRANSFER_INSTALL);
         }
         if native > 0 {
-            sim::sleep_ns(native * cfg.deser_ns_per_kib / 1024);
+            sim::sleep_ns(native * DESER_NS_PER_KIB / 1024);
         }
         bytes += nbytes as u64;
         native_bytes += native;
@@ -255,13 +268,13 @@ pub(crate) fn respond_transfer(shared: &Rc<ReplicaShared>, requester: usize, fro
         }
         // Flow control: never run more than the ring size ahead of the
         // requester's applied counter.
-        if *stamp > cfg.transfer_slots as u64 {
-            let deadline = sim::now() + cfg.transfer_timeout;
+        if *stamp > TRANSFER_SLOTS as u64 {
+            let deadline = sim::now() + TRANSFER_TIMEOUT;
             let watermark = loop {
                 let Ok(applied) = qp.read_word(shared.layout.applied) else {
                     return false; // requester crashed
                 };
-                if *stamp <= applied + cfg.transfer_slots as u64 {
+                if *stamp <= applied + TRANSFER_SLOTS as u64 {
                     break applied;
                 }
                 if sim::now() >= deadline {
@@ -276,7 +289,7 @@ pub(crate) fn respond_transfer(shared: &Rc<ReplicaShared>, requester: usize, fro
             // comparison so it trips immediately if a change ever
             // breaks the flow-control condition.
             if let Some(det) = shared.cluster.detector.as_ref() {
-                if *stamp > watermark + cfg.transfer_slots as u64 {
+                if *stamp > watermark + TRANSFER_SLOTS as u64 {
                     let slot = shared.layout.ring_slot(*stamp);
                     det.report_lint(
                         "state-transfer chunk overlaps a live read window",
@@ -287,7 +300,7 @@ pub(crate) fn respond_transfer(shared: &Rc<ReplicaShared>, requester: usize, fro
                         format!(
                             "chunk {} posted while the requester had only applied \
                              {} of a {}-slot staging ring",
-                            *stamp, watermark, cfg.transfer_slots
+                            *stamp, watermark, TRANSFER_SLOTS
                         ),
                     );
                 }
@@ -306,7 +319,7 @@ pub(crate) fn respond_transfer(shared: &Rc<ReplicaShared>, requester: usize, fro
         // Native objects must be serialized before shipping
         // (paper §V-E2, second scenario).
         if app.storage_kind(oid) == StorageKind::Native {
-            sim::sleep_ns(raw.len() as u64 * cfg.ser_ns_per_kib / 1024);
+            sim::sleep_ns(raw.len() as u64 * SER_NS_PER_KIB / 1024);
         }
         let record = encode_record(oid, &raw);
         if chunk_body.len() + record.len() > chunk_cap && !flush(&mut chunk_body, &mut stamp) {
@@ -626,7 +639,7 @@ mod tests {
     /// A racing stream overwrote the chunk the requester needed next, then
     /// the stream it was applying flipped the status: that chunk can never
     /// arrive, so the requester re-arms at the flip, not a
-    /// `transfer_timeout` later. The responders are played by writing
+    /// [`TRANSFER_TIMEOUT`] later. The responders are played by writing
     /// straight into the requester's memory; no peer process runs.
     #[test]
     fn a_transfer_missing_an_overwritten_chunk_rearms_at_the_flip() {
@@ -639,7 +652,8 @@ mod tests {
         let rearm = Arc::new(Mutex::new(None));
         let (requester, out) = (Rc::clone(&shared), Arc::clone(&adopted));
         simulation.spawn("heron-exec-p0r0", move || {
-            *out.lock() = Some((state_transfer(&requester), sim::now()));
+            let rid = state_transfer_abortable(&requester, &|| false);
+            *out.lock() = Some((rid.expect("never withdrawn"), sim::now()));
         });
         let out = Arc::clone(&rearm);
         simulation.spawn("responders", move || {
@@ -680,6 +694,6 @@ mod tests {
         );
         let (rid, done) = adopted.lock().expect("the transfer completed");
         assert_eq!(rid, ours);
-        assert!(done - flip < cluster.config().transfer_timeout);
+        assert!(done - flip < TRANSFER_TIMEOUT);
     }
 }

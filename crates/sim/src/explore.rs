@@ -201,28 +201,31 @@ pub fn shrink_trace(
     }
 }
 
+/// Ready-set gather cap per choice point (bounds per-pop work).
+pub(crate) const MAX_READY: usize = 64;
+/// Livelock: consecutive live dispatches of *any* process at one frozen
+/// `(instant, progress)` — the cross-process generalization of
+/// [`ExploreConfig::dispatch_spin_threshold`], with a wide margin over
+/// legitimate same-instant cascades.
+const GLOBAL_SPIN_THRESHOLD: u64 = 262_144;
+/// Decision-step horizon the PCT change points are drawn from.
+const PCT_HORIZON: u64 = 50_000;
+/// Cap on the per-run choice-point log (counting continues past it).
+const CHOICE_LOG_CAP: usize = 100_000;
+
 /// Exploration configuration. [`ExploreConfig::new`] picks defaults sized
-/// for the Heron workloads; every threshold is overridable.
+/// for the Heron workloads; the two per-process spin thresholds are
+/// overridable (tests and the self-tests lower them).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExploreConfig {
     /// The schedule strategy.
     pub strategy: StrategyKind,
-    /// Ready-set gather cap per choice point (bounds per-pop work).
-    pub max_ready: usize,
     /// Livelock: consecutive live dispatches of one process at one instant
     /// with the progress watermark frozen.
     pub dispatch_spin_threshold: u64,
-    /// Livelock: consecutive live dispatches of *any* process at one
-    /// frozen `(instant, progress)` — the cross-process generalization,
-    /// with a wide margin over legitimate same-instant cascades.
-    pub global_spin_threshold: u64,
     /// Livelock: consecutive `wait_while` predicate passes without
     /// blocking, on one cond at one instant.
     pub poll_spin_threshold: u64,
-    /// Decision-step horizon the PCT change points are drawn from.
-    pub pct_horizon: u64,
-    /// Cap on the per-run choice-point log (counting continues past it).
-    pub choice_log_cap: usize,
 }
 
 impl ExploreConfig {
@@ -230,19 +233,15 @@ impl ExploreConfig {
     pub fn new(strategy: StrategyKind) -> Self {
         ExploreConfig {
             strategy,
-            max_ready: 64,
             dispatch_spin_threshold: 4_096,
-            global_spin_threshold: 262_144,
             poll_spin_threshold: 10_000,
-            pct_horizon: 50_000,
-            choice_log_cap: 100_000,
         }
     }
 }
 
-/// One explored choice point (recorded up to
-/// [`ExploreConfig::choice_log_cap`]); the bounded-preemption sweep uses
-/// the log to enumerate which steps have alternatives worth forcing.
+/// One explored choice point (the first 100 000 of a run are recorded);
+/// the bounded-preemption sweep uses the log to enumerate which steps have
+/// alternatives worth forcing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChoicePoint {
     /// Decision step (counts ready sets with more than one entry).
@@ -379,7 +378,7 @@ pub struct ExploreReport {
     pub violations: Vec<Violation>,
     /// Replayable deviation trace of this run's schedule.
     pub trace: ScheduleTrace,
-    /// Choice-point log (capped at [`ExploreConfig::choice_log_cap`]).
+    /// Choice-point log (the first 100 000 choice points).
     pub choice_points: Vec<ChoicePoint>,
 }
 
@@ -492,7 +491,6 @@ struct Inner {
     max_ready: usize,
     deviations: Vec<(u64, u64)>,
     choice_log: Vec<ChoicePoint>,
-    choice_log_cap: usize,
     /// Kernel-side per-process dispatch watches.
     dispatch: BTreeMap<u32, SpinWatch>,
     /// Global dispatch watch (any pid).
@@ -512,9 +510,7 @@ struct Inner {
 /// Shared exploration state, living on the kernel behind
 /// `(Cell<bool>, RefCell<Option<Arc<_>>>)` exactly like the tracer.
 pub(crate) struct ExploreState {
-    max_ready_cap: usize,
     dispatch_spin_threshold: u64,
-    global_spin_threshold: u64,
     poll_spin_threshold: u64,
     progress: AtomicU64,
     inner: Mutex<Inner>,
@@ -523,19 +519,16 @@ pub(crate) struct ExploreState {
 impl ExploreState {
     pub(crate) fn new(cfg: ExploreConfig) -> Self {
         ExploreState {
-            max_ready_cap: cfg.max_ready.max(2),
             dispatch_spin_threshold: cfg.dispatch_spin_threshold.max(2),
-            global_spin_threshold: cfg.global_spin_threshold.max(2),
             poll_spin_threshold: cfg.poll_spin_threshold.max(2),
             progress: AtomicU64::new(0),
             inner: Mutex::new(Inner {
-                strategy: StrategyImpl::build(&cfg.strategy, cfg.pct_horizon),
+                strategy: StrategyImpl::build(&cfg.strategy, PCT_HORIZON),
                 steps: 0,
                 preemptions: 0,
                 max_ready: 0,
                 deviations: Vec::new(),
                 choice_log: Vec::new(),
-                choice_log_cap: cfg.choice_log_cap,
                 dispatch: BTreeMap::new(),
                 global: SpinWatch::default(),
                 polls: BTreeMap::new(),
@@ -546,11 +539,6 @@ impl ExploreState {
                 tripped: false,
             }),
         }
-    }
-
-    /// Ready-set gather cap.
-    pub(crate) fn ready_cap(&self) -> usize {
-        self.max_ready_cap
     }
 
     /// Advances the global progress watermark (protocol watermark hooks).
@@ -570,7 +558,7 @@ impl ExploreState {
             inner.preemptions += 1;
             inner.deviations.push((step, ready[idx].seq));
         }
-        if inner.choice_log.len() < inner.choice_log_cap {
+        if inner.choice_log.len() < CHOICE_LOG_CAP {
             inner.choice_log.push(ChoicePoint {
                 step,
                 time,
@@ -612,7 +600,7 @@ impl ExploreState {
         }
         let (kind, observed) = if per_streak >= self.dispatch_spin_threshold {
             (LivelockKind::SchedulerSpin, per_streak)
-        } else if inner.global.streak >= self.global_spin_threshold {
+        } else if inner.global.streak >= GLOBAL_SPIN_THRESHOLD {
             (LivelockKind::GlobalSpin, inner.global.streak)
         } else {
             return false;

@@ -16,7 +16,7 @@
 //! it runs, and is dropped, on the thread that created it.
 
 use crate::error::{SimError, SimResult};
-use crate::explore::{Choice, ChoiceActor, ExploreConfig, ExploreState};
+use crate::explore::{Choice, ChoiceActor, ExploreConfig, ExploreState, MAX_READY};
 use crate::prof::ProfState;
 use crate::queue::{Entry, Popped, TimerWheel, Wake};
 use crate::time::SimTime;
@@ -709,7 +709,7 @@ impl Kernel {
         };
         let time = first.time;
         let mut ready = vec![first];
-        while ready.len() < ex.ready_cap() {
+        while ready.len() < MAX_READY {
             match Self::pop_due(st, Some(time)) {
                 Popped::Event(e) => {
                     debug_assert_eq!(e.time, time, "same-instant gather crossed instants");

@@ -27,28 +27,19 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::time::Duration;
 
-/// Modeled CPU costs of transaction logic, charged to the executing
-/// replica's virtual clock. Calibrated so that Fig. 6/7's latencies land
-/// in the paper's range (see `EXPERIMENTS.md`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TpccCosts {
-    /// Fixed cost per transaction (dispatch, request parse).
-    pub base: Duration,
-    /// Per row deserialized/serialized from a *serialized* table
-    /// (Customer, Stock) — the expensive accesses of §V-D2.
-    pub per_serialized_row: Duration,
-    /// Per row touched in a native table.
-    pub per_native_row: Duration,
-}
+/// Fixed cost per transaction (dispatch, request parse).
+const BASE_CPU: Duration = Duration::from_nanos(1_500);
+/// Per row deserialized/serialized from a *serialized* table (Customer,
+/// Stock) — the expensive accesses of §V-D2.
+const PER_SERIALIZED_ROW_CPU: Duration = Duration::from_nanos(430);
+/// Per row touched in a native table.
+const PER_NATIVE_ROW_CPU: Duration = Duration::from_nanos(110);
 
-impl Default for TpccCosts {
-    fn default() -> Self {
-        TpccCosts {
-            base: Duration::from_nanos(1_500),
-            per_serialized_row: Duration::from_nanos(430),
-            per_native_row: Duration::from_nanos(110),
-        }
-    }
+/// The modeled CPU cost of transaction logic that touched these rows,
+/// charged to the executing replica's virtual clock. Calibrated so that
+/// Fig. 6/7's latencies land in the paper's range (see `EXPERIMENTS.md`).
+fn cost(serialized_rows: u32, native_rows: u32) -> Duration {
+    BASE_CPU + PER_SERIALIZED_ROW_CPU * serialized_rows + PER_NATIVE_ROW_CPU * native_rows
 }
 
 /// The TPC-C application: implements [`StateMachine`] for Heron.
@@ -57,8 +48,6 @@ pub struct TpccApp {
     scale: TpccScale,
     warehouses: u16,
     partitions: u16,
-    /// CPU-cost model.
-    pub costs: TpccCosts,
 }
 
 impl TpccApp {
@@ -69,7 +58,6 @@ impl TpccApp {
             scale,
             warehouses,
             partitions: warehouses,
-            costs: TpccCosts::default(),
         }
     }
 
@@ -254,7 +242,7 @@ impl TpccApp {
         Execution {
             writes,
             response: Bytes::from(response),
-            compute: self.cost(serialized_rows, native_rows),
+            compute: cost(serialized_rows, native_rows),
         }
     }
 
@@ -329,7 +317,7 @@ impl TpccApp {
         Execution {
             writes,
             response: Bytes::from(response),
-            compute: self.cost(serialized_rows, native_rows),
+            compute: cost(serialized_rows, native_rows),
         }
     }
 
@@ -369,7 +357,7 @@ impl TpccApp {
         Execution {
             writes: vec![],
             response: Bytes::from(response),
-            compute: self.cost(serialized_rows, native_rows),
+            compute: cost(serialized_rows, native_rows),
         }
     }
 
@@ -455,7 +443,7 @@ impl TpccApp {
         Execution {
             writes,
             response: Bytes::copy_from_slice(&delivered.to_le_bytes()),
-            compute: self.cost(serialized_rows, native_rows),
+            compute: cost(serialized_rows, native_rows),
         }
     }
 
@@ -503,14 +491,8 @@ impl TpccApp {
         Execution {
             writes: vec![],
             response: Bytes::copy_from_slice(&low.to_le_bytes()),
-            compute: self.cost(serialized_rows, native_rows),
+            compute: cost(serialized_rows, native_rows),
         }
-    }
-
-    fn cost(&self, serialized_rows: u32, native_rows: u32) -> Duration {
-        self.costs.base
-            + self.costs.per_serialized_row * serialized_rows
-            + self.costs.per_native_row * native_rows
     }
 }
 

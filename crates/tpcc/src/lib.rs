@@ -37,7 +37,7 @@ mod scale;
 mod ser;
 mod txn;
 
-pub use app::{TpccApp, TpccCosts};
+pub use app::TpccApp;
 pub use gen::TpccGen;
 pub use rows::{
     CustomerRow, DistrictRow, HistoryRow, ItemRow, NewOrderRow, OrderLineRow, OrderRow, StockRow,

@@ -19,12 +19,14 @@ cargo test -q --offline -p coro
 
 # Lint gate: formatting, clippy and rustdoc, warnings denied (a doc link
 # to a deleted or private item fails here, not only in a reader's browser),
-# and the unsafe fence: every library crate root but shims/coro carries
-# #![forbid(unsafe_code)] and the keyword appears nowhere else.
+# the unsafe fence: every library crate root but shims/coro carries
+# #![forbid(unsafe_code)] and the keyword appears nowhere else, and the
+# config fence: every configuration field is set by some code.
 cargo fmt --check
 cargo clippy --workspace --all-targets --offline -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 scripts/unsafe_fence.sh
+scripts/config_fence.sh
 
 # Everything else — the chaos, race, explain, P-SMR, exploration, bench-trend
 # and recovery gates with their self-tests — is one list, which CI's `gates`
