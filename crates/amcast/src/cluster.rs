@@ -93,7 +93,9 @@ impl Mcast {
     ///
     /// `nodes[g][i]` is the node hosting replica `i` of group `g`. The
     /// caller may colocate other state (Heron does) on the same nodes;
-    /// regions are allocated from each node's registered memory.
+    /// regions are allocated from each node's registered memory. When
+    /// `fabric` has the race detector enabled, every region is annotated
+    /// as synchronization memory.
     ///
     /// # Panics
     ///
@@ -142,7 +144,7 @@ impl Mcast {
             .iter()
             .map(|group| group.iter().map(|_| Mailbox::new()).collect())
             .collect();
-        Mcast {
+        let mcast = Mcast {
             inner: Rc::new(McastInner {
                 cfg,
                 sizes,
@@ -155,7 +157,11 @@ impl Mcast {
                 uid_counter: Cell::new(1),
                 client_counter: Cell::new(0),
             }),
+        };
+        if let Some(detector) = fabric.race_detector() {
+            mcast.annotate_sync_regions(&detector);
         }
+        mcast
     }
 
     /// The configuration this deployment was built with.
@@ -293,7 +299,7 @@ impl Mcast {
     /// synchronization memory by design — unsynchronized one-sided access
     /// to them *is* the protocol's coordination, so reads acquire, writes
     /// release, and the generic data-race checks do not apply.
-    pub fn annotate_sync_regions(&self, detector: &rdma_sim::RaceDetector) {
+    fn annotate_sync_regions(&self, detector: &rdma_sim::RaceDetector) {
         let sizes = &self.inner.sizes;
         for (g, group) in self.inner.nodes.iter().enumerate() {
             for (i, node) in group.iter().enumerate() {

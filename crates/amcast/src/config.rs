@@ -54,13 +54,6 @@ impl McastConfig {
         self
     }
 
-    /// Sets the maximum payload size in bytes.
-    #[must_use]
-    pub fn with_max_payload(mut self, bytes: usize) -> Self {
-        self.max_payload = bytes;
-        self
-    }
-
     /// Sets the group-commit size (see [`Self::max_batch`]).
     #[must_use]
     pub fn with_max_batch(mut self, n: usize) -> Self {
@@ -110,10 +103,8 @@ mod tests {
     fn builder_setters() {
         let c = McastConfig::new(1, 3)
             .with_max_clients(128)
-            .with_max_payload(2048)
             .with_max_batch(8);
         assert_eq!(c.max_clients, 128);
-        assert_eq!(c.max_payload, 2048);
         assert_eq!(c.max_batch, 8);
         assert_eq!(
             McastConfig::new(1, 3).max_batch,

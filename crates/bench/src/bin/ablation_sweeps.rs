@@ -17,7 +17,7 @@
 
 use heron_bench::syncapp::run_transfer;
 use heron_bench::{banner, quick_mode, run_heron, RunConfig, Workload};
-use heron_core::StorageKind;
+use heron_core::{HeronConfig, StorageKind};
 use std::time::Duration;
 
 fn chunk_size_sweep() {
@@ -46,13 +46,10 @@ fn cutoff_sweep(quick: bool) {
         "δ", "tps", "mean lat", "p99 lat", "state transfers"
     );
     for delta_us in [0u64, 2, 5, 10, 20, 50] {
-        let mut cfg = RunConfig::new(2, 3, Workload::Tpcc).quick(quick);
-        cfg.wait_for_all = if delta_us == 0 {
-            Some(None) // heuristic disabled
-        } else {
-            Some(Some(Duration::from_micros(delta_us)))
-        };
-        let s = run_heron(&cfg);
+        // δ = 0 disables the heuristic.
+        let delta = (delta_us > 0).then(|| Duration::from_micros(delta_us));
+        let heron = HeronConfig::new(2, 3).with_wait_for_all(delta);
+        let s = run_heron(&RunConfig::new(heron, Workload::Tpcc).quick(quick));
         println!(
             "{:<10} {:>12.0} {:>12.2?} {:>12.2?} {:>16}",
             if delta_us == 0 {
@@ -80,11 +77,8 @@ fn batching_sweep(quick: bool) {
     );
     let mut base_tps = 0.0;
     for max_batch in [1usize, 2, 4, 8, 16, 32, 64] {
-        let s = run_heron(
-            &RunConfig::new(4, 3, Workload::Null)
-                .quick(quick)
-                .with_max_batch(max_batch),
-        );
+        let heron = HeronConfig::new(4, 3).with_max_batch(max_batch);
+        let s = run_heron(&RunConfig::new(heron, Workload::Null).quick(quick));
         if max_batch == 1 {
             base_tps = s.tps;
         }

@@ -21,8 +21,10 @@
 //! path or a path no recorded latency, a request is untraced, or the
 //! schedule traced no multi-partition request.
 
-use heron_bench::{arg_value, banner, quick_mode, run_heron, RunConfig, Workload};
+use heron_bench::{arg_value, banner, quick_mode, run_heron_on, RunConfig, Workload};
 use heron_core::explain::{check_latencies, request_paths, Segment};
+use heron_core::HeronConfig;
+use rdma_sim::{Fabric, LatencyModel};
 
 fn us(ns: u64) -> f64 {
     ns as f64 / 1_000.0
@@ -47,15 +49,20 @@ fn main() {
     let mut failed = false;
 
     // The fig7 shape — the TPC-C mix on 4 partitions — in fixed-work mode.
-    let mut cfg = RunConfig::new(4, 3, Workload::Tpcc)
+    let mut cfg = RunConfig::new(HeronConfig::new(4, 3), Workload::Tpcc)
         .quick(quick)
-        .with_requests(if quick { 30 } else { 150 })
-        .with_tracing(true)
-        .with_profiling(true);
+        .with_requests(if quick { 30 } else { 150 });
     cfg.seed = seed;
-    let run = run_heron(&cfg);
-    let prof = run.prof.as_ref().expect("profiling was enabled");
-    let tracer = run.tracer.as_ref().expect("tracing was enabled");
+    let (run, prof, tracer) = {
+        let simulation = sim::Simulation::new(seed);
+        let profiler = simulation.enable_profiling();
+        let tracer = simulation.enable_tracing();
+        let run = run_heron_on(&cfg, &simulation, &Fabric::new(LatencyModel::connectx4()));
+        (run, profiler.report(), tracer)
+    };
+    // Read after the simulation is dropped: its teardown unwinds the
+    // processes parked when the last client stopped the run, closing the
+    // spans they had open.
     let events = tracer.events();
     println!(
         "fig7-tpcc-4p seed {seed}: {:.0} tps, {} trace events, {} sim events, \

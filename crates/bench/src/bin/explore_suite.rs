@@ -25,7 +25,9 @@
 use heron_bench::chaos::{
     self, recovery_scenario_for_seed, scenario_for_seed, RunResult, Scenario,
 };
-use heron_bench::{arg_value, banner, quick_mode, run_heron, RunConfig, Workload};
+use heron_bench::{arg_value, banner, quick_mode, run_heron_on, RunConfig, Workload};
+use heron_core::HeronConfig;
+use rdma_sim::{Fabric, LatencyModel};
 use sim::{
     shrink_trace, Cond, ExploreConfig, ExploreReport, LivelockKind, Mailbox, ScheduleTrace,
     Simulation, StrategyKind, Violation,
@@ -46,7 +48,7 @@ enum Shape {
 }
 
 fn shapes(base_seed: u64, quick: bool) -> Vec<(&'static str, Shape)> {
-    let mut fig4 = RunConfig::new(2, 3, Workload::Tpcc);
+    let mut fig4 = RunConfig::new(HeronConfig::new(2, 3), Workload::Tpcc);
     fig4.seed = base_seed;
     // Exploration multiplies per-pop work; a short window still crosses
     // thousands of choice points per run.
@@ -65,21 +67,40 @@ fn shapes(base_seed: u64, quick: bool) -> Vec<(&'static str, Shape)> {
     ]
 }
 
-/// Runs one shape under one exploration strategy. Returns `(completed
-/// cleanly, exploration report)`.
-fn run_shape(shape: &Shape, strategy: StrategyKind) -> (bool, ExploreReport) {
-    let explore = ExploreConfig::new(strategy);
-    let (ok, report) = match shape {
-        Shape::Fig4(rc) => {
-            let cfg = (**rc).clone().with_explore(explore);
-            (true, run_heron(&cfg).explore)
-        }
-        Shape::Chaos(sc) => {
-            let (result, _, report) = chaos::run_explored(sc, Some(explore), false);
-            (matches!(result, RunResult::Pass { .. }), report)
-        }
+/// Runs one shape under one exploration strategy on `fabric` (fresh, or
+/// sabotaged by a self-test). Returns `(completed cleanly, schedule hash,
+/// exploration report)`.
+fn explore_on(
+    shape: &Shape,
+    strategy: StrategyKind,
+    fabric: &Fabric,
+) -> (bool, u64, ExploreReport) {
+    let seed = match shape {
+        Shape::Fig4(rc) => rc.seed,
+        Shape::Chaos(sc) => sc.seed,
     };
-    (ok, report.expect("exploration was enabled"))
+    let simulation = Simulation::new(seed);
+    simulation.enable_exploration(ExploreConfig::new(strategy));
+    let ok = match shape {
+        Shape::Fig4(rc) => {
+            run_heron_on(rc, &simulation, fabric);
+            true
+        }
+        Shape::Chaos(sc) => matches!(
+            chaos::run_on(sc, &simulation, fabric, sc.config()),
+            RunResult::Pass { .. }
+        ),
+    };
+    let report = simulation
+        .explore_report()
+        .expect("exploration was enabled");
+    (ok, simulation.schedule_hash(), report)
+}
+
+/// [`explore_on`] a fresh fabric, without the hash.
+fn run_shape(shape: &Shape, strategy: StrategyKind) -> (bool, ExploreReport) {
+    let (ok, _, report) = explore_on(shape, strategy, &Fabric::new(LatencyModel::connectx4()));
+    (ok, report)
 }
 
 // ----------------------------------------------------------------------
@@ -393,8 +414,10 @@ fn has_poll_spin(report: &ExploreReport) -> bool {
 fn prove_rebroken_has_work(base_seed: u64, quick: bool, scan: u64) -> bool {
     // One recovery scenario with the gate broken, under `strategy`.
     let run_broken = |sc: &Scenario, strategy: StrategyKind| {
-        let (_, hash, rep) = chaos::run_explored(sc, Some(ExploreConfig::new(strategy)), true);
-        (hash, rep.expect("exploration was enabled"))
+        let fabric = Fabric::new(LatencyModel::connectx4());
+        fabric.sabotage(amcast::SABOTAGE_HAS_WORK_GATE);
+        let (_, hash, rep) = explore_on(&Shape::Chaos(sc.clone()), strategy, &fabric);
+        (hash, rep)
     };
     let mut found: Option<(u64, Scenario, ExploreReport)> = None;
     for s in 0..scan {

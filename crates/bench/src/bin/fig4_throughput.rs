@@ -21,6 +21,7 @@
 use heron_bench::{
     banner, quick_mode, run_heron, write_results, Json, LoadSummary, RunConfig, Workload,
 };
+use heron_core::HeronConfig;
 
 fn main() {
     let wall_start = std::time::Instant::now();
@@ -51,7 +52,7 @@ fn main() {
         print!("{label:<26}");
         let mut row = Vec::new();
         for &p in &partitions {
-            let summary = run_heron(&RunConfig::new(p, 3, wl).quick(quick));
+            let summary = run_heron(&RunConfig::new(HeronConfig::new(p, 3), wl).quick(quick));
             print!("{:>12.0}", summary.tps);
             row.push(summary);
             use std::io::Write;
@@ -95,12 +96,14 @@ fn main() {
     for &p in &ablate_at {
         let idx = partitions.iter().position(|&x| x == p).expect("in list");
         let unbatched = heron_row[idx].clone();
-        let base_cfg = RunConfig::new(p, 3, Workload::Null).quick(quick);
-        let batched = run_heron(&base_cfg.clone().with_max_batch(8));
-        let work_cfg = base_cfg.with_requests(reqs_per_client);
-        let total_reqs = (work_cfg.clients as u64 * reqs_per_client) as f64;
-        let u_work = run_heron(&work_cfg.clone());
-        let b_work = run_heron(&work_cfg.with_max_batch(8));
+        let cfg = |max_batch| {
+            let heron = HeronConfig::new(p, 3).with_max_batch(max_batch);
+            RunConfig::new(heron, Workload::Null).quick(quick)
+        };
+        let batched = run_heron(&cfg(8));
+        let total_reqs = (cfg(1).clients as u64 * reqs_per_client) as f64;
+        let u_work = run_heron(&cfg(1).with_requests(reqs_per_client));
+        let b_work = run_heron(&cfg(8).with_requests(reqs_per_client));
         for (mb, s, basis, per_req) in [
             (1usize, &unbatched, "window", f64::NAN),
             (8, &batched, "window", f64::NAN),

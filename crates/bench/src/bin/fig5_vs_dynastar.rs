@@ -10,6 +10,7 @@
 use heron_bench::{
     banner, quick_mode, run_dynastar_tpcc, run_heron, write_results, Json, RunConfig, Workload,
 };
+use heron_core::HeronConfig;
 
 fn main() {
     let wall_start = std::time::Instant::now();
@@ -33,8 +34,9 @@ fn main() {
     let mut dynastar_lat_us = Vec::new();
     let mut events_total = 0u64;
     for &p in &partitions {
-        let h = run_heron(&RunConfig::new(p, 3, Workload::Tpcc).quick(quick));
-        let mut ds_cfg = RunConfig::new(p, 3, Workload::Tpcc).quick(quick);
+        let cfg = RunConfig::new(HeronConfig::new(p, 3), Workload::Tpcc).quick(quick);
+        let h = run_heron(&cfg);
+        let mut ds_cfg = cfg;
         // DynaStar saturates with far fewer clients (its leaders are the
         // bottleneck); latency measured at the same load.
         ds_cfg.clients = (p * 8).clamp(8, 64);

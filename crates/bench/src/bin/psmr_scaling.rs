@@ -18,6 +18,7 @@
 //! Results land in `bench_results/BENCH_psmr.json`.
 
 use heron_bench::{banner, quick_mode, run_heron, write_results, Json, RunConfig, Workload};
+use heron_core::HeronConfig;
 
 const WIDTHS: [usize; 4] = [1, 2, 4, 8];
 const WPPS: [u16; 3] = [1, 2, 8];
@@ -62,10 +63,11 @@ fn main() {
             // a single lane's capacity — unbatched, the amcast groups
             // saturate near 100k/s each and every width ≥ 2 measures the
             // same ordering-bound plateau instead of execution scaling.
-            let mut cfg = RunConfig::new(2, 3, Workload::Tpcc)
+            let heron = HeronConfig::new(2, 3)
+                .with_executor_width(width)
+                .with_max_batch(8);
+            let mut cfg = RunConfig::new(heron, Workload::Tpcc)
                 .with_warehouses_per_partition(wpp)
-                .with_width(width)
-                .with_max_batch(8)
                 .with_requests(requests);
             // The pool needs enough outstanding requests to fill its
             // workers; closed-loop clients carry one request each, and the

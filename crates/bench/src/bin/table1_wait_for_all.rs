@@ -12,6 +12,7 @@
 //! `cargo run -p heron-bench --release --bin table1_wait_for_all [--quick]`
 
 use heron_bench::{banner, quick_mode, run_heron, RunConfig, Workload};
+use heron_core::HeronConfig;
 
 fn main() {
     let quick = quick_mode();
@@ -21,7 +22,8 @@ fn main() {
     );
     for &partitions in &[2usize, 4] {
         for &replicas in &[3usize, 5] {
-            let cfg = RunConfig::new(partitions, replicas, Workload::Tpcc).quick(quick);
+            let heron = HeronConfig::new(partitions, replicas);
+            let cfg = RunConfig::new(heron, Workload::Tpcc).quick(quick);
             let s = run_heron(&cfg);
             println!(
                 "\n{partitions} partitions, {replicas} replicas per partition — \

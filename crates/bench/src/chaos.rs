@@ -658,37 +658,13 @@ impl Scenario {
 /// and the run's schedule hash. Deterministic: the same scenario always
 /// yields the same pair.
 pub fn run(sc: &Scenario) -> (RunResult, u64) {
-    let (result, hash, _) = run_explored(sc, None, false);
-    (result, hash)
-}
-
-/// Like [`run`], but optionally under schedule exploration (returning the
-/// detector report) and, **for self-tests only**, on a fabric sabotaged
-/// with [`amcast::SABOTAGE_HAS_WORK_GATE`]. The `explore_suite` binary
-/// drives all its chaos/recovery sweeps and the livelock self-test through
-/// this entry point.
-pub fn run_explored(
-    sc: &Scenario,
-    explore: Option<sim::ExploreConfig>,
-    break_has_work: bool,
-) -> (RunResult, u64, Option<sim::ExploreReport>) {
     let simulation = sim::Simulation::new(sc.seed);
-    if let Some(cfg) = explore {
-        simulation.enable_exploration(cfg);
-    }
     let fabric = Fabric::new(LatencyModel::connectx4());
-    if break_has_work {
-        fabric.sabotage(amcast::SABOTAGE_HAS_WORK_GATE);
-    }
     let result = run_on(sc, &simulation, &fabric, sc.config());
-    (
-        result,
-        simulation.schedule_hash(),
-        simulation.explore_report(),
-    )
+    (result, simulation.schedule_hash())
 }
 
-/// Runs `sc` on a simulation, a fresh fabric and a deployment config
+/// Runs `sc` on a simulation, an empty fabric and a deployment config
 /// (start from [`Scenario::config`]) the caller has prepared, so whatever
 /// diagnostics are enabled on them ride along; the schedule fingerprint is
 /// the caller's to read off `simulation` afterwards.

@@ -33,21 +33,19 @@ pub enum Workload {
     NullLocal,
 }
 
-/// Parameters of one load run.
+/// Parameters of one load run: the deployment it builds and the load
+/// that drives it.
 #[derive(Debug, Clone)]
 pub struct RunConfig {
+    /// The deployment: shape, executor width, batching, wait-for-all.
+    /// The harness sizes its `max_clients` from [`RunConfig::clients`].
+    pub heron: HeronConfig,
     /// Simulation seed.
     pub seed: u64,
-    /// Partitions.
-    pub partitions: usize,
     /// Warehouses hosted by each partition (TPC-C workloads; default 1,
     /// the paper's shape). More than one gives a parallel executor pool
     /// disjoint conflict classes to exploit.
     pub warehouses_per_partition: u16,
-    /// Execution lanes per replica (1 = the delivery driver's inline lane).
-    pub executor_width: usize,
-    /// Replicas per partition.
-    pub replicas: usize,
     /// Closed-loop clients.
     pub clients: usize,
     /// Virtual warm-up time before measuring.
@@ -56,36 +54,12 @@ pub struct RunConfig {
     pub window: Duration,
     /// Workload.
     pub workload: Workload,
-    /// Override for Heron's Phase-4 wait-for-all delay: `None` keeps the
-    /// default; `Some(None)` disables the heuristic; `Some(Some(δ))` sets
-    /// it.
-    pub wait_for_all: Option<Option<Duration>>,
-    /// End-to-end batching cap (ordering-layer group commit and
-    /// doorbell-coalesced verbs). `1` = unbatched, the paper's baseline
-    /// system.
-    pub max_batch: usize,
     /// Fixed-work mode: when set, each client issues exactly this many
     /// requests and the run measures the whole execution (virtual time,
     /// simulator events, and wall clock for an identical request set)
     /// instead of counting completions inside a fixed window. `warmup` and
     /// `window` are ignored.
     pub requests: Option<u64>,
-    /// Enables the Sim-TSan race detector for the run (Heron only); the
-    /// summary's `audit` field then carries the reports and counters.
-    pub race_detector: bool,
-    /// Enables virtual-time tracing for the run (Heron only); the
-    /// summary's `tracer` field then carries the recorded spans.
-    pub tracing: bool,
-    /// Enables the Sim-Prof wait-state profiler (Heron only); the
-    /// summary's `prof` field then carries the report. Like tracing and
-    /// the race detector, schedules stay bit-identical either way.
-    pub profiling: bool,
-    /// Schedule exploration (Heron only): turns every same-instant ready
-    /// set into an explicit choice point driven by the configured strategy
-    /// and arms the deadlock/livelock detectors; the summary's `explore`
-    /// field then carries the report. `None` (the default) costs one flag
-    /// test per pop and leaves schedules bit-identical.
-    pub explore: Option<sim::ExploreConfig>,
     /// Chaos plan (Heron only): crash the last replica of partition 0 at
     /// the first virtual time and recover it at the second, exercising
     /// crash handling and state transfer under load.
@@ -93,44 +67,22 @@ pub struct RunConfig {
 }
 
 impl RunConfig {
-    /// A standard configuration for the given shape.
-    pub fn new(partitions: usize, replicas: usize, workload: Workload) -> Self {
+    /// A standard load on the deployment `heron`.
+    pub fn new(heron: HeronConfig, workload: Workload) -> Self {
         RunConfig {
-            seed: 42,
-            partitions,
-            warehouses_per_partition: 1,
-            executor_width: 1,
-            replicas,
             // The paper saturates at ~2 outstanding requests per
             // partition (53 ktps × 35.7 µs ≈ 1.9 at 2P); a few clients per
             // partition reach peak throughput without deep queues.
-            clients: (partitions * 4).clamp(4, 80),
+            clients: (heron.partitions * 4).clamp(4, 80),
+            heron,
+            seed: 42,
+            warehouses_per_partition: 1,
             warmup: Duration::from_millis(5),
             window: Duration::from_millis(25),
             workload,
-            wait_for_all: None,
-            max_batch: 1,
             requests: None,
-            race_detector: false,
-            tracing: false,
-            profiling: false,
-            explore: None,
             crash: None,
         }
-    }
-
-    /// Enables schedule exploration with the given configuration.
-    #[must_use]
-    pub fn with_explore(mut self, cfg: sim::ExploreConfig) -> Self {
-        self.explore = Some(cfg);
-        self
-    }
-
-    /// Sets the executor-pool width per replica.
-    #[must_use]
-    pub fn with_width(mut self, width: usize) -> Self {
-        self.executor_width = width;
-        self
     }
 
     /// Sets how many warehouses each partition hosts (TPC-C workloads).
@@ -141,40 +93,12 @@ impl RunConfig {
         self
     }
 
-    /// Enables (or disables) the Sim-TSan race detector.
-    #[must_use]
-    pub fn with_race_detector(mut self, on: bool) -> Self {
-        self.race_detector = on;
-        self
-    }
-
-    /// Enables (or disables) virtual-time tracing.
-    #[must_use]
-    pub fn with_tracing(mut self, on: bool) -> Self {
-        self.tracing = on;
-        self
-    }
-
-    /// Enables (or disables) the Sim-Prof wait-state profiler.
-    #[must_use]
-    pub fn with_profiling(mut self, on: bool) -> Self {
-        self.profiling = on;
-        self
-    }
-
     /// Schedules a crash of partition 0's last replica at `down`, recovered
     /// at `up`.
     #[must_use]
     pub fn with_crash(mut self, down: Duration, up: Duration) -> Self {
         assert!(up > down, "recovery must come after the crash");
         self.crash = Some((down, up));
-        self
-    }
-
-    /// Sets the end-to-end batching cap.
-    #[must_use]
-    pub fn with_max_batch(mut self, n: usize) -> Self {
-        self.max_batch = n;
         self
     }
 
@@ -196,15 +120,6 @@ impl RunConfig {
         }
         self
     }
-}
-
-/// Race-detector output of one run (`None` when the detector was off).
-#[derive(Debug, Clone)]
-pub struct RaceAuditSummary {
-    /// Every race and protocol-lint report the run produced.
-    pub reports: Vec<rdma_sim::RaceReport>,
-    /// Detector counters (coverage evidence: how much was checked).
-    pub stats: rdma_sim::DetectorStats,
 }
 
 /// The result of one load run.
@@ -245,9 +160,6 @@ pub struct LoadSummary {
     pub events: u64,
     /// Host wall-clock time for the whole run, milliseconds.
     pub wall_ms: f64,
-    /// Race-detector reports and counters (`None` when the detector was
-    /// off, always `None` for the DynaStar baseline).
-    pub audit: Option<RaceAuditSummary>,
     /// Final virtual time of the run, nanoseconds — with `events`, the
     /// schedule fingerprint determinism checks compare.
     pub virtual_ns: u64,
@@ -255,15 +167,6 @@ pub struct LoadSummary {
     /// [`sim::Simulation::schedule_hash`]): equal hashes mean the exact
     /// same event schedule (pinned in `tests/schedule_hash.rs`).
     pub schedule_hash: u64,
-    /// The run's trace (`None` when tracing was off, always `None` for
-    /// the DynaStar baseline).
-    pub tracer: Option<sim::trace::Tracer>,
-    /// Schedule-exploration report (`None` when exploration was off,
-    /// always `None` for the DynaStar baseline).
-    pub explore: Option<sim::ExploreReport>,
-    /// Sim-Prof report (`None` when profiling was off, always `None` for
-    /// the DynaStar baseline).
-    pub prof: Option<sim::prof::ProfReport>,
 }
 
 /// The `q`-quantile of a sorted slice of samples: the nearest-rank
@@ -281,25 +184,21 @@ pub fn quantile<T: Copy + Default>(sorted: &[T], q: f64) -> T {
 /// latency, the sorted samples, and the window's [`Breakdown`] rows. Every
 /// other field is left empty.
 fn measure(simulation: &sim::Simulation, cfg: &RunConfig, metrics: &Metrics) -> LoadSummary {
-    let (completed0, samples0, window_secs) = if cfg.requests.is_some() {
+    let (samples0, window_secs) = if cfg.requests.is_some() {
         // Fixed work: measure the whole run, cold start included — both
         // sides of a comparison pay it identically.
         simulation.run().expect("fixed-work run");
-        (0, 0, simulation.now().as_nanos() as f64 / 1e9)
+        (0, simulation.now().as_nanos() as f64 / 1e9)
     } else {
         simulation
             .run_until(sim::SimTime::ZERO + cfg.warmup)
             .expect("warmup");
-        let mark = (
-            metrics.completed.load(Ordering::Relaxed),
-            metrics.latencies.lock().len(),
-        );
+        let mark = metrics.latencies.lock().len();
         metrics.breakdowns.lock().clear(); // rows are window-only from here
         let end = sim::SimTime::ZERO + cfg.warmup + cfg.window;
         simulation.run_until(end).expect("measurement window");
-        (mark.0, mark.1, cfg.window.as_secs_f64())
+        (mark, cfg.window.as_secs_f64())
     };
-    let completed = metrics.completed.load(Ordering::Relaxed) - completed0;
     let mut samples = metrics.latencies.lock()[samples0..].to_vec();
     samples.sort_unstable();
     let mean = if samples.is_empty() {
@@ -309,7 +208,7 @@ fn measure(simulation: &sim::Simulation, cfg: &RunConfig, metrics: &Metrics) -> 
     };
     let at = |q| Duration::from_nanos(quantile(&samples, q));
     LoadSummary {
-        tps: completed as f64 / window_secs,
+        tps: samples.len() as f64 / window_secs,
         mean,
         p50: at(0.5),
         p95: at(0.95),
@@ -320,47 +219,39 @@ fn measure(simulation: &sim::Simulation, cfg: &RunConfig, metrics: &Metrics) -> 
     }
 }
 
-/// Builds a Heron deployment for `cfg` and drives it with closed-loop
-/// clients; returns the measured summary.
+/// Builds a Heron deployment for `cfg` on a fresh simulation and fabric
+/// and drives it with closed-loop clients; returns the measured summary.
 pub fn run_heron(cfg: &RunConfig) -> LoadSummary {
-    run_heron_on(cfg, &Fabric::new(LatencyModel::connectx4()))
+    let simulation = sim::Simulation::new(cfg.seed);
+    run_heron_on(cfg, &simulation, &Fabric::new(LatencyModel::connectx4()))
 }
 
-/// [`run_heron`] on a fabric the caller prepared — e.g. one a detector
-/// self-test armed with [`Fabric::sabotage`].
-pub fn run_heron_on(cfg: &RunConfig, fabric: &Fabric) -> LoadSummary {
+/// [`run_heron`] on a simulation (seeded with `cfg.seed`) and an empty
+/// fabric the caller prepared: whatever is switched on them before — the
+/// race detector, tracing, profiling, exploration, a self-test's
+/// [`Fabric::sabotage`] — rides along, and the caller reads its results
+/// from the handle that switched it on.
+pub fn run_heron_on(cfg: &RunConfig, simulation: &sim::Simulation, fabric: &Fabric) -> LoadSummary {
     let wall_start = std::time::Instant::now();
-    let simulation = sim::Simulation::new(cfg.seed);
-    if let Some(ex) = &cfg.explore {
-        simulation.enable_exploration(ex.clone());
-    }
-    let profiler = cfg.profiling.then(|| simulation.enable_profiling());
-    let warehouses = cfg.partitions as u16 * cfg.warehouses_per_partition;
+    let partitions = cfg.heron.partitions as u16;
+    let warehouses = partitions * cfg.warehouses_per_partition;
     let app: Arc<dyn StateMachine> = match cfg.workload {
         Workload::Tpcc | Workload::TpccLocal => {
-            Arc::new(TpccApp::new(SCALE, warehouses).with_partitions(cfg.partitions as u16))
+            Arc::new(TpccApp::new(SCALE, warehouses).with_partitions(partitions))
         }
-        Workload::Null | Workload::NullLocal => Arc::new(NullApp::new(cfg.partitions as u16)),
+        Workload::Null | Workload::NullLocal => Arc::new(NullApp::new(partitions)),
     };
-    let mut hcfg = HeronConfig::new(cfg.partitions, cfg.replicas)
-        .with_max_clients(cfg.clients + 2)
-        .with_executor_width(cfg.executor_width);
-    if let Some(delta) = cfg.wait_for_all {
-        hcfg = hcfg.with_wait_for_all(delta);
-    }
-    hcfg = hcfg
-        .with_max_batch(cfg.max_batch)
-        .with_race_detector(cfg.race_detector)
-        .with_tracing(cfg.tracing);
+    let hcfg = cfg.heron.clone().with_max_clients(cfg.clients + 2);
     let cluster = HeronCluster::build(fabric, hcfg, app);
-    cluster.spawn(&simulation);
+    cluster.spawn(simulation);
 
     if let Some((down, up)) = cfg.crash {
-        let victim = cluster.replica_node(PartitionId(0), cfg.replicas - 1).id();
+        let last = cfg.heron.replicas_per_partition - 1;
+        let victim = cluster.replica_node(PartitionId(0), last).id();
         FaultPlan::new(cfg.seed)
             .crash_at(victim, down)
             .recover_at(victim, up)
-            .arm(&simulation, fabric);
+            .arm(simulation, fabric);
     }
 
     let end = sim::SimTime::ZERO + cfg.warmup + cfg.window;
@@ -369,7 +260,6 @@ pub fn run_heron_on(cfg: &RunConfig, fabric: &Fabric) -> LoadSummary {
     for c in 0..cfg.clients {
         let mut client = cluster.client(format!("c{c}"));
         let workload = cfg.workload;
-        let partitions = cfg.partitions as u16;
         let seed = cfg.seed * 1000 + c as u64;
         let live = live_clients.clone();
         simulation.spawn(format!("client-{c}"), move || {
@@ -416,7 +306,7 @@ pub fn run_heron_on(cfg: &RunConfig, fabric: &Fabric) -> LoadSummary {
     }
 
     let metrics = cluster.metrics();
-    let window = measure(&simulation, cfg, &metrics);
+    let window = measure(simulation, cfg, &metrics);
     let delays = metrics
         .delays
         .iter()
@@ -433,15 +323,8 @@ pub fn run_heron_on(cfg: &RunConfig, fabric: &Fabric) -> LoadSummary {
         transfers_completed,
         events: simulation.events_executed(),
         wall_ms: wall_start.elapsed().as_secs_f64() * 1_000.0,
-        audit: cluster.race_detector().map(|d| RaceAuditSummary {
-            reports: d.reports(),
-            stats: d.stats(),
-        }),
         virtual_ns: simulation.now().as_nanos(),
         schedule_hash: simulation.schedule_hash(),
-        tracer: cluster.tracer(),
-        explore: simulation.explore_report(),
-        prof: profiler.map(|p| p.report()),
         ..window
     }
 }
@@ -451,9 +334,10 @@ pub fn run_heron_on(cfg: &RunConfig, fabric: &Fabric) -> LoadSummary {
 pub fn run_dynastar_tpcc(cfg: &RunConfig) -> LoadSummary {
     let wall_start = std::time::Instant::now();
     let simulation = sim::Simulation::new(cfg.seed);
-    let app = Arc::new(TpccApp::new(SCALE, cfg.partitions as u16));
+    let partitions = cfg.heron.partitions;
+    let app = Arc::new(TpccApp::new(SCALE, partitions as u16));
     let ds = DynaStar::build(
-        DynaStarConfig::new(cfg.partitions, cfg.replicas),
+        DynaStarConfig::new(partitions, cfg.heron.replicas_per_partition),
         app.clone(),
     );
     ds.spawn(&simulation);
@@ -461,7 +345,7 @@ pub fn run_dynastar_tpcc(cfg: &RunConfig) -> LoadSummary {
     let end = sim::SimTime::ZERO + cfg.warmup + cfg.window;
     for c in 0..cfg.clients {
         let mut client = ds.client(format!("c{c}"));
-        let partitions = cfg.partitions as u16;
+        let partitions = partitions as u16;
         let seed = cfg.seed * 1000 + c as u64;
         simulation.spawn(format!("ds-client-{c}"), move || {
             let mut gen = tpcc::TpccGen::new(SCALE, partitions, seed);

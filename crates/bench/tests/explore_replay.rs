@@ -1,7 +1,8 @@
 //! Satellite of DESIGN.md §15: a recorded violating schedule replays to
 //! the identical schedule hash *and* the identical detector report.
 
-use heron_bench::chaos::{self, recovery_scenario_for_seed};
+use heron_bench::chaos::{self, recovery_scenario_for_seed, Scenario};
+use rdma_sim::{Fabric, LatencyModel};
 use sim::{
     Cond, ExploreConfig, ExploreReport, LivelockKind, Mailbox, ScheduleTrace, Simulation,
     StrategyKind, Violation,
@@ -89,6 +90,21 @@ fn violating_random_walk_replays_identically() {
     assert_eq!(rep, report, "detector report must replay exactly");
 }
 
+/// Runs `sc` under `strategy` on a fabric sabotaged with
+/// [`amcast::SABOTAGE_HAS_WORK_GATE`]; returns the schedule hash and the
+/// exploration report.
+fn run_broken(sc: &Scenario, strategy: StrategyKind) -> (u64, ExploreReport) {
+    let simulation = Simulation::new(sc.seed);
+    simulation.enable_exploration(ExploreConfig::new(strategy));
+    let fabric = Fabric::new(LatencyModel::connectx4());
+    fabric.sabotage(amcast::SABOTAGE_HAS_WORK_GATE);
+    chaos::run_on(sc, &simulation, &fabric, sc.config());
+    let report = simulation
+        .explore_report()
+        .expect("exploration was enabled");
+    (simulation.schedule_hash(), report)
+}
+
 /// The same property at the full-system level: the recovery scenario that
 /// re-triggers the PR 8 `has_work` livelock (broken gate) replays its
 /// recorded schedule to the identical hash and report.
@@ -101,9 +117,7 @@ fn rebroken_has_work_schedule_replays_identically() {
     let mut found = None;
     for seed in 42..50 {
         let sc = recovery_scenario_for_seed(seed, true);
-        let (_, hash, rep) =
-            chaos::run_explored(&sc, Some(ExploreConfig::new(StrategyKind::Baseline)), true);
-        let rep = rep.expect("exploration was enabled");
+        let (hash, rep) = run_broken(&sc, StrategyKind::Baseline);
         let poll_spin = rep.violations.iter().any(|v| {
             matches!(
                 v,
@@ -123,11 +137,7 @@ fn rebroken_has_work_schedule_replays_identically() {
     let replay = StrategyKind::Replay {
         trace: report.trace.clone(),
     };
-    let (_, h, rep) = chaos::run_explored(&sc, Some(ExploreConfig::new(replay)), true);
+    let (h, rep) = run_broken(&sc, replay);
     assert_eq!(h, hash, "schedule hash must replay exactly");
-    assert_eq!(
-        rep.expect("exploration was enabled"),
-        report,
-        "detector report must replay exactly"
-    );
+    assert_eq!(rep, report, "detector report must replay exactly");
 }

@@ -9,13 +9,20 @@
 //! of a row must report the same `(schedule_hash, events, virtual_ns)`,
 //! and that triple must be the committed one.
 //!
+//! A column is switched one way for every shape: on the object each
+//! diagnostic lives on — the race detector on the fabric, the other three
+//! on the simulation — before the shape's deployment is built on them,
+//! whether a load run or a chaos scenario then drives it.
+//!
 //! A red cell here means one of two things. If only some columns moved,
 //! a diagnostic hook perturbed the schedule — fix the hook. If the whole
 //! row moved together, the protocol's schedule changed — re-pin only if
 //! the PR meant to change behaviour, and say so.
 
 use heron_bench::chaos::{self, RunResult, Scenario};
-use heron_bench::{run_heron, RunConfig, Workload};
+use heron_bench::{run_heron_on, RunConfig, Workload};
+use heron_core::HeronConfig;
+use rdma_sim::{Fabric, LatencyModel};
 use sim::{ExploreConfig, Simulation, StrategyKind};
 use std::time::Duration;
 
@@ -108,8 +115,9 @@ struct Row {
 /// detector's pool instrumentation (lanes, progress words) through a
 /// crash as well.
 fn table() -> Vec<Row> {
-    let load = |seed: u64| {
-        let mut cfg = RunConfig::new(2, 3, Workload::Tpcc).quick(true);
+    let two = || HeronConfig::new(2, 3);
+    let load = |seed: u64, heron: HeronConfig| {
+        let mut cfg = RunConfig::new(heron, Workload::Tpcc).quick(true);
         cfg.seed = seed;
         cfg.warmup = Duration::from_millis(1);
         cfg.window = Duration::from_millis(3);
@@ -124,22 +132,22 @@ fn table() -> Vec<Row> {
     vec![
         load_row(
             "fig4-tpcc-2p",
-            load(42),
+            load(42, two()),
             (0xaf4188f8b4e85966, 25_591, 4_000_000),
         ),
         load_row(
             "fig4-tpcc-2p-b8",
-            load(45).with_max_batch(8),
+            load(45, two().with_max_batch(8)),
             (0xbd9d72a564c9f2d2, 28_447, 4_000_000),
         ),
         load_row(
             "chaos-tpcc-2p",
-            load(43).with_crash(down, up),
+            load(43, two()).with_crash(down, up),
             (0xda66cefc332e9c18, 20_890, 4_000_000),
         ),
         load_row(
             "psmr-tpcc-2p-w4",
-            load(44).with_warehouses_per_partition(8).with_width(4),
+            load(44, two().with_executor_width(4)).with_warehouses_per_partition(8),
             (0xbc8228b3a3c3f4b9, 72_898, 4_000_000),
         ),
         row(
@@ -160,48 +168,45 @@ fn table() -> Vec<Row> {
     ]
 }
 
-/// Runs `shape` with `sw` and returns `(schedule_hash, events, virtual_ns)`.
+/// Runs `shape` with `sw` switched on its simulation and fabric and
+/// returns `(schedule_hash, events, virtual_ns)`.
 fn fingerprint(shape: &Shape, sw: Switches) -> (u64, u64, u64) {
-    let baseline = || ExploreConfig::new(StrategyKind::Baseline);
+    let seed = match shape {
+        Shape::Load(cfg) => cfg.seed,
+        Shape::Chaos(sc) => sc.seed,
+    };
+    let simulation = Simulation::new(seed);
+    let fabric = Fabric::new(LatencyModel::connectx4());
+    if sw.race {
+        fabric.enable_race_detector();
+    }
+    if sw.trace {
+        simulation.enable_tracing();
+    }
+    if sw.prof {
+        simulation.enable_profiling();
+    }
+    if sw.explore {
+        simulation.enable_exploration(ExploreConfig::new(StrategyKind::Baseline));
+    }
     match shape {
         Shape::Load(cfg) => {
-            let mut cfg = (**cfg)
-                .clone()
-                .with_race_detector(sw.race)
-                .with_tracing(sw.trace)
-                .with_profiling(sw.prof);
-            if sw.explore {
-                cfg = cfg.with_explore(baseline());
-            }
-            let s = run_heron(&cfg);
-            (s.schedule_hash, s.events, s.virtual_ns)
+            run_heron_on(cfg, &simulation, &fabric);
         }
         Shape::Chaos(sc) => {
-            let simulation = Simulation::new(sc.seed);
-            if sw.explore {
-                simulation.enable_exploration(baseline());
-            }
-            if sw.prof {
-                simulation.enable_profiling();
-            }
-            let cfg = sc
-                .config()
-                .with_race_detector(sw.race)
-                .with_tracing(sw.trace);
-            let fabric = rdma_sim::Fabric::new(rdma_sim::LatencyModel::connectx4());
-            let result = chaos::run_on(sc, &simulation, &fabric, cfg);
+            let result = chaos::run_on(sc, &simulation, &fabric, sc.config());
             assert!(
                 matches!(result, RunResult::Pass { .. }),
                 "seed {} must pass the checker: {result:?}",
                 sc.seed
             );
-            (
-                simulation.schedule_hash(),
-                simulation.events_executed(),
-                simulation.now().as_nanos(),
-            )
         }
     }
+    (
+        simulation.schedule_hash(),
+        simulation.events_executed(),
+        simulation.now().as_nanos(),
+    )
 }
 
 fn check_row(row: &Row) {
@@ -217,15 +222,15 @@ fn check_row(row: &Row) {
     }
 }
 
-/// The table, one thread per row. Each row builds its own simulations —
-/// kernel, fabric, cluster — and runs and drops them on its thread, so no
-/// simulator object (none is `Send`) ever crosses between rows.
+/// The table, one thread per row. Each thread builds the table and checks
+/// its own row — its simulations, kernel, fabric and cluster, are built,
+/// run and dropped there — so no simulator object (none is `Send`, nor is
+/// a `HeronConfig` that may carry a storage device) crosses between rows.
 #[test]
 fn no_switch_moves_a_pinned_schedule() {
-    let rows = table();
     std::thread::scope(|s| {
-        for row in &rows {
-            s.spawn(|| check_row(row));
+        for i in 0..table().len() {
+            s.spawn(move || check_row(&table().swap_remove(i)));
         }
     });
 }
@@ -237,11 +242,12 @@ fn no_switch_moves_a_pinned_schedule() {
 #[test]
 fn width_decides_the_worker_roster_not_the_driver() {
     for (width, workers_per_replica) in [(1usize, 0usize), (4, 4)] {
-        let cfg = RunConfig::new(2, 3, Workload::Tpcc)
-            .with_requests(30)
-            .with_width(width)
-            .with_profiling(true);
-        let prof = run_heron(&cfg).prof.expect("profiling was on");
+        let heron = HeronConfig::new(2, 3).with_executor_width(width);
+        let cfg = RunConfig::new(heron, Workload::Tpcc).with_requests(30);
+        let simulation = Simulation::new(cfg.seed);
+        let profiler = simulation.enable_profiling();
+        run_heron_on(&cfg, &simulation, &Fabric::new(LatencyModel::connectx4()));
+        let prof = profiler.report();
         let mut execs: Vec<&str> = prof
             .procs
             .iter()

@@ -2,19 +2,25 @@
 //! §11): the Perfetto export must be well-formed and causally sensible,
 //! the stage spans must sum exactly to the `Breakdown` rows (one stage
 //! clock feeds both), and every recorded client latency must be one request
-//! path's total, summed exactly, at width 1 and in the pool.
+//! path's total, summed exactly, at width 1 and in the pool; and the
+//! deployment's own tracing switch records what the simulation's does.
 //! (That tracing leaves the schedule alone is pinned in `schedule_hash.rs`.)
 
-use heron_bench::{run_heron, RunConfig, Workload};
+use heron_bench::chaos::{self, Bank};
+use heron_bench::{run_heron_on, LoadSummary, RunConfig, Workload};
 use heron_core::explain::{check_latencies, request_paths, spans};
-use sim::trace::EventKind;
+use heron_core::{HeronCluster, HeronConfig};
+use rdma_sim::{Fabric, LatencyModel};
+use sim::trace::{EventKind, Tracer};
+use sim::Simulation;
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// A small fig4-shaped run in fixed-work mode: deterministic request set,
 /// whole run measured, so schedules and attributions compare exactly.
 fn shape(partitions: usize, requests: u64) -> RunConfig {
-    let mut cfg = RunConfig::new(partitions, 3, Workload::Tpcc)
+    let mut cfg = RunConfig::new(HeronConfig::new(partitions, 3), Workload::Tpcc)
         .quick(true)
         .with_requests(requests);
     cfg.clients = partitions * 2;
@@ -22,13 +28,20 @@ fn shape(partitions: usize, requests: u64) -> RunConfig {
     cfg
 }
 
+/// Runs `cfg` with tracing switched on its simulation.
+fn traced(cfg: &RunConfig) -> (LoadSummary, Tracer) {
+    let simulation = Simulation::new(cfg.seed);
+    let tracer = simulation.enable_tracing();
+    let fabric = Fabric::new(LatencyModel::connectx4());
+    (run_heron_on(cfg, &simulation, &fabric), tracer)
+}
+
 /// Satellite: a 2-partition, 2-request run exports well-formed Chrome
 /// `trace_event` JSON — parseable nesting, monotone non-negative
 /// timestamps, the expected span names, and thread metadata per track.
 #[test]
 fn perfetto_export_is_well_formed() {
-    let summary = run_heron(&shape(2, 2).with_tracing(true));
-    let tracer = summary.tracer.expect("tracing was on");
+    let (summary, tracer) = traced(&shape(2, 2));
     let json = tracer.export_chrome_json();
 
     // Structural well-formedness without a JSON parser: braces and
@@ -140,9 +153,10 @@ fn span_sums(events: &[sim::trace::TraceEvent]) -> StageSums {
 /// `width` 4 runs the pool, so the dispatch wait is non-zero and
 /// `pool.park` carving is on the path.
 fn spans_rows_and_paths_agree(width: usize) {
-    let cfg = shape(4, 12).with_width(width).with_tracing(true);
-    let summary = run_heron(&cfg);
-    let events = summary.tracer.as_ref().expect("tracing was on").events();
+    let mut cfg = shape(4, 12);
+    cfg.heron = cfg.heron.with_executor_width(width);
+    let (summary, tracer) = traced(&cfg);
+    let events = tracer.events();
 
     let mut rows = StageSums::default();
     for b in &summary.breakdowns {
@@ -196,4 +210,27 @@ fn spans_rows_and_paths_agree_on_the_inline_lane() {
 #[test]
 fn spans_rows_and_paths_agree_in_the_pool() {
     spans_rows_and_paths_agree(4);
+}
+
+/// The deployment's tracing switch (`HeronConfig::with_tracing`, read back
+/// through `HeronCluster::tracer`) records exactly the events that tracing
+/// switched on the simulation before the build does, on one seed and shape.
+#[test]
+fn config_tracing_records_what_simulation_tracing_records() {
+    let sc = chaos::scenario_for_seed(9000, true);
+    let events = |via_config: bool| {
+        let simulation = Simulation::new(sc.seed);
+        let on_simulation = (!via_config).then(|| simulation.enable_tracing());
+        let fabric = Fabric::new(LatencyModel::connectx4());
+        let bank = Arc::new(Bank::new(sc.partitions as u16, sc.accounts));
+        let cfg = sc.config().with_tracing(via_config);
+        let cluster = HeronCluster::build(&fabric, cfg, bank);
+        let result = chaos::run_cluster(&sc, &simulation, &fabric, &cluster);
+        assert!(!result.failed(), "seed {} must pass: {result:?}", sc.seed);
+        let tracer = on_simulation.or_else(|| cluster.tracer());
+        tracer.expect("tracing was on").events()
+    };
+    let (via_config, via_simulation) = (events(true), events(false));
+    assert!(!via_config.is_empty(), "the run recorded no events");
+    assert_eq!(format!("{via_config:?}"), format!("{via_simulation:?}"));
 }

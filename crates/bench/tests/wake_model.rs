@@ -3,7 +3,7 @@
 //! touched.
 
 use heron_bench::syncapp::run_transfer;
-use heron_bench::{run_heron, RunConfig, Workload};
+use heron_bench::{run_heron_on, RunConfig, Workload};
 use heron_core::{HeronConfig, StorageKind, TRANSFER_SLOTS, TRANSFER_TIMEOUT};
 
 /// Fault-free null requests never involve the service process: no address
@@ -13,13 +13,13 @@ use heron_core::{HeronConfig, StorageKind, TRANSFER_SLOTS, TRANSFER_TIMEOUT};
 /// tens of thousands of times.
 #[test]
 fn idle_service_processes_sleep_through_a_fault_free_run() {
-    let summary = run_heron(
-        &RunConfig::new(2, 3, Workload::Null)
-            .quick(true)
-            .with_profiling(true),
-    );
+    let cfg = RunConfig::new(HeronConfig::new(2, 3), Workload::Null).quick(true);
+    let simulation = sim::Simulation::new(cfg.seed);
+    let profiler = simulation.enable_profiling();
+    let fabric = rdma_sim::Fabric::new(rdma_sim::LatencyModel::connectx4());
+    let summary = run_heron_on(&cfg, &simulation, &fabric);
     assert!(summary.tps > 0.0);
-    let prof = summary.prof.expect("profiling was on");
+    let prof = profiler.report();
     let services: Vec<_> = prof
         .procs
         .iter()

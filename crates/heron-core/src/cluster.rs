@@ -69,7 +69,7 @@ pub(crate) struct ReplicaShared {
     /// deployment has a [`crate::DurabilityConfig`].
     pub disk: Option<sim::storage::Disk>,
     /// Debug trace of request handling: `(ts_raw, event)` where event is
-    /// `e`xecuted, `s`kipped, or state-`t`ransferred-to.
+    /// `e`xecuted or state-`t`ransferred-to.
     pub exec_trace: Mutex<Vec<(u64, char)>>,
     /// Queue pairs to every replica node, `qps[h * n + q]`.
     qps: Vec<QueuePair>,
@@ -139,8 +139,8 @@ pub(crate) struct ClusterInner {
     pub metrics: Arc<Metrics>,
     pub clients: Mutex<HashMap<u64, ClientInfo>>,
     pub client_counter: Cell<u64>,
-    /// The Sim-TSan race detector, when [`HeronConfig::race_detector`] is
-    /// set (protocol lints consult it on their slow paths).
+    /// The Sim-TSan race detector, when the fabric has it enabled
+    /// (protocol lints consult it on their slow paths).
     pub detector: Option<rdma_sim::RaceDetector>,
     /// The trace handle, when [`HeronConfig::tracing`] is set. Populated at
     /// [`HeronCluster::spawn`] time (tracing is enabled on the simulation,
@@ -175,7 +175,10 @@ impl fmt::Debug for HeronCluster {
 impl HeronCluster {
     /// Builds a deployment on `fabric`: creates the replica nodes, lays out
     /// the ordering and coordination memory, and bootstraps every
-    /// partition's store from the application.
+    /// partition's store from the application. When `fabric` has the race
+    /// detector enabled ([`Fabric::enable_race_detector`], before this
+    /// call), every region is annotated with its protocol role and the
+    /// protocol lints run.
     ///
     /// # Panics
     ///
@@ -199,12 +202,7 @@ impl HeronCluster {
             // horizon.
             mcast.attach_wal(&dur.storage);
         }
-        let detector = cfg.race_detector.then(|| fabric.enable_race_detector());
-        if let Some(det) = &detector {
-            // The ordering layer's rings are synchronization memory by
-            // design: one-sided access to them IS the protocol.
-            mcast.annotate_sync_regions(det);
-        }
+        let detector = fabric.race_detector();
         let metrics = Arc::new(Metrics::new(cfg.partitions));
         let inner = Rc::new(ClusterInner {
             cfg,
@@ -283,10 +281,7 @@ impl HeronCluster {
                 let driver_ranges = [coord_sync, layout.ring_range(), words];
                 let poller = node.poller(deliveries.cond().clone(), &driver_ranges);
                 let svc_poller = node.poller(node.inbox_cond(), &[]);
-                let mut store = VersionedStore::new(node.clone());
-                if let Some(det) = &inner.detector {
-                    store.instrument(det.clone());
-                }
+                let store = VersionedStore::new(node.clone());
                 for (oid, value) in inner.app.bootstrap(PartitionId(p as u16)) {
                     store.bootstrap(oid, &value);
                 }
@@ -369,25 +364,10 @@ impl HeronCluster {
         Arc::clone(&self.inner.metrics)
     }
 
-    /// The race detector, when enabled via [`HeronConfig::race_detector`].
-    pub fn race_detector(&self) -> Option<rdma_sim::RaceDetector> {
-        self.inner.detector.clone()
-    }
-
     /// The trace handle, when enabled via [`HeronConfig::tracing`] —
     /// available once the cluster was [`HeronCluster::spawn`]ed.
     pub fn tracer(&self) -> Option<sim::trace::Tracer> {
         self.inner.tracer.lock().clone()
-    }
-
-    /// All race and protocol-lint reports recorded so far (empty when the
-    /// detector is off).
-    pub fn race_reports(&self) -> Vec<rdma_sim::RaceReport> {
-        self.inner
-            .detector
-            .as_ref()
-            .map(|d| d.reports())
-            .unwrap_or_default()
     }
 
     /// The configuration in force.
@@ -537,7 +517,8 @@ impl HeronCluster {
     }
 
     /// The request-handling trace of a replica (diagnostics):
-    /// `(ts_raw, 'e'|'s'|'t')` for executed / skipped / transferred-to.
+    /// `(ts_raw, 'e'|'t')` for executed / transferred-to. Skipped requests
+    /// leave no entry (they are counted in `Metrics::skipped_requests`).
     pub fn exec_trace(&self, p: PartitionId, i: usize) -> Vec<(u64, char)> {
         self.replicas[p.0 as usize][i].exec_trace.lock().clone()
     }

@@ -64,18 +64,14 @@ pub struct HeronConfig {
     /// [`crate::StateMachine::conflict_keys`] chain in delivery order,
     /// independent ones run concurrently.
     pub executor_width: usize,
-    /// Enables the Sim-TSan happens-before race detector on the fabric:
-    /// shadow memory behind every verb, region annotations for all of
-    /// Heron's coordination memory, and the protocol lints. Off by
-    /// default; when off the only cost on the verb hot path is one flag
-    /// test, and schedules are bit-identical either way.
-    pub race_detector: bool,
     /// Enables virtual-time tracing: causal spans across the client, the
     /// ordering layer, the RDMA verbs and the executor phases, exportable
     /// as Perfetto JSON (see `sim::trace`). Off by default; when off every
-    /// trace hook is one `OnceCell` flag test and — like the race detector —
-    /// schedules are bit-identical either way. It turns on tracing and
-    /// nothing else: `Metrics` records the same either way.
+    /// trace hook is one `OnceCell` flag test and schedules are
+    /// bit-identical either way. It turns on tracing and nothing else:
+    /// `Metrics` records the same either way, and
+    /// [`sim::Simulation::enable_tracing`] on the simulation the cluster is
+    /// spawned into records the same events.
     pub tracing: bool,
     /// Durable checkpointing (see [`DurabilityConfig`]). `None` (the
     /// default) runs the original all-in-memory system bit-for-bit.
@@ -97,7 +93,6 @@ impl HeronConfig {
             wait_for_all: Some(Duration::from_micros(20)),
             transfer_chunk: 32 * 1024,
             executor_width: 1,
-            race_detector: false,
             tracing: false,
             durability: None,
             mcast,
@@ -108,13 +103,6 @@ impl HeronConfig {
     #[must_use]
     pub fn with_durability(mut self, storage: Storage, interval: Duration) -> Self {
         self.durability = Some(DurabilityConfig::new(storage, interval));
-        self
-    }
-
-    /// Enables (or disables) the Sim-TSan race detector.
-    #[must_use]
-    pub fn with_race_detector(mut self, on: bool) -> Self {
-        self.race_detector = on;
         self
     }
 

@@ -993,7 +993,6 @@ impl Driver {
                 .metrics
                 .skipped_requests
                 .fetch_add(1, Ordering::Relaxed);
-            shared.exec_trace.lock().push((ts.raw(), 's'));
             return;
         }
         shared.last_req.store(ts.raw(), Ordering::SeqCst);
@@ -1036,13 +1035,12 @@ impl Driver {
             // dispatched commands all precede it in delivery order.
             let front_ts = self.queue.front().expect("checked non-empty").d.ts.raw();
             if front_ts <= self.shared.completed_req.load(Ordering::SeqCst) {
-                let job = self.queue.pop_front().expect("checked non-empty");
+                self.queue.pop_front();
                 self.shared
                     .cluster
                     .metrics
                     .skipped_requests
                     .fetch_add(1, Ordering::Relaxed);
-                self.shared.exec_trace.lock().push((job.d.ts.raw(), 's'));
                 any = true;
                 continue;
             }
@@ -1142,7 +1140,6 @@ impl Driver {
             ts,
         ) != StallOutcome::Covered
         {}
-        self.shared.exec_trace.lock().push((ts, 's'));
         self.pending_gap = None;
         true
     }

@@ -115,8 +115,6 @@ pub struct TransferRecord {
 pub struct Metrics {
     /// Client-observed end-to-end latencies (closed loop), ns.
     pub latencies: Mutex<Vec<u64>>,
-    /// Completed client requests.
-    pub completed: AtomicU64,
     /// Per-replica breakdowns (recorded by every replica of the lowest
     /// involved partition).
     pub breakdowns: Mutex<Vec<Breakdown>>,
@@ -145,7 +143,6 @@ pub struct Metrics {
 impl fmt::Debug for Metrics {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Metrics")
-            .field("completed", &self.completed.load(Ordering::Relaxed))
             .field("latency_samples", &self.latencies.lock().len())
             .finish()
     }
@@ -163,7 +160,6 @@ impl Metrics {
     /// Records a client-observed latency.
     pub fn record_latency(&self, d: Duration) {
         self.latencies.lock().push(d.as_nanos() as u64);
-        self.completed.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a replica-side breakdown sample.
@@ -227,7 +223,7 @@ mod tests {
         assert_eq!(m.mean_latency(), Duration::from_micros(25));
         assert_eq!(m.latency_quantile(0.0), Duration::from_micros(10));
         assert_eq!(m.latency_quantile(1.0), Duration::from_micros(40));
-        assert_eq!(m.completed.load(Ordering::Relaxed), 4);
+        assert_eq!(m.latencies.lock().len(), 4);
     }
 
     #[test]

@@ -182,8 +182,9 @@ impl StoreInner {
 pub struct VersionedStore {
     node: Node,
     inner: Mutex<StoreInner>,
-    /// When set, slots are annotated [`RegionKind::DualSlot`] as they are
-    /// allocated and [`VersionedStore::set_many`] lints the victim rule.
+    /// The race detector of the node's fabric, when enabled: slots are then
+    /// annotated [`RegionKind::DualSlot`] as they are allocated and
+    /// [`VersionedStore::set_many`] lints the victim rule.
     detector: Option<RaceDetector>,
     /// Self-test only ([`SABOTAGE_DUAL_VERSION_GUARD`]), resolved once at
     /// construction: pick the *larger*-timestamp version as the victim,
@@ -213,25 +214,18 @@ impl fmt::Debug for VersionedStore {
 }
 
 impl VersionedStore {
-    /// Creates an empty store on `node`.
+    /// Creates an empty store on `node`, instrumented for the race
+    /// detector when `node`'s fabric has it enabled.
     pub fn new(node: Node) -> Self {
         VersionedStore {
             break_victim_guard: node.sabotaged(SABOTAGE_DUAL_VERSION_GUARD),
+            detector: node.race_detector(),
             node,
             inner: Mutex::new(StoreInner {
                 slots: HashMap::default(),
                 order_violation: None,
             }),
-            detector: None,
         }
-    }
-
-    /// Attaches the race detector. Call before any slot is created so the
-    /// [`RegionKind::DualSlot`] annotations cover every slot; slots
-    /// allocated earlier stay unannotated (and would be checked as plain
-    /// data).
-    pub fn instrument(&mut self, detector: RaceDetector) {
-        self.detector = Some(detector);
     }
 
     fn annotate_slot(&self, oid: ObjectId, slot: Slot) {

@@ -8,7 +8,7 @@ use heron_core::{
     Execution, HeronCluster, HeronConfig, LocalReader, ObjectId, PartitionId, Placement, ReadSet,
     StateMachine, StorageKind,
 };
-use rdma_sim::{Fabric, LatencyModel, RaceKind};
+use rdma_sim::{Fabric, LatencyModel, RaceDetector, RaceKind};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -104,8 +104,12 @@ impl StateMachine for Counters {
     }
 }
 
-fn build(seed: u64, cfg: HeronConfig, objects: u64) -> (sim::Simulation, Fabric, HeronCluster) {
-    build_on(Fabric::new(LatencyModel::connectx4()), seed, cfg, objects)
+/// A fabric with the race detector enabled, before anything is built on
+/// it.
+fn detected_fabric() -> (Fabric, RaceDetector) {
+    let fabric = Fabric::new(LatencyModel::connectx4());
+    let detector = fabric.enable_race_detector();
+    (fabric, detector)
 }
 
 fn build_on(
@@ -126,9 +130,8 @@ fn build_on(
 
 #[test]
 fn clean_run_with_crash_recovery_reports_no_races() {
-    let cfg = HeronConfig::new(2, 3).with_race_detector(true);
-    let (simulation, fabric, cluster) = build(31, cfg, 6);
-    let c2 = cluster.clone();
+    let (fabric, det) = detected_fabric();
+    let (simulation, fabric, cluster) = build_on(fabric, 31, HeronConfig::new(2, 3), 6);
     let mut client = cluster.client("c");
     let victim = cluster.replica_node(PartitionId(0), 2).id();
     simulation.spawn("client", move || {
@@ -153,14 +156,13 @@ fn clean_run_with_crash_recovery_reports_no_races() {
         sim::stop();
     });
     simulation.run().unwrap();
-    let reports = c2.race_reports();
+    let reports = det.reports();
     assert!(
         reports.is_empty(),
         "clean run produced {} race report(s); first:\n{}",
         reports.len(),
         reports[0]
     );
-    let det = c2.race_detector().expect("detector enabled");
     let stats = det.stats();
     assert!(
         stats.remote_reads_checked > 0,
@@ -170,15 +172,15 @@ fn clean_run_with_crash_recovery_reports_no_races() {
 
 #[test]
 fn detector_is_off_by_default() {
-    let (simulation, _f, cluster) = build(32, HeronConfig::new(2, 3), 4);
+    let fabric = Fabric::new(LatencyModel::connectx4());
+    let (simulation, fabric, cluster) = build_on(fabric, 32, HeronConfig::new(2, 3), 4);
     let mut client = cluster.client("c");
     simulation.spawn("client", move || {
         client.execute(&enc(0, 1, 1));
         sim::stop();
     });
     simulation.run().unwrap();
-    assert!(cluster.race_detector().is_none());
-    assert!(cluster.race_reports().is_empty());
+    assert!(fabric.race_detector().is_none());
 }
 
 #[test]
@@ -187,11 +189,9 @@ fn broken_dual_version_guard_trips_victim_lint_deterministically() {
     // access sites — the same seed must reproduce the race to the
     // nanosecond.
     fn run_once(seed: u64) -> Vec<String> {
-        let cfg = HeronConfig::new(1, 3).with_race_detector(true);
-        let fabric = Fabric::new(LatencyModel::connectx4());
+        let (fabric, det) = detected_fabric();
         fabric.sabotage(heron_core::SABOTAGE_DUAL_VERSION_GUARD);
-        let (simulation, _f, cluster) = build_on(fabric, seed, cfg, 2);
-        let c2 = cluster.clone();
+        let (simulation, _f, cluster) = build_on(fabric, seed, HeronConfig::new(1, 3), 2);
         let mut client = cluster.client("c");
         simulation.spawn("client", move || {
             // Bootstrap leaves both versions at ts 0, so the first write
@@ -204,7 +204,7 @@ fn broken_dual_version_guard_trips_victim_lint_deterministically() {
             sim::stop();
         });
         simulation.run().unwrap();
-        let reports = c2.race_reports();
+        let reports = det.reports();
         assert!(
             !reports.is_empty(),
             "broken guard produced no reports — the selftest lint is dead"

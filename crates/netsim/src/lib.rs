@@ -138,8 +138,6 @@ struct NetworkInner<M> {
     /// Per directed link: virtual time of the last scheduled delivery,
     /// enforcing FIFO (TCP-like) ordering.
     link_clock: RefCell<LinkClocks>,
-    messages_sent: Cell<u64>,
-    bytes_sent: Cell<u64>,
 }
 
 /// A simulated network carrying messages of type `M`. Like the
@@ -173,8 +171,6 @@ impl<M: 'static> Network<M> {
                 latency,
                 endpoints: RefCell::new(Vec::new()),
                 link_clock: RefCell::new(LinkClocks::default()),
-                messages_sent: Cell::new(0),
-                bytes_sent: Cell::new(0),
             }),
         }
     }
@@ -222,16 +218,6 @@ impl<M: 'static> Network<M> {
     /// Whether the endpoint is alive.
     pub fn is_alive(&self, id: EndpointId) -> bool {
         self.inner.endpoint(id).alive.get()
-    }
-
-    /// Total messages ever sent.
-    pub fn messages_sent(&self) -> u64 {
-        self.inner.messages_sent.get()
-    }
-
-    /// Total payload bytes ever sent.
-    pub fn bytes_sent(&self) -> u64 {
-        self.inner.bytes_sent.get()
     }
 
     /// The latency model in force.
@@ -305,8 +291,6 @@ impl<M: 'static> Endpoint<M> {
             send_end + lat.one_way_ns - now
         };
         let net = &self.net;
-        net.messages_sent.set(net.messages_sent.get() + 1);
-        net.bytes_sent.set(net.bytes_sent.get() + wire_bytes as u64);
         let target = net.endpoint(dst);
         let from = self.inner.id;
         sim::schedule_ns(arrive_delay, move || {
@@ -415,26 +399,5 @@ mod tests {
             assert_eq!(sim::now().as_micros(), 5);
         });
         simulation.run().unwrap();
-    }
-
-    #[test]
-    fn counters_track_traffic() {
-        let simulation = sim::Simulation::new(1);
-        let net: Network<u32> = Network::new(NetLatency::zero());
-        let a = net.add_endpoint("a");
-        let b = net.add_endpoint("b");
-        let b_id = b.id();
-        let net2 = net.clone();
-        simulation.spawn("a", move || {
-            a.send(b_id, 1, 100);
-            a.send(b_id, 2, 200);
-        });
-        simulation.spawn("b", move || {
-            b.recv();
-            b.recv();
-        });
-        simulation.run().unwrap();
-        assert_eq!(net2.messages_sent(), 2);
-        assert_eq!(net2.bytes_sent(), 300);
     }
 }

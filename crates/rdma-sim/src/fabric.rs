@@ -247,9 +247,7 @@ pub(crate) struct FabricInner {
     /// [`Fabric::sabotage`]); read at construction time only.
     pub(crate) sabotaged: RefCell<Vec<&'static str>>,
     /// Set by [`Fabric::enable_race_detector`]: detector-off memory
-    /// accesses cost one flag test. A flag of its own, because
-    /// [`Node::annotate_region`] creates `tsan` before the detector runs.
-    pub(crate) tsan_on: Cell<bool>,
+    /// accesses cost one test of this cell.
     pub(crate) tsan: OnceCell<Arc<crate::tsan::TsanState>>,
     /// Unsignaled doorbells (a write, a batch, a send) posted but not yet
     /// landed, fabric-wide: the value behind the profiler's `qp.sendq`
@@ -324,12 +322,9 @@ impl FabricInner {
             .set_at(t_ns, inflight);
     }
 
-    /// The enabled race detector state, or `None`. One flag test when the
-    /// detector is off.
+    /// The enabled race detector state, or `None`. One test of an empty
+    /// cell when the detector is off.
     pub(crate) fn tsan(&self) -> Option<Arc<crate::tsan::TsanState>> {
-        if !self.tsan_on.get() {
-            return None;
-        }
         self.tsan.get().cloned()
     }
 }
@@ -370,7 +365,6 @@ impl Fabric {
                 link_clock: RefCell::new(LinkClocks::default()),
                 faults: RefCell::new(None),
                 sabotaged: RefCell::new(Vec::new()),
-                tsan_on: Cell::new(false),
                 tsan: OnceCell::new(),
                 posted_inflight: Cell::new(0),
                 sendq_gauge: OnceCell::new(),
@@ -379,17 +373,27 @@ impl Fabric {
     }
 
     /// Turns on the Sim-TSan race detector for every node on this fabric
-    /// and returns a handle to its reports. Idempotent: repeated calls
-    /// return handles to the same state. See [`crate::tsan`] for the
-    /// memory model.
+    /// and returns a handle to its reports. This is the detector's one
+    /// switch: the layers built on the fabric afterwards ask
+    /// [`Fabric::race_detector`] (or [`Node::race_detector`]) whether to
+    /// annotate their memory. Idempotent: repeated calls return handles to
+    /// the same state. See [`crate::tsan`] for the memory model.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the first call if the fabric already has nodes: what was
+    /// built on them went unannotated.
     pub fn enable_race_detector(&self) -> crate::RaceDetector {
-        let state = Arc::clone(
-            self.inner
-                .tsan
-                .get_or_init(|| Arc::new(crate::tsan::TsanState::new())),
-        );
-        self.inner.tsan_on.set(true);
-        crate::RaceDetector { state }
+        let state = self.inner.tsan.get_or_init(|| {
+            assert!(
+                self.inner.nodes.borrow().is_empty(),
+                "enable the race detector before adding nodes to the fabric"
+            );
+            Arc::new(crate::tsan::TsanState::new())
+        });
+        crate::RaceDetector {
+            state: Arc::clone(state),
+        }
     }
 
     /// The enabled race detector, if any.
@@ -779,22 +783,12 @@ impl Node {
         self.local_write(addr, &value.to_le_bytes())
     }
 
-    /// Tells the race detector what protocol role the byte range plays
-    /// (see [`crate::RegionKind`]). Recorded even before
-    /// [`Fabric::enable_race_detector`] is called, so annotation order
-    /// does not matter; a no-op burden-wise when the detector never runs.
-    pub fn annotate_region(
-        &self,
-        addr: Addr,
-        len: usize,
-        kind: crate::RegionKind,
-        label: impl Into<String>,
-    ) {
-        let state = self
-            .fabric
-            .tsan
-            .get_or_init(|| Arc::new(crate::tsan::TsanState::new()));
-        state.annotate(self, addr, len, kind, label.into());
+    /// The race detector of this node's fabric, if it was enabled (see
+    /// [`Fabric::enable_race_detector`]).
+    pub fn race_detector(&self) -> Option<crate::RaceDetector> {
+        self.fabric
+            .tsan()
+            .map(|state| crate::RaceDetector { state })
     }
 
     /// Registers a polling process on this node: `cond` is its one wait
@@ -834,18 +828,6 @@ impl Node {
     /// Blocks until a two-sided message arrives.
     pub fn recv(&self) -> Message {
         self.inbox_recv()
-    }
-
-    /// Blocks until a message arrives or the timeout elapses.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`sim::RecvTimeoutError`] on timeout.
-    pub fn recv_timeout(
-        &self,
-        timeout: std::time::Duration,
-    ) -> Result<Message, sim::RecvTimeoutError> {
-        self.inner.inbox.recv_timeout(timeout)
     }
 
     /// Non-blocking receive.

@@ -56,8 +56,6 @@ enum TimedAction {
 pub(crate) struct NodeVerbFaults {
     /// Crash the node the instant it issues its Nth verb.
     pub(crate) crash_on: Vec<u64>,
-    /// Extra completion delay charged to specific verbs.
-    pub(crate) delays: Vec<(u64, u64)>,
     /// Verbs whose completion is dropped: signaled verbs fail with an RDMA
     /// exception, unsignaled writes and sends are silently lost.
     pub(crate) drops: Vec<u64>,
@@ -131,13 +129,7 @@ impl FaultRuntime {
         if state.spec.crash_on.contains(&nth) {
             return VerbFate::CrashLocal;
         }
-        let mut stall_ns: u64 = state
-            .spec
-            .delays
-            .iter()
-            .filter(|(n, _)| *n == nth)
-            .map(|(_, d)| d)
-            .sum();
+        let mut stall_ns = 0;
         for &(from, until) in &state.spec.pauses {
             if now_ns >= from && now_ns < until {
                 stall_ns += until - now_ns;
@@ -209,17 +201,6 @@ impl FaultPlan {
     #[must_use]
     pub fn crash_on_verb(mut self, node: NodeId, nth: u64) -> Self {
         self.verbs.entry(node.0).or_default().crash_on.push(nth);
-        self
-    }
-
-    /// Delays the completion of `node`'s `nth` verb by `extra`.
-    #[must_use]
-    pub fn delay_verb(mut self, node: NodeId, nth: u64, extra: Duration) -> Self {
-        self.verbs
-            .entry(node.0)
-            .or_default()
-            .delays
-            .push((nth, extra.as_nanos() as u64));
         self
     }
 
@@ -438,26 +419,6 @@ mod tests {
             qp.post_write_word(addr.offset(0), 5).unwrap(); // lands
             sim::sleep(Duration::from_micros(100));
             assert_eq!(b2.local_read_word(addr).unwrap(), 5);
-        });
-        simulation.run().unwrap();
-    }
-
-    #[test]
-    fn delay_verb_stalls_exactly_the_requested_extra() {
-        let (simulation, fabric, a, b) = two_nodes();
-        let addr = b.alloc_words(1);
-        FaultPlan::new(1)
-            .delay_verb(a.id(), 2, Duration::from_micros(50))
-            .arm(&simulation, &fabric);
-        simulation.spawn("p", move || {
-            let qp = a.connect(&b);
-            let t0 = sim::now().as_nanos();
-            qp.write_word(addr, 1).unwrap();
-            let base = sim::now().as_nanos() - t0;
-            let t1 = sim::now().as_nanos();
-            qp.write_word(addr, 2).unwrap();
-            let delayed = sim::now().as_nanos() - t1;
-            assert_eq!(delayed, base + 50_000);
         });
         simulation.run().unwrap();
     }

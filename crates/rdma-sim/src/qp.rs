@@ -1,7 +1,7 @@
 //! Reliable-connection queue pairs and the one-sided verbs.
 
 use crate::error::{RdmaError, RdmaResult};
-use crate::fabric::{Addr, Message, Node, NodeId};
+use crate::fabric::{Addr, Message, Node};
 use crate::faults::{VerbFate, VerbGate};
 use crate::tsan::WriteTicket;
 use std::rc::Rc;
@@ -36,11 +36,6 @@ impl QueuePair {
     pub(crate) fn new(local: Node, remote: Node) -> Self {
         let ends = Rc::new(Ends { local, remote });
         QueuePair { ends }
-    }
-
-    /// The remote endpoint's id.
-    pub fn remote_id(&self) -> NodeId {
-        self.ends.remote.id()
     }
 
     fn check_local_alive(&self) -> RdmaResult<()> {
@@ -662,15 +657,16 @@ mod tests {
 
     #[test]
     fn recover_and_power_loss_ring_every_poller() {
-        let (pa, pb, _) = two_pollers(false, |qp, _, _, fabric| {
-            fabric.crash(qp.remote_id());
-            fabric.recover(qp.remote_id());
+        let dst = crate::NodeId(1); // `two_pollers` adds `src`, then `dst`
+        let (pa, pb, _) = two_pollers(false, move |_, _, _, fabric| {
+            fabric.crash(dst);
+            fabric.recover(dst);
         });
         assert_eq!((pa, pb), (3, 3));
-        let (pa, pb, _) = two_pollers(false, |qp, _, _, fabric| {
-            fabric.power_loss(qp.remote_id());
+        let (pa, pb, _) = two_pollers(false, move |_, _, _, fabric| {
+            fabric.power_loss(dst);
             sim::sleep(std::time::Duration::from_micros(1));
-            fabric.recover(qp.remote_id());
+            fabric.recover(dst);
         });
         assert_eq!((pa, pb), (4, 4));
     }

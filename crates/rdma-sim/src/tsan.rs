@@ -27,7 +27,7 @@
 //!   cell a concurrent remote read returned (the "in-flight torn read" on
 //!   real hardware, where the one-sided read is not atomic).
 //!
-//! Regions can be annotated ([`Node::annotate_region`]) to tell the
+//! Regions can be annotated ([`RaceDetector::annotate`]) to tell the
 //! detector what protocol role a byte range plays:
 //!
 //! * [`RegionKind::Sync`] — coordination memory (Phase 2/4 entries, state
@@ -690,7 +690,8 @@ impl fmt::Debug for RaceDetector {
 
 impl RaceDetector {
     /// Annotates a byte range of `node`'s memory with its protocol role.
-    /// Equivalent to [`Node::annotate_region`].
+    /// The layer that allocates the range annotates it, when the fabric
+    /// it builds on has the detector enabled.
     pub fn annotate(
         &self,
         node: &Node,
@@ -978,7 +979,7 @@ mod tests {
         let b = fabric.add_node("b");
         let word = a.alloc_words(1);
         let data = a.alloc_bytes(16);
-        a.annotate_region(word, 8, RegionKind::Sync, "flag");
+        det.annotate(&a, word, 8, RegionKind::Sync, "flag");
         let a2 = a.clone();
         sim_h.spawn("writer", move || {
             sim::sleep(Duration::from_nanos(100));
@@ -1010,7 +1011,7 @@ mod tests {
         let det = fabric.enable_race_detector();
         let a = fabric.add_node("a");
         let slot = a.alloc_bytes(16);
-        a.annotate_region(slot, 16, RegionKind::DualSlot, "slot");
+        det.annotate(&a, slot, 16, RegionKind::DualSlot, "slot");
         for (name, at) in [("w1", 100), ("w2", 200)] {
             let qp = fabric.add_node(name).connect(&a);
             sim_h.spawn(name, move || {

@@ -183,12 +183,6 @@ pub fn with_rng<R>(f: impl FnOnce(&mut SmallRng) -> R) -> R {
     with_ctx(|k, pid| k.with_rng(pid, f))
 }
 
-/// Convenience: a uniformly random `u64` from the process RNG.
-pub fn rand_u64() -> u64 {
-    use rand::RngCore;
-    with_rng(|r| r.next_u64())
-}
-
 /// Snapshot of the calling process's happens-before clock. Returns the
 /// empty clock outside process context (host thread or event context), and
 /// stays empty — at zero cost — unless a race detector is ticking clocks.
@@ -428,7 +422,7 @@ mod tests {
             for i in 0..3 {
                 let o = out.clone();
                 sim.spawn(format!("p{i}"), move || {
-                    o.lock().push(rand_u64());
+                    o.lock().push(with_rng(rand::RngCore::next_u64));
                 });
             }
             sim.run().unwrap();

@@ -295,21 +295,6 @@ impl Disk {
             .unwrap_or(true)
     }
 
-    /// Durably deletes `name` (charges one fsync). No-op if absent.
-    pub fn delete(&self, name: &str) {
-        let cost = {
-            let mut all = self.storage.inner.namespaces.borrow_mut();
-            let ns = all.entry(self.ns.clone()).or_default();
-            if ns.files.remove(name).is_some() {
-                ns.stats.syncs += 1;
-                self.storage.cfg.fsync_ns
-            } else {
-                0
-            }
-        };
-        self.storage.charge(cost);
-    }
-
     /// All file names in this namespace, sorted.
     pub fn names(&self) -> Vec<String> {
         let all = self.storage.inner.namespaces.borrow();
@@ -342,8 +327,6 @@ mod tests {
         assert_eq!(disk.get("ckpt").unwrap(), b"hello");
         assert_eq!(disk.get("wal").unwrap(), b"abcd");
         assert_eq!(disk.names(), vec!["ckpt".to_string(), "wal".to_string()]);
-        disk.delete("ckpt");
-        assert_eq!(disk.get("ckpt"), None);
         assert_eq!(disk.len("wal"), Some(4));
     }
 

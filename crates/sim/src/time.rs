@@ -43,11 +43,6 @@ impl SimTime {
         self.0 / 1_000
     }
 
-    /// Whole milliseconds since the start of the run.
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000_000
-    }
-
     /// Seconds since the start of the run, as a float.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
@@ -107,7 +102,6 @@ mod tests {
     fn conversions_round_trip() {
         assert_eq!(SimTime::from_micros(7).as_nanos(), 7_000);
         assert_eq!(SimTime::from_millis(3).as_micros(), 3_000);
-        assert_eq!(SimTime::from_secs(2).as_millis(), 2_000);
     }
 
     #[test]

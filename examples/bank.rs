@@ -201,9 +201,9 @@ fn main() {
         }
         // Spot-check one account read too.
         let _ = auditor.execute(&enc_balance(0));
+        let completed = metrics.latencies.lock().len();
         println!(
-            "\n{} transfers + audits completed; mean latency {:?}, p99 {:?}",
-            metrics.completed.load(Ordering::Relaxed),
+            "\n{completed} transfers + audits completed; mean latency {:?}, p99 {:?}",
             metrics.mean_latency(),
             metrics.latency_quantile(0.99),
         );

@@ -177,9 +177,9 @@ fn main() {
         sim::stop();
     });
     simulation.run().expect("simulation completes");
+    let completed = metrics.latencies.lock().len();
     println!(
-        "\ncompleted {} requests, mean latency {:?}",
-        metrics.completed.load(std::sync::atomic::Ordering::Relaxed),
+        "\ncompleted {completed} requests, mean latency {:?}",
         metrics.mean_latency(),
     );
 }

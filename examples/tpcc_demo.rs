@@ -12,7 +12,6 @@
 use heron::core::{HeronCluster, HeronConfig};
 use heron::rdma::{Fabric, LatencyModel};
 use heron::tpcc::{TpccApp, TpccScale};
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -54,9 +53,9 @@ fn main() {
     simulation.spawn("reporter", move || {
         // Warm-up, then measure a fixed virtual window.
         sim::sleep(Duration::from_millis(5));
-        let start = metrics.completed.load(Ordering::Relaxed);
+        let start = metrics.latencies.lock().len();
         sim::sleep(Duration::from_millis(MEASURE_MS));
-        let finished = metrics.completed.load(Ordering::Relaxed) - start;
+        let finished = metrics.latencies.lock().len() - start;
         let tps = finished as f64 / (MEASURE_MS as f64 / 1e3);
 
         println!("\n== results over {MEASURE_MS} ms of virtual time ==");

@@ -7,6 +7,13 @@
 # is killed must not hide the verdicts of those after it. The table at the
 # end has one line per gate — verdict, exit status, and the command that
 # replays it — and the script exits 1 if any gate failed.
+#
+# Each gate's stdout is also kept, in target/gates/<gate>.out (emptied
+# at the start of every run). Every gate but bench-trend prints virtual
+# time only, so a change that means to leave behaviour alone shows it as
+#   diff -r <parent-checkout>/target/gates <change-checkout>/target/gates
+# after running this script in both checkouts: bench-trend differs, no
+# other file may.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
@@ -19,14 +26,18 @@ cd "$(dirname "$0")/.."
 
 verdicts=()
 failed=0
+outs=target/gates
+rm -rf "$outs"
+mkdir -p "$outs"
 
-# gate NAME cmd…: runs the command, records its verdict and replay line.
+# gate NAME cmd…: runs the command, keeps its stdout in $outs/NAME.out,
+# records its verdict and replay line.
 gate() {
   local name=$1
   shift
   echo "== gate: $name"
-  "$@"
-  local status=$?
+  "$@" | tee "$outs/$name.out"
+  local status=${PIPESTATUS[0]}
   local verdict=pass
   if [ "$status" -ne 0 ]; then
     verdict=FAIL

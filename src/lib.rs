@@ -46,7 +46,7 @@
 //!     sim::stop();
 //! });
 //! simulation.run().unwrap();
-//! assert_eq!(cluster.metrics().completed.load(std::sync::atomic::Ordering::Relaxed), 5);
+//! assert_eq!(cluster.metrics().latencies.lock().len(), 5);
 //! ```
 #![forbid(unsafe_code)]
 

@@ -82,7 +82,7 @@ fn tpcc_under_multi_client_load_converges() {
         sim::stop();
     });
     simulation.run().unwrap();
-    assert_eq!(cluster.metrics().completed.load(Ordering::Relaxed), 360);
+    assert_eq!(cluster.metrics().latencies.lock().len(), 360);
 }
 
 #[test]
@@ -117,7 +117,7 @@ fn ordering_leader_failover_keeps_the_service_available() {
         sim::stop();
     });
     simulation.run().unwrap();
-    assert_eq!(cluster.metrics().completed.load(Ordering::Relaxed), 60);
+    assert_eq!(cluster.metrics().latencies.lock().len(), 60);
 }
 
 #[test]
@@ -147,7 +147,7 @@ fn concurrent_crashes_in_different_partitions_recover() {
         sim::stop();
     });
     simulation.run().unwrap();
-    assert_eq!(metrics.completed.load(Ordering::Relaxed), 130);
+    assert_eq!(metrics.latencies.lock().len(), 130);
 }
 
 #[test]
