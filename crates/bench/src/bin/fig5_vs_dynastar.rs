@@ -7,10 +7,7 @@
 //!
 //! `cargo run -p heron-bench --release --bin fig5_vs_dynastar [--quick]`
 
-use heron_bench::{
-    banner, quick_mode, run_dynastar_tpcc, run_heron, write_results, Json, RunConfig, Workload,
-};
-use heron_core::HeronConfig;
+use heron_bench::{banner, fig5_point, quick_mode, write_results, Json};
 
 fn main() {
     let wall_start = std::time::Instant::now();
@@ -34,13 +31,7 @@ fn main() {
     let mut dynastar_lat_us = Vec::new();
     let mut events_total = 0u64;
     for &p in &partitions {
-        let cfg = RunConfig::new(HeronConfig::new(p, 3), Workload::Tpcc).quick(quick);
-        let h = run_heron(&cfg);
-        let mut ds_cfg = cfg;
-        // DynaStar saturates with far fewer clients (its leaders are the
-        // bottleneck); latency measured at the same load.
-        ds_cfg.clients = (p * 8).clamp(8, 64);
-        let d = run_dynastar_tpcc(&ds_cfg);
+        let (h, d) = fig5_point(p, quick);
         println!(
             "{:<6} {:>14.0} {:>14.0} {:>7.1}x | {:>12.2?} {:>12.2?} {:>7.1}x",
             p,

@@ -329,9 +329,22 @@ pub fn run_heron_on(cfg: &RunConfig, simulation: &sim::Simulation, fabric: &Fabr
     }
 }
 
+/// One point of Fig. 5: Heron, then DynaStar, on TPC-C with `partitions`
+/// warehouses. DynaStar gets fewer clients: its leaders saturate with far
+/// fewer, and its latency is measured at that load.
+pub fn fig5_point(partitions: usize, quick: bool) -> (LoadSummary, LoadSummary) {
+    let cfg = RunConfig::new(HeronConfig::new(partitions, 3), Workload::Tpcc).quick(quick);
+    let heron = run_heron(&cfg);
+    let dynastar = run_dynastar_tpcc(&RunConfig {
+        clients: (partitions * 8).clamp(8, 64),
+        ..cfg
+    });
+    (heron, dynastar)
+}
+
 /// Drives the DynaStar baseline with the TPC-C mix for `cfg`'s warm-up and
 /// window (its clients have no fixed-work mode); returns the summary.
-pub fn run_dynastar_tpcc(cfg: &RunConfig) -> LoadSummary {
+fn run_dynastar_tpcc(cfg: &RunConfig) -> LoadSummary {
     let wall_start = std::time::Instant::now();
     let simulation = sim::Simulation::new(cfg.seed);
     let partitions = cfg.heron.partitions;

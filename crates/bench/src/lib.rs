@@ -31,7 +31,7 @@ pub mod sched_workloads;
 pub mod syncapp;
 
 pub use harness::{
-    quantile, run_dynastar_tpcc, run_heron, run_heron_on, LoadSummary, RunConfig, Workload,
+    fig5_point, quantile, run_heron, run_heron_on, LoadSummary, RunConfig, Workload,
 };
 pub use null::NullApp;
 pub use report::{write_results, Json};

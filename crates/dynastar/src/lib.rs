@@ -15,8 +15,10 @@
 //!   to the executor, which executes and ships the updated objects back —
 //!   the "rounds of message exchanges" that give DynaStar its ~10×
 //!   multi-partition latency penalty;
-//! * everything travels over a kernel TCP network ([`netsim`], 0.1 ms
-//!   round trip as in the paper's testbed) and pays per-message CPU.
+//! * everything travels as two-sided sends over an [`rdma_sim::Fabric`]
+//!   run under kernel-TCP constants (0.1 ms round trip as in the paper's
+//!   testbed, socket-stack CPU per message); each message is encoded to
+//!   bytes, so its wire size is its encoded length.
 //!
 //! The `COMMAND_CPU` cost models the paper's measured per-command overhead
 //! of the Java prototype (protocol stack, message (de)serialization,
@@ -31,13 +33,23 @@
 
 use bytes::Bytes;
 use heron_core::{Execution, LocalReader, Metrics, ObjectId, PartitionId, ReadSet, StateMachine};
-use netsim::{Endpoint, EndpointId, NetLatency, Network};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
+use rdma_sim::{Fabric, LatencyModel, Node, NodeId};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
+
+/// The network every DynaStar message crosses: the paper's testbed as a
+/// kernel/TCP application sees it — ≈ 0.1 ms round trip, plus the socket
+/// stack's CPU per message, charged to the sender as the post. The link is
+/// the RDMA fabric's 25 Gbps one.
+const KERNEL_TCP: LatencyModel = LatencyModel {
+    post_ns: 3_000,
+    one_way_ns: 50_000,
+    ns_per_kib: 328,
+};
 
 /// Modeled CPU of the baseline's Java prototype: oracle work per command (map lookup, route computation).
 const ORACLE_CPU: Duration = Duration::from_micros(20);
@@ -47,8 +59,8 @@ const COMMAND_CPU: Duration = Duration::from_micros(350);
 /// Extra cost per object moved between partitions.
 const PER_MOVED_OBJECT_CPU: Duration = Duration::from_micros(15);
 
-/// Baseline deployment configuration. Every message travels over
-/// [`NetLatency::datacenter_tcp`].
+/// Baseline deployment configuration. Every message travels over a
+/// fabric with kernel-TCP latencies.
 #[derive(Debug, Clone)]
 pub struct DynaStarConfig {
     /// Number of partitions.
@@ -69,50 +81,175 @@ impl DynaStarConfig {
 
 type CmdId = u64;
 
-enum Msg {
+/// Declares `Msg` and its wire form: the kind's tag byte, then its fields
+/// in order.
+macro_rules! messages {
+    ($($(#[$doc:meta])* $kind:ident = $tag:literal { $($field:ident: $ty:ty),* $(,)? },)*) => {
+        #[cfg_attr(test, derive(Debug, PartialEq))]
+        enum Msg {
+            $($(#[$doc])* $kind { $($field: $ty),* },)*
+        }
+
+        impl Msg {
+            fn encode(&self) -> Vec<u8> {
+                let mut out = Vec::new();
+                match self {
+                    $(Msg::$kind { $($field),* } => {
+                        out.push($tag);
+                        $($field.put(&mut out);)*
+                    })*
+                }
+                out
+            }
+
+            fn decode(buf: Bytes) -> Msg {
+                let mut c = Cursor { buf, at: 0 };
+                match c.take::<u8>() {
+                    $($tag => Msg::$kind { $($field: c.take()),* },)*
+                    tag => unreachable!("unknown message tag {tag}"),
+                }
+            }
+        }
+    };
+}
+
+messages! {
     /// Client → oracle.
-    ClientReq {
-        id: CmdId,
-        client: EndpointId,
-        payload: Vec<u8>,
-    },
+    ClientReq = 0 { id: CmdId, payload: Bytes },
     /// Oracle → involved leaders.
-    Ordered {
+    Ordered = 1 {
         id: CmdId,
-        client: EndpointId,
-        payload: Arc<Vec<u8>>,
+        client: NodeId,
+        payload: Bytes,
         pseq: u64,
         executor: PartitionId,
-        involved: Vec<PartitionId>,
+        involved: Vec<PartitionId>
     },
     /// Leader → followers.
-    Replicate { id: CmdId },
+    Replicate = 2 { id: CmdId, payload: Bytes },
     /// Follower → leader.
-    ReplAck { id: CmdId },
+    ReplAck = 3 { id: CmdId },
     /// Non-executor leader → executor: the objects the command reads.
-    MoveObjects {
-        id: CmdId,
-        from: PartitionId,
-        objects: Vec<(ObjectId, Bytes)>,
-    },
+    MoveObjects = 4 { id: CmdId, from: PartitionId, objects: Vec<(ObjectId, Bytes)> },
     /// Executor → non-executor leaders: updated objects.
-    WriteBack {
-        id: CmdId,
-        writes: Vec<(ObjectId, Bytes)>,
-    },
+    WriteBack = 5 { id: CmdId, writes: Vec<(ObjectId, Bytes)> },
     /// Executor leader → client.
-    Reply { id: CmdId, response: Bytes },
+    Reply = 6 { id: CmdId, response: Bytes },
 }
 
-fn objects_size(objs: &[(ObjectId, Bytes)]) -> usize {
-    objs.iter().map(|(_, b)| b.len() + 16).sum()
+/// A message field's wire form: integers little-endian, byte strings and
+/// lists behind a `u32` length.
+trait Wire {
+    fn put(&self, out: &mut Vec<u8>);
+    fn take(c: &mut Cursor) -> Self;
 }
 
-struct MapReader<'a>(&'a HashMap<ObjectId, Bytes>);
+/// A received message and how far into it decoding has read.
+struct Cursor {
+    buf: Bytes,
+    at: usize,
+}
 
-impl LocalReader for MapReader<'_> {
+impl Cursor {
+    fn take<T: Wire>(&mut self) -> T {
+        T::take(self)
+    }
+
+    fn next(&mut self, n: usize) -> std::ops::Range<usize> {
+        self.at += n;
+        self.at - n..self.at
+    }
+}
+
+macro_rules! wire_int {
+    ($($t:ty),*) => {$(
+        impl Wire for $t {
+            fn put(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
+            fn take(c: &mut Cursor) -> Self {
+                let at = c.next(std::mem::size_of::<$t>());
+                <$t>::from_le_bytes(c.buf[at].try_into().expect("fixed width"))
+            }
+        }
+    )*};
+}
+wire_int!(u8, u16, u32, u64);
+
+macro_rules! wire_newtype {
+    ($($t:ident),*) => {$(
+        impl Wire for $t {
+            fn put(&self, out: &mut Vec<u8>) {
+                self.0.put(out);
+            }
+            fn take(c: &mut Cursor) -> Self {
+                $t(c.take())
+            }
+        }
+    )*};
+}
+wire_newtype!(NodeId, PartitionId, ObjectId);
+
+impl Wire for Bytes {
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.len() as u32).put(out);
+        out.extend_from_slice(self);
+    }
+    fn take(c: &mut Cursor) -> Self {
+        let len = c.take::<u32>() as usize;
+        let at = c.next(len);
+        c.buf.slice(at)
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.len() as u32).put(out);
+        for item in self {
+            item.put(out);
+        }
+    }
+    fn take(c: &mut Cursor) -> Self {
+        (0..c.take::<u32>()).map(|_| c.take()).collect()
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.0.put(out);
+        self.1.put(out);
+    }
+    fn take(c: &mut Cursor) -> Self {
+        (c.take(), c.take())
+    }
+}
+
+/// Sends `msg` from `from` to `to`, its encoded length on the wire.
+fn send(from: &Node, to: &Node, msg: &Msg) {
+    from.connect(to)
+        .send(msg.encode())
+        .expect("DynaStar nodes never crash");
+}
+
+/// Blocks for the next message to `node`: `(sender, message)`.
+fn recv(node: &Node) -> (NodeId, Msg) {
+    let message = node.recv();
+    (message.from, Msg::decode(message.payload))
+}
+
+/// A leader's store, locked, with the objects moved in for its command
+/// laid over it.
+struct Overlay<'a> {
+    moved: &'a HashMap<ObjectId, Bytes>,
+    store: MutexGuard<'a, HashMap<ObjectId, Bytes>>,
+}
+
+impl LocalReader for Overlay<'_> {
     fn read(&self, oid: ObjectId) -> Option<Bytes> {
-        self.0.get(&oid).cloned()
+        self.moved
+            .get(&oid)
+            .or_else(|| self.store.get(&oid))
+            .cloned()
     }
 }
 
@@ -125,10 +262,10 @@ pub struct DynaStar {
 struct Inner {
     cfg: DynaStarConfig,
     app: Arc<dyn StateMachine>,
-    net: Network<Msg>,
-    oracle: EndpointId,
-    leaders: Vec<EndpointId>,
-    followers: Vec<Vec<EndpointId>>,
+    fabric: Fabric,
+    oracle: Node,
+    leaders: Vec<Node>,
+    followers: Vec<Vec<Node>>,
     metrics: Arc<Metrics>,
     /// Authoritative leader stores, exposed for test inspection.
     stores: Vec<Arc<Mutex<HashMap<ObjectId, Bytes>>>>,
@@ -145,16 +282,16 @@ impl fmt::Debug for DynaStar {
 impl DynaStar {
     /// Builds the baseline deployment.
     pub fn build(cfg: DynaStarConfig, app: Arc<dyn StateMachine>) -> Self {
-        let net: Network<Msg> = Network::new(NetLatency::datacenter_tcp());
-        let oracle = net.add_endpoint("oracle").id();
+        let fabric = Fabric::new(KERNEL_TCP);
+        let oracle = fabric.add_node("oracle");
         let mut leaders = Vec::new();
         let mut followers = Vec::new();
         let mut stores = Vec::new();
         for p in 0..cfg.partitions {
-            leaders.push(net.add_endpoint(format!("ds-p{p}-leader")).id());
+            leaders.push(fabric.add_node(format!("ds-p{p}-leader")));
             followers.push(
                 (1..cfg.replicas_per_partition)
-                    .map(|i| net.add_endpoint(format!("ds-p{p}-f{i}")).id())
+                    .map(|i| fabric.add_node(format!("ds-p{p}-f{i}")))
                     .collect::<Vec<_>>(),
             );
             let store: HashMap<ObjectId, Bytes> =
@@ -166,7 +303,7 @@ impl DynaStar {
                 metrics: Arc::new(Metrics::new(cfg.partitions)),
                 cfg,
                 app,
-                net,
+                fabric,
                 oracle,
                 leaders,
                 followers,
@@ -188,19 +325,16 @@ impl DynaStar {
     /// Spawns the oracle, leaders and followers.
     pub fn spawn(&self, simulation: &sim::Simulation) {
         let inner = Rc::clone(&self.inner);
-        let oracle_ep = self.inner.net.endpoint(self.inner.oracle);
-        simulation.spawn("ds-oracle", move || run_oracle(inner, oracle_ep));
+        simulation.spawn("ds-oracle", move || run_oracle(inner));
         for p in 0..self.inner.cfg.partitions {
             let inner = Rc::clone(&self.inner);
-            let ep = self.inner.net.endpoint(self.inner.leaders[p]);
             simulation.spawn(format!("ds-leader-p{p}"), move || {
-                run_leader(inner, PartitionId(p as u16), ep)
+                run_leader(inner, PartitionId(p as u16))
             });
             for (i, f) in self.inner.followers[p].iter().enumerate() {
-                let inner = Rc::clone(&self.inner);
-                let ep = self.inner.net.endpoint(*f);
+                let (node, leader) = (f.clone(), self.inner.leaders[p].clone());
                 simulation.spawn(format!("ds-follower-p{p}-{i}"), move || {
-                    run_follower(inner, ep)
+                    run_follower(node, leader)
                 });
             }
         }
@@ -208,45 +342,38 @@ impl DynaStar {
 
     /// Attaches a closed-loop client.
     pub fn client(&self, name: impl Into<String>) -> DynaStarClient {
-        let ep = self
+        let node = self
             .inner
-            .net
-            .add_endpoint(format!("ds-client-{}", name.into()));
+            .fabric
+            .add_node(format!("ds-client-{}", name.into()));
         DynaStarClient {
             inner: Rc::clone(&self.inner),
-            ep,
+            node,
             next_id: 1,
         }
     }
 }
 
-fn run_oracle(inner: Rc<Inner>, ep: Endpoint<Msg>) {
+fn run_oracle(inner: Rc<Inner>) {
     let mut pseq = vec![0u64; inner.cfg.partitions];
     loop {
-        let (_, msg) = ep.recv();
-        let Msg::ClientReq {
-            id,
-            client,
-            payload,
-        } = msg
-        else {
+        let (client, Msg::ClientReq { id, payload }) = recv(&inner.oracle) else {
             continue;
         };
         sim::sleep(ORACLE_CPU);
         let involved = inner.app.destinations(&payload);
         let executor = involved[0];
-        let payload = Arc::new(payload);
         for p in &involved {
             pseq[p.0 as usize] += 1;
             let m = Msg::Ordered {
                 id,
                 client,
-                payload: Arc::clone(&payload),
+                payload: payload.clone(),
                 pseq: pseq[p.0 as usize],
                 executor,
                 involved: involved.clone(),
             };
-            ep.send(inner.leaders[p.0 as usize], m, payload.len() + 64);
+            send(&inner.oracle, &inner.leaders[p.0 as usize], &m);
         }
     }
 }
@@ -262,21 +389,12 @@ enum Stage {
 
 /// Commands a leader has received, ordered by partition sequence number:
 /// `(id, client, payload, executor, involved)`.
-type CommandQueue = BTreeMap<
-    u64,
-    (
-        CmdId,
-        EndpointId,
-        Arc<Vec<u8>>,
-        PartitionId,
-        Vec<PartitionId>,
-    ),
->;
+type CommandQueue = BTreeMap<u64, (CmdId, NodeId, Bytes, PartitionId, Vec<PartitionId>)>;
 
 struct InFlight {
     id: CmdId,
-    client: EndpointId,
-    payload: Arc<Vec<u8>>,
+    client: NodeId,
+    payload: Bytes,
     executor: PartitionId,
     involved: Vec<PartitionId>,
     stage: Stage,
@@ -284,7 +402,19 @@ struct InFlight {
     moved_from: HashSet<PartitionId>,
 }
 
-fn run_leader(inner: Rc<Inner>, me: PartitionId, ep: Endpoint<Msg>) {
+impl InFlight {
+    /// What the command reads: `store`, locked until the view drops, under
+    /// the objects moved in.
+    fn view<'a>(&'a self, store: &'a Mutex<HashMap<ObjectId, Bytes>>) -> Overlay<'a> {
+        Overlay {
+            moved: &self.moved,
+            store: store.lock(),
+        }
+    }
+}
+
+fn run_leader(inner: Rc<Inner>, me: PartitionId) {
+    let node = &inner.leaders[me.0 as usize];
     let store = Arc::clone(&inner.stores[me.0 as usize]);
     let majority_acks = inner.cfg.replicas_per_partition / 2; // besides self
     let mut next_seq = 1u64;
@@ -307,8 +437,12 @@ fn run_leader(inner: Rc<Inner>, me: PartitionId, ep: Endpoint<Msg>) {
                     // Half the paper-calibrated per-command CPU up front
                     // (ordering + replication side), half at execution.
                     sim::sleep(COMMAND_CPU / 2);
+                    let replicate = Msg::Replicate {
+                        id,
+                        payload: payload.clone(),
+                    };
                     for f in &inner.followers[me.0 as usize] {
-                        ep.send(*f, Msg::Replicate { id }, payload.len() + 32);
+                        send(node, f, &replicate);
                     }
                     let mut inflight = InFlight {
                         id,
@@ -323,7 +457,7 @@ fn run_leader(inner: Rc<Inner>, me: PartitionId, ep: Endpoint<Msg>) {
                         moved: early_moves.remove(&id).unwrap_or_default(),
                         moved_from: early_move_from.remove(&id).unwrap_or_default(),
                     };
-                    advance(&inner, me, &ep, &store, &mut inflight, &mut early_writeback);
+                    advance(&inner, me, &store, &mut inflight, &mut early_writeback);
                     if !matches!(inflight.stage, Stage::Done) {
                         current = Some(inflight);
                     }
@@ -331,7 +465,7 @@ fn run_leader(inner: Rc<Inner>, me: PartitionId, ep: Endpoint<Msg>) {
                 }
             }
         }
-        let (_, msg) = ep.recv();
+        let (_, msg) = recv(node);
         match msg {
             Msg::Ordered {
                 id,
@@ -377,7 +511,7 @@ fn run_leader(inner: Rc<Inner>, me: PartitionId, ep: Endpoint<Msg>) {
         }
         // Try to make progress on the current command.
         if let Some(mut cur) = current.take() {
-            advance(&inner, me, &ep, &store, &mut cur, &mut early_writeback);
+            advance(&inner, me, &store, &mut cur, &mut early_writeback);
             if !matches!(cur.stage, Stage::Done) {
                 current = Some(cur);
             }
@@ -389,7 +523,6 @@ fn run_leader(inner: Rc<Inner>, me: PartitionId, ep: Endpoint<Msg>) {
 fn advance(
     inner: &Rc<Inner>,
     me: PartitionId,
-    ep: &Endpoint<Msg>,
     store: &Arc<Mutex<HashMap<ObjectId, Bytes>>>,
     cur: &mut InFlight,
     early_writeback: &mut HashMap<CmdId, Vec<(ObjectId, Bytes)>>,
@@ -405,7 +538,7 @@ fn advance(
                         cur.stage = Stage::AwaitMoves;
                         continue;
                     }
-                    execute_and_reply(inner, me, ep, store, cur);
+                    execute_and_reply(inner, me, store, cur);
                     cur.stage = Stage::Done;
                     return;
                 }
@@ -419,15 +552,16 @@ fn advance(
                         .collect()
                 };
                 sim::sleep(PER_MOVED_OBJECT_CPU * objects.len() as u32);
-                let size = objects_size(&objects);
-                ep.send(
-                    inner.leaders[cur.executor.0 as usize],
-                    Msg::MoveObjects {
-                        id: cur.id,
-                        from: me,
-                        objects,
-                    },
-                    size + 32,
+                let m = Msg::MoveObjects {
+                    id: cur.id,
+                    from: me,
+                    objects,
+                };
+                let leaders = &inner.leaders;
+                send(
+                    &leaders[me.0 as usize],
+                    &leaders[cur.executor.0 as usize],
+                    &m,
                 );
                 if let Some(writes) = early_writeback.remove(&cur.id) {
                     let mut s = store.lock();
@@ -448,7 +582,7 @@ fn advance(
                 if !all_in {
                     return;
                 }
-                execute_and_reply(inner, me, ep, store, cur);
+                execute_and_reply(inner, me, store, cur);
                 cur.stage = Stage::Done;
                 return;
             }
@@ -459,36 +593,32 @@ fn advance(
 
 /// Executes the command at the executor partition: runs the application
 /// once per involved partition (gathering each partition's writes), applies
-/// local writes, ships the rest back, and answers the client.
+/// local writes, ships the rest back, and answers the client. The
+/// application reads the leader's store with the moved-in objects laid
+/// over it; the store is locked only while it reads, never across a sleep.
 fn execute_and_reply(
     inner: &Rc<Inner>,
     me: PartitionId,
-    ep: &Endpoint<Msg>,
     store: &Arc<Mutex<HashMap<ObjectId, Bytes>>>,
     cur: &mut InFlight,
 ) {
-    // Build the full read set: local objects + moved-in objects.
-    let local_map: HashMap<ObjectId, Bytes> = {
-        let s = store.lock();
-        let mut m = s.clone();
-        m.extend(cur.moved.clone());
-        m
-    };
+    let node = &inner.leaders[me.0 as usize];
     let mut reads = ReadSet::new();
+    let view = cur.view(store);
     for oid in inner.app.read_set(&cur.payload) {
-        if let Some(v) = local_map.get(&oid) {
-            reads.insert(oid, v.clone());
+        if let Some(v) = view.read(oid) {
+            reads.insert(oid, v);
         }
     }
+    drop(view);
     sim::sleep(COMMAND_CPU / 2);
     sim::sleep(PER_MOVED_OBJECT_CPU * cur.moved.len() as u32);
     // One deterministic execution per involved partition gathers that
     // partition's writes; the home partition's response answers the client.
-    let reader = MapReader(&local_map);
     let mut response = Bytes::new();
     let mut per_partition_writes: HashMap<PartitionId, Vec<(ObjectId, Bytes)>> = HashMap::new();
     for p in cur.involved.clone() {
-        let exec: Execution = inner.app.execute(p, &cur.payload, &reads, &reader);
+        let exec: Execution = inner.app.execute(p, &cur.payload, &reads, &cur.view(store));
         if p == cur.involved[0] {
             sim::sleep(exec.compute);
             response = exec.response.clone();
@@ -516,38 +646,29 @@ fn execute_and_reply(
             continue;
         }
         let writes = per_partition_writes.remove(&p).unwrap_or_default();
-        let size = objects_size(&writes);
-        ep.send(
-            inner.leaders[p.0 as usize],
-            Msg::WriteBack { id: cur.id, writes },
-            size + 32,
-        );
+        let m = Msg::WriteBack { id: cur.id, writes };
+        send(node, &inner.leaders[p.0 as usize], &m);
     }
-    ep.send(
-        cur.client,
-        Msg::Reply {
-            id: cur.id,
-            response: response.clone(),
-        },
-        response.len() + 32,
-    );
+    let m = Msg::Reply {
+        id: cur.id,
+        response,
+    };
+    send(node, &inner.fabric.node(cur.client), &m);
 }
 
-fn run_follower(inner: Rc<Inner>, ep: Endpoint<Msg>) {
+fn run_follower(node: Node, leader: Node) {
     loop {
-        let (from, msg) = ep.recv();
-        if let Msg::Replicate { id } = msg {
+        if let (_, Msg::Replicate { id, .. }) = recv(&node) {
             sim::sleep(Duration::from_micros(5));
-            ep.send(from, Msg::ReplAck { id }, 32);
+            send(&node, &leader, &Msg::ReplAck { id });
         }
-        let _ = &inner;
     }
 }
 
 /// A closed-loop DynaStar client.
 pub struct DynaStarClient {
     inner: Rc<Inner>,
-    ep: Endpoint<Msg>,
+    node: Node,
     next_id: CmdId,
 }
 
@@ -564,26 +685,69 @@ impl DynaStarClient {
     pub fn execute(&mut self, request: &[u8]) -> Bytes {
         // Command ids must be globally unique: the leaders' move/ack/
         // write-back bookkeeping is keyed by them across all clients.
-        let id = (u64::from(self.ep.id().0) << 32) | self.next_id;
+        let id = (u64::from(self.node.id().0) << 32) | self.next_id;
         self.next_id += 1;
         let t0 = sim::now();
-        self.ep.send(
-            self.inner.oracle,
-            Msg::ClientReq {
-                id,
-                client: self.ep.id(),
-                payload: request.to_vec(),
-            },
-            request.len() + 48,
-        );
+        let m = Msg::ClientReq {
+            id,
+            payload: Bytes::copy_from_slice(request),
+        };
+        send(&self.node, &self.inner.oracle, &m);
         loop {
-            let (_, msg) = self.ep.recv();
-            if let Msg::Reply { id: rid, response } = msg {
+            if let (_, Msg::Reply { id: rid, response }) = recv(&self.node) {
                 if rid == id {
                     self.inner.metrics.record_latency(sim::now() - t0);
                     return response;
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_message_kind_decodes_to_what_was_encoded() {
+        let objects = vec![
+            (ObjectId(7), Bytes::from(vec![1, 2, 3])),
+            (ObjectId(9), Bytes::new()),
+        ];
+        let payload = Bytes::from(b"txn".to_vec());
+        let msgs = [
+            Msg::ClientReq {
+                id: 1,
+                payload: payload.clone(),
+            },
+            Msg::Ordered {
+                id: 2,
+                client: NodeId(5),
+                payload: payload.clone(),
+                pseq: 3,
+                executor: PartitionId(1),
+                involved: vec![PartitionId(1), PartitionId(0)],
+            },
+            Msg::Replicate { id: 4, payload },
+            Msg::ReplAck { id: 5 },
+            Msg::MoveObjects {
+                id: 6,
+                from: PartitionId(2),
+                objects: objects.clone(),
+            },
+            Msg::WriteBack {
+                id: 7,
+                writes: objects,
+            },
+            Msg::Reply {
+                id: 8,
+                response: Bytes::from(vec![0; 40]),
+            },
+        ];
+        for msg in msgs {
+            assert_eq!(Msg::decode(Bytes::from(msg.encode())), msg);
+        }
+        // A tag and the id: the wire size is the encoded length.
+        assert_eq!(Msg::ReplAck { id: 5 }.encode().len(), 9);
     }
 }

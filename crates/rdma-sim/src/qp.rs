@@ -731,10 +731,37 @@ mod tests {
             let msg = b_recv.recv();
             assert_eq!(msg.from, a_id);
             assert_eq!(msg.payload, b"ping".to_vec());
+            let lat = LatencyModel::connectx4();
+            assert_eq!(sim::now().as_nanos() as u64, lat.post_ns + lat.one_way(4));
+            // One link is FIFO: a tiny message waits behind a huge one.
+            assert_eq!(b_recv.recv().payload.len(), 1_000_000);
+            assert_eq!(b_recv.recv().payload.len(), 8);
         });
         simulation.spawn("sender", move || {
             let qp = a.connect(&b);
             qp.send(b"ping".to_vec()).unwrap();
+            qp.send(vec![0; 1_000_000]).unwrap();
+            qp.send(vec![0; 8]).unwrap();
+        });
+        simulation.run().unwrap();
+    }
+
+    #[test]
+    fn send_to_crashed_node_is_dropped_and_one_after_recovery_arrives() {
+        let (simulation, fabric, a, b) = two_nodes();
+        let b_id = b.id();
+        let b_recv = b.clone();
+        simulation.spawn("sender", move || {
+            let qp = a.connect(&b);
+            fabric.crash(b_id);
+            qp.send(vec![7]).unwrap();
+            sim::sleep(std::time::Duration::from_micros(100));
+            fabric.recover(b_id);
+            assert_eq!(b.try_recv(), None);
+            qp.send(vec![8]).unwrap();
+        });
+        simulation.spawn("receiver", move || {
+            assert_eq!(b_recv.recv().payload, vec![8]);
         });
         simulation.run().unwrap();
     }

@@ -507,8 +507,8 @@ struct Inner {
     tripped: bool,
 }
 
-/// Shared exploration state, living on the kernel behind
-/// `(Cell<bool>, RefCell<Option<Arc<_>>>)` exactly like the tracer.
+/// Shared exploration state, living on the kernel in a
+/// `OnceCell<Arc<_>>` exactly like the tracer.
 pub(crate) struct ExploreState {
     dispatch_spin_threshold: u64,
     poll_spin_threshold: u64,

@@ -315,9 +315,9 @@ impl ProfProcs {
     }
 }
 
-/// Shared gauge state (utilization timelines). Lives on the kernel behind
-/// `(Cell<bool>, RefCell<Option<Arc<_>>>)` exactly like tracing, so the
-/// off path is one flag test. All methods are leaf operations: they take
+/// Shared gauge state (utilization timelines). Lives on the kernel in a
+/// `OnceCell<Arc<_>>` exactly like tracing, so the off path is one test
+/// of an empty cell. All methods are leaf operations: they take
 /// only the profiler's own lock and never call back into the kernel.
 /// (The per-process wait-state accounting lives in [`ProfProcs`] inside
 /// the kernel state instead — see there.)

@@ -150,9 +150,9 @@ struct TraceBuf {
     stacks: Vec<Vec<u64>>,
 }
 
-/// Shared recording state. Lives on the kernel behind
-/// `(Cell<bool>, RefCell<Option<Arc<_>>>)`, like the race detector's
-/// fabric state, so the off path is one flag test.
+/// Shared recording state. Lives on the kernel in a `OnceCell<Arc<_>>`,
+/// like the race detector's fabric state, so the off path is one test of
+/// an empty cell.
 pub(crate) struct TraceState {
     buf: Mutex<TraceBuf>,
 }

@@ -12,8 +12,7 @@
 //! |---|---|---|
 //! | [`core`] | `heron-core` | Heron itself: dual-versioned store, Phase 2/4 coordination, execution engine, state transfer, clients |
 //! | [`multicast`] | `amcast` | RDMA-based genuine atomic multicast (RamCast-style) |
-//! | [`rdma`] | `rdma-sim` | the simulated RDMA fabric (one-sided verbs, RC queue pairs) |
-//! | [`net`] | `netsim` | the simulated kernel/TCP network used by the baseline |
+//! | [`rdma`] | `rdma-sim` | the simulated fabric (one-sided verbs, RC queue pairs, two-sided sends); Heron runs it at RDMA latencies, the baseline at kernel-TCP ones |
 //! | [`simulator`] | `sim` | deterministic virtual-time simulation runtime |
 //! | [`tpcc`] | `tpcc` | the TPC-C workload of the paper's evaluation |
 //! | [`baseline`] | `dynastar` | the DynaStar message-passing baseline of Fig. 5 |
@@ -58,9 +57,6 @@ pub use amcast as multicast;
 
 /// Simulated RDMA fabric.
 pub use rdma_sim as rdma;
-
-/// Simulated message-passing network (baseline substrate).
-pub use netsim as net;
 
 /// Deterministic virtual-time simulator.
 pub use sim as simulator;
