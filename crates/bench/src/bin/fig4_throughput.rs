@@ -16,15 +16,22 @@
 //! simulator must execute fewer events (≈ wall-clock), both recorded in
 //! `bench_results/BENCH_fig4.json`.
 //!
+//! Before writing, the binary checks two of the claims above and exits
+//! non-zero naming the point that breaks one: TPC-C throughput rises with
+//! each partition count, and Local TPC-C stays within 5 % of the
+//! 1-partition throughput × partitions. The file holds virtual-time
+//! numbers only (stdout also prints wall time), so every run of a mode
+//! writes the same bytes; `scripts/gates.sh` pins the `--quick` file.
+//!
 //! `cargo run -p heron-bench --release --bin fig4_throughput [--quick]`
 
 use heron_bench::{
-    banner, quick_mode, run_heron, write_results, Json, LoadSummary, RunConfig, Workload,
+    assert_claims, banner, quick_mode, run_heron, write_results, Json, LoadSummary, RunConfig,
+    Workload,
 };
 use heron_core::HeronConfig;
 
 fn main() {
-    let wall_start = std::time::Instant::now();
     let quick = quick_mode();
     banner(
         "Figure 4: throughput scalability (requests/s)",
@@ -138,7 +145,31 @@ fn main() {
         );
     }
 
-    // Machine-readable results.
+    // The paper's scaling claims, before anything is written.
+    let mut broken = Vec::new();
+    let (tpcc, local) = (&table[2], &table[3]);
+    for (i, pair) in partitions.windows(2).enumerate() {
+        let (before, after) = (tpcc[i].tps, tpcc[i + 1].tps);
+        if after <= before {
+            broken.push(format!(
+                "Tpcc does not rise from {}WH ({before:.0} tps) to {}WH ({after:.0} tps)",
+                pair[0], pair[1]
+            ));
+        }
+    }
+    for (&p, s) in partitions.iter().zip(local) {
+        let linear = local[0].tps * p as f64;
+        if (s.tps / linear - 1.0).abs() > 0.05 {
+            broken.push(format!(
+                "Local Tpcc at {p}WH is {:.3}x of linear ({:.0} vs {linear:.0} tps), not within 5 %",
+                s.tps / linear,
+                s.tps
+            ));
+        }
+    }
+    assert_claims(&broken);
+
+    // Machine-readable results: virtual time only.
     let mut out = Json::obj();
     out.set("figure", "fig4");
     out.set("quick", quick);
@@ -155,7 +186,6 @@ fn main() {
         "events_executed",
         table.iter().flatten().map(|s| s.events).sum::<u64>(),
     );
-    out.set("wall_clock_s", wall_start.elapsed().as_secs_f64());
     let mut rows = Vec::new();
     for (p, u, b, uw, bw) in &ablation {
         for (mb, basis, s) in [
@@ -171,7 +201,6 @@ fn main() {
             r.set("basis", basis);
             r.set("tps", s.tps);
             r.set("events", s.events);
-            r.set("wall_ms", s.wall_ms);
             rows.push(r);
         }
         let mut r = Json::obj();
@@ -184,7 +213,6 @@ fn main() {
             "fixed_work_events_ratio",
             bw.events as f64 / uw.events as f64,
         );
-        r.set("fixed_work_wall_ratio", bw.wall_ms / uw.wall_ms);
         rows.push(r);
     }
     out.set("ablation", rows);

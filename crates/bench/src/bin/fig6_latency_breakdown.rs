@@ -9,8 +9,8 @@
 //!
 //! `cargo run -p heron-bench --release --bin fig6_latency_breakdown [--quick]`
 
-use heron_bench::{banner, quantile, quick_mode};
-use heron_core::{HeronCluster, HeronConfig, StageMeans};
+use heron_bench::{banner, quick_mode};
+use heron_core::{quantile, HeronCluster, HeronConfig, StageMeans};
 use rdma_sim::{Fabric, LatencyModel};
 use std::sync::Arc;
 use std::time::Duration;

@@ -10,8 +10,8 @@
 //!
 //! `cargo run -p heron-bench --release --bin fig7_txn_latency [--quick]`
 
-use heron_bench::{banner, quantile, quick_mode};
-use heron_core::{HeronCluster, HeronConfig};
+use heron_bench::{banner, quick_mode};
+use heron_core::{quantile, HeronCluster, HeronConfig};
 use rdma_sim::{Fabric, LatencyModel};
 use std::sync::Arc;
 use std::time::Duration;

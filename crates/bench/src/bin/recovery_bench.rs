@@ -1,4 +1,4 @@
-//! Recovery benchmark and regression gate (DESIGN.md §14).
+//! Recovery benchmark (DESIGN.md §14).
 //!
 //! Measures **cold-restart cost** as a function of the WAL tail a replica
 //! must replay past its last durable checkpoint: a 1×3 durable bank
@@ -12,19 +12,18 @@
 //! (That the checkpoint subsystem is schedule-invisible with durability
 //! off is pinned in `tests/schedule_hash.rs`, not here.)
 //!
-//! Modes:
-//!
-//! * default — measure and write `bench_results/BENCH_recovery.json`.
-//! * `--gate` — (1) the fixed-seed durable-recovery chaos scenarios must
-//!   pass the linearizability checker and (2) replayed frames and recovery
-//!   time must grow with the tail length. Exits non-zero on any failure;
-//!   the committed file is not rewritten.
-//! * `--quick` — smaller tails and fewer seeds, for CI smoke runs.
+//! Every run (1) puts the fixed-seed durable-recovery chaos scenarios
+//! through the linearizability checker and (2) requires replayed frames
+//! and recovery time to grow with the tail length, exiting non-zero on
+//! any failure; only then does it write
+//! `bench_results/BENCH_recovery.json`, virtual time only.
+//! `scripts/gates.sh` pins the full-mode file. `--quick` runs smaller
+//! tails and fewer seeds.
 
 use heron_bench::chaos::{
     self, pool_recovery_scenario_for_seed, recovery_scenario_for_seed, Bank, RunResult,
 };
-use heron_bench::{banner, quick_mode, write_results, Json};
+use heron_bench::{assert_claims, banner, quick_mode, write_results, Json};
 use heron_core::{HeronCluster, HeronConfig, PartitionId};
 use rdma_sim::{Fabric, LatencyModel};
 use sim::SimTime;
@@ -114,7 +113,6 @@ fn main() {
         "recovery bench — cold-restart cost vs WAL tail",
         "durable extension of §III; recovery model of DESIGN.md §14",
     );
-    let gate = std::env::args().any(|a| a == "--gate");
     let quick = quick_mode();
 
     let tails: &[u64] = if quick { &[4, 24] } else { &[4, 12, 24, 48] };
@@ -173,52 +171,33 @@ fn main() {
     }
 
     // Recovery must scale with the tail: more frames replayed for longer
-    // tails, and a longer virtual-time rebuild end to end. (Checked in
-    // both modes — a measurement that violates this is not worth
-    // committing as a baseline either.)
+    // tails, and a longer virtual-time rebuild end to end. A measurement
+    // that violates this is not worth writing.
+    let mut broken = Vec::new();
     for pair in sweep.windows(2) {
         let (t0, r0, _) = pair[0];
         let (t1, r1, _) = pair[1];
         if r1 <= r0 {
-            eprintln!(
-                "FAIL: replayed frames not increasing with tail \
+            broken.push(format!(
+                "replayed frames not increasing with tail \
                  ({r0} @ {t0} requests vs {r1} @ {t1})"
-            );
-            std::process::exit(1);
+            ));
         }
     }
     let (first, last) = (sweep[0], sweep[sweep.len() - 1]);
     if last.2 <= first.2 {
-        eprintln!(
-            "FAIL: recovery time did not grow with the tail \
+        broken.push(format!(
+            "recovery time did not grow with the tail \
              ({} ns @ {} requests vs {} ns @ {})",
             first.2, first.0, last.2, last.0
-        );
-        std::process::exit(1);
+        ));
     }
+    assert_claims(&broken);
 
-    if gate {
-        println!("gate: PASS");
-    } else {
-        let mut out = Json::obj();
-        out.set("figure", "recovery")
-            .set("quick", quick)
-            .set("warm_requests", 12u64)
-            .set("rows", Json::Arr(rows));
-        let mut gate_obj = Json::obj();
-        gate_obj.set(
-            "rule",
-            "recovery_bench --gate fails if replayed frames / recovery time \
-                 stop scaling with the WAL tail, or if a recovery chaos \
-                 scenario fails",
-        );
-        out.set("gate", gate_obj);
-        match write_results("BENCH_recovery.json", &out) {
-            Ok(path) => println!("wrote {}", path.display()),
-            Err(e) => {
-                eprintln!("FAIL: could not write results: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
+    let mut out = Json::obj();
+    out.set("figure", "recovery")
+        .set("quick", quick)
+        .set("warm_requests", 12u64)
+        .set("rows", Json::Arr(rows));
+    write_results("BENCH_recovery.json", &out).expect("write bench_results/BENCH_recovery.json");
 }

@@ -5,7 +5,7 @@
 use crate::null::NullApp;
 use dynastar::{DynaStar, DynaStarConfig};
 use heron_core::{
-    Breakdown, HeronCluster, HeronConfig, Metrics, PartitionId, StageMeans, StateMachine,
+    quantile, Breakdown, HeronCluster, HeronConfig, Metrics, PartitionId, StageMeans, StateMachine,
 };
 use rdma_sim::{Fabric, FaultPlan, LatencyModel};
 use std::sync::atomic::Ordering;
@@ -129,11 +129,7 @@ pub struct LoadSummary {
     pub tps: f64,
     /// Mean end-to-end latency.
     pub mean: Duration,
-    /// Latency percentiles over the measurement window: (p50, p95, p99).
-    pub p50: Duration,
-    /// 95th percentile.
-    pub p95: Duration,
-    /// 99th percentile.
+    /// 99th-percentile latency over the measurement window.
     pub p99: Duration,
     /// Sorted latency samples (µs) for CDF plots: the window's, or in
     /// fixed-work mode every request's.
@@ -151,9 +147,6 @@ pub struct LoadSummary {
     pub delays: Vec<(f64, Duration)>,
     /// State transfers initiated during the run (lagger events).
     pub transfers_started: u64,
-    /// State transfers that ran to completion (snapshot applied and
-    /// adopted by the requester).
-    pub transfers_completed: usize,
     /// Scheduler events the simulator executed for the whole run (warm-up
     /// included) — the wall-clock cost driver: every event is a pop by
     /// the host loop, most of them a switch into a process and back.
@@ -167,15 +160,6 @@ pub struct LoadSummary {
     /// [`sim::Simulation::schedule_hash`]): equal hashes mean the exact
     /// same event schedule (pinned in `tests/schedule_hash.rs`).
     pub schedule_hash: u64,
-}
-
-/// The `q`-quantile of a sorted slice of samples: the nearest-rank
-/// element, zero for no samples.
-pub fn quantile<T: Copy + Default>(sorted: &[T], q: f64) -> T {
-    if sorted.is_empty() {
-        return T::default();
-    }
-    sorted[((sorted.len() - 1) as f64 * q).round() as usize]
 }
 
 /// Runs `simulation` — whose clients `metrics` records — through `cfg`'s
@@ -206,13 +190,10 @@ fn measure(simulation: &sim::Simulation, cfg: &RunConfig, metrics: &Metrics) -> 
     } else {
         Duration::from_nanos(samples.iter().sum::<u64>() / samples.len() as u64)
     };
-    let at = |q| Duration::from_nanos(quantile(&samples, q));
     LoadSummary {
         tps: samples.len() as f64 / window_secs,
         mean,
-        p50: at(0.5),
-        p95: at(0.95),
-        p99: at(0.99),
+        p99: Duration::from_nanos(quantile(&samples, 0.99)),
         samples_us: samples.iter().map(|&ns| ns as f64 / 1_000.0).collect(),
         breakdowns: metrics.breakdowns.lock().clone(),
         ..LoadSummary::default()
@@ -312,15 +293,12 @@ pub fn run_heron_on(cfg: &RunConfig, simulation: &sim::Simulation, fabric: &Fabr
         .iter()
         .map(|d| d.summary())
         .collect::<Vec<_>>();
-    let transfers_completed = metrics.transfers.lock().len();
-
     LoadSummary {
         single: metrics.mean_breakdown(|b| b.partitions == 1),
         multi: metrics.mean_breakdown(|b| b.partitions > 1),
         all: metrics.mean_breakdown(|_| true),
         delays,
         transfers_started: metrics.transfers_started.load(Ordering::Relaxed),
-        transfers_completed,
         events: simulation.events_executed(),
         wall_ms: wall_start.elapsed().as_secs_f64() * 1_000.0,
         virtual_ns: simulation.now().as_nanos(),

@@ -30,11 +30,9 @@ pub mod report;
 pub mod sched_workloads;
 pub mod syncapp;
 
-pub use harness::{
-    fig5_point, quantile, run_heron, run_heron_on, LoadSummary, RunConfig, Workload,
-};
+pub use harness::{fig5_point, run_heron, run_heron_on, LoadSummary, RunConfig, Workload};
 pub use null::NullApp;
-pub use report::{write_results, Json};
+pub use report::{assert_claims, write_results, Json};
 
 /// `true` when `--quick` was passed: benchmarks shrink their measurement
 /// windows for a fast smoke run.

@@ -160,6 +160,19 @@ impl<T: Into<Json>> From<Vec<T>> for Json {
     }
 }
 
+/// Exits non-zero, naming each, if any paper claim in `broken` failed. A
+/// figure binary calls it before it writes its file, so a re-pin that
+/// breaks a claim fails by name instead of committing the broken figure.
+pub fn assert_claims(broken: &[String]) {
+    if broken.is_empty() {
+        return;
+    }
+    for claim in broken {
+        eprintln!("CLAIM FAIL: {claim}");
+    }
+    std::process::exit(1);
+}
+
 /// Writes `value` to `bench_results/<name>` (creating the directory) and
 /// returns the path. Prints a pointer line so interactive runs surface the
 /// artifact.

@@ -87,7 +87,9 @@ impl HeronClient {
     /// # Panics
     ///
     /// Panics if the application maps the request to no partition, or if
-    /// the request exceeds the configured maximum size.
+    /// the request and its 24-byte envelope exceed the ordering layer's
+    /// [`amcast::McastConfig::max_payload`] (488 request bytes at the
+    /// default 512).
     pub fn execute(&mut self, request: &[u8]) -> Bytes {
         let mut dests = self.cluster.app.destinations(request);
         dests.sort_unstable();
@@ -99,10 +101,6 @@ impl HeronClient {
     /// (used by workloads that pre-compute request routing).
     pub fn execute_on(&mut self, request: &[u8], dests: &[PartitionId]) -> Bytes {
         assert!(!dests.is_empty(), "request must involve ≥ 1 partition");
-        assert!(
-            request.len() <= self.cluster.cfg.max_request,
-            "request exceeds HeronConfig::max_request"
-        );
         self.seq += 1;
         let seq = self.seq;
         let t0 = sim::now();

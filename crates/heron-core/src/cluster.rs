@@ -182,8 +182,8 @@ impl HeronCluster {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg.partitions`, `replicas_per_partition`, `max_clients`
-    /// or `max_request` were written out of step with `cfg.mcast` (the
+    /// Panics if `cfg.partitions`, `replicas_per_partition` or
+    /// `max_clients` were written out of step with `cfg.mcast` (the
     /// message names the setter that keeps them together).
     pub fn build(fabric: &Fabric, cfg: HeronConfig, app: Arc<dyn StateMachine>) -> Self {
         cfg.assert_mirrors_mcast();

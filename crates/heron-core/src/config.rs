@@ -1,6 +1,5 @@
 //! Heron deployment configuration.
 
-use crate::layout::ENV_HDR;
 use amcast::McastConfig;
 use sim::storage::Storage;
 use std::time::Duration;
@@ -47,8 +46,6 @@ pub struct HeronConfig {
     pub replicas_per_partition: usize,
     /// Maximum number of clients.
     pub max_clients: usize,
-    /// Maximum request payload (application bytes, before the envelope).
-    pub max_request: usize,
     /// Extra delay δ a replica tentatively waits for *all* replicas after
     /// reaching a majority in Phase 4 (paper §V-E1, Table I). `None`
     /// disables the heuristic.
@@ -89,7 +86,6 @@ impl HeronConfig {
             partitions,
             replicas_per_partition,
             max_clients: 64,
-            max_request: 384,
             wait_for_all: Some(Duration::from_micros(20)),
             transfer_chunk: 32 * 1024,
             executor_width: 1,
@@ -136,15 +132,6 @@ impl HeronConfig {
         self
     }
 
-    /// Sets the maximum request payload size.
-    #[must_use]
-    pub fn with_max_request(mut self, bytes: usize) -> Self {
-        self.max_request = bytes;
-        // Envelope: client id + seq + submit time.
-        self.mcast.max_payload = bytes + ENV_HDR;
-        self
-    }
-
     /// Sets the wait-for-all delay δ (or disables it with `None`).
     #[must_use]
     pub fn with_wait_for_all(mut self, delta: Option<Duration>) -> Self {
@@ -184,13 +171,6 @@ impl HeronConfig {
             self.max_clients, self.mcast.max_clients,
             "max_clients != mcast.max_clients: set both with HeronConfig::with_max_clients"
         );
-        assert!(
-            self.mcast.max_payload >= self.max_request + ENV_HDR,
-            "mcast.max_payload ({}) cannot hold max_request ({}) plus the {ENV_HDR}-byte envelope: \
-             set both with HeronConfig::with_max_request",
-            self.mcast.max_payload,
-            self.max_request
-        );
     }
 }
 
@@ -218,12 +198,5 @@ mod tests {
         let cfg = HeronConfig::new(2, 3).with_max_batch(16);
         assert_eq!(cfg.mcast.max_batch, 16);
         assert_eq!(HeronConfig::new(2, 3).mcast.max_batch, 1);
-    }
-
-    #[test]
-    fn with_max_request_sizes_envelope() {
-        let cfg = HeronConfig::new(1, 3).with_max_request(500);
-        assert_eq!(cfg.max_request, 500);
-        assert_eq!(cfg.mcast.max_payload, 524);
     }
 }

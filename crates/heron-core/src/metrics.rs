@@ -176,17 +176,12 @@ impl Metrics {
         Duration::from_nanos(l.iter().sum::<u64>() / l.len() as u64)
     }
 
-    /// The `q`-quantile (0.0–1.0, clamped) of recorded latencies; zero
-    /// when no samples were recorded.
+    /// The [`quantile`] `q` of recorded latencies; zero when no samples
+    /// were recorded.
     pub fn latency_quantile(&self, q: f64) -> Duration {
         let mut l = self.latencies.lock().clone();
-        if l.is_empty() {
-            return Duration::ZERO;
-        }
         l.sort_unstable();
-        let q = if q.is_nan() { 0.0 } else { q.clamp(0.0, 1.0) };
-        let idx = ((l.len() - 1) as f64 * q).round() as usize;
-        Duration::from_nanos(l[idx])
+        Duration::from_nanos(quantile(&l, q))
     }
 
     /// Fig. 6's stages averaged over the rows `keep` selects (all zero
@@ -208,6 +203,18 @@ impl Metrics {
             execution: mean(|b| b.execution_ns),
         }
     }
+}
+
+/// The `q`-quantile (0.0–1.0, clamped; NaN reads as 0) of a sorted slice
+/// of samples: the nearest-rank element, `T::default()` for no samples.
+/// The one quantile routine: [`Metrics::latency_quantile`] and the figure
+/// binaries' percentiles both go through it.
+pub fn quantile<T: Copy + Default>(sorted: &[T], q: f64) -> T {
+    if sorted.is_empty() {
+        return T::default();
+    }
+    let q = if q.is_nan() { 0.0 } else { q.clamp(0.0, 1.0) };
+    sorted[((sorted.len() - 1) as f64 * q).round() as usize]
 }
 
 #[cfg(test)]

@@ -395,9 +395,9 @@ fn deterministic_across_runs() {
     assert_eq!(run_once(42), run_once(42));
 }
 
-/// `HeronConfig`'s `partitions`, `replicas_per_partition`, `max_clients`
-/// and `max_request` mirror `mcast`'s sizes and only the setters keep them
-/// in step: `build` refuses a config whose direct field write did not.
+/// `HeronConfig`'s `partitions`, `replicas_per_partition` and
+/// `max_clients` mirror `mcast`'s sizes and only the setters keep them in
+/// step: `build` refuses a config whose direct field write did not.
 fn build_with(edit: impl FnOnce(&mut HeronConfig)) {
     let mut cfg = HeronConfig::new(2, 3);
     edit(&mut cfg);
@@ -426,9 +426,31 @@ fn build_rejects_max_clients_out_of_step_with_mcast() {
     build_with(|cfg| cfg.max_clients = 128);
 }
 
+/// Runs one read of account 0 padded to `len` bytes (the bank ignores the
+/// padding) through a 1 × 3 deployment.
+fn execute_padded_read(len: usize) {
+    let (simulation, _f, cluster, _bank) = build_bank(23, 1, 3, 4);
+    let mut client = cluster.client("c");
+    simulation.spawn("client", move || {
+        let mut req = enc_read(0);
+        req.resize(len, 0);
+        let balance = u64::from_le_bytes(client.execute(&req)[..8].try_into().unwrap());
+        assert_eq!(balance, 1000);
+        sim::stop();
+    });
+    simulation.run().unwrap();
+}
+
+/// The one request-size bound is the ordering layer's: the default
+/// 512-byte `McastConfig::max_payload` carries the 24-byte envelope and
+/// 488 request bytes.
 #[test]
-#[should_panic(expected = "HeronConfig::with_max_request")]
-fn build_rejects_a_request_size_the_envelope_cannot_carry() {
-    // The default ordering payload is 512 bytes: 489 + 24 overruns it.
-    build_with(|cfg| cfg.max_request = 489);
+fn a_request_at_the_ordering_payload_bound_executes() {
+    execute_padded_read(488);
+}
+
+#[test]
+#[should_panic(expected = "payload exceeds McastConfig::max_payload")]
+fn a_request_one_byte_over_the_ordering_payload_bound_panics() {
+    execute_padded_read(489);
 }

@@ -28,7 +28,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 scripts/unsafe_fence.sh
 scripts/config_fence.sh
 
-# Everything else — the chaos, race, explain, P-SMR, exploration, bench-trend
-# and recovery gates with their self-tests — is one list, which CI's `gates`
-# job runs too.
+# Everything else — the chaos, race, explain and exploration gates with
+# their self-tests, and the figure gates that regenerate fig4, fig5, psmr
+# and recovery's committed BENCH files and diff them byte for byte — is one
+# list, which CI's `gates` job runs too. Every gate prints virtual time
+# only: two checkouts' target/gates directories differ exactly when
+# behaviour did, with no exception.
 scripts/gates.sh
