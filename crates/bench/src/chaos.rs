@@ -553,8 +553,9 @@ pub fn pool_recovery_scenario_for_seed(seed: u64, quick: bool) -> Scenario {
     let mut rng = seed ^ 0x8EBC_6AF0_9C88_C6E3;
     let horizon = sc.requests * 120;
     sc.durability_us = Some(horizon / 8 + splitmix(&mut rng) % (horizon / 8));
-    // Early in the run, and back up well before the workload ends: an
-    // idle driver only notices a power cycle at its next poll timeout.
+    // Early in the run, and back up well before the workload ends, so the
+    // cold restart replays with clients still waiting on it: the victim's
+    // driver wakes at the cut and rebuilds at the recovery.
     let at = horizon / 8 + splitmix(&mut rng) % (horizon / 8);
     sc.clauses = vec![Clause::PowerLoss {
         p: (splitmix(&mut rng) as usize % sc.partitions) as u16,
