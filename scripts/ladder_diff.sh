@@ -40,9 +40,12 @@ for mode in --quick ""; do
   verdicts "$change" "$mode" >"$out/change-$name"
   fails=$(grep -cv ' PASS$' "$out/parent-$name" || true)
   echo "== $name: $(wc -l <"$out/parent-$name") scenarios, $fails not passing at the parent"
-  if ! diff -U0 "$out/parent-$name" "$out/change-$name" | grep -E '^[-+][0-9]'; then
+  # diff's own status decides: under pipefail a `diff | grep` pipeline
+  # fails both when the verdicts differ and when grep finds nothing.
+  if diff -U0 "$out/parent-$name" "$out/change-$name" >"$out/diff-$name"; then
     echo "   every verdict equal"
   else
+    grep -E '^[-+][0-9]' "$out/diff-$name"
     status=1
   fi
 done
