@@ -372,25 +372,20 @@ impl McastReplica {
         })
     }
 
-    /// The header of the log entry a follower acts on next: what
+    /// The stamp of the log entry a follower acts on next: what
     /// `applied_seq`'s slot holds, if that is the entry itself or a later
     /// one (the leader lapped us) written by an accepted regime. `None`
     /// while the regime is unknown (`await_epoch`), and for an entry from a
     /// regime older than the one we rejoined under: that is our own
     /// pre-crash tail, never confirmed by a majority, and the live leader
     /// retransmits the true entry for the slot re-stamped with its epoch.
-    fn log_head(
-        &self,
-        m: &MemView<'_>,
-        st: &State,
-    ) -> Option<(u64, u32, DestMask, u64, u64, usize)> {
+    fn log_head(&self, m: &MemView<'_>, st: &State) -> Option<u64> {
         if st.await_epoch {
             return None;
         }
         let addr = self.inner.sizes.log_slot(self.layout, st.applied_seq);
-        let hdr = decode_log_header(m.bytes(addr, LOG_HDR).ok()?);
-        let (stamp, .., epoch, _) = hdr;
-        (stamp > st.applied_seq && epoch >= st.entry_epoch_floor).then_some(hdr)
+        let (stamp, .., epoch, _) = decode_log_header(m.bytes(addr, LOG_HDR).ok()?);
+        (stamp > st.applied_seq && epoch >= st.entry_epoch_floor).then_some(stamp)
     }
 
     /// The truncation horizon a leader advertised past our position: its
@@ -869,41 +864,39 @@ impl McastReplica {
         }
         stored.sort_unstable_by(|a, b| b.cmp(a));
         let committed = stored[self.majority() - 1];
+        // A slot that stopped holding its entry (a power cut wiped the ring
+        // while a WAL append slept) ends the round; the reload rebuilds it.
         while st.applied_seq < committed {
-            let seq = st.applied_seq;
-            let entry = self.read_own_log(seq);
+            let Some(entry) = self.read_own_log(st.applied_seq) else {
+                break;
+            };
             st.applied_seq += 1;
             self.deliver(st, entry);
         }
     }
 
-    /// Whether our own ring still holds the entry for `seq` (the slot's
-    /// stamp matches). False for wiped slots and truncated prefixes.
-    fn holds_log(&self, seq: u64) -> bool {
-        let addr = self.inner.sizes.log_slot(self.layout, seq);
-        self.node.with_mem(|m| {
-            m.bytes(addr, LOG_HDR)
-                .is_ok_and(|hdr| decode_log_header(hdr).0 == seq + 1)
-        })
-    }
-
-    fn read_own_log(&self, seq: u64) -> crate::layout::LogEntry {
+    /// Our own ring's entry for `seq`, header and payload read at one
+    /// instant, or `None` when the slot's stamp is not `seq + 1`: a wiped
+    /// slot, a truncated prefix, or one the ring has since lapped.
+    fn read_own_log(&self, seq: u64) -> Option<crate::layout::LogEntry> {
         let addr = self.inner.sizes.log_slot(self.layout, seq);
         self.node.with_mem(|m| {
             let hdr = m.bytes(addr, LOG_HDR).expect("log header in range");
             let (stamp, uid, mask, ts_raw, _epoch, len) = decode_log_header(hdr);
-            debug_assert_eq!(stamp, seq + 1, "own log slot holds wrong sequence");
+            if stamp != seq + 1 {
+                return None;
+            }
             let payload = m
                 .bytes(addr.offset(LOG_HDR as u64), len)
                 .expect("log payload in range")
                 .to_vec();
-            crate::layout::LogEntry {
+            Some(crate::layout::LogEntry {
                 seq,
                 uid,
                 mask,
                 ts_raw,
                 payload,
-            }
+            })
         })
     }
 
@@ -1046,7 +1039,12 @@ impl McastReplica {
             next = doorbell.end;
             let mut batch = qp.write_batch();
             for seq in doorbell {
-                let entry = self.read_own_log(seq);
+                let Some(entry) = self.read_own_log(seq) else {
+                    // Our ring lost the entry (a power cut wiped it while an
+                    // earlier doorbell slept): ship what we read, no more.
+                    let _ = batch.post();
+                    return;
+                };
                 let buf = encode_log(
                     seq,
                     entry.uid,
@@ -1081,9 +1079,7 @@ impl McastReplica {
             st.log_floor = st.log_floor.max(floor);
         }
         let mut progressed = false;
-        while let Some((stamp, uid, mask, ts_raw, _, len)) =
-            self.node.with_mem(|m| self.log_head(m, st))
-        {
+        while let Some(stamp) = self.node.with_mem(|m| self.log_head(m, st)) {
             let seq = st.applied_seq;
             if stamp > seq + 1 {
                 // The leader lapped us: entries were overwritten before we
@@ -1096,24 +1092,14 @@ impl McastReplica {
                 st.applied_seq = stamp - 1;
                 continue;
             }
+            // Copied at the instant the header was read, before the CPU
+            // charge: a power cut during it zeroes the slot, and the entry
+            // delivered (and appended to the WAL) is the one stamp-checked.
+            let entry = self.read_own_log(seq).expect("log_head read its stamp");
             sim::sleep(FOLLOWER_CPU);
-            let addr = self.inner.sizes.log_slot(self.layout, seq);
-            let payload = self
-                .node
-                .local_read(addr.offset(LOG_HDR as u64), len)
-                .expect("log payload in range");
             st.applied_seq += 1;
             progressed = true;
-            self.deliver(
-                st,
-                crate::layout::LogEntry {
-                    seq,
-                    uid,
-                    mask,
-                    ts_raw,
-                    payload,
-                },
-            );
+            self.deliver(st, entry);
         }
         if progressed {
             self.node
@@ -1236,7 +1222,9 @@ impl McastReplica {
         // 3. Apply everything we now hold (delivers locally, in order).
         let adopt_to = longest.0;
         while st.applied_seq < adopt_to {
-            let entry = self.read_own_log(st.applied_seq);
+            let Some(entry) = self.read_own_log(st.applied_seq) else {
+                return; // our slot was wiped under us; retry next timeout
+            };
             st.applied_seq += 1;
             self.deliver(st, entry);
         }
@@ -1257,7 +1245,7 @@ impl McastReplica {
             // recovers the prefix via state transfer, then backfill the
             // entries we do hold.
             let mut from = seq;
-            while from < adopt_to && !self.holds_log(from) {
+            while from < adopt_to && self.read_own_log(from).is_none() {
                 from += 1;
             }
             // Backfilled under the new epoch so recovered peers accept.

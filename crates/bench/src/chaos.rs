@@ -821,17 +821,22 @@ mod tests {
         }
     }
 
+    /// Seed 9053 cuts a follower's power while it applies a log entry,
+    /// 9055 the leader's inside a WAL append: both once delivered a wiped
+    /// log slot (DESIGN.md §14, "recovery vs. ordering").
     #[test]
     fn one_recovery_scenario_passes() {
-        let sc = recovery_scenario_for_seed(1, true);
-        assert!(sc.durability_us.is_some());
-        assert!(sc
-            .clauses
-            .iter()
-            .any(|c| matches!(c, Clause::PowerLoss { .. })));
-        match run(&sc).0 {
-            RunResult::Pass { ops } => assert!(ops > 0),
-            other => panic!("recovery seed 1 must pass, got {other:?}"),
+        for seed in [1, 9053, 9055] {
+            let sc = recovery_scenario_for_seed(seed, true);
+            assert!(sc.durability_us.is_some());
+            assert!(sc
+                .clauses
+                .iter()
+                .any(|c| matches!(c, Clause::PowerLoss { .. })));
+            match run(&sc).0 {
+                RunResult::Pass { ops } => assert!(ops > 0),
+                other => panic!("recovery seed {seed} must pass, got {other:?}"),
+            }
         }
     }
 
