@@ -87,8 +87,9 @@ regenerate() {
 # (DESIGN.md §9). Fixed seed window so failures replay exactly; on a
 # non-linearizable history or a stall the suite exits non-zero and prints
 # the failing seed plus its shrunken minimal reproduction (replay one seed
-# with `--seed <failing seed> --schedules 1`).
-gate chaos bench chaos_suite --quick --seed 9000 --schedules 8
+# with `--seed <failing seed> --schedules 1`). The window is the whole
+# quick ladder: seeds 9000–9059 of each scenario kind, 181 scenarios.
+gate chaos bench chaos_suite --quick --seed 9000 --schedules 60
 
 # Checker self-test: corrupt one applied command and require the checker to
 # report the violation (proves the gate can actually fail).
