@@ -220,6 +220,9 @@ impl HeronCluster {
         let n = cfg.replicas_per_partition;
         let mut replicas = Vec::with_capacity(cfg.partitions);
         for p in 0..cfg.partitions {
+            // A partition's rows are generated once and installed into
+            // each of its replicas' stores.
+            let rows = inner.app.bootstrap(PartitionId(p as u16));
             let mut row = Vec::with_capacity(n);
             for i in 0..n {
                 let node = inner.nodes[p][i].clone();
@@ -282,8 +285,8 @@ impl HeronCluster {
                 let poller = node.poller(deliveries.cond().clone(), &driver_ranges);
                 let svc_poller = node.poller(node.inbox_cond(), &[]);
                 let store = VersionedStore::new(node.clone());
-                for (oid, value) in inner.app.bootstrap(PartitionId(p as u16)) {
-                    store.bootstrap(oid, &value);
+                for (oid, value) in &rows {
+                    store.bootstrap(*oid, value);
                 }
                 let qps = inner
                     .nodes
