@@ -23,10 +23,10 @@ use std::time::Duration;
 fn chunk_size_sweep() {
     println!("\n-- ablation 1: state-transfer chunk size (~640 KB serialized payload) --");
     println!("{:<12} {:>14} {:>14}", "chunk", "bytes moved", "latency");
-    // 512-byte values → ≈1.2 KiB dual-version slots, so even 2 KiB chunks
+    // 576-byte values → 1 184 B dual-version slots, so even 2 KiB chunks
     // hold a record.
     for chunk_kib in [2usize, 4, 8, 16, 32, 64, 128] {
-        let (bytes, latency) = run_transfer(StorageKind::Serialized, 546, 512, |cfg| {
+        let (bytes, latency) = run_transfer(StorageKind::Serialized, 546, 576, |cfg| {
             cfg.transfer_chunk = chunk_kib * 1024;
         });
         println!(

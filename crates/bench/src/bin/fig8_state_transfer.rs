@@ -19,7 +19,7 @@
 
 use heron_bench::banner;
 use heron_bench::syncapp::run_transfer as run_transfer_cfg;
-use heron_core::StorageKind;
+use heron_core::{Slot, StorageKind};
 use std::time::Duration;
 use tpcc::TpccScale;
 
@@ -35,9 +35,9 @@ fn main() {
         "§V-E2, Fig. 8 — paper: protocol-only = 2 RDMA writes; 64 KB serialized ≈ 26 µs; \
          latency ∝ size; (de)serialization degrades native transfers; full warehouse ≈ 109.4 ms",
     );
-    // Value of 8128 B → one dual-version slot ≈ 16.4 KiB of transfer
-    // payload per object.
-    let value_len = 8_128u32;
+    // Value of 8192 B → a 16 416 B dual-version slot, 16 432 B of transfer
+    // payload per object with its record header.
+    let value_len = 8_192u32;
     println!("{:<26} {:>14} {:>14}", "scenario", "bytes moved", "latency");
     let (b, d) = run_transfer(StorageKind::Serialized, 0, value_len);
     println!("{:<26} {:>14} {:>14.2?}", "Protocol (no data)", b, d);
@@ -61,12 +61,13 @@ fn main() {
     }
     // Full-warehouse recovery, derived from the measured rates exactly as
     // the paper derives its 109.4 ms (§V-E2).
+    // The serialized tables (Stock, Customer) are their rows' slots; the
+    // native tables are the rest of what the store holds for a warehouse.
     let scale = TpccScale::full();
-    let d = scale.districts as u64;
-    let serialized_bytes = 2
-        * (scale.items as u64 * (tpcc::StockRow::SIZE as u64 + 32)
-            + d * scale.customers as u64 * (tpcc::CustomerRow::SIZE as u64 + 32));
-    let native_bytes = 2 * (scale.stored_bytes_per_warehouse() / 2 - serialized_bytes / 2);
+    let slot = |row: usize| Slot::size_for_cap(Slot::cap_for(row)) as u64;
+    let serialized_bytes = scale.items as u64 * slot(tpcc::StockRow::SIZE)
+        + scale.districts as u64 * scale.customers as u64 * slot(tpcc::CustomerRow::SIZE);
+    let native_bytes = scale.stored_bytes_per_warehouse() - serialized_bytes;
     let ser_rate = rates
         .iter()
         .find(|(k, _)| *k == StorageKind::Serialized)

@@ -13,9 +13,9 @@ use std::time::Duration;
 /// Bytes one object contributes to a transfer stream: the 16-byte record
 /// header (oid + length) plus the raw dual-version slot — two versions of
 /// 16-byte header + capacity each, where capacity is the value length
-/// rounded up to 8 bytes plus the store's 64-byte headroom.
+/// rounded up to 8 bytes.
 fn per_object_bytes(value_len: usize) -> u64 {
-    let cap = value_len.div_ceil(8) * 8 + 64;
+    let cap = value_len.div_ceil(8) * 8;
     (16 + 2 * (16 + cap)) as u64
 }
 

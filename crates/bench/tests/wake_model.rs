@@ -52,8 +52,8 @@ fn idle_service_processes_sleep_through_a_fault_free_run() {
 fn recovered_replica_completes_its_state_transfer() {
     let cfg = HeronConfig::new(2, 3);
     let ring = (TRANSFER_SLOTS * cfg.transfer_chunk) as u64;
-    // 40 objects of ≈ 16.4 KiB of slot each: 640 KiB, 2.5 rings.
-    let (bytes, took) = run_transfer(StorageKind::Serialized, 40, 8_128, |_| {});
+    // 40 objects of a 16 416 B slot each: 640 KiB, 2.5 rings.
+    let (bytes, took) = run_transfer(StorageKind::Serialized, 40, 8_192, |_| {});
     assert!(bytes > 2 * ring, "{bytes} B fit in a {ring} B ring");
     assert!(
         took < TRANSFER_TIMEOUT,

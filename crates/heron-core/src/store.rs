@@ -34,11 +34,6 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// Per-version header: timestamp word + length word.
 pub(crate) const VERSION_HDR: usize = 16;
 
-/// Extra slot capacity beyond the initial value size, allowing values to
-/// grow a little without relocation (remote address maps cache slot
-/// addresses, so slots never move).
-const SLOT_HEADROOM: usize = 64;
-
 /// Location and capacity of one object's slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Slot {
@@ -57,6 +52,13 @@ impl Slot {
     /// Computes the slot size for a given per-version capacity.
     pub const fn size_for_cap(cap: usize) -> usize {
         2 * (VERSION_HDR + cap)
+    }
+
+    /// The per-version capacity of a slot allocated for a first value of
+    /// `len` bytes: `len` rounded up to a word, and nothing more. Slots
+    /// never move, so no later value of the object may be longer.
+    pub const fn cap_for(len: usize) -> usize {
+        len.div_ceil(8) * 8
     }
 
     /// The version a request with timestamp `r_tmp` may consistently read
@@ -274,7 +276,7 @@ impl VersionedStore {
             );
             return slot;
         }
-        let cap = cap.div_ceil(8) * 8 + SLOT_HEADROOM;
+        let cap = Slot::cap_for(cap);
         let slot = Slot {
             addr: self.node.alloc_bytes(Slot::size_for_cap(cap)),
             cap,
@@ -722,10 +724,26 @@ mod tests {
     }
 
     #[test]
-    fn values_can_grow_within_headroom() {
+    fn a_value_that_fills_the_last_word_fits() {
         let s = store();
-        s.bootstrap(ObjectId(1), b"tiny");
-        s.set(ObjectId(1), &[7u8; 40], ts(1)); // within 64-byte headroom
-        assert_eq!(s.get(ObjectId(1)).unwrap().1.len(), 40);
+        s.bootstrap(ObjectId(1), b"five!");
+        assert_eq!(
+            s.slot(ObjectId(1)).unwrap().cap,
+            8,
+            "5 bytes round up to a word"
+        );
+        s.set(ObjectId(1), &[7u8; 8], ts(1));
+        assert_eq!(
+            s.get(ObjectId(1)).unwrap(),
+            (ts(1), Bytes::from(vec![7u8; 8]))
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "outgrew its slot (16 > 8)")]
+    fn a_value_one_word_longer_panics() {
+        let s = store();
+        s.bootstrap(ObjectId(1), b"five!");
+        s.set(ObjectId(1), &[7u8; 16], ts(1));
     }
 }

@@ -8,10 +8,40 @@ use amcast::MsgId;
 use heron_core::{ObjectId, Timestamp, VersionedStore};
 use proptest::prelude::*;
 use rdma_sim::{Fabric, LatencyModel};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 fn ts(clock: u64) -> Timestamp {
     Timestamp::new(clock + 1, MsgId((clock % (1 << 22)) as u32))
+}
+
+/// Fits the drawn writes to slots of exact size: a slot's capacity is its
+/// first value's length rounded up to a word, and slots never move, so
+/// each object's first value is made as long as the longest drawn for it.
+/// Returns those lengths, for the bootstrap values of ids below `hosted`,
+/// and pads the first write of every other id, which allocates its slot.
+fn fit(writes: Vec<(u64, &mut Vec<u8>)>, hosted: u64) -> BTreeMap<u64, usize> {
+    let mut longest = BTreeMap::new();
+    for (oid, value) in &writes {
+        let len = longest.entry(*oid).or_insert(0);
+        *len = value.len().max(*len);
+    }
+    let mut created = BTreeSet::new();
+    for (oid, value) in writes {
+        if oid >= hosted && created.insert(oid) {
+            value.resize(longest[&oid], 0);
+        }
+    }
+    longest
+}
+
+/// A bootstrap value as long as the longest value drawn for `oid`.
+fn init(longest: &BTreeMap<u64, usize>, oid: u64) -> Vec<u8> {
+    b"init"
+        .iter()
+        .copied()
+        .cycle()
+        .take(longest.get(&oid).copied().unwrap_or(0))
+        .collect()
 }
 
 proptest! {
@@ -30,9 +60,12 @@ proptest! {
         let store = VersionedStore::new(fabric.add_node("prop"));
         // Reference: full version history per object.
         let mut model: BTreeMap<u64, Vec<(u64, Vec<u8>)>> = BTreeMap::new();
+        let mut writes = writes;
+        let longest = fit(writes.iter_mut().map(|(oid, value)| (*oid, value)).collect(), 4);
         for oid in 0..4u64 {
-            store.bootstrap(ObjectId(oid), b"init");
-            model.entry(oid).or_default().push((0, b"init".to_vec()));
+            let init = init(&longest, oid);
+            store.bootstrap(ObjectId(oid), &init);
+            model.entry(oid).or_default().push((0, init));
         }
         for (clock, (oid, value)) in writes.iter().enumerate() {
             let clock = clock as u64 + 1;
@@ -82,6 +115,8 @@ proptest! {
         let fabric = Fabric::new(LatencyModel::zero());
         let a = VersionedStore::new(fabric.add_node("a"));
         let b = VersionedStore::new(fabric.add_node("b"));
+        let mut v1 = v1;
+        v1.resize(v1.len().max(v2.len()), 0);
         a.bootstrap(ObjectId(1), &v1);
         a.set(ObjectId(1), &v2, ts(5));
         let raw = a.raw_slot_bytes(a.slot(ObjectId(1)).unwrap());
@@ -100,8 +135,10 @@ proptest! {
     ) {
         let fabric = Fabric::new(LatencyModel::zero());
         let store = VersionedStore::new(fabric.add_node("prop"));
+        let mut writes = writes;
+        let longest = fit(writes.iter_mut().map(|(oid, _, value)| (*oid, value)).collect(), 8);
         for oid in 0..8u64 {
-            store.bootstrap(ObjectId(oid), b"init");
+            store.bootstrap(ObjectId(oid), &init(&longest, oid));
         }
         // Ids 8..12 exist only once written, 12..16 never.
         for (oid, clock, value) in &writes {
@@ -127,9 +164,18 @@ proptest! {
             VersionedStore::new(fabric.add_node("batched")),
             VersionedStore::new(fabric.add_node("sequential")),
         );
+        let (mut before, mut batch) = (before, batch);
+        let longest = fit(
+            before
+                .iter_mut()
+                .map(|(oid, _, value)| (*oid, value))
+                .chain(batch.iter_mut().map(|(oid, value)| (*oid, value)))
+                .collect(),
+            8,
+        );
         for store in [&batched, &sequential] {
             for oid in 0..8u64 {
-                store.bootstrap(ObjectId(oid), b"init");
+                store.bootstrap(ObjectId(oid), &init(&longest, oid));
             }
             for (oid, clock, value) in &before {
                 store.set(ObjectId(*oid), value, ts(*clock));

@@ -686,106 +686,102 @@ impl StateMachine for TpccApp {
         // is reseeded per warehouse so the rows of warehouse `w` are the
         // same regardless of how warehouses are packed onto partitions.
         for w in (1..=self.warehouses).filter(|&w| self.hosts(partition, w)) {
-            self.bootstrap_warehouse(w, &mut rows);
+            warehouse_rows(&self.scale, w, |oid, row| {
+                rows.push((oid, Bytes::from(row)))
+            });
         }
         rows
     }
 }
 
-impl TpccApp {
-    fn bootstrap_warehouse(&self, w: u16, rows: &mut Vec<(ObjectId, Bytes)>) {
-        let mut rng = SmallRng::seed_from_u64(self.scale.seed ^ (w as u64) << 32);
-        for i in 1..=self.scale.items {
-            let row = StockRow {
+/// Hands `emit` every row of warehouse `w`'s own tables at `scale` — Stock,
+/// District, Customer and the pre-loaded Order, NewOrder and OrderLine
+/// rows — in bootstrap order. The replicated Warehouse and Item tables are
+/// not among them.
+pub(crate) fn warehouse_rows(scale: &TpccScale, w: u16, mut emit: impl FnMut(ObjectId, Vec<u8>)) {
+    let mut rng = SmallRng::seed_from_u64(scale.seed ^ (w as u64) << 32);
+    for i in 1..=scale.items {
+        let row = StockRow {
+            w_id: w as u32,
+            i_id: i,
+            quantity: rng.gen_range(10..=100),
+            ytd: 0,
+            order_cnt: 0,
+            remote_cnt: 0,
+            dist: [b's'; 240],
+            data: [b'x'; 48],
+        };
+        emit(ids::stock(w, i), row.to_bytes());
+    }
+    for d in 1..=scale.districts {
+        let undelivered_from = scale.initial_orders - scale.initial_undelivered() + 1;
+        let district = DistrictRow {
+            w_id: w as u32,
+            id: d as u32,
+            tax_bp: 50 + (d as u32 * 13) % 200,
+            ytd: 0,
+            next_o_id: scale.initial_orders + 1,
+            next_h_id: 1,
+            oldest_undelivered: undelivered_from,
+            name: *b"district--------",
+        };
+        emit(ids::district(w, d), district.to_bytes());
+        for c in 1..=scale.customers {
+            let bad_credit = rng.gen_range(0..10) == 0;
+            let row = CustomerRow {
                 w_id: w as u32,
-                i_id: i,
-                quantity: rng.gen_range(10..=100),
-                ytd: 0,
-                order_cnt: 0,
-                remote_cnt: 0,
-                dist: [b's'; 240],
-                data: [b'x'; 48],
+                d_id: d as u32,
+                id: c,
+                balance: -10_00,
+                ytd_payment: 10_00,
+                payment_cnt: 1,
+                delivery_cnt: 0,
+                last_o_id: 0,
+                credit: if bad_credit { *b"BC" } else { *b"GC" },
+                last: [b'L'; 16],
+                first: [b'F'; 16],
+                data: [b'c'; 500],
             };
-            rows.push((ids::stock(w, i), Bytes::from(row.to_bytes())));
+            emit(ids::customer(w, d, c), row.to_bytes());
         }
-        for d in 1..=self.scale.districts {
-            let undelivered_from = self.scale.initial_orders - self.scale.initial_undelivered() + 1;
-            let district = DistrictRow {
+        // Pre-loaded orders: the oldest 70% delivered, the rest open.
+        for o in 1..=scale.initial_orders {
+            let c = (o - 1) % scale.customers + 1;
+            let ol_cnt = rng.gen_range(5..=15u32);
+            let delivered = o < undelivered_from;
+            let order = OrderRow {
                 w_id: w as u32,
-                id: d as u32,
-                tax_bp: 50 + (d as u32 * 13) % 200,
-                ytd: 0,
-                next_o_id: self.scale.initial_orders + 1,
-                next_h_id: 1,
-                oldest_undelivered: undelivered_from,
-                name: *b"district--------",
+                d_id: d as u32,
+                id: o,
+                c_id: c,
+                entry_ts: 0,
+                carrier_id: if delivered { rng.gen_range(1..=10) } else { 0 },
+                ol_cnt,
+                all_local: 1,
             };
-            rows.push((ids::district(w, d), Bytes::from(district.to_bytes())));
-            for c in 1..=self.scale.customers {
-                let bad_credit = rng.gen_range(0..10) == 0;
-                let row = CustomerRow {
+            emit(ids::order(w, d, o), order.to_bytes());
+            let new_order = NewOrderRow {
+                w_id: w as u32,
+                d_id: d as u32,
+                o_id: o,
+                delivered: delivered as u32,
+            };
+            emit(ids::new_order(w, d, o), new_order.to_bytes());
+            for k in 1..=ol_cnt {
+                let i_id = rng.gen_range(1..=scale.items);
+                let line = OrderLineRow {
                     w_id: w as u32,
                     d_id: d as u32,
-                    id: c,
-                    balance: -10_00,
-                    ytd_payment: 10_00,
-                    payment_cnt: 1,
-                    delivery_cnt: 0,
-                    last_o_id: 0,
-                    credit: if bad_credit { *b"BC" } else { *b"GC" },
-                    last: [b'L'; 16],
-                    first: [b'F'; 16],
-                    data: [b'c'; 500],
+                    o_id: o,
+                    number: k,
+                    i_id,
+                    supply_w_id: w as u32,
+                    quantity: rng.gen_range(1..=10),
+                    amount: rng.gen_range(100..10_000),
+                    delivery_ts: delivered as u64,
+                    dist_info: [b's'; 24],
                 };
-                rows.push((ids::customer(w, d, c), Bytes::from(row.to_bytes())));
-            }
-            // Pre-loaded orders: the oldest 70% delivered, the rest open.
-            for o in 1..=self.scale.initial_orders {
-                let c = (o - 1) % self.scale.customers + 1;
-                let ol_cnt = rng.gen_range(5..=15u32);
-                let delivered = o < undelivered_from;
-                let order = OrderRow {
-                    w_id: w as u32,
-                    d_id: d as u32,
-                    id: o,
-                    c_id: c,
-                    entry_ts: 0,
-                    carrier_id: if delivered { rng.gen_range(1..=10) } else { 0 },
-                    ol_cnt,
-                    all_local: 1,
-                };
-                rows.push((ids::order(w, d, o), Bytes::from(order.to_bytes())));
-                rows.push((
-                    ids::new_order(w, d, o),
-                    Bytes::from(
-                        NewOrderRow {
-                            w_id: w as u32,
-                            d_id: d as u32,
-                            o_id: o,
-                            delivered: delivered as u32,
-                        }
-                        .to_bytes(),
-                    ),
-                ));
-                for k in 1..=ol_cnt {
-                    let i_id = rng.gen_range(1..=self.scale.items);
-                    let line = OrderLineRow {
-                        w_id: w as u32,
-                        d_id: d as u32,
-                        o_id: o,
-                        number: k,
-                        i_id,
-                        supply_w_id: w as u32,
-                        quantity: rng.gen_range(1..=10),
-                        amount: rng.gen_range(100..10_000),
-                        delivery_ts: delivered as u64,
-                        dist_info: [b's'; 24],
-                    };
-                    rows.push((
-                        ids::order_line(w, d, o, k as u8),
-                        Bytes::from(line.to_bytes()),
-                    ));
-                }
+                emit(ids::order_line(w, d, o, k as u8), line.to_bytes());
             }
         }
     }
