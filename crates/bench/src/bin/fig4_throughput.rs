@@ -21,7 +21,7 @@
 //! each partition count, and Local TPC-C stays within 5 % of the
 //! 1-partition throughput × partitions. The file holds virtual-time
 //! numbers only (stdout also prints wall time), so every run of a mode
-//! writes the same bytes; `scripts/gates.sh` pins the `--quick` file.
+//! writes the same bytes; `scripts/gates.sh` pins the full-mode file.
 //!
 //! `cargo run -p heron-bench --release --bin fig4_throughput [--quick]`
 

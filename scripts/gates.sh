@@ -5,8 +5,10 @@
 #
 # Every gate runs, whatever the ones before it did: a gate that fails or
 # is killed must not hide the verdicts of those after it. The table at the
-# end has one line per gate — verdict, exit status, and the command that
-# replays it — and the script exits 1 if any gate failed.
+# end has one line per gate — verdict, exit status, the peak resident
+# memory of the gate's binary, and the command that replays it — and the
+# script exits 1 if any gate failed. The peak is informational: no gate
+# passes or fails on it.
 #
 # Each gate's stdout is also kept, in target/gates/<gate>.out (emptied
 # at the start of every run). Every gate prints virtual time only, so a
@@ -35,13 +37,18 @@ failed=0
 outs=target/gates
 rm -rf "$outs"
 mkdir -p "$outs"
+# Where `bench` leaves its binary's peak resident set. Kept outside $outs,
+# whose files hold virtual time only.
+peak=$(mktemp)
+trap 'rm -f "$peak"' EXIT
 
 # gate NAME cmd…: runs the command, keeps its stdout in $outs/NAME.out,
-# records its verdict and replay line.
+# records its verdict, peak memory and replay line.
 gate() {
   local name=$1
   shift
   echo "== gate: $name"
+  : >"$peak"
   "$@" | tee "$outs/$name.out"
   local status=${PIPESTATUS[0]}
   local verdict=pass
@@ -51,17 +58,30 @@ gate() {
     [ "$status" -eq 137 ] && verdict=KILLED
     failed=1
   fi
-  verdicts+=("$(printf '%-18s %-6s %3d  %s' "$name" "$verdict" "$status" "$*")")
+  local mib
+  mib=$(cat "$peak")
+  verdicts+=("$(printf '%-18s %-6s %3d %8s  %s' "$name" "$verdict" "$status" "${mib:--}" "$*")")
 }
 
 # The bench binaries are built once and run directly, so that a gate's
 # status is its own (a killed child of `cargo run` reads as cargo's 101).
 cargo build -q --release --offline -p heron-bench --bins || exit 1
 release=$(cd "${CARGO_TARGET_DIR:-target}/release" && pwd)
+# bench BIN ARGS…: runs BIN with its exit status passed on (a signal as
+# 128 + its number, as bash reports it), and writes its peak resident set
+# in MiB — the child's ru_maxrss — to $peak.
 bench() {
   local bin=$1
   shift
-  "$release/$bin" "$@"
+  python3 -c '
+import os, subprocess, sys
+child = subprocess.Popen(sys.argv[2:])
+_, status, usage = os.wait4(child.pid, 0)
+with open(sys.argv[1], "w") as peak:
+    peak.write(f"{usage.ru_maxrss / 1024:.0f}")
+code = os.waitstatus_to_exitcode(status)
+sys.exit(128 - code if code < 0 else code)
+' "$peak" "$release/$bin" "$@"
 }
 
 # figure NAME BIN ARGS…: the gate NAME runs BIN with ARGS — the mode its
@@ -126,12 +146,13 @@ gate explore bench explore_suite --gate --quick --seed 42
 # replayable trace (proves the exploration gate can actually fail).
 gate explore-selftest bench explore_suite --quick --selftest
 
-# Figure gates (DESIGN.md §4). Figure 4, throughput scalability:
-# ordering alone, Heron on null requests, TPC-C and Local TPC-C at 1, 2
-# and 4 partitions, plus the batching ablation; claims: TPC-C throughput
-# rises with each partition count, Local TPC-C stays within 5 % of
-# linear.
-figure fig4 fig4_throughput --quick
+# Figure gates (DESIGN.md §4). Figure 4, throughput scalability, in full
+# mode: ordering alone, Heron on null requests, TPC-C and Local TPC-C at
+# 1, 2, 4, 8 and 16 partitions, plus the batching ablation at 8 and 16;
+# claims: TPC-C throughput rises with each partition count, Local TPC-C
+# stays within 5 % of linear. ≈ 40 s at a 3.3 GiB peak on a 2-core
+# x86-64 VM.
+figure fig4 fig4_throughput
 
 # Figure 5, Heron vs DynaStar on TPC-C at 1–16 warehouses (full mode);
 # claims: at every point Heron's throughput is ≥ 10× DynaStar's and
@@ -156,6 +177,6 @@ figure recovery recovery_bench
 echo
 echo "gates: verdict per gate (replay: \`bench BIN ARGS\` is \`cargo run --release -p heron-bench --bin BIN -- ARGS\`;"
 echo "       \`regenerate NAME BIN ARGS\` is that run in target/gates/NAME, then diff -u of bench_results/BENCH_NAME.json)"
-printf '   %-18s %-6s %3s  %s\n' gate verdict "\$?" command
+printf '   %-18s %-6s %3s %8s  %s\n' gate verdict "\$?" "peak MiB" command
 printf '   %s\n' "${verdicts[@]}"
 exit "$failed"
