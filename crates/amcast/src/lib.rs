@@ -50,6 +50,7 @@
 mod client;
 mod cluster;
 mod config;
+mod hash;
 mod layout;
 mod replica;
 mod timestamp;
@@ -58,6 +59,7 @@ mod wal;
 pub use client::McastClient;
 pub use cluster::{Delivered, DeliveryEvent, Mcast};
 pub use config::McastConfig;
+pub use hash::{IdHasher, IdMap, IdSet};
 pub use replica::{McastReplica, ORDERING_CPU, SABOTAGE_HAS_WORK_GATE};
 pub use timestamp::{GroupId, MsgId, Timestamp};
 

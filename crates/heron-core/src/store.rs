@@ -23,13 +23,11 @@
 //! a transaction's many slots overlap instead of queueing.
 
 use crate::types::ObjectId;
-use amcast::Timestamp;
+use amcast::{IdMap, Timestamp};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use rdma_sim::{Addr, MemView, Node, RaceDetector, RegionKind};
-use std::collections::HashMap;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
 
 /// Per-version header: timestamp word + length word.
 pub(crate) const VERSION_HDR: usize = 16;
@@ -130,32 +128,9 @@ fn versions_in<'a>(m: &'a MemView<'_>, slot: Slot) -> [(Timestamp, &'a [u8]); 2]
 /// many as a core keeps.
 const BATCH_CHUNK: usize = 16;
 
-/// The slot index's hasher: one folded 64 × 64 → 128-bit multiply of the
-/// id, whose high half mixes every bit of it into the bucket index — a
-/// fraction of SipHash's work. Ids come from the application, not from an
-/// adversary, and nothing iterates the index in hash order.
-#[derive(Default)]
-struct OidHasher(u64);
-
-impl Hasher for OidHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, x: u64) {
-        let p = u128::from(self.0 ^ x) * 0x9E37_79B9_7F4A_7C15;
-        self.0 = p as u64 ^ (p >> 64) as u64;
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 struct StoreInner {
-    slots: HashMap<ObjectId, Slot, BuildHasherDefault<OidHasher>>,
+    /// The slot index. Nothing iterates it in hash order.
+    slots: IdMap<ObjectId, Slot>,
     /// The first write or install stamped below its object's newest
     /// version, as `(oid, ts, newest)`.
     order_violation: Option<(ObjectId, Timestamp, Timestamp)>,
@@ -224,7 +199,7 @@ impl VersionedStore {
             detector: node.race_detector(),
             node,
             inner: Mutex::new(StoreInner {
-                slots: HashMap::default(),
+                slots: IdMap::default(),
                 order_violation: None,
             }),
         }
