@@ -24,7 +24,7 @@
 
 use crate::config::McastConfig;
 use crate::DestMask;
-use rdma_sim::{Addr, MemView, Ring};
+use rdma_sim::{Addr, LaneMarks, MemView, Node, Ring};
 
 pub(crate) const WORD: usize = 8;
 
@@ -203,6 +203,70 @@ impl Lane {
             }
             self.next = stamp;
         }
+    }
+}
+
+/// Which of a replica's lanes a landing wrote since the replica last found
+/// them idle at their cursors ([`LaneMarks`], one array per region),
+/// indexed in scan order: client `c`'s submission lane is lane `c`, then
+/// come the control lanes of every replica but `me`, by global index.
+#[derive(Debug)]
+pub(crate) struct ScanMarks {
+    sub: LaneMarks,
+    ctrl: LaneMarks,
+    /// Our global replica index: nobody writes our own control lane on our
+    /// node, so the scan has no lane for it.
+    me: usize,
+}
+
+impl ScanMarks {
+    /// Registers the submission and control regions of the node laid out
+    /// as `base`, the node of global replica `me`.
+    pub fn register(node: &Node, sizes: &Sizes, base: NodeLayout, me: usize) -> Self {
+        let region = |at, lane: Ring, lanes| node.lane_marks(at, lane.size(), lanes);
+        ScanMarks {
+            sub: region(base.sub, sizes.sub_lane(base, 0), sizes.max_clients),
+            ctrl: region(base.ctrl, sizes.ctrl_lane(base, 0), sizes.total_replicas),
+            me,
+        }
+    }
+
+    /// The first marked lane at or after `from`.
+    pub fn next(&self, from: usize) -> Option<usize> {
+        let clients = self.sub.lanes();
+        if let Some(lane) = self.sub.next_marked(from) {
+            return Some(lane);
+        }
+        let skip = from.saturating_sub(clients);
+        let mut writer = skip + usize::from(skip >= self.me);
+        loop {
+            writer = self.ctrl.next_marked(writer)?;
+            if writer != self.me {
+                return Some(clients + writer - usize::from(writer > self.me));
+            }
+            writer += 1;
+        }
+    }
+
+    /// The marked lanes, in ascending order, each found when the iterator
+    /// reaches it.
+    pub fn marked(&self) -> impl Iterator<Item = usize> + '_ {
+        std::iter::successors(self.next(0), |&lane| self.next(lane + 1))
+    }
+
+    /// Clears `lane`'s mark: the scan found it idle at its cursor.
+    pub fn clear(&self, lane: usize) {
+        let clients = self.sub.lanes();
+        match lane.checked_sub(clients) {
+            None => self.sub.clear(lane),
+            Some(skip) => self.ctrl.clear(skip + usize::from(skip >= self.me)),
+        }
+    }
+
+    /// Marks every lane: cursors moved other than by consuming.
+    pub fn mark_all(&self) {
+        self.sub.mark_all();
+        self.ctrl.mark_all();
     }
 }
 

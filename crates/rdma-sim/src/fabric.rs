@@ -184,6 +184,13 @@ pub(crate) struct NodeInner {
     /// The node's polling processes: each one's wait point and the byte
     /// ranges it polls. A write rings exactly the subscribers it overlaps.
     pub(crate) subs: RefCell<Vec<Subscriber>>,
+    /// The lane arrays readers registered ([`Node::lane_marks`]): a write
+    /// marks exactly the lanes it overlaps.
+    lane_arrays: RefCell<Vec<LaneArray>>,
+    /// The byte range `(lo, hi)` spanning every lane array, empty while
+    /// there is none: a write outside it (most of a store's) looks at no
+    /// array.
+    lane_span: Cell<(u64, u64)>,
     pub(crate) inbox: Mailbox<Message>,
 }
 
@@ -191,6 +198,40 @@ pub(crate) struct NodeInner {
 pub(crate) struct Subscriber {
     cond: Cond,
     ranges: Vec<Range<u64>>,
+}
+
+/// `lanes` equal byte ranges of `lane_bytes` each, back to back from
+/// `start`, and one mark bit per lane, shared with the reader's
+/// [`LaneMarks`] (see [`Node::lane_marks`]).
+struct LaneArray {
+    start: u64,
+    end: u64,
+    lane_bytes: u64,
+    lanes: usize,
+    marks: Rc<[Cell<u64>]>,
+}
+
+/// Sets the mark of every one of `lanes` lanes.
+fn mark_all(marks: &[Cell<u64>], lanes: usize) {
+    for (i, word) in marks.iter().enumerate() {
+        word.set(u64::MAX >> (64 - (lanes - 64 * i).min(64)));
+    }
+}
+
+impl LaneArray {
+    /// Marks every lane holding a byte of `written`.
+    fn mark(&self, written: &Range<u64>) {
+        let (lo, hi) = (written.start.max(self.start), written.end.min(self.end));
+        if lo >= hi {
+            return;
+        }
+        let first = ((lo - self.start) / self.lane_bytes) as usize;
+        let last = ((hi - 1 - self.start) / self.lane_bytes) as usize;
+        for lane in first..=last {
+            let word = &self.marks[lane / 64];
+            word.set(word.get() | 1 << (lane % 64));
+        }
+    }
 }
 
 impl NodeInner {
@@ -207,9 +248,16 @@ impl NodeInner {
         })
     }
 
-    /// Rings, once each, the subscribers polling any byte of `written` —
-    /// one landing event, however many writes it carried.
+    /// Marks the lanes `written` overlaps, then rings, once each, the
+    /// subscribers polling any byte of it — one landing event, however
+    /// many writes it carried.
     pub(crate) fn ring(&self, written: &[Range<u64>]) {
+        let (lo, hi) = self.lane_span.get();
+        if written.iter().any(|w| w.start < hi && lo < w.end) {
+            for array in self.lane_arrays.borrow().iter() {
+                written.iter().for_each(|w| array.mark(w));
+            }
+        }
         for sub in self.subs.borrow().iter() {
             let hit = sub
                 .ranges
@@ -221,9 +269,12 @@ impl NodeInner {
         }
     }
 
-    /// Rings every subscriber: a node-wide event (recovery, power loss)
-    /// changed what all of them observe.
+    /// Marks every lane and rings every subscriber: a node-wide event
+    /// (recovery, power loss) changed what all of them observe.
     fn ring_all(&self) {
+        for array in self.lane_arrays.borrow().iter() {
+            mark_all(&array.marks, array.lanes);
+        }
         for sub in self.subs.borrow().iter() {
             sub.cond.notify_all();
         }
@@ -416,6 +467,8 @@ impl Fabric {
             incarnation: Cell::new(0),
             power_cycles: Cell::new(0),
             subs: RefCell::new(Vec::new()),
+            lane_arrays: RefCell::new(Vec::new()),
+            lane_span: Cell::new((u64::MAX, 0)),
             inbox: Mailbox::new(),
         });
         nodes.push(Rc::clone(&inner));
@@ -545,6 +598,52 @@ impl Poller {
         timeout: std::time::Duration,
     ) -> bool {
         self.cond.wait_while_timeout(|| !pred(), timeout)
+    }
+}
+
+/// The marks of a lane array registered with [`Node::lane_marks`]: which
+/// lanes a landing wrote since their reader last cleared them. Clones share
+/// the marks.
+#[derive(Clone, Debug)]
+pub struct LaneMarks {
+    marks: Rc<[Cell<u64>]>,
+    lanes: usize,
+}
+
+impl LaneMarks {
+    /// Number of lanes in the array.
+    pub fn lanes(&self) -> usize {
+        self.lanes
+    }
+
+    /// The first marked lane at or after `from`.
+    pub fn next_marked(&self, from: usize) -> Option<usize> {
+        let marks = &self.marks;
+        let mut i = from / 64;
+        let mut word = marks.get(i)?.get() & (u64::MAX << (from % 64));
+        while word == 0 {
+            i += 1;
+            word = marks.get(i)?.get();
+        }
+        Some(64 * i + word.trailing_zeros() as usize)
+    }
+
+    /// The marked lanes, in ascending order, each found when the iterator
+    /// reaches it.
+    pub fn marked(&self) -> impl Iterator<Item = usize> + '_ {
+        std::iter::successors(self.next_marked(0), |&lane| self.next_marked(lane + 1))
+    }
+
+    /// Clears `lane`'s mark: its reader found it idle.
+    pub fn clear(&self, lane: usize) {
+        let word = &self.marks[lane / 64];
+        word.set(word.get() & !(1 << (lane % 64)));
+    }
+
+    /// Marks every lane: its reader moved cursors, so any lane may hold
+    /// what it looks for next.
+    pub fn mark_all(&self) {
+        mark_all(&self.marks, self.lanes);
     }
 }
 
@@ -817,6 +916,40 @@ impl Node {
         Poller { cond }
     }
 
+    /// Registers a *lane array* on this node — `lanes` equal ranges of
+    /// `lane_bytes` each, back to back from `base` — and returns its marks:
+    /// one per lane, set by every landing that writes a byte of the lane
+    /// (local, one-sided, signaled, batch, or a CAS that swapped), and on
+    /// every lane by [`Fabric::recover`] and [`Fabric::power_loss`]. Only
+    /// the reader clears a mark. A reader that clears a lane's mark when it
+    /// reads the lane idle, and marks every lane when it moves a cursor
+    /// other than by consuming, need read no unmarked lane: its bytes are
+    /// what they were when it last found the lane idle. Every mark starts
+    /// set: nothing was read yet.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane_bytes` or `lanes` is zero.
+    pub fn lane_marks(&self, base: Addr, lane_bytes: usize, lanes: usize) -> LaneMarks {
+        assert!(
+            lane_bytes > 0 && lanes > 0,
+            "a lane array has lanes of bytes"
+        );
+        let marks: Rc<[Cell<u64>]> = (0..lanes.div_ceil(64)).map(|_| Cell::new(0)).collect();
+        mark_all(&marks, lanes);
+        let (start, end) = (base.0, base.0 + (lane_bytes * lanes) as u64);
+        let (lo, hi) = self.inner.lane_span.get();
+        self.inner.lane_span.set((lo.min(start), hi.max(end)));
+        self.inner.lane_arrays.borrow_mut().push(LaneArray {
+            start,
+            end,
+            lane_bytes: lane_bytes as u64,
+            lanes,
+            marks: Rc::clone(&marks),
+        });
+        LaneMarks { marks, lanes }
+    }
+
     /// The wait point of this node's two-sided receive queue: a process
     /// that serves messages *and* polls memory builds its [`Poller`] on it.
     pub fn inbox_cond(&self) -> Cond {
@@ -1053,6 +1186,28 @@ mod tests {
         assert_eq!(n.local_read_word(addr.offset(8)).unwrap(), 0);
         // New allocations continue past the preserved brk.
         assert_eq!(n.alloc_bytes(8), addr.offset(16));
+    }
+
+    #[test]
+    fn lane_marks_span_words_and_stay_inside_the_array() {
+        let fabric = Fabric::new(LatencyModel::zero());
+        let n = fabric.add_node("n");
+        let lanes = n.alloc_bytes(130 * 8);
+        let after = n.alloc_words(1);
+        let marks = n.lane_marks(lanes, 8, 130);
+        let marked = |marks: &LaneMarks| marks.marked().collect::<Vec<_>>();
+        assert_eq!(marked(&marks), (0..130).collect::<Vec<_>>());
+        (0..130).for_each(|lane| marks.clear(lane));
+        assert_eq!(marks.next_marked(0), None);
+        for lane in [129, 70, 63, 64] {
+            n.local_write_word(lanes.offset(8 * lane), 1).unwrap();
+        }
+        n.local_write_word(after, 1).unwrap();
+        assert_eq!(marked(&marks), [63, 64, 70, 129]);
+        assert_eq!(marks.next_marked(71), Some(129));
+        assert_eq!(marks.next_marked(130), None);
+        marks.mark_all();
+        assert_eq!(marked(&marks).len(), 130);
     }
 
     #[test]

@@ -51,7 +51,9 @@ mod qp;
 pub mod tsan;
 
 pub use error::{RdmaError, RdmaResult};
-pub use fabric::{Addr, Fabric, FabricStats, MemView, Message, Node, NodeId, Poller, Ring};
+pub use fabric::{
+    Addr, Fabric, FabricStats, LaneMarks, MemView, Message, Node, NodeId, Poller, Ring,
+};
 pub use faults::FaultPlan;
 pub use latency::LatencyModel;
 pub use qp::{QueuePair, WriteBatch};

@@ -671,6 +671,91 @@ mod tests {
         assert_eq!((pa, pb), (4, 4));
     }
 
+    // ---- lane marks: a landing marks exactly the lanes it wrote ----
+
+    /// Four 16-byte lanes on `dst`, registered after a word outside them,
+    /// every mark cleared. `landing` runs on a second node with a QP to
+    /// `dst` and gets the lanes' base, the outside word and the fabric;
+    /// returns the lanes marked when the run ends.
+    fn marks_after(
+        landing: impl FnOnce(&crate::QueuePair, crate::Addr, crate::Addr, &Fabric) + 'static,
+    ) -> Vec<usize> {
+        let (simulation, fabric, src, dst) = two_nodes();
+        let outside = dst.alloc_words(1);
+        let lanes = dst.alloc_bytes(4 * 16);
+        let marks = dst.lane_marks(lanes, 16, 4);
+        assert_eq!(marks.next_marked(0), Some(0), "registered marked");
+        (0..4).for_each(|lane| marks.clear(lane));
+        simulation.spawn("writer", move || {
+            landing(&src.connect(&dst), lanes, outside, &fabric);
+        });
+        simulation.run().unwrap();
+        marks.marked().collect()
+    }
+
+    #[test]
+    fn a_posted_write_marks_the_lane_it_lands_in() {
+        let marked = marks_after(|qp, lanes, _, _| {
+            qp.post_write_word(lanes.offset(16 + 8), 5).unwrap();
+        });
+        assert_eq!(marked, [1]);
+    }
+
+    #[test]
+    fn a_write_batch_marks_each_lane_it_overlaps() {
+        let marked = marks_after(|qp, lanes, _, _| {
+            let mut batch = qp.write_batch();
+            batch.push_word(lanes, 1).unwrap();
+            // Straddles the boundary of lanes 2 and 3.
+            batch.push(lanes.offset(2 * 16 + 8), vec![7; 16]);
+            batch.post().unwrap();
+        });
+        assert_eq!(marked, [0, 2, 3]);
+    }
+
+    #[test]
+    fn a_signaled_write_marks_its_lane() {
+        let marked = marks_after(|qp, lanes, _, _| {
+            qp.write_word(lanes.offset(3 * 16), 5).unwrap();
+        });
+        assert_eq!(marked, [3]);
+    }
+
+    #[test]
+    fn only_a_cas_that_swapped_marks_its_lane() {
+        let marked = marks_after(|qp, lanes, _, _| {
+            assert_eq!(qp.compare_and_swap(lanes.offset(16), 7, 8).unwrap(), 0);
+        });
+        assert_eq!(marked, [] as [usize; 0]);
+        let marked = marks_after(|qp, lanes, _, _| {
+            assert_eq!(qp.compare_and_swap(lanes.offset(16), 0, 8).unwrap(), 0);
+        });
+        assert_eq!(marked, [1]);
+    }
+
+    #[test]
+    fn a_local_write_marks_its_lane_and_one_outside_every_array_marks_none() {
+        let marked = marks_after(|qp, lanes, outside, _| {
+            let dst = &qp.ends.remote;
+            dst.local_write_word(lanes.offset(2 * 16), 1).unwrap();
+            dst.local_write_word(outside, 1).unwrap();
+            qp.post_write_word(outside, 2).unwrap();
+        });
+        assert_eq!(marked, [2]);
+    }
+
+    #[test]
+    fn power_loss_and_recover_mark_every_lane() {
+        let dst = crate::NodeId(1); // `two_nodes` adds `a`, then `b`
+        let marked = marks_after(move |_, _, _, fabric| fabric.power_loss(dst));
+        assert_eq!(marked, [0, 1, 2, 3]);
+        let marked = marks_after(move |_, _, _, fabric| {
+            fabric.crash(dst);
+            fabric.recover(dst);
+        });
+        assert_eq!(marked, [0, 1, 2, 3]);
+    }
+
     #[test]
     fn read_from_crashed_node_raises_rdma_exception() {
         let (simulation, fabric, a, b) = two_nodes();

@@ -5,6 +5,13 @@
 # scripts/sampler.c SIGPROF sampler (one process at a time, pinned to one
 # core), and prints each function's share of the samples — self (the
 # innermost frame) and inclusive (anywhere on the stack) — by `nm` symbol.
+# A sample whose innermost frame is in a shared library (libc's copies and
+# allocator) counts under the library's name in those tables, and again in
+# a third one under its innermost frame inside the binary: the return
+# address into the binary the sampler found on the stack (see sampler.c),
+# else the first one the frame-pointer walk reached. (libc's own symbols
+# are not read: its dynamic symbol table names internal functions after
+# the nearest exported one.)
 #
 #   scripts/host_profile.sh <workload> <first-stream> <last-stream>
 #
@@ -84,8 +91,11 @@ def reader(path):
     # A return address points after its call: look up the call itself.
     return [[symbol(a if i == 0 else a - 1) for i, a in enumerate(s)] for s in samples]
 
+def in_binary(name):
+    return not name.startswith("[") or name == "[ledger]"
+
 total = kept = 0
-self_n, incl_n = collections.Counter(), collections.Counter()
+self_n, incl_n, lib_n = collections.Counter(), collections.Counter(), collections.Counter()
 for path in sorted(glob.glob(os.path.join(samples_dir, "*"))):
     for stack in reader(path):
         total += 1
@@ -94,9 +104,12 @@ for path in sorted(glob.glob(os.path.join(samples_dir, "*"))):
         kept += 1
         self_n[stack[0]] += 1
         incl_n.update(set(stack))
+        if not in_binary(stack[0]):
+            caller = next((s for s in stack[1:] if in_binary(s)), "[no frame in the binary]")
+            lib_n[f"{stack[0]} <- {caller}"] += 1
 
 print(f"{kept} samples in the run window, of {total}")
-for title, counts in (("self", self_n), ("inclusive", incl_n)):
+for title, counts in (("self", self_n), ("inclusive", incl_n), ("library", lib_n)):
     print(f"\n{title:>9}  samples  symbol")
     for name, n in counts.most_common(TOP):
         print(f"{100 * n / max(kept, 1):8.1f}%  {n:7}  {name}")
