@@ -121,6 +121,7 @@ impl Mcast {
                 let layout = NodeLayout {
                     sub: node.alloc_bytes(sizes.sub_region()),
                     ctrl: node.alloc_bytes(sizes.ctrl_region()),
+                    fwd: node.alloc_bytes(sizes.fwd_region()),
                     log: node.alloc_bytes(sizes.log_region()),
                     log_seq: node.alloc_words(1),
                     acks: node.alloc_bytes(cfg.replicas_per_group * WORD),
@@ -295,7 +296,8 @@ impl Mcast {
 
     /// Annotates every ordering-layer memory region as
     /// [`rdma_sim::RegionKind::Sync`] for the race detector: the
-    /// submission rings, control words, log, acks and heartbeats are
+    /// submission rings, control lanes and forward rings, log, acks and
+    /// heartbeats are
     /// synchronization memory by design — unsynchronized one-sided access
     /// to them *is* the protocol's coordination, so reads acquire, writes
     /// release, and the generic data-race checks do not apply.
@@ -304,9 +306,10 @@ impl Mcast {
         for (g, group) in self.inner.nodes.iter().enumerate() {
             for (i, node) in group.iter().enumerate() {
                 let layout = &self.inner.layouts[self.inner.global_idx(GroupId(g as u16), i)];
-                let regions: [(rdma_sim::Addr, usize, &str); 8] = [
+                let regions: [(rdma_sim::Addr, usize, &str); 9] = [
                     (layout.sub, sizes.sub_region(), "sub"),
                     (layout.ctrl, sizes.ctrl_region(), "ctrl"),
+                    (layout.fwd, sizes.fwd_region(), "fwd"),
                     (layout.log, sizes.log_region(), "log"),
                     (layout.log_seq, WORD, "log-seq"),
                     (

@@ -5,7 +5,12 @@
 //! * a **submission ring** with a dedicated lane per client (clients write
 //!   messages here with one unsignaled RDMA write);
 //! * a **control ring** with a dedicated lane per writer node (leaders
-//!   write proposals/finals; followers forward submissions to the leader);
+//!   write proposals/finals; followers forward submissions to the leader).
+//!   A control slot holds a header and nothing else: a forwarded
+//!   submission's payload goes to the **forward ring**, which gives every
+//!   writer one payload slot per slot of its control lane. The writer posts
+//!   the header and the payload to the slots of one stamp behind one
+//!   doorbell, so both land at one instant and the lane alone orders them;
 //! * the group **log** (the leader replicates sequenced entries here), plus
 //!   a `log_seq` word advertising the highest contiguous entry stored;
 //! * an **ack array** (one word per group member; followers post their
@@ -20,7 +25,8 @@
 //! [`Ring::slot`] gives that stamp; the reader consumes a slot exactly when
 //! its stamp equals the reader's expected counter ([`Lane`] is that rule,
 //! for both ends). RC FIFO delivery makes this safe without any atomic
-//! read-modify-write on the critical path.
+//! read-modify-write on the critical path. Where an entry's payload sits is
+//! [`Lane::payload_at`], asked by the writer and the reader alike.
 
 use crate::config::McastConfig;
 use crate::DestMask;
@@ -42,6 +48,8 @@ pub(crate) const LOG_HDR: usize = 6 * WORD; // stamp, uid, mask, ts, epoch, len
 pub(crate) struct NodeLayout {
     pub sub: Addr,
     pub ctrl: Addr,
+    /// Forwarded payloads: one ring per writer, beside its control lane.
+    pub fwd: Addr,
     pub log: Addr,
     pub log_seq: Addr,
     pub acks: Addr,
@@ -59,6 +67,7 @@ pub(crate) struct NodeLayout {
 pub(crate) struct Sizes {
     pub sub_entry: usize,
     pub ctrl_entry: usize,
+    pub fwd_entry: usize,
     pub log_entry: usize,
     pub sub_slots: usize,
     pub ctrl_slots: usize,
@@ -72,7 +81,8 @@ impl Sizes {
     pub fn from_config(cfg: &McastConfig) -> Self {
         Sizes {
             sub_entry: SUB_HDR + round8(cfg.max_payload),
-            ctrl_entry: CTRL_HDR + round8(cfg.max_payload),
+            ctrl_entry: CTRL_HDR,
+            fwd_entry: round8(cfg.max_payload),
             log_entry: LOG_HDR + round8(cfg.max_payload),
             sub_slots: cfg.sub_slots,
             ctrl_slots: cfg.ctrl_slots,
@@ -91,6 +101,10 @@ impl Sizes {
         self.total_replicas * self.ctrl_slots * self.ctrl_entry
     }
 
+    pub fn fwd_region(&self) -> usize {
+        self.total_replicas * self.ctrl_slots * self.fwd_entry
+    }
+
     pub fn log_region(&self) -> usize {
         self.log_slots * self.log_entry
     }
@@ -105,6 +119,24 @@ impl Sizes {
     pub fn ctrl_lane(&self, base: NodeLayout, writer: usize) -> Ring {
         debug_assert!(writer < self.total_replicas);
         nth_ring(base.ctrl, writer, self.ctrl_slots, self.ctrl_entry)
+    }
+
+    /// Writer node `writer`'s forward ring on the node laid out as `base`:
+    /// the payload of the forward its control lane holds in the slot of the
+    /// same stamp.
+    pub fn fwd_ring(&self, base: NodeLayout, writer: usize) -> Ring {
+        debug_assert!(writer < self.total_replicas);
+        nth_ring(base.fwd, writer, self.ctrl_slots, self.fwd_entry)
+    }
+
+    /// Writer node `writer`'s control lane on the node laid out as `base`,
+    /// as one end of it sees it: headers in the lane, forwarded payloads in
+    /// the writer's forward ring.
+    pub fn ctrl_end(&self, base: NodeLayout, writer: usize) -> Lane {
+        Lane {
+            payloads: Some(self.fwd_ring(base, writer)),
+            ..Lane::new(self.ctrl_lane(base, writer), CTRL_HDR)
+        }
     }
 
     /// Address of the log slot holding sequence number `seq`: the log is a
@@ -130,8 +162,8 @@ fn nth_ring(region: Addr, idx: usize, slots: usize, entry: usize) -> Ring {
 }
 
 /// One end of a single-writer lane: its ring, the header every entry
-/// leads with, and the next stamp this end writes (the writer's end) or
-/// consumes (the reader's cursor).
+/// leads with, where payloads sit, and the next stamp this end writes (the
+/// writer's end) or consumes (the reader's cursor).
 ///
 /// What the reader finds under its cursor is the whole protocol: a stamp
 /// *below* the cursor is an earlier lap — nothing new; the cursor's own
@@ -142,12 +174,31 @@ fn nth_ring(region: Addr, idx: usize, slots: usize, entry: usize) -> Ring {
 pub(crate) struct Lane {
     pub ring: Ring,
     pub hdr: usize,
+    /// `None`: an entry's payload follows its header in the slot. A ring:
+    /// the lane's slots hold headers only, and the payload of the entry
+    /// stamped `s` is in this ring's slot for `s`.
+    pub payloads: Option<Ring>,
     pub next: u64,
 }
 
 impl Lane {
     pub fn new(ring: Ring, hdr: usize) -> Self {
-        Lane { ring, hdr, next: 1 }
+        Lane {
+            ring,
+            hdr,
+            payloads: None,
+            next: 1,
+        }
+    }
+
+    /// Where the payload of the entry stamped `stamp` sits, its header
+    /// being at `slot`. A slot is shared by the stamps of every lap, and so
+    /// is its payload slot: what lands there is one stamp's entry.
+    pub fn payload_at(&self, stamp: u64, slot: Addr) -> Addr {
+        match self.payloads {
+            None => slot.offset(self.hdr as u64),
+            Some(ring) => ring.slot(stamp),
+        }
     }
 
     /// Writer: takes the next stamp; the stamp and the slot its entry goes
@@ -188,7 +239,7 @@ impl Lane {
     }
 
     /// Reader: consumes the entry under the cursor, jumping to it first if
-    /// it is a later one; its address and header.
+    /// it is a later one; where its payload sits, and its header.
     pub fn take<'m>(&mut self, m: &'m MemView<'_>) -> Option<(Addr, &'m [u8])> {
         loop {
             let addr = self.ring.slot(self.next);
@@ -199,7 +250,7 @@ impl Lane {
             }
             if stamp == self.next {
                 self.next += 1;
-                return Some((addr, hdr));
+                return Some((self.payload_at(stamp, addr), hdr));
             }
             self.next = stamp;
         }
@@ -271,9 +322,11 @@ impl ScanMarks {
 }
 
 // ---------------------------------------------------------------------
-// Entry codecs. Entries are written with a single RDMA write whose first
-// word is the stamp, so a reader that observes the stamp observes the whole
-// entry (writes land atomically at one virtual instant).
+// Entry codecs. An entry is written with a single RDMA write whose first
+// word is the stamp, or — a forward's header and payload — with two writes
+// behind one doorbell, so a reader that observes the stamp observes the
+// whole entry (a doorbell's writes land atomically at one virtual
+// instant).
 // ---------------------------------------------------------------------
 
 fn put_word(buf: &mut Vec<u8>, v: u64) {
@@ -316,7 +369,8 @@ pub(crate) enum CtrlKind {
     Proposal,
     /// `a` = announcing group, `b` = final clock.
     Final,
-    /// Forwarded submission: `a` = destination mask, payload attached.
+    /// Forwarded submission: `a` = destination mask; the payload is in the
+    /// writer's forward ring ([`Sizes::fwd_ring`]).
     FwdSub,
 }
 
@@ -339,22 +393,23 @@ impl CtrlKind {
     }
 }
 
+/// Encodes a control entry, which is a header alone: `len` counts the
+/// payload bytes a forward carries in its forward-ring slot.
 pub(crate) fn encode_ctrl(
     stamp: u64,
     kind: CtrlKind,
     uid: u32,
     a: u64,
     b: u64,
-    payload: &[u8],
+    len: usize,
 ) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(CTRL_HDR + payload.len());
+    let mut buf = Vec::with_capacity(CTRL_HDR);
     put_word(&mut buf, stamp);
     put_word(&mut buf, kind.to_word());
     put_word(&mut buf, u64::from(uid));
     put_word(&mut buf, a);
     put_word(&mut buf, b);
-    put_word(&mut buf, payload.len() as u64);
-    buf.extend_from_slice(payload);
+    put_word(&mut buf, len as u64);
     buf
 }
 
@@ -430,15 +485,16 @@ mod tests {
     #[test]
     fn ctrl_entry_round_trips_all_kinds() {
         for kind in [CtrlKind::Proposal, CtrlKind::Final, CtrlKind::FwdSub] {
-            let buf = encode_ctrl(1, kind, 9, 3, 77, b"p");
-            let (stamp, k, uid, a, b, len) = decode_ctrl_header(&buf[..CTRL_HDR]);
+            let buf = encode_ctrl(1, kind, 9, 3, 77, 1);
+            assert_eq!(buf.len(), CTRL_HDR);
+            let (stamp, k, uid, a, b, len) = decode_ctrl_header(&buf);
             assert_eq!((stamp, k, uid, a, b, len), (1, Some(kind), 9, 3, 77, 1));
         }
     }
 
     #[test]
     fn unknown_ctrl_kind_is_none() {
-        let buf = encode_ctrl(1, CtrlKind::Proposal, 0, 0, 0, b"");
+        let buf = encode_ctrl(1, CtrlKind::Proposal, 0, 0, 0, 0);
         let mut bad = buf.clone();
         bad[8..16].copy_from_slice(&99u64.to_le_bytes());
         let (_, k, ..) = decode_ctrl_header(&bad[..CTRL_HDR]);
@@ -459,10 +515,14 @@ mod tests {
     fn slot_addresses_tile_without_overlap() {
         let cfg = McastConfig::new(2, 3).with_max_clients(4);
         let sizes = Sizes::from_config(&cfg);
+        let ctrl = sizes.sub_region();
+        let fwd = ctrl + sizes.ctrl_region();
+        let log = fwd + sizes.fwd_region();
         let base = NodeLayout {
             sub: Addr(0),
-            ctrl: Addr(sizes.sub_region() as u64),
-            log: Addr((sizes.sub_region() + sizes.ctrl_region()) as u64),
+            ctrl: Addr(ctrl as u64),
+            fwd: Addr(fwd as u64),
+            log: Addr(log as u64),
             log_seq: Addr(0),
             acks: Addr(0),
             heartbeat: Addr(0),
@@ -478,6 +538,40 @@ mod tests {
         // Different clients use disjoint lanes.
         let other = sizes.sub_lane(base, 2).slot(1);
         assert!(other.0 >= s1.0 + lane.size() as u64);
+        // A control slot is a header; a forward ring slot holds a payload,
+        // one per control slot, and it wraps with its lane.
+        assert_eq!(sizes.ctrl_entry, CTRL_HDR);
+        assert_eq!(sizes.fwd_entry, round8(cfg.max_payload));
+        let slots = sizes.ctrl_slots as u64;
+        for writer in 0..sizes.total_replicas {
+            let end = sizes.ctrl_end(base, writer);
+            let payloads = end.payloads.expect("a control lane has a forward ring");
+            assert_eq!(payloads, sizes.fwd_ring(base, writer));
+            assert_eq!(payloads.slots, end.ring.slots);
+            // Writer by writer, lanes and rings follow each other with no
+            // gap and no overlap.
+            assert_eq!(end.ring.base.0, (ctrl + writer * end.ring.size()) as u64);
+            assert_eq!(payloads.base.0, (fwd + writer * payloads.size()) as u64);
+            for stamp in [1, 2, slots, slots + 1, 3 * slots + 2] {
+                let slot = end.ring.slot(stamp);
+                let at = end.payload_at(stamp, slot);
+                assert_eq!(at, payloads.slot(stamp));
+                assert_eq!(
+                    at,
+                    end.payload_at(stamp + slots, end.ring.slot(stamp + slots))
+                );
+            }
+        }
+        // The regions tile: the last lane ends where the forward rings
+        // start, the last forward ring where the log starts.
+        let last = sizes.ctrl_end(base, sizes.total_replicas - 1);
+        assert_eq!(last.ring.base.0 + last.ring.size() as u64, fwd as u64);
+        let payloads = last.payloads.expect("a forward ring");
+        assert_eq!(payloads.base.0 + payloads.size() as u64, log as u64);
+        // A lane without a forward ring keeps its payload behind the header.
+        assert_eq!(lane.slot(2).offset(SUB_HDR as u64), {
+            Lane::new(lane, SUB_HDR).payload_at(2, lane.slot(2))
+        });
         // The log is the ring its leader stamps with `seq + 1`.
         assert_eq!(sizes.log_slot(base, 0), base.log);
         let wrap = sizes.log_slot(base, sizes.log_slots as u64 + 1);

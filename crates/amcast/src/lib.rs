@@ -82,12 +82,17 @@ pub fn dest_mask(dests: &[GroupId]) -> DestMask {
     mask
 }
 
-/// Expands a destination mask back into group ids, in increasing order.
-pub fn mask_groups(mask: DestMask) -> Vec<GroupId> {
-    (0..64)
-        .filter(|g| mask & (1 << g) != 0)
-        .map(|g| GroupId(g as u16))
-        .collect()
+/// Expands a destination mask back into group ids, in increasing order:
+/// the set bits, lowest first, without allocating.
+pub fn mask_groups(mask: DestMask) -> impl Iterator<Item = GroupId> + Clone {
+    let mut rest = mask;
+    std::iter::from_fn(move || {
+        let g = rest.trailing_zeros();
+        (rest != 0).then(|| {
+            rest &= rest - 1;
+            GroupId(g as u16)
+        })
+    })
 }
 
 #[cfg(test)]
@@ -99,7 +104,10 @@ mod mask_tests {
         let groups = [GroupId(0), GroupId(3), GroupId(17)];
         let mask = dest_mask(&groups);
         assert_eq!(mask, 1 | (1 << 3) | (1 << 17));
-        assert_eq!(mask_groups(mask), groups.to_vec());
+        assert_eq!(mask_groups(mask).collect::<Vec<_>>(), groups);
+        assert_eq!(mask_groups(0).count(), 0);
+        let all: Vec<u16> = mask_groups(u64::MAX).map(|g| g.0).collect();
+        assert_eq!(all, (0..64).collect::<Vec<_>>());
     }
 
     #[test]

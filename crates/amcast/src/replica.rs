@@ -4,7 +4,7 @@
 use crate::cluster::{Delivered, DeliveryEvent, McastInner};
 use crate::layout::{
     decode_ctrl_header, decode_log_header, decode_sub_header, encode_ctrl, encode_log, CtrlKind,
-    Lane, NodeLayout, ScanMarks, CTRL_HDR, LOG_HDR, SUB_HDR,
+    Lane, NodeLayout, ScanMarks, LOG_HDR, SUB_HDR,
 };
 use crate::timestamp::{GroupId, MsgId, Timestamp};
 use crate::{mask_groups, DestMask, IdMap, IdSet};
@@ -296,14 +296,14 @@ impl McastReplica {
             is_leader: self.idx == leader_for_epoch(0, self.n()),
             lanes: (0..sizes.max_clients)
                 .map(|c| Lane::new(sizes.sub_lane(self.layout, c), SUB_HDR))
-                .chain(writers.map(|w| Lane::new(sizes.ctrl_lane(self.layout, w), CTRL_HDR)))
+                .chain(writers.map(|w| sizes.ctrl_end(self.layout, w)))
                 .collect(),
             marks: ScanMarks::register(&self.node, sizes, self.layout, self.my_global),
             ctrl_out: self
                 .inner
                 .layouts
                 .iter()
-                .map(|peer| Lane::new(sizes.ctrl_lane(*peer, self.my_global), CTRL_HDR))
+                .map(|peer| sizes.ctrl_end(*peer, self.my_global))
                 .collect(),
             applied_seq: 0,
             props: IdMap::default(),
@@ -566,7 +566,7 @@ impl McastReplica {
         while let Some((kind, uid, a, b, payload)) = self.node.with_mem(|m| {
             while let Some(lane) = st.marks.next(i) {
                 i = lane;
-                let Some((addr, hdr)) = st.lanes[i].take(m) else {
+                let Some((at, hdr)) = st.lanes[i].take(m) else {
                     st.marks.clear(i);
                     i += 1;
                     continue;
@@ -578,10 +578,7 @@ impl McastReplica {
                     let (_, kind, uid, a, b, len) = decode_ctrl_header(hdr);
                     (kind.expect("corrupt control entry kind"), uid, a, b, len)
                 };
-                let payload = m
-                    .bytes(addr.offset(hdr.len() as u64), len)
-                    .expect("entry payload in range")
-                    .to_vec();
+                let payload = m.bytes(at, len).expect("entry payload in range").to_vec();
                 return Some((kind, uid, a, b, payload));
             }
             None
@@ -613,7 +610,7 @@ impl McastReplica {
             // Forward to the current leader of our group.
             let leader = leader_for_epoch(st.epoch, self.n());
             let target = self.inner.global_idx(self.group, leader);
-            self.write_ctrl(st, target, CtrlKind::FwdSub, uid, mask, 0, &payload);
+            self.forward(st, target, uid, mask, payload);
             return;
         }
         sim::trace::instant("mcast.ingest", u64::from(uid));
@@ -674,15 +671,9 @@ impl McastReplica {
                 if target == self.my_global {
                     continue;
                 }
-                self.write_ctrl(
-                    st,
-                    target,
-                    CtrlKind::Proposal,
-                    uid,
-                    u64::from(self.group.0),
-                    prop,
-                    &[],
-                );
+                let from = u64::from(self.group.0);
+                let (slot, buf) = self.ctrl_entry(st, target, CtrlKind::Proposal, uid, from, prop);
+                let _ = self.qp(target).post_write(slot, buf);
             }
         }
     }
@@ -740,11 +731,10 @@ impl McastReplica {
                 None => return,
             };
             let groups = mask_groups(pend.mask);
-            if !groups.iter().all(|g| props.contains_key(&g.0)) {
+            if !groups.clone().all(|g| props.contains_key(&g.0)) {
                 return;
             }
             groups
-                .iter()
                 .map(|g| props[&g.0])
                 .max()
                 .expect("at least one destination")
@@ -827,7 +817,7 @@ impl McastReplica {
                         }
                         let (from, clock) = (u64::from(self.group.0), st.finals[uid]);
                         let (slot, buf) =
-                            self.ctrl_entry(st, target, CtrlKind::Final, *uid, from, clock, &[]);
+                            self.ctrl_entry(st, target, CtrlKind::Final, *uid, from, clock);
                         batch.push(slot, buf);
                     }
                     let _ = batch.post();
@@ -1318,29 +1308,24 @@ impl McastReplica {
     // Control-lane writer.
     // ------------------------------------------------------------------
 
-    /// Posts one entry into our control lane on `target`, behind a doorbell
-    /// of its own.
-    #[allow(clippy::too_many_arguments)]
-    fn write_ctrl(
-        &self,
-        st: &mut State,
-        target: usize,
-        kind: CtrlKind,
-        uid: u32,
-        a: DestMask,
-        b: u64,
-        payload: &[u8],
-    ) {
-        let (slot, buf) = self.ctrl_entry(st, target, kind, uid, a, b, payload);
-        let _ = self.qp(target).post_write(slot, buf);
+    /// Forwards a submission to our control lane on `target`: the header
+    /// in the lane, the payload in the same stamp's slot of our forward
+    /// ring there, both behind one doorbell, so they land at one instant.
+    fn forward(&self, st: &mut State, target: usize, uid: u32, mask: DestMask, payload: Vec<u8>) {
+        let lane = &mut st.ctrl_out[target];
+        let (stamp, slot) = lane.claim();
+        let mut batch = self.qp(target).write_batch();
+        let hdr = encode_ctrl(stamp, CtrlKind::FwdSub, uid, mask, 0, payload.len());
+        batch.push(slot, hdr);
+        batch.push(lane.payload_at(stamp, slot), payload);
+        let _ = batch.post();
     }
 
     /// Takes the next stamp of our control lane on `target` and encodes the
-    /// entry for it: the slot and its bytes, for the caller to post alone
-    /// or queue behind a doorbell with others. Stamps are consumed in call
-    /// order, so consecutive entries land in consecutive ring slots
-    /// however they are posted.
-    #[allow(clippy::too_many_arguments)]
+    /// header-only entry for it: the slot and its bytes, for the caller to
+    /// post alone or queue behind a doorbell with others. Stamps are
+    /// consumed in call order, so consecutive entries land in consecutive
+    /// ring slots however they are posted.
     fn ctrl_entry(
         &self,
         st: &mut State,
@@ -1349,17 +1334,16 @@ impl McastReplica {
         uid: u32,
         a: DestMask,
         b: u64,
-        payload: &[u8],
     ) -> (Addr, Vec<u8>) {
         let (stamp, slot) = st.ctrl_out[target].claim();
-        (slot, encode_ctrl(stamp, kind, uid, a, b, payload))
+        (slot, encode_ctrl(stamp, kind, uid, a, b, 0))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layout::encode_sub;
+    use crate::layout::{encode_sub, CTRL_HDR};
     use crate::{Mcast, McastConfig};
     use proptest::prelude::*;
     use rdma_sim::{Fabric, LatencyModel};
@@ -1394,13 +1378,12 @@ mod tests {
         cursor_hit || role || (suspect && stamp_ahead())
     }
 
-    /// Runs `body` as a simulated process over replica `idx` of group 1 in
-    /// a 2 × 3 deployment whose rings are small enough to wrap, with a
-    /// freshly booted `State`.
-    fn with_replica<T: 'static>(
+    /// Runs `body` as a simulated process over a 2 × 3 deployment whose
+    /// rings are small enough to wrap: three submission and control slots,
+    /// four log slots, payloads of up to eight bytes.
+    fn in_small_cluster<T: 'static>(
         sabotaged: bool,
-        idx: usize,
-        body: impl FnOnce(&McastReplica, State) -> T + 'static,
+        body: impl FnOnce(&Mcast) -> T + 'static,
     ) -> T {
         let mut cfg = McastConfig::new(2, 3).with_max_clients(2);
         (
@@ -1421,16 +1404,29 @@ mod tests {
                     .collect()
             })
             .collect();
-        let r = Mcast::build(&fabric, nodes, cfg).replica(GroupId(1), idx);
+        let mcast = Mcast::build(&fabric, nodes, cfg);
         let out = Rc::new(std::cell::RefCell::new(None));
         let seen = Rc::clone(&out);
         simulation.spawn("probe", move || {
-            let st = r.boot_state();
-            *seen.borrow_mut() = Some(body(&r, st));
+            *seen.borrow_mut() = Some(body(&mcast));
         });
         simulation.run().unwrap();
         let got = out.take();
         got.expect("the probe ran")
+    }
+
+    /// Runs `body` over replica `idx` of group 1 in [`in_small_cluster`]'s
+    /// deployment, with a freshly booted `State`.
+    fn with_replica<T: 'static>(
+        sabotaged: bool,
+        idx: usize,
+        body: impl FnOnce(&McastReplica, State) -> T + 'static,
+    ) -> T {
+        in_small_cluster(sabotaged, move |mcast| {
+            let r = mcast.replica(GroupId(1), idx);
+            let st = r.boot_state();
+            body(&r, st)
+        })
     }
 
     /// Pumps while the predicate asks for it; whether it stopped asking.
@@ -1490,13 +1486,20 @@ mod tests {
                         sizes.sub_lane(r.layout, lane % 2).slot(stamp),
                         encode_sub(stamp, uid, 0b10, &payload),
                     ),
+                    // A control entry is a header; a forward's payload is
+                    // in the writer's forward ring, landed first.
                     1 => {
                         let kind =
                             [CtrlKind::Proposal, CtrlKind::Final, CtrlKind::FwdSub][lane % 3];
-                        entry(
-                            sizes.ctrl_lane(r.layout, lane).slot(stamp),
-                            encode_ctrl(stamp, kind, uid, 1, x, &payload),
-                        );
+                        let end = sizes.ctrl_end(r.layout, lane);
+                        let slot = end.ring.slot(stamp);
+                        let len = if kind == CtrlKind::FwdSub {
+                            entry(end.payload_at(stamp, slot), payload.clone());
+                            payload.len()
+                        } else {
+                            0
+                        };
+                        entry(slot, encode_ctrl(stamp, kind, uid, 1, x, len));
                     }
                     2 => put(sizes.ack_slot(r.layout, lane % 3), x),
                     // A log entry at or past our position, stamped by
@@ -1587,5 +1590,107 @@ mod tests {
             (before, r.has_work(&st))
         });
         assert_eq!((before, after), (false, true));
+    }
+
+    /// Replica 1 of group 1 forwards `uids` to its leader, replica 0, in
+    /// order, each carrying a payload of its own; the leader reads after
+    /// every forward in `reads`' positions. The payloads the leader took
+    /// in, by uid.
+    fn forward_then_read(uids: &[u32], reads: &[usize]) -> Vec<(u32, Vec<u8>)> {
+        let (uids, reads) = (uids.to_vec(), reads.to_vec());
+        in_small_cluster(false, move |mcast| {
+            let (writer, leader) = (mcast.replica(GroupId(1), 1), mcast.replica(GroupId(1), 0));
+            let (mut out, mut st) = (writer.boot_state(), leader.boot_state());
+            let read = |st: &mut State| {
+                sim::sleep(Duration::from_micros(20));
+                leader.scan_lanes(st);
+            };
+            for (i, &uid) in uids.iter().enumerate() {
+                writer.forward(&mut out, leader.my_global, uid, 0b10, payload_of(uid));
+                if reads.contains(&i) {
+                    read(&mut st);
+                }
+            }
+            read(&mut st);
+            let mut got: Vec<(u32, Vec<u8>)> = st
+                .pending
+                .iter()
+                .map(|(uid, p)| {
+                    (
+                        *uid,
+                        p.payload.clone().expect("a forward carries its payload"),
+                    )
+                })
+                .collect();
+            got.sort();
+            got
+        })
+    }
+
+    fn payload_of(uid: u32) -> Vec<u8> {
+        vec![uid as u8; 1 + uid as usize % 8]
+    }
+
+    /// Stamps `s` and `s + ctrl_slots` share a control slot and a forward
+    /// ring slot: the payload read for an entry is its own stamp's, whether
+    /// the reader keeps up or the writer lapped it.
+    #[test]
+    fn a_forward_payload_is_read_from_the_slot_of_its_own_stamp() {
+        let expect = |uids: &[u32]| -> Vec<(u32, Vec<u8>)> {
+            uids.iter().map(|&uid| (uid, payload_of(uid))).collect()
+        };
+        // Read after every forward: stamp 4 reuses stamp 1's slots.
+        let uids = [11, 12, 13, 14, 15];
+        assert_eq!(forward_then_read(&uids, &[0, 1, 2, 3]), expect(&uids));
+        // Read once, after stamps 1 to 5 landed in three slots: the cursor
+        // at 1 finds stamp 4, jumps to it and reads 4 and 5 — stamps 1 and
+        // 2 were overwritten before the reader looked.
+        assert_eq!(forward_then_read(&uids, &[]), expect(&[14, 15]));
+    }
+
+    /// A forward is one doorbell of two writes, its header and its payload,
+    /// with the bytes of the single entry it used to be; both land at one
+    /// instant, so a reader that sees either sees both.
+    #[test]
+    fn a_forward_is_one_doorbell_and_lands_at_one_instant() {
+        let (counts, landed) = in_small_cluster(false, |mcast| {
+            let (writer, leader) = (mcast.replica(GroupId(1), 1), mcast.replica(GroupId(1), 0));
+            let mut out = writer.boot_state();
+            let end = out.ctrl_out[leader.my_global];
+            let slot = end.ring.slot(end.next);
+            let at = end.payload_at(end.next, slot);
+            let payload = payload_of(7);
+            let poller = leader
+                .node
+                .poller(sim::Cond::new(), &[(slot, CTRL_HDR), (at, payload.len())]);
+            let node = leader.node.clone();
+            let landed = Rc::new(std::cell::Cell::new(None));
+            let found = Rc::clone(&landed);
+            sim::spawn("watcher", move || {
+                let seen = || {
+                    let hdr = node.local_read_word(slot).unwrap() != 0;
+                    (hdr, node.local_read(at, 8).unwrap() == payload_of(7))
+                };
+                poller.poll_until(|| seen() != (false, false));
+                found.set(Some(seen()));
+            });
+            let stats = mcast.fabric().stats();
+            let count = || {
+                let get =
+                    |c: &std::sync::atomic::AtomicU64| c.load(std::sync::atomic::Ordering::Relaxed);
+                [
+                    get(&stats.doorbells),
+                    get(&stats.posted_writes),
+                    get(&stats.bytes_written),
+                ]
+            };
+            let before = count();
+            writer.forward(&mut out, leader.my_global, 7, 0b10, payload);
+            let counts: Vec<u64> = count().iter().zip(before).map(|(a, b)| a - b).collect();
+            sim::sleep(Duration::from_micros(20));
+            (counts, landed.get())
+        });
+        assert_eq!(counts, [1, 2, (CTRL_HDR + payload_of(7).len()) as u64]);
+        assert_eq!(landed, Some((true, true)));
     }
 }

@@ -182,10 +182,7 @@ impl ExecCore {
         let shared = &self.shared;
         let ts = d.ts;
         let (client_id, seq, submit_ns, payload) = decode_envelope(&d.payload);
-        let dests: Vec<PartitionId> = mask_groups(d.dests)
-            .into_iter()
-            .map(PartitionId::from)
-            .collect();
+        let dests: Vec<PartitionId> = mask_groups(d.dests).map(PartitionId::from).collect();
         let ordering_ns = recv_ns.saturating_sub(submit_ns);
         let parallel_ns = sim::now().as_nanos().saturating_sub(recv_ns);
         // Whole-request span on this executor, correlated on the message

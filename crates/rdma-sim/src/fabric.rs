@@ -147,15 +147,27 @@ pub(crate) struct Memory {
     brk: usize,
 }
 
+/// The least buffer a node's memory is created with: above the largest
+/// dynamic mmap threshold of glibc's allocator (32 MiB on 64-bit), so every
+/// buffer is a fresh mapping whatever the process freed before. A smaller
+/// buffer can come from the heap once a freed one has raised the
+/// threshold, where zero-filling recycled memory commits every page and
+/// freed memory stays resident.
+const MIN_BUFFER: usize = (32 << 20) + 4096;
+
 impl Memory {
     /// Every registered byte, the buffer created or grown to `brk` first.
+    /// The buffer may be longer than `brk`; what lies past it is not
+    /// registered, so range checks see `brk` bytes.
     pub(crate) fn bytes(&mut self) -> &mut [u8] {
-        if self.buf.is_empty() {
-            self.buf = vec![0; self.brk];
+        if self.buf.is_empty() && self.brk > 0 {
+            self.buf = vec![0; self.brk.max(MIN_BUFFER)];
         } else if self.buf.len() < self.brk {
+            // Grown in place (the allocator remaps a mapping), never copied
+            // into a fresh buffer: a copy would commit every page.
             self.buf.resize(self.brk, 0);
         }
-        &mut self.buf
+        &mut self.buf[..self.brk]
     }
 }
 

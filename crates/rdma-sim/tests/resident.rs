@@ -1,8 +1,16 @@
 //! Registered memory is committed where it is written, and a power loss
-//! hands it back. Resident memory is per process, so this file holds one
-//! test and runs as its own process; it reads Linux's `/proc/self/statm`.
+//! hands it back, in every fabric a process builds. Resident memory is per
+//! process, so this file runs as a process of its own and its tests take
+//! turns ([`one_at_a_time`]); it reads Linux's `/proc/self/statm`.
 
 use rdma_sim::{Fabric, LatencyModel};
+use std::sync::{Mutex, MutexGuard};
+
+/// Holds the other tests of this file off while one measures.
+fn one_at_a_time() -> MutexGuard<'static, ()> {
+    static TURN: Mutex<()> = Mutex::new(());
+    TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// This process's resident set in MiB (`statm`'s second field counts
 /// 4 KiB pages on x86-64 Linux).
@@ -14,6 +22,7 @@ fn resident_mib() -> u64 {
 
 #[test]
 fn registered_memory_is_resident_where_written_until_power_loss() {
+    let _turn = one_at_a_time();
     let simulation = sim::Simulation::new(1);
     let fabric = Fabric::new(LatencyModel::connectx4());
     let (a, b) = (fabric.add_node("a"), fabric.add_node("b"));
@@ -43,4 +52,34 @@ fn registered_memory_is_resident_where_written_until_power_loss() {
     let lost = resident_mib();
     assert!(lost + 60 <= written, "power loss: {written} -> {lost} MiB");
     assert_eq!(b.local_read_word(base.offset(32 << 20)).unwrap(), 0);
+}
+
+/// A fabric of one node holding `mib` MiB, every byte written.
+fn written_fabric(mib: u64) -> Fabric {
+    let fabric = Fabric::new(LatencyModel::connectx4());
+    let node = fabric.add_node("n");
+    let base = node.alloc_bytes((mib << 20) as usize);
+    let fill = vec![0x5a; 1 << 20];
+    for at in 0..mib {
+        node.local_write(base.offset(at << 20), &fill).unwrap();
+    }
+    fabric
+}
+
+/// Freeing a large node buffer must not make later, smaller ones come out
+/// of memory the process keeps: there, creating a buffer zero-fills (and
+/// so commits) all of it, and dropping one leaves it resident.
+#[test]
+fn memory_follows_use_in_every_fabric_a_process_builds() {
+    let _turn = one_at_a_time();
+    let before = resident_mib();
+    drop(written_fabric(24));
+    drop(written_fabric(16));
+    let fabric = Fabric::new(LatencyModel::connectx4());
+    let node = fabric.add_node("fresh");
+    let word = node.alloc_bytes(16 << 20).offset(8 << 20);
+    node.local_write_word(word, 1).unwrap();
+    assert_eq!(node.local_read_word(word).unwrap(), 1);
+    let after = resident_mib();
+    assert!(after < before + 8, "one word: {before} -> {after} MiB");
 }
