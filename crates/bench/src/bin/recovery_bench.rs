@@ -126,8 +126,8 @@ fn main() {
     // linearizability checker. These are the same generators the chaos
     // suite runs; a regression here means recovery is wrong, not slow.
     // The last rung power-cycles a replica of a width-4 pool; at seed 9008
-    // the victim comes back with workers still in flight, so its cold
-    // restart has to wait for them to drain.
+    // the cut kills workers blocked mid-command, and the booted pool
+    // replays the WAL tail.
     let ladder = chaos_seeds
         .iter()
         .map(|&seed| recovery_scenario_for_seed(seed, true))

@@ -12,6 +12,8 @@ use heron_bench::chaos::{self, Bank, BankSpec, Clause, RunResult, Scenario};
 use heron_core::checker::Checker;
 use heron_core::{checkpoint, HeronCluster, HeronConfig, PartitionId, VersionedStore};
 use rdma_sim::{Fabric, LatencyModel};
+use sim::storage::DiskConfig;
+use sim::trace::EventKind;
 use sim::SimTime;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -143,6 +145,46 @@ fn single_replica_power_loss_recovers_width1() {
             other => panic!("seed {seed}: {other:?}"),
         }
     }
+}
+
+/// Quick recovery-ladder seed 9008 cuts replica 2's power 2 µs into the
+/// write and fsync that follow its checkpointer's `disk.put`. The cut
+/// kills the round there: the new checkpoint stays and the replica's one
+/// cold restart restores from it, the round truncates no WAL, and the
+/// booted replica ends equal to its peers.
+#[test]
+fn recovery_seed_9008_cuts_inside_a_checkpoint_flush() {
+    let sc = chaos::recovery_scenario_for_seed(9008, true);
+    let Clause::PowerLoss { r: 2, at_us, .. } = sc.clauses[2] else {
+        panic!("{:?}", sc.clauses);
+    };
+    let simulation = sim::Simulation::new(sc.seed);
+    let tracer = simulation.enable_tracing();
+    let fabric = Fabric::new(LatencyModel::connectx4());
+    let cluster = HeronCluster::build(&fabric, sc.config(), Arc::new(Bank::new(1, sc.accounts)));
+    let result = chaos::run_cluster(&sc, &simulation, &fabric, &cluster);
+    assert!(matches!(result, RunResult::Pass { .. }), "{result:?}");
+    // Span begins and instants on replica 2's processes, named by track.
+    let names = tracer.track_names();
+    let on = |track: u32| names.get(track as usize).map_or("", String::as_str);
+    let events = tracer.events().into_iter();
+    let events: Vec<_> = (events.filter(|e| e.kind != EventKind::End))
+        .map(|e| (e.name, on(e.track), e.track, e.t_ns, e.corr))
+        .collect();
+    let &(.., track, put_ns, bound) = (events.iter())
+        .find(|e| e.0 == "ckpt.round" && e.1 == "heron-ckpt-p0r2")
+        .expect("replica 2 checkpoints");
+    assert!((put_ns..put_ns + DiskConfig::nvme().fsync_ns).contains(&(at_us * 1_000)));
+    assert!(!events
+        .iter()
+        .any(|e| e.0 == "ckpt.truncate" && e.2 == track));
+    let restarts = events
+        .iter()
+        .filter(|e| e.0 == "recover.cold" && e.1 == "heron-exec-p0r2");
+    assert_eq!(restarts.map(|e| e.4).collect::<Vec<_>>(), [bound]);
+    let p = PartitionId(0);
+    let state = |i| (cluster.state_digest(p, i), cluster.completed_req(p, i));
+    assert!(state(2) == state(0) && state(2) == state(1));
 }
 
 /// Fault-free width-4 durable run: the checkpointer quiesces the pool

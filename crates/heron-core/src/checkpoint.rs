@@ -29,7 +29,7 @@
 
 use crate::cluster::ReplicaShared;
 use crate::layout::{decode_records, encode_record};
-use crate::store::{VersionedStore, CHECKPOINT_INSTALL};
+use crate::store::VersionedStore;
 use crate::types::ObjectId;
 use amcast::GroupId;
 use std::rc::Rc;
@@ -79,7 +79,7 @@ fn raw_slots(store: &VersionedStore) -> impl Iterator<Item = (ObjectId, Vec<u8>)
 /// allocating the slots a wipe took.
 pub fn install_state(image: &[u8], store: &VersionedStore) {
     for (oid, raw) in decode_records(image) {
-        store.apply_raw_slot(oid, raw, CHECKPOINT_INSTALL);
+        store.apply_raw_slot(oid, raw, "checkpoint-install");
     }
 }
 
@@ -137,8 +137,9 @@ pub(crate) fn decode_file(file: &[u8]) -> (CheckpointMeta, &[u8]) {
 /// One checkpointer round: persist a checkpoint at a quiescent boundary
 /// and truncate the logs behind it. Returns the metadata of the
 /// checkpoint taken, or `None` if the round was skipped (replica dead or
-/// busy, nothing new to checkpoint, or a power cycle interrupted the
-/// round before truncation).
+/// busy). A power cut kills the checkpointer wherever it is: one inside
+/// the write and fsync that follow `disk.put` leaves the new checkpoint
+/// in place and the WAL untruncated.
 pub(crate) fn checkpoint_replica(shared: &Rc<ReplicaShared>) -> Option<CheckpointMeta> {
     let disk = shared.disk.as_ref()?;
     let node = &shared.node;
@@ -147,16 +148,6 @@ pub(crate) fn checkpoint_replica(shared: &Rc<ReplicaShared>) -> Option<Checkpoin
     }
     let cfg = &shared.cluster.cfg;
     let interval = cfg.durability.as_ref()?.checkpoint_interval;
-    let cycles = node.power_cycles();
-    // After a power loss the watermark atomics survive (they live outside
-    // registered memory) while the slots are zeros — the store only
-    // reflects the current cycle again once the executor's cold restart
-    // raises `restored_cycles`. Snapshotting before that would persist a
-    // wiped image stamped with a live bound and truncate the WAL the
-    // restart still needs.
-    if shared.power_lost() {
-        return None;
-    }
     // A consistent snapshot needs a quiescent request boundary: every
     // admitted command finished (`last_req == completed_req`). That also
     // rules out a writing phase and an inbound state transfer mutating
@@ -174,7 +165,7 @@ pub(crate) fn checkpoint_replica(shared: &Rc<ReplicaShared>) -> Option<Checkpoin
         // that is the first instant the boundary can hold.
         shared.quiesce.wait_while_timeout(|| !quiescent(), interval)
     };
-    if !quiet || !node.is_alive() || node.power_cycles() != cycles {
+    if !quiet || !node.is_alive() {
         return None;
     }
     // From here to the `disk.put` below runs without yielding (snapshot
@@ -194,11 +185,9 @@ pub(crate) fn checkpoint_replica(shared: &Rc<ReplicaShared>) -> Option<Checkpoin
     // the write + fsync latency — a power loss during the charge leaves
     // the (consistent) new checkpoint in place, never a torn one.
     disk.put(CKPT_FILE, &encode_file(bound, epoch, &image));
-    if node.power_cycles() != cycles || !node.is_alive() {
-        // The lights went out while the file was flushing. The checkpoint
-        // itself is durable and consistent, but the executor is about to
-        // rebuild from it — leave the WAL alone and let the next round
-        // (or the restart path) truncate behind a horizon it re-derives.
+    if !node.is_alive() {
+        // Crashed while the file was flushing: the checkpoint is durable
+        // and consistent; leave the WAL to the next round.
         return None;
     }
     // Checkpoint bound raised: progress for the explorer's
@@ -227,7 +216,10 @@ pub(crate) fn run_checkpointer(shared: Rc<ReplicaShared>) {
         .as_ref()
         .expect("checkpointer spawned without durability")
         .checkpoint_interval;
-    let mut last_bound = 0u64;
+    // On a node whose power was cut, the watermarks are what the last
+    // life left while the store is zeros, until the delivery driver's cold
+    // restart rebuilds it and moves them: no round runs before.
+    let mut last_bound = shared.completed_req.load(Ordering::SeqCst);
     loop {
         sim::sleep(interval);
         if shared.completed_req.load(Ordering::SeqCst) == last_bound {

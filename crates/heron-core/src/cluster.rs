@@ -57,14 +57,6 @@ pub(crate) struct ReplicaShared {
     /// Address queries answered so far: `oid → nodes heard from` (the
     /// majority-wait of Algorithm 2, lines 11–13).
     pub addr_heard: Mutex<HashMap<ObjectId, Vec<NodeId>>>,
-    /// The power-cycle generation the store contents reflect: raised by
-    /// the delivery driver once a cold restart has rebuilt the store, to
-    /// the node's count when the restart began. While this lags
-    /// [`rdma_sim::Node::power_cycles`] ([`Self::power_lost`]) the driver
-    /// executes nothing and the checkpointer refuses to snapshot — between
-    /// the wipe and the rebuild, the watermarks look quiescent but the
-    /// slots are zeros.
-    pub restored_cycles: AtomicU64,
     /// The replica's durable namespace (`heron-p{p}r{i}`), when the
     /// deployment has a [`crate::DurabilityConfig`].
     pub disk: Option<sim::storage::Disk>,
@@ -98,13 +90,6 @@ impl ReplicaShared {
         } else {
             let _ = self.peer_qp(h, q).post_write(addr, bytes.to_vec());
         }
-    }
-
-    /// Whether the node lost power since the store was last rebuilt: our
-    /// registered memory (store slots, coordination regions) was wiped,
-    /// and a cold restart must rebuild it before anything executes.
-    pub(crate) fn power_lost(&self) -> bool {
-        self.node.power_cycles() != self.restored_cycles.load(Ordering::SeqCst)
     }
 
     /// Records that every request up to `ts_raw` finished its write phase
@@ -309,7 +294,6 @@ impl HeronCluster {
                     completed_req: AtomicU64::new(0),
                     object_map: Mutex::new(HashMap::new()),
                     addr_heard: Mutex::new(HashMap::new()),
-                    restored_cycles: AtomicU64::new(0),
                     disk: inner
                         .cfg
                         .durability
@@ -329,30 +313,24 @@ impl HeronCluster {
     }
 
     /// Spawns all protocol processes (ordering replicas, Heron executors,
-    /// and service processes) into the simulation.
+    /// and service processes) into the simulation. Each replica's are its
+    /// node's boot ([`Node::boot`]): a power loss kills them, and the
+    /// recovery after it starts fresh ones, which rebuild from the disk.
     pub fn spawn(&self, simulation: &sim::Simulation) {
         if self.inner.cfg.tracing {
             *self.inner.tracer.lock() = Some(simulation.enable_tracing());
         }
         self.inner.mcast.spawn_replicas(simulation);
-        for p in 0..self.inner.cfg.partitions {
-            for i in 0..self.inner.cfg.replicas_per_partition {
-                let shared = Rc::clone(&self.replicas[p][i]);
-                let deliveries = self.inner.mcast.deliveries(GroupId(p as u16), i);
-                crate::executor::spawn_driver(simulation, shared, deliveries, p, i);
-                let shared = Rc::clone(&self.replicas[p][i]);
-                simulation.spawn(format!("heron-svc-p{p}r{i}"), move || {
-                    Service::new(shared).run()
+        for (p, row) in self.replicas.iter().enumerate() {
+            for (i, shared) in row.iter().enumerate() {
+                // Weak: the node holds its boot, and the replica holds the
+                // node.
+                let replica = Rc::downgrade(shared);
+                shared.node.boot(simulation, move |boot| {
+                    if let Some(shared) = replica.upgrade() {
+                        boot_replica(boot, shared, p, i);
+                    }
                 });
-                if self.inner.cfg.durability.is_some() {
-                    // Spawned after the executor and service so the
-                    // process roster is a strict extension of the
-                    // durability-off deployment.
-                    let shared = Rc::clone(&self.replicas[p][i]);
-                    simulation.spawn(format!("heron-ckpt-p{p}r{i}"), move || {
-                        crate::checkpoint::run_checkpointer(shared)
-                    });
-                }
             }
         }
     }
@@ -392,18 +370,20 @@ impl HeronCluster {
     }
 
     /// Recovers a crashed replica. It will detect the deliveries it missed
-    /// and run the state-transfer protocol to catch up.
+    /// and run the state-transfer protocol to catch up. After a power loss
+    /// it boots; call this from a simulated process.
     pub fn recover_replica(&self, p: PartitionId, i: usize) {
         self.inner
             .fabric
             .recover(self.inner.nodes[p.0 as usize][i].id());
     }
 
-    /// Cuts power to replica `(p, i)`: beyond a crash, its registered
-    /// memory (store slots, coordination regions, ordering rings) is wiped.
-    /// On [`HeronCluster::recover_replica`] the executor rebuilds from its
-    /// durable checkpoint plus the ordering WAL tail — or, without
-    /// durability, re-bootstraps and relies on a full state transfer.
+    /// Cuts power to replica `(p, i)`: beyond a crash, its processes die and
+    /// its registered memory (store slots, coordination regions, ordering
+    /// rings) is wiped. On [`HeronCluster::recover_replica`] the node boots
+    /// fresh ones: the executor rebuilds from its durable checkpoint plus
+    /// the ordering WAL tail — or, without durability, re-bootstraps and
+    /// relies on a full state transfer.
     pub fn power_loss_replica(&self, p: PartitionId, i: usize) {
         self.inner
             .fabric
@@ -531,5 +511,24 @@ impl HeronCluster {
         self.replicas[p.0 as usize][i]
             .completed_req
             .load(Ordering::SeqCst)
+    }
+}
+
+/// Starts replica `(p, i)`'s processes on its node, in the roster's order:
+/// the delivery driver and its workers, the service and, with durability,
+/// the checkpointer.
+fn boot_replica(boot: &rdma_sim::Boot<'_>, shared: Rc<ReplicaShared>, p: usize, i: usize) {
+    let deliveries = shared.cluster.mcast.deliveries(GroupId(p as u16), i);
+    crate::executor::spawn_driver(boot, Rc::clone(&shared), deliveries, p, i);
+    let svc = Rc::clone(&shared);
+    boot.spawn(format!("heron-svc-p{p}r{i}"), move || {
+        Service::new(svc).run()
+    });
+    if shared.cluster.cfg.durability.is_some() {
+        // Spawned after the executor and service so the process roster is
+        // a strict extension of the durability-off deployment.
+        boot.spawn(format!("heron-ckpt-p{p}r{i}"), move || {
+            crate::checkpoint::run_checkpointer(shared)
+        });
     }
 }

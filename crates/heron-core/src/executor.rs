@@ -8,10 +8,10 @@
 //!
 //! Each replica has exactly one [`Driver`] process — Algorithm 1's
 //! delivery loop. It owns the delivery stream, admission (`last_req`
-//! skips, Gap hold-back), both sides of Algorithm 3, cold restart after a
-//! power loss, and the `completed_req` watermark. What varies with
-//! [`crate::HeronConfig::executor_width`] is only where a command runs
-//! once it reaches the front of the queue:
+//! skips, Gap hold-back), both sides of Algorithm 3, the cold restart a
+//! driver booted after a power loss runs first, and the `completed_req`
+//! watermark. What varies with [`crate::HeronConfig::executor_width`] is
+//! only where a command runs once it reaches the front of the queue:
 //!
 //! * **width 1 — the inline lane.** There are no worker processes: the
 //!   driver runs [`ExecCore::run_command`] itself on lane 0 and resolves a
@@ -41,11 +41,11 @@
 //! park), runs the requester-side transfer of Algorithm 3 once nothing is
 //! mid-command, and then tells each parked worker whether the adopted
 //! snapshot covered its command (abandon, the client will retry) or not
-//! (retry in place). Responder-side serves and cold restarts wait for the
-//! same "nothing in flight" condition, so the snapshot bound
-//! `completed_req` is exact. `completed_req` itself is a prefix watermark:
-//! the largest timestamp such that every dispatched command up to it has
-//! finished its write phase.
+//! (retry in place). Responder-side serves wait for the same "nothing in
+//! flight" condition, so the snapshot bound `completed_req` is exact.
+//! `completed_req` itself is a prefix watermark: the largest timestamp
+//! such that every dispatched command up to it has finished its write
+//! phase.
 //!
 //! Dependency tracking is last-writer-in-delivery-order over the conflict
 //! keys: because only the queue front dispatches, a command waits exactly
@@ -56,7 +56,7 @@
 use crate::app::{LocalReader, ReadSet};
 use crate::cluster::ReplicaShared;
 use crate::layout::{decode_envelope, encode_coord, encode_response, resp_slot, COORD_ENTRY};
-use crate::metrics::Breakdown;
+use crate::metrics::{Breakdown, Metrics};
 use crate::replica::{
     coord_matching, coord_quorum, pending_sync_requests, publish_progress, respond_transfer,
     state_transfer_abortable, TRANSFER_INSTALL, TRANSFER_TIMEOUT,
@@ -70,6 +70,7 @@ use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::rc::Rc;
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// The executing replica has fallen behind the fast majority and cannot
@@ -711,8 +712,11 @@ struct InFlight {
     parked: Option<Stall>,
 }
 
-/// A cold restart's WAL-tail replay in progress.
+/// A cold restart's WAL-tail replay in progress. Dropping it closes the
+/// books on the restart: its replayed commands all finished, or a power
+/// cut killed the driver mid-replay.
 struct Replay {
+    metrics: Arc<Metrics>,
     /// When the restart began (before the checkpoint read).
     t0: SimTime,
     /// Frames not yet fed through admission.
@@ -722,6 +726,17 @@ struct Replay {
     /// and the next cold restart replays (and counts) those frames again.
     frames: usize,
     _span: sim::trace::SpanGuard,
+}
+
+impl Drop for Replay {
+    fn drop(&mut self) {
+        let metrics = &self.metrics;
+        metrics.cold_restarts.fetch_add(1, Ordering::Relaxed);
+        let fed = (self.frames - self.tail.len()) as u64;
+        metrics.replayed_frames.fetch_add(fed, Ordering::Relaxed);
+        let took = (sim::now() - self.t0).as_nanos() as u64;
+        metrics.recovery_ns.fetch_add(took, Ordering::Relaxed);
+    }
 }
 
 /// Requester side of Algorithm 3 on behalf of stalled commands `(ts,
@@ -773,9 +788,6 @@ pub(crate) struct Driver {
     /// The node was down when a pass last looked: nothing is acted on but
     /// its recovery ([`CRASH`], [`Self::recovered`]).
     down: bool,
-    /// A power cycle was noticed and the store is not rebuilt yet: the
-    /// pool drains for the cold restart ([`Self::power_cut`]).
-    wiped: bool,
     /// Delivered, not yet dispatched (front dispatches first — strict
     /// delivery order).
     queue: VecDeque<Job>,
@@ -812,38 +824,29 @@ pub(crate) struct Driver {
 /// action it gates.
 type Step = (fn(&Driver) -> bool, fn(&mut Driver));
 
-/// Notices the node down: nothing else is acted on until it comes back
+/// Notices the node crashed: nothing else is acted on until it comes back
 /// ([`Driver::recovered`]). A command caught mid-flight keeps going against
 /// failing verbs; the deliveries we miss surface later as a Gap or as failed
-/// remote reads. A crash rings nothing, so no wait watches for one.
+/// remote reads. A crash rings nothing, so no wait watches for one. (A
+/// power cut needs no step: it kills the driver.)
 const CRASH: Step = (|d| !d.down && !d.shared.node.is_alive(), |d| d.down = true);
 
-/// Notices a power cycle ([`Driver::power_cut`]): the pool drains, then the
-/// cold restart runs.
-const POWER_CUT: Step = (Driver::power_cut, |d| d.wiped = true);
-
 /// One pass of the delivery driver: every step whose guard holds acts, in
-/// this order. Liveness and power are re-read first and after each step
-/// that can yield before one that acts on the node — posting replies, a
-/// cold restart's disk read, a serve's stream.
-const PASS: [Step; 17] = [
+/// this order. Liveness is re-read first and after each step that can
+/// yield before one that acts on the node — posting replies, a serve's
+/// stream.
+const PASS: [Step; 11] = [
     CRASH,
-    POWER_CUT,
     (Driver::recovered, |d| d.down = false),
     (Driver::events_waiting, Driver::drain_events),
     CRASH,
-    POWER_CUT,
-    (Driver::restart_due, Driver::cold_restart),
-    CRASH,
-    POWER_CUT,
     (Driver::requests_moved, Driver::serve_transfers),
     CRASH,
-    POWER_CUT,
     (Driver::delivery_waiting, Driver::admit),
     (Driver::all_parked, Driver::resolve_parks),
     (Driver::gap_resolvable, Driver::resolve_gap),
     (Driver::dispatchable, Driver::try_dispatch),
-    (Driver::replay_done, Driver::finish_replay),
+    (Driver::replay_done, |d| d.replay = None),
 ];
 
 impl Driver {
@@ -862,8 +865,13 @@ impl Driver {
     }
 
     /// Runs the driver loop forever: a pass over the steps, and when no
-    /// step acted, [`Self::idle_wait`] until one of their guards holds.
+    /// step acted, [`Self::idle_wait`] until one of their guards holds. A
+    /// driver booted on a node whose power was cut runs the cold restart
+    /// first.
     pub(crate) fn run(mut self) {
+        if self.shared.node.power_cycles() > 0 {
+            self.cold_restart();
+        }
         // Executors-per-replica occupancy timeline (inert when profiling
         // is off or there is no pool): how many workers hold a command.
         let busy = if sim::prof::enabled() && self.inline.is_none() {
@@ -911,26 +919,16 @@ impl Driver {
         self.down && self.shared.node.is_alive()
     }
 
-    /// A worker reported. Draining is not gated on the power: the cold
-    /// restart waits for every in-flight command to come back.
+    /// A worker reported.
     fn events_waiting(&self) -> bool {
         !self.down && !self.events.is_empty()
-    }
-
-    /// The node lost power since the store was last rebuilt
-    /// ([`ReplicaShared::power_lost`]): registered memory is zeroed, so
-    /// every byte of protocol state must be rebuilt before another command
-    /// may touch it. `power_loss` rings every poller, so an idle driver
-    /// wakes at the cut.
-    fn power_cut(&self) -> bool {
-        self.up() && self.shared.power_lost()
     }
 
     /// A delivery for admission: from the live stream, or from a cold
     /// restart's replay tail, which feeds ahead of it; none while a Gap's
     /// held-back delivery waits for its covering transfer.
     fn delivery_waiting(&self) -> bool {
-        self.up()
+        !self.down
             && match (&self.pending_gap, &self.replay) {
                 (Some(_), _) => false,
                 (None, Some(replay)) => !replay.tail.is_empty(),
@@ -941,26 +939,21 @@ impl Driver {
     /// A pending transfer request not seen yet: its rotation counts from
     /// its first sight.
     fn request_unseen(&self) -> bool {
-        self.up() && (self.pending_requests().iter()).any(|k| !self.seen_requests.contains_key(k))
+        !self.down && (self.pending_requests().iter()).any(|k| !self.seen_requests.contains_key(k))
     }
 
     // The other guards.
-
-    /// Drained for the cold restart: nothing in flight any more.
-    fn restart_due(&self) -> bool {
-        !self.down && self.wiped && self.inflight.is_empty()
-    }
 
     /// A transfer request first seen, one whose rotation turn came while
     /// nothing is in flight (`completed_req` is an exact request boundary
     /// only then), or one someone else completed.
     fn requests_moved(&self) -> bool {
         self.request_unseen()
-            || self.up() && (self.inflight.is_empty() && self.serve_turn() || self.request_gone())
+            || !self.down && (self.inflight.is_empty() && self.serve_turn() || self.request_gone())
     }
 
     /// Every in-flight command parked (dispatch pauses on the first park,
-    /// so runners drain) — also while draining for a cold restart.
+    /// so runners drain).
     fn all_parked(&self) -> bool {
         !self.down
             && !self.inflight.is_empty()
@@ -969,17 +962,12 @@ impl Driver {
 
     /// A Gap's held-back delivery, with everything before it drained.
     fn gap_resolvable(&self) -> bool {
-        self.up() && self.pending_gap.is_some() && self.drained()
+        !self.down && self.pending_gap.is_some() && self.drained()
     }
 
     /// A cold restart's replayed commands all finished.
     fn replay_done(&self) -> bool {
-        self.up() && self.replay.as_ref().is_some_and(|r| r.tail.is_empty()) && self.drained()
-    }
-
-    /// Neither down nor wiped: the steps that touch protocol state may act.
-    fn up(&self) -> bool {
-        !self.down && !self.wiped
+        !self.down && self.replay.as_ref().is_some_and(|r| r.tail.is_empty()) && self.drained()
     }
 
     /// Nothing queued and nothing in flight.
@@ -1016,7 +1004,7 @@ impl Driver {
     /// serve or a parked worker waits for the pool to drain — both need a
     /// quiesced pool, and feeding it new work would starve them.
     fn dispatchable(&self) -> bool {
-        self.up()
+        !self.down
             && self.front_ready()
             && !self.inflight.values().any(|f| f.parked.is_some())
             && (self.inflight.is_empty() || !self.serve_turn())
@@ -1205,21 +1193,13 @@ impl Driver {
     /// pool is quiesced-except-parked — parked workers sit at safe points
     /// with no partial writes — and the driver runs Algorithm 3's
     /// requester side on their behalf, then hands each its outcome.
-    ///
-    /// With the memory [`Self::wiped`] by a power loss there is nothing to
-    /// transfer into: the cold restart about to run re-delivers every
-    /// parked command from the WAL, so each is abandoned as covered.
     fn resolve_parks(&mut self) {
-        let rid = if self.wiped {
-            Some(u64::MAX)
-        } else {
-            let stalls: Vec<(u64, &Stall)> = self
-                .inflight
-                .values()
-                .map(|f| (f.ts, f.parked.as_ref().expect("all parked")))
-                .collect();
-            transfer_for_stalls(&self.shared, &stalls)
-        };
+        let stalls: Vec<(u64, &Stall)> = self
+            .inflight
+            .values()
+            .map(|f| (f.ts, f.parked.as_ref().expect("all parked")))
+            .collect();
+        let rid = transfer_for_stalls(&self.shared, &stalls);
         for (worker, f) in self.inflight.iter_mut() {
             f.parked = None;
             let _ = self.lanes[*worker].send(ToWorker::Verdict(stall_outcome(rid, f.ts)));
@@ -1275,37 +1255,29 @@ impl Driver {
         Some(first_seen + TRANSFER_TIMEOUT * my_rank as u32)
     }
 
-    /// Cold restart after a power loss: rebuild the store from the durable
-    /// checkpoint, reset every piece of volatile protocol state to the
-    /// checkpoint bound, and queue the ordering WAL tail for replay through
-    /// the normal admission path ([`Self::run`] feeds it ahead of live
-    /// deliveries). Equivalent to a state transfer whose responder is the
-    /// disk — the execution trace restarts with a `('t', bound)` entry and
-    /// replayed commands append fresh `'e'` entries past it.
+    /// Cold restart, the first thing a driver booted after a power loss
+    /// does: rebuild the store from the durable checkpoint, reset the
+    /// replica's volatile protocol state to the checkpoint bound, and
+    /// queue the ordering WAL tail for replay through the normal admission
+    /// path ([`Self::run`] feeds it ahead of live deliveries). Equivalent
+    /// to a state transfer whose responder is the disk — the execution
+    /// trace restarts with a `('t', bound)` entry and replayed commands
+    /// append fresh `'e'` entries past it.
     ///
     /// Without durability there is no checkpoint and no WAL: the store is
     /// re-bootstrapped to time zero and `needs_full_sync` forces the next
     /// delivery to wait for a live-peer transfer covering everything.
     fn cold_restart(&mut self) {
-        // A power cut mid-replay restarts recovery from the (still intact)
-        // checkpoint; account for the abandoned attempt first.
-        self.finish_replay();
         let shared = Rc::clone(&self.shared);
-        let cycles = shared.node.power_cycles();
         let t0 = sim::now();
-        // Volatile protocol state is gone with the memory that backed it.
-        // Commands admitted but not dispatched are in the WAL like every
-        // other delivery, and come back through the replay.
+        // What the replica's processes shared died with them. (This
+        // driver's own state is fresh; commands admitted but not
+        // dispatched before the cut are in the WAL like every other
+        // delivery, and come back through the replay.)
         shared.exec_trace.lock().clear();
         shared.object_map.lock().clear();
         shared.addr_heard.lock().clear();
         shared.reply_routes.lock().clear();
-        self.seen_requests.clear();
-        self.queue.clear();
-        self.pending_gap = None;
-        // A replayed command replies again: the first post may have died
-        // with the power, and then this is the only reply its client gets.
-        self.last_replied.clear();
         // Rebuild the store image: checkpoint if one exists, time-zero
         // bootstrap otherwise. The checkpoint read pays modeled disk
         // latency — the first component of recovery time.
@@ -1319,19 +1291,13 @@ impl Driver {
                 0
             }
         };
+        // The watermarks move only once the store is rebuilt: the
+        // checkpointer snapshots nothing before (`run_checkpointer`).
         shared.last_req.store(bound, Ordering::SeqCst);
         shared.set_completed(bound);
         if bound > 0 {
             shared.exec_trace.lock().push((bound, 't'));
         }
-        // The store reflects the power cycle we started from again: the
-        // driver resumes, and the checkpointer, which refuses to snapshot
-        // while `restored_cycles` lags the node's cycle count (between the
-        // wipe and this line the watermarks look quiescent but the slots
-        // are zeros), is re-armed. A power loss since we started leaves it
-        // lagging, and the driver's next pass restarts again.
-        shared.restored_cycles.store(cycles, Ordering::SeqCst);
-        self.wiped = false;
         publish_progress(&shared);
         // With durability the WAL speaks for everything delivered past the
         // bound (bound 0 = since genesis, before the first checkpoint), so
@@ -1351,25 +1317,12 @@ impl Driver {
             &[("bound", bound), ("tail", tail.len() as u64)],
         );
         self.replay = Some(Replay {
+            metrics: Arc::clone(&shared.cluster.metrics),
             t0,
             frames: tail.len(),
             tail: tail.into(),
             _span: span,
         });
-    }
-
-    /// Closes the books on a cold restart: its replayed commands all
-    /// finished, or a new power cut abandoned it.
-    fn finish_replay(&mut self) {
-        let Some(replay) = self.replay.take() else {
-            return;
-        };
-        let metrics = &self.shared.cluster.metrics;
-        metrics.cold_restarts.fetch_add(1, Ordering::Relaxed);
-        let fed = (replay.frames - replay.tail.len()) as u64;
-        metrics.replayed_frames.fetch_add(fed, Ordering::Relaxed);
-        let took = (sim::now() - replay.t0).as_nanos() as u64;
-        metrics.recovery_ns.fetch_add(took, Ordering::Relaxed);
     }
 
     /// Blocks until a guard [`Self::pass`] acts on holds. It waits on
@@ -1399,7 +1352,6 @@ impl Driver {
             || {
                 self.recovered()
                     || self.events_waiting()
-                    || self.power_cut()
                     || self.delivery_waiting()
                     || self.request_unseen()
             },
@@ -1411,22 +1363,26 @@ impl Driver {
 /// A pool worker: executes the jobs its driver hands it on its own
 /// coordination lane, parking on stalls.
 pub(crate) struct Worker {
-    core: ExecCore,
+    shared: Rc<ReplicaShared>,
     index: usize,
     inbox: Mailbox<ToWorker>,
     events: Mailbox<WorkerEvent>,
 }
 
 impl Worker {
-    /// Runs the worker loop forever.
+    /// Runs the worker loop forever, on an engine whose poller the worker
+    /// registers itself: it goes with the worker when a power cut kills it.
     pub(crate) fn run(self) {
+        let core = ExecCore {
+            shared: Rc::clone(&self.shared),
+            lane: self.index,
+            poller: (self.shared.node).poller(sim::Cond::new(), &self.shared.exec_ranges),
+        };
         loop {
             let ToWorker::Run(job) = self.inbox.recv() else {
                 panic!("a verdict for worker {} with nothing parked", self.index);
             };
-            let done = self
-                .core
-                .run_command(&job.d, job.recv_ns, &mut |ts, stall| self.park(ts, stall));
+            let done = core.run_command(&job.d, job.recv_ns, &mut |ts, stall| self.park(ts, stall));
             // The request span ends here, on the process that ran the
             // command; the driver posts the reply.
             let reply = done.map(|(reply, _request_span)| reply);
@@ -1490,7 +1446,6 @@ fn build_driver(
         events: events.clone(),
         lanes: lanes.clone(),
         down: false,
-        wiped: false,
         queue: VecDeque::new(),
         inflight: BTreeMap::new(),
         done: BTreeMap::new(),
@@ -1502,11 +1457,7 @@ fn build_driver(
     };
     let workers = (0..workers)
         .map(|k| Worker {
-            core: ExecCore {
-                shared: Rc::clone(&shared),
-                lane: k,
-                poller: shared.node.poller(sim::Cond::new(), &shared.exec_ranges),
-            },
+            shared: Rc::clone(&shared),
             index: k,
             inbox: lanes[k].clone(),
             events: events.clone(),
@@ -1518,16 +1469,16 @@ fn build_driver(
 /// Spawns one replica's delivery driver as `heron-exec-p{p}r{i}` and its
 /// workers, if any, as `heron-exec-p{p}r{i}w{k}`.
 pub(crate) fn spawn_driver(
-    simulation: &sim::Simulation,
+    boot: &rdma_sim::Boot<'_>,
     shared: Rc<ReplicaShared>,
     deliveries: Mailbox<DeliveryEvent>,
     p: usize,
     i: usize,
 ) {
     let (driver, workers) = build_driver(shared, deliveries);
-    simulation.spawn(format!("heron-exec-p{p}r{i}"), move || driver.run());
+    boot.spawn(format!("heron-exec-p{p}r{i}"), move || driver.run());
     for (k, worker) in workers.into_iter().enumerate() {
-        simulation.spawn(format!("heron-exec-p{p}r{i}w{k}"), move || worker.run());
+        boot.spawn(format!("heron-exec-p{p}r{i}w{k}"), move || worker.run());
     }
 }
 

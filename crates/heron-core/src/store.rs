@@ -169,13 +169,6 @@ pub struct VersionedStore {
     break_victim_guard: bool,
 }
 
-/// The op label of a checkpoint install
-/// ([`crate::checkpoint::install_state`]). It rebuilds a store a power
-/// loss wiped, so the write-order monitor does not compare it with what
-/// the slot holds: that can only be a version of the lost power cycle (a
-/// command caught mid-write by the outage writes the wiped memory).
-pub(crate) const CHECKPOINT_INSTALL: &str = "checkpoint-install";
-
 /// The [`rdma_sim::Fabric::sabotage`] name of [`VersionedStore::set`]'s
 /// victim rule. Built without it the store overwrites the version with the
 /// *larger* timestamp, which `race_audit --selftest` requires the race
@@ -483,11 +476,9 @@ impl VersionedStore {
         let mut inner = self.inner.lock();
         let slot = match inner.slots.get(&oid) {
             Some(&slot) => {
-                if op != CHECKPOINT_INSTALL {
-                    let newest = self.node.with_mem(|m| latest_of(versions_in(m, slot)).0);
-                    let ts = latest_of(borrow_versions(raw, cap)).0;
-                    inner.check_order(oid, ts, newest);
-                }
+                let newest = self.node.with_mem(|m| latest_of(versions_in(m, slot)).0);
+                let ts = latest_of(borrow_versions(raw, cap)).0;
+                inner.check_order(oid, ts, newest);
                 slot
             }
             None => {

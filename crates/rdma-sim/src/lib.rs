@@ -43,6 +43,7 @@
 // differs per process: anything it posts, or reports first, stops replaying.
 #![deny(clippy::iter_over_hash_type)]
 
+mod boot;
 mod error;
 mod fabric;
 mod faults;
@@ -50,6 +51,7 @@ mod latency;
 mod qp;
 pub mod tsan;
 
+pub use boot::Boot;
 pub use error::{RdmaError, RdmaResult};
 pub use fabric::{
     Addr, Fabric, FabricStats, LaneMarks, MemView, Message, Node, NodeId, Poller, Ring,

@@ -3,7 +3,7 @@
 
     scripts/ledger_pairs.py <parent-checkout> <change-checkout>
         [--workload W]... [--pairs 10] [--seed S] [--trace 0|1]
-        [--expect-identical [--moved NAME[,NAME...]]]
+        [--expect-identical [--moved NAME[:worse][,NAME[:worse]...]]]
 
 Pair k runs each checkout's own, unmodified `benchmark/run.py --workload W
 --seed S+k --trace T` (one contract run a side, built from that checkout's
@@ -21,9 +21,10 @@ Virtual and count metrics must repeat exactly per seed, so with
 `--expect-identical` (a change that claims to move no event) any such metric,
 `attempted` or `failed` differing between the two sides of a pair fails the
 run. A change that says which counts it moves lists them with `--moved`: a
-listed metric may differ, on any pair, only in its `better` direction;
-everything unlisted must still be identical. Exit 1 on any of that, or when
-any contract run is incorrect.
+listed metric may differ, on any pair, only in its `better` direction; one
+listed as `NAME:worse` is a declared trade, and may differ only in the other
+direction. Everything unlisted must still be identical. Exit 1 on any of
+that, or when any contract run is incorrect.
 
 Nothing under either `benchmark/` is edited by this script; cargo itself may
 rewrite a stale tracked `benchmark/Cargo.lock` (`git checkout` it afterwards).
@@ -56,10 +57,17 @@ def main():
     ap.add_argument("--seed", type=int, default=42, help="pair k runs seed S+k")
     ap.add_argument("--trace", type=int, choices=[0, 1], default=0)
     ap.add_argument("--expect-identical", action="store_true")
-    ap.add_argument("--moved", default="", metavar="NAME[,NAME...]",
-                    help="with --expect-identical: metrics that may differ, only for the better")
+    ap.add_argument("--moved", default="", metavar="NAME[:worse][,...]",
+                    help="with --expect-identical: metrics that may differ, only for the better "
+                         "(NAME) or, a declared trade, only for the worse (NAME:worse)")
     args = ap.parse_args()
-    moved = {name for name in args.moved.split(",") if name}
+    # metric -> the only way it may move: True for the better, False for the worse
+    moved = {}
+    for item in filter(None, args.moved.split(",")):
+        name, _, way = item.partition(":")
+        if way not in ("", "worse"):
+            ap.error(f"--moved {item}: the only qualifier is ':worse'")
+        moved[name] = way == ""
     if moved and not args.expect_identical:
         ap.error("--moved only qualifies --expect-identical")
     sides = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
@@ -70,8 +78,8 @@ def main():
     spec.loader.exec_module(run)
     contract = run.CONTRACT
     better = {m["name"]: m["better"] for m in contract["end_to_end"] + contract["per_layer"]}
-    if moved - set(better):
-        ap.error(f"--moved: not in BENCHMARK.json: {', '.join(sorted(moved - set(better)))}")
+    if moved.keys() - set(better):
+        ap.error(f"--moved: not in BENCHMARK.json: {', '.join(sorted(moved.keys() - set(better)))}")
     bad = 0
     for workload in args.workload or [w["name"] for w in contract["workloads"]]:
         print(f"== {workload}: {args.pairs} pairs, seeds {args.seed}..{args.seed + args.pairs - 1}, "
@@ -94,8 +102,10 @@ def main():
                         shown.append(f"{name} {p:.6g} -> {c:.6g}")
                 elif name in moved:
                     shown.append(f"{name} {p:.6g} -> {c:.6g}")
-                    if c < p if better[name] == "higher" else c > p:
-                        print(f"   seed {seed}: {name} moved for the worse: parent {p!r}, change {c!r}")
+                    worse = c < p if better[name] == "higher" else c > p
+                    if p != c and worse == moved[name]:
+                        way = "worse" if worse else "better"
+                        print(f"   seed {seed}: {name} moved for the {way}: parent {p!r}, change {c!r}")
                         bad += 1
                 elif p != c and args.expect_identical:
                     print(f"   seed {seed}: {name} differs: parent {p!r}, change {c!r}")
@@ -117,8 +127,11 @@ def main():
             print(f"   {name:34} parent {p2:.6g} [{p1:.6g} .. {p3:.6g}]  change {c2:.6g} "
                   f"[{c1:.6g} .. {c3:.6g}]  {delta}  won {won}/{len(pairs)} lost {lost}  {verdict}")
     if args.expect_identical and not bad:
+        gains = sorted(name for name, up in moved.items() if up)
+        trades = sorted(name for name, up in moved.items() if not up)
         print("every virtual and count metric, attempted and failed: identical on every pair"
-              + (f", except {', '.join(sorted(moved))}: nowhere worse" if moved else ""))
+              + (f", except {', '.join(gains)}: nowhere worse" if gains else "")
+              + (f"; traded {', '.join(trades)}: nowhere better" if trades else ""))
     return 1 if bad else 0
 
 
