@@ -11,9 +11,10 @@
 //!
 //! A checkpointer truncates the WAL behind the application's checkpoint
 //! horizon and persists a *floor record*: the first sequence number the
-//! truncated WAL still speaks for, plus the timestamp bound it was
-//! truncated at. The floor keeps the group's sequence position durable
-//! even when truncation empties the tail.
+//! truncated WAL still speaks for, the timestamp bound it was truncated
+//! at, and the highest epoch of a dropped frame. The floor keeps the
+//! group's sequence position, clock and epoch durable even when
+//! truncation empties the tail.
 
 use crate::layout::{decode_log_header, LOG_HDR};
 use crate::DestMask;
@@ -80,23 +81,44 @@ pub(crate) fn read_frames(disk: &Disk) -> Vec<WalFrame> {
     disk.get(WAL_FILE).map(|b| parse(&b)).unwrap_or_default()
 }
 
-/// Reads the floor record: `(floor_seq, ts_bound)`. A missing record means
-/// the WAL speaks for the log from sequence number zero.
-pub(crate) fn read_floor(disk: &Disk) -> (u64, u64) {
+/// The floor record: what a truncated prefix of the WAL still speaks for.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Floor {
+    /// First sequence number the truncated WAL still speaks for.
+    pub seq: u64,
+    /// Raw timestamp bound the WAL was truncated at: every dropped frame
+    /// was delivered at or below it.
+    pub ts_bound: u64,
+    /// Highest epoch a dropped frame was delivered in.
+    pub epoch: u64,
+}
+
+/// Reads the floor record. A missing record means the WAL speaks for the
+/// log from sequence number zero.
+pub(crate) fn read_floor(disk: &Disk) -> Floor {
     match disk.get(FLOOR_FILE) {
-        Some(b) if b.len() == 16 => (
-            u64::from_le_bytes(b[..8].try_into().expect("floor word")),
-            u64::from_le_bytes(b[8..].try_into().expect("floor word")),
-        ),
-        _ => (0, 0),
+        Some(b) if b.len() == 16 => {
+            let word = |i: usize| u64::from_le_bytes(b[i..i + 8].try_into().expect("floor word"));
+            Floor {
+                seq: word(0) & 0xFFFF_FFFF,
+                ts_bound: word(8),
+                epoch: word(0) >> 32,
+            }
+        }
+        _ => Floor::default(),
     }
 }
 
-/// Durably replaces the floor record.
-pub(crate) fn write_floor(disk: &Disk, floor_seq: u64, ts_bound: u64) {
+/// Durably replaces the floor record. The epoch rides in the high half of
+/// the sequence word, as it does in the heartbeat word.
+pub(crate) fn write_floor(disk: &Disk, floor: Floor) {
+    assert!(
+        floor.seq >> 32 == 0 && floor.epoch >> 32 == 0,
+        "floor record overflow: {floor:?}"
+    );
     let mut b = Vec::with_capacity(16);
-    b.extend_from_slice(&floor_seq.to_le_bytes());
-    b.extend_from_slice(&ts_bound.to_le_bytes());
+    b.extend_from_slice(&(floor.epoch << 32 | floor.seq).to_le_bytes());
+    b.extend_from_slice(&floor.ts_bound.to_le_bytes());
     disk.put(FLOOR_FILE, &b);
 }
 
@@ -151,9 +173,14 @@ mod tests {
     fn floor_record_round_trips_and_defaults_to_zero() {
         let storage = Storage::default();
         let disk = storage.disk("r0");
-        assert_eq!(read_floor(&disk), (0, 0));
-        write_floor(&disk, 42, 99_000);
-        assert_eq!(read_floor(&disk), (42, 99_000));
+        assert_eq!(read_floor(&disk), Floor::default());
+        let floor = Floor {
+            seq: 42,
+            ts_bound: 99_000,
+            epoch: 7,
+        };
+        write_floor(&disk, floor);
+        assert_eq!(read_floor(&disk), floor);
     }
 
     #[test]

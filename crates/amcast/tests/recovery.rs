@@ -229,3 +229,72 @@ fn single_replica_group_resumes_leading_after_power_loss() {
     assert_eq!(uids.len(), 10, "duplicate delivery");
     assert_eq!(h.mcast.wal_frames(GroupId(0), 0), 10);
 }
+
+/// Truncates every frame of every replica's WAL behind the last delivery,
+/// cuts power to the whole group and recovers it, then sends five more
+/// messages. The booted replicas hold no frame, only the floor record:
+/// the clock they resume from must come from the floor's timestamp bound,
+/// or the new messages would be ordered below deliveries the application
+/// has already applied.
+fn empty_wal_boot_orders_after_the_floor(seed: u64, n: usize) {
+    let h = build_durable(seed, n);
+    let mut plan = FaultPlan::new(seed);
+    for i in 0..n {
+        let id = h.mcast.node(GroupId(0), i).id();
+        plan = plan
+            .power_loss_at(id, Duration::from_millis(8))
+            .recover_at(id, Duration::from_millis(10));
+    }
+    plan.arm(&h.simulation, &h.fabric);
+
+    let logs = h.logs.clone();
+    let mcast = h.mcast.clone();
+    let mut client = h.mcast.client(&h.fabric.add_node("client"));
+    let replicas: Vec<usize> = (0..n).collect();
+    let bound = Arc::new(Mutex::new(0u64));
+    let bound2 = bound.clone();
+    h.simulation.spawn("client", move || {
+        // More messages than a takeover's clock jump (16), so a clock
+        // rebuilt from nothing lands below the last delivery.
+        for i in 0..24u32 {
+            send_until_delivered(&mut client, &logs, &replicas, &i.to_le_bytes());
+        }
+        let last = logs.lock()[0].last().unwrap().1.raw();
+        *bound2.lock() = last;
+        for r in 0..n {
+            assert_eq!(
+                mcast.truncate_wal(GroupId(0), r, last),
+                (24, 0),
+                "replica {r}"
+            );
+        }
+        sim::sleep(Duration::from_millis(10));
+        for i in 24..29u32 {
+            send_until_delivered(&mut client, &logs, &replicas, &i.to_le_bytes());
+        }
+    });
+    h.simulation.run_until(SimTime::from_millis(400)).unwrap();
+
+    let logs = h.logs.lock();
+    let bound = *bound.lock();
+    for r in 0..n {
+        assert_eq!(logs[r].len(), 29, "replica {r} delivered {:?}", logs[r]);
+        for (m, ts) in &logs[r][24..] {
+            assert!(
+                ts.raw() > bound,
+                "replica {r}: {m:?} ordered at {ts:?}, at or below the floor {:?}",
+                Timestamp::from_raw(bound)
+            );
+        }
+    }
+}
+
+#[test]
+fn single_replica_group_boots_from_an_empty_wal_above_its_floor() {
+    empty_wal_boot_orders_after_the_floor(24, 1);
+}
+
+#[test]
+fn whole_group_boots_from_empty_wals_above_their_floor() {
+    empty_wal_boot_orders_after_the_floor(25, 3);
+}
