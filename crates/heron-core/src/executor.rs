@@ -785,9 +785,6 @@ pub(crate) struct Driver {
     events: Mailbox<WorkerEvent>,
     /// Each worker's inbox, by lane.
     lanes: Vec<Mailbox<ToWorker>>,
-    /// The node was down when a pass last looked: nothing is acted on but
-    /// its recovery ([`CRASH`], [`Self::recovered`]).
-    down: bool,
     /// Delivered, not yet dispatched (front dispatches first — strict
     /// delivery order).
     queue: VecDeque<Job>,
@@ -820,33 +817,34 @@ pub(crate) struct Driver {
     replay: Option<Replay>,
 }
 
-/// A step of Algorithm 1's loop: a guard — no side effects — and the
-/// action it gates.
-type Step = (fn(&Driver) -> bool, fn(&mut Driver));
-
-/// Notices the node crashed: nothing else is acted on until it comes back
-/// ([`Driver::recovered`]). A command caught mid-flight keeps going against
-/// failing verbs; the deliveries we miss surface later as a Gap or as failed
-/// remote reads. A crash rings nothing, so no wait watches for one. (A
-/// power cut needs no step: it kills the driver.)
-const CRASH: Step = (|d| !d.down && !d.shared.node.is_alive(), |d| d.down = true);
+/// A step of Algorithm 1's loop.
+enum Step {
+    /// Sits out a crash, if the node is down: nothing is acted on until it
+    /// comes back, and then the pass starts over. A command caught
+    /// mid-flight keeps going against failing verbs; the deliveries we miss
+    /// surface later as a Gap or as failed remote reads. (A power cut needs
+    /// no step: it kills the driver.)
+    Crash,
+    /// A guard — no side effects — and the action it gates.
+    Act(fn(&Driver) -> bool, fn(&mut Driver)),
+}
+use Step::{Act, Crash};
 
 /// One pass of the delivery driver: every step whose guard holds acts, in
 /// this order. Liveness is re-read first and after each step that can
 /// yield before one that acts on the node — posting replies, a serve's
 /// stream.
-const PASS: [Step; 11] = [
-    CRASH,
-    (Driver::recovered, |d| d.down = false),
-    (Driver::events_waiting, Driver::drain_events),
-    CRASH,
-    (Driver::requests_moved, Driver::serve_transfers),
-    CRASH,
-    (Driver::delivery_waiting, Driver::admit),
-    (Driver::all_parked, Driver::resolve_parks),
-    (Driver::gap_resolvable, Driver::resolve_gap),
-    (Driver::dispatchable, Driver::try_dispatch),
-    (Driver::replay_done, |d| d.replay = None),
+const PASS: [Step; 10] = [
+    Crash,
+    Act(Driver::events_waiting, Driver::drain_events),
+    Crash,
+    Act(Driver::requests_moved, Driver::serve_transfers),
+    Crash,
+    Act(Driver::delivery_waiting, Driver::admit),
+    Act(Driver::all_parked, Driver::resolve_parks),
+    Act(Driver::gap_resolvable, Driver::resolve_gap),
+    Act(Driver::dispatchable, Driver::try_dispatch),
+    Act(Driver::replay_done, |d| d.replay = None),
 ];
 
 impl Driver {
@@ -898,48 +896,59 @@ impl Driver {
     }
 
     /// One pass over [`PASS`]: runs each step whose guard holds, in
-    /// order; returns whether any did.
+    /// order; returns whether any did. A crash sat out ends the pass, so
+    /// the next one starts over.
     fn pass(&mut self) -> bool {
         let mut acted = false;
-        for (guard, action) in PASS {
-            if guard(self) {
-                action(self);
-                acted = true;
+        for step in PASS {
+            match step {
+                Crash if !self.shared.node.is_alive() => {
+                    self.sit_out_crash();
+                    return true;
+                }
+                Act(guard, action) if guard(self) => {
+                    action(self);
+                    acted = true;
+                }
+                _ => {}
             }
         }
         acted
     }
 
-    // The guards [`Self::idle_wait`] waits on: each reads an input — a
-    // mailbox, polled memory, liveness. The other guards read only the
-    // driver's own state, which nothing but an action changes.
-
-    /// The node came back since a pass saw it down.
-    fn recovered(&self) -> bool {
-        self.down && self.shared.node.is_alive()
+    /// Waits until the crashed node is back, 1 ms at a time: a crash
+    /// rings nothing, a recovery rings [`ReplicaShared::poller`].
+    fn sit_out_crash(&self) {
+        let alive = || self.shared.node.is_alive();
+        while !alive() {
+            (self.shared.poller).poll_until_timeout(alive, Duration::from_millis(1));
+        }
     }
+
+    // The guards [`Self::idle_wait`] waits on: each reads an input — a
+    // mailbox or polled memory. The other guards read only the
+    // driver's own state, which nothing but an action changes.
 
     /// A worker reported.
     fn events_waiting(&self) -> bool {
-        !self.down && !self.events.is_empty()
+        !self.events.is_empty()
     }
 
     /// A delivery for admission: from the live stream, or from a cold
     /// restart's replay tail, which feeds ahead of it; none while a Gap's
     /// held-back delivery waits for its covering transfer.
     fn delivery_waiting(&self) -> bool {
-        !self.down
-            && match (&self.pending_gap, &self.replay) {
-                (Some(_), _) => false,
-                (None, Some(replay)) => !replay.tail.is_empty(),
-                (None, None) => !self.deliveries.is_empty(),
-            }
+        match (&self.pending_gap, &self.replay) {
+            (Some(_), _) => false,
+            (None, Some(replay)) => !replay.tail.is_empty(),
+            (None, None) => !self.deliveries.is_empty(),
+        }
     }
 
     /// A pending transfer request not seen yet: its rotation counts from
     /// its first sight.
     fn request_unseen(&self) -> bool {
-        !self.down && (self.pending_requests().iter()).any(|k| !self.seen_requests.contains_key(k))
+        (self.pending_requests().iter()).any(|k| !self.seen_requests.contains_key(k))
     }
 
     // The other guards.
@@ -949,25 +958,24 @@ impl Driver {
     /// only then), or one someone else completed.
     fn requests_moved(&self) -> bool {
         self.request_unseen()
-            || !self.down && (self.inflight.is_empty() && self.serve_turn() || self.request_gone())
+            || self.inflight.is_empty() && self.serve_turn()
+            || self.request_gone()
     }
 
     /// Every in-flight command parked (dispatch pauses on the first park,
     /// so runners drain).
     fn all_parked(&self) -> bool {
-        !self.down
-            && !self.inflight.is_empty()
-            && self.inflight.values().all(|f| f.parked.is_some())
+        !self.inflight.is_empty() && self.inflight.values().all(|f| f.parked.is_some())
     }
 
     /// A Gap's held-back delivery, with everything before it drained.
     fn gap_resolvable(&self) -> bool {
-        !self.down && self.pending_gap.is_some() && self.drained()
+        self.pending_gap.is_some() && self.drained()
     }
 
     /// A cold restart's replayed commands all finished.
     fn replay_done(&self) -> bool {
-        !self.down && self.replay.as_ref().is_some_and(|r| r.tail.is_empty()) && self.drained()
+        self.replay.as_ref().is_some_and(|r| r.tail.is_empty()) && self.drained()
     }
 
     /// Nothing queued and nothing in flight.
@@ -1004,8 +1012,7 @@ impl Driver {
     /// serve or a parked worker waits for the pool to drain — both need a
     /// quiesced pool, and feeding it new work would starve them.
     fn dispatchable(&self) -> bool {
-        !self.down
-            && self.front_ready()
+        self.front_ready()
             && !self.inflight.values().any(|f| f.parked.is_some())
             && (self.inflight.is_empty() || !self.serve_turn())
     }
@@ -1329,32 +1336,22 @@ impl Driver {
     /// the guards that read an input — the rest can only turn true through
     /// an action — and on the deadlines of the time-driven one, a seen
     /// request's rotation turn ([`Self::serve_due`]): never busy-wait on a
-    /// request that is not yet our turn. While the node is down it only
-    /// waits for [`Self::recovered`], 1 ms at a time.
+    /// request that is not yet our turn.
     fn idle_wait(&self) {
         let now = sim::now();
-        let timeout = if self.down {
-            Duration::from_millis(1)
-        } else {
-            // Only future turns shorten the wait. A past-due serve still
-            // pending here is blocked on the in-flight drain, and its wake
-            // signal is a worker event; a zero timeout would return without
-            // yielding and freeze the cooperative scheduler.
-            (self.pending_requests().iter())
-                .filter_map(|k| self.serve_due(k)?.checked_sub(now))
-                .filter(|until_due| !until_due.is_zero())
-                .fold(Duration::from_millis(10), Duration::min)
-        };
+        // Only future turns shorten the wait. A past-due serve still pending
+        // here is blocked on the in-flight drain, and its wake signal is a
+        // worker event; a zero timeout would return without yielding and
+        // freeze the cooperative scheduler.
+        let timeout = (self.pending_requests().iter())
+            .filter_map(|k| self.serve_due(k)?.checked_sub(now))
+            .filter(|until_due| !until_due.is_zero())
+            .fold(Duration::from_millis(10), Duration::min);
         // `events` was built on the poller's condition (`spawn_driver`) and
         // `deliveries` owns it, so both mailboxes ring this wait directly;
         // transfer requests land in the subscribed statesync entries.
         self.shared.poller.poll_until_timeout(
-            || {
-                self.recovered()
-                    || self.events_waiting()
-                    || self.delivery_waiting()
-                    || self.request_unseen()
-            },
+            || self.events_waiting() || self.delivery_waiting() || self.request_unseen(),
             timeout,
         );
     }
@@ -1445,7 +1442,6 @@ fn build_driver(
         }),
         events: events.clone(),
         lanes: lanes.clone(),
-        down: false,
         queue: VecDeque::new(),
         inflight: BTreeMap::new(),
         done: BTreeMap::new(),
