@@ -167,9 +167,16 @@ fn nth_ring(region: Addr, idx: usize, slots: usize, entry: usize) -> Ring {
 ///
 /// What the reader finds under its cursor is the whole protocol: a stamp
 /// *below* the cursor is an earlier lap — nothing new; the cursor's own
-/// stamp is the next entry; a stamp *beyond* it means entries were lost
-/// (we were crashed, or the writer lapped the ring), so the cursor jumps to
-/// what is there and the senders' retry paths recover the rest.
+/// stamp is the next entry; a stamp *beyond* it means the writer lapped the
+/// ring, so the cursor jumps to what is there and the senders' retry paths
+/// recover the rest.
+///
+/// A reader that was out — crashed, or booted after a power cut — no longer
+/// knows what its cursor's slot says: writes posted while it was down were
+/// dropped, or its rings were wiped, and the next entry can land anywhere.
+/// Its lanes are *lost* until they next yield an entry: a lost lane reads
+/// every slot, and the oldest stamp at or past the cursor is where it
+/// resumes.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Lane {
     pub ring: Ring,
@@ -179,6 +186,8 @@ pub(crate) struct Lane {
     /// stamped `s` is in this ring's slot for `s`.
     pub payloads: Option<Ring>,
     pub next: u64,
+    /// The reader does not know where in the ring its next entry lands.
+    pub lost: bool,
 }
 
 impl Lane {
@@ -188,6 +197,7 @@ impl Lane {
             hdr,
             payloads: None,
             next: 1,
+            lost: false,
         }
     }
 
@@ -211,36 +221,32 @@ impl Lane {
     }
 
     /// Reader: whether the slot under the cursor holds the cursor's entry
-    /// or a later one.
+    /// or a later one — any slot, if the lane is lost.
     pub fn ready(&self, m: &MemView<'_>) -> bool {
+        if self.lost {
+            return self.stamps_ahead(m).next().is_some();
+        }
         m.word(self.ring.slot(self.next)).unwrap_or(0) >= self.next
     }
 
-    /// Reader: the stamps beyond the cursor anywhere in the ring, in slot
-    /// order. After a power loss wiped the ring, the stale stamps
-    /// [`Self::take`]'s jump relies on are gone and fresh entries can sit
-    /// where the cursor is not looking.
-    pub fn stamps_ahead<'m>(&self, m: &'m MemView<'_>) -> impl Iterator<Item = u64> + 'm {
+    /// Reader: the stamps at or past the cursor anywhere in the ring, in
+    /// slot order: what a lost lane can resume from.
+    fn stamps_ahead<'m>(&self, m: &'m MemView<'_>) -> impl Iterator<Item = u64> + 'm {
         let (ring, next) = (self.ring, self.next);
         (1..=ring.slots as u64)
             .map(move |s| m.word(ring.slot(s)).unwrap_or(0))
-            .filter(move |&stamp| stamp > next)
-    }
-
-    /// Reader: moves a cursor whose slot is unreadable to the oldest stamp
-    /// ahead of it. A readable slot is where [`Self::take`] makes progress
-    /// from — never jump past it.
-    pub fn resync(&mut self, m: &MemView<'_>) {
-        if !self.ready(m) {
-            if let Some(oldest) = self.stamps_ahead(m).min() {
-                self.next = oldest;
-            }
-        }
+            .filter(move |&stamp| stamp >= next)
     }
 
     /// Reader: consumes the entry under the cursor, jumping to it first if
-    /// it is a later one; where its payload sits, and its header.
+    /// it is a later one — or, on a lost lane, to the oldest stamp at or
+    /// past the cursor, which finds the lane; where its payload sits, and
+    /// its header.
     pub fn take<'m>(&mut self, m: &'m MemView<'_>) -> Option<(Addr, &'m [u8])> {
+        if self.lost {
+            self.next = self.stamps_ahead(m).min()?;
+            self.lost = false;
+        }
         loop {
             let addr = self.ring.slot(self.next);
             let hdr = m.bytes(addr, self.hdr).ok()?;
@@ -314,7 +320,7 @@ impl ScanMarks {
         }
     }
 
-    /// Marks every lane: cursors moved other than by consuming.
+    /// Marks every lane: a rejoining replica's lanes are all lost.
     pub fn mark_all(&self) {
         self.sub.mark_all();
         self.ctrl.mark_all();
@@ -635,28 +641,33 @@ mod tests {
     }
 
     #[test]
-    fn resync_goes_to_the_oldest_stamp_ahead_and_never_past_a_readable_slot() {
+    fn a_lost_lane_resumes_at_the_oldest_stamp_at_or_past_its_cursor() {
         let (node, mut lane) = lane_on_a_node();
-        // Wiped under the cursor; 5 and 6 landed since.
+        // Out under the cursor; 5 and 6 landed since, 4 never did.
         lane.next = 4;
         land(&node, &lane, 6);
         land(&node, &lane, 5);
-        node.with_mem(|m| {
-            assert!(!lane.ready(m));
-            assert_eq!(lane.stamps_ahead(m).collect::<Vec<_>>(), [5, 6]);
-            lane.resync(m);
-        });
-        assert_eq!(lane.next, 5);
-        // The cursor's slot holds a later lap: `take` jumps there by
-        // itself, so resync leaves the cursor alone though 3 (landing on
-        // 6) is older.
+        assert!(
+            !node.with_mem(|m| lane.ready(m)),
+            "the cursor's slot is old"
+        );
+        lane.lost = true;
+        assert!(node.with_mem(|m| lane.ready(m)));
+        assert_eq!(drain(&node, &mut lane), [5, 6]);
+        assert!(!lane.lost, "found again");
+        // The cursor's slot holds a later lap (5), but 3 is older: a lost
+        // lane reads it first, where a found one jumps to 5.
         lane.next = 2;
         land(&node, &lane, 3);
-        node.with_mem(|m| lane.resync(m));
-        assert_eq!(lane.next, 2);
-        assert_eq!(drain(&node, &mut lane), [5]);
-        // Nothing ahead: stays put.
-        node.with_mem(|m| lane.resync(m));
+        land(&node, &lane, 4);
+        land(&node, &lane, 5);
+        lane.lost = true;
+        assert_eq!(drain(&node, &mut lane), [3, 4, 5]);
+        // Nothing at or past the cursor: not ready, and still lost.
+        lane.lost = true;
+        assert!(!node.with_mem(|m| lane.ready(m)));
+        assert!(drain(&node, &mut lane).is_empty());
+        assert!(lane.lost);
         assert_eq!(lane.next, 6);
     }
 

@@ -86,12 +86,6 @@ struct State {
     /// checkpoint horizon). Zero on replicas that never reloaded: their
     /// ring still holds whatever the ring window holds.
     log_floor: u64,
-    /// After a power loss wipes the rings, the stale stamps the cursor
-    /// scan's jump-forward relies on are gone; until this deadline every
-    /// pump rescans all lane slots (local reads only, no events). `None`
-    /// until a power loss arms it and again once a pump finds it expired,
-    /// so the wake predicate reads no clock in between.
-    lanes_suspect_until: Option<SimTime>,
 }
 
 /// One multicast replica's protocol driver: the body of the replica
@@ -225,24 +219,10 @@ impl McastReplica {
                 continue;
             }
             if self.node.incarnation() != incarnation {
-                incarnation = self.node.incarnation();
                 // We were crashed and revived (possibly entirely while
-                // parked): rejoin, and rescan the lanes whose writes we
-                // missed.
+                // parked).
+                incarnation = self.node.incarnation();
                 self.rejoin(&mut st);
-                self.resync_lanes(&mut st);
-                // A crash loses volatile ordering state: drop in-flight
-                // proposals/finals (client retries re-learn them) and keep
-                // only what was actually delivered. In particular, a
-                // pre-crash leader's sequencing bookkeeping (`done`,
-                // `finals`) must not survive — a takeover may have replaced
-                // its unreplicated log tail, and reusing stale decisions
-                // would sequence retried messages at obsolete timestamps.
-                st.pending.clear();
-                st.finalized.clear();
-                st.props.clear();
-                st.finals.clear();
-                st.done = st.delivered.clone();
             }
             self.do_work(&mut st);
             if backlog.is_enabled() {
@@ -272,8 +252,8 @@ impl McastReplica {
 
     /// Protocol state of a replica that boots: fresh cursors, and its
     /// lanes registered for marks, every one set. On a node whose power
-    /// was cut it is rebuilt from the disk ([`Self::reload`]); otherwise
-    /// the replica has seen nothing yet.
+    /// was cut it is rebuilt from the disk ([`Self::reload`]) and rejoins;
+    /// otherwise the replica has seen nothing yet.
     fn boot_state(&self) -> State {
         let sizes = &self.inner.sizes;
         let writers = (0..sizes.total_replicas).filter(|&w| w != self.my_global);
@@ -311,10 +291,10 @@ impl McastReplica {
             await_epoch: false,
             entry_epoch_floor: 0,
             log_floor: 0,
-            lanes_suspect_until: None,
         };
         if self.node.power_cycles() > 0 {
             self.reload(&mut st);
+            self.rejoin(&mut st);
         }
         st
     }
@@ -343,39 +323,23 @@ impl McastReplica {
                 "the lane marks missed a landing"
             );
             if lane_ready {
-                return true;
-            }
-            if st.is_leader {
+                true
+            } else if st.is_leader {
                 // New acks?
-                for i in 0..self.n() {
-                    if i == self.idx {
-                        continue;
-                    }
-                    if word(sizes.ack_slot(self.layout, i)) != st.acks_cache[i] {
-                        return true;
-                    }
-                }
-            } else if self.log_head(m, st).is_some()
-                || self.floor_ahead(m, st, !self.ungated_has_work).is_some()
-                || word(self.layout.heartbeat) != st.last_hb_val
-            {
+                (0..self.n())
+                    .filter(|&i| i != self.idx)
+                    .any(|i| word(sizes.ack_slot(self.layout, i)) != st.acks_cache[i])
+            } else {
                 // A log entry or a truncation horizon `follower_apply_log`
                 // will act on — it asks the same two questions, so nothing
                 // it refuses reads as work here — or the heartbeat moved.
                 // (`ungated_has_work` asks about the floor as if the regime
                 // were known, which the consumer does not: the spin the
                 // livelock-detector self-test must catch.)
-                return true;
+                self.log_head(m, st).is_some()
+                    || self.floor_ahead(m, st, !self.ungated_has_work).is_some()
+                    || word(self.layout.heartbeat) != st.last_hb_val
             }
-            // Post-power-loss: wiped lanes can hide fresh writes from the
-            // cursor probes above, so any stamp ahead of a cursor anywhere
-            // in a lane counts as work.
-            st.lanes_suspect_until
-                .is_some_and(|until| sim::now() < until)
-                && st
-                    .lanes
-                    .iter()
-                    .any(|lane| lane.stamps_ahead(m).next().is_some())
         })
     }
 
@@ -413,13 +377,6 @@ impl McastReplica {
 
     fn do_work(&self, st: &mut State) {
         st.ordering_window = 0;
-        if let Some(until) = st.lanes_suspect_until {
-            if sim::now() < until {
-                self.resync_lanes(st);
-            } else {
-                st.lanes_suspect_until = None;
-            }
-        }
         self.scan_lanes(st);
         if st.is_leader {
             // Step down if a successor took over while we were out.
@@ -448,32 +405,36 @@ impl McastReplica {
         }
     }
 
-    /// After a crash, every lane cursor may point at a slot whose write we
-    /// missed. Advance each cursor to the oldest stamp still present that
-    /// is newer than the cursor; the skipped entries are recovered by the
-    /// senders' retry paths. A cursor that jumped may find work where its
-    /// lane read idle before, so every lane is marked.
-    fn resync_lanes(&self, st: &mut State) {
-        self.node
-            .with_mem(|m| st.lanes.iter_mut().for_each(|lane| lane.resync(m)));
-        st.marks.mark_all();
-    }
-
-    /// Rejoins after a crash or a power cut. Our own log tail beyond
-    /// `applied_seq` is suspect — a takeover may have replaced it while we
-    /// were out — so we lead nothing and apply none of it until a fresh
-    /// heartbeat reveals the current regime (`follower_apply_log` then
-    /// requires entries stamped by it or a newer one). The timeout window
-    /// starts afresh: a heartbeat gap that is our own fault starts no
-    /// election.
+    /// The one way back after a failure: run after a crash, and after a
+    /// power cut once the WAL is reloaded. It forgets the volatile
+    /// sequencing state — in-flight proposals and finals, which client
+    /// retries re-learn, and a pre-crash leader's bookkeeping: a takeover
+    /// may have replaced its unreplicated log tail, and stale decisions
+    /// would sequence retried messages at obsolete timestamps — keeping
+    /// only what was delivered. For the same reason our own log tail beyond
+    /// `applied_seq` is suspect: a replica with peers leads nothing and
+    /// applies none of it until a fresh heartbeat reveals the current
+    /// regime (`follower_apply_log` then requires entries stamped by it or
+    /// a newer one), while a single-replica group's log is the whole
+    /// committed log, so it leads at once. The timeout window starts
+    /// afresh: a heartbeat gap that is our own fault starts no election.
+    /// Every lane is lost: writes posted while we were out were dropped,
+    /// or our rings were wiped.
     fn rejoin(&self, st: &mut State) {
+        st.pending.clear();
+        st.finalized.clear();
+        st.props.clear();
+        st.finals.clear();
+        st.done = st.delivered.clone();
+        let alone = self.n() == 1;
+        (st.is_leader, st.await_epoch) = (alone, !alone);
         st.last_hb_change = sim::now();
-        st.is_leader = false;
-        st.await_epoch = true;
         st.last_hb_val = self
             .node
             .local_read_word(self.layout.heartbeat)
             .unwrap_or(0);
+        st.lanes.iter_mut().for_each(|lane| lane.lost = true);
+        st.marks.mark_all();
     }
 
     /// Rebuilds protocol state on a node whose power was cut: its
@@ -498,10 +459,6 @@ impl McastReplica {
         // Boot-readiness watermark advanced: progress for the explorer's
         // zero-virtual-time livelock guards.
         sim::note_progress();
-        self.rejoin(st);
-        // Wiped lanes lose the stale stamps the cursor scan's jump-forward
-        // relies on; rescan all slots for a while (local reads only).
-        st.lanes_suspect_until = Some(sim::now() + 32 * LEADER_TIMEOUT);
         let Some(disk) = &self.wal_disk else {
             return;
         };
@@ -542,13 +499,6 @@ impl McastReplica {
                 .local_write(self.inner.sizes.log_slot(self.layout, f.seq), &buf);
         }
         let _ = self.node.local_write_word(self.layout.log_seq, end);
-        if self.n() == 1 {
-            // Single-replica group: we are the only possible leader and our
-            // WAL is the whole committed log; resume leading immediately.
-            st.await_epoch = false;
-            st.is_leader = true;
-            return;
-        }
         // Post our reloaded position into every live peer's ack array so a
         // surviving leader's retransmission path sees where we really are
         // (the ack word otherwise only advances on apply progress).
@@ -621,10 +571,14 @@ impl McastReplica {
             return; // duplicate of an already-sequenced message
         }
         if !st.is_leader {
-            // Forward to the current leader of our group.
+            // Forward to the current leader of our group — unless our epoch
+            // names us, as a rejoining replica's stale one may: nobody
+            // reads our own lane, and the client's retry finds the leader.
             let leader = leader_for_epoch(st.epoch, self.n());
-            let target = self.inner.global_idx(self.group, leader);
-            self.forward(st, target, uid, mask, payload);
+            if leader != self.idx {
+                let target = self.inner.global_idx(self.group, leader);
+                self.forward(st, target, uid, mask, payload);
+            }
             return;
         }
         sim::trace::instant("mcast.ingest", u64::from(uid));
@@ -1366,14 +1320,16 @@ mod tests {
     fn has_work_word_by_word(r: &McastReplica, st: &State) -> bool {
         let sizes = &r.inner.sizes;
         let word = |addr| r.node.local_read_word(addr).unwrap_or(0);
-        // The slot under a lane's cursor holds that stamp or a later one.
-        let cursor_hit = st.lanes.iter().any(|l| word(l.ring.slot(l.next)) >= l.next);
-        // Any slot of any lane holds a stamp beyond the lane's cursor.
-        let stamp_ahead = || {
-            st.lanes
-                .iter()
-                .any(|l| (1..=l.ring.slots as u64).any(|s| word(l.ring.slot(s)) > l.next))
-        };
+        // The slot under a lane's cursor holds that stamp or a later one —
+        // any slot, if the lane is lost.
+        let lane_hit = st.lanes.iter().any(|l| {
+            let mut slots = if l.lost {
+                1..=l.ring.slots as u64
+            } else {
+                l.next..=l.next
+            };
+            slots.any(|s| word(l.ring.slot(s)) >= l.next)
+        });
         let role = if st.is_leader {
             (0..r.n())
                 .filter(|&i| i != r.idx)
@@ -1386,10 +1342,7 @@ mod tests {
                     && word(r.layout.log_floor) > st.applied_seq)
                 || word(r.layout.heartbeat) != st.last_hb_val
         };
-        let suspect = st
-            .lanes_suspect_until
-            .is_some_and(|until| sim::now() < until);
-        cursor_hit || role || (suspect && stamp_ahead())
+        lane_hit || role
     }
 
     /// Runs `body` as a simulated process over a 2 × 3 deployment whose
@@ -1457,10 +1410,10 @@ mod tests {
         false
     }
 
-    /// One randomised replica: cursors and gates in `st`, a few well-formed
-    /// entries and words scattered over its lanes, log, acks and control
-    /// words, landing partly before and partly after a wake that unmarks
-    /// the lanes it reads idle. Returns `has_work`, the oracle's answer,
+    /// One randomised replica: cursors, lost lanes and gates in `st`, a
+    /// few well-formed entries and words scattered over its lanes, log,
+    /// acks and control words, landing partly before and partly after a
+    /// wake that unmarks the lanes it reads idle. Returns `has_work`, the oracle's answer,
     /// whether a lane that wake unmarked was marked again by a later
     /// landing, and — for a follower whose gate is intact — whether pumping
     /// drains the predicate.
@@ -1468,18 +1421,17 @@ mod tests {
         let sabotaged = any::<bool>().generate(rng);
         let idx = (0usize..3).generate(rng);
         let small = 0u64..5;
-        let cursors = prop::collection::vec(1u64..5, 2 + 5).generate(rng);
-        let gates = prop::collection::vec(any::<bool>(), 3).generate(rng);
+        let cursors = prop::collection::vec((1u64..5, any::<bool>()), 2 + 5).generate(rng);
+        let gates = prop::collection::vec(any::<bool>(), 2).generate(rng);
         let scalars = prop::collection::vec(small.clone(), 5).generate(rng);
         let writes =
             prop::collection::vec((0usize..6, 0usize..6, 1u64..7, small), 0..4).generate(rng);
         let wake_after = (0usize..4).generate(rng);
         with_replica(sabotaged, idx, move |r, mut st| {
-            for (lane, cursor) in st.lanes.iter_mut().zip(cursors) {
-                lane.next = cursor;
+            for (lane, (cursor, lost)) in st.lanes.iter_mut().zip(cursors) {
+                (lane.next, lane.lost) = (cursor, lost);
             }
             (st.is_leader, st.await_epoch) = (gates[0], gates[1]);
-            st.lanes_suspect_until = gates[2].then(|| SimTime::from_millis(1));
             (st.applied_seq, st.entry_epoch_floor, st.last_hb_val) =
                 (scalars[0], scalars[1], scalars[2]);
             st.acks_cache = vec![scalars[3], scalars[4], scalars[3]];
@@ -1584,12 +1536,12 @@ mod tests {
         }
     }
 
-    /// A lane read idle is unmarked, and only a landing or a cursor jump
-    /// marks it again: after a power loss wiped the slot under a cursor,
-    /// `resync_lanes` jumps it to entries that landed where it was not
-    /// looking, and the lane must be read again.
+    /// A lane read idle is unmarked, and only a landing or a rejoin marks
+    /// it again: entries that landed where the cursor was not looking are
+    /// found by the lost lane a rejoin leaves, so the lane must be read
+    /// again.
     #[test]
-    fn a_resync_that_jumps_a_cursor_marks_its_lane() {
+    fn a_rejoin_marks_its_lost_lanes() {
         let (before, after) = with_replica(false, 1, |r, mut st| {
             let lane = st.lanes[0];
             st.lanes[0].next = 4;
@@ -1599,11 +1551,59 @@ mod tests {
             }
             let before = r.has_work(&st);
             assert_eq!(st.marks.next(0), None, "every lane read idle");
-            r.resync_lanes(&mut st);
-            assert_eq!(st.lanes[0].next, 5);
+            r.rejoin(&mut st);
+            assert!(st.lanes.iter().all(|lane| lane.lost));
             (before, r.has_work(&st))
         });
         assert_eq!((before, after), (false, true));
+    }
+
+    /// The writer posted 4 and 5 while we were down, and both were dropped;
+    /// after the rejoin, 6 lands in a slot the cursor at 4 is not looking
+    /// at. The lost lane reads it at once, not when the writer laps the
+    /// ring.
+    #[test]
+    fn a_rejoined_lane_reads_past_a_hole_left_while_it_was_down() {
+        let (ready, next) = with_replica(false, 1, |r, mut st| {
+            st.lanes[0].next = 4;
+            r.rejoin(&mut st);
+            let entry = encode_sub(6, 6, 0b10, &[]);
+            r.node
+                .local_write(st.lanes[0].ring.slot(6), &entry)
+                .unwrap();
+            let ready = r.has_work(&st);
+            r.scan_lanes(&mut st);
+            (ready, st.lanes[0].next)
+        });
+        assert_eq!((ready, next), (true, 7));
+    }
+
+    /// After a rejoin, replica 0 of group 1 is a follower whose epoch (0)
+    /// names itself as leader: a submission it takes in is dropped, not
+    /// posted into its own control lane, which nobody reads. Replica 1
+    /// forwards to replica 0: a header and a payload.
+    #[test]
+    fn a_replica_never_forwards_to_itself() {
+        let posted = in_small_cluster(false, |mcast| {
+            let stats = mcast.fabric().stats();
+            let writes = || {
+                stats
+                    .posted_writes
+                    .load(std::sync::atomic::Ordering::Relaxed)
+            };
+            (0..2)
+                .map(|idx| {
+                    let r = mcast.replica(GroupId(1), idx);
+                    let mut st = r.boot_state();
+                    r.rejoin(&mut st);
+                    assert!(!st.is_leader && leader_for_epoch(st.epoch, r.n()) == 0);
+                    let before = writes();
+                    r.handle_submission(&mut st, 9, 0b10, payload_of(9));
+                    writes() - before
+                })
+                .collect::<Vec<_>>()
+        });
+        assert_eq!(posted, [0, 2]);
     }
 
     /// Replica 1 of group 1 forwards `uids` to its leader, replica 0, in

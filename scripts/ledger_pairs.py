@@ -13,7 +13,9 @@ writing the change. Per workload it prints every pair, then for each host
 metric both medians with quartiles, the pairs the change won, and `gain` /
 `WORSE` where one side wins >= 9/10 of the pairs and the medians differ by
 more than the parent's own inter-quartile distance (choosing-metrics,
-section 8); anything less is noise, not a result.
+section 8); anything less is noise, not a result. A row of fewer than
+`VERDICT_PAIRS` pairs gets no verdict at all, only "no verdict (n pairs)":
+with one pair the quartile distance is 0 and one win is every pair.
 
 Which clock a unit is on and how quartiles are taken are `run.py`'s rules,
 imported from the change checkout's copy rather than restated here.
@@ -35,6 +37,9 @@ import json
 import os
 import subprocess
 import sys
+
+# The fewest pairs a host row needs before it gets a `gain` / `WORSE` verdict.
+VERDICT_PAIRS = 10
 
 
 def contract_run(checkout, workload, seed, trace):
@@ -121,7 +126,8 @@ def main():
             lost = sum(sign * c > sign * p for p, c in pairs)
             (p1, p2, p3), (c1, c2, c3) = (run.quartiles([x[i] for x in pairs]) for i in (0, 1))
             clear = abs(p2 - c2) > p3 - p1
-            verdict = ("gain" if clear and won >= 0.9 * len(pairs) else
+            verdict = (f"no verdict ({len(pairs)} pairs)" if len(pairs) < VERDICT_PAIRS else
+                       "gain" if clear and won >= 0.9 * len(pairs) else
                        "WORSE" if clear and lost >= 0.9 * len(pairs) else "")
             delta = f"{(c2 / p2 - 1) * 100:+.1f} %" if p2 else "n/a"
             print(f"   {name:34} parent {p2:.6g} [{p1:.6g} .. {p3:.6g}]  change {c2:.6g} "
