@@ -123,6 +123,7 @@ impl Mcast {
                     ctrl: node.alloc_bytes(sizes.ctrl_region()),
                     fwd: node.alloc_bytes(sizes.fwd_region()),
                     log: node.alloc_bytes(sizes.log_region()),
+                    log_spill: node.alloc_bytes(sizes.spill_region()),
                     log_seq: node.alloc_words(1),
                     acks: node.alloc_bytes(cfg.replicas_per_group * WORD),
                     heartbeat: node.alloc_words(1),
@@ -299,34 +300,48 @@ impl Mcast {
             >> 32
     }
 
-    /// Annotates every ordering-layer memory region as
-    /// [`rdma_sim::RegionKind::Sync`] for the race detector: the
-    /// submission rings, control lanes and forward rings, log, acks and
-    /// heartbeats are
-    /// synchronization memory by design — unsynchronized one-sided access
-    /// to them *is* the protocol's coordination, so reads acquire, writes
-    /// release, and the generic data-race checks do not apply.
-    fn annotate_sync_regions(&self, detector: &rdma_sim::RaceDetector) {
+    /// The ordering layer's regions on replica `(group, idx)`'s node, by
+    /// name, address and length: the submission lanes (`sub`), control
+    /// lanes (`ctrl`) and forward rings (`fwd`), the log and its spill ring
+    /// (`log`, `log-spill`), and the `log-seq`, `acks`, `heartbeat`,
+    /// `log-floor` and `boot-gen` words. [`rdma_sim::Node::resident_pages`]
+    /// counts what runs commit of each.
+    pub fn regions(
+        &self,
+        group: GroupId,
+        idx: usize,
+    ) -> [(&'static str, rdma_sim::Addr, usize); 10] {
         let sizes = &self.inner.sizes;
+        let layout = &self.inner.layouts[self.inner.global_idx(group, idx)];
+        [
+            ("sub", layout.sub, sizes.sub_region()),
+            ("ctrl", layout.ctrl, sizes.ctrl_region()),
+            ("fwd", layout.fwd, sizes.fwd_region()),
+            ("log", layout.log, sizes.log_region()),
+            ("log-spill", layout.log_spill, sizes.spill_region()),
+            ("log-seq", layout.log_seq, WORD),
+            (
+                "acks",
+                layout.acks,
+                self.inner.cfg.replicas_per_group * WORD,
+            ),
+            ("heartbeat", layout.heartbeat, WORD),
+            ("log-floor", layout.log_floor, WORD),
+            ("boot-gen", layout.boot_gen, WORD),
+        ]
+    }
+
+    /// Annotates every ordering-layer memory region ([`Self::regions`]) as
+    /// [`rdma_sim::RegionKind::Sync`] for the race detector: the
+    /// submission rings, control lanes and forward rings, log and spill
+    /// ring, acks and heartbeats are synchronization memory by design —
+    /// unsynchronized one-sided access to them *is* the protocol's
+    /// coordination, so reads acquire, writes release, and the generic
+    /// data-race checks do not apply.
+    fn annotate_sync_regions(&self, detector: &rdma_sim::RaceDetector) {
         for (g, group) in self.inner.nodes.iter().enumerate() {
             for (i, node) in group.iter().enumerate() {
-                let layout = &self.inner.layouts[self.inner.global_idx(GroupId(g as u16), i)];
-                let regions: [(rdma_sim::Addr, usize, &str); 9] = [
-                    (layout.sub, sizes.sub_region(), "sub"),
-                    (layout.ctrl, sizes.ctrl_region(), "ctrl"),
-                    (layout.fwd, sizes.fwd_region(), "fwd"),
-                    (layout.log, sizes.log_region(), "log"),
-                    (layout.log_seq, WORD, "log-seq"),
-                    (
-                        layout.acks,
-                        self.inner.cfg.replicas_per_group * WORD,
-                        "acks",
-                    ),
-                    (layout.heartbeat, WORD, "heartbeat"),
-                    (layout.log_floor, WORD, "log-floor"),
-                    (layout.boot_gen, WORD, "boot-gen"),
-                ];
-                for (addr, len, what) in regions {
+                for (what, addr, len) in self.regions(GroupId(g as u16), i) {
                     detector.annotate(
                         node,
                         addr,

@@ -12,7 +12,12 @@
 //!   the header and the payload to the slots of one stamp behind one
 //!   doorbell, so both land at one instant and the lane alone orders them;
 //! * the group **log** (the leader replicates sequenced entries here), plus
-//!   a `log_seq` word advertising the highest contiguous entry stored;
+//!   a `log_seq` word advertising the highest contiguous entry stored. A
+//!   log slot is [`LOG_SLOT`] bytes whatever `max_payload` is: a header
+//!   and [`LOG_INLINE`] bytes of room behind it, which every request of
+//!   the benchmark workloads fits. A longer payload spills to the log's
+//!   **spill ring**, one `max_payload` slot per log slot, and the leader
+//!   posts the header and the payload behind one doorbell, as a forward's;
 //! * an **ack array** (one word per group member; followers post their
 //!   applied sequence number into the leader's array);
 //! * a **heartbeat word** (the leader posts `epoch << 32 | counter`);
@@ -26,7 +31,13 @@
 //! its stamp equals the reader's expected counter ([`Lane`] is that rule,
 //! for both ends). RC FIFO delivery makes this safe without any atomic
 //! read-modify-write on the critical path. Where an entry's payload sits is
-//! [`Lane::payload_at`], asked by the writer and the reader alike.
+//! [`Lane::payload_at`], asked by the writer and the reader alike: behind
+//! its header if it fits the slot's room, else in the lane's side ring, in
+//! the slot of its stamp. A submission slot has room for any payload; a
+//! control slot has none, so a forwarded payload is in the forward ring; a
+//! log slot has room for [`LOG_INLINE`] bytes. [`Lane::writes`] is the
+//! writer's half of the rule: the one or two writes that put an entry in
+//! place.
 
 use crate::config::McastConfig;
 use crate::DestMask;
@@ -43,6 +54,16 @@ pub(crate) const SUB_HDR: usize = 4 * WORD; // stamp, uid, mask, len
 pub(crate) const CTRL_HDR: usize = 6 * WORD; // stamp, kind, uid, a, b, len
 pub(crate) const LOG_HDR: usize = 6 * WORD; // stamp, uid, mask, ts, epoch, len
 
+/// Bytes per log slot: a log entry's header and the room its payload has
+/// behind it. A slot is sized for the entries runs write, not for the
+/// largest payload a deployment admits: its pages are registered memory a
+/// follower commits for every entry it stores.
+pub const LOG_SLOT: usize = 256;
+
+/// The largest payload a log slot holds behind its header; a longer one
+/// spills to the log's spill ring.
+pub const LOG_INLINE: usize = LOG_SLOT - LOG_HDR;
+
 /// Byte addresses of the multicast regions on one replica node.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct NodeLayout {
@@ -51,6 +72,8 @@ pub(crate) struct NodeLayout {
     /// Forwarded payloads: one ring per writer, beside its control lane.
     pub fwd: Addr,
     pub log: Addr,
+    /// Payloads too long for their log slot: one slot per log slot.
+    pub log_spill: Addr,
     pub log_seq: Addr,
     pub acks: Addr,
     pub heartbeat: Addr,
@@ -67,8 +90,8 @@ pub(crate) struct NodeLayout {
 pub(crate) struct Sizes {
     pub sub_entry: usize,
     pub ctrl_entry: usize,
-    pub fwd_entry: usize,
-    pub log_entry: usize,
+    /// A side-ring slot (forward ring, spill ring): one whole payload.
+    pub payload_entry: usize,
     pub sub_slots: usize,
     pub ctrl_slots: usize,
     pub log_slots: usize,
@@ -82,8 +105,7 @@ impl Sizes {
         Sizes {
             sub_entry: SUB_HDR + round8(cfg.max_payload),
             ctrl_entry: CTRL_HDR,
-            fwd_entry: round8(cfg.max_payload),
-            log_entry: LOG_HDR + round8(cfg.max_payload),
+            payload_entry: round8(cfg.max_payload),
             sub_slots: cfg.sub_slots,
             ctrl_slots: cfg.ctrl_slots,
             log_slots: cfg.log_slots,
@@ -102,11 +124,15 @@ impl Sizes {
     }
 
     pub fn fwd_region(&self) -> usize {
-        self.total_replicas * self.ctrl_slots * self.fwd_entry
+        self.total_replicas * self.ctrl_slots * self.payload_entry
     }
 
     pub fn log_region(&self) -> usize {
-        self.log_slots * self.log_entry
+        self.log_slots * LOG_SLOT
+    }
+
+    pub fn spill_region(&self) -> usize {
+        self.log_slots * self.payload_entry
     }
 
     /// Client `client`'s submission lane on the node laid out as `base`.
@@ -126,7 +152,7 @@ impl Sizes {
     /// same stamp.
     pub fn fwd_ring(&self, base: NodeLayout, writer: usize) -> Ring {
         debug_assert!(writer < self.total_replicas);
-        nth_ring(base.fwd, writer, self.ctrl_slots, self.fwd_entry)
+        nth_ring(base.fwd, writer, self.ctrl_slots, self.payload_entry)
     }
 
     /// Writer node `writer`'s control lane on the node laid out as `base`,
@@ -139,10 +165,19 @@ impl Sizes {
         }
     }
 
-    /// Address of the log slot holding sequence number `seq`: the log is a
-    /// ring its leader stamps with `seq + 1`.
-    pub fn log_slot(&self, base: NodeLayout, seq: u64) -> Addr {
-        nth_ring(base.log, 0, self.log_slots, self.log_entry).slot(seq + 1)
+    /// The group log on the node laid out as `base`: a ring its leader
+    /// stamps with `seq + 1`, whose payloads too long for a slot are in
+    /// the spill ring's slot of the same stamp.
+    pub fn log_end(&self, base: NodeLayout) -> Lane {
+        Lane {
+            payloads: Some(nth_ring(
+                base.log_spill,
+                0,
+                self.log_slots,
+                self.payload_entry,
+            )),
+            ..Lane::new(nth_ring(base.log, 0, self.log_slots, LOG_SLOT), LOG_HDR)
+        }
     }
 
     /// Address of group member `idx`'s word in the ack array.
@@ -163,7 +198,8 @@ fn nth_ring(region: Addr, idx: usize, slots: usize, entry: usize) -> Ring {
 
 /// One end of a single-writer lane: its ring, the header every entry
 /// leads with, where payloads sit, and the next stamp this end writes (the
-/// writer's end) or consumes (the reader's cursor).
+/// writer's end) or consumes (the reader's cursor). The group log is one
+/// too ([`Sizes::log_end`]): its leader writes the stamp `seq + 1`.
 ///
 /// What the reader finds under its cursor is the whole protocol: a stamp
 /// *below* the cursor is an earlier lap — nothing new; the cursor's own
@@ -181,9 +217,9 @@ fn nth_ring(region: Addr, idx: usize, slots: usize, entry: usize) -> Ring {
 pub(crate) struct Lane {
     pub ring: Ring,
     pub hdr: usize,
-    /// `None`: an entry's payload follows its header in the slot. A ring:
-    /// the lane's slots hold headers only, and the payload of the entry
-    /// stamped `s` is in this ring's slot for `s`.
+    /// The side ring of payloads too long for the room behind a header:
+    /// the payload of such an entry stamped `s` is in this ring's slot for
+    /// `s`. `None`: every payload fits its slot.
     pub payloads: Option<Ring>,
     pub next: u64,
     /// The reader does not know where in the ring its next entry lands.
@@ -201,14 +237,42 @@ impl Lane {
         }
     }
 
-    /// Where the payload of the entry stamped `stamp` sits, its header
-    /// being at `slot`. A slot is shared by the stamps of every lap, and so
-    /// is its payload slot: what lands there is one stamp's entry.
-    pub fn payload_at(&self, stamp: u64, slot: Addr) -> Addr {
+    /// The payload bytes a slot holds behind its header.
+    pub fn room(&self) -> usize {
+        self.ring.entry - self.hdr
+    }
+
+    /// Where the `len`-byte payload of the entry stamped `stamp` sits, its
+    /// header being at `slot`: behind the header if it fits the slot's
+    /// room, else in the side ring's slot for `stamp`. A slot is shared by
+    /// the stamps of every lap, and so is its side slot: what lands there
+    /// is one stamp's entry.
+    pub fn payload_at(&self, stamp: u64, slot: Addr, len: usize) -> Addr {
         match self.payloads {
-            None => slot.offset(self.hdr as u64),
-            Some(ring) => ring.slot(stamp),
+            Some(ring) if len > self.room() => ring.slot(stamp),
+            _ => {
+                debug_assert!(len <= self.room(), "a payload longer than its slot");
+                slot.offset(self.hdr as u64)
+            }
         }
+    }
+
+    /// Writer: the writes that put `entry` — a header, then its payload —
+    /// in the slot of `stamp`, for one doorbell: the entry whole when its
+    /// payload fits behind the header, else the header, then the payload
+    /// in its side slot. A doorbell's writes land at one instant, so a
+    /// reader that sees the stamp sees the payload.
+    pub fn writes<'e>(
+        &self,
+        stamp: u64,
+        entry: &'e [u8],
+    ) -> impl Iterator<Item = (Addr, &'e [u8])> {
+        let slot = self.ring.slot(stamp);
+        let (hdr, payload) = entry.split_at(self.hdr);
+        let at = self.payload_at(stamp, slot, payload.len());
+        let spilled = at != slot.offset(self.hdr as u64);
+        let first = if spilled { hdr } else { entry };
+        std::iter::once((slot, first)).chain(spilled.then_some((at, payload)))
     }
 
     /// Writer: takes the next stamp; the stamp and the slot its entry goes
@@ -240,8 +304,8 @@ impl Lane {
 
     /// Reader: consumes the entry under the cursor, jumping to it first if
     /// it is a later one — or, on a lost lane, to the oldest stamp at or
-    /// past the cursor, which finds the lane; where its payload sits, and
-    /// its header.
+    /// past the cursor, which finds the lane; its slot and its header
+    /// ([`Self::payload_at`] says where its payload is).
     pub fn take<'m>(&mut self, m: &'m MemView<'_>) -> Option<(Addr, &'m [u8])> {
         if self.lost {
             self.next = self.stamps_ahead(m).min()?;
@@ -256,7 +320,7 @@ impl Lane {
             }
             if stamp == self.next {
                 self.next += 1;
-                return Some((self.payload_at(stamp, addr), hdr));
+                return Some((addr, hdr));
             }
             self.next = stamp;
         }
@@ -328,11 +392,11 @@ impl ScanMarks {
 }
 
 // ---------------------------------------------------------------------
-// Entry codecs. An entry is written with a single RDMA write whose first
-// word is the stamp, or — a forward's header and payload — with two writes
-// behind one doorbell, so a reader that observes the stamp observes the
-// whole entry (a doorbell's writes land atomically at one virtual
-// instant).
+// Entry codecs. An entry is its header, whose first word is the stamp,
+// then its payload. It is written with a single RDMA write, or — a header
+// and a payload in a side ring ([`Lane::writes`]) — with two writes behind
+// one doorbell, so a reader that observes the stamp observes the whole
+// entry (a doorbell's writes land atomically at one virtual instant).
 // ---------------------------------------------------------------------
 
 fn put_word(buf: &mut Vec<u8>, v: u64) {
@@ -399,23 +463,24 @@ impl CtrlKind {
     }
 }
 
-/// Encodes a control entry, which is a header alone: `len` counts the
-/// payload bytes a forward carries in its forward-ring slot.
+/// Encodes a control entry. Only a forward carries a payload, and a
+/// control slot has no room for one: it lands in the forward ring.
 pub(crate) fn encode_ctrl(
     stamp: u64,
     kind: CtrlKind,
     uid: u32,
     a: u64,
     b: u64,
-    len: usize,
+    payload: &[u8],
 ) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(CTRL_HDR);
+    let mut buf = Vec::with_capacity(CTRL_HDR + payload.len());
     put_word(&mut buf, stamp);
     put_word(&mut buf, kind.to_word());
     put_word(&mut buf, u64::from(uid));
     put_word(&mut buf, a);
     put_word(&mut buf, b);
-    put_word(&mut buf, len as u64);
+    put_word(&mut buf, payload.len() as u64);
+    buf.extend_from_slice(payload);
     buf
 }
 
@@ -491,8 +556,8 @@ mod tests {
     #[test]
     fn ctrl_entry_round_trips_all_kinds() {
         for kind in [CtrlKind::Proposal, CtrlKind::Final, CtrlKind::FwdSub] {
-            let buf = encode_ctrl(1, kind, 9, 3, 77, 1);
-            assert_eq!(buf.len(), CTRL_HDR);
+            let buf = encode_ctrl(1, kind, 9, 3, 77, b"p");
+            assert_eq!(buf.len(), CTRL_HDR + 1);
             let (stamp, k, uid, a, b, len) = decode_ctrl_header(&buf);
             assert_eq!((stamp, k, uid, a, b, len), (1, Some(kind), 9, 3, 77, 1));
         }
@@ -500,7 +565,7 @@ mod tests {
 
     #[test]
     fn unknown_ctrl_kind_is_none() {
-        let buf = encode_ctrl(1, CtrlKind::Proposal, 0, 0, 0, 0);
+        let buf = encode_ctrl(1, CtrlKind::Proposal, 0, 0, 0, &[]);
         let mut bad = buf.clone();
         bad[8..16].copy_from_slice(&99u64.to_le_bytes());
         let (_, k, ..) = decode_ctrl_header(&bad[..CTRL_HDR]);
@@ -524,12 +589,14 @@ mod tests {
         let ctrl = sizes.sub_region();
         let fwd = ctrl + sizes.ctrl_region();
         let log = fwd + sizes.fwd_region();
+        let spill = log + sizes.log_region();
         let base = NodeLayout {
             sub: Addr(0),
             ctrl: Addr(ctrl as u64),
             fwd: Addr(fwd as u64),
             log: Addr(log as u64),
-            log_seq: Addr(0),
+            log_spill: Addr(spill as u64),
+            log_seq: Addr((spill + sizes.spill_region()) as u64),
             acks: Addr(0),
             heartbeat: Addr(0),
             log_floor: Addr(0),
@@ -547,25 +614,24 @@ mod tests {
         // A control slot is a header; a forward ring slot holds a payload,
         // one per control slot, and it wraps with its lane.
         assert_eq!(sizes.ctrl_entry, CTRL_HDR);
-        assert_eq!(sizes.fwd_entry, round8(cfg.max_payload));
+        assert_eq!(sizes.payload_entry, round8(cfg.max_payload));
         let slots = sizes.ctrl_slots as u64;
         for writer in 0..sizes.total_replicas {
             let end = sizes.ctrl_end(base, writer);
             let payloads = end.payloads.expect("a control lane has a forward ring");
             assert_eq!(payloads, sizes.fwd_ring(base, writer));
             assert_eq!(payloads.slots, end.ring.slots);
+            assert_eq!(end.room(), 0);
             // Writer by writer, lanes and rings follow each other with no
             // gap and no overlap.
             assert_eq!(end.ring.base.0, (ctrl + writer * end.ring.size()) as u64);
             assert_eq!(payloads.base.0, (fwd + writer * payloads.size()) as u64);
             for stamp in [1, 2, slots, slots + 1, 3 * slots + 2] {
                 let slot = end.ring.slot(stamp);
-                let at = end.payload_at(stamp, slot);
+                let at = end.payload_at(stamp, slot, 1);
                 assert_eq!(at, payloads.slot(stamp));
-                assert_eq!(
-                    at,
-                    end.payload_at(stamp + slots, end.ring.slot(stamp + slots))
-                );
+                let lap = stamp + slots;
+                assert_eq!(at, end.payload_at(lap, end.ring.slot(lap), 1));
             }
         }
         // The regions tile: the last lane ends where the forward rings
@@ -574,14 +640,80 @@ mod tests {
         assert_eq!(last.ring.base.0 + last.ring.size() as u64, fwd as u64);
         let payloads = last.payloads.expect("a forward ring");
         assert_eq!(payloads.base.0 + payloads.size() as u64, log as u64);
-        // A lane without a forward ring keeps its payload behind the header.
-        assert_eq!(lane.slot(2).offset(SUB_HDR as u64), {
-            Lane::new(lane, SUB_HDR).payload_at(2, lane.slot(2))
-        });
-        // The log is the ring its leader stamps with `seq + 1`.
-        assert_eq!(sizes.log_slot(base, 0), base.log);
-        let wrap = sizes.log_slot(base, sizes.log_slots as u64 + 1);
-        assert_eq!(wrap, base.log.offset(sizes.log_entry as u64));
+        // A submission slot has room for any payload, behind its header.
+        let sub = Lane::new(lane, SUB_HDR);
+        assert_eq!(sub.room(), round8(cfg.max_payload));
+        let at = sub.payload_at(2, lane.slot(2), cfg.max_payload);
+        assert_eq!(at, lane.slot(2).offset(SUB_HDR as u64));
+        // The log is the ring its leader stamps with `seq + 1`, one
+        // `LOG_SLOT` a sequence number; the spill ring follows it, one
+        // payload slot per log slot, and ends where `log_seq` starts.
+        let log_end = sizes.log_end(base);
+        assert_eq!(log_end.room(), LOG_INLINE);
+        assert_eq!(log_end.ring.slot(1), base.log);
+        let wrap = log_end.ring.slot(sizes.log_slots as u64 + 2);
+        assert_eq!(wrap, base.log.offset(LOG_SLOT as u64));
+        assert_eq!(
+            log_end.ring.base.0 + log_end.ring.size() as u64,
+            spill as u64
+        );
+        let side = log_end.payloads.expect("a spill ring");
+        assert_eq!(
+            (side.slots, side.entry),
+            (sizes.log_slots, sizes.payload_entry)
+        );
+        assert_eq!(side.base.0 + side.size() as u64, base.log_seq.0);
+        // A payload that fits stays behind its header; one byte more spills
+        // to the slot of its own stamp, on every lap.
+        for seq in [0, 1, sizes.log_slots as u64 - 1, sizes.log_slots as u64 + 3] {
+            let (stamp, slot) = (seq + 1, log_end.ring.slot(seq + 1));
+            let inline = log_end.payload_at(stamp, slot, LOG_INLINE);
+            assert_eq!(inline, slot.offset(LOG_HDR as u64));
+            assert_eq!(
+                log_end.payload_at(stamp, slot, LOG_INLINE + 1),
+                side.slot(stamp)
+            );
+        }
+    }
+
+    /// An entry goes in place whole while its payload fits the slot, and as
+    /// a header and a payload in the side slot of its stamp once it does
+    /// not; the bytes are the entry's either way.
+    #[test]
+    fn an_entry_is_one_write_or_a_header_and_a_spilled_payload() {
+        let sizes = Sizes::from_config(&McastConfig::new(1, 3));
+        let base = NodeLayout {
+            sub: Addr(0),
+            ctrl: Addr(0),
+            fwd: Addr(0),
+            log: Addr(0),
+            log_spill: Addr(sizes.log_region() as u64),
+            log_seq: Addr(0),
+            acks: Addr(0),
+            heartbeat: Addr(0),
+            log_floor: Addr(0),
+            boot_gen: Addr(0),
+        };
+        let log = sizes.log_end(base);
+        let spill = log.payloads.expect("a spill ring");
+        for len in [0, LOG_INLINE, LOG_INLINE + 1, 512] {
+            let entry = encode_log(6, 1, 0b1, 7, 0, &vec![9; len]);
+            let writes: Vec<(Addr, &[u8])> = log.writes(7, &entry).collect();
+            let slot = log.ring.slot(7);
+            if len <= LOG_INLINE {
+                assert_eq!(writes, [(slot, &entry[..])]);
+            } else {
+                let (hdr, payload) = entry.split_at(LOG_HDR);
+                assert_eq!(writes, [(slot, hdr), (spill.slot(7), payload)]);
+            }
+        }
+        // A control entry with a payload is always two writes; one without
+        // is its header.
+        let end = sizes.ctrl_end(base, 1);
+        let fwd = encode_ctrl(3, CtrlKind::FwdSub, 1, 1, 0, b"x");
+        assert_eq!(end.writes(3, &fwd).count(), 2);
+        let prop = encode_ctrl(3, CtrlKind::Proposal, 1, 1, 0, &[]);
+        assert_eq!(end.writes(3, &prop).count(), 1);
     }
 
     /// A three-slot lane of submission entries on a node of its own.

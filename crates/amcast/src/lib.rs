@@ -60,6 +60,7 @@ pub use client::McastClient;
 pub use cluster::{Delivered, DeliveryEvent, Mcast};
 pub use config::McastConfig;
 pub use hash::{IdHasher, IdMap, IdSet};
+pub use layout::{LOG_INLINE, LOG_SLOT};
 pub use replica::{McastReplica, ORDERING_CPU, SABOTAGE_HAS_WORK_GATE};
 pub use timestamp::{GroupId, MsgId, Timestamp};
 

@@ -3,8 +3,8 @@
 
 use crate::cluster::{Delivered, DeliveryEvent, McastInner};
 use crate::layout::{
-    decode_ctrl_header, decode_log_header, decode_sub_header, encode_ctrl, encode_log, CtrlKind,
-    Lane, NodeLayout, ScanMarks, LOG_HDR, SUB_HDR,
+    decode_ctrl_header, decode_log_header, decode_sub_header, encode_ctrl, encode_log, stamp_of,
+    CtrlKind, Lane, NodeLayout, ScanMarks, LOG_HDR, SUB_HDR,
 };
 use crate::timestamp::{GroupId, MsgId, Timestamp};
 use crate::{mask_groups, DestMask, IdMap, IdSet};
@@ -104,6 +104,9 @@ pub struct McastReplica {
     poller: Poller,
     my_global: usize,
     layout: NodeLayout,
+    /// Our copy of the group log, as [`Lane::payload_at`] and
+    /// [`Lane::writes`] place its entries.
+    log: Lane,
     /// Queue pairs to every replica node, by global replica index.
     qps: Vec<QueuePair>,
     /// This replica's durable WAL namespace, when storage is attached
@@ -148,6 +151,7 @@ impl McastReplica {
         let poller = inner.pollers[group.0 as usize][idx].clone();
         let my_global = inner.global_idx(group, idx);
         let layout = inner.layouts[my_global];
+        let log = inner.sizes.log_end(layout);
         let qps = inner
             .nodes
             .iter()
@@ -167,6 +171,7 @@ impl McastReplica {
             poller,
             my_global,
             layout,
+            log,
             qps,
             wal_disk,
         }
@@ -354,7 +359,7 @@ impl McastReplica {
         if st.await_epoch {
             return None;
         }
-        let addr = self.inner.sizes.log_slot(self.layout, st.applied_seq);
+        let addr = self.log.ring.slot(st.applied_seq + 1);
         let (stamp, .., epoch, _) = decode_log_header(m.bytes(addr, LOG_HDR).ok()?);
         (stamp > st.applied_seq && epoch >= st.entry_epoch_floor).then_some(stamp)
     }
@@ -494,9 +499,9 @@ impl McastReplica {
                 continue;
             }
             let buf = encode_log(f.seq, f.uid, f.mask, f.ts_raw, f.epoch, &f.payload);
-            let _ = self
-                .node
-                .local_write(self.inner.sizes.log_slot(self.layout, f.seq), &buf);
+            for (addr, bytes) in self.log.writes(f.seq + 1, &buf) {
+                let _ = self.node.local_write(addr, bytes);
+            }
         }
         let _ = self.node.local_write_word(self.layout.log_seq, end);
         // Post our reloaded position into every live peer's ack array so a
@@ -530,7 +535,7 @@ impl McastReplica {
         while let Some((kind, uid, a, b, payload)) = self.node.with_mem(|m| {
             while let Some(lane) = st.marks.next(i) {
                 i = lane;
-                let Some((at, hdr)) = st.lanes[i].take(m) else {
+                let Some((slot, hdr)) = st.lanes[i].take(m) else {
                     st.marks.clear(i);
                     i += 1;
                     continue;
@@ -542,6 +547,7 @@ impl McastReplica {
                     let (_, kind, uid, a, b, len) = decode_ctrl_header(hdr);
                     (kind.expect("corrupt control entry kind"), uid, a, b, len)
                 };
+                let at = st.lanes[i].payload_at(stamp_of(hdr), slot, len);
                 let payload = m.bytes(at, len).expect("entry payload in range").to_vec();
                 return Some((kind, uid, a, b, payload));
             }
@@ -803,10 +809,11 @@ impl McastReplica {
                 st.props.remove(uid);
                 sim::trace::instant_args("mcast.sequenced", u64::from(*uid), &[("seq", seq)]);
                 let entry = encode_log(seq, *uid, *mask, *ts_raw, st.epoch, payload);
-                let my_slot = self.inner.sizes.log_slot(self.layout, seq);
-                self.node
-                    .local_write(my_slot, &entry)
-                    .expect("own log slot in range");
+                for (addr, bytes) in self.log.writes(seq + 1, &entry) {
+                    self.node
+                        .local_write(addr, bytes)
+                        .expect("own log slot in range");
+                }
                 entries.push((seq, entry));
             }
             self.node
@@ -817,10 +824,12 @@ impl McastReplica {
                     continue;
                 }
                 let target = self.inner.global_idx(self.group, i);
-                let peer_layout = self.inner.layouts[target];
+                let peer_log = self.inner.sizes.log_end(self.inner.layouts[target]);
                 let mut batch = self.qp(target).write_batch();
                 for (seq, entry) in &entries {
-                    batch.push(self.inner.sizes.log_slot(peer_layout, *seq), entry.clone());
+                    for (addr, bytes) in peer_log.writes(seq + 1, entry) {
+                        batch.push(addr, bytes.to_vec());
+                    }
                 }
                 let _ = batch.post();
             }
@@ -859,15 +868,15 @@ impl McastReplica {
     /// instant, or `None` when the slot's stamp is not `seq + 1`: a wiped
     /// slot, a truncated prefix, or one the ring has since lapped.
     fn read_own_log(&self, seq: u64) -> Option<crate::layout::LogEntry> {
-        let addr = self.inner.sizes.log_slot(self.layout, seq);
+        let slot = self.log.ring.slot(seq + 1);
         self.node.with_mem(|m| {
-            let hdr = m.bytes(addr, LOG_HDR).expect("log header in range");
+            let hdr = m.bytes(slot, LOG_HDR).expect("log header in range");
             let (stamp, uid, mask, ts_raw, _epoch, len) = decode_log_header(hdr);
             if stamp != seq + 1 {
                 return None;
             }
             let payload = m
-                .bytes(addr.offset(LOG_HDR as u64), len)
+                .bytes(self.log.payload_at(stamp, slot, len), len)
                 .expect("log payload in range")
                 .to_vec();
             Some(crate::layout::LogEntry {
@@ -1009,6 +1018,7 @@ impl McastReplica {
         advertise_floor: bool,
     ) {
         let peer_layout = self.inner.layouts[target];
+        let peer_log = self.inner.sizes.log_end(peer_layout);
         let qp = self.qp(target);
         if advertise_floor {
             let _ = qp.post_write_word(peer_layout.log_floor, seqs.start);
@@ -1033,7 +1043,9 @@ impl McastReplica {
                     epoch,
                     &entry.payload,
                 );
-                batch.push(self.inner.sizes.log_slot(peer_layout, seq), buf);
+                for (addr, bytes) in peer_log.writes(seq + 1, &buf) {
+                    batch.push(addr, bytes.to_vec());
+                }
             }
             let _ = batch.post();
         }
@@ -1177,10 +1189,10 @@ impl McastReplica {
         // 2. Fetch entries we are missing from the longest log.
         if let Some(holder) = longest.1 {
             let target_g = self.inner.global_idx(self.group, holder);
-            let holder_layout = self.inner.layouts[target_g];
+            let holder_log = self.inner.sizes.log_end(self.inner.layouts[target_g]);
             let qp = self.qp(target_g);
             for seq in st.applied_seq..longest.0 {
-                let slot = self.inner.sizes.log_slot(holder_layout, seq);
+                let slot = holder_log.ring.slot(seq + 1);
                 let Ok(hdr) = qp.read(slot, LOG_HDR) else {
                     return; // holder died mid-transfer; retry next timeout
                 };
@@ -1188,15 +1200,16 @@ impl McastReplica {
                 if stamp != seq + 1 {
                     return; // holder's slot was overwritten; retry
                 }
-                let Ok(payload) = qp.read(slot.offset(LOG_HDR as u64), len) else {
+                let Ok(payload) = qp.read(holder_log.payload_at(stamp, slot, len), len) else {
                     return;
                 };
                 let mut entry = hdr;
                 entry.extend_from_slice(&payload);
-                let my_slot = self.inner.sizes.log_slot(self.layout, seq);
-                self.node
-                    .local_write(my_slot, &entry)
-                    .expect("own log slot in range");
+                for (addr, bytes) in self.log.writes(stamp, &entry) {
+                    self.node
+                        .local_write(addr, bytes)
+                        .expect("own log slot in range");
+                }
             }
         }
         // 3. Apply everything we now hold (delivers locally, in order).
@@ -1280,12 +1293,12 @@ impl McastReplica {
     /// in the lane, the payload in the same stamp's slot of our forward
     /// ring there, both behind one doorbell, so they land at one instant.
     fn forward(&self, st: &mut State, target: usize, uid: u32, mask: DestMask, payload: Vec<u8>) {
-        let lane = &mut st.ctrl_out[target];
-        let (stamp, slot) = lane.claim();
+        let (stamp, _) = st.ctrl_out[target].claim();
+        let entry = encode_ctrl(stamp, CtrlKind::FwdSub, uid, mask, 0, &payload);
         let mut batch = self.qp(target).write_batch();
-        let hdr = encode_ctrl(stamp, CtrlKind::FwdSub, uid, mask, 0, payload.len());
-        batch.push(slot, hdr);
-        batch.push(lane.payload_at(stamp, slot), payload);
+        for (addr, bytes) in st.ctrl_out[target].writes(stamp, &entry) {
+            batch.push(addr, bytes.to_vec());
+        }
         let _ = batch.post();
     }
 
@@ -1304,7 +1317,7 @@ impl McastReplica {
         b: u64,
     ) -> (Addr, Vec<u8>) {
         let (stamp, slot) = st.ctrl_out[target].claim();
-        (slot, encode_ctrl(stamp, kind, uid, a, b, 0))
+        (slot, encode_ctrl(stamp, kind, uid, a, b, &[]))
     }
 }
 
@@ -1335,7 +1348,7 @@ mod tests {
                 .filter(|&i| i != r.idx)
                 .any(|i| word(sizes.ack_slot(r.layout, i)) != st.acks_cache[i])
         } else {
-            let entry = sizes.log_slot(r.layout, st.applied_seq);
+            let entry = r.log.ring.slot(st.applied_seq + 1);
             let epoch = entry.offset(4 * crate::layout::WORD as u64);
             (!st.await_epoch && word(entry) > st.applied_seq && word(epoch) >= st.entry_epoch_floor)
                 || ((!st.await_epoch || r.ungated_has_work)
@@ -1458,24 +1471,28 @@ mod tests {
                         let kind =
                             [CtrlKind::Proposal, CtrlKind::Final, CtrlKind::FwdSub][lane % 3];
                         let end = sizes.ctrl_end(r.layout, lane);
-                        let slot = end.ring.slot(stamp);
-                        let len = if kind == CtrlKind::FwdSub {
-                            entry(end.payload_at(stamp, slot), payload.clone());
-                            payload.len()
+                        let carried = if kind == CtrlKind::FwdSub {
+                            &payload[..]
                         } else {
-                            0
+                            &[]
                         };
-                        entry(slot, encode_ctrl(stamp, kind, uid, 1, x, len));
+                        let buf = encode_ctrl(stamp, kind, uid, 1, x, carried);
+                        // The payload lands first.
+                        let mut writes: Vec<_> = end.writes(stamp, &buf).collect();
+                        writes.reverse();
+                        writes
+                            .into_iter()
+                            .for_each(|(at, bytes)| entry(at, bytes.to_vec()));
                     }
                     2 => put(sizes.ack_slot(r.layout, lane % 3), x),
                     // A log entry at or past our position, stamped by
                     // regime `x`.
                     3 => {
                         let seq = st.applied_seq + lane as u64;
-                        entry(
-                            sizes.log_slot(r.layout, seq),
-                            encode_log(seq, uid, 0b10, stamp, x, &payload),
-                        );
+                        let buf = encode_log(seq, uid, 0b10, stamp, x, &payload);
+                        for (at, bytes) in r.log.writes(seq + 1, &buf) {
+                            entry(at, bytes.to_vec());
+                        }
                     }
                     4 => put(r.layout.log_floor, x),
                     _ => put(r.layout.heartbeat, x),
@@ -1672,8 +1689,8 @@ mod tests {
             let mut out = writer.boot_state();
             let end = out.ctrl_out[leader.my_global];
             let slot = end.ring.slot(end.next);
-            let at = end.payload_at(end.next, slot);
             let payload = payload_of(7);
+            let at = end.payload_at(end.next, slot, payload.len());
             let poller = leader
                 .node
                 .poller(sim::Cond::new(), &[(slot, CTRL_HDR), (at, payload.len())]);

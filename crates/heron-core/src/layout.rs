@@ -36,8 +36,9 @@ pub(crate) const RESP_HDR: usize = 2 * WORD;
 /// Maximum response payload: a client's response slot per replica holds
 /// [`RESP_HDR`] plus this many bytes.
 pub(crate) const MAX_RESPONSE: usize = 256;
-/// Request envelope header: `[client_id, seq, submit_ns]`.
-pub(crate) const ENV_HDR: usize = 3 * WORD;
+/// Bytes of the envelope a client wraps every request in before it
+/// multicasts it: `[client_id, seq, submit_ns]`.
+pub const ENV_HDR: usize = 3 * WORD;
 /// Transfer record header: `[oid, len]`.
 pub(crate) const REC_HDR: usize = 2 * WORD;
 

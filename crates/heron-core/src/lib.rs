@@ -106,6 +106,7 @@ pub use checkpoint::CheckpointMeta;
 pub use client::HeronClient;
 pub use cluster::HeronCluster;
 pub use config::{DurabilityConfig, HeronConfig};
+pub use layout::ENV_HDR;
 pub use metrics::{quantile, Breakdown, DelayCounters, Metrics, StageMeans, TransferRecord};
 pub use replica::{TRANSFER_SLOTS, TRANSFER_TIMEOUT};
 pub use store::{Slot, VersionedStore, SABOTAGE_DUAL_VERSION_GUARD};

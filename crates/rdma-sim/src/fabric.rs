@@ -141,11 +141,17 @@ fn bump(counter: &AtomicU64, n: u64) {
 /// A node's registered memory: `brk` bytes registered, held in a buffer
 /// created on first access. The allocator hands a large zeroed buffer out
 /// as pages nobody has written, so the operating system commits a page
-/// of registered memory only where something first writes it.
+/// of registered memory only where something first writes it. Registered
+/// address 0 is `buf[origin]`, the buffer's first host page boundary, so
+/// a region at a page-aligned address holds whole pages of its own.
 pub(crate) struct Memory {
     buf: Vec<u8>,
+    origin: usize,
     brk: usize,
 }
+
+/// Host page size on x86-64 Linux.
+const PAGE: usize = 4096;
 
 /// The least buffer a node's memory is created with: above the largest
 /// dynamic mmap threshold of glibc's allocator (32 MiB on 64-bit), so every
@@ -161,13 +167,14 @@ impl Memory {
     /// registered, so range checks see `brk` bytes.
     pub(crate) fn bytes(&mut self) -> &mut [u8] {
         if self.buf.is_empty() && self.brk > 0 {
-            self.buf = vec![0; self.brk.max(MIN_BUFFER)];
-        } else if self.buf.len() < self.brk {
+            self.buf = vec![0; self.brk.max(MIN_BUFFER) + PAGE];
+            self.origin = self.buf.as_ptr().align_offset(PAGE);
+        } else if self.buf.len() < self.origin + self.brk {
             // Grown in place (the allocator remaps a mapping), never copied
             // into a fresh buffer: a copy would commit every page.
-            self.buf.resize(self.brk, 0);
+            self.buf.resize(self.origin + self.brk, 0);
         }
-        &mut self.buf[..self.brk]
+        &mut self.buf[self.origin..self.origin + self.brk]
     }
 }
 
@@ -483,6 +490,7 @@ impl Fabric {
             name: name.into(),
             mem: RefCell::new(Memory {
                 buf: Vec::new(),
+                origin: 0,
                 brk: 0,
             }),
             alive: Cell::new(true),
@@ -836,6 +844,42 @@ impl Node {
     /// [`RdmaError::OutOfBounds`] if the range is outside registered memory.
     pub fn local_read(&self, addr: Addr, len: usize) -> RdmaResult<Vec<u8>> {
         self.with_mem(|m| m.bytes(addr, len).map(<[u8]>::to_vec))
+    }
+
+    /// How many host pages under the `len` registered bytes at `addr` this
+    /// process holds in memory: the pages something wrote since the buffer
+    /// was created. It reads Linux's `/proc/self/pagemap` and touches
+    /// nothing. A page counts when it is present and mapped by this process
+    /// alone: a page that was only ever read maps the kernel's shared zero
+    /// page, which is present but not resident. Registered memory starts on
+    /// a page boundary; a page the range shares with its neighbours counts.
+    ///
+    /// # Errors
+    ///
+    /// An I/O error if the range is outside registered memory
+    /// ([`RdmaError::OutOfBounds`]) or the pagemap cannot be read.
+    pub fn resident_pages(&self, addr: Addr, len: usize) -> std::io::Result<usize> {
+        use std::os::unix::fs::FileExt;
+        const PRESENT: u64 = 1 << 63;
+        const EXCLUSIVE: u64 = 1 << 56;
+        let mem = self.inner.mem();
+        let range = span(mem.brk, addr, len).map_err(std::io::Error::other)?;
+        // Only the buffer holds pages: none before it is created, none in
+        // registered bytes it has not grown to yet.
+        let end = range.end.min(mem.buf.len().saturating_sub(mem.origin));
+        if range.start >= end {
+            return Ok(0);
+        }
+        let host = mem.buf.as_ptr() as usize + mem.origin;
+        let (first, last) = ((host + range.start) / PAGE, (host + end - 1) / PAGE);
+        let mut entries = vec![0u8; (last - first + 1) * 8];
+        std::fs::File::open("/proc/self/pagemap")?.read_exact_at(&mut entries, first as u64 * 8)?;
+        let resident = entries
+            .chunks_exact(8)
+            .map(|e| u64::from_le_bytes(e.try_into().expect("8 bytes")))
+            .filter(|&e| e & PRESENT != 0 && e & EXCLUSIVE != 0)
+            .count();
+        Ok(resident)
     }
 
     /// The uninstrumented read: used by remote (one-sided) reads, which

@@ -1,7 +1,8 @@
 //! Registered memory is committed where it is written, and a power loss
 //! hands it back, in every fabric a process builds. Resident memory is per
 //! process, so this file runs as a process of its own and its tests take
-//! turns ([`one_at_a_time`]); it reads Linux's `/proc/self/statm`.
+//! turns ([`one_at_a_time`]); it reads Linux's `/proc/self/statm` and,
+//! through [`rdma_sim::Node::resident_pages`], `/proc/self/pagemap`.
 
 use rdma_sim::{Fabric, LatencyModel};
 use std::sync::{Mutex, MutexGuard};
@@ -82,4 +83,40 @@ fn memory_follows_use_in_every_fabric_a_process_builds() {
     assert_eq!(node.local_read_word(word).unwrap(), 1);
     let after = resident_mib();
     assert!(after < before + 8, "one word: {before} -> {after} MiB");
+}
+
+/// `resident_pages` counts the pages writes committed, page by page: not
+/// a page that was only read, nothing before the buffer exists, and
+/// nothing after a power loss.
+#[test]
+fn resident_pages_counts_the_pages_writes_committed() {
+    let _turn = one_at_a_time();
+    let fabric = Fabric::new(LatencyModel::connectx4());
+    let node = fabric.add_node("n");
+    let base = node.alloc_bytes(8 << 20);
+    assert_eq!(
+        node.resident_pages(base, 8 << 20).unwrap(),
+        0,
+        "no buffer yet"
+    );
+    // Three writes one page apart commit three pages however long they
+    // are; a read commits none.
+    for page in [0, 2, 4] {
+        node.local_write(base.offset((1 << 20) + page * 4096), &[1; 100])
+            .unwrap();
+    }
+    assert_eq!(node.local_read_word(base.offset(6 << 20)).unwrap(), 0);
+    assert_eq!(node.resident_pages(base, 8 << 20).unwrap(), 3);
+    // Registered memory starts on a page boundary; a range counts the
+    // pages it overlaps.
+    let second = base.offset((1 << 20) + 2 * 4096 + 200);
+    assert_eq!(node.resident_pages(second, 8).unwrap(), 1);
+    assert_eq!(node.resident_pages(base, 1 << 20).unwrap(), 0);
+    assert_eq!(node.resident_pages(base, (1 << 20) + 1).unwrap(), 1);
+    assert!(
+        node.resident_pages(base, (8 << 20) + 8).is_err(),
+        "unregistered"
+    );
+    fabric.power_loss(node.id());
+    assert_eq!(node.resident_pages(base, 8 << 20).unwrap(), 0, "power loss");
 }

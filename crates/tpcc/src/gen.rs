@@ -8,6 +8,9 @@ use rand::{Rng, SeedableRng};
 
 const C_CUSTOMER: u32 = 259;
 const C_ITEM: u32 = 7911;
+/// The most lines a NewOrder carries (the spec's 5–15): the generator's
+/// largest request.
+pub(crate) const MAX_LINES: u32 = 15;
 
 /// Deterministic TPC-C transaction generator.
 ///
@@ -92,7 +95,7 @@ impl TpccGen {
 
     /// A NewOrder with the spec's line distribution.
     pub fn new_order(&mut self, home: u16) -> Transaction {
-        let n = self.rng.gen_range(5..=15);
+        let n = self.rng.gen_range(5..=MAX_LINES);
         let lines = (0..n)
             .map(|_| {
                 let remote = !self.local_only
@@ -121,7 +124,7 @@ impl TpccGen {
     /// workload of Fig. 6): one line per remote partition, the rest local.
     pub fn new_order_spanning(&mut self, home: u16, k: u16) -> Transaction {
         assert!(k >= 1 && k <= self.warehouses);
-        let n = self.rng.gen_range(5..=15).max(k as u32) as usize;
+        let n = self.rng.gen_range(5..=MAX_LINES).max(k as u32) as usize;
         let mut remotes: Vec<u16> = (1..=self.warehouses).filter(|&w| w != home).collect();
         remotes.truncate(k as usize - 1);
         let lines = (0..n)

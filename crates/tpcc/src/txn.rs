@@ -285,6 +285,48 @@ mod tests {
         assert!(!Transaction::Delivery { w: 1, carrier: 1 }.is_multi_partition());
     }
 
+    /// Every request the generator makes, in its envelope, fits a log slot
+    /// of the ordering layer: a format change that made one spill would
+    /// commit a second, payload-sized slot per entry on every replica.
+    #[test]
+    fn the_largest_request_fits_a_log_slot() {
+        let line = OrderLineReq {
+            i_id: u32::MAX,
+            supply_w: u16::MAX,
+            qty: 10,
+        };
+        let (w, d, c) = (u16::MAX, u8::MAX, u32::MAX);
+        let largest = [
+            Transaction::NewOrder {
+                w,
+                d,
+                c,
+                lines: vec![line; crate::gen::MAX_LINES as usize],
+            },
+            Transaction::Payment {
+                w,
+                d,
+                c_w: w,
+                c_d: d,
+                c,
+                amount: u32::MAX,
+            },
+            Transaction::OrderStatus { w, d, c },
+            Transaction::Delivery { w, carrier: 10 },
+            Transaction::StockLevel {
+                w,
+                d,
+                threshold: 20,
+            },
+        ];
+        let sizes: Vec<usize> = largest
+            .iter()
+            .map(|t| t.encode().len() + heron_core::ENV_HDR)
+            .collect();
+        assert_eq!(sizes, [138, 39, 32, 28, 32], "requests in their envelopes");
+        assert!(sizes.iter().all(|&n| n <= amcast::LOG_INLINE), "{sizes:?}");
+    }
+
     #[test]
     fn decode_rejects_garbage() {
         assert_eq!(Transaction::decode(&[]), None);
