@@ -213,6 +213,11 @@ fn nth_ring(region: Addr, idx: usize, slots: usize, entry: usize) -> Ring {
 /// Its lanes are *lost* until they next yield an entry: a lost lane reads
 /// every slot, and the oldest stamp at or past the cursor is where it
 /// resumes.
+///
+/// A writer booted after a power cut has the twin problem: its counter
+/// restarted, while each reader's cursor stayed above the stamps its last
+/// life wrote. Its lanes are lost too, until it reads one where it lives
+/// and resumes above every stamp there ([`Lane::resume`]).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Lane {
     pub ring: Ring,
@@ -222,7 +227,8 @@ pub(crate) struct Lane {
     /// `s`. `None`: every payload fits its slot.
     pub payloads: Option<Ring>,
     pub next: u64,
-    /// The reader does not know where in the ring its next entry lands.
+    /// The reader does not know where in the ring its next entry lands;
+    /// the writer does not know which stamps its last life wrote.
     pub lost: bool,
 }
 
@@ -282,6 +288,14 @@ impl Lane {
         let stamp = self.next;
         self.next += 1;
         (stamp, self.ring.slot(stamp))
+    }
+
+    /// Writer: resumes a lost lane above every stamp it holds, `ring` being
+    /// the lane's bytes read where it lives.
+    pub fn resume(&mut self, ring: &[u8]) {
+        let last = ring.chunks(self.ring.entry).map(stamp_of).max();
+        self.next = self.next.max(last.unwrap_or(0) + 1);
+        self.lost = false;
     }
 
     /// Reader: whether the slot under the cursor holds the cursor's entry
@@ -714,6 +728,23 @@ mod tests {
         assert_eq!(end.writes(3, &fwd).count(), 2);
         let prop = encode_ctrl(3, CtrlKind::Proposal, 1, 1, 0, &[]);
         assert_eq!(end.writes(3, &prop).count(), 1);
+    }
+
+    #[test]
+    fn a_lost_writer_resumes_above_every_stamp_its_lane_holds() {
+        let (node, mut writer) = lane_on_a_node();
+        for stamp in [4, 5, 3] {
+            land(&node, &writer, stamp);
+        }
+        writer.lost = true;
+        let ring = node
+            .local_read(writer.ring.base, writer.ring.size())
+            .unwrap();
+        writer.resume(&ring);
+        assert_eq!((writer.next, writer.lost), (6, false));
+        // An empty lane, or one below the counter, moves nothing back.
+        writer.resume(&vec![0; writer.ring.size()]);
+        assert_eq!(writer.next, 6);
     }
 
     /// A three-slot lane of submission entries on a node of its own.

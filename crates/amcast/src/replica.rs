@@ -300,6 +300,9 @@ impl McastReplica {
         if self.node.power_cycles() > 0 {
             self.reload(&mut st);
             self.rejoin(&mut st);
+            // Our stamps restart at 1, but every peer's cursor for our
+            // control lane stays above those our last life wrote there.
+            st.ctrl_out.iter_mut().for_each(|lane| lane.lost = true);
         }
         st
     }
@@ -1293,10 +1296,11 @@ impl McastReplica {
     /// in the lane, the payload in the same stamp's slot of our forward
     /// ring there, both behind one doorbell, so they land at one instant.
     fn forward(&self, st: &mut State, target: usize, uid: u32, mask: DestMask, payload: Vec<u8>) {
-        let (stamp, _) = st.ctrl_out[target].claim();
+        let lane = self.ctrl_out(st, target);
+        let (stamp, _) = lane.claim();
         let entry = encode_ctrl(stamp, CtrlKind::FwdSub, uid, mask, 0, &payload);
         let mut batch = self.qp(target).write_batch();
-        for (addr, bytes) in st.ctrl_out[target].writes(stamp, &entry) {
+        for (addr, bytes) in lane.writes(stamp, &entry) {
             batch.push(addr, bytes.to_vec());
         }
         let _ = batch.post();
@@ -1316,8 +1320,24 @@ impl McastReplica {
         a: DestMask,
         b: u64,
     ) -> (Addr, Vec<u8>) {
-        let (stamp, slot) = st.ctrl_out[target].claim();
+        let (stamp, slot) = self.ctrl_out(st, target).claim();
         (slot, encode_ctrl(stamp, kind, uid, a, b, &[]))
+    }
+
+    /// Our control lane on `target`, ready to claim a stamp. A writer
+    /// booted after a power cut lost its stamps, while the lane where it
+    /// lives still holds those its last life wrote and the peer's cursor
+    /// is above them: at the first post to it, one RDMA read of the lane
+    /// there says where to resume ([`Lane::resume`]). A peer that does not
+    /// answer leaves the lane lost; a post to it is dropped anyway.
+    fn ctrl_out<'s>(&self, st: &'s mut State, target: usize) -> &'s mut Lane {
+        let lane = &mut st.ctrl_out[target];
+        if lane.lost {
+            if let Ok(ring) = self.qp(target).read(lane.ring.base, lane.ring.size()) {
+                lane.resume(&ring);
+            }
+        }
+        lane
     }
 }
 
@@ -1656,6 +1676,35 @@ mod tests {
             got.sort();
             got
         })
+    }
+
+    /// Five forwards reach the leader, then the writer's node loses power
+    /// and boots; seven more follow. The booted writer resumes its lane
+    /// above the five stamps its last life wrote, where the leader's cursor
+    /// waits, so the leader takes all twelve: stamps restarted at 1 would
+    /// read as an old lap until they passed the cursor.
+    #[test]
+    fn a_writer_booted_after_a_power_cut_resumes_above_its_old_stamps() {
+        let taken = in_small_cluster(false, |mcast| {
+            let (writer, leader) = (mcast.replica(GroupId(1), 1), mcast.replica(GroupId(1), 0));
+            let mut st = leader.boot_state();
+            let mut send = |out: &mut State, uids: std::ops::Range<u32>| {
+                for uid in uids {
+                    writer.forward(out, leader.my_global, uid, 0b10, payload_of(uid));
+                    sim::sleep(Duration::from_micros(20));
+                    leader.scan_lanes(&mut st);
+                }
+            };
+            send(&mut writer.boot_state(), 1..6);
+            let (fabric, id) = (mcast.fabric(), writer.node.id());
+            fabric.power_loss(id);
+            fabric.recover(id);
+            send(&mut writer.boot_state(), 6..13);
+            let mut uids: Vec<u32> = st.pending.keys().copied().collect();
+            uids.sort_unstable();
+            uids
+        });
+        assert_eq!(taken, (1..13).collect::<Vec<u32>>());
     }
 
     fn payload_of(uid: u32) -> Vec<u8> {
