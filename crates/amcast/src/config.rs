@@ -9,7 +9,9 @@ pub struct McastConfig {
     pub replicas_per_group: usize,
     /// Maximum number of client processes that may attach.
     pub max_clients: usize,
-    /// Maximum message payload in bytes.
+    /// Maximum message payload in bytes. A submission slot and a side-ring
+    /// slot hold this many; a log slot holds [`crate::LOG_INLINE`], and a
+    /// longer payload spills beside the log.
     pub max_payload: usize,
     /// Submission-ring slots per client per replica node.
     pub sub_slots: usize,
