@@ -214,10 +214,11 @@ fn nth_ring(region: Addr, idx: usize, slots: usize, entry: usize) -> Ring {
 /// every slot, and the oldest stamp at or past the cursor is where it
 /// resumes.
 ///
-/// A writer booted after a power cut has the twin problem: its counter
-/// restarted, while each reader's cursor stayed above the stamps its last
-/// life wrote. Its lanes are lost too, until it reads one where it lives
-/// and resumes above every stamp there ([`Lane::resume`]).
+/// A writer that was out has the twin problem: a crash dropped the stamps
+/// it claimed while down, and a power cut restarted its counter, while
+/// each reader's cursor stays right above the stamps that landed. Its
+/// lanes are lost too, until it reads one where it lives and resumes
+/// right above every stamp there ([`Lane::resume`]).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Lane {
     pub ring: Ring,
@@ -290,11 +291,13 @@ impl Lane {
         (stamp, self.ring.slot(stamp))
     }
 
-    /// Writer: resumes a lost lane above every stamp it holds, `ring` being
-    /// the lane's bytes read where it lives.
+    /// Writer: resumes a lost lane right above every stamp it holds, `ring`
+    /// being the lane's bytes read where it lives — below the counter, if
+    /// stamps were claimed that never landed, so the reader's cursor finds
+    /// the next entry where it waits.
     pub fn resume(&mut self, ring: &[u8]) {
         let last = ring.chunks(self.ring.entry).map(stamp_of).max();
-        self.next = self.next.max(last.unwrap_or(0) + 1);
+        self.next = last.unwrap_or(0) + 1;
         self.lost = false;
     }
 
@@ -742,9 +745,14 @@ mod tests {
             .unwrap();
         writer.resume(&ring);
         assert_eq!((writer.next, writer.lost), (6, false));
-        // An empty lane, or one below the counter, moves nothing back.
-        writer.resume(&vec![0; writer.ring.size()]);
+        // Stamps 6 and 7 were claimed and never landed: the counter moves
+        // back to where the reader's cursor waits.
+        writer.next = 8;
+        writer.resume(&ring);
         assert_eq!(writer.next, 6);
+        // An empty lane restarts at 1.
+        writer.resume(&vec![0; writer.ring.size()]);
+        assert_eq!(writer.next, 1);
     }
 
     /// A three-slot lane of submission entries on a node of its own.

@@ -56,12 +56,14 @@ mod replica;
 mod timestamp;
 mod wal;
 
-pub use client::McastClient;
+pub use client::{Located, McastClient};
 pub use cluster::{Delivered, DeliveryEvent, Mcast};
 pub use config::McastConfig;
 pub use hash::{IdHasher, IdMap, IdSet};
 pub use layout::{LOG_INLINE, LOG_SLOT};
-pub use replica::{McastReplica, ORDERING_CPU, SABOTAGE_HAS_WORK_GATE};
+pub use replica::{
+    leader_for_epoch, McastReplica, LEADER_TIMEOUT, ORDERING_CPU, SABOTAGE_HAS_WORK_GATE,
+};
 pub use timestamp::{GroupId, MsgId, Timestamp};
 
 /// Bitmask of destination groups (bit `g` set = group `g` is a

@@ -15,8 +15,8 @@ use std::collections::BTreeSet;
 use std::rc::Rc;
 use std::time::Duration;
 
-/// Which replica index leads a group in the given epoch.
-pub(crate) fn leader_for_epoch(epoch: u64, n: usize) -> usize {
+/// Which replica index leads a group of `n` replicas in the given epoch.
+pub fn leader_for_epoch(epoch: u64, n: usize) -> usize {
     (epoch % n as u64) as usize
 }
 
@@ -124,8 +124,10 @@ pub const SABOTAGE_HAS_WORK_GATE: &str = "amcast.has_work_gate";
 
 /// Leader heartbeat period.
 const HEARTBEAT_INTERVAL: Duration = Duration::from_micros(200);
-/// A follower suspects the leader after this much heartbeat silence.
-const LEADER_TIMEOUT: Duration = Duration::from_millis(2);
+/// A follower suspects the leader after this much heartbeat silence, and
+/// a client suspects a group it has not heard from for as long
+/// ([`crate::McastClient::locate`]).
+pub const LEADER_TIMEOUT: Duration = Duration::from_millis(2);
 /// CPU time the leader spends per message it orders.
 pub const ORDERING_CPU: Duration = Duration::from_nanos(6_500);
 /// Marginal leader CPU for the 2nd..Nth message ordered within one
@@ -300,9 +302,6 @@ impl McastReplica {
         if self.node.power_cycles() > 0 {
             self.reload(&mut st);
             self.rejoin(&mut st);
-            // Our stamps restart at 1, but every peer's cursor for our
-            // control lane stays above those our last life wrote there.
-            st.ctrl_out.iter_mut().for_each(|lane| lane.lost = true);
         }
         st
     }
@@ -427,7 +426,10 @@ impl McastReplica {
     /// committed log, so it leads at once. The timeout window starts
     /// afresh: a heartbeat gap that is our own fault starts no election.
     /// Every lane is lost: writes posted while we were out were dropped,
-    /// or our rings were wiped.
+    /// or our rings were wiped. So is every control lane we write: stamps
+    /// claimed while we were down never landed (a crash), or our counters
+    /// restarted at 1 (a power cut), while each peer's cursor waits right
+    /// above what did land, so the first post resumes there.
     fn rejoin(&self, st: &mut State) {
         st.pending.clear();
         st.finalized.clear();
@@ -442,6 +444,7 @@ impl McastReplica {
             .local_read_word(self.layout.heartbeat)
             .unwrap_or(0);
         st.lanes.iter_mut().for_each(|lane| lane.lost = true);
+        st.ctrl_out.iter_mut().for_each(|lane| lane.lost = true);
         st.marks.mark_all();
     }
 
@@ -682,6 +685,14 @@ impl McastReplica {
         st.max_ts_seen = st.max_ts_seen.max(clock);
         if st.is_leader {
             st.clock = st.clock.max(clock);
+            // A decision for a message we never took in — its submission,
+            // or our predecessor's proposal, was lost with a crashed
+            // leader — holds its place in our order until it arrives.
+            st.pending.entry(uid).or_insert(Pending {
+                payload: None,
+                mask: 0,
+                myprop: None,
+            });
             self.try_finalize(st, uid);
         }
     }
@@ -750,19 +761,25 @@ impl McastReplica {
                 let Some(&(ts_raw, uid)) = st.finalized.iter().next() else {
                     break;
                 };
-                let blocked = st.pending.iter().any(|(u, p)| {
-                    if st.finals.contains_key(u) {
-                        return false; // already finalized; ordered via the set
-                    }
-                    match p.myprop {
+                let blocked = st
+                    .pending
+                    .iter()
+                    .any(|(u, p)| match (st.finals.get(u), p.myprop) {
+                        // Finalized with its payload in hand: ordered via the
+                        // set. A decision whose payload we have not seen — a
+                        // takeover adopted it, or another group's leader
+                        // announced it — goes first if its timestamp is below
+                        // ts; the client's retry brings the payload.
+                        (Some(&f), _) => {
+                            p.payload.is_none() && Timestamp::new(f, MsgId(*u)).raw() < ts_raw
+                        }
                         // A pending proposal below ts could still finalize
                         // under ts.
-                        Some(prop) => Timestamp::new(prop, MsgId(*u)).raw() < ts_raw,
+                        (None, Some(prop)) => Timestamp::new(prop, MsgId(*u)).raw() < ts_raw,
                         // No own proposal yet: our future proposal will exceed
                         // the current clock, hence exceed ts.
-                        None => false,
-                    }
-                });
+                        (None, None) => false,
+                    });
                 if blocked {
                     break;
                 }
@@ -1324,12 +1341,13 @@ impl McastReplica {
         (slot, encode_ctrl(stamp, kind, uid, a, b, &[]))
     }
 
-    /// Our control lane on `target`, ready to claim a stamp. A writer
-    /// booted after a power cut lost its stamps, while the lane where it
-    /// lives still holds those its last life wrote and the peer's cursor
-    /// is above them: at the first post to it, one RDMA read of the lane
-    /// there says where to resume ([`Lane::resume`]). A peer that does not
-    /// answer leaves the lane lost; a post to it is dropped anyway.
+    /// Our control lane on `target`, ready to claim a stamp. A writer that
+    /// rejoined lost its place: a crash dropped the stamps it claimed while
+    /// down, a power cut restarted its counter, and the peer's cursor
+    /// waits right above the stamps that landed: at the first post to it,
+    /// one RDMA read of the lane there says where to resume
+    /// ([`Lane::resume`]). A peer that does not answer leaves the lane
+    /// lost; a post to it is dropped anyway.
     fn ctrl_out<'s>(&self, st: &'s mut State, target: usize) -> &'s mut Lane {
         let lane = &mut st.ctrl_out[target];
         if lane.lost {
@@ -1705,6 +1723,61 @@ mod tests {
             uids
         });
         assert_eq!(taken, (1..13).collect::<Vec<u32>>());
+    }
+
+    /// Five forwards reach the leader; then the writer's node crashes, and
+    /// the two forwards it tries while down claim stamps 6 and 7 and are
+    /// dropped. After the rejoin the writer resumes right above stamp 5,
+    /// where the leader's cursor waits, so the leader takes every forward
+    /// after the crash: stamps kept at 8 would leave a hole the cursor
+    /// waits at until the writer laps the lane.
+    #[test]
+    fn a_writer_back_from_a_crash_resumes_above_the_stamps_that_landed() {
+        let taken = in_small_cluster(false, |mcast| {
+            let (writer, leader) = (mcast.replica(GroupId(1), 1), mcast.replica(GroupId(1), 0));
+            let (mut out, mut st) = (writer.boot_state(), leader.boot_state());
+            let mut send = |out: &mut State, uids: std::ops::Range<u32>| {
+                for uid in uids {
+                    writer.forward(out, leader.my_global, uid, 0b10, payload_of(uid));
+                    sim::sleep(Duration::from_micros(20));
+                    leader.scan_lanes(&mut st);
+                }
+            };
+            send(&mut out, 1..6);
+            let (fabric, id) = (mcast.fabric(), writer.node.id());
+            fabric.crash(id);
+            send(&mut out, 6..8);
+            fabric.recover(id);
+            writer.rejoin(&mut out);
+            send(&mut out, 8..13);
+            let mut uids: Vec<u32> = st.pending.keys().copied().collect();
+            uids.sort_unstable();
+            uids
+        });
+        assert_eq!(taken, [1, 2, 3, 4, 5, 8, 9, 10, 11, 12]);
+    }
+
+    /// Group 1's leader hears group 0's final for uid 1 (clock 5) before
+    /// uid 1 itself, as a new leader does when its predecessor crashed
+    /// holding the submission. Uid 2, for group 1 alone, finalizes at 6
+    /// meanwhile, and waits: when uid 1's retry lands, the log holds 1
+    /// then 2, the order group 0 delivers them in. Sequencing 2 first
+    /// would order the pair one way in each group.
+    #[test]
+    fn a_decision_without_its_payload_holds_its_place() {
+        let order = with_replica(false, 0, |r, mut st| {
+            r.handle_final(&mut st, 1, 5);
+            r.handle_submission(&mut st, 2, 0b10, payload_of(2));
+            r.leader_sequence_ready(&mut st);
+            let waited = st.next_seq;
+            r.handle_submission(&mut st, 1, 0b11, payload_of(1));
+            r.leader_sequence_ready(&mut st);
+            let logged: Vec<u32> = (0..st.next_seq)
+                .map(|seq| r.read_own_log(seq).expect("sequenced").uid)
+                .collect();
+            (waited, logged)
+        });
+        assert_eq!(order, (0, vec![1, 2]));
     }
 
     fn payload_of(uid: u32) -> Vec<u8> {

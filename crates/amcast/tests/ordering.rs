@@ -2,7 +2,10 @@
 //! Heron paper: integrity, agreement, prefix/acyclic order, and unique
 //! monotone timestamps — plus leader failover.
 
-use amcast::{DeliveryEvent, GroupId, Mcast, McastConfig, MsgId, Timestamp, ORDERING_CPU};
+use amcast::{
+    leader_for_epoch, DeliveryEvent, GroupId, Mcast, McastConfig, MsgId, Timestamp, LEADER_TIMEOUT,
+    ORDERING_CPU,
+};
 use parking_lot::Mutex;
 use rdma_sim::{Fabric, LatencyModel};
 use sim::Simulation;
@@ -277,6 +280,55 @@ fn deliveries_continue_after_leader_crash_with_client_retry() {
         assert_eq!(uids.len(), 20, "duplicate deliveries at replica {r}");
     }
     assert_eq!(logs[1], logs[2]);
+}
+
+/// A retry follows the epoch: after group 0's leader crashes and a
+/// follower takes over, `resubmit` reads which epoch the group is in and
+/// sends to `leader_for_epoch(epoch)`, which sequences the message; group 1
+/// answered all along and keeps its leader. With all of group 1 down, no
+/// read answers, and its believed leader stays where it was.
+#[test]
+fn resubmission_follows_the_epoch() {
+    let h = build(18, McastConfig::new(2, 3));
+    let (fabric, mcast, logs, n) = (h.fabric.clone(), h.mcast.clone(), h.logs.clone(), h.n);
+    let mut client = h.mcast.client(&h.fabric.add_node("client"));
+    let seen = Arc::new(Mutex::new(None));
+    let out = seen.clone();
+    h.simulation.spawn("client", move || {
+        let both = [GroupId(0), GroupId(1)];
+        let delivered =
+            |uid: MsgId, global: usize| logs.lock()[global].iter().any(|(m, _)| *m == uid);
+        let leaders = |client: &amcast::McastClient| both.map(|g| client.believed_leader(g));
+        fabric.crash(mcast.node(GroupId(0), 0).id());
+        // Lost: the believed leader of group 0 is down.
+        let uid = client.multicast(&both, b"x");
+        sim::sleep(4 * LEADER_TIMEOUT);
+        let epoch = mcast.current_epoch(GroupId(0), 2);
+        let before = (leaders(&client), delivered(uid, 1));
+        client.resubmit(uid, &both, b"x");
+        sim::sleep(Duration::from_millis(1));
+        let after = (leaders(&client), delivered(uid, 1) && delivered(uid, n));
+        for i in 0..n {
+            fabric.crash(mcast.node(GroupId(1), i).id());
+        }
+        client.resubmit(uid, &both, b"x");
+        *out.lock() = Some((epoch, before, after, leaders(&client)));
+    });
+    h.simulation
+        .run_until(sim::SimTime::from_millis(20))
+        .unwrap();
+    let (epoch, before, after, all_down) = seen.lock().expect("the client ran");
+    assert!(epoch > 0, "no takeover in group 0");
+    assert_eq!(
+        before,
+        ([0, 0], false),
+        "the first send went to the crashed leader"
+    );
+    assert_eq!(after, ([leader_for_epoch(epoch, n), 0], true));
+    assert_eq!(
+        all_down, after.0,
+        "a group that is all down moved its leader"
+    );
 }
 
 /// Spawns the plan's single client: it multicasts to destination sets

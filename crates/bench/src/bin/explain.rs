@@ -1,7 +1,8 @@
 //! Where did the time go: runs a fig7-shaped TPC-C schedule with tracing
 //! and profiling on and prints one report from that one run — the top-k
 //! slowest requests along their paths (parks carved out of the stage they
-//! interrupted), the check that every recorded latency has its path, the
+//! interrupted, and the client's leader discovery when a group fell
+//! silent), the check that every recorded latency has its path, the
 //! Fig. 6 stage means, wait-state totals and resource utilization — and
 //! exports a Perfetto trace with counter tracks plus flamegraph-style
 //! collapsed stacks (DESIGN.md §11). That neither switch moves the
@@ -85,6 +86,16 @@ fn main() {
             us(p.total_ns),
             path(&p.segments),
         );
+        // The client's leader discovery, when a group fell silent.
+        for s in &p.suspects {
+            println!(
+                "        +{:.1} µs suspect: silent {:#b}, epoch {}, moved {:#b}",
+                us(s.after_ns),
+                s.silent,
+                s.epoch,
+                s.moved
+            );
+        }
     }
     if !paths.iter().any(|p| p.partitions > 1) {
         println!("FAIL: no multi-partition request traced — schedule exercised nothing");

@@ -3,15 +3,15 @@
 use crate::cluster::{ClientInfo, ClusterInner, HeronCluster};
 use crate::layout::{encode_envelope, resp_slot, MAX_RESPONSE, RESP_HDR};
 use crate::types::PartitionId;
-use amcast::{GroupId, McastClient, MsgId};
+use amcast::{GroupId, McastClient, MsgId, LEADER_TIMEOUT};
 use bytes::Bytes;
 use rdma_sim::{Addr, MemView, Node, Poller};
 use std::fmt;
 use std::rc::Rc;
 use std::time::Duration;
 
-/// Client retry period: a request unanswered for this long is
-/// re-multicast with the same id.
+/// Client retry period: a request unanswered for this long since it last
+/// went is re-multicast with the same id, whatever its groups' epochs say.
 const CLIENT_RETRY: Duration = Duration::from_millis(20);
 
 /// A closed-loop Heron client.
@@ -19,8 +19,10 @@ const CLIENT_RETRY: Duration = Duration::from_millis(20);
 /// `execute` multicasts the request to the involved partitions (asking the
 /// application's [`crate::StateMachine::destinations`]), then waits for a
 /// response from one server in each involved partition — exactly how the
-/// paper's clients measure latency (§V-B). Unanswered requests are
-/// re-multicast with the same message id after `CLIENT_RETRY`.
+/// paper's clients measure latency (§V-B). A partition silent for
+/// [`amcast::LEADER_TIMEOUT`] is asked which epoch its group is in, and the
+/// request is re-multicast with the same message id when its leader moved
+/// or is down, and after `CLIENT_RETRY` in any case.
 pub struct HeronClient {
     cluster: Rc<ClusterInner>,
     node: Node,
@@ -80,6 +82,12 @@ impl HeronClient {
         self.seq
     }
 
+    /// The replica of partition `p` whose ordering leader this client
+    /// believes leads, and submits to.
+    pub fn believed_leader(&self, p: PartitionId) -> usize {
+        self.mcast.believed_leader(p.group())
+    }
+
     /// Executes one request and blocks until every involved partition has
     /// responded; returns the response of the lowest-numbered involved
     /// partition. Records the end-to-end latency in the cluster metrics.
@@ -114,29 +122,55 @@ impl HeronClient {
         let uid: MsgId = self.mcast.multicast(&groups, &envelope);
         req_span.set_corr(u64::from(uid.0));
         // Wait for a response from one server in each involved partition.
+        // A group silent for the ordering layer's election timeout is
+        // asked which epoch it is in; the request goes again, with the same
+        // uid, when that moved its leader or its leader did not answer, and
+        // at the latest `CLIENT_RETRY` after it last went.
+        let mut sent = sim::now();
         loop {
-            let done = self
+            let now = sim::now();
+            let wake = (now + LEADER_TIMEOUT).min(sent + CLIENT_RETRY);
+            let timeout = wake.checked_sub(now).unwrap_or(Duration::from_nanos(1));
+            if self
                 .poller
-                .poll_until_timeout(|| self.all_answered(dests, seq), CLIENT_RETRY);
-            if done {
+                .poll_until_timeout(|| self.all_answered(dests, seq), timeout)
+            {
                 break;
             }
-            if sim::trace::enabled() {
-                // Which partitions have not answered, as a bit per id.
-                let missing = self.node.with_mem(|m| {
-                    dests
-                        .iter()
-                        .filter(|p| self.answered_slot(m, **p, seq).is_none())
-                        .fold(0u64, |mask, p| mask | 1 << p.0)
-                });
+            let backstop = sim::now() >= sent + CLIENT_RETRY;
+            let silent = self.node.with_mem(|m| {
+                dests
+                    .iter()
+                    .filter(|p| self.answered_slot(m, **p, seq).is_none())
+                    .fold(0u64, |mask, p| mask | 1 << p.group().0)
+            });
+            let found = self.mcast.locate(silent);
+            let resend = backstop || (found.moved | found.unanswered) != 0;
+            // Which groups were silent, the newest epoch read there
+            // (`u64::MAX`: no replica answered) and which of them the
+            // client moved to that epoch's leader.
+            sim::trace::instant_args(
+                "client.suspect",
+                u64::from(uid.0),
+                &[
+                    ("client", self.id),
+                    ("seq", seq),
+                    ("silent", silent),
+                    ("epoch", found.epoch.unwrap_or(u64::MAX)),
+                    ("moved", found.moved),
+                ],
+            );
+            if backstop {
                 sim::trace::instant_args(
                     "client.retry",
                     u64::from(uid.0),
-                    &[("client", self.id), ("seq", seq), ("missing", missing)],
+                    &[("client", self.id), ("seq", seq), ("missing", silent)],
                 );
             }
-            // Retry: the believed leader of some group may have failed.
-            self.mcast.resubmit(uid, &groups, &envelope);
+            if resend {
+                self.mcast.resend(uid, &groups, &envelope);
+                sent = sim::now();
+            }
         }
         // End the root span before measuring, so the traced span duration
         // and the recorded latency are the same number:

@@ -54,8 +54,13 @@ impl Span {
 
     /// Looks up a begin-arg by name.
     pub fn arg(&self, name: &str) -> Option<u64> {
-        self.args.iter().find(|(n, _)| *n == name).map(|(_, v)| *v)
+        arg(&self.args, name)
     }
+}
+
+/// The value of the arg `name` in an event's or a span's arg list.
+fn arg(args: &[(&'static str, u64)], name: &str) -> Option<u64> {
+    args.iter().find(|(n, _)| *n == name).map(|(_, v)| *v)
 }
 
 /// Pairs Begin/End events into [`Span`]s (synchronous and flight spans
@@ -112,6 +117,23 @@ pub struct RequestPath {
     pub total_ns: u64,
     /// Segments summing exactly to `total_ns`.
     pub segments: Vec<Segment>,
+    /// The client's leader discovery while it waited: each `client.suspect`
+    /// instant of the request, in time order.
+    pub suspects: Vec<Suspect>,
+}
+
+/// One `client.suspect` instant: the client heard nothing from some
+/// groups for the ordering layer's election timeout and read their epoch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Suspect {
+    /// Virtual ns since the request began.
+    pub after_ns: u64,
+    /// The silent groups, a bit per group.
+    pub silent: u64,
+    /// The newest epoch read there (`u64::MAX`: no replica answered).
+    pub epoch: u64,
+    /// The groups whose believed leader moved to that epoch's leader.
+    pub moved: u64,
 }
 
 /// The stages a park can interrupt, in path order; the last is the
@@ -147,12 +169,16 @@ fn stage_index(span_name: &str) -> Option<usize> {
 pub fn request_paths(events: &[TraceEvent]) -> Vec<RequestPath> {
     let all = spans(events);
     let by_id: HashMap<u64, &Span> = all.iter().map(|s| (s.id, s)).collect();
-    // Earliest exec.reply per (corr, track).
+    // Earliest exec.reply per (corr, track); the client's suspicions per
+    // corr, in time order.
     let mut reply_at: HashMap<(u64, u32), u64> = HashMap::new();
-    for e in events {
-        if e.kind == EventKind::Instant && e.name == "exec.reply" {
+    let mut suspects: HashMap<u64, Vec<(u64, &TraceEvent)>> = HashMap::new();
+    for e in events.iter().filter(|e| e.kind == EventKind::Instant) {
+        if e.name == "exec.reply" {
             let t = reply_at.entry((e.corr, e.track)).or_insert(u64::MAX);
             *t = (*t).min(e.t_ns);
+        } else if e.name == "client.suspect" {
+            suspects.entry(e.corr).or_default().push((e.t_ns, e));
         }
     }
     // The one walk: stage spans book under their exec.request parent, park
@@ -251,12 +277,25 @@ pub fn request_paths(events: &[TraceEvent]) -> Vec<RequestPath> {
                 ns: total,
             });
         }
+        let suspects = suspects
+            .get(&root.corr)
+            .into_iter()
+            .flatten()
+            .filter(|(_, e)| e.track == root.track)
+            .map(|&(t, e)| Suspect {
+                after_ns: t.saturating_sub(root.t0),
+                silent: arg(&e.args, "silent").unwrap_or(0),
+                epoch: arg(&e.args, "epoch").unwrap_or(0),
+                moved: arg(&e.args, "moved").unwrap_or(0),
+            })
+            .collect();
         out.push(RequestPath {
             corr: root.corr,
             client_track: root.track,
             partitions: h.and_then(|h| h.arg("partitions")).unwrap_or(0),
             total_ns: total,
             segments,
+            suspects,
         });
     }
     out.sort_by(|a, b| b.total_ns.cmp(&a.total_ns).then(a.corr.cmp(&b.corr)));
@@ -405,6 +444,32 @@ mod tests {
             // Client sees the reply at 100; corr learned by then.
             ev(End, 100, 9, 1, 0, "client.request", 5, &[]),
         ]
+    }
+
+    /// A client's `client.suspect` instants follow its request's path, in
+    /// time order and relative to its start; another client's instant on
+    /// the same uid does not.
+    #[test]
+    fn a_path_carries_its_clients_suspicions() {
+        let mut events = sample_events();
+        let suspect = |t, track, moved| {
+            let args = [("silent", 1), ("epoch", 1), ("moved", moved)];
+            ev(Instant, t, track, 0, 1, "client.suspect", 5, &args)
+        };
+        events.insert(1, suspect(20, 9, 0));
+        events.insert(2, suspect(25, 3, 1));
+        events.insert(3, suspect(40, 9, 1));
+        let paths = request_paths(&events);
+        let got: Vec<(u64, u64)> = paths[0]
+            .suspects
+            .iter()
+            .map(|s| (s.after_ns, s.moved))
+            .collect();
+        assert_eq!(got, [(20, 0), (40, 1)]);
+        assert_eq!(
+            (paths[0].suspects[0].silent, paths[0].suspects[0].epoch),
+            (1, 1)
+        );
     }
 
     #[test]
@@ -579,6 +644,7 @@ mod tests {
                 name: "execute",
                 ns: segment_ns,
             }],
+            suspects: Vec::new(),
         };
         let paths = [path(1, 50, 50), path(2, 40, 40), path(3, 30, 29)];
         // Equal latencies pair in any order.

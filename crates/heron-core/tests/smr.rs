@@ -323,6 +323,84 @@ fn crashed_replica_recovers_via_state_transfer() {
     simulation.run().unwrap();
 }
 
+/// Partition 0's ordering leader crashes under single- and two-partition
+/// load. A client suspects a group silent for `amcast::LEADER_TIMEOUT`,
+/// reads which epoch it is in and follows its leader, so every request —
+/// in flight at the crash or sent during the election — is answered
+/// within a few election timeouts of the crash, not at the 20 ms retry.
+/// Partition 1 keeps answering, so no client ever moves its leader. The
+/// trace shows the discovery: `client.suspect` instants on the waiting
+/// requests' paths, moving group 0's leader and never group 1's.
+#[test]
+fn clients_follow_the_epoch_after_an_ordering_leader_crash() {
+    let (simulation, _f, cluster, _bank) = build_bank(28, 2, 3, 8);
+    let tracer = simulation.enable_tracing();
+    let crash_at = sim::SimTime::from_millis(3);
+    let send_until = sim::SimTime::from_millis(12);
+    let bound = 3 * amcast::LEADER_TIMEOUT;
+    // (sent, answered) per request, and whether partition 1's believed
+    // leader ever moved.
+    let answered = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let moved = Arc::new(AtomicU64::new(0));
+    for c in 0..4u64 {
+        let mut client = cluster.client(format!("c{c}"));
+        let (answered, moved) = (answered.clone(), moved.clone());
+        simulation.spawn(format!("client{c}"), move || {
+            let mut i = c;
+            while sim::now() < send_until {
+                // Accounts 2k sit in partition 0, 2k + 1 in partition 1.
+                let request = match i % 3 {
+                    0 => enc_read(2 * (i % 4)),
+                    1 => enc_read(2 * (i % 4) + 1),
+                    _ => enc_transfer(2 * (i % 4), 2 * (i % 4) + 1, 1),
+                };
+                let sent = sim::now();
+                client.execute(&request);
+                answered.lock().push((sent, sim::now()));
+                if client.believed_leader(PartitionId(1)) != 0 {
+                    moved.fetch_add(1, Ordering::Relaxed);
+                }
+                sim::sleep(Duration::from_micros(30));
+                i += 1;
+            }
+        });
+    }
+    let victim = cluster.clone();
+    simulation.spawn("crash", move || {
+        sim::sleep(crash_at - sim::now());
+        victim.crash_replica(PartitionId(0), 0);
+    });
+    simulation
+        .run_until(send_until + Duration::from_millis(30))
+        .unwrap();
+    let answered = answered.lock();
+    let in_flight = answered
+        .iter()
+        .filter(|(sent, done)| *sent <= crash_at && *done > crash_at)
+        .count();
+    assert!(in_flight > 0, "no request was in flight at the crash");
+    let after = answered.iter().filter(|(sent, _)| *sent > crash_at).count();
+    assert!(after > 100, "only {after} requests sent after the crash");
+    for &(sent, done) in answered.iter() {
+        let latency = done - sent;
+        assert!(
+            latency <= bound,
+            "a request sent at {sent} took {latency:?}, more than {bound:?}"
+        );
+    }
+    assert_eq!(
+        moved.load(Ordering::Relaxed),
+        0,
+        "partition 1's leader moved"
+    );
+    let paths = heron_core::explain::request_paths(&tracer.events());
+    let suspects: Vec<_> = paths.iter().flat_map(|p| &p.suspects).collect();
+    assert!(suspects.iter().any(|s| s.moved == 0b01 && s.epoch > 0));
+    assert!(suspects
+        .iter()
+        .all(|s| s.moved & !s.silent == 0 && s.moved & 0b10 == 0));
+}
+
 #[test]
 fn wait_for_all_records_delay_statistics() {
     let (simulation, _f, cluster, _bank) = build_bank(25, 2, 3, 8);
