@@ -381,8 +381,8 @@ impl Mcast {
                 let mcast = Rc::downgrade(&self.inner);
                 self.node(group, i).boot(simulation, move |boot| {
                     if let Some(inner) = mcast.upgrade() {
-                        let replica = McastReplica::new(inner, group, i);
-                        boot.spawn(format!("mcast-g{g}r{i}"), move || replica.run());
+                        let name = format!("mcast-g{g}r{i}");
+                        boot.spawn(name, move || McastReplica::boot(inner, group, i).run());
                     }
                 });
             }
@@ -417,9 +417,10 @@ impl Mcast {
 
 #[cfg(test)]
 impl Mcast {
-    /// The replica protocol driver for `(group, idx)`, for unit tests to
-    /// drive by hand: [`Mcast::spawn_replicas`] is what starts replicas.
+    /// Replica `(group, idx)`, booted in the calling process, for unit
+    /// tests to drive by hand: [`Mcast::spawn_replicas`] is what starts
+    /// replicas.
     pub(crate) fn replica(&self, group: GroupId, idx: usize) -> McastReplica {
-        McastReplica::new(Rc::clone(&self.inner), group, idx)
+        McastReplica::boot(Rc::clone(&self.inner), group, idx)
     }
 }

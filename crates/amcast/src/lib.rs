@@ -53,6 +53,7 @@ mod config;
 mod hash;
 mod layout;
 mod replica;
+mod sequencer;
 mod timestamp;
 mod wal;
 

@@ -14,7 +14,9 @@
 # at the start of every run). Every gate prints virtual time only, so a
 # change that means to leave behaviour alone shows it as an empty
 #   diff -r <parent-checkout>/target/gates <change-checkout>/target/gates
-# after running this script in both checkouts, with no exception.
+# after running this script in both checkouts, with no exception:
+#   scripts/gates_diff.sh <parent-checkout> <change-checkout>
+# runs both and the diff.
 #
 # A figure gate's output is a diff: it regenerates one committed
 # bench_results/BENCH_<gate>.json in target/gates/<gate>/ and prints
