@@ -237,15 +237,10 @@ impl McastReplica {
     /// called outside a simulated process.
     pub fn run(mut self) {
         let mut incarnation = self.node.incarnation();
-        // Sequencer backlog timeline for the profiler (inert when off):
+        // Sequencer backlog timeline (inert when tracing is off):
         // proposals awaiting finalization plus finalized-but-undelivered
         // messages held by the group-commit window.
-        let backlog = if sim::prof::enabled() {
-            sim::prof::gauge(format!("amcast.backlog.g{}r{}", self.group.0, self.idx))
-        } else {
-            sim::prof::Gauge::disabled()
-        };
-        let mut backlog_last = 0u64;
+        let backlog = sim::prof::gauge(format!("amcast.backlog.g{}r{}", self.group.0, self.idx));
         loop {
             if !self.node.is_alive() {
                 // Crashed; idle until recovered.
@@ -260,15 +255,7 @@ impl McastReplica {
                 self.rejoin();
             }
             self.do_work();
-            if backlog.is_enabled() {
-                // Only a changed value moves the step function; skipping
-                // the no-op updates keeps the clock reads off the hot loop.
-                let v = self.seq.backlog() as u64;
-                if v != backlog_last {
-                    backlog.set(v);
-                    backlog_last = v;
-                }
-            }
+            backlog.set(self.seq.backlog() as u64);
             let deadline = if self.is_leader {
                 self.last_hb_sent + HEARTBEAT_INTERVAL
             } else {

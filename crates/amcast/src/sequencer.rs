@@ -229,11 +229,19 @@ impl Sequencer {
                 .expect("finalized implies pending");
             self.done.insert(uid);
             self.props.remove(&uid);
+            let announced = self.finals[&uid];
+            // A final raised after the uid was finalized would announce a
+            // clock its log entry does not carry.
+            debug_assert_eq!(
+                Timestamp::from_raw(ts_raw).clock(),
+                announced,
+                "uid {uid} announced a final its key does not carry"
+            );
             round.push(Release {
                 uid,
                 mask: pend.mask,
                 ts_raw,
-                announced: self.finals[&uid],
+                announced,
                 payload: pend.payload.expect("finalized implies payload"),
             });
         }
@@ -398,6 +406,38 @@ mod tests {
             }
         }
         logs
+    }
+
+    /// One single-group leader that took in uid 1 (finalized at its own
+    /// proposal, clock 1) and then heard a final of `clock` for it.
+    fn finalized_then_final(clock: Option<u64>) -> Vec<(u32, u64, u64)> {
+        let mut seq = Sequencer::new(0);
+        let (propose, ts) = seq.on_submission(1, 0b1, vec![1]);
+        assert_eq!((propose, ts.map(|t| t.clock())), (Some(1), Some(1)));
+        if let Some(clock) = clock {
+            assert_eq!(seq.on_final(1, clock, true), None, "already finalized");
+        }
+        let round = seq.round(8);
+        round
+            .iter()
+            .map(|r| (r.uid, r.ts_raw, r.announced))
+            .collect()
+    }
+
+    #[test]
+    fn a_final_equal_to_the_key_leaves_the_round_unchanged() {
+        let round = finalized_then_final(None);
+        assert_eq!(round, [(1, Timestamp::new(1, MsgId(1)).raw(), 1)]);
+        assert_eq!(finalized_then_final(Some(1)), round);
+    }
+
+    /// `on_final` raises `finals[uid]` for a uid finalized under its old
+    /// key; the round must not announce the raised clock.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "announced a final its key does not carry")]
+    fn a_raised_final_for_a_finalized_uid_trips_the_round() {
+        finalized_then_final(Some(5));
     }
 
     proptest! {

@@ -1,12 +1,12 @@
 //! Where did the time go: runs a fig7-shaped TPC-C schedule with tracing
-//! and profiling on and prints one report from that one run — the top-k
+//! on and prints one report from that one run — the top-k
 //! slowest requests along their paths (parks carved out of the stage they
 //! interrupted, and the client's leader discovery when a group fell
 //! silent), the check that every recorded latency has its path, the
 //! Fig. 6 stage means, wait-state totals and resource utilization — and
 //! exports a Perfetto trace with counter tracks plus flamegraph-style
-//! collapsed stacks (DESIGN.md §11). That neither switch moves the
-//! schedule is pinned in `tests/schedule_hash.rs`; what they cost in host
+//! collapsed stacks (DESIGN.md §11). That tracing does not move the
+//! schedule is pinned in `tests/schedule_hash.rs`; what it costs in host
 //! time is the ledger's `trace.overhead_pct` (`benchmark/`).
 //!
 //! ```text
@@ -19,8 +19,9 @@
 //! Artifacts: `bench_results/explain.json` (loads in `ui.perfetto.dev`)
 //! and `bench_results/explain_waitstates.folded`. Exits nonzero iff a
 //! request path does not sum to its latency, a recorded latency has no
-//! path or a path no recorded latency, a request is untraced, or the
-//! schedule traced no multi-partition request.
+//! path or a path no recorded latency, a request is untraced, the
+//! schedule traced no multi-partition request, no gauge was registered,
+//! or the Perfetto file carries no counter track.
 
 use heron_bench::{arg_value, banner, quick_mode, run_heron_on, RunConfig, Workload};
 use heron_core::explain::{check_latencies, request_paths, Segment};
@@ -56,10 +57,9 @@ fn main() {
     cfg.seed = seed;
     let (run, prof, tracer) = {
         let simulation = sim::Simulation::new(seed);
-        let profiler = simulation.enable_profiling();
         let tracer = simulation.enable_tracing();
         let run = run_heron_on(&cfg, &simulation, &Fabric::new(LatencyModel::connectx4()));
-        (run, profiler.report(), tracer)
+        (run, tracer.report(), tracer)
     };
     // Read after the simulation is dropped: its teardown unwinds the
     // processes parked when the last client stopped the run, closing the
@@ -164,11 +164,11 @@ fn main() {
     std::fs::create_dir_all(dir).expect("create bench_results/");
     let folded = prof.collapsed_stacks();
     std::fs::write(dir.join("explain_waitstates.folded"), &folded).expect("write folded stacks");
-    let perfetto = sim::trace::export_chrome_json_with_counters(
-        &events,
-        &tracer.track_names(),
-        &prof.counter_tracks(),
-    );
+    let perfetto = tracer.export_chrome_json();
+    if !perfetto.contains("\"ph\":\"C\"") {
+        println!("FAIL: the Perfetto export carries no counter track");
+        failed = true;
+    }
     std::fs::write(dir.join("explain.json"), perfetto).expect("write perfetto trace");
     println!(
         "\nartifacts: bench_results/explain.json (perfetto, load in ui.perfetto.dev), \

@@ -1,8 +1,8 @@
 //! The schedule-identity proof (DESIGN.md §12), stated once.
 //!
-//! The kernel has one event queue and four diagnostic switches — the
-//! Sim-TSan race detector, virtual-time tracing, the Sim-Prof wait-state
-//! profiler, and Sim-Check exploration under the Baseline strategy. None
+//! The kernel has one event queue and three diagnostic switches — the
+//! Sim-TSan race detector, virtual-time tracing with the Sim-Prof wait
+//! states and gauges, and Sim-Check exploration under Baseline. None
 //! of them may move the schedule, alone or together, and no PR that
 //! claims "behaviour untouched" may move it either. Both statements are
 //! one table: every shape is run with each column of switches, every cell
@@ -10,7 +10,7 @@
 //! and that triple must be the committed one.
 //!
 //! A column is switched one way for every shape: on the object each
-//! diagnostic lives on — the race detector on the fabric, the other three
+//! diagnostic lives on — the race detector on the fabric, the other two
 //! on the simulation — before the shape's deployment is built on them,
 //! whether a load run or a chaos scenario then drives it.
 //!
@@ -26,28 +26,25 @@ use rdma_sim::{Fabric, LatencyModel};
 use sim::{ExploreConfig, Simulation, StrategyKind};
 use std::time::Duration;
 
-/// Which of the four diagnostic layers a run carries.
+/// Which of the three diagnostic layers a run carries.
 #[derive(Clone, Copy)]
 struct Switches {
     race: bool,
     trace: bool,
-    prof: bool,
     explore: bool,
 }
 
 const OFF: Switches = Switches {
     race: false,
     trace: false,
-    prof: false,
     explore: false,
 };
 
-/// The table's columns: no switch, each alone, all four together.
-const COLUMNS: [(&str, Switches); 6] = [
+/// The table's columns: no switch, each alone, all three together.
+const COLUMNS: [(&str, Switches); 5] = [
     ("off", OFF),
     ("race", Switches { race: true, ..OFF }),
     ("trace", Switches { trace: true, ..OFF }),
-    ("prof", Switches { prof: true, ..OFF }),
     (
         "explore",
         Switches {
@@ -60,7 +57,6 @@ const COLUMNS: [(&str, Switches); 6] = [
         Switches {
             race: true,
             trace: true,
-            prof: true,
             explore: true,
         },
     ),
@@ -132,9 +128,11 @@ struct Row {
 /// value's word-rounded length: each one-sided read of a slot carries
 /// 128 bytes less, and so does each transfer record and checkpoint
 /// image. `recovery-dur-off` kept its pin; the other six kept their
-/// agreement across all six columns.
+/// agreement across all six columns. The table has five since tracing
+/// became the switch for wait states and gauges too and the profiling
+/// column went; nothing was re-pinned.
 ///
-/// Every row runs all six columns, 42 cells. The race detector shadows
+/// Every row runs all five columns, 35 cells. The race detector shadows
 /// only what processes touch (DESIGN.md §10), so the pool row's
 /// 16-warehouse store, bootstrapped from host context, costs it little:
 /// the whole table runs in ≈ 80 s at a 3.1 GiB peak in the test profile
@@ -211,9 +209,6 @@ fn fingerprint(shape: &Shape, sw: Switches) -> (u64, u64, u64) {
     if sw.trace {
         simulation.enable_tracing();
     }
-    if sw.prof {
-        simulation.enable_profiling();
-    }
     if sw.explore {
         simulation.enable_exploration(ExploreConfig::new(StrategyKind::Baseline));
     }
@@ -273,9 +268,9 @@ fn width_decides_the_worker_roster_not_the_driver() {
         let heron = HeronConfig::new(2, 3).with_executor_width(width);
         let cfg = RunConfig::new(heron, Workload::Tpcc).with_requests(30);
         let simulation = Simulation::new(cfg.seed);
-        let profiler = simulation.enable_profiling();
+        let tracer = simulation.enable_tracing();
         run_heron_on(&cfg, &simulation, &Fabric::new(LatencyModel::connectx4()));
-        let prof = profiler.report();
+        let prof = tracer.report();
         let mut execs: Vec<&str> = prof
             .procs
             .iter()

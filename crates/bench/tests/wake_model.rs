@@ -15,11 +15,11 @@ use heron_core::{HeronConfig, StorageKind, TRANSFER_SLOTS, TRANSFER_TIMEOUT};
 fn idle_service_processes_sleep_through_a_fault_free_run() {
     let cfg = RunConfig::new(HeronConfig::new(2, 3), Workload::Null).quick(true);
     let simulation = sim::Simulation::new(cfg.seed);
-    let profiler = simulation.enable_profiling();
+    let tracer = simulation.enable_tracing();
     let fabric = rdma_sim::Fabric::new(rdma_sim::LatencyModel::connectx4());
     let summary = run_heron_on(&cfg, &simulation, &fabric);
     assert!(summary.tps > 0.0);
-    let prof = profiler.report();
+    let prof = tracer.report();
     let services: Vec<_> = prof
         .procs
         .iter()

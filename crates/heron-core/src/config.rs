@@ -63,12 +63,12 @@ pub struct HeronConfig {
     pub executor_width: usize,
     /// Enables virtual-time tracing: causal spans across the client, the
     /// ordering layer, the RDMA verbs and the executor phases, exportable
-    /// as Perfetto JSON (see `sim::trace`). Off by default; when off every
-    /// trace hook is one `OnceCell` flag test and schedules are
-    /// bit-identical either way. It turns on tracing and nothing else:
-    /// `Metrics` records the same either way, and
-    /// [`sim::Simulation::enable_tracing`] on the simulation the cluster is
-    /// spawned into records the same events.
+    /// as Perfetto JSON, with the per-process wait states and utilization
+    /// gauges beside them (see `sim::trace`, `sim::prof`). Off by default;
+    /// when off every trace hook is one `OnceCell` flag test and schedules
+    /// are bit-identical either way. `Metrics` records the same either way,
+    /// and [`sim::Simulation::enable_tracing`] on the simulation the
+    /// cluster is spawned into records the same events.
     pub tracing: bool,
     /// Durable checkpointing (see [`DurabilityConfig`]). `None` (the
     /// default) runs the original all-in-memory system bit-for-bit.

@@ -870,9 +870,9 @@ impl Driver {
         if self.shared.node.power_cycles() > 0 {
             self.cold_restart();
         }
-        // Executors-per-replica occupancy timeline (inert when profiling
-        // is off or there is no pool): how many workers hold a command.
-        let busy = if sim::prof::enabled() && self.inline.is_none() {
+        // Executors-per-replica occupancy timeline (inert when tracing is
+        // off or there is no pool): how many workers hold a command.
+        let busy = if self.inline.is_none() {
             sim::prof::gauge(format!(
                 "pool.busy.p{}r{}",
                 self.shared.partition.0, self.shared.idx
@@ -880,15 +880,8 @@ impl Driver {
         } else {
             sim::prof::Gauge::disabled()
         };
-        let mut busy_last = 0u64;
         loop {
-            if busy.is_enabled() {
-                let v = self.inflight.len() as u64;
-                if v != busy_last {
-                    busy.set(v);
-                    busy_last = v;
-                }
-            }
+            busy.set(self.inflight.len() as u64);
             if !self.pass() {
                 self.idle_wait();
             }

@@ -329,13 +329,10 @@ pub(crate) struct FabricInner {
     /// Set by [`Fabric::enable_race_detector`]: detector-off memory
     /// accesses cost one test of this cell.
     pub(crate) tsan: OnceCell<Arc<crate::tsan::TsanState>>,
-    /// Unsignaled doorbells (a write, a batch, a send) posted but not yet
-    /// landed, fabric-wide: the value behind the profiler's `qp.sendq`
-    /// occupancy gauge.
-    pub(crate) posted_inflight: Cell<u64>,
-    /// The `qp.sendq` occupancy gauge, registered once per fabric on the
-    /// first profiled post (the posting path is far too hot for a per-call
-    /// name lookup).
+    /// The `qp.sendq` occupancy gauge: unsignaled doorbells (a write, a
+    /// batch, a send) posted but not yet landed, fabric-wide. Registered
+    /// once per fabric on the first traced post (the posting path is far
+    /// too hot for a per-call name lookup).
     pub(crate) sendq_gauge: OnceCell<sim::prof::Gauge>,
 }
 
@@ -392,16 +389,6 @@ impl FabricInner {
         }
     }
 
-    /// Moves the profiler's `qp.sendq` gauge by one doorbell posted (`+1`)
-    /// or landed (`-1`) at `t_ns`. Profiled runs only.
-    pub(crate) fn sendq_step(&self, t_ns: u64, by: i64) {
-        let inflight = self.posted_inflight.get().wrapping_add(by as u64);
-        self.posted_inflight.set(inflight);
-        self.sendq_gauge
-            .get_or_init(|| sim::prof::gauge("qp.sendq"))
-            .set_at(t_ns, inflight);
-    }
-
     /// The enabled race detector state, or `None`. One test of an empty
     /// cell when the detector is off.
     pub(crate) fn tsan(&self) -> Option<Arc<crate::tsan::TsanState>> {
@@ -446,7 +433,6 @@ impl Fabric {
                 faults: RefCell::new(None),
                 sabotaged: RefCell::new(Vec::new()),
                 tsan: OnceCell::new(),
-                posted_inflight: Cell::new(0),
                 sendq_gauge: OnceCell::new(),
             }),
         }

@@ -139,15 +139,11 @@ impl QueuePair {
         }
         let land = arm(arrival);
         let flight = sim::trace::flight_begin(flight, 0, args);
-        let sendq = sim::prof::enabled().then(|| {
-            fabric.sendq_step(now, 1);
-            Rc::clone(fabric)
-        });
+        let sendq = sim::prof::cached_gauge(&fabric.sendq_gauge, "qp.sendq");
+        sendq.add(1);
         let ends = Rc::clone(&self.ends);
         sim::schedule_ns(arrival - now, move || {
-            if let Some(fabric) = sendq {
-                fabric.sendq_step(arrival, -1);
-            }
+            sendq.add(-1);
             if let Some(flight) = flight {
                 flight.end_at(arrival);
             }
@@ -921,18 +917,17 @@ mod tests {
         simulation.run().unwrap();
     }
 
-    /// One traced, profiled, race-checked simulation of seed 7 in which
+    /// One traced, race-checked simulation of seed 7 in which
     /// `post` issues an unsignaled write of word 7 from a to b and a poller
     /// on b waits for it. Returns everything a run can be told apart by:
     /// posting cost, landing instant, events executed, schedule hash, every
     /// fabric counter with the detector's record of the write, the recorded
-    /// trace events and the profiler's gauges.
+    /// trace events and the gauges.
     fn observed(
         post: fn(&crate::QueuePair, crate::Addr),
     ) -> (u64, u64, u64, u64, String, String, String) {
         let simulation = sim::Simulation::new(7);
         let tracer = simulation.enable_tracing();
-        let profiler = simulation.enable_profiling();
         let fabric = Fabric::new(LatencyModel::connectx4());
         let detector = fabric.enable_race_detector();
         let (a, b) = (fabric.add_node("a"), fabric.add_node("b"));
@@ -962,7 +957,7 @@ mod tests {
                 detector.last_writer(&target, addr, 8)
             ),
             format!("{:?}", tracer.events()),
-            format!("{:?}", profiler.report().gauges),
+            format!("{:?}", tracer.report().gauges),
         )
     }
 
@@ -999,7 +994,7 @@ mod tests {
     #[test]
     fn send_queue_gauge_counts_a_batch_as_one_doorbell_in_flight() {
         let (simulation, _fabric, a, b) = two_nodes();
-        let profiler = simulation.enable_profiling();
+        let tracer = simulation.enable_tracing();
         let addr = b.alloc_words(8);
         simulation.spawn("writer", move || {
             let mut batch = a.connect(&b).write_batch();
@@ -1011,7 +1006,7 @@ mod tests {
             sim::sleep(std::time::Duration::from_micros(10));
         });
         simulation.run().unwrap();
-        let report = profiler.report();
+        let report = tracer.report();
         let sendq = report
             .gauges
             .iter()

@@ -94,11 +94,11 @@ impl Cond {
     }
 
     /// The wait state a block on this cond is booked under: its taxonomy
-    /// label when the profiler is on. Reads the label only — unlike
+    /// label when tracing is on. Reads the label only — unlike
     /// [`Cond::explore_ident`] it must not assign the exploration id, whose
     /// allocation order is part of the explored-run fingerprint.
     fn prof_key(&self, kernel: &Kernel) -> crate::prof::Key {
-        if kernel.prof_enabled() {
+        if kernel.tracing() {
             crate::prof::blocked(self.inner.label.get())
         } else {
             crate::prof::BLOCKED_COND

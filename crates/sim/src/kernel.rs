@@ -17,7 +17,6 @@
 
 use crate::error::{SimError, SimResult};
 use crate::explore::{Choice, ChoiceActor, ExploreConfig, ExploreState, MAX_READY};
-use crate::prof::ProfState;
 use crate::queue::{Entry, Popped, TimerWheel, Wake};
 use crate::time::SimTime;
 use crate::trace::TraceState;
@@ -111,9 +110,10 @@ struct KState {
     /// debug assertion on a runaway same-instant wake loop even when
     /// exploration is off (see [`crate::explore`] for the real detectors).
     dbg_spin: (u64, u32, u32),
-    /// Per-process wait-state accounting ([`crate::prof`]); lives here so
-    /// the hot hooks run under the state borrow they already hold — no
-    /// second borrow, no reference-count traffic per event.
+    /// Per-process wait-state accounting ([`crate::prof`]), created when
+    /// tracing is switched on; lives here so the hot hooks run under the
+    /// state borrow they already hold — no second borrow, no
+    /// reference-count traffic per event.
     prof: Option<crate::prof::ProfProcs>,
 }
 
@@ -175,9 +175,10 @@ pub(crate) struct Kernel {
     /// post, wait with a deadline and trace hook reads the clock.
     now: Cell<u64>,
     seed: u64,
-    /// Tracing gate, set once: one test decides every trace hook, mirroring
-    /// the race detector's fabric flag, so the off path costs nothing and
-    /// schedules stay bit-identical either way (see [`crate::trace`]).
+    /// The one observability gate, set once: one test decides every trace,
+    /// wait-state and gauge hook, mirroring the race detector's fabric
+    /// flag, so the off path costs nothing and schedules stay bit-identical
+    /// either way (see [`crate::trace`], [`crate::prof`]).
     trace: OnceCell<Arc<TraceState>>,
     /// Set on the first vector-clock tick. While unset (no race detector
     /// running), clock snapshots return the empty clock after one flag
@@ -187,9 +188,6 @@ pub(crate) struct Kernel {
     /// Exploration gate, like `trace`: one test decides every choice-point
     /// / detector hook (see [`crate::explore`]).
     explore: OnceCell<Arc<ExploreState>>,
-    /// Profiling gate, like `trace`: one test decides every wait-state hook
-    /// (see [`crate::prof`]).
-    prof: OnceCell<Arc<ProfState>>,
 }
 
 /// What this thread is doing for a simulation right now. Shared (`Rc`)
@@ -335,36 +333,11 @@ impl Kernel {
             trace: OnceCell::new(),
             vc_on: Cell::new(false),
             explore: OnceCell::new(),
-            prof: OnceCell::new(),
         })
     }
 
-    /// The profiler state, or `None` when profiling is off (the common
-    /// case: one flag test).
-    pub(crate) fn prof_state(&self) -> Option<Arc<ProfState>> {
-        self.prof.get().cloned()
-    }
-
-    /// Whether wait-state profiling is on (one flag test).
-    pub(crate) fn prof_enabled(&self) -> bool {
-        self.prof.get().is_some()
-    }
-
-    /// Enables wait-state profiling (idempotent; the first call's bucket
-    /// width wins) and returns the shared profiler state.
-    pub(crate) fn enable_prof(&self, bucket_ns: u64) -> Arc<ProfState> {
-        self.state
-            .borrow_mut()
-            .prof
-            .get_or_insert_with(crate::prof::ProfProcs::new);
-        Arc::clone(
-            self.prof
-                .get_or_init(|| Arc::new(ProfState::new(bucket_ns))),
-        )
-    }
-
     /// Snapshot of the per-process wait-state totals as of "now" (for
-    /// [`crate::prof::Profiler::report`]); empty when profiling is off.
+    /// [`crate::trace::Tracer::report`]); empty when tracing is off.
     pub(crate) fn prof_proc_totals(
         &self,
     ) -> (u64, Vec<Vec<(crate::prof::Key, crate::prof::Stat)>>) {
@@ -407,9 +380,18 @@ impl Kernel {
         self.trace.get().cloned()
     }
 
+    /// Whether tracing is on (one flag test).
+    pub(crate) fn tracing(&self) -> bool {
+        self.trace.get().is_some()
+    }
+
     /// Enables tracing (idempotent) and returns the shared recording state.
+    /// The first call also creates the wait-state table.
     pub(crate) fn enable_trace(&self) -> Arc<TraceState> {
-        Arc::clone(self.trace.get_or_init(|| Arc::new(TraceState::new())))
+        Arc::clone(self.trace.get_or_init(|| {
+            self.state.borrow_mut().prof = Some(crate::prof::ProfProcs::new());
+            Arc::new(TraceState::new())
+        }))
     }
 
     /// Names of all spawned processes, in pid order.
@@ -556,14 +538,14 @@ impl Kernel {
     }
 
     /// Second half of blocking: switch to the host loop until woken. `key`
-    /// is the wait state the profiler books the block under unless a scope
+    /// is the wait state a traced run books the block under unless a scope
     /// overrides it.
     ///
     /// # Panics
     ///
     /// Unwinds with [`KilledToken`] if the process was killed while parked.
     pub(crate) fn yield_and_park(&self, pid: Pid, key: crate::prof::Key) {
-        if self.prof_enabled() {
+        if self.tracing() {
             let mut st = self.state.borrow_mut();
             let now = st.now;
             let key = st.procs[pid.0 as usize].scope.unwrap_or(key);
@@ -575,7 +557,7 @@ impl Kernel {
     }
 
     /// Blocks `pid` until `nanos` of virtual time pass: begin-block,
-    /// enqueue-wake and the profiler hook under one state borrow — this is
+    /// enqueue-wake and the wait-state hook under one state borrow — this is
     /// the hottest blocking path (every `sleep`, `yield_now` and
     /// simulated-latency charge).
     pub(crate) fn sleep(&self, pid: Pid, nanos: u64) {
@@ -992,21 +974,23 @@ impl Simulation {
     }
 
     /// Enables virtual-time tracing (idempotent) and returns a
-    /// [`crate::trace::Tracer`] handle over the recorded events. Tracing
-    /// never perturbs the schedule: runs are bit-identical with it on or
-    /// off (see [`crate::trace`]).
+    /// [`crate::trace::Tracer`] handle over what it records. This is the
+    /// one observability switch: spans and instants, the per-process wait
+    /// states and the utilization gauges of [`crate::prof`]. It never
+    /// perturbs the schedule: runs are bit-identical with it on or off
+    /// (see [`crate::trace`]).
     pub fn enable_tracing(&self) -> crate::trace::Tracer {
         let state = self.kernel.enable_trace();
         crate::trace::Tracer::new(state, Rc::clone(&self.kernel))
     }
 
-    /// Enables wait-state profiling (idempotent) and returns a
-    /// [`crate::prof::Profiler`] handle. Like tracing, profiling never
-    /// perturbs the schedule: runs are bit-identical with it on or off
-    /// (see [`crate::prof`]).
+    /// [`Simulation::enable_tracing`], returning a
+    /// [`crate::prof::Profiler`]: a view of the same recorder's wait
+    /// states and gauges, not a second switch. It stays because the perf
+    /// ledger (`benchmark/`) calls it; removing it waits for a change to
+    /// the ledger.
     pub fn enable_profiling(&self) -> crate::prof::Profiler {
-        let state = self.kernel.enable_prof(crate::prof::DEFAULT_BUCKET_NS);
-        crate::prof::Profiler::new(state, Rc::clone(&self.kernel))
+        crate::prof::Profiler::new(self.enable_tracing())
     }
 }
 

@@ -1,13 +1,14 @@
 //! Sim-Prof: deterministic virtual-time wait-state profiling.
 //!
-//! A profiling layer that accounts, per simulated process, how virtual time
-//! splits across scheduler states — plus fixed-bucket utilization timelines
-//! for shared resources (executor pools, QP send queues, the sequencer,
-//! disks). The recording discipline mirrors [`crate::trace`] and the race
-//! detector: hooks append to profiler-private state and never sleep, never
-//! schedule an event, and never touch a process RNG, so **schedules are
-//! bit-identical with profiling on or off**. When profiling is off every
-//! kernel hook reduces to one flag test.
+//! Per simulated process, how virtual time splits across scheduler states
+//! — plus fixed-bucket utilization timelines for shared resources
+//! (executor pools, QP send queues, the sequencer, disks). Both are part
+//! of the trace: [`crate::Simulation::enable_tracing`] is the one switch,
+//! and [`crate::trace::Tracer::report`] reads them. The recording
+//! discipline is the tracer's: hooks append to recorder-private state and
+//! never sleep, never schedule an event, and never touch a process RNG,
+//! so **schedules are bit-identical with tracing on or off**. When it is
+//! off every kernel hook reduces to one flag test.
 //!
 //! # State machine
 //!
@@ -25,7 +26,7 @@
 //!   in virtual time.
 //! * **Blocked{label}** — waiting on a [`crate::Cond`] (label = the cond's
 //!   taxonomy label: `"mailbox"`, `"rdma.mem"`, …) or inside an explicit
-//!   [`blocked_scope`] such as `"disk"`: *idle wait*, the profiler's whole
+//!   [`blocked_scope`] such as `"disk"`: *idle wait*, the profile's whole
 //!   reason to exist.
 //! * **Parked{label}** — a semantic park declared with [`parked_scope`]
 //!   (P-SMR `phase2_starved` / `lagging` workers, checkpoint quiescence).
@@ -36,22 +37,21 @@
 //!
 //! # Resource timelines
 //!
-//! [`gauge`] returns a handle that records a time-weighted step function
-//! (the gauge's value over virtual time), folded into fixed-width buckets.
-//! Exported as Perfetto counter tracks by
-//! [`crate::trace::export_chrome_json_with_counters`].
-//!
-//! Enable with [`crate::Simulation::enable_profiling`], which returns a
-//! [`Profiler`] handle; call [`Profiler::report`] after the run.
+//! [`gauge`] returns a handle that holds the resource's value and records
+//! a time-weighted step function of it (the value over virtual time),
+//! folded into fixed-width buckets. No gauge update is a trace event;
+//! [`crate::trace::Tracer::export_chrome_json`] writes the buckets as
+//! Perfetto counter tracks beside the spans.
 
 use crate::kernel::{try_with_ctx, Kernel, Pid};
-use parking_lot::Mutex;
+use crate::trace::{TraceState, Tracer};
+use std::cell::{Cell, OnceCell};
 use std::fmt;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 use std::sync::Arc;
 
-/// Default timeline bucket width: 100µs of virtual time.
-pub const DEFAULT_BUCKET_NS: u64 = 100_000;
+/// Timeline bucket width: 100µs of virtual time.
+pub const BUCKET_NS: u64 = 100_000;
 
 /// Hard cap on timeline buckets per gauge; time beyond the cap accumulates
 /// into the last bucket (runs are ms-scale, so this is ~1.6s of headroom).
@@ -138,12 +138,6 @@ pub fn parked_scope(label: &'static str) -> WaitScope {
     enter_scope((StateKind::Parked, label))
 }
 
-/// Returns `true` when the calling process is being profiled. Use to skip
-/// label computation; the hooks themselves are already gated.
-pub fn enabled() -> bool {
-    try_with_ctx(|k, _| k.prof_enabled()).unwrap_or(false)
-}
-
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Stat {
     ns: u64,
@@ -173,7 +167,9 @@ fn bump(totals: &mut Vec<(Key, Stat)>, key: Key, ns: u64, transitions: u64) {
     }
 }
 
-struct GaugeSlot {
+/// One gauge's recorded step function. The slots live in the trace state,
+/// in registration order.
+pub(crate) struct GaugeSlot {
     name: String,
     last_t: u64,
     last_v: u64,
@@ -184,7 +180,7 @@ struct GaugeSlot {
 
 impl GaugeSlot {
     /// Folds the step function from `last_t` to `now` into the buckets.
-    fn advance(&mut self, now: u64, bucket_ns: u64) {
+    fn advance(&mut self, now: u64) {
         if now <= self.last_t {
             return;
         }
@@ -194,11 +190,11 @@ impl GaugeSlot {
         }
         let mut t = self.last_t;
         while t < now {
-            let b = ((t / bucket_ns) as usize).min(MAX_BUCKETS - 1);
+            let b = ((t / BUCKET_NS) as usize).min(MAX_BUCKETS - 1);
             let bucket_end = if b == MAX_BUCKETS - 1 {
                 u64::MAX
             } else {
-                (t / bucket_ns + 1) * bucket_ns
+                (t / BUCKET_NS + 1) * BUCKET_NS
             };
             let seg = now.min(bucket_end) - t;
             if self.weighted.len() <= b {
@@ -208,6 +204,51 @@ impl GaugeSlot {
             t += seg;
         }
         self.last_t = now;
+    }
+
+    /// The step function takes value `v` at `now`.
+    fn set(&mut self, now: u64, v: u64) {
+        self.advance(now);
+        self.last_v = v;
+        self.max = self.max.max(v);
+    }
+
+    /// The timeline as of `end_ns`, its open tail folded into a scratch
+    /// copy.
+    fn series(&self, end_ns: u64) -> GaugeSeries {
+        let mut tail = GaugeSlot {
+            name: String::new(),
+            weighted: self.weighted.clone(),
+            ..*self
+        };
+        tail.advance(end_ns);
+        let weighted = tail.weighted;
+        let mean: Vec<f64> = weighted
+            .iter()
+            .enumerate()
+            .map(|(b, w)| {
+                let start = b as u64 * BUCKET_NS;
+                let width = if end_ns > start {
+                    (end_ns - start).min(BUCKET_NS)
+                } else {
+                    BUCKET_NS
+                };
+                *w as f64 / width as f64
+            })
+            .collect();
+        let total_w: u128 = weighted.iter().sum();
+        let mean_overall = if end_ns > 0 {
+            total_w as f64 / end_ns as f64
+        } else {
+            0.0
+        };
+        GaugeSeries {
+            name: self.name.clone(),
+            bucket_ns: BUCKET_NS,
+            mean,
+            max: self.max,
+            mean_overall,
+        }
     }
 }
 
@@ -315,163 +356,99 @@ impl ProfProcs {
     }
 }
 
-/// Shared gauge state (utilization timelines). Lives on the kernel in a
-/// `OnceCell<Arc<_>>` exactly like tracing, so the off path is one test
-/// of an empty cell. All methods are leaf operations: they take
-/// only the profiler's own lock and never call back into the kernel.
-/// (The per-process wait-state accounting lives in [`ProfProcs`] inside
-/// the kernel state instead — see there.)
-pub(crate) struct ProfState {
-    bucket_ns: u64,
-    inner: Mutex<Vec<GaugeSlot>>,
-}
-
-impl ProfState {
-    pub(crate) fn new(bucket_ns: u64) -> Self {
-        ProfState {
-            bucket_ns: bucket_ns.max(1),
-            inner: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Registers (or reuses) a named utilization gauge.
-    pub(crate) fn register_gauge(&self, name: String, now: u64) -> usize {
-        let mut gauges = self.inner.lock();
-        if let Some(i) = gauges.iter().position(|g| g.name == name) {
-            return i;
-        }
-        gauges.push(GaugeSlot {
-            name,
-            last_t: now,
-            last_v: 0,
-            max: 0,
-            weighted: Vec::new(),
-        });
-        gauges.len() - 1
-    }
-
-    pub(crate) fn gauge_set(&self, idx: usize, now: u64, v: u64) {
-        let bucket_ns = self.bucket_ns;
-        let mut gauges = self.inner.lock();
-        let g = &mut gauges[idx];
-        g.advance(now, bucket_ns);
-        g.last_v = v;
-        g.max = g.max.max(v);
-    }
-
-    fn report(
-        &self,
-        end_ns: u64,
-        names: &[String],
-        proc_totals: Vec<Vec<(Key, Stat)>>,
-    ) -> ProfReport {
-        let procs = proc_totals
-            .into_iter()
-            .enumerate()
-            .map(|(i, totals)| {
-                let mut states: Vec<WaitState> = totals
-                    .iter()
-                    .map(|(k, s)| WaitState {
-                        state: key_name(*k),
-                        ns: s.ns,
-                        transitions: s.transitions,
-                    })
-                    .collect();
-                states.sort_by(|a, b| b.ns.cmp(&a.ns).then_with(|| a.state.cmp(&b.state)));
-                ProcWaitStats {
-                    pid: i as u32,
-                    name: names.get(i).cloned().unwrap_or_else(|| format!("pid#{i}")),
-                    states,
-                }
-            })
-            .collect();
-        let inner = self.inner.lock();
-        let gauges = inner
-            .iter()
-            .map(|g| {
-                // Fold the open tail [last_t, end_ns) into a scratch copy.
-                let mut weighted = g.weighted.clone();
-                if end_ns > g.last_t && g.last_v > 0 {
-                    let mut scratch = GaugeSlot {
-                        name: String::new(),
-                        last_t: g.last_t,
-                        last_v: g.last_v,
-                        max: g.max,
-                        weighted,
-                    };
-                    scratch.advance(end_ns, self.bucket_ns);
-                    weighted = scratch.weighted;
-                }
-                let mean: Vec<f64> = weighted
-                    .iter()
-                    .enumerate()
-                    .map(|(b, w)| {
-                        let start = b as u64 * self.bucket_ns;
-                        let width = if end_ns > start {
-                            (end_ns - start).min(self.bucket_ns)
-                        } else {
-                            self.bucket_ns
-                        };
-                        *w as f64 / width as f64
-                    })
-                    .collect();
-                let total_w: u128 = weighted.iter().sum();
-                let mean_overall = if end_ns > 0 {
-                    total_w as f64 / end_ns as f64
-                } else {
-                    0.0
-                };
-                GaugeSeries {
-                    name: g.name.clone(),
-                    bucket_ns: self.bucket_ns,
-                    mean,
-                    max: g.max,
-                    mean_overall,
-                }
-            })
-            .collect();
-        ProfReport {
-            end_ns,
-            bucket_ns: self.bucket_ns,
-            procs,
-            gauges,
-        }
+/// Everything recorded as of `end_ns`: the per-process totals (with
+/// `names` labelling them) and every gauge's timeline. The one builder of
+/// a [`ProfReport`]; [`Tracer::report`] calls it.
+pub(crate) fn report(
+    end_ns: u64,
+    names: &[String],
+    proc_totals: Vec<Vec<(Key, Stat)>>,
+    gauges: &[GaugeSlot],
+) -> ProfReport {
+    let procs = proc_totals
+        .into_iter()
+        .enumerate()
+        .map(|(i, totals)| {
+            let mut states: Vec<WaitState> = totals
+                .iter()
+                .map(|(k, s)| WaitState {
+                    state: key_name(*k),
+                    ns: s.ns,
+                    transitions: s.transitions,
+                })
+                .collect();
+            states.sort_by(|a, b| b.ns.cmp(&a.ns).then_with(|| a.state.cmp(&b.state)));
+            ProcWaitStats {
+                pid: i as u32,
+                name: names.get(i).cloned().unwrap_or_else(|| format!("pid#{i}")),
+                states,
+            }
+        })
+        .collect();
+    ProfReport {
+        end_ns,
+        bucket_ns: BUCKET_NS,
+        procs,
+        gauges: gauges.iter().map(|g| g.series(end_ns)).collect(),
     }
 }
 
-/// Handle to a named utilization gauge; inert when profiling was off at
-/// creation time. Obtained from [`gauge`]. Clones share the same slot, so
-/// a handle can travel into deferred-event closures.
+/// Handle to a named utilization gauge: it holds the resource's value and
+/// records each change of it. Inert when tracing was off at creation time.
+/// Obtained from [`gauge`]. Clones share the value and the slot, so a
+/// handle can travel into deferred-event closures.
 #[derive(Clone)]
 pub struct Gauge {
-    inner: Option<(Arc<ProfState>, Rc<Kernel>, usize)>,
+    inner: Option<Rc<GaugeHandle>>,
+}
+
+struct GaugeHandle {
+    state: Arc<TraceState>,
+    /// Weak: a handle captured by a timer still queued when the simulation
+    /// is dropped must not keep the kernel, and so that timer, alive.
+    kernel: Weak<Kernel>,
+    idx: usize,
+    /// The value this handle last set, 0 before its first change.
+    value: Cell<u64>,
 }
 
 impl Gauge {
     /// An inert gauge (all updates are no-ops).
+    #[inline]
     pub fn disabled() -> Gauge {
         Gauge { inner: None }
     }
 
     /// Whether updates actually record anything.
+    #[inline]
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()
     }
 
-    /// Sets the gauge's current value (time-weighted from the previous
-    /// update). Callable from process or event context.
+    /// Sets the gauge's value at the current virtual time (time-weighted
+    /// from the previous change); a value equal to the current one records
+    /// nothing. Callable from process or event context.
+    #[inline]
     pub fn set(&self, v: u64) {
-        if let Some((st, kernel, idx)) = &self.inner {
-            st.gauge_set(*idx, kernel.now_nanos(), v);
+        if let Some(h) = &self.inner {
+            if h.value.replace(v) != v {
+                if let Some(kernel) = h.kernel.upgrade() {
+                    h.state.gauges.lock()[h.idx].set(kernel.now_nanos(), v);
+                }
+            }
         }
     }
 
-    /// [`Gauge::set`] with the caller supplying the current virtual time,
-    /// for hot paths that already know it (skips a kernel clock read).
-    /// `t_ns` must not precede the gauge's previous update.
-    pub fn set_at(&self, t_ns: u64, v: u64) {
-        if let Some((st, _, idx)) = &self.inner {
-            st.gauge_set(*idx, t_ns, v);
+    /// Moves the gauge's value by `delta` ([`Gauge::set`] of the sum).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the value would drop below zero.
+    #[inline]
+    pub fn add(&self, delta: i64) {
+        if let Some(h) = &self.inner {
+            let v = h.value.get().checked_add_signed(delta);
+            self.set(v.expect("gauge stepped below zero"));
         }
     }
 }
@@ -485,18 +462,50 @@ impl fmt::Debug for Gauge {
 }
 
 /// Creates (or reattaches to) the utilization gauge named `name`. Returns
-/// an inert handle when profiling is off or outside process context, so
+/// an inert handle when tracing is off or outside process context, so
 /// instrumentation sites need no gate of their own.
 pub fn gauge(name: impl Into<String>) -> Gauge {
-    let name = name.into();
     let inner = try_with_ctx(|k, _| {
-        k.prof_state().map(|st| {
-            let idx = st.register_gauge(name, k.now_nanos());
-            (st, Rc::clone(k), idx)
+        k.trace_state().map(|state| {
+            let name = name.into();
+            let mut slots = state.gauges.lock();
+            let idx = match slots.iter().position(|g| g.name == name) {
+                Some(idx) => idx,
+                None => {
+                    slots.push(GaugeSlot {
+                        name,
+                        last_t: k.now_nanos(),
+                        last_v: 0,
+                        max: 0,
+                        weighted: Vec::new(),
+                    });
+                    slots.len() - 1
+                }
+            };
+            drop(slots);
+            Rc::new(GaugeHandle {
+                state,
+                kernel: Rc::downgrade(k),
+                idx,
+                value: Cell::new(0),
+            })
         })
     })
     .flatten();
     Gauge { inner }
+}
+
+/// The gauge `cell` caches for a hot site, registered as `name` on the
+/// first call made while tracing is on; inert (and `cell` left empty)
+/// otherwise. The cell outlives one simulation when its owner does, so a
+/// device carried across simulations keeps the first traced one's gauge.
+#[inline]
+pub fn cached_gauge(cell: &OnceCell<Gauge>, name: &str) -> Gauge {
+    if crate::trace::enabled() {
+        cell.get_or_init(|| gauge(name)).clone()
+    } else {
+        Gauge::disabled()
+    }
 }
 
 /// One wait state's share of a process's virtual timeline.
@@ -584,52 +593,26 @@ impl ProfReport {
         }
         out
     }
-
-    /// The gauges as Perfetto counter tracks: `(name, [(t_ns, value)])`
-    /// sampled at each bucket start. Pass to
-    /// [`crate::trace::export_chrome_json_with_counters`].
-    pub fn counter_tracks(&self) -> Vec<(String, Vec<(u64, f64)>)> {
-        self.gauges
-            .iter()
-            .map(|g| {
-                let points = g
-                    .mean
-                    .iter()
-                    .enumerate()
-                    .map(|(b, v)| (b as u64 * g.bucket_ns, *v))
-                    .collect();
-                (g.name.clone(), points)
-            })
-            .collect()
-    }
 }
 
-/// Handle to a simulation's profiler. Cheap to clone; obtained from
-/// [`crate::Simulation::enable_profiling`].
-#[derive(Clone)]
+/// A view of a simulation's wait states and gauges: the report its
+/// [`Tracer`] reads. Obtained from [`crate::Simulation::enable_profiling`],
+/// which turns on tracing and is no second switch. It stays because the
+/// perf ledger (`benchmark/`) calls it; removing it waits for a change to
+/// the ledger.
+#[derive(Clone, Debug)]
 pub struct Profiler {
-    state: Arc<ProfState>,
-    kernel: Rc<Kernel>,
-}
-
-impl fmt::Debug for Profiler {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Profiler").finish()
-    }
+    tracer: Tracer,
 }
 
 impl Profiler {
-    pub(crate) fn new(state: Arc<ProfState>, kernel: Rc<Kernel>) -> Self {
-        Profiler { state, kernel }
+    pub(crate) fn new(tracer: Tracer) -> Self {
+        Profiler { tracer }
     }
 
-    /// Snapshot of the wait-state accounting and utilization timelines as
-    /// of the current virtual time. Open intervals are closed at "now"
-    /// without disturbing the live state.
+    /// [`Tracer::report`].
     pub fn report(&self) -> ProfReport {
-        let (now, proc_totals) = self.kernel.prof_proc_totals();
-        let names = self.kernel.proc_names();
-        self.state.report(now, &names, proc_totals)
+        self.tracer.report()
     }
 }
 
@@ -648,13 +631,13 @@ mod tests {
     #[test]
     fn sleep_time_is_accounted_as_service() {
         let sim = Simulation::new(1);
-        let prof = sim.enable_profiling();
+        let tracer = sim.enable_tracing();
         sim.spawn("sleeper", || {
             crate::sleep(Duration::from_nanos(700));
             crate::sleep(Duration::from_nanos(300));
         });
         sim.run().unwrap();
-        let report = prof.report();
+        let report = tracer.report();
         let p = &report.procs[0];
         assert_eq!(p.name, "sleeper");
         let sleep = state(p, "sleep").expect("sleep state present");
@@ -668,7 +651,7 @@ mod tests {
     #[test]
     fn cond_wait_is_attributed_to_its_label() {
         let sim = Simulation::new(1);
-        let prof = sim.enable_profiling();
+        let tracer = sim.enable_tracing();
         let cond = Cond::labeled("mailbox");
         let flag = Arc::new(AtomicBool::new(false));
         let (c1, f1) = (cond.clone(), flag.clone());
@@ -681,7 +664,7 @@ mod tests {
             cond.notify_all();
         });
         sim.run().unwrap();
-        let report = prof.report();
+        let report = tracer.report();
         let waiter = &report.procs[0];
         let blocked = state(waiter, "blocked.mailbox").expect("mailbox wait recorded");
         assert_eq!(blocked.ns, 400);
@@ -692,7 +675,7 @@ mod tests {
     #[test]
     fn scopes_override_the_default_attribution() {
         let sim = Simulation::new(1);
-        let prof = sim.enable_profiling();
+        let tracer = sim.enable_tracing();
         sim.spawn("worker", || {
             {
                 let _g = blocked_scope("disk");
@@ -705,7 +688,7 @@ mod tests {
             crate::sleep(Duration::from_nanos(100));
         });
         sim.run().unwrap();
-        let p = &prof.report().procs[0];
+        let p = &tracer.report().procs[0];
         assert_eq!(state(p, "blocked.disk").unwrap().ns, 250);
         assert_eq!(state(p, "parked.phase2_starved").unwrap().ns, 150);
         assert_eq!(state(p, "sleep").unwrap().ns, 100);
@@ -716,7 +699,7 @@ mod tests {
     #[test]
     fn a_scope_stays_with_its_process_while_it_is_parked() {
         let sim = Simulation::new(1);
-        let prof = sim.enable_profiling();
+        let tracer = sim.enable_tracing();
         let cond = Cond::new();
         sim.spawn("a", || {
             let _g = parked_scope("a");
@@ -732,7 +715,7 @@ mod tests {
             cond.notify_all();
         });
         sim.run().unwrap();
-        let report = prof.report();
+        let report = tracer.report();
         let (a, b) = (&report.procs[0], &report.procs[1]);
         assert_eq!(state(a, "parked.a").unwrap().ns, 500);
         assert_eq!(state(b, "sleep").unwrap().ns, 100);
@@ -743,7 +726,7 @@ mod tests {
     #[test]
     fn gauge_timeline_is_time_weighted() {
         let sim = Simulation::new(1);
-        let prof = sim.enable_profiling();
+        let tracer = sim.enable_tracing();
         sim.spawn("g", || {
             let g = gauge("pool.busy");
             assert!(g.is_enabled());
@@ -755,7 +738,7 @@ mod tests {
             crate::sleep(Duration::from_nanos(100_000));
         });
         sim.run().unwrap();
-        let report = prof.report();
+        let report = tracer.report();
         let g = &report.gauges[0];
         assert_eq!(g.name, "pool.busy");
         assert_eq!(g.max, 4);
@@ -768,53 +751,88 @@ mod tests {
     }
 
     #[test]
-    fn profiling_does_not_change_the_schedule() {
-        fn run(profile: bool) -> (u64, u64, u64) {
-            let sim = Simulation::new(77);
-            if profile {
-                sim.enable_profiling();
-            }
-            let cond = Cond::labeled("rdma.mem");
-            for i in 0..4u32 {
-                let c = cond.clone();
-                sim.spawn(format!("p{i}"), move || {
-                    for _ in 0..20 {
-                        crate::sleep(Duration::from_nanos(u64::from(i) * 13 + 7));
-                        if i == 0 {
-                            c.notify_all();
-                        } else {
-                            let _ = c.wait_while_timeout(|| true, Duration::from_nanos(40));
-                        }
-                    }
-                });
-            }
-            sim.run().unwrap();
-            (
-                sim.schedule_hash(),
-                sim.events_executed(),
-                sim.now().as_nanos(),
-            )
-        }
-        assert_eq!(
-            run(true),
-            run(false),
-            "schedule must be bit-identical with profiling on/off"
-        );
-    }
-
-    #[test]
     fn collapsed_stacks_and_totals_agree() {
         let sim = Simulation::new(1);
-        let prof = sim.enable_profiling();
+        let tracer = sim.enable_tracing();
         sim.spawn("a", || crate::sleep(Duration::from_nanos(100)));
         sim.spawn("b", || crate::sleep(Duration::from_nanos(200)));
         sim.run().unwrap();
-        let report = prof.report();
+        let report = tracer.report();
         let totals = report.totals();
         let sleep = totals.iter().find(|s| s.state == "sleep").unwrap();
         assert_eq!(sleep.ns, 300);
         let collapsed = report.collapsed_stacks();
         assert!(collapsed.contains("a;sleep 100"));
         assert!(collapsed.contains("b;sleep 200"));
+    }
+
+    #[test]
+    fn a_gauge_steps_by_add_and_records_only_changes() {
+        let sim = Simulation::new(1);
+        let tracer = sim.enable_tracing();
+        sim.spawn("d", || {
+            let g = gauge("disk.busy");
+            let last_t = |g: &Gauge| {
+                let h = g.inner.as_ref().expect("tracing is on");
+                h.state.gauges.lock()[h.idx].last_t
+            };
+            g.add(1);
+            g.add(1);
+            crate::sleep(Duration::from_nanos(100));
+            g.set(2);
+            assert_eq!(last_t(&g), 0, "an unchanged value is not recorded");
+            g.add(-1);
+            assert_eq!(last_t(&g), 100);
+            crate::sleep(Duration::from_nanos(100));
+            g.add(-1);
+        });
+        sim.run().unwrap();
+        let report = tracer.report();
+        let g = &report.gauges[0];
+        assert_eq!(g.max, 2);
+        // 2 for 100 ns, then 1 for 100 ns, over 200 ns.
+        assert!((g.mean_overall - 1.5).abs() < 1e-9, "{}", g.mean_overall);
+    }
+
+    #[test]
+    fn a_pending_timer_holding_a_gauge_is_freed_with_its_simulation() {
+        struct Dropped(Rc<std::cell::Cell<bool>>);
+        impl Drop for Dropped {
+            fn drop(&mut self) {
+                self.0.set(true);
+            }
+        }
+        let dropped = Rc::new(std::cell::Cell::new(false));
+        let flag = Dropped(Rc::clone(&dropped));
+        let sim = Simulation::new(1);
+        let tracer = sim.enable_tracing();
+        sim.spawn("p", move || {
+            let g = gauge("g");
+            crate::schedule_ns(1_000, move || {
+                let _flag = &flag;
+                g.add(1);
+            });
+        });
+        sim.run_until(crate::SimTime::from_nanos(500)).unwrap();
+        drop((sim, tracer));
+        assert!(dropped.get(), "the pending timer outlived its simulation");
+    }
+
+    #[test]
+    fn enable_profiling_is_a_view_of_the_trace() {
+        let sim = Simulation::new(1);
+        let prof = sim.enable_profiling();
+        let tracer = sim.enable_tracing();
+        sim.spawn("p", || {
+            let g = gauge("pool.busy");
+            g.set(3);
+            let _s = crate::trace::span("work", 1);
+            crate::sleep(Duration::from_nanos(250));
+        });
+        sim.run().unwrap();
+        assert_eq!(tracer.len(), 2, "the span's begin and end");
+        let (a, b) = (prof.report(), tracer.report());
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        assert_eq!(a.gauges[0].max, 3);
     }
 }

@@ -23,7 +23,7 @@
 //! deployments never construct one — so a configuration without durable
 //! storage executes a bit-identical schedule.
 
-use std::cell::{Cell, OnceCell, RefCell};
+use std::cell::{OnceCell, RefCell};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
@@ -78,12 +78,9 @@ struct Namespace {
 #[derive(Default)]
 struct StorageInner {
     namespaces: RefCell<BTreeMap<String, Namespace>>,
-    /// In-flight charged operations, for the profiler's `disk.busy` gauge.
-    busy: Cell<u64>,
-    /// The `disk.busy` gauge, registered once per device on the first
-    /// profiled charge (charges are per-append, too hot for a per-call
-    /// name lookup). A `Storage` carried across simulations keeps the
-    /// first simulation's gauge; only that run's profile sees the device.
+    /// The `disk.busy` gauge, in-flight charged operations, registered once
+    /// per device on the first traced charge (charges are per-append, too
+    /// hot for a per-call name lookup).
     gauge: OnceCell<crate::prof::Gauge>,
 }
 
@@ -138,28 +135,14 @@ impl Storage {
         if nanos == 0 {
             return;
         }
-        if let Some(t0) = crate::try_now() {
+        if crate::try_now().is_some() {
             // Attribute the wait to the disk, not to a generic sleep, and
             // drive the device-occupancy gauge across the charged interval.
             let _scope = crate::prof::blocked_scope("disk");
-            let gauge = if crate::prof::enabled() {
-                self.inner
-                    .gauge
-                    .get_or_init(|| crate::prof::gauge("disk.busy"))
-                    .clone()
-            } else {
-                crate::prof::Gauge::disabled()
-            };
-            let busy = &self.inner.busy;
-            if gauge.is_enabled() {
-                busy.set(busy.get() + 1);
-                gauge.set_at(t0.as_nanos(), busy.get());
-            }
+            let busy = crate::prof::cached_gauge(&self.inner.gauge, "disk.busy");
+            busy.add(1);
             crate::sleep_ns(nanos);
-            if gauge.is_enabled() {
-                busy.set(busy.get() - 1);
-                gauge.set_at(t0.as_nanos() + nanos, busy.get());
-            }
+            busy.add(-1);
         }
     }
 

@@ -22,13 +22,18 @@
 //!   uid — so one request's spans can be stitched across every process and
 //!   partition that touched it.
 //!
-//! Enable with [`crate::Simulation::enable_tracing`], which returns a
-//! [`Tracer`] handle for draining events or exporting a Chrome/Perfetto
-//! `trace_event` JSON file (open it directly in `ui.perfetto.dev`).
+//! Enable with [`crate::Simulation::enable_tracing`], the one
+//! observability switch. It also turns on the kernel's per-process
+//! wait-state table and the utilization gauges of [`crate::prof`]. It
+//! returns a [`Tracer`] handle for draining events, reading the wait
+//! states and gauges ([`Tracer::report`]) or exporting a Chrome/Perfetto
+//! `trace_event` JSON file with the gauges as counter tracks (open it
+//! directly in `ui.perfetto.dev`).
 //!
 //! [`Pid`]: crate::Pid
 
 use crate::kernel::{try_with_ctx, Kernel};
+use crate::prof::{GaugeSeries, GaugeSlot, ProfReport};
 use parking_lot::Mutex;
 use std::fmt;
 use std::rc::Rc;
@@ -152,9 +157,13 @@ struct TraceBuf {
 
 /// Shared recording state. Lives on the kernel in a `OnceCell<Arc<_>>`,
 /// like the race detector's fabric state, so the off path is one test of
-/// an empty cell.
+/// an empty cell. (The per-process wait states live in the kernel's own
+/// state, whose borrow their hooks already hold.)
 pub(crate) struct TraceState {
     buf: Mutex<TraceBuf>,
+    /// The utilization gauges ([`crate::prof::gauge`]), in registration
+    /// order. No gauge update is a trace event.
+    pub(crate) gauges: Mutex<Vec<GaugeSlot>>,
 }
 
 impl TraceState {
@@ -165,6 +174,7 @@ impl TraceState {
                 events: Vec::new(),
                 stacks: Vec::new(),
             }),
+            gauges: Mutex::new(Vec::new()),
         }
     }
 
@@ -282,7 +292,7 @@ fn with_trace<R>(f: impl FnOnce(&Arc<TraceState>, u32, u64) -> R) -> Option<R> {
 /// Returns `true` when the calling process is traced. Use to skip expensive
 /// argument computation; the recording hooks themselves are already gated.
 pub fn enabled() -> bool {
-    try_with_ctx(|k, _| k.trace_state().is_some()).unwrap_or(false)
+    try_with_ctx(|k, _| k.tracing()).unwrap_or(false)
 }
 
 /// Opens a synchronous span on the calling process's track. The span ends
@@ -476,6 +486,15 @@ impl Tracer {
         self.kernel.proc_names()
     }
 
+    /// Snapshot of the wait states and utilization timelines
+    /// ([`crate::prof`]) as of the current virtual time. Open intervals
+    /// are closed at "now" without disturbing the live state.
+    pub fn report(&self) -> ProfReport {
+        let (end_ns, proc_totals) = self.kernel.prof_proc_totals();
+        let names = self.track_names();
+        crate::prof::report(end_ns, &names, proc_totals, &self.state.gauges.lock())
+    }
+
     /// Exports the trace as Chrome/Perfetto `trace_event` JSON. The string
     /// is a complete JSON object that loads directly in `ui.perfetto.dev`
     /// or `chrome://tracing`.
@@ -484,9 +503,11 @@ impl Tracer {
     /// timestamps, so nesting is reconstructed from durations; flight spans
     /// become async (`"b"`/`"e"`) pairs keyed by span id; instants become
     /// `"i"` events. Spans still open at export time are emitted as if they
-    /// ended at the latest recorded timestamp.
+    /// ended at the latest recorded timestamp. After them, each gauge is a
+    /// counter (`"C"`) track: its mean value per bucket, stamped at the
+    /// bucket's start.
     pub fn export_chrome_json(&self) -> String {
-        export_chrome_json(&self.events(), &self.track_names())
+        export_chrome_json(&self.events(), &self.track_names(), &self.report().gauges)
     }
 }
 
@@ -529,9 +550,14 @@ fn push_args(out: &mut String, corr: u64, args: &[(&'static str, u64)]) {
     out.push('}');
 }
 
-/// Renders `events` (with `track_names` labeling the process tracks) as a
-/// Chrome `trace_event` JSON string. See [`Tracer::export_chrome_json`].
-pub fn export_chrome_json(events: &[TraceEvent], track_names: &[String]) -> String {
+/// Renders `events` (with `track_names` labeling the process tracks) and
+/// `gauges` as a Chrome `trace_event` JSON string. See
+/// [`Tracer::export_chrome_json`].
+fn export_chrome_json(
+    events: &[TraceEvent],
+    track_names: &[String],
+    gauges: &[GaugeSeries],
+) -> String {
     use std::collections::{BTreeSet, HashMap};
 
     let mut sorted: Vec<&TraceEvent> = events.iter().collect();
@@ -638,38 +664,17 @@ pub fn export_chrome_json(events: &[TraceEvent], track_names: &[String]) -> Stri
             EventKind::End => {} // folded into the matching Begin
         }
     }
-    out.push_str("]}");
-    out
-}
-
-/// Like [`export_chrome_json`], but appends Perfetto counter (`"C"`) tracks
-/// after the span events — one named track per entry in `counters`, each a
-/// series of `(t_ns, value)` points. The profiler's
-/// [`counter_tracks`](crate::prof::ProfReport::counter_tracks) output plugs in
-/// directly, so resource-utilization timelines render alongside the spans.
-pub fn export_chrome_json_with_counters(
-    events: &[TraceEvent],
-    track_names: &[String],
-    counters: &[(String, Vec<(u64, f64)>)],
-) -> String {
-    let mut out = export_chrome_json(events, track_names);
-    // The base export always ends with "]}"; splice counter events in
-    // before the closing brackets rather than re-deriving the body.
-    let body_had_events = !out.ends_with("[]}");
-    out.truncate(out.len() - 2);
-    let mut first = !body_had_events;
-    for (name, points) in counters {
-        for &(t_ns, value) in points {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!(
-                "{{\"ph\":\"C\",\"pid\":0,\"tid\":0,\"ts\":{},\"name\":\"{}\",\
-                 \"args\":{{\"value\":{value}}}}}",
-                micros(t_ns),
-                json_escape(name)
-            ));
+    for g in gauges {
+        for (b, value) in g.mean.iter().enumerate() {
+            emit(
+                format!(
+                    "{{\"ph\":\"C\",\"pid\":0,\"tid\":0,\"ts\":{},\"name\":\"{}\",\
+                     \"args\":{{\"value\":{value}}}}}",
+                    micros(b as u64 * g.bucket_ns),
+                    json_escape(&g.name)
+                ),
+                &mut first,
+            );
         }
     }
     out.push_str("]}");
@@ -691,12 +696,49 @@ mod tests {
             assert_eq!(g.id(), 0);
             instant("tick", 7);
             assert!(flight_begin("fly", 7, &[]).is_none());
+            let busy = crate::prof::gauge("busy");
+            assert!(!busy.is_enabled());
+            busy.add(1);
             crate::sleep(Duration::from_nanos(10));
         });
         sim.run().unwrap();
-        // Enabling after the fact shows an empty buffer.
+        // Enabling after the fact shows an empty buffer, no wait states and
+        // no gauge.
         let tracer = sim.enable_tracing();
         assert!(tracer.is_empty());
+        let report = tracer.report();
+        assert!(report.procs.is_empty() && report.gauges.is_empty());
+    }
+
+    /// The one switch turns on every recorder: spans, per-process wait
+    /// states and gauges.
+    #[test]
+    fn enable_tracing_alone_records_spans_wait_states_and_gauges() {
+        let sim = Simulation::new(1);
+        let tracer = sim.enable_tracing();
+        sim.spawn("worker", || {
+            let _s = span("work", 1);
+            let busy = crate::prof::gauge("pool.busy");
+            busy.set(4);
+            crate::sleep(Duration::from_nanos(300));
+            busy.set(0);
+            crate::sleep(Duration::from_nanos(100));
+        });
+        sim.run().unwrap();
+        assert_eq!(tracer.len(), 2, "the span's begin and end");
+        let report = tracer.report();
+        let worker = &report.procs[0];
+        assert_eq!(worker.name, "worker");
+        let sleep = worker.states.iter().find(|s| s.state == "sleep").unwrap();
+        assert_eq!((sleep.ns, sleep.transitions), (400, 2));
+        let busy = &report.gauges[0];
+        assert_eq!((busy.name.as_str(), busy.max), ("pool.busy", 4));
+        // 4 for 300 ns of a 400 ns run.
+        assert!(
+            (busy.mean_overall - 3.0).abs() < 1e-9,
+            "{}",
+            busy.mean_overall
+        );
     }
 
     #[test]
@@ -766,24 +808,41 @@ mod tests {
         assert_eq!(b.corr, 9);
     }
 
+    /// Spans, instants, labelled cond waits, scopes and gauges: none moves
+    /// the schedule.
     #[test]
     fn tracing_does_not_change_the_schedule() {
-        fn run(trace: bool) -> (u64, u64) {
+        fn run(trace: bool) -> (u64, u64, u64) {
             let sim = Simulation::new(77);
             if trace {
                 sim.enable_tracing();
             }
+            let cond = crate::Cond::labeled("rdma.mem");
             for i in 0..4u32 {
+                let c = cond.clone();
                 sim.spawn(format!("p{i}"), move || {
+                    let busy = crate::prof::gauge("busy");
                     for _ in 0..20 {
                         let _g = span("work", u64::from(i));
+                        busy.add(1);
                         crate::sleep(Duration::from_nanos(u64::from(i) * 13 + 7));
+                        busy.add(-1);
                         instant("tick", u64::from(i));
+                        if i == 0 {
+                            c.notify_all();
+                        } else {
+                            let _p = crate::prof::parked_scope("poll");
+                            let _ = c.wait_while_timeout(|| true, Duration::from_nanos(40));
+                        }
                     }
                 });
             }
             sim.run().unwrap();
-            (sim.events_executed(), sim.now().as_nanos())
+            (
+                sim.schedule_hash(),
+                sim.events_executed(),
+                sim.now().as_nanos(),
+            )
         }
         assert_eq!(run(true), run(false), "schedule must be bit-identical");
     }
@@ -815,39 +874,29 @@ mod tests {
     }
 
     #[test]
-    fn counter_export_appends_counter_events() {
-        let events = Vec::new();
-        let counters = vec![
-            ("pool.busy".to_string(), vec![(0, 2.0), (100_000, 1.5)]),
-            ("qp.sendq".to_string(), vec![(2000, 1.0)]),
-        ];
-        let json = export_chrome_json_with_counters(&events, &[], &counters);
+    fn exporter_writes_each_gauge_as_a_counter() {
+        let sim = Simulation::new(1);
+        let tracer = sim.enable_tracing();
+        sim.spawn("p0", || {
+            let busy = crate::prof::gauge("pool.busy");
+            busy.set(2);
+            crate::sleep(Duration::from_nanos(50_000));
+            busy.set(1);
+            crate::sleep(Duration::from_nanos(150_000));
+        });
+        sim.run().unwrap();
+        // Bucket 0 (0–100 µs): 2 for 50 µs, then 1; bucket 1: 1 throughout.
         let expected = concat!(
             "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[",
             "{\"ph\":\"M\",\"pid\":0,\"name\":\"process_name\",",
             "\"args\":{\"name\":\"heron-sim\"}},",
             "{\"ph\":\"C\",\"pid\":0,\"tid\":0,\"ts\":0.000,",
-            "\"name\":\"pool.busy\",\"args\":{\"value\":2}},",
-            "{\"ph\":\"C\",\"pid\":0,\"tid\":0,\"ts\":100.000,",
             "\"name\":\"pool.busy\",\"args\":{\"value\":1.5}},",
-            "{\"ph\":\"C\",\"pid\":0,\"tid\":0,\"ts\":2.000,",
-            "\"name\":\"qp.sendq\",\"args\":{\"value\":1}}",
+            "{\"ph\":\"C\",\"pid\":0,\"tid\":0,\"ts\":100.000,",
+            "\"name\":\"pool.busy\",\"args\":{\"value\":1}}",
             "]}"
         );
-        assert_eq!(json, expected);
-    }
-
-    #[test]
-    fn counter_export_without_counters_matches_base_export() {
-        let sim = Simulation::new(9);
-        let tracer = sim.enable_tracing();
-        sim.spawn("p0", || {
-            instant("mark", 0);
-        });
-        sim.run().unwrap();
-        let base = tracer.export_chrome_json();
-        let with = export_chrome_json_with_counters(&tracer.events(), &tracer.track_names(), &[]);
-        assert_eq!(base, with);
+        assert_eq!(tracer.export_chrome_json(), expected);
     }
 
     #[test]

@@ -8,10 +8,10 @@ cd "$(dirname "$0")/.."
 cargo build --release --offline --workspace
 # `cargo test` is also where the schedule-identity proof lives, once:
 # crates/bench/tests/schedule_hash.rs runs seven shapes with no diagnostic
-# switch, with the race detector / tracing / profiling / Baseline
-# exploration each alone and with all four together, and pins every cell
-# to the committed (schedule_hash, events, virtual_ns). No gate below
-# re-proves "on == off"; each keeps what only it can do.
+# switch, with the race detector / tracing (wait states and gauges
+# included) / Baseline exploration each alone and with all three together,
+# and pins every cell to the committed (schedule_hash, events, virtual_ns).
+# No gate below re-proves "on == off"; each keeps what only it can do.
 cargo test -q --offline --workspace
 # The coroutine shim is a path dependency, not a workspace member; its
 # tests (create / resume / suspend, panics, the guard page) run here.
