@@ -8,7 +8,7 @@
 //! [`rdma_sim::FaultPlan`]; the protocol code paths carry no test-only
 //! logic.
 //!
-//! `chaos_suite` draws its scenarios from seeds; these ten each aim one
+//! `chaos_suite` draws its scenarios from seeds; these eleven each aim one
 //! fault shape at one protocol path.
 
 use heron_bench::chaos::{self, Bank, Clause, RunResult, Scenario};
@@ -260,4 +260,17 @@ fn faults_in_one_partition_do_not_leak() {
 #[test]
 fn fault_free_baseline() {
     assert_passes(&scenario(110, 2, 30, vec![]));
+}
+
+/// A width-4 pool under contention: eight clients on six accounts keep
+/// the driver's queue deep, so independent transfers overtake blocked
+/// ones all the time. The checker's per-key order check vets every
+/// replica: transfers that share an account must still start in
+/// timestamp order (a dispatcher that lets a command pass an earlier
+/// queued one it conflicts with fails here, as an agreement violation).
+#[test]
+fn a_pool_under_contention_keeps_conflicting_commands_in_order() {
+    let mut sc = scenario(1, 8, 20, vec![]);
+    (sc.accounts, sc.width) = (6, 4);
+    assert_passes(&sc);
 }

@@ -61,8 +61,10 @@ pub(crate) struct ReplicaShared {
     /// deployment has a [`crate::DurabilityConfig`].
     pub disk: Option<sim::storage::Disk>,
     /// Debug trace of request handling: `(ts_raw, event)` where event is
-    /// `e`xecuted or state-`t`ransferred-to.
+    /// `e`xecuted (dispatched) or state-`t`ransferred-to.
     pub exec_trace: Mutex<Vec<(u64, char)>>,
+    /// The trace's per-key order monitor ([`Self::note_dispatch`]).
+    pub key_order: Mutex<KeyOrder>,
     /// Queue pairs to every replica node, `qps[h * n + q]`.
     qps: Vec<QueuePair>,
     /// Where this replica's replies go, by client id: the queue pair to
@@ -92,6 +94,28 @@ impl ReplicaShared {
         }
     }
 
+    /// Records the dispatch of command `ts_raw` with conflict key-set
+    /// `keys` in the execution trace, and checks it where it happens: a
+    /// dispatch at or below the newest one of a key it shares is the
+    /// first conflict-order violation, kept in [`Self::key_order`]. The
+    /// inline lane passes no keys; its trace is checked whole.
+    pub(crate) fn note_dispatch(&self, ts_raw: u64, keys: &[u64]) {
+        self.exec_trace.lock().push((ts_raw, 'e'));
+        if keys.is_empty() {
+            return;
+        }
+        let mut order = self.key_order.lock();
+        let KeyOrder { newest, violation } = &mut *order;
+        for &key in keys {
+            let last = newest.entry(key).or_insert(0);
+            if *last >= ts_raw {
+                violation.get_or_insert((key, ts_raw, *last));
+            } else {
+                *last = ts_raw;
+            }
+        }
+    }
+
     /// Records that every request up to `ts_raw` finished its write phase
     /// and tells the checkpointer, which waits for exactly this boundary.
     pub(crate) fn set_completed(&self, ts_raw: u64) {
@@ -108,6 +132,16 @@ impl ReplicaShared {
             .node
             .local_write_word(self.layout.doorbell, v.wrapping_add(1));
     }
+}
+
+/// What a replica's dispatches did per conflict key: the newest
+/// timestamp dispatched with each key, and the first dispatch found at or
+/// below it, as raw `(key, ts, newest)`. Conflicting commands must start
+/// in timestamp order (DESIGN.md §13).
+#[derive(Default)]
+pub(crate) struct KeyOrder {
+    newest: HashMap<u64, u64>,
+    violation: Option<(u64, u64, u64)>,
 }
 
 pub(crate) struct ClientInfo {
@@ -300,6 +334,7 @@ impl HeronCluster {
                         .as_ref()
                         .map(|d| d.storage.disk(format!("heron-p{p}r{i}"))),
                     exec_trace: Mutex::new(Vec::new()),
+                    key_order: Mutex::new(KeyOrder::default()),
                     qps,
                     reply_routes: Mutex::new(HashMap::new()),
                 }));
@@ -467,7 +502,7 @@ impl HeronCluster {
             .map(|(t, v)| (t.raw(), v))
     }
 
-    /// The first write or install replica `(p, i)`'s store caught stamped
+    /// The first write replica `(p, i)`'s store caught stamped
     /// below its object's newest version, as raw `(oid, ts, newest)`
     /// ([`VersionedStore::order_violation`]). `None` while writes to every
     /// object landed in timestamp order.
@@ -476,6 +511,15 @@ impl HeronCluster {
             .store
             .order_violation()
             .map(|(oid, ts, newest)| (oid, ts.raw(), newest.raw()))
+    }
+
+    /// The first dispatch on replica `(p, i)` of a command `ts` after a
+    /// command `newest ≥ ts` that shares conflict key `key` with it, as
+    /// raw `(key, ts, newest)`. Pool dispatches only: the inline lane
+    /// declares no keys. `None` while conflicting commands started in
+    /// timestamp order.
+    pub fn key_order_violation(&self, p: PartitionId, i: usize) -> Option<(u64, u64, u64)> {
+        self.replicas[p.0 as usize][i].key_order.lock().violation
     }
 
     /// The object ids hosted by replica `(p, i)`'s store, sorted

@@ -21,13 +21,14 @@
 //! * **width N > 1 — the pool** (Marandi et al., "Rethinking
 //!   State-Machine Replication for Parallelism"). The driver computes each
 //!   command's conflict key-set ([`crate::StateMachine::conflict_keys`])
-//!   and hands the *front* of the queue to a free [`Worker`] as soon as
-//!   its keys are disjoint from every in-flight command's. Strict in-order
-//!   dispatch keeps per-lane coordination entries monotone and means a
-//!   conflicting predecessor always *finishes* on this replica before its
-//!   successor starts anywhere on it — which is what makes the relaxed
-//!   barrier reads in [`coord_quorum`] safe. Workers report completion
-//!   (and the client reply) back to the driver.
+//!   and hands a free [`Worker`] the first queued command whose keys are
+//!   disjoint from every in-flight command's and every earlier queued
+//!   command's — a multi-partition command never overtaking an earlier
+//!   queued multi-partition one ([`Driver::next_job`]). So a conflicting
+//!   predecessor always *finishes* on this replica before its successor
+//!   starts anywhere on it — which is what makes the relaxed barrier reads
+//!   in [`coord_quorum`] safe. Workers report completion (and the client
+//!   reply) back to the driver.
 //!
 //! Either way a command runs one way ([`ExecCore::run_command`]: one
 //! reading phase → compute → writing phase, in Phase 2/4 barriers when it
@@ -41,17 +42,18 @@
 //! park), runs the requester-side transfer of Algorithm 3 once nothing is
 //! mid-command, and then tells each parked worker whether the adopted
 //! snapshot covered its command (abandon, the client will retry) or not
-//! (retry in place). Responder-side serves wait for the same "nothing in
-//! flight" condition, so the snapshot bound `completed_req` is exact.
-//! `completed_req` itself is a prefix watermark: the largest timestamp
-//! such that every dispatched command up to it has finished its write
-//! phase.
+//! (retry in place). Responder-side serves wait for an exact boundary —
+//! nothing in flight and nothing finished above the watermark — so the
+//! snapshot bound `completed_req` is exact. `completed_req` itself is a
+//! prefix watermark: the largest timestamp such that every admitted
+//! command up to it has finished its write phase.
 //!
 //! Dependency tracking is last-writer-in-delivery-order over the conflict
-//! keys: because only the queue front dispatches, a command waits exactly
-//! until every earlier conflicting command completed — equivalent to
-//! chaining along the last-writer dependency graph of the delivered
-//! prefix, without materializing the graph.
+//! keys: because a command never overtakes an earlier queued command it
+//! conflicts with, it waits exactly until every earlier conflicting
+//! command completed — equivalent to chaining along the last-writer
+//! dependency graph of the delivered prefix, without materializing the
+//! graph.
 
 use crate::app::{LocalReader, ReadSet};
 use crate::cluster::ReplicaShared;
@@ -68,6 +70,7 @@ use rand::Rng;
 use sim::{Mailbox, SimTime};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::ops::Bound::{Excluded, Unbounded};
 use std::rc::Rc;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -677,8 +680,33 @@ pub(crate) struct Job {
     /// to a worker's pickup is the `execute.parallel` dispatch wait.
     recv_ns: u64,
     /// Sorted, deduplicated conflict key-set (empty on the inline lane,
-    /// which never has anything in flight to conflict with).
+    /// which never has anything in flight to conflict with). Moves to the
+    /// command's [`InFlight`] entry at dispatch; the worker never reads it.
     keys: Vec<u64>,
+}
+
+impl Job {
+    fn ts(&self) -> u64 {
+        self.d.ts.raw()
+    }
+
+    /// Addressed to more than one partition.
+    fn multi_partition(&self) -> bool {
+        self.d.dests.count_ones() > 1
+    }
+}
+
+/// Whether two sorted key-sets share a key.
+fn overlap(a: &[u64], b: &[u64]) -> bool {
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => return true,
+        }
+    }
+    false
 }
 
 /// Driver → worker: a lane's one inbox. A parked worker takes its verdict
@@ -774,8 +802,8 @@ fn stall_outcome(rid: Option<u64>, ts: u64) -> StallOutcome {
 
 /// A replica's delivery driver (Algorithm 1's loop): owns the delivery
 /// stream, admission and conflict-gated dispatch, runs both sides of the
-/// state-transfer protocol and the cold restart once nothing is in flight,
-/// and maintains the `completed_req` watermark.
+/// state-transfer protocol and the cold restart, and maintains the
+/// `completed_req` watermark.
 pub(crate) struct Driver {
     shared: Rc<ReplicaShared>,
     deliveries: Mailbox<DeliveryEvent>,
@@ -785,17 +813,18 @@ pub(crate) struct Driver {
     events: Mailbox<WorkerEvent>,
     /// Each worker's inbox, by lane.
     lanes: Vec<Mailbox<ToWorker>>,
-    /// Delivered, not yet dispatched (front dispatches first — strict
-    /// delivery order).
+    /// Admitted, not yet dispatched, in delivery (timestamp) order.
     queue: VecDeque<Job>,
     /// In-flight commands by worker index (deterministic iteration); every
     /// other lane is idle ([`Self::free_lane`]). Always empty on the inline
     /// lane, which runs a command to completion before the loop looks at
     /// anything else.
     inflight: BTreeMap<usize, InFlight>,
-    /// Dispatched timestamps → finished?, pruned from the front as the
-    /// prefix completes; the largest pruned entry is the `completed_req`
-    /// watermark.
+    /// Admitted timestamps → finished?, entered at admission and pruned
+    /// from the front as the prefix completes; the largest pruned entry is
+    /// the `completed_req` watermark. Entered at admission, not dispatch:
+    /// a command dispatched past a queued one must not let the watermark
+    /// cover the queued one.
     done: BTreeMap<u64, bool>,
     /// First time we observed each pending state-transfer request
     /// (requester idx, from_tmp) — drives the deterministic responder
@@ -946,13 +975,29 @@ impl Driver {
 
     // The other guards.
 
-    /// A transfer request first seen, one whose rotation turn came while
-    /// nothing is in flight (`completed_req` is an exact request boundary
-    /// only then), or one someone else completed.
+    /// A transfer request first seen, one whose rotation turn came at an
+    /// exact boundary ([`Self::at_boundary`]), or one someone else
+    /// completed.
     fn requests_moved(&self) -> bool {
-        self.request_unseen()
-            || self.inflight.is_empty() && self.serve_turn()
-            || self.request_gone()
+        self.request_unseen() || self.serve_turn() && self.at_boundary() || self.request_gone()
+    }
+
+    /// `completed_req` is an exact request boundary: nothing is in flight
+    /// and no command finished above it. Then every admitted command up to
+    /// it finished, none above it ran, and no store stamp passes it — a
+    /// responder's snapshot bound. At width 1 it always holds between
+    /// passes.
+    fn at_boundary(&self) -> bool {
+        self.inflight.is_empty() && self.highest_finished().is_none()
+    }
+
+    /// The highest command finished above the watermark — out of order,
+    /// past a hole — if any.
+    fn highest_finished(&self) -> Option<u64> {
+        let completed = self.shared.completed_req.load(Ordering::SeqCst);
+        let above = (Excluded(completed), Unbounded);
+        let mut finished = self.done.range(above).filter(|(_, &fin)| fin);
+        finished.next_back().map(|(&ts, _)| ts)
     }
 
     /// Every in-flight command parked (dispatch pauses on the first park,
@@ -1000,33 +1045,59 @@ impl Driver {
         (self.seen_requests.keys()).any(|k| !self.pending_requests().contains(k))
     }
 
-    /// The queue front can go: a lane is free and the front is covered by
-    /// a transfer or conflicts with nothing in flight. Paused while a due
-    /// serve or a parked worker waits for the pool to drain — both need a
-    /// quiesced pool, and feeding it new work would starve them.
+    /// A queued command can go ([`Self::next_job`]). Paused while a parked
+    /// worker waits for the pool to drain — resolving it needs a quiesced
+    /// pool, and feeding it new work would starve it.
     fn dispatchable(&self) -> bool {
-        self.front_ready()
-            && !self.inflight.values().any(|f| f.parked.is_some())
-            && (self.inflight.is_empty() || !self.serve_turn())
+        !self.inflight.values().any(|f| f.parked.is_some()) && self.next_job().is_some()
     }
 
-    /// A lane is free and the queue front may take it: a transfer covered
-    /// the front, or its conflict keys are disjoint from every in-flight
-    /// command's.
-    fn front_ready(&self) -> bool {
-        self.free_lane().is_some()
-            && self.queue.front().is_some_and(|front| {
-                self.covered(&front.d)
-                    || !(self.inflight.values())
-                        .any(|f| f.keys.iter().any(|k| front.keys.binary_search(k).is_ok()))
-            })
+    /// The queue index of the command to dispatch next, if a lane is free:
+    /// the front if a transfer covered it (it is skipped), else the first
+    /// command whose conflict keys are disjoint from every in-flight
+    /// command's and every earlier queued command's, and which, if it is
+    /// multi-partition, has no multi-partition command queued before it.
+    ///
+    /// The last rule is what keeps the pool deadlock-free: the lowest
+    /// unfinished multi-partition command finds only single-partition work
+    /// ahead of it at every partition it involves, and that work finishes.
+    /// At width 1 nothing is in flight and the front is always eligible.
+    ///
+    /// While a due serve waits for an exact boundary, only a hole below the
+    /// highest finished command may go; with none, the pool drains.
+    fn next_job(&self) -> Option<usize> {
+        self.free_lane()?;
+        let front = self.queue.front()?;
+        if self.covered(&front.d) {
+            return Some(0);
+        }
+        let limit = if self.serve_turn() && !self.at_boundary() {
+            self.highest_finished()?
+        } else {
+            u64::MAX
+        };
+        let queue = &self.queue;
+        (0..queue.len())
+            .take_while(|&i| queue[i].ts() < limit)
+            .find(|&i| !self.blocked(i))
+    }
+
+    /// Whether queued command `i` must wait: it conflicts with an in-flight
+    /// or an earlier queued command, or it is multi-partition behind a
+    /// multi-partition one.
+    fn blocked(&self, i: usize) -> bool {
+        let q = &self.queue[i];
+        let mut earlier = self.queue.range(..i);
+        (self.inflight.values()).any(|f| overlap(&f.keys, &q.keys))
+            || earlier
+                .any(|e| overlap(&e.keys, &q.keys) || q.multi_partition() && e.multi_partition())
     }
 
     /// A transfer that completed after `d` was queued covers it (its
     /// effects are in the adopted snapshot); executing it against newer
     /// state would be wrong. The watermark can only reach a queued
-    /// timestamp via a transfer: dispatched commands all precede it in
-    /// delivery order.
+    /// timestamp via a transfer: every admitted command has an entry in
+    /// `done`, which holds the watermark below it.
     fn covered(&self, d: &Delivered) -> bool {
         d.ts.raw() <= self.shared.completed_req.load(Ordering::SeqCst)
     }
@@ -1057,9 +1128,14 @@ impl Driver {
         if let Some(fin) = self.done.get_mut(&ts) {
             *fin = true;
         }
-        // Advance the prefix watermark: `completed_req` may only cover
-        // timestamps with no unfinished dispatch below them (a responder's
-        // snapshot bound must have no holes).
+        self.advance_watermark();
+    }
+
+    /// Advances the prefix watermark over the finished front of `done`:
+    /// `completed_req` may only cover timestamps with no unfinished
+    /// admitted command below them (a responder's snapshot bound must have
+    /// no holes).
+    fn advance_watermark(&mut self) {
         let mut watermark = None;
         while let Some(first) = self.done.first_entry().filter(|e| *e.get()) {
             watermark = Some(first.remove_entry().0);
@@ -1134,6 +1210,7 @@ impl Driver {
             k.dedup();
             k
         };
+        self.done.insert(ts.raw(), false);
         self.queue.push_back(Job {
             d,
             recv_ns: sim::now().as_nanos(),
@@ -1141,22 +1218,25 @@ impl Driver {
         });
     }
 
-    /// Dispatches from the queue front while a free lane exists and the
-    /// front's conflict keys are disjoint from every in-flight command's.
+    /// Dispatches [`Self::next_job`] while there is one.
     fn try_dispatch(&mut self) {
-        while self.front_ready() {
-            let job = self.queue.pop_front().expect("a ready front");
+        while let Some(i) = self.next_job() {
+            let mut job = self.queue.remove(i).expect("a ready job");
+            let ts = job.ts();
             if self.covered(&job.d) {
                 self.skip();
+                // Already below the watermark: drop the entry rather than
+                // finish it, so the watermark moves (and wakes the
+                // checkpointer) only over finished commands behind it.
+                self.done.remove(&ts);
+                self.advance_watermark();
                 continue;
             }
             let lane = self.free_lane().expect("a free lane");
-            let ts = job.d.ts.raw();
-            // 'e' is pushed at dispatch, which happens in delivery order
-            // (front-only), preserving the checker's strictly-increasing
-            // execution-trace invariant.
-            self.shared.exec_trace.lock().push((ts, 'e'));
-            self.done.insert(ts, false);
+            // 'e' is pushed at dispatch: the checker reads the trace as
+            // the dispatch order, which keeps conflicting commands in
+            // timestamp order (and, at width 1, every command).
+            self.shared.note_dispatch(ts, &job.keys);
             if let Some(core) = &self.inline {
                 // No worker lanes: run the command right here, where a pool
                 // would hand it over, resolving a stall by running
@@ -1180,7 +1260,7 @@ impl Driver {
                 lane,
                 InFlight {
                     ts,
-                    keys: job.keys.clone(),
+                    keys: std::mem::take(&mut job.keys),
                     parked: None,
                 },
             );
@@ -1219,9 +1299,10 @@ impl Driver {
 
     /// Responder side of Algorithm 3 (lines 7–22): forgets the requests
     /// no longer pending, notes each pending one's first sight and serves
-    /// those whose rotation turn has reached us, while nothing is in
-    /// flight. One walk in requester order: a request is first seen when
-    /// the walk reaches it, after the serves before it streamed.
+    /// those whose rotation turn has reached us, at an exact boundary
+    /// ([`Self::at_boundary`]). One walk in requester order: a request is
+    /// first seen when the walk reaches it, after the serves before it
+    /// streamed.
     fn serve_transfers(&mut self) {
         let pending = self.pending_requests();
         self.seen_requests.retain(|k, _| pending.contains(k));
@@ -1236,7 +1317,7 @@ impl Driver {
             }
             let from = shared.node.local_read_word(slot).unwrap_or(0);
             self.seen_requests.entry((p, from)).or_insert_with(sim::now);
-            if self.inflight.is_empty() && self.serve_due(&(p, from)) <= Some(sim::now()) {
+            if self.at_boundary() && self.serve_due(&(p, from)) <= Some(sim::now()) {
                 respond_transfer(&shared, p, from);
                 self.seen_requests.remove(&(p, from));
             }
@@ -1275,6 +1356,7 @@ impl Driver {
         // dispatched before the cut are in the WAL like every other
         // delivery, and come back through the replay.)
         shared.exec_trace.lock().clear();
+        *shared.key_order.lock() = Default::default();
         shared.object_map.lock().clear();
         shared.addr_heard.lock().clear();
         shared.reply_routes.lock().clear();
@@ -1333,9 +1415,10 @@ impl Driver {
     fn idle_wait(&self) {
         let now = sim::now();
         // Only future turns shorten the wait. A past-due serve still pending
-        // here is blocked on the in-flight drain, and its wake signal is a
-        // worker event; a zero timeout would return without yielding and
-        // freeze the cooperative scheduler.
+        // here waits for the in-flight commands (with none in flight, a
+        // hole below a finished command is always dispatchable), and its
+        // wake signal is a worker event; a zero timeout would return
+        // without yielding and freeze the cooperative scheduler.
         let timeout = (self.pending_requests().iter())
             .filter_map(|k| self.serve_due(k)?.checked_sub(now))
             .filter(|until_due| !until_due.is_zero())
@@ -1522,21 +1605,158 @@ mod tests {
         simulation.run().unwrap();
     }
 
-    /// What `try_dispatch` does to the driver's books when it hands `ts`
-    /// to a lane: a worker's lane is in flight until it finishes, the
-    /// inline lane never is.
-    fn dispatch(driver: &mut Driver, ts: u64) -> usize {
+    /// What admission and `try_dispatch` do to the driver's books when
+    /// `ts`, with conflict keys `keys`, goes straight to a lane: a worker's
+    /// lane is in flight until it finishes, the inline lane never is.
+    fn dispatch(driver: &mut Driver, ts: u64, keys: &[u64]) -> usize {
         let lane = driver.free_lane().expect("a free lane");
         driver.done.insert(ts, false);
         if driver.inline.is_none() {
             let f = InFlight {
                 ts,
-                keys: vec![],
+                keys: keys.to_vec(),
                 parked: None,
             };
             driver.inflight.insert(lane, f);
         }
         lane
+    }
+
+    /// Admits `ts` to the queue as [`Driver::on_deliver`] does, with
+    /// conflict keys `keys` (sorted), addressed to `partitions` partitions.
+    fn admit(driver: &mut Driver, ts: u64, keys: &[u64], partitions: u32) {
+        let d = Delivered {
+            id: amcast::MsgId(ts as u32),
+            ts: Timestamp::from_raw(ts),
+            dests: (1 << partitions) - 1,
+            payload: Bytes::new(),
+        };
+        driver.done.insert(ts, false);
+        let keys = keys.to_vec();
+        driver.queue.push_back(Job {
+            d,
+            recv_ns: 0,
+            keys,
+        });
+    }
+
+    /// The timestamp [`Driver::next_job`] picks.
+    fn next_ts(driver: &Driver) -> Option<u64> {
+        driver.next_job().map(|i| driver.queue[i].ts())
+    }
+
+    /// Dispatches what [`Driver::try_dispatch`] will, and returns the
+    /// timestamps it put in flight, by lane.
+    fn dispatch_ready(driver: &mut Driver) -> Vec<(usize, u64)> {
+        let before: Vec<usize> = driver.inflight.keys().copied().collect();
+        driver.try_dispatch();
+        (driver.inflight.iter())
+            .filter(|(lane, _)| !before.contains(lane))
+            .map(|(&lane, f)| (lane, f.ts))
+            .collect()
+    }
+
+    fn completed(driver: &Driver) -> u64 {
+        driver.shared.completed_req.load(Ordering::SeqCst)
+    }
+
+    /// The front conflicts with a running command; the command behind it
+    /// conflicts with neither and goes first.
+    #[test]
+    fn an_independent_job_overtakes_a_blocked_front() {
+        with_driver(4, |_, driver| {
+            dispatch(driver, 5, &[1]);
+            admit(driver, 10, &[1], 1);
+            admit(driver, 20, &[2], 1);
+            assert_eq!(next_ts(driver), Some(20));
+            assert_eq!(dispatch_ready(driver), [(1, 20)]);
+            assert_eq!(next_ts(driver), None, "10 still waits for 5");
+        });
+    }
+
+    /// A command that conflicts with an earlier queued one waits behind
+    /// it, even when nothing in flight conflicts with it.
+    #[test]
+    fn a_job_never_overtakes_an_earlier_queued_job_it_conflicts_with() {
+        with_driver(4, |_, driver| {
+            dispatch(driver, 5, &[1]);
+            admit(driver, 10, &[1, 2], 1);
+            admit(driver, 20, &[2], 1);
+            admit(driver, 30, &[3], 1);
+            assert_eq!(dispatch_ready(driver), [(1, 30)]);
+            driver.finish(0, 5, None);
+            assert_eq!(dispatch_ready(driver), [(0, 10)], "20 waits for 10");
+            driver.finish(0, 10, None);
+            assert_eq!(dispatch_ready(driver), [(0, 20)]);
+        });
+    }
+
+    /// Multi-partition commands start in delivery order among themselves,
+    /// independent or not; a single-partition command may pass them.
+    #[test]
+    fn a_multi_partition_job_never_overtakes_an_earlier_queued_one() {
+        with_driver(4, |_, driver| {
+            dispatch(driver, 5, &[1]);
+            admit(driver, 10, &[1], 2);
+            admit(driver, 20, &[2], 2);
+            admit(driver, 30, &[3], 1);
+            assert_eq!(dispatch_ready(driver), [(1, 30)]);
+            driver.finish(0, 5, None);
+            let started = dispatch_ready(driver);
+            assert_eq!(started, [(0, 10), (2, 20)], "10, then 20 behind it");
+        });
+    }
+
+    /// A command dispatched past a queued one finishes first; the
+    /// watermark stops below the queued one until it finishes too.
+    #[test]
+    fn the_watermark_never_covers_an_admitted_job_not_yet_dispatched() {
+        with_driver(4, |_, driver| {
+            dispatch(driver, 5, &[1]);
+            admit(driver, 10, &[1], 1);
+            admit(driver, 20, &[2], 1);
+            assert_eq!(dispatch_ready(driver), [(1, 20)]);
+            driver.finish(1, 20, None);
+            assert_eq!(completed(driver), 0, "5 is still running");
+            driver.finish(0, 5, None);
+            assert_eq!(completed(driver), 5, "10 is admitted, not dispatched");
+            assert_eq!(dispatch_ready(driver), [(0, 10)]);
+            driver.finish(0, 10, None);
+            assert_eq!(completed(driver), 20);
+            assert!(driver.done.is_empty());
+        });
+    }
+
+    /// A responder serves only at an exact boundary. While a finished
+    /// command sits above the watermark it refuses, and dispatch only fills
+    /// the holes below that command.
+    #[test]
+    fn a_serve_waits_while_a_finished_command_sits_above_the_watermark() {
+        with_driver(4, |_, driver| {
+            dispatch(driver, 5, &[1]);
+            admit(driver, 10, &[1], 1);
+            admit(driver, 20, &[2], 1);
+            assert_eq!(dispatch_ready(driver), [(1, 20)]);
+            driver.finish(1, 20, None);
+            driver.finish(0, 5, None);
+            // Replica 2 asks for a transfer; replica 0 is first in its
+            // rotation, so the serve is due at once.
+            let (node, sync) = (&driver.shared.node, driver.shared.layout.sync_slot(2));
+            node.local_write_word(sync, 5).unwrap();
+            node.local_write_word(sync.offset(8), 1).unwrap();
+            driver.seen_requests.insert((2, 5), sim::now());
+            assert!(driver.serve_turn());
+            assert!(driver.inflight.is_empty());
+            assert_eq!(completed(driver), 5);
+            assert!(!driver.at_boundary(), "20 finished above the watermark");
+            assert!(!driver.requests_moved(), "no serve past a hole");
+            admit(driver, 30, &[3], 1);
+            assert_eq!(dispatch_ready(driver), [(0, 10)], "only the hole");
+            driver.finish(0, 10, None);
+            assert_eq!(completed(driver), 20);
+            assert!(driver.at_boundary() && driver.requests_moved());
+            assert_eq!(next_ts(driver), Some(30), "at the boundary, no limit");
+        });
     }
 
     /// `completed_req` is a responder's snapshot bound: completions
@@ -1545,8 +1765,7 @@ mod tests {
     #[test]
     fn finish_never_lets_the_watermark_cover_an_unfinished_command() {
         with_driver(4, |_, driver| {
-            let completed = |d: &Driver| d.shared.completed_req.load(Ordering::SeqCst);
-            let lanes = [10, 20, 30].map(|ts| dispatch(driver, ts));
+            let lanes = [10, 20, 30].map(|ts| dispatch(driver, ts, &[]));
             assert_eq!(lanes, [0, 1, 2], "the lowest free lane is picked");
             assert_eq!(driver.free_lane(), Some(3));
             driver.finish(lanes[1], 20, None);
@@ -1567,7 +1786,7 @@ mod tests {
     fn finish_in_dispatch_order_advances_the_watermark_per_command() {
         with_driver(1, |_, driver| {
             for ts in [10, 20, 30] {
-                let lane = dispatch(driver, ts);
+                let lane = dispatch(driver, ts, &[]);
                 assert_eq!(lane, 0, "the inline lane");
                 assert!(driver.inflight.is_empty(), "never in flight");
                 driver.finish(lane, ts, None);
@@ -1602,7 +1821,7 @@ mod tests {
                 (20, 4, b"old".as_slice(), 5),
                 (30, 6, b"newer".as_slice(), 6),
             ] {
-                let lane = dispatch(driver, ts);
+                let lane = dispatch(driver, ts, &[]);
                 driver.finish(lane, ts, posted(seq, body));
                 sim::sleep(Duration::from_micros(10)); // the write lands
                 let seq_word = client_node.local_read_word(slot).unwrap();

@@ -70,9 +70,11 @@ pub(crate) struct ReplicaLayout {
 impl ReplicaLayout {
     /// Entry written by worker `lane` of replica `q` of partition `h`
     /// (with `n` replicas per partition). Each lane has a single writer
-    /// process, and a worker's dispatch order makes its lane's timestamps
-    /// strictly increasing — the monotonicity [`coord_slot`] readers rely
-    /// on, preserved per lane rather than per replica.
+    /// process, and only multi-partition commands write entries, which a
+    /// replica dispatches in timestamp order even when other commands
+    /// overtake each other: its lanes' timestamps are strictly increasing
+    /// — the monotonicity [`coord_slot`] readers rely on, preserved per
+    /// lane rather than per replica.
     ///
     /// [`coord_slot`]: Self::coord_slot
     pub fn coord_slot(&self, h: usize, q: usize, lane: usize, n: usize) -> Addr {

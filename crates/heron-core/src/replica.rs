@@ -5,7 +5,7 @@
 //! ([`crate::executor::Driver`]) runs both sides of the transfer protocol
 //! from its loop — the requester side for its own inline lane or on its
 //! parked workers' behalf, installing the chunks it asked for itself, the
-//! responder side whenever nothing is in flight — and every
+//! responder side at an exact request boundary — and every
 //! [`crate::executor::ExecCore`] lane reads barrier
 //! state through [`coord_quorum`].
 
@@ -177,7 +177,8 @@ pub(crate) const TRANSFER_INSTALL: &str = "transfer-install";
 
 /// Applies, in stamp order from `*next`, every staged chunk of the stream
 /// this transfer installs — the first chunk applied names it in `*stream`
-/// — charging the modeled deserialization cost of natively-stored objects
+/// — leaving alone each slot a command above the snapshot's bound already
+/// wrote here ([`crate::store::VersionedStore::apply_raw_slot`]), charging the modeled deserialization cost of natively-stored objects
 /// (paper §V-E2). After each chunk, bumps the `applied` word the responder
 /// reads for flow control. Returns the `(bytes, native bytes)` applied.
 fn apply_staged(shared: &ReplicaShared, next: &mut u64, stream: &mut Option<u64>) -> (u64, u64) {
@@ -245,12 +246,13 @@ pub(crate) fn respond_transfer(shared: &Rc<ReplicaShared>, requester: usize, fro
         Ok(1) => {}
         _ => return, // claimed by someone else, completed, or crashed
     }
-    // Snapshot at a request boundary: the driver only serves once nothing
-    // is in flight, so it already stands at one.
+    // Snapshot at a request boundary: the driver only serves with nothing
+    // in flight and nothing finished above the watermark, so it already
+    // stands at one.
     let bound = shared.completed_req.load(Ordering::SeqCst);
     // Line 12: every object written after `from` — the store stamps each
-    // object with its newest write, and nothing is in flight, so no stamp
-    // passes `bound`.
+    // object with its newest write, and nothing ran above the watermark,
+    // so no stamp passes `bound`.
     let changed = shared.store.changed_since(Timestamp::from_raw(from));
     let app = &shared.cluster.app;
     let chunk_cap = cfg.transfer_chunk;
@@ -431,8 +433,10 @@ pub(crate) fn coord_quorum(
 }
 
 /// The replicas of `h` holding a lane at `ts` (Phase 2 or later): they
-/// executed everything before the request and have not moved past it, so a
-/// remote read may target them.
+/// executed everything before the request that conflicts with it — a pool
+/// may still be running, or not yet have started, earlier independent
+/// commands — and no conflicting command after it, so a remote read may
+/// target them.
 pub(crate) fn coord_matching(shared: &ReplicaShared, h: PartitionId, ts: Timestamp) -> Vec<usize> {
     let n = shared.cluster.cfg.replicas_per_partition;
     shared.node.with_mem(|m| {
@@ -606,6 +610,62 @@ mod tests {
             // candidate sets were non-empty.
             assert!(verdicts.iter().all(|&v| v >= 20), "{width}: {verdicts:?}");
         }
+    }
+
+    /// A pool lagger finished command 30 above a hole; the responder's
+    /// snapshot stops at 20. Installing it must not revert what 30 wrote,
+    /// and must install what the lagger lacks. Both sides run the real
+    /// protocol, replica 0 serving replica 2 of a width-4 partition.
+    #[test]
+    fn a_transfer_never_reverts_a_command_the_lagger_finished_above_its_bound() {
+        let simulation = sim::Simulation::new(1);
+        let fabric = Fabric::new(LatencyModel::connectx4());
+        let cfg = HeronConfig::new(1, N).with_executor_width(4);
+        let cluster = HeronCluster::build(&fabric, cfg, Arc::new(NoObjects));
+        let (x, y) = (ObjectId(1), ObjectId(2));
+        let ts = Timestamp::from_raw;
+        let (responder, lagger) = (Rc::clone(&cluster.replicas[0][0]), &cluster.replicas[0][2]);
+        for s in [&responder, lagger] {
+            s.store.bootstrap(x, b"x0");
+            s.store.bootstrap(y, b"y0");
+        }
+        // The responder ran 10 (writes y) and 20 (writes x).
+        responder.store.set(y, b"y10", ts(10));
+        responder.store.set(x, b"x20", ts(20));
+        responder.set_completed(20);
+        // The lagger ran 20 and then 30, which conflicts with it, while 10
+        // waits: its watermark stays below 10.
+        lagger.store.set(x, b"x20", ts(20));
+        lagger.store.set(x, b"x30", ts(30));
+        lagger.set_completed(5);
+        let adopted = Arc::new(Mutex::new(None));
+        let (requester, out) = (Rc::clone(lagger), Arc::clone(&adopted));
+        simulation.spawn("heron-exec-p0r2", move || {
+            *out.lock() = state_transfer_abortable(&requester, &|| false);
+        });
+        simulation.spawn("heron-exec-p0r0", move || {
+            let request = || {
+                let s = &*responder;
+                s.node.with_mem(|m| pending_sync_requests(s, m).next())
+            };
+            let watch = responder
+                .node
+                .poller(sim::Cond::new(), &responder.exec_ranges);
+            watch.poll_until(|| request().is_some());
+            let (requester, from) = request().expect("a pending request");
+            assert_eq!((requester, from), (2, 5));
+            respond_transfer(&responder, requester, from);
+        });
+        simulation.run().unwrap();
+        assert_eq!(*adopted.lock(), Some(20), "the responder's bound");
+        let got = |oid| lagger.store.get(oid).map(|(t, v)| (t.raw(), v));
+        assert_eq!(got(y), Some((10, bytes::Bytes::from_static(b"y10"))));
+        assert_eq!(
+            got(x),
+            Some((30, bytes::Bytes::from_static(b"x30"))),
+            "the install reverted command 30"
+        );
+        assert_eq!(lagger.completed_req.load(Ordering::SeqCst), 20);
     }
 
     /// Two responders can race (the rotation fires while a slow one is

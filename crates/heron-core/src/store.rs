@@ -131,15 +131,17 @@ const BATCH_CHUNK: usize = 16;
 struct StoreInner {
     /// The slot index. Nothing iterates it in hash order.
     slots: IdMap<ObjectId, Slot>,
-    /// The first write or install stamped below its object's newest
-    /// version, as `(oid, ts, newest)`.
+    /// The first write stamped below its object's newest version, as
+    /// `(oid, ts, newest)`.
     order_violation: Option<(ObjectId, Timestamp, Timestamp)>,
 }
 
 impl StoreInner {
     /// The write-order monitor: writes to one object land in timestamp
-    /// order, so a write or install at `ts` never finds a newer version
-    /// in place. Keeps the first violation.
+    /// order, so a write at `ts` never finds a newer version in place.
+    /// Keeps the first violation. (An install never lands over a newer
+    /// version: [`VersionedStore::apply_raw_slot`] leaves such a slot
+    /// alone.)
     fn check_order(&mut self, oid: ObjectId, ts: Timestamp, newest: Timestamp) {
         if ts < newest && self.order_violation.is_none() {
             self.order_violation = Some((oid, ts, newest));
@@ -435,8 +437,8 @@ impl VersionedStore {
         all
     }
 
-    /// The first write or install the write-order monitor caught stamped
-    /// below its object's newest version, as `(oid, ts, newest)`.
+    /// The first write the write-order monitor caught stamped below its
+    /// object's newest version, as `(oid, ts, newest)`.
     pub fn order_violation(&self) -> Option<(ObjectId, Timestamp, Timestamp)> {
         self.inner.lock().order_violation
     }
@@ -468,17 +470,23 @@ impl VersionedStore {
     }
 
     /// Overwrites the whole slot image (a state-transfer or checkpoint
-    /// install). Allocates the slot if the object is new to this replica.
-    /// `op` labels the write for the race detector's reports (`"local-write"`
-    /// unless the install has a name of its own).
+    /// install), unless the slot's newest version here is newer than the
+    /// image's: then the slot is left alone. A pool can finish a command
+    /// above a transfer's snapshot bound before the transfer lands, and
+    /// that command ran after every earlier command it conflicts with had
+    /// finished here, so its version already includes the image's
+    /// (DESIGN.md §13). Allocates the slot if the object is new to this
+    /// replica. `op` labels the write for the race detector's reports
+    /// (`"local-write"` unless the install has a name of its own).
     pub fn apply_raw_slot(&self, oid: ObjectId, raw: &[u8], op: &'static str) {
         let cap = (raw.len() - 2 * VERSION_HDR) / 2;
         let mut inner = self.inner.lock();
         let slot = match inner.slots.get(&oid) {
             Some(&slot) => {
                 let newest = self.node.with_mem(|m| latest_of(versions_in(m, slot)).0);
-                let ts = latest_of(borrow_versions(raw, cap)).0;
-                inner.check_order(oid, ts, newest);
+                if latest_of(borrow_versions(raw, cap)).0 < newest {
+                    return;
+                }
                 slot
             }
             None => {
@@ -615,18 +623,26 @@ mod tests {
         assert_eq!(s.order_violation(), Some((ObjectId(1), ts(3), ts(5))));
     }
 
+    /// An install leaves a slot whose newest version is newer than the
+    /// image's alone, and installs an older or equal one whole.
     #[test]
-    fn an_install_below_the_newest_version_is_recorded() {
+    fn an_install_never_replaces_a_newer_slot() {
         let fabric = Fabric::new(LatencyModel::zero());
-        let old = VersionedStore::new(fabric.add_node("a"));
-        let new = VersionedStore::new(fabric.add_node("b"));
-        old.bootstrap(ObjectId(7), b"x");
-        old.set(ObjectId(7), b"y", ts(4));
-        new.bootstrap(ObjectId(7), b"x");
-        new.set(ObjectId(7), b"z", ts(9));
-        let raw = old.raw_slot_bytes(old.slot(ObjectId(7)).unwrap());
-        new.apply_raw_slot(ObjectId(7), &raw, "local-write");
-        assert_eq!(new.order_violation(), Some((ObjectId(7), ts(4), ts(9))));
+        let image = VersionedStore::new(fabric.add_node("image"));
+        image.bootstrap(ObjectId(7), b"x");
+        image.set(ObjectId(7), b"y", ts(4));
+        let raw = image.raw_slot_bytes(image.slot(ObjectId(7)).unwrap());
+        for (local, installs) in [(9, false), (4, true), (2, true)] {
+            let s = VersionedStore::new(fabric.add_node("local"));
+            s.bootstrap(ObjectId(7), b"x");
+            s.set(ObjectId(7), b"z", ts(local));
+            let before = s.raw_slot_bytes(s.slot(ObjectId(7)).unwrap());
+            s.apply_raw_slot(ObjectId(7), &raw, "local-write");
+            let after = s.raw_slot_bytes(s.slot(ObjectId(7)).unwrap());
+            let expect = if installs { &raw } else { &before };
+            assert_eq!(&after, expect, "local version at ts {local}");
+            assert_eq!(s.order_violation(), None, "local version at ts {local}");
+        }
     }
 
     #[test]
