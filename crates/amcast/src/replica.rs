@@ -13,6 +13,7 @@ use crate::{mask_groups, DestMask, IdSet};
 use bytes::Bytes;
 use rdma_sim::{Addr, MemView, Node, Poller, QueuePair, WriteBatch};
 use sim::SimTime;
+use std::collections::VecDeque;
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -57,7 +58,18 @@ pub struct McastReplica {
     marks: ScanMarks,
     /// Our control lane on every replica node, by global replica index.
     ctrl_out: Vec<Lane>,
+    /// The log position delivered through.
     applied_seq: u64,
+    /// A follower's log position stored through: what it acks and
+    /// advertises in `log_seq`. Entries past `applied_seq` wait in `held`,
+    /// copied when stored, until the follower knows a majority stores
+    /// them ([`Self::known_stored`]).
+    stored_seq: u64,
+    held: VecDeque<crate::layout::LogEntry>,
+    /// Whether the held file ([`crate::wal::HELD_FILE`]) may hold frames:
+    /// then a pass that leaves `held` empty still rewrites it, so a reload
+    /// never offers a tail we no longer advertise.
+    held_on_disk: bool,
     /// Skeen's ordering state and rules.
     seq: Sequencer,
     /// Uids handed to the application (integrity-level dedup).
@@ -170,6 +182,9 @@ impl McastReplica {
                 .map(|peer| sizes.ctrl_end(*peer, my_global))
                 .collect(),
             applied_seq: 0,
+            stored_seq: 0,
+            held: VecDeque::new(),
+            held_on_disk: false,
             seq: Sequencer::new(group.0),
             delivered: IdSet::default(),
             ordering_window: 0,
@@ -308,13 +323,27 @@ impl McastReplica {
                 // livelock-detector self-test must catch.)
                 self.log_head(m).is_some()
                     || self.floor_ahead(m, !self.ungated_has_work).is_some()
+                    || self.known_stored(m) > self.applied_seq
                     || word(self.layout.heartbeat) != self.last_hb_val
             }
         })
     }
 
+    /// How far a follower knows a majority stores the log. Our own copy
+    /// and the leader's are a majority of a group of up to three; a larger
+    /// group also needs the commit point its leader posts
+    /// ([`Self::post_commit`]) into our own word of our ack array, which
+    /// nothing else writes: followers ack into the leader's array.
+    fn known_stored(&self, m: &MemView<'_>) -> u64 {
+        if self.majority() <= 2 {
+            return self.stored_seq;
+        }
+        let commit = m.word(self.inner.sizes.ack_slot(self.layout, self.idx));
+        self.stored_seq.min(commit.unwrap_or(0))
+    }
+
     /// The stamp of the log entry a follower acts on next: what
-    /// `applied_seq`'s slot holds, if that is the entry itself or a later
+    /// `stored_seq`'s slot holds, if that is the entry itself or a later
     /// one (the leader lapped us) written by an accepted regime. `None`
     /// while the regime is unknown (`await_epoch`), and for an entry from a
     /// regime older than the one we rejoined under: that is our own
@@ -324,9 +353,9 @@ impl McastReplica {
         if self.await_epoch {
             return None;
         }
-        let addr = self.log.ring.slot(self.applied_seq + 1);
+        let addr = self.log.ring.slot(self.stored_seq + 1);
         let (stamp, .., epoch, _) = decode_log_header(m.bytes(addr, LOG_HDR).ok()?);
-        (stamp > self.applied_seq && epoch >= self.entry_epoch_floor).then_some(stamp)
+        (stamp > self.stored_seq && epoch >= self.entry_epoch_floor).then_some(stamp)
     }
 
     /// The truncation horizon a leader advertised past our position: its
@@ -338,7 +367,7 @@ impl McastReplica {
             return None;
         }
         let floor = m.word(self.layout.log_floor).unwrap_or(0);
-        (floor > self.applied_seq).then_some(floor)
+        (floor > self.stored_seq).then_some(floor)
     }
 
     // ------------------------------------------------------------------
@@ -349,22 +378,29 @@ impl McastReplica {
         self.ordering_window = 0;
         self.scan_lanes();
         if self.is_leader {
-            // Step down if a successor took over while we were out.
-            let hb = self.heartbeat();
-            if hb >> 32 > self.epoch {
-                self.adopt_epoch(hb >> 32);
-                (self.last_hb_val, self.last_hb_change) = (hb, sim::now());
-                return;
-            }
-            self.leader_sequence_ready();
-            self.leader_commit_deliver();
-            if self.maybe_heartbeat() {
+            if self.ship_ready() && self.maybe_heartbeat() {
                 self.leader_retransmit();
             }
         } else {
             self.follower_apply_log();
             self.follower_check_leader();
         }
+    }
+
+    /// A leader ships what is ready: it sequences every finalized message
+    /// and delivers what a majority stores. It does neither once a newer
+    /// epoch's heartbeat is visible — a successor took over while we were
+    /// out — but steps down and returns `false`.
+    fn ship_ready(&mut self) -> bool {
+        let hb = self.heartbeat();
+        if hb >> 32 > self.epoch {
+            self.adopt_epoch(hb >> 32);
+            (self.last_hb_val, self.last_hb_change) = (hb, sim::now());
+            return false;
+        }
+        self.leader_sequence_ready();
+        self.leader_commit_deliver();
+        true
     }
 
     /// The heartbeat word our leader writes: its epoch above its counter.
@@ -381,6 +417,14 @@ impl McastReplica {
         self.election_target = self.election_target.max(epoch);
         self.is_leader = self.idx == leader_for_epoch(epoch, self.n());
         self.seq.step_down();
+        self.drop_held();
+    }
+
+    /// Forgets what we stored past `applied_seq`: the log is read again
+    /// from there, under whatever regime we now follow.
+    fn drop_held(&mut self) {
+        self.stored_seq = self.applied_seq;
+        self.held.clear();
     }
 
     /// The one way back after a failure: run after a crash, and after a
@@ -402,6 +446,7 @@ impl McastReplica {
     /// above what did land, so the first post resumes there.
     fn rejoin(&mut self) {
         self.seq.forget(&self.delivered);
+        self.drop_held();
         let alone = self.n() == 1;
         (self.is_leader, self.await_epoch) = (alone, !alone);
         self.last_hb_change = sim::now();
@@ -438,6 +483,7 @@ impl McastReplica {
         };
         let floor = crate::wal::read_floor(disk);
         let frames = crate::wal::read_frames(disk);
+        let held = crate::wal::read_held(disk);
         for uid in crate::wal::read_seen(disk) {
             self.delivered.insert(uid);
         }
@@ -454,6 +500,7 @@ impl McastReplica {
         }
         self.election_target = self.epoch;
         (self.applied_seq, self.next_seq, self.log_floor) = (end, end, floor.seq);
+        self.drop_held();
         self.seq.resume(max_clock);
         // Rebuild the ring tail so takeovers and retransmissions can read
         // our log again. Only the last window's worth fits; anything older
@@ -463,7 +510,20 @@ impl McastReplica {
             let buf = encode_log(f.seq, f.uid, f.mask, f.ts_raw, f.epoch, &f.payload);
             self.place(&self.log, f.seq + 1, &buf, None);
         }
-        let _ = self.node.local_write_word(self.layout.log_seq, end);
+        // The stored tail we acknowledged past it goes back in the ring and
+        // is advertised as stored, as it was: delivered only once a majority
+        // is known to store it. Frames the WAL already covers are skipped.
+        self.held_on_disk = !held.is_empty();
+        let mut stored = end;
+        for f in held.iter().filter(|f| f.seq >= end) {
+            if f.seq != stored {
+                break;
+            }
+            let buf = encode_log(f.seq, f.uid, f.mask, f.ts_raw, f.epoch, &f.payload);
+            self.place(&self.log, f.seq + 1, &buf, None);
+            stored += 1;
+        }
+        let _ = self.node.local_write_word(self.layout.log_seq, stored);
         // Post our reloaded position into every live peer's ack array so a
         // surviving leader's retransmission path sees where we really are
         // (the ack word otherwise only advances on apply progress).
@@ -474,13 +534,27 @@ impl McastReplica {
         }
     }
 
-    /// Posts our log position into our slot of `target`'s ack array.
+    /// Posts the log position we store through into our slot of
+    /// `target`'s ack array.
     fn post_ack(&self, target: usize) {
         let slot = self
             .inner
             .sizes
             .ack_slot(self.inner.layouts[target], self.idx);
-        let _ = self.qp(target).post_write_word(slot, self.applied_seq);
+        let _ = self.qp(target).post_write_word(slot, self.stored_seq);
+    }
+
+    /// Tells every follower of a group larger than three how far a
+    /// majority stores the log — what we delivered through — in its own
+    /// word of its ack array ([`Self::known_stored`]).
+    fn post_commit(&self) {
+        if self.majority() <= 2 {
+            return;
+        }
+        for (i, target) in self.peers(self.group) {
+            let slot = self.inner.sizes.ack_slot(self.inner.layouts[target], i);
+            let _ = self.qp(target).post_write_word(slot, self.applied_seq);
+        }
     }
 
     /// Consumes every ready entry, lane by lane. One borrow walks the
@@ -536,6 +610,11 @@ impl McastReplica {
     // ------------------------------------------------------------------
 
     fn handle_submission(&mut self, uid: u32, mask: DestMask, payload: Vec<u8>) {
+        if self.is_leader && self.ordering_window == 0 && !self.seq.is_done(uid) {
+            // A new group-commit window: what is final goes out before we
+            // spend ordering CPU on the window.
+            self.ship_ready();
+        }
         if self.seq.is_done(uid) {
             return; // duplicate of an already-sequenced message
         }
@@ -576,9 +655,15 @@ impl McastReplica {
         }
     }
 
-    /// Sends our clock proposal to every replica of every destination group
-    /// (own followers included, so a successor leader can adopt it).
+    /// Sends our clock proposal for a multi-group message to every replica
+    /// of every destination group (own followers included, so a successor
+    /// leader can adopt it). A one-group message posts nothing: its
+    /// followers learn it from its log entry, and a successor adopts the
+    /// majority log.
     fn broadcast_proposal(&mut self, uid: u32, mask: DestMask, prop: u64) {
+        if !multi_group(mask) {
+            return;
+        }
         let from = u64::from(self.group.0);
         for g in mask_groups(mask) {
             for (_, target) in self.peers(g) {
@@ -603,16 +688,19 @@ impl McastReplica {
             if round.is_empty() {
                 return;
             }
-            // Announce the final timestamps to all destination replicas:
-            // redundant in steady state (each leader computes the same max)
-            // but lets successor leaders adopt in-flight decisions. One
-            // doorbell per replica, smallest group first, then by replica
-            // index; a replica's entries in round order.
+            // Announce the final timestamps of multi-group messages to all
+            // destination replicas: redundant in steady state (each leader
+            // computes the same max) but lets successor leaders adopt
+            // in-flight decisions. A one-group message's log entry carries
+            // its timestamp. One doorbell per replica, smallest group
+            // first, then by replica index; a replica's entries in round
+            // order.
             let from = u64::from(self.group.0);
-            for g in mask_groups(round.iter().fold(0, |mask, r| mask | r.mask)) {
+            let announced = || round.iter().filter(|r| multi_group(r.mask));
+            for g in mask_groups(announced().fold(0, |mask, r| mask | r.mask)) {
                 for (_, target) in self.peers(g) {
                     let mut batch = self.qp(target).write_batch();
-                    for r in round.iter().filter(|r| r.mask & (1 << g.0) != 0) {
+                    for r in announced().filter(|r| r.mask & (1 << g.0) != 0) {
                         let (kind, clock) = (CtrlKind::Final, r.announced);
                         let (slot, buf) = self.ctrl_entry(target, kind, r.uid, from, clock);
                         batch.push(slot, buf);
@@ -656,7 +744,11 @@ impl McastReplica {
             stored.push(self.acks_cache[i]);
         }
         stored.sort_unstable_by(|a, b| b.cmp(a));
+        let before = self.applied_seq;
         self.apply_own_log(stored[self.majority() - 1]);
+        if self.applied_seq > before {
+            self.post_commit();
+        }
     }
 
     /// Delivers our own log's entries in order up to `to`. A slot that
@@ -750,6 +842,8 @@ impl McastReplica {
         }
         self.hb_counter += 1;
         self.last_hb_sent = now;
+        // Again with every heartbeat, for a follower that missed it.
+        self.post_commit();
         let value = (self.epoch << 32) | (self.hb_counter & 0xFFFF_FFFF);
         for (_, target) in self.peers(self.group) {
             let hb = self.inner.layouts[target].heartbeat;
@@ -841,32 +935,27 @@ impl McastReplica {
     // Follower side.
     // ------------------------------------------------------------------
 
-    /// Consumes what [`Self::floor_ahead`] and [`Self::log_head`] offer —
-    /// the two questions the wake predicate asks of the log.
+    /// Consumes what [`Self::floor_ahead`], [`Self::log_head`] and
+    /// [`Self::known_stored`] offer — the three questions the wake
+    /// predicate asks of the log. An entry is stored when it is read, and
+    /// delivered once a majority is known to store it: at once in a group
+    /// of up to three.
     fn follower_apply_log(&mut self) {
         // Surface the gap below an advertised floor (the application
         // recovers from a checkpoint) and resume from the floor. Asked once
         // a pump, before the entries.
         if let Some(floor) = self.node.with_mem(|m| self.floor_ahead(m, true)) {
-            self.upcall(DeliveryEvent::Gap {
-                from: self.applied_seq,
-                to: floor - 1,
-            });
-            self.applied_seq = floor;
+            self.skip_to(floor);
             self.log_floor = self.log_floor.max(floor);
         }
         let mut progressed = false;
         while let Some(stamp) = self.node.with_mem(|m| self.log_head(m)) {
-            let seq = self.applied_seq;
+            let seq = self.stored_seq;
             if stamp > seq + 1 {
                 // The leader lapped us: entries were overwritten before we
                 // applied them. Surface the gap; the application recovers
                 // out of band (Heron: state transfer).
-                self.upcall(DeliveryEvent::Gap {
-                    from: seq,
-                    to: stamp - 2, // the slot now holds seq stamp-1
-                });
-                self.applied_seq = stamp - 1;
+                self.skip_to(stamp - 1); // the slot now holds seq stamp-1
                 continue;
             }
             // Copied at the instant the header was read, before the CPU
@@ -874,17 +963,62 @@ impl McastReplica {
             // delivered (and appended to the WAL) is the one stamp-checked.
             let entry = self.read_own_log(seq).expect("log_head read its stamp");
             sim::sleep(FOLLOWER_CPU);
-            self.applied_seq += 1;
+            self.stored_seq += 1;
+            self.held.push_back(entry);
             progressed = true;
-            self.deliver(entry);
+            self.deliver_known();
         }
+        self.deliver_known();
         if progressed {
+            self.persist_held();
             self.node
-                .local_write_word(self.layout.log_seq, self.applied_seq)
+                .local_write_word(self.layout.log_seq, self.stored_seq)
                 .expect("own log_seq word");
             let leader = leader_for_epoch(self.epoch, self.n());
             self.post_ack(self.inner.global_idx(self.group, leader));
         }
+    }
+
+    /// Makes what we are about to acknowledge durable, in a group of more
+    /// than three: every delivered entry is in the WAL already, and the
+    /// held ones replace the held file. A group of up to three holds
+    /// nothing past a pass, since our copy and the leader's are a majority.
+    fn persist_held(&mut self) {
+        let Some(disk) = &self.wal_disk else {
+            return;
+        };
+        if self.held.is_empty() && !self.held_on_disk {
+            return;
+        }
+        let mut buf = Vec::new();
+        for e in &self.held {
+            buf.extend_from_slice(&encode_log(
+                e.seq, e.uid, e.mask, e.ts_raw, self.epoch, &e.payload,
+            ));
+        }
+        disk.put(crate::wal::HELD_FILE, &buf);
+        self.held_on_disk = !self.held.is_empty();
+    }
+
+    /// Delivers the held entries a majority is known to store.
+    fn deliver_known(&mut self) {
+        let to = self.node.with_mem(|m| self.known_stored(m));
+        while self.applied_seq < to {
+            let entry = self.held.pop_front().expect("a stored entry is held");
+            self.applied_seq += 1;
+            self.deliver(entry);
+        }
+    }
+
+    /// Surfaces the gap from `applied_seq` up to `seq` — held entries
+    /// included — and resumes the log there.
+    fn skip_to(&mut self, seq: u64) {
+        self.upcall(DeliveryEvent::Gap {
+            from: self.applied_seq,
+            to: seq - 1,
+        });
+        self.applied_seq = seq;
+        self.drop_held();
     }
 
     fn follower_check_leader(&mut self) {
@@ -929,7 +1063,11 @@ impl McastReplica {
     fn try_takeover(&mut self, target: u64) {
         // 1. Read peers' log positions.
         let mut alive = 1usize;
-        let mut longest: (u64, Option<usize>) = (self.applied_seq, None);
+        // Our own log counts as our peers read it: our `log_seq` word,
+        // which after a crash or a reload still speaks for the stored tail
+        // our ring holds, though we read the log again from `applied_seq`.
+        let own = self.node.local_read_word(self.layout.log_seq).unwrap_or(0);
+        let mut longest: (u64, Option<usize>) = (self.stored_seq.max(own), None);
         // In replica-index order: step 4 posts its backfill writes in this
         // order, and the order of posts is part of the schedule.
         let mut peer_seq: Vec<(usize, u64)> = Vec::new();
@@ -980,7 +1118,9 @@ impl McastReplica {
         // 3. Apply everything we now hold (delivers locally, in order); a
         // slot that lost its entry ends the attempt: retry next timeout.
         let adopt_to = longest.0;
-        if !self.apply_own_log(adopt_to) {
+        let adopted = self.apply_own_log(adopt_to);
+        self.drop_held();
+        if !adopted {
             return;
         }
         self.node
@@ -1086,6 +1226,11 @@ impl McastReplica {
     }
 }
 
+/// Whether `mask` names more than one group.
+fn multi_group(mask: DestMask) -> bool {
+    mask & mask.wrapping_sub(1) != 0
+}
+
 /// Timestamp agreement reached, when `ts` is some: every destination group
 /// proposed and `uid`'s final timestamp (max of proposals) is now fixed.
 fn trace_final(uid: u32, ts: Option<Timestamp>) {
@@ -1121,11 +1266,16 @@ mod tests {
                 .filter(|&i| i != r.idx)
                 .any(|i| word(sizes.ack_slot(r.layout, i)) != r.acks_cache[i])
         } else {
-            let entry = r.log.ring.slot(r.applied_seq + 1);
+            let entry = r.log.ring.slot(r.stored_seq + 1);
             let epoch = entry.offset(4 * crate::layout::WORD as u64);
-            (!r.await_epoch && word(entry) > r.applied_seq && word(epoch) >= r.entry_epoch_floor)
+            let commit = match r.majority() {
+                ..=2 => r.stored_seq,
+                _ => r.stored_seq.min(word(sizes.ack_slot(r.layout, r.idx))),
+            };
+            (!r.await_epoch && word(entry) > r.stored_seq && word(epoch) >= r.entry_epoch_floor)
                 || ((!r.await_epoch || r.ungated_has_work)
-                    && word(r.layout.log_floor) > r.applied_seq)
+                    && word(r.layout.log_floor) > r.stored_seq)
+                || commit > r.applied_seq
                 || word(r.layout.heartbeat) != r.last_hb_val
         };
         lane_hit || role
@@ -1216,8 +1366,12 @@ mod tests {
                 (lane.next, lane.lost) = (cursor, lost);
             }
             (r.is_leader, r.await_epoch) = (gates[0], gates[1]);
-            (r.applied_seq, r.entry_epoch_floor, r.last_hb_val) =
-                (scalars[0], scalars[1], scalars[2]);
+            (
+                r.applied_seq,
+                r.stored_seq,
+                r.entry_epoch_floor,
+                r.last_hb_val,
+            ) = (scalars[0], scalars[0], scalars[1], scalars[2]);
             r.acks_cache = vec![scalars[3], scalars[4], scalars[3]];
             // Memory starts out agreeing with the cached words …
             let sizes = r.inner.sizes;
@@ -1401,7 +1555,7 @@ mod tests {
                 leader.scan_lanes();
             };
             for (i, &uid) in uids.iter().enumerate() {
-                writer.forward(target, uid, 0b10, payload_of(uid));
+                writer.forward(target, uid, PENDING, payload_of(uid));
                 if reads.contains(&i) {
                     read();
                 }
@@ -1426,7 +1580,7 @@ mod tests {
             let target = leader.my_global;
             let mut send = |writer: &mut McastReplica, uids: std::ops::Range<u32>| {
                 for uid in uids {
-                    writer.forward(target, uid, 0b10, payload_of(uid));
+                    writer.forward(target, uid, PENDING, payload_of(uid));
                     sim::sleep(Duration::from_micros(20));
                     leader.scan_lanes();
                 }
@@ -1457,7 +1611,7 @@ mod tests {
             let target = leader.my_global;
             let mut send = |writer: &mut McastReplica, uids: std::ops::Range<u32>| {
                 for uid in uids {
-                    writer.forward(target, uid, 0b10, payload_of(uid));
+                    writer.forward(target, uid, PENDING, payload_of(uid));
                     sim::sleep(Duration::from_micros(20));
                     leader.scan_lanes();
                 }
@@ -1497,6 +1651,12 @@ mod tests {
         });
         assert_eq!(order, (0, vec![1, 2]));
     }
+
+    /// A message for both groups: group 1's leader takes it in and holds
+    /// it pending, since group 0's leader never proposes here. A message
+    /// for group 1 alone would be sequenced at the next window, and leave
+    /// the pending set.
+    const PENDING: DestMask = 0b11;
 
     fn payload_of(uid: u32) -> Vec<u8> {
         vec![uid as u8; 1 + uid as usize % 8]

@@ -15,6 +15,13 @@
 //! at, and the highest epoch of a dropped frame. The floor keeps the
 //! group's sequence position, clock and epoch durable even when
 //! truncation empties the tail.
+//!
+//! In a group of more than three, a follower acknowledges an entry before
+//! it may deliver it (it waits for the leader's commit point), so the
+//! acknowledged-but-undelivered tail is kept durable apart from the WAL:
+//! the *held* file, replaced whole before each acknowledgement. A reload
+//! puts its frames past the WAL's end back in the ring as stored, not
+//! delivered.
 
 use crate::layout::{decode_log_header, LOG_HDR};
 use crate::DestMask;
@@ -31,6 +38,8 @@ pub(crate) const FLOOR_FILE: &str = "floor";
 /// timestamp — a duplicate delivery the application cannot screen out
 /// with its timestamp watermark.
 pub(crate) const SEEN_FILE: &str = "seen";
+/// A follower's stored-but-undelivered tail, in a group of more than three.
+pub(crate) const HELD_FILE: &str = "held";
 
 /// One durable log frame: the decoded byte image of a sequenced entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -79,6 +88,11 @@ pub(crate) fn parse(bytes: &[u8]) -> Vec<WalFrame> {
 /// calling process).
 pub(crate) fn read_frames(disk: &Disk) -> Vec<WalFrame> {
     disk.get(WAL_FILE).map(|b| parse(&b)).unwrap_or_default()
+}
+
+/// Reads and parses the held file's frames.
+pub(crate) fn read_held(disk: &Disk) -> Vec<WalFrame> {
+    disk.get(HELD_FILE).map(|b| parse(&b)).unwrap_or_default()
 }
 
 /// The floor record: what a truncated prefix of the WAL still speaks for.

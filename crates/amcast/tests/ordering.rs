@@ -109,7 +109,10 @@ fn single_group_delivers_everything_in_timestamp_order() {
 /// began: while lane 1's message is being handled ([`ORDERING_CPU`]), one
 /// submission lands in lane 0 — already walked past — and then one in lane
 /// 2, still ahead. The pass consumes the later lane's message and leaves
-/// the earlier lane's, though it landed first, to the next pass.
+/// the earlier lane's, though it landed first, to the next pass: a pass
+/// that read every lane when it began would order lane 0 before lane 2.
+/// Lane 1's message is final before lane 2's is taken in, so it is
+/// delivered before lane 2's handling is paid for.
 #[test]
 fn a_scan_reads_each_lane_at_the_instant_it_reaches_it() {
     let simulation = Simulation::new(5);
@@ -142,8 +145,12 @@ fn a_scan_reads_each_lane_at_the_instant_it_reaches_it() {
     let lanes: Vec<u8> = delivered.iter().map(|(lane, _)| *lane).collect();
     assert_eq!(lanes, [1, 2, 0]);
     let at = |i: usize| delivered[i].1;
-    assert_eq!(at(0), at(1), "lanes 1 and 2 were sequenced by one pass");
-    assert_eq!(at(2), at(1) + handling, "lane 0 by the next");
+    assert_eq!(
+        at(1),
+        at(0) + handling,
+        "lane 1 shipped before lane 2's handling"
+    );
+    assert_eq!(at(2), at(1) + handling, "lane 0 by the next pass");
 }
 
 #[test]
@@ -280,6 +287,91 @@ fn deliveries_continue_after_leader_crash_with_client_retry() {
         assert_eq!(uids.len(), 20, "duplicate deliveries at replica {r}");
     }
     assert_eq!(logs[1], logs[2]);
+}
+
+/// Which of group 0's replicas hold `seq 0` in their log ring: its slot
+/// leads with the stamp `seq + 1`.
+fn holders_of_the_first_entry(mcast: &Mcast, n: usize) -> Vec<usize> {
+    (0..n)
+        .filter(|&idx| {
+            let regions = mcast.regions(GroupId(0), idx);
+            let (_, log, _) = regions.iter().find(|(name, ..)| *name == "log").unwrap();
+            mcast.node(GroupId(0), idx).local_read_word(*log) == Ok(1)
+        })
+        .collect()
+}
+
+/// Every replica's deliveries, then messages A and B.
+type Outcome = (Vec<Vec<(MsgId, Timestamp)>>, [MsgId; 2]);
+
+/// One run of a five-replica group whose leader crashes on its `nth` verb.
+/// `None` unless, 50 µs after message A was sent, replica 1 is the only
+/// follower that stores it: the leader's log posts stopped after the
+/// first follower. Then replica 1 crashes too, a new message B is sent
+/// and delivered by the three survivors' new leader, the client retries
+/// A, and replica 1 comes back.
+fn a_follower_alone_with_the_leader(nth: u64) -> Option<Outcome> {
+    let h = build(31, McastConfig::new(1, 5));
+    let (leader, lone) = (
+        h.mcast.node(GroupId(0), 0).id(),
+        h.mcast.node(GroupId(0), 1).id(),
+    );
+    rdma_sim::FaultPlan::new(31)
+        .crash_on_verb(leader, nth)
+        .crash_at(lone, Duration::from_micros(100))
+        .recover_at(lone, Duration::from_millis(12))
+        .arm(&h.simulation, &h.fabric);
+    let (mcast, logs) = (h.mcast.clone(), h.logs.clone());
+    let probed = Arc::new(Mutex::new(None));
+    let alone = probed.clone();
+    let mut client = h.mcast.client(&h.fabric.add_node("client"));
+    h.simulation.spawn("client", move || {
+        let group = [GroupId(0)];
+        let a = client.multicast(&group, b"A");
+        sim::sleep(Duration::from_micros(50));
+        if holders_of_the_first_entry(&mcast, 5) != [0, 1] {
+            return;
+        }
+        sim::sleep(Duration::from_micros(100));
+        let has = |idx: usize, uid: MsgId| logs.lock()[idx].iter().any(|(m, _)| *m == uid);
+        let b = client.multicast(&group, b"B");
+        *alone.lock() = Some([a, b]);
+        for (uid, payload) in [(b, b"B"), (a, b"A")] {
+            while !has(2, uid) {
+                client.resubmit(uid, &group, payload);
+                sim::sleep(Duration::from_millis(1));
+            }
+        }
+    });
+    h.simulation
+        .run_until(sim::SimTime::from_millis(40))
+        .unwrap();
+    let logs = h.logs.lock().clone();
+    let sent = *probed.lock();
+    sent.map(|sent| (logs, sent))
+}
+
+/// Uniform prefix order at five replicas. A follower that stores an entry
+/// only it and the leader hold — 2 of the 3 a majority needs — must not
+/// deliver it: when both crash, the other three elect a leader that
+/// orders B into that slot and A after it, and the follower, back, would
+/// have delivered A before B. The leader's crash verb is scanned for the
+/// one that stops its log posts after the first follower.
+#[test]
+fn a_follower_delivers_only_what_a_majority_stores() {
+    let (logs, [a, b]) = (1..=40)
+        .find_map(a_follower_alone_with_the_leader)
+        .expect("a crash verb that leaves the entry with one follower");
+    let uids = |idx: usize| logs[idx].iter().map(|(m, _)| *m).collect::<Vec<_>>();
+    assert_eq!(uids(2), [b, a], "the survivors order B before A");
+    for idx in 1..5 {
+        assert_consistent(&logs[idx], &logs[2]);
+    }
+    assert_eq!(
+        uids(1),
+        [b, a],
+        "the follower that came back delivers as the survivors did"
+    );
 }
 
 /// A retry follows the epoch: after group 0's leader crashes and a
@@ -539,7 +631,10 @@ proptest::proptest! {
 /// `max_batch` 1 and 8 to the `(schedule_hash, events_executed,
 /// posted_writes, doorbells)` the code produced before the unbatched
 /// sequencing loop, log append and retransmission arm were folded into
-/// the batched ones (EXPERIMENTS.md, "Batching is a size"). Sends 1 µs
+/// the batched ones (EXPERIMENTS.md, "Batching is a size"), re-pinned
+/// once when a one-group message stopped posting a proposal and a final,
+/// and the leader started shipping what is final before each window
+/// (EXPERIMENTS.md, "The leader ships before it takes in"). Sends 1 µs
 /// apart outrun the leader's [`ORDERING_CPU`], so rounds hold more than
 /// one message at 8, and follower g1r2 is down from 30 µs to 900 µs, so
 /// group 1's leader retransmits what it missed — one entry per doorbell
@@ -548,8 +643,8 @@ proptest::proptest! {
 fn a_fixed_plan_is_pinned_at_batch_sizes_one_and_eight() {
     let plan: Vec<(u8, u32)> = (0..24u8).map(|i| (i, 1)).collect();
     let pins = [
-        (1, ("0x597b2ae8b9be74d9", 2480, 768, 768)),
-        (8, ("0x67d58e837829a21d", 2506, 785, 731)),
+        (1, ("0x3f13575a9dc71553", 2298, 694, 694)),
+        (8, ("0x938a680b93692788", 2384, 721, 681)),
     ];
     for (max_batch, pin) in pins {
         let h = build(77, McastConfig::new(2, 3).with_max_batch(max_batch));

@@ -347,3 +347,83 @@ fn single_replica_group_boots_from_an_empty_wal_above_its_floor() {
 fn whole_group_boots_from_empty_wals_above_their_floor() {
     empty_wal_boot_orders_after_the_floor(25, 3);
 }
+
+/// Every replica's deliveries, and message A.
+type Outcome = (Vec<Vec<(MsgId, Timestamp)>>, MsgId);
+
+/// One run of a five-replica group whose leader crashes on its `nth` verb:
+/// replicas 3 and 4 are down from 20 µs, so message A is stored by the
+/// leader and followers 1 and 2 alone. `None` unless, 200 µs after A was
+/// sent, the leader has delivered A and neither follower has: its crash
+/// verb came after the delivery and before the word that would let them
+/// deliver it. Then 1 and 2 lose power, 3, 4 and the followers in `back`
+/// come back and elect a leader, and the client retries A until each of
+/// them delivers it.
+fn a_leader_delivers_on_two_acks_and_crashes(nth: u64, back: &[usize]) -> Option<Outcome> {
+    let h = build_durable(28, 5);
+    let id = |idx: usize| h.mcast.node(GroupId(0), idx).id();
+    let mut plan = FaultPlan::new(28).crash_on_verb(id(0), nth);
+    for idx in [3, 4] {
+        plan = plan
+            .crash_at(id(idx), Duration::from_micros(20))
+            .recover_at(id(idx), Duration::from_millis(1));
+    }
+    for idx in [1, 2] {
+        plan = plan.power_loss_at(id(idx), Duration::from_micros(300));
+    }
+    for &idx in back {
+        plan = plan.recover_at(id(idx), Duration::from_millis(1));
+    }
+    plan.arm(&h.simulation, &h.fabric);
+
+    let logs = h.logs.clone();
+    let up: Vec<usize> = back.iter().copied().chain([3, 4]).collect();
+    let sent = Arc::new(Mutex::new(None));
+    let probed = sent.clone();
+    let mut client = h.mcast.client(&h.fabric.add_node("client"));
+    h.simulation.spawn("client", move || {
+        sim::sleep(Duration::from_micros(50));
+        let a = client.multicast(&[GroupId(0)], b"A");
+        sim::sleep(Duration::from_micros(200));
+        let has = |idx: usize| logs.lock()[idx].iter().any(|(m, _)| *m == a);
+        if !has(0) || has(1) || has(2) {
+            return;
+        }
+        *probed.lock() = Some(a);
+        while !up.iter().all(|&idx| has(idx)) {
+            sim::sleep(Duration::from_millis(1));
+            client.resubmit(a, &[GroupId(0)], b"A");
+        }
+    });
+    h.simulation.run_until(SimTime::from_millis(40)).unwrap();
+    let a = *sent.lock();
+    a.map(|a| (h.logs.lock().clone(), a))
+}
+
+/// A follower's acknowledgement is a durable promise at five replicas:
+/// the leader delivers A on the acks of followers 1 and 2 and crashes
+/// before they learn A is delivered, and both lose power. A is then on
+/// their disks only, and the new leader must adopt it from there: each
+/// replica that is back delivers A first, at the timestamp the old leader
+/// delivered it at, not re-sequenced from the client's retry. With
+/// follower 2 still down, follower 1 — epoch 1's leader — holds the only
+/// copy, and its own takeover must count it.
+#[test]
+fn a_delivered_entry_survives_power_loss_of_the_followers_that_acked_it() {
+    for back in [&[1, 2][..], &[1]] {
+        let (logs, a) = (1..=60)
+            .find_map(|nth| a_leader_delivers_on_two_acks_and_crashes(nth, back))
+            .expect("a crash verb between the leader's delivery and its commit word");
+        assert_eq!(logs[0].len(), 1);
+        assert_eq!(logs[0][0].0, a);
+        for idx in back.iter().copied().chain([3, 4]) {
+            assert_eq!(
+                logs[idx].first(),
+                logs[0].first(),
+                "followers {back:?} back: replica {idx} delivered {:?}, the crashed leader {:?}",
+                logs[idx],
+                logs[0]
+            );
+        }
+    }
+}

@@ -402,9 +402,11 @@ pub fn scenario_for_seed(seed: u64, quick: bool) -> Scenario {
 /// amcast's `has_work` gate broken boots a replica that sees an advertised
 /// log floor before its first heartbeat: the livelock shape the explorer's
 /// self-test must catch. Found by scanning up from seed 42 (the shape is
-/// rare now that a replica reloads at its recovery instant); a scan of a
-/// few seeds from here absorbs scenario-generator drift.
-pub const REBROKEN_HAS_WORK_SEEDS: (u64, u64) = (196, 142);
+/// rare now that a replica reloads at its recovery instant, and rarer
+/// since a one-group message stopped writing a proposal and a final: the
+/// first seeds were 196 and 142 before); a scan of a few seeds from here
+/// absorbs scenario-generator drift.
+pub const REBROKEN_HAS_WORK_SEEDS: (u64, u64) = (615, 1854);
 
 /// Derives a *recovery* chaos scenario for a seed: a single-partition bank
 /// with durable checkpointing on, driven through seed-chosen power-loss

@@ -20,13 +20,17 @@ use heron_core::{
     StateMachine,
 };
 use rdma_sim::{Fabric, LatencyModel};
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 const KEYS: u64 = 6;
 const PARTITIONS: u16 = 2;
+
+/// Virtual time by which every command must be answered: the workload
+/// submits its last command after 1.4 ms, so a run still waiting here has
+/// lost a command, and fails instead of waiting for ever.
+const DEADLINE: Duration = Duration::from_millis(300);
 
 const OP_ONE: u8 = 1;
 const OP_TWO: u8 = 2;
@@ -184,24 +188,25 @@ fn run_chains(width: usize) -> BTreeMap<u64, u64> {
     );
     cluster.spawn(&simulation);
     let cmds = commands(48);
-    let total = cmds.len() as u64;
-    let done = Arc::new(AtomicU64::new(0));
+    let total = cmds.len();
+    let answered = Arc::new(Mutex::new(BTreeSet::new()));
     for (j, cmd) in cmds.into_iter().enumerate() {
         // Fixed submit times, a few near-simultaneous per wave: the
         // delivery order is the same at every width, so the width-1 run
         // is a valid order oracle for the pooled one.
         let at = Duration::from_micros((j as u64 / 4) * 120 + (j as u64 % 4) * 3);
         let mut client = cluster.client(format!("c{j}"));
-        let done = done.clone();
+        let answered = answered.clone();
         simulation.spawn(format!("client-{j}"), move || {
             sim::sleep(at);
             client.execute(&cmd);
-            done.fetch_add(1, Ordering::SeqCst);
+            answered.lock().unwrap().insert(j);
         });
     }
-    let done2 = done.clone();
+    let watched = answered.clone();
     simulation.spawn("monitor", move || {
-        while done2.load(Ordering::SeqCst) < total {
+        let all = || watched.lock().unwrap().len() == total;
+        while !all() && sim::now().as_nanos() < DEADLINE.as_nanos() as u64 {
             sim::sleep(Duration::from_millis(1));
         }
         // Let the slowest replicas drain their queues before freezing.
@@ -209,7 +214,13 @@ fn run_chains(width: usize) -> BTreeMap<u64, u64> {
         sim::stop();
     });
     simulation.run().unwrap();
-    assert_eq!(done.load(Ordering::SeqCst), total);
+    let answered = answered.lock().unwrap().clone();
+    let missing: Vec<usize> = (0..total).filter(|j| !answered.contains(j)).collect();
+    assert!(
+        missing.is_empty(),
+        "width {width}: {} of {total} answered by {DEADLINE:?}; unanswered commands {missing:?}",
+        answered.len()
+    );
 
     // The property itself, on every replica: writes to one chain — i.e.
     // commands sharing a conflict key — landed in delivery (timestamp)

@@ -13,7 +13,10 @@ writing the change. Per workload it prints every pair, then for each host
 metric both medians with quartiles, the pairs the change won, and `gain` /
 `WORSE` where one side wins >= 9/10 of the pairs and the medians differ by
 more than the parent's own inter-quartile distance (choosing-metrics,
-section 8); anything less is noise, not a result. A row of fewer than
+section 8); anything less is noise, not a result. Each end-to-end virtual
+metric gets the same row, marked `PAST BOUND` where the change's median is
+worse than the parent's by more than its `BENCHMARK.json` bound: the rule a
+workload that must not get worse is judged by. A row of fewer than
 `VERDICT_PAIRS` pairs gets no verdict at all, only "no verdict (n pairs)":
 with one pair the quartile distance is 0 and one win is every pair.
 
@@ -83,6 +86,7 @@ def main():
     spec.loader.exec_module(run)
     contract = run.CONTRACT
     better = {m["name"]: m["better"] for m in contract["end_to_end"] + contract["per_layer"]}
+    bound = {m["name"]: m["bound"] for m in contract["end_to_end"]}
     if moved.keys() - set(better):
         ap.error(f"--moved: not in BENCHMARK.json: {', '.join(sorted(moved.keys() - set(better)))}")
     bad = 0
@@ -90,6 +94,7 @@ def main():
         print(f"== {workload}: {args.pairs} pairs, seeds {args.seed}..{args.seed + args.pairs - 1}, "
               f"--trace {args.trace}")
         host = {}  # metric -> [(parent, change)] per pair
+        virt = {}  # end-to-end virtual metric -> [(parent, change)] per pair
         for k in range(args.pairs):
             seed = args.seed + k
             order = ["parent", "change"] if k % 2 == 0 else ["change", "parent"]
@@ -101,6 +106,8 @@ def main():
                     bad += 1
             for name, row in r["parent"]["metrics"].items():
                 p, c = row["value"], r["change"]["metrics"][name]["value"]
+                if run.clock(row["unit"]) != "host" and name in bound:
+                    virt.setdefault(name, []).append((p, c))
                 if run.clock(row["unit"]) == "host":
                     host.setdefault(name, []).append((p, c))
                     if name == "host_us_per_req" or args.trace:
@@ -120,15 +127,18 @@ def main():
                     print(f"   seed {seed}: {key} differs: {r['parent'][key]} vs {r['change'][key]}")
                     bad += 1
             print(f"   pair {k} seed {seed} ({order[0]} first): " + "; ".join(shown), flush=True)
-        for name, pairs in host.items():
+        for name, pairs in list(host.items()) + list(virt.items()):
             sign = -1.0 if better[name] == "higher" else 1.0
             won = sum(sign * c < sign * p for p, c in pairs)
             lost = sum(sign * c > sign * p for p, c in pairs)
             (p1, p2, p3), (c1, c2, c3) = (run.quartiles([x[i] for x in pairs]) for i in (0, 1))
             clear = abs(p2 - c2) > p3 - p1
-            verdict = (f"no verdict ({len(pairs)} pairs)" if len(pairs) < VERDICT_PAIRS else
-                       "gain" if clear and won >= 0.9 * len(pairs) else
-                       "WORSE" if clear and lost >= 0.9 * len(pairs) else "")
+            if name in virt:
+                verdict = "PAST BOUND" if sign * (c2 - p2) > bound[name] * abs(p2) else ""
+            else:
+                verdict = (f"no verdict ({len(pairs)} pairs)" if len(pairs) < VERDICT_PAIRS else
+                           "gain" if clear and won >= 0.9 * len(pairs) else
+                           "WORSE" if clear and lost >= 0.9 * len(pairs) else "")
             delta = f"{(c2 / p2 - 1) * 100:+.1f} %" if p2 else "n/a"
             print(f"   {name:34} parent {p2:.6g} [{p1:.6g} .. {p3:.6g}]  change {c2:.6g} "
                   f"[{c1:.6g} .. {c3:.6g}]  {delta}  won {won}/{len(pairs)} lost {lost}  {verdict}")
