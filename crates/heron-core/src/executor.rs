@@ -7,28 +7,40 @@
 //! see [`crate::layout::ReplicaLayout::coord_slot`]).
 //!
 //! Each replica has exactly one [`Driver`] process — Algorithm 1's
-//! delivery loop. It owns the delivery stream, admission (`last_req`
-//! skips, Gap hold-back), both sides of Algorithm 3, the cold restart a
-//! driver booted after a power loss runs first, and the `completed_req`
-//! watermark. What varies with [`crate::HeronConfig::executor_width`] is
-//! only where a command runs once it reaches the front of the queue:
+//! delivery loop — split in two. Its [`Books`] are the core: one value
+//! holding the queue, the in-flight lanes, the `done` map behind the
+//! `completed_req` watermark, `last_req`, `last_replied`, the Gap hold,
+//! the responder rotation and a cold restart's replay tail, with the rules
+//! over them and nothing else (no memory, verb, mailbox or clock). The
+//! driver is the shell: it receives deliveries and worker events, reads
+//! the statesync entries and the clock, feeds them to the books and acts
+//! on what they return — dispatch a job to a lane or skip it, post a
+//! reply, run a transfer for the stalls and hand out the verdicts, serve a
+//! request — and it writes the books' watermarks to the replica's shared
+//! words, which the checkpointer waits on, in one place (`mirror`).
+//!
+//! The books keep the four rules P-SMR's pool needs (Marandi et al.,
+//! "Rethinking State-Machine Replication for Parallelism"; DESIGN.md §13):
+//! a job goes when its conflict keys ([`crate::StateMachine::conflict_keys`])
+//! are disjoint from every in-flight and every earlier queued job's, and a
+//! multi-partition job never overtakes an earlier queued one; `done` gets
+//! its entry at admission; a responder serves only at an exact boundary;
+//! and an install never replaces a newer slot (the store's rule,
+//! [`crate::store::VersionedStore::apply_raw_slot`]). So a conflicting
+//! predecessor always *finishes* on this replica before its successor
+//! starts anywhere on it — which is what makes the relaxed barrier reads
+//! in [`coord_quorum`] safe.
+//!
+//! What varies with [`crate::HeronConfig::executor_width`] is only where a
+//! command runs once the books dispatch it:
 //!
 //! * **width 1 — the inline lane.** There are no worker processes: the
-//!   driver runs [`ExecCore::run_command`] itself on lane 0 and resolves a
-//!   stall by running Algorithm 3's requester side on the spot. One
-//!   process per replica, commands strictly in delivery order — the
-//!   paper's executor.
-//! * **width N > 1 — the pool** (Marandi et al., "Rethinking
-//!   State-Machine Replication for Parallelism"). The driver computes each
-//!   command's conflict key-set ([`crate::StateMachine::conflict_keys`])
-//!   and hands a free [`Worker`] the first queued command whose keys are
-//!   disjoint from every in-flight command's and every earlier queued
-//!   command's — a multi-partition command never overtaking an earlier
-//!   queued multi-partition one ([`Driver::next_job`]). So a conflicting
-//!   predecessor always *finishes* on this replica before its successor
-//!   starts anywhere on it — which is what makes the relaxed barrier reads
-//!   in [`coord_quorum`] safe. Workers report completion (and the client
-//!   reply) back to the driver.
+//!   driver runs [`ExecCore::run_command`] itself on lane 0, which is in
+//!   flight while it runs — a pool of one lane, whose stall is a park the
+//!   driver resolves on the spot. One process per replica, commands
+//!   strictly in delivery order — the paper's executor.
+//! * **width N > 1 — the pool.** The driver hands the job to a free
+//!   [`Worker`], which reports completion (and the client reply) back.
 //!
 //! Either way a command runs one way ([`ExecCore::run_command`]: one
 //! reading phase → compute → writing phase, in Phase 2/4 barriers when it
@@ -37,31 +49,22 @@
 //!
 //! Workers never run the state-transfer protocol themselves: when one
 //! starves on a Phase-2 barrier or observes it is lagging (Algorithm 2,
-//! lines 23–25), it **parks** and the driver resolves the stall — it
-//! quiesces (stops dispatching, waits for running workers to finish or
-//! park), runs the requester-side transfer of Algorithm 3 once nothing is
-//! mid-command, and then tells each parked worker whether the adopted
-//! snapshot covered its command (abandon, the client will retry) or not
-//! (retry in place). Responder-side serves wait for an exact boundary —
-//! nothing in flight and nothing finished above the watermark — so the
-//! snapshot bound `completed_req` is exact. `completed_req` itself is a
-//! prefix watermark: the largest timestamp such that every admitted
-//! command up to it has finished its write phase.
-//!
-//! Dependency tracking is last-writer-in-delivery-order over the conflict
-//! keys: because a command never overtakes an earlier queued command it
-//! conflicts with, it waits exactly until every earlier conflicting
-//! command completed — equivalent to chaining along the last-writer
-//! dependency graph of the delivered prefix, without materializing the
-//! graph.
+//! lines 23–25), it **parks**; dispatch pauses, and once every in-flight
+//! command parked the driver runs the requester side of Algorithm 3 and
+//! tells each parked lane whether the adopted snapshot covered its command
+//! (abandon, the client will retry) or not (retry in place). A Gap's
+//! held-back delivery is resolved the same way, as a stall that never
+//! heals. `completed_req` is a prefix watermark: the largest timestamp
+//! such that every admitted command up to it has finished its write phase.
 
 use crate::app::{LocalReader, ReadSet};
+use crate::books::{Books, Dispatch, Mirror, Stall, StallOutcome};
 use crate::cluster::ReplicaShared;
 use crate::layout::{decode_envelope, encode_coord, encode_response, resp_slot, COORD_ENTRY};
 use crate::metrics::{Breakdown, Metrics};
 use crate::replica::{
     coord_matching, coord_quorum, pending_sync_requests, publish_progress, respond_transfer,
-    state_transfer_abortable, TRANSFER_INSTALL, TRANSFER_TIMEOUT,
+    state_transfer_abortable, sync_request, TRANSFER_INSTALL, TRANSFER_TIMEOUT,
 };
 use crate::types::{ObjectId, PartitionId, Placement};
 use amcast::{mask_groups, Delivered, DeliveryEvent, Timestamp};
@@ -69,8 +72,6 @@ use bytes::Bytes;
 use rand::Rng;
 use sim::{Mailbox, SimTime};
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::ops::Bound::{Excluded, Unbounded};
 use std::rc::Rc;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -81,30 +82,6 @@ use std::time::Duration;
 /// lines 23–25).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Lagging;
-
-/// Why a command stalled mid-flight.
-#[derive(Debug, Clone)]
-pub(crate) enum Stall {
-    /// The Phase-2 majority barrier starved past the transfer timeout.
-    Phase2Starved {
-        /// The barrier's involved partitions, for the heal check.
-        dests: Vec<PartitionId>,
-    },
-    /// A remote read found no version old enough (Algorithm 2, lines
-    /// 23–25).
-    Lagging,
-}
-
-/// How a stalled command resumes after the stall was handled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum StallOutcome {
-    /// A state transfer adopted a snapshot that already includes this
-    /// command: abandon it without replying (the client's retry will be
-    /// skipped or re-executed consistently).
-    Covered,
-    /// Not covered: retry the stalled step.
-    Retry,
-}
 
 /// A finished command's client reply, on its way to [`Driver::finish`].
 pub(crate) struct Reply {
@@ -313,25 +290,16 @@ impl ExecCore {
     fn write_coord(&self, dests: &[PartitionId], ts: Timestamp, phase: u64) {
         let shared = &self.shared;
         let n = self.n();
+        // All replica nodes share one allocation schedule, so our lane's
+        // slot is at the same address on every replica.
+        let (partition, idx) = (shared.partition.0 as usize, shared.idx);
+        let slot = shared.layout.coord_slot(partition, idx, self.lane, n);
         let entry = encode_coord(ts.raw(), phase);
         let mut sorted = dests.to_vec();
         sorted.sort_unstable();
         for h in sorted {
             for q in 0..n {
-                let target = shared.peer(h, q);
-                // All replica nodes share one allocation schedule, so any
-                // replica's layout equals ours.
-                let slot_on_target =
-                    shared
-                        .layout
-                        .coord_slot(shared.partition.0 as usize, shared.idx, self.lane, n);
-                if target.id() == shared.node.id() {
-                    let _ = shared.node.local_write(slot_on_target, &entry);
-                } else {
-                    let _ = shared
-                        .peer_qp(h, q)
-                        .post_write(slot_on_target, entry.to_vec());
-                }
+                shared.write_to(h, q, slot, &entry);
             }
         }
     }
@@ -670,49 +638,13 @@ impl LocalReader for StoreReader<'_> {
 }
 
 // ----------------------------------------------------------------------
-// The delivery driver, its inline lane (width 1) and its workers (width > 1).
+// The delivery driver — the shell around the books — and its workers.
 // ----------------------------------------------------------------------
-
-/// A delivered command on its way from admission to a lane.
-pub(crate) struct Job {
-    d: Delivered,
-    /// Virtual time the driver took the delivery off the stream; the gap
-    /// to a worker's pickup is the `execute.parallel` dispatch wait.
-    recv_ns: u64,
-    /// Sorted, deduplicated conflict key-set (empty on the inline lane,
-    /// which never has anything in flight to conflict with). Moves to the
-    /// command's [`InFlight`] entry at dispatch; the worker never reads it.
-    keys: Vec<u64>,
-}
-
-impl Job {
-    fn ts(&self) -> u64 {
-        self.d.ts.raw()
-    }
-
-    /// Addressed to more than one partition.
-    fn multi_partition(&self) -> bool {
-        self.d.dests.count_ones() > 1
-    }
-}
-
-/// Whether two sorted key-sets share a key.
-fn overlap(a: &[u64], b: &[u64]) -> bool {
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => return true,
-        }
-    }
-    false
-}
 
 /// Driver → worker: a lane's one inbox. A parked worker takes its verdict
 /// from it too: a parked lane is never dispatched to.
 pub(crate) enum ToWorker {
-    Run(Job),
+    Run { d: Delivered, recv_ns: u64 },
     Verdict(StallOutcome),
 }
 
@@ -733,43 +665,46 @@ pub(crate) enum WorkerEvent {
     },
 }
 
-/// One in-flight command, from dispatch until its `Done` event.
-struct InFlight {
-    ts: u64,
-    keys: Vec<u64>,
-    parked: Option<Stall>,
-}
-
-/// A cold restart's WAL-tail replay in progress. Dropping it closes the
-/// books on the restart: its replayed commands all finished, or a power
-/// cut killed the driver mid-replay.
+/// A cold restart's WAL-tail replay in progress, until it is closed: once
+/// its replayed commands all finished, or when a power cut kills the
+/// driver mid-replay.
 struct Replay {
     metrics: Arc<Metrics>,
     /// When the restart began (before the checkpoint read).
     t0: SimTime,
-    /// Frames not yet fed through admission.
-    tail: VecDeque<Delivered>,
-    /// Length of `tail` at entry. What counts as replayed is the part
-    /// actually fed, not this: a power cut mid-replay abandons the rest,
-    /// and the next cold restart replays (and counts) those frames again.
-    frames: usize,
     _span: sim::trace::SpanGuard,
 }
 
-impl Drop for Replay {
-    fn drop(&mut self) {
+impl Replay {
+    /// Books the restart, whose replay fed `fed` frames through admission.
+    /// A power cut mid-replay abandons the rest, and the next cold restart
+    /// replays (and counts) them again.
+    fn close(self, fed: u64) {
         let metrics = &self.metrics;
         metrics.cold_restarts.fetch_add(1, Ordering::Relaxed);
-        let fed = (self.frames - self.tail.len()) as u64;
         metrics.replayed_frames.fetch_add(fed, Ordering::Relaxed);
         let took = (sim::now() - self.t0).as_nanos() as u64;
         metrics.recovery_ns.fetch_add(took, Ordering::Relaxed);
     }
 }
 
-/// Requester side of Algorithm 3 on behalf of stalled commands `(ts,
-/// reason)`: returns the adopted snapshot bound, or `None` if the transfer
-/// was withdrawn.
+/// Mirrors the books' watermarks into the replica's shared words, for the
+/// checkpointer ([`ReplicaShared::set_completed`] wakes it) and
+/// diagnostics, and publishes the completed prefix to the peers: the one
+/// place they are written.
+fn mirror(shared: &Rc<ReplicaShared>, books: &Books, moved: Mirror) {
+    shared.last_req.store(books.last_req(), Ordering::SeqCst);
+    if moved >= Mirror::Completed {
+        shared.set_completed(books.completed());
+    }
+    if moved == Mirror::Publish {
+        publish_progress(shared);
+    }
+}
+
+/// Requester side of Algorithm 3 for what the books say is stalled, until
+/// nothing is: a transfer for the stalls, then each parked lane's verdict.
+/// Returns whether a transfer ran.
 ///
 /// The transfer is abortable on barrier-heal, and only when every stall is
 /// a Phase-2 starvation whose barrier has healed (a lagging command
@@ -778,32 +713,38 @@ impl Drop for Replay {
 /// partition may be stalled right here — in which case nobody serves
 /// transfers and waiting unconditionally deadlocks the partition (and,
 /// transitively, every partition coordinating with it).
-fn transfer_for_stalls(shared: &Rc<ReplicaShared>, stalls: &[(u64, &Stall)]) -> Option<u64> {
-    let healed = || {
-        stalls.iter().all(|(ts, reason)| match reason {
-            Stall::Phase2Starved { dests } => {
-                coord_quorum(shared, dests, Timestamp::from_raw(*ts), 1).0
-            }
-            Stall::Lagging => false,
-        })
-    };
-    state_transfer_abortable(shared, &healed)
-}
-
-/// Whether a transfer that adopted snapshot bound `rid` covered the
-/// stalled command `ts`.
-fn stall_outcome(rid: Option<u64>, ts: u64) -> StallOutcome {
-    if rid.is_some_and(|r| r >= ts) {
-        StallOutcome::Covered
-    } else {
-        StallOutcome::Retry
+fn transfer_for_stalls(
+    shared: &Rc<ReplicaShared>,
+    books: &mut Books,
+    mut verdict: impl FnMut(usize, StallOutcome),
+) -> bool {
+    let mut ran = false;
+    while let Some(stalls) = books.stalled() {
+        ran = true;
+        let healed = || {
+            stalls.iter().all(|(ts, reason)| match reason {
+                Stall::Phase2Starved { dests } => {
+                    coord_quorum(shared, dests, Timestamp::from_raw(*ts), 1).0
+                }
+                Stall::Lagging => false,
+            })
+        };
+        let from = books.completed();
+        let rid = state_transfer_abortable(shared, from, &healed, &mut |rid| {
+            let moved = books.install(rid);
+            mirror(shared, books, moved);
+        });
+        books.resolve(rid, &mut verdict);
     }
+    ran
 }
 
-/// A replica's delivery driver (Algorithm 1's loop): owns the delivery
-/// stream, admission and conflict-gated dispatch, runs both sides of the
-/// state-transfer protocol and the cold restart, and maintains the
-/// `completed_req` watermark.
+/// A replica's delivery driver (Algorithm 1's loop): the shell around its
+/// [`Books`]. It takes the inputs — the delivery stream, worker events,
+/// the statesync entries, the clock — feeds them to the books and does
+/// what they return: runs or sends jobs, posts replies, runs both sides
+/// of the state-transfer protocol and the cold restart, and mirrors the
+/// watermarks.
 pub(crate) struct Driver {
     shared: Rc<ReplicaShared>,
     deliveries: Mailbox<DeliveryEvent>,
@@ -813,88 +754,35 @@ pub(crate) struct Driver {
     events: Mailbox<WorkerEvent>,
     /// Each worker's inbox, by lane.
     lanes: Vec<Mailbox<ToWorker>>,
-    /// Admitted, not yet dispatched, in delivery (timestamp) order.
-    queue: VecDeque<Job>,
-    /// In-flight commands by worker index (deterministic iteration); every
-    /// other lane is idle ([`Self::free_lane`]). Always empty on the inline
-    /// lane, which runs a command to completion before the loop looks at
-    /// anything else.
-    inflight: BTreeMap<usize, InFlight>,
-    /// Admitted timestamps → finished?, entered at admission and pruned
-    /// from the front as the prefix completes; the largest pruned entry is
-    /// the `completed_req` watermark. Entered at admission, not dispatch:
-    /// a command dispatched past a queued one must not let the watermark
-    /// cover the queued one.
-    done: BTreeMap<u64, bool>,
-    /// First time we observed each pending state-transfer request
-    /// (requester idx, from_tmp) — drives the deterministic responder
-    /// rotation of Algorithm 3.
-    seen_requests: HashMap<(usize, u64), SimTime>,
-    /// Set by an ordering-layer Gap: requests were missed wholesale (log
-    /// overrun while crashed/lagging) and their timestamps are unknown, so
-    /// nothing may execute until a state transfer covers everything up to
-    /// the next delivery.
-    needs_full_sync: bool,
-    /// The first delivery after a Gap, held back until everything before
-    /// it drained and the covering transfer completed.
-    pending_gap: Option<Delivered>,
-    /// Highest client seq this replica has posted a response for, per
-    /// client (see [`Self::finish`]).
-    last_replied: HashMap<u64, u64>,
-    /// The WAL-tail replay of the last cold restart, until every replayed
-    /// command finished. Live deliveries wait behind it.
+    books: Books,
+    /// The transfer requests pending in our statesync entries, `(requester
+    /// idx, from_tmp)`, as last read.
+    pending: Vec<(usize, u64)>,
+    /// The last cold restart's replay, until every replayed command
+    /// finished.
     replay: Option<Replay>,
 }
 
-/// A step of Algorithm 1's loop.
-enum Step {
-    /// Sits out a crash, if the node is down: nothing is acted on until it
-    /// comes back, and then the pass starts over. A command caught
-    /// mid-flight keeps going against failing verbs; the deliveries we miss
-    /// surface later as a Gap or as failed remote reads. (A power cut needs
-    /// no step: it kills the driver.)
-    Crash,
-    /// A guard — no side effects — and the action it gates.
-    Act(fn(&Driver) -> bool, fn(&mut Driver)),
-}
-use Step::{Act, Crash};
-
-/// One pass of the delivery driver: every step whose guard holds acts, in
-/// this order. Liveness is re-read first and after each step that can
-/// yield before one that acts on the node — posting replies, a serve's
-/// stream.
-const PASS: [Step; 10] = [
-    Crash,
-    Act(Driver::events_waiting, Driver::drain_events),
-    Crash,
-    Act(Driver::requests_moved, Driver::serve_transfers),
-    Crash,
-    Act(Driver::delivery_waiting, Driver::admit),
-    Act(Driver::all_parked, Driver::resolve_parks),
-    Act(Driver::gap_resolvable, Driver::resolve_gap),
-    Act(Driver::dispatchable, Driver::try_dispatch),
-    Act(Driver::replay_done, |d| d.replay = None),
+/// One pass of the delivery driver: its steps, in this order, each of
+/// which returns whether it acted.
+const PASS: [fn(&mut Driver) -> bool; 6] = [
+    Driver::drain_events,
+    Driver::serve_transfers,
+    Driver::admit,
+    Driver::resolve_stalls,
+    Driver::dispatch,
+    Driver::end_replay,
 ];
 
+/// Liveness is read before each of the first this many steps of [`PASS`]:
+/// first, and after each step that can yield before one that acts on the
+/// node — posting replies, a serve's stream.
+const CRASH_CHECKS: usize = 3;
+
 impl Driver {
-    fn cfg(&self) -> &crate::HeronConfig {
-        &self.shared.cluster.cfg
-    }
-
-    fn n(&self) -> usize {
-        self.cfg().replicas_per_partition
-    }
-
-    /// The lowest lane not in flight, if any. The inline lane is never in
-    /// flight, so at width 1 this is always lane 0.
-    fn free_lane(&self) -> Option<usize> {
-        (0..self.cfg().executor_width).find(|lane| !self.inflight.contains_key(lane))
-    }
-
     /// Runs the driver loop forever: a pass over the steps, and when no
-    /// step acted, [`Self::idle_wait`] until one of their guards holds. A
-    /// driver booted on a node whose power was cut runs the cold restart
-    /// first.
+    /// step acted, [`Self::idle_wait`] until an input arrives. A driver
+    /// booted on a node whose power was cut runs the cold restart first.
     pub(crate) fn run(mut self) {
         if self.shared.node.power_cycles() > 0 {
             self.cold_restart();
@@ -902,38 +790,33 @@ impl Driver {
         // Executors-per-replica occupancy timeline (inert when tracing is
         // off or there is no pool): how many workers hold a command.
         let busy = if self.inline.is_none() {
-            sim::prof::gauge(format!(
-                "pool.busy.p{}r{}",
-                self.shared.partition.0, self.shared.idx
-            ))
+            let (p, i) = (self.shared.partition.0, self.shared.idx);
+            sim::prof::gauge(format!("pool.busy.p{p}r{i}"))
         } else {
             sim::prof::Gauge::disabled()
         };
         loop {
-            busy.set(self.inflight.len() as u64);
+            busy.set(self.books.in_flight() as u64);
             if !self.pass() {
                 self.idle_wait();
             }
         }
     }
 
-    /// One pass over [`PASS`]: runs each step whose guard holds, in
-    /// order; returns whether any did. A crash sat out ends the pass, so
-    /// the next one starts over.
+    /// One pass over [`PASS`]; returns whether any step acted. A crash is
+    /// sat out where liveness is read ([`CRASH_CHECKS`]): nothing is acted
+    /// on until the node comes back, and then the pass starts over. A
+    /// command caught mid-flight keeps going against failing verbs; the
+    /// deliveries we miss surface later as a Gap or as failed remote reads.
+    /// (A power cut needs no check: it kills the driver.)
     fn pass(&mut self) -> bool {
         let mut acted = false;
-        for step in PASS {
-            match step {
-                Crash if !self.shared.node.is_alive() => {
-                    self.sit_out_crash();
-                    return true;
-                }
-                Act(guard, action) if guard(self) => {
-                    action(self);
-                    acted = true;
-                }
-                _ => {}
+        for (k, step) in PASS.into_iter().enumerate() {
+            if k < CRASH_CHECKS && !self.shared.node.is_alive() {
+                self.sit_out_crash();
+                return true;
             }
+            acted |= step(self);
         }
         acted
     }
@@ -947,414 +830,205 @@ impl Driver {
         }
     }
 
-    // The guards [`Self::idle_wait`] waits on: each reads an input — a
-    // mailbox or polled memory. The other guards read only the
-    // driver's own state, which nothing but an action changes.
-
-    /// A worker reported.
-    fn events_waiting(&self) -> bool {
-        !self.events.is_empty()
-    }
-
-    /// A delivery for admission: from the live stream, or from a cold
-    /// restart's replay tail, which feeds ahead of it; none while a Gap's
-    /// held-back delivery waits for its covering transfer.
-    fn delivery_waiting(&self) -> bool {
-        match (&self.pending_gap, &self.replay) {
-            (Some(_), _) => false,
-            (None, Some(replay)) => !replay.tail.is_empty(),
-            (None, None) => !self.deliveries.is_empty(),
-        }
-    }
-
-    /// A pending transfer request not seen yet: its rotation counts from
-    /// its first sight.
-    fn request_unseen(&self) -> bool {
-        (self.pending_requests().iter()).any(|k| !self.seen_requests.contains_key(k))
-    }
-
-    // The other guards.
-
-    /// A transfer request first seen, one whose rotation turn came at an
-    /// exact boundary ([`Self::at_boundary`]), or one someone else
-    /// completed.
-    fn requests_moved(&self) -> bool {
-        self.request_unseen() || self.serve_turn() && self.at_boundary() || self.request_gone()
-    }
-
-    /// `completed_req` is an exact request boundary: nothing is in flight
-    /// and no command finished above it. Then every admitted command up to
-    /// it finished, none above it ran, and no store stamp passes it — a
-    /// responder's snapshot bound. At width 1 it always holds between
-    /// passes.
-    fn at_boundary(&self) -> bool {
-        self.inflight.is_empty() && self.highest_finished().is_none()
-    }
-
-    /// The highest command finished above the watermark — out of order,
-    /// past a hole — if any.
-    fn highest_finished(&self) -> Option<u64> {
-        let completed = self.shared.completed_req.load(Ordering::SeqCst);
-        let above = (Excluded(completed), Unbounded);
-        let mut finished = self.done.range(above).filter(|(_, &fin)| fin);
-        finished.next_back().map(|(&ts, _)| ts)
-    }
-
-    /// Every in-flight command parked (dispatch pauses on the first park,
-    /// so runners drain).
-    fn all_parked(&self) -> bool {
-        !self.inflight.is_empty() && self.inflight.values().all(|f| f.parked.is_some())
-    }
-
-    /// A Gap's held-back delivery, with everything before it drained.
-    fn gap_resolvable(&self) -> bool {
-        self.pending_gap.is_some() && self.drained()
-    }
-
-    /// A cold restart's replayed commands all finished.
-    fn replay_done(&self) -> bool {
-        self.replay.as_ref().is_some_and(|r| r.tail.is_empty()) && self.drained()
-    }
-
-    /// Nothing queued and nothing in flight.
-    fn drained(&self) -> bool {
-        self.queue.is_empty() && self.inflight.is_empty()
-    }
-
-    /// The transfer requests pending in our statesync entries, `(requester
-    /// idx, from_tmp)`, in requester order.
-    fn pending_requests(&self) -> Vec<(usize, u64)> {
+    /// Blocks until an input a step acts on arrives: a worker event, a
+    /// delivery for admission (from the live stream, or from a replay tail
+    /// ahead of it), a transfer request not seen yet — the other steps act
+    /// on the books alone, which only a step changes. The timeout, 10 ms
+    /// at most, is the next future rotation turn among the requests this
+    /// pass read: never busy-wait on a request that is not yet our turn (a
+    /// past-due serve still pending here waits for a worker event).
+    fn idle_wait(&self) {
         let shared = &*self.shared;
-        shared
-            .node
-            .with_mem(|m| pending_sync_requests(shared, m).collect())
+        let turn = self.books.next_turn(&self.pending, sim::now().as_nanos());
+        let timeout = Duration::from_nanos(turn.unwrap_or(u64::MAX)).min(Duration::from_millis(10));
+        let input = || !self.events.is_empty() || self.books.waiting(!self.deliveries.is_empty());
+        let unseen = |k| self.books.unseen(&k);
+        // `events` was built on the poller's condition (`spawn_driver`) and
+        // `deliveries` owns it, so both mailboxes ring this wait directly;
+        // transfer requests land in the subscribed statesync entries.
+        (shared.poller).poll_until_timeout(
+            || {
+                input()
+                    || shared
+                        .node
+                        .with_mem(|m| pending_sync_requests(shared, m).any(unseen))
+            },
+            timeout,
+        );
     }
 
-    /// A seen request's rotation turn has come. Without a seen request,
-    /// this and [`Self::request_gone`] skip the statesync read: both run
-    /// on every pass.
-    fn serve_turn(&self) -> bool {
-        let now = sim::now();
-        !self.seen_requests.is_empty()
-            && (self.pending_requests().iter())
-                .any(|k| self.serve_due(k).is_some_and(|due| due <= now))
-    }
+    // The steps.
 
-    /// A request we saw is no longer pending: someone completed it.
-    fn request_gone(&self) -> bool {
-        (self.seen_requests.keys()).any(|k| !self.pending_requests().contains(k))
-    }
-
-    /// A queued command can go ([`Self::next_job`]). Paused while a parked
-    /// worker waits for the pool to drain — resolving it needs a quiesced
-    /// pool, and feeding it new work would starve it.
-    fn dispatchable(&self) -> bool {
-        !self.inflight.values().any(|f| f.parked.is_some()) && self.next_job().is_some()
-    }
-
-    /// The queue index of the command to dispatch next, if a lane is free:
-    /// the front if a transfer covered it (it is skipped), else the first
-    /// command whose conflict keys are disjoint from every in-flight
-    /// command's and every earlier queued command's, and which, if it is
-    /// multi-partition, has no multi-partition command queued before it.
-    ///
-    /// The last rule is what keeps the pool deadlock-free: the lowest
-    /// unfinished multi-partition command finds only single-partition work
-    /// ahead of it at every partition it involves, and that work finishes.
-    /// At width 1 nothing is in flight and the front is always eligible.
-    ///
-    /// While a due serve waits for an exact boundary, only a hole below the
-    /// highest finished command may go; with none, the pool drains.
-    fn next_job(&self) -> Option<usize> {
-        self.free_lane()?;
-        let front = self.queue.front()?;
-        if self.covered(&front.d) {
-            return Some(0);
+    /// Absorbs worker notifications: completions are finished, parks
+    /// booked.
+    fn drain_events(&mut self) -> bool {
+        let mut acted = false;
+        while let Some(ev) = self.events.try_recv() {
+            acted = true;
+            match ev {
+                WorkerEvent::Done { worker, ts, reply } => self.finish(worker, ts, reply),
+                WorkerEvent::Parked { worker, ts, reason } => self.books.park(worker, ts, reason),
+            }
         }
-        let limit = if self.serve_turn() && !self.at_boundary() {
-            self.highest_finished()?
-        } else {
-            u64::MAX
-        };
-        let queue = &self.queue;
-        (0..queue.len())
-            .take_while(|&i| queue[i].ts() < limit)
-            .find(|&i| !self.blocked(i))
+        acted
     }
 
-    /// Whether queued command `i` must wait: it conflicts with an in-flight
-    /// or an earlier queued command, or it is multi-partition behind a
-    /// multi-partition one.
-    fn blocked(&self, i: usize) -> bool {
-        let q = &self.queue[i];
-        let mut earlier = self.queue.range(..i);
-        (self.inflight.values()).any(|f| overlap(&f.keys, &q.keys))
-            || earlier
-                .any(|e| overlap(&e.keys, &q.keys) || q.multi_partition() && e.multi_partition())
+    /// Responder side of Algorithm 3 (lines 7–22): walks the requesters in
+    /// order, reading each one's statesync entry when the walk reaches it,
+    /// and feeds each pending request to the books, which note its first
+    /// sight and say whether its turn came — so a request is first seen
+    /// after the serves before it streamed. Then the books forget the
+    /// requests no longer pending. Returns whether anything moved.
+    fn serve_transfers(&mut self) -> bool {
+        let shared = Rc::clone(&self.shared);
+        let n = shared.cluster.cfg.replicas_per_partition;
+        let mut moved = false;
+        self.pending.clear();
+        for p in (0..n).filter(|&p| p != shared.idx) {
+            let Some(from) = shared.node.with_mem(|m| sync_request(&shared, m, p)) else {
+                continue;
+            };
+            self.pending.push((p, from));
+            moved |= self.books.unseen(&(p, from));
+            if self.books.sight((p, from), sim::now().as_nanos()) {
+                respond_transfer(&shared, p, from, self.books.completed());
+                moved = true;
+            }
+        }
+        self.books.forget_gone(&self.pending) || moved
     }
 
-    /// A transfer that completed after `d` was queued covers it (its
-    /// effects are in the adopted snapshot); executing it against newer
-    /// state would be wrong. The watermark can only reach a queued
-    /// timestamp via a transfer: every admitted command has an entry in
-    /// `done`, which holds the watermark below it.
-    fn covered(&self, d: &Delivered) -> bool {
-        d.ts.raw() <= self.shared.completed_req.load(Ordering::SeqCst)
+    /// Takes one delivery, if one is waiting (Algorithm 1, lines 3–4, and
+    /// queue admission): from the replay tail ahead of the live stream.
+    /// One that a transfer covered is skipped.
+    fn admit(&mut self) -> bool {
+        let (app, deliveries) = (&self.shared.cluster.app, &self.deliveries);
+        let keys = |d: &Delivered| app.conflict_keys(decode_envelope(&d.payload).3);
+        let now = sim::now().as_nanos();
+        match self.books.admit(now, || deliveries.try_recv(), keys) {
+            None => return false,
+            Some(true) => mirror(&self.shared, &self.books, Mirror::LastReq),
+            Some(false) => self.skipped(),
+        }
+        true
     }
+
+    /// Runs a transfer for the pool's parks, once every in-flight command
+    /// parked, or for a Gap's held-back delivery, once everything before it
+    /// drained: its stall never heals, so no transfer is withdrawn, and
+    /// transfers repeat until a snapshot covers it.
+    fn resolve_stalls(&mut self) -> bool {
+        let lanes = &self.lanes;
+        transfer_for_stalls(&self.shared, &mut self.books, |lane, outcome| {
+            let _ = lanes[lane].send(ToWorker::Verdict(outcome));
+        })
+    }
+
+    /// Dispatches what the books let go, while they let something go:
+    /// skips what a transfer covered, hands the rest to a worker or, at
+    /// width 1, runs it right here.
+    fn dispatch(&mut self) -> bool {
+        let mut acted = false;
+        loop {
+            let (shared, pending) = (&*self.shared, &mut self.pending);
+            let next = self.books.dispatch(sim::now().as_nanos(), || {
+                pending.clear();
+                (shared.node).with_mem(|m| pending.extend(pending_sync_requests(shared, m)));
+                pending
+            });
+            let (lane, d, recv_ns) = match next {
+                None => return acted,
+                Some(Dispatch::Skip(moved)) => {
+                    self.skipped();
+                    if let Some(moved) = moved {
+                        mirror(&self.shared, &self.books, moved);
+                    }
+                    acted = true;
+                    continue;
+                }
+                Some(Dispatch::Run { lane, d, recv_ns }) => (lane, d, recv_ns),
+            };
+            acted = true;
+            // 'e' is pushed at dispatch: the checker reads the trace as
+            // the dispatch order, which keeps conflicting commands in
+            // timestamp order (and, at width 1, every command).
+            self.shared.note_dispatch(d.ts.raw(), self.books.keys(lane));
+            let Some(core) = &self.inline else {
+                let _ = self.lanes[lane].send(ToWorker::Run { d, recv_ns });
+                continue;
+            };
+            // No worker lanes: run the command right here, where a pool
+            // would hand it over; a stall parks the lane and runs
+            // Algorithm 3's requester side on the spot. (Routing width 1
+            // through one worker instead costs three mailbox hops per
+            // command per replica: +14…29 % host time per request,
+            // EXPERIMENTS.md "One delivery driver".)
+            let (shared, books) = (&self.shared, &mut self.books);
+            let done = core.run_command(&d, recv_ns, &mut |at, stall| {
+                books.park(lane, at.raw(), stall);
+                let mut verdict = StallOutcome::Retry;
+                transfer_for_stalls(shared, books, |_, outcome| verdict = outcome);
+                verdict
+            });
+            // The reply write nests under the request span.
+            let (reply, _request_span) = done.unzip();
+            self.finish(lane, d.ts.raw(), reply);
+        }
+    }
+
+    /// Ends a cold restart's replay once its commands all finished, which
+    /// books the restart.
+    fn end_replay(&mut self) -> bool {
+        let ended = self.books.end_replay();
+        if let Some(replay) = self.replay.take_if(|_| ended) {
+            replay.close(self.books.replayed());
+        }
+        ended
+    }
+
+    // What the steps share.
 
     /// Finishes command `ts`, which ran on `lane` — the one way, whether
     /// the inline lane just returned from it or a worker's `Done` event
-    /// reports it: post the reply (`None`: a state transfer covered the
-    /// command), free the lane, advance the `completed_req` watermark.
-    ///
-    /// Each replica owns ONE response slot per client and the driver is
-    /// its single writer: two workers finishing different requests of the
-    /// same client concurrently would otherwise race unordered writes into
-    /// it. They can also finish out of delivery order, so a reply whose seq
-    /// is not above the highest already posted for its client is skipped —
-    /// it would overwrite a fresher one and regress the slot's seq word.
-    /// Skipping is safe: the slot's newer seq already satisfies the
-    /// client's `>= seq` answered check, and a closed-loop client never
-    /// re-reads an older seq.
+    /// reports it: post the reply if the books say so (`None`: a state
+    /// transfer covered the command), then mirror the watermark. The driver
+    /// is the single writer of each client's response slot on this replica.
     fn finish(&mut self, lane: usize, ts: u64, reply: Option<Reply>) {
-        if let Some(reply) = reply {
-            let last = self.last_replied.get(&reply.client_id);
-            if last.is_none_or(|&l| reply.seq > l) {
-                self.last_replied.insert(reply.client_id, reply.seq);
-                post_reply(&self.shared, reply.client_id, reply.seq, &reply.response);
-            }
+        let key = reply.as_ref().map(|r| (r.client_id, r.seq));
+        let (post, moved) = self.books.finish(lane, ts, key);
+        if let Some(r) = reply.filter(|_| post) {
+            post_reply(&self.shared, r.client_id, r.seq, &r.response);
         }
-        self.inflight.remove(&lane);
-        if let Some(fin) = self.done.get_mut(&ts) {
-            *fin = true;
-        }
-        self.advance_watermark();
-    }
-
-    /// Advances the prefix watermark over the finished front of `done`:
-    /// `completed_req` may only cover timestamps with no unfinished
-    /// admitted command below them (a responder's snapshot bound must have
-    /// no holes).
-    fn advance_watermark(&mut self) {
-        let mut watermark = None;
-        while let Some(first) = self.done.first_entry().filter(|e| *e.get()) {
-            watermark = Some(first.remove_entry().0);
-        }
-        if let Some(t) = watermark {
-            let cur = self.shared.completed_req.load(Ordering::SeqCst);
-            self.shared.set_completed(cur.max(t));
-            if t > cur {
-                publish_progress(&self.shared);
-            }
-        }
-    }
-
-    /// Absorbs worker notifications: completions are finished; parks are
-    /// recorded for [`Self::resolve_parks`].
-    fn drain_events(&mut self) {
-        while let Some(ev) = self.events.try_recv() {
-            match ev {
-                WorkerEvent::Done { worker, ts, reply } => self.finish(worker, ts, reply),
-                WorkerEvent::Parked { worker, ts, reason } => {
-                    if let Some(f) = self.inflight.get_mut(&worker) {
-                        debug_assert_eq!(f.ts, ts, "park for a command the worker does not hold");
-                        f.parked = Some(reason);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Takes one delivery [`Self::delivery_waiting`] found.
-    fn admit(&mut self) {
-        let next = match &mut self.replay {
-            Some(replay) => replay.tail.pop_front().map(DeliveryEvent::Deliver),
-            None => self.deliveries.try_recv(),
-        };
-        match next.expect("a delivery is waiting") {
-            DeliveryEvent::Deliver(d) => self.on_deliver(d),
-            DeliveryEvent::Gap { .. } => self.needs_full_sync = true,
+        if let Some(moved) = moved {
+            mirror(&self.shared, &self.books, moved);
         }
     }
 
     /// Counts a delivery skipped because a state transfer covered it.
-    fn skip(&self) {
+    fn skipped(&self) {
         let metrics = &self.shared.cluster.metrics;
         metrics.skipped_requests.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Algorithm 1 lines 3–4 plus queue admission.
-    fn on_deliver(&mut self, d: Delivered) {
-        let shared = &self.shared;
-        let ts = d.ts;
-        // Lines 3–4: skip requests already covered by a state transfer.
-        if ts.raw() <= shared.last_req.load(Ordering::SeqCst) {
-            self.skip();
-            return;
-        }
-        shared.last_req.store(ts.raw(), Ordering::SeqCst);
-        if self.needs_full_sync {
-            // Everything missed has a smaller timestamp than this delivery;
-            // hold it until everything before it drained and a transfer
-            // covers it.
-            self.needs_full_sync = false;
-            self.pending_gap = Some(d);
-            return;
-        }
-        let keys = if self.inline.is_some() {
-            Vec::new()
-        } else {
-            let (_, _, _, payload) = decode_envelope(&d.payload);
-            let mut k = shared.cluster.app.conflict_keys(payload);
-            k.sort_unstable();
-            k.dedup();
-            k
-        };
-        self.done.insert(ts.raw(), false);
-        self.queue.push_back(Job {
-            d,
-            recv_ns: sim::now().as_nanos(),
-            keys,
-        });
-    }
-
-    /// Dispatches [`Self::next_job`] while there is one.
-    fn try_dispatch(&mut self) {
-        while let Some(i) = self.next_job() {
-            let mut job = self.queue.remove(i).expect("a ready job");
-            let ts = job.ts();
-            if self.covered(&job.d) {
-                self.skip();
-                // Already below the watermark: drop the entry rather than
-                // finish it, so the watermark moves (and wakes the
-                // checkpointer) only over finished commands behind it.
-                self.done.remove(&ts);
-                self.advance_watermark();
-                continue;
-            }
-            let lane = self.free_lane().expect("a free lane");
-            // 'e' is pushed at dispatch: the checker reads the trace as
-            // the dispatch order, which keeps conflicting commands in
-            // timestamp order (and, at width 1, every command).
-            self.shared.note_dispatch(ts, &job.keys);
-            if let Some(core) = &self.inline {
-                // No worker lanes: run the command right here, where a pool
-                // would hand it over, resolving a stall by running
-                // Algorithm 3's requester side on the spot. Nothing else
-                // happens on this replica until it finishes, so it is never
-                // "in flight" as far as serves and parks are concerned.
-                // (Routing width 1 through one worker instead costs three
-                // mailbox hops per command per replica: +14…29 % host time
-                // per request, EXPERIMENTS.md "One delivery driver".)
-                let shared = &self.shared;
-                let done = core.run_command(&job.d, job.recv_ns, &mut |at, stall| {
-                    let rid = transfer_for_stalls(shared, &[(at.raw(), &stall)]);
-                    stall_outcome(rid, at.raw())
-                });
-                // The reply write nests under the request span.
-                let (reply, _request_span) = done.unzip();
-                self.finish(lane, ts, reply);
-                continue;
-            }
-            self.inflight.insert(
-                lane,
-                InFlight {
-                    ts,
-                    keys: std::mem::take(&mut job.keys),
-                    parked: None,
-                },
-            );
-            let _ = self.lanes[lane].send(ToWorker::Run(job));
-        }
-    }
-
-    /// Requester-side stall resolution: once every in-flight worker is
-    /// parked (dispatch pauses on the first park, so runners drain), the
-    /// pool is quiesced-except-parked — parked workers sit at safe points
-    /// with no partial writes — and the driver runs Algorithm 3's
-    /// requester side on their behalf, then hands each its outcome.
-    fn resolve_parks(&mut self) {
-        let stalls: Vec<(u64, &Stall)> = self
-            .inflight
-            .values()
-            .map(|f| (f.ts, f.parked.as_ref().expect("all parked")))
-            .collect();
-        let rid = transfer_for_stalls(&self.shared, &stalls);
-        for (worker, f) in self.inflight.iter_mut() {
-            f.parked = None;
-            let _ = self.lanes[*worker].send(ToWorker::Verdict(stall_outcome(rid, f.ts)));
-        }
-    }
-
-    /// Completes a Gap recovery once everything before it drained:
-    /// transfer until a snapshot covers the held-back delivery, then skip
-    /// it. The delivery stalls as [`Stall::Lagging`], which never heals,
-    /// so no transfer is withdrawn.
-    fn resolve_gap(&mut self) {
-        let gap = self.pending_gap.take().expect("a held-back delivery");
-        let ts = gap.ts.raw();
-        let transfer = || transfer_for_stalls(&self.shared, &[(ts, &Stall::Lagging)]);
-        while stall_outcome(transfer(), ts) == StallOutcome::Retry {}
-    }
-
-    /// Responder side of Algorithm 3 (lines 7–22): forgets the requests
-    /// no longer pending, notes each pending one's first sight and serves
-    /// those whose rotation turn has reached us, at an exact boundary
-    /// ([`Self::at_boundary`]). One walk in requester order: a request is
-    /// first seen when the walk reaches it, after the serves before it
-    /// streamed.
-    fn serve_transfers(&mut self) {
-        let pending = self.pending_requests();
-        self.seen_requests.retain(|k, _| pending.contains(k));
-        let shared = Rc::clone(&self.shared);
-        for p in 0..self.n() {
-            if p == shared.idx {
-                continue;
-            }
-            let slot = shared.layout.sync_slot(p);
-            if shared.node.local_read_word(slot.offset(8)).unwrap_or(0) != 1 {
-                continue;
-            }
-            let from = shared.node.local_read_word(slot).unwrap_or(0);
-            self.seen_requests.entry((p, from)).or_insert_with(sim::now);
-            if self.at_boundary() && self.serve_due(&(p, from)) <= Some(sim::now()) {
-                respond_transfer(&shared, p, from);
-                self.seen_requests.remove(&(p, from));
-            }
-        }
-    }
-
-    /// When our turn comes to serve the transfer request `(requester,
-    /// from_tmp)`, or `None` while it is unseen: the rotation counts from
-    /// the instant [`Self::serve_transfers`] first saw the request.
-    /// Deterministic rotation: requester+1 serves immediately, the
-    /// next waits one timeout, and so on (Algorithm 3, line 10 + lines
-    /// 19–22).
-    fn serve_due(&self, request: &(usize, u64)) -> Option<SimTime> {
-        let first_seen = *self.seen_requests.get(request)?;
-        let my_rank = (self.shared.idx + self.n() - request.0 - 1) % self.n();
-        Some(first_seen + TRANSFER_TIMEOUT * my_rank as u32)
-    }
-
     /// Cold restart, the first thing a driver booted after a power loss
-    /// does: rebuild the store from the durable checkpoint, reset the
-    /// replica's volatile protocol state to the checkpoint bound, and
-    /// queue the ordering WAL tail for replay through the normal admission
-    /// path ([`Self::run`] feeds it ahead of live deliveries). Equivalent
-    /// to a state transfer whose responder is the disk — the execution
-    /// trace restarts with a `('t', bound)` entry and replayed commands
-    /// append fresh `'e'` entries past it.
+    /// does: rebuild the store from the durable checkpoint, restart the
+    /// books at the checkpoint bound, and queue the ordering WAL tail for
+    /// replay through the normal admission path ([`Self::admit`] feeds it
+    /// ahead of live deliveries). Equivalent to a state transfer whose
+    /// responder is the disk — the execution trace restarts with a `('t',
+    /// bound)` entry and replayed commands append fresh `'e'` entries past
+    /// it.
     ///
     /// Without durability there is no checkpoint and no WAL: the store is
-    /// re-bootstrapped to time zero and `needs_full_sync` forces the next
-    /// delivery to wait for a live-peer transfer covering everything.
+    /// re-bootstrapped to time zero and the next delivery waits for a
+    /// live-peer transfer covering everything.
     fn cold_restart(&mut self) {
         let shared = Rc::clone(&self.shared);
         let t0 = sim::now();
         // What the replica's processes shared died with them. (This
-        // driver's own state is fresh; commands admitted but not
-        // dispatched before the cut are in the WAL like every other
-        // delivery, and come back through the replay.)
+        // driver's books are fresh; commands admitted but not dispatched
+        // before the cut are in the WAL like every other delivery, and come
+        // back through the replay.)
         shared.exec_trace.lock().clear();
         *shared.key_order.lock() = Default::default();
         shared.object_map.lock().clear();
@@ -1375,61 +1049,37 @@ impl Driver {
         };
         // The watermarks move only once the store is rebuilt: the
         // checkpointer snapshots nothing before (`run_checkpointer`).
-        shared.last_req.store(bound, Ordering::SeqCst);
-        shared.set_completed(bound);
         if bound > 0 {
             shared.exec_trace.lock().push((bound, 't'));
         }
-        publish_progress(&shared);
-        // With durability the WAL speaks for everything delivered past the
-        // bound (bound 0 = since genesis, before the first checkpoint), so
-        // replay alone restores us. Without it, nothing does: hold
-        // execution until a live-peer transfer covers the next delivery.
-        self.needs_full_sync = shared.disk.is_none();
+        let moved = self.books.restart(bound, shared.disk.is_some());
+        mirror(&shared, &self.books, moved);
         // The WAL tail past the bound replays through the normal delivery
         // path — the second component of recovery time. Deliveries the
         // ordering replica re-sends (or that were already sitting in our
         // mailbox) re-appear with timestamps the replay has covered and
-        // are skipped by the `last_req` watermark.
+        // are skipped by `last_req`.
         let group = amcast::GroupId(shared.partition.0);
         let tail = shared.cluster.mcast.wal_tail(group, shared.idx, bound);
-        let span = sim::trace::span_args(
-            "recover.cold",
-            bound,
-            &[("bound", bound), ("tail", tail.len() as u64)],
-        );
+        let args = [("bound", bound), ("tail", tail.len() as u64)];
+        let span = sim::trace::span_args("recover.cold", bound, &args);
+        self.books.replay(tail);
+        let metrics = Arc::clone(&shared.cluster.metrics);
         self.replay = Some(Replay {
-            metrics: Arc::clone(&shared.cluster.metrics),
+            metrics,
             t0,
-            frames: tail.len(),
-            tail: tail.into(),
             _span: span,
         });
     }
+}
 
-    /// Blocks until a guard [`Self::pass`] acts on holds. It waits on
-    /// the guards that read an input — the rest can only turn true through
-    /// an action — and on the deadlines of the time-driven one, a seen
-    /// request's rotation turn ([`Self::serve_due`]): never busy-wait on a
-    /// request that is not yet our turn.
-    fn idle_wait(&self) {
-        let now = sim::now();
-        // Only future turns shorten the wait. A past-due serve still pending
-        // here waits for the in-flight commands (with none in flight, a
-        // hole below a finished command is always dispatchable), and its
-        // wake signal is a worker event; a zero timeout would return
-        // without yielding and freeze the cooperative scheduler.
-        let timeout = (self.pending_requests().iter())
-            .filter_map(|k| self.serve_due(k)?.checked_sub(now))
-            .filter(|until_due| !until_due.is_zero())
-            .fold(Duration::from_millis(10), Duration::min);
-        // `events` was built on the poller's condition (`spawn_driver`) and
-        // `deliveries` owns it, so both mailboxes ring this wait directly;
-        // transfer requests land in the subscribed statesync entries.
-        self.shared.poller.poll_until_timeout(
-            || self.events_waiting() || self.delivery_waiting() || self.request_unseen(),
-            timeout,
-        );
+impl Drop for Driver {
+    /// A power cut killed the driver: a replay it was running closes on
+    /// the frames it fed.
+    fn drop(&mut self) {
+        if let Some(replay) = self.replay.take() {
+            replay.close(self.books.replayed());
+        }
     }
 }
 
@@ -1452,18 +1102,15 @@ impl Worker {
             poller: (self.shared.node).poller(sim::Cond::new(), &self.shared.exec_ranges),
         };
         loop {
-            let ToWorker::Run(job) = self.inbox.recv() else {
+            let ToWorker::Run { d, recv_ns } = self.inbox.recv() else {
                 panic!("a verdict for worker {} with nothing parked", self.index);
             };
-            let done = core.run_command(&job.d, job.recv_ns, &mut |ts, stall| self.park(ts, stall));
+            let done = core.run_command(&d, recv_ns, &mut |ts, stall| self.park(ts, stall));
             // The request span ends here, on the process that ran the
             // command; the driver posts the reply.
             let reply = done.map(|(reply, _request_span)| reply);
-            let _ = self.events.send(WorkerEvent::Done {
-                worker: self.index,
-                ts: job.d.ts.raw(),
-                reply,
-            });
+            let (worker, ts) = (self.index, d.ts.raw());
+            let _ = self.events.send(WorkerEvent::Done { worker, ts, reply });
         }
     }
 
@@ -1474,72 +1121,25 @@ impl Worker {
         // it out of that stage), and a parked wait-state for the profiler.
         let lagging = matches!(reason, Stall::Lagging);
         let label = if lagging { "lagging" } else { "phase2_starved" };
-        let _span = sim::trace::span_args(
-            "pool.park",
-            0,
-            &[
-                ("ts", ts.raw()),
-                ("worker", self.index as u64),
-                ("lagging", u64::from(lagging)),
-            ],
-        );
+        let (worker, ts) = (self.index, ts.raw());
+        let args = [
+            ("ts", ts),
+            ("worker", worker as u64),
+            ("lagging", u64::from(lagging)),
+        ];
+        let _span = sim::trace::span_args("pool.park", 0, &args);
         let _wait = sim::prof::parked_scope(label);
-        let _ = self.events.send(WorkerEvent::Parked {
-            worker: self.index,
-            ts: ts.raw(),
-            reason,
-        });
+        let _ = self.events.send(WorkerEvent::Parked { worker, ts, reason });
         let ToWorker::Verdict(outcome) = self.inbox.recv() else {
-            panic!("a job for parked worker {}", self.index);
+            panic!("a job for parked worker {worker}");
         };
         outcome
     }
 }
 
-/// One replica's delivery driver and, above width 1, its `width` workers.
-/// Width 1 has no worker: the driver is its own (inline) lane 0.
-fn build_driver(
-    shared: Rc<ReplicaShared>,
-    deliveries: Mailbox<DeliveryEvent>,
-) -> (Driver, Vec<Worker>) {
-    let width = shared.cluster.cfg.executor_width;
-    let workers = if width > 1 { width } else { 0 };
-    // Worker events ring the driver's own wait point: its idle wait
-    // watches this mailbox next to the delivery stream and polled memory.
-    let events: Mailbox<WorkerEvent> = Mailbox::with_cond(shared.poller.cond().clone());
-    let lanes: Vec<Mailbox<ToWorker>> = (0..workers).map(|_| Mailbox::new()).collect();
-    let driver = Driver {
-        shared: Rc::clone(&shared),
-        deliveries,
-        inline: (workers == 0).then(|| ExecCore {
-            shared: Rc::clone(&shared),
-            lane: 0,
-            poller: shared.poller.clone(),
-        }),
-        events: events.clone(),
-        lanes: lanes.clone(),
-        queue: VecDeque::new(),
-        inflight: BTreeMap::new(),
-        done: BTreeMap::new(),
-        seen_requests: HashMap::new(),
-        needs_full_sync: false,
-        pending_gap: None,
-        last_replied: HashMap::new(),
-        replay: None,
-    };
-    let workers = (0..workers)
-        .map(|k| Worker {
-            shared: Rc::clone(&shared),
-            index: k,
-            inbox: lanes[k].clone(),
-            events: events.clone(),
-        })
-        .collect();
-    (driver, workers)
-}
-
-/// Spawns one replica's delivery driver as `heron-exec-p{p}r{i}` and its
-/// workers, if any, as `heron-exec-p{p}r{i}w{k}`.
+/// Spawns one replica's delivery driver as `heron-exec-p{p}r{i}` and,
+/// above width 1, its `width` workers as `heron-exec-p{p}r{i}w{k}`. Width 1
+/// has no worker: the driver is its own (inline) lane 0.
 pub(crate) fn spawn_driver(
     boot: &rdma_sim::Boot<'_>,
     shared: Rc<ReplicaShared>,
@@ -1547,288 +1147,45 @@ pub(crate) fn spawn_driver(
     p: usize,
     i: usize,
 ) {
-    let (driver, workers) = build_driver(shared, deliveries);
+    let cfg = &shared.cluster.cfg;
+    let width = cfg.executor_width;
+    // Worker events ring the driver's own wait point: its idle wait
+    // watches this mailbox next to the delivery stream and polled memory.
+    let events: Mailbox<WorkerEvent> = Mailbox::with_cond(shared.poller.cond().clone());
+    let workers = if width > 1 { width } else { 0 };
+    let lanes: Vec<Mailbox<ToWorker>> = (0..workers).map(|_| Mailbox::new()).collect();
+    let poller = shared.poller.clone();
+    let driver = Driver {
+        books: Books::new(width, shared.idx, cfg.replicas_per_partition),
+        inline: (workers == 0).then(|| ExecCore {
+            shared: Rc::clone(&shared),
+            lane: 0,
+            poller,
+        }),
+        shared: Rc::clone(&shared),
+        deliveries,
+        events: events.clone(),
+        lanes: lanes.clone(),
+        pending: Vec::new(),
+        replay: None,
+    };
     boot.spawn(format!("heron-exec-p{p}r{i}"), move || driver.run());
-    for (k, worker) in workers.into_iter().enumerate() {
-        boot.spawn(format!("heron-exec-p{p}r{i}w{k}"), move || worker.run());
+    for (index, inbox) in lanes.into_iter().enumerate() {
+        let (shared, events) = (Rc::clone(&shared), events.clone());
+        let worker = Worker {
+            shared,
+            index,
+            inbox,
+            events,
+        };
+        boot.spawn(format!("heron-exec-p{p}r{i}w{index}"), move || worker.run());
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::app::Execution;
-    use crate::{HeronCluster, HeronConfig, StateMachine};
-    use rdma_sim::{Fabric, LatencyModel};
     use sim::trace::EventKind;
-
-    /// One partition, no objects: enough of an application to build a
-    /// cluster around a [`Driver`].
-    struct Stateless;
-
-    impl StateMachine for Stateless {
-        fn placement(&self, _oid: ObjectId) -> Placement {
-            Placement::Partition(PartitionId(0))
-        }
-        fn destinations(&self, _request: &[u8]) -> Vec<PartitionId> {
-            vec![PartitionId(0)]
-        }
-        fn read_set(&self, _request: &[u8]) -> Vec<ObjectId> {
-            vec![]
-        }
-        fn execute(
-            &self,
-            _partition: PartitionId,
-            _request: &[u8],
-            _reads: &ReadSet,
-            _local: &dyn LocalReader,
-        ) -> Execution {
-            Execution::default()
-        }
-        fn bootstrap(&self, _partition: PartitionId) -> Vec<(ObjectId, Bytes)> {
-            vec![]
-        }
-    }
-
-    /// Runs `check` inside a simulation, on replica (0, 0)'s driver of an
-    /// unspawned 1 × 3 cluster of the given width.
-    fn with_driver(width: usize, check: impl FnOnce(&HeronCluster, &mut Driver) + 'static) {
-        let simulation = sim::Simulation::new(1);
-        let fabric = Fabric::new(LatencyModel::connectx4());
-        let cfg = HeronConfig::new(1, 3).with_executor_width(width);
-        let cluster = HeronCluster::build(&fabric, cfg, std::sync::Arc::new(Stateless));
-        simulation.spawn("driver", move || {
-            let shared = Rc::clone(&cluster.replicas[0][0]);
-            let (mut driver, _workers) = build_driver(shared, Mailbox::new());
-            check(&cluster, &mut driver);
-        });
-        simulation.run().unwrap();
-    }
-
-    /// What admission and `try_dispatch` do to the driver's books when
-    /// `ts`, with conflict keys `keys`, goes straight to a lane: a worker's
-    /// lane is in flight until it finishes, the inline lane never is.
-    fn dispatch(driver: &mut Driver, ts: u64, keys: &[u64]) -> usize {
-        let lane = driver.free_lane().expect("a free lane");
-        driver.done.insert(ts, false);
-        if driver.inline.is_none() {
-            let f = InFlight {
-                ts,
-                keys: keys.to_vec(),
-                parked: None,
-            };
-            driver.inflight.insert(lane, f);
-        }
-        lane
-    }
-
-    /// Admits `ts` to the queue as [`Driver::on_deliver`] does, with
-    /// conflict keys `keys` (sorted), addressed to `partitions` partitions.
-    fn admit(driver: &mut Driver, ts: u64, keys: &[u64], partitions: u32) {
-        let d = Delivered {
-            id: amcast::MsgId(ts as u32),
-            ts: Timestamp::from_raw(ts),
-            dests: (1 << partitions) - 1,
-            payload: Bytes::new(),
-        };
-        driver.done.insert(ts, false);
-        let keys = keys.to_vec();
-        driver.queue.push_back(Job {
-            d,
-            recv_ns: 0,
-            keys,
-        });
-    }
-
-    /// The timestamp [`Driver::next_job`] picks.
-    fn next_ts(driver: &Driver) -> Option<u64> {
-        driver.next_job().map(|i| driver.queue[i].ts())
-    }
-
-    /// Dispatches what [`Driver::try_dispatch`] will, and returns the
-    /// timestamps it put in flight, by lane.
-    fn dispatch_ready(driver: &mut Driver) -> Vec<(usize, u64)> {
-        let before: Vec<usize> = driver.inflight.keys().copied().collect();
-        driver.try_dispatch();
-        (driver.inflight.iter())
-            .filter(|(lane, _)| !before.contains(lane))
-            .map(|(&lane, f)| (lane, f.ts))
-            .collect()
-    }
-
-    fn completed(driver: &Driver) -> u64 {
-        driver.shared.completed_req.load(Ordering::SeqCst)
-    }
-
-    /// The front conflicts with a running command; the command behind it
-    /// conflicts with neither and goes first.
-    #[test]
-    fn an_independent_job_overtakes_a_blocked_front() {
-        with_driver(4, |_, driver| {
-            dispatch(driver, 5, &[1]);
-            admit(driver, 10, &[1], 1);
-            admit(driver, 20, &[2], 1);
-            assert_eq!(next_ts(driver), Some(20));
-            assert_eq!(dispatch_ready(driver), [(1, 20)]);
-            assert_eq!(next_ts(driver), None, "10 still waits for 5");
-        });
-    }
-
-    /// A command that conflicts with an earlier queued one waits behind
-    /// it, even when nothing in flight conflicts with it.
-    #[test]
-    fn a_job_never_overtakes_an_earlier_queued_job_it_conflicts_with() {
-        with_driver(4, |_, driver| {
-            dispatch(driver, 5, &[1]);
-            admit(driver, 10, &[1, 2], 1);
-            admit(driver, 20, &[2], 1);
-            admit(driver, 30, &[3], 1);
-            assert_eq!(dispatch_ready(driver), [(1, 30)]);
-            driver.finish(0, 5, None);
-            assert_eq!(dispatch_ready(driver), [(0, 10)], "20 waits for 10");
-            driver.finish(0, 10, None);
-            assert_eq!(dispatch_ready(driver), [(0, 20)]);
-        });
-    }
-
-    /// Multi-partition commands start in delivery order among themselves,
-    /// independent or not; a single-partition command may pass them.
-    #[test]
-    fn a_multi_partition_job_never_overtakes_an_earlier_queued_one() {
-        with_driver(4, |_, driver| {
-            dispatch(driver, 5, &[1]);
-            admit(driver, 10, &[1], 2);
-            admit(driver, 20, &[2], 2);
-            admit(driver, 30, &[3], 1);
-            assert_eq!(dispatch_ready(driver), [(1, 30)]);
-            driver.finish(0, 5, None);
-            let started = dispatch_ready(driver);
-            assert_eq!(started, [(0, 10), (2, 20)], "10, then 20 behind it");
-        });
-    }
-
-    /// A command dispatched past a queued one finishes first; the
-    /// watermark stops below the queued one until it finishes too.
-    #[test]
-    fn the_watermark_never_covers_an_admitted_job_not_yet_dispatched() {
-        with_driver(4, |_, driver| {
-            dispatch(driver, 5, &[1]);
-            admit(driver, 10, &[1], 1);
-            admit(driver, 20, &[2], 1);
-            assert_eq!(dispatch_ready(driver), [(1, 20)]);
-            driver.finish(1, 20, None);
-            assert_eq!(completed(driver), 0, "5 is still running");
-            driver.finish(0, 5, None);
-            assert_eq!(completed(driver), 5, "10 is admitted, not dispatched");
-            assert_eq!(dispatch_ready(driver), [(0, 10)]);
-            driver.finish(0, 10, None);
-            assert_eq!(completed(driver), 20);
-            assert!(driver.done.is_empty());
-        });
-    }
-
-    /// A responder serves only at an exact boundary. While a finished
-    /// command sits above the watermark it refuses, and dispatch only fills
-    /// the holes below that command.
-    #[test]
-    fn a_serve_waits_while_a_finished_command_sits_above_the_watermark() {
-        with_driver(4, |_, driver| {
-            dispatch(driver, 5, &[1]);
-            admit(driver, 10, &[1], 1);
-            admit(driver, 20, &[2], 1);
-            assert_eq!(dispatch_ready(driver), [(1, 20)]);
-            driver.finish(1, 20, None);
-            driver.finish(0, 5, None);
-            // Replica 2 asks for a transfer; replica 0 is first in its
-            // rotation, so the serve is due at once.
-            let (node, sync) = (&driver.shared.node, driver.shared.layout.sync_slot(2));
-            node.local_write_word(sync, 5).unwrap();
-            node.local_write_word(sync.offset(8), 1).unwrap();
-            driver.seen_requests.insert((2, 5), sim::now());
-            assert!(driver.serve_turn());
-            assert!(driver.inflight.is_empty());
-            assert_eq!(completed(driver), 5);
-            assert!(!driver.at_boundary(), "20 finished above the watermark");
-            assert!(!driver.requests_moved(), "no serve past a hole");
-            admit(driver, 30, &[3], 1);
-            assert_eq!(dispatch_ready(driver), [(0, 10)], "only the hole");
-            driver.finish(0, 10, None);
-            assert_eq!(completed(driver), 20);
-            assert!(driver.at_boundary() && driver.requests_moved());
-            assert_eq!(next_ts(driver), Some(30), "at the boundary, no limit");
-        });
-    }
-
-    /// `completed_req` is a responder's snapshot bound: completions
-    /// arriving out of dispatch order never let it cover a timestamp that
-    /// is still running.
-    #[test]
-    fn finish_never_lets_the_watermark_cover_an_unfinished_command() {
-        with_driver(4, |_, driver| {
-            let lanes = [10, 20, 30].map(|ts| dispatch(driver, ts, &[]));
-            assert_eq!(lanes, [0, 1, 2], "the lowest free lane is picked");
-            assert_eq!(driver.free_lane(), Some(3));
-            driver.finish(lanes[1], 20, None);
-            assert_eq!(completed(driver), 0, "10 is still running");
-            driver.finish(lanes[2], 30, None);
-            assert_eq!(completed(driver), 0, "10 is still running");
-            driver.finish(lanes[0], 10, None);
-            assert_eq!(completed(driver), 30, "the whole prefix finished");
-            assert!(driver.inflight.is_empty(), "every lane came back");
-            assert_eq!(driver.free_lane(), Some(0));
-            assert!(driver.done.is_empty());
-        });
-    }
-
-    /// Completions in dispatch order — the only order the inline lane
-    /// produces — advance the watermark one command at a time.
-    #[test]
-    fn finish_in_dispatch_order_advances_the_watermark_per_command() {
-        with_driver(1, |_, driver| {
-            for ts in [10, 20, 30] {
-                let lane = dispatch(driver, ts, &[]);
-                assert_eq!(lane, 0, "the inline lane");
-                assert!(driver.inflight.is_empty(), "never in flight");
-                driver.finish(lane, ts, None);
-                assert_eq!(driver.shared.completed_req.load(Ordering::SeqCst), ts);
-            }
-        });
-    }
-
-    /// Both lanes share the reply guard: a reply whose seq is not above the
-    /// highest already posted for its client is not posted, at width 1
-    /// either (it would regress the seq word of the client's one response
-    /// slot for this replica).
-    #[test]
-    fn finish_does_not_post_a_stale_reply_on_the_inline_lane() {
-        with_driver(1, |cluster, driver| {
-            let client = cluster.client("c");
-            let (client_node, slot) = {
-                let clients = cluster.inner.clients.lock();
-                let info = &clients[&client.id()];
-                let slot = resp_slot(info.resp_base, 0, 0, 3);
-                (cluster.inner.fabric.node(info.node), slot)
-            };
-            let posted = |seq, body: &'static [u8]| {
-                Some(Reply {
-                    client_id: client.id(),
-                    seq,
-                    response: Bytes::from_static(body),
-                })
-            };
-            for (ts, seq, body, expect) in [
-                (10, 5, b"new".as_slice(), 5),
-                (20, 4, b"old".as_slice(), 5),
-                (30, 6, b"newer".as_slice(), 6),
-            ] {
-                let lane = dispatch(driver, ts, &[]);
-                driver.finish(lane, ts, posted(seq, body));
-                sim::sleep(Duration::from_micros(10)); // the write lands
-                let seq_word = client_node.local_read_word(slot).unwrap();
-                assert_eq!(seq_word, expect, "after the reply to seq {seq}");
-            }
-        });
-    }
 
     /// The stage clock's one promise: the span ends at the instant the
     /// returned duration was measured to, so Σ spans == Σ `Breakdown` rows.

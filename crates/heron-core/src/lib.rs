@@ -86,6 +86,7 @@
 #![deny(clippy::iter_over_hash_type)]
 
 mod app;
+mod books;
 pub mod checker;
 pub mod checkpoint;
 mod client;

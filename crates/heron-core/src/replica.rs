@@ -40,10 +40,12 @@ const SER_NS_PER_KIB: u64 = 2_290;
 /// Deserialization cost per KiB on the receiving lagger.
 const DESER_NS_PER_KIB: u64 = 2_290;
 
-/// Requester side: ask the group for our missing state and wait until
-/// a responder completes it. Returns the responder's snapshot bound
-/// (raw timestamp): every request up to and including it is reflected
-/// in our state afterwards.
+/// Requester side: ask the group for our missing state since `from` (our
+/// `completed_req`) and wait until a responder completes it. Returns the
+/// responder's snapshot bound (raw timestamp): every request up to and
+/// including it is reflected in our state afterwards. `adopt` is told the
+/// bound the moment it is adopted, before the transfer's record is closed:
+/// the caller moves its watermarks there.
 ///
 /// With an escape hatch: between responder re-arms, if `abort()` reports
 /// that the condition we fell back from has healed (e.g. a coordination
@@ -67,7 +69,9 @@ const DESER_NS_PER_KIB: u64 = 2_290;
 /// chunk of the stream as it lands ([`apply_staged`]).
 pub(crate) fn state_transfer_abortable(
     shared: &Rc<ReplicaShared>,
+    from: u64,
     abort: &dyn Fn() -> bool,
+    adopt: &mut dyn FnMut(u64),
 ) -> Option<u64> {
     let cfg = &shared.cluster.cfg;
     let n = cfg.replicas_per_partition;
@@ -80,7 +84,6 @@ pub(crate) fn state_transfer_abortable(
     // carry the chunk count).
     let flipped = || status().is_ok_and(|st| st & 3 == 0);
     loop {
-        let from = shared.completed_req.load(Ordering::SeqCst);
         // The stream this attempt installs: the next chunk stamp, the
         // responder snapshot it belongs to (named by its first chunk),
         // and the bytes applied so far.
@@ -156,11 +159,7 @@ pub(crate) fn state_transfer_abortable(
             continue;
         }
         shared.exec_trace.lock().push((rid, 't'));
-        let cur = shared.last_req.load(Ordering::SeqCst);
-        shared.last_req.store(cur.max(rid), Ordering::SeqCst);
-        let curc = shared.completed_req.load(Ordering::SeqCst);
-        shared.set_completed(curc.max(rid));
-        publish_progress(shared);
+        adopt(rid);
         metrics.transfers.lock().push(TransferRecord {
             bytes,
             duration_ns: (sim::now() - t0).as_nanos() as u64,
@@ -231,9 +230,14 @@ fn staged_chunk(
 }
 
 /// Streams the replica's state since `from` to the requester in 32 KiB
-/// chunks, then clears the status entry everywhere (Algorithm 3,
-/// lines 11–18).
-pub(crate) fn respond_transfer(shared: &Rc<ReplicaShared>, requester: usize, from: u64) {
+/// chunks, as of snapshot `bound` (our `completed_req`), then clears the
+/// status entry everywhere (Algorithm 3, lines 11–18).
+pub(crate) fn respond_transfer(
+    shared: &Rc<ReplicaShared>,
+    requester: usize,
+    from: u64,
+    bound: u64,
+) {
     let cfg = &shared.cluster.cfg;
     let n = cfg.replicas_per_partition;
     // Claim the transfer with a remote CAS on the requester's status
@@ -249,7 +253,6 @@ pub(crate) fn respond_transfer(shared: &Rc<ReplicaShared>, requester: usize, fro
     // Snapshot at a request boundary: the driver only serves with nothing
     // in flight and nothing finished above the watermark, so it already
     // stands at one.
-    let bound = shared.completed_req.load(Ordering::SeqCst);
     // Line 12: every object written after `from` — the store stamps each
     // object with its newest write, and nothing ran above the watermark,
     // so no stamp passes `bound`.
@@ -476,6 +479,13 @@ pub(crate) fn publish_progress(shared: &Rc<ReplicaShared>) {
     }
 }
 
+/// The `from_tmp` of requester `p`'s state-transfer request, if one is
+/// raised (status 1) in this replica's statesync memory, read through `m`.
+pub(crate) fn sync_request(shared: &ReplicaShared, m: &MemView<'_>, p: usize) -> Option<u64> {
+    let slot = shared.layout.sync_slot(p);
+    (m.word(slot.offset(8)).unwrap_or(0) == 1).then(|| m.word(slot).unwrap_or(0))
+}
+
 /// The `(requester idx, from_tmp)` of every state-transfer request
 /// currently raised in this replica's statesync memory, read through `m`.
 pub(crate) fn pending_sync_requests<'a>(
@@ -483,11 +493,8 @@ pub(crate) fn pending_sync_requests<'a>(
     m: &'a MemView<'a>,
 ) -> impl Iterator<Item = (usize, u64)> + 'a {
     let n = shared.cluster.cfg.replicas_per_partition;
-    (0..n).filter(|&p| p != shared.idx).filter_map(move |p| {
-        let slot = shared.layout.sync_slot(p);
-        let status = m.word(slot.offset(8)).unwrap_or(0);
-        (status == 1).then(|| (p, m.word(slot).unwrap_or(0)))
-    })
+    let others = (0..n).filter(|&p| p != shared.idx);
+    others.filter_map(move |p| Some((p, sync_request(shared, m, p)?)))
 }
 
 #[cfg(test)]
@@ -629,19 +636,21 @@ mod tests {
             s.store.bootstrap(x, b"x0");
             s.store.bootstrap(y, b"y0");
         }
-        // The responder ran 10 (writes y) and 20 (writes x).
+        // The responder ran 10 (writes y) and 20 (writes x): its watermark
+        // is 20.
         responder.store.set(y, b"y10", ts(10));
         responder.store.set(x, b"x20", ts(20));
-        responder.set_completed(20);
         // The lagger ran 20 and then 30, which conflicts with it, while 10
-        // waits: its watermark stays below 10.
+        // waits: its watermark stays below 10, at 5.
         lagger.store.set(x, b"x20", ts(20));
         lagger.store.set(x, b"x30", ts(30));
-        lagger.set_completed(5);
         let adopted = Arc::new(Mutex::new(None));
         let (requester, out) = (Rc::clone(lagger), Arc::clone(&adopted));
         simulation.spawn("heron-exec-p0r2", move || {
-            *out.lock() = state_transfer_abortable(&requester, &|| false);
+            let mut told = None;
+            let rid = state_transfer_abortable(&requester, 5, &|| false, &mut |r| told = Some(r));
+            assert_eq!(rid, told, "the bound returned is the one adopted");
+            *out.lock() = rid;
         });
         simulation.spawn("heron-exec-p0r0", move || {
             let request = || {
@@ -654,7 +663,7 @@ mod tests {
             watch.poll_until(|| request().is_some());
             let (requester, from) = request().expect("a pending request");
             assert_eq!((requester, from), (2, 5));
-            respond_transfer(&responder, requester, from);
+            respond_transfer(&responder, requester, from, 20);
         });
         simulation.run().unwrap();
         assert_eq!(*adopted.lock(), Some(20), "the responder's bound");
@@ -665,7 +674,6 @@ mod tests {
             Some((30, bytes::Bytes::from_static(b"x30"))),
             "the install reverted command 30"
         );
-        assert_eq!(lagger.completed_req.load(Ordering::SeqCst), 20);
     }
 
     /// Two responders can race (the rotation fires while a slow one is
@@ -712,7 +720,7 @@ mod tests {
         let rearm = Arc::new(Mutex::new(None));
         let (requester, out) = (Rc::clone(&shared), Arc::clone(&adopted));
         simulation.spawn("heron-exec-p0r0", move || {
-            let rid = state_transfer_abortable(&requester, &|| false);
+            let rid = state_transfer_abortable(&requester, 0, &|| false, &mut |_| {});
             *out.lock() = Some((rid.expect("never withdrawn"), sim::now()));
         });
         let out = Arc::clone(&rearm);

@@ -20,13 +20,17 @@ cargo test -q --offline -p coro
 # Lint gate: formatting, clippy and rustdoc, warnings denied (a doc link
 # to a deleted or private item fails here, not only in a reader's browser),
 # the unsafe fence: every library crate root but shims/coro carries
-# #![forbid(unsafe_code)] and the keyword appears nowhere else, and the
-# config fence: every configuration field is set by some code.
+# #![forbid(unsafe_code)] and the keyword appears nowhere else, the config
+# fence: every configuration field is set by some code, and the pure fence:
+# the modules that hold a protocol's rules as a value (amcast's sequencer,
+# heron-core's books) name no simulator, fabric, mailbox, shared state or
+# trace.
 cargo fmt --check
 cargo clippy --workspace --all-targets --offline -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 scripts/unsafe_fence.sh
 scripts/config_fence.sh
+scripts/pure_fence.sh
 
 # Everything else — the chaos, race, explain and exploration gates with
 # their self-tests, and the figure gates that regenerate fig4, fig5, psmr
