@@ -2,11 +2,12 @@
 //! executor pool widens, at several conflict levels.
 //!
 //! Each partition hosts `wpp` warehouses; the conflict-key dispatcher can
-//! only overlap commands whose key sets are disjoint, so `wpp` is the
-//! conflict knob: 1 warehouse per partition keeps the paper's deployment
-//! (high conflict — every NewOrder shares the warehouse's coarse stock
-//! token), 8 warehouses per partition gives the pool 8 disjoint stock
-//! classes and 80 district classes to exploit (low conflict).
+//! only overlap commands that do not conflict, so `wpp` is the conflict
+//! knob: 1 warehouse per partition keeps the paper's deployment (high
+//! conflict — a partition's NewOrders meet on its 10 districts and on the
+//! stock rows they share, and a StockLevel waits for every NewOrder of
+//! its warehouse before it), 8 warehouses per partition gives the pool 80
+//! district classes and 8 stock tables to exploit (low conflict).
 //!
 //! `cargo run -p heron-bench --release --bin psmr_scaling [-- --quick]`
 //! (`--quick`: a smaller fixed workload).

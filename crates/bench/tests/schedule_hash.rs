@@ -151,6 +151,13 @@ struct Row {
 /// the cut left a different prefix durable, and its election and retries
 /// after the boot fell differently; every check still passes.
 ///
+/// `psmr-tpcc-2p-w4` moved alone, in all five columns, when a conflict
+/// key could be held shared and a TPC-C NewOrder began to hold each stock
+/// row it updates exclusive and its warehouse's stock token shared:
+/// NewOrders of one warehouse stopped waiting for each other unless they
+/// share an item or a district, 75 188 → 74 913 events in the fixed 4 ms
+/// window. `pool-bank-w4` declares no shared key and kept its pin.
+///
 /// Every row runs all five columns, 35 cells. The race detector shadows
 /// only what processes touch (DESIGN.md §10), so the pool row's
 /// 16-warehouse store, bootstrapped from host context, costs it little:
@@ -193,7 +200,7 @@ fn table() -> Vec<Row> {
         load_row(
             "psmr-tpcc-2p-w4",
             load(44, two().with_executor_width(4)).with_warehouses_per_partition(8),
-            (0xcaf4b61a38845556, 75_188, 4_000_000),
+            (0x299477d5e78b2cbb, 74_913, 4_000_000),
         ),
         row(
             "recovery-dur-off",

@@ -100,19 +100,35 @@ pub trait StateMachine: Send + Sync + 'static {
     /// priori as the paper assumes.
     fn read_set(&self, request: &[u8]) -> Vec<ObjectId>;
 
-    /// The request's *conflict key-set* for parallel execution (P-SMR,
-    /// Marandi et al.): two delivered commands may execute concurrently on
-    /// one replica iff their key-sets are disjoint; overlapping commands
-    /// apply in delivery order. Keys are opaque tokens — workloads derive
-    /// them from whatever statically identifies the state a command may
-    /// touch (TPC-C uses warehouse/district ids).
+    /// The keys the request holds *exclusive* for parallel execution
+    /// (P-SMR, Marandi et al.). Two delivered commands may execute
+    /// concurrently on one replica unless one holds exclusive a key the
+    /// other holds either way (here or in [`StateMachine::shared_keys`]);
+    /// conflicting commands apply in delivery order. Keys are opaque
+    /// tokens — workloads derive them from whatever statically identifies
+    /// the state a command may touch (TPC-C uses district, stock-row and
+    /// per-warehouse stock tokens).
     ///
     /// The default declares a single universal key, serializing every
-    /// command — always safe, no parallelism. An *empty* set means the
-    /// command conflicts with nothing (read-only against immutable state).
+    /// command — always safe, no parallelism. An *empty* set with no
+    /// shared keys means the command conflicts with nothing (read-only
+    /// against immutable state).
     fn conflict_keys(&self, request: &[u8]) -> Vec<u64> {
         let _ = request;
         vec![0]
+    }
+
+    /// The keys the request holds *shared*: two shared holders of a key run
+    /// side by side, and a shared and an exclusive holder conflict. A
+    /// command that writes a few rows of a table another command reads
+    /// whole holds those rows exclusive and a table token shared; the
+    /// reader holds the token exclusive, so it waits for every writer
+    /// before it and every writer after it waits for it, without
+    /// declaring each row. A key also in [`StateMachine::conflict_keys`]
+    /// is held exclusive. Defaults to none.
+    fn shared_keys(&self, request: &[u8]) -> Vec<u64> {
+        let _ = request;
+        Vec::new()
     }
 
     /// The read set as seen by one involved partition. Defaults to

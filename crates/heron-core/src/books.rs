@@ -14,9 +14,13 @@
 //! so a test can drive the rules with no simulation.
 //!
 //! Dispatch keeps P-SMR's rule ("Rethinking State-Machine Replication for
-//! Parallelism"): the first queued job whose conflict keys are disjoint
-//! from every in-flight job's and every earlier queued job's, and a
-//! multi-partition job never overtakes an earlier queued one. `done` gets
+//! Parallelism"): the first queued job that conflicts with no in-flight
+//! job and no earlier queued job, and a multi-partition job never
+//! overtakes an earlier queued one. A job holds each conflict key
+//! exclusive or shared ([`Keys`]): two holders of a key conflict unless
+//! both hold it shared, so commands that each touch a few rows under one
+//! coarse token run side by side, and a command holding the token
+//! exclusive waits for all of them. `done` gets
 //! its entry at admission, so the watermark is a hole-free prefix of
 //! admitted commands; a serve waits for an exact boundary. Width 1 is a
 //! pool of one lane: the inline lane is in flight while it runs, so its
@@ -26,8 +30,9 @@
 //! keys: because a command never overtakes an earlier queued command it
 //! conflicts with, it waits exactly until every earlier conflicting
 //! command completed — equivalent to chaining along the last-writer
-//! dependency graph of the delivered prefix, without materializing the
-//! graph.
+//! dependency graph of the delivered prefix (an exclusive holder after
+//! every earlier holder of its key, a shared holder after every earlier
+//! exclusive one), without materializing the graph.
 
 use crate::replica::TRANSFER_TIMEOUT;
 use crate::types::PartitionId;
@@ -83,16 +88,56 @@ pub(crate) enum Dispatch {
     },
 }
 
+/// A command's conflict keys by mode, each set sorted and deduplicated.
+/// Two commands conflict when one holds exclusive a key the other holds
+/// either way; a key declared both ways is held exclusive.
+#[derive(Debug, Default, PartialEq, Eq)]
+pub(crate) struct Keys {
+    exclusive: Vec<u64>,
+    shared: Vec<u64>,
+}
+
+impl Keys {
+    /// The key-set of a command that declares `exclusive` and `shared`
+    /// ([`crate::StateMachine::conflict_keys`] and
+    /// [`crate::StateMachine::shared_keys`]).
+    pub fn new(mut exclusive: Vec<u64>, mut shared: Vec<u64>) -> Self {
+        for set in [&mut exclusive, &mut shared] {
+            set.sort_unstable();
+            set.dedup();
+        }
+        shared.retain(|k| exclusive.binary_search(k).is_err());
+        Keys { exclusive, shared }
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.exclusive.is_empty() && self.shared.is_empty()
+    }
+
+    /// Every key with its mode: `(key, true)` for one held exclusive.
+    pub fn held(&self) -> impl Iterator<Item = (u64, bool)> + '_ {
+        let exclusive = self.exclusive.iter().map(|&key| (key, true));
+        exclusive.chain(self.shared.iter().map(|&key| (key, false)))
+    }
+
+    /// Whether the two commands may not run side by side.
+    fn conflicts(&self, other: &Keys) -> bool {
+        overlap(&self.exclusive, &other.exclusive)
+            || overlap(&self.exclusive, &other.shared)
+            || overlap(&self.shared, &other.exclusive)
+    }
+}
+
 /// A delivered command on its way from admission to a lane.
 struct Job {
     d: Delivered,
     /// Virtual time the driver took the delivery off the stream; the gap
     /// to a worker's pickup is the `execute.parallel` dispatch wait.
     recv_ns: u64,
-    /// Sorted, deduplicated conflict key-set (empty at width 1, where
-    /// nothing else is in flight to conflict with). Moves to the command's
-    /// [`InFlight`] entry at dispatch; the worker never reads it.
-    keys: Vec<u64>,
+    /// Conflict keys (none at width 1, where nothing else is in flight to
+    /// conflict with). Move to the command's [`InFlight`] entry at
+    /// dispatch; the worker never reads them.
+    keys: Keys,
 }
 
 impl Job {
@@ -108,7 +153,7 @@ impl Job {
 /// One in-flight command, from dispatch until it finishes.
 struct InFlight {
     ts: u64,
-    keys: Vec<u64>,
+    keys: Keys,
     parked: Option<Stall>,
 }
 
@@ -188,8 +233,12 @@ impl Books {
     }
 
     /// The conflict keys of the command in flight on `lane`.
-    pub fn keys(&self, lane: usize) -> &[u64] {
-        self.inflight.get(&lane).map_or(&[], |f| &f.keys)
+    pub fn keys(&self, lane: usize) -> &Keys {
+        const NONE: &Keys = &Keys {
+            exclusive: Vec::new(),
+            shared: Vec::new(),
+        };
+        self.inflight.get(&lane).map_or(NONE, |f| &f.keys)
     }
 
     // ------------------------------------------------------------------
@@ -206,7 +255,7 @@ impl Books {
 
     /// Admits the next delivery [`Self::waiting`]: the replay tail's front,
     /// or what `live` takes off the stream, at `recv_ns`; `keys` gives its
-    /// conflict key-set when a pool needs one. Returns `None` with nothing
+    /// conflict keys when a pool needs them. Returns `None` with nothing
     /// taken, `Some(false)` for a delivery `last_req` covers (skip it), and
     /// `Some(true)` for a Gap or a delivery that moved `last_req`: queued,
     /// or held back after a Gap — everything missed has a smaller
@@ -215,7 +264,7 @@ impl Books {
         &mut self,
         recv_ns: u64,
         live: impl FnOnce() -> Option<DeliveryEvent>,
-        keys: impl FnOnce(&Delivered) -> Vec<u64>,
+        keys: impl FnOnce(&Delivered) -> Keys,
     ) -> Option<bool> {
         let d = match &mut self.replay {
             _ if self.gap.is_some() => return None,
@@ -237,9 +286,10 @@ impl Books {
             self.gap = Some(ts);
             return Some(true);
         }
-        let mut keys = if self.width > 1 { keys(&d) } else { Vec::new() };
-        keys.sort_unstable();
-        keys.dedup();
+        let keys = match self.width {
+            1 => Keys::default(),
+            _ => keys(&d),
+        };
         self.done.insert(ts, false);
         self.queue.push_back(Job { d, recv_ns, keys });
         Some(true)
@@ -312,9 +362,9 @@ impl Books {
     fn blocked(&self, i: usize) -> bool {
         let q = &self.queue[i];
         let mut earlier = self.queue.range(..i);
-        (self.inflight.values()).any(|f| overlap(&f.keys, &q.keys))
+        (self.inflight.values()).any(|f| f.keys.conflicts(&q.keys))
             || earlier
-                .any(|e| overlap(&e.keys, &q.keys) || q.multi_partition() && e.multi_partition())
+                .any(|e| e.keys.conflicts(&q.keys) || q.multi_partition() && e.multi_partition())
     }
 
     /// The lowest lane not in flight.
@@ -558,15 +608,22 @@ mod tests {
     }
 
     /// Admits `event` off the live stream, with conflict keys `keys`.
-    fn deliver(books: &mut Books, event: DeliveryEvent, keys: &[u64]) -> Option<bool> {
-        books.admit(0, || Some(event), |_| keys.to_vec())
+    fn deliver(books: &mut Books, event: DeliveryEvent, keys: Keys) -> Option<bool> {
+        books.admit(0, || Some(event), |_| keys)
     }
 
-    /// Admits `ts` with conflict keys `keys`, addressed to `partitions`
+    /// Admits `ts` holding `exclusive` and `shared`, addressed to `parts`
+    /// partitions.
+    fn admit_shared(books: &mut Books, ts: u64, exclusive: &[u64], shared: &[u64], parts: u32) {
+        let keys = Keys::new(exclusive.into(), shared.into());
+        let d = DeliveryEvent::Deliver(delivered(ts, parts));
+        assert_eq!(deliver(books, d, keys), Some(true));
+    }
+
+    /// Admits `ts` holding `keys` exclusive, addressed to `partitions`
     /// partitions.
     fn admit(books: &mut Books, ts: u64, keys: &[u64], partitions: u32) {
-        let d = delivered(ts, partitions);
-        assert_eq!(deliver(books, DeliveryEvent::Deliver(d), keys), Some(true));
+        admit_shared(books, ts, keys, &[], partitions);
     }
 
     const GAP: DeliveryEvent = DeliveryEvent::Gap { from: 1, to: 2 };
@@ -620,6 +677,38 @@ mod tests {
         assert_eq!(dispatch_ready(&mut b), [(0, 10)], "20 waits for 10");
         b.finish(0, 10, None);
         assert_eq!(dispatch_ready(&mut b), [(0, 20)]);
+    }
+
+    /// Two commands that hold only a shared key in common run side by
+    /// side while two lanes are free.
+    #[test]
+    fn shared_holders_of_a_key_run_side_by_side() {
+        let mut b = books(4);
+        admit_shared(&mut b, 10, &[1], &[9], 1);
+        admit_shared(&mut b, 20, &[2], &[9], 1);
+        assert_eq!(dispatch_ready(&mut b), [(0, 10), (1, 20)]);
+    }
+
+    /// An exclusive holder waits for every earlier holder of its key, and
+    /// a shared holder behind it waits for it; a key declared both ways is
+    /// held exclusive.
+    #[test]
+    fn an_exclusive_holder_waits_for_the_shared_ones_before_it() {
+        let mut b = books(4);
+        admit_shared(&mut b, 10, &[], &[9], 1);
+        admit_shared(&mut b, 20, &[], &[9], 1);
+        admit(&mut b, 30, &[9], 1);
+        admit_shared(&mut b, 40, &[], &[9], 1);
+        admit_shared(&mut b, 50, &[7], &[7], 1);
+        assert_eq!(b.queue[4].keys, Keys::new(vec![7], vec![]));
+        assert_eq!(dispatch_ready(&mut b), [(0, 10), (1, 20), (2, 50)]);
+        b.finish(0, 10, None);
+        assert_eq!(dispatch_ready(&mut b), [], "30 waits for 20, 40 for 30");
+        b.finish(1, 20, None);
+        assert_eq!(dispatch_ready(&mut b), [(0, 30)]);
+        assert_eq!(dispatch_ready(&mut b), [], "40 waits for 30");
+        b.finish(0, 30, None);
+        assert_eq!(dispatch_ready(&mut b), [(0, 40)]);
     }
 
     /// Multi-partition commands start in delivery order among themselves,
@@ -739,7 +828,7 @@ mod tests {
         for ts in [10, 20, 30] {
             admit(&mut b, ts, &[1], 1);
             assert_eq!(dispatch_ready(&mut b), [(0, ts)], "the inline lane");
-            assert_eq!(b.keys(0), [], "no keys at width 1");
+            assert!(b.keys(0).is_empty(), "no keys at width 1");
             assert_eq!(b.in_flight(), 1);
             b.finish(0, ts, None);
             assert_eq!(b.completed(), ts);
@@ -767,10 +856,13 @@ mod tests {
     fn a_gap_holds_the_next_delivery_until_a_transfer_covers_it() {
         let mut b = books(1);
         admit(&mut b, 10, &[], 1);
-        assert_eq!(deliver(&mut b, GAP, &[]), Some(true));
+        assert_eq!(deliver(&mut b, GAP, Keys::default()), Some(true));
         admit(&mut b, 50, &[], 1);
         assert!(!b.waiting(true), "held back");
-        assert_eq!(b.admit(0, || unreachable!("held back"), |_| vec![]), None);
+        assert_eq!(
+            b.admit(0, || unreachable!("held back"), |_| unreachable!()),
+            None
+        );
         assert!(b.stalled().is_none(), "10 has not drained");
         assert_eq!(dispatch_ready(&mut b), [(0, 10)]);
         b.finish(0, 10, None);
@@ -783,19 +875,20 @@ mod tests {
         b.resolve(Some(60), |_, _| unreachable!("no lane is parked"));
         assert!(b.stalled().is_none() && b.waiting(true));
         let covered = DeliveryEvent::Deliver(delivered(55, 1));
-        assert_eq!(deliver(&mut b, covered, &[]), Some(false));
+        assert_eq!(deliver(&mut b, covered, Keys::default()), Some(false));
     }
 
-    /// One generated command: conflict keys as a mask over four keys, 1 or
-    /// 2 partitions, and its client.
-    type Command = (u64, u32, u64);
+    /// One generated command: its exclusive and its shared keys, each a
+    /// mask over four keys, 1 or 2 partitions, and its client.
+    type Command = (u64, u64, u32, u64);
 
     /// What the books did with the generated commands so far.
     #[derive(Default)]
     struct Model {
-        /// Admitted (queued) commands by timestamp: keys, multi-partition,
+        /// Admitted (queued) commands by timestamp: exclusive and shared
+        /// key masks (a key in both is exclusive only), multi-partition,
         /// client and seq.
-        admitted: BTreeMap<u64, (u64, bool, u64, u64)>,
+        admitted: BTreeMap<u64, (u64, u64, bool, u64, u64)>,
         started: BTreeSet<u64>,
         finished: BTreeSet<u64>,
         /// Every command up to it is in an installed snapshot.
@@ -813,7 +906,7 @@ mod tests {
 
         /// Command `ts` on `lane` finished (`reply`: with its reply).
         fn finish(&mut self, books: &mut Books, lane: usize, ts: u64, reply: bool) {
-            let (_, _, client, seq) = self.admitted[&ts];
+            let (.., client, seq) = self.admitted[&ts];
             let (post, _) = books.finish(lane, ts, reply.then_some((client, seq)));
             if post {
                 let last = self.posted.insert(client, seq);
@@ -833,11 +926,12 @@ mod tests {
                     continue;
                 };
                 let ts = d.ts.raw();
-                let (keys, multi, ..) = self.admitted[&ts];
-                for (&e, &(e_keys, e_multi, ..)) in self.admitted.range(..ts) {
+                let (ex, sh, multi, ..) = self.admitted[&ts];
+                for (&e, &(e_ex, e_sh, e_multi, ..)) in self.admitted.range(..ts) {
+                    let conflict = ex & (e_ex | e_sh) | sh & e_ex != 0;
                     assert!(
-                        e_keys & keys == 0 || self.covered(e),
-                        "conflict order rule: {ts} started before {e}, which shares a key, finished"
+                        !conflict || self.covered(e),
+                        "conflict order rule: {ts} started before {e}, which it conflicts with, finished"
                     );
                     assert!(
                         !(multi && e_multi) || self.started.contains(&e) || self.covered(e),
@@ -869,15 +963,16 @@ mod tests {
             };
             match kind % 8 {
                 0..=2 if next < cmds.len() => {
-                    let (mask, partitions, client) = cmds[next];
+                    let (ex, sh, partitions, client) = cmds[next];
                     next += 1;
                     let ts = 10 * next as u64;
                     let seq = *seqs.entry(client).and_modify(|s| *s += 1).or_insert(1);
-                    let keys: Vec<u64> = (0..4).filter(|k| mask >> k & 1 == 1).collect();
+                    let set = |mask: u64| (0..4).filter(|k| mask >> k & 1 == 1).collect();
                     let d = DeliveryEvent::Deliver(delivered(ts, partitions));
-                    deliver(&mut books, d, &keys);
+                    deliver(&mut books, d, Keys::new(set(ex), set(sh)));
                     if books.done.contains_key(&ts) {
-                        m.admitted.insert(ts, (mask, partitions > 1, client, seq));
+                        let admitted = (ex, sh & !ex, partitions > 1, client, seq);
+                        m.admitted.insert(ts, admitted);
                     }
                 }
                 3 => m.dispatch(&mut books),
@@ -893,7 +988,7 @@ mod tests {
                     }
                 }
                 7 if word % 8 == 0 => {
-                    deliver(&mut books, GAP, &[]);
+                    deliver(&mut books, GAP, Keys::default());
                 }
                 7 => {
                     if let Some(stalls) = books.stalled() {
@@ -929,14 +1024,15 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
         /// Algorithm 1's rules alone, at widths 1 and 4: the watermark
-        /// never covers an unfinished admitted command; commands that share
-        /// a key start only after the earlier one finished, and
+        /// never covers an unfinished admitted command; commands that
+        /// conflict (one holds exclusive a key the other holds either way)
+        /// start only after the earlier one finished, and
         /// multi-partition commands start in delivery order among
         /// themselves; each client's replies are posted once each, in
         /// increasing seq.
         #[test]
         fn the_books_keep_algorithm_1s_rules(
-            cmds in prop::collection::vec((0u64..16, 1u32..3, 0u64..3), 1..24),
+            cmds in prop::collection::vec((0u64..16, 0u64..16, 1u32..3, 0u64..3), 1..24),
             steps in prop::collection::vec((any::<u8>(), any::<u64>()), 0..160),
         ) {
             for width in [1, 4] {

@@ -11,8 +11,9 @@
 //!
 //! * **(a) agreement** — per partition, every replica executed in
 //!   timestamp order: its whole executed-request trace at width 1, every
-//!   two commands whose conflict keys intersect at width > 1 (a pool runs
-//!   independent commands out of order); and every request *settled*
+//!   two conflicting commands at width > 1 (a pool runs independent
+//!   commands out of order, and shared holders of a key side by side);
+//!   and every request *settled*
 //!   by a majority (per the replicas' `completed_req` watermarks) is covered
 //!   — executed or state-transferred — by at least a majority of replicas;
 //! * **(b) store order** — per replica, the store's write-order monitor
@@ -193,13 +194,13 @@ impl Checker {
             // (a1) every replica executes in timestamp order (the delivery
             // order of the atomic multicast). A pool starts a command past
             // earlier independent ones, so there the order is owed only
-            // between commands whose conflict keys intersect, as the
-            // replica's dispatch monitor saw them start; the inline lane
-            // owes it between any two.
+            // between conflicting commands (one holds exclusive a key the
+            // other holds either way), as the replica's dispatch monitor
+            // saw them start; the inline lane owes it between any two.
             for (i, tr) in traces.iter().enumerate() {
                 let out_of_order = if cfg.executor_width > 1 {
                     cluster.key_order_violation(p, i).map(|(key, ts, newest)| {
-                        format!("executed ts {ts} after ts {newest}, sharing conflict key {key}")
+                        format!("executed ts {ts} after ts {newest}, conflicting on key {key}")
                     })
                 } else {
                     let mut executed = tr.iter().filter(|&&(_, ev)| ev == 'e').map(|&(ts, _)| ts);

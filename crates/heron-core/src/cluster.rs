@@ -7,6 +7,7 @@
 //! checkpointer. [`ReplicaShared`] is what they share.
 
 use crate::app::StateMachine;
+use crate::books::Keys;
 use crate::config::HeronConfig;
 use crate::layout::{ReplicaLayout, CHUNK_HDR, COORD_ENTRY, SYNC_ENTRY};
 use crate::metrics::Metrics;
@@ -94,25 +95,15 @@ impl ReplicaShared {
         }
     }
 
-    /// Records the dispatch of command `ts_raw` with conflict key-set
-    /// `keys` in the execution trace, and checks it where it happens: a
-    /// dispatch at or below the newest one of a key it shares is the
-    /// first conflict-order violation, kept in [`Self::key_order`]. The
-    /// inline lane passes no keys; its trace is checked whole.
-    pub(crate) fn note_dispatch(&self, ts_raw: u64, keys: &[u64]) {
+    /// Records the dispatch of command `ts_raw` with conflict keys `keys`
+    /// in the execution trace, and checks it where it happens
+    /// ([`KeyOrder::note`]). The inline lane passes no keys; its trace is
+    /// checked whole.
+    pub(crate) fn note_dispatch(&self, ts_raw: u64, keys: &Keys) {
         self.exec_trace.lock().push((ts_raw, 'e'));
-        if keys.is_empty() {
-            return;
-        }
-        let mut order = self.key_order.lock();
-        let KeyOrder { newest, violation } = &mut *order;
-        for &key in keys {
-            let last = newest.entry(key).or_insert(0);
-            if *last >= ts_raw {
-                violation.get_or_insert((key, ts_raw, *last));
-            } else {
-                *last = ts_raw;
-            }
+        if !keys.is_empty() {
+            let completed = self.completed_req.load(Ordering::SeqCst);
+            self.key_order.lock().note(ts_raw, keys, completed);
         }
     }
 
@@ -135,13 +126,53 @@ impl ReplicaShared {
 }
 
 /// What a replica's dispatches did per conflict key: the newest
-/// timestamp dispatched with each key, and the first dispatch found at or
-/// below it, as raw `(key, ts, newest)`. Conflicting commands must start
-/// in timestamp order (DESIGN.md §13).
+/// timestamps dispatched with each key, and the first dispatch found at
+/// or below the one it must follow, as raw `(key, ts, newest)`.
+/// Conflicting commands must start in timestamp order (DESIGN.md §13).
 #[derive(Default)]
 pub(crate) struct KeyOrder {
-    newest: HashMap<u64, u64>,
+    newest: HashMap<u64, Held>,
+    /// Keys left in `newest` by its last pruning.
+    kept: usize,
     violation: Option<(u64, u64, u64)>,
+}
+
+/// The newest start that held a key either way, and the newest that held
+/// it exclusive.
+#[derive(Default)]
+struct Held {
+    any: u64,
+    exclusive: u64,
+}
+
+impl KeyOrder {
+    /// Command `ts_raw` started holding `keys`. An exclusive start must
+    /// come after every earlier holder of the key, a shared start after
+    /// every earlier exclusive holder: a start at or below the newest one
+    /// it must follow is the first violation.
+    ///
+    /// Every start comes above the watermark `completed`, so a key whose
+    /// newest start is at or below it orders nothing more: once the map
+    /// doubled since it was last pruned, such keys are dropped. It holds
+    /// the keys of recent commands, not every key ever dispatched (every
+    /// stock row, for TPC-C).
+    fn note(&mut self, ts_raw: u64, keys: &Keys, completed: u64) {
+        if self.newest.len() >= 2 * self.kept.max(64) {
+            self.newest.retain(|_, held| held.any > completed);
+            self.kept = self.newest.len();
+        }
+        for (key, exclusive) in keys.held() {
+            let held = self.newest.entry(key).or_default();
+            let last = if exclusive { held.any } else { held.exclusive };
+            if last >= ts_raw {
+                self.violation.get_or_insert((key, ts_raw, last));
+            }
+            held.any = held.any.max(ts_raw);
+            if exclusive {
+                held.exclusive = held.exclusive.max(ts_raw);
+            }
+        }
+    }
 }
 
 pub(crate) struct ClientInfo {
@@ -574,5 +605,50 @@ fn boot_replica(boot: &rdma_sim::Boot<'_>, shared: Rc<ReplicaShared>, p: usize, 
         boot.spawn(format!("heron-ckpt-p{p}r{i}"), move || {
             crate::checkpoint::run_checkpointer(shared)
         });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Starts `(ts, exclusive, shared)` in order; the first violation.
+    fn starts(order: &[(u64, &[u64], &[u64])]) -> Option<(u64, u64, u64)> {
+        let mut monitor = KeyOrder::default();
+        for &(ts, exclusive, shared) in order {
+            monitor.note(ts, &Keys::new(exclusive.into(), shared.into()), 0);
+        }
+        monitor.violation
+    }
+
+    /// Shared holders pass each other; nothing passes an exclusive holder,
+    /// and an exclusive holder passes no holder.
+    #[test]
+    fn the_monitor_orders_starts_by_mode() {
+        assert_eq!(starts(&[(20, &[], &[7]), (10, &[], &[7])]), None);
+        assert_eq!(
+            starts(&[(10, &[], &[7]), (30, &[7], &[]), (40, &[], &[7])]),
+            None
+        );
+        let shared_past_exclusive = [(20, &[7][..], &[][..]), (10, &[], &[7])];
+        assert_eq!(starts(&shared_past_exclusive), Some((7, 10, 20)));
+        let exclusive_past_shared = [(20, &[][..], &[7][..]), (10, &[7], &[])];
+        assert_eq!(starts(&exclusive_past_shared), Some((7, 10, 20)));
+    }
+
+    /// The monitor forgets only keys whose newest start is at or below the
+    /// watermark: an order still owed above it is checked.
+    #[test]
+    fn the_monitor_forgets_keys_below_the_watermark_only() {
+        let mut monitor = KeyOrder::default();
+        let held = |key| Keys::new(vec![key], vec![]);
+        monitor.note(3000, &held(5), 0);
+        for key in 1000..1200 {
+            monitor.note(key, &held(key), 2000);
+        }
+        let kept = monitor.newest.len();
+        assert!(kept < 100, "{kept} keys kept");
+        monitor.note(2500, &held(5), 2000);
+        assert_eq!(monitor.violation, Some((5, 2500, 3000)));
     }
 }

@@ -57,8 +57,8 @@ pub struct HeronConfig {
     /// command itself, in delivery order, on its inline lane — the paper's
     /// executor, with no worker processes. Widths above 1 spawn that many
     /// virtual-time worker processes, to which the same driver hands
-    /// commands: those with overlapping
-    /// [`crate::StateMachine::conflict_keys`] chain in delivery order,
+    /// commands: conflicting ones ([`crate::StateMachine::conflict_keys`],
+    /// [`crate::StateMachine::shared_keys`]) chain in delivery order,
     /// independent ones run concurrently.
     pub executor_width: usize,
     /// Enables virtual-time tracing: causal spans across the client, the

@@ -21,8 +21,9 @@
 //!
 //! The books keep the four rules P-SMR's pool needs (Marandi et al.,
 //! "Rethinking State-Machine Replication for Parallelism"; DESIGN.md §13):
-//! a job goes when its conflict keys ([`crate::StateMachine::conflict_keys`])
-//! are disjoint from every in-flight and every earlier queued job's, and a
+//! a job goes when its conflict keys ([`crate::StateMachine::conflict_keys`],
+//! held exclusive, and [`crate::StateMachine::shared_keys`], held shared)
+//! conflict with no in-flight and no earlier queued job's, and a
 //! multi-partition job never overtakes an earlier queued one; `done` gets
 //! its entry at admission; a responder serves only at an exact boundary;
 //! and an install never replaces a newer slot (the store's rule,
@@ -58,7 +59,7 @@
 //! such that every admitted command up to it has finished its write phase.
 
 use crate::app::{LocalReader, ReadSet};
-use crate::books::{Books, Dispatch, Mirror, Stall, StallOutcome};
+use crate::books::{Books, Dispatch, Keys, Mirror, Stall, StallOutcome};
 use crate::cluster::ReplicaShared;
 use crate::layout::{decode_envelope, encode_coord, encode_response, resp_slot, COORD_ENTRY};
 use crate::metrics::{Breakdown, Metrics};
@@ -903,7 +904,10 @@ impl Driver {
     /// One that a transfer covered is skipped.
     fn admit(&mut self) -> bool {
         let (app, deliveries) = (&self.shared.cluster.app, &self.deliveries);
-        let keys = |d: &Delivered| app.conflict_keys(decode_envelope(&d.payload).3);
+        let keys = |d: &Delivered| {
+            let request = decode_envelope(&d.payload).3;
+            Keys::new(app.conflict_keys(request), app.shared_keys(request))
+        };
         let now = sim::now().as_nanos();
         match self.books.admit(now, || deliveries.try_recv(), keys) {
             None => return false,

@@ -42,6 +42,17 @@ fn cost(serialized_rows: u32, native_rows: u32) -> Duration {
     BASE_CPU + PER_SERIALIZED_ROW_CPU * serialized_rows + PER_NATIVE_ROW_CPU * native_rows
 }
 
+/// The conflict token of district `(w, d)`: the district row's oid.
+fn dist(w: u16, d: u8) -> u64 {
+    ids::district(w, d).0
+}
+
+/// The conflict token of warehouse `w`'s whole stock table: the oid of
+/// stock row `(w, 0)`, which no item uses.
+fn stock_token(w: u16) -> u64 {
+    ids::stock(w, 0).0
+}
+
 /// The TPC-C application: implements [`StateMachine`] for Heron.
 #[derive(Debug, Clone)]
 pub struct TpccApp {
@@ -588,32 +599,29 @@ impl StateMachine for TpccApp {
     }
 
     fn conflict_keys(&self, request: &[u8]) -> Vec<u64> {
-        // Two token spaces, both borrowed from the object-id encoding so
+        // Three token kinds, all borrowed from the object-id encoding so
         // they can never collide with each other:
-        //   dist(w, d)  — the district row's oid. Serializes everything
-        //                 that touches district (w, d): its orders, its
-        //                 customers, its history.
-        //   stock(w)    — the oid of the *nonexistent* stock row (w, item
-        //                 0); item ids are 1-based, so no real object uses
-        //                 it. One coarse token per warehouse's stock: a
-        //                 StockLevel reads stock rows chosen by the data
-        //                 (unknowable a priori), so stock conflicts must
-        //                 be declared per warehouse, not per item.
-        fn dist(w: u16, d: u8) -> u64 {
-            ids::district(w, d).0
-        }
-        fn stock(w: u16) -> u64 {
-            ids::stock(w, 0).0
-        }
+        //   dist(w, d)     — the district row's oid. Serializes everything
+        //                    that touches district (w, d): its orders, its
+        //                    customers, its history.
+        //   stock(w, i)    — the stock row's own oid, held by the NewOrder
+        //                    that updates it.
+        //   stock_token(w) — the oid of the *nonexistent* stock row (w,
+        //                    item 0); item ids are 1-based, so no real
+        //                    object uses it. A StockLevel reads stock rows
+        //                    chosen by the data (unknowable a priori), so it
+        //                    holds the whole warehouse's stock through this
+        //                    token exclusive, and every NewOrder supplied by
+        //                    the warehouse holds it shared (`shared_keys`).
         let txn = Transaction::decode(request).expect("well-formed TPC-C request");
-        let mut keys: Vec<u64> = match txn {
+        match txn {
             Transaction::NewOrder {
                 w, d, ref lines, ..
             } => {
                 // District + customer + order inserts at home; stock
                 // updates at each supplying warehouse.
                 let mut k = vec![dist(w, d)];
-                k.extend(lines.iter().map(|l| stock(l.supply_w)));
+                k.extend(lines.iter().map(|l| ids::stock(l.supply_w, l.i_id).0));
                 k
             }
             Transaction::Payment { w, d, c_w, c_d, .. } => {
@@ -627,11 +635,21 @@ impl StateMachine for TpccApp {
             }
             // StockLevel reads the district's recent orders and the
             // warehouse's stock rows.
-            Transaction::StockLevel { w, d, .. } => vec![dist(w, d), stock(w)],
-        };
-        keys.sort_unstable();
-        keys.dedup();
-        keys
+            Transaction::StockLevel { w, d, .. } => vec![dist(w, d), stock_token(w)],
+        }
+    }
+
+    fn shared_keys(&self, request: &[u8]) -> Vec<u64> {
+        match Transaction::decode(request).expect("well-formed TPC-C request") {
+            // Each supplying warehouse's stock token: NewOrders of one
+            // warehouse run side by side unless they share an item or a
+            // district, and none passes a StockLevel of a warehouse it
+            // supplies from.
+            Transaction::NewOrder { lines, .. } => {
+                lines.iter().map(|l| stock_token(l.supply_w)).collect()
+            }
+            _ => Vec::new(),
+        }
     }
 
     fn execute(

@@ -1,8 +1,9 @@
 //! TPC-C running on a full Heron deployment: cross-replica consistency of
 //! the database invariants under the paper's workload mix.
 
-use heron_core::{HeronCluster, HeronConfig, PartitionId};
+use heron_core::{Checker, HeronCluster, HeronConfig, PartitionId};
 use rdma_sim::{Fabric, LatencyModel};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use tpcc::{ids, CustomerRow, DistrictRow, StockRow, TpccApp, TpccScale, Transaction};
@@ -244,4 +245,81 @@ fn stock_level_counts_low_stock() {
         sim::stop();
     });
     simulation.run().unwrap();
+}
+
+/// A width-4 pool at one warehouse a partition, under a NewOrder-heavy
+/// stream with a StockLevel in every five requests: NewOrders of one
+/// warehouse run side by side unless they share an item or a district,
+/// and a StockLevel holds its warehouse's stock whole. Every stock row
+/// ends identical across replicas, every store's write-order monitor stays
+/// clean and the checker's agreement check passes.
+#[test]
+fn a_width_4_pool_keeps_stock_identical_at_one_warehouse_a_partition() {
+    const CLIENTS: u64 = 8;
+    // The clients need a few milliseconds; a run still waiting here has
+    // lost a request.
+    const DEADLINE: sim::SimTime = sim::SimTime::from_millis(200);
+    let (seed, warehouses, replicas) = (37, 2u16, 3);
+    let simulation = sim::Simulation::new(seed);
+    let fabric = Fabric::new(LatencyModel::connectx4());
+    // Ten districts and 200 items: two NewOrders often share neither.
+    let scale = TpccScale {
+        districts: 10,
+        items: 200,
+        ..TpccScale::small()
+    };
+    let app = Arc::new(TpccApp::new(scale, warehouses));
+    let cfg = HeronConfig::new(warehouses as usize, replicas).with_executor_width(4);
+    let cluster = HeronCluster::build(&fabric, cfg, app.clone());
+    cluster.spawn(&simulation);
+    let checker = Checker::new(seed);
+    let done = Arc::new(AtomicU64::new(0));
+    for c in 0..CLIENTS {
+        let mut client = checker.client(&cluster, format!("c{c}"));
+        let (app, done) = (app.clone(), done.clone());
+        simulation.spawn(format!("client{c}"), move || {
+            let mut gen = app.generator(c + 40);
+            gen.remote_line_pct = 5;
+            for i in 0..15u64 {
+                let home = ((c + i) % warehouses as u64 + 1) as u16;
+                let txn = match i % 5 {
+                    4 => gen.stock_level(home),
+                    _ => gen.new_order(home),
+                };
+                client.execute(&txn.encode());
+            }
+            done.fetch_add(1, Ordering::SeqCst);
+        });
+    }
+    let c2 = cluster.clone();
+    simulation.spawn("checker", move || {
+        while done.load(Ordering::SeqCst) < CLIENTS {
+            let finished = done.load(Ordering::SeqCst);
+            assert!(
+                sim::now() < DEADLINE,
+                "{finished} of {CLIENTS} clients finished"
+            );
+            sim::sleep(Duration::from_millis(1));
+        }
+        sim::sleep(Duration::from_millis(3));
+        for w in 1..=warehouses {
+            let p = PartitionId(w - 1);
+            for i in 1..=scale.items {
+                let s0 = c2.peek(p, 0, ids::stock(w, i)).unwrap();
+                for r in 1..replicas {
+                    let s = c2.peek(p, r, ids::stock(w, i)).unwrap();
+                    assert_eq!(s, s0, "stock w{w}i{i} r{r}");
+                }
+            }
+        }
+        if let Err(v) = checker.check_replicas(&c2) {
+            panic!("{v}");
+        }
+        sim::stop();
+    });
+    simulation.run().unwrap();
+    assert_eq!(
+        cluster.metrics().latencies.lock().len(),
+        15 * CLIENTS as usize
+    );
 }

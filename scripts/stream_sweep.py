@@ -9,10 +9,13 @@ that the change's `run.py` does not list in `EXCLUDED`, each in a fresh child
 pinned the way `run.py` pins its children. It prints:
 
 * per stream, both sides' end-to-end virtual metrics (`tps`,
-  `latency_p50_us`, `latency_p99_us`), `failed`, and `replicas_in_sync` of
-  `replicas_live`;
+  `latency_p50_us`, `latency_p99_us`), `failed`, `replicas_in_sync` of
+  `replicas_live`, and `heron.transfers_started`;
 * per metric, how many streams the change moved higher, lower or left
   equal, and both sides' median over the streams;
+* per side, the state transfers started over all streams and the streams
+  that started any, so a fault-free workload's transfers are read off the
+  sweep;
 * per `run.py --seed` group (the streams one contract run pools), the pooled
   value of each virtual end-to-end metric, computed by `run.py`'s own
   `measure_end_to_end` over the runs above.
@@ -31,6 +34,7 @@ import statistics
 import sys
 
 METRICS = ["tps", "latency_p50_us", "latency_p99_us"]
+TRANSFERS = "heron.transfers_started"
 POOLED = METRICS + ["replicas_in_sync_share"]
 
 
@@ -83,7 +87,7 @@ def main():
     bad = 0
     print(f"== {args.workload}: {len(allowed)} streams, excluded {rule.EXCLUDED.get(args.workload, [])}")
     print(f"{'stream':>6}  " + "  ".join(f"{m + ' parent -> change':>34}" for m in METRICS)
-          + "  failed  in_sync", flush=True)
+          + "  failed  in_sync  transfers", flush=True)
     for stream in allowed:
         r = {}
         for side in ("parent", "change"):
@@ -98,17 +102,23 @@ def main():
             bad += r[side]["failed"] > 0
         cells = [f"{r['parent'][m]:>15.6g} -> {r['change'][m]:<15.6g}" for m in METRICS]
         sync = "  ".join(f"{r[s]['replicas_in_sync']}/{r[s]['replicas_live']}" for s in ("parent", "change"))
+        transfers = "/".join(str(r[s][TRANSFERS]) for s in ("parent", "change"))
         print(f"{stream:>6}  " + "  ".join(cells)
-              + f"  {r['parent']['failed']}/{r['change']['failed']}  {sync}", flush=True)
+              + f"  {r['parent']['failed']}/{r['change']['failed']}  {sync}  {transfers}", flush=True)
 
     print("\nper metric over the streams: change higher / lower / equal; median parent -> change")
-    for m in METRICS + ["failed", "replicas_in_sync"]:
+    for m in METRICS + ["failed", "replicas_in_sync", TRANSFERS]:
         pairs = [(results["parent"][s][m], results["change"][s][m]) for s in allowed]
         higher = sum(c > p for p, c in pairs)
         lower = sum(c < p for p, c in pairs)
         medians = [statistics.median(x[i] for x in pairs) for i in (0, 1)]
         print(f"   {m:22} higher {higher:3}  lower {lower:3}  equal {len(pairs) - higher - lower:3}"
               f"   median {medians[0]:.6g} -> {medians[1]:.6g}")
+
+    print("\nstate transfers started over the streams")
+    for side in ("parent", "change"):
+        started = {s: results[side][s][TRANSFERS] for s in allowed if results[side][s][TRANSFERS]}
+        print(f"   {side:6} {sum(started.values()):4} on {len(started):3} streams {sorted(started.items())}")
 
     n = rule.STREAMS.get(args.workload, 3)
     seeds = range(-(-len(allowed) // n))
